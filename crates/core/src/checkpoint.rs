@@ -352,8 +352,8 @@ fn sample_from_json(value: &Value) -> Option<RttSample> {
         } else {
             Some(u32::try_from(value["uid"].as_i64()?).ok()?)
         },
-        package: opt_str_from(&value["package"]),
-        domain: opt_str_from(&value["domain"]),
+        package: opt_str_from(&value["package"])?,
+        domain: opt_str_from(&value["domain"])?,
         measured_ms: value["measured_ms"].as_f64()?,
         true_ms: value["true_ms"].as_f64()?,
         tcpdump_ms: if value["tcpdump_ms"].is_null() {
@@ -487,16 +487,16 @@ fn flow_spec_from_json(value: &Value) -> Option<FlowSpec> {
         package: value["package"].as_str()?.to_string(),
         src: if value["src"].is_null() { None } else { Some(endpoint_from_json(&value["src"])?) },
         dst: endpoint_from_json(&value["dst"])?,
-        domain: opt_str_from(&value["domain"]),
+        domain: opt_str_from(&value["domain"])?,
         request_bytes: value["request_bytes"].as_u64()? as usize,
         close_after: value["close_after"].as_u64()? as usize,
         kind: flow_kind_from_str(value["kind"].as_str()?)?,
         network: if value["network"].is_null() {
             None
         } else {
-            net_kind_from_str(value["network"].as_str()?)
+            Some(net_kind_from_str(value["network"].as_str()?)?)
         },
-        isp: opt_str_from(&value["isp"]),
+        isp: opt_str_from(&value["isp"])?,
     })
 }
 
@@ -594,8 +594,14 @@ fn opt_str(text: &Option<String>) -> Value {
     }
 }
 
-fn opt_str_from(value: &Value) -> Option<String> {
-    value.as_str().map(str::to_string)
+/// A nullable string field: `null` is `Some(None)`, a string `Some(Some(_))`,
+/// anything else a malformed document.
+fn opt_str_from(value: &Value) -> Option<Option<String>> {
+    if value.is_null() {
+        Some(None)
+    } else {
+        Some(Some(value.as_str()?.to_string()))
+    }
 }
 
 #[cfg(test)]
@@ -673,6 +679,36 @@ mod tests {
         assert_eq!(sparse.src, restored.src);
         assert_eq!(sparse.network, restored.network);
         assert_eq!(sparse.kind, restored.kind);
+    }
+
+    /// `doc` with member `field` replaced by `value`.
+    fn with_field(doc: &Value, field: &str, value: Value) -> Value {
+        let Value::Object(members) = doc else { panic!("not an object: {doc:?}") };
+        let swap = |(k, v): &(String, Value)| {
+            (k.clone(), if k == field { value.clone() } else { v.clone() })
+        };
+        Value::Object(members.iter().map(swap).collect())
+    }
+
+    #[test]
+    fn mistyped_or_unknown_labels_are_rejected_not_restored_as_none() {
+        // A label that silently restores as `None` re-labels the flow's
+        // samples: the checkpoint would load, and resume to a wrong digest.
+        let good = flow_spec_to_json(&spec());
+        for (field, bad) in [
+            ("network", json!("LTE")),
+            ("network", json!(3)),
+            ("domain", json!(7)),
+            ("isp", json!({ "name": "CMHK" })),
+        ] {
+            let doc = with_field(&good, field, bad);
+            assert!(flow_spec_from_json(&doc).is_none(), "flow spec accepted a bad {field}");
+        }
+        let good = sample_to_json(&sample());
+        for field in ["package", "domain"] {
+            let doc = with_field(&good, field, json!(1.5));
+            assert!(sample_from_json(&doc).is_none(), "sample accepted a bad {field}");
+        }
     }
 
     #[test]
@@ -788,6 +824,12 @@ mod tests {
         // Mistyped body field (seed must be a hex string).
         let mistyped = good.replace("\"seed\": \"0000000000000007\"", "\"seed\": 7");
         let err = FleetCheckpoint::parse(&mistyped).unwrap_err();
+        assert!(err.contains("malformed"), "{err}");
+
+        // An unknown network tag on a pending flow (a flipped byte).
+        assert!(good.contains("\"network\": \"Lte\""), "{good}");
+        let relabelled = good.replace("\"network\": \"Lte\"", "\"network\": \"LTE\"");
+        let err = FleetCheckpoint::parse(&relabelled).unwrap_err();
         assert!(err.contains("malformed"), "{err}");
     }
 

@@ -1,0 +1,255 @@
+//! The per-connection record.
+//!
+//! MopEye keeps one client object per relayed connection — socket channel,
+//! buffers, state machine and the two connect timestamps live together
+//! (§2.3, §3.4). [`ConnTable`] is that object's home in the engine: a
+//! four-tuple is interned **once**, at `FlowStart`, into a dense [`FlowId`],
+//! and everything the stages know about the connection sits in one
+//! slab-allocated [`Conn`] that events and cross-stage calls reach by index.
+//!
+//! Records live until [`ConnTable::clear`] (one call per engine reset), so a
+//! `FlowId` never dangles and needs no generation. Teardown only resets the
+//! *evictable* fields — the RNG stream and the writer lane — so a stray late
+//! packet re-seeds from `(seed, four-tuple)` exactly as a fresh flow would.
+
+use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
+
+use mop_measure::NetKind;
+use mop_packet::FourTuple;
+use mop_simnet::{SimRng, SimTime, SocketId};
+use mop_tun::{AppEndpoint, DnsClient, FlowSpec};
+
+use crate::stats::FlowOutcome;
+use crate::tun_writer::WriterLane;
+
+/// Dense index of one connection's [`Conn`] record in the [`ConnTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowId(u32);
+
+/// The simulated app end of a connection.
+#[derive(Debug)]
+pub(crate) enum AppSide {
+    /// A packet arrived for a tuple no `FlowStart` announced.
+    None,
+    /// A TCP app endpoint.
+    Tcp(AppEndpoint),
+    /// A DNS client.
+    Dns(DnsClient),
+}
+
+/// What a `FlowStart` records about its flow; becomes the [`FlowOutcome`].
+#[derive(Debug)]
+pub(crate) struct FlowMeta {
+    package: String,
+    /// When the app opened the flow — also its `/proc/net` registration
+    /// time, which the lazy mapper reads.
+    pub(crate) started_at: SimTime,
+    finished_at: SimTime,
+    bytes_received: usize,
+    completed: bool,
+    /// Network label carried by the flow spec (scenario-assigned); `None`
+    /// falls back to the simulated access profile at measurement time.
+    pub(crate) network: Option<NetKind>,
+    /// ISP label carried by the flow spec.
+    pub(crate) isp: Option<String>,
+}
+
+/// Everything the engine keeps for one connection.
+#[derive(Debug)]
+pub struct Conn {
+    /// The app-side four-tuple (the table interns its canonical form).
+    pub(crate) flow: FourTuple,
+    /// The flow-keyed RNG stream; `None` until first drawn from and again
+    /// after teardown (evictable).
+    pub(crate) rng: Option<SimRng>,
+    /// The flow-keyed TunWriter timing lane (evictable).
+    pub(crate) lane: WriterLane,
+    /// The simulated app endpoint or DNS client.
+    pub(crate) app: AppSide,
+    /// The external socket (the regular-socket side of the splice).
+    pub(crate) socket: Option<SocketId>,
+    /// Pre-`connect()` timestamp, pending until the connect completes. Set
+    /// and taken through the table, which keeps the connect-thread census.
+    connect_pre_ts: Option<SimTime>,
+    /// True while a half-close waits for the read side to drain.
+    pub(crate) half_close_pending: bool,
+    /// In-flight DNS measurement: send timestamp and queried name.
+    pub(crate) dns_pending: Option<(SimTime, String)>,
+    /// Outcome bookkeeping, present once a `FlowStart` announced the flow.
+    pub(crate) meta: Option<FlowMeta>,
+}
+
+impl Conn {
+    /// (Re)starts the outcome record for `spec`, opened at `now`.
+    pub(crate) fn started(&mut self, spec: &FlowSpec, now: SimTime) {
+        self.meta = Some(FlowMeta {
+            package: spec.package.clone(),
+            started_at: now,
+            finished_at: now,
+            bytes_received: 0,
+            completed: false,
+            network: spec.network,
+            isp: spec.isp.clone(),
+        });
+    }
+
+    /// Marks the flow finished (with the given completion verdict).
+    pub(crate) fn finished(&mut self, now: SimTime, completed: bool) {
+        if let Some(meta) = &mut self.meta {
+            meta.finished_at = now;
+            meta.completed = completed;
+        }
+    }
+
+    /// Records delivered-to-app progress (bytes received so far, last
+    /// delivery time, and whether the app finished cleanly).
+    pub(crate) fn progressed(&mut self, now: SimTime, bytes_received: usize, done_cleanly: bool) {
+        if let Some(meta) = &mut self.meta {
+            meta.bytes_received = bytes_received;
+            meta.finished_at = now;
+            meta.completed |= done_cleanly;
+        }
+    }
+}
+
+/// The engine's connection table: the one four-tuple index plus the slab of
+/// [`Conn`] records it points into. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct ConnTable {
+    /// Canonical four-tuple → record, so both directions share one record.
+    ids: HashMap<FourTuple, FlowId>,
+    conns: Vec<Conn>,
+    /// How many records hold a pre-connect timestamp: the live
+    /// socket-connect threads (tunnel-write contention, §3.5.1).
+    connecting: usize,
+}
+
+impl ConnTable {
+    /// The record id of `flow` (either direction), created on first sight
+    /// with `flow` as its app-side tuple.
+    pub fn intern(&mut self, flow: FourTuple) -> FlowId {
+        *self.ids.entry(flow.canonical()).or_insert_with(|| {
+            let id = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
+            self.conns.push(Conn {
+                flow,
+                rng: None,
+                lane: WriterLane::default(),
+                app: AppSide::None,
+                socket: None,
+                connect_pre_ts: None,
+                half_close_pending: false,
+                dns_pending: None,
+                meta: None,
+            });
+            FlowId(id)
+        })
+    }
+
+    /// Forgets every connection, keeping both allocations; ids restart at
+    /// zero, so a reset engine hands out the ids a fresh one would.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.conns.clear();
+        self.connecting = 0;
+    }
+
+    /// Pre-sizes the table for `flows` more connections.
+    pub fn reserve(&mut self, flows: usize) {
+        self.ids.reserve(flows);
+        self.conns.reserve(flows);
+    }
+
+    /// The records, in intern order.
+    pub fn iter(&self) -> impl Iterator<Item = &Conn> {
+        self.conns.iter()
+    }
+
+    /// Stamps `id`'s pre-connect timestamp: its connect thread is now live.
+    pub(crate) fn begin_connect(&mut self, id: FlowId, pre_ts: SimTime) {
+        if self[id].connect_pre_ts.replace(pre_ts).is_none() {
+            self.connecting += 1;
+        }
+    }
+
+    /// Takes `id`'s pre-connect timestamp: its connect thread is done.
+    pub(crate) fn end_connect(&mut self, id: FlowId) -> Option<SimTime> {
+        let pre_ts = self[id].connect_pre_ts.take();
+        self.connecting -= usize::from(pre_ts.is_some());
+        pre_ts
+    }
+
+    /// Whether any socket-connect thread is live.
+    pub(crate) fn connect_threads_active(&self) -> bool {
+        self.connecting > 0
+    }
+
+    /// The outcome record of every announced flow (report time).
+    pub(crate) fn flow_outcomes(&self) -> Vec<FlowOutcome> {
+        self.conns
+            .iter()
+            .filter_map(|conn| {
+                conn.meta.as_ref().map(|meta| FlowOutcome {
+                    flow: conn.flow,
+                    package: meta.package.clone(),
+                    started_at: meta.started_at,
+                    finished_at: meta.finished_at,
+                    bytes_received: meta.bytes_received,
+                    completed: meta.completed,
+                })
+            })
+            .collect()
+    }
+}
+
+impl Index<FlowId> for ConnTable {
+    type Output = Conn;
+
+    fn index(&self, id: FlowId) -> &Conn {
+        &self.conns[id.0 as usize]
+    }
+}
+
+impl IndexMut<FlowId> for ConnTable {
+    fn index_mut(&mut self, id: FlowId) -> &mut Conn {
+        &mut self.conns[id.0 as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mop_packet::Endpoint;
+
+    fn tuple(host: u8) -> FourTuple {
+        FourTuple::new(Endpoint::v4(10, 1, 0, host, 40_000), Endpoint::v4(216, 58, 221, 132, 443))
+    }
+
+    #[test]
+    fn intern_is_idempotent_in_both_directions_and_clear_rewinds_ids() {
+        let mut table = ConnTable::default();
+        let (a, b) = (table.intern(tuple(1)), table.intern(tuple(2)));
+        assert_eq!((a, b), (FlowId(0), FlowId(1)));
+        assert_eq!(table.intern(tuple(1)), a);
+        assert_eq!(table.intern(tuple(1).reversed()), a, "both directions share a record");
+        assert_eq!(table[a].flow, tuple(1), "the first-seen direction is the app side");
+        assert_eq!(table.iter().count(), 2);
+
+        table.begin_connect(a, SimTime::from_millis(1));
+        table.begin_connect(a, SimTime::from_millis(2));
+        assert!(table.connect_threads_active());
+        assert_eq!(table.end_connect(a), Some(SimTime::from_millis(2)));
+        assert_eq!(table.end_connect(a), None);
+        assert!(!table.connect_threads_active(), "the census moves only on None<->Some");
+
+        table.begin_connect(b, SimTime::ZERO);
+        let capacity = (table.conns.capacity(), table.ids.capacity());
+        table.clear();
+        assert_eq!(table.iter().count(), 0);
+        assert!(!table.connect_threads_active());
+        assert_eq!((table.conns.capacity(), table.ids.capacity()), capacity);
+        // A reset table hands out the ids a fresh one would.
+        assert_eq!(table.intern(tuple(2)), FlowId(0));
+        assert_eq!(table.intern(tuple(1)), FlowId(1));
+    }
+}

@@ -26,19 +26,20 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_packet::{FourTuple, Packet};
+use mop_packet::Packet;
 use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::config::MopEyeConfig;
-use crate::stages::{
-    EgressStage, EngineShared, IngressStage, RelayStage, SinkStage, Stage, StageBatch, StageLinks,
-};
+use crate::conn::FlowId;
+use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage, Stage};
 use crate::tun_writer::TunWriter;
 
 pub use crate::report::RunReport;
 
-/// Internal events driving the engine loop, routed between stages.
+/// Internal events driving the engine loop, routed between stages. A
+/// connection is named by the [`FlowId`] of its record, interned when its
+/// `FlowStart` ran.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// An app opens a flow described by the spec. (→ ingress)
@@ -51,29 +52,29 @@ pub(crate) enum Event {
     /// engine loop coalesces consecutive same-instant slabs into one burst
     /// before dispatching.
     ProcessTunBatch(SlabBatch),
-    /// The external connect for `flow` has completed (successfully or not).
-    /// (→ relay)
-    ExternalConnected(FourTuple),
-    /// Response data has become readable on the external socket of `flow`.
-    /// (→ relay)
-    SocketReadable(FourTuple),
-    /// The DNS response for `flow` has arrived; relay it to the app.
+    /// The connection's external connect has completed (successfully or
+    /// not). (→ relay)
+    ExternalConnected(FlowId),
+    /// Response data has become readable on the connection's external
+    /// socket. (→ relay)
+    SocketReadable(FlowId),
+    /// The DNS response for the connection has arrived; relay it to the app.
     /// (→ relay)
     DnsResponse {
-        /// The app-side DNS flow.
-        flow: FourTuple,
+        /// The DNS connection.
+        id: FlowId,
         /// The response packet to write to the tunnel.
         packet: Packet,
     },
-    /// A packet written to the tunnel is delivered to the app side.
-    /// (→ ingress)
-    DeliverToApp(Packet),
-    /// The cancellable idle timer of `flow` expired with no relay activity.
-    /// (→ relay)
-    IdleTimeout(FourTuple),
-    /// The retransmission timer of `flow` expired with data still in flight.
-    /// (→ relay)
-    RtoTimeout(FourTuple),
+    /// A packet written to the tunnel is delivered to the connection's app
+    /// side. (→ ingress)
+    DeliverToApp(FlowId, Packet),
+    /// The connection's cancellable idle timer expired with no relay
+    /// activity. (→ relay)
+    IdleTimeout(FlowId),
+    /// The connection's retransmission timer expired with data still in
+    /// flight. (→ relay)
+    RtoTimeout(FlowId),
 }
 
 impl Event {
@@ -85,7 +86,7 @@ impl Event {
             Event::ExternalConnected(_) => "event.external_connected",
             Event::SocketReadable(_) => "event.socket_readable",
             Event::DnsResponse { .. } => "event.dns_response",
-            Event::DeliverToApp(_) => "event.deliver_to_app",
+            Event::DeliverToApp(..) => "event.deliver_to_app",
             Event::IdleTimeout(_) => "event.idle_timeout",
             Event::RtoTimeout(_) => "event.rto_timeout",
         }
@@ -126,9 +127,9 @@ impl MopEyeEngine {
     }
 
     /// Resets the engine for a new run over `net`, reusing every allocation:
-    /// stage tables, buffer and slab pools, the timing wheel's slot slab and
-    /// the scratch vectors all survive cleared rather than dropped, so a
-    /// resident engine's steady state allocates nothing. A reset engine is
+    /// the connection table, stage tables, buffer and slab pools and the
+    /// timing wheel's slot slab all survive cleared rather than dropped, so
+    /// a resident engine's steady state allocates nothing. A reset engine is
     /// observationally identical to `MopEyeEngine::new(config, net)` with
     /// the same config — the clock restarts at zero, RNG streams reseed from
     /// the config seed, and every counter and identifier sequence rewinds.
@@ -153,11 +154,6 @@ impl MopEyeEngine {
         &self.shared.net
     }
 
-    /// The pipeline stages, in datapath order.
-    pub(crate) fn stages(&mut self) -> [&mut dyn Stage; 4] {
-        [&mut self.ingress, &mut self.relay, &mut self.egress, &mut self.sink]
-    }
-
     /// The stage names, in datapath order (diagnostics and docs).
     pub fn stage_names(&self) -> [&'static str; 4] {
         let stages: [&dyn Stage; 4] = [&self.ingress, &self.relay, &self.egress, &self.sink];
@@ -180,8 +176,8 @@ impl MopEyeEngine {
     /// The loop drains the scheduler in timestamp-batched bursts: pops are
     /// nondecreasing in time with FIFO order at equal instants, so
     /// *consecutive* TUN slabs due at the same instant can be absorbed into
-    /// one burst (up to `config.batch_size` packets) and dispatched as a
-    /// single stage batch. Coalescing is restricted to equal timestamps
+    /// one burst (up to `config.batch_size` packets) and handed to the
+    /// ingress stage as one slab. Coalescing is restricted to equal timestamps
     /// because processing an event at `t1` may schedule new work strictly
     /// between `t1` and the next queued event — merging across distinct
     /// instants would reorder that work. At equal instants the merge is
@@ -245,14 +241,11 @@ impl MopEyeEngine {
         self.report()
     }
 
-    /// Pre-sizes every stage's per-flow tables for `flows` concurrent
-    /// connections, so a fleet-scale run pays its table growth up front
-    /// rather than on the packet path.
+    /// Pre-sizes the connection table for `flows` more connections, so a
+    /// fleet-scale run pays its table growth up front rather than on the
+    /// packet path.
     pub fn reserve_flows(&mut self, flows: usize) {
-        for stage in self.stages() {
-            stage.reserve_flows(flows);
-        }
-        self.shared.reserve_flows(flows);
+        self.shared.conns.reserve(flows);
     }
 
     /// Counts and dispatches one event; false stops the run (event budget).
@@ -271,62 +264,45 @@ impl MopEyeEngine {
     fn route(&mut self, now: SimTime, event: Event) {
         let (shared, sched) = (&mut self.shared, &mut self.sched);
         match event {
-            Event::FlowStart(spec) => self.ingress.on_flow_start(
-                shared,
-                &mut self.relay,
-                &mut self.sink,
-                sched,
-                now,
-                spec,
-            ),
+            Event::FlowStart(spec) => {
+                self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec)
+            }
             Event::ProcessTunBatch(_) => {
                 unreachable!("TUN batches are coalesced and dispatched by the run_flows loop")
             }
-            Event::ExternalConnected(flow) => self.relay.on_external_connected(
+            Event::ExternalConnected(id) => self.relay.on_external_connected(
                 shared,
                 &mut self.egress,
                 &mut self.sink,
                 sched,
                 now,
-                flow,
+                id,
             ),
-            Event::SocketReadable(flow) => {
-                self.relay.on_socket_readable(shared, &mut self.egress, sched, now, flow)
+            Event::SocketReadable(id) => {
+                self.relay.on_socket_readable(shared, &mut self.egress, sched, now, id)
             }
-            Event::DnsResponse { flow, packet } => self.relay.on_dns_response(
+            Event::DnsResponse { id, packet } => self.relay.on_dns_response(
                 shared,
                 &mut self.egress,
                 &mut self.sink,
                 sched,
                 now,
-                flow,
+                id,
                 packet,
             ),
-            Event::DeliverToApp(packet) => self.ingress.on_deliver_to_app(
-                shared,
-                &mut self.relay,
-                &mut self.sink,
-                sched,
-                now,
-                packet,
-            ),
-            Event::IdleTimeout(flow) => self.relay.on_idle_timeout(
-                shared,
-                &mut self.egress,
-                &mut self.sink,
-                sched,
-                now,
-                flow,
-            ),
-            Event::RtoTimeout(flow) => {
-                self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, flow)
+            Event::DeliverToApp(id, packet) => {
+                self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, id, packet)
+            }
+            Event::IdleTimeout(id) => self.relay.on_idle_timeout(shared, sched, now, id),
+            Event::RtoTimeout(id) => {
+                self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, id)
             }
         }
     }
 
     /// The ingress → relay handoff for one coalesced tunnel burst: budget
     /// the event count (each packet in the slab was one scheduled event),
-    /// hand the slab to the ingress stage's batch path, and recycle it.
+    /// hand the slab to the ingress stage, and recycle it.
     /// Returns false when the event budget is exhausted.
     fn process_tun_batch(&mut self, mut slab: SlabBatch) -> bool {
         // Reproduce the item-wise budget semantics exactly: events count one
@@ -338,18 +314,14 @@ impl MopEyeEngine {
         let process = packets.min(remaining);
         self.events_processed += process + u64::from(over_budget);
         slab.truncate(process as usize);
-        let mut batch = StageBatch::Tun(slab);
-        let mut links = StageLinks {
-            shared: &mut self.shared,
-            sched: &mut self.sched,
-            relay: Some(&mut self.relay),
-            egress: Some(&mut self.egress),
-            sink: Some(&mut self.sink),
-        };
-        self.ingress.process_batch(&mut links, &mut batch);
-        if let StageBatch::Tun(slab) = batch {
-            self.ingress.recycle_batch(slab);
-        }
+        self.ingress.process_tun(
+            &mut self.shared,
+            &mut self.relay,
+            &mut self.egress,
+            &mut self.sched,
+            &slab,
+        );
+        self.ingress.recycle_batch(slab);
         !over_budget
     }
 
@@ -363,7 +335,7 @@ impl MopEyeEngine {
             self.profiler.record(name, value);
         }
         RunReport {
-            flows: self.sink.flow_outcomes(),
+            flows: self.shared.conns.flow_outcomes(),
             samples: std::mem::take(&mut self.sink.samples),
             aggregates: std::mem::take(&mut self.sink.aggregates),
             windows: self.sink.windows.take(),

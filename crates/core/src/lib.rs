@@ -65,6 +65,7 @@
 
 pub mod checkpoint;
 pub mod config;
+pub mod conn;
 pub mod engine;
 pub mod report;
 pub mod shard;

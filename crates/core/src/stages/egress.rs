@@ -2,106 +2,76 @@
 //!
 //! Every packet the relay sends towards an app passes through here: the
 //! enqueue cost and the dedicated writer thread's timing are modelled
-//! against a [`WriterLane`] — the single device-wide lane under the
-//! shared-device discipline, or the connection's own lane under the
-//! flow-keyed discipline (so a flow's write timing depends only on its own
-//! packet train, one of the invariants behind shard-count-independent
-//! determinism). The packet itself travels as a scheduled `DeliverToApp`
+//! against a [`WriterLane`](crate::tun_writer::WriterLane) — the single
+//! device-wide lane under the shared-device discipline, or the lane in the
+//! connection's record under the flow-keyed discipline (so a flow's write
+//! timing depends only on its own packet train, one of the invariants behind
+//! shard-count-independent determinism). The packet itself travels as a scheduled `DeliverToApp`
 //! event; the writer only ever sees its wire length.
 
-use std::collections::HashMap;
-
-use mop_packet::{FourTuple, Packet};
+use mop_packet::Packet;
 use mop_simnet::{FaultDecision, SimTime, TimerScheduler};
 
-use super::{EngineShared, Stage, StageBatch, StageLinks};
+use super::{EngineShared, Stage};
 use crate::config::EngineDiscipline;
+use crate::conn::FlowId;
 use crate::engine::Event;
-use crate::tun_writer::{TunWriter, WriterLane};
+use crate::tun_writer::TunWriter;
 
 /// The TunWriter-lane stage. See the [module docs](self).
 #[derive(Debug)]
 pub struct EgressStage {
     /// The tunnel writer (schemes + delay statistics).
     pub(crate) writer: TunWriter,
-    /// Per-connection TunWriter timing lanes (flow-keyed discipline).
-    pub(crate) writer_lanes: HashMap<FourTuple, WriterLane>,
 }
 
 impl Stage for EgressStage {
     fn name(&self) -> &'static str {
         "egress"
     }
-
-    fn reserve_flows(&mut self, flows: usize) {
-        self.writer_lanes.reserve(flows);
-    }
-
-    /// Writes one outbound batch to the tunnel, draining the batch so the
-    /// upstream stage can reclaim its scratch vector. Each packet goes
-    /// through `EgressStage::write_to_tunnel` with the batch's
-    /// connect-thread flag — per-packet draws and order are identical to the
-    /// item-wise path, so batching is invisible to deterministic digests.
-    fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
-        let StageBatch::Outbound { packets, connect_threads_active } = batch else { return };
-        let active = *connect_threads_active;
-        for (at, packet) in packets.drain(..) {
-            self.write_to_tunnel(links.shared, links.sched, at, packet, active);
-        }
-    }
 }
 
 impl EgressStage {
     /// Creates the stage around a configured writer.
     pub fn new(writer: TunWriter) -> Self {
-        Self { writer, writer_lanes: HashMap::new() }
+        Self { writer }
     }
 
-    /// Resets the stage to its just-constructed state for the same schemes,
-    /// keeping the lane-table allocation.
+    /// Resets the stage to its just-constructed state for the same schemes.
     pub(crate) fn reset(&mut self) {
         self.writer.reset();
-        self.writer_lanes.clear();
     }
 
-    /// Writes a packet towards the apps through the TunWriter and schedules
-    /// its delivery. The one owned packet travels straight into the delivery
-    /// event; the device and the writer only see its wire length.
+    /// Writes a packet towards the app of connection `id` through the
+    /// TunWriter and schedules its delivery. The one owned packet travels
+    /// straight into the delivery event; the device and the writer only see
+    /// its wire length.
     ///
     /// Under the shared-device discipline every packet goes through the one
     /// writer-thread timing lane (queue serialisation couples flows, as on a
-    /// real handset); `connect_threads_active` adds the socket-connect
-    /// threads to the contending writer count. Under the flow-keyed
-    /// discipline each connection has its own lane and a fixed
-    /// concurrent-writer count.
+    /// real handset); live socket-connect threads add to the contending
+    /// writer count (§3.5.1). Under the flow-keyed discipline each
+    /// connection has its own lane and a fixed concurrent-writer count.
     pub(crate) fn write_to_tunnel(
         &mut self,
         sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        id: FlowId,
         packet: Packet,
-        connect_threads_active: bool,
     ) {
-        let flow_key = packet.four_tuple();
-        let mut rng = sh.checkout_rng_opt(flow_key);
+        let mut rng = sh.checkout_rng(id);
         let outcome = match sh.config.discipline {
             EngineDiscipline::SharedDevice => {
-                let writers = 1 + usize::from(connect_threads_active);
+                let writers = 1 + usize::from(sh.conns.connect_threads_active());
                 self.writer.submit(now, writers, &sh.cost, &mut rng, &mut sh.ledger)
             }
             EngineDiscipline::FlowKeyed => {
-                let key = flow_key.map(|f| f.canonical());
-                let mut lane =
-                    key.and_then(|k| self.writer_lanes.get(&k).copied()).unwrap_or_default();
-                let outcome =
-                    self.writer.submit_lane(&mut lane, now, 2, &sh.cost, &mut rng, &mut sh.ledger);
-                if let Some(k) = key {
-                    self.writer_lanes.insert(k, lane);
-                }
-                outcome
+                let lane = &mut sh.conns[id].lane;
+                self.writer.submit_lane(lane, now, 2, &sh.cost, &mut rng, &mut sh.ledger)
             }
         };
-        sh.checkin_rng_opt(flow_key, rng);
+        sh.checkin_rng(id, rng);
         sh.tun.record_relay_write(packet.wire_len());
         let mut deliver_at = outcome.written_at;
         // The data-path fault stage: only payload-bearing TCP segments are
@@ -112,23 +82,19 @@ impl EgressStage {
         // four-tuple)`, so any shard partition faults the same segments. The
         // writer already counted the write: a dropped segment consumed the
         // tunnel exactly like a delivered one.
-        if let Some(flow) = flow_key {
-            if packet.tcp().is_some_and(|t| !t.payload.is_empty()) && sh.net.faults_possible() {
-                match sh.net.data_fault(flow, deliver_at) {
+        if packet.tcp().is_some_and(|t| !t.payload.is_empty()) && sh.net.faults_possible() {
+            // The network keys its fault stream by the packet's own tuple.
+            if let Some(wire_flow) = packet.four_tuple() {
+                match sh.net.data_fault(wire_flow, deliver_at) {
                     FaultDecision::Deliver => {}
                     FaultDecision::Drop => return,
                     FaultDecision::Duplicate => {
-                        sched.schedule(deliver_at, Event::DeliverToApp(packet.clone()));
+                        sched.schedule(deliver_at, Event::DeliverToApp(id, packet.clone()));
                     }
                     FaultDecision::Delay(extra) => deliver_at += extra,
                 }
             }
         }
-        sched.schedule(deliver_at, Event::DeliverToApp(packet));
-    }
-
-    /// Evicts a finished connection's writer lane (flow-keyed teardown).
-    pub(crate) fn release_lane(&mut self, key: FourTuple) {
-        self.writer_lanes.remove(&key);
+        sched.schedule(deliver_at, Event::DeliverToApp(id, packet));
     }
 }

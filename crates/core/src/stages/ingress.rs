@@ -1,23 +1,22 @@
 //! The ingress stage: TUN retrieval and parse.
 //!
-//! This is the app-facing end of the pipeline. Simulated app endpoints (and
-//! DNS clients) live here; when one writes a packet "into the tunnel", the
-//! raw IP bytes are sealed into a pooled slab batch, the `ReaderSim` models
-//! the TUN retrieval cost for the configured read strategy, and the slab is
-//! scheduled to the relay stage as a `ProcessTunBatch` event (the engine
-//! loop coalesces same-instant slabs into larger bursts). Packets the
-//! egress stage delivers back to the apps re-enter here
-//! (`DeliverToApp`), where the app endpoints consume them and emit their
-//! next requests.
-
-use std::collections::HashMap;
+//! This is the app-facing end of the pipeline. When a simulated app endpoint
+//! or DNS client (held in its connection's record) writes a packet "into the
+//! tunnel", the raw IP bytes are sealed into a pooled slab batch, the
+//! `ReaderSim` models the TUN retrieval cost for the configured read
+//! strategy, and the slab is scheduled as a `ProcessTunBatch` event (the
+//! engine loop coalesces same-instant slabs into larger bursts), which comes
+//! back here to be parsed and handed to the relay. Packets the egress stage
+//! delivers back to the apps re-enter here too (`DeliverToApp`), where the
+//! app endpoints consume them and emit their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
 use mop_simnet::{BatchPool, SimDuration, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
-use super::{EngineShared, RelayStage, SinkStage, Stage, StageBatch, StageLinks};
+use super::{EgressStage, EngineShared, RelayStage, Stage};
+use crate::conn::{AppSide, FlowId};
 use crate::engine::Event;
 
 /// The TUN retrieval + parse stage. See the [module docs](self).
@@ -29,10 +28,6 @@ pub struct IngressStage {
     /// packets into a pooled slab, the relay parses them by reference, then
     /// the slab is recycled.
     pub(crate) batches: BatchPool,
-    /// The simulated app endpoints, by app-side flow.
-    pub(crate) apps: HashMap<FourTuple, AppEndpoint>,
-    /// The simulated DNS clients, by query flow.
-    pub(crate) dns_clients: HashMap<FourTuple, DnsClient>,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
@@ -43,39 +38,6 @@ impl Stage for IngressStage {
     fn name(&self) -> &'static str {
         "ingress"
     }
-
-    fn reserve_flows(&mut self, flows: usize) {
-        self.apps.reserve(flows);
-    }
-
-    /// The MainWorker drains one TUN slab: each packet is parsed zero-copy
-    /// straight out of the slab bytes, charged its parse cost (which, under
-    /// the saturating model, amortises across the burst), and handed to the
-    /// relay. Per-packet semantics — parse, RNG draws, relay decision —
-    /// are identical to the old one-event-per-packet path; only the
-    /// dispatch granularity changed.
-    fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
-        let StageBatch::Tun(slab) = batch else { return };
-        let StageLinks { shared, sched, relay, egress, sink } = links;
-        let (Some(relay), Some(egress), Some(sink)) =
-            (relay.as_deref_mut(), egress.as_deref_mut(), sink.as_deref_mut())
-        else {
-            return;
-        };
-        for i in 0..slab.len() {
-            let due = slab.due(i);
-            shared.clock.advance_to(due);
-            match PacketView::parse(slab.packet(i)) {
-                Ok(packet) => {
-                    let flow_key = packet.four_tuple();
-                    let parse_cost = Self::parse_cost(shared, flow_key);
-                    let start = shared.worker_step(due, parse_cost);
-                    relay.on_packet(shared, egress, sink, sched, start, &packet);
-                }
-                Err(_) => relay.stats.parse_errors += 1,
-            }
-        }
-    }
 }
 
 impl IngressStage {
@@ -85,24 +47,50 @@ impl IngressStage {
         Self {
             reader,
             batches: BatchPool::for_packets(batch_size),
-            apps: HashMap::new(),
-            dns_clients: HashMap::new(),
             next_app_port: 36_000,
             next_dns_id: 1,
         }
     }
 
-    /// Resets the stage to its just-constructed state, keeping the slab pool
-    /// and table allocations: the reader restarts its poll loop at time zero
-    /// and the port/transaction-id counters rewind so a reused stage hands
-    /// out the same identifiers a fresh one would.
+    /// Resets the stage to its just-constructed state, keeping the slab
+    /// pool: the reader restarts its poll loop at time zero and the
+    /// port/transaction-id counters rewind so a reused stage hands out the
+    /// same identifiers a fresh one would.
     pub(crate) fn reset(&mut self) {
         self.reader.reset();
         self.batches.reset_stats();
-        self.apps.clear();
-        self.dns_clients.clear();
         self.next_app_port = 36_000;
         self.next_dns_id = 1;
+    }
+
+    /// The MainWorker drains one TUN slab: each packet is parsed zero-copy
+    /// straight out of the slab bytes, resolved to its connection record
+    /// (the one place a four-tuple is hashed), charged its parse cost
+    /// (which, under the saturating model, amortises across the burst), and
+    /// handed to the relay. Per-packet semantics — parse, RNG draws, relay
+    /// decision — are those of a one-event-per-packet loop; only the
+    /// dispatch granularity differs.
+    pub(crate) fn process_tun(
+        &mut self,
+        sh: &mut EngineShared,
+        relay: &mut RelayStage,
+        egress: &mut EgressStage,
+        sched: &mut TimerScheduler<Event>,
+        slab: &SlabBatch,
+    ) {
+        for i in 0..slab.len() {
+            let due = slab.due(i);
+            sh.clock.advance_to(due);
+            match PacketView::parse(slab.packet(i)) {
+                Ok(packet) => {
+                    let id = packet.four_tuple().map(|flow| sh.conns.intern(flow));
+                    let parse_cost = Self::parse_cost(sh, id);
+                    let start = sh.worker_step(due, parse_cost);
+                    relay.on_packet(sh, egress, sched, start, id, &packet);
+                }
+                Err(_) => relay.stats.parse_errors += 1,
+            }
+        }
     }
 
     fn alloc_port(&mut self) -> u16 {
@@ -112,14 +100,15 @@ impl IngressStage {
         port
     }
 
-    /// An app opens the flow described by `spec`: create the endpoint (TCP)
-    /// or DNS client, register the connection, and inject the opening packet
-    /// into the tunnel.
+    /// An app opens the flow described by `spec`: intern its four-tuple,
+    /// create the endpoint (TCP) or DNS client, register the connection, and
+    /// inject the opening packet into the tunnel. A repeated `FlowStart` on
+    /// an interned tuple replaces the app side and restarts the outcome
+    /// record; the connection's streams, lane and socket carry on.
     pub(crate) fn on_flow_start(
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         spec: FlowSpec,
@@ -142,14 +131,14 @@ impl IngressStage {
                     spec.close_after,
                 );
                 let syn = app.syn_packet();
-                self.apps.insert(flow, app);
-                sink.flow_started(flow, &spec, now);
+                let id = sh.conns.intern(flow);
+                sh.conns[id].app = AppSide::Tcp(app);
+                sh.conns[id].started(&spec, now);
                 relay.conn_table.register(flow, true, spec.uid, SocketStateCode::SynSent);
-                relay.flow_registered_at.insert(flow, now);
                 if let Some(domain) = &spec.domain {
                     relay.ip_to_domain.insert(spec.dst.addr, domain.clone());
                 }
-                self.inject_app_packet(sh, relay, sched, now, syn);
+                self.inject_app_packet(sh, relay, sched, now, id, syn);
             }
             FlowKind::Dns => {
                 let resolver = Endpoint::new(sh.net.dns_config().addr, 53);
@@ -159,18 +148,18 @@ impl IngressStage {
                 let name = spec.domain.clone().unwrap_or_else(|| "unknown.example".to_string());
                 let client = DnsClient::new(spec.uid, &spec.package, src, resolver, id, &name);
                 let query = client.query_packet();
-                self.dns_clients.insert(flow, client);
-                sink.flow_started(flow, &spec, now);
+                let id = sh.conns.intern(flow);
+                sh.conns[id].app = AppSide::Dns(client);
+                sh.conns[id].started(&spec, now);
                 relay.conn_table.register(flow, false, spec.uid, SocketStateCode::Close);
-                relay.flow_registered_at.insert(flow, now);
-                self.inject_app_packet(sh, relay, sched, now, query);
+                self.inject_app_packet(sh, relay, sched, now, id, query);
             }
         }
     }
 
-    /// An app wrote a packet into the tunnel: the raw IP bytes are sealed
-    /// into a pooled slab batch, the TunReader's retrieval is simulated and
-    /// the slab is scheduled to the relay stage. This mirrors the real
+    /// The app of connection `id` wrote a packet into the tunnel: the raw IP
+    /// bytes are sealed into a pooled slab batch, the TunReader's retrieval
+    /// is simulated and the slab is scheduled to the relay stage. This mirrors the real
     /// datapath — the TUN device hands MopEye bytes, not parsed structures —
     /// and the slab is recycled once the relay has processed it. Each write
     /// seals its own one-packet slab; the engine loop coalesces slabs that
@@ -181,20 +170,20 @@ impl IngressStage {
         relay: &mut RelayStage,
         sched: &mut TimerScheduler<Event>,
         at: SimTime,
+        id: FlowId,
         packet: Packet,
     ) {
-        let flow_key = packet.four_tuple();
         let mut slab = self.batches.get();
         let wire_len = slab.push_with(|data| packet.encode_into(data));
         sh.tun.record_app_write(wire_len);
-        let mut rng = sh.checkout_rng_opt(flow_key);
+        let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
         sh.ledger.charge("TunReader", retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
         // TunReader puts the packet in the read queue and wakes the selector
         // so the relay's MainWorker notices it (§3.2).
         relay.selector.wakeup();
         let handoff = sh.cost.context_switch.sample(&mut rng);
-        sh.checkin_rng_opt(flow_key, rng);
+        sh.checkin_rng(id, rng);
         let due = retrieval.retrieved_at + handoff;
         slab.stamp_due(due);
         sched.schedule(due, Event::ProcessTunBatch(slab));
@@ -203,46 +192,44 @@ impl IngressStage {
     /// The per-packet header-parse cost the relay's MainWorker pays, drawn
     /// from the flow's stream (the parse itself happens zero-copy on the
     /// pooled bytes).
-    pub(crate) fn parse_cost(
-        sh: &mut EngineShared,
-        flow_key: Option<FourTuple>,
-    ) -> SimDuration {
-        let mut rng = sh.checkout_rng_opt(flow_key);
+    pub(crate) fn parse_cost(sh: &mut EngineShared, id: Option<FlowId>) -> SimDuration {
+        let mut rng = sh.checkout_rng_opt(id);
         let cost = SimDuration::from_micros(rng.int_inclusive(4, 25));
-        sh.checkin_rng_opt(flow_key, rng);
+        sh.checkin_rng_opt(id, rng);
         cost
     }
 
-    /// A packet written by the egress stage reaches the app side: DNS
-    /// clients consume answers, app endpoints consume data and emit their
-    /// next requests back into the tunnel.
+    /// A packet written by the egress stage reaches the app side of
+    /// connection `id`: DNS clients consume answers, app endpoints consume
+    /// data and emit their next requests back into the tunnel.
     pub(crate) fn on_deliver_to_app(
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        id: FlowId,
         packet: Packet,
     ) {
-        let Some(reverse) = packet.four_tuple() else { return };
-        let flow = reverse.reversed();
-        if let Some(client) = self.dns_clients.get_mut(&flow) {
-            if client.handle(&packet) {
-                sink.finish_flow(flow, now, true);
+        let conn = &mut sh.conns[id];
+        match &mut conn.app {
+            AppSide::None => {}
+            AppSide::Dns(client) => {
+                if client.handle(&packet) {
+                    conn.finished(now, true);
+                }
             }
-            return;
-        }
-        if let Some(app) = self.apps.get_mut(&flow) {
-            let responses = app.handle(&packet);
-            let bytes_received = app.bytes_received;
-            // Only a clean close counts as completion; a reset app stays failed.
-            let done_cleanly = app.state() == mop_tun::AppState::Done;
-            sink.flow_progress(flow, now, bytes_received, done_cleanly);
-            for (i, response) in responses.into_iter().enumerate() {
-                // Consecutive packets from the app leave a few microseconds apart.
-                let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
-                self.inject_app_packet(sh, relay, sched, at, response);
+            AppSide::Tcp(app) => {
+                let responses = app.handle(&packet);
+                let bytes_received = app.bytes_received;
+                // Only a clean close counts as completion; a reset app stays failed.
+                let done_cleanly = app.state() == mop_tun::AppState::Done;
+                conn.progressed(now, bytes_received, done_cleanly);
+                for (i, response) in responses.into_iter().enumerate() {
+                    // Consecutive packets from the app leave a few microseconds apart.
+                    let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
+                    self.inject_app_packet(sh, relay, sched, at, id, response);
+                }
             }
         }
     }

@@ -8,52 +8,51 @@
 //!             ┌─────────┐   parsed    ┌─────────┐  packets   ┌─────────┐
 //!  TUN ──────▶│ ingress │────views───▶│  relay  │───to app──▶│ egress  │──▶ TUN
 //!  (apps)     └─────────┘             └─────────┘            └─────────┘
-//!   ▲     retrieval + parse      TCP/UDP/DNS machines,    TunWriter lanes
-//!   │     app endpoints          sockets, mapper, timers       │
+//!   ▲     retrieval + parse      TCP/UDP/DNS machines,    TunWriter timing
+//!   │     four-tuple → FlowId    sockets, mapper, timers       │
 //!   └────────────── DeliverToApp events ◀──────────────────────┘
 //!                                     │ samples
 //!                                     ▼
 //!                                ┌─────────┐
 //!                                │  sink   │  measurement fold:
-//!                                └─────────┘  sketches + samples + outcomes
+//!                                └─────────┘  sketches + samples
 //! ```
 //!
 //! * [`ingress`] — TUN retrieval and parse: the app endpoints write raw IP
 //!   bytes into pooled buffers, the `ReaderSim` models the retrieval cost,
-//!   and delivered responses re-enter here.
+//!   parsed packets are resolved to their connection record, and delivered
+//!   responses re-enter here.
 //! * [`relay`] — the relay decision: per-connection TCP state machines, UDP
 //!   associations, external sockets, the packet-to-app mapper, and the
 //!   cancellable per-connection timers.
-//! * [`egress`] — the TunWriter timing lanes that carry packets back to the
-//!   apps.
+//! * [`egress`] — the TunWriter timing model that carries packets back to
+//!   the apps.
 //! * [`sink`] — the measurement fold: every finished sample lands in the
-//!   streaming sketch aggregates (and, optionally, the raw vector), and
-//!   per-flow outcomes accumulate here.
+//!   streaming sketch aggregates (and, optionally, the raw vector).
 //!
-//! Stages own their state exclusively; anything genuinely cross-cutting —
-//! the clock, the simulated network, the cost model and CPU ledger, the
-//! flow-keyed RNG streams, the TUN device both ends touch — lives in
-//! [`EngineShared`], passed explicitly into every stage call. Cross-stage
-//! effects travel either as return values routed by the engine or as events
-//! scheduled on the timing wheel; no stage reaches into another's fields.
+//! Stages own their *machinery* — the TCP/UDP registries, sockets, mapper,
+//! writer, sketches — but per-connection state is not theirs: every
+//! connection has exactly one [`crate::conn::Conn`] record in
+//! [`EngineShared`], next to the rest of the cross-cutting substrate (the
+//! clock, the simulated network, the cost model and CPU ledger, the TUN
+//! device both ends touch), passed explicitly into every stage call. Events
+//! and cross-stage calls name a connection by its dense [`FlowId`]; a
+//! four-tuple is hashed only where raw packet bytes enter (the ingress
+//! parse). Cross-stage effects travel either as direct calls on
+//! the explicitly passed downstream stage or as events scheduled on the
+//! timing wheel; no stage reaches into another's fields.
 
 pub mod egress;
 pub mod ingress;
 pub mod relay;
 pub mod sink;
 
-use std::collections::HashMap;
-
-use mop_packet::{FourTuple, Packet};
-use mop_simnet::{
-    CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime, SlabBatch,
-    TimerScheduler,
-};
+use mop_simnet::{CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime};
 use mop_tun::TunDevice;
 
 use crate::config::{ClockGranularity, EngineDiscipline, MopEyeConfig, WorkerModel};
-use crate::engine::Event;
-use crate::stats::RttSample;
+use crate::conn::{ConnTable, FlowId};
+use crate::tun_writer::WriterLane;
 
 pub use egress::EgressStage;
 pub use ingress::IngressStage;
@@ -64,74 +63,17 @@ pub use sink::SinkStage;
 /// not collide with the network's (which key off the same seed and hash).
 const ENGINE_KEY_SALT: u64 = 0x656e_675f_6b65_7973; // "eng_keys"
 
-/// A batch of work travelling between pipeline stages — the unit of the
-/// vectored datapath. Each variant is one stage boundary: TUN slabs enter at
-/// ingress, outbound packets flow relay → egress, and finished samples flow
-/// relay → sink.
-#[derive(Debug)]
-pub enum StageBatch {
-    /// App packets sealed into one contiguous slab, headed for ingress
-    /// parse + relay.
-    Tun(SlabBatch),
-    /// Relay-decided packets headed back to the apps through egress.
-    Outbound {
-        /// `(processing start, packet)` pairs in relay-decision order.
-        packets: Vec<(SimTime, Packet)>,
-        /// Whether temporary socket-connect threads were live when the batch
-        /// was emitted (tunnel-write contention, §3.5.1).
-        connect_threads_active: bool,
-    },
-    /// Finished RTT measurements headed for the measurement sink.
-    Samples(Vec<RttSample>),
-}
-
-/// The connections a stage can reach while processing a batch: the shared
-/// substrate, the timer scheduler for follow-up events, and the downstream
-/// stages it may hand a derived batch to. The engine (or an upstream stage)
-/// lends exactly the links the callee needs; absent stages are `None`.
-#[derive(Debug)]
-pub struct StageLinks<'a> {
-    /// The cross-cutting substrate (clock, network, TUN, costs, RNGs).
-    pub shared: &'a mut EngineShared,
-    /// The event-loop scheduler, for follow-up events a batch produces
-    /// (crate-visible: the event enum is an engine internal).
-    pub(crate) sched: &'a mut TimerScheduler<Event>,
-    /// The relay stage, when the callee sits upstream of it.
-    pub relay: Option<&'a mut RelayStage>,
-    /// The egress stage, when the callee sits upstream of it.
-    pub egress: Option<&'a mut EgressStage>,
-    /// The measurement sink, when the callee sits upstream of it.
-    pub sink: Option<&'a mut SinkStage>,
-}
-
-/// One stage of the engine datapath. The trait is deliberately small: the
-/// engine drives stages through their concrete methods (each stage's inputs
-/// and outputs are its own), and uses the trait where it treats the pipeline
-/// uniformly — naming stages in diagnostics, pre-sizing their tables for a
-/// fleet-scale run, and feeding them batches of work.
+/// One stage of the engine datapath. The engine drives stages through their
+/// concrete methods (each stage's inputs and outputs are its own); the trait
+/// only names them, for diagnostics.
 pub trait Stage {
     /// The stage's name in the pipeline diagram.
     fn name(&self) -> &'static str;
-
-    /// Pre-sizes per-flow tables for `flows` concurrent connections, so a
-    /// fleet-scale run pays its table growth up front rather than on the
-    /// packet path.
-    fn reserve_flows(&mut self, flows: usize) {
-        let _ = flows;
-    }
-
-    /// Consumes one batch of work, using `links` for the substrate and any
-    /// downstream stages. Per-item semantics are identical to the item-wise
-    /// methods — batching amortises dispatch, it never reorders — so stages
-    /// that take no batches keep the default no-op.
-    fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
-        let _ = (links, batch);
-    }
 }
 
 /// The cross-cutting substrate every stage draws on: virtual time, the
 /// simulated network and TUN device, the calibrated cost model, the CPU
-/// ledger, and the engine's (flow-keyed) RNG streams.
+/// ledger, the device-wide RNG stream and the per-connection records.
 #[derive(Debug)]
 pub struct EngineShared {
     /// The engine configuration.
@@ -149,9 +91,9 @@ pub struct EngineShared {
     pub ledger: CpuLedger,
     /// The device-wide RNG stream ([`EngineDiscipline::SharedDevice`]).
     pub rng: SimRng,
-    /// Per-connection RNG streams ([`EngineDiscipline::FlowKeyed`]), keyed
-    /// by the canonical four-tuple so both directions share one stream.
-    pub flow_rngs: HashMap<FourTuple, SimRng>,
+    /// The per-connection records, holding (among everything else) each
+    /// connection's RNG stream under [`EngineDiscipline::FlowKeyed`].
+    pub conns: ConnTable,
     /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
     pub worker_busy_until: SimTime,
     /// How many consecutive backlogged packets the saturating MainWorker has
@@ -171,7 +113,7 @@ impl EngineShared {
             cost: CostModel::android_phone(),
             ledger: CpuLedger::new(),
             rng,
-            flow_rngs: HashMap::new(),
+            conns: ConnTable::default(),
             worker_busy_until: SimTime::ZERO,
             worker_burst_len: 1,
         }
@@ -180,7 +122,8 @@ impl EngineShared {
     /// Resets the substrate for a new run over `net`, keeping the config,
     /// the calibrated cost model and every table allocation: the clock
     /// restarts at zero, the device-wide RNG is reseeded from the config
-    /// seed, and the tunnel device and ledger are cleared — state
+    /// seed, and the connection records, tunnel device and ledger are
+    /// cleared — state
     /// indistinguishable from [`EngineShared::new`] with the same config.
     pub fn reset(&mut self, net: SimNetwork) {
         self.clock = SimClock::new();
@@ -188,30 +131,24 @@ impl EngineShared {
         self.tun.reset();
         self.ledger.reset();
         self.rng = SimRng::seed_from_u64(self.config.seed);
-        self.flow_rngs.clear();
+        self.conns.clear();
         self.worker_busy_until = SimTime::ZERO;
         self.worker_burst_len = 1;
     }
 
-    /// Pre-sizes the keyed-stream table (flow-keyed discipline only).
-    pub fn reserve_flows(&mut self, flows: usize) {
-        if self.config.discipline == EngineDiscipline::FlowKeyed {
-            self.flow_rngs.reserve(flows);
-        }
-    }
-
-    /// Checks out the RNG stream backing `flow`'s noise: the device-wide
-    /// stream under [`EngineDiscipline::SharedDevice`], the flow's own
-    /// stream (seeded from `config.seed ^ hash(flow)`) under
+    /// Checks out the RNG stream backing `id`'s noise: the device-wide
+    /// stream under [`EngineDiscipline::SharedDevice`], the connection's own
+    /// stream (seeded from `config.seed ^ hash(canonical four-tuple)`) under
     /// [`EngineDiscipline::FlowKeyed`]. Pair with [`EngineShared::checkin_rng`].
-    pub fn checkout_rng(&mut self, flow: FourTuple) -> SimRng {
+    pub fn checkout_rng(&mut self, id: FlowId) -> SimRng {
         match self.config.discipline {
             EngineDiscipline::SharedDevice => {
                 std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0))
             }
             EngineDiscipline::FlowKeyed => {
-                let key = flow.canonical();
-                self.flow_rngs.remove(&key).unwrap_or_else(|| {
+                let conn = &mut self.conns[id];
+                conn.rng.take().unwrap_or_else(|| {
+                    let key = conn.flow.canonical();
                     SimRng::seed_from_u64(self.config.seed ^ key.stable_hash() ^ ENGINE_KEY_SALT)
                 })
             }
@@ -219,29 +156,43 @@ impl EngineShared {
     }
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng`].
-    pub fn checkin_rng(&mut self, flow: FourTuple, rng: SimRng) {
+    pub fn checkin_rng(&mut self, id: FlowId, rng: SimRng) {
         match self.config.discipline {
             EngineDiscipline::SharedDevice => self.rng = rng,
-            EngineDiscipline::FlowKeyed => {
-                self.flow_rngs.insert(flow.canonical(), rng);
-            }
+            EngineDiscipline::FlowKeyed => self.conns[id].rng = Some(rng),
         }
     }
 
     /// [`EngineShared::checkout_rng`] for packets whose four-tuple may be
     /// absent (malformed or non-IP): those fall back to the shared stream.
-    pub fn checkout_rng_opt(&mut self, flow: Option<FourTuple>) -> SimRng {
-        match flow {
-            Some(flow) => self.checkout_rng(flow),
+    pub fn checkout_rng_opt(&mut self, id: Option<FlowId>) -> SimRng {
+        match id {
+            Some(id) => self.checkout_rng(id),
             None => std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
         }
     }
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng_opt`].
-    pub fn checkin_rng_opt(&mut self, flow: Option<FourTuple>, rng: SimRng) {
-        match flow {
-            Some(flow) => self.checkin_rng(flow, rng),
+    pub fn checkin_rng_opt(&mut self, id: Option<FlowId>, rng: SimRng) {
+        match id {
+            Some(id) => self.checkin_rng(id, rng),
             None => self.rng = rng,
+        }
+    }
+
+    /// Evicts a finished connection's keyed stochastic state (RNG stream,
+    /// writer lane, network context), so shard memory is bounded by
+    /// *concurrent* flows' streams, not by every flow a fleet run has seen.
+    ///
+    /// Safe for determinism: if a stray late packet draws again, the fresh
+    /// stream restarts from the flow's seed — still a pure function of
+    /// `(seed, four-tuple)`, so every shard count recreates it identically.
+    pub fn release_flow(&mut self, id: FlowId) {
+        if self.config.discipline == EngineDiscipline::FlowKeyed {
+            let conn = &mut self.conns[id];
+            conn.rng = None;
+            conn.lane = WriterLane::default();
+            self.net.release_flow(conn.flow);
         }
     }
 
@@ -300,12 +251,12 @@ mod tests {
 
     use crate::config::MopEyeConfig;
     use crate::engine::MopEyeEngine;
+    use crate::tun_writer::WriterLane;
 
-    /// Teardown must release the cross-stage keyed state: the shared
-    /// substrate's RNG streams, the egress stage's writer lanes and the
-    /// relay stage's clients — so shard memory is bounded by *concurrent*
-    /// flows, not by every flow a fleet run has ever seen. (This needs
-    /// stage internals, hence a unit test rather than an integration test.)
+    /// Teardown must release the keyed state of a finished flow: its record
+    /// stays (records live until reset) but holds no RNG stream and a
+    /// default writer lane, and the relay stage's clients are gone. (This
+    /// needs engine internals, hence a unit test, not an integration test.)
     #[test]
     fn flow_keyed_engine_evicts_finished_flow_state() {
         let flows: Vec<FlowSpec> = (0..30)
@@ -327,11 +278,13 @@ mod tests {
         let mut engine = MopEyeEngine::new(MopEyeConfig::fleet_shard(), net);
         let report = engine.run_flows(flows);
         assert_eq!(report.relay.connects_ok, 30);
-        // Teardown released the keyed state: memory is bounded by concurrent
-        // flows, not total flows — entries recreated by the app's final ACKs
-        // are swept by the zombie-client cleanup.
-        assert_eq!(engine.shared.flow_rngs.len(), 0, "flow RNG streams not evicted");
-        assert_eq!(engine.egress.writer_lanes.len(), 0, "writer lanes not evicted");
+        // Entries recreated by the app's final ACKs are swept by the
+        // zombie-client cleanup.
+        assert_eq!(engine.shared.conns.iter().count(), 30);
+        for conn in engine.shared.conns.iter() {
+            assert!(conn.rng.is_none(), "flow RNG stream not evicted: {:?}", conn.flow);
+            assert_eq!(conn.lane, WriterLane::default(), "writer lane not evicted");
+        }
         assert_eq!(engine.relay.clients.len(), 0, "zombie clients not removed");
     }
 }

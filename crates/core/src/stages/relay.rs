@@ -14,24 +14,24 @@
 //! on the scheduler (O(1) schedule + cancel on the timing wheel), and a
 //! timer that actually fires reaps the silent connection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::IpAddr;
 
 use mop_packet::{
-    DnsMessage, Endpoint, FourTuple, Packet, PacketBuilder, PacketView, SackBlocks, TransportView,
+    DnsMessage, Endpoint, Packet, PacketBuilder, PacketView, SackBlocks, TransportView,
 };
 use mop_procnet::{
     CachedMapper, ConnectionTable, EagerMapper, LazyMapper, MappingStats, MappingStrategy,
     PackageManager, SocketStateCode,
 };
 use mop_simnet::{
-    Selector, SimDuration, SimTime, SocketId, SocketMode, SocketSet, SocketState, TimerHandle,
-    TimerScheduler,
+    Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState, TimerHandle, TimerScheduler,
 };
 use mop_tcpstack::{ClientRegistry, RecoveryState, RelayAction, SegmentVerdict, UdpRegistry};
 
-use super::{EgressStage, EngineShared, SinkStage, Stage, StageBatch, StageLinks};
+use super::{EgressStage, EngineShared, SinkStage, Stage};
 use crate::config::{EngineDiscipline, ProtectMode, TimestampMode};
+use crate::conn::FlowId;
 use crate::engine::Event;
 use crate::stats::{RelayStats, RttSample, SampleKind};
 
@@ -90,44 +90,13 @@ pub struct RelayStage {
     pub(crate) selector: Selector,
     /// Relay counters.
     pub(crate) stats: RelayStats,
-    /// External socket of each flow.
-    pub(crate) socket_by_flow: HashMap<FourTuple, SocketId>,
-    /// Pre-`connect()` timestamps, pending until the connect completes.
-    pub(crate) connect_pre_ts: HashMap<FourTuple, SimTime>,
-    /// Flows whose half-close waits for the read side to drain.
-    pub(crate) pending_half_close: HashSet<FourTuple>,
     /// Destination-address → domain hints (from specs and DNS answers).
     pub(crate) ip_to_domain: HashMap<IpAddr, String>,
-    /// In-flight DNS measurements: send timestamp and queried name.
-    pub(crate) dns_pending: HashMap<FourTuple, (SimTime, String)>,
-    /// When each flow was registered (lazy-mapping bookkeeping).
-    pub(crate) flow_registered_at: HashMap<FourTuple, SimTime>,
-    /// Reusable scratch for outbound packet batches headed to egress, so the
-    /// steady-state segment loop allocates nothing.
-    outbound_scratch: Vec<(SimTime, Packet)>,
-    /// Reusable scratch for sample batches headed to the sink.
-    sample_scratch: Vec<RttSample>,
 }
 
 impl Stage for RelayStage {
     fn name(&self) -> &'static str {
         "relay"
-    }
-
-    fn reserve_flows(&mut self, flows: usize) {
-        self.flow_registered_at.reserve(flows);
-        self.socket_by_flow.reserve(flows);
-    }
-
-    /// An outbound batch passes through the relay on its way to egress: the
-    /// relay owns the connect-thread census (tunnel-write contention,
-    /// §3.5.1), so it stamps the batch's flag and hands the batch to the
-    /// egress link.
-    fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
-        let StageBatch::Outbound { connect_threads_active, .. } = batch else { return };
-        *connect_threads_active = !self.connect_pre_ts.is_empty();
-        let Some(egress) = links.egress.take() else { return };
-        egress.process_batch(links, batch);
     }
 }
 
@@ -152,19 +121,12 @@ impl RelayStage {
             sockets,
             selector: Selector::new(),
             stats: RelayStats::default(),
-            socket_by_flow: HashMap::new(),
-            connect_pre_ts: HashMap::new(),
-            pending_half_close: HashSet::new(),
             ip_to_domain: HashMap::new(),
-            dns_pending: HashMap::new(),
-            flow_registered_at: HashMap::new(),
-            outbound_scratch: Vec::new(),
-            sample_scratch: Vec::new(),
         }
     }
 
-    /// Resets the stage to its just-constructed state, keeping the table,
-    /// pool and scratch allocations. The mapper is rebuilt fresh for the same
+    /// Resets the stage to its just-constructed state, keeping the table
+    /// and pool allocations. The mapper is rebuilt fresh for the same
     /// strategy (mappers are a couple of empty tables); the socket set keeps
     /// its protect-mode configuration and pooled read buffers.
     pub(crate) fn reset(&mut self) {
@@ -180,66 +142,19 @@ impl RelayStage {
         self.sockets.reset();
         self.selector.reset();
         self.stats = RelayStats::default();
-        self.socket_by_flow.clear();
-        self.connect_pre_ts.clear();
-        self.pending_half_close.clear();
         self.ip_to_domain.clear();
-        self.dns_pending.clear();
-        self.flow_registered_at.clear();
-        self.outbound_scratch.clear();
-        self.sample_scratch.clear();
     }
 
-    /// Routes a burst of outbound packets to egress through the batch path
-    /// (via the relay's own [`Stage::process_batch`], which stamps the
-    /// connect-thread flag), then reclaims the scratch vector.
-    fn emit_outbound(
-        &mut self,
-        sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
-        packets: Vec<(SimTime, Packet)>,
-    ) {
-        let mut batch = StageBatch::Outbound { packets, connect_threads_active: false };
-        let mut links =
-            StageLinks { shared: sh, sched, relay: None, egress: Some(egress), sink: None };
-        self.process_batch(&mut links, &mut batch);
-        if let StageBatch::Outbound { mut packets, .. } = batch {
-            packets.clear();
-            self.outbound_scratch = packets;
-        }
-    }
-
-    /// Routes one finished measurement to the sink through the batch path,
-    /// then reclaims the scratch vector.
-    fn emit_sample(
-        &mut self,
-        sh: &mut EngineShared,
-        sink: &mut SinkStage,
-        sched: &mut TimerScheduler<Event>,
-        sample: RttSample,
-    ) {
-        let mut samples = std::mem::take(&mut self.sample_scratch);
-        samples.push(sample);
-        let mut batch = StageBatch::Samples(samples);
-        let mut links = StageLinks { shared: sh, sched, relay: None, egress: None, sink: None };
-        sink.process_batch(&mut links, &mut batch);
-        if let StageBatch::Samples(samples) = batch {
-            // The sink drained the batch; keep the allocation for next time.
-            self.sample_scratch = samples;
-        }
-    }
-
-    /// The MainWorker's relay decision, working entirely on borrowed views —
-    /// no payload is copied unless data actually has to cross to the socket
-    /// channel.
+    /// The MainWorker's relay decision for a packet of connection `id`,
+    /// working entirely on borrowed views — no payload is copied unless data
+    /// actually has to cross to the socket channel.
     pub(crate) fn on_packet(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
+        id: Option<FlowId>,
         packet: &PacketView<'_>,
     ) {
         if matches!(packet.transport(), TransportView::Other(..)) {
@@ -247,10 +162,11 @@ impl RelayStage {
             // opaquely, nothing to measure and nothing to count as an error.
             return;
         }
-        let Some(flow) = packet.four_tuple() else {
+        let Some(id) = id else {
             self.stats.parse_errors += 1;
             return;
         };
+        let flow = sh.conns[id].flow;
         match packet.transport() {
             TransportView::Tcp(segment) => {
                 let client = self.clients.get_or_create(flow);
@@ -278,16 +194,16 @@ impl RelayStage {
                         egress,
                         sched,
                         now,
-                        flow,
+                        id,
                         segment.ack(),
                         segment.sack_blocks(),
                     );
                 }
                 for pkt in packets {
-                    self.write_out(sh, egress, sched, now, pkt);
+                    egress.write_to_tunnel(sh, sched, now, id, pkt);
                 }
                 for action in actions {
-                    self.apply_action(sh, egress, sink, sched, now, flow, action);
+                    self.apply_action(sh, egress, sched, now, id, action);
                 }
                 // A torn-down connection's tail (the app's final ACK after
                 // RemoveClient already ran) lands on a freshly created
@@ -303,13 +219,13 @@ impl RelayStage {
                         .get(flow)
                         .is_some_and(|c| c.state() == mop_tcpstack::TcpState::Listen)
                 {
-                    self.disarm_timers(sched, flow);
+                    self.disarm_timers(sh, sched, id);
                     self.clients.remove(flow);
-                    self.release_flow_state(sh, egress, flow);
+                    sh.release_flow(id);
                 }
                 // Every relayed segment is activity: re-arm the connection's
                 // cancellable idle timer (a no-op unless configured).
-                self.rearm_idle(sh, sched, now, flow);
+                self.rearm_idle(sh, sched, now, id);
                 self.update_memory_ledger(sh);
             }
             TransportView::Udp(datagram) => {
@@ -318,47 +234,28 @@ impl RelayStage {
                 let transaction = assoc.on_outgoing(datagram.payload(), now.as_nanos()).cloned();
                 if let Some(tx) = transaction {
                     self.stats.dns_queries += 1;
-                    self.start_dns_measurement(sh, sink, sched, now, flow, &tx);
+                    self.start_dns_measurement(sh, sched, now, id, &tx);
                 }
             }
-            TransportView::Other(..) => unreachable!("handled before the four-tuple guard"),
+            TransportView::Other(..) => unreachable!("handled before the connection guard"),
         }
     }
 
-    /// Routes one outbound packet to the egress stage.
-    fn write_out(
-        &mut self,
-        sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
-        now: SimTime,
-        packet: Packet,
-    ) {
-        let connect_threads_active = !self.connect_pre_ts.is_empty();
-        egress.write_to_tunnel(sh, sched, now, packet, connect_threads_active);
-    }
-
-    // One parameter per downstream stage the action can touch; grouping them
-    // would only obscure which stage a call reaches.
-    #[allow(clippy::too_many_arguments)]
     fn apply_action(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         action: RelayAction,
     ) {
         match action {
-            RelayAction::ConnectExternal { dst } => self.start_connect(sh, sched, now, flow, dst),
-            RelayAction::RelayData { bytes } => {
-                self.relay_data(sh, egress, sched, now, flow, &bytes)
-            }
-            RelayAction::HalfCloseExternal => self.half_close(sh, egress, sched, now, flow),
-            RelayAction::CloseExternal => self.close_external(flow),
-            RelayAction::RemoveClient => self.remove_client(sh, egress, sink, sched, now, flow),
+            RelayAction::ConnectExternal { dst } => self.start_connect(sh, sched, now, id, dst),
+            RelayAction::RelayData { bytes } => self.relay_data(sh, egress, sched, now, id, &bytes),
+            RelayAction::HalfCloseExternal => self.half_close(sh, egress, sched, now, id),
+            RelayAction::CloseExternal => self.close_external(sh, id),
+            RelayAction::RemoveClient => self.remove_client(sh, sched, now, id),
         }
     }
 
@@ -369,10 +266,11 @@ impl RelayStage {
         sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         dst: Endpoint,
     ) {
-        let mut rng = sh.checkout_rng(flow);
+        let flow = sh.conns[id].flow;
+        let mut rng = sh.checkout_rng(id);
         let spawn = sh.cost.thread_spawn.sample(&mut rng);
         sh.ledger.charge("ConnectThreads", spawn);
         let mut t = now + spawn;
@@ -381,7 +279,7 @@ impl RelayStage {
             sh.ledger.charge("ConnectThreads", protect);
             t += protect;
         }
-        sh.checkin_rng(flow, rng);
+        sh.checkin_rng(id, rng);
         // Flow-keyed runs bind the external socket to the app flow's source,
         // so the external four-tuple (which keys the network's per-flow RNG
         // stream and the wire tap) is a pure function of the flow rather
@@ -394,21 +292,20 @@ impl RelayStage {
             self.sockets.protect(socket);
         }
         // Pre-connect timestamp, taken immediately before connect() (§4.1.1).
-        self.connect_pre_ts.insert(flow, sh.timestamp(t));
+        let pre_ts = sh.timestamp(t);
+        sh.conns.begin_connect(id, pre_ts);
         let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
-        self.socket_by_flow.insert(flow, socket);
+        sh.conns[id].socket = Some(socket);
         if let Some(client) = self.clients.get_mut(flow) {
-            client.attach_external(
-                socket.to_string().trim_start_matches("sock#").parse().unwrap_or(0),
-            );
+            client.attach_external(socket.raw());
             client.connect_started_ns = Some(t.as_nanos());
         }
-        sched.schedule(outcome.completed_at, Event::ExternalConnected(flow));
+        sched.schedule(outcome.completed_at, Event::ExternalConnected(id));
     }
 
-    /// The external connect for `flow` completed (successfully or not):
-    /// take the post-connect timestamp, map the flow to its app, record the
-    /// RTT sample at the sink, and finish the app-side handshake.
+    /// The external connect for `id` completed (successfully or not): take
+    /// the post-connect timestamp, map the flow to its app, record the RTT
+    /// sample at the sink, and finish the app-side handshake.
     pub(crate) fn on_external_connected(
         &mut self,
         sh: &mut EngineShared,
@@ -416,12 +313,13 @@ impl RelayStage {
         sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let flow = sh.conns[id].flow;
+        let Some(socket) = sh.conns[id].socket else { return };
         let state = self.sockets.poll_connect(socket, now);
-        let pre = self.connect_pre_ts.remove(&flow).unwrap_or(now);
-        let mut rng = sh.checkout_rng(flow);
+        let pre = sh.conns.end_connect(id).unwrap_or(now);
+        let mut rng = sh.checkout_rng(id);
         // Post-connect timestamp: exact in the blocking connect thread, or
         // delayed by the selector dispatch when taken from the event loop.
         let mut post = now;
@@ -439,10 +337,10 @@ impl RelayStage {
                 // mapper's draw count depends on the co-resident connection
                 // table and must not advance this stream.
                 let register = sh.cost.selector_register.sample(&mut rng);
-                sh.checkin_rng(flow, rng);
+                sh.checkin_rng(id, rng);
                 // Lazy mapping happens here, in the connect thread, after the
                 // handshake with the server is complete (§3.3).
-                let (uid, package) = self.map_flow(sh, flow, now);
+                let (uid, package) = self.map_flow(sh, id, now);
                 if let Some(client) = self.clients.get_mut(flow) {
                     client.connect_finished_ns = Some(now.as_nanos());
                     client.app_uid = uid;
@@ -479,37 +377,39 @@ impl RelayStage {
                     tcpdump_ms,
                     at: now,
                 };
-                self.emit_sample(sh, sink, sched, sample);
+                sink.record_sample(sh, id, sample);
                 // Complete the handshake with the app (§2.3).
                 if let Some(client) = self.clients.get_mut(flow) {
                     let packets = client.machine_mut().on_external_connected();
                     for pkt in packets {
-                        self.write_out(sh, egress, sched, now, pkt);
+                        egress.write_to_tunnel(sh, sched, now, id, pkt);
                     }
                 }
             }
             SocketState::ConnectFailed { refused } => {
-                sh.checkin_rng(flow, rng);
+                sh.checkin_rng(id, rng);
                 self.stats.connects_failed += 1;
                 if let Some(client) = self.clients.get_mut(flow) {
                     let packets = client.machine_mut().on_external_connect_failed(refused);
                     for pkt in packets {
-                        self.write_out(sh, egress, sched, now, pkt);
+                        egress.write_to_tunnel(sh, sched, now, id, pkt);
                     }
                 }
-                sink.finish_flow(flow, now, false);
+                sh.conns[id].finished(now, false);
             }
-            _ => sh.checkin_rng(flow, rng),
+            _ => sh.checkin_rng(id, rng),
         }
     }
 
     fn map_flow(
         &mut self,
         sh: &mut EngineShared,
-        flow: FourTuple,
+        id: FlowId,
         now: SimTime,
     ) -> (Option<u32>, Option<String>) {
-        let registered_at = self.flow_registered_at.get(&flow).copied().unwrap_or(now);
+        let conn = &sh.conns[id];
+        let flow = conn.flow;
+        let registered_at = conn.meta.as_ref().map_or(now, |meta| meta.started_at);
         // The mapper's draw count scales with the connection table (a
         // `/proc/net` parse samples a cost per entry), and the table holds
         // whatever flows happen to be co-resident. Under the flow-keyed
@@ -552,16 +452,16 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         bytes: &[u8],
     ) {
         if sh.config.content_inspection {
-            let mut rng = sh.checkout_rng(flow);
+            let mut rng = sh.checkout_rng(id);
             let inspect = sh.cost.sample_content_inspection(bytes.len(), &mut rng);
-            sh.checkin_rng(flow, rng);
+            sh.checkin_rng(id, rng);
             sh.ledger.charge("Inspection", inspect);
         }
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.conns[id].socket else { return };
         if !matches!(self.sockets.state(socket), SocketState::Connected | SocketState::HalfClosed)
         {
             return;
@@ -569,47 +469,47 @@ impl RelayStage {
         self.sockets.buffer_write(socket, bytes.len());
         self.sockets.flush_writes(&mut sh.net, socket, now);
         // The socket write completes locally; acknowledge the app's data.
-        if let Some(client) = self.clients.get_mut(flow) {
+        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
             let packets = client.machine_mut().on_external_write_complete();
             for pkt in packets {
-                self.write_out(sh, egress, sched, now, pkt);
+                egress.write_to_tunnel(sh, sched, now, id, pkt);
             }
         }
         if let Some(ready_at) = self.sockets.next_read_ready_at(socket) {
-            sched.schedule(ready_at.max(now), Event::SocketReadable(flow));
+            sched.schedule(ready_at.max(now), Event::SocketReadable(id));
         }
     }
 
-    /// Response data became readable on the external socket: read it from
-    /// the pooled buffer, segment it towards the app, and keep the read loop
-    /// scheduled.
+    /// Response data became readable on `id`'s external socket: read it
+    /// from the pooled buffer, segment it towards the app, and keep the read
+    /// loop scheduled.
     pub(crate) fn on_socket_readable(
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.conns[id].socket else { return };
         // The socket layer hands out a pooled buffer for the readable bytes,
         // so the read loop performs no per-read allocation in steady state.
         let data = self.sockets.take_readable_pooled(socket, now);
         let total = data.len();
         if total > 0 {
-            let mut rng = sh.checkout_rng(flow);
+            let mut rng = sh.checkout_rng(id);
             if sh.config.content_inspection {
                 let inspect = sh.cost.sample_content_inspection(total, &mut rng);
                 sh.ledger.charge("Inspection", inspect);
             }
             let segment_cost = SimDuration::from_micros(rng.int_inclusive(10, 60));
-            sh.checkin_rng(flow, rng);
+            sh.checkin_rng(id, rng);
             // Segmenting server data back towards the app is MainWorker
             // work: under the saturating model it queues behind the backlog
             // and, when backlogged, amortises across the burst.
             let start = sh.worker_step(now, segment_cost);
             let mut arm_rto = None;
-            if let Some(client) = self.clients.get_mut(flow) {
+            if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
                 let packets = client.machine_mut().on_external_data(&data);
                 // On fault-capable networks, register every payload-bearing
                 // segment with the sender scoreboard before it leaves: the
@@ -629,19 +529,19 @@ impl RelayStage {
                 }
                 self.stats.data_segments_in += packets.len() as u64;
                 self.stats.bytes_in += total as u64;
-                let mut scratch = std::mem::take(&mut self.outbound_scratch);
-                scratch.extend(packets.into_iter().map(|pkt| (start, pkt)));
-                self.emit_outbound(sh, egress, sched, scratch);
+                for pkt in packets {
+                    egress.write_to_tunnel(sh, sched, start, id, pkt);
+                }
             }
             if let Some(rto_ns) = arm_rto {
-                self.arm_rto_at(sched, flow, start + SimDuration::from_nanos(rto_ns));
+                self.arm_rto_at(sh, sched, id, start + SimDuration::from_nanos(rto_ns));
             }
         }
         self.sockets.recycle_buffer(data);
         if let Some(next) = self.sockets.next_read_ready_at(socket) {
-            sched.schedule(next, Event::SocketReadable(flow));
-        } else if self.pending_half_close.contains(&flow) {
-            self.finish_half_close(sh, egress, sched, now, flow);
+            sched.schedule(next, Event::SocketReadable(id));
+        } else if sh.conns[id].half_close_pending {
+            self.finish_half_close(sh, egress, sched, now, id);
         }
     }
 
@@ -651,14 +551,14 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        let Some(&socket) = self.socket_by_flow.get(&flow) else { return };
+        let Some(socket) = sh.conns[id].socket else { return };
         self.sockets.half_close(socket);
         if self.sockets.read_exhausted(socket) {
-            self.finish_half_close(sh, egress, sched, now, flow);
+            self.finish_half_close(sh, egress, sched, now, id);
         } else {
-            self.pending_half_close.insert(flow);
+            sh.conns[id].half_close_pending = true;
         }
     }
 
@@ -670,67 +570,53 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        self.pending_half_close.remove(&flow);
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
-            self.sockets.close(socket);
-            self.selector.deregister(socket);
-        }
-        if let Some(client) = self.clients.get_mut(flow) {
+        sh.conns[id].half_close_pending = false;
+        self.close_socket(sh, id);
+        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
             let packets = client.machine_mut().on_external_closed(false);
             for pkt in packets {
-                self.write_out(sh, egress, sched, now, pkt);
+                egress.write_to_tunnel(sh, sched, now, id, pkt);
             }
         }
     }
 
-    fn close_external(&mut self, flow: FourTuple) {
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
+    /// Closes `id`'s external socket, if it has one, and drops it from the
+    /// selector.
+    fn close_socket(&mut self, sh: &EngineShared, id: FlowId) {
+        if let Some(socket) = sh.conns[id].socket {
             self.sockets.close(socket);
             self.selector.deregister(socket);
         }
-        self.conn_table.remove(flow);
+    }
+
+    fn close_external(&mut self, sh: &EngineShared, id: FlowId) {
+        self.close_socket(sh, id);
+        self.conn_table.remove(sh.conns[id].flow);
     }
 
     fn remove_client(
         &mut self,
         sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        self.disarm_timers(sched, flow);
+        let flow = sh.conns[id].flow;
+        self.disarm_timers(sh, sched, id);
         self.clients.remove(flow);
         self.conn_table.remove(flow);
-        sink.finish_flow(flow, now, true);
-        self.release_flow_state(sh, egress, flow);
+        sh.conns[id].finished(now, true);
+        sh.release_flow(id);
         self.update_memory_ledger(sh);
-    }
-
-    /// Evicts a finished flow's keyed stochastic state (RNG stream, writer
-    /// lane, network context), so shard memory is bounded by *concurrent*
-    /// flows, not by every flow a fleet run has ever seen.
-    ///
-    /// Safe for determinism: if a stray late packet recreates the state, the
-    /// fresh stream restarts from the flow's seed — still a pure function of
-    /// `(seed, four-tuple)`, so every shard count recreates it identically.
-    fn release_flow_state(&mut self, sh: &mut EngineShared, egress: &mut EgressStage, flow: FourTuple) {
-        if sh.config.discipline == EngineDiscipline::FlowKeyed {
-            let key = flow.canonical();
-            sh.flow_rngs.remove(&key);
-            egress.release_lane(key);
-            sh.net.release_flow(flow);
-        }
     }
 
     // ----- per-connection timers ------------------------------------------
 
-    /// Re-arms `flow`'s cancellable idle timer: O(1) cancel of the
-    /// superseded timer plus O(1) schedule of the new deadline. A no-op
-    /// unless the engine runs with an idle timeout.
+    /// Re-arms `id`'s cancellable idle timer: O(1) cancel of the superseded
+    /// timer plus O(1) schedule of the new deadline. A no-op unless the
+    /// engine runs with an idle timeout.
     ///
     /// Only *live* connections carry a timer: a machine still in `Listen`
     /// (a zombie recreated by a torn-down connection's tail ACK) or in a
@@ -742,10 +628,10 @@ impl RelayStage {
         sh: &EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
         let Some(timeout) = sh.config.idle_timeout else { return };
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
         let state = client.state();
         if state == mop_tcpstack::TcpState::Listen || state.is_terminal() {
             if let Some(token) = client.timers.disarm_idle() {
@@ -753,16 +639,16 @@ impl RelayStage {
             }
             return;
         }
-        let handle = sched.schedule(now + timeout, Event::IdleTimeout(flow));
+        let handle = sched.schedule(now + timeout, Event::IdleTimeout(id));
         if let Some(superseded) = client.timers.arm_idle(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
     }
 
-    /// Disarms (and cancels) both of `flow`'s timers, if armed. Teardown
+    /// Disarms (and cancels) both of `id`'s timers, if armed. Teardown
     /// paths use this so no timer can fire into freed per-flow state.
-    fn disarm_timers(&mut self, sched: &mut TimerScheduler<Event>, flow: FourTuple) {
-        if let Some(client) = self.clients.get_mut(flow) {
+    fn disarm_timers(&mut self, sh: &EngineShared, sched: &mut TimerScheduler<Event>, id: FlowId) {
+        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
             let tokens = [client.timers.disarm_idle(), client.timers.disarm_rto()];
             for token in tokens.into_iter().flatten() {
                 sched.cancel(TimerHandle::from_token(token));
@@ -777,12 +663,11 @@ impl RelayStage {
     pub(crate) fn on_idle_timeout(
         &mut self,
         sh: &mut EngineShared,
-        egress: &mut EgressStage,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
+        let flow = sh.conns[id].flow;
         let Some(client) = self.clients.get_mut(flow) else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
@@ -799,31 +684,34 @@ impl RelayStage {
         if let Some(token) = client.timers.disarm_rto() {
             sched.cancel(TimerHandle::from_token(token));
         }
-        if let Some(&socket) = self.socket_by_flow.get(&flow) {
-            self.sockets.close(socket);
-            self.selector.deregister(socket);
-        }
+        self.close_socket(sh, id);
         self.clients.remove(flow);
         self.conn_table.remove(flow);
-        sink.finish_flow(flow, now, false);
-        self.release_flow_state(sh, egress, flow);
+        sh.conns[id].finished(now, false);
+        sh.release_flow(id);
         self.stats.idle_reaped += 1;
         self.update_memory_ledger(sh);
     }
 
     // ----- loss recovery --------------------------------------------------
 
-    /// (Re-)arms `flow`'s retransmission timer at `at`, cancelling any
+    /// (Re-)arms `id`'s retransmission timer at `at`, cancelling any
     /// superseded deadline (O(1) on the timing wheel).
-    fn arm_rto_at(&mut self, sched: &mut TimerScheduler<Event>, flow: FourTuple, at: SimTime) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
-        let handle = sched.schedule(at, Event::RtoTimeout(flow));
+    fn arm_rto_at(
+        &mut self,
+        sh: &EngineShared,
+        sched: &mut TimerScheduler<Event>,
+        id: FlowId,
+        at: SimTime,
+    ) {
+        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
+        let handle = sched.schedule(at, Event::RtoTimeout(id));
         if let Some(superseded) = client.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
     }
 
-    /// Feeds an app ACK (cumulative edge plus any SACK blocks) into `flow`'s
+    /// Feeds an app ACK (cumulative edge plus any SACK blocks) into `id`'s
     /// sender scoreboard, emitting fast retransmits and managing the RTO
     /// deadline per RFC 6298. On clean networks no recovery state exists and
     /// this is a single `None` check.
@@ -834,11 +722,11 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         ack: u32,
         sack: Option<SackBlocks>,
     ) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
         let Some(recovery) = client.recovery.as_mut() else { return };
         let mut reaction = recovery.on_ack(ack, sack, now.as_nanos());
         let rto_ns = recovery.rto_ns();
@@ -862,7 +750,7 @@ impl RelayStage {
             // New progress (or a retransmit) re-bases the deadline on the
             // current, sample-updated RTO.
             let handle =
-                sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(flow));
+                sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(id));
             if let Some(superseded) = client.timers.arm_rto(handle.token()) {
                 sched.cancel(TimerHandle::from_token(superseded));
             }
@@ -870,14 +758,12 @@ impl RelayStage {
         self.stats.retransmits += resend.len() as u64;
         self.stats.fast_retransmits += u64::from(reaction.fast_retransmit);
         self.stats.sacked_segments += u64::from(reaction.newly_sacked);
-        if !resend.is_empty() {
-            let mut scratch = std::mem::take(&mut self.outbound_scratch);
-            scratch.extend(resend);
-            self.emit_outbound(sh, egress, sched, scratch);
+        for (at, pkt) in resend {
+            egress.write_to_tunnel(sh, sched, at, id, pkt);
         }
     }
 
-    /// `flow`'s retransmission timer fired with data still in flight: back
+    /// `id`'s retransmission timer fired with data still in flight: back
     /// off the RTO (RFC 6298 §5.5), resend the earliest unacknowledged
     /// segment, and re-arm at the doubled deadline.
     pub(crate) fn on_rto_timeout(
@@ -886,9 +772,9 @@ impl RelayStage {
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
     ) {
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
         client.timers.disarm_rto();
@@ -899,14 +785,13 @@ impl RelayStage {
         };
         let rto_ns = recovery.rto_ns();
         let pkt = client.machine().retransmit_data(rt.seq, rt.payload);
-        let handle =
-            sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(flow));
+        let handle = sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(id));
         if let Some(superseded) = client.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
         self.stats.rto_fires += 1;
         self.stats.retransmits += 1;
-        self.write_out(sh, egress, sched, now, pkt);
+        egress.write_to_tunnel(sh, sched, now, id, pkt);
     }
 
     // ----- DNS ------------------------------------------------------------
@@ -914,42 +799,42 @@ impl RelayStage {
     fn start_dns_measurement(
         &mut self,
         sh: &mut EngineShared,
-        sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         tx: &mop_tcpstack::DnsTransaction,
     ) {
-        let (id, name) = (tx.id, tx.name.as_str());
+        let flow = sh.conns[id].flow;
+        let (dns_id, name) = (tx.id, tx.name.as_str());
         // The whole DNS processing runs in a temporary blocking-mode thread
         // (§2.4): socket set-up, then a blocking send/receive pair.
-        let mut rng = sh.checkout_rng(flow);
+        let mut rng = sh.checkout_rng(id);
         let spawn = sh.cost.thread_spawn.sample(&mut rng);
-        sh.checkin_rng(flow, rng);
+        sh.checkin_rng(id, rng);
         sh.ledger.charge("DnsThreads", spawn);
         let send_at = now + spawn;
         let outcome = sh.net.dns_lookup(flow.src, name, send_at);
-        self.dns_pending.insert(flow, (sh.timestamp(send_at), name.to_string()));
+        sh.conns[id].dns_pending = Some((sh.timestamp(send_at), name.to_string()));
         for addr in &outcome.addrs {
             self.ip_to_domain.insert(IpAddr::V4(*addr), name.to_string());
         }
         let Some(response_at) = outcome.response_at else {
             // Query lost: the app sees a timeout; nothing is measured.
-            sink.finish_flow(flow, send_at, false);
+            sh.conns[id].finished(send_at, false);
             return;
         };
         // Build the response datagram the relay writes back to the app.
-        let query = DnsMessage::query(id, name);
+        let query = DnsMessage::query(dns_id, name);
         let response = if outcome.nxdomain {
             DnsMessage::nxdomain(&query)
         } else {
             DnsMessage::answer(&query, &outcome.addrs, 300)
         };
         let to_app = PacketBuilder::new(flow.dst, flow.src).dns(&response);
-        sched.schedule(response_at, Event::DnsResponse { flow, packet: to_app });
+        sched.schedule(response_at, Event::DnsResponse { id, packet: to_app });
     }
 
-    /// The DNS response for `flow` arrived: record the DNS RTT sample at the
+    /// The DNS response for `id` arrived: record the DNS RTT sample at the
     /// sink and relay the answer to the app.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_dns_response(
@@ -959,10 +844,11 @@ impl RelayStage {
         sink: &mut SinkStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
-        flow: FourTuple,
+        id: FlowId,
         packet: Packet,
     ) {
-        let Some((sent_ts, name)) = self.dns_pending.remove(&flow) else { return };
+        let Some((sent_ts, name)) = sh.conns[id].dns_pending.take() else { return };
+        let flow = sh.conns[id].flow;
         let post = sh.timestamp(now);
         let uid = self.conn_table.uid_of(flow);
         let package = uid.and_then(|u| self.packages.name_for_uid_cached(u));
@@ -978,12 +864,12 @@ impl RelayStage {
             tcpdump_ms,
             at: now,
         };
-        self.emit_sample(sh, sink, sched, sample);
+        sink.record_sample(sh, id, sample);
         // Forward the answer to the app.
-        self.write_out(sh, egress, sched, now, packet);
+        egress.write_to_tunnel(sh, sched, now, id, packet);
         // The DNS exchange is complete; its keyed state will not be used
         // again (the response delivery draws nothing).
-        self.release_flow_state(sh, egress, flow);
+        sh.release_flow(id);
     }
 
     // ----- misc -----------------------------------------------------------

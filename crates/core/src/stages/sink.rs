@@ -4,35 +4,15 @@
 //! Every RTT sample produced by the relay lands here the moment it
 //! completes: it is folded into the streaming sketch aggregates (constant
 //! memory) and, unless the run opted out, retained in the raw vector. The
-//! sink also owns the per-flow bookkeeping that becomes
-//! [`crate::stats::FlowOutcome`]s — start/finish times, delivered bytes,
-//! completion — which the other stages update through the methods here.
+//! aggregation labels come from the sample's connection record.
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 use mop_measure::{AggregateStore, MeasurementKind, NetKind, WindowedAggregateStore};
-use mop_packet::FourTuple;
-use mop_simnet::SimTime;
-use mop_tun::FlowSpec;
 
-use super::{EngineShared, Stage, StageBatch, StageLinks};
-use crate::stats::{FlowOutcome, RttSample, SampleKind};
-
-/// Per-flow bookkeeping kept by the sink.
-#[derive(Debug)]
-pub struct FlowMeta {
-    pub(crate) package: String,
-    pub(crate) started_at: SimTime,
-    pub(crate) finished_at: SimTime,
-    pub(crate) bytes_received: usize,
-    pub(crate) completed: bool,
-    /// Network label carried by the flow spec (scenario-assigned); `None`
-    /// falls back to the simulated access profile at measurement time.
-    pub(crate) network: Option<NetKind>,
-    /// ISP label carried by the flow spec.
-    pub(crate) isp: Option<String>,
-}
+use super::{EngineShared, Stage};
+use crate::conn::FlowId;
+use crate::stats::{RttSample, SampleKind};
 
 /// The measurement/aggregate fold stage. See the [module docs](self).
 #[derive(Debug, Default)]
@@ -45,27 +25,11 @@ pub struct SinkStage {
     /// a run whose config sets an epoch width (`None` otherwise, which keeps
     /// epoch-less reports — and their digests — exactly as before).
     pub(crate) windows: Option<WindowedAggregateStore>,
-    /// Per-flow outcome bookkeeping.
-    pub(crate) flow_meta: HashMap<FourTuple, FlowMeta>,
 }
 
 impl Stage for SinkStage {
     fn name(&self) -> &'static str {
         "sink"
-    }
-
-    fn reserve_flows(&mut self, flows: usize) {
-        self.flow_meta.reserve(flows);
-    }
-
-    /// Folds a batch of finished samples into the aggregates, draining the
-    /// batch so the upstream stage can reclaim its scratch vector. Identical
-    /// per sample to `SinkStage::record_sample`.
-    fn process_batch(&mut self, links: &mut StageLinks<'_>, batch: &mut StageBatch) {
-        let StageBatch::Samples(samples) = batch else { return };
-        for sample in samples.drain(..) {
-            self.record_sample(links.shared, sample);
-        }
     }
 }
 
@@ -75,74 +39,31 @@ impl SinkStage {
         Self::default()
     }
 
-    /// Resets the sink to its just-constructed state, keeping the sample and
-    /// table allocations. The windowed store goes back to `None`: it is
+    /// Resets the sink to its just-constructed state, keeping the sample
+    /// allocation. The windowed store goes back to `None`: it is
     /// recreated lazily on the first sample of the next run, exactly as a
     /// fresh sink would.
     pub(crate) fn reset(&mut self) {
         self.samples.clear();
         self.aggregates = AggregateStore::default();
         self.windows = None;
-        self.flow_meta.clear();
-    }
-
-    /// Registers a starting flow's outcome record.
-    pub(crate) fn flow_started(&mut self, flow: FourTuple, spec: &FlowSpec, now: SimTime) {
-        self.flow_meta.insert(
-            flow,
-            FlowMeta {
-                package: spec.package.clone(),
-                started_at: now,
-                finished_at: now,
-                bytes_received: 0,
-                completed: false,
-                network: spec.network,
-                isp: spec.isp.clone(),
-            },
-        );
-    }
-
-    /// Marks a flow finished (with the given completion verdict).
-    pub(crate) fn finish_flow(&mut self, flow: FourTuple, now: SimTime, completed: bool) {
-        if let Some(meta) = self.flow_meta.get_mut(&flow) {
-            meta.finished_at = now;
-            meta.completed = completed;
-        }
-    }
-
-    /// Records delivered-to-app progress for a flow (bytes received so far,
-    /// last delivery time, and whether the app finished cleanly).
-    pub(crate) fn flow_progress(
-        &mut self,
-        flow: FourTuple,
-        now: SimTime,
-        bytes_received: usize,
-        done_cleanly: bool,
-    ) {
-        if let Some(meta) = self.flow_meta.get_mut(&flow) {
-            meta.bytes_received = bytes_received;
-            meta.finished_at = now;
-            if done_cleanly {
-                meta.completed = true;
-            }
-        }
     }
 
     /// The measurement sink fold: adds a finished sample to the streaming
     /// aggregates (constant memory) and, unless the run opted out, retains
     /// the raw sample too.
     ///
-    /// The aggregation labels come from the flow's spec where the scenario
-    /// assigned them; otherwise the network kind falls back to the simulated
+    /// The aggregation labels come from connection `id`'s spec where the
+    /// scenario assigned them; otherwise the network kind falls back to the simulated
     /// access profile at measurement time and the ISP label stays empty. The
     /// synthetic "device" is the flow's source address, which fleet
     /// scenarios assign uniquely per simulated user.
-    pub(crate) fn record_sample(&mut self, sh: &EngineShared, sample: RttSample) {
+    pub(crate) fn record_sample(&mut self, sh: &EngineShared, id: FlowId, sample: RttSample) {
         let kind = match sample.kind {
             SampleKind::Tcp => MeasurementKind::Tcp,
             SampleKind::Dns => MeasurementKind::Dns,
         };
-        let meta = self.flow_meta.get(&sample.flow);
+        let meta = sh.conns[id].meta.as_ref();
         let network = meta
             .and_then(|m| m.network)
             .unwrap_or_else(|| net_kind_of(sh.net.access_at(sample.at).network_type));
@@ -176,21 +97,6 @@ impl SinkStage {
         if sh.config.retain_samples {
             self.samples.push(sample);
         }
-    }
-
-    /// Drains the per-flow bookkeeping into outcome records (report time).
-    pub(crate) fn flow_outcomes(&self) -> Vec<FlowOutcome> {
-        self.flow_meta
-            .iter()
-            .map(|(flow, meta)| FlowOutcome {
-                flow: *flow,
-                package: meta.package.clone(),
-                started_at: meta.started_at,
-                finished_at: meta.finished_at,
-                bytes_received: meta.bytes_received,
-                completed: meta.completed,
-            })
-            .collect()
     }
 }
 

@@ -20,6 +20,13 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(u64);
 
+impl SocketId {
+    /// The identifier's numeric value (the `n` of its `sock#n` rendering).
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+}
+
 impl std::fmt::Display for SocketId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "sock#{}", self.0)

@@ -8,8 +8,10 @@
 //! what it does.
 
 use mopeye::dataset::{NetProfile, Scenario, TrafficMix};
-use mopeye::engine::{CongestionAlgo, FleetConfig, FleetEngine, FleetReport};
-use mopeye::simnet::{AccessProfile, SchedulerKind, SimDuration, SimNetwork};
+use mopeye::engine::{CongestionAlgo, FleetConfig, FleetEngine, FleetReport, ResidentFleet};
+use mopeye::packet::Endpoint;
+use mopeye::simnet::{AccessProfile, SchedulerKind, SimDuration, SimNetwork, SimTime};
+use mopeye::tun::{FlowKind, FlowSpec};
 
 fn run(scenario: &Scenario, shards: usize, seed: u64) -> FleetReport {
     let fleet = FleetEngine::new(FleetConfig::new(shards).with_seed(seed), scenario.network());
@@ -332,4 +334,67 @@ fn flash_crowd_with_idle_timers_is_shard_count_invariant() {
     }
     assert_eq!(digests[0], digests[1], "1 vs 2 shards");
     assert_eq!(digests[1], digests[2], "2 vs 8 shards");
+}
+
+/// The digest of `shared_tuple_flows()` at fleet seed 23, recorded on the
+/// engine that kept per-flow state in ten separately keyed maps.
+const SHARED_TUPLE_DIGEST: u64 = 0xfa7a_9dd9_5ba9_2ee3;
+
+/// A small fleet in which several specs land on one four-tuple, the way
+/// co-injected scenarios do (they share `Scenario::user_addr` and the
+/// per-user port range): a TCP pair run back to back, a TCP pair whose second
+/// SYN overlaps the first connect, and DNS pairs overlapping and sequential.
+fn shared_tuple_flows() -> Vec<FlowSpec> {
+    let spec = |user: u8, port: u16, at_ms: u64, kind: FlowKind| FlowSpec {
+        at: SimTime::from_millis(at_ms),
+        uid: 10_100 + u32::from(user % 3),
+        package: format!("com.fleet.app{}", user % 3),
+        src: Some(Endpoint::v4(10, 1, 0, user, port)),
+        dst: Endpoint::v4(216, 58, 221, 132, 443),
+        domain: Some("www.google.com".into()),
+        request_bytes: 300,
+        close_after: 2048,
+        kind,
+        network: None,
+        isp: None,
+    };
+    let mut flows: Vec<FlowSpec> = (0..24u8)
+        .map(|i| {
+            let kind = if i % 4 == 3 { FlowKind::Dns } else { FlowKind::Tcp };
+            spec(i, 40_000, 10 + 35 * u64::from(i), kind)
+        })
+        .collect();
+    flows.extend([
+        spec(100, 41_000, 50, FlowKind::Tcp),
+        spec(100, 41_000, 4_050, FlowKind::Tcp),
+        spec(101, 41_000, 60, FlowKind::Tcp),
+        spec(101, 41_000, 62, FlowKind::Tcp),
+        spec(102, 41_000, 70, FlowKind::Dns),
+        spec(102, 41_000, 71, FlowKind::Dns),
+        spec(103, 41_000, 80, FlowKind::Dns),
+        spec(103, 41_000, 2_080, FlowKind::Dns),
+    ]);
+    flows.sort_by_key(|f| (f.at, f.src));
+    flows
+}
+
+#[test]
+fn specs_sharing_a_four_tuple_keep_their_pinned_digest() {
+    // The second `FlowStart` on a tuple replaces the app endpoint and the
+    // outcome record but continues the flow's RNG stream, writer lane and
+    // external socket; the single connection record must reproduce what the
+    // per-table maps did, bit for bit, at any shard count.
+    for shards in [1usize, 2] {
+        let mut fleet = ResidentFleet::new(FleetConfig::new(shards).with_seed(23));
+        let net = SimNetwork::builder().seed(23).with_table2_destinations();
+        let report = fleet.run_next(&net, shared_tuple_flows());
+        assert_eq!(report.merged.flows.len(), 28, "one outcome per four-tuple");
+        assert_eq!(
+            report.digest(),
+            SHARED_TUPLE_DIGEST,
+            "shared four-tuples at {shards} shards: {:#018x} {:?}",
+            report.digest(),
+            report.merged.relay
+        );
+    }
 }
