@@ -154,6 +154,18 @@ impl MopEyeEngine {
         &self.shared.net
     }
 
+    /// Work the two structures on the connect path did beyond their O(1)
+    /// index probes since the engine was created or reset: wire-tap records
+    /// examined by RTT queries, and kernel-table slots examined or moved by
+    /// state changes and removals. Plain counters, live in every build;
+    /// `tests/complexity_guard.rs` holds their per-flow values flat.
+    pub fn connect_path_counters(&self) -> [(&'static str, u64); 2] {
+        [
+            ("tap.scan_elems", self.shared.net.tap().scan_elems()),
+            ("conn_table.scan_elems", self.relay.conn_table.scan_elems()),
+        ]
+    }
+
     /// The stage names, in datapath order (diagnostics and docs).
     pub fn stage_names(&self) -> [&'static str; 4] {
         let stages: [&dyn Stage; 4] = [&self.ingress, &self.relay, &self.egress, &self.sink];
@@ -327,11 +339,15 @@ impl MopEyeEngine {
 
     fn report(&mut self) -> RunReport {
         // Harvest the scheduler's and selector's gated structure counters
-        // into the run profile (no-ops when profiling is off).
+        // and the always-on connect-path counters into the run profile
+        // (no-ops when profiling is off).
         for (name, value) in self.sched.profile_counters() {
             self.profiler.record(name, value);
         }
         for (name, value) in self.relay.selector.profile_counters() {
+            self.profiler.record(name, value);
+        }
+        for (name, value) in self.connect_path_counters() {
             self.profiler.record(name, value);
         }
         RunReport {

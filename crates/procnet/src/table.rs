@@ -1,6 +1,6 @@
 //! The kernel's view of live connections, as exposed through `/proc/net`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::IpAddr;
 
 use mop_packet::{Endpoint, FourTuple};
@@ -96,6 +96,22 @@ pub struct ConnectionEntry {
     pub inode: u64,
 }
 
+/// One position in the table's insertion-ordered entry list.
+#[derive(Debug)]
+struct Slot {
+    /// `None` marks a removed entry (a tombstone) that iteration skips.
+    entry: Option<ConnectionEntry>,
+    /// The next entry registered under the same four-tuple, if any.
+    next_same_flow: Option<usize>,
+}
+
+/// The slots holding one four-tuple's live entries, oldest first.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: usize,
+    tail: usize,
+}
+
 /// The live connection table, maintained by the simulated kernel as apps open
 /// and close sockets.
 ///
@@ -105,30 +121,47 @@ pub struct ConnectionEntry {
 /// advances on every mutation that can change the flow → uid relation, which
 /// lets snapshot holders (the lazy mapper) skip re-copying an index they
 /// already have.
+///
+/// The entry list itself is an insertion-ordered slot vector with a per-flow
+/// position index, the shape of `mop_simnet::Selector`: `set_state` and
+/// `remove` find their entries by hash probe, `remove` leaves tombstones that
+/// iteration skips, and the slots are compacted in order once tombstones
+/// outnumber live entries. Entries that share a four-tuple (a reused local
+/// port) are chained in registration order, so `remove` still drops all of
+/// them and `set_state` still touches the oldest.
 #[derive(Debug, Default)]
 pub struct ConnectionTable {
-    entries: Vec<ConnectionEntry>,
+    slots: Vec<Slot>,
+    /// Live entries only: each four-tuple's chain through `slots`.
+    chains: HashMap<FourTuple, Chain>,
+    tombstones: usize,
     next_inode: u64,
     /// Incrementally maintained flow → uid index (first registration wins,
     /// matching the entry-scan semantics of `uid_of`).
     uid_index: HashMap<FourTuple, u32>,
     generation: u64,
+    /// Slots examined or moved by `set_state` / `remove` beyond the index
+    /// probe: extra same-flow entries and compaction traffic.
+    scan_elems: u64,
 }
 
 impl ConnectionTable {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Self { entries: Vec::new(), next_inode: 10_000, uid_index: HashMap::new(), generation: 0 }
+        Self { next_inode: 10_000, ..Self::default() }
     }
 
     /// Resets the table to its just-constructed state, keeping the entry and
     /// index allocations: inode numbering restarts so a reused table assigns
     /// the same inodes a fresh one would.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.chains.clear();
+        self.tombstones = 0;
         self.next_inode = 10_000;
         self.uid_index.clear();
         self.generation = 0;
+        self.scan_elems = 0;
     }
 
     /// Registers a connection owned by `uid`. Returns the assigned inode.
@@ -141,42 +174,76 @@ impl ConnectionTable {
     ) -> u64 {
         let inode = self.next_inode;
         self.next_inode += 1;
-        self.entries.push(ConnectionEntry {
+        let entry = ConnectionEntry {
             protocol: Protocol::for_flow(&flow, tcp),
             local: flow.src,
             remote: flow.dst,
             state,
             uid,
             inode,
-        });
+        };
+        self.slots.push(Slot { entry: Some(entry), next_same_flow: None });
+        self.link(flow, self.slots.len() - 1);
         self.uid_index.entry(flow).or_insert(uid);
         self.generation += 1;
         inode
     }
 
-    /// Updates the state of the connection matching `flow`.
+    /// Appends the slot at `pos` to `flow`'s chain.
+    fn link(&mut self, flow: FourTuple, pos: usize) {
+        match self.chains.entry(flow) {
+            Entry::Vacant(chain) => {
+                chain.insert(Chain { head: pos, tail: pos });
+            }
+            Entry::Occupied(mut chain) => {
+                let chain = chain.get_mut();
+                self.slots[chain.tail].next_same_flow = Some(pos);
+                chain.tail = pos;
+            }
+        }
+    }
+
+    /// Updates the state of the (oldest) connection matching `flow`.
     ///
     /// The uid index is untouched: a state change never alters ownership.
     pub fn set_state(&mut self, flow: FourTuple, state: SocketStateCode) -> bool {
-        for e in &mut self.entries {
-            if e.local == flow.src && e.remote == flow.dst {
-                e.state = state;
-                return true;
-            }
-        }
-        false
+        let Some(chain) = self.chains.get(&flow) else { return false };
+        let entry = self.slots[chain.head].entry.as_mut().expect("chains hold live slots");
+        entry.state = state;
+        true
     }
 
-    /// Removes the connection matching `flow`. Returns true if found.
+    /// Removes every connection matching `flow`. Returns true if any was
+    /// found.
     pub fn remove(&mut self, flow: FourTuple) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| !(e.local == flow.src && e.remote == flow.dst));
-        let removed = self.entries.len() != before;
-        if removed {
-            self.uid_index.remove(&flow);
-            self.generation += 1;
+        let Some(chain) = self.chains.remove(&flow) else { return false };
+        let mut next = Some(chain.head);
+        while let Some(pos) = next {
+            self.slots[pos].entry = None;
+            self.tombstones += 1;
+            next = self.slots[pos].next_same_flow;
+            self.scan_elems += u64::from(next.is_some());
         }
-        removed
+        self.uid_index.remove(&flow);
+        self.generation += 1;
+        if self.tombstones > self.len() {
+            self.compact();
+        }
+        true
+    }
+
+    /// Drops tombstoned slots, preserving the order of live entries, and
+    /// rebuilds the chains over the new positions.
+    fn compact(&mut self) {
+        self.scan_elems += self.slots.len() as u64;
+        self.slots.retain(|slot| slot.entry.is_some());
+        self.chains.clear();
+        self.tombstones = 0;
+        for pos in 0..self.slots.len() {
+            self.slots[pos].next_same_flow = None;
+            let entry = self.slots[pos].entry.as_ref().expect("compaction keeps only live slots");
+            self.link(FourTuple::new(entry.local, entry.remote), pos);
+        }
     }
 
     /// Looks up the UID owning `flow` — O(1) via the incremental index.
@@ -199,43 +266,55 @@ impl ConnectionTable {
         self.generation
     }
 
+    /// Slots examined or moved by `set_state` / `remove` beyond their O(1)
+    /// index probes (see `tests/complexity_guard.rs`).
+    pub fn scan_elems(&self) -> u64 {
+        self.scan_elems
+    }
+
     /// Looks up a UID by local port only — the fallback Android tools use
     /// when the local address is rewritten by the VPN.
     pub fn uid_of_local_port(&self, port: u16) -> Option<u32> {
-        self.entries.iter().find(|e| e.local.port == port).map(|e| e.uid)
+        self.entries().find(|e| e.local.port == port).map(|e| e.uid)
     }
 
     /// Entries belonging to one pseudo file.
     pub fn entries_for(&self, protocol: Protocol) -> Vec<&ConnectionEntry> {
-        self.entries.iter().filter(|e| e.protocol == protocol).collect()
+        self.entries().filter(|e| e.protocol == protocol).collect()
     }
 
-    /// All entries.
-    pub fn entries(&self) -> &[ConnectionEntry] {
-        &self.entries
+    /// All live entries, in registration order.
+    pub fn entries(&self) -> impl Iterator<Item = &ConnectionEntry> {
+        self.slots.iter().filter_map(|slot| slot.entry.as_ref())
     }
 
     /// Number of live entries (across all four files).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len() - self.tombstones
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Keeps only the newest `max` entries (a crude stand-in for kernel
     /// socket reclamation, keeps long simulations bounded).
     ///
-    /// Reclamation is rare and batched, so the index is rebuilt wholesale
+    /// Reclamation is rare and batched, so the indexes are rebuilt wholesale
     /// here rather than diffed entry by entry.
     pub fn truncate_oldest(&mut self, max: usize) {
-        if self.entries.len() > max {
-            let excess = self.entries.len() - max;
-            self.entries.drain(0..excess);
+        if self.len() > max {
+            let mut excess = self.len() - max;
+            for slot in &mut self.slots {
+                if excess == 0 {
+                    break;
+                }
+                excess -= usize::from(slot.entry.take().is_some());
+            }
+            self.compact();
             self.uid_index.clear();
-            for e in &self.entries {
+            for e in self.slots.iter().filter_map(|slot| slot.entry.as_ref()) {
                 self.uid_index.entry(FourTuple::new(e.local, e.remote)).or_insert(e.uid);
             }
             self.generation += 1;
@@ -244,7 +323,7 @@ impl ConnectionTable {
 
     /// Returns true if an IP address belongs to any registered local endpoint.
     pub fn has_local_addr(&self, addr: IpAddr) -> bool {
-        self.entries.iter().any(|e| e.local.addr == addr)
+        self.entries().any(|e| e.local.addr == addr)
     }
 }
 
@@ -331,5 +410,52 @@ mod tests {
         // The newest entries (highest ports) survive.
         assert!(table.uid_of_local_port(40019).is_some());
         assert!(table.uid_of_local_port(40000).is_none());
+    }
+
+    #[test]
+    fn entries_sharing_a_four_tuple_are_updated_oldest_first_and_removed_together() {
+        let mut table = ConnectionTable::new();
+        let (shared, _) = flow(40000, 0);
+        let (other, _) = flow(40001, 0);
+        table.register(shared, true, 1, SocketStateCode::SynSent);
+        table.register(other, true, 2, SocketStateCode::SynSent);
+        table.register(shared, false, 3, SocketStateCode::Close);
+        assert_eq!(table.uid_of(shared), Some(1), "first registration wins");
+        assert!(table.set_state(shared, SocketStateCode::Established));
+        let states: Vec<_> = table.entries().map(|e| (e.uid, e.state)).collect();
+        assert_eq!(
+            states,
+            [
+                (1, SocketStateCode::Established),
+                (2, SocketStateCode::SynSent),
+                (3, SocketStateCode::Close)
+            ]
+        );
+        assert!(table.remove(shared));
+        assert_eq!(table.entries().map(|e| e.uid).collect::<Vec<_>>(), [2]);
+        assert_eq!(table.uid_of(shared), None);
+        assert!(!table.set_state(shared, SocketStateCode::Close));
+    }
+
+    #[test]
+    fn churn_keeps_the_slot_vector_and_the_work_per_removal_bounded() {
+        let mut table = ConnectionTable::new();
+        let resident = 10u16;
+        for port in 0..resident {
+            let (f, uid) = flow(30_000 + port, 7);
+            table.register(f, false, uid, SocketStateCode::Close);
+        }
+        let churned = 5_000u16;
+        for port in 0..churned {
+            let (f, uid) = flow(40_000 + port, 8);
+            table.register(f, true, uid, SocketStateCode::SynSent);
+            assert!(table.set_state(f, SocketStateCode::Established));
+            assert!(table.remove(f));
+            assert!(table.slots.len() <= 2 * table.len() + 1, "tombstones pile up");
+        }
+        assert_eq!(table.len(), usize::from(resident));
+        assert_eq!(table.entries().count(), usize::from(resident));
+        // Amortised: a compaction moves at most twice the tombstones it drops.
+        assert!(table.scan_elems() <= 3 * u64::from(churned), "{}", table.scan_elems());
     }
 }

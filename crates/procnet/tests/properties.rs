@@ -4,12 +4,13 @@
 //! correctness.
 
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use std::collections::HashMap;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 use mop_packet::{Endpoint, FourTuple};
 use mop_procnet::{
-    parse_proc_net, render_proc_net, ConnectionTable, EagerMapper, LazyMapper, Protocol,
-    SocketStateCode,
+    parse_proc_net, render_proc_net, ConnectionEntry, ConnectionTable, EagerMapper, LazyMapper,
+    Protocol, SocketStateCode,
 };
 use mop_simnet::{CostModel, SimRng, SimTime};
 
@@ -28,8 +29,157 @@ fn arb_state() -> impl Strategy<Value = SocketStateCode> {
     ]
 }
 
+/// The connection table's reference semantics: the plain entry `Vec` with
+/// first-match scans and `retain` that `ConnectionTable` was before its
+/// entries were position-indexed.
+#[derive(Default)]
+struct ModelTable {
+    entries: Vec<ConnectionEntry>,
+    registered: u64,
+    uid_index: HashMap<FourTuple, u32>,
+    generation: u64,
+}
+
+impl ModelTable {
+    fn register(&mut self, flow: FourTuple, tcp: bool, uid: u32, state: SocketStateCode) -> u64 {
+        let inode = 10_000 + self.registered;
+        self.registered += 1;
+        self.entries.push(ConnectionEntry {
+            protocol: Protocol::for_flow(&flow, tcp),
+            local: flow.src,
+            remote: flow.dst,
+            state,
+            uid,
+            inode,
+        });
+        self.uid_index.entry(flow).or_insert(uid);
+        self.generation += 1;
+        inode
+    }
+
+    fn set_state(&mut self, flow: FourTuple, state: SocketStateCode) -> bool {
+        match self.entries.iter_mut().find(|e| e.local == flow.src && e.remote == flow.dst) {
+            Some(e) => {
+                e.state = state;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn remove(&mut self, flow: FourTuple) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|e| !(e.local == flow.src && e.remote == flow.dst));
+        let removed = self.entries.len() != before;
+        if removed {
+            self.uid_index.remove(&flow);
+            self.generation += 1;
+        }
+        removed
+    }
+
+    fn truncate_oldest(&mut self, max: usize) {
+        if self.entries.len() > max {
+            self.entries.drain(..self.entries.len() - max);
+            self.uid_index.clear();
+            for e in &self.entries {
+                self.uid_index.entry(FourTuple::new(e.local, e.remote)).or_insert(e.uid);
+            }
+            self.generation += 1;
+        }
+    }
+}
+
+/// One mutation of the table; flows are indices into [`flow_pool`].
+#[derive(Debug, Clone)]
+enum TableOp {
+    Register { flow: usize, tcp: bool, uid: u32, state: SocketStateCode },
+    SetState { flow: usize, state: SocketStateCode },
+    Remove { flow: usize },
+    TruncateOldest { max: usize },
+    Reset,
+}
+
+/// A handful of four-tuples, IPv4 and IPv6, so that registrations collide.
+fn flow_pool() -> Vec<FourTuple> {
+    let mut pool: Vec<FourTuple> = (0..5)
+        .map(|i| {
+            FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40_000 + i), Endpoint::v4(8, 8, 4, 4, 443))
+        })
+        .collect();
+    for i in 0..2 {
+        pool.push(FourTuple::new(
+            Endpoint::new(Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 2), 50_000 + i),
+            Endpoint::new(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1), 443),
+        ));
+    }
+    pool
+}
+
+fn arb_table_op(flows: usize) -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        6 => (0..flows, any::<bool>(), 10_000u32..10_010, arb_state())
+            .prop_map(|(flow, tcp, uid, state)| TableOp::Register { flow, tcp, uid, state }),
+        2 => (0..flows, arb_state()).prop_map(|(flow, state)| TableOp::SetState { flow, state }),
+        4 => (0..flows).prop_map(|flow| TableOp::Remove { flow }),
+        1 => (0usize..12).prop_map(|max| TableOp::TruncateOldest { max }),
+        1 => Just(TableOp::Reset),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn indexed_table_equals_the_vec_scan_model(
+        ops in proptest::collection::vec(arb_table_op(flow_pool().len()), 0..160),
+    ) {
+        let pool = flow_pool();
+        let mut table = ConnectionTable::new();
+        let mut model = ModelTable::default();
+        for op in ops {
+            match op {
+                TableOp::Register { flow, tcp, uid, state } => prop_assert_eq!(
+                    table.register(pool[flow], tcp, uid, state),
+                    model.register(pool[flow], tcp, uid, state)
+                ),
+                TableOp::SetState { flow, state } => prop_assert_eq!(
+                    table.set_state(pool[flow], state),
+                    model.set_state(pool[flow], state)
+                ),
+                TableOp::Remove { flow } => {
+                    prop_assert_eq!(table.remove(pool[flow]), model.remove(pool[flow]))
+                }
+                TableOp::TruncateOldest { max } => {
+                    table.truncate_oldest(max);
+                    model.truncate_oldest(max);
+                }
+                TableOp::Reset => {
+                    table.reset();
+                    model = ModelTable::default();
+                }
+            }
+            prop_assert_eq!(table.len(), model.entries.len());
+            prop_assert_eq!(table.is_empty(), model.entries.is_empty());
+            prop_assert_eq!(table.generation(), model.generation);
+            prop_assert_eq!(table.uid_index(), &model.uid_index);
+            for &flow in &pool {
+                prop_assert_eq!(table.uid_of(flow), model.uid_index.get(&flow).copied());
+            }
+            prop_assert_eq!(table.entries().collect::<Vec<_>>(), model.entries.iter().collect::<Vec<_>>());
+            // The rendered text carries the model's rows, in order, under
+            // consecutive slot numbers.
+            for protocol in [Protocol::Tcp, Protocol::Tcp6, Protocol::Udp, Protocol::Udp6] {
+                let file = render_proc_net(&table, protocol);
+                let rows: Vec<ConnectionEntry> =
+                    model.entries.iter().filter(|e| e.protocol == protocol).cloned().collect();
+                prop_assert_eq!(parse_proc_net(&file), rows);
+                for (sl, line) in file.content.lines().skip(1).enumerate() {
+                    prop_assert_eq!(line.split(':').next().unwrap().trim(), sl.to_string());
+                }
+            }
+        }
+    }
 
     #[test]
     fn proc_net_text_roundtrips_arbitrary_tables(

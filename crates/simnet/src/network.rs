@@ -127,7 +127,6 @@ pub struct SimNetworkBuilder {
     isp: Option<IspProfile>,
     servers: Vec<ServerConfig>,
     dns_latency: Option<LatencyModel>,
-    tap_enabled: bool,
     default_path: LatencyModel,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
@@ -148,7 +147,6 @@ impl SimNetworkBuilder {
             isp: None,
             servers: Vec::new(),
             dns_latency: None,
-            tap_enabled: true,
             default_path: LatencyModel::lognormal_with(45.0, 0.5, 5.0),
             keying: NetKeying::Shared,
             handover: None,
@@ -218,12 +216,6 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Disables the wire tap.
-    pub fn without_tap(mut self) -> Self {
-        self.tap_enabled = false;
-        self
-    }
-
     /// Builds the network.
     pub fn build(self) -> SimNetwork {
         let dns_latency = self.dns_latency.unwrap_or_else(|| match &self.isp {
@@ -241,7 +233,7 @@ impl SimNetworkBuilder {
             dns,
             rng: SimRng::seed_from_u64(self.seed),
             seed: self.seed,
-            tap: if self.tap_enabled { WireTap::new() } else { WireTap::disabled() },
+            tap: WireTap::new(),
             default_path: self.default_path,
             downlink_busy_until: SimTime::ZERO,
             uplink_busy_until: SimTime::ZERO,

@@ -5,6 +5,8 @@
 //! the same role here: it records every transport event at the interface,
 //! below any measuring application, so its SYN→SYN/ACK gaps are ground truth.
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use mop_packet::FourTuple;
 
 use crate::time::{SimDuration, SimTime};
@@ -50,33 +52,118 @@ pub struct TapRecord {
     pub flow: FourTuple,
 }
 
+/// The first request a flow put on the wire and the reply the reference
+/// pairs with it — all that an RTT query needs to know about the flow.
+#[derive(Debug, Clone, Copy)]
+struct Exchange {
+    flow: FourTuple,
+    /// Capture time of the flow's first request (SYN or DNS query).
+    request_at: SimTime,
+    /// Capture time of the first reply in capture order that is not
+    /// earlier than `request_at`.
+    reply_at: Option<SimTime>,
+}
+
+impl Exchange {
+    fn rtt(&self) -> Option<SimDuration> {
+        self.reply_at.map(|reply_at| reply_at - self.request_at)
+    }
+
+    /// Pairs a reply captured at `at` with the request unless an earlier
+    /// capture already was, or it is timestamped before the request.
+    fn offer_reply(&mut self, at: SimTime) {
+        if self.reply_at.is_none() && at >= self.request_at {
+            self.reply_at = Some(at);
+        }
+    }
+}
+
+/// Request/reply pairing for one packet family (handshakes or DNS), kept
+/// current as packets are captured so a query is one hash probe.
+#[derive(Debug, Default, Clone)]
+struct ExchangeIndex {
+    /// One slot per flow, in first-request order.
+    exchanges: Vec<Exchange>,
+    /// Each flow's slot in `exchanges`.
+    slot_of: HashMap<FourTuple, usize>,
+    /// Replies captured before any request of their flow, in capture order.
+    /// They only become candidates once the request's time is known, so
+    /// they wait here; a capture of real exchanges never has any.
+    early_replies: Vec<(FourTuple, SimTime)>,
+}
+
+impl ExchangeIndex {
+    /// Notes a captured request. Only a flow's first request counts; a
+    /// retransmission, or a reused four-tuple's later connection, changes
+    /// nothing. Returns the number of early replies examined.
+    fn request(&mut self, flow: FourTuple, at: SimTime) -> u64 {
+        let Entry::Vacant(slot) = self.slot_of.entry(flow) else { return 0 };
+        slot.insert(self.exchanges.len());
+        let mut exchange = Exchange { flow, request_at: at, reply_at: None };
+        let scanned = self.early_replies.len() as u64;
+        self.early_replies.retain(|&(reply_flow, reply_at)| {
+            if reply_flow == flow {
+                exchange.offer_reply(reply_at);
+            }
+            reply_flow != flow
+        });
+        self.exchanges.push(exchange);
+        scanned
+    }
+
+    /// Notes a captured reply.
+    fn reply(&mut self, flow: FourTuple, at: SimTime) {
+        match self.slot_of.get(&flow) {
+            Some(&slot) => self.exchanges[slot].offer_reply(at),
+            None => self.early_replies.push((flow, at)),
+        }
+    }
+
+    fn rtt(&self, flow: FourTuple) -> Option<SimDuration> {
+        self.exchanges[*self.slot_of.get(&flow)?].rtt()
+    }
+
+    fn clear(&mut self) {
+        self.exchanges.clear();
+        self.slot_of.clear();
+        self.early_replies.clear();
+    }
+}
+
 /// An in-memory capture buffer.
+///
+/// Every packet is kept in capture order; the handshake and DNS control
+/// packets are additionally paired per flow as they are recorded, so the RTT
+/// queries the relay issues on every connect cost one hash probe however
+/// long the capture has grown.
 #[derive(Debug, Default, Clone)]
 pub struct WireTap {
     records: Vec<TapRecord>,
-    enabled: bool,
+    handshakes: ExchangeIndex,
+    dns: ExchangeIndex,
+    /// Captured packets examined beyond the per-flow index probes. Zero for
+    /// any capture whose replies follow their requests; the complexity
+    /// guard watches it so a scanning query cannot come back unnoticed.
+    scan_elems: u64,
 }
 
 impl WireTap {
-    /// Creates an enabled tap.
+    /// Creates an empty tap.
     pub fn new() -> Self {
-        Self { records: Vec::new(), enabled: true }
-    }
-
-    /// Creates a disabled tap that drops everything (zero overhead runs).
-    pub fn disabled() -> Self {
-        Self { records: Vec::new(), enabled: false }
-    }
-
-    /// Returns true if capturing is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Records an event.
     pub fn record(&mut self, at: SimTime, direction: TapDirection, kind: TapKind, flow: FourTuple) {
-        if self.enabled {
-            self.records.push(TapRecord { at, direction, kind, flow });
+        self.records.push(TapRecord { at, direction, kind, flow });
+        match (kind, direction) {
+            (TapKind::Syn, TapDirection::Outbound) => {
+                self.scan_elems += self.handshakes.request(flow, at);
+            }
+            (TapKind::SynAck, TapDirection::Inbound) => self.handshakes.reply(flow, at),
+            (TapKind::DnsQuery, _) => self.scan_elems += self.dns.request(flow, at),
+            (TapKind::DnsResponse, _) => self.dns.reply(flow, at),
+            _ => {}
         }
     }
 
@@ -95,49 +182,36 @@ impl WireTap {
         self.records.is_empty()
     }
 
-    /// Clears the capture buffer.
+    /// Clears the capture buffer, back to the just-constructed state.
     pub fn clear(&mut self) {
         self.records.clear();
+        self.handshakes.clear();
+        self.dns.clear();
+        self.scan_elems = 0;
+    }
+
+    /// Captured packets examined by queries and index upkeep beyond the
+    /// O(1) per-flow probes (see `tests/complexity_guard.rs`).
+    pub fn scan_elems(&self) -> u64 {
+        self.scan_elems
     }
 
     /// The tcpdump-style RTT of `flow`: the gap between the first outbound
-    /// SYN and the first inbound SYN/ACK.
+    /// SYN the four-tuple ever sent and the first inbound SYN/ACK, in
+    /// capture order, that is not timestamped before it.
     pub fn handshake_rtt(&self, flow: FourTuple) -> Option<SimDuration> {
-        let syn = self.records.iter().find(|r| {
-            r.flow == flow && r.kind == TapKind::Syn && r.direction == TapDirection::Outbound
-        })?;
-        let syn_ack = self.records.iter().find(|r| {
-            r.flow == flow
-                && r.kind == TapKind::SynAck
-                && r.direction == TapDirection::Inbound
-                && r.at >= syn.at
-        })?;
-        Some(syn_ack.at - syn.at)
+        self.handshakes.rtt(flow)
     }
 
-    /// The tcpdump-style DNS RTT of `flow`: first query to first response.
+    /// The tcpdump-style DNS RTT of `flow`: first query to the first
+    /// response, in capture order, that is not timestamped before it.
     pub fn dns_rtt(&self, flow: FourTuple) -> Option<SimDuration> {
-        let q = self.records.iter().find(|r| r.flow == flow && r.kind == TapKind::DnsQuery)?;
-        let a = self
-            .records
-            .iter()
-            .find(|r| r.flow == flow && r.kind == TapKind::DnsResponse && r.at >= q.at)?;
-        Some(a.at - q.at)
+        self.dns.rtt(flow)
     }
 
     /// All handshake RTTs in the capture, keyed by flow, in SYN order.
     pub fn all_handshake_rtts(&self) -> Vec<(FourTuple, SimDuration)> {
-        let mut out = Vec::new();
-        for r in &self.records {
-            if r.kind == TapKind::Syn && r.direction == TapDirection::Outbound {
-                if let Some(rtt) = self.handshake_rtt(r.flow) {
-                    if !out.iter().any(|(f, _)| *f == r.flow) {
-                        out.push((r.flow, rtt));
-                    }
-                }
-            }
-        }
-        out
+        self.handshakes.exchanges.iter().filter_map(|e| Some((e.flow, e.rtt()?))).collect()
     }
 }
 
@@ -180,11 +254,35 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tap_records_nothing() {
-        let mut tap = WireTap::disabled();
-        tap.record(SimTime::ZERO, TapDirection::Outbound, TapKind::Syn, flow(1));
-        assert!(tap.is_empty());
-        assert!(!tap.is_enabled());
+    fn a_reused_four_tuple_reports_its_first_captures_handshake() {
+        let mut tap = WireTap::new();
+        let f = flow(40002);
+        tap.record(SimTime::from_millis(10), TapDirection::Outbound, TapKind::Syn, f);
+        // A retransmitted SYN does not restart the clock.
+        tap.record(SimTime::from_millis(1_010), TapDirection::Outbound, TapKind::Syn, f);
+        tap.record(SimTime::from_millis(1_030), TapDirection::Inbound, TapKind::SynAck, f);
+        tap.record(SimTime::from_millis(1_040), TapDirection::Inbound, TapKind::Fin, f);
+        // The port's next connection is invisible to the reference.
+        tap.record(SimTime::from_millis(5_000), TapDirection::Outbound, TapKind::Syn, f);
+        tap.record(SimTime::from_millis(5_004), TapDirection::Inbound, TapKind::SynAck, f);
+        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 1_020);
+        assert_eq!(tap.scan_elems(), 0);
+    }
+
+    #[test]
+    fn a_reply_captured_before_its_request_still_pairs_by_timestamp() {
+        let mut tap = WireTap::new();
+        let f = flow(40003);
+        tap.record(SimTime::from_millis(20), TapDirection::Inbound, TapKind::SynAck, f);
+        tap.record(SimTime::from_millis(30), TapDirection::Inbound, TapKind::SynAck, f);
+        tap.record(SimTime::from_millis(25), TapDirection::Outbound, TapKind::Syn, f);
+        tap.record(SimTime::from_millis(26), TapDirection::Inbound, TapKind::SynAck, f);
+        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 5);
+        // The two early replies were examined once, when the SYN arrived.
+        assert_eq!(tap.scan_elems(), 2);
+        tap.clear();
+        assert_eq!(tap.handshake_rtt(f), None);
+        assert_eq!(tap.scan_elems(), 0);
     }
 
     #[test]

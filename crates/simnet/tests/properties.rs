@@ -4,9 +4,74 @@
 use proptest::prelude::*;
 
 use mop_packet::{Endpoint, FourTuple};
+use mop_simnet::tap::{TapKind, TapRecord};
 use mop_simnet::{
-    EventQueue, LatencyModel, NetworkType, SimDuration, SimNetwork, SimRng, SimTime,
+    EventQueue, LatencyModel, NetworkType, SimDuration, SimNetwork, SimRng, SimTime, TapDirection,
+    WireTap,
 };
+
+/// The wire tap's reference semantics: the linear scans over the whole
+/// capture that `WireTap` used before it was indexed per flow.
+mod tap_model {
+    use super::*;
+
+    pub fn handshake_rtt(records: &[TapRecord], flow: FourTuple) -> Option<SimDuration> {
+        let syn = records.iter().find(|r| {
+            r.flow == flow && r.kind == TapKind::Syn && r.direction == TapDirection::Outbound
+        })?;
+        let syn_ack = records.iter().find(|r| {
+            r.flow == flow
+                && r.kind == TapKind::SynAck
+                && r.direction == TapDirection::Inbound
+                && r.at >= syn.at
+        })?;
+        Some(syn_ack.at - syn.at)
+    }
+
+    pub fn dns_rtt(records: &[TapRecord], flow: FourTuple) -> Option<SimDuration> {
+        let q = records.iter().find(|r| r.flow == flow && r.kind == TapKind::DnsQuery)?;
+        let a = records
+            .iter()
+            .find(|r| r.flow == flow && r.kind == TapKind::DnsResponse && r.at >= q.at)?;
+        Some(a.at - q.at)
+    }
+
+    pub fn all_handshake_rtts(records: &[TapRecord]) -> Vec<(FourTuple, SimDuration)> {
+        let mut out: Vec<(FourTuple, SimDuration)> = Vec::new();
+        for r in records {
+            if r.kind == TapKind::Syn && r.direction == TapDirection::Outbound {
+                if let Some(rtt) = handshake_rtt(records, r.flow) {
+                    if !out.iter().any(|(f, _)| *f == r.flow) {
+                        out.push((r.flow, rtt));
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A tapped packet on one of `flows` four-tuples, so tuples are reused,
+/// SYNs retransmitted and replies captured before their requests; `at` is
+/// drawn independently of capture position, so timestamps run out of order.
+fn arb_tap_record(flows: u16) -> impl Strategy<Value = (u64, TapDirection, TapKind, FourTuple)> {
+    let kind = prop_oneof![
+        3 => Just(TapKind::Syn),
+        3 => Just(TapKind::SynAck),
+        2 => Just(TapKind::DnsQuery),
+        2 => Just(TapKind::DnsResponse),
+        2 => (0usize..1461).prop_map(TapKind::Data),
+        1 => Just(TapKind::Rst),
+        1 => Just(TapKind::Fin),
+    ];
+    let direction = prop_oneof![Just(TapDirection::Outbound), Just(TapDirection::Inbound)];
+    (0u64..40, direction, kind, 0..flows)
+        .prop_map(|(at_ms, direction, kind, port)| (at_ms, direction, kind, tap_flow(port)))
+}
+
+fn tap_flow(port: u16) -> FourTuple {
+    FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40_000 + port), Endpoint::v4(31, 13, 79, 251, 443))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -97,6 +162,31 @@ proptest! {
         prop_assert!(dns.query_sent >= at);
         if let Some(response_at) = dns.response_at {
             prop_assert!(response_at > dns.query_sent);
+        }
+    }
+
+    #[test]
+    fn indexed_tap_queries_equal_the_linear_scan_model(
+        first in proptest::collection::vec(arb_tap_record(6), 0..80),
+        second in proptest::collection::vec(arb_tap_record(6), 0..40),
+    ) {
+        let mut tap = WireTap::new();
+        // The same tap is checked after every record, then cleared and
+        // refilled: nothing of the first capture may leak into the second.
+        for capture in [&first, &second] {
+            tap.clear();
+            prop_assert!(tap.is_empty());
+            for &(at_ms, direction, kind, flow) in capture {
+                tap.record(SimTime::from_millis(at_ms), direction, kind, flow);
+                let records = tap.records();
+                // One untouched tuple too: absent flows answer `None`.
+                for flow in (0..=6).map(tap_flow) {
+                    prop_assert_eq!(tap.handshake_rtt(flow), tap_model::handshake_rtt(records, flow));
+                    prop_assert_eq!(tap.dns_rtt(flow), tap_model::dns_rtt(records, flow));
+                }
+                prop_assert_eq!(tap.all_handshake_rtts(), tap_model::all_handshake_rtts(records));
+            }
+            prop_assert_eq!(tap.len(), capture.len());
         }
     }
 
