@@ -164,24 +164,18 @@ impl FleetCheckpoint {
         Ok(resumed)
     }
 
-    /// Serialises the checkpoint to its JSON document.
+    /// Serialises the checkpoint to its JSON document (through
+    /// [`checkpoint_to_json`], the one encoder).
     pub fn to_json(&self) -> Value {
-        let pending: Vec<Value> = self.pending.iter().map(flow_spec_to_json).collect();
-        json!({
-            "format": "mopeye-fleet-checkpoint",
-            "version": CHECKPOINT_FORMAT_VERSION as i64,
-            "seed": format!("{:016x}", self.seed),
-            "shards_at_save": self.shards_at_save as i64,
-            "congestion": congestion_str(self.congestion),
-            "epoch_width_ns": match self.epoch_width_ns {
-                Some(w) => Value::from(w as i64),
-                None => Value::Null,
-            },
-            "epoch_window": self.epoch_window as i64,
-            "cut_ns": self.cut.as_nanos() as i64,
-            "base": run_report_to_json(&self.base),
-            "pending": pending,
-        })
+        let header = CheckpointHeader {
+            seed: self.seed,
+            shards_at_save: self.shards_at_save,
+            congestion: self.congestion,
+            epoch_width_ns: self.epoch_width_ns,
+            epoch_window: self.epoch_window,
+            cut: self.cut,
+        };
+        checkpoint_to_json(&header, &self.base, &self.pending)
     }
 
     /// Parses a checkpoint back from its JSON document. Returns `None` on a
@@ -231,6 +225,14 @@ impl FleetCheckpoint {
     pub fn parse(text: &str) -> Result<Self, String> {
         let value = mop_json::from_str(text)
             .map_err(|e| format!("checkpoint is not valid JSON: {e}"))?;
+        Self::parse_value(&value)
+    }
+
+    /// [`FleetCheckpoint::parse`] for a document that is already parsed:
+    /// the same checks, the same messages, no text in between. A holder of
+    /// an embedding document (the server checkpoint's `"fleet"` member)
+    /// hands the member in directly instead of printing and re-reading it.
+    pub fn parse_value(value: &Value) -> Result<Self, String> {
         let Some(format) = value["format"].as_str() else {
             return Err("checkpoint has no \"format\" string field".into());
         };
@@ -246,9 +248,56 @@ impl FleetCheckpoint {
                  (this build reads version {CHECKPOINT_FORMAT_VERSION})"
             ));
         }
-        Self::from_json(&value)
+        Self::from_json(value)
             .ok_or_else(|| "checkpoint body is malformed (missing or mistyped field)".into())
     }
+}
+
+/// The scalar part of a checkpoint document: the run parameters resume must
+/// reproduce, and the cut. [`checkpoint_to_json`] takes it beside a borrowed
+/// report and borrowed flow specs, so a caller that already holds those (the
+/// server's control plane) encodes them where they are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckpointHeader {
+    /// See [`FleetCheckpoint::seed`].
+    pub seed: u64,
+    /// See [`FleetCheckpoint::shards_at_save`].
+    pub shards_at_save: usize,
+    /// See [`FleetCheckpoint::congestion`].
+    pub congestion: CongestionAlgo,
+    /// See [`FleetCheckpoint::epoch_width_ns`].
+    pub epoch_width_ns: Option<u64>,
+    /// See [`FleetCheckpoint::epoch_window`].
+    pub epoch_window: usize,
+    /// See [`FleetCheckpoint::cut`].
+    pub cut: SimTime,
+}
+
+/// The checkpoint encoder: `header`, the merged report of everything that
+/// ran before the cut, and the flow specs still to run, in order. Nothing is
+/// cloned on the way in; [`FleetCheckpoint::to_json`] is this function over
+/// its own fields, so both produce the same document.
+pub fn checkpoint_to_json<'a>(
+    header: &CheckpointHeader,
+    base: &RunReport,
+    pending: impl IntoIterator<Item = &'a FlowSpec>,
+) -> Value {
+    let pending: Vec<Value> = pending.into_iter().map(flow_spec_to_json).collect();
+    json!({
+        "format": "mopeye-fleet-checkpoint",
+        "version": CHECKPOINT_FORMAT_VERSION as i64,
+        "seed": format!("{:016x}", header.seed),
+        "shards_at_save": header.shards_at_save as i64,
+        "congestion": congestion_str(header.congestion),
+        "epoch_width_ns": match header.epoch_width_ns {
+            Some(w) => Value::from(w as i64),
+            None => Value::Null,
+        },
+        "epoch_window": header.epoch_window as i64,
+        "cut_ns": header.cut.as_nanos() as i64,
+        "base": run_report_to_json(base),
+        "pending": pending,
+    })
 }
 
 /// Splits a flow schedule at `cut`: `(ran, pending)` where `ran` holds every

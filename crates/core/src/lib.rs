@@ -74,8 +74,8 @@ pub mod stats;
 pub mod tun_writer;
 
 pub use checkpoint::{
-    epoch_boundary, run_report_from_json, run_report_to_json, split_at, FleetCheckpoint,
-    CHECKPOINT_FORMAT_VERSION,
+    checkpoint_to_json, epoch_boundary, run_report_from_json, run_report_to_json, split_at,
+    CheckpointHeader, FleetCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{
     EngineDiscipline, EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WorkerModel,

@@ -30,7 +30,10 @@ pub mod server;
 pub mod transport;
 
 pub use client::{Client, Reply};
-pub use plane::{ControlPlane, PlaneConfig, StepOutcome, SERVER_CHECKPOINT_VERSION};
+pub use plane::{
+    ControlPlane, PlaneConfig, StepOutcome, MAX_CURSOR_EPOCH, MAX_INJECT_USERS,
+    SERVER_CHECKPOINT_VERSION,
+};
 pub use proto::{
     digest_str, error_frame, event_frame, parse_request, result_frame, ErrorCode, Request,
     PROTOCOL_VERSION,

@@ -39,8 +39,8 @@ use mop_measure::EpochSummary;
 use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
 use mopeye_core::{
-    epoch_boundary, run_report_from_json, run_report_to_json, CongestionAlgo, FleetCheckpoint,
-    FleetConfig, ResidentFleet, RunReport,
+    checkpoint_to_json, epoch_boundary, run_report_to_json, CheckpointHeader, CongestionAlgo,
+    FleetCheckpoint, FleetConfig, ResidentFleet, RunReport,
 };
 #[cfg(test)]
 use mopeye_core::FleetEngine;
@@ -48,6 +48,18 @@ use mopeye_core::FleetEngine;
 /// Version tag of the server checkpoint document (which embeds a
 /// [`FleetCheckpoint`] plus the plane's scenario table and cursor).
 pub const SERVER_CHECKPOINT_VERSION: u64 = 1;
+
+/// The most users one `inject` may ask for — about eight times the
+/// paper-scale 13 k-user sweep. A scenario's flow schedule is generated
+/// whole at inject (several flows per user, a few hundred bytes each), so
+/// the count is a memory request and has to have a ceiling.
+pub const MAX_INJECT_USERS: usize = 100_000;
+
+/// The highest value the cursor may reach: every protocol integer is an
+/// `i64`, so this is the last epoch a reply can still print. [`ControlPlane::step`]
+/// saturates here instead of overflowing; the dispatcher refuses a step
+/// that would need to.
+pub const MAX_CURSOR_EPOCH: u64 = i64::MAX as u64;
 
 /// The run parameters a plane is built with. Every engine the plane spins
 /// up uses these; a checkpoint can only be resumed on a plane with the
@@ -140,7 +152,9 @@ pub struct StepOutcome {
     pub digest: u64,
     /// The step's merged report delta, in the checkpoint JSON encoding —
     /// folding these with [`RunReport::absorb`] reproduces the cumulative
-    /// report (`Null` when the step ran no flows).
+    /// report. `Null` unless a `full` subscriber asked for it
+    /// ([`ControlPlane::step_with_delta`]) and the step ran flows: nobody
+    /// else reads it, and it is the size of the step's whole report.
     pub delta: Value,
     /// Per-epoch summaries of the delta's live window, for `summary`
     /// subscribers (empty when the step ran no flows).
@@ -155,6 +169,13 @@ pub struct ControlPlane {
     next_scenario: usize,
     scenarios: Vec<ScenarioSlot>,
     cumulative: RunReport,
+    /// `cumulative.fleet_digest()`, recomputed by [`Self::refresh_digest`]
+    /// at the two places `cumulative` changes. Kept here and not inside
+    /// [`RunReport`], whose fields are public: only an owner that sees
+    /// every mutation can keep a memo honest.
+    digest: u64,
+    /// How often `refresh_digest` ran. Never in a digest or a checkpoint.
+    digest_computes: u64,
     /// The long-lived worker fleet every step's runs go through; spawned
     /// once here and reset in place per run.
     resident: ResidentFleet,
@@ -170,8 +191,17 @@ impl ControlPlane {
             cursor_epoch: 0,
             next_scenario: 1,
             scenarios: Vec::new(),
+            digest: RunReport::empty().fleet_digest(),
+            digest_computes: 0,
             cumulative: RunReport::empty(),
         }
+    }
+
+    /// Re-derives the memoised digest. Called exactly where `cumulative`
+    /// mutates: a step that ran flows, and a successful resume.
+    fn refresh_digest(&mut self) {
+        self.digest = self.cumulative.fleet_digest();
+        self.digest_computes += 1;
     }
 
     /// The plane's run parameters.
@@ -196,8 +226,19 @@ impl ControlPlane {
 
     /// The cumulative fleet digest — bit-identical to the digest of the
     /// equivalent uninterrupted batch run once all pending flows have run.
+    /// O(1): reads the value the last mutation of the report left behind
+    /// (always equal to `self.report().fleet_digest()`).
     pub fn digest(&self) -> u64 {
-        self.cumulative.fleet_digest()
+        self.digest
+    }
+
+    /// How many times the plane has computed [`RunReport::fleet_digest`]
+    /// over its cumulative report since it was built (the constant digest
+    /// of the empty report at construction is not counted): one per step
+    /// that ran flows, one per successful resume, none for any query.
+    /// `server.profile` surfaces it as `digest_computes`.
+    pub fn digest_computes(&self) -> u64 {
+        self.digest_computes
     }
 
     /// The cumulative merged report.
@@ -211,6 +252,11 @@ impl ControlPlane {
     /// epochs (or the window tail) because the windowed merge keys on
     /// sample timestamps. Returns `(scenario_id, flows_injected)`.
     pub fn inject(&mut self, kind: &str, users: usize, seed: u64) -> Result<(String, usize), String> {
+        if users > MAX_INJECT_USERS {
+            return Err(format!(
+                "{users} users is more than one inject may ask for ({MAX_INJECT_USERS})"
+            ));
+        }
         let Some(scenario) = build_scenario(kind, users, seed) else {
             return Err(format!(
                 "unknown scenario kind {kind:?}; expected rush-hour, flash-crowd or \
@@ -262,11 +308,19 @@ impl ControlPlane {
         target.saturating_sub(self.cursor_epoch)
     }
 
-    /// Advances the cursor by `epochs` and runs every pending flow
-    /// scheduled before the new boundary, one fresh fleet per scenario,
-    /// absorbing the merged results into the cumulative report.
+    /// Advances the cursor by `epochs` (saturating at [`MAX_CURSOR_EPOCH`])
+    /// and runs every pending flow scheduled before the new boundary, one
+    /// run of the resident fleet per scenario, absorbing the merged results
+    /// into the cumulative report. [`StepOutcome::delta`] stays `Null`.
     pub fn step(&mut self, epochs: u64) -> StepOutcome {
-        self.cursor_epoch += epochs;
+        self.step_with_delta(epochs, false)
+    }
+
+    /// [`ControlPlane::step`], additionally encoding the step's report
+    /// delta into [`StepOutcome::delta`] when `want_delta` is set — what a
+    /// `full` subscriber streams.
+    pub fn step_with_delta(&mut self, epochs: u64, want_delta: bool) -> StepOutcome {
+        self.cursor_epoch = self.cursor_epoch.saturating_add(epochs).min(MAX_CURSOR_EPOCH);
         let cut = epoch_boundary(self.config.epoch_width.as_nanos(), self.cursor_epoch);
         let mut delta = RunReport::empty();
         let mut ran = 0usize;
@@ -285,21 +339,27 @@ impl ControlPlane {
             let mut report = self.resident.run_next(&network, due);
             delta.absorb(mem::replace(&mut report.merged, RunReport::empty()));
         }
-        delta.canonicalise();
-        let (delta_json, epoch_summaries) = if ran == 0 {
-            (Value::Null, Vec::new())
-        } else {
-            let summaries =
-                delta.windows.as_ref().map(|w| w.epoch_summaries()).unwrap_or_default();
-            (run_report_to_json(&delta), summaries)
-        };
-        self.cumulative.absorb(delta);
-        self.cumulative.canonicalise();
+        // A step with nothing due absorbed nothing: the report, and with it
+        // the memoised digest, stand as they are.
+        let mut delta_json = Value::Null;
+        let mut epoch_summaries = Vec::new();
+        if ran > 0 {
+            delta.canonicalise();
+            if let Some(windows) = &delta.windows {
+                epoch_summaries = windows.epoch_summaries();
+            }
+            if want_delta {
+                delta_json = run_report_to_json(&delta);
+            }
+            self.cumulative.absorb(delta);
+            self.cumulative.canonicalise();
+            self.refresh_digest();
+        }
         StepOutcome {
             cursor_epoch: self.cursor_epoch,
             ran,
             pending: self.pending_flows(),
-            digest: self.digest(),
+            digest: self.digest,
             delta: delta_json,
             epoch_summaries,
         }
@@ -332,20 +392,21 @@ impl ControlPlane {
     /// not-yet-run flow, cut = the cursor boundary) plus the scenario
     /// table needed to rebuild the slots on resume.
     pub fn checkpoint(&self) -> Value {
-        let pending: Vec<FlowSpec> =
-            self.scenarios.iter().flat_map(|s| s.pending.iter().cloned()).collect();
-        let base = run_report_from_json(&run_report_to_json(&self.cumulative))
-            .expect("the report encoding round-trips");
-        let fleet = FleetCheckpoint {
+        let header = CheckpointHeader {
             seed: self.config.seed,
             shards_at_save: self.config.shards,
             congestion: self.config.congestion,
             epoch_width_ns: Some(self.config.epoch_width.as_nanos()),
             epoch_window: self.config.epoch_window,
             cut: epoch_boundary(self.config.epoch_width.as_nanos(), self.cursor_epoch),
-            base,
-            pending,
         };
+        // Encoded where they live: the report and the pending specs are
+        // only read, in slot order.
+        let fleet = checkpoint_to_json(
+            &header,
+            &self.cumulative,
+            self.scenarios.iter().flat_map(|s| &s.pending),
+        );
         let scenarios: Vec<Value> = self
             .scenarios
             .iter()
@@ -367,7 +428,7 @@ impl ControlPlane {
             "cursor_epoch": self.cursor_epoch as i64,
             "next_scenario": self.next_scenario as i64,
             "scenarios": scenarios,
-            "fleet": fleet.to_json(),
+            "fleet": fleet,
         })
     }
 
@@ -395,10 +456,10 @@ impl ControlPlane {
                  (this build reads version {SERVER_CHECKPOINT_VERSION})"
             ));
         }
-        // Route the embedded fleet document through the descriptive parser
-        // so a malformed body is rejected with the same messages a direct
-        // `FleetCheckpoint::parse` would produce.
-        let fleet = FleetCheckpoint::parse(&mop_json::to_string(&doc["fleet"]))?;
+        // The embedded fleet document goes through the descriptive parser,
+        // so a malformed body is rejected with the messages a direct
+        // `FleetCheckpoint::parse` of its text would produce.
+        let fleet = FleetCheckpoint::parse_value(&doc["fleet"])?;
         if fleet.seed != self.config.seed {
             return Err(format!(
                 "checkpoint was saved under seed {:#018x}, plane runs {:#018x}",
@@ -465,6 +526,7 @@ impl ControlPlane {
         self.next_scenario = next_scenario as usize;
         self.scenarios = slots;
         self.cumulative = fleet.base;
+        self.refresh_digest();
         Ok(())
     }
 }
@@ -519,6 +581,22 @@ mod tests {
         assert_eq!(plane.pending_flows(), 0);
         assert!(plane.retire(&id).is_err(), "double retire is rejected");
         assert!(plane.retire("s99").is_err(), "unknown id is rejected");
+    }
+
+    #[test]
+    fn the_cursor_saturates_and_inject_has_a_ceiling() {
+        // Embedders call the plane without the dispatcher's range checks:
+        // it must hold its own line.
+        let mut plane = small_plane(1);
+        plane.inject("rush-hour", 10, 5).unwrap();
+        assert_eq!(plane.step(u64::MAX).cursor_epoch, MAX_CURSOR_EPOCH);
+        assert_eq!(plane.pending_flows(), 0, "a saturated cursor is past every flow");
+        assert_eq!(plane.step(u64::MAX).cursor_epoch, MAX_CURSOR_EPOCH);
+        assert!(plane.checkpoint()["cursor_epoch"].as_u64().is_some());
+
+        let err = plane.inject("rush-hour", MAX_INJECT_USERS + 1, 5).unwrap_err();
+        assert!(err.contains("more than one inject may ask for"), "{err}");
+        assert_eq!(plane.live_scenarios(), 1, "the refused inject left no slot");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fs;
 use mop_analytics::{diagnose_apps, diagnose_live, DiagnosisConfig, TrendConfig};
 use mop_json::{json, Value};
 
-use crate::plane::{ControlPlane, PlaneConfig, StepOutcome};
+use crate::plane::{ControlPlane, PlaneConfig, StepOutcome, MAX_CURSOR_EPOCH};
 use crate::proto::{
     self, digest_str, error_frame, event_frame, result_frame, ErrorCode, Request,
 };
@@ -131,8 +131,10 @@ impl Server {
     /// `server.profile`: the resident fleet's lifetime statistics and the
     /// accumulated wall-clock profile. Everything here is host timing —
     /// never part of digests, transcripts or checkpoints — so the values
-    /// (beyond `runs`/`threads_spawned`/`shards`) are only non-empty when
-    /// the workspace was built with the `profiling` feature.
+    /// (beyond `runs`/`threads_spawned`/`digest_computes`/`shards`) are only
+    /// non-empty when the workspace was built with the `profiling` feature.
+    /// `digest_computes` is a plain count, live in every build: how often
+    /// the plane walked its cumulative report for a digest.
     fn profile(&self) -> Result<Value, (ErrorCode, String)> {
         let (runs, threads_spawned) = self.plane.resident_stats();
         let profile = self.plane.profile();
@@ -156,6 +158,7 @@ impl Server {
         Ok(json!({
             "runs": runs as i64,
             "threads_spawned": threads_spawned as i64,
+            "digest_computes": self.plane.digest_computes() as i64,
             "shards": self.plane.config().shards as i64,
             "profiling": mop_simnet::Profiler::enabled(),
             "phases": phases,
@@ -176,10 +179,10 @@ impl Server {
                 .as_u64()
                 .ok_or((ErrorCode::BadParams, "\"seed\" must be a non-negative integer".into()))?,
         };
-        let (id, flows) = self
-            .plane
-            .inject(kind, users as usize, seed)
-            .map_err(|m| (ErrorCode::BadParams, m))?;
+        // A count beyond `usize` is beyond the plane's ceiling as well.
+        let users = usize::try_from(users).unwrap_or(usize::MAX);
+        let (id, flows) =
+            self.plane.inject(kind, users, seed).map_err(|m| (ErrorCode::BadParams, m))?;
         Ok(json!({ "scenario": id, "flows": flows as i64 }))
     }
 
@@ -215,19 +218,25 @@ impl Server {
                 .as_u64()
                 .ok_or((ErrorCode::BadParams, "\"epochs\" must be a non-negative integer".into()))?,
         };
-        let outcome = self.plane.step(epochs);
+        let room = MAX_CURSOR_EPOCH - self.plane.cursor_epoch();
+        if epochs > room {
+            return Err((
+                ErrorCode::BadParams,
+                format!("\"epochs\" {epochs} would move the cursor past {MAX_CURSOR_EPOCH}"),
+            ));
+        }
+        let outcome = self.plane.step_with_delta(epochs, self.detail == Detail::Full);
         self.steps += 1;
-        let events = self.stream_events(&outcome);
         let result = json!({
             "cursor_epoch": outcome.cursor_epoch as i64,
             "ran": outcome.ran as i64,
             "pending": outcome.pending as i64,
             "digest": digest_str(outcome.digest),
         });
-        Ok((events, result))
+        Ok((self.stream_events(outcome), result))
     }
 
-    fn stream_events(&self, outcome: &StepOutcome) -> Vec<String> {
+    fn stream_events(&self, outcome: StepOutcome) -> Vec<String> {
         match self.detail {
             Detail::Off => Vec::new(),
             Detail::Summary => outcome
@@ -251,7 +260,7 @@ impl Server {
                 } else {
                     vec![event_frame(
                         "delta",
-                        json!({ "step": self.steps as i64, "report": outcome.delta.clone() }),
+                        json!({ "step": self.steps as i64, "report": outcome.delta }),
                     )]
                 }
             }
@@ -313,21 +322,23 @@ impl Server {
     }
 
     fn resume(&mut self, params: &Value) -> Result<Value, (ErrorCode, String)> {
+        let loaded;
         let doc = if let Some(path) = params["path"].as_str() {
             let text = fs::read_to_string(path)
                 .map_err(|e| (ErrorCode::Io, format!("cannot read {path:?}: {e}")))?;
-            mop_json::from_str(&text).map_err(|e| {
+            loaded = mop_json::from_str(&text).map_err(|e| {
                 (ErrorCode::BadCheckpoint, format!("checkpoint is not valid JSON: {e}"))
-            })?
+            })?;
+            &loaded
         } else if !params["checkpoint"].is_null() {
-            params["checkpoint"].clone()
+            &params["checkpoint"]
         } else {
             return Err((
                 ErrorCode::BadParams,
                 "resume needs a \"checkpoint\" document or a \"path\"".into(),
             ));
         };
-        self.plane.resume(&doc).map_err(|m| {
+        self.plane.resume(doc).map_err(|m| {
             if m.contains("idle plane") {
                 (ErrorCode::ResumeConflict, m)
             } else {
@@ -420,6 +431,49 @@ mod tests {
         );
         assert!(turn.frames[0].contains("\"code\":\"io\""));
         assert!(!turn.shutdown);
+    }
+
+    #[test]
+    fn out_of_range_counts_are_bad_params_not_overflow_or_allocation() {
+        use crate::plane::MAX_INJECT_USERS;
+
+        let mut server = server();
+        // One request may not ask for more users than the ceiling — neither
+        // just above it nor the 10^12 an unvalidated cast let through.
+        for users in [MAX_INJECT_USERS as u64 + 1, 1_000_000_000_000] {
+            let turn = call(
+                &mut server,
+                &format!(
+                    "{{\"id\":1,\"method\":\"scenario.inject\",\
+                     \"params\":{{\"scenario\":\"rush-hour\",\"users\":{users}}}}}"
+                ),
+            );
+            assert!(turn.frames[0].contains("\"code\":\"bad-params\""), "{}", turn.frames[0]);
+        }
+        assert_eq!(server.plane().pending_flows(), 0, "a refused inject parks nothing");
+        assert_eq!(server.plane().live_scenarios(), 0);
+
+        // A step may not carry the cursor past the last epoch a reply can
+        // print: an unchecked `cursor += epochs` panics here in a debug
+        // build and wraps the cursor backwards in release.
+        let step = |server: &mut Server, epochs: &str| {
+            let line = format!(
+                "{{\"id\":2,\"method\":\"fleet.step\",\"params\":{{\"epochs\":{epochs}}}}}"
+            );
+            call(server, &line).frames.pop().unwrap()
+        };
+        assert!(step(&mut server, "1").contains("\"cursor_epoch\":1"));
+        for epochs in ["9223372036854775807", "18446744073709551615", "-1", "1.5"] {
+            let frame = step(&mut server, epochs);
+            assert!(frame.contains("\"code\":\"bad-params\""), "epochs {epochs}: {frame}");
+            assert_eq!(server.plane().cursor_epoch(), 1, "a refused step moves nothing");
+        }
+        // Exactly up to the ceiling is fine, and then only `epochs: 0` is.
+        let frame = step(&mut server, "9223372036854775806");
+        assert!(frame.contains("\"cursor_epoch\":9223372036854775807"), "{frame}");
+        assert!(step(&mut server, "1").contains("\"code\":\"bad-params\""));
+        assert!(step(&mut server, "0").contains("\"cursor_epoch\":9223372036854775807"));
+        assert_eq!(server.plane().cursor_epoch(), MAX_CURSOR_EPOCH);
     }
 
     #[test]

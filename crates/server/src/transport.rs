@@ -21,16 +21,21 @@ pub fn serve<R: BufRead, W: Write>(
     reader: R,
     mut writer: W,
 ) -> io::Result<bool> {
+    let mut burst = Vec::new();
     for line in reader.lines() {
         let line = line?;
         let turn = server.handle_line(&line);
+        // One write and one flush per turn, not per frame: a subscriber
+        // sees its events and the response as one burst (on a socket, one
+        // `write` call however many frames the turn has), and the client
+        // can block on the response line without deadlocking on buffered
+        // events.
+        burst.clear();
         for frame in &turn.frames {
-            writer.write_all(frame.as_bytes())?;
-            writer.write_all(b"\n")?;
+            burst.extend_from_slice(frame.as_bytes());
+            burst.push(b'\n');
         }
-        // Flush per turn, not per frame: a subscriber sees its events and
-        // the response as one burst, and the client can block on the
-        // response line without deadlocking on buffered events.
+        writer.write_all(&burst)?;
         writer.flush()?;
         if turn.shutdown {
             return Ok(true);
@@ -88,6 +93,47 @@ mod tests {
         assert_eq!(lines.len(), 2, "the frame after shutdown is never served");
         assert!(lines[0].starts_with("{\"id\":1"));
         assert!(lines[1].starts_with("{\"id\":2"));
+    }
+
+    /// A sink that remembers each `write` call it received.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_turn_reaches_the_peer_as_one_write() {
+        let mut server = Server::new(PlaneConfig { shards: 1, ..PlaneConfig::default() });
+        let input = "{\"id\":1,\"method\":\"scenario.inject\",\
+                     \"params\":{\"scenario\":\"rush-hour\",\"users\":20,\"seed\":5}}\n\
+                     {\"id\":2,\"method\":\"report.subscribe\",\
+                     \"params\":{\"detail\":\"summary\"}}\n\
+                     {\"id\":3,\"method\":\"fleet.step\",\"params\":{\"epochs\":2}}\n";
+        let mut sink = CountingSink::default();
+        serve(&mut server, input.as_bytes(), &mut sink).unwrap();
+        assert_eq!(sink.writes.len(), 3, "three turns, three writes");
+        assert_eq!(sink.flushes, 3);
+        // The step's burst: its epoch events, then the response, each
+        // newline-terminated, nothing split off.
+        let burst = std::str::from_utf8(&sink.writes[2]).unwrap();
+        assert!(burst.ends_with('\n'));
+        let frames: Vec<&str> = burst.lines().collect();
+        assert!(frames.len() > 1, "the step streamed events: {burst}");
+        let (response, events) = frames.split_last().unwrap();
+        assert!(events.iter().all(|f| f.starts_with("{\"stream\":\"epochs\"")));
+        assert!(response.starts_with("{\"id\":3"));
     }
 
     #[test]

@@ -14,9 +14,10 @@ use std::mem;
 
 use mop_dataset::Scenario;
 use mop_json::json;
-use mop_server::{ControlPlane, PlaneConfig, Server};
+use mop_server::{ControlPlane, PlaneConfig, Server, SERVER_CHECKPOINT_VERSION};
 use mopeye_core::{
-    epoch_boundary, run_report_from_json, split_at, FleetConfig, FleetEngine, RunReport,
+    epoch_boundary, run_report_from_json, run_report_to_json, split_at, FleetCheckpoint,
+    FleetConfig, FleetEngine, RunReport,
 };
 use proptest::prelude::*;
 
@@ -275,4 +276,328 @@ fn server_profile_reports_resident_fleet_stats() {
         assert!(reply["result"]["phases"].as_array().unwrap().is_empty());
         assert!(reply["result"]["counters"].as_array().unwrap().is_empty());
     }
+}
+
+// ----- the memoised digest and the borrowed checkpoint paths ----------------
+//
+// The plane serves its digest from a memo, encodes checkpoints from
+// borrowed state and parses an embedded fleet document in place. The
+// straightforward constructions those stand in for — recompute, deep-clone
+// then encode, print then re-parse — are kept here as in-test models, and
+// random sessions are held against them operation by operation.
+
+/// What the test driver knows about one injected scenario — enough to
+/// rebuild the slot's pending set and its checkpoint table row.
+struct SlotModel {
+    kind: &'static str,
+    users: usize,
+    seed: u64,
+    retired: bool,
+    injected_flows: usize,
+    /// Flows scheduled at or after this are still pending (unless retired).
+    pending_from: mop_simnet::SimTime,
+}
+
+impl SlotModel {
+    fn pending(&self) -> Vec<mop_tun::FlowSpec> {
+        if self.retired {
+            return Vec::new();
+        }
+        split_at(scenario(self.kind, self.users, self.seed).generate(), self.pending_from).1
+    }
+}
+
+/// `ControlPlane::checkpoint` as the parent commit built it: an owned
+/// `FleetCheckpoint` whose base is the cumulative report deep-cloned
+/// through its JSON encoding and whose pending set is cloned out of the
+/// slots, encoded by the owned `to_json`.
+fn checkpoint_model(plane: &ControlPlane, slots: &[SlotModel]) -> mop_json::Value {
+    let config = plane.config();
+    let fleet = FleetCheckpoint {
+        seed: config.seed,
+        shards_at_save: config.shards,
+        congestion: config.congestion,
+        epoch_width_ns: Some(config.epoch_width.as_nanos()),
+        epoch_window: config.epoch_window,
+        cut: epoch_boundary(config.epoch_width.as_nanos(), plane.cursor_epoch()),
+        base: run_report_from_json(&run_report_to_json(plane.report())).unwrap(),
+        pending: slots.iter().flat_map(SlotModel::pending).collect(),
+    };
+    let scenarios: Vec<mop_json::Value> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            json!({
+                "id": format!("s{}", i + 1),
+                "kind": s.kind,
+                "users": s.users as i64,
+                "seed": format!("{:016x}", s.seed),
+                "retired": s.retired,
+                "injected_flows": s.injected_flows as i64,
+                "pending": s.pending().len() as i64,
+            })
+        })
+        .collect();
+    json!({
+        "format": "mop-server-checkpoint",
+        "version": SERVER_CHECKPOINT_VERSION as i64,
+        "cursor_epoch": plane.cursor_epoch() as i64,
+        "next_scenario": (slots.len() + 1) as i64,
+        "scenarios": scenarios,
+        "fleet": fleet.to_json(),
+    })
+}
+
+/// The embedded-document check of `ControlPlane::resume` as the parent
+/// commit made it: print the `"fleet"` member, parse the text.
+fn fleet_parse_model(doc: &mop_json::Value) -> Result<(), String> {
+    FleetCheckpoint::parse(&mop_json::to_string(&doc["fleet"])).map(|_| ())
+}
+
+/// `doc` with its member `field` replaced by `value`.
+fn with_member(doc: &mop_json::Value, field: &str, value: mop_json::Value) -> mop_json::Value {
+    let mop_json::Value::Object(members) = doc else { panic!("not an object") };
+    mop_json::Value::Object(
+        members
+            .iter()
+            .map(|(k, v)| (k.clone(), if k == field { value.clone() } else { v.clone() }))
+            .collect(),
+    )
+}
+
+/// `doc` without its member `field`.
+fn without_member(doc: &mop_json::Value, field: &str) -> mop_json::Value {
+    let mop_json::Value::Object(members) = doc else { panic!("not an object") };
+    mop_json::Value::Object(members.iter().filter(|(k, _)| k != field).cloned().collect())
+}
+
+/// (a) the memo equals a fresh walk of the report; (b) the checkpoint
+/// equals its model, as a value and as the bytes that reach the disk.
+fn assert_tracks_models(plane: &ControlPlane, slots: &[SlotModel], after: &Op) {
+    assert_eq!(plane.digest(), plane.report().fleet_digest(), "stale digest memo after {after:?}");
+    let doc = plane.checkpoint();
+    let model = checkpoint_model(plane, slots);
+    assert!(doc == model, "checkpoint differs from its model after {after:?}");
+    assert!(
+        mop_json::to_string_pretty(&doc) == mop_json::to_string_pretty(&model),
+        "checkpoint bytes differ from the model's after {after:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// (a) the memo never goes stale, (b) the borrowed checkpoint encoder
+    /// writes the parent's document — checked after EVERY operation of a
+    /// random session, at one and at two shards.
+    #[test]
+    fn the_memo_and_the_borrowed_encoder_track_their_models(
+        shards in 1usize..3,
+        ops in proptest::collection::vec(op_strategy(), 1..7),
+    ) {
+        let mut plane = ControlPlane::new(config(shards));
+        let width = plane.config().epoch_width.as_nanos();
+        let mut slots: Vec<SlotModel> = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Inject { kind, users, seed } => {
+                    let kind = KINDS[kind];
+                    let (_, injected_flows) = plane.inject(kind, users, seed).unwrap();
+                    slots.push(SlotModel {
+                        kind,
+                        users,
+                        seed,
+                        retired: false,
+                        injected_flows,
+                        pending_from: mop_simnet::SimTime::ZERO,
+                    });
+                }
+                Op::Retire { slot } => {
+                    let live: Vec<usize> =
+                        (0..slots.len()).filter(|&i| !slots[i].retired).collect();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let index = live[slot % live.len()];
+                    plane.retire(&format!("s{}", index + 1)).unwrap();
+                    slots[index].retired = true;
+                }
+                Op::Step { epochs } => {
+                    let before = plane.digest_computes();
+                    let outcome = plane.step(epochs);
+                    prop_assert_eq!(outcome.digest, plane.digest());
+                    prop_assert_eq!(
+                        plane.digest_computes() - before,
+                        u64::from(outcome.ran > 0),
+                        "one digest per step that ran flows, none otherwise"
+                    );
+                    let cut = epoch_boundary(width, plane.cursor_epoch());
+                    for slot in slots.iter_mut().filter(|s| !s.retired) {
+                        slot.pending_from = cut;
+                    }
+                }
+                Op::CheckpointResume { shards } => {
+                    let doc = plane.checkpoint();
+                    let mut fresh = ControlPlane::new(config(shards.min(2)));
+                    fresh.resume(&doc).unwrap();
+                    prop_assert_eq!(fresh.digest_computes(), 1, "resume digests once");
+                    prop_assert_eq!(fresh.digest(), plane.digest());
+                    plane = fresh;
+                }
+            }
+            assert_tracks_models(&plane, &slots, op);
+        }
+    }
+}
+
+/// (c) `resume` hands `&doc["fleet"]` to the parser where the parent
+/// printed and re-parsed it: same verdict, same message, for a valid
+/// document and for every way the embedded body can be wrong.
+#[test]
+fn resume_reports_a_bad_fleet_body_exactly_like_parsing_its_text() {
+    let mut saver = ControlPlane::new(config(2));
+    saver.inject("rush-hour", 20, 5).unwrap();
+    saver.step(2);
+    let good = saver.checkpoint();
+    let fleet = &good["fleet"];
+
+    let cases: Vec<(&str, mop_json::Value)> = vec![
+        ("valid", good.clone()),
+        ("null body", with_member(&good, "fleet", mop_json::Value::Null)),
+        ("no body at all", without_member(&good, "fleet")),
+        ("body is not an object", with_member(&good, "fleet", json!([1, 2]))),
+        (
+            "foreign format",
+            with_member(&good, "fleet", with_member(fleet, "format", json!("something-else"))),
+        ),
+        ("no format", with_member(&good, "fleet", without_member(fleet, "format"))),
+        ("version 9", with_member(&good, "fleet", with_member(fleet, "version", json!(9)))),
+        (
+            "mistyped version",
+            with_member(&good, "fleet", with_member(fleet, "version", json!("1"))),
+        ),
+        ("missing field", with_member(&good, "fleet", without_member(fleet, "cut_ns"))),
+        ("missing base", with_member(&good, "fleet", without_member(fleet, "base"))),
+        ("mistyped seed", with_member(&good, "fleet", with_member(fleet, "seed", json!(7)))),
+    ];
+    let mut messages = std::collections::BTreeSet::new();
+    for (what, doc) in &cases {
+        let mut plane = ControlPlane::new(config(1));
+        let got = plane.resume(doc);
+        assert_eq!(got, fleet_parse_model(doc), "{what}");
+        match got {
+            Ok(()) => {
+                assert_eq!(*what, "valid");
+                assert_eq!(plane.digest(), saver.digest());
+                assert_eq!(plane.pending_flows(), saver.pending_flows());
+            }
+            Err(message) => {
+                // A rejected resume leaves the plane idle and undigested.
+                assert_eq!(plane.digest_computes(), 0, "{what}");
+                assert_eq!(plane.pending_flows(), 0, "{what}");
+                messages.insert(message);
+            }
+        }
+    }
+    assert!(messages.len() >= 4, "the cases exercise distinct rejections: {messages:?}");
+}
+
+/// (d) the delta is built for a `full` subscriber only, and what it builds
+/// still folds to the cumulative digest; a plane that never builds one
+/// lands on the same digests step for step.
+#[test]
+fn deltas_are_built_on_request_and_still_fold_to_the_digest() {
+    let mut quiet = ControlPlane::new(config(2));
+    let mut full = ControlPlane::new(config(2));
+    for plane in [&mut quiet, &mut full] {
+        plane.inject("flash-crowd", 25, 3).unwrap();
+    }
+    let mut folded = RunReport::empty();
+    let mut steps = 0;
+    while full.pending_flows() > 0 {
+        let silent = quiet.step(1);
+        let streamed = full.step_with_delta(1, true);
+        assert!(silent.delta.is_null(), "no subscriber asked, nothing is encoded");
+        assert_eq!(streamed.delta.is_null(), streamed.ran == 0);
+        if streamed.ran > 0 {
+            folded.absorb(run_report_from_json(&streamed.delta).unwrap());
+            folded.canonicalise();
+        }
+        assert_eq!(silent.digest, streamed.digest);
+        assert_eq!(silent.epoch_summaries, streamed.epoch_summaries);
+        assert_eq!(folded.fleet_digest(), streamed.digest);
+        steps += 1;
+        assert!(steps < 1_000, "drain must terminate");
+    }
+}
+
+/// The count guard (counts only, no clocks): `server.profile`'s
+/// `digest_computes` moves by one per step that ran flows and per resume,
+/// and by nothing for any query. On the parent commit `server.info`
+/// recomputed the digest over every flow ever absorbed, per call.
+#[test]
+fn digest_is_computed_once_per_mutation_and_never_per_query() {
+    fn result(server: &mut Server, line: &str) -> mop_json::Value {
+        let turn = server.handle_line(line);
+        let reply = mop_json::from_str(turn.frames.last().unwrap()).unwrap();
+        assert!(!reply["result"].is_null(), "{line} failed: {}", turn.frames.last().unwrap());
+        reply["result"].clone()
+    }
+    fn computes(server: &mut Server) -> u64 {
+        result(server, "{\"id\":9,\"method\":\"server.profile\"}")["digest_computes"]
+            .as_u64()
+            .expect("server.profile carries digest_computes in every build")
+    }
+
+    let mut server = Server::new(config(2));
+    assert_eq!(computes(&mut server), 0);
+    result(
+        &mut server,
+        "{\"id\":1,\"method\":\"scenario.inject\",\
+         \"params\":{\"scenario\":\"rush-hour\",\"users\":30,\"seed\":5}}",
+    );
+    result(
+        &mut server,
+        "{\"id\":2,\"method\":\"report.subscribe\",\"params\":{\"detail\":\"summary\"}}",
+    );
+    assert_eq!(computes(&mut server), 0, "inject and subscribe digest nothing");
+
+    let mut stepped_with_flows = 0;
+    let mut checkpoint = mop_json::Value::Null;
+    for step in 0..6 {
+        let before = computes(&mut server);
+        let reply =
+            result(&mut server, "{\"id\":3,\"method\":\"fleet.step\",\"params\":{\"epochs\":1}}");
+        let ran = reply["ran"].as_u64().unwrap();
+        stepped_with_flows += u64::from(ran > 0);
+        assert_eq!(computes(&mut server) - before, u64::from(ran > 0), "step {step} ran {ran}");
+
+        let before = computes(&mut server);
+        for _ in 0..5 {
+            let info = result(&mut server, "{\"id\":4,\"method\":\"server.info\"}");
+            assert_eq!(info["digest"], reply["digest"], "info agrees with the step it follows");
+        }
+        result(&mut server, "{\"id\":5,\"method\":\"diagnose.query\"}");
+        let saved = result(&mut server, "{\"id\":6,\"method\":\"fleet.checkpoint\"}");
+        assert_eq!(saved["digest"], reply["digest"]);
+        let idle =
+            result(&mut server, "{\"id\":7,\"method\":\"fleet.step\",\"params\":{\"epochs\":0}}");
+        assert_eq!(idle["ran"].as_u64(), Some(0));
+        assert_eq!(idle["digest"], reply["digest"]);
+        assert_eq!(computes(&mut server), before, "queries and a zero-flow step digest nothing");
+        checkpoint = saved["checkpoint"].clone();
+    }
+    assert!(stepped_with_flows >= 2, "the session must exercise flow-running steps");
+    assert_eq!(computes(&mut server), stepped_with_flows);
+
+    let mut standby = Server::new(config(1));
+    let resume = mop_json::to_string(&json!({
+        "id": 1,
+        "method": "fleet.resume",
+        "params": json!({ "checkpoint": checkpoint }),
+    }));
+    let resumed = result(&mut standby, &resume);
+    assert_eq!(computes(&mut standby), 1, "resume digests the restored report once");
+    let info = result(&mut server, "{\"id\":8,\"method\":\"server.info\"}");
+    assert_eq!(resumed["digest"], info["digest"]);
 }
