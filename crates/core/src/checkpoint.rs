@@ -522,7 +522,7 @@ fn flow_spec_to_json(spec: &FlowSpec) -> Value {
         "close_after": spec.close_after as i64,
         "kind": flow_kind_str(spec.kind),
         "network": match spec.network {
-            Some(network) => Value::from(net_kind_str(network)),
+            Some(network) => Value::from(network.as_json_str()),
             None => Value::Null,
         },
         "isp": opt_str(&spec.isp),
@@ -543,7 +543,7 @@ fn flow_spec_from_json(value: &Value) -> Option<FlowSpec> {
         network: if value["network"].is_null() {
             None
         } else {
-            Some(net_kind_from_str(value["network"].as_str()?)?)
+            Some(NetKind::from_json_str(value["network"].as_str()?)?)
         },
         isp: opt_str_from(&value["isp"])?,
     })
@@ -568,9 +568,8 @@ fn four_tuple_from_json(value: &Value) -> Option<FourTuple> {
 
 // ----- enum tags -----------------------------------------------------------
 //
-// Local tag tables: the measurement crate keeps its own JSON helpers
-// crate-private, and the checkpoint format's tags are part of *this* module's
-// contract anyway.
+// Tag tables for the enums other crates own without a wire form; `NetKind`
+// brings its own (`NetKind::as_json_str`).
 
 fn sample_kind_str(kind: SampleKind) -> &'static str {
     match kind {
@@ -598,25 +597,6 @@ fn flow_kind_from_str(tag: &str) -> Option<FlowKind> {
     match tag {
         "Tcp" => Some(FlowKind::Tcp),
         "Dns" => Some(FlowKind::Dns),
-        _ => None,
-    }
-}
-
-fn net_kind_str(kind: NetKind) -> &'static str {
-    match kind {
-        NetKind::Wifi => "Wifi",
-        NetKind::Lte => "Lte",
-        NetKind::Umts3g => "Umts3g",
-        NetKind::Gprs2g => "Gprs2g",
-    }
-}
-
-fn net_kind_from_str(tag: &str) -> Option<NetKind> {
-    match tag {
-        "Wifi" => Some(NetKind::Wifi),
-        "Lte" => Some(NetKind::Lte),
-        "Umts3g" => Some(NetKind::Umts3g),
-        "Gprs2g" => Some(NetKind::Gprs2g),
         _ => None,
     }
 }

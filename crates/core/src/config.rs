@@ -3,7 +3,7 @@
 //! alternatives used by ToyVpn, PrivacyGuard, Haystack and MobiPerf.
 
 use mop_procnet::MappingStrategy;
-use mop_simnet::{wheel::DEFAULT_GRANULARITY, SchedulerKind, SimDuration};
+use mop_simnet::{SchedulerKind, SimDuration};
 use mop_tcpstack::CongestionAlgo;
 use mop_tun::ReadStrategy;
 
@@ -140,10 +140,6 @@ pub struct MopEyeConfig {
     /// default) or the legacy O(log n) binary heap, kept for reference and
     /// for the wheel-vs-heap equivalence pins.
     pub scheduler: SchedulerKind,
-    /// Tick granularity of the timing wheel (rounded up to a power of two
-    /// nanoseconds; ignored by the heap scheduler). Coarser ticks cascade
-    /// less but batch more entries per slot sort.
-    pub wheel_granularity: SimDuration,
     /// Tear down TCP connections that have relayed nothing for this long.
     ///
     /// `None` (the default) arms no timers and reproduces the historical
@@ -221,7 +217,6 @@ impl MopEyeConfig {
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             scheduler: SchedulerKind::Wheel,
-            wheel_granularity: DEFAULT_GRANULARITY,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -248,7 +243,6 @@ impl MopEyeConfig {
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             scheduler: SchedulerKind::Wheel,
-            wheel_granularity: DEFAULT_GRANULARITY,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -275,7 +269,6 @@ impl MopEyeConfig {
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             scheduler: SchedulerKind::Wheel,
-            wheel_granularity: DEFAULT_GRANULARITY,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -349,13 +342,6 @@ impl MopEyeConfig {
     /// Sets the event-loop scheduler backend.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the timing-wheel tick granularity (see
-    /// [`MopEyeConfig::wheel_granularity`]).
-    pub fn with_wheel_granularity(mut self, granularity: SimDuration) -> Self {
-        self.wheel_granularity = granularity;
         self
     }
 

@@ -9,8 +9,10 @@
 //!
 //! Records live until [`ConnTable::clear`] (one call per engine reset), so a
 //! `FlowId` never dangles and needs no generation. Teardown only resets the
-//! *evictable* fields — the RNG stream and the writer lane — so a stray late
-//! packet re-seeds from `(seed, four-tuple)` exactly as a fresh flow would.
+//! *evictable* fields — the TCP side, the RNG stream and the writer lane —
+//! so a finished record keeps no machine, scoreboard or stream, and a stray
+//! late packet gets a fresh machine and re-seeds from `(seed, four-tuple)`
+//! exactly as a fresh flow would.
 
 use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
@@ -18,6 +20,7 @@ use std::ops::{Index, IndexMut};
 use mop_measure::NetKind;
 use mop_packet::FourTuple;
 use mop_simnet::{SimRng, SimTime, SocketId};
+use mop_tcpstack::{ConnTimers, RecoveryState, TcpStateMachine};
 use mop_tun::{AppEndpoint, DnsClient, FlowSpec};
 
 use crate::stats::FlowOutcome;
@@ -55,6 +58,19 @@ pub(crate) struct FlowMeta {
     pub(crate) isp: Option<String>,
 }
 
+/// The TCP side of a connection: the user-space state machine terminating
+/// the app's internal connection, plus what only a live machine needs.
+#[derive(Debug)]
+pub(crate) struct TcpSide {
+    /// The state machine the relay drives.
+    pub(crate) machine: TcpStateMachine,
+    /// The armed idle and retransmission timers, as scheduler tokens.
+    pub(crate) timers: ConnTimers,
+    /// Loss-recovery state; `None` on networks where no data-path fault can
+    /// fire, so clean runs carry no recovery bookkeeping at all.
+    pub(crate) recovery: Option<RecoveryState>,
+}
+
 /// Everything the engine keeps for one connection.
 #[derive(Debug)]
 pub struct Conn {
@@ -67,10 +83,15 @@ pub struct Conn {
     pub(crate) lane: WriterLane,
     /// The simulated app endpoint or DNS client.
     pub(crate) app: AppSide,
+    /// The TCP side, boxed so DNS and torn-down records stay small
+    /// (evictable). Attached and dropped through the table, which keeps the
+    /// live-client census.
+    tcp: Option<Box<TcpSide>>,
     /// The external socket (the regular-socket side of the splice).
     pub(crate) socket: Option<SocketId>,
-    /// Pre-`connect()` timestamp, pending until the connect completes. Set
-    /// and taken through the table, which keeps the connect-thread census.
+    /// When `connect()` was invoked, pending until the connect completes.
+    /// Set and taken through the table, which keeps the connect-thread
+    /// census.
     connect_pre_ts: Option<SimTime>,
     /// True while a half-close waits for the read side to drain.
     pub(crate) half_close_pending: bool,
@@ -81,6 +102,16 @@ pub struct Conn {
 }
 
 impl Conn {
+    /// The TCP side, while the connection has a live client.
+    pub(crate) fn tcp(&self) -> Option<&TcpSide> {
+        self.tcp.as_deref()
+    }
+
+    /// The TCP side, mutably.
+    pub(crate) fn tcp_mut(&mut self) -> Option<&mut TcpSide> {
+        self.tcp.as_deref_mut()
+    }
+
     /// (Re)starts the outcome record for `spec`, opened at `now`.
     pub(crate) fn started(&mut self, spec: &FlowSpec, now: SimTime) {
         self.meta = Some(FlowMeta {
@@ -123,6 +154,9 @@ pub struct ConnTable {
     /// How many records hold a pre-connect timestamp: the live
     /// socket-connect threads (tunnel-write contention, §3.5.1).
     connecting: usize,
+    /// How many records hold a TCP side: the live clients, each with its
+    /// pair of 64 KiB relay buffers (§3.4).
+    live_clients: usize,
 }
 
 impl ConnTable {
@@ -136,6 +170,7 @@ impl ConnTable {
                 rng: None,
                 lane: WriterLane::default(),
                 app: AppSide::None,
+                tcp: None,
                 socket: None,
                 connect_pre_ts: None,
                 half_close_pending: false,
@@ -152,6 +187,7 @@ impl ConnTable {
         self.ids.clear();
         self.conns.clear();
         self.connecting = 0;
+        self.live_clients = 0;
     }
 
     /// Pre-sizes the table for `flows` more connections.
@@ -163,6 +199,30 @@ impl ConnTable {
     /// The records, in intern order.
     pub fn iter(&self) -> impl Iterator<Item = &Conn> {
         self.conns.iter()
+    }
+
+    /// Gives `id` a fresh TCP side: a machine in `Listen` that will use
+    /// `isn` towards the app.
+    pub(crate) fn attach_tcp(&mut self, id: FlowId, isn: u32) -> &mut TcpSide {
+        let conn = &mut self.conns[id.0 as usize];
+        self.live_clients += usize::from(conn.tcp.is_none());
+        conn.tcp.insert(Box::new(TcpSide {
+            machine: TcpStateMachine::new(conn.flow, isn),
+            timers: ConnTimers::new(),
+            recovery: None,
+        }))
+    }
+
+    /// Takes `id`'s TCP side out of its record (teardown).
+    pub(crate) fn detach_tcp(&mut self, id: FlowId) -> Option<Box<TcpSide>> {
+        let tcp = self[id].tcp.take();
+        self.live_clients -= usize::from(tcp.is_some());
+        tcp
+    }
+
+    /// How many connections have a live client.
+    pub(crate) fn live_clients(&self) -> usize {
+        self.live_clients
     }
 
     /// Stamps `id`'s pre-connect timestamp: its connect thread is now live.

@@ -27,12 +27,13 @@
 //! paper's evaluation sections need.
 
 use mop_packet::Packet;
+use mop_simnet::wheel::DEFAULT_GRANULARITY;
 use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::config::MopEyeConfig;
 use crate::conn::FlowId;
-use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage, Stage};
+use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage};
 use crate::tun_writer::TunWriter;
 
 pub use crate::report::RunReport;
@@ -113,7 +114,7 @@ impl MopEyeEngine {
         let ingress = IngressStage::new(ReaderSim::new(config.read_strategy), config.batch_size);
         let relay = RelayStage::new(config.mapping, config.protect);
         let egress = EgressStage::new(TunWriter::new(config.write_scheme, config.enqueue_scheme));
-        let sched = TimerScheduler::new(config.scheduler, config.wheel_granularity);
+        let sched = TimerScheduler::new(config.scheduler, DEFAULT_GRANULARITY);
         Self {
             shared: EngineShared::new(config, net),
             ingress,
@@ -164,12 +165,6 @@ impl MopEyeEngine {
             ("tap.scan_elems", self.shared.net.tap().scan_elems()),
             ("conn_table.scan_elems", self.relay.conn_table.scan_elems()),
         ]
-    }
-
-    /// The stage names, in datapath order (diagnostics and docs).
-    pub fn stage_names(&self) -> [&'static str; 4] {
-        let stages: [&dyn Stage; 4] = [&self.ingress, &self.relay, &self.egress, &self.sink];
-        stages.map(|s| s.name())
     }
 
     /// Runs a set of workloads to completion and reports.

@@ -85,6 +85,5 @@ pub use engine::MopEyeEngine;
 pub use mop_tcpstack::CongestionAlgo;
 pub use report::RunReport;
 pub use shard::{FleetConfig, FleetEngine, FleetReport, ResidentFleet, ShardOutcome};
-pub use stages::Stage;
 pub use stats::{FlowOutcome, RelayStats, RttSample, SampleKind};
 pub use tun_writer::{SubmitOutcome, TunWriter, WriteDelayStats, WriterLane};

@@ -80,9 +80,6 @@ pub struct FleetConfig {
     /// [`EngineDiscipline::FlowKeyed`] — the sharded merge is only
     /// well-defined under flow-keyed state.
     pub engine: MopEyeConfig,
-    /// Slot count of each shard's ingress queue; the dispatcher blocks (and
-    /// yields) when a shard falls this far behind.
-    pub ingress_capacity: usize,
     /// Credits per shard: how many flow batches may be in flight towards a
     /// shard before the dispatcher blocks waiting for the worker to accept
     /// one. Clamped to at least 1. Purely a wall-clock pacing knob — virtual
@@ -103,7 +100,6 @@ impl FleetConfig {
         Self {
             shards: shards.max(1),
             engine: MopEyeConfig::fleet_shard().with_max_events(u64::MAX),
-            ingress_capacity: 4096,
             credit_depth: 4,
             pin_shards: false,
         }
@@ -235,7 +231,6 @@ impl FleetEngine {
     /// shard builds its own copy, switched to flow-keyed mode).
     pub fn new(mut config: FleetConfig, net_builder: SimNetworkBuilder) -> Self {
         config.shards = config.shards.max(1);
-        config.ingress_capacity = config.ingress_capacity.max(1);
         config.engine = config.engine.with_discipline(EngineDiscipline::FlowKeyed);
         Self { config, net_builder }
     }
@@ -287,6 +282,10 @@ enum ShardJob {
     /// the report ring. Uncredited, like `Begin`.
     Finish,
 }
+
+/// Slot count of each shard's job ring; the dispatcher blocks (and yields)
+/// when a shard falls this far behind.
+const INGRESS_CAPACITY: usize = 4096;
 
 /// The resident shard worker: parks on its job ring between runs, keeps
 /// its engine (and every allocation inside it) across `Begin`s, and exits
@@ -370,7 +369,6 @@ impl ResidentFleet {
     /// the engine discipline is forced to flow-keyed.
     pub fn new(mut config: FleetConfig) -> Self {
         config.shards = config.shards.max(1);
-        config.ingress_capacity = config.ingress_capacity.max(1);
         config.engine = config.engine.with_discipline(EngineDiscipline::FlowKeyed);
         let shards = config.shards;
         let mut fleet = Self {
@@ -386,7 +384,7 @@ impl ResidentFleet {
             config,
         };
         for shard in 0..shards {
-            let (job_tx, job_rx) = spsc_channel::<ShardJob>(fleet.config.ingress_capacity);
+            let (job_tx, job_rx) = spsc_channel::<ShardJob>(INGRESS_CAPACITY);
             let (report_tx, report_rx) = spsc_channel::<(RunReport, Option<usize>)>(1);
             let gate = Arc::new(CreditGate::new(fleet.config.credit_depth.max(1) as u64));
             fleet.workers.push(Some(spawn_worker(

@@ -12,7 +12,7 @@
 use mop_packet::Packet;
 use mop_simnet::{FaultDecision, SimTime, TimerScheduler};
 
-use super::{EngineShared, Stage};
+use super::EngineShared;
 use crate::config::EngineDiscipline;
 use crate::conn::FlowId;
 use crate::engine::Event;
@@ -23,12 +23,6 @@ use crate::tun_writer::TunWriter;
 pub struct EgressStage {
     /// The tunnel writer (schemes + delay statistics).
     pub(crate) writer: TunWriter,
-}
-
-impl Stage for EgressStage {
-    fn name(&self) -> &'static str {
-        "egress"
-    }
 }
 
 impl EgressStage {

@@ -15,7 +15,7 @@ use mop_simnet::{BatchPool, SimDuration, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
-use super::{EgressStage, EngineShared, RelayStage, Stage};
+use super::{EgressStage, EngineShared, RelayStage};
 use crate::conn::{AppSide, FlowId};
 use crate::engine::Event;
 
@@ -32,12 +32,6 @@ pub struct IngressStage {
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
     pub(crate) next_dns_id: u16,
-}
-
-impl Stage for IngressStage {
-    fn name(&self) -> &'static str {
-        "ingress"
-    }
 }
 
 impl IngressStage {

@@ -1,14 +1,15 @@
 //! The engine datapath, decomposed into explicit pipeline stages.
 //!
 //! The relay used to be one 1,300-line event-loop module; it is now four
-//! stages behind a small [`Stage`] trait, with `engine.rs` reduced to the
-//! loop that drains the timing wheel and routes events between them:
+//! stages, each driven through its own concrete methods, with `engine.rs`
+//! reduced to the loop that drains the timing wheel and routes events
+//! between them:
 //!
 //! ```text
 //!             ┌─────────┐   parsed    ┌─────────┐  packets   ┌─────────┐
 //!  TUN ──────▶│ ingress │────views───▶│  relay  │───to app──▶│ egress  │──▶ TUN
 //!  (apps)     └─────────┘             └─────────┘            └─────────┘
-//!   ▲     retrieval + parse      TCP/UDP/DNS machines,    TunWriter timing
+//!   ▲     retrieval + parse      TCP/DNS relay decision,  TunWriter timing
 //!   │     four-tuple → FlowId    sockets, mapper, timers       │
 //!   └────────────── DeliverToApp events ◀──────────────────────┘
 //!                                     │ samples
@@ -22,19 +23,20 @@
 //!   bytes into pooled buffers, the `ReaderSim` models the retrieval cost,
 //!   parsed packets are resolved to their connection record, and delivered
 //!   responses re-enter here.
-//! * [`relay`] — the relay decision: per-connection TCP state machines, UDP
-//!   associations, external sockets, the packet-to-app mapper, and the
+//! * [`relay`] — the relay decision: it drives the TCP state machine in
+//!   each connection's record, starts DNS measurements, and owns the
+//!   external sockets, the packet-to-app mapper and the arming of the
 //!   cancellable per-connection timers.
 //! * [`egress`] — the TunWriter timing model that carries packets back to
 //!   the apps.
 //! * [`sink`] — the measurement fold: every finished sample lands in the
 //!   streaming sketch aggregates (and, optionally, the raw vector).
 //!
-//! Stages own their *machinery* — the TCP/UDP registries, sockets, mapper,
-//! writer, sketches — but per-connection state is not theirs: every
-//! connection has exactly one [`crate::conn::Conn`] record in
-//! [`EngineShared`], next to the rest of the cross-cutting substrate (the
-//! clock, the simulated network, the cost model and CPU ledger, the TUN
+//! Stages own their *machinery* — sockets, mapper, writer, sketches — but
+//! per-connection state is not theirs: every connection has exactly one
+//! [`crate::conn::Conn`] record in [`EngineShared`] (TCP machine, timers and
+//! recovery state included), next to the rest of the cross-cutting substrate
+//! (the clock, the simulated network, the cost model and CPU ledger, the TUN
 //! device both ends touch), passed explicitly into every stage call. Events
 //! and cross-stage calls name a connection by its dense [`FlowId`]; a
 //! four-tuple is hashed only where raw packet bytes enter (the ingress
@@ -62,14 +64,6 @@ pub use sink::SinkStage;
 /// Salt mixed into per-flow RNG seeds so the engine's flow-keyed streams do
 /// not collide with the network's (which key off the same seed and hash).
 const ENGINE_KEY_SALT: u64 = 0x656e_675f_6b65_7973; // "eng_keys"
-
-/// One stage of the engine datapath. The engine drives stages through their
-/// concrete methods (each stage's inputs and outputs are its own); the trait
-/// only names them, for diagnostics.
-pub trait Stage {
-    /// The stage's name in the pipeline diagram.
-    fn name(&self) -> &'static str;
-}
 
 /// The cross-cutting substrate every stage draws on: virtual time, the
 /// simulated network and TUN device, the calibrated cost model, the CPU
@@ -245,23 +239,24 @@ impl EngineShared {
 
 #[cfg(test)]
 mod tests {
-    use mop_packet::Endpoint;
-    use mop_simnet::SimNetwork;
+    use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, PacketView};
+    use mop_simnet::{SimNetwork, SimTime};
     use mop_tun::{FlowKind, FlowSpec};
 
     use crate::config::MopEyeConfig;
+    use crate::conn::FlowId;
     use crate::engine::MopEyeEngine;
     use crate::tun_writer::WriterLane;
 
-    /// Teardown must release the keyed state of a finished flow: its record
-    /// stays (records live until reset) but holds no RNG stream and a
-    /// default writer lane, and the relay stage's clients are gone. (This
+    /// Teardown must release the evictable state of a finished flow: its
+    /// record stays (records live until reset) but holds no TCP side, no
+    /// pending DNS query, no RNG stream and a default writer lane. (This
     /// needs engine internals, hence a unit test, not an integration test.)
     #[test]
     fn flow_keyed_engine_evicts_finished_flow_state() {
-        let flows: Vec<FlowSpec> = (0..30)
+        let flows: Vec<FlowSpec> = (0..40)
             .map(|i| FlowSpec {
-                at: mop_simnet::SimTime::from_millis(10 + 40 * i as u64),
+                at: SimTime::from_millis(10 + 40 * i as u64),
                 uid: 10_100,
                 package: "com.android.chrome".into(),
                 src: Some(Endpoint::v4(10, 1, 0, i as u8, 40_000)),
@@ -269,7 +264,7 @@ mod tests {
                 domain: Some("www.google.com".into()),
                 request_bytes: 300,
                 close_after: 2048,
-                kind: FlowKind::Tcp,
+                kind: if i % 4 == 3 { FlowKind::Dns } else { FlowKind::Tcp },
                 network: None,
                 isp: None,
             })
@@ -278,13 +273,77 @@ mod tests {
         let mut engine = MopEyeEngine::new(MopEyeConfig::fleet_shard(), net);
         let report = engine.run_flows(flows);
         assert_eq!(report.relay.connects_ok, 30);
+        assert_eq!(report.relay.dns_queries, 10);
+        assert!(report.flows.iter().all(|flow| flow.completed));
         // Entries recreated by the app's final ACKs are swept by the
         // zombie-client cleanup.
-        assert_eq!(engine.shared.conns.iter().count(), 30);
+        assert_eq!(engine.shared.conns.iter().count(), 40);
         for conn in engine.shared.conns.iter() {
+            assert!(conn.tcp().is_none(), "TCP side not dropped: {:?}", conn.flow);
+            assert!(conn.dns_pending.is_none(), "DNS query still pending: {:?}", conn.flow);
             assert!(conn.rng.is_none(), "flow RNG stream not evicted: {:?}", conn.flow);
             assert_eq!(conn.lane, WriterLane::default(), "writer lane not evicted");
         }
-        assert_eq!(engine.relay.clients.len(), 0, "zombie clients not removed");
+        assert_eq!(engine.shared.conns.live_clients(), 0, "zombie clients not removed");
+    }
+
+    /// Relays one hand-built app packet of `flow` through the relay stage.
+    fn relay_packet(engine: &mut MopEyeEngine, flow: FourTuple, packet: Packet) -> FlowId {
+        let bytes = packet.to_bytes();
+        let view = PacketView::parse(&bytes).expect("well-formed");
+        let id = engine.shared.conns.intern(flow);
+        engine.relay.on_packet(
+            &mut engine.shared,
+            &mut engine.egress,
+            &mut engine.sched,
+            SimTime::ZERO,
+            Some(id),
+            &view,
+        );
+        id
+    }
+
+    /// The ISN the relay answers a SYN on `flow` with, read off the SYN/ACK
+    /// its machine emits once the external connect completes.
+    fn isn_of_next_client(engine: &mut MopEyeEngine, flow: FourTuple) -> u32 {
+        let id = relay_packet(engine, flow, PacketBuilder::new(flow.src, flow.dst).tcp_syn(7));
+        let tcp = engine.shared.conns[id].tcp_mut().expect("a SYN creates the client");
+        tcp.machine.on_external_connected()[0].tcp().expect("a SYN/ACK").seq
+    }
+
+    /// The ISN counter and the live-client census are part of what `reset`
+    /// rewinds: after create → teardown → zombie re-create → reset, the next
+    /// clients get the sequence numbers a fresh engine hands out.
+    #[test]
+    fn reset_rewinds_the_isn_sequence_and_the_live_client_census() {
+        let server = Endpoint::v4(216, 58, 221, 132, 443);
+        let flow = |host| FourTuple::new(Endpoint::v4(10, 1, 0, host, 40_000), server);
+        let network = || SimNetwork::builder().seed(42).with_table2_destinations().build();
+        let mut fresh = MopEyeEngine::new(MopEyeConfig::mopeye(), network());
+        let mut reused = MopEyeEngine::new(MopEyeConfig::mopeye(), network());
+
+        let to_server = PacketBuilder::new(flow(1).src, flow(1).dst);
+        let first = isn_of_next_client(&mut reused, flow(1));
+        assert_eq!(reused.shared.conns.live_clients(), 1);
+        relay_packet(&mut reused, flow(1), to_server.tcp_rst(8));
+        assert_eq!(reused.shared.conns.live_clients(), 0, "an RST drops the client");
+        // The torn-down connection's tail ACK lands on a fresh machine (a
+        // zombie the single-device engine keeps), which takes an ISN too.
+        relay_packet(&mut reused, flow(1), to_server.tcp_ack(8, 1));
+        assert_eq!(reused.shared.conns.live_clients(), 1);
+        let third = isn_of_next_client(&mut reused, flow(2));
+        assert_eq!(third.wrapping_sub(first), 2 * 0x01_0000, "the zombie took one");
+        relay_packet(&mut reused, flow(2), PacketBuilder::new(flow(2).src, server).tcp_rst(8));
+        assert_eq!(reused.shared.conns.live_clients(), 1, "the zombie is still counted");
+
+        reused.reset(network());
+        assert_eq!(reused.shared.conns.live_clients(), 0);
+        assert_eq!(isn_of_next_client(&mut fresh, flow(1)), first);
+        assert_eq!(isn_of_next_client(&mut reused, flow(1)), first);
+        for host in 2..=3 {
+            let expected = isn_of_next_client(&mut fresh, flow(host));
+            assert_eq!(isn_of_next_client(&mut reused, flow(host)), expected);
+            assert_eq!(reused.shared.conns.live_clients(), fresh.shared.conns.live_clients());
+        }
     }
 }

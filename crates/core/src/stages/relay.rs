@@ -1,10 +1,10 @@
 //! The relay stage: TCP/UDP/DNS state-machine dispatch.
 //!
 //! This is the MainWorker's decision core (§2.3, §3.2–3.4 of the paper):
-//! each parsed packet view drives the per-connection user-space TCP state
-//! machine or UDP association, external connects run in (modelled) blocking
-//! socket-connect threads that take the RTT timestamps, the lazy mapper
-//! attributes flows to apps off the packet path, and DNS queries are
+//! each parsed packet view drives the TCP state machine in its connection's
+//! record or starts a DNS measurement, external connects run in (modelled)
+//! blocking socket-connect threads that take the RTT timestamps, the lazy
+//! mapper attributes flows to apps off the packet path, and DNS queries are
 //! relayed and measured in temporary blocking threads. Outbound packets are
 //! handed to the egress stage's TunWriter lanes; finished measurements are
 //! folded into the sink.
@@ -27,9 +27,11 @@ use mop_procnet::{
 use mop_simnet::{
     Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState, TimerHandle, TimerScheduler,
 };
-use mop_tcpstack::{ClientRegistry, RecoveryState, RelayAction, SegmentVerdict, UdpRegistry};
+use mop_tcpstack::{
+    dns_query, RecoveryState, RelayAction, SegmentVerdict, TcpState, TcpStateMachine,
+};
 
-use super::{EgressStage, EngineShared, SinkStage, Stage};
+use super::{EgressStage, EngineShared, SinkStage};
 use crate::config::{EngineDiscipline, ProtectMode, TimestampMode};
 use crate::conn::FlowId;
 use crate::engine::Event;
@@ -40,6 +42,11 @@ use crate::stats::{RelayStats, RttSample, SampleKind};
 /// depends on co-resident flows; those draws must not advance a flow's main
 /// stream or the stream would become partition-dependent).
 const MAPPING_KEY_SALT: u64 = 0x6d61_705f_6b65_7973; // "map_keys"
+
+/// Where the initial sequence numbers towards the apps start.
+const ISN_BASE: u32 = 0x1000;
+/// How far apart consecutive clients' initial sequence numbers are.
+const ISN_STEP: u32 = 0x01_0000;
 
 /// The configured packet-to-app mapper.
 pub(crate) enum Mapper {
@@ -74,10 +81,9 @@ impl Mapper {
 /// The TCP/UDP/DNS dispatch stage. See the [module docs](self).
 #[derive(Debug)]
 pub struct RelayStage {
-    /// The cached TCP client list (state machines + timer tokens).
-    pub(crate) clients: ClientRegistry,
-    /// UDP associations and DNS transaction tracking.
-    pub(crate) udp: UdpRegistry,
+    /// The initial sequence number the most recent client was created
+    /// with; every creation (a zombie's included) bumps it.
+    pub(crate) isn: u32,
     /// The shard's `/proc/net` view.
     pub(crate) conn_table: ConnectionTable,
     /// UID → package resolution.
@@ -94,12 +100,6 @@ pub struct RelayStage {
     pub(crate) ip_to_domain: HashMap<IpAddr, String>,
 }
 
-impl Stage for RelayStage {
-    fn name(&self) -> &'static str {
-        "relay"
-    }
-}
-
 impl RelayStage {
     /// Creates the stage for the given mapping strategy and protect mode.
     pub fn new(mapping: MappingStrategy, protect: ProtectMode) -> Self {
@@ -113,8 +113,7 @@ impl RelayStage {
             MappingStrategy::Lazy => Mapper::Lazy(LazyMapper::new()),
         };
         Self {
-            clients: ClientRegistry::new(),
-            udp: UdpRegistry::new(),
+            isn: ISN_BASE,
             conn_table: ConnectionTable::new(),
             packages: PackageManager::new(),
             mapper,
@@ -126,12 +125,13 @@ impl RelayStage {
     }
 
     /// Resets the stage to its just-constructed state, keeping the table
-    /// and pool allocations. The mapper is rebuilt fresh for the same
-    /// strategy (mappers are a couple of empty tables); the socket set keeps
-    /// its protect-mode configuration and pooled read buffers.
+    /// and pool allocations: the ISN counter rewinds, so a reused stage hands
+    /// out the sequence numbers a fresh one would. The mapper is rebuilt
+    /// fresh for the same strategy (mappers are a couple of empty tables);
+    /// the socket set keeps its protect-mode configuration and pooled read
+    /// buffers.
     pub(crate) fn reset(&mut self) {
-        self.clients.reset();
-        self.udp.reset();
+        self.isn = ISN_BASE;
         self.conn_table.reset();
         self.packages.reset();
         self.mapper = match &self.mapper {
@@ -166,12 +166,16 @@ impl RelayStage {
             self.stats.parse_errors += 1;
             return;
         };
-        let flow = sh.conns[id].flow;
         match packet.transport() {
             TransportView::Tcp(segment) => {
-                let client = self.clients.get_or_create(flow);
-                let (packets, actions, verdict) =
-                    client.machine_mut().on_tunnel_segment_view(segment);
+                let tcp = match sh.conns[id].tcp_mut() {
+                    Some(tcp) => tcp,
+                    None => {
+                        self.isn = self.isn.wrapping_add(ISN_STEP);
+                        sh.conns.attach_tcp(id, self.isn)
+                    }
+                };
+                let (packets, actions, verdict) = tcp.machine.on_tunnel_segment_view(segment);
                 match verdict {
                     SegmentVerdict::Syn => self.stats.syns += 1,
                     SegmentVerdict::Data(len) => {
@@ -214,27 +218,22 @@ impl RelayStage {
                 // the single-device engine keeps its historical behaviour
                 // bit-for-bit.)
                 if sh.config.discipline == EngineDiscipline::FlowKeyed
-                    && self
-                        .clients
-                        .get(flow)
-                        .is_some_and(|c| c.state() == mop_tcpstack::TcpState::Listen)
+                    && sh.conns[id].tcp().is_some_and(|t| t.machine.state() == TcpState::Listen)
                 {
-                    self.disarm_timers(sh, sched, id);
-                    self.clients.remove(flow);
+                    Self::drop_client(sh, sched, id);
                     sh.release_flow(id);
                 }
                 // Every relayed segment is activity: re-arm the connection's
                 // cancellable idle timer (a no-op unless configured).
-                self.rearm_idle(sh, sched, now, id);
-                self.update_memory_ledger(sh);
+                Self::rearm_idle(sh, sched, now, id);
+                Self::update_memory_ledger(sh);
             }
             TransportView::Udp(datagram) => {
                 self.stats.udp_datagrams += 1;
-                let assoc = self.udp.get_or_create(flow);
-                let transaction = assoc.on_outgoing(datagram.payload(), now.as_nanos()).cloned();
-                if let Some(tx) = transaction {
+                let query = dns_query(sh.conns[id].flow, datagram.payload());
+                if let Some((dns_id, name)) = query {
                     self.stats.dns_queries += 1;
-                    self.start_dns_measurement(sh, sched, now, id, &tx);
+                    self.start_dns_measurement(sh, sched, now, id, dns_id, &name);
                 }
             }
             TransportView::Other(..) => unreachable!("handled before the connection guard"),
@@ -291,15 +290,11 @@ impl RelayStage {
         if sh.config.protect == ProtectMode::PerSocket {
             self.sockets.protect(socket);
         }
-        // Pre-connect timestamp, taken immediately before connect() (§4.1.1).
-        let pre_ts = sh.timestamp(t);
-        sh.conns.begin_connect(id, pre_ts);
+        // connect() is invoked now; the pre-connect timestamp (§4.1.1) is
+        // this instant read off the configured clock.
+        sh.conns.begin_connect(id, t);
         let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
         sh.conns[id].socket = Some(socket);
-        if let Some(client) = self.clients.get_mut(flow) {
-            client.attach_external(socket.raw());
-            client.connect_started_ns = Some(t.as_nanos());
-        }
         sched.schedule(outcome.completed_at, Event::ExternalConnected(id));
     }
 
@@ -318,7 +313,8 @@ impl RelayStage {
         let flow = sh.conns[id].flow;
         let Some(socket) = sh.conns[id].socket else { return };
         let state = self.sockets.poll_connect(socket, now);
-        let pre = sh.conns.end_connect(id).unwrap_or(now);
+        let connect_started = sh.conns.end_connect(id);
+        let pre = connect_started.map_or(now, |t| sh.timestamp(t));
         let mut rng = sh.checkout_rng(id);
         // Post-connect timestamp: exact in the blocking connect thread, or
         // delayed by the selector dispatch when taken from the event loop.
@@ -341,19 +337,14 @@ impl RelayStage {
                 // Lazy mapping happens here, in the connect thread, after the
                 // handshake with the server is complete (§3.3).
                 let (uid, package) = self.map_flow(sh, id, now);
-                if let Some(client) = self.clients.get_mut(flow) {
-                    client.connect_finished_ns = Some(now.as_nanos());
-                    client.app_uid = uid;
-                    client.app_package = package.clone();
-                    // Only networks that can fault the data path get recovery
-                    // state; clean runs carry no sender scoreboard, draw no
-                    // randomness and arm no retransmission timers. The
-                    // measured connect RTT seeds the RFC 6298 estimator.
-                    if sh.net.faults_possible() {
-                        client.recovery = Some(RecoveryState::new(
-                            sh.config.congestion,
-                            client.connect_duration_ns(),
-                        ));
+                // Only networks that can fault the data path get recovery
+                // state; clean runs carry no sender scoreboard, draw no
+                // randomness and arm no retransmission timers. The connect
+                // duration on the exact clock seeds the RFC 6298 estimator.
+                if sh.net.faults_possible() {
+                    if let Some(tcp) = sh.conns[id].tcp_mut() {
+                        let connect_ns = connect_started.map(|t| (now - t).as_nanos());
+                        tcp.recovery = Some(RecoveryState::new(sh.config.congestion, connect_ns));
                     }
                 }
                 sh.ledger.charge("ConnectThreads", register);
@@ -379,22 +370,14 @@ impl RelayStage {
                 };
                 sink.record_sample(sh, id, sample);
                 // Complete the handshake with the app (§2.3).
-                if let Some(client) = self.clients.get_mut(flow) {
-                    let packets = client.machine_mut().on_external_connected();
-                    for pkt in packets {
-                        egress.write_to_tunnel(sh, sched, now, id, pkt);
-                    }
-                }
+                Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_connected());
             }
             SocketState::ConnectFailed { refused } => {
                 sh.checkin_rng(id, rng);
                 self.stats.connects_failed += 1;
-                if let Some(client) = self.clients.get_mut(flow) {
-                    let packets = client.machine_mut().on_external_connect_failed(refused);
-                    for pkt in packets {
-                        egress.write_to_tunnel(sh, sched, now, id, pkt);
-                    }
-                }
+                Self::drive_machine(sh, egress, sched, now, id, |m| {
+                    m.on_external_connect_failed(refused)
+                });
                 sh.conns[id].finished(now, false);
             }
             _ => sh.checkin_rng(id, rng),
@@ -469,12 +452,7 @@ impl RelayStage {
         self.sockets.buffer_write(socket, bytes.len());
         self.sockets.flush_writes(&mut sh.net, socket, now);
         // The socket write completes locally; acknowledge the app's data.
-        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
-            let packets = client.machine_mut().on_external_write_complete();
-            for pkt in packets {
-                egress.write_to_tunnel(sh, sched, now, id, pkt);
-            }
-        }
+        Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_write_complete());
         if let Some(ready_at) = self.sockets.next_read_ready_at(socket) {
             sched.schedule(ready_at.max(now), Event::SocketReadable(id));
         }
@@ -509,13 +487,13 @@ impl RelayStage {
             // and, when backlogged, amortises across the burst.
             let start = sh.worker_step(now, segment_cost);
             let mut arm_rto = None;
-            if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
-                let packets = client.machine_mut().on_external_data(&data);
+            if let Some(tcp) = sh.conns[id].tcp_mut() {
+                let packets = tcp.machine.on_external_data(&data);
                 // On fault-capable networks, register every payload-bearing
                 // segment with the sender scoreboard before it leaves: the
                 // retransmission timer must cover data from the moment it is
                 // handed to egress, not from when a loss is noticed.
-                if let Some(recovery) = client.recovery.as_mut() {
+                if let Some(recovery) = tcp.recovery.as_mut() {
                     for pkt in &packets {
                         if let Some(tcp) = pkt.tcp() {
                             if !tcp.payload.is_empty() {
@@ -523,7 +501,7 @@ impl RelayStage {
                             }
                         }
                     }
-                    if recovery.has_inflight() && client.timers.rto().is_none() {
+                    if recovery.has_inflight() && tcp.timers.rto().is_none() {
                         arm_rto = Some(recovery.rto_ns());
                     }
                 }
@@ -534,7 +512,7 @@ impl RelayStage {
                 }
             }
             if let Some(rto_ns) = arm_rto {
-                self.arm_rto_at(sh, sched, id, start + SimDuration::from_nanos(rto_ns));
+                Self::arm_rto_at(sh, sched, id, start + SimDuration::from_nanos(rto_ns));
             }
         }
         self.sockets.recycle_buffer(data);
@@ -574,11 +552,22 @@ impl RelayStage {
     ) {
         sh.conns[id].half_close_pending = false;
         self.close_socket(sh, id);
-        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
-            let packets = client.machine_mut().on_external_closed(false);
-            for pkt in packets {
-                egress.write_to_tunnel(sh, sched, now, id, pkt);
-            }
+        Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_closed(false));
+    }
+
+    /// Feeds a socket-side event to `id`'s state machine, if it still has
+    /// one, and writes the packets it answers with to the tunnel.
+    fn drive_machine(
+        sh: &mut EngineShared,
+        egress: &mut EgressStage,
+        sched: &mut TimerScheduler<Event>,
+        now: SimTime,
+        id: FlowId,
+        event: impl FnOnce(&mut TcpStateMachine) -> Vec<Packet>,
+    ) {
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
+        for pkt in event(&mut tcp.machine) {
+            egress.write_to_tunnel(sh, sched, now, id, pkt);
         }
     }
 
@@ -603,13 +592,11 @@ impl RelayStage {
         now: SimTime,
         id: FlowId,
     ) {
-        let flow = sh.conns[id].flow;
-        self.disarm_timers(sh, sched, id);
-        self.clients.remove(flow);
-        self.conn_table.remove(flow);
+        Self::drop_client(sh, sched, id);
+        self.conn_table.remove(sh.conns[id].flow);
         sh.conns[id].finished(now, true);
         sh.release_flow(id);
-        self.update_memory_ledger(sh);
+        Self::update_memory_ledger(sh);
     }
 
     // ----- per-connection timers ------------------------------------------
@@ -624,33 +611,31 @@ impl RelayStage {
     /// waste a timer and risk a late fire flipping a completed flow's
     /// outcome.
     fn rearm_idle(
-        &mut self,
-        sh: &EngineShared,
+        sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         id: FlowId,
     ) {
         let Some(timeout) = sh.config.idle_timeout else { return };
-        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
-        let state = client.state();
-        if state == mop_tcpstack::TcpState::Listen || state.is_terminal() {
-            if let Some(token) = client.timers.disarm_idle() {
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
+        let state = tcp.machine.state();
+        if state == TcpState::Listen || state.is_terminal() {
+            if let Some(token) = tcp.timers.disarm_idle() {
                 sched.cancel(TimerHandle::from_token(token));
             }
             return;
         }
         let handle = sched.schedule(now + timeout, Event::IdleTimeout(id));
-        if let Some(superseded) = client.timers.arm_idle(handle.token()) {
+        if let Some(superseded) = tcp.timers.arm_idle(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
     }
 
-    /// Disarms (and cancels) both of `id`'s timers, if armed. Teardown
-    /// paths use this so no timer can fire into freed per-flow state.
-    fn disarm_timers(&mut self, sh: &EngineShared, sched: &mut TimerScheduler<Event>, id: FlowId) {
-        if let Some(client) = self.clients.get_mut(sh.conns[id].flow) {
-            let tokens = [client.timers.disarm_idle(), client.timers.disarm_rto()];
-            for token in tokens.into_iter().flatten() {
+    /// Drops `id`'s TCP side, cancelling whichever of its timers are still
+    /// armed so none can fire into the freed state.
+    fn drop_client(sh: &mut EngineShared, sched: &mut TimerScheduler<Event>, id: FlowId) {
+        if let Some(tcp) = sh.conns.detach_tcp(id) {
+            for token in [tcp.timers.idle(), tcp.timers.rto()].into_iter().flatten() {
                 sched.cancel(TimerHandle::from_token(token));
             }
         }
@@ -667,30 +652,26 @@ impl RelayStage {
         now: SimTime,
         id: FlowId,
     ) {
-        let flow = sh.conns[id].flow;
-        let Some(client) = self.clients.get_mut(flow) else { return };
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
-        client.timers.disarm_idle();
+        tcp.timers.disarm_idle();
         // Reap only mid-life connections: a zombie in `Listen` or a machine
         // in a terminal state has nothing left to relay, and flipping its
         // flow's outcome would corrupt a completed flow.
-        let state = client.state();
-        if state == mop_tcpstack::TcpState::Listen || state.is_terminal() {
+        let state = tcp.machine.state();
+        if state == TcpState::Listen || state.is_terminal() {
             return;
         }
         // The reaped connection may still carry an armed retransmission
-        // timer; cancel it so it cannot fire into the freed state.
-        if let Some(token) = client.timers.disarm_rto() {
-            sched.cancel(TimerHandle::from_token(token));
-        }
+        // timer; dropping the client cancels it.
+        Self::drop_client(sh, sched, id);
         self.close_socket(sh, id);
-        self.clients.remove(flow);
-        self.conn_table.remove(flow);
+        self.conn_table.remove(sh.conns[id].flow);
         sh.conns[id].finished(now, false);
         sh.release_flow(id);
         self.stats.idle_reaped += 1;
-        self.update_memory_ledger(sh);
+        Self::update_memory_ledger(sh);
     }
 
     // ----- loss recovery --------------------------------------------------
@@ -698,15 +679,14 @@ impl RelayStage {
     /// (Re-)arms `id`'s retransmission timer at `at`, cancelling any
     /// superseded deadline (O(1) on the timing wheel).
     fn arm_rto_at(
-        &mut self,
-        sh: &EngineShared,
+        sh: &mut EngineShared,
         sched: &mut TimerScheduler<Event>,
         id: FlowId,
         at: SimTime,
     ) {
-        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         let handle = sched.schedule(at, Event::RtoTimeout(id));
-        if let Some(superseded) = client.timers.arm_rto(handle.token()) {
+        if let Some(superseded) = tcp.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
     }
@@ -726,8 +706,8 @@ impl RelayStage {
         ack: u32,
         sack: Option<SackBlocks>,
     ) {
-        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
-        let Some(recovery) = client.recovery.as_mut() else { return };
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
+        let Some(recovery) = tcp.recovery.as_mut() else { return };
         let mut reaction = recovery.on_ack(ack, sack, now.as_nanos());
         let rto_ns = recovery.rto_ns();
         // Fast retransmits replay through the machine's immutable path — the
@@ -738,12 +718,12 @@ impl RelayStage {
             .drain(..)
             .map(|r| {
                 let at = now + SimDuration::from_nanos(r.delay_ns);
-                (at, client.machine().retransmit_data(r.seq, r.payload))
+                (at, tcp.machine.retransmit_data(r.seq, r.payload))
             })
             .collect();
         if reaction.all_acked {
             // Everything in flight is acknowledged: the RTO timer dies.
-            if let Some(token) = client.timers.disarm_rto() {
+            if let Some(token) = tcp.timers.disarm_rto() {
                 sched.cancel(TimerHandle::from_token(token));
             }
         } else if reaction.advanced || reaction.fast_retransmit {
@@ -751,7 +731,7 @@ impl RelayStage {
             // current, sample-updated RTO.
             let handle =
                 sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(id));
-            if let Some(superseded) = client.timers.arm_rto(handle.token()) {
+            if let Some(superseded) = tcp.timers.arm_rto(handle.token()) {
                 sched.cancel(TimerHandle::from_token(superseded));
             }
         }
@@ -774,19 +754,19 @@ impl RelayStage {
         now: SimTime,
         id: FlowId,
     ) {
-        let Some(client) = self.clients.get_mut(sh.conns[id].flow) else { return };
+        let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         // The firing timer is the armed one; a superseded timer was
         // cancelled at re-arm and never reaches here.
-        client.timers.disarm_rto();
-        let Some(recovery) = client.recovery.as_mut() else { return };
+        tcp.timers.disarm_rto();
+        let Some(recovery) = tcp.recovery.as_mut() else { return };
         let Some(rt) = recovery.on_rto(now.as_nanos()) else {
             // Raced with the final ACK: nothing left in flight.
             return;
         };
         let rto_ns = recovery.rto_ns();
-        let pkt = client.machine().retransmit_data(rt.seq, rt.payload);
+        let pkt = tcp.machine.retransmit_data(rt.seq, rt.payload);
         let handle = sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(id));
-        if let Some(superseded) = client.timers.arm_rto(handle.token()) {
+        if let Some(superseded) = tcp.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));
         }
         self.stats.rto_fires += 1;
@@ -802,10 +782,10 @@ impl RelayStage {
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         id: FlowId,
-        tx: &mop_tcpstack::DnsTransaction,
+        dns_id: u16,
+        name: &str,
     ) {
         let flow = sh.conns[id].flow;
-        let (dns_id, name) = (tx.id, tx.name.as_str());
         // The whole DNS processing runs in a temporary blocking-mode thread
         // (§2.4): socket set-up, then a blocking send/receive pair.
         let mut rng = sh.checkout_rng(id);
@@ -881,11 +861,11 @@ impl RelayStage {
         sh.net.server_for(addr).and_then(|s| s.domains.first().cloned())
     }
 
-    fn update_memory_ledger(&mut self, sh: &mut EngineShared) {
+    fn update_memory_ledger(sh: &mut EngineShared) {
         // Each live client holds a 64 KiB read and a 64 KiB write buffer
         // (§3.4); the engine itself has a fixed footprint. Content inspection
         // keeps reassembled flow buffers that dwarf the relay's own state.
-        let clients = self.clients.len();
+        let clients = sh.conns.live_clients();
         let base = 6 * 1024 * 1024;
         let buffers = clients * 2 * 65_535;
         sh.ledger.set_memory("relay", base + buffers);

@@ -10,7 +10,7 @@ use std::net::IpAddr;
 
 use mop_measure::{AggregateStore, MeasurementKind, NetKind, WindowedAggregateStore};
 
-use super::{EngineShared, Stage};
+use super::EngineShared;
 use crate::conn::FlowId;
 use crate::stats::{RttSample, SampleKind};
 
@@ -25,12 +25,6 @@ pub struct SinkStage {
     /// a run whose config sets an epoch width (`None` otherwise, which keeps
     /// epoch-less reports — and their digests — exactly as before).
     pub(crate) windows: Option<WindowedAggregateStore>,
-}
-
-impl Stage for SinkStage {
-    fn name(&self) -> &'static str {
-        "sink"
-    }
 }
 
 impl SinkStage {

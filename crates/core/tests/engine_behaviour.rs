@@ -292,9 +292,3 @@ fn a_silent_connection_is_reaped_by_its_idle_timer() {
     // The reap fired as a real event, on the wheel.
     assert!(report.events_processed > 0);
 }
-
-#[test]
-fn the_pipeline_names_its_stages_in_datapath_order() {
-    let engine = MopEyeEngine::new(MopEyeConfig::mopeye(), network());
-    assert_eq!(engine.stage_names(), ["ingress", "relay", "egress", "sink"]);
-}

@@ -53,7 +53,9 @@ impl NetKind {
         !matches!(self, NetKind::Wifi)
     }
 
-    pub(crate) fn as_json_str(self) -> &'static str {
+    /// The variant's wire tag: what record, aggregate and checkpoint JSON
+    /// carry for it.
+    pub fn as_json_str(self) -> &'static str {
         match self {
             NetKind::Wifi => "Wifi",
             NetKind::Lte => "Lte",
@@ -62,7 +64,8 @@ impl NetKind {
         }
     }
 
-    pub(crate) fn from_json_str(s: &str) -> Option<Self> {
+    /// The variant a wire tag names; `None` for an unknown tag.
+    pub fn from_json_str(s: &str) -> Option<Self> {
         match s {
             "Wifi" => Some(NetKind::Wifi),
             "Lte" => Some(NetKind::Lte),

@@ -54,7 +54,9 @@ pub fn serve_stdio(server: &mut Server) -> io::Result<bool> {
 
 /// Serves sessions over a Unix domain socket, accepting connections one
 /// at a time so the plane never sees interleaved sessions. The listener
-/// keeps accepting until a session ends with `server.shutdown`.
+/// keeps accepting until a session ends with `server.shutdown`; a session
+/// that fails — a line that is not UTF-8, a peer gone before its burst is
+/// written — ends alone, and the next connection is served.
 #[cfg(unix)]
 pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Result<()> {
     use std::os::unix::net::UnixListener;
@@ -67,7 +69,7 @@ pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Res
     loop {
         let (stream, _) = listener.accept()?;
         let reader = BufReader::new(stream.try_clone()?);
-        if serve(server, reader, stream)? {
+        if serve(server, reader, stream).unwrap_or(false) {
             break;
         }
     }

@@ -142,33 +142,44 @@ fn transcripts_replay_over_the_stream_transport() {
     }
 }
 
+/// Serves `socket` on a background thread with a fresh `shards`-shard
+/// plane; the handle yields what `serve_unix` returned.
+#[cfg(unix)]
+fn spawn_unix_server(
+    socket: &Path,
+    shards: usize,
+) -> std::thread::JoinHandle<std::io::Result<()>> {
+    let socket = socket.to_path_buf();
+    std::thread::spawn(move || {
+        let mut server = Server::new(config(shards));
+        mop_server::serve_unix(&mut server, &socket)
+    })
+}
+
+/// Connects to `socket`, waiting for a listener to be bound there.
+#[cfg(unix)]
+fn connect(socket: &Path) -> std::os::unix::net::UnixStream {
+    for _ in 0..100 {
+        match std::os::unix::net::UnixStream::connect(socket) {
+            Ok(stream) => return stream,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
+        }
+    }
+    panic!("nothing is listening on {}", socket.display());
+}
+
 #[cfg(unix)]
 #[test]
 fn transcripts_replay_over_a_unix_socket() {
     use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
 
     for (name, shards) in [("errors.txt", 2), ("session.txt", 1)] {
         let exchanges = load(name, 2);
         let socket = std::env::temp_dir()
             .join(format!("mop-serve-test-{}-{name}.sock", std::process::id()));
-        let server_socket = socket.clone();
-        let handle = std::thread::spawn(move || {
-            let mut server = Server::new(config(shards));
-            mop_server::serve_unix(&mut server, &server_socket)
-        });
+        let handle = spawn_unix_server(&socket, shards);
 
-        let mut stream = None;
-        for _ in 0..100 {
-            match UnixStream::connect(&socket) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
-            }
-        }
-        let stream = stream.expect("the server thread binds its socket");
+        let stream = connect(&socket);
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
         for (i, exchange) in exchanges.iter().enumerate() {
@@ -186,4 +197,34 @@ fn transcripts_replay_over_a_unix_socket() {
         handle.join().unwrap().unwrap();
         assert!(!socket.exists(), "serve_unix unlinks its socket on shutdown");
     }
+}
+
+/// One session's I/O error ends that session, not the server: the listener
+/// survives a peer that sends bytes no line reader accepts, and still
+/// shuts down cleanly when asked.
+#[cfg(unix)]
+#[test]
+fn a_failed_session_leaves_the_unix_listener_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let socket = std::env::temp_dir()
+        .join(format!("mop-serve-test-{}-bad-session.sock", std::process::id()));
+    let handle = spawn_unix_server(&socket, 1);
+
+    let mut garbled = connect(&socket);
+    garbled.write_all(b"\xff\n").unwrap();
+    drop(garbled);
+
+    for (request, reply) in [
+        (r#"{"id":1,"method":"server.info"}"#, r#"{"id":1,"result":{"#),
+        (r#"{"id":2,"method":"server.shutdown"}"#, r#"{"id":2,"result":{"stopped":true"#),
+    ] {
+        let mut stream = connect(&socket);
+        writeln!(stream, "{request}").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        assert!(line.starts_with(reply), "{request} answered {line:?}");
+    }
+    handle.join().unwrap().unwrap();
+    assert!(!socket.exists(), "serve_unix unlinks its socket on shutdown");
 }

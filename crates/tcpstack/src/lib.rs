@@ -11,8 +11,6 @@
 //! * [`machine`] — [`machine::TcpStateMachine`], which consumes tunnel
 //!   segments from the app and socket-side events from the relay, and emits
 //!   response packets plus relay actions,
-//! * [`client`] — [`client::TcpClient`] and [`client::ClientRegistry`], the
-//!   two-way splice between a state machine and its external socket,
 //! * [`recovery`] — [`recovery::RecoveryState`], the sender-side loss
 //!   recovery (RFC 6298 RTT estimation and retransmission timing, SACK
 //!   scoreboard, fast retransmit) plus the pluggable congestion controllers
@@ -20,17 +18,21 @@
 //!   network injects data-path faults,
 //! * [`timer`] — [`timer::ConnTimers`], the cancellable per-connection
 //!   timer tokens the engine's scheduler arms and disarms,
-//! * [`udp`] — UDP associations and the DNS transaction tracking used for
-//!   DNS RTT measurement.
+//! * [`udp`] — DNS-query classification for the relay's packet path, and the
+//!   UDP association model with its DNS transaction tracking.
+//!
+//! The paper's *TCP client object* — the splice of a state machine with its
+//! external socket and connect timestamps (§2.3, "two-way referencing") — is
+//! not a type of this crate: the engine's per-connection record
+//! (`mopeye_core::conn::Conn`) holds the machine, timers and recovery state
+//! next to the socket, so each fact about a connection has one home.
 
-pub mod client;
 pub mod machine;
 pub mod recovery;
 pub mod state;
 pub mod timer;
 pub mod udp;
 
-pub use client::{ClientRegistry, TcpClient};
 pub use machine::{RelayAction, SegmentRef, SegmentVerdict, TcpStateMachine};
 pub use recovery::{
     AckReaction, CongestionAlgo, CongestionControl, Cubic, RecoveryState, Reno, Retransmit,
@@ -38,4 +40,4 @@ pub use recovery::{
 };
 pub use state::TcpState;
 pub use timer::{ConnTimers, TimerToken};
-pub use udp::{DnsTransaction, UdpAssociation, UdpRegistry};
+pub use udp::{dns_query, DnsTransaction, UdpAssociation};

@@ -9,7 +9,7 @@
 //! depend on the simulator, so a connection stores its timers as opaque
 //! tokens: the packed form of a `mop_simnet::TimerHandle`
 //! (`TimerHandle::token()` / `TimerHandle::from_token()`), exactly the way
-//! [`crate::client::ExternalSocketHandle`] mirrors a socket id.
+//! [`crate::udp::ExternalSocketHandle`] mirrors a socket id.
 //!
 //! Tokens are single-owner: arming replaces (and returns) the previous
 //! token so the caller can cancel the superseded timer, and disarming takes

@@ -2,15 +2,35 @@
 //!
 //! MopEye relays all UDP traffic but currently measures only DNS (§2.2):
 //! the RTT is the time between the `send()` of a query and the `receive()`
-//! of its response, matched by DNS transaction id. An association here is
-//! the UDP analogue of a TCP client: the app-side flow plus the external
-//! socket handle and the outstanding DNS transactions.
-
-use std::collections::HashMap;
+//! of its response, matched by DNS transaction id. [`dns_query`] is the
+//! classification the relay needs on its packet path — "is this datagram a
+//! DNS query, and for what name" — and [`UdpAssociation`] is the library
+//! model of a whole UDP flow: the app-side tuple plus the external socket
+//! handle and the outstanding DNS transactions.
 
 use mop_packet::{DnsMessage, FourTuple};
 
-use crate::client::ExternalSocketHandle;
+/// Identifier of the external socket a flow relays into. This mirrors
+/// `mop_simnet::SocketId` without introducing a dependency on the simulator,
+/// so the stack stays usable against a real socket backend.
+pub type ExternalSocketHandle = u64;
+
+fn talks_to_dns_port(flow: FourTuple) -> bool {
+    flow.dst.port == 53 || flow.src.port == 53
+}
+
+/// The DNS query an outgoing datagram of `flow` carries, if it is one: its
+/// transaction id and the queried name.
+pub fn dns_query(flow: FourTuple, payload: &[u8]) -> Option<(u16, String)> {
+    if !talks_to_dns_port(flow) {
+        return None;
+    }
+    let msg = DnsMessage::parse(payload).ok()?;
+    if msg.flags.response {
+        return None;
+    }
+    Some((msg.id, msg.queried_name().unwrap_or_default().to_string()))
+}
 
 /// An outstanding DNS query awaiting its response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +77,7 @@ impl UdpAssociation {
 
     /// True if this flow talks to the DNS port.
     pub fn is_dns(&self) -> bool {
-        self.flow.dst.port == 53 || self.flow.src.port == 53
+        talks_to_dns_port(self.flow)
     }
 
     /// Binds the external socket handle.
@@ -75,15 +95,8 @@ impl UdpAssociation {
     pub fn on_outgoing(&mut self, payload: &[u8], sent_ns: u64) -> Option<&DnsTransaction> {
         self.datagrams_out += 1;
         self.last_activity_ns = sent_ns;
-        if !self.is_dns() {
-            return None;
-        }
-        let msg = DnsMessage::parse(payload).ok()?;
-        if msg.flags.response {
-            return None;
-        }
-        let name = msg.queried_name().unwrap_or_default().to_string();
-        self.pending_dns.push(DnsTransaction { id: msg.id, name, sent_ns });
+        let (id, name) = dns_query(self.flow, payload)?;
+        self.pending_dns.push(DnsTransaction { id, name, sent_ns });
         self.pending_dns.last()
     }
 
@@ -109,60 +122,6 @@ impl UdpAssociation {
     /// Number of queries still awaiting a response.
     pub fn pending_dns_count(&self) -> usize {
         self.pending_dns.len()
-    }
-}
-
-/// The registry of live UDP associations, keyed by flow.
-#[derive(Debug, Default)]
-pub struct UdpRegistry {
-    associations: HashMap<FourTuple, UdpAssociation>,
-}
-
-impl UdpRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty registry with room for `capacity` concurrent
-    /// associations (shard-sized pre-allocation, like
-    /// [`crate::ClientRegistry::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { associations: HashMap::with_capacity(capacity) }
-    }
-
-    /// Resets the registry to its just-constructed state, keeping the table
-    /// allocation.
-    pub fn reset(&mut self) {
-        self.associations.clear();
-    }
-
-    /// Returns the association for `flow`, creating it if absent.
-    pub fn get_or_create(&mut self, flow: FourTuple) -> &mut UdpAssociation {
-        self.associations.entry(flow).or_insert_with(|| UdpAssociation::new(flow))
-    }
-
-    /// Looks up an association.
-    pub fn get(&self, flow: FourTuple) -> Option<&UdpAssociation> {
-        self.associations.get(&flow)
-    }
-
-    /// Removes associations idle since before `cutoff_ns`. Returns how many
-    /// were expired.
-    pub fn expire_idle(&mut self, cutoff_ns: u64) -> usize {
-        let before = self.associations.len();
-        self.associations.retain(|_, a| a.last_activity_ns >= cutoff_ns);
-        before - self.associations.len()
-    }
-
-    /// Number of live associations.
-    pub fn len(&self) -> usize {
-        self.associations.len()
-    }
-
-    /// True if there are no live associations.
-    pub fn is_empty(&self) -> bool {
-        self.associations.is_empty()
     }
 }
 
@@ -217,6 +176,9 @@ mod tests {
         assert_eq!(assoc.datagrams_out, 1);
         assert_eq!(assoc.datagrams_in, 1);
         assert_eq!(assoc.last_activity_ns, 9);
+        assoc.attach_external(3);
+        assert_eq!(assoc.external(), Some(3));
+        assert_eq!(assoc.flow(), other_flow());
     }
 
     #[test]
@@ -236,23 +198,5 @@ mod tests {
         // transaction.
         assert!(assoc.on_incoming(&query.to_bytes(), 10).is_none());
         assert_eq!(assoc.pending_dns_count(), 1);
-    }
-
-    #[test]
-    fn registry_creates_tracks_and_expires() {
-        let mut reg = UdpRegistry::new();
-        assert!(reg.is_empty());
-        reg.get_or_create(dns_flow()).last_activity_ns = 100;
-        reg.get_or_create(other_flow()).last_activity_ns = 900;
-        assert_eq!(reg.len(), 2);
-        assert!(reg.get(dns_flow()).is_some());
-        assert_eq!(reg.expire_idle(500), 1);
-        assert_eq!(reg.len(), 1);
-        assert!(reg.get(dns_flow()).is_none());
-        assert!(reg.get(other_flow()).is_some());
-        let external = reg.get_or_create(other_flow());
-        external.attach_external(3);
-        assert_eq!(external.external(), Some(3));
-        assert_eq!(external.flow(), other_flow());
     }
 }
