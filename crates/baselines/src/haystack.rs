@@ -25,7 +25,7 @@ pub fn mopeye_engine(net: SimNetwork) -> MopEyeEngine {
 mod tests {
     use super::*;
     use mop_packet::Endpoint;
-    use mop_simnet::SimDuration;
+    use mop_simnet::{Component, SimDuration};
     use mop_tun::{Workload, WorkloadKind};
 
     fn net() -> SimNetwork {
@@ -52,8 +52,8 @@ mod tests {
         assert_eq!(hay_report.relay.syns, mop_report.relay.syns);
         assert_eq!(hay_report.relay.connects_ok, mop_report.relay.connects_ok);
         // Haystack's configuration inspects content, so it burns extra CPU.
-        assert!(hay_report.ledger.busy_of("Inspection") > SimDuration::ZERO);
-        assert_eq!(mop_report.ledger.busy_of("Inspection"), SimDuration::ZERO);
+        assert!(hay_report.ledger.busy_of(Component::Inspection) > SimDuration::ZERO);
+        assert_eq!(mop_report.ledger.busy_of(Component::Inspection), SimDuration::ZERO);
         // And it keeps far more buffer memory resident.
         assert!(hay_report.ledger.memory_peak_bytes() > 100 * 1024 * 1024);
         assert!(mop_report.ledger.memory_peak_bytes() < 40 * 1024 * 1024);

@@ -7,7 +7,11 @@
 //! relay decision (pure ACKs are discarded, §2.3), and (d) encoding the next
 //! data segment towards the app into a reused buffer. After warm-up, none of
 //! those steps may touch the allocator — that is the contract the pooled
-//! zero-copy datapath exists to provide, and this test pins it.
+//! zero-copy datapath exists to provide, and this test pins it for the
+//! component loop, through the same sink-style machine call the engine's
+//! relay stage makes. (`zero_alloc_engine.rs` holds the whole engine to a
+//! per-flow allocation budget; this loop is the part that must be exactly
+//! zero.)
 //!
 //! This file intentionally contains a single test: the counting allocator is
 //! process-global, so a concurrently running test would pollute the window.
@@ -15,7 +19,7 @@
 use mop_bench::alloc_counter::CountingAllocator;
 use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, PacketView};
 use mop_simnet::BufferPool;
-use mop_tcpstack::{SegmentVerdict, TcpStateMachine};
+use mop_tcpstack::{RelayAction, SegmentVerdict, TcpStateMachine};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -24,12 +28,20 @@ fn flow() -> FourTuple {
     FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40000), Endpoint::v4(31, 13, 79, 251, 443))
 }
 
+/// The relay stage's two machine-output buffers, owned by the caller.
+#[derive(Default)]
+struct Emitted {
+    packets: Vec<Packet>,
+    actions: Vec<RelayAction>,
+}
+
 /// One steady-state round: TUN read into a pooled buffer, zero-copy parse,
 /// relay decision, and encoding the next outbound data segment into a reused
 /// buffer. Returns the verdict so the test can assert the path taken.
 fn relay_round(
     pool: &mut BufferPool,
     machine: &mut TcpStateMachine,
+    emitted: &mut Emitted,
     ack_bytes: &[u8],
     data_packet: &Packet,
     out: &mut Vec<u8>,
@@ -38,8 +50,9 @@ fn relay_round(
     buf.extend_from_slice(ack_bytes);
     let view = PacketView::parse(&buf).expect("app ACK parses");
     let segment = view.tcp().expect("TCP packet");
-    let (packets, actions, verdict) = machine.on_tunnel_segment_view(segment);
-    assert!(packets.is_empty() && actions.is_empty(), "pure ACKs are discarded");
+    let verdict =
+        machine.on_segment_into(segment.into(), &mut emitted.packets, &mut emitted.actions);
+    assert!(emitted.packets.is_empty() && emitted.actions.is_empty(), "pure ACKs are discarded");
     out.clear();
     data_packet.encode_into(out);
     pool.put(buf);
@@ -65,12 +78,13 @@ fn steady_state_relay_loop_performs_zero_allocations_per_packet() {
     let data_packet = relay.tcp_data(9001, 1001, vec![0x5a; 1400]);
 
     let mut pool = BufferPool::for_packets();
+    let mut emitted = Emitted::default();
     let mut out = Vec::with_capacity(2048);
 
     // Warm up: first rounds may allocate (pool cold, buffers growing, state
     // transition to Established).
     for _ in 0..16 {
-        relay_round(&mut pool, &mut machine, &ack_bytes, &data_packet, &mut out);
+        relay_round(&mut pool, &mut machine, &mut emitted, &ack_bytes, &data_packet, &mut out);
     }
 
     // Measure: thousands of packets, zero allocations. The counting
@@ -85,8 +99,14 @@ fn steady_state_relay_loop_performs_zero_allocations_per_packet() {
         let allocs_before = ALLOC.allocations();
         let deallocs_before = ALLOC.deallocations();
         for _ in 0..PACKETS {
-            let verdict =
-                relay_round(&mut pool, &mut machine, &ack_bytes, &data_packet, &mut out);
+            let verdict = relay_round(
+                &mut pool,
+                &mut machine,
+                &mut emitted,
+                &ack_bytes,
+                &data_packet,
+                &mut out,
+            );
             assert!(matches!(verdict, SegmentVerdict::PureAckDiscarded));
         }
         allocs = ALLOC.allocations() - allocs_before;

@@ -14,9 +14,9 @@
 //! process-global, so a concurrently running test would pollute the window.
 
 use mop_bench::alloc_counter::CountingAllocator;
-use mop_packet::{Endpoint, FourTuple, PacketBuilder, PacketView};
+use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, PacketView};
 use mop_simnet::{BatchPool, SimTime};
-use mop_tcpstack::{SegmentVerdict, TcpStateMachine};
+use mop_tcpstack::{RelayAction, SegmentVerdict, TcpStateMachine};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -27,9 +27,22 @@ fn flow() -> FourTuple {
 
 const BURST: usize = 32;
 
+/// The relay stage's two machine-output buffers, owned by the caller.
+#[derive(Default)]
+struct Emitted {
+    packets: Vec<Packet>,
+    actions: Vec<RelayAction>,
+}
+
 /// One steady-state burst: seal `BURST` app ACKs into a pooled slab, parse
-/// and relay-decide each packet out of the slab, recycle the slab.
-fn relay_burst(pool: &mut BatchPool, machine: &mut TcpStateMachine, ack_bytes: &[u8]) {
+/// and relay-decide each packet out of the slab (the sink-style machine call
+/// the engine's relay stage makes), recycle the slab.
+fn relay_burst(
+    pool: &mut BatchPool,
+    machine: &mut TcpStateMachine,
+    emitted: &mut Emitted,
+    ack_bytes: &[u8],
+) {
     let mut slab = pool.get();
     for i in 0..BURST {
         slab.push_bytes(ack_bytes, SimTime::from_nanos(i as u64));
@@ -37,8 +50,12 @@ fn relay_burst(pool: &mut BatchPool, machine: &mut TcpStateMachine, ack_bytes: &
     for (_due, bytes) in slab.iter() {
         let view = PacketView::parse(bytes).expect("app ACK parses");
         let segment = view.tcp().expect("TCP packet");
-        let (packets, actions, verdict) = machine.on_tunnel_segment_view(segment);
-        assert!(packets.is_empty() && actions.is_empty(), "pure ACKs are discarded");
+        let verdict =
+            machine.on_segment_into(segment.into(), &mut emitted.packets, &mut emitted.actions);
+        assert!(
+            emitted.packets.is_empty() && emitted.actions.is_empty(),
+            "pure ACKs are discarded"
+        );
         assert!(matches!(verdict, SegmentVerdict::PureAckDiscarded));
     }
     pool.put(slab);
@@ -57,11 +74,12 @@ fn batched_relay_loop_performs_zero_allocations_per_burst() {
     let ack_bytes = app.tcp_ack(1001, 9001).to_bytes();
 
     let mut pool = BatchPool::for_packets(BURST);
+    let mut emitted = Emitted::default();
 
     // Warm up: first bursts may allocate (pool cold, slab data region and
     // slot vector growing to the burst's working set).
     for _ in 0..16 {
-        relay_burst(&mut pool, &mut machine, &ack_bytes);
+        relay_burst(&mut pool, &mut machine, &mut emitted, &ack_bytes);
     }
 
     // Measure: hundreds of bursts — thousands of packets — zero allocations.
@@ -76,7 +94,7 @@ fn batched_relay_loop_performs_zero_allocations_per_burst() {
         let allocs_before = ALLOC.allocations();
         let deallocs_before = ALLOC.deallocations();
         for _ in 0..BURSTS {
-            relay_burst(&mut pool, &mut machine, &ack_bytes);
+            relay_burst(&mut pool, &mut machine, &mut emitted, &ack_bytes);
         }
         allocs = ALLOC.allocations() - allocs_before;
         deallocs = ALLOC.deallocations() - deallocs_before;

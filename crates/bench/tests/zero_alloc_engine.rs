@@ -1,0 +1,160 @@
+//! Regression test: a warm engine allocates per flow, not per packet.
+//!
+//! `zero_alloc.rs` and `zero_alloc_batch.rs` pin a hand-assembled component
+//! loop at exactly zero allocations; this file holds the real thing — a
+//! warm, lean, flow-keyed `MopEyeEngine` (`reset` + `run_flows` after one
+//! cold run, what a resident fleet shard does on every step) — to an
+//! allocation budget that does not grow with the packet count:
+//!
+//! * clean network: the same N bulk flows at response size R and at 4R. The
+//!   4R run relays four times the packets, so `allocs(4R) − allocs(R)` is
+//!   what the *packets* cost; it must stay within a small per-flow constant
+//!   (the amortised doublings of per-flow vectors — a socket's pending
+//!   reads, the network's response-chunk list — are the only thing allowed
+//!   to scale, logarithmically). `allocs(R)` itself is a per-flow constant
+//!   too: flow start, connect, mapping, the outcome record.
+//! * `DegradedCommute` (lossy 3G, then LTE): recovery state exists and
+//!   segments are dropped, reordered and duplicated. Retransmit clones,
+//!   SACK-range vectors and out-of-order buffering may allocate — per *loss
+//!   event* (a retransmission sent, a duplicate ACK an app answered a hole
+//!   or a duplicate with), never per packet.
+//!
+//! Counts only, no timing. Before the engine's ledger, machine outputs,
+//! app outputs and segment payloads stopped allocating, this workload cost
+//! about 5.5 allocations per packet — hundreds per flow.
+//!
+//! This file intentionally contains a single test: the counting allocator is
+//! process-global, so a concurrently running test would pollute the window.
+
+use mop_bench::alloc_counter::CountingAllocator;
+use mop_dataset::NetProfile;
+use mop_packet::Endpoint;
+use mop_simnet::{
+    LatencyModel, ServerConfig, Service, SimDuration, SimNetwork, SimNetworkBuilder, SimTime,
+};
+use mop_tun::{FlowKind, FlowSpec};
+use mopeye_core::{MopEyeConfig, MopEyeEngine};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// Flows per run.
+const N: u64 = 64;
+/// The small response size; the large one is four times it.
+const R: usize = 32 * 1024;
+
+/// Allocations a flow may cost whatever it relays (start, connect, mapping,
+/// outcome record, first growth of its per-flow vectors).
+const PER_FLOW: u64 = 32;
+/// Extra allocations a flow may cost for relaying 4R instead of R: two
+/// doublings each of the handful of per-flow vectors that hold a response.
+const PER_FLOW_GROWTH: u64 = 8;
+/// Allocations one loss event may cost (out-of-order buffering, SACK
+/// ranges, a retransmit clone and the vectors that carry it, a duplicated
+/// packet's clone).
+const PER_LOSS_EVENT: u64 = 4;
+
+fn server() -> Endpoint {
+    Endpoint::v4(203, 0, 113, 9, 443)
+}
+
+fn network(profile: NetProfile, response_bytes: usize) -> SimNetworkBuilder {
+    let server = ServerConfig::new(
+        "bulk",
+        server().addr,
+        LatencyModel::constant(30.0),
+        Service::Request { response_bytes, processing: LatencyModel::constant(2.0) },
+    );
+    let builder = SimNetwork::builder().seed(2017).flow_keyed().server(server);
+    profile.apply(builder, SimTime::ZERO + SimDuration::from_secs(2))
+}
+
+fn flows(response_bytes: usize) -> Vec<FlowSpec> {
+    (0..N)
+        .map(|i| FlowSpec {
+            at: SimTime::from_millis(10 + 5 * i),
+            uid: 10_100,
+            package: "com.android.chrome".into(),
+            src: Some(Endpoint::v4(10, 1, (i >> 8) as u8, i as u8, 40_000)),
+            dst: server(),
+            domain: None,
+            request_bytes: 300,
+            close_after: response_bytes,
+            kind: FlowKind::Tcp,
+            network: None,
+            isp: None,
+        })
+        .collect()
+}
+
+/// What one warm run cost and did.
+struct Warm {
+    allocs: u64,
+    packets: u64,
+    loss_events: u64,
+}
+
+/// Runs the flows cold, resets, and counts the allocations of the warm
+/// rerun (the flow schedule is cloned outside the counted window, as a
+/// fleet's dispatcher hands a shard its flows ready-made).
+fn warm_run(profile: NetProfile, response_bytes: usize) -> Warm {
+    let config = MopEyeConfig::fleet_shard().with_retain_samples(false);
+    let net = network(profile, response_bytes);
+    let schedule = flows(response_bytes);
+    let mut engine = MopEyeEngine::new(config, net.clone().build());
+    let cold = engine.run_flows(schedule.clone());
+    assert_eq!(cold.relay.connects_ok, N, "every flow connects");
+    assert!(cold.flows.iter().all(|flow| flow.completed), "every flow completes");
+
+    engine.reset(net.build());
+    let before = ALLOC.allocations();
+    let report = engine.run_flows(schedule);
+    let allocs = ALLOC.allocations() - before;
+    assert_eq!(report.events_processed, cold.events_processed, "the warm run is the same run");
+    let delivered: usize = report.flows.iter().map(|flow| flow.bytes_received).sum();
+    assert!(delivered as u64 >= N * response_bytes as u64, "every response arrived in full");
+    Warm {
+        allocs,
+        packets: report.tun.packets_from_apps + report.tun.packets_to_apps,
+        loss_events: report.relay.retransmits + engine.app_dup_acks_sent(),
+    }
+}
+
+#[test]
+fn a_warm_engine_allocates_per_flow_and_per_loss_event_never_per_packet() {
+    let small = warm_run(NetProfile::Lte, R);
+    let large = warm_run(NetProfile::Lte, 4 * R);
+    assert_eq!((small.loss_events, large.loss_events), (0, 0), "LTE never faults");
+    assert!(
+        large.packets > 3 * small.packets,
+        "4R relays ~4x the packets: {} vs {}",
+        large.packets,
+        small.packets
+    );
+    assert!(
+        small.allocs <= PER_FLOW * N,
+        "{} allocations for {N} clean flows ({} packets): more than {PER_FLOW} per flow",
+        small.allocs,
+        small.packets
+    );
+    let growth = large.allocs.saturating_sub(small.allocs);
+    assert!(
+        growth <= PER_FLOW_GROWTH * N,
+        "{} more packets cost {growth} more allocations ({} -> {}): that scales with packets, \
+         not with the {N} flows",
+        large.packets - small.packets,
+        small.allocs,
+        large.allocs
+    );
+
+    let lossy = warm_run(NetProfile::DegradedCommute, 4 * R);
+    assert!(lossy.loss_events > 0, "the degraded commute lost nothing");
+    let budget = (PER_FLOW + PER_FLOW_GROWTH) * N + PER_LOSS_EVENT * lossy.loss_events;
+    assert!(
+        lossy.allocs <= budget,
+        "{} allocations over {} packets with {} loss events: budget {budget}",
+        lossy.allocs,
+        lossy.packets,
+        lossy.loss_events
+    );
+}

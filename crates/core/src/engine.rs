@@ -32,7 +32,7 @@ use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::config::MopEyeConfig;
-use crate::conn::FlowId;
+use crate::conn::{AppSide, FlowId};
 use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage};
 use crate::tun_writer::TunWriter;
 
@@ -165,6 +165,19 @@ impl MopEyeEngine {
             ("tap.scan_elems", self.shared.net.tap().scan_elems()),
             ("conn_table.scan_elems", self.relay.conn_table.scan_elems()),
         ]
+    }
+
+    /// Duplicate ACKs the simulated apps have sent since the engine was
+    /// created or reset: one per segment an app received out of order or
+    /// twice, i.e. the receive side's count of loss events. Zero on a
+    /// network that cannot fault. (`RelayStats::retransmits` is the send
+    /// side's; the allocation-budget test charges both.)
+    pub fn app_dup_acks_sent(&self) -> u64 {
+        let apps = self.shared.conns.iter().filter_map(|conn| match &conn.app {
+            AppSide::Tcp(app) => Some(app),
+            AppSide::None | AppSide::Dns(_) => None,
+        });
+        apps.map(|app| u64::from(app.dup_acks_sent)).sum()
     }
 
     /// Runs a set of workloads to completion and reports.

@@ -26,7 +26,11 @@
 //! `RelayStats::sink_stalls`). With [`FleetConfig::with_pinning`] each
 //! worker additionally pins itself to a core (best-effort, wall-clock only).
 //! In steady state nothing on the path allocates per packet: the queues are
-//! pre-allocated rings and each shard's packet loop runs on its own pools.
+//! pre-allocated rings, each shard's packet loop runs on its own pools
+//! (tunnel slabs, socket read buffers, segment payloads), the state machines
+//! and app endpoints emit into buffers their stage owns, and the CPU ledger
+//! is a pair of fixed arrays. A warm shard allocates per flow and per loss
+//! event; `crates/bench/tests/zero_alloc_engine.rs` holds an engine to that.
 //!
 //! # Determinism
 //!

@@ -81,7 +81,10 @@ impl EgressStage {
             if let Some(wire_flow) = packet.four_tuple() {
                 match sh.net.data_fault(wire_flow, deliver_at) {
                     FaultDecision::Deliver => {}
-                    FaultDecision::Drop => return,
+                    FaultDecision::Drop => {
+                        sh.segments.recycle(packet);
+                        return;
+                    }
                     FaultDecision::Duplicate => {
                         sched.schedule(deliver_at, Event::DeliverToApp(id, packet.clone()));
                     }
@@ -90,5 +93,75 @@ impl EgressStage {
             }
         }
         sched.schedule(deliver_at, Event::DeliverToApp(id, packet));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder};
+    use mop_simnet::{AccessProfile, SimNetwork, SimTime};
+
+    use crate::config::MopEyeConfig;
+    use crate::engine::{Event, MopEyeEngine};
+
+    fn flow() -> FourTuple {
+        FourTuple::new(Endpoint::v4(10, 1, 0, 1, 40_000), Endpoint::v4(216, 58, 221, 132, 443))
+    }
+
+    /// An engine whose network applies exactly one fate to every data
+    /// segment: drops them all, or duplicates them all.
+    fn engine(data_loss: f64, duplicate: f64) -> MopEyeEngine {
+        let access = AccessProfile::lte().with_data_faults(data_loss, 0.0, duplicate);
+        let net = SimNetwork::builder().seed(7).flow_keyed().access(access).build();
+        MopEyeEngine::new(MopEyeConfig::fleet_shard(), net)
+    }
+
+    /// Writes one pooled 1000-byte data segment towards the app; returns
+    /// where its payload buffer lives.
+    fn write_segment(engine: &mut MopEyeEngine) -> *const u8 {
+        let id = engine.shared.conns.intern(flow());
+        let payload = engine.shared.segments.filled(&[7; 1_000]);
+        let at = payload.as_ptr();
+        let packet = PacketBuilder::new(flow().dst, flow().src).tcp_data(1, 1, payload);
+        let (shared, sched) = (&mut engine.shared, &mut engine.sched);
+        engine.egress.write_to_tunnel(shared, sched, SimTime::from_millis(1), id, packet);
+        at
+    }
+
+    fn deliveries(engine: &mut MopEyeEngine) -> Vec<Packet> {
+        std::iter::from_fn(|| engine.sched.pop())
+            .map(|(_, event)| match event {
+                Event::DeliverToApp(_, packet) => packet,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_dropped_segment_returns_its_buffer_to_the_pool() {
+        let mut engine = engine(1.0, 0.0);
+        let buffer = write_segment(&mut engine);
+        assert!(deliveries(&mut engine).is_empty(), "the segment was dropped");
+        assert_eq!(engine.shared.segments.len(), 1, "its buffer was not leaked");
+        let next = engine.shared.segments.filled(&[1]);
+        assert_eq!(next.as_ptr(), buffer, "and is the next one handed out");
+    }
+
+    #[test]
+    fn a_duplicated_segment_is_delivered_twice_in_two_buffers() {
+        let mut engine = engine(0.0, 1.0);
+        let buffer = write_segment(&mut engine);
+        assert!(engine.shared.segments.is_empty(), "nothing is recycled while in flight");
+        let delivered = deliveries(&mut engine);
+        let payloads: Vec<&Vec<u8>> =
+            delivered.iter().map(|p| &p.tcp().expect("a data segment").payload).collect();
+        assert_eq!(payloads, [&vec![7u8; 1_000], &vec![7u8; 1_000]]);
+        assert_ne!(payloads[0].as_ptr(), payloads[1].as_ptr(), "the copies share no buffer");
+        assert!(payloads.iter().any(|p| p.as_ptr() == buffer), "one of them is the original");
+        // Both die independently: each returns a buffer of its own.
+        for packet in delivered {
+            engine.shared.segments.recycle(packet);
+        }
+        assert_eq!(engine.shared.segments.len(), 2);
     }
 }

@@ -11,7 +11,7 @@
 //! app endpoints consume them and emit their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
-use mop_simnet::{BatchPool, SimDuration, SimTime, SlabBatch, TimerScheduler};
+use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabBatch, TimerScheduler};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
@@ -32,6 +32,9 @@ pub struct IngressStage {
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
     pub(crate) next_dns_id: u16,
+    /// Where an app endpoint emits its replies to a delivered packet;
+    /// drained after every delivery, never dropped.
+    app_out: Vec<Packet>,
 }
 
 impl IngressStage {
@@ -43,6 +46,7 @@ impl IngressStage {
             batches: BatchPool::for_packets(batch_size),
             next_app_port: 36_000,
             next_dns_id: 1,
+            app_out: Vec::new(),
         }
     }
 
@@ -172,7 +176,7 @@ impl IngressStage {
         sh.tun.record_app_write(wire_len);
         let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
-        sh.ledger.charge("TunReader", retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
+        sh.ledger.charge(Component::TunReader, retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
         // TunReader puts the packet in the read queue and wakes the selector
         // so the relay's MainWorker notices it (§3.2).
         relay.selector.wakeup();
@@ -214,18 +218,23 @@ impl IngressStage {
                 }
             }
             AppSide::Tcp(app) => {
-                let responses = app.handle(&packet);
+                let mut responses = std::mem::take(&mut self.app_out);
+                app.handle_into(&packet, &mut responses);
                 let bytes_received = app.bytes_received;
                 // Only a clean close counts as completion; a reset app stays failed.
                 let done_cleanly = app.state() == mop_tun::AppState::Done;
                 conn.progressed(now, bytes_received, done_cleanly);
-                for (i, response) in responses.into_iter().enumerate() {
+                for (i, response) in responses.drain(..).enumerate() {
                     // Consecutive packets from the app leave a few microseconds apart.
                     let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
                     self.inject_app_packet(sh, relay, sched, at, id, response);
                 }
+                self.app_out = responses;
             }
         }
+        // The delivered packet is dead: its payload buffer goes back to the
+        // relay's free list.
+        sh.segments.recycle(packet);
     }
 
     /// Recycles a processed tunnel slab.

@@ -49,7 +49,10 @@ pub mod ingress;
 pub mod relay;
 pub mod sink;
 
-use mop_simnet::{CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime};
+use mop_simnet::{
+    Component, CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime,
+};
+use mop_tcpstack::SegmentPool;
 use mop_tun::TunDevice;
 
 use crate::config::{ClockGranularity, EngineDiscipline, MopEyeConfig, WorkerModel};
@@ -88,6 +91,12 @@ pub struct EngineShared {
     /// The per-connection records, holding (among everything else) each
     /// connection's RNG stream under [`EngineDiscipline::FlowKeyed`].
     pub conns: ConnTable,
+    /// Free list of segment payload buffers: the relay takes a data
+    /// segment's (and its scoreboard copy's) buffer from here, and ingress
+    /// (delivered), egress (dropped by a fault) and the relay (cumulatively
+    /// ACKed) return it. Survives [`EngineShared::reset`] as is — a buffer
+    /// is overwritten before it is read.
+    pub segments: SegmentPool,
     /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
     pub worker_busy_until: SimTime,
     /// How many consecutive backlogged packets the saturating MainWorker has
@@ -108,6 +117,7 @@ impl EngineShared {
             ledger: CpuLedger::new(),
             rng,
             conns: ConnTable::default(),
+            segments: SegmentPool::new(),
             worker_busy_until: SimTime::ZERO,
             worker_burst_len: 1,
         }
@@ -205,7 +215,7 @@ impl EngineShared {
     pub fn worker_step(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
         match self.config.worker {
             WorkerModel::Unbounded => {
-                self.ledger.charge("MainWorker", cost);
+                self.ledger.charge(Component::MainWorker, cost);
                 now
             }
             WorkerModel::Saturating => {
@@ -220,7 +230,7 @@ impl EngineShared {
                     cost
                 };
                 self.worker_burst_len = if hot { self.worker_burst_len + 1 } else { 1 };
-                self.ledger.charge("MainWorker", charged);
+                self.ledger.charge(Component::MainWorker, charged);
                 let start = now.max(self.worker_busy_until);
                 self.worker_busy_until = start + charged;
                 start

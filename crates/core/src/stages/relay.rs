@@ -25,7 +25,8 @@ use mop_procnet::{
     PackageManager, SocketStateCode,
 };
 use mop_simnet::{
-    Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState, TimerHandle, TimerScheduler,
+    Component, MemoryComponent, Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState,
+    TimerHandle, TimerScheduler,
 };
 use mop_tcpstack::{
     dns_query, RecoveryState, RelayAction, SegmentVerdict, TcpState, TcpStateMachine,
@@ -98,6 +99,12 @@ pub struct RelayStage {
     pub(crate) stats: RelayStats,
     /// Destination-address → domain hints (from specs and DNS answers).
     pub(crate) ip_to_domain: HashMap<IpAddr, String>,
+    /// Where the state machines emit packets for the apps; drained into
+    /// egress after every machine call, never dropped.
+    packets: Vec<Packet>,
+    /// Where the state machines emit their instructions for the relay;
+    /// drained after every tunnel segment, never dropped.
+    actions: Vec<RelayAction>,
 }
 
 impl RelayStage {
@@ -121,6 +128,8 @@ impl RelayStage {
             selector: Selector::new(),
             stats: RelayStats::default(),
             ip_to_domain: HashMap::new(),
+            packets: Vec::new(),
+            actions: Vec::new(),
         }
     }
 
@@ -146,8 +155,9 @@ impl RelayStage {
     }
 
     /// The MainWorker's relay decision for a packet of connection `id`,
-    /// working entirely on borrowed views — no payload is copied unless data
-    /// actually has to cross to the socket channel.
+    /// working entirely on borrowed views: no payload is copied (the
+    /// simulated socket channel only counts the bytes that cross to it) and
+    /// the machine's outputs land in the stage's own two buffers.
     pub(crate) fn on_packet(
         &mut self,
         sh: &mut EngineShared,
@@ -175,7 +185,8 @@ impl RelayStage {
                         sh.conns.attach_tcp(id, self.isn)
                     }
                 };
-                let (packets, actions, verdict) = tcp.machine.on_tunnel_segment_view(segment);
+                let verdict =
+                    tcp.machine.on_segment_into(segment.into(), &mut self.packets, &mut self.actions);
                 match verdict {
                     SegmentVerdict::Syn => self.stats.syns += 1,
                     SegmentVerdict::Data(len) => {
@@ -203,12 +214,15 @@ impl RelayStage {
                         segment.sack_blocks(),
                     );
                 }
-                for pkt in packets {
-                    egress.write_to_tunnel(sh, sched, now, id, pkt);
-                }
-                for action in actions {
+                self.flush_packets(sh, egress, sched, now, id);
+                // Applying an action may drive the machine again (a relayed
+                // write is ACKed through `packets`), so the action buffer is
+                // held aside while it drains.
+                let mut actions = std::mem::take(&mut self.actions);
+                for action in actions.drain(..) {
                     self.apply_action(sh, egress, sched, now, id, action);
                 }
+                self.actions = actions;
                 // A torn-down connection's tail (the app's final ACK after
                 // RemoveClient already ran) lands on a freshly created
                 // machine and is discarded; the machine is still in Listen
@@ -251,7 +265,7 @@ impl RelayStage {
     ) {
         match action {
             RelayAction::ConnectExternal { dst } => self.start_connect(sh, sched, now, id, dst),
-            RelayAction::RelayData { bytes } => self.relay_data(sh, egress, sched, now, id, &bytes),
+            RelayAction::RelayData { len } => self.relay_data(sh, egress, sched, now, id, len),
             RelayAction::HalfCloseExternal => self.half_close(sh, egress, sched, now, id),
             RelayAction::CloseExternal => self.close_external(sh, id),
             RelayAction::RemoveClient => self.remove_client(sh, sched, now, id),
@@ -271,11 +285,11 @@ impl RelayStage {
         let flow = sh.conns[id].flow;
         let mut rng = sh.checkout_rng(id);
         let spawn = sh.cost.thread_spawn.sample(&mut rng);
-        sh.ledger.charge("ConnectThreads", spawn);
+        sh.ledger.charge(Component::ConnectThreads, spawn);
         let mut t = now + spawn;
         if sh.config.protect == ProtectMode::PerSocket {
             let protect = sh.cost.protect_call.sample(&mut rng);
-            sh.ledger.charge("ConnectThreads", protect);
+            sh.ledger.charge(Component::ConnectThreads, protect);
             t += protect;
         }
         sh.checkin_rng(id, rng);
@@ -347,7 +361,7 @@ impl RelayStage {
                         tcp.recovery = Some(RecoveryState::new(sh.config.congestion, connect_ns));
                     }
                 }
-                sh.ledger.charge("ConnectThreads", register);
+                sh.ledger.charge(Component::ConnectThreads, register);
                 self.selector.register(socket);
                 self.sockets.set_mode(socket, SocketMode::NonBlocking);
                 self.conn_table.set_state(flow, SocketStateCode::Established);
@@ -370,13 +384,15 @@ impl RelayStage {
                 };
                 sink.record_sample(sh, id, sample);
                 // Complete the handshake with the app (§2.3).
-                Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_connected());
+                self.drive_machine(sh, egress, sched, now, id, |m, out| {
+                    m.on_external_connected_into(out)
+                });
             }
             SocketState::ConnectFailed { refused } => {
                 sh.checkin_rng(id, rng);
                 self.stats.connects_failed += 1;
-                Self::drive_machine(sh, egress, sched, now, id, |m| {
-                    m.on_external_connect_failed(refused)
+                self.drive_machine(sh, egress, sched, now, id, |m, out| {
+                    m.on_external_connect_failed_into(refused, out)
                 });
                 sh.conns[id].finished(now, false);
             }
@@ -418,8 +434,8 @@ impl RelayStage {
             .uid
             .map(|_| SimDuration::from_millis_f64(sh.cost.package_lookup.sample_ms(rng)));
         let charge_to = match sh.config.mapping {
-            MappingStrategy::Lazy => "ConnectThreads",
-            _ => "MainWorker",
+            MappingStrategy::Lazy => Component::ConnectThreads,
+            _ => Component::MainWorker,
         };
         sh.ledger.charge(charge_to, outcome.cpu_cost);
         let package = outcome.uid.and_then(|uid| {
@@ -436,23 +452,25 @@ impl RelayStage {
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         id: FlowId,
-        bytes: &[u8],
+        len: usize,
     ) {
         if sh.config.content_inspection {
             let mut rng = sh.checkout_rng(id);
-            let inspect = sh.cost.sample_content_inspection(bytes.len(), &mut rng);
+            let inspect = sh.cost.sample_content_inspection(len, &mut rng);
             sh.checkin_rng(id, rng);
-            sh.ledger.charge("Inspection", inspect);
+            sh.ledger.charge(Component::Inspection, inspect);
         }
         let Some(socket) = sh.conns[id].socket else { return };
         if !matches!(self.sockets.state(socket), SocketState::Connected | SocketState::HalfClosed)
         {
             return;
         }
-        self.sockets.buffer_write(socket, bytes.len());
+        self.sockets.buffer_write(socket, len);
         self.sockets.flush_writes(&mut sh.net, socket, now);
         // The socket write completes locally; acknowledge the app's data.
-        Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_write_complete());
+        self.drive_machine(sh, egress, sched, now, id, |m, out| {
+            m.on_external_write_complete_into(out)
+        });
         if let Some(ready_at) = self.sockets.next_read_ready_at(socket) {
             sched.schedule(ready_at.max(now), Event::SocketReadable(id));
         }
@@ -478,7 +496,7 @@ impl RelayStage {
             let mut rng = sh.checkout_rng(id);
             if sh.config.content_inspection {
                 let inspect = sh.cost.sample_content_inspection(total, &mut rng);
-                sh.ledger.charge("Inspection", inspect);
+                sh.ledger.charge(Component::Inspection, inspect);
             }
             let segment_cost = SimDuration::from_micros(rng.int_inclusive(10, 60));
             sh.checkin_rng(id, rng);
@@ -488,28 +506,25 @@ impl RelayStage {
             let start = sh.worker_step(now, segment_cost);
             let mut arm_rto = None;
             if let Some(tcp) = sh.conns[id].tcp_mut() {
-                let packets = tcp.machine.on_external_data(&data);
+                tcp.machine.on_external_data_into(&data, &mut sh.segments, &mut self.packets);
                 // On fault-capable networks, register every payload-bearing
                 // segment with the sender scoreboard before it leaves: the
                 // retransmission timer must cover data from the moment it is
                 // handed to egress, not from when a loss is noticed.
                 if let Some(recovery) = tcp.recovery.as_mut() {
-                    for pkt in &packets {
-                        if let Some(tcp) = pkt.tcp() {
-                            if !tcp.payload.is_empty() {
-                                recovery.on_data_sent(tcp.seq, &tcp.payload, start.as_nanos());
-                            }
+                    for segment in self.packets.iter().filter_map(Packet::tcp) {
+                        if !segment.payload.is_empty() {
+                            let copy = sh.segments.filled(&segment.payload);
+                            recovery.on_data_sent_owned(segment.seq, copy, start.as_nanos());
                         }
                     }
                     if recovery.has_inflight() && tcp.timers.rto().is_none() {
                         arm_rto = Some(recovery.rto_ns());
                     }
                 }
-                self.stats.data_segments_in += packets.len() as u64;
+                self.stats.data_segments_in += self.packets.len() as u64;
                 self.stats.bytes_in += total as u64;
-                for pkt in packets {
-                    egress.write_to_tunnel(sh, sched, start, id, pkt);
-                }
+                self.flush_packets(sh, egress, sched, start, id);
             }
             if let Some(rto_ns) = arm_rto {
                 Self::arm_rto_at(sh, sched, id, start + SimDuration::from_nanos(rto_ns));
@@ -552,21 +567,38 @@ impl RelayStage {
     ) {
         sh.conns[id].half_close_pending = false;
         self.close_socket(sh, id);
-        Self::drive_machine(sh, egress, sched, now, id, |m| m.on_external_closed(false));
+        self.drive_machine(sh, egress, sched, now, id, |m, out| {
+            m.on_external_closed_into(false, out)
+        });
     }
 
     /// Feeds a socket-side event to `id`'s state machine, if it still has
     /// one, and writes the packets it answers with to the tunnel.
     fn drive_machine(
+        &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sched: &mut TimerScheduler<Event>,
         now: SimTime,
         id: FlowId,
-        event: impl FnOnce(&mut TcpStateMachine) -> Vec<Packet>,
+        event: impl FnOnce(&mut TcpStateMachine, &mut Vec<Packet>),
     ) {
         let Some(tcp) = sh.conns[id].tcp_mut() else { return };
-        for pkt in event(&mut tcp.machine) {
+        event(&mut tcp.machine, &mut self.packets);
+        self.flush_packets(sh, egress, sched, now, id);
+    }
+
+    /// Writes every packet a machine just emitted into the stage's buffer
+    /// to the tunnel, leaving the buffer empty with its capacity intact.
+    fn flush_packets(
+        &mut self,
+        sh: &mut EngineShared,
+        egress: &mut EgressStage,
+        sched: &mut TimerScheduler<Event>,
+        now: SimTime,
+        id: FlowId,
+    ) {
+        for pkt in self.packets.drain(..) {
             egress.write_to_tunnel(sh, sched, now, id, pkt);
         }
     }
@@ -708,7 +740,7 @@ impl RelayStage {
     ) {
         let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         let Some(recovery) = tcp.recovery.as_mut() else { return };
-        let mut reaction = recovery.on_ack(ack, sack, now.as_nanos());
+        let mut reaction = recovery.on_ack_recycling(ack, sack, now.as_nanos(), &mut sh.segments);
         let rto_ns = recovery.rto_ns();
         // Fast retransmits replay through the machine's immutable path — the
         // sequence space does not advance — paced by cwnd via each
@@ -791,7 +823,7 @@ impl RelayStage {
         let mut rng = sh.checkout_rng(id);
         let spawn = sh.cost.thread_spawn.sample(&mut rng);
         sh.checkin_rng(id, rng);
-        sh.ledger.charge("DnsThreads", spawn);
+        sh.ledger.charge(Component::DnsThreads, spawn);
         let send_at = now + spawn;
         let outcome = sh.net.dns_lookup(flow.src, name, send_at);
         sh.conns[id].dns_pending = Some((sh.timestamp(send_at), name.to_string()));
@@ -868,9 +900,9 @@ impl RelayStage {
         let clients = sh.conns.live_clients();
         let base = 6 * 1024 * 1024;
         let buffers = clients * 2 * 65_535;
-        sh.ledger.set_memory("relay", base + buffers);
+        sh.ledger.set_memory(MemoryComponent::Relay, base + buffers);
         if sh.config.content_inspection {
-            sh.ledger.set_memory("inspection", 120 * 1024 * 1024 + clients * 1024 * 1024);
+            sh.ledger.set_memory(MemoryComponent::Inspection, 120 * 1024 * 1024 + clients * 1024 * 1024);
         }
     }
 }

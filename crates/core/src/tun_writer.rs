@@ -11,7 +11,7 @@
 //! The `newPut` sleep-counter algorithm keeps the consumer checking the queue
 //! for a while before it parks, so the wake-up is almost never paid.
 
-use mop_simnet::{CostModel, CpuLedger, SimDuration, SimRng, SimTime};
+use mop_simnet::{Component, CostModel, CpuLedger, SimDuration, SimRng, SimTime};
 
 use crate::config::{EnqueueScheme, WriteScheme};
 
@@ -175,18 +175,18 @@ impl TunWriter {
             WriteScheme::Direct => {
                 let delay = cost_model.sample_tun_write(concurrent_writers.max(1), rng);
                 self.stats.write_delays_ms.push(delay.as_millis_f64());
-                ledger.charge("MainWorker", delay);
+                ledger.charge(Component::MainWorker, delay);
                 SubmitOutcome { producer_delay: delay, written_at: now + delay }
             }
             WriteScheme::Queue => {
                 let enqueue_delay = self.enqueue_cost(lane, now, cost_model, rng);
                 self.stats.enqueue_delays_ms.push(enqueue_delay.as_millis_f64());
-                ledger.charge("MainWorker", enqueue_delay);
+                ledger.charge(Component::MainWorker, enqueue_delay);
                 // The dedicated writer thread drains the queue; it is the only
                 // thread writing, so contention is rare.
                 let write_cost = cost_model.sample_tun_write(1, rng);
                 self.stats.write_delays_ms.push(write_cost.as_millis_f64());
-                ledger.charge("TunWriter", write_cost);
+                ledger.charge(Component::TunWriter, write_cost);
                 let start = (now + enqueue_delay).max(lane.writer_busy_until);
                 let written_at = start + write_cost;
                 lane.writer_busy_until = written_at;
@@ -269,8 +269,8 @@ mod tests {
         let (writer, ledger) = run_scheme(WriteScheme::Direct, EnqueueScheme::OldPut, &[1, 3], 1);
         assert_eq!(writer.stats().write_delays_ms.len(), 3000);
         assert!(writer.stats().enqueue_delays_ms.is_empty());
-        assert!(ledger.busy_of("MainWorker") > SimDuration::ZERO);
-        assert_eq!(ledger.busy_of("TunWriter"), SimDuration::ZERO);
+        assert!(ledger.busy_of(Component::MainWorker) > SimDuration::ZERO);
+        assert_eq!(ledger.busy_of(Component::TunWriter), SimDuration::ZERO);
         assert_eq!(writer.packets_written(), 3000);
     }
 

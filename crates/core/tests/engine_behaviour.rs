@@ -7,7 +7,9 @@
 //! loop did. New here: the per-connection idle-timer coverage.
 
 use mop_packet::Endpoint;
-use mop_simnet::{LatencyModel, SchedulerKind, ServerConfig, Service, SimDuration, SimTime, SimNetwork};
+use mop_simnet::{
+    Component, LatencyModel, SchedulerKind, ServerConfig, Service, SimDuration, SimNetwork, SimTime,
+};
 use mop_tun::{FlowKind, FlowSpec, Workload, WorkloadKind};
 use mopeye_core::{MopEyeConfig, MopEyeEngine, TimestampMode};
 
@@ -134,10 +136,15 @@ fn web_browsing_workload_produces_many_accurate_samples() {
     assert_eq!(report.dns_samples().len() as u64, report.relay.dns_queries);
     assert!(report.relay.dns_queries >= 5);
     // The ledger charged every component of Figure 4.
-    for component in ["TunReader", "MainWorker", "TunWriter", "ConnectThreads"] {
+    for component in [
+        Component::TunReader,
+        Component::MainWorker,
+        Component::TunWriter,
+        Component::ConnectThreads,
+    ] {
         assert!(
             report.ledger.busy_of(component) > SimDuration::ZERO,
-            "{component} should have CPU time"
+            "{component:?} should have CPU time"
         );
     }
     assert!(report.ledger.memory_peak_bytes() > 6 * 1024 * 1024);

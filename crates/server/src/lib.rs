@@ -39,7 +39,7 @@ pub use proto::{
     PROTOCOL_VERSION,
 };
 pub use server::{Detail, Server, Turn};
-pub use transport::{serve, serve_stdio};
+pub use transport::{serve, serve_stdio, MAX_FRAME_BYTES};
 
 #[cfg(unix)]
 pub use client::connect_unix;

@@ -40,6 +40,9 @@ pub struct Request {
 pub enum ErrorCode {
     /// The frame was not a well-formed request.
     ParseError,
+    /// The request line was longer than the transport's ceiling
+    /// ([`crate::transport::MAX_FRAME_BYTES`]); it was discarded unread.
+    FrameTooLarge,
     /// The method name is not part of this protocol version.
     UnknownMethod,
     /// The params were missing a field or carried a wrong type/value.
@@ -59,6 +62,7 @@ impl ErrorCode {
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::ParseError => "parse-error",
+            ErrorCode::FrameTooLarge => "frame-too-large",
             ErrorCode::UnknownMethod => "unknown-method",
             ErrorCode::BadParams => "bad-params",
             ErrorCode::UnknownScenario => "unknown-scenario",

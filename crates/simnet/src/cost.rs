@@ -9,8 +9,14 @@
 //! timestamps. Those costs are modelled here so the *algorithms* that avoid
 //! them (lazy mapping, `queueWrite`/`newPut`, blocking connect threads,
 //! `addDisallowedApplication`) can be evaluated quantitatively.
-
-use std::collections::BTreeMap;
+//!
+//! The accounting side is [`CpuLedger`]: busy time per [`Component`] — the
+//! row names of Table 4's CPU breakdown, `ConnectThreads`, `DnsThreads`,
+//! `Inspection`, `MainWorker`, `TunReader`, `TunWriter` — and buffer memory
+//! per [`MemoryComponent`] (`inspection`, `relay`). Both sets are closed, so
+//! the ledger is two small arrays and a charge is one add: the relay charges
+//! four to five times per packet, and a monitor's own accounting must be
+//! cheap enough to leave running.
 
 use crate::latency::LatencyModel;
 use crate::rng::SimRng;
@@ -151,12 +157,93 @@ impl CostModel {
     }
 }
 
-/// Accumulates CPU busy time per component and memory high-water marks, so
-/// Table 4 (CPU / battery / memory overhead) can be regenerated.
+/// A CPU component the relay charges busy time to: the thread (or thread
+/// family) of the paper's Figure 4 that did the work. These are the rows
+/// Table 4's CPU column sums over.
+///
+/// Variants are declared in name order, so index order *is* the name order
+/// [`CpuLedger::breakdown`] reports in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Component {
+    /// The temporary blocking socket-connect threads (§2.4): thread spawn,
+    /// `protect()`, lazy mapping, selector registration.
+    ConnectThreads,
+    /// The temporary blocking DNS threads (§2.4).
+    DnsThreads,
+    /// Deep content inspection — what Haystack pays and MopEye avoids (§5).
+    Inspection,
+    /// The MainWorker: parse, relay decision, segmenting, enqueueing.
+    MainWorker,
+    /// The TunReader thread: tunnel retrieval and polling (§3.1).
+    TunReader,
+    /// The dedicated TunWriter thread: tunnel writes (§3.5.1).
+    TunWriter,
+}
+
+impl Component {
+    /// Every component, in name (= index) order.
+    pub const ALL: [Component; 6] = [
+        Component::ConnectThreads,
+        Component::DnsThreads,
+        Component::Inspection,
+        Component::MainWorker,
+        Component::TunReader,
+        Component::TunWriter,
+    ];
+
+    /// The component's name, as Table 4's breakdown prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Component::ConnectThreads => "ConnectThreads",
+            Component::DnsThreads => "DnsThreads",
+            Component::Inspection => "Inspection",
+            Component::MainWorker => "MainWorker",
+            Component::TunReader => "TunReader",
+            Component::TunWriter => "TunWriter",
+        }
+    }
+}
+
+/// A holder of buffer memory the ledger tracks; Table 4's memory column is
+/// the peak of their sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MemoryComponent {
+    /// Content inspection's reassembled flow buffers.
+    Inspection,
+    /// The relay's fixed footprint plus each live client's 64 KiB read and
+    /// write buffers (§3.4).
+    Relay,
+}
+
+impl MemoryComponent {
+    /// Every memory component, in name (= index) order.
+    pub const ALL: [MemoryComponent; 2] = [MemoryComponent::Inspection, MemoryComponent::Relay];
+
+    /// The component's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            MemoryComponent::Inspection => "inspection",
+            MemoryComponent::Relay => "relay",
+        }
+    }
+}
+
+/// Accumulates CPU busy time per [`Component`] and memory high-water marks
+/// per [`MemoryComponent`], so Table 4 (CPU / battery / memory overhead) can
+/// be regenerated.
+///
+/// The component sets are closed, so the ledger is two fixed arrays indexed
+/// by the enums: a charge is one add, cheap enough to leave on the packet
+/// path. A component is *listed* (by [`CpuLedger::breakdown`], and counted
+/// by a merge) once it has been charged or set at all, even with zero.
 #[derive(Debug, Default, Clone)]
 pub struct CpuLedger {
-    busy: BTreeMap<String, SimDuration>,
-    memory_bytes: BTreeMap<String, usize>,
+    busy: [SimDuration; Component::ALL.len()],
+    /// Bit `c as usize` is set once `c` has been charged.
+    charged: u8,
+    memory_bytes: [usize; MemoryComponent::ALL.len()],
+    /// Bit `c as usize` is set once `c`'s memory has been recorded.
+    recorded: u8,
     memory_peak: usize,
 }
 
@@ -170,36 +257,48 @@ impl CpuLedger {
     /// engine's between-runs reset, so a warm run's report charges only what
     /// that run cost.
     pub fn reset(&mut self) {
-        self.busy.clear();
-        self.memory_bytes.clear();
-        self.memory_peak = 0;
+        *self = Self::default();
     }
 
     /// Charges `cost` of CPU time to `component`.
-    pub fn charge(&mut self, component: &str, cost: SimDuration) {
-        *self.busy.entry(component.to_string()).or_default() += cost;
+    #[inline]
+    pub fn charge(&mut self, component: Component, cost: SimDuration) {
+        self.busy[component as usize] += cost;
+        self.charged |= 1 << component as usize;
     }
 
     /// Records the current buffer memory attributed to `component`.
-    pub fn set_memory(&mut self, component: &str, bytes: usize) {
-        self.memory_bytes.insert(component.to_string(), bytes);
-        let total: usize = self.memory_bytes.values().sum();
+    #[inline]
+    pub fn set_memory(&mut self, component: MemoryComponent, bytes: usize) {
+        self.memory_bytes[component as usize] = bytes;
+        self.recorded |= 1 << component as usize;
+        self.raise_memory_peak();
+    }
+
+    /// Lifts the peak to the current total, if that is higher.
+    fn raise_memory_peak(&mut self) {
+        let total: usize = self.memory_bytes.iter().sum();
         self.memory_peak = self.memory_peak.max(total);
     }
 
     /// Total CPU busy time across all components.
     pub fn total_busy(&self) -> SimDuration {
-        self.busy.values().copied().sum()
+        self.busy.iter().copied().sum()
     }
 
     /// CPU busy time of one component.
-    pub fn busy_of(&self, component: &str) -> SimDuration {
-        self.busy.get(component).copied().unwrap_or(SimDuration::ZERO)
+    pub fn busy_of(&self, component: Component) -> SimDuration {
+        self.busy[component as usize]
     }
 
-    /// Per-component breakdown, sorted by component name.
-    pub fn breakdown(&self) -> Vec<(String, SimDuration)> {
-        self.busy.iter().map(|(k, v)| (k.clone(), *v)).collect()
+    /// Per-component breakdown of every component charged so far (a zero
+    /// charge counts), sorted by component name.
+    pub fn breakdown(&self) -> Vec<(Component, SimDuration)> {
+        Component::ALL
+            .into_iter()
+            .filter(|c| self.charged & (1 << *c as usize) != 0)
+            .map(|c| (c, self.busy[c as usize]))
+            .collect()
     }
 
     /// CPU utilisation (0–100 %) over a wall-clock interval.
@@ -227,16 +326,21 @@ impl CpuLedger {
         cpu_hours * 12.0 + radio
     }
 
-    /// Merges another ledger into this one.
+    /// Merges another ledger into this one: busy times add, and the memory
+    /// components `other` has recorded replace this ledger's readings.
     pub fn merge(&mut self, other: &CpuLedger) {
-        for (k, v) in &other.busy {
-            *self.busy.entry(k.clone()).or_default() += *v;
+        for (mine, theirs) in self.busy.iter_mut().zip(other.busy) {
+            *mine += theirs;
         }
-        for (k, v) in &other.memory_bytes {
-            self.memory_bytes.insert(k.clone(), *v);
+        self.charged |= other.charged;
+        for c in MemoryComponent::ALL {
+            if other.recorded & (1 << c as usize) != 0 {
+                self.memory_bytes[c as usize] = other.memory_bytes[c as usize];
+            }
         }
-        let total: usize = self.memory_bytes.values().sum();
-        self.memory_peak = self.memory_peak.max(other.memory_peak).max(total);
+        self.recorded |= other.recorded;
+        self.memory_peak = self.memory_peak.max(other.memory_peak);
+        self.raise_memory_peak();
     }
 }
 
@@ -308,32 +412,60 @@ mod tests {
     #[test]
     fn ledger_accumulates_and_reports() {
         let mut ledger = CpuLedger::new();
-        ledger.charge("MainWorker", SimDuration::from_millis(30));
-        ledger.charge("TunReader", SimDuration::from_millis(10));
-        ledger.charge("MainWorker", SimDuration::from_millis(20));
-        assert_eq!(ledger.busy_of("MainWorker").as_millis(), 50);
+        ledger.charge(Component::MainWorker, SimDuration::from_millis(30));
+        ledger.charge(Component::TunReader, SimDuration::from_millis(10));
+        ledger.charge(Component::MainWorker, SimDuration::from_millis(20));
+        assert_eq!(ledger.busy_of(Component::MainWorker).as_millis(), 50);
+        assert_eq!(ledger.busy_of(Component::TunWriter), SimDuration::ZERO);
         assert_eq!(ledger.total_busy().as_millis(), 60);
         assert!((ledger.cpu_percent(SimDuration::from_secs(6)) - 1.0).abs() < 1e-9);
         assert_eq!(ledger.cpu_percent(SimDuration::ZERO), 0.0);
-        assert_eq!(ledger.breakdown().len(), 2);
+        assert_eq!(
+            ledger.breakdown(),
+            vec![
+                (Component::MainWorker, SimDuration::from_millis(50)),
+                (Component::TunReader, SimDuration::from_millis(10)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_charge_still_lists_the_component_and_reset_forgets_it() {
+        let mut ledger = CpuLedger::new();
+        ledger.charge(Component::ConnectThreads, SimDuration::ZERO);
+        assert_eq!(ledger.breakdown(), vec![(Component::ConnectThreads, SimDuration::ZERO)]);
+        ledger.set_memory(MemoryComponent::Relay, 10);
+        ledger.reset();
+        assert!(ledger.breakdown().is_empty());
+        assert_eq!(ledger.memory_peak_bytes(), 0);
+    }
+
+    #[test]
+    fn component_names_are_declared_in_name_order() {
+        let names: Vec<&str> = Component::ALL.iter().map(|c| c.name()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(Component::ALL.iter().enumerate().all(|(i, c)| *c as usize == i));
+        let names: Vec<&str> = MemoryComponent::ALL.iter().map(|c| c.name()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(MemoryComponent::ALL.iter().enumerate().all(|(i, c)| *c as usize == i));
     }
 
     #[test]
     fn memory_peak_tracks_total_across_components() {
         let mut ledger = CpuLedger::new();
-        ledger.set_memory("write-buffers", 6 * 1024 * 1024);
-        ledger.set_memory("read-buffers", 6 * 1024 * 1024);
+        ledger.set_memory(MemoryComponent::Inspection, 6 * 1024 * 1024);
+        ledger.set_memory(MemoryComponent::Relay, 6 * 1024 * 1024);
         assert_eq!(ledger.memory_peak_bytes(), 12 * 1024 * 1024);
-        ledger.set_memory("read-buffers", 1024);
+        ledger.set_memory(MemoryComponent::Relay, 1024);
         assert_eq!(ledger.memory_peak_bytes(), 12 * 1024 * 1024);
     }
 
     #[test]
     fn battery_model_scales_with_cpu_and_bytes() {
         let mut light = CpuLedger::new();
-        light.charge("engine", SimDuration::from_secs(60));
+        light.charge(Component::MainWorker, SimDuration::from_secs(60));
         let mut heavy = CpuLedger::new();
-        heavy.charge("engine", SimDuration::from_secs(300));
+        heavy.charge(Component::MainWorker, SimDuration::from_secs(300));
         let wall = SimDuration::from_secs(3480);
         let b_light = light.battery_percent(wall, 500 * 1024 * 1024);
         let b_heavy = heavy.battery_percent(wall, 500 * 1024 * 1024);
@@ -344,15 +476,16 @@ mod tests {
     #[test]
     fn merge_combines_ledgers() {
         let mut a = CpuLedger::new();
-        a.charge("x", SimDuration::from_millis(5));
-        a.set_memory("x", 10);
+        a.charge(Component::MainWorker, SimDuration::from_millis(5));
+        a.set_memory(MemoryComponent::Inspection, 10);
         let mut b = CpuLedger::new();
-        b.charge("x", SimDuration::from_millis(7));
-        b.charge("y", SimDuration::from_millis(1));
-        b.set_memory("y", 20);
+        b.charge(Component::MainWorker, SimDuration::from_millis(7));
+        b.charge(Component::TunWriter, SimDuration::from_millis(1));
+        b.set_memory(MemoryComponent::Relay, 20);
         a.merge(&b);
-        assert_eq!(a.busy_of("x").as_millis(), 12);
-        assert_eq!(a.busy_of("y").as_millis(), 1);
-        assert!(a.memory_peak_bytes() >= 30);
+        assert_eq!(a.busy_of(Component::MainWorker).as_millis(), 12);
+        assert_eq!(a.busy_of(Component::TunWriter).as_millis(), 1);
+        // `b` never recorded inspection memory, so `a`'s reading stands.
+        assert_eq!(a.memory_peak_bytes(), 30);
     }
 }

@@ -78,7 +78,7 @@ pub mod time;
 pub mod wheel;
 
 pub use clock::SimClock;
-pub use cost::{CostModel, CpuLedger};
+pub use cost::{Component, CostModel, CpuLedger, MemoryComponent};
 pub use dnssrv::DnsServerConfig;
 pub use fault::{FaultDecision, FaultPlan};
 pub use latency::LatencyModel;

@@ -84,8 +84,9 @@ struct SocketEntry {
 /// A set of simulated sockets sharing an ephemeral port space.
 #[derive(Debug, Default)]
 pub struct SocketSet {
-    sockets: HashMap<u64, SocketEntry>,
-    next_id: u64,
+    /// Every socket created since the last reset, indexed by its id: ids are
+    /// handed out densely from zero, so the id *is* the position.
+    sockets: Vec<SocketEntry>,
     next_port: u16,
     /// True once `addDisallowedApplication()` has been applied, making
     /// per-socket `protect()` unnecessary (§3.5.2).
@@ -99,8 +100,7 @@ impl SocketSet {
     /// Creates an empty socket set.
     pub fn new() -> Self {
         Self {
-            sockets: HashMap::new(),
-            next_id: 0,
+            sockets: Vec::new(),
             next_port: 42000,
             vpn_disallowed_application: false,
             read_pool: BufferPool::new(64 * 1024),
@@ -110,13 +110,13 @@ impl SocketSet {
     /// Resets the set to its just-constructed state while keeping the big
     /// allocations: the socket table keeps its capacity, the read-buffer
     /// pool keeps its recycled buffers (its per-run counters restart, the
-    /// resident-bytes gauge survives), and the id/port sequences restart so
-    /// a reused set hands out exactly the ids a fresh one would. The
+    /// resident-bytes gauge survives), and the id/port sequences restart
+    /// (ids are table positions) so a reused set hands out exactly the ids a
+    /// fresh one would. The
     /// `addDisallowedApplication` flag is configuration, not run state, and
     /// is kept.
     pub fn reset(&mut self) {
         self.sockets.clear();
-        self.next_id = 0;
         self.next_port = 42000;
         self.read_pool.reset_stats();
     }
@@ -147,32 +147,28 @@ impl SocketSet {
     /// pure function of the flow rather than of socket-creation order —
     /// one of the invariants behind shard-count-independent determinism.
     pub fn create_bound(&mut self, mode: SocketMode, local: Endpoint) -> SocketId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sockets.insert(
-            id,
-            SocketEntry {
-                mode,
-                state: SocketState::Unconnected,
-                local,
-                remote: None,
-                protected: false,
-                connect_outcome: None,
-                pending_reads: VecDeque::new(),
-                write_buffered: 0,
-                bytes_read: 0,
-                bytes_written: 0,
-            },
-        );
+        let id = self.sockets.len() as u64;
+        self.sockets.push(SocketEntry {
+            mode,
+            state: SocketState::Unconnected,
+            local,
+            remote: None,
+            protected: false,
+            connect_outcome: None,
+            pending_reads: VecDeque::new(),
+            write_buffered: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+        });
         SocketId(id)
     }
 
     fn entry(&self, id: SocketId) -> &SocketEntry {
-        self.sockets.get(&id.0).expect("unknown socket id")
+        self.sockets.get(id.0 as usize).expect("unknown socket id")
     }
 
     fn entry_mut(&mut self, id: SocketId) -> &mut SocketEntry {
-        self.sockets.get_mut(&id.0).expect("unknown socket id")
+        self.sockets.get_mut(id.0 as usize).expect("unknown socket id")
     }
 
     /// Returns the socket's mode.
@@ -340,7 +336,7 @@ impl SocketSet {
     /// readable. Hand the buffer back with [`SocketSet::recycle_buffer`] once
     /// the relay has segmented it — in steady state no allocation happens.
     pub fn take_readable_pooled(&mut self, id: SocketId, now: SimTime) -> Vec<u8> {
-        let e = self.sockets.get_mut(&id.0).expect("unknown socket id");
+        let e = self.sockets.get_mut(id.0 as usize).expect("unknown socket id");
         let mut total = 0usize;
         while let Some((t, b)) = e.pending_reads.front().copied() {
             if t <= now {
@@ -401,12 +397,12 @@ impl SocketSet {
 
     /// Number of sockets ever created.
     pub fn created_count(&self) -> u64 {
-        self.next_id
+        self.sockets.len() as u64
     }
 
     /// Number of sockets not yet closed.
     pub fn open_count(&self) -> usize {
-        self.sockets.values().filter(|e| !matches!(e.state, SocketState::Closed)).count()
+        self.sockets.iter().filter(|e| !matches!(e.state, SocketState::Closed)).count()
     }
 }
 
@@ -778,6 +774,48 @@ mod tests {
             set.poll_connect(id, outcome.completed_at),
             SocketState::ConnectFailed { refused: true }
         );
+    }
+
+    #[test]
+    fn dense_socket_table_reset_matches_a_fresh_set() {
+        let mut net = net();
+        let mut reused = SocketSet::new();
+        for _ in 0..5 {
+            let id = reused.create(SocketMode::Blocking);
+            reused.connect(&mut net, id, google(), SimTime::ZERO);
+        }
+        reused.create_bound(SocketMode::NonBlocking, Endpoint::v4(10, 9, 9, 9, 50_000));
+        assert_eq!(reused.created_count(), 6);
+        reused.reset();
+        assert_eq!((reused.created_count(), reused.open_count()), (0, 0));
+
+        // Ids are table positions: dense from zero, in creation order, and
+        // after a reset exactly what a fresh set hands out — ports too.
+        let mut fresh = SocketSet::new();
+        for n in 0..4u64 {
+            let (a, b) = (reused.create(SocketMode::Blocking), fresh.create(SocketMode::Blocking));
+            assert_eq!((a, a.raw()), (b, n));
+            assert_eq!(reused.local(a), fresh.local(b));
+            assert_eq!(reused.state(a), SocketState::Unconnected);
+        }
+        let bound = Endpoint::v4(10, 1, 2, 3, 40_000);
+        let a = reused.create_bound(SocketMode::NonBlocking, bound);
+        let b = fresh.create_bound(SocketMode::NonBlocking, bound);
+        assert_eq!((a, a.raw(), reused.local(a)), (b, 4, bound));
+        assert_eq!(reused.created_count(), fresh.created_count());
+        assert_eq!(reused.open_count(), fresh.open_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown socket id")]
+    fn dense_socket_table_rejects_an_unknown_id() {
+        let mut set = SocketSet::new();
+        set.create(SocketMode::Blocking);
+        let stale = set.create(SocketMode::Blocking);
+        set.reset();
+        set.create(SocketMode::Blocking);
+        // One socket exists again; the second id of the previous run does not.
+        set.state(stale);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use mop_packet::{Endpoint, FourTuple};
 use mop_simnet::tap::{TapKind, TapRecord};
 use mop_simnet::{
-    EventQueue, LatencyModel, NetworkType, SimDuration, SimNetwork, SimRng, SimTime, TapDirection,
-    WireTap,
+    Component, CpuLedger, EventQueue, LatencyModel, MemoryComponent, NetworkType, SimDuration,
+    SimNetwork, SimRng, SimTime, TapDirection, WireTap,
 };
 
 /// The wire tap's reference semantics: the linear scans over the whole
@@ -49,6 +49,99 @@ mod tap_model {
         }
         out
     }
+}
+
+/// The CPU ledger's reference semantics: the pair of name-keyed maps
+/// `CpuLedger` was before its components became enums indexing fixed arrays.
+mod ledger_model {
+    use std::collections::BTreeMap;
+
+    use mop_simnet::SimDuration;
+
+    #[derive(Debug, Default, Clone)]
+    pub struct Ledger {
+        busy: BTreeMap<String, SimDuration>,
+        memory_bytes: BTreeMap<String, usize>,
+        memory_peak: usize,
+    }
+
+    impl Ledger {
+        pub fn reset(&mut self) {
+            self.busy.clear();
+            self.memory_bytes.clear();
+            self.memory_peak = 0;
+        }
+
+        pub fn charge(&mut self, component: &str, cost: SimDuration) {
+            *self.busy.entry(component.to_string()).or_default() += cost;
+        }
+
+        pub fn set_memory(&mut self, component: &str, bytes: usize) {
+            self.memory_bytes.insert(component.to_string(), bytes);
+            let total: usize = self.memory_bytes.values().sum();
+            self.memory_peak = self.memory_peak.max(total);
+        }
+
+        pub fn total_busy(&self) -> SimDuration {
+            self.busy.values().copied().sum()
+        }
+
+        pub fn busy_of(&self, component: &str) -> SimDuration {
+            self.busy.get(component).copied().unwrap_or(SimDuration::ZERO)
+        }
+
+        pub fn breakdown(&self) -> Vec<(String, SimDuration)> {
+            self.busy.iter().map(|(k, v)| (k.clone(), *v)).collect()
+        }
+
+        pub fn cpu_percent(&self, wall: SimDuration) -> f64 {
+            if wall == SimDuration::ZERO {
+                return 0.0;
+            }
+            100.0 * self.total_busy().as_millis_f64() / wall.as_millis_f64()
+        }
+
+        pub fn memory_peak_bytes(&self) -> usize {
+            self.memory_peak
+        }
+
+        pub fn merge(&mut self, other: &Ledger) {
+            for (k, v) in &other.busy {
+                *self.busy.entry(k.clone()).or_default() += *v;
+            }
+            for (k, v) in &other.memory_bytes {
+                self.memory_bytes.insert(k.clone(), *v);
+            }
+            let total: usize = self.memory_bytes.values().sum();
+            self.memory_peak = self.memory_peak.max(other.memory_peak).max(total);
+        }
+    }
+}
+
+/// One step of the ledger differential: every operation names which of the
+/// two ledgers it acts on (a merge folds the other one in).
+#[derive(Debug, Clone)]
+enum LedgerOp {
+    Charge(bool, usize, u64),
+    SetMemory(bool, usize, usize),
+    Merge(bool),
+    Reset(bool),
+}
+
+fn arb_ledger_op() -> impl Strategy<Value = LedgerOp> {
+    // Zero-cost charges and zero-byte readings are deliberately common: a
+    // component that was charged nothing is still listed, and a reading of
+    // zero still replaces the target's in a merge.
+    let nanos = prop_oneof![1 => Just(0u64), 3 => 1u64..5_000_000];
+    let bytes = prop_oneof![1 => Just(0usize), 3 => 1usize..200_000_000];
+    prop_oneof![
+        6 => (any::<bool>(), 0..Component::ALL.len(), nanos)
+            .prop_map(|(first, c, ns)| LedgerOp::Charge(first, c, ns)),
+        4 => (any::<bool>(), 0..MemoryComponent::ALL.len(), bytes)
+            .prop_map(|(first, c, b)| LedgerOp::SetMemory(first, c, b)),
+        2 => any::<bool>().prop_map(LedgerOp::Merge),
+        1 => any::<bool>().prop_map(LedgerOp::Reset),
+    ]
 }
 
 /// A tapped packet on one of `flows` four-tuples, so tuples are reused,
@@ -187,6 +280,54 @@ proptest! {
                 prop_assert_eq!(tap.all_handshake_rtts(), tap_model::all_handshake_rtts(records));
             }
             prop_assert_eq!(tap.len(), capture.len());
+        }
+    }
+
+    #[test]
+    fn ledger_matches_the_string_keyed_map_model(
+        ops in proptest::collection::vec(arb_ledger_op(), 1..60),
+        wall_ms in 0u64..10_000,
+    ) {
+        let mut ledgers = [CpuLedger::new(), CpuLedger::new()];
+        let mut models = [ledger_model::Ledger::default(), ledger_model::Ledger::default()];
+        let wall = SimDuration::from_millis(wall_ms);
+        for op in ops {
+            match op {
+                LedgerOp::Charge(first, c, ns) => {
+                    let (i, component) = (usize::from(!first), Component::ALL[c]);
+                    ledgers[i].charge(component, SimDuration::from_nanos(ns));
+                    models[i].charge(component.name(), SimDuration::from_nanos(ns));
+                }
+                LedgerOp::SetMemory(first, c, bytes) => {
+                    let (i, component) = (usize::from(!first), MemoryComponent::ALL[c]);
+                    ledgers[i].set_memory(component, bytes);
+                    models[i].set_memory(component.name(), bytes);
+                }
+                LedgerOp::Merge(first) => {
+                    let (into, from) = (usize::from(!first), usize::from(first));
+                    let (other, other_model) = (ledgers[from].clone(), models[from].clone());
+                    ledgers[into].merge(&other);
+                    models[into].merge(&other_model);
+                }
+                LedgerOp::Reset(first) => {
+                    ledgers[usize::from(!first)].reset();
+                    models[usize::from(!first)].reset();
+                }
+            }
+            for (ledger, model) in ledgers.iter().zip(&models) {
+                let breakdown: Vec<(String, SimDuration)> = ledger
+                    .breakdown()
+                    .into_iter()
+                    .map(|(component, busy)| (component.name().to_string(), busy))
+                    .collect();
+                prop_assert_eq!(breakdown, model.breakdown());
+                for component in Component::ALL {
+                    prop_assert_eq!(ledger.busy_of(component), model.busy_of(component.name()));
+                }
+                prop_assert_eq!(ledger.total_busy(), model.total_busy());
+                prop_assert_eq!(ledger.cpu_percent(wall), model.cpu_percent(wall));
+                prop_assert_eq!(ledger.memory_peak_bytes(), model.memory_peak_bytes());
+            }
         }
     }
 

@@ -10,7 +10,9 @@
 //! * [`state`] — the connection states and transition rules,
 //! * [`machine`] — [`machine::TcpStateMachine`], which consumes tunnel
 //!   segments from the app and socket-side events from the relay, and emits
-//!   response packets plus relay actions,
+//!   response packets plus relay actions into caller-owned buffers,
+//! * [`pool`] — [`pool::SegmentPool`], the free list the payload buffers of
+//!   sent segments come from and return to,
 //! * [`recovery`] — [`recovery::RecoveryState`], the sender-side loss
 //!   recovery (RFC 6298 RTT estimation and retransmission timing, SACK
 //!   scoreboard, fast retransmit) plus the pluggable congestion controllers
@@ -28,12 +30,14 @@
 //! next to the socket, so each fact about a connection has one home.
 
 pub mod machine;
+pub mod pool;
 pub mod recovery;
 pub mod state;
 pub mod timer;
 pub mod udp;
 
 pub use machine::{RelayAction, SegmentRef, SegmentVerdict, TcpStateMachine};
+pub use pool::SegmentPool;
 pub use recovery::{
     AckReaction, CongestionAlgo, CongestionControl, Cubic, RecoveryState, Reno, Retransmit,
     RttEstimator,

@@ -3,11 +3,11 @@
 //! One [`TcpStateMachine`] exists per internal connection. It consumes two
 //! kinds of input:
 //!
-//! * tunnel segments arriving from the app ([`TcpStateMachine::on_tunnel_segment`]),
+//! * tunnel segments arriving from the app ([`TcpStateMachine::on_segment_into`]),
 //! * socket-side events arriving from the external connection
-//!   (`on_external_*` methods).
+//!   (`on_external_*_into` methods).
 //!
-//! For each input it returns the packets that must be written back to the
+//! For each input it emits the packets that must be written back to the
 //! tunnel (towards the app) and the [`RelayAction`]s the engine must apply to
 //! the external socket. The processing rules follow §2.3 of the paper:
 //! the SYN/ACK to the app is deferred until the external connect completes,
@@ -16,10 +16,23 @@
 //! data is forwarded to the app without waiting for ACKs and with the MSS and
 //! window tuning of §3.4 (1460-byte segments, 64 KiB window, no congestion or
 //! flow control inside the tunnel).
+//!
+//! # Who owns the outputs
+//!
+//! The `*_into` entry points are sink-style: they *append* to output vectors
+//! the caller owns and never allocate one themselves. The engine's relay
+//! stage keeps one packet vector and one action vector for its whole life,
+//! drains them after every call (clear, don't drop), and so relays a packet
+//! without touching the allocator; data segments take their payload buffers
+//! from the caller's [`SegmentPool`]. The methods without the suffix
+//! (`on_tunnel_segment`, `on_external_data`, …) are thin wrappers that run
+//! the sink form into fresh vectors and return them — convenient for unit
+//! tests and probes, not for a packet path.
 
 use mop_packet::tcp::MOPEYE_MSS;
 use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, TcpFlags, TcpSegment, TcpSegmentView};
 
+use crate::pool::SegmentPool;
 use crate::state::TcpState;
 
 /// A borrowed view of the tunnel-segment fields the relay decision needs.
@@ -53,18 +66,19 @@ impl<'a> From<&TcpSegmentView<'a>> for SegmentRef<'a> {
 }
 
 /// An instruction for the relay engine, produced while processing a segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelayAction {
     /// Open the external socket connection to the app's destination.
     ConnectExternal {
         /// The remote server endpoint.
         dst: Endpoint,
     },
-    /// Append these bytes to the external socket's write buffer and trigger a
-    /// write event.
+    /// Append this many bytes to the external socket's write buffer and
+    /// trigger a write event. (The simulated socket counts bytes; it never
+    /// reads them, so the payload itself stays in the TUN buffer.)
     RelayData {
-        /// Application payload carried by the tunnel segment.
-        bytes: Vec<u8>,
+        /// Length of the application payload carried by the tunnel segment.
+        len: usize,
     },
     /// Half-close the external connection (the app sent FIN).
     HalfCloseExternal,
@@ -112,6 +126,13 @@ pub struct TcpStateMachine {
     bytes_to_app: u64,
 }
 
+/// Runs a sink-style emitter into a fresh vector (the owned-return wrappers).
+fn collected(emit: impl FnOnce(&mut Vec<Packet>)) -> Vec<Packet> {
+    let mut out = Vec::new();
+    emit(&mut out);
+    out
+}
+
 impl TcpStateMachine {
     /// Creates a machine for `flow` (oriented app → server) using `our_isn`
     /// as the initial sequence number towards the app.
@@ -155,161 +176,163 @@ impl TcpStateMachine {
         self.bytes_to_app
     }
 
-    /// Processes a tunnel segment from the app.
+    /// Processes a tunnel segment from the app, returning what it emits in
+    /// fresh vectors (wrapper over [`TcpStateMachine::on_segment_into`]).
     pub fn on_tunnel_segment(
         &mut self,
         seg: &TcpSegment,
     ) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
-        self.on_segment(seg.into())
+        let (mut packets, mut actions) = (Vec::new(), Vec::new());
+        let verdict = self.on_segment_into(seg.into(), &mut packets, &mut actions);
+        (packets, actions, verdict)
     }
 
-    /// Processes a tunnel segment borrowed straight from the TUN buffer —
-    /// the zero-copy entry point the relay's MainWorker uses.
-    pub fn on_tunnel_segment_view(
-        &mut self,
-        seg: &TcpSegmentView<'_>,
-    ) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
-        self.on_segment(seg.into())
-    }
-
-    /// Processes a tunnel segment given as a borrowed field view.
-    pub fn on_segment(
+    /// Processes a tunnel segment from the app — given as a borrowed field
+    /// view, so the relay's MainWorker can pass one straight off the TUN
+    /// buffer — appending the packets for the app to `packets` and the
+    /// instructions for the engine to `actions`.
+    pub fn on_segment_into(
         &mut self,
         seg: SegmentRef<'_>,
-    ) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
+        packets: &mut Vec<Packet>,
+        actions: &mut Vec<RelayAction>,
+    ) -> SegmentVerdict {
         if seg.flags.contains(TcpFlags::RST) {
-            return self.on_app_rst();
+            self.state = TcpState::Reset;
+            actions.extend([RelayAction::CloseExternal, RelayAction::RemoveClient]);
+            return SegmentVerdict::Rst;
         }
         if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::ACK) {
-            return self.on_app_syn(seg);
+            return self.on_app_syn(seg, packets, actions);
         }
         if seg.flags.contains(TcpFlags::FIN) {
-            return self.on_app_fin(seg);
+            return self.on_app_fin(seg, packets, actions);
         }
         if !seg.payload.is_empty() {
-            return self.on_app_data(seg);
+            return self.on_app_data(seg, packets, actions);
         }
-        self.on_app_pure_ack(seg)
+        self.on_app_pure_ack(seg, actions)
     }
 
-    fn on_app_syn(&mut self, seg: SegmentRef<'_>) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
+    fn on_app_syn(
+        &mut self,
+        seg: SegmentRef<'_>,
+        packets: &mut Vec<Packet>,
+        actions: &mut Vec<RelayAction>,
+    ) -> SegmentVerdict {
         match self.state {
             TcpState::Listen => {
                 self.peer_next = seg.seq.wrapping_add(1);
                 self.peer_mss = seg.mss;
                 self.state = TcpState::SynReceivedPendingExternal;
-                (
-                    Vec::new(),
-                    vec![RelayAction::ConnectExternal { dst: self.flow.dst }],
-                    SegmentVerdict::Syn,
-                )
+                actions.push(RelayAction::ConnectExternal { dst: self.flow.dst });
+                SegmentVerdict::Syn
             }
             // A retransmitted SYN while the external connect is still pending:
             // keep waiting, nothing to send yet.
-            TcpState::SynReceivedPendingExternal => {
-                (Vec::new(), Vec::new(), SegmentVerdict::Retransmission)
-            }
+            TcpState::SynReceivedPendingExternal => SegmentVerdict::Retransmission,
             // A retransmitted SYN after we already answered: resend SYN/ACK.
             TcpState::SynAckSent => {
-                let syn_ack =
-                    self.to_app.tcp_syn_ack(self.our_next.wrapping_sub(1), seg.seq);
-                (vec![syn_ack], Vec::new(), SegmentVerdict::Retransmission)
+                packets.push(self.to_app.tcp_syn_ack(self.our_next.wrapping_sub(1), seg.seq));
+                SegmentVerdict::Retransmission
             }
-            _ => (Vec::new(), Vec::new(), SegmentVerdict::OutOfState),
+            _ => SegmentVerdict::OutOfState,
         }
     }
 
-    fn on_app_data(&mut self, seg: SegmentRef<'_>) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
+    fn on_app_data(
+        &mut self,
+        seg: SegmentRef<'_>,
+        packets: &mut Vec<Packet>,
+        actions: &mut Vec<RelayAction>,
+    ) -> SegmentVerdict {
         // The app's ACK of our SYN/ACK may be piggy-backed on its first data
         // segment; promote to Established first.
         if self.state == TcpState::SynAckSent && seg.flags.contains(TcpFlags::ACK) {
             self.state = TcpState::Established;
         }
         if !self.state.accepts_app_data() {
-            return (Vec::new(), Vec::new(), SegmentVerdict::OutOfState);
+            return SegmentVerdict::OutOfState;
         }
         if seg.seq != self.peer_next {
             // Already-seen data (or a gap we do not track): re-ACK what we
             // have so the app's stack stops retransmitting.
-            let ack = self.to_app.tcp_ack(self.our_next, self.peer_next);
-            return (vec![ack], Vec::new(), SegmentVerdict::Retransmission);
+            packets.push(self.to_app.tcp_ack(self.our_next, self.peer_next));
+            return SegmentVerdict::Retransmission;
         }
         let len = seg.payload.len();
         self.peer_next = self.peer_next.wrapping_add(len as u32);
         self.bytes_from_app += len as u64;
-        (
-            Vec::new(),
-            vec![RelayAction::RelayData { bytes: seg.payload.to_vec() }],
-            SegmentVerdict::Data(len),
-        )
+        actions.push(RelayAction::RelayData { len });
+        SegmentVerdict::Data(len)
     }
 
-    fn on_app_pure_ack(&mut self, seg: SegmentRef<'_>) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
+    fn on_app_pure_ack(
+        &mut self,
+        seg: SegmentRef<'_>,
+        actions: &mut Vec<RelayAction>,
+    ) -> SegmentVerdict {
         match self.state {
+            // The handshake-completing ACK still carries no data to relay.
             TcpState::SynAckSent if seg.flags.contains(TcpFlags::ACK) => {
                 self.state = TcpState::Established;
-                // The handshake-completing ACK still carries no data to relay.
-                (Vec::new(), Vec::new(), SegmentVerdict::PureAckDiscarded)
             }
             TcpState::LastAck if seg.flags.contains(TcpFlags::ACK) => {
                 self.state = TcpState::Closed;
-                (Vec::new(), vec![RelayAction::RemoveClient], SegmentVerdict::PureAckDiscarded)
+                actions.push(RelayAction::RemoveClient);
             }
             // Pure ACKs carry nothing worth relaying to the socket channel.
-            _ => (Vec::new(), Vec::new(), SegmentVerdict::PureAckDiscarded),
+            _ => {}
         }
+        SegmentVerdict::PureAckDiscarded
     }
 
-    fn on_app_fin(&mut self, seg: SegmentRef<'_>) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
+    fn on_app_fin(
+        &mut self,
+        seg: SegmentRef<'_>,
+        packets: &mut Vec<Packet>,
+        actions: &mut Vec<RelayAction>,
+    ) -> SegmentVerdict {
         match self.state {
             TcpState::Established | TcpState::SynAckSent => {
                 // Any data on the FIN segment is still relayed.
-                let mut actions = Vec::new();
                 if !seg.payload.is_empty() && seg.seq == self.peer_next {
                     self.peer_next = self.peer_next.wrapping_add(seg.payload.len() as u32);
                     self.bytes_from_app += seg.payload.len() as u64;
-                    actions.push(RelayAction::RelayData { bytes: seg.payload.to_vec() });
+                    actions.push(RelayAction::RelayData { len: seg.payload.len() });
                 }
                 self.peer_next = self.peer_next.wrapping_add(1);
                 self.state = TcpState::CloseWait;
                 actions.push(RelayAction::HalfCloseExternal);
-                let ack = self.to_app.tcp_ack(self.our_next, self.peer_next);
-                (vec![ack], actions, SegmentVerdict::Fin)
+                packets.push(self.to_app.tcp_ack(self.our_next, self.peer_next));
+                SegmentVerdict::Fin
             }
             TcpState::FinWait => {
                 // Server already closed; this FIN completes the shutdown.
                 self.peer_next = self.peer_next.wrapping_add(1);
                 self.state = TcpState::TimeWait;
-                let ack = self.to_app.tcp_ack(self.our_next, self.peer_next);
-                (
-                    vec![ack],
-                    vec![RelayAction::CloseExternal, RelayAction::RemoveClient],
-                    SegmentVerdict::Fin,
-                )
+                packets.push(self.to_app.tcp_ack(self.our_next, self.peer_next));
+                actions.extend([RelayAction::CloseExternal, RelayAction::RemoveClient]);
+                SegmentVerdict::Fin
             }
-            _ => (Vec::new(), Vec::new(), SegmentVerdict::OutOfState),
+            _ => SegmentVerdict::OutOfState,
         }
-    }
-
-    fn on_app_rst(&mut self) -> (Vec<Packet>, Vec<RelayAction>, SegmentVerdict) {
-        self.state = TcpState::Reset;
-        (
-            Vec::new(),
-            vec![RelayAction::CloseExternal, RelayAction::RemoveClient],
-            SegmentVerdict::Rst,
-        )
     }
 
     /// The external socket connection has been established: complete the
     /// handshake with the app by sending the SYN/ACK (§2.3).
-    pub fn on_external_connected(&mut self) -> Vec<Packet> {
+    pub fn on_external_connected_into(&mut self, out: &mut Vec<Packet>) {
         if self.state != TcpState::SynReceivedPendingExternal {
-            return Vec::new();
+            return;
         }
-        let syn_ack = self.to_app.tcp_syn_ack(self.our_next, self.peer_next.wrapping_sub(1));
+        out.push(self.to_app.tcp_syn_ack(self.our_next, self.peer_next.wrapping_sub(1)));
         self.our_next = self.our_next.wrapping_add(1);
         self.state = TcpState::SynAckSent;
-        vec![syn_ack]
+    }
+
+    /// [`TcpStateMachine::on_external_connected_into`] into a fresh vector.
+    pub fn on_external_connected(&mut self) -> Vec<Packet> {
+        collected(|out| self.on_external_connected_into(out))
     }
 
     /// The external connect failed: abort the app's connection attempt.
@@ -317,29 +340,45 @@ impl TcpStateMachine {
     /// A refused connection is surfaced as an RST; a timeout sends nothing
     /// (the app's own SYN retransmissions will eventually give up, as they
     /// would without a relay in the path).
-    pub fn on_external_connect_failed(&mut self, refused: bool) -> Vec<Packet> {
+    pub fn on_external_connect_failed_into(&mut self, refused: bool, out: &mut Vec<Packet>) {
         self.state = TcpState::Reset;
         if refused {
-            vec![self.to_app.tcp_rst_ack(self.our_next, self.peer_next)]
-        } else {
-            Vec::new()
+            out.push(self.to_app.tcp_rst_ack(self.our_next, self.peer_next));
         }
     }
 
+    /// [`TcpStateMachine::on_external_connect_failed_into`] into a fresh
+    /// vector.
+    pub fn on_external_connect_failed(&mut self, refused: bool) -> Vec<Packet> {
+        collected(|out| self.on_external_connect_failed_into(refused, out))
+    }
+
     /// Data arrived from the external socket: forward it to the app in
-    /// MSS-sized segments without waiting for ACKs (§3.4).
-    pub fn on_external_data(&mut self, bytes: &[u8]) -> Vec<Packet> {
-        if !self.state.accepts_server_data() || bytes.is_empty() {
-            return Vec::new();
+    /// MSS-sized segments without waiting for ACKs (§3.4). Each segment's
+    /// payload buffer is taken from `pool`, which gets it back when the
+    /// segment dies (delivered, dropped by a fault).
+    pub fn on_external_data_into(
+        &mut self,
+        bytes: &[u8],
+        pool: &mut SegmentPool,
+        out: &mut Vec<Packet>,
+    ) {
+        if !self.state.accepts_server_data() {
+            return;
         }
-        let mut packets = Vec::with_capacity(bytes.len() / usize::from(self.our_mss) + 1);
         for chunk in bytes.chunks(usize::from(self.our_mss)) {
-            let pkt = self.to_app.tcp_data(self.our_next, self.peer_next, chunk.to_vec());
+            out.push(self.to_app.tcp_data(self.our_next, self.peer_next, pool.filled(chunk)));
             self.our_next = self.our_next.wrapping_add(chunk.len() as u32);
             self.bytes_to_app += chunk.len() as u64;
-            packets.push(pkt);
         }
-        packets
+    }
+
+    /// [`TcpStateMachine::on_external_data_into`] into a fresh vector, with
+    /// freshly allocated payloads.
+    pub fn on_external_data(&mut self, bytes: &[u8]) -> Vec<Packet> {
+        let mut out = Vec::with_capacity(bytes.len().div_ceil(usize::from(self.our_mss)));
+        self.on_external_data_into(bytes, &mut SegmentPool::new(), &mut out);
+        out
     }
 
     /// Rebuilds a previously sent data segment for retransmission: same
@@ -353,37 +392,42 @@ impl TcpStateMachine {
 
     /// The external socket finished writing relayed bytes: acknowledge the
     /// app's data (§2.3, socket write handling).
-    pub fn on_external_write_complete(&mut self) -> Vec<Packet> {
+    pub fn on_external_write_complete_into(&mut self, out: &mut Vec<Packet>) {
         if self.state.is_handshaking() || self.state.is_terminal() {
-            return Vec::new();
+            return;
         }
-        vec![self.to_app.tcp_ack(self.our_next, self.peer_next)]
+        out.push(self.to_app.tcp_ack(self.our_next, self.peer_next));
+    }
+
+    /// [`TcpStateMachine::on_external_write_complete_into`] into a fresh
+    /// vector.
+    pub fn on_external_write_complete(&mut self) -> Vec<Packet> {
+        collected(|out| self.on_external_write_complete_into(out))
     }
 
     /// The external socket closed (or was reset): propagate to the app.
-    pub fn on_external_closed(&mut self, reset: bool) -> Vec<Packet> {
+    pub fn on_external_closed_into(&mut self, reset: bool, out: &mut Vec<Packet>) {
         if self.state.is_terminal() {
-            return Vec::new();
+            return;
         }
         if reset {
             self.state = TcpState::Reset;
-            return vec![self.to_app.tcp_rst_ack(self.our_next, self.peer_next)];
+            out.push(self.to_app.tcp_rst_ack(self.our_next, self.peer_next));
+            return;
         }
-        match self.state {
-            TcpState::Established | TcpState::SynAckSent => {
-                let fin = self.to_app.tcp_fin(self.our_next, self.peer_next);
-                self.our_next = self.our_next.wrapping_add(1);
-                self.state = TcpState::FinWait;
-                vec![fin]
-            }
-            TcpState::CloseWait => {
-                let fin = self.to_app.tcp_fin(self.our_next, self.peer_next);
-                self.our_next = self.our_next.wrapping_add(1);
-                self.state = TcpState::LastAck;
-                vec![fin]
-            }
-            _ => Vec::new(),
-        }
+        let after_fin = match self.state {
+            TcpState::Established | TcpState::SynAckSent => TcpState::FinWait,
+            TcpState::CloseWait => TcpState::LastAck,
+            _ => return,
+        };
+        out.push(self.to_app.tcp_fin(self.our_next, self.peer_next));
+        self.our_next = self.our_next.wrapping_add(1);
+        self.state = after_fin;
+    }
+
+    /// [`TcpStateMachine::on_external_closed_into`] into a fresh vector.
+    pub fn on_external_closed(&mut self, reset: bool) -> Vec<Packet> {
+        collected(|out| self.on_external_closed_into(reset, out))
     }
 }
 
@@ -454,7 +498,7 @@ mod tests {
         let data = app_builder().tcp_data(1001, 9001, b"GET / HTTP/1.1\r\n".to_vec());
         let (pkts, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert!(pkts.is_empty(), "data is ACKed only after the socket write completes");
-        assert_eq!(actions, vec![RelayAction::RelayData { bytes: b"GET / HTTP/1.1\r\n".to_vec() }]);
+        assert_eq!(actions, vec![RelayAction::RelayData { len: 16 }]);
         assert_eq!(verdict, SegmentVerdict::Data(16));
         assert_eq!(m.bytes_from_app(), 16);
         let acks = m.on_external_write_complete();
@@ -607,12 +651,26 @@ mod tests {
     fn retransmit_data_replays_the_segment_without_advancing_state() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let originals = m.on_external_data(&[0x5a; 100]);
+        // Segment through a pool whose only buffer is longer than the
+        // payload and full of other bytes, as a recycled one would be.
+        let mut pool = SegmentPool::new();
+        pool.put(vec![0xee; 1_460]);
+        let mut originals = Vec::new();
+        m.on_external_data_into(&[0x5a; 100], &mut pool, &mut originals);
+        assert_eq!(originals[0].tcp().unwrap().payload, [0x5a; 100]);
         let sent = m.bytes_to_app();
         let next_before = m.our_next;
+        let wire = originals[0].to_bytes();
+        // The scoreboard's copy, then the original's buffer is recycled and
+        // overwritten by the next segment before the retransmission.
         let orig_tcp = originals[0].tcp().unwrap();
-        let replay = m.retransmit_data(orig_tcp.seq, orig_tcp.payload.clone());
-        assert_eq!(replay.to_bytes(), originals[0].to_bytes(), "byte-identical resend");
+        let (seq, copy) = (orig_tcp.seq, pool.filled(&orig_tcp.payload));
+        pool.recycle(originals.remove(0));
+        m.on_external_data_into(&[0x77; 300], &mut pool, &mut originals);
+        assert_eq!(originals[0].tcp().unwrap().payload, [0x77; 300]);
+        let (sent, next_before) = (sent + 300, next_before.wrapping_add(300));
+        let replay = m.retransmit_data(seq, copy);
+        assert_eq!(replay.to_bytes(), wire, "byte-identical resend");
         assert_eq!(m.bytes_to_app(), sent, "counters untouched");
         assert_eq!(m.our_next, next_before, "sequence space untouched");
     }

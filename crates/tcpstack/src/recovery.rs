@@ -24,10 +24,25 @@
 //! Like the rest of this crate, nothing here depends on the simulator:
 //! times are plain nanosecond counts and the engine owns the actual timers
 //! (via [`crate::timer::ConnTimers`] tokens).
+//!
+//! # Who owns the buffers
+//!
+//! The scoreboard keeps its own copy of every in-flight payload (the
+//! transmitted packet is gone by the time a retransmission is needed). On
+//! the engine's path that copy comes from, and returns to, the engine's
+//! [`SegmentPool`]: [`RecoveryState::on_data_sent_owned`] takes a buffer the
+//! caller filled from the pool, and [`RecoveryState::on_ack_recycling`]
+//! hands the buffers of cumulatively acknowledged segments back to it, so a
+//! clean window costs the allocator nothing. Retransmissions clone — they
+//! are per loss event, not per packet. [`RecoveryState::on_data_sent`] and
+//! [`RecoveryState::on_ack`] are the pool-less forms (copy in, drop out) for
+//! unit tests and probes.
 
 use std::collections::VecDeque;
 
 use mop_packet::SackBlocks;
+
+use crate::pool::SegmentPool;
 
 /// Number of duplicate ACKs that triggers a fast retransmit.
 pub const DUP_ACK_THRESHOLD: u32 = 3;
@@ -386,16 +401,23 @@ impl RecoveryState {
         }
     }
 
-    /// Records one transmitted data segment. Returns true if this was the
-    /// first segment in flight (the caller should arm the RTO timer).
+    /// Records one transmitted data segment, copying its payload. Returns
+    /// true if this was the first segment in flight (the caller should arm
+    /// the RTO timer).
     pub fn on_data_sent(&mut self, seq: u32, payload: &[u8], now_ns: u64) -> bool {
+        self.on_data_sent_owned(seq, payload.to_vec(), now_ns)
+    }
+
+    /// [`RecoveryState::on_data_sent`] taking the scoreboard's copy of the
+    /// payload ready-made — the engine fills it from its [`SegmentPool`].
+    pub fn on_data_sent_owned(&mut self, seq: u32, payload: Vec<u8>, now_ns: u64) -> bool {
         let was_empty = self.inflight.is_empty();
         if was_empty {
             self.snd_una = seq;
         }
         self.inflight.push_back(SentSegment {
             seq,
-            payload: payload.to_vec(),
+            payload,
             sent_at_ns: now_ns,
             retransmitted: false,
             sacked: false,
@@ -406,6 +428,28 @@ impl RecoveryState {
     /// Processes an ACK from the app: advances `snd_una`, applies SACK
     /// blocks, counts duplicates, and decides what (if anything) to resend.
     pub fn on_ack(&mut self, ack: u32, sack: Option<SackBlocks>, now_ns: u64) -> AckReaction {
+        self.ack(ack, sack, now_ns, None)
+    }
+
+    /// [`RecoveryState::on_ack`], returning the payload buffers of the
+    /// segments the ACK cumulatively covers to `pool`.
+    pub fn on_ack_recycling(
+        &mut self,
+        ack: u32,
+        sack: Option<SackBlocks>,
+        now_ns: u64,
+        pool: &mut SegmentPool,
+    ) -> AckReaction {
+        self.ack(ack, sack, now_ns, Some(pool))
+    }
+
+    fn ack(
+        &mut self,
+        ack: u32,
+        sack: Option<SackBlocks>,
+        now_ns: u64,
+        mut pool: Option<&mut SegmentPool>,
+    ) -> AckReaction {
         let mut reaction = AckReaction::default();
         if self.inflight.is_empty() {
             return reaction;
@@ -422,7 +466,9 @@ impl RecoveryState {
                 rtt_sample = Some(now_ns.saturating_sub(front.sent_at_ns));
             }
             newly_acked += 1;
-            self.inflight.pop_front();
+            if let (Some(acked), Some(pool)) = (self.inflight.pop_front(), pool.as_deref_mut()) {
+                pool.put(acked.payload);
+            }
         }
         if newly_acked > 0 {
             reaction.advanced = true;

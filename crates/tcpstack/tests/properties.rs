@@ -66,9 +66,9 @@ proptest! {
                     let pkt = app.tcp_data(app_seq.wrapping_add(1), 0, payload);
                     let (_, actions, _) = machine.on_tunnel_segment(pkt.tcp().unwrap());
                     for action in actions {
-                        if let RelayAction::RelayData { bytes } = action {
-                            bytes_relayed += bytes.len() as u64;
-                            app_seq = app_seq.wrapping_add(bytes.len() as u32);
+                        if let RelayAction::RelayData { len } = action {
+                            bytes_relayed += len as u64;
+                            app_seq = app_seq.wrapping_add(len as u32);
                         }
                     }
                 }
@@ -142,7 +142,7 @@ proptest! {
         let relayed: usize = actions
             .iter()
             .map(|a| match a {
-                RelayAction::RelayData { bytes } => bytes.len(),
+                RelayAction::RelayData { len } => *len,
                 _ => 0,
             })
             .sum();
@@ -291,5 +291,86 @@ proptest! {
         }
         prop_assert_eq!(receiver.ack, final_ack, "receiver missing bytes");
         prop_assert!(!recovery.has_inflight());
+    }
+
+    /// Recycled buffers are indistinguishable from fresh copies. Random
+    /// reads of random bytes go through the pooled segmenter with a free
+    /// list that starts out full of garbage; delivered packets and
+    /// cumulatively ACKed scoreboard copies keep returning their buffers
+    /// for later segments to overwrite. Every emitted payload must equal
+    /// its input chunk, and a SACK-hole fast retransmit and an RTO
+    /// retransmit — of a segment sent before all that reuse — must still
+    /// be byte-identical to the original transmission.
+    #[test]
+    fn pooled_segments_match_their_input_and_retransmits_match_the_original(
+        reads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 1..4_000), 2..7),
+        dirt in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 1..3_000), 0..8),
+        acked_share in 0usize..4,
+    ) {
+        use mop_tcpstack::{CongestionAlgo, RecoveryState, SegmentPool};
+        let app = PacketBuilder::new(flow().src, flow().dst);
+        let mut machine = TcpStateMachine::new(flow(), 9_000);
+        machine.on_tunnel_segment(app.tcp_syn(1).tcp().unwrap());
+        machine.on_external_connected();
+        machine.on_tunnel_segment(app.tcp_ack(2, 9_001).tcp().unwrap());
+        let mut recovery = RecoveryState::new(CongestionAlgo::Reno, Some(50_000_000));
+        let mut pool = SegmentPool::new();
+        for buf in dirt {
+            pool.put(buf);
+        }
+        // (seq, end, wire bytes) of every original transmission.
+        let mut sent: Vec<(u32, u32, Vec<u8>)> = Vec::new();
+        let mut acked = 0usize;
+        let mut out = Vec::new();
+        let mut now = 0u64;
+        for read in &reads {
+            now += 1_000_000;
+            machine.on_external_data_into(read, &mut pool, &mut out);
+            let payloads: Vec<&[u8]> =
+                out.iter().map(|p| p.tcp().unwrap().payload.as_slice()).collect();
+            prop_assert!(payloads.iter().all(|p| !p.is_empty() && p.len() <= 1_460));
+            prop_assert_eq!(&payloads.concat(), read, "payloads are the read, in order");
+            for packet in out.drain(..) {
+                let (seq, copy) = {
+                    let segment = packet.tcp().unwrap();
+                    (segment.seq, pool.filled(&segment.payload))
+                };
+                prop_assert_eq!(&copy, &packet.tcp().unwrap().payload);
+                let end = seq.wrapping_add(copy.len() as u32);
+                recovery.on_data_sent_owned(seq, copy, now);
+                sent.push((seq, end, packet.to_bytes()));
+                // Delivered: the payload buffer goes back for reuse.
+                pool.recycle(packet);
+            }
+            // The app ACKs part of what is outstanding (never the last
+            // segment), which returns those scoreboard copies to the pool
+            // for the next read to scribble over.
+            let upto = acked + (sent.len() - 1 - acked) * acked_share / 4;
+            if upto > acked {
+                let reaction = recovery.on_ack_recycling(sent[upto - 1].1, None, now, &mut pool);
+                prop_assert!(reaction.advanced && reaction.retransmits.is_empty());
+                acked = upto;
+            }
+        }
+        prop_assert!(recovery.has_inflight());
+        // Three duplicate ACKs SACKing everything above the first hole.
+        let (hole_seq, hole_end, ref original) = sent[acked];
+        let sack = (acked + 1 < sent.len())
+            .then(|| mop_packet::SackBlocks::new(&[(hole_end, sent[sent.len() - 1].1)]));
+        let mut resent = Vec::new();
+        for _ in 0..3 {
+            now += 1_000_000;
+            resent.extend(recovery.on_ack_recycling(hole_seq, sack, now, &mut pool).retransmits);
+        }
+        prop_assert_eq!(resent.len(), 1, "one hole, one fast retransmit");
+        let fast = resent.remove(0);
+        prop_assert_eq!(fast.seq, hole_seq);
+        prop_assert_eq!(&machine.retransmit_data(fast.seq, fast.payload).to_bytes(), original);
+        // The timer path replays the same segment from the same scoreboard.
+        let rto = recovery.on_rto(now + 2_000_000_000).expect("the hole is still in flight");
+        prop_assert_eq!(rto.seq, hole_seq);
+        prop_assert_eq!(&machine.retransmit_data(rto.seq, rto.payload).to_bytes(), original);
     }
 }

@@ -14,6 +14,10 @@
 //! which is what drives the relay's fast-retransmit and RTO machinery. On an
 //! in-order stream none of that triggers and the emitted packets are
 //! byte-identical to the plain cumulative-ACK client.
+//!
+//! Replies are emitted sink-style ([`AppEndpoint::handle_into`] appends to a
+//! vector the caller owns), so the endpoint itself allocates only per flow
+//! (its request) and per loss event (out-of-order buffering, SACK ranges).
 
 use std::collections::BTreeMap;
 
@@ -147,34 +151,34 @@ impl AppEndpoint {
         self.builder.tcp_syn(self.seq)
     }
 
-    /// Processes a packet arriving from the tunnel (sent by MopEye) and
-    /// returns the packets the app sends in response.
-    pub fn handle(&mut self, packet: &Packet) -> Vec<Packet> {
-        let Some(tcp) = packet.tcp() else { return Vec::new() };
+    /// Processes a packet arriving from the tunnel (sent by MopEye),
+    /// appending the packets the app sends in response to `out` — a buffer
+    /// the caller owns and drains, so a delivery allocates nothing for its
+    /// replies (the engine's ingress stage keeps one for its whole life).
+    pub fn handle_into(&mut self, packet: &Packet, out: &mut Vec<Packet>) {
+        let Some(tcp) = packet.tcp() else { return };
         // Only handle packets for our connection (reverse direction).
         if packet.four_tuple() != Some(self.flow.reversed()) {
-            return Vec::new();
+            return;
         }
         if tcp.flags.contains(TcpFlags::RST) {
             self.state = AppState::Failed;
-            return Vec::new();
+            return;
         }
         match self.state {
             AppState::SynSent if tcp.is_syn_ack() => {
                 self.seq = self.seq.wrapping_add(1);
                 self.ack = tcp.seq.wrapping_add(1);
                 self.state = AppState::Established;
-                let mut out = vec![self.builder.tcp_ack(self.seq, self.ack)];
+                out.push(self.builder.tcp_ack(self.seq, self.ack));
                 if !self.request.is_empty() {
                     let data = self.builder.tcp_data(self.seq, self.ack, self.request.clone());
                     self.seq = self.seq.wrapping_add(self.request.len() as u32);
                     self.request_sent = true;
                     out.push(data);
                 }
-                out
             }
             AppState::Established | AppState::Closing => {
-                let mut out = Vec::new();
                 let mut advanced = false;
                 if !tcp.payload.is_empty() {
                     if tcp.seq == self.ack {
@@ -192,7 +196,7 @@ impl AppEndpoint {
                         // the sender's scoreboard advances, relay nothing.
                         self.dup_acks_sent += 1;
                         out.push(self.builder.tcp_ack(self.seq, self.ack));
-                        return out;
+                        return;
                     } else {
                         // A sequence hole: buffer the segment and answer
                         // with a SACK-carrying duplicate ACK.
@@ -200,7 +204,7 @@ impl AppEndpoint {
                         self.dup_acks_sent += 1;
                         let blocks = self.sack_blocks(Some(tcp.seq));
                         out.push(self.builder.tcp_sack_ack(self.seq, self.ack, blocks));
-                        return out;
+                        return;
                     }
                 }
                 if tcp.flags.contains(TcpFlags::FIN) {
@@ -216,19 +220,19 @@ impl AppEndpoint {
                             out.push(self.builder.tcp_fin(self.seq, self.ack));
                             self.seq = self.seq.wrapping_add(1);
                             self.state = AppState::Done;
-                            return out;
+                            return;
                         }
                         // We are closing and this is the relay's FIN: final ACK.
                         out.push(self.builder.tcp_ack(self.seq, self.ack));
                         self.state = AppState::Done;
-                        return out;
+                        return;
                     }
                     if tcp.flags.contains(TcpFlags::FIN) {
                         // FIN beyond a hole: hold it and ask for the gap.
                         self.dup_acks_sent += 1;
                         let blocks = self.sack_blocks(None);
                         out.push(self.builder.tcp_sack_ack(self.seq, self.ack, blocks));
-                        return out;
+                        return;
                     }
                 }
                 if advanced {
@@ -244,10 +248,17 @@ impl AppEndpoint {
                     self.seq = self.seq.wrapping_add(1);
                     self.state = AppState::Closing;
                 }
-                out
             }
-            _ => Vec::new(),
+            _ => {}
         }
+    }
+
+    /// [`AppEndpoint::handle_into`] into a fresh vector — the convenient
+    /// form for tests; a packet path should own the buffer instead.
+    pub fn handle(&mut self, packet: &Packet) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.handle_into(packet, &mut out);
+        out
     }
 }
 
