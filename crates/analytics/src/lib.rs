@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod crowd;
 pub mod diagnose;

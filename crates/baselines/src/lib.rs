@@ -12,6 +12,8 @@
 //!   design choices (adaptive-sleep reads, cache mapping, per-socket
 //!   protect, content inspection) for Tables 3 and 4.
 
+#![forbid(unsafe_code)]
+
 pub mod haystack;
 pub mod mobiperf;
 pub mod speedtest;

@@ -98,7 +98,7 @@ struct Warm {
 /// rerun (the flow schedule is cloned outside the counted window, as a
 /// fleet's dispatcher hands a shard its flows ready-made).
 fn warm_run(profile: NetProfile, response_bytes: usize) -> Warm {
-    let config = MopEyeConfig::fleet_shard().with_retain_samples(false);
+    let config = MopEyeConfig::mopeye().with_retain_samples(false);
     let net = network(profile, response_bytes);
     let schedule = flows(response_bytes);
     let mut engine = MopEyeEngine::new(config, net.clone().build());

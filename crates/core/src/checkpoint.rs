@@ -7,7 +7,7 @@
 //!
 //! # The flow-schedule cut
 //!
-//! The fleet runs under [`crate::config::EngineDiscipline::FlowKeyed`]: every
+//! The fleet runs over [`mop_simnet::NetKeying::FlowKeyed`] networks: every
 //! flow's RNG streams, link reservations, writer lane and source endpoint are
 //! pure functions of `(seed, four-tuple)`, so the merged report of any
 //! *partition* of a flow set equals the report of the unpartitioned set (this

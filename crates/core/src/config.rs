@@ -1,9 +1,25 @@
-//! Engine configuration: every design decision the paper evaluates is a knob
-//! here, so the benches can compare MopEye's choices against the
-//! alternatives used by ToyVpn, PrivacyGuard, Haystack and MobiPerf.
+//! Engine configuration.
+//!
+//! Two kinds of knob live here. The design decisions the paper evaluates
+//! (read strategy, write and enqueue schemes, mapping, protect mode,
+//! timestamp placement, clock granularity, content inspection) let the
+//! benches compare MopEye's choices against ToyVpn, PrivacyGuard, Haystack
+//! and MobiPerf. The modelling knobs (seed, worker model, idle timeout,
+//! congestion control, batch size, epoch windows, event budget, sample
+//! retention) choose what a run simulates and what it reports.
+//!
+//! Two things are deliberately *not* knobs. How per-flow state is keyed —
+//! one shared device, or a fleet where every flow has its own streams — is
+//! decided once, on the network builder
+//! ([`mop_simnet::SimNetworkBuilder::flow_keyed`]), and the engine reads it
+//! from the network it runs over ([`mop_simnet::SimNetwork::keying`]).
+//! Flow-keyed runs expect [`mop_tun::ReadStrategy::Blocking`] reads and
+//! pre-assigned [`mop_tun::FlowSpec::src`] endpoints; polling readers keep
+//! cross-flow poll-loop state that would reintroduce partition-dependence.
+//! The event loop always runs on the timing wheel.
 
 use mop_procnet::MappingStrategy;
-use mop_simnet::{SchedulerKind, SimDuration};
+use mop_simnet::SimDuration;
 use mop_tcpstack::CongestionAlgo;
 use mop_tun::ReadStrategy;
 
@@ -60,27 +76,6 @@ pub enum ClockGranularity {
     Millisecond,
 }
 
-/// How the engine keys its stochastic and contended per-flow state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineDiscipline {
-    /// One device: a single RNG stream, a shared TunWriter queue and
-    /// sequential port allocation — the faithful single-handset model every
-    /// paper experiment uses.
-    #[default]
-    SharedDevice,
-    /// A fleet of devices: every connection four-tuple gets its own RNG
-    /// stream (derived from `seed ^ flow.stable_hash()`), its own
-    /// writer-queue timing lane and a pre-assigned source endpoint. A flow's
-    /// entire timeline then depends only on the flow itself, which makes a
-    /// sharded run produce *identical* merged results for any shard count.
-    ///
-    /// Flow-keyed runs expect [`mop_tun::ReadStrategy::Blocking`] reads and
-    /// pre-assigned [`mop_tun::FlowSpec::src`] endpoints; polling readers
-    /// keep cross-flow poll-loop state that would reintroduce
-    /// partition-dependence.
-    FlowKeyed,
-}
-
 /// How the MainWorker's CPU capacity constrains the relay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorkerModel {
@@ -120,8 +115,6 @@ pub struct MopEyeConfig {
     pub content_inspection: bool,
     /// Random seed for the engine's own noise (thread scheduling, costs).
     pub seed: u64,
-    /// How stochastic and contended per-flow state is keyed.
-    pub discipline: EngineDiscipline,
     /// Whether the MainWorker's CPU capacity back-pressures the relay.
     pub worker: WorkerModel,
     /// Safety valve: a run aborts after this many events. Fleet scenarios
@@ -136,10 +129,6 @@ pub struct MopEyeConfig {
     /// memory O(apps × networks) instead of O(samples) — the mode the crowd
     /// `report` binary uses.
     pub retain_samples: bool,
-    /// Which scheduler backs the event loop: the O(1) timing wheel (the
-    /// default) or the legacy O(log n) binary heap, kept for reference and
-    /// for the wheel-vs-heap equivalence pins.
-    pub scheduler: SchedulerKind,
     /// Tear down TCP connections that have relayed nothing for this long.
     ///
     /// `None` (the default) arms no timers and reproduces the historical
@@ -212,11 +201,9 @@ impl MopEyeConfig {
             clock: ClockGranularity::Nanosecond,
             content_inspection: false,
             seed: 0x4d6f_7045,
-            discipline: EngineDiscipline::SharedDevice,
             worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
-            scheduler: SchedulerKind::Wheel,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -238,11 +225,9 @@ impl MopEyeConfig {
             clock: ClockGranularity::Millisecond,
             content_inspection: true,
             seed: 0x4861_7973,
-            discipline: EngineDiscipline::SharedDevice,
             worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
-            scheduler: SchedulerKind::Wheel,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -264,11 +249,9 @@ impl MopEyeConfig {
             clock: ClockGranularity::Nanosecond,
             content_inspection: false,
             seed: 0x546f_7956,
-            discipline: EngineDiscipline::SharedDevice,
             worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
-            scheduler: SchedulerKind::Wheel,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -314,12 +297,6 @@ impl MopEyeConfig {
         self
     }
 
-    /// Sets the state-keying discipline.
-    pub fn with_discipline(mut self, discipline: EngineDiscipline) -> Self {
-        self.discipline = discipline;
-        self
-    }
-
     /// Sets the MainWorker capacity model.
     pub fn with_worker(mut self, worker: WorkerModel) -> Self {
         self.worker = worker;
@@ -336,12 +313,6 @@ impl MopEyeConfig {
     /// [`MopEyeConfig::retain_samples`]).
     pub fn with_retain_samples(mut self, retain: bool) -> Self {
         self.retain_samples = retain;
-        self
-    }
-
-    /// Sets the event-loop scheduler backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -378,13 +349,6 @@ impl MopEyeConfig {
     pub fn with_epoch_window(mut self, window: usize) -> Self {
         self.epoch_window = window.max(1);
         self
-    }
-
-    /// The configuration one shard of a fleet engine runs: the released
-    /// MopEye behaviour with flow-keyed state, so a run's merged results are
-    /// independent of the shard count.
-    pub fn fleet_shard() -> Self {
-        Self::mopeye().with_discipline(EngineDiscipline::FlowKeyed)
     }
 }
 

@@ -11,9 +11,8 @@
 //!                                                        threads (RTT!)
 //! ```
 //!
-//! The module itself is only the *loop*: pending work lives on a
-//! [`TimerScheduler`] (the O(1) timing wheel by default, the legacy heap for
-//! reference), and each popped event is routed to the pipeline stage that
+//! The module itself is only the *loop*: pending work lives on the O(1)
+//! [`TimingWheel`], and each popped event is routed to the pipeline stage that
 //! owns it — [`IngressStage`] (TUN retrieval + parse + app endpoints),
 //! [`RelayStage`] (TCP/UDP/DNS state-machine dispatch and per-connection
 //! timers), [`EgressStage`] (TunWriter lanes) and [`SinkStage`] (the
@@ -27,8 +26,7 @@
 //! paper's evaluation sections need.
 
 use mop_packet::Packet;
-use mop_simnet::wheel::DEFAULT_GRANULARITY;
-use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimerScheduler};
+use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::config::MopEyeConfig;
@@ -101,7 +99,7 @@ pub struct MopEyeEngine {
     pub(crate) relay: RelayStage,
     pub(crate) egress: EgressStage,
     pub(crate) sink: SinkStage,
-    pub(crate) sched: TimerScheduler<Event>,
+    pub(crate) sched: TimingWheel<Event>,
     events_processed: u64,
     /// Wall-clock phase timers (zero-sized no-op unless the `profiling`
     /// feature is on).
@@ -114,14 +112,13 @@ impl MopEyeEngine {
         let ingress = IngressStage::new(ReaderSim::new(config.read_strategy), config.batch_size);
         let relay = RelayStage::new(config.mapping, config.protect);
         let egress = EgressStage::new(TunWriter::new(config.write_scheme, config.enqueue_scheme));
-        let sched = TimerScheduler::new(config.scheduler, DEFAULT_GRANULARITY);
         Self {
             shared: EngineShared::new(config, net),
             ingress,
             relay,
             egress,
             sink: SinkStage::new(),
-            sched,
+            sched: TimingWheel::new(),
             events_processed: 0,
             profiler: Profiler::new(),
         }
@@ -133,7 +130,8 @@ impl MopEyeEngine {
     /// a resident engine's steady state allocates nothing. A reset engine is
     /// observationally identical to `MopEyeEngine::new(config, net)` with
     /// the same config — the clock restarts at zero, RNG streams reseed from
-    /// the config seed, and every counter and identifier sequence rewinds.
+    /// the config seed, every counter and identifier sequence rewinds, and
+    /// the keying is `net`'s, whatever the previous network's was.
     pub fn reset(&mut self, net: SimNetwork) {
         self.shared.reset(net);
         self.ingress.reset();

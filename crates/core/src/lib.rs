@@ -21,14 +21,16 @@
 //! The engine runs against the virtual-time substrates in `mop-simnet`,
 //! `mop-tun` and `mop-procnet`; every design decision the paper evaluates is
 //! a knob on [`config::MopEyeConfig`], which is how the benches reproduce the
-//! paper's tables and its ablations.
+//! paper's tables and its ablations. How per-flow state is keyed is not one
+//! of them: the engine takes it from the network it runs over.
 //!
 //! One [`MopEyeEngine`] is one event loop — one core. The [`shard`] module
 //! scales the relay out: [`FleetEngine`] hashes every connection four-tuple
 //! to one of N shard engines (each with its own event loop, buffer pool,
 //! TCP machines and network view), connected to the ingress dispatcher and
-//! the measurement sink by bounded SPSC queues. Under the flow-keyed
-//! discipline the merged result is bit-identical at any shard count.
+//! the measurement sink by bounded SPSC queues. Every shard runs over a
+//! flow-keyed network, so the merged result is bit-identical at any shard
+//! count.
 //!
 //! # Examples
 //!
@@ -63,6 +65,8 @@
 //! assert_eq!(report.per_shard.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod conn;
@@ -78,8 +82,7 @@ pub use checkpoint::{
     CheckpointHeader, FleetCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{
-    EngineDiscipline, EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WorkerModel,
-    WriteScheme,
+    EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WorkerModel, WriteScheme,
 };
 pub use engine::MopEyeEngine;
 pub use mop_tcpstack::CongestionAlgo;

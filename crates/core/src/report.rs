@@ -28,8 +28,8 @@ pub struct RunReport {
     /// Streaming aggregation of every RTT sample: mergeable quantile
     /// sketches keyed by (kind, network, app, domain, ISP), folded in at the
     /// measurement sink as samples are produced. Merged cross-shard exactly
-    /// like the sample vector, and bit-identical for any shard count under
-    /// the flow-keyed discipline.
+    /// like the sample vector, and bit-identical for any shard count over
+    /// flow-keyed networks.
     pub aggregates: AggregateStore,
     /// Windowed per-epoch aggregation of the same samples, present only when
     /// the run set [`crate::config::MopEyeConfig::epoch_width`]. Merged

@@ -23,8 +23,10 @@
 //! instead of ballooning queues. Each shard hands its results to the
 //! measurement sink the same way. Stall counts from both mechanisms surface
 //! in the merged report (`TunStats::dispatch_stalls`,
-//! `RelayStats::sink_stalls`). With [`FleetConfig::with_pinning`] each
-//! worker additionally pins itself to a core (best-effort, wall-clock only).
+//! `RelayStats::sink_stalls`). The credit depth and the ring size are
+//! constants, not options: they pace the wall clock and never touch a
+//! digest, and the OS places the worker threads.
+//!
 //! In steady state nothing on the path allocates per packet: the queues are
 //! pre-allocated rings, each shard's packet loop runs on its own pools
 //! (tunnel slabs, socket read buffers, segment payloads), the state machines
@@ -34,12 +36,14 @@
 //!
 //! # Determinism
 //!
-//! Shard workers always run the [`EngineDiscipline::FlowKeyed`] discipline:
-//! every flow's RNG streams, link reservations, writer-queue lane and source
-//! endpoint are pure functions of `(seed, four-tuple)`. A flow's timeline is
-//! therefore identical no matter which shard executes it — so the *merged*
-//! report is identical for 1, 2 or 8 shards, bit for bit, which
-//! [`FleetReport::digest`] makes checkable in one comparison.
+//! Shard workers always build their network flow-keyed
+//! ([`SimNetworkBuilder::flow_keyed`]), and an engine takes its keying from
+//! the network it runs over: every flow's RNG streams, link reservations,
+//! writer-queue lane and source endpoint are pure functions of
+//! `(seed, four-tuple)`. A flow's timeline is therefore identical no matter
+//! which shard executes it — so the *merged* report is identical for 1, 2
+//! or 8 shards, bit for bit, which [`FleetReport::digest`] makes checkable
+//! in one comparison.
 //!
 //! # Scaling
 //!
@@ -52,26 +56,24 @@
 //!
 //! The worker protocol lives in [`ResidentFleet`]: shard threads are
 //! spawned **once**, park on their job rings between runs, and are fed
-//! successive `Begin → Burst… → Finish` sequences — each `Begin` resets the
-//! shard's engine in place ([`MopEyeEngine::reset`]: pools, rings, wheel
-//! slabs and stage tables cleared, not dropped), so the steady state of a
-//! long-lived fleet spawns no threads and re-allocates none of its
-//! machinery. [`FleetEngine::run`] is the one-shot form: it builds a
-//! resident fleet, runs a single batch and tears it down, so both paths
-//! share one dispatch/merge implementation and reuse is observationally
-//! invisible by construction (checked bit-for-bit by
-//! `tests/resident_reuse.rs`).
+//! successive `Begin → Burst… → Finish` sequences — each `Begin` builds the
+//! run's flow-keyed network and resets the shard's engine onto it in place
+//! ([`MopEyeEngine::reset`]: pools, rings, wheel slabs and stage tables
+//! cleared, not dropped), so the steady state of a long-lived fleet spawns
+//! no threads and re-allocates none of its machinery. [`FleetEngine::run`]
+//! is the one-shot form: it builds a resident fleet, runs a single batch and
+//! tears it down, so both paths share one dispatch/merge implementation and
+//! reuse is observationally invisible by construction (checked bit-for-bit
+//! by `tests/resident_reuse.rs`).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mop_simnet::{
-    affinity, spsc_channel, CreditGate, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender,
-};
+use mop_simnet::{spsc_channel, CreditGate, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender};
 use mop_tun::FlowSpec;
 use mop_packet::{FourTuple, StableHasher};
 
-use crate::config::{EngineDiscipline, MopEyeConfig, WorkerModel};
+use crate::config::{MopEyeConfig, WorkerModel};
 use crate::engine::{MopEyeEngine, RunReport};
 use crate::stats::SampleKind;
 
@@ -80,21 +82,10 @@ use crate::stats::SampleKind;
 pub struct FleetConfig {
     /// Number of shards (worker threads). Clamped to at least 1.
     pub shards: usize,
-    /// The per-shard engine configuration. The discipline is forced to
-    /// [`EngineDiscipline::FlowKeyed`] — the sharded merge is only
-    /// well-defined under flow-keyed state.
+    /// The per-shard engine configuration. Each shard runs it over a
+    /// flow-keyed copy of the fleet's network, which is what makes the
+    /// sharded merge well-defined.
     pub engine: MopEyeConfig,
-    /// Credits per shard: how many flow batches may be in flight towards a
-    /// shard before the dispatcher blocks waiting for the worker to accept
-    /// one. Clamped to at least 1. Purely a wall-clock pacing knob — virtual
-    /// time and digests are unaffected.
-    pub credit_depth: usize,
-    /// Pin each shard worker to a core (`shard % available_cores`),
-    /// best-effort: where the platform facade cannot pin
-    /// ([`mop_simnet::affinity`]), the worker runs unpinned and reports
-    /// `None` in [`ShardOutcome::pinned_core`]. Wall-clock only; never
-    /// affects results.
-    pub pin_shards: bool,
 }
 
 impl FleetConfig {
@@ -103,9 +94,7 @@ impl FleetConfig {
     pub fn new(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
-            engine: MopEyeConfig::fleet_shard().with_max_events(u64::MAX),
-            credit_depth: 4,
-            pin_shards: false,
+            engine: MopEyeConfig::mopeye().with_max_events(u64::MAX),
         }
     }
 
@@ -119,12 +108,6 @@ impl FleetConfig {
     /// Sets the engine seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.engine = self.engine.with_seed(seed);
-        self
-    }
-
-    /// Sets the per-shard scheduler backend (wheel vs reference heap).
-    pub fn with_scheduler(mut self, scheduler: mop_simnet::SchedulerKind) -> Self {
-        self.engine = self.engine.with_scheduler(scheduler);
         self
     }
 
@@ -160,19 +143,6 @@ impl FleetConfig {
         self.engine = self.engine.with_epoch_width(Some(width)).with_epoch_window(window);
         self
     }
-
-    /// Sets the credit depth of each shard's ingress gate (in-flight flow
-    /// batches before the dispatcher blocks). Clamped to at least 1.
-    pub fn with_credits(mut self, depth: usize) -> Self {
-        self.credit_depth = depth.max(1);
-        self
-    }
-
-    /// Enables (or disables) best-effort core pinning of the shard workers.
-    pub fn with_pinning(mut self, pin: bool) -> Self {
-        self.pin_shards = pin;
-        self
-    }
 }
 
 /// What one shard did during a fleet run.
@@ -188,9 +158,6 @@ pub struct ShardOutcome {
     pub finished_at: SimTime,
     /// RTT samples the shard produced.
     pub samples: usize,
-    /// The core the worker pinned itself to, when [`FleetConfig::pin_shards`]
-    /// was set and the platform supported it.
-    pub pinned_core: Option<usize>,
 }
 
 /// The merged result of a fleet run plus the per-shard breakdown.
@@ -199,8 +166,8 @@ pub struct FleetReport {
     /// Shard count the run used.
     pub shards: usize,
     /// The cross-shard merge: samples and flows in canonical order, counters
-    /// summed, `finished_at` the maximum over shards. Under the flow-keyed
-    /// discipline this is identical for every shard count.
+    /// summed, `finished_at` the maximum over shards. Over flow-keyed
+    /// networks this is identical for every shard count.
     pub merged: RunReport,
     /// Per-shard outcomes, ordered by shard index.
     pub per_shard: Vec<ShardOutcome>,
@@ -235,7 +202,6 @@ impl FleetEngine {
     /// shard builds its own copy, switched to flow-keyed mode).
     pub fn new(mut config: FleetConfig, net_builder: SimNetworkBuilder) -> Self {
         config.shards = config.shards.max(1);
-        config.engine = config.engine.with_discipline(EngineDiscipline::FlowKeyed);
         Self { config, net_builder }
     }
 
@@ -291,24 +257,21 @@ enum ShardJob {
 /// when a shard falls this far behind.
 const INGRESS_CAPACITY: usize = 4096;
 
+/// Credits per shard: how many flow batches may be in flight towards a shard
+/// before the dispatcher blocks waiting for the worker to accept one. Purely
+/// wall-clock pacing — virtual time and digests never see it.
+const CREDIT_DEPTH: u64 = 4;
+
 /// The resident shard worker: parks on its job ring between runs, keeps
 /// its engine (and every allocation inside it) across `Begin`s, and exits
 /// when the ring closes.
 fn spawn_worker(
-    shard: usize,
     engine_config: MopEyeConfig,
-    pin: bool,
     jobs: SpscReceiver<ShardJob>,
     gate: Arc<CreditGate>,
-    reports: SpscSender<(RunReport, Option<usize>)>,
+    reports: SpscSender<RunReport>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let pinned_core = pin
-            .then(|| {
-                let core = shard % affinity::available_cores();
-                affinity::pin_current_thread_to_core(core).then_some(core)
-            })
-            .flatten();
         let mut engine: Option<MopEyeEngine> = None;
         let mut shard_flows: Vec<FlowSpec> = Vec::new();
         while let Some(job) = jobs.recv() {
@@ -327,7 +290,7 @@ fn spawn_worker(
                 ShardJob::Finish => {
                     let engine = engine.as_mut().expect("Begin precedes Finish");
                     let report = engine.run_flows(std::mem::take(&mut shard_flows));
-                    let _ = reports.send((report, pinned_core));
+                    let _ = reports.send(report);
                 }
             }
         }
@@ -345,7 +308,7 @@ pub struct ResidentFleet {
     config: FleetConfig,
     jobs: Vec<SpscSender<ShardJob>>,
     gates: Vec<Arc<CreditGate>>,
-    reports: Vec<SpscReceiver<(RunReport, Option<usize>)>>,
+    reports: Vec<SpscReceiver<RunReport>>,
     workers: Vec<Option<JoinHandle<()>>>,
     // The gate/ring/sink stall counters are cumulative over the fleet's
     // lifetime; these high-water marks turn them into per-run deltas so a
@@ -369,11 +332,9 @@ impl std::fmt::Debug for ResidentFleet {
 
 impl ResidentFleet {
     /// Spawns the shard workers (once, for the fleet's whole lifetime) and
-    /// leaves them parked on their job rings. Like [`FleetEngine::new`],
-    /// the engine discipline is forced to flow-keyed.
+    /// leaves them parked on their job rings.
     pub fn new(mut config: FleetConfig) -> Self {
         config.shards = config.shards.max(1);
-        config.engine = config.engine.with_discipline(EngineDiscipline::FlowKeyed);
         let shards = config.shards;
         let mut fleet = Self {
             jobs: Vec::with_capacity(shards),
@@ -387,14 +348,12 @@ impl ResidentFleet {
             runs: 0,
             config,
         };
-        for shard in 0..shards {
+        for _ in 0..shards {
             let (job_tx, job_rx) = spsc_channel::<ShardJob>(INGRESS_CAPACITY);
-            let (report_tx, report_rx) = spsc_channel::<(RunReport, Option<usize>)>(1);
-            let gate = Arc::new(CreditGate::new(fleet.config.credit_depth.max(1) as u64));
+            let (report_tx, report_rx) = spsc_channel::<RunReport>(1);
+            let gate = Arc::new(CreditGate::new(CREDIT_DEPTH));
             fleet.workers.push(Some(spawn_worker(
-                shard,
                 fleet.config.engine.clone(),
-                fleet.config.pin_shards,
                 job_rx,
                 Arc::clone(&gate),
                 report_tx,
@@ -476,29 +435,28 @@ impl ResidentFleet {
             self.ring_stalls_seen[shard] = ring_total;
         }
 
-        let mut shard_reports: Vec<(usize, RunReport, Option<usize>)> = Vec::with_capacity(shards);
+        let mut shard_reports: Vec<RunReport> = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (mut report, pinned_core) = match self.reports[shard].recv() {
+            let mut report = match self.reports[shard].recv() {
                 Some(delivered) => delivered,
                 None => self.propagate_worker_death(shard),
             };
             let sink_total = self.reports[shard].stalls();
             report.relay.sink_stalls += sink_total - self.sink_stalls_seen[shard];
             self.sink_stalls_seen[shard] = sink_total;
-            shard_reports.push((shard, report, pinned_core));
+            shard_reports.push(report);
         }
         self.runs += 1;
 
         let mut merged = RunReport::empty();
         let mut per_shard = Vec::with_capacity(shards);
-        for (shard, report, pinned_core) in shard_reports {
+        for (shard, report) in shard_reports.into_iter().enumerate() {
             per_shard.push(ShardOutcome {
                 shard,
                 flows_assigned: flows_assigned[shard],
                 events_processed: report.events_processed,
                 finished_at: report.finished_at,
                 samples: report.samples.len(),
-                pinned_core,
             });
             merged.absorb(report);
         }

@@ -3,17 +3,17 @@
 //! Every packet the relay sends towards an app passes through here: the
 //! enqueue cost and the dedicated writer thread's timing are modelled
 //! against a [`WriterLane`](crate::tun_writer::WriterLane) — the single
-//! device-wide lane under the shared-device discipline, or the lane in the
-//! connection's record under the flow-keyed discipline (so a flow's write
-//! timing depends only on its own packet train, one of the invariants behind
-//! shard-count-independent determinism). The packet itself travels as a scheduled `DeliverToApp`
-//! event; the writer only ever sees its wire length.
+//! device-wide lane over a shared network, or the lane in the connection's
+//! record over a flow-keyed one (so a flow's write timing depends only on
+//! its own packet train, one of the invariants behind
+//! shard-count-independent determinism). The packet itself travels as a
+//! scheduled `DeliverToApp` event; the writer only ever sees its wire
+//! length.
 
 use mop_packet::Packet;
-use mop_simnet::{FaultDecision, SimTime, TimerScheduler};
+use mop_simnet::{FaultDecision, NetKeying, SimTime, TimingWheel};
 
 use super::EngineShared;
-use crate::config::EngineDiscipline;
 use crate::conn::FlowId;
 use crate::engine::Event;
 use crate::tun_writer::TunWriter;
@@ -41,26 +41,26 @@ impl EgressStage {
     /// straight into the delivery event; the device and the writer only see
     /// its wire length.
     ///
-    /// Under the shared-device discipline every packet goes through the one
+    /// Over a shared network every packet goes through the one
     /// writer-thread timing lane (queue serialisation couples flows, as on a
     /// real handset); live socket-connect threads add to the contending
-    /// writer count (§3.5.1). Under the flow-keyed discipline each
-    /// connection has its own lane and a fixed concurrent-writer count.
+    /// writer count (§3.5.1). Over a flow-keyed network each connection has
+    /// its own lane and a fixed concurrent-writer count.
     pub(crate) fn write_to_tunnel(
         &mut self,
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         packet: Packet,
     ) {
         let mut rng = sh.checkout_rng(id);
-        let outcome = match sh.config.discipline {
-            EngineDiscipline::SharedDevice => {
+        let outcome = match sh.net.keying() {
+            NetKeying::Shared => {
                 let writers = 1 + usize::from(sh.conns.connect_threads_active());
                 self.writer.submit(now, writers, &sh.cost, &mut rng, &mut sh.ledger)
             }
-            EngineDiscipline::FlowKeyed => {
+            NetKeying::FlowKeyed => {
                 let lane = &mut sh.conns[id].lane;
                 self.writer.submit_lane(lane, now, 2, &sh.cost, &mut rng, &mut sh.ledger)
             }
@@ -113,7 +113,7 @@ mod tests {
     fn engine(data_loss: f64, duplicate: f64) -> MopEyeEngine {
         let access = AccessProfile::lte().with_data_faults(data_loss, 0.0, duplicate);
         let net = SimNetwork::builder().seed(7).flow_keyed().access(access).build();
-        MopEyeEngine::new(MopEyeConfig::fleet_shard(), net)
+        MopEyeEngine::new(MopEyeConfig::mopeye(), net)
     }
 
     /// Writes one pooled 1000-byte data segment towards the app; returns

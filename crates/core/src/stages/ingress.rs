@@ -11,7 +11,7 @@
 //! app endpoints consume them and emit their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
-use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabBatch, TimerScheduler};
+use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabBatch, TimingWheel};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
@@ -73,7 +73,7 @@ impl IngressStage {
         sh: &mut EngineShared,
         relay: &mut RelayStage,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         slab: &SlabBatch,
     ) {
         for i in 0..slab.len() {
@@ -107,7 +107,7 @@ impl IngressStage {
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         spec: FlowSpec,
     ) {
@@ -166,7 +166,7 @@ impl IngressStage {
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         at: SimTime,
         id: FlowId,
         packet: Packet,
@@ -204,7 +204,7 @@ impl IngressStage {
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         packet: Packet,

@@ -50,12 +50,12 @@ pub mod relay;
 pub mod sink;
 
 use mop_simnet::{
-    Component, CostModel, CpuLedger, SimClock, SimDuration, SimNetwork, SimRng, SimTime,
+    Component, CostModel, CpuLedger, NetKeying, SimClock, SimDuration, SimNetwork, SimRng, SimTime,
 };
 use mop_tcpstack::SegmentPool;
 use mop_tun::TunDevice;
 
-use crate::config::{ClockGranularity, EngineDiscipline, MopEyeConfig, WorkerModel};
+use crate::config::{ClockGranularity, MopEyeConfig, WorkerModel};
 use crate::conn::{ConnTable, FlowId};
 use crate::tun_writer::WriterLane;
 
@@ -77,7 +77,9 @@ pub struct EngineShared {
     pub config: MopEyeConfig,
     /// The shard's virtual clock.
     pub clock: SimClock,
-    /// The simulated network (paths, DNS, wire tap).
+    /// The simulated network (paths, DNS, wire tap). Its
+    /// [`SimNetwork::keying`] is the engine's too: it decides whether
+    /// per-flow state below is shared device-wide or keyed per flow.
     pub net: SimNetwork,
     /// The TUN device both pipeline ends touch: ingress retrieves app
     /// writes from it, egress writes relay packets back to it.
@@ -86,10 +88,10 @@ pub struct EngineShared {
     pub cost: CostModel,
     /// CPU / memory / battery accounting.
     pub ledger: CpuLedger,
-    /// The device-wide RNG stream ([`EngineDiscipline::SharedDevice`]).
+    /// The device-wide RNG stream ([`NetKeying::Shared`]).
     pub rng: SimRng,
     /// The per-connection records, holding (among everything else) each
-    /// connection's RNG stream under [`EngineDiscipline::FlowKeyed`].
+    /// connection's RNG stream under [`NetKeying::FlowKeyed`].
     pub conns: ConnTable,
     /// Free list of segment payload buffers: the relay takes a data
     /// segment's (and its scoreboard copy's) buffer from here, and ingress
@@ -141,15 +143,13 @@ impl EngineShared {
     }
 
     /// Checks out the RNG stream backing `id`'s noise: the device-wide
-    /// stream under [`EngineDiscipline::SharedDevice`], the connection's own
-    /// stream (seeded from `config.seed ^ hash(canonical four-tuple)`) under
-    /// [`EngineDiscipline::FlowKeyed`]. Pair with [`EngineShared::checkin_rng`].
+    /// stream under [`NetKeying::Shared`], the connection's own stream
+    /// (seeded from `config.seed ^ hash(canonical four-tuple)`) under
+    /// [`NetKeying::FlowKeyed`]. Pair with [`EngineShared::checkin_rng`].
     pub fn checkout_rng(&mut self, id: FlowId) -> SimRng {
-        match self.config.discipline {
-            EngineDiscipline::SharedDevice => {
-                std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0))
-            }
-            EngineDiscipline::FlowKeyed => {
+        match self.net.keying() {
+            NetKeying::Shared => std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
+            NetKeying::FlowKeyed => {
                 let conn = &mut self.conns[id];
                 conn.rng.take().unwrap_or_else(|| {
                     let key = conn.flow.canonical();
@@ -161,9 +161,9 @@ impl EngineShared {
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng`].
     pub fn checkin_rng(&mut self, id: FlowId, rng: SimRng) {
-        match self.config.discipline {
-            EngineDiscipline::SharedDevice => self.rng = rng,
-            EngineDiscipline::FlowKeyed => self.conns[id].rng = Some(rng),
+        match self.net.keying() {
+            NetKeying::Shared => self.rng = rng,
+            NetKeying::FlowKeyed => self.conns[id].rng = Some(rng),
         }
     }
 
@@ -192,7 +192,7 @@ impl EngineShared {
     /// stream restarts from the flow's seed — still a pure function of
     /// `(seed, four-tuple)`, so every shard count recreates it identically.
     pub fn release_flow(&mut self, id: FlowId) {
-        if self.config.discipline == EngineDiscipline::FlowKeyed {
+        if self.net.keying() == NetKeying::FlowKeyed {
             let conn = &mut self.conns[id];
             conn.rng = None;
             conn.lane = WriterLane::default();
@@ -249,19 +249,20 @@ impl EngineShared {
 
 #[cfg(test)]
 mod tests {
-    use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, PacketView};
+    use mop_packet::{DnsMessage, Endpoint, FourTuple, Packet, PacketBuilder, PacketView};
     use mop_simnet::{SimNetwork, SimTime};
     use mop_tun::{FlowKind, FlowSpec};
 
     use crate::config::MopEyeConfig;
     use crate::conn::FlowId;
-    use crate::engine::MopEyeEngine;
+    use crate::engine::{Event, MopEyeEngine};
     use crate::tun_writer::WriterLane;
 
-    /// Teardown must release the evictable state of a finished flow: its
-    /// record stays (records live until reset) but holds no TCP side, no
-    /// pending DNS query, no RNG stream and a default writer lane. (This
-    /// needs engine internals, hence a unit test, not an integration test.)
+    /// Over a flow-keyed network, teardown must release the evictable state
+    /// of a finished flow: its record stays (records live until reset) but
+    /// holds no TCP side, no pending DNS query, no RNG stream and a default
+    /// writer lane. (This needs engine internals, hence a unit test, not an
+    /// integration test.)
     #[test]
     fn flow_keyed_engine_evicts_finished_flow_state() {
         let flows: Vec<FlowSpec> = (0..40)
@@ -279,8 +280,8 @@ mod tests {
                 isp: None,
             })
             .collect();
-        let net = SimNetwork::builder().seed(42).with_table2_destinations().build();
-        let mut engine = MopEyeEngine::new(MopEyeConfig::fleet_shard(), net);
+        let net = SimNetwork::builder().seed(42).flow_keyed().with_table2_destinations().build();
+        let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), net);
         let report = engine.run_flows(flows);
         assert_eq!(report.relay.connects_ok, 30);
         assert_eq!(report.relay.dns_queries, 10);
@@ -355,5 +356,91 @@ mod tests {
             assert_eq!(isn_of_next_client(&mut reused, flow(host)), expected);
             assert_eq!(reused.shared.conns.live_clients(), fresh.shared.conns.live_clients());
         }
+    }
+
+    // ----- the relay's DNS path: `dns_query` plus `Conn::dns_pending` -----
+
+    fn dns_engine() -> MopEyeEngine {
+        let net = SimNetwork::builder().seed(42).with_table2_destinations().build();
+        MopEyeEngine::new(MopEyeConfig::mopeye(), net)
+    }
+
+    fn to_resolver() -> FourTuple {
+        FourTuple::new(Endpoint::v4(10, 1, 0, 9, 41_000), Endpoint::v4(192, 168, 1, 1, 53))
+    }
+
+    /// Pops the one event the relay scheduled, which must be `id`'s answer.
+    fn scheduled_answer(engine: &mut MopEyeEngine, id: FlowId) -> (SimTime, Packet) {
+        match engine.sched.pop() {
+            Some((at, Event::DnsResponse { id: answered, packet })) if answered == id => {
+                (at, packet)
+            }
+            other => panic!("expected the DNS answer for {id:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_dns_datagrams_are_relayed_but_not_measured() {
+        let mut engine = dns_engine();
+        let query = DnsMessage::query(0x77, "www.google.com");
+        // A well-formed query off port 53, and garbage on port 53.
+        let off_port = FourTuple::new(to_resolver().src, Endpoint::v4(3, 3, 3, 3, 4500));
+        let to_4500 = PacketBuilder::new(off_port.src, off_port.dst);
+        let not_dns = relay_packet(&mut engine, off_port, to_4500.dns(&query));
+        let to_53 = PacketBuilder::new(to_resolver().src, to_resolver().dst);
+        let garbage = relay_packet(&mut engine, to_resolver(), to_53.udp(vec![0xff; 3]));
+        assert_eq!(engine.relay.stats.udp_datagrams, 2, "both datagrams are relayed");
+        assert_eq!(engine.relay.stats.dns_queries, 0, "neither is a DNS query");
+        for id in [not_dns, garbage] {
+            assert!(engine.shared.conns[id].dns_pending.is_none());
+        }
+        assert!(engine.sched.pop().is_none(), "nothing is measured or answered");
+    }
+
+    #[test]
+    fn the_relayed_answer_carries_the_query_transaction_id() {
+        let mut engine = dns_engine();
+        let query = DnsMessage::query(0x77, "www.google.com");
+        let to_53 = PacketBuilder::new(to_resolver().src, to_resolver().dst);
+        let id = relay_packet(&mut engine, to_resolver(), to_53.dns(&query));
+        assert_eq!(engine.relay.stats.dns_queries, 1);
+        let pending = engine.shared.conns[id].dns_pending.as_ref().map(|(_, name)| name.as_str());
+        assert_eq!(pending, Some("www.google.com"));
+        // The answer written back to the app is a response to *this* query:
+        // the app's resolver matches it by transaction id, so an answer with
+        // another id would never complete the app's lookup.
+        let (_, packet) = scheduled_answer(&mut engine, id);
+        assert_eq!(packet.four_tuple(), Some(FourTuple::new(to_resolver().dst, to_resolver().src)));
+        let answer = DnsMessage::parse(&packet.udp().expect("a datagram").payload).expect("DNS");
+        assert!(answer.flags.response);
+        assert_eq!(answer.id, 0x77);
+        assert!(engine.sched.pop().is_none(), "one query, one answer");
+    }
+
+    #[test]
+    fn a_repeated_query_is_not_a_response() {
+        let mut engine = dns_engine();
+        let query = DnsMessage::query(9, "www.google.com");
+        let to_53 = PacketBuilder::new(to_resolver().src, to_resolver().dst);
+        let id = relay_packet(&mut engine, to_resolver(), to_53.dns(&query));
+        let (at, answer) = scheduled_answer(&mut engine, id);
+        // The app asks again before the answer arrives: a second query, so
+        // nothing is measured yet and the measurement stays pending.
+        relay_packet(&mut engine, to_resolver(), to_53.dns(&query));
+        assert_eq!(engine.relay.stats.dns_queries, 2);
+        assert!(engine.sink.samples.is_empty(), "a query completed a measurement");
+        assert!(engine.shared.conns[id].dns_pending.is_some());
+        // Only the answer completes it.
+        engine.relay.on_dns_response(
+            &mut engine.shared,
+            &mut engine.egress,
+            &mut engine.sink,
+            &mut engine.sched,
+            at,
+            id,
+            answer,
+        );
+        assert_eq!(engine.sink.samples.len(), 1);
+        assert!(engine.shared.conns[id].dns_pending.is_none());
     }
 }

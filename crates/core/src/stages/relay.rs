@@ -25,15 +25,15 @@ use mop_procnet::{
     PackageManager, SocketStateCode,
 };
 use mop_simnet::{
-    Component, MemoryComponent, Selector, SimDuration, SimTime, SocketMode, SocketSet, SocketState,
-    TimerHandle, TimerScheduler,
+    Component, MemoryComponent, NetKeying, Selector, SimDuration, SimTime, SocketMode, SocketSet,
+    SocketState, TimerHandle, TimingWheel,
 };
 use mop_tcpstack::{
     dns_query, RecoveryState, RelayAction, SegmentVerdict, TcpState, TcpStateMachine,
 };
 
 use super::{EgressStage, EngineShared, SinkStage};
-use crate::config::{EngineDiscipline, ProtectMode, TimestampMode};
+use crate::config::{ProtectMode, TimestampMode};
 use crate::conn::FlowId;
 use crate::engine::Event;
 use crate::stats::{RelayStats, RttSample, SampleKind};
@@ -162,7 +162,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: Option<FlowId>,
         packet: &PacketView<'_>,
@@ -228,10 +228,10 @@ impl RelayStage {
                 // machine and is discarded; the machine is still in Listen
                 // because only a SYN moves it off. Drop that zombie client
                 // and the keyed state the tail packet recreated, so a fleet
-                // run's memory tracks live connections. (Flow-keyed only:
-                // the single-device engine keeps its historical behaviour
-                // bit-for-bit.)
-                if sh.config.discipline == EngineDiscipline::FlowKeyed
+                // run's memory tracks live connections. (Flow-keyed networks
+                // only: the single-device engine keeps its historical
+                // behaviour bit-for-bit.)
+                if sh.net.keying() == NetKeying::FlowKeyed
                     && sh.conns[id].tcp().is_some_and(|t| t.machine.state() == TcpState::Listen)
                 {
                     Self::drop_client(sh, sched, id);
@@ -258,7 +258,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         action: RelayAction,
@@ -277,7 +277,7 @@ impl RelayStage {
     fn start_connect(
         &mut self,
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         dst: Endpoint,
@@ -297,9 +297,9 @@ impl RelayStage {
         // so the external four-tuple (which keys the network's per-flow RNG
         // stream and the wire tap) is a pure function of the flow rather
         // than of socket-creation order.
-        let socket = match sh.config.discipline {
-            EngineDiscipline::SharedDevice => self.sockets.create(SocketMode::Blocking),
-            EngineDiscipline::FlowKeyed => self.sockets.create_bound(SocketMode::Blocking, flow.src),
+        let socket = match sh.net.keying() {
+            NetKeying::Shared => self.sockets.create(SocketMode::Blocking),
+            NetKeying::FlowKeyed => self.sockets.create_bound(SocketMode::Blocking, flow.src),
         };
         if sh.config.protect == ProtectMode::PerSocket {
             self.sockets.protect(socket);
@@ -320,7 +320,7 @@ impl RelayStage {
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sink: &mut SinkStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -411,14 +411,14 @@ impl RelayStage {
         let registered_at = conn.meta.as_ref().map_or(now, |meta| meta.started_at);
         // The mapper's draw count scales with the connection table (a
         // `/proc/net` parse samples a cost per entry), and the table holds
-        // whatever flows happen to be co-resident. Under the flow-keyed
-        // discipline those draws come from a throwaway stream derived for
-        // this flow, so they cannot perturb any flow's main stream; only the
-        // CPU ledger sees the variance.
+        // whatever flows happen to be co-resident. Over a flow-keyed network
+        // those draws come from a throwaway stream derived for this flow, so
+        // they cannot perturb any flow's main stream; only the CPU ledger
+        // sees the variance.
         let mut keyed_rng;
-        let rng: &mut mop_simnet::SimRng = match sh.config.discipline {
-            EngineDiscipline::SharedDevice => &mut sh.rng,
-            EngineDiscipline::FlowKeyed => {
+        let rng: &mut mop_simnet::SimRng = match sh.net.keying() {
+            NetKeying::Shared => &mut sh.rng,
+            NetKeying::FlowKeyed => {
                 keyed_rng = mop_simnet::SimRng::seed_from_u64(
                     sh.config.seed ^ flow.canonical().stable_hash() ^ MAPPING_KEY_SALT,
                 );
@@ -449,7 +449,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         len: usize,
@@ -483,7 +483,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -542,7 +542,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -561,7 +561,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -578,7 +578,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         event: impl FnOnce(&mut TcpStateMachine, &mut Vec<Packet>),
@@ -594,7 +594,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -620,7 +620,7 @@ impl RelayStage {
     fn remove_client(
         &mut self,
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -644,7 +644,7 @@ impl RelayStage {
     /// outcome.
     fn rearm_idle(
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -665,7 +665,7 @@ impl RelayStage {
 
     /// Drops `id`'s TCP side, cancelling whichever of its timers are still
     /// armed so none can fire into the freed state.
-    fn drop_client(sh: &mut EngineShared, sched: &mut TimerScheduler<Event>, id: FlowId) {
+    fn drop_client(sh: &mut EngineShared, sched: &mut TimingWheel<Event>, id: FlowId) {
         if let Some(tcp) = sh.conns.detach_tcp(id) {
             for token in [tcp.timers.idle(), tcp.timers.rto()].into_iter().flatten() {
                 sched.cancel(TimerHandle::from_token(token));
@@ -680,7 +680,7 @@ impl RelayStage {
     pub(crate) fn on_idle_timeout(
         &mut self,
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -712,7 +712,7 @@ impl RelayStage {
     /// superseded deadline (O(1) on the timing wheel).
     fn arm_rto_at(
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         id: FlowId,
         at: SimTime,
     ) {
@@ -732,7 +732,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         ack: u32,
@@ -782,7 +782,7 @@ impl RelayStage {
         &mut self,
         sh: &mut EngineShared,
         egress: &mut EgressStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
     ) {
@@ -811,7 +811,7 @@ impl RelayStage {
     fn start_dns_measurement(
         &mut self,
         sh: &mut EngineShared,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         dns_id: u16,
@@ -854,7 +854,7 @@ impl RelayStage {
         sh: &mut EngineShared,
         egress: &mut EgressStage,
         sink: &mut SinkStage,
-        sched: &mut TimerScheduler<Event>,
+        sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
         packet: Packet,

@@ -4,14 +4,18 @@
 //! meaningful across the stage refactor (ingress / relay / egress / sink
 //! behind the timing-wheel loop): accuracy, workload relaying, config
 //! ablations and reporting must all behave exactly as the monolithic event
-//! loop did. New here: the per-connection idle-timer coverage.
+//! loop did. New here: the per-connection idle-timer coverage, and the
+//! check that an engine's keying is its network's.
 
 use mop_packet::Endpoint;
 use mop_simnet::{
-    Component, LatencyModel, SchedulerKind, ServerConfig, Service, SimDuration, SimNetwork, SimTime,
+    Component, LatencyModel, ServerConfig, Service, SimDuration, SimNetwork, SimNetworkBuilder,
+    SimTime,
 };
 use mop_tun::{FlowKind, FlowSpec, Workload, WorkloadKind};
-use mopeye_core::{MopEyeConfig, MopEyeEngine, TimestampMode};
+use mopeye_core::{
+    FleetConfig, FleetEngine, MopEyeConfig, MopEyeEngine, RunReport, TimestampMode,
+};
 
 fn network() -> SimNetwork {
     SimNetwork::builder().seed(42).with_table2_destinations().build()
@@ -211,39 +215,6 @@ fn run_report_goodput_reflects_transferred_bytes() {
 }
 
 #[test]
-fn heap_and_wheel_schedulers_produce_identical_runs() {
-    // The scheduler backend must be behaviourally invisible: same samples,
-    // same counters, same finish time, same event count.
-    let flows: Vec<FlowSpec> = (0..25)
-        .map(|i| {
-            let mut f = one_flow(300, 4 * 1024);
-            f.at = SimTime::from_millis(10 + 37 * i as u64);
-            f
-        })
-        .collect();
-    let mut wheel = MopEyeEngine::new(
-        MopEyeConfig::mopeye().with_scheduler(SchedulerKind::Wheel),
-        network(),
-    );
-    let wheel_report = wheel.run_flows(flows.clone());
-    let mut heap = MopEyeEngine::new(
-        MopEyeConfig::mopeye().with_scheduler(SchedulerKind::Heap),
-        network(),
-    );
-    let heap_report = heap.run_flows(flows);
-    assert_eq!(wheel_report.samples, heap_report.samples);
-    assert_eq!(wheel_report.relay, heap_report.relay);
-    let sorted = |mut flows: Vec<mopeye_core::stats::FlowOutcome>| {
-        flows.sort_by_key(|f| f.flow);
-        flows
-    };
-    assert_eq!(sorted(wheel_report.flows), sorted(heap_report.flows));
-    assert_eq!(wheel_report.finished_at, heap_report.finished_at);
-    assert_eq!(wheel_report.events_processed, heap_report.events_processed);
-    assert_eq!(wheel_report.events_scheduled, heap_report.events_scheduled);
-}
-
-#[test]
 fn idle_timers_are_cancelled_by_activity_and_never_fire_on_healthy_flows() {
     let flows: Vec<FlowSpec> = (0..10)
         .map(|i| {
@@ -298,4 +269,68 @@ fn a_silent_connection_is_reaped_by_its_idle_timer() {
     assert!(!report.flows[0].completed, "a reaped flow is not a clean completion");
     // The reap fired as a real event, on the wheel.
     assert!(report.events_processed > 0);
+}
+
+/// Forty flows with pre-assigned sources (as flow-keyed runs expect), every
+/// fourth a DNS lookup, close enough together that shared-device contention
+/// shows.
+fn sourced_flows() -> Vec<FlowSpec> {
+    (0..40)
+        .map(|i| {
+            let mut f = one_flow(300, 4 * 1024);
+            f.at = SimTime::from_millis(10 + 7 * i as u64);
+            f.src = Some(Endpoint::v4(10, 1, 0, i as u8, 40_000));
+            if i % 4 == 3 {
+                f.kind = FlowKind::Dns;
+            }
+            f
+        })
+        .collect()
+}
+
+fn keyed_builder(flow_keyed: bool) -> SimNetworkBuilder {
+    let builder = SimNetwork::builder().seed(42).with_table2_destinations();
+    if flow_keyed {
+        builder.flow_keyed()
+    } else {
+        builder
+    }
+}
+
+fn assert_same_run(reused: RunReport, fresh: &RunReport, what: &str) {
+    assert_eq!(reused.samples, fresh.samples, "{what}: samples");
+    assert_eq!(reused.relay, fresh.relay, "{what}: relay counters");
+    let sorted = |flows: &[mopeye_core::FlowOutcome]| {
+        let mut flows = flows.to_vec();
+        flows.sort_by_key(|f| f.flow);
+        flows
+    };
+    assert_eq!(sorted(&reused.flows), sorted(&fresh.flows), "{what}: flow outcomes");
+    assert_eq!(reused.events_processed, fresh.events_processed, "{what}: events");
+    assert_eq!(reused.fleet_digest(), fresh.fleet_digest(), "{what}: digest");
+}
+
+#[test]
+fn keying_follows_the_network_across_reset() {
+    // The keying decision is made once, on the network builder: the engine
+    // config has no say, and a reset onto a network of the other keying
+    // must behave exactly like a fresh engine over that network.
+    let flows = sourced_flows();
+    let fresh = |flow_keyed: bool| {
+        let net = keyed_builder(flow_keyed).build();
+        MopEyeEngine::new(MopEyeConfig::mopeye(), net).run_flows(flows.clone())
+    };
+    let (shared, keyed) = (fresh(false), fresh(true));
+    assert_ne!(shared.fleet_digest(), keyed.fleet_digest(), "the two keyings must differ here");
+    // A plain engine over a flow-keyed network is exactly a fleet shard.
+    let fleet = FleetEngine::new(FleetConfig::new(1), keyed_builder(true)).run(flows.clone());
+    assert_eq!(keyed.fleet_digest(), fleet.digest(), "flow-keyed engine vs one-shard fleet");
+
+    for (from, to, expected) in [(false, true, &keyed), (true, false, &shared)] {
+        let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), keyed_builder(from).build());
+        engine.run_flows(flows.clone());
+        engine.reset(keyed_builder(to).build());
+        let what = if to { "shared -> flow-keyed" } else { "flow-keyed -> shared" };
+        assert_same_run(engine.run_flows(flows.clone()), expected, what);
+    }
 }

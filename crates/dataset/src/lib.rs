@@ -17,6 +17,8 @@
 //! * [`scenario`] — declarative fleet-scale traffic scenarios (workload
 //!   mixes × network profiles) for the sharded relay engine.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod catalog;
 pub mod generator;

@@ -12,6 +12,8 @@
 //! [`Value`] keeps object keys in insertion order so rendered experiment
 //! files diff cleanly between runs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// A JSON document: null, boolean, number, string, array or object.

@@ -15,6 +15,8 @@
 //!   its related work: eager (parse on every SYN), cache-based (Haystack)
 //!   and lazy (MopEye).
 
+#![forbid(unsafe_code)]
+
 pub mod mapping;
 pub mod package_manager;
 pub mod procfs;

@@ -23,6 +23,8 @@
 //! byte for byte and `tests/server_oracle.rs` checks random
 //! inject/retire/step/checkpoint interleavings against batch oracles.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod plane;
 pub mod proto;

@@ -6,8 +6,8 @@
 //! The plane keeps a *cursor* in epoch units and, per
 //! [`ControlPlane::step`], runs every not-yet-run flow scheduled before the
 //! new cursor boundary (one run per scenario, each over its own network),
-//! absorbing the merged result into one cumulative [`RunReport`]. Under
-//! the flow-keyed discipline every flow's behaviour is a pure function of
+//! absorbing the merged result into one cumulative [`RunReport`]. Over the
+//! fleet's flow-keyed networks every flow's behaviour is a pure function of
 //! `(seed, four-tuple)`, so the absorb of any partition of a flow schedule
 //! — by time, by scenario, or both — equals the report of the
 //! unpartitioned batch run. This is the same invariance behind

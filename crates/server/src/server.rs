@@ -8,6 +8,7 @@
 //! `handle_line` directly with in-memory sessions and compare bytes.
 
 use std::fs;
+use std::io;
 
 use mop_analytics::{diagnose_apps, diagnose_live, DiagnosisConfig, TrendConfig};
 use mop_json::{json, Value};
@@ -312,7 +313,7 @@ impl Server {
             ("digest".to_string(), Value::from(digest_str(self.plane.digest()))),
         ];
         if let Some(path) = params["path"].as_str() {
-            fs::write(path, mop_json::to_string_pretty(&doc))
+            write_replacing(path, || mop_json::to_string_pretty(&doc))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("path".to_string(), Value::from(path)));
         } else {
@@ -363,7 +364,7 @@ impl Server {
         ];
         if let Some(path) = params["checkpoint_path"].as_str() {
             let doc = self.plane.checkpoint();
-            fs::write(path, mop_json::to_string_pretty(&doc))
+            write_replacing(path, || mop_json::to_string_pretty(&doc))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("checkpoint_path".to_string(), Value::from(path)));
         }
@@ -371,9 +372,29 @@ impl Server {
     }
 }
 
+/// Replaces the file at `path` with the text `render` produces, in one step:
+/// the bytes go to a sibling temp file, which is then renamed over the
+/// target, so a process killed mid-write leaves the previous file intact
+/// instead of a torn one. A failed write or rename removes the temp file.
+/// There is no fsync: this survives the process dying, not the machine
+/// losing power.
+///
+/// The text is rendered after the temp name is built, so no allocation is
+/// made while the multi-megabyte text is live; on the serving benchmark
+/// one made there cost 4 MB of peak RSS.
+fn write_replacing(path: &str, render: impl FnOnce() -> String) -> io::Result<()> {
+    let tmp = format!("{path}.{}.tmp", std::process::id());
+    let written = fs::write(&tmp, render()).and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     fn server() -> Server {
         Server::new(PlaneConfig { shards: 2, ..PlaneConfig::default() })
@@ -494,5 +515,81 @@ mod tests {
             assert!(event.starts_with("{\"stream\":\"epochs\""), "{event}");
         }
         assert!(turn.frames.last().unwrap().starts_with("{\"id\":3"));
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mop-server-{}-{test}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The two requests that write a checkpoint file, with their path key.
+    const CHECKPOINT_WRITERS: [(&str, &str); 2] =
+        [("fleet.checkpoint", "path"), ("server.shutdown", "checkpoint_path")];
+
+    fn request(method: &str, params: &str) -> String {
+        format!("{{\"id\":7,\"method\":\"{method}\",\"params\":{params}}}")
+    }
+
+    #[test]
+    fn checkpoints_replace_an_existing_file_whole() {
+        let dir = scratch_dir("ckpt-replace");
+        let target = dir.join("plane.ckpt");
+        let path = mop_json::to_string(&Value::from(target.to_str().unwrap()));
+        let mut server = server();
+        call(
+            &mut server,
+            "{\"id\":1,\"method\":\"scenario.inject\",\
+             \"params\":{\"scenario\":\"rush-hour\",\"users\":20,\"seed\":5}}",
+        );
+        call(&mut server, "{\"id\":2,\"method\":\"fleet.step\",\"params\":{\"epochs\":1}}");
+        for (method, key) in CHECKPOINT_WRITERS {
+            // A second name for the old file sees whether it was replaced
+            // (the name moves to a new file) or rewritten in place.
+            let _ = fs::remove_file(dir.join("previous"));
+            fs::write(&target, "a torn, older checkpoint {").unwrap();
+            fs::hard_link(&target, dir.join("previous")).unwrap();
+            let turn = call(&mut server, &request(method, &format!("{{\"{key}\":{path}}}")));
+            assert!(turn.frames[0].contains("\"result\""), "{method}: {}", turn.frames[0]);
+            let saved = mop_json::from_str(&fs::read_to_string(&target).unwrap())
+                .expect("the replaced file parses");
+            assert_eq!(saved["format"].as_str(), Some("mop-server-checkpoint"), "{method}");
+            let previous = fs::read_to_string(dir.join("previous")).unwrap();
+            assert_eq!(previous, "a torn, older checkpoint {", "{method} wrote in place");
+            assert_eq!(entries(&dir), ["plane.ckpt", "previous"], "{method} left a temp file");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directory_target_is_an_io_error_that_touches_nothing() {
+        let dir = scratch_dir("ckpt-dir");
+        let target = dir.join("plane.ckpt");
+        fs::create_dir(&target).unwrap();
+        fs::write(target.join("kept"), "inside").unwrap();
+        let path = mop_json::to_string(&Value::from(target.to_str().unwrap()));
+        let mut server = server();
+        for (method, key) in CHECKPOINT_WRITERS {
+            let turn = call(&mut server, &request(method, &format!("{{\"{key}\":{path}}}")));
+            assert!(turn.frames[0].contains("\"code\":\"io\""), "{method}: {}", turn.frames[0]);
+            assert!(turn.frames[0].contains("cannot write"), "{method}: {}", turn.frames[0]);
+            assert!(!turn.shutdown);
+            assert!(target.is_dir(), "{method} replaced the directory");
+            assert_eq!(entries(&target), ["kept"], "{method} touched the directory");
+            assert_eq!(fs::read_to_string(target.join("kept")).unwrap(), "inside");
+            assert_eq!(entries(&dir), ["plane.ckpt"], "{method} left a temp file behind");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,8 +10,9 @@
 //!   scheduler implementation),
 //! * [`wheel`] — a hierarchical timing wheel with O(1) schedule/cancel and
 //!   the same deterministic FIFO tie-order as the heap,
-//! * [`scheduler`] — [`scheduler::TimerScheduler`], the pluggable facade the
-//!   engine's event loop drains (wheel by default, heap for reference),
+//! * [`scheduler`] — [`scheduler::TimerScheduler`], the wheel and the heap
+//!   behind one API: the reference pair the equivalence suite pins against
+//!   each other (the engine drives the [`wheel::TimingWheel`] directly),
 //! * [`latency`] — latency models (constant, uniform, normal, log-normal)
 //!   used for path RTTs, first-hop delays and system-call costs,
 //! * [`profile`] — access-network profiles (WiFi, LTE, 3G, 2G) and ISP
@@ -33,9 +34,8 @@
 //!   loop, feature-gated (`profiling`) to zero cost when off,
 //! * [`spsc`] — bounded single-producer/single-consumer queues (plus the
 //!   credit gate for batch backpressure) connecting the sharded fleet
-//!   engine's dispatcher, workers and measurement sink,
-//! * [`affinity`] — best-effort CPU pinning behind a portable facade, used
-//!   by the fleet engine's shard-placement knobs,
+//!   engine's dispatcher, workers and measurement sink — the crate's only
+//!   `unsafe` code,
 //! * [`cost`] — calibrated cost models for the system calls and scheduler
 //!   effects the paper's optimisations target.
 //!
@@ -56,8 +56,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
-pub mod affinity;
 pub mod clock;
 pub mod cost;
 pub mod dnssrv;
@@ -72,6 +72,7 @@ pub mod rng;
 pub mod scheduler;
 pub mod server;
 pub mod socket;
+#[allow(unsafe_code)]
 pub mod spsc;
 pub mod tap;
 pub mod time;

@@ -305,7 +305,8 @@ impl SimNetwork {
         &mut self.rng
     }
 
-    /// The keying discipline in use.
+    /// The keying discipline in use. A relay engine running over this
+    /// network keys its own per-flow state the same way.
     pub fn keying(&self) -> NetKeying {
         self.keying
     }

@@ -1,12 +1,15 @@
-//! A pluggable timer scheduler: the timing wheel or the legacy binary heap
-//! behind one API.
+//! The timing wheel and the binary heap behind one API: the reference pair.
 //!
-//! The engine's event loop is generic over *how* pending events are stored:
-//! the production path is the O(1) [`TimingWheel`], while the
-//! [`crate::queue::EventQueue`] heap is kept as the reference implementation
-//! — the scheduler benches compare the two end-to-end, and the equivalence
-//! suites pin their pop orders (and therefore whole-run digests) against
-//! each other.
+//! The engine's event loop drives the O(1) [`TimingWheel`] directly; there
+//! is no scheduler option. This module keeps the
+//! [`crate::queue::EventQueue`] heap beside it as the reference
+//! implementation the wheel is checked against:
+//! `crates/simnet/tests/wheel_equivalence.rs` pins the two pop orders
+//! against each other on random schedule/cancel scripts, and the
+//! `mopbench-trace` wheel probes time the wheel through
+//! `TimerScheduler::new(SchedulerKind::Wheel, …)`. The engine's whole-run
+//! digests were recorded on the heap before the wheel replaced it, and the
+//! wheel reproduces them.
 //!
 //! The heap variant emulates O(1) cancellation the same lazy way the wheel
 //! does: a cancelled entry's payload is vacated immediately and its heap

@@ -20,14 +20,18 @@
 //!   network injects data-path faults,
 //! * [`timer`] — [`timer::ConnTimers`], the cancellable per-connection
 //!   timer tokens the engine's scheduler arms and disarms,
-//! * [`udp`] — DNS-query classification for the relay's packet path, and the
-//!   UDP association model with its DNS transaction tracking.
+//! * [`udp`] — [`udp::dns_query`], the DNS-query classification the relay's
+//!   UDP path runs. UDP has no state machine here: a DNS measurement's only
+//!   state is the pending query in the engine's per-connection record
+//!   (`mopeye_core::conn::Conn::dns_pending`).
 //!
 //! The paper's *TCP client object* — the splice of a state machine with its
 //! external socket and connect timestamps (§2.3, "two-way referencing") — is
 //! not a type of this crate: the engine's per-connection record
 //! (`mopeye_core::conn::Conn`) holds the machine, timers and recovery state
 //! next to the socket, so each fact about a connection has one home.
+
+#![forbid(unsafe_code)]
 
 pub mod machine;
 pub mod pool;
@@ -44,4 +48,4 @@ pub use recovery::{
 };
 pub use state::TcpState;
 pub use timer::{ConnTimers, TimerToken};
-pub use udp::{dns_query, DnsTransaction, UdpAssociation};
+pub use udp::dns_query;

@@ -8,8 +8,7 @@
 //! (`mop_simnet`'s timing wheel), and this crate deliberately does not
 //! depend on the simulator, so a connection stores its timers as opaque
 //! tokens: the packed form of a `mop_simnet::TimerHandle`
-//! (`TimerHandle::token()` / `TimerHandle::from_token()`), exactly the way
-//! [`crate::udp::ExternalSocketHandle`] mirrors a socket id.
+//! (`TimerHandle::token()` / `TimerHandle::from_token()`).
 //!
 //! Tokens are single-owner: arming replaces (and returns) the previous
 //! token so the caller can cancel the superseded timer, and disarming takes

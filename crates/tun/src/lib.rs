@@ -18,6 +18,8 @@
 //! * [`workload`] — workload generators (web browsing, messaging, video
 //!   streaming, bulk transfer, DNS bursts) that produce flow schedules.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod device;
 pub mod reader;

@@ -40,6 +40,8 @@
 //! assert_eq!(report.relay.connects_ok as usize, report.tcp_samples().len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mop_analytics as analytics;
 pub use mop_baselines as baselines;
 pub use mop_dataset as dataset;

@@ -24,7 +24,7 @@ fn work_per_flow(users: usize) -> Vec<(&'static str, f64)> {
     let scenario = Scenario::rush_hour(users, 2017);
     let flows = scenario.generate();
     let flow_count = flows.len();
-    let mut engine = MopEyeEngine::new(MopEyeConfig::fleet_shard(), scenario.network().build());
+    let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), scenario.network().build());
     let report = engine.run_flows(flows);
     assert_eq!(report.flows.len(), flow_count, "every flow has an outcome");
     engine
