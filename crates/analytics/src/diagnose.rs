@@ -695,17 +695,17 @@ mod tests {
         // without panicking, while the merged view still carries every
         // sample for the app diagnosis.
         let mut windows = isp_degradation_day();
-        let json = windows.to_json();
+        let json = mop_json::to_value(&windows);
         // Rebuild the store with the live epochs stripped: everything that
         // was live is folded, max_epoch untouched.
         let folded_only = mop_json::json!({
             "width_ns": json["width_ns"].as_i64().unwrap(),
             "window": json["window"].as_i64().unwrap(),
             "max_epoch": json["max_epoch"].as_i64().unwrap(),
-            "folded": windows.merged().to_json(),
+            "folded": mop_json::to_value(&windows.merged()),
             "epochs": Vec::<mop_json::Value>::new(),
         });
-        windows = WindowedAggregateStore::from_json(&folded_only).unwrap();
+        windows = mop_json::from_value(&folded_only).unwrap();
         assert!(windows.live_epochs().is_empty());
         assert_eq!(windows.folded().sample_count(), windows.sample_count());
 

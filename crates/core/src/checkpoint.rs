@@ -46,23 +46,32 @@
 //! mapping statistics, write-delay histograms) is partition-specific
 //! bookkeeping, excluded from the digest, and deliberately **not**
 //! checkpointed: those fields restore as zeroed defaults.
+//!
+//! # The codec
+//!
+//! Every type in the document — [`FleetCheckpoint`] itself, [`RunReport`],
+//! its samples, outcomes and counters, the sketch stores, the flow specs
+//! and their endpoints — implements `mop_json`'s [`ToJson`] / [`FromJson`]
+//! pair, so a checkpoint goes between structs and bytes in one pass each
+//! way, with no `Value` tree in between. Callers that want a tree (the
+//! server's inline checkpoints, streamed report deltas) get it from the
+//! same impls through `mop_json::to_value` / `from_value`.
 
-use std::net::IpAddr;
 
-use mop_json::{json, Value};
-use mop_measure::{AggregateStore, NetKind, WindowedAggregateStore};
-use mop_packet::{Endpoint, FourTuple};
+use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_simnet::SimTime;
 use mop_tcpstack::CongestionAlgo;
-use mop_tun::{FlowKind, FlowSpec, TunStats};
+use mop_tun::FlowSpec;
 
 use crate::report::RunReport;
 use crate::shard::{FleetEngine, FleetReport};
-use crate::stats::{FlowOutcome, RelayStats, RttSample, SampleKind};
 
-/// Version tag written into every checkpoint; [`FleetCheckpoint::from_json`]
+/// Version tag written into every checkpoint; [`FleetCheckpoint::parse`]
 /// rejects anything else.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
+
+/// The `"format"` tag of a fleet checkpoint document.
+const FORMAT_TAG: &str = "mopeye-fleet-checkpoint";
 
 /// A saved fleet run: everything needed to resume at the cut and reproduce
 /// the uninterrupted run's report bit for bit. See the [module docs](self).
@@ -156,6 +165,7 @@ impl FleetCheckpoint {
                 self.epoch_window, engine.epoch_window
             ));
         }
+        self.check_windows()?;
         let mut resumed = fleet.run(self.pending);
         let mut merged = self.base;
         merged.absorb(std::mem::replace(&mut resumed.merged, RunReport::empty()));
@@ -164,99 +174,89 @@ impl FleetCheckpoint {
         Ok(resumed)
     }
 
-    /// Serialises the checkpoint to its JSON document (through
-    /// [`checkpoint_to_json`], the one encoder).
-    pub fn to_json(&self) -> Value {
-        let header = CheckpointHeader {
-            seed: self.seed,
-            shards_at_save: self.shards_at_save,
-            congestion: self.congestion,
-            epoch_width_ns: self.epoch_width_ns,
-            epoch_window: self.epoch_window,
-            cut: self.cut,
-        };
-        checkpoint_to_json(&header, &self.base, &self.pending)
+    /// Checks that the base report's windowed store has the geometry the
+    /// header declares (clamped to at least 1, as the sink builds it). A
+    /// store of another geometry cannot be merged with what the resumed run
+    /// produces, so a document that disagrees with itself is refused here
+    /// rather than failing the merge.
+    pub fn check_windows(&self) -> Result<(), String> {
+        let Some(windows) = &self.base.windows else { return Ok(()) };
+        if Some(windows.width_ns()) != self.epoch_width_ns.map(|w| w.max(1))
+            || windows.window_len() != self.epoch_window.max(1)
+        {
+            return Err(format!(
+                "checkpoint's windowed aggregates ({} ns x {} epochs) disagree with its epoch \
+                 geometry ({:?} ns x {} epochs)",
+                windows.width_ns(),
+                windows.window_len(),
+                self.epoch_width_ns,
+                self.epoch_window
+            ));
+        }
+        Ok(())
     }
 
-    /// Parses a checkpoint back from its JSON document. Returns `None` on a
-    /// wrong format tag, unknown version, or any structural mismatch.
-    pub fn from_json(value: &Value) -> Option<Self> {
-        if value["format"].as_str()? != "mopeye-fleet-checkpoint" {
-            return None;
-        }
-        if value["version"].as_u64()? != CHECKPOINT_FORMAT_VERSION {
-            return None;
-        }
-        let pending = value["pending"]
-            .as_array()?
-            .iter()
-            .map(flow_spec_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            seed: u64::from_str_radix(value["seed"].as_str()?, 16).ok()?,
-            shards_at_save: value["shards_at_save"].as_u64()? as usize,
-            congestion: congestion_from_str(value["congestion"].as_str()?)?,
-            epoch_width_ns: if value["epoch_width_ns"].is_null() {
-                None
-            } else {
-                Some(value["epoch_width_ns"].as_u64()?)
-            },
-            epoch_window: value["epoch_window"].as_u64()? as usize,
-            cut: SimTime::from_nanos(value["cut_ns"].as_u64()?),
-            base: run_report_from_json(&value["base"])?,
-            pending,
-        })
-    }
-
-    /// The checkpoint as a pretty-printed JSON string (the on-disk format).
+    /// The checkpoint as a pretty-printed JSON string (the on-disk format),
+    /// written from its fields into a buffer sized up front.
     pub fn to_json_string(&self) -> String {
-        mop_json::to_string_pretty(&self.to_json())
+        mop_json::to_string_pretty(self)
     }
 
-    /// Parses a checkpoint from its on-disk JSON string.
+    /// Parses a checkpoint from its on-disk JSON string. `None` on invalid
+    /// JSON, a wrong format tag, an unknown version, or any structural
+    /// mismatch; [`FleetCheckpoint::parse`] says which.
     pub fn from_json_str(text: &str) -> Option<Self> {
-        Self::from_json(&mop_json::from_str(text).ok()?)
+        mop_json::decode(text).ok()
     }
 
     /// Parses a checkpoint from its on-disk JSON string, describing *why* a
     /// rejected document was rejected — truncated JSON, a foreign format
-    /// tag, an unknown version, or a structurally malformed body. The
-    /// server's `fleet.resume` surfaces these messages to clients verbatim.
+    /// tag, an unknown version, or a structurally malformed body, with the
+    /// member that failed. The server's `fleet.resume` surfaces these
+    /// messages to clients verbatim.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let value = mop_json::from_str(text)
-            .map_err(|e| format!("checkpoint is not valid JSON: {e}"))?;
-        Self::parse_value(&value)
-    }
-
-    /// [`FleetCheckpoint::parse`] for a document that is already parsed:
-    /// the same checks, the same messages, no text in between. A holder of
-    /// an embedding document (the server checkpoint's `"fleet"` member)
-    /// hands the member in directly instead of printing and re-reading it.
-    pub fn parse_value(value: &Value) -> Result<Self, String> {
-        let Some(format) = value["format"].as_str() else {
-            return Err("checkpoint has no \"format\" string field".into());
-        };
-        if format != "mopeye-fleet-checkpoint" {
-            return Err(format!("not a fleet checkpoint: format tag {format:?}"));
-        }
-        let Some(version) = value["version"].as_u64() else {
-            return Err("checkpoint has no \"version\" number field".into());
-        };
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(format!(
-                "unsupported checkpoint version {version} \
-                 (this build reads version {CHECKPOINT_FORMAT_VERSION})"
-            ));
-        }
-        Self::from_json(value)
-            .ok_or_else(|| "checkpoint body is malformed (missing or mistyped field)".into())
+        mop_json::decode(text).map_err(|error| explain_rejection(text, &error))
     }
 }
 
+/// Why `text` was rejected, checked in the order a reader would: syntax
+/// anywhere in the text, then the format tag, then the version, and only
+/// then the body `error` the decoder stopped at. The decoder reads in
+/// document order and stops at the first problem, so the first three are
+/// re-checked here, off the fast path, on the parsed tree.
+fn explain_rejection(text: &str, error: &ParseError) -> String {
+    let value = match mop_json::from_str(text) {
+        Ok(value) => value,
+        Err(syntax) => return format!("checkpoint is not valid JSON: {syntax}"),
+    };
+    if let Err(message) = check_header(value["format"].as_str(), value["version"].as_u64()) {
+        return message;
+    }
+    format!("checkpoint body is malformed (missing or mistyped field): {}", error.context())
+}
+
+/// The format tag and version checks every checkpoint reader applies first.
+fn check_header(format: Option<&str>, version: Option<u64>) -> Result<(), String> {
+    let Some(format) = format else {
+        return Err("checkpoint has no \"format\" string field".into());
+    };
+    if format != FORMAT_TAG {
+        return Err(format!("not a fleet checkpoint: format tag {format:?}"));
+    }
+    let Some(version) = version else {
+        return Err("checkpoint has no \"version\" number field".into());
+    };
+    if version != CHECKPOINT_FORMAT_VERSION {
+        return Err(format!(
+            "unsupported checkpoint version {version} \
+             (this build reads version {CHECKPOINT_FORMAT_VERSION})"
+        ));
+    }
+    Ok(())
+}
+
 /// The scalar part of a checkpoint document: the run parameters resume must
-/// reproduce, and the cut. [`checkpoint_to_json`] takes it beside a borrowed
-/// report and borrowed flow specs, so a caller that already holds those (the
-/// server's control plane) encodes them where they are.
+/// reproduce, and the cut.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointHeader {
     /// See [`FleetCheckpoint::seed`].
@@ -273,31 +273,139 @@ pub struct CheckpointHeader {
     pub cut: SimTime,
 }
 
-/// The checkpoint encoder: `header`, the merged report of everything that
-/// ran before the cut, and the flow specs still to run, in order. Nothing is
-/// cloned on the way in; [`FleetCheckpoint::to_json`] is this function over
-/// its own fields, so both produce the same document.
-pub fn checkpoint_to_json<'a>(
-    header: &CheckpointHeader,
-    base: &RunReport,
-    pending: impl IntoIterator<Item = &'a FlowSpec>,
-) -> Value {
-    let pending: Vec<Value> = pending.into_iter().map(flow_spec_to_json).collect();
-    json!({
-        "format": "mopeye-fleet-checkpoint",
-        "version": CHECKPOINT_FORMAT_VERSION as i64,
-        "seed": format!("{:016x}", header.seed),
-        "shards_at_save": header.shards_at_save as i64,
-        "congestion": congestion_str(header.congestion),
-        "epoch_width_ns": match header.epoch_width_ns {
-            Some(w) => Value::from(w as i64),
-            None => Value::Null,
-        },
-        "epoch_window": header.epoch_window as i64,
-        "cut_ns": header.cut.as_nanos() as i64,
-        "base": run_report_to_json(base),
-        "pending": pending,
-    })
+/// A checkpoint document over borrowed parts: a header, the merged report
+/// of everything that ran before the cut, and the flow specs still to run,
+/// in order. [`FleetCheckpoint`] encodes through it, and so does a holder of
+/// a report and pending specs that are not a `FleetCheckpoint` (the
+/// server's control plane) — nothing is cloned on the way out, and both
+/// write the same document.
+#[derive(Debug, Clone)]
+pub struct CheckpointRef<'a, P> {
+    /// The run parameters and the cut.
+    pub header: CheckpointHeader,
+    /// The report of everything before the cut.
+    pub base: &'a RunReport,
+    /// The pending flow specs, in order; iterated once per encoding.
+    pub pending: P,
+}
+
+impl<'a, P> ToJson for CheckpointRef<'a, P>
+where
+    P: Iterator<Item = &'a FlowSpec> + Clone,
+{
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        let header = &self.header;
+        out.begin_object();
+        out.field("format", FORMAT_TAG);
+        out.field("version", &CHECKPOINT_FORMAT_VERSION);
+        out.field("seed", &Hex(header.seed));
+        out.field("shards_at_save", &header.shards_at_save);
+        out.field("congestion", congestion_str(header.congestion));
+        out.field("epoch_width_ns", &header.epoch_width_ns);
+        out.field("epoch_window", &header.epoch_window);
+        out.field("cut_ns", &header.cut.as_nanos());
+        out.field("base", self.base);
+        out.key("pending");
+        out.array(self.pending.clone());
+        out.end_object();
+    }
+
+    /// Sized from the counts of what the document holds, so a
+    /// multi-megabyte checkpoint is written into one allocation.
+    fn size_hint(&self) -> usize {
+        pretty_size_hint(self.base, self.pending.clone().count())
+    }
+}
+
+impl ToJson for FleetCheckpoint {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        self.as_ref().write_json(out);
+    }
+
+    fn size_hint(&self) -> usize {
+        self.as_ref().size_hint()
+    }
+}
+
+impl FleetCheckpoint {
+    /// The checkpoint as the borrowed document it encodes through.
+    fn as_ref(&self) -> CheckpointRef<'_, std::slice::Iter<'_, FlowSpec>> {
+        let header = CheckpointHeader {
+            seed: self.seed,
+            shards_at_save: self.shards_at_save,
+            congestion: self.congestion,
+            epoch_width_ns: self.epoch_width_ns,
+            epoch_window: self.epoch_window,
+            cut: self.cut,
+        };
+        CheckpointRef { header, base: &self.base, pending: self.pending.iter() }
+    }
+}
+
+impl FromJson for FleetCheckpoint {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "format" => format: Option<String>,
+            "version" => version: Option<u64>,
+            "seed" => seed: Hex<u64>,
+            "shards_at_save" => shards_at_save,
+            "congestion" => congestion: String,
+            "epoch_width_ns" => epoch_width_ns,
+            "epoch_window" => epoch_window,
+            "cut_ns" => cut_ns,
+            "base" => base,
+            "pending" => pending,
+        });
+        check_header(format.as_deref(), version).map_err(|message| input.error(message))?;
+        let congestion = congestion_from_str(&congestion).ok_or_else(|| {
+            input.error(format!("unknown congestion algorithm {congestion:?}")).within("congestion")
+        })?;
+        Ok(Self {
+            seed: seed.0,
+            shards_at_save,
+            congestion,
+            epoch_width_ns,
+            epoch_window,
+            cut: SimTime::from_nanos(cut_ns),
+            base,
+            pending,
+        })
+    }
+}
+
+/// Roughly what the pretty rendering of a checkpoint over `base` and
+/// `pending` specs takes, from per-item sizes measured on rush-hour and
+/// diurnal checkpoints (indentation included) — a slight overestimate, so
+/// the buffer is allocated once and never re-grown.
+fn pretty_size_hint(base: &RunReport, pending: usize) -> usize {
+    const FIXED: usize = 4 << 10;
+    const PER_SPEC: usize = 490;
+    const PER_OUTCOME: usize = 470;
+    const PER_SAMPLE: usize = 900;
+    const PER_CELL: usize = 420;
+    const PER_BUCKET: usize = 96;
+    let cells = |store: &mop_measure::AggregateStore| {
+        store
+            .cells()
+            .map(|(key, sketch)| {
+                PER_CELL
+                    + key.app.len()
+                    + key.domain.len()
+                    + key.isp.len()
+                    + PER_BUCKET * sketch.occupied_buckets()
+            })
+            .sum::<usize>()
+    };
+    let windows = base.windows.as_ref().map_or(0, |w| {
+        cells(w.folded())
+            + w.live_epochs().into_iter().filter_map(|e| w.epoch_store(e)).map(cells).sum::<usize>()
+    });
+    FIXED
+        + PER_SPEC * pending
+        + PER_OUTCOME * base.flows.len()
+        + PER_SAMPLE * base.samples.len()
+        + cells(&base.aggregates)
+        + windows
 }
 
 /// Splits a flow schedule at `cut`: `(ran, pending)` where `ran` holds every
@@ -321,286 +429,7 @@ pub fn epoch_boundary(width_ns: u64, epoch: u64) -> SimTime {
     SimTime::from_nanos(width_ns.max(1).saturating_mul(epoch))
 }
 
-// ----- report serialisation ------------------------------------------------
-
-/// Serialises a [`RunReport`]'s semantic content — the digest-covered fields
-/// plus the event counters — to the checkpoint JSON encoding. The control
-/// plane reuses this for streamed per-step report deltas, so a subscriber
-/// can fold deltas with [`RunReport::absorb`] exactly like a resumed fleet.
-pub fn run_report_to_json(report: &RunReport) -> Value {
-    let samples: Vec<Value> = report.samples.iter().map(sample_to_json).collect();
-    let flows: Vec<Value> = report.flows.iter().map(outcome_to_json).collect();
-    json!({
-        "samples": samples,
-        "aggregates": report.aggregates.to_json(),
-        "windows": match &report.windows {
-            Some(windows) => windows.to_json(),
-            None => Value::Null,
-        },
-        "relay": relay_to_json(&report.relay),
-        "tun": tun_to_json(&report.tun),
-        "flows": flows,
-        "finished_at_ns": report.finished_at.as_nanos() as i64,
-        "events_processed": report.events_processed as i64,
-        "events_scheduled": report.events_scheduled as i64,
-    })
-}
-
-/// Restores a report serialised by [`run_report_to_json`]. Partition-local
-/// resource accounting (ledger, pools, mapping, write delays) is not part of
-/// the encoding and restores as zeroed defaults; those fields are excluded
-/// from [`RunReport::fleet_digest`], which the round trip preserves exactly.
-pub fn run_report_from_json(value: &Value) -> Option<RunReport> {
-    let samples =
-        value["samples"].as_array()?.iter().map(sample_from_json).collect::<Option<Vec<_>>>()?;
-    let flows =
-        value["flows"].as_array()?.iter().map(outcome_from_json).collect::<Option<Vec<_>>>()?;
-    let mut report = RunReport::empty();
-    report.samples = samples;
-    report.aggregates = AggregateStore::from_json(&value["aggregates"])?;
-    report.windows = if value["windows"].is_null() {
-        None
-    } else {
-        Some(WindowedAggregateStore::from_json(&value["windows"])?)
-    };
-    report.relay = relay_from_json(&value["relay"])?;
-    report.tun = tun_from_json(&value["tun"])?;
-    report.flows = flows;
-    report.finished_at = SimTime::from_nanos(value["finished_at_ns"].as_u64()?);
-    report.events_processed = value["events_processed"].as_u64()?;
-    report.events_scheduled = value["events_scheduled"].as_u64()?;
-    Some(report)
-}
-
-fn sample_to_json(sample: &RttSample) -> Value {
-    json!({
-        "kind": sample_kind_str(sample.kind),
-        "flow": four_tuple_to_json(&sample.flow),
-        "uid": match sample.uid {
-            Some(uid) => Value::from(i64::from(uid)),
-            None => Value::Null,
-        },
-        "package": opt_str(&sample.package),
-        "domain": opt_str(&sample.domain),
-        "measured_ms": sample.measured_ms,
-        "true_ms": sample.true_ms,
-        "tcpdump_ms": match sample.tcpdump_ms {
-            Some(ms) => Value::from(ms),
-            None => Value::Null,
-        },
-        "at_ns": sample.at.as_nanos() as i64,
-    })
-}
-
-fn sample_from_json(value: &Value) -> Option<RttSample> {
-    Some(RttSample {
-        kind: sample_kind_from_str(value["kind"].as_str()?)?,
-        flow: four_tuple_from_json(&value["flow"])?,
-        uid: if value["uid"].is_null() {
-            None
-        } else {
-            Some(u32::try_from(value["uid"].as_i64()?).ok()?)
-        },
-        package: opt_str_from(&value["package"])?,
-        domain: opt_str_from(&value["domain"])?,
-        measured_ms: value["measured_ms"].as_f64()?,
-        true_ms: value["true_ms"].as_f64()?,
-        tcpdump_ms: if value["tcpdump_ms"].is_null() {
-            None
-        } else {
-            Some(value["tcpdump_ms"].as_f64()?)
-        },
-        at: SimTime::from_nanos(value["at_ns"].as_u64()?),
-    })
-}
-
-fn outcome_to_json(outcome: &FlowOutcome) -> Value {
-    json!({
-        "flow": four_tuple_to_json(&outcome.flow),
-        "package": outcome.package.clone(),
-        "started_at_ns": outcome.started_at.as_nanos() as i64,
-        "finished_at_ns": outcome.finished_at.as_nanos() as i64,
-        "bytes_received": outcome.bytes_received as i64,
-        "completed": outcome.completed,
-    })
-}
-
-fn outcome_from_json(value: &Value) -> Option<FlowOutcome> {
-    Some(FlowOutcome {
-        flow: four_tuple_from_json(&value["flow"])?,
-        package: value["package"].as_str()?.to_string(),
-        started_at: SimTime::from_nanos(value["started_at_ns"].as_u64()?),
-        finished_at: SimTime::from_nanos(value["finished_at_ns"].as_u64()?),
-        bytes_received: value["bytes_received"].as_u64()? as usize,
-        completed: value["completed"].as_bool()?,
-    })
-}
-
-fn relay_to_json(relay: &RelayStats) -> Value {
-    json!({
-        "syns": relay.syns as i64,
-        "connects_ok": relay.connects_ok as i64,
-        "connects_failed": relay.connects_failed as i64,
-        "data_segments_out": relay.data_segments_out as i64,
-        "data_segments_in": relay.data_segments_in as i64,
-        "pure_acks_discarded": relay.pure_acks_discarded as i64,
-        "fins": relay.fins as i64,
-        "rsts": relay.rsts as i64,
-        "udp_datagrams": relay.udp_datagrams as i64,
-        "dns_queries": relay.dns_queries as i64,
-        "bytes_out": relay.bytes_out as i64,
-        "bytes_in": relay.bytes_in as i64,
-        "parse_errors": relay.parse_errors as i64,
-        "idle_reaped": relay.idle_reaped as i64,
-        "retransmits": relay.retransmits as i64,
-        "fast_retransmits": relay.fast_retransmits as i64,
-        "rto_fires": relay.rto_fires as i64,
-        "sacked_segments": relay.sacked_segments as i64,
-    })
-}
-
-fn relay_from_json(value: &Value) -> Option<RelayStats> {
-    Some(RelayStats {
-        syns: value["syns"].as_u64()?,
-        connects_ok: value["connects_ok"].as_u64()?,
-        connects_failed: value["connects_failed"].as_u64()?,
-        data_segments_out: value["data_segments_out"].as_u64()?,
-        data_segments_in: value["data_segments_in"].as_u64()?,
-        pure_acks_discarded: value["pure_acks_discarded"].as_u64()?,
-        fins: value["fins"].as_u64()?,
-        rsts: value["rsts"].as_u64()?,
-        udp_datagrams: value["udp_datagrams"].as_u64()?,
-        dns_queries: value["dns_queries"].as_u64()?,
-        bytes_out: value["bytes_out"].as_u64()?,
-        bytes_in: value["bytes_in"].as_u64()?,
-        parse_errors: value["parse_errors"].as_u64()?,
-        idle_reaped: value["idle_reaped"].as_u64()?,
-        retransmits: value["retransmits"].as_u64()?,
-        fast_retransmits: value["fast_retransmits"].as_u64()?,
-        rto_fires: value["rto_fires"].as_u64()?,
-        sacked_segments: value["sacked_segments"].as_u64()?,
-        // Wall-clock backpressure observability, not simulated behaviour
-        // (excluded from equality and digests): restarts from zero.
-        sink_stalls: 0,
-    })
-}
-
-fn tun_to_json(tun: &TunStats) -> Value {
-    json!({
-        "packets_from_apps": tun.packets_from_apps as i64,
-        "bytes_from_apps": tun.bytes_from_apps as i64,
-        "packets_to_apps": tun.packets_to_apps as i64,
-        "bytes_to_apps": tun.bytes_to_apps as i64,
-    })
-}
-
-fn tun_from_json(value: &Value) -> Option<TunStats> {
-    Some(TunStats {
-        packets_from_apps: value["packets_from_apps"].as_u64()?,
-        bytes_from_apps: value["bytes_from_apps"].as_u64()?,
-        packets_to_apps: value["packets_to_apps"].as_u64()?,
-        bytes_to_apps: value["bytes_to_apps"].as_u64()?,
-        // Wall-clock dispatcher backpressure: restarts from zero.
-        dispatch_stalls: 0,
-    })
-}
-
-// ----- flow-spec serialisation ---------------------------------------------
-
-fn flow_spec_to_json(spec: &FlowSpec) -> Value {
-    json!({
-        "at_ns": spec.at.as_nanos() as i64,
-        "uid": i64::from(spec.uid),
-        "package": spec.package.clone(),
-        "src": match &spec.src {
-            Some(src) => endpoint_to_json(src),
-            None => Value::Null,
-        },
-        "dst": endpoint_to_json(&spec.dst),
-        "domain": opt_str(&spec.domain),
-        "request_bytes": spec.request_bytes as i64,
-        "close_after": spec.close_after as i64,
-        "kind": flow_kind_str(spec.kind),
-        "network": match spec.network {
-            Some(network) => Value::from(network.as_json_str()),
-            None => Value::Null,
-        },
-        "isp": opt_str(&spec.isp),
-    })
-}
-
-fn flow_spec_from_json(value: &Value) -> Option<FlowSpec> {
-    Some(FlowSpec {
-        at: SimTime::from_nanos(value["at_ns"].as_u64()?),
-        uid: u32::try_from(value["uid"].as_i64()?).ok()?,
-        package: value["package"].as_str()?.to_string(),
-        src: if value["src"].is_null() { None } else { Some(endpoint_from_json(&value["src"])?) },
-        dst: endpoint_from_json(&value["dst"])?,
-        domain: opt_str_from(&value["domain"])?,
-        request_bytes: value["request_bytes"].as_u64()? as usize,
-        close_after: value["close_after"].as_u64()? as usize,
-        kind: flow_kind_from_str(value["kind"].as_str()?)?,
-        network: if value["network"].is_null() {
-            None
-        } else {
-            Some(NetKind::from_json_str(value["network"].as_str()?)?)
-        },
-        isp: opt_str_from(&value["isp"])?,
-    })
-}
-
-fn endpoint_to_json(endpoint: &Endpoint) -> Value {
-    json!({ "addr": endpoint.addr.to_string(), "port": i64::from(endpoint.port) })
-}
-
-fn endpoint_from_json(value: &Value) -> Option<Endpoint> {
-    let addr: IpAddr = value["addr"].as_str()?.parse().ok()?;
-    Some(Endpoint::new(addr, u16::try_from(value["port"].as_i64()?).ok()?))
-}
-
-fn four_tuple_to_json(flow: &FourTuple) -> Value {
-    json!({ "src": endpoint_to_json(&flow.src), "dst": endpoint_to_json(&flow.dst) })
-}
-
-fn four_tuple_from_json(value: &Value) -> Option<FourTuple> {
-    Some(FourTuple::new(endpoint_from_json(&value["src"])?, endpoint_from_json(&value["dst"])?))
-}
-
-// ----- enum tags -----------------------------------------------------------
-//
-// Tag tables for the enums other crates own without a wire form; `NetKind`
-// brings its own (`NetKind::as_json_str`).
-
-fn sample_kind_str(kind: SampleKind) -> &'static str {
-    match kind {
-        SampleKind::Tcp => "Tcp",
-        SampleKind::Dns => "Dns",
-    }
-}
-
-fn sample_kind_from_str(tag: &str) -> Option<SampleKind> {
-    match tag {
-        "Tcp" => Some(SampleKind::Tcp),
-        "Dns" => Some(SampleKind::Dns),
-        _ => None,
-    }
-}
-
-fn flow_kind_str(kind: FlowKind) -> &'static str {
-    match kind {
-        FlowKind::Tcp => "Tcp",
-        FlowKind::Dns => "Dns",
-    }
-}
-
-fn flow_kind_from_str(tag: &str) -> Option<FlowKind> {
-    match tag {
-        "Tcp" => Some(FlowKind::Tcp),
-        "Dns" => Some(FlowKind::Dns),
-        _ => None,
-    }
-}
-
+/// The congestion algorithm's checkpoint tag.
 fn congestion_str(congestion: CongestionAlgo) -> &'static str {
     match congestion {
         CongestionAlgo::Reno => "Reno",
@@ -616,27 +445,15 @@ fn congestion_from_str(tag: &str) -> Option<CongestionAlgo> {
     }
 }
 
-fn opt_str(text: &Option<String>) -> Value {
-    match text {
-        Some(text) => Value::from(text.clone()),
-        None => Value::Null,
-    }
-}
-
-/// A nullable string field: `null` is `Some(None)`, a string `Some(Some(_))`,
-/// anything else a malformed document.
-fn opt_str_from(value: &Value) -> Option<Option<String>> {
-    if value.is_null() {
-        Some(None)
-    } else {
-        Some(Some(value.as_str()?.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mop_measure::{NetKind, WindowedAggregateStore};
+    use mop_packet::{Endpoint, FourTuple};
     use mop_simnet::SimDuration;
+    use mop_tun::FlowKind;
+
+    use crate::stats::{FlowOutcome, RttSample, SampleKind};
 
     fn sample() -> RttSample {
         RttSample {
@@ -671,11 +488,15 @@ mod tests {
         }
     }
 
+    /// Encodes and decodes through the compact text form.
+    fn round_trip<T: ToJson + FromJson>(value: &T) -> T {
+        mop_json::decode(&mop_json::to_string(value)).unwrap()
+    }
+
     #[test]
     fn sample_round_trips_bit_identically() {
         let original = sample();
-        let restored = sample_from_json(&sample_to_json(&original)).unwrap();
-        assert_eq!(original, restored);
+        assert_eq!(original, round_trip(&original));
 
         let mut sparse = original;
         sparse.uid = None;
@@ -683,20 +504,13 @@ mod tests {
         sparse.domain = None;
         sparse.tcpdump_ms = None;
         sparse.kind = SampleKind::Dns;
-        let restored = sample_from_json(&sample_to_json(&sparse)).unwrap();
-        assert_eq!(sparse, restored);
+        assert_eq!(sparse, round_trip(&sparse));
     }
 
     #[test]
     fn flow_spec_round_trips() {
         let original = spec();
-        let restored = flow_spec_from_json(&flow_spec_to_json(&original)).unwrap();
-        assert_eq!(original.at, restored.at);
-        assert_eq!(original.src, restored.src);
-        assert_eq!(original.dst, restored.dst);
-        assert_eq!(original.network, restored.network);
-        assert_eq!(original.isp, restored.isp);
-        assert_eq!(original.kind, restored.kind);
+        assert_eq!(original, round_trip(&original));
 
         let mut sparse = original;
         sparse.src = None;
@@ -704,39 +518,35 @@ mod tests {
         sparse.network = None;
         sparse.isp = None;
         sparse.kind = FlowKind::Dns;
-        let restored = flow_spec_from_json(&flow_spec_to_json(&sparse)).unwrap();
-        assert_eq!(sparse.src, restored.src);
-        assert_eq!(sparse.network, restored.network);
-        assert_eq!(sparse.kind, restored.kind);
-    }
+        assert_eq!(sparse, round_trip(&sparse));
 
-    /// `doc` with member `field` replaced by `value`.
-    fn with_field(doc: &Value, field: &str, value: Value) -> Value {
-        let Value::Object(members) = doc else { panic!("not an object: {doc:?}") };
-        let swap = |(k, v): &(String, Value)| {
-            (k.clone(), if k == field { value.clone() } else { v.clone() })
-        };
-        Value::Object(members.iter().map(swap).collect())
+        let ipv6: std::net::IpAddr = "2001:db8::7".parse().unwrap();
+        sparse.dst = Endpoint::new(ipv6, 53);
+        assert_eq!(sparse, round_trip(&sparse));
     }
 
     #[test]
     fn mistyped_or_unknown_labels_are_rejected_not_restored_as_none() {
         // A label that silently restores as `None` re-labels the flow's
         // samples: the checkpoint would load, and resume to a wrong digest.
-        let good = flow_spec_to_json(&spec());
+        let good = mop_json::to_string(&spec());
+        assert!(mop_json::decode::<FlowSpec>(&good).is_ok());
         for (field, bad) in [
-            ("network", json!("LTE")),
-            ("network", json!(3)),
-            ("domain", json!(7)),
-            ("isp", json!({ "name": "CMHK" })),
+            ("\"network\":\"Lte\"", "\"network\":\"LTE\""),
+            ("\"network\":\"Lte\"", "\"network\":3"),
+            ("\"domain\":\"video.example.com\"", "\"domain\":7"),
+            ("\"isp\":\"CMHK\"", "\"isp\":{\"name\":\"CMHK\"}"),
         ] {
-            let doc = with_field(&good, field, bad);
-            assert!(flow_spec_from_json(&doc).is_none(), "flow spec accepted a bad {field}");
+            assert!(good.contains(field), "{good}");
+            let doc = good.replace(field, bad);
+            assert!(mop_json::decode::<FlowSpec>(&doc).is_err(), "flow spec accepted {bad}");
         }
-        let good = sample_to_json(&sample());
-        for field in ["package", "domain"] {
-            let doc = with_field(&good, field, json!(1.5));
-            assert!(sample_from_json(&doc).is_none(), "sample accepted a bad {field}");
+        let good = mop_json::to_string(&sample());
+        for field in ["\"package\":\"com.android.chrome\"", "\"domain\":\"www.google.com\""] {
+            assert!(good.contains(field), "{good}");
+            let key = field.split(':').next().unwrap();
+            let doc = good.replace(field, &format!("{key}:1.5"));
+            assert!(mop_json::decode::<RttSample>(&doc).is_err(), "sample accepted a bad {key}");
         }
     }
 
@@ -783,12 +593,18 @@ mod tests {
         report.events_processed = 42;
         report.events_scheduled = 50;
 
-        let restored = run_report_from_json(&run_report_to_json(&report)).unwrap();
+        let restored = round_trip(&report);
         assert_eq!(report.fleet_digest(), restored.fleet_digest());
         assert_eq!(report.samples, restored.samples);
         assert_eq!(report.relay, restored.relay); // sink_stalls excluded from eq
+        assert_eq!(restored.relay.sink_stalls, 0);
         assert_eq!(report.windows, restored.windows);
         assert_eq!(report.events_scheduled, restored.events_scheduled);
+        // The tree the same impls build is what the text reads back as.
+        let tree = mop_json::to_value(&report);
+        assert_eq!(mop_json::from_str(&mop_json::to_string(&report)).unwrap(), tree);
+        let from_tree: RunReport = mop_json::from_value(&tree).unwrap();
+        assert_eq!(from_tree.fleet_digest(), report.fleet_digest());
     }
 
     #[test]
@@ -811,8 +627,9 @@ mod tests {
         assert_eq!(restored.epoch_width_ns, Some(60_000_000_000));
         assert_eq!(restored.epoch_window, 16);
         assert_eq!(restored.cut, checkpoint.cut);
-        assert_eq!(restored.pending.len(), 1);
+        assert_eq!(restored.pending, checkpoint.pending);
         assert_eq!(restored.base.fleet_digest(), checkpoint.base.fleet_digest());
+        assert!(text.len() <= checkpoint.size_hint(), "the buffer is sized up front");
 
         assert!(FleetCheckpoint::from_json_str("{\"format\":\"other\"}").is_none());
     }
@@ -853,13 +670,21 @@ mod tests {
         // Mistyped body field (seed must be a hex string).
         let mistyped = good.replace("\"seed\": \"0000000000000007\"", "\"seed\": 7");
         let err = FleetCheckpoint::parse(&mistyped).unwrap_err();
-        assert!(err.contains("malformed"), "{err}");
+        assert!(err.contains("malformed") && err.contains("seed: expected a string"), "{err}");
 
-        // An unknown network tag on a pending flow (a flipped byte).
+        // An unknown network tag on a pending flow (a flipped byte): the
+        // message names the member.
         assert!(good.contains("\"network\": \"Lte\""), "{good}");
         let relabelled = good.replace("\"network\": \"Lte\"", "\"network\": \"LTE\"");
         let err = FleetCheckpoint::parse(&relabelled).unwrap_err();
-        assert!(err.contains("malformed"), "{err}");
+        assert!(err.contains("malformed") && err.contains("pending[0].network"), "{err}");
+
+        // A syntax error late in the document outranks a body error early
+        // in it, and a bad header outranks a bad body.
+        let both = mistyped.replacen('}', "", 1);
+        assert!(FleetCheckpoint::parse(&both).unwrap_err().contains("not valid JSON"));
+        let both = mistyped.replace("\"version\": 1", "\"version\": 2");
+        assert!(FleetCheckpoint::parse(&both).unwrap_err().contains("version 2"));
     }
 
     #[test]
@@ -905,8 +730,24 @@ mod tests {
         let err = checkpoint().try_resume(&fleet).unwrap_err();
         assert!(err.contains("epoch window"), "{err}");
 
-        // A matching fleet resumes cleanly (empty pending set: base only).
+        // A base whose windowed store disagrees with the header would fail
+        // the merge: refused up front.
         let fleet = fleet_with(epochs(FleetConfig::new(1).with_seed(7)));
+        let mut torn = checkpoint();
+        torn.base.windows = Some(WindowedAggregateStore::new(1_000_000_000, 4));
+        let err = torn.try_resume(&fleet).unwrap_err();
+        assert!(err.contains("disagree with its epoch geometry"), "{err}");
+        // ...while a zero-width header describes the 1 ns store the sink
+        // clamps it to.
+        let windows = Some(WindowedAggregateStore::new(0, 8));
+        let zero_width = FleetCheckpoint {
+            epoch_width_ns: Some(0),
+            base: RunReport { windows, ..RunReport::empty() },
+            ..checkpoint()
+        };
+        assert!(zero_width.check_windows().is_ok());
+
+        // A matching fleet resumes cleanly (empty pending set: base only).
         assert!(checkpoint().try_resume(&fleet).is_ok());
     }
 

@@ -78,8 +78,8 @@ pub mod stats;
 pub mod tun_writer;
 
 pub use checkpoint::{
-    checkpoint_to_json, epoch_boundary, run_report_from_json, run_report_to_json, split_at,
-    CheckpointHeader, FleetCheckpoint, CHECKPOINT_FORMAT_VERSION,
+    epoch_boundary, split_at, CheckpointHeader, CheckpointRef, FleetCheckpoint,
+    CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{
     EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WorkerModel, WriteScheme,

@@ -8,6 +8,7 @@
 //! (`empty` / `absorb` / `canonicalise` / `fleet_digest`) live in
 //! [`crate::shard`] next to the fleet engine that uses them.
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_measure::{AggregateStore, WindowedAggregateStore};
 use mop_procnet::MappingStats;
 use mop_simnet::{CpuLedger, PoolStats, ProfileReport, SimTime};
@@ -98,5 +99,56 @@ impl RunReport {
             return None;
         }
         Some(errors.iter().sum::<f64>() / errors.len() as f64)
+    }
+}
+
+/// The checkpoint encoding of a report: its semantic content — exactly the
+/// fields [`RunReport::fleet_digest`] covers, plus the event counters. The
+/// control plane streams step deltas in the same encoding, so a subscriber
+/// folds them with [`RunReport::absorb`] exactly like a resumed fleet.
+///
+/// Partition-local resource accounting (ledger, pools, mapping, write
+/// delays, profile) is not encoded and reads back as zeroed defaults; it is
+/// excluded from the digest, which the round trip preserves exactly.
+impl ToJson for RunReport {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("samples", &self.samples);
+        out.field("aggregates", &self.aggregates);
+        out.field("windows", &self.windows);
+        out.field("relay", &self.relay);
+        out.field("tun", &self.tun);
+        out.field("flows", &self.flows);
+        out.field("finished_at_ns", &self.finished_at.as_nanos());
+        out.field("events_processed", &self.events_processed);
+        out.field("events_scheduled", &self.events_scheduled);
+        out.end_object();
+    }
+}
+
+impl FromJson for RunReport {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "samples" => samples,
+            "aggregates" => aggregates,
+            "windows" => windows,
+            "relay" => relay,
+            "tun" => tun,
+            "flows" => flows,
+            "finished_at_ns" => finished_at_ns,
+            "events_processed" => events_processed,
+            "events_scheduled" => events_scheduled,
+        });
+        let mut report = RunReport::empty();
+        report.samples = samples;
+        report.aggregates = aggregates;
+        report.windows = windows;
+        report.relay = relay;
+        report.tun = tun;
+        report.flows = flows;
+        report.finished_at = SimTime::from_nanos(finished_at_ns);
+        report.events_processed = events_processed;
+        report.events_scheduled = events_scheduled;
+        Ok(report)
     }
 }

@@ -1,6 +1,7 @@
 //! Run statistics: RTT samples with ground truth, relay counters and per-flow
 //! outcomes.
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_packet::FourTuple;
 use mop_simnet::{SimDuration, SimTime};
 
@@ -182,6 +183,181 @@ impl FlowOutcome {
             return None;
         }
         Some(self.bytes_received as f64 * 8.0 / 1_000_000.0 / secs)
+    }
+}
+
+// ----- checkpoint encodings -------------------------------------------------
+//
+// What a checkpoint (and a streamed step delta) carries for each type: the
+// simulated state, with times as integer nanoseconds. Host-side
+// observations (`RelayStats::sink_stalls`) are not state and restart from
+// zero.
+
+/// `"Tcp"` / `"Dns"`.
+impl ToJson for SampleKind {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(match self {
+            SampleKind::Tcp => "Tcp",
+            SampleKind::Dns => "Dns",
+        });
+    }
+}
+
+impl FromJson for SampleKind {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        match &*input.read_str()? {
+            "Tcp" => Ok(SampleKind::Tcp),
+            "Dns" => Ok(SampleKind::Dns),
+            other => Err(input.error(format!("unknown sample kind {other:?}"))),
+        }
+    }
+}
+
+impl ToJson for RttSample {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("kind", &self.kind);
+        out.field("flow", &self.flow);
+        out.field("uid", &self.uid);
+        out.field("package", &self.package);
+        out.field("domain", &self.domain);
+        out.field("measured_ms", &self.measured_ms);
+        out.field("true_ms", &self.true_ms);
+        out.field("tcpdump_ms", &self.tcpdump_ms);
+        out.field("at_ns", &self.at.as_nanos());
+        out.end_object();
+    }
+}
+
+impl FromJson for RttSample {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "kind" => kind,
+            "flow" => flow,
+            "uid" => uid,
+            "package" => package,
+            "domain" => domain,
+            "measured_ms" => measured_ms,
+            "true_ms" => true_ms,
+            "tcpdump_ms" => tcpdump_ms,
+            "at_ns" => at_ns,
+        });
+        Ok(RttSample {
+            kind,
+            flow,
+            uid,
+            package,
+            domain,
+            measured_ms,
+            true_ms,
+            tcpdump_ms,
+            at: SimTime::from_nanos(at_ns),
+        })
+    }
+}
+
+impl ToJson for FlowOutcome {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("flow", &self.flow);
+        out.field("package", &self.package);
+        out.field("started_at_ns", &self.started_at.as_nanos());
+        out.field("finished_at_ns", &self.finished_at.as_nanos());
+        out.field("bytes_received", &self.bytes_received);
+        out.field("completed", &self.completed);
+        out.end_object();
+    }
+}
+
+impl FromJson for FlowOutcome {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "flow" => flow,
+            "package" => package,
+            "started_at_ns" => started_at_ns,
+            "finished_at_ns" => finished_at_ns,
+            "bytes_received" => bytes_received,
+            "completed" => completed,
+        });
+        Ok(FlowOutcome {
+            flow,
+            package,
+            started_at: SimTime::from_nanos(started_at_ns),
+            finished_at: SimTime::from_nanos(finished_at_ns),
+            bytes_received,
+            completed,
+        })
+    }
+}
+
+impl ToJson for RelayStats {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("syns", &self.syns);
+        out.field("connects_ok", &self.connects_ok);
+        out.field("connects_failed", &self.connects_failed);
+        out.field("data_segments_out", &self.data_segments_out);
+        out.field("data_segments_in", &self.data_segments_in);
+        out.field("pure_acks_discarded", &self.pure_acks_discarded);
+        out.field("fins", &self.fins);
+        out.field("rsts", &self.rsts);
+        out.field("udp_datagrams", &self.udp_datagrams);
+        out.field("dns_queries", &self.dns_queries);
+        out.field("bytes_out", &self.bytes_out);
+        out.field("bytes_in", &self.bytes_in);
+        out.field("parse_errors", &self.parse_errors);
+        out.field("idle_reaped", &self.idle_reaped);
+        out.field("retransmits", &self.retransmits);
+        out.field("fast_retransmits", &self.fast_retransmits);
+        out.field("rto_fires", &self.rto_fires);
+        out.field("sacked_segments", &self.sacked_segments);
+        out.end_object();
+    }
+}
+
+impl FromJson for RelayStats {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "syns" => syns,
+            "connects_ok" => connects_ok,
+            "connects_failed" => connects_failed,
+            "data_segments_out" => data_segments_out,
+            "data_segments_in" => data_segments_in,
+            "pure_acks_discarded" => pure_acks_discarded,
+            "fins" => fins,
+            "rsts" => rsts,
+            "udp_datagrams" => udp_datagrams,
+            "dns_queries" => dns_queries,
+            "bytes_out" => bytes_out,
+            "bytes_in" => bytes_in,
+            "parse_errors" => parse_errors,
+            "idle_reaped" => idle_reaped,
+            "retransmits" => retransmits,
+            "fast_retransmits" => fast_retransmits,
+            "rto_fires" => rto_fires,
+            "sacked_segments" => sacked_segments,
+        });
+        Ok(RelayStats {
+            syns,
+            connects_ok,
+            connects_failed,
+            data_segments_out,
+            data_segments_in,
+            pure_acks_discarded,
+            fins,
+            rsts,
+            udp_datagrams,
+            dns_queries,
+            bytes_out,
+            bytes_in,
+            parse_errors,
+            idle_reaped,
+            retransmits,
+            fast_retransmits,
+            rto_fires,
+            sacked_segments,
+            sink_stalls: 0,
+        })
     }
 }
 

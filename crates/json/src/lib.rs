@@ -1,20 +1,41 @@
 //! Self-contained JSON support for the MopEye reproduction.
 //!
 //! The workspace runs in offline build environments, so instead of serde_json
-//! it uses this small first-party crate for the two places JSON actually
-//! crosses a boundary:
+//! it uses this small first-party crate everywhere JSON crosses a boundary:
 //!
+//! * fleet and server checkpoints (`mopeye_core::FleetCheckpoint`, the
+//!   `mop_server` plane's `mop-server-checkpoint` document), on disk and
+//!   inline in protocol frames,
+//! * the `mop_server` wire protocol, one compact document per line,
 //! * the measurement store's JSON-lines persistence
 //!   (`mop_measure::MeasurementStore::{to,from}_json_lines`), and
-//! * the machine-readable experiment outputs written by the `repro` binary
-//!   and the bench baseline files.
+//! * the machine-readable outputs of the `repro` binary and the benchmark.
 //!
-//! [`Value`] keeps object keys in insertion order so rendered experiment
-//! files diff cleanly between runs.
+//! Two ways to hold a document:
+//!
+//! * [`Value`], a tree with insertion-ordered object keys, for documents
+//!   whose shape is decided at runtime (protocol frames, experiment
+//!   outputs). Rendered files diff cleanly between runs.
+//! * [`ToJson`] / [`FromJson`], for types with a fixed encoding: a type
+//!   writes itself token by token into a [`JsonWrite`] sink and reads itself
+//!   back from a pull [`JsonReader`], so a multi-megabyte checkpoint goes
+//!   between bytes and structs without a tree in between.
+//!
+//! There is one codec: [`Value`] is itself a [`ToJson`] / [`FromJson`]
+//! implementor, so [`to_string`], [`to_string_pretty`] and [`from_str`] are
+//! the text writer and the reader applied to a tree, and [`to_value`] /
+//! [`from_value`] carry any implementor to and from one.
 
 #![forbid(unsafe_code)]
 
+mod read;
+mod write;
+
 use std::fmt;
+use std::net::IpAddr;
+
+pub use read::JsonReader;
+pub use write::{JsonWrite, JsonWriter};
 
 /// A JSON document: null, boolean, number, string, array or object.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,430 +263,463 @@ macro_rules! json {
 }
 
 // ---------------------------------------------------------------------------
-// Serialisation
+// The codec traits
 // ---------------------------------------------------------------------------
 
-/// True for the bytes `escape_into` cannot pass through verbatim. Every
-/// such byte is ASCII, so scanning bytes (not chars) is enough: multi-byte
-/// UTF-8 sequences never contain them and copy through untouched.
-#[inline]
-fn needs_escape(byte: u8) -> bool {
-    byte < 0x20 || byte == b'"' || byte == b'\\'
-}
+/// A type with a JSON encoding it writes itself, token by token, into any
+/// [`JsonWrite`] sink — the text writer for files and frames, a tree builder
+/// for [`to_value`].
+pub trait ToJson {
+    /// Writes `self` as exactly one JSON value.
+    fn write_json<W: JsonWrite>(&self, out: &mut W);
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    // The common case — no escapes at all (every report key and most
-    // values) — is one bulk copy. Otherwise copy unescaped runs between
-    // escapes in bulk, mirroring the parser's run-consuming scan.
-    let bytes = s.as_bytes();
-    let mut run_start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        if needs_escape(bytes[i]) {
-            out.push_str(&s[run_start..i]);
-            match bytes[i] {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
-                c => {
-                    use fmt::Write as _;
-                    write!(out, "\\u{:04x}", c).expect("writing to a String cannot fail");
-                }
-            }
-            run_start = i + 1;
-        }
-        i += 1;
-    }
-    out.push_str(&s[run_start..]);
-    out.push('"');
-}
-
-fn write_number(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        out.push_str("null");
-    } else {
-        use fmt::Write as _;
-        let start = out.len();
-        write!(out, "{f}").expect("writing to a String cannot fail");
-        // Keep Float-ness through a round trip: whole values need a decimal
-        // point or they reparse as Int.
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
+    /// A cheap estimate of the rendering's length in bytes, used to size the
+    /// output buffer up front so a large document is not re-grown a copy at
+    /// a time. Zero (the default) means "no idea".
+    fn size_hint(&self) -> usize {
+        0
     }
 }
 
-fn write_compact(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            use fmt::Write as _;
-            write!(out, "{i}").expect("writing to a String cannot fail");
-        }
-        Value::Float(f) => write_number(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(members) => {
-            out.push('{');
-            for (i, (key, item)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, key);
-                out.push(':');
-                write_compact(out, item);
-            }
-            out.push('}');
-        }
+/// A type that reads itself back from a [`JsonReader`].
+pub trait FromJson: Sized {
+    /// Reads exactly one JSON value.
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError>;
+
+    /// What an object member of this type decodes to when the object does
+    /// not have it at all: `None` — the member is required — except for
+    /// `Option`, where an absent member reads like `null`.
+    fn missing() -> Option<Self> {
+        None
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
+/// Decodes one JSON object into local variables, one per listed key, inside
+/// a function returning `Result<_, ParseError>`. Members come in any order;
+/// the first occurrence of a key wins; unlisted keys are skipped (their
+/// syntax still checked); a listed key the object lacks is an error unless
+/// its type is an `Option`. A variable's type is inferred from its use or
+/// given after a colon.
+///
+/// ```
+/// use mop_json::{FromJson, JsonReader, ParseError};
+///
+/// struct Port {
+///     number: u16,
+///     label: Option<String>,
+/// }
+///
+/// impl FromJson for Port {
+///     fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+///         mop_json::read_members!(input, { "number" => number, "label" => label });
+///         Ok(Port { number, label })
+///     }
+/// }
+///
+/// let port: Port = mop_json::decode(r#"{"extra": [1], "number": 443}"#).unwrap();
+/// assert_eq!((port.number, port.label), (443, None));
+/// let err = mop_json::decode::<Port>(r#"{"number": "443"}"#).err().unwrap();
+/// assert_eq!(err.path, "number");
+/// assert_eq!(err.message, "expected a non-negative integer");
+/// ```
+#[macro_export]
+macro_rules! read_members {
+    ($input:expr, { $($key:literal => $var:ident $(: $ty:ty)?),+ $(,)? }) => {
+        $(let mut $var $(: ::core::option::Option<$ty>)? = ::core::option::Option::None;)+
+        $input.read_object(|input, key| match key {
+            $($key => input.member($key, &mut $var),)+
+            _ => input.skip_value(),
+        })?;
+        $(let $var $(: $ty)? = $input.take_member($key, $var)?;)+
+    };
 }
 
-fn write_pretty(out: &mut String, value: &Value, indent: usize) {
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                push_indent(out, indent + 1);
-                write_pretty(out, item, indent + 1);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Object(members) if !members.is_empty() => {
-            out.push_str("{\n");
-            for (i, (key, item)) in members.iter().enumerate() {
-                push_indent(out, indent + 1);
-                escape_into(out, key);
-                out.push_str(": ");
-                write_pretty(out, item, indent + 1);
-                if i + 1 < members.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => write_compact(out, other),
-    }
-}
+// ---------------------------------------------------------------------------
+// Text in, text out
+// ---------------------------------------------------------------------------
 
-/// A lower bound on `value`'s compact rendering length, from one cheap
-/// pass over the tree — numbers count their minimum width and strings
-/// their unescaped length, so the real rendering is rarely much longer.
-/// Pre-sizing with this keeps a large document (a 650 KB checkpoint, say)
-/// from re-growing its output buffer a copy at a time.
-fn estimate_compact(value: &Value) -> usize {
-    match value {
-        Value::Null | Value::Bool(_) => 4,
-        Value::Int(_) => 4,
-        Value::Float(_) => 8,
-        Value::Str(s) => s.len() + 2,
-        Value::Array(items) => {
-            2 + items.len() + items.iter().map(estimate_compact).sum::<usize>()
-        }
-        Value::Object(members) => {
-            2 + members.len()
-                + members.iter().map(|(key, item)| key.len() + 3 + estimate_compact(item)).sum::<usize>()
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::with_capacity(estimate_compact(self));
-        write_compact(&mut out, self);
-        f.write_str(&out)
-    }
-}
-
-/// Compact one-line rendering (JSON-lines friendly).
-pub fn to_string(value: &Value) -> String {
-    let mut out = String::with_capacity(estimate_compact(value));
-    write_compact(&mut out, value);
-    out
+/// Compact one-line rendering (JSON-lines and protocol-frame friendly).
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = JsonWriter::compact(value.size_hint());
+    value.write_json(&mut out);
+    out.finish()
 }
 
 /// Human-readable two-space-indented rendering.
-pub fn to_string_pretty(value: &Value) -> String {
-    // Pretty output carries indentation on top of the compact estimate;
-    // the compact bound still absorbs most of the growth doubling.
-    let mut out = String::with_capacity(estimate_compact(value));
-    write_pretty(&mut out, value, 0);
-    out
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = JsonWriter::pretty(value.size_hint());
+    value.write_json(&mut out);
+    out.finish()
+}
+
+/// The tree of `value`'s encoding — what [`from_str`] would read back from
+/// its rendering, built without the text.
+pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Value {
+    let mut out = write::ValueWriter::default();
+    value.write_json(&mut out);
+    out.finish()
+}
+
+/// Parses a JSON document.
+pub fn from_str(input: &str) -> Result<Value, ParseError> {
+    decode(input)
+}
+
+/// Decodes one `T` from a whole JSON text: the value must be all there is,
+/// give or take whitespace.
+pub fn decode<T: FromJson>(input: &str) -> Result<T, ParseError> {
+    let mut reader = JsonReader::new(input);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
+}
+
+/// Decodes one `T` from a tree, by reading its compact rendering: error
+/// offsets count bytes of that rendering.
+pub fn from_value<T: FromJson>(value: &Value) -> Result<T, ParseError> {
+    decode(&to_string(value))
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Errors
 // ---------------------------------------------------------------------------
 
-/// A parse failure: message plus byte offset.
+/// A parse or decode failure: message, byte offset, and — for a typed
+/// decoder — the member path it was reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong.
     pub message: String,
     /// Byte offset in the input where it went wrong.
     pub offset: usize,
+    /// The member a typed decoder failed in, outermost first
+    /// (`base.flows[3].package`); empty when the failure is outside any
+    /// member, and always for [`from_str`].
+    pub path: String,
+}
+
+impl ParseError {
+    fn at(offset: usize, message: impl Into<String>) -> Self {
+        Self { message: message.into(), offset, path: String::new() }
+    }
+
+    /// The same error, one object member further out.
+    pub fn within(mut self, key: &str) -> Self {
+        self.path = match self.path.as_bytes().first() {
+            None => key.to_string(),
+            Some(b'[') => format!("{key}{}", self.path),
+            Some(_) => format!("{key}.{}", self.path),
+        };
+        self
+    }
+
+    /// The same error, one array element further out.
+    pub fn within_index(mut self, index: usize) -> Self {
+        self.path = match self.path.as_bytes().first() {
+            None => format!("[{index}]"),
+            Some(b'[') => format!("[{index}]{}", self.path),
+            Some(_) => format!("[{index}].{}", self.path),
+        };
+        self
+    }
+
+    /// `path: message`, or the bare message outside any member — where in
+    /// the document's structure the failure is, independent of layout.
+    pub fn context(&self) -> String {
+        if self.path.is_empty() {
+            self.message.clone()
+        } else {
+            format!("{}: {}", self.path, self.message)
+        }
+    }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(f, "JSON parse error at byte {}: {}", self.offset, self.context())
     }
 }
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+// ---------------------------------------------------------------------------
+// Implementors: the tree and the primitives
+// ---------------------------------------------------------------------------
+
+impl ToJson for Value {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.int(*i),
+            Value::Float(f) => out.float(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => out.array(items),
+            Value::Object(members) => {
+                out.begin_object();
+                for (key, item) in members {
+                    out.field(key, item);
+                }
+                out.end_object();
+            }
+        }
+    }
+
+    /// A lower bound on the compact rendering's length — numbers count
+    /// their minimum width and strings their unescaped length, so the real
+    /// rendering is rarely much longer.
+    fn size_hint(&self) -> usize {
+        match self {
+            Value::Null | Value::Bool(_) | Value::Int(_) => 4,
+            Value::Float(_) => 8,
+            Value::Str(s) => s.len() + 2,
+            Value::Array(items) => {
+                2 + items.len() + items.iter().map(Value::size_hint).sum::<usize>()
+            }
+            Value::Object(members) => {
+                let member = |(key, item): &(String, Value)| key.len() + 3 + item.size_hint();
+                2 + members.len() + members.iter().map(member).sum::<usize>()
+            }
+        }
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: message.into(), offset: self.pos })
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&to_string(self))
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        (**self).write_json(out);
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    fn size_hint(&self) -> usize {
+        (**self).size_hint()
+    }
+}
+
+impl ToJson for str {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(self);
+    }
+}
+
+impl FromJson for String {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        Ok(input.read_str()?.into_owned())
+    }
+}
+
+impl ToJson for bool {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.bool(*self);
+    }
+}
+
+impl FromJson for bool {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        input.read_bool()
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.float(*self);
+    }
+}
+
+/// Any number, like [`Value::as_f64`].
+impl FromJson for f64 {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        input.read_f64()
+    }
+}
+
+impl ToJson for i64 {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.int(*self);
+    }
+}
+
+/// An integer, like [`Value::as_i64`].
+impl FromJson for i64 {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        input.read_i64()
+    }
+}
+
+/// An integer up to `i64::MAX`, a float beyond — the [`Value::from`]
+/// convention (JSON integers here are `i64`).
+impl ToJson for u64 {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        match i64::try_from(*self) {
+            Ok(i) => out.int(i),
+            Err(_) => out.float(*self as f64),
         }
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+/// A non-negative integer, like [`Value::as_u64`].
+impl FromJson for u64 {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        input.read_u64()
     }
+}
 
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
+macro_rules! narrow_unsigned {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json<W: JsonWrite>(&self, out: &mut W) {
+                (*self as u64).write_json(out);
+            }
+        }
+
+        /// A non-negative integer that fits the type.
+        impl FromJson for $t {
+            fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+                let start = input.offset();
+                let value = input.read_u64()?;
+                <$t>::try_from(value).map_err(|_| {
+                    ParseError::at(start, format!("{value} is out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+narrow_unsigned!(u16, u32, usize);
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.null(),
+        }
+    }
+}
+
+/// `null` reads as `None`, anything else as a `T`; an absent object member
+/// reads as `None` too.
+impl<T: FromJson> FromJson for Option<T> {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        if input.read_null()? {
+            Ok(None)
         } else {
-            self.error(format!("expected {:?}", byte as char))
+            T::read_json(input).map(Some)
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => self.error("expected a JSON value"),
-        }
+    fn missing() -> Option<Self> {
+        Some(None)
     }
+}
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.error(format!("expected {word}"))
-        }
+impl<T: ToJson> ToJson for [T] {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.array(self);
     }
+}
 
-    fn parse_number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError { message: "invalid utf-8 in number".into(), offset: start })?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(f) => Ok(Value::Float(f)),
-            Err(_) => self.error(format!("bad number {text:?}")),
-        }
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.array(self);
     }
+}
 
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.error("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let read_hex = |bytes: &[u8], at: usize| {
-                                bytes
-                                    .get(at..at + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            };
-                            let Some(unit) = read_hex(self.bytes, self.pos + 1) else {
-                                return self.error("bad \\u escape");
-                            };
-                            let scalar = if (0xD800..=0xDBFF).contains(&unit) {
-                                // High surrogate: a low surrogate escape must
-                                // follow immediately (standard JSON encoding
-                                // of characters outside the BMP).
-                                let follows_escape = self.bytes.get(self.pos + 5) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 6) == Some(&b'u');
-                                let low = if follows_escape {
-                                    read_hex(self.bytes, self.pos + 7)
-                                        .filter(|lo| (0xDC00..=0xDFFF).contains(lo))
-                                } else {
-                                    None
-                                };
-                                match low {
-                                    Some(lo) => {
-                                        self.pos += 6;
-                                        0x10000 + ((unit - 0xD800) << 10) + (lo - 0xDC00)
-                                    }
-                                    None => return self.error("unpaired surrogate in \\u escape"),
-                                }
-                            } else {
-                                unit
-                            };
-                            match char::from_u32(scalar) {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.error("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.error("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume the whole unescaped run in one pass. A
-                    // multi-byte scalar cannot straddle the end of the run:
-                    // its continuation bytes are >= 0x80, so the scan only
-                    // stops at '"', '\\' or EOF on a scalar boundary.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
-                        ParseError { message: "invalid utf-8 in string".into(), offset: start }
-                    })?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
+impl<T: FromJson> FromJson for Vec<T> {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return self.error("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return self.error("expected ',' or '}'"),
-            }
-        }
+        input.read_array(|input| {
+            let item = T::read_json(input).map_err(|e| e.within_index(items.len()))?;
+            items.push(item);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
-/// Parses a JSON document.
-pub fn from_str(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.error("trailing characters after document");
+/// An address as its text form (`10.0.0.2`, `2001:db8::1`).
+impl ToJson for IpAddr {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        // The longest form, an IPv4-mapped IPv6 address, is 45 bytes.
+        let mut text = [0u8; 64];
+        let len = match self {
+            // Dotted quads, the common case, without going through `fmt`.
+            IpAddr::V4(v4) => {
+                let mut len = 0;
+                for (i, octet) in v4.octets().into_iter().enumerate() {
+                    if i > 0 {
+                        text[len] = b'.';
+                        len += 1;
+                    }
+                    for (place, min) in [(100, 100), (10, 10), (1, 0)] {
+                        if octet >= min {
+                            text[len] = b'0' + octet / place % 10;
+                            len += 1;
+                        }
+                    }
+                }
+                len
+            }
+            IpAddr::V6(v6) => {
+                use std::io::Write as _;
+                let mut cursor = std::io::Cursor::new(&mut text[..]);
+                write!(cursor, "{v6}").expect("an address prints in 64 bytes");
+                cursor.position() as usize
+            }
+        };
+        out.str(std::str::from_utf8(&text[..len]).expect("addresses print as ASCII"));
     }
-    Ok(value)
 }
+
+impl FromJson for IpAddr {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        let start = input.offset();
+        let text = input.read_str()?;
+        text.parse().map_err(|_| ParseError::at(start, format!("{text:?} is not an IP address")))
+    }
+}
+
+/// An unsigned integer carried as a fixed-width lower-case hex string — for
+/// values a JSON integer (`i64`) cannot hold exactly: seeds, 128-bit sums,
+/// `f64` bit patterns. Reads back any hex spelling `from_str_radix` takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hex<T>(pub T);
+
+macro_rules! hex {
+    ($($t:ty),*) => {$(
+        impl ToJson for Hex<$t> {
+            fn write_json<W: JsonWrite>(&self, out: &mut W) {
+                const DIGITS: &[u8; 16] = b"0123456789abcdef";
+                let mut text = [0u8; 2 * std::mem::size_of::<$t>()];
+                let mut rest = self.0;
+                for digit in text.iter_mut().rev() {
+                    *digit = DIGITS[(rest & 0xf) as usize];
+                    rest >>= 4;
+                }
+                out.str(std::str::from_utf8(&text).expect("hex digits are ASCII"));
+            }
+        }
+
+        impl FromJson for Hex<$t> {
+            fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+                let start = input.offset();
+                let text = input.read_str()?;
+                <$t>::from_str_radix(&text, 16).map(Hex).map_err(|_| {
+                    ParseError::at(start, format!("{text:?} is not a hex {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+hex!(u64, u128);
 
 #[cfg(test)]
 mod tests {
@@ -729,6 +783,12 @@ mod tests {
         assert_eq!(from_str(&to_string(&Value::Float(1e15))).unwrap(), Value::Float(1e15));
         assert_eq!(from_str(&to_string(&Value::Float(-3e18))).unwrap(), Value::Float(-3e18));
         assert_eq!(to_string(&Value::Float(f64::NAN)), "null");
+        // The integer fast path ends exactly at the i64 range.
+        assert_eq!(from_str("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
+        assert_eq!(from_str("9223372036854775807").unwrap(), Value::Int(i64::MAX));
+        assert_eq!(from_str("9223372036854775808").unwrap(), Value::Float(9.223372036854776e18));
+        assert_eq!(from_str("-0").unwrap(), Value::Int(0));
+        assert_eq!(to_string(&Value::Int(i64::MIN)), "-9223372036854775808");
     }
 
     #[test]
@@ -739,5 +799,58 @@ mod tests {
         assert!(from_str("true false").is_err());
         let err = from_str("nul").unwrap_err();
         assert!(err.to_string().contains("null"));
+    }
+
+    #[test]
+    fn typed_decoding_matches_tree_lookups() {
+        // First occurrence wins, unknown members are skipped, an absent
+        // `Option` member is `None` — what `value["key"]` lookups give.
+        #[derive(Debug, PartialEq)]
+        struct Pair {
+            a: u64,
+            b: Option<String>,
+        }
+        impl FromJson for Pair {
+            fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+                read_members!(input, { "a" => a, "b" => b });
+                Ok(Pair { a, b })
+            }
+        }
+        let pair: Pair = decode(r#"{"a": 1, "x": {"y": [null]}, "a": "second"}"#).unwrap();
+        assert_eq!(pair, Pair { a: 1, b: None });
+        // ...but a duplicate must still be valid JSON.
+        assert!(decode::<Pair>(r#"{"a": 1, "a": [}"#).is_err());
+
+        let err = decode::<Vec<Pair>>(r#"[{"a": 1}, {"a": 2, "b": 3}]"#).unwrap_err();
+        assert_eq!(err.context(), "[1].b: expected a string");
+        let err = decode::<Vec<Pair>>(r#"[{"b": null}]"#).unwrap_err();
+        assert_eq!(err.context(), "[0]: missing \"a\"");
+        assert_eq!(decode::<u16>("70000").unwrap_err().message, "70000 is out of range for u16");
+        assert!(decode::<u64>("1.0").is_err() && decode::<u64>("-1").is_err());
+        assert_eq!(decode::<f64>("3").unwrap(), 3.0);
+    }
+
+    #[test]
+    fn hex_and_addresses_round_trip() {
+        assert_eq!(to_string(&Hex(0x7e1u64)), "\"00000000000007e1\"");
+        assert_eq!(to_string(&Hex(u128::MAX)), format!("\"{}\"", "f".repeat(32)));
+        assert_eq!(decode::<Hex<u64>>("\"7E1\"").unwrap(), Hex(0x7e1));
+        assert!(decode::<Hex<u64>>("\"0x7e1\"").is_err());
+        for addr in ["10.0.0.2", "2001:db8::1", "::ffff:255.255.255.255"] {
+            let ip: IpAddr = addr.parse().unwrap();
+            assert_eq!(to_string(&ip), format!("\"{addr}\""));
+            assert_eq!(decode::<IpAddr>(&to_string(&ip)).unwrap(), ip);
+        }
+    }
+
+    #[test]
+    fn the_tree_builder_and_the_text_writer_agree() {
+        let doc = json!({
+            "a": json!([1, json!({}), json!([]), "x"]),
+            "b": json!({ "c": Option::<u8>::None, "d": -2.5 }),
+        });
+        assert_eq!(to_value(&doc), doc);
+        assert_eq!(to_string(&to_value(&doc)), to_string(&doc));
+        assert_eq!(from_value::<Value>(&doc).unwrap(), doc);
     }
 }

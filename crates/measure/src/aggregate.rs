@@ -34,6 +34,8 @@
 
 use std::collections::BTreeMap;
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
+
 use crate::record::{MeasurementKind, NetKind, RttRecord};
 use crate::sketch::{Fnv, RttSketch};
 
@@ -80,8 +82,8 @@ pub struct DeviceActivity {
 /// plane. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct AggregateStore {
-    cells: BTreeMap<AggregateKey, RttSketch>,
-    devices: BTreeMap<u32, DeviceActivity>,
+    pub(crate) cells: BTreeMap<AggregateKey, RttSketch>,
+    pub(crate) devices: BTreeMap<u32, DeviceActivity>,
     /// Scratch key reused across observations so the steady-state fold does
     /// not allocate (the `String` fields keep their capacity).
     scratch: Option<AggregateKey>,
@@ -278,63 +280,6 @@ impl AggregateStore {
         domains
     }
 
-    /// Serialises the full canonical state (cells and device plane) to JSON;
-    /// [`AggregateStore::from_json`] restores the bit-identical store. Used
-    /// by the fleet checkpoint format.
-    pub fn to_json(&self) -> mop_json::Value {
-        let cells: Vec<mop_json::Value> = self
-            .cells
-            .iter()
-            .map(|(key, sketch)| {
-                mop_json::json!({
-                    "kind": key.kind.as_json_str(),
-                    "network": key.network.as_json_str(),
-                    "app": key.app.as_str(),
-                    "domain": key.domain.as_str(),
-                    "isp": key.isp.as_str(),
-                    "sketch": sketch.to_json(),
-                })
-            })
-            .collect();
-        let devices: Vec<mop_json::Value> = self
-            .devices
-            .iter()
-            .map(|(&device, activity)| {
-                mop_json::json!({
-                    "device": i64::from(device),
-                    "count": activity.count as i64,
-                    "country": activity.country.as_str(),
-                })
-            })
-            .collect();
-        mop_json::json!({ "cells": cells, "devices": devices })
-    }
-
-    /// Restores a store serialised by [`AggregateStore::to_json`]. `None` if
-    /// any field is missing or malformed.
-    pub fn from_json(value: &mop_json::Value) -> Option<Self> {
-        let mut store = Self::new();
-        for cell in value["cells"].as_array()? {
-            let key = AggregateKey {
-                kind: MeasurementKind::from_json_str(cell["kind"].as_str()?)?,
-                network: NetKind::from_json_str(cell["network"].as_str()?)?,
-                app: cell["app"].as_str()?.to_string(),
-                domain: cell["domain"].as_str()?.to_string(),
-                isp: cell["isp"].as_str()?.to_string(),
-            };
-            store.cells.insert(key, RttSketch::from_json(&cell["sketch"])?);
-        }
-        for entry in value["devices"].as_array()? {
-            let device = u32::try_from(entry["device"].as_i64()?).ok()?;
-            let activity = DeviceActivity {
-                count: entry["count"].as_u64()?,
-                country: entry["country"].as_str()?.to_string(),
-            };
-            store.devices.insert(device, activity);
-        }
-        Some(store)
-    }
-
     /// A stable FNV-1a digest over the full canonical state (every cell key,
     /// every cell sketch, every device). Two stores are bit-identical iff
     /// their digests match, which makes cross-shard merge determinism a
@@ -361,6 +306,98 @@ impl AggregateStore {
         }
         h.finish()
     }
+}
+
+/// The full canonical state — cells in key order, then the device plane —
+/// restored bit-identically by [`FromJson`]. Part of the fleet checkpoint
+/// format.
+impl ToJson for AggregateStore {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.key("cells");
+        out.begin_array();
+        for (key, sketch) in &self.cells {
+            out.begin_object();
+            out.field("kind", &key.kind);
+            out.field("network", &key.network);
+            out.field("app", &key.app);
+            out.field("domain", &key.domain);
+            out.field("isp", &key.isp);
+            out.field("sketch", sketch);
+            out.end_object();
+        }
+        out.end_array();
+        out.key("devices");
+        out.begin_array();
+        for (device, activity) in &self.devices {
+            out.begin_object();
+            out.field("device", device);
+            out.field("count", &activity.count);
+            out.field("country", &activity.country);
+            out.end_object();
+        }
+        out.end_array();
+        out.end_object();
+    }
+}
+
+impl FromJson for AggregateStore {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, { "cells" => cells: Cells, "devices" => devices: Devices });
+        Ok(Self { cells: cells.0, devices: devices.0, scratch: None })
+    }
+}
+
+/// The `cells` list, read straight into the map (a repeated key keeps the
+/// later sketch).
+struct Cells(BTreeMap<AggregateKey, RttSketch>);
+
+impl FromJson for Cells {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        let mut cells = BTreeMap::new();
+        let mut at = 0;
+        input.read_array(|input| {
+            let (key, sketch) = read_cell(input).map_err(|e| e.within_index(at))?;
+            cells.insert(key, sketch);
+            at += 1;
+            Ok(())
+        })?;
+        Ok(Cells(cells))
+    }
+}
+
+fn read_cell(input: &mut JsonReader<'_>) -> Result<(AggregateKey, RttSketch), ParseError> {
+    mop_json::read_members!(input, {
+        "kind" => kind,
+        "network" => network,
+        "app" => app,
+        "domain" => domain,
+        "isp" => isp,
+        "sketch" => sketch,
+    });
+    Ok((AggregateKey { kind, network, app, domain, isp }, sketch))
+}
+
+/// The `devices` list, read straight into the map.
+struct Devices(BTreeMap<u32, DeviceActivity>);
+
+impl FromJson for Devices {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        let mut devices = BTreeMap::new();
+        let mut at = 0;
+        input.read_array(|input| {
+            let (device, activity) = read_device(input).map_err(|e| e.within_index(at))?;
+            devices.insert(device, activity);
+            at += 1;
+            Ok(())
+        })?;
+        Ok(Devices(devices))
+    }
+}
+
+fn read_device(input: &mut JsonReader<'_>) -> Result<(u32, DeviceActivity), ParseError> {
+    mop_json::read_members!(input, { "device" => device, "count" => count, "country" => country });
+    Ok((device, DeviceActivity { count, country }))
 }
 
 #[cfg(test)]

@@ -53,6 +53,9 @@ pub mod stats;
 pub mod store;
 pub mod window;
 
+#[cfg(test)]
+mod codec_model;
+
 pub use aggregate::{AggregateKey, AggregateStore, DeviceActivity};
 pub use record::{MeasurementKind, NetKind, RttRecord};
 pub use sketch::RttSketch;

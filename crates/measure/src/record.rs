@@ -1,5 +1,6 @@
 //! The measurement record type.
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 
 /// Whether a measurement timed a TCP handshake or a DNS exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,23 +28,6 @@ pub enum NetKind {
     Gprs2g,
 }
 
-impl MeasurementKind {
-    pub(crate) fn as_json_str(self) -> &'static str {
-        match self {
-            MeasurementKind::Tcp => "Tcp",
-            MeasurementKind::Dns => "Dns",
-        }
-    }
-
-    pub(crate) fn from_json_str(s: &str) -> Option<Self> {
-        match s {
-            "Tcp" => Some(MeasurementKind::Tcp),
-            "Dns" => Some(MeasurementKind::Dns),
-            _ => None,
-        }
-    }
-}
-
 impl NetKind {
     /// All variants in figure order.
     pub const ALL: [NetKind; 4] = [NetKind::Wifi, NetKind::Lte, NetKind::Umts3g, NetKind::Gprs2g];
@@ -51,28 +35,6 @@ impl NetKind {
     /// True for any cellular technology.
     pub fn is_cellular(self) -> bool {
         !matches!(self, NetKind::Wifi)
-    }
-
-    /// The variant's wire tag: what record, aggregate and checkpoint JSON
-    /// carry for it.
-    pub fn as_json_str(self) -> &'static str {
-        match self {
-            NetKind::Wifi => "Wifi",
-            NetKind::Lte => "Lte",
-            NetKind::Umts3g => "Umts3g",
-            NetKind::Gprs2g => "Gprs2g",
-        }
-    }
-
-    /// The variant a wire tag names; `None` for an unknown tag.
-    pub fn from_json_str(s: &str) -> Option<Self> {
-        match s {
-            "Wifi" => Some(NetKind::Wifi),
-            "Lte" => Some(NetKind::Lte),
-            "Umts3g" => Some(NetKind::Umts3g),
-            "Gprs2g" => Some(NetKind::Gprs2g),
-            _ => None,
-        }
     }
 
     /// The label used in the paper's figures.
@@ -83,6 +45,62 @@ impl NetKind {
             NetKind::Umts3g => "3G UMTS/HSPA(P)",
             NetKind::Gprs2g => "2G GPRS/EDGE",
         }
+    }
+}
+
+/// The wire tag of each variant, as record, aggregate and checkpoint JSON
+/// carry it.
+const KIND_TAGS: [(MeasurementKind, &str); 2] =
+    [(MeasurementKind::Tcp, "Tcp"), (MeasurementKind::Dns, "Dns")];
+
+/// The wire tag of each variant.
+const NET_TAGS: [(NetKind, &str); 4] = [
+    (NetKind::Wifi, "Wifi"),
+    (NetKind::Lte, "Lte"),
+    (NetKind::Umts3g, "Umts3g"),
+    (NetKind::Gprs2g, "Gprs2g"),
+];
+
+/// Reads a string and finds it in `tags`; an unknown tag is an error, never
+/// a default — a checkpoint that restored it as anything would re-label
+/// samples and resume to a wrong digest.
+fn read_tag<T: Copy>(
+    input: &mut JsonReader<'_>,
+    tags: &[(T, &str)],
+    what: &str,
+) -> Result<T, ParseError> {
+    let tag = input.read_str()?;
+    match tags.iter().find(|(_, name)| *name == tag) {
+        Some((value, _)) => Ok(*value),
+        None => Err(input.error(format!("unknown {what} {tag:?}"))),
+    }
+}
+
+fn tag_of<T: PartialEq>(tags: &[(T, &'static str)], value: &T) -> &'static str {
+    tags.iter().find(|(v, _)| v == value).map(|(_, name)| *name).expect("every variant has a tag")
+}
+
+impl ToJson for MeasurementKind {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(tag_of(&KIND_TAGS, self));
+    }
+}
+
+impl FromJson for MeasurementKind {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        read_tag(input, &KIND_TAGS, "measurement kind")
+    }
+}
+
+impl ToJson for NetKind {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(tag_of(&NET_TAGS, self));
+    }
+}
+
+impl FromJson for NetKind {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        read_tag(input, &NET_TAGS, "network kind")
     }
 }
 
@@ -181,40 +199,6 @@ impl RttRecord {
         self
     }
 
-    /// Serialises the record to a single-line JSON object.
-    pub fn to_json(&self) -> mop_json::Value {
-        mop_json::json!({
-            "kind": self.kind.as_json_str(),
-            "rtt_ms": self.rtt_ms,
-            "device": self.device,
-            "app": &self.app,
-            "domain": &self.domain,
-            "dst_ip": &self.dst_ip,
-            "dst_port": self.dst_port,
-            "network": self.network.as_json_str(),
-            "isp": &self.isp,
-            "country": &self.country,
-            "timestamp_s": self.timestamp_s,
-        })
-    }
-
-    /// Parses a record from the object produced by [`RttRecord::to_json`].
-    pub fn from_json(value: &mop_json::Value) -> Option<Self> {
-        Some(Self {
-            kind: MeasurementKind::from_json_str(value["kind"].as_str()?)?,
-            rtt_ms: value["rtt_ms"].as_f64()?,
-            device: u32::try_from(value["device"].as_u64()?).ok()?,
-            app: value["app"].as_str()?.to_string(),
-            domain: value["domain"].as_str()?.to_string(),
-            dst_ip: value["dst_ip"].as_str()?.to_string(),
-            dst_port: u16::try_from(value["dst_port"].as_u64()?).ok()?,
-            network: NetKind::from_json_str(value["network"].as_str()?)?,
-            isp: value["isp"].as_str()?.to_string(),
-            country: value["country"].as_str()?.to_string(),
-            timestamp_s: value["timestamp_s"].as_u64()?,
-        })
-    }
-
     /// The registrable parent domain ("e3.whatsapp.net" → "whatsapp.net"),
     /// used by the per-provider analyses.
     pub fn parent_domain(&self) -> &str {
@@ -227,6 +211,57 @@ impl RttRecord {
         } else {
             &self.domain
         }
+    }
+}
+
+/// One flat object per record — a line of the measurement store's
+/// JSON-lines persistence.
+impl ToJson for RttRecord {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("kind", &self.kind);
+        out.field("rtt_ms", &self.rtt_ms);
+        out.field("device", &self.device);
+        out.field("app", &self.app);
+        out.field("domain", &self.domain);
+        out.field("dst_ip", &self.dst_ip);
+        out.field("dst_port", &self.dst_port);
+        out.field("network", &self.network);
+        out.field("isp", &self.isp);
+        out.field("country", &self.country);
+        out.field("timestamp_s", &self.timestamp_s);
+        out.end_object();
+    }
+}
+
+impl FromJson for RttRecord {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "kind" => kind,
+            "rtt_ms" => rtt_ms,
+            "device" => device,
+            "app" => app,
+            "domain" => domain,
+            "dst_ip" => dst_ip,
+            "dst_port" => dst_port,
+            "network" => network,
+            "isp" => isp,
+            "country" => country,
+            "timestamp_s" => timestamp_s,
+        });
+        Ok(Self {
+            kind,
+            rtt_ms,
+            device,
+            app,
+            domain,
+            dst_ip,
+            dst_port,
+            network,
+            isp,
+            country,
+            timestamp_s,
+        })
     }
 }
 
@@ -283,10 +318,11 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let r = RttRecord::tcp(61.0, 1, "com.facebook.katana", NetKind::Wifi).with_domain("graph.facebook.com");
-        let json = mop_json::to_string(&r.to_json());
-        let back = RttRecord::from_json(&mop_json::from_str(&json).unwrap()).unwrap();
+        let json = mop_json::to_string(&r);
+        let back: RttRecord = mop_json::decode(&json).unwrap();
         assert_eq!(back, r);
-        assert!(RttRecord::from_json(&mop_json::Value::Null).is_none());
-        assert!(RttRecord::from_json(&mop_json::json!({"kind": "Tcp"})).is_none());
+        assert!(mop_json::decode::<RttRecord>("null").is_err());
+        assert!(mop_json::decode::<RttRecord>("{\"kind\": \"Tcp\"}").is_err());
+        assert!(mop_json::decode::<RttRecord>(&json.replace("Wifi", "WiFi")).is_err());
     }
 }

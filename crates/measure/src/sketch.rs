@@ -53,6 +53,8 @@
 
 use std::collections::BTreeMap;
 
+use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson};
+
 /// Number of linear subbuckets per power of two. 64 subbuckets bound the
 /// relative width of one bucket by 1/64 ≈ 1.6 %, so the bucket midpoint is
 /// within 0.79 % of any value in the bucket — comfortably inside the 1 %
@@ -79,17 +81,17 @@ const SUM_SCALE: f64 = 1_000_000.0;
 pub struct RttSketch {
     /// Sparse bucket counts, keyed by bucket index. Index 0 is the underflow
     /// bucket; the last index is the overflow bucket.
-    buckets: BTreeMap<u16, u64>,
+    pub(crate) buckets: BTreeMap<u16, u64>,
     /// Total observations.
-    count: u64,
+    pub(crate) count: u64,
     /// Exact sum of all observed values, in nanoseconds (integral so that
     /// merges are associative and commutative bit-for-bit).
-    sum_ns: u128,
+    pub(crate) sum_ns: u128,
     /// Raw bits of the smallest observed value (positive finite `f64`s order
     /// the same as their bit patterns). `u64::MAX` while empty.
-    min_bits: u64,
+    pub(crate) min_bits: u64,
     /// Raw bits of the largest observed value. `0` while empty.
-    max_bits: u64,
+    pub(crate) max_bits: u64,
 }
 
 /// Index of the first regular (non-underflow) bucket.
@@ -308,47 +310,6 @@ impl RttSketch {
         self.buckets.len()
     }
 
-    /// Serialises the full sketch state to JSON. The exact accumulators
-    /// (`sum_ns`, `min_bits`, `max_bits`) are hex-encoded strings because
-    /// `mop_json` integers are `i64` — bit patterns above `i64::MAX` would
-    /// silently lose precision as floats otherwise. [`RttSketch::from_json`]
-    /// restores the bit-identical sketch.
-    pub fn to_json(&self) -> mop_json::Value {
-        let buckets: Vec<mop_json::Value> = self
-            .buckets
-            .iter()
-            .map(|(&index, &count)| mop_json::json!([i64::from(index), count as i64]))
-            .collect();
-        mop_json::json!({
-            "count": self.count as i64,
-            "sum_ns": format!("{:032x}", self.sum_ns),
-            "min_bits": format!("{:016x}", self.min_bits),
-            "max_bits": format!("{:016x}", self.max_bits),
-            "buckets": buckets,
-        })
-    }
-
-    /// Restores a sketch serialised by [`RttSketch::to_json`]. `None` if any
-    /// field is missing or malformed.
-    pub fn from_json(value: &mop_json::Value) -> Option<Self> {
-        let mut buckets = BTreeMap::new();
-        for entry in value["buckets"].as_array()? {
-            let pair = entry.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let index = u16::try_from(pair[0].as_i64()?).ok()?;
-            buckets.insert(index, pair[1].as_u64()?);
-        }
-        Some(Self {
-            buckets,
-            count: value["count"].as_u64()?,
-            sum_ns: u128::from_str_radix(value["sum_ns"].as_str()?, 16).ok()?,
-            min_bits: u64::from_str_radix(value["min_bits"].as_str()?, 16).ok()?,
-            max_bits: u64::from_str_radix(value["max_bits"].as_str()?, 16).ok()?,
-        })
-    }
-
     /// A stable FNV-1a digest of the full sketch state (buckets, count, sum,
     /// min/max bits). Two sketches are bit-identical iff their digests match
     /// — the one-line check the merge-determinism tests use.
@@ -364,6 +325,79 @@ impl RttSketch {
             h.write_u64(count);
         }
         h.finish()
+    }
+}
+
+/// The full sketch state, restored bit-identically by [`FromJson`]. The
+/// exact accumulators (`sum_ns`, `min_bits`, `max_bits`) are hex strings:
+/// JSON integers here are `i64`, and bit patterns above `i64::MAX` would
+/// silently lose precision as floats otherwise. Buckets are
+/// `[index, count]` pairs in index order.
+impl ToJson for RttSketch {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("count", &self.count);
+        out.field("sum_ns", &Hex(self.sum_ns));
+        out.field("min_bits", &Hex(self.min_bits));
+        out.field("max_bits", &Hex(self.max_bits));
+        out.key("buckets");
+        out.begin_array();
+        for (index, count) in &self.buckets {
+            out.begin_array();
+            index.write_json(out);
+            count.write_json(out);
+            out.end_array();
+        }
+        out.end_array();
+        out.end_object();
+    }
+}
+
+impl FromJson for RttSketch {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "buckets" => buckets: Buckets,
+            "count" => count,
+            "sum_ns" => sum_ns: Hex<u128>,
+            "min_bits" => min_bits: Hex<u64>,
+            "max_bits" => max_bits: Hex<u64>,
+        });
+        Ok(Self {
+            buckets: buckets.0,
+            count,
+            sum_ns: sum_ns.0,
+            min_bits: min_bits.0,
+            max_bits: max_bits.0,
+        })
+    }
+}
+
+/// A sketch's `[[index, count], ...]` bucket list, read straight into its
+/// map (a repeated index keeps the later count).
+struct Buckets(BTreeMap<u16, u64>);
+
+impl FromJson for Buckets {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        const PAIR: &str = "expected an [index, count] pair";
+        let mut buckets = BTreeMap::new();
+        input.read_array(|input| {
+            let (mut index, mut count, mut len) = (None, None, 0);
+            input.read_array(|input| {
+                match len {
+                    0 => index = Some(u16::read_json(input)?),
+                    1 => count = Some(u64::read_json(input)?),
+                    _ => return Err(input.error(PAIR)),
+                }
+                len += 1;
+                Ok(())
+            })?;
+            let (Some(index), Some(count)) = (index, count) else {
+                return Err(input.error(PAIR));
+            };
+            buckets.insert(index, count);
+            Ok(())
+        })?;
+        Ok(Buckets(buckets))
     }
 }
 

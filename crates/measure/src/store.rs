@@ -207,7 +207,7 @@ impl MeasurementStore {
     pub fn to_json_lines(&self) -> String {
         self.records
             .iter()
-            .map(|r| mop_json::to_string(&r.to_json()))
+            .map(mop_json::to_string)
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -216,8 +216,7 @@ impl MeasurementStore {
     pub fn from_json_lines(text: &str) -> Self {
         let records = text
             .lines()
-            .filter_map(|line| mop_json::from_str(line).ok())
-            .filter_map(|value| RttRecord::from_json(&value))
+            .filter_map(|line| mop_json::decode::<RttRecord>(line).ok())
             .collect();
         Self { records }
     }

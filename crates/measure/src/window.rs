@@ -44,6 +44,8 @@
 //! assert_eq!(w.sample_count(), 10);              // nothing lost
 //! ```
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
+
 use crate::aggregate::AggregateStore;
 use crate::record::{MeasurementKind, NetKind};
 use crate::sketch::Fnv;
@@ -73,12 +75,12 @@ pub struct WindowedAggregateStore {
     window: usize,
     /// Live epochs, slot `epoch % window`. A slot is `Some` only if a sample
     /// was stamped into that epoch while it was inside the window.
-    ring: Vec<Option<(u64, AggregateStore)>>,
+    pub(crate) ring: Vec<Option<(u64, AggregateStore)>>,
     /// Merge of every epoch that has fallen off the back of the ring, plus
     /// late samples older than the window.
-    folded: AggregateStore,
+    pub(crate) folded: AggregateStore,
     /// Highest epoch containing any observed sample (`None` while empty).
-    max_epoch: Option<u64>,
+    pub(crate) max_epoch: Option<u64>,
 }
 
 impl WindowedAggregateStore {
@@ -325,45 +327,68 @@ impl WindowedAggregateStore {
         }
         h.finish()
     }
+}
 
-    /// Serialises the full windowed state to JSON;
-    /// [`WindowedAggregateStore::from_json`] restores the bit-identical
-    /// store. Part of the fleet checkpoint format.
-    pub fn to_json(&self) -> mop_json::Value {
-        let epochs: Vec<mop_json::Value> = self
-            .live_epochs()
-            .into_iter()
-            .map(|epoch| {
-                let store = self.epoch_store(epoch).expect("live epoch has a store");
-                mop_json::json!({ "epoch": epoch as i64, "store": store.to_json() })
-            })
-            .collect();
-        mop_json::json!({
-            "width_ns": self.width_ns as i64,
-            "window": self.window as i64,
-            "max_epoch": self.max_epoch.map_or(mop_json::Value::Null, |e| (e as i64).into()),
-            "folded": self.folded.to_json(),
-            "epochs": epochs,
-        })
-    }
+/// The largest live window a decoded store may ask for. The ring is
+/// allocated whole when a store is restored, so a checkpoint's `window` is
+/// a memory request and has to have a ceiling.
+const MAX_DECODED_WINDOW: usize = 1 << 16;
 
-    /// Restores a store serialised by [`WindowedAggregateStore::to_json`].
-    /// `None` if any field is missing or malformed.
-    pub fn from_json(value: &mop_json::Value) -> Option<Self> {
-        let width_ns = value["width_ns"].as_u64()?;
-        let window = usize::try_from(value["window"].as_u64()?).ok()?;
-        let mut store = Self::new(width_ns, window);
-        store.max_epoch = match &value["max_epoch"] {
-            mop_json::Value::Null => None,
-            v => Some(v.as_u64()?),
-        };
-        store.folded = AggregateStore::from_json(&value["folded"])?;
-        for entry in value["epochs"].as_array()? {
-            let epoch = entry["epoch"].as_u64()?;
-            let slot = (epoch % store.window as u64) as usize;
-            store.ring[slot] = Some((epoch, AggregateStore::from_json(&entry["store"])?));
+/// The full windowed state — geometry, maximum epoch, folded tail, live
+/// epochs ascending — restored bit-identically by [`FromJson`]. Part of the
+/// fleet checkpoint format.
+impl ToJson for WindowedAggregateStore {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("width_ns", &self.width_ns);
+        out.field("window", &self.window);
+        out.field("max_epoch", &self.max_epoch);
+        out.field("folded", &self.folded);
+        out.key("epochs");
+        out.begin_array();
+        for epoch in self.live_epochs() {
+            out.begin_object();
+            out.field("epoch", &epoch);
+            out.field("store", self.epoch_store(epoch).expect("live epoch has a store"));
+            out.end_object();
         }
-        Some(store)
+        out.end_array();
+        out.end_object();
+    }
+}
+
+impl FromJson for WindowedAggregateStore {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "width_ns" => width_ns,
+            "window" => window: usize,
+            "max_epoch" => max_epoch,
+            "folded" => folded,
+            "epochs" => epochs: Vec<LiveEpoch>,
+        });
+        if window > MAX_DECODED_WINDOW {
+            return Err(input.error(format!(
+                "window {window} is more than a store may hold ({MAX_DECODED_WINDOW})"
+            )));
+        }
+        let mut store = Self::new(width_ns, window);
+        store.max_epoch = max_epoch;
+        store.folded = folded;
+        for LiveEpoch(epoch, epoch_store) in epochs {
+            let slot = (epoch % store.window as u64) as usize;
+            store.ring[slot] = Some((epoch, epoch_store));
+        }
+        Ok(store)
+    }
+}
+
+/// One entry of the `epochs` list: `{"epoch": e, "store": {...}}`.
+struct LiveEpoch(u64, AggregateStore);
+
+impl FromJson for LiveEpoch {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, { "epoch" => epoch, "store" => store });
+        Ok(LiveEpoch(epoch, store))
     }
 }
 
@@ -464,9 +489,8 @@ mod tests {
         for i in 0..40u64 {
             stamp(&mut w, i * 333, "a", 5.0 + i as f64);
         }
-        let text = mop_json::to_string(&w.to_json());
-        let back =
-            WindowedAggregateStore::from_json(&mop_json::from_str(&text).unwrap()).unwrap();
+        let text = mop_json::to_string(&w);
+        let back: WindowedAggregateStore = mop_json::decode(&text).unwrap();
         assert_eq!(back, w);
         assert_eq!(back.digest(), w.digest());
     }
@@ -500,11 +524,7 @@ mod tests {
         assert_eq!(w.live_epochs(), Vec::<u64>::new());
         assert_eq!(w.sample_count(), 0);
         assert_eq!(w.max_epoch(), None);
-        let back =
-            WindowedAggregateStore::from_json(&mop_json::from_str(
-                &mop_json::to_string(&w.to_json()),
-            ).unwrap())
-            .unwrap();
+        let back: WindowedAggregateStore = mop_json::decode(&mop_json::to_string(&w)).unwrap();
         assert_eq!(back.digest(), w.digest());
     }
 }

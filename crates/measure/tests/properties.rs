@@ -265,8 +265,8 @@ proptest! {
         prop_assert_eq!(merged.digest(), whole.digest());
         prop_assert!(merged == whole, "merged windowed store must equal the unpartitioned one");
         // JSON round trip preserves the digest (the checkpoint path).
-        let text = mop_json::to_string(&merged.to_json());
-        let back = WindowedAggregateStore::from_json(&mop_json::from_str(&text).unwrap()).unwrap();
+        let text = mop_json::to_string(&merged);
+        let back: WindowedAggregateStore = mop_json::decode(&text).unwrap();
         prop_assert_eq!(back.digest(), whole.digest());
     }
 

@@ -50,6 +50,8 @@ pub mod tcp;
 pub mod udp;
 pub mod view;
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
+
 pub use builder::PacketBuilder;
 pub use dns::{DnsFlags, DnsMessage, DnsQuestion, DnsRecord, DnsRecordData, DnsType};
 pub use error::{PacketError, Result};
@@ -186,6 +188,40 @@ impl FourTuple {
 impl std::fmt::Display for FourTuple {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} -> {}", self.src, self.dst)
+    }
+}
+
+/// `{"addr": "10.0.0.2", "port": 443}` — the checkpoint encoding.
+impl ToJson for Endpoint {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("addr", &self.addr);
+        out.field("port", &self.port);
+        out.end_object();
+    }
+}
+
+impl FromJson for Endpoint {
+    fn read_json(input: &mut JsonReader<'_>) -> std::result::Result<Self, ParseError> {
+        mop_json::read_members!(input, { "addr" => addr, "port" => port });
+        Ok(Endpoint { addr, port })
+    }
+}
+
+/// `{"src": endpoint, "dst": endpoint}`.
+impl ToJson for FourTuple {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("src", &self.src);
+        out.field("dst", &self.dst);
+        out.end_object();
+    }
+}
+
+impl FromJson for FourTuple {
+    fn read_json(input: &mut JsonReader<'_>) -> std::result::Result<Self, ParseError> {
+        mop_json::read_members!(input, { "src" => src, "dst" => dst });
+        Ok(FourTuple { src, dst })
     }
 }
 

@@ -34,13 +34,13 @@
 use std::mem;
 
 use mop_dataset::Scenario;
-use mop_json::{json, Value};
+use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson, Value};
 use mop_measure::EpochSummary;
 use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
 use mopeye_core::{
-    checkpoint_to_json, epoch_boundary, run_report_to_json, CheckpointHeader, CongestionAlgo,
-    FleetCheckpoint, FleetConfig, ResidentFleet, RunReport,
+    epoch_boundary, CheckpointHeader, CheckpointRef, CongestionAlgo, FleetCheckpoint,
+    FleetConfig, ResidentFleet, RunReport,
 };
 #[cfg(test)]
 use mopeye_core::FleetEngine;
@@ -49,10 +49,15 @@ use mopeye_core::FleetEngine;
 /// [`FleetCheckpoint`] plus the plane's scenario table and cursor).
 pub const SERVER_CHECKPOINT_VERSION: u64 = 1;
 
+/// The `"format"` tag of a server checkpoint document.
+const SERVER_CHECKPOINT_FORMAT: &str = "mop-server-checkpoint";
+
 /// The most users one `inject` may ask for — about eight times the
 /// paper-scale 13 k-user sweep. A scenario's flow schedule is generated
 /// whole at inject (several flows per user, a few hundred bytes each), so
-/// the count is a memory request and has to have a ceiling.
+/// the count is a memory request and has to have a ceiling. A resumed
+/// checkpoint's scenario table is held to the same range (and to at least
+/// one user: a scenario of none cannot be built).
 pub const MAX_INJECT_USERS: usize = 100_000;
 
 /// The highest value the cursor may reach: every protocol integer is an
@@ -110,8 +115,24 @@ struct ScenarioSlot {
 impl ScenarioSlot {
     fn network(&self) -> SimNetworkBuilder {
         build_scenario(&self.kind, self.users, self.seed)
-            .expect("slot kind was validated at inject")
+            .expect("slot kind and users were validated at inject or resume")
             .network()
+    }
+}
+
+/// A row of the checkpoint's scenario table: the generation parameters and
+/// how many of the flat pending set's specs are this slot's.
+impl ToJson for ScenarioSlot {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("id", &self.id);
+        out.field("kind", &self.kind);
+        out.field("users", &self.users);
+        out.field("seed", &Hex(self.seed));
+        out.field("retired", &self.retired);
+        out.field("injected_flows", &self.injected_flows);
+        out.field("pending", &self.pending.len());
+        out.end_object();
     }
 }
 
@@ -128,7 +149,8 @@ fn fleet_config(config: &PlaneConfig) -> FleetConfig {
 
 /// Builds the named scenario, or `None` for an unknown kind. The kinds
 /// mirror the `report` binary's `--scenario` values (minus the diurnal
-/// day, which has its own generator type).
+/// day, which has its own generator type). Panics on zero `users`: callers
+/// check the count first.
 fn build_scenario(kind: &str, users: usize, seed: u64) -> Option<Scenario> {
     match kind {
         "rush-hour" => Some(Scenario::rush_hour(users, seed)),
@@ -252,6 +274,9 @@ impl ControlPlane {
     /// epochs (or the window tail) because the windowed merge keys on
     /// sample timestamps. Returns `(scenario_id, flows_injected)`.
     pub fn inject(&mut self, kind: &str, users: usize, seed: u64) -> Result<(String, usize), String> {
+        if users == 0 {
+            return Err("a scenario needs at least one user".into());
+        }
         if users > MAX_INJECT_USERS {
             return Err(format!(
                 "{users} users is more than one inject may ask for ({MAX_INJECT_USERS})"
@@ -349,7 +374,7 @@ impl ControlPlane {
                 epoch_summaries = windows.epoch_summaries();
             }
             if want_delta {
-                delta_json = run_report_to_json(&delta);
+                delta_json = mop_json::to_value(&delta);
             }
             self.cumulative.absorb(delta);
             self.cumulative.canonicalise();
@@ -387,79 +412,62 @@ impl ControlPlane {
         FleetEngine::new(fleet_config(&self.config), network)
     }
 
-    /// Serialises the plane to its checkpoint document: a
-    /// [`FleetCheckpoint`] (base = the cumulative report, pending = every
-    /// not-yet-run flow, cut = the cursor boundary) plus the scenario
-    /// table needed to rebuild the slots on resume.
+    /// The plane's checkpoint document as a tree — what an inline
+    /// `fleet.checkpoint` reply carries. The plane's [`ToJson`] impl is the
+    /// document; `mop_json::to_string_pretty(&plane)` is the same document
+    /// as the on-disk text, written without the tree.
     pub fn checkpoint(&self) -> Value {
-        let header = CheckpointHeader {
-            seed: self.config.seed,
-            shards_at_save: self.config.shards,
-            congestion: self.config.congestion,
-            epoch_width_ns: Some(self.config.epoch_width.as_nanos()),
-            epoch_window: self.config.epoch_window,
-            cut: epoch_boundary(self.config.epoch_width.as_nanos(), self.cursor_epoch),
-        };
-        // Encoded where they live: the report and the pending specs are
-        // only read, in slot order.
-        let fleet = checkpoint_to_json(
-            &header,
-            &self.cumulative,
-            self.scenarios.iter().flat_map(|s| &s.pending),
-        );
-        let scenarios: Vec<Value> = self
-            .scenarios
-            .iter()
-            .map(|s| {
-                json!({
-                    "id": s.id.clone(),
-                    "kind": s.kind.clone(),
-                    "users": s.users as i64,
-                    "seed": format!("{:016x}", s.seed),
-                    "retired": s.retired,
-                    "injected_flows": s.injected_flows as i64,
-                    "pending": s.pending.len() as i64,
-                })
-            })
-            .collect();
-        json!({
-            "format": "mop-server-checkpoint",
-            "version": SERVER_CHECKPOINT_VERSION as i64,
-            "cursor_epoch": self.cursor_epoch as i64,
-            "next_scenario": self.next_scenario as i64,
-            "scenarios": scenarios,
-            "fleet": fleet,
-        })
+        mop_json::to_value(self)
     }
 
-    /// Restores a plane from a checkpoint document. The receiving plane
-    /// must be idle (no scenarios, cursor at zero) and configured with the
-    /// saved seed, congestion algorithm and epoch geometry; shard count
-    /// may differ freely. On success the plane continues bit-identically
-    /// to the one that saved the document.
+    /// The embedded fleet checkpoint, encoded where its parts live: base =
+    /// the cumulative report, pending = every not-yet-run flow in slot
+    /// order, cut = the cursor boundary.
+    fn fleet_checkpoint(&self) -> CheckpointRef<'_, impl Iterator<Item = &FlowSpec> + Clone> {
+        let width_ns = self.config.epoch_width.as_nanos();
+        CheckpointRef {
+            header: CheckpointHeader {
+                seed: self.config.seed,
+                shards_at_save: self.config.shards,
+                congestion: self.config.congestion,
+                epoch_width_ns: Some(width_ns),
+                epoch_window: self.config.epoch_window,
+                cut: epoch_boundary(width_ns, self.cursor_epoch),
+            },
+            base: &self.cumulative,
+            pending: self.scenarios.iter().flat_map(|s| &s.pending),
+        }
+    }
+
+    /// Restores a plane from a checkpoint document held as a tree (an
+    /// inline `fleet.resume`); [`ControlPlane::resume_text`] does the work
+    /// on its compact rendering.
     pub fn resume(&mut self, doc: &Value) -> Result<(), String> {
+        self.resume_text(&mop_json::to_string(doc))
+    }
+
+    /// Restores a plane from a checkpoint document's text, decoded straight
+    /// into the plane's state. The receiving plane must be idle (no
+    /// scenarios, cursor at zero) and configured with the saved seed,
+    /// congestion algorithm and epoch geometry; shard count may differ
+    /// freely. On success the plane continues bit-identically to the one
+    /// that saved the document; on failure it is left as it was.
+    pub fn resume_text(&mut self, text: &str) -> Result<(), String> {
         if self.cursor_epoch != 0 || !self.scenarios.is_empty() {
             return Err("resume requires an idle plane (no scenarios, cursor at 0)".into());
         }
-        let Some(format) = doc["format"].as_str() else {
-            return Err("server checkpoint has no \"format\" string field".into());
-        };
-        if format != "mop-server-checkpoint" {
-            return Err(format!("not a server checkpoint: format tag {format:?}"));
-        }
-        let Some(version) = doc["version"].as_u64() else {
-            return Err("server checkpoint has no \"version\" number field".into());
-        };
-        if version != SERVER_CHECKPOINT_VERSION {
-            return Err(format!(
-                "unsupported server checkpoint version {version} \
-                 (this build reads version {SERVER_CHECKPOINT_VERSION})"
-            ));
-        }
-        // The embedded fleet document goes through the descriptive parser,
-        // so a malformed body is rejected with the messages a direct
-        // `FleetCheckpoint::parse` of its text would produce.
-        let fleet = FleetCheckpoint::parse_value(&doc["fleet"])?;
+        let saved: SavedPlane =
+            mop_json::decode(text).map_err(|error| explain_rejection(text, &error))?;
+        self.install(saved)
+    }
+
+    /// Checks a decoded document against this plane and installs it. The
+    /// checks, their order and their messages are the format's: wrapper
+    /// tag and version, the fleet document, the plane's run parameters,
+    /// then the cursor and the scenario table.
+    fn install(&mut self, saved: SavedPlane) -> Result<(), String> {
+        let SavedPlane { members: doc, fleet } = saved;
+        check_header(&doc)?;
         if fleet.seed != self.config.seed {
             return Err(format!(
                 "checkpoint was saved under seed {:#018x}, plane runs {:#018x}",
@@ -474,6 +482,7 @@ impl ControlPlane {
         {
             return Err("checkpoint and plane disagree on the epoch geometry".into());
         }
+        fleet.check_windows()?;
         let Some(cursor_epoch) = doc["cursor_epoch"].as_u64() else {
             return Err("server checkpoint has no \"cursor_epoch\"".into());
         };
@@ -484,7 +493,7 @@ impl ControlPlane {
             return Err("server checkpoint has no \"scenarios\" array".into());
         };
         // Re-slice the flat pending vector back into per-scenario slots:
-        // checkpoint() wrote it in slot order.
+        // the encoder wrote it in slot order.
         let mut slots = Vec::with_capacity(entries.len());
         let mut remaining = fleet.pending;
         for entry in entries {
@@ -499,7 +508,13 @@ impl ControlPlane {
                 return Err("server checkpoint scenario entry is malformed".into());
             };
             let injected = entry["injected_flows"].as_u64().unwrap_or(0) as usize;
-            let users = users as usize;
+            let users = usize::try_from(users).unwrap_or(usize::MAX);
+            if !(1..=MAX_INJECT_USERS).contains(&users) {
+                return Err(format!(
+                    "server checkpoint scenario {id:?} has {users} users; a scenario has 1 to \
+                     {MAX_INJECT_USERS}"
+                ));
+            }
             if build_scenario(kind, users, seed).is_none() {
                 return Err(format!("server checkpoint names unknown scenario kind {kind:?}"));
             }
@@ -531,9 +546,99 @@ impl ControlPlane {
     }
 }
 
+/// The plane's checkpoint document, `mop-server-checkpoint`: the wrapper's
+/// tag, version, cursor and scenario table, and the embedded fleet
+/// checkpoint under `"fleet"`, encoded from the plane's own state.
+impl ToJson for ControlPlane {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("format", SERVER_CHECKPOINT_FORMAT);
+        out.field("version", &SERVER_CHECKPOINT_VERSION);
+        out.field("cursor_epoch", &self.cursor_epoch);
+        out.field("next_scenario", &self.next_scenario);
+        out.key("scenarios");
+        out.array(&self.scenarios);
+        out.field("fleet", &self.fleet_checkpoint());
+        out.end_object();
+    }
+
+    fn size_hint(&self) -> usize {
+        self.fleet_checkpoint().size_hint() + 256 * (self.scenarios.len() + 1)
+    }
+}
+
+/// A `mop-server-checkpoint` document as decoded: the embedded fleet
+/// checkpoint straight into its struct, every other member (a few scalars
+/// and the scenario table) as the small tree it is, for
+/// [`ControlPlane::install`] to check in the format's order.
+struct SavedPlane {
+    /// The wrapper's members other than `"fleet"`, as an object.
+    members: Value,
+    fleet: FleetCheckpoint,
+}
+
+impl FromJson for SavedPlane {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        let mut members = Vec::new();
+        let mut fleet = None;
+        input.read_object(|input, key| {
+            if key == "fleet" {
+                input.member(key, &mut fleet)
+            } else {
+                // Kept in order, duplicates too: a lookup finds the first.
+                members.push((key.to_string(), Value::read_json(input)?));
+                Ok(())
+            }
+        })?;
+        let fleet = input.take_member("fleet", fleet)?;
+        Ok(SavedPlane { members: Value::Object(members), fleet })
+    }
+}
+
+/// The wrapper's tag and version checks.
+fn check_header(doc: &Value) -> Result<(), String> {
+    let Some(format) = doc["format"].as_str() else {
+        return Err("server checkpoint has no \"format\" string field".into());
+    };
+    if format != SERVER_CHECKPOINT_FORMAT {
+        return Err(format!("not a server checkpoint: format tag {format:?}"));
+    }
+    let Some(version) = doc["version"].as_u64() else {
+        return Err("server checkpoint has no \"version\" number field".into());
+    };
+    if version != SERVER_CHECKPOINT_VERSION {
+        return Err(format!(
+            "unsupported server checkpoint version {version} \
+             (this build reads version {SERVER_CHECKPOINT_VERSION})"
+        ));
+    }
+    Ok(())
+}
+
+/// Why a document the decoder refused was refused, in the format's order:
+/// syntax anywhere, the wrapper's tag and version, then the fleet document
+/// — which is the only member the decoder reads as a struct, so any other
+/// refusal is its. The message for the fleet document is the one
+/// [`FleetCheckpoint::parse`] gives for that member alone. Off the fast
+/// path: this re-reads the text as a tree.
+fn explain_rejection(text: &str, error: &ParseError) -> String {
+    let doc = match mop_json::from_str(text) {
+        Ok(doc) => doc,
+        Err(syntax) => return format!("checkpoint is not valid JSON: {syntax}"),
+    };
+    if let Err(message) = check_header(&doc) {
+        return message;
+    }
+    match FleetCheckpoint::parse(&mop_json::to_string(&doc["fleet"])) {
+        Err(message) => message,
+        Ok(_) => format!("server checkpoint is malformed: {}", error.context()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mop_json::json;
 
     fn small_plane(shards: usize) -> ControlPlane {
         ControlPlane::new(PlaneConfig { shards, ..PlaneConfig::default() })
@@ -646,5 +751,44 @@ mod tests {
             .resume(&json!({"format": "mop-server-checkpoint", "version": 9}))
             .unwrap_err()
             .contains("version 9"));
+    }
+
+    /// `doc` with `field` of its first scenario row replaced by `value`.
+    fn with_scenario_field(doc: &Value, field: &str, value: Value) -> Value {
+        let Value::Object(mut members) = doc.clone() else { panic!("not an object") };
+        for (key, member) in &mut members {
+            if key == "scenarios" {
+                let Value::Array(rows) = member else { panic!("no scenario table") };
+                let Value::Object(row) = &mut rows[0] else { panic!("not a row") };
+                row.iter_mut().find(|(k, _)| k == field).expect("row has the field").1 = value;
+                return Value::Object(members);
+            }
+        }
+        panic!("no scenario table")
+    }
+
+    #[test]
+    fn zero_or_too_many_users_are_refused_at_inject_and_at_resume() {
+        // A zero-user scenario cannot be built (its constructor asserts), so
+        // neither an inject nor a checkpoint row may ask for one; and a row
+        // is held to the inject ceiling.
+        let mut plane = small_plane(1);
+        let err = plane.inject("rush-hour", 0, 5).unwrap_err();
+        assert!(err.contains("at least one user"), "{err}");
+        assert_eq!(plane.live_scenarios(), 0, "the refused inject left no slot");
+
+        let mut saver = small_plane(1);
+        saver.inject("rush-hour", 10, 5).unwrap();
+        saver.step(1);
+        let good = saver.checkpoint();
+        for users in [0, MAX_INJECT_USERS as i64 + 1, i64::MAX] {
+            let doc = with_scenario_field(&good, "users", json!(users));
+            let err = plane.resume(&doc).unwrap_err();
+            assert!(err.contains(&format!("has {users} users")), "{err}");
+            assert_eq!(plane.digest_computes(), 0, "a refused resume installs nothing");
+            assert_eq!((plane.cursor_epoch(), plane.live_scenarios()), (0, 0));
+        }
+        plane.resume(&good).unwrap();
+        assert_eq!(plane.digest(), saver.digest());
     }
 }

@@ -305,41 +305,40 @@ impl Server {
         Ok(json!({ "apps": apps, "trends": trends }))
     }
 
+    /// `fleet.checkpoint`: to a file, written from the plane's state
+    /// without a tree (`{path}`), or inline in the reply as a tree.
     fn checkpoint(&self, params: &Value) -> Result<Value, (ErrorCode, String)> {
-        let doc = self.plane.checkpoint();
         let mut result = vec![
             ("cursor_epoch".to_string(), Value::from(self.plane.cursor_epoch() as i64)),
             ("pending".to_string(), Value::from(self.plane.pending_flows() as i64)),
             ("digest".to_string(), Value::from(digest_str(self.plane.digest()))),
         ];
         if let Some(path) = params["path"].as_str() {
-            write_replacing(path, || mop_json::to_string_pretty(&doc))
+            write_replacing(path, || mop_json::to_string_pretty(&self.plane))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("path".to_string(), Value::from(path)));
         } else {
-            result.push(("checkpoint".to_string(), doc));
+            result.push(("checkpoint".to_string(), self.plane.checkpoint()));
         }
         Ok(Value::Object(result))
     }
 
+    /// `fleet.resume`: from a file, decoded from its text straight into the
+    /// plane (`{path}`), or from the inline document.
     fn resume(&mut self, params: &Value) -> Result<Value, (ErrorCode, String)> {
-        let loaded;
-        let doc = if let Some(path) = params["path"].as_str() {
+        let resumed = if let Some(path) = params["path"].as_str() {
             let text = fs::read_to_string(path)
                 .map_err(|e| (ErrorCode::Io, format!("cannot read {path:?}: {e}")))?;
-            loaded = mop_json::from_str(&text).map_err(|e| {
-                (ErrorCode::BadCheckpoint, format!("checkpoint is not valid JSON: {e}"))
-            })?;
-            &loaded
+            self.plane.resume_text(&text)
         } else if !params["checkpoint"].is_null() {
-            &params["checkpoint"]
+            self.plane.resume(&params["checkpoint"])
         } else {
             return Err((
                 ErrorCode::BadParams,
                 "resume needs a \"checkpoint\" document or a \"path\"".into(),
             ));
         };
-        self.plane.resume(doc).map_err(|m| {
+        resumed.map_err(|m| {
             if m.contains("idle plane") {
                 (ErrorCode::ResumeConflict, m)
             } else {
@@ -363,8 +362,7 @@ impl Server {
             ("digest".to_string(), Value::from(digest_str(outcome.digest))),
         ];
         if let Some(path) = params["checkpoint_path"].as_str() {
-            let doc = self.plane.checkpoint();
-            write_replacing(path, || mop_json::to_string_pretty(&doc))
+            write_replacing(path, || mop_json::to_string_pretty(&self.plane))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("checkpoint_path".to_string(), Value::from(path)));
         }
@@ -495,6 +493,44 @@ mod tests {
         assert!(step(&mut server, "1").contains("\"code\":\"bad-params\""));
         assert!(step(&mut server, "0").contains("\"cursor_epoch\":9223372036854775807"));
         assert_eq!(server.plane().cursor_epoch(), MAX_CURSOR_EPOCH);
+    }
+
+    #[test]
+    fn zero_user_scenarios_are_refused_and_the_server_keeps_answering() {
+        // Both used to reach a constructor that asserts `users > 0` and take
+        // the process down.
+        let info = |server: &mut Server| {
+            let frame = call(server, "{\"id\":9,\"method\":\"server.info\"}").frames.remove(0);
+            assert!(frame.contains("\"result\""), "{frame}");
+        };
+        let mut server = server();
+        let turn = call(
+            &mut server,
+            "{\"id\":1,\"method\":\"scenario.inject\",\
+             \"params\":{\"scenario\":\"rush-hour\",\"users\":0}}",
+        );
+        assert!(turn.frames[0].contains("\"code\":\"bad-params\""), "{}", turn.frames[0]);
+        info(&mut server);
+
+        let mut saver = Server::new(PlaneConfig { shards: 2, ..PlaneConfig::default() });
+        call(
+            &mut saver,
+            "{\"id\":1,\"method\":\"scenario.inject\",\
+             \"params\":{\"scenario\":\"rush-hour\",\"users\":10,\"seed\":5}}",
+        );
+        let reply = call(&mut saver, "{\"id\":2,\"method\":\"fleet.checkpoint\"}").frames.remove(0);
+        let doc = mop_json::from_str(&reply).unwrap()["result"]["checkpoint"].clone();
+        let doc = mop_json::to_string(&doc);
+        assert!(doc.contains("\"users\":10"), "{doc}");
+        let resume = |doc: &str| {
+            format!("{{\"id\":3,\"method\":\"fleet.resume\",\"params\":{{\"checkpoint\":{doc}}}}}")
+        };
+        let turn = call(&mut server, &resume(&doc.replace("\"users\":10", "\"users\":0")));
+        assert!(turn.frames[0].contains("\"code\":\"bad-checkpoint\""), "{}", turn.frames[0]);
+        assert!(turn.frames[0].contains("has 0 users"), "{}", turn.frames[0]);
+        info(&mut server);
+        let turn = call(&mut server, &resume(&doc));
+        assert!(turn.frames[0].contains("\"result\""), "{}", turn.frames[0]);
     }
 
     #[test]

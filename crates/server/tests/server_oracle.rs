@@ -16,7 +16,7 @@ use mop_dataset::Scenario;
 use mop_json::json;
 use mop_server::{ControlPlane, PlaneConfig, Server, SERVER_CHECKPOINT_VERSION};
 use mopeye_core::{
-    epoch_boundary, run_report_from_json, run_report_to_json, split_at, FleetCheckpoint,
+    epoch_boundary, split_at, FleetCheckpoint,
     FleetConfig, FleetEngine, RunReport,
 };
 use proptest::prelude::*;
@@ -177,7 +177,7 @@ fn streamed_deltas_fold_to_the_cumulative_digest() {
             let value = mop_json::from_str(frame).unwrap();
             if value["id"].is_null() {
                 assert_eq!(value["stream"].as_str(), Some("delta"));
-                let delta = run_report_from_json(&value["event"]["report"]).unwrap();
+                let delta = mop_json::from_value::<RunReport>(&value["event"]["report"]).unwrap();
                 folded.absorb(delta);
                 folded.canonicalise();
             } else {
@@ -310,7 +310,7 @@ impl SlotModel {
 /// `ControlPlane::checkpoint` as the parent commit built it: an owned
 /// `FleetCheckpoint` whose base is the cumulative report deep-cloned
 /// through its JSON encoding and whose pending set is cloned out of the
-/// slots, encoded by the owned `to_json`.
+/// slots, encoded by its own `ToJson` impl.
 fn checkpoint_model(plane: &ControlPlane, slots: &[SlotModel]) -> mop_json::Value {
     let config = plane.config();
     let fleet = FleetCheckpoint {
@@ -320,7 +320,7 @@ fn checkpoint_model(plane: &ControlPlane, slots: &[SlotModel]) -> mop_json::Valu
         epoch_width_ns: Some(config.epoch_width.as_nanos()),
         epoch_window: config.epoch_window,
         cut: epoch_boundary(config.epoch_width.as_nanos(), plane.cursor_epoch()),
-        base: run_report_from_json(&run_report_to_json(plane.report())).unwrap(),
+        base: mop_json::from_value(&mop_json::to_value(plane.report())).unwrap(),
         pending: slots.iter().flat_map(SlotModel::pending).collect(),
     };
     let scenarios: Vec<mop_json::Value> = slots
@@ -344,7 +344,7 @@ fn checkpoint_model(plane: &ControlPlane, slots: &[SlotModel]) -> mop_json::Valu
         "cursor_epoch": plane.cursor_epoch() as i64,
         "next_scenario": (slots.len() + 1) as i64,
         "scenarios": scenarios,
-        "fleet": fleet.to_json(),
+        "fleet": mop_json::to_value(&fleet),
     })
 }
 
@@ -520,7 +520,7 @@ fn deltas_are_built_on_request_and_still_fold_to_the_digest() {
         assert!(silent.delta.is_null(), "no subscriber asked, nothing is encoded");
         assert_eq!(streamed.delta.is_null(), streamed.ran == 0);
         if streamed.ran > 0 {
-            folded.absorb(run_report_from_json(&streamed.delta).unwrap());
+            folded.absorb(mop_json::from_value(&streamed.delta).unwrap());
             folded.canonicalise();
         }
         assert_eq!(silent.digest, streamed.digest);

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_packet::Packet;
 use mop_simnet::SimTime;
 
@@ -45,6 +46,37 @@ impl TunStats {
         self.packets_to_apps += other.packets_to_apps;
         self.bytes_to_apps += other.bytes_to_apps;
         self.dispatch_stalls += other.dispatch_stalls;
+    }
+}
+
+/// The checkpoint encoding: the four simulated counters. `dispatch_stalls`
+/// is host backpressure, not state, and restarts from zero.
+impl ToJson for TunStats {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("packets_from_apps", &self.packets_from_apps);
+        out.field("bytes_from_apps", &self.bytes_from_apps);
+        out.field("packets_to_apps", &self.packets_to_apps);
+        out.field("bytes_to_apps", &self.bytes_to_apps);
+        out.end_object();
+    }
+}
+
+impl FromJson for TunStats {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "packets_from_apps" => packets_from_apps,
+            "bytes_from_apps" => bytes_from_apps,
+            "packets_to_apps" => packets_to_apps,
+            "bytes_to_apps" => bytes_to_apps,
+        });
+        Ok(TunStats {
+            packets_from_apps,
+            bytes_from_apps,
+            packets_to_apps,
+            bytes_to_apps,
+            dispatch_stalls: 0,
+        })
     }
 }
 

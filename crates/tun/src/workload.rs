@@ -6,6 +6,7 @@
 //! (Table 3), video streaming for the resource experiment (Table 4), and a
 //! messaging mix for general end-to-end runs.
 
+use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_measure::NetKind;
 use mop_packet::Endpoint;
 use mop_simnet::{SimDuration, SimRng, SimTime};
@@ -66,6 +67,77 @@ impl FlowSpec {
         self.network = Some(network);
         self.isp = Some(isp.to_string());
         self
+    }
+}
+
+/// `"Tcp"` / `"Dns"`.
+impl ToJson for FlowKind {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.str(match self {
+            FlowKind::Tcp => "Tcp",
+            FlowKind::Dns => "Dns",
+        });
+    }
+}
+
+impl FromJson for FlowKind {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        match &*input.read_str()? {
+            "Tcp" => Ok(FlowKind::Tcp),
+            "Dns" => Ok(FlowKind::Dns),
+            other => Err(input.error(format!("unknown flow kind {other:?}"))),
+        }
+    }
+}
+
+/// The checkpoint encoding of a pending flow: every field, the start time
+/// as `at_ns`, absent labels and endpoints as `null`.
+impl ToJson for FlowSpec {
+    fn write_json<W: JsonWrite>(&self, out: &mut W) {
+        out.begin_object();
+        out.field("at_ns", &self.at.as_nanos());
+        out.field("uid", &self.uid);
+        out.field("package", &self.package);
+        out.field("src", &self.src);
+        out.field("dst", &self.dst);
+        out.field("domain", &self.domain);
+        out.field("request_bytes", &self.request_bytes);
+        out.field("close_after", &self.close_after);
+        out.field("kind", &self.kind);
+        out.field("network", &self.network);
+        out.field("isp", &self.isp);
+        out.end_object();
+    }
+}
+
+impl FromJson for FlowSpec {
+    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+        mop_json::read_members!(input, {
+            "at_ns" => at_ns,
+            "uid" => uid,
+            "package" => package,
+            "src" => src,
+            "dst" => dst,
+            "domain" => domain,
+            "request_bytes" => request_bytes,
+            "close_after" => close_after,
+            "kind" => kind,
+            "network" => network,
+            "isp" => isp,
+        });
+        Ok(FlowSpec {
+            at: SimTime::from_nanos(at_ns),
+            uid,
+            package,
+            src,
+            dst,
+            domain,
+            request_bytes,
+            close_after,
+            kind,
+            network,
+            isp,
+        })
     }
 }
 
