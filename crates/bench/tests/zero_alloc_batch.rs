@@ -2,7 +2,7 @@
 //!
 //! `tests/zero_alloc.rs` pins the item-wise steady state; this file pins the
 //! vectored one. Per burst that means (a) checking a `SlabBatch` out of the
-//! `BatchPool`, (b) sealing a batch of app ACKs into the slab's contiguous
+//! `BatchPool` arena, (b) sealing a batch of app ACKs into the slab's contiguous
 //! data region with inline per-packet slots, (c) zero-copy parsing each
 //! packet straight out of the slab and running the TCP relay decision, and
 //! (d) returning the slab to the pool. After warm-up (slab data region and
@@ -43,11 +43,11 @@ fn relay_burst(
     emitted: &mut Emitted,
     ack_bytes: &[u8],
 ) {
-    let mut slab = pool.get();
+    let slab = pool.get();
     for i in 0..BURST {
-        slab.push_bytes(ack_bytes, SimTime::from_nanos(i as u64));
+        pool[slab].push_bytes(ack_bytes, SimTime::from_nanos(i as u64));
     }
-    for (_due, bytes) in slab.iter() {
+    for (_due, bytes) in pool[slab].iter() {
         let view = PacketView::parse(bytes).expect("app ACK parses");
         let segment = view.tcp().expect("TCP packet");
         let verdict =

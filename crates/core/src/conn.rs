@@ -14,11 +14,10 @@
 //! late packet gets a fresh machine and re-seeds from `(seed, four-tuple)`
 //! exactly as a fresh flow would.
 
-use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
 
 use mop_measure::NetKind;
-use mop_packet::FourTuple;
+use mop_packet::{FastMap, FourTuple};
 use mop_simnet::{SimRng, SimTime, SocketId};
 use mop_tcpstack::{ConnTimers, RecoveryState, TcpStateMachine};
 use mop_tun::{AppEndpoint, DnsClient, FlowSpec};
@@ -149,7 +148,7 @@ impl Conn {
 #[derive(Debug, Default)]
 pub struct ConnTable {
     /// Canonical four-tuple → record, so both directions share one record.
-    ids: HashMap<FourTuple, FlowId>,
+    ids: FastMap<FourTuple, FlowId>,
     conns: Vec<Conn>,
     /// How many records hold a pre-connect timestamp: the live
     /// socket-connect threads (tunnel-write contention, §3.5.1).

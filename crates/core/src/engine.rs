@@ -12,7 +12,9 @@
 //! ```
 //!
 //! The module itself is only the *loop*: pending work lives on the O(1)
-//! [`TimingWheel`], and each popped event is routed to the pipeline stage that
+//! [`TimingWheel`] as handle-sized events — a flow's spec, a tunnel slab
+//! and a packet on its way to an app wait in their arenas, and the event
+//! names them — and each popped event is routed to the pipeline stage that
 //! owns it — [`IngressStage`] (TUN retrieval + parse + app endpoints),
 //! [`RelayStage`] (TCP/UDP/DNS state-machine dispatch and per-connection
 //! timers), [`EgressStage`] (TunWriter lanes) and [`SinkStage`] (the
@@ -25,10 +27,10 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_packet::Packet;
-use mop_simnet::{Profiler, SimNetwork, SimTime, SlabBatch, TimingWheel};
+use mop_simnet::{Profiler, SimNetwork, SimTime, SlabId, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
+use crate::arena::{Arena, Parked};
 use crate::config::MopEyeConfig;
 use crate::conn::{AppSide, FlowId};
 use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage};
@@ -39,18 +41,23 @@ pub use crate::report::RunReport;
 /// Internal events driving the engine loop, routed between stages. A
 /// connection is named by the [`FlowId`] of its record, interned when its
 /// `FlowStart` ran.
+///
+/// Every variant is a handle: the wheel copies an event several times
+/// between schedule and dispatch, so the payloads wait in arenas instead
+/// (see the shape guard below).
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// An app opens a flow described by the spec. (→ ingress)
-    FlowStart(FlowSpec),
+    /// An app opens the flow whose spec is parked in the run's spec list.
+    /// (→ ingress)
+    FlowStart(Parked),
     /// The MainWorker processes a slab batch of raw packet bytes retrieved
     /// from the tunnel. (→ ingress parse, then relay)
     ///
-    /// The slab comes from (and returns to) the ingress stage's batch pool;
+    /// The slab lives in (and returns to) the ingress stage's batch pool;
     /// the relay parses each packet in place with the zero-copy views. The
     /// engine loop coalesces consecutive same-instant slabs into one burst
     /// before dispatching.
-    ProcessTunBatch(SlabBatch),
+    ProcessTunBatch(SlabId),
     /// The connection's external connect has completed (successfully or
     /// not). (→ relay)
     ExternalConnected(FlowId),
@@ -62,12 +69,14 @@ pub(crate) enum Event {
     DnsResponse {
         /// The DNS connection.
         id: FlowId,
-        /// The response packet to write to the tunnel.
-        packet: Packet,
+        /// The response packet to write to the tunnel, parked in
+        /// [`crate::stages::EngineShared::parked`].
+        packet: Parked,
     },
-    /// A packet written to the tunnel is delivered to the connection's app
-    /// side. (→ ingress)
-    DeliverToApp(FlowId, Packet),
+    /// A packet written to the tunnel (parked in
+    /// [`crate::stages::EngineShared::parked`]) is delivered to the
+    /// connection's app side. (→ ingress)
+    DeliverToApp(FlowId, Parked),
     /// The connection's cancellable idle timer expired with no relay
     /// activity. (→ relay)
     IdleTimeout(FlowId),
@@ -75,6 +84,9 @@ pub(crate) enum Event {
     /// flight. (→ relay)
     RtoTimeout(FlowId),
 }
+
+// Shape guard: an event stays a few machine words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 impl Event {
     /// The profiling phase this event's dispatch is accounted under.
@@ -100,6 +112,8 @@ pub struct MopEyeEngine {
     pub(crate) egress: EgressStage,
     pub(crate) sink: SinkStage,
     pub(crate) sched: TimingWheel<Event>,
+    /// The run's spec list: each pending `FlowStart`'s spec.
+    specs: Arena<FlowSpec>,
     events_processed: u64,
     /// Wall-clock phase timers (zero-sized no-op unless the `profiling`
     /// feature is on).
@@ -119,14 +133,16 @@ impl MopEyeEngine {
             egress,
             sink: SinkStage::new(),
             sched: TimingWheel::new(),
+            specs: Arena::default(),
             events_processed: 0,
             profiler: Profiler::new(),
         }
     }
 
     /// Resets the engine for a new run over `net`, reusing every allocation:
-    /// the connection table, stage tables, buffer and slab pools and the
-    /// timing wheel's slot slab all survive cleared rather than dropped, so
+    /// the connection table, stage tables, buffer and slab pools, the event
+    /// payload arenas and the timing wheel's slot slab all survive cleared
+    /// rather than dropped (a stopped run's pending payloads with them), so
     /// a resident engine's steady state allocates nothing. A reset engine is
     /// observationally identical to `MopEyeEngine::new(config, net)` with
     /// the same config — the clock restarts at zero, RNG streams reseed from
@@ -139,6 +155,7 @@ impl MopEyeEngine {
         self.egress.reset();
         self.sink.reset();
         self.sched.reset();
+        self.specs.clear();
         self.events_processed = 0;
         let _ = self.profiler.take_report();
     }
@@ -162,6 +179,18 @@ impl MopEyeEngine {
         [
             ("tap.scan_elems", self.shared.net.tap().scan_elems()),
             ("conn_table.scan_elems", self.relay.conn_table.scan_elems()),
+        ]
+    }
+
+    /// How many payloads each arena holds for events still pending: flow
+    /// specs, tunnel slabs and packets on their way to an app. All zero
+    /// once a run has completed; [`MopEyeEngine::reset`] empties them
+    /// whatever the run did.
+    pub fn parked_payloads(&self) -> [(&'static str, usize); 3] {
+        [
+            ("specs", self.specs.len()),
+            ("slabs", self.ingress.batches.in_use()),
+            ("packets", self.shared.parked.len()),
         ]
     }
 
@@ -208,7 +237,8 @@ impl MopEyeEngine {
         self.reserve_flows(flows.len());
         for spec in flows {
             self.relay.packages.install(spec.uid, &spec.package);
-            self.sched.schedule(spec.at, Event::FlowStart(spec));
+            let at = spec.at;
+            self.sched.schedule(at, Event::FlowStart(self.specs.park(spec)));
         }
         self.profiler.end("run.flow_setup", setup);
         let batch_cap = self.shared.config.batch_size.max(1);
@@ -217,16 +247,16 @@ impl MopEyeEngine {
             let span = self.profiler.begin();
             let phase = event.phase_name();
             match event {
-                Event::ProcessTunBatch(mut slab) => {
+                Event::ProcessTunBatch(slab) => {
                     // Absorb consecutive same-instant slabs into this burst.
                     // Only same-instant followers may be popped at all:
                     // pulling a *later* event out here would jump it ahead of
                     // any earlier work the burst schedules while processing.
-                    while slab.len() < batch_cap && self.sched.peek_time() == Some(at) {
+                    let batches = &mut self.ingress.batches;
+                    while batches[slab].len() < batch_cap && self.sched.peek_time() == Some(at) {
                         match self.sched.pop() {
-                            Some((_, Event::ProcessTunBatch(mut follower))) => {
-                                slab.absorb(&mut follower);
-                                self.ingress.recycle_batch(follower);
+                            Some((_, Event::ProcessTunBatch(follower))) => {
+                                batches.absorb(slab, follower);
                             }
                             // A same-instant non-batch event: it was queued
                             // before anything the burst can schedule at this
@@ -283,6 +313,7 @@ impl MopEyeEngine {
         let (shared, sched) = (&mut self.shared, &mut self.sched);
         match event {
             Event::FlowStart(spec) => {
+                let spec = self.specs.take(spec);
                 self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec)
             }
             Event::ProcessTunBatch(_) => {
@@ -299,16 +330,20 @@ impl MopEyeEngine {
             Event::SocketReadable(id) => {
                 self.relay.on_socket_readable(shared, &mut self.egress, sched, now, id)
             }
-            Event::DnsResponse { id, packet } => self.relay.on_dns_response(
-                shared,
-                &mut self.egress,
-                &mut self.sink,
-                sched,
-                now,
-                id,
-                packet,
-            ),
+            Event::DnsResponse { id, packet } => {
+                let packet = shared.parked.take(packet);
+                self.relay.on_dns_response(
+                    shared,
+                    &mut self.egress,
+                    &mut self.sink,
+                    sched,
+                    now,
+                    id,
+                    packet,
+                )
+            }
             Event::DeliverToApp(id, packet) => {
+                let packet = shared.parked.take(packet);
                 self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, id, packet)
             }
             Event::IdleTimeout(id) => self.relay.on_idle_timeout(shared, sched, now, id),
@@ -322,24 +357,24 @@ impl MopEyeEngine {
     /// the event count (each packet in the slab was one scheduled event),
     /// hand the slab to the ingress stage, and recycle it.
     /// Returns false when the event budget is exhausted.
-    fn process_tun_batch(&mut self, mut slab: SlabBatch) -> bool {
+    fn process_tun_batch(&mut self, slab: SlabId) -> bool {
         // Reproduce the item-wise budget semantics exactly: events count one
         // by one, and the event that crosses the budget is counted but not
         // processed.
-        let packets = slab.len() as u64;
+        let packets = self.ingress.batches[slab].len() as u64;
         let remaining = self.shared.config.max_events.saturating_sub(self.events_processed);
         let over_budget = packets > remaining;
         let process = packets.min(remaining);
         self.events_processed += process + u64::from(over_budget);
-        slab.truncate(process as usize);
+        self.ingress.batches[slab].truncate(process as usize);
         self.ingress.process_tun(
             &mut self.shared,
             &mut self.relay,
             &mut self.egress,
             &mut self.sched,
-            &slab,
+            slab,
         );
-        self.ingress.recycle_batch(slab);
+        self.ingress.batches.put(slab);
         !over_budget
     }
 

@@ -67,6 +67,7 @@
 
 #![forbid(unsafe_code)]
 
+mod arena;
 pub mod checkpoint;
 pub mod config;
 pub mod conn;

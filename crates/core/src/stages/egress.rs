@@ -6,9 +6,10 @@
 //! device-wide lane over a shared network, or the lane in the connection's
 //! record over a flow-keyed one (so a flow's write timing depends only on
 //! its own packet train, one of the invariants behind
-//! shard-count-independent determinism). The packet itself travels as a
-//! scheduled `DeliverToApp` event; the writer only ever sees its wire
-//! length.
+//! shard-count-independent determinism). The packet itself is parked in
+//! the engine's packet arena (`EngineShared::parked`) and a scheduled
+//! `DeliverToApp` event carries its handle; the writer only ever sees its
+//! wire length.
 
 use mop_packet::Packet;
 use mop_simnet::{FaultDecision, NetKeying, SimTime, TimingWheel};
@@ -37,9 +38,9 @@ impl EgressStage {
     }
 
     /// Writes a packet towards the app of connection `id` through the
-    /// TunWriter and schedules its delivery. The one owned packet travels
-    /// straight into the delivery event; the device and the writer only see
-    /// its wire length.
+    /// TunWriter and schedules its delivery. The packet is parked in
+    /// [`EngineShared::parked`] until the delivery event dispatches; the
+    /// device and the writer only see its wire length.
     ///
     /// Over a shared network every packet goes through the one
     /// writer-thread timing lane (queue serialisation couples flows, as on a
@@ -86,12 +87,14 @@ impl EgressStage {
                         return;
                     }
                     FaultDecision::Duplicate => {
-                        sched.schedule(deliver_at, Event::DeliverToApp(id, packet.clone()));
+                        let copy = sh.parked.park(packet.clone());
+                        sched.schedule(deliver_at, Event::DeliverToApp(id, copy));
                     }
                     FaultDecision::Delay(extra) => deliver_at += extra,
                 }
             }
         }
+        let packet = sh.parked.park(packet);
         sched.schedule(deliver_at, Event::DeliverToApp(id, packet));
     }
 }
@@ -129,12 +132,14 @@ mod tests {
     }
 
     fn deliveries(engine: &mut MopEyeEngine) -> Vec<Packet> {
-        std::iter::from_fn(|| engine.sched.pop())
-            .map(|(_, event)| match event {
-                Event::DeliverToApp(_, packet) => packet,
+        let mut delivered = Vec::new();
+        while let Some((_, event)) = engine.sched.pop() {
+            match event {
+                Event::DeliverToApp(_, packet) => delivered.push(engine.shared.parked.take(packet)),
                 other => panic!("unexpected {other:?}"),
-            })
-            .collect()
+            }
+        }
+        delivered
     }
 
     #[test]

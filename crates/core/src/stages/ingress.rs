@@ -4,14 +4,14 @@
 //! or DNS client (held in its connection's record) writes a packet "into the
 //! tunnel", the raw IP bytes are sealed into a pooled slab batch, the
 //! `ReaderSim` models the TUN retrieval cost for the configured read
-//! strategy, and the slab is scheduled as a `ProcessTunBatch` event (the
+//! strategy, and the slab's id is scheduled as a `ProcessTunBatch` event (the
 //! engine loop coalesces same-instant slabs into larger bursts), which comes
 //! back here to be parsed and handed to the relay. Packets the egress stage
 //! delivers back to the apps re-enter here too (`DeliverToApp`), where the
 //! app endpoints consume them and emit their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
-use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabBatch, TimingWheel};
+use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabId, TimingWheel};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
@@ -24,9 +24,9 @@ use crate::engine::Event;
 pub struct IngressStage {
     /// The TUN read-strategy model (§3.1).
     pub(crate) reader: ReaderSim,
-    /// Free list backing the tunnel slab batches: the reader seals retrieved
-    /// packets into a pooled slab, the relay parses them by reference, then
-    /// the slab is recycled.
+    /// The tunnel slab arena: the reader seals retrieved packets into a
+    /// pooled slab, the slab stays here (its event carries only the id)
+    /// while the relay parses it by reference, then the slab is recycled.
     pub(crate) batches: BatchPool,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
@@ -51,12 +51,13 @@ impl IngressStage {
     }
 
     /// Resets the stage to its just-constructed state, keeping the slab
-    /// pool: the reader restarts its poll loop at time zero and the
-    /// port/transaction-id counters rewind so a reused stage hands out the
-    /// same identifiers a fresh one would.
+    /// pool (slabs a stopped run left in flight return to it): the reader
+    /// restarts its poll loop at time zero and the port/transaction-id
+    /// counters rewind so a reused stage hands out the same identifiers a
+    /// fresh one would.
     pub(crate) fn reset(&mut self) {
         self.reader.reset();
-        self.batches.reset_stats();
+        self.batches.reset();
         self.next_app_port = 36_000;
         self.next_dns_id = 1;
     }
@@ -74,8 +75,9 @@ impl IngressStage {
         relay: &mut RelayStage,
         egress: &mut EgressStage,
         sched: &mut TimingWheel<Event>,
-        slab: &SlabBatch,
+        slab: SlabId,
     ) {
+        let slab = &self.batches[slab];
         for i in 0..slab.len() {
             let due = slab.due(i);
             sh.clock.advance_to(due);
@@ -171,8 +173,8 @@ impl IngressStage {
         id: FlowId,
         packet: Packet,
     ) {
-        let mut slab = self.batches.get();
-        let wire_len = slab.push_with(|data| packet.encode_into(data));
+        let slab = self.batches.get();
+        let wire_len = self.batches[slab].push_with(|data| packet.encode_into(data));
         sh.tun.record_app_write(wire_len);
         let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
@@ -183,7 +185,7 @@ impl IngressStage {
         let handoff = sh.cost.context_switch.sample(&mut rng);
         sh.checkin_rng(id, rng);
         let due = retrieval.retrieved_at + handoff;
-        slab.stamp_due(due);
+        self.batches[slab].stamp_due(due);
         sched.schedule(due, Event::ProcessTunBatch(slab));
     }
 
@@ -235,10 +237,5 @@ impl IngressStage {
         // The delivered packet is dead: its payload buffer goes back to the
         // relay's free list.
         sh.segments.recycle(packet);
-    }
-
-    /// Recycles a processed tunnel slab.
-    pub(crate) fn recycle_batch(&mut self, slab: SlabBatch) {
-        self.batches.put(slab);
     }
 }

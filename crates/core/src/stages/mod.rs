@@ -49,12 +49,14 @@ pub mod ingress;
 pub mod relay;
 pub mod sink;
 
+use mop_packet::Packet;
 use mop_simnet::{
     Component, CostModel, CpuLedger, NetKeying, SimClock, SimDuration, SimNetwork, SimRng, SimTime,
 };
 use mop_tcpstack::SegmentPool;
 use mop_tun::TunDevice;
 
+use crate::arena::Arena;
 use crate::config::{ClockGranularity, MopEyeConfig, WorkerModel};
 use crate::conn::{ConnTable, FlowId};
 use crate::tun_writer::WriterLane;
@@ -99,6 +101,11 @@ pub struct EngineShared {
     /// ACKed) return it. Survives [`EngineShared::reset`] as is — a buffer
     /// is overwritten before it is read.
     pub segments: SegmentPool,
+    /// Packets on their way to an app: egress (and the relay, for a DNS
+    /// answer) parks each one here when it schedules the delivery, and the
+    /// dispatched event takes it back, so the event itself stays
+    /// handle-sized. Cleared by [`EngineShared::reset`].
+    pub(crate) parked: Arena<Packet>,
     /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
     pub worker_busy_until: SimTime,
     /// How many consecutive backlogged packets the saturating MainWorker has
@@ -120,6 +127,7 @@ impl EngineShared {
             rng,
             conns: ConnTable::default(),
             segments: SegmentPool::new(),
+            parked: Arena::default(),
             worker_busy_until: SimTime::ZERO,
             worker_burst_len: 1,
         }
@@ -138,6 +146,7 @@ impl EngineShared {
         self.ledger.reset();
         self.rng = SimRng::seed_from_u64(self.config.seed);
         self.conns.clear();
+        self.parked.clear();
         self.worker_busy_until = SimTime::ZERO;
         self.worker_burst_len = 1;
     }
@@ -373,7 +382,7 @@ mod tests {
     fn scheduled_answer(engine: &mut MopEyeEngine, id: FlowId) -> (SimTime, Packet) {
         match engine.sched.pop() {
             Some((at, Event::DnsResponse { id: answered, packet })) if answered == id => {
-                (at, packet)
+                (at, engine.shared.parked.take(packet))
             }
             other => panic!("expected the DNS answer for {id:?}, got {other:?}"),
         }

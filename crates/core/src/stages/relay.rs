@@ -842,7 +842,7 @@ impl RelayStage {
         } else {
             DnsMessage::answer(&query, &outcome.addrs, 300)
         };
-        let to_app = PacketBuilder::new(flow.dst, flow.src).dns(&response);
+        let to_app = sh.parked.park(PacketBuilder::new(flow.dst, flow.src).dns(&response));
         sched.schedule(response_at, Event::DnsResponse { id, packet: to_app });
     }
 

@@ -4,8 +4,9 @@
 //! meaningful across the stage refactor (ingress / relay / egress / sink
 //! behind the timing-wheel loop): accuracy, workload relaying, config
 //! ablations and reporting must all behave exactly as the monolithic event
-//! loop did. New here: the per-connection idle-timer coverage, and the
-//! check that an engine's keying is its network's.
+//! loop did. New here: the per-connection idle-timer coverage, the check
+//! that an engine's keying is its network's, and the check that the event
+//! payload arenas are invisible across reset.
 
 use mop_packet::Endpoint;
 use mop_simnet::{
@@ -332,5 +333,57 @@ fn keying_follows_the_network_across_reset() {
         engine.reset(keyed_builder(to).build());
         let what = if to { "shared -> flow-keyed" } else { "flow-keyed -> shared" };
         assert_same_run(engine.run_flows(flows.clone()), expected, what);
+    }
+}
+
+fn assert_arenas_empty(engine: &MopEyeEngine, what: &str) {
+    for (arena, parked) in engine.parked_payloads() {
+        assert_eq!(parked, 0, "{what}: {arena} left parked");
+    }
+}
+
+#[test]
+fn the_payload_arenas_are_invisible_across_reset() {
+    // Events carry handles to payloads parked in arenas — flow specs,
+    // tunnel slabs, packets on their way to an app. A run its event budget
+    // stops leaves payloads parked; a reset must drop them all, so the next
+    // run is exactly a fresh engine's, and a completed run leaves every
+    // arena empty.
+    let flows = sourced_flows();
+    // The same flows again from other hosts, overlapping the first wave:
+    // twice the work, so the budget stops it with flows still to start.
+    let mut heavy = flows.clone();
+    heavy.extend(flows.iter().cloned().enumerate().map(|(i, mut f)| {
+        f.at += SimDuration::from_millis(150);
+        f.src = Some(Endpoint::v4(10, 2, 0, i as u8, 40_000));
+        f
+    }));
+    for flow_keyed in [false, true] {
+        let light = MopEyeEngine::new(MopEyeConfig::mopeye(), keyed_builder(flow_keyed).build())
+            .run_flows(flows.clone())
+            .events_processed;
+        // The first budget at or above the light run's events that stops
+        // the heavy run with a spec, a slab and a packet all parked.
+        let (mut engine, budget) = (light..light + 2_000)
+            .map(|budget| {
+                let config = MopEyeConfig::mopeye().with_max_events(budget);
+                let mut engine = MopEyeEngine::new(config, keyed_builder(flow_keyed).build());
+                engine.run_flows(heavy.clone());
+                (engine, budget)
+            })
+            .find(|(engine, _)| engine.parked_payloads().iter().all(|&(_, parked)| parked > 0))
+            .expect("some budget stops the heavy run with every arena in use");
+        let config = MopEyeConfig::mopeye().with_max_events(budget);
+        let mut fresh = MopEyeEngine::new(config, keyed_builder(flow_keyed).build());
+        let expected = fresh.run_flows(flows.clone());
+        assert_eq!(expected.events_processed, light, "the light run fits the budget");
+        assert_arenas_empty(&fresh, "a completed run");
+
+        engine.reset(keyed_builder(flow_keyed).build());
+        assert_arenas_empty(&engine, "a reset engine");
+        let what =
+            if flow_keyed { "flow-keyed, after a stopped run" } else { "shared, after a stopped run" };
+        assert_same_run(engine.run_flows(flows.clone()), &expected, what);
+        assert_arenas_empty(&engine, what);
     }
 }

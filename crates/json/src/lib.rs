@@ -360,6 +360,13 @@ pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Value {
     out.finish()
 }
 
+/// How deeply arrays and objects may nest in a document [`JsonReader`]
+/// reads (a top-level `[]` is depth 1). A deeper document is refused with a
+/// [`ParseError`] instead of recursing until the stack overflows; the
+/// workspace's own documents stay far below it (checkpoints nest fewer than
+/// 16 levels).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 pub fn from_str(input: &str) -> Result<Value, ParseError> {
     decode(input)
@@ -799,6 +806,37 @@ mod tests {
         assert!(from_str("true false").is_err());
         let err = from_str("nul").unwrap_err();
         assert!(err.to_string().contains("null"));
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_refused_not_overflowed() {
+        // A megabyte of `[` used to recurse until the stack overflowed.
+        let err = from_str(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nested deeper than 128"), "{err}");
+        // Exactly MAX_DEPTH levels still parse, objects and arrays alike.
+        let deepest = format!("{}{}", "[{\"a\":".repeat(MAX_DEPTH / 2), "}]".repeat(MAX_DEPTH / 2));
+        let deepest = deepest.replacen("{\"a\":}", "{\"a\":null}", 1);
+        assert!(from_str(&deepest).is_ok(), "{:?}", from_str(&deepest));
+        let deeper = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str(&deeper).is_err());
+        // Typed decoders and `skip_value` share the limit, and a typed
+        // refusal names the member it happened in.
+        #[derive(Debug)]
+        struct Wrapper;
+        impl FromJson for Wrapper {
+            fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
+                read_members!(input, { "inner" => inner });
+                let _: Value = inner;
+                Ok(Wrapper)
+            }
+        }
+        let nested = format!("{{\"inner\":{}}}", "[".repeat(MAX_DEPTH));
+        let err = decode::<Wrapper>(&nested).unwrap_err();
+        assert_eq!(err.path, "inner");
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let skipped = format!("{{\"other\":{}}}", "[".repeat(MAX_DEPTH));
+        assert!(decode::<Wrapper>(&skipped).unwrap_err().message.contains("nested deeper"));
     }
 
     #[test]

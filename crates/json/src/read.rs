@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use crate::{FromJson, ParseError, Value};
+use crate::{FromJson, ParseError, Value, MAX_DEPTH};
 
 /// A number as the grammar classifies it: no `.`, `e`, `E`, `+` or inner
 /// `-` and within `i64` is an integer, anything else a float.
@@ -20,16 +20,22 @@ enum Number {
 /// error, are those of [`crate::from_str`], which runs on it. A decoder that
 /// finds the wrong kind of value reports it as a [`ParseError`] too, with the
 /// member path it was decoding ([`ParseError::path`]).
+///
+/// Arrays and objects nest at most [`MAX_DEPTH`] deep, whoever reads them
+/// ([`Value`], a typed decoder or [`JsonReader::skip_value`]): the count is
+/// kept here, in [`JsonReader::read_array`] and [`JsonReader::read_object`].
 #[derive(Debug)]
 pub struct JsonReader<'a> {
     text: &'a str,
     pos: usize,
+    /// How many arrays and objects enclose the next value.
+    depth: usize,
 }
 
 impl<'a> JsonReader<'a> {
     /// A reader at the start of `text`.
     pub fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
+        Self { text, pos: 0, depth: 0 }
     }
 
     /// The byte offset of the next unread byte.
@@ -239,17 +245,37 @@ impl<'a> JsonReader<'a> {
         Ok(())
     }
 
+    /// Steps into the array or object whose opening byte is next, or
+    /// refuses it if that would nest deeper than [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.syntax(format!("arrays and objects nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     /// Reads an object member by member: `member` gets each key and must
     /// consume exactly that member's value. Members come in document order,
     /// duplicates included.
     pub fn read_object(
         &mut self,
-        mut member: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
+        member: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
     ) -> Result<(), ParseError> {
         if self.next_byte() != Some(b'{') {
             return Err(self.error("expected an object"));
         }
-        self.pos += 1;
+        self.enter()?;
+        let read = self.members(member);
+        self.depth -= 1;
+        read
+    }
+
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -277,12 +303,21 @@ impl<'a> JsonReader<'a> {
     /// one value per call.
     pub fn read_array(
         &mut self,
-        mut element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+        element: impl FnMut(&mut Self) -> Result<(), ParseError>,
     ) -> Result<(), ParseError> {
         if self.next_byte() != Some(b'[') {
             return Err(self.error("expected an array"));
         }
-        self.pos += 1;
+        self.enter()?;
+        let read = self.elements(element);
+        self.depth -= 1;
+        read
+    }
+
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;

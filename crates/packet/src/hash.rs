@@ -1,13 +1,26 @@
-//! The workspace's stable hashing primitive.
+//! The workspace's two hashers, and which one is for what.
 //!
-//! [`StableHasher`] is an incremental FNV-1a over bytes, with an optional
-//! splitmix64-style avalanche finish. Unlike [`std::hash::Hash`] (whose
-//! `HashMap` hasher may be seeded per process), its output is reproducible
-//! across runs, machines and toolchains — which is what makes it usable for
-//! shard keys and for run digests that are persisted (e.g. in
-//! `BENCH_pr3.json`) and compared across versions. Every stable hash in the
-//! workspace goes through this one implementation so the constants cannot
-//! drift apart.
+//! * [`StableHasher`] — an incremental FNV-1a over bytes, with an optional
+//!   splitmix64-style avalanche finish. Unlike [`std::hash::Hash`] (whose
+//!   `HashMap` hasher may be seeded per process), its output is reproducible
+//!   across runs, machines and toolchains. Use it for **anything persisted or
+//!   compared**: shard keys, per-flow RNG seeds, run digests (some are
+//!   persisted, e.g. in `BENCH_pr3.json`, and compared across versions).
+//!   Every stable hash in the workspace goes through this one implementation
+//!   so the constants cannot drift apart.
+//! * [`FastHasher`] (through [`FastMap`]) — a multiplicative hasher for
+//!   **in-process maps that are only probed**: the packet path's four-tuple
+//!   index and the network's per-flow tables. It costs a multiply per word
+//!   where SipHash runs rounds over the bytes. Each map draws its key at
+//!   random when it is built (as `HashMap`'s default does), because their
+//!   keys are not all the engine's own — a resumed checkpoint brings
+//!   client-chosen four-tuples — and a key an attacker knows would let them
+//!   craft colliding keys offline. Its output therefore differs from run to
+//!   run: never persist it, and never iterate a map built on it into output.
+
+use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// Incremental FNV-1a with a platform-stable output.
 ///
@@ -84,6 +97,92 @@ impl StableHasher {
     }
 }
 
+/// A keyed multiplicative hasher: each word is folded into the state with
+/// one 64×64→128-bit multiply whose high half is folded back onto the low
+/// half. See the [module docs](self) for where it may be used; [`FastMap`]
+/// is the map type built on it.
+///
+/// ```
+/// use mop_packet::{Endpoint, FastMap, FourTuple};
+/// let flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40_000), Endpoint::v4(1, 1, 1, 1, 53));
+/// let mut ids: FastMap<FourTuple, u32> = FastMap::default();
+/// ids.insert(flow, 7);
+/// assert_eq!(ids.get(&flow), Some(&7));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct FastHasher(u64);
+
+impl FastHasher {
+    /// The odd multiplier (2^64 / φ, rounded to odd).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn add(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(Self::K);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FastHasher`]s from a key drawn at random for each map.
+#[derive(Debug, Clone, Copy)]
+pub struct FastState(u64);
+
+impl Default for FastState {
+    fn default() -> Self {
+        Self(RandomState::new().hash_one(0x6d6f_7065_7965_u64))
+    }
+}
+
+impl BuildHasher for FastState {
+    type Hasher = FastHasher;
+
+    fn build_hasher(&self) -> FastHasher {
+        FastHasher(self.0)
+    }
+}
+
+/// A `HashMap` hashed with [`FastHasher`]; build one with
+/// `FastMap::default()`.
+pub type FastMap<K, V> = HashMap<K, V, FastState>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +222,28 @@ mod tests {
             counts[(h.finish_mixed() % 8) as usize] += 1;
         }
         assert!(counts.iter().all(|c| *c > 256), "clustered: {counts:?}");
+    }
+
+    #[test]
+    fn fast_hasher_spreads_near_identical_tuples() {
+        // Four-tuples differing only in a host byte or a port must land in
+        // distinct low bits, which is where hash tables index from.
+        let state = FastState::default();
+        let mut counts = [0usize; 16];
+        for i in 0..4096u32 {
+            let mut h = state.build_hasher();
+            h.write_u32(u32::from_be_bytes([10, 0, (i >> 8) as u8, i as u8]));
+            h.write_u16(40_000);
+            h.write_u32(0x08080808);
+            h.write_u16(443);
+            counts[(h.finish() % 16) as usize] += 1;
+        }
+        assert!(counts.iter().all(|c| *c > 128), "clustered: {counts:?}");
+        let (mut a, mut b) = (state.build_hasher(), state.build_hasher());
+        a.write(b"0123456789");
+        b.write(b"0123456788");
+        assert_ne!(a.finish(), b.finish(), "the tail word is hashed");
+        let other = FastState::default().build_hasher();
+        assert_ne!(state.build_hasher().finish(), other.finish(), "each map has its own key");
     }
 }

@@ -142,6 +142,24 @@ fn transcripts_replay_over_the_stream_transport() {
     }
 }
 
+/// A frame nested past `mop_json::MAX_DEPTH` — here a megabyte of `[`, far
+/// below `MAX_FRAME_BYTES` — is one `parse-error`, not a stack overflow
+/// that kills the server: the next request on the session is served.
+#[test]
+fn a_deeply_nested_frame_is_one_parse_error_and_the_session_goes_on() {
+    let input = format!("{}\n{}\n", "[".repeat(1_000_000), r#"{"id":7,"method":"server.info"}"#);
+    let mut server = Server::new(config(1));
+    let mut output = Vec::new();
+    let stopped = serve(&mut server, input.as_bytes(), &mut output).unwrap();
+    assert!(!stopped, "the session ends at end of input, not by shutdown");
+    let output = String::from_utf8(output).unwrap();
+    let frames: Vec<&str> = output.lines().collect();
+    assert_eq!(frames.len(), 2, "{frames:?}");
+    assert!(frames[0].starts_with(r#"{"id":0,"error":{"code":"parse-error""#), "{}", frames[0]);
+    assert!(frames[0].contains("nested deeper than 128 levels"), "{}", frames[0]);
+    assert!(frames[1].starts_with(r#"{"id":7,"result":{"#), "{}", frames[1]);
+}
+
 /// Serves `socket` on a background thread with a fresh `shards`-shard
 /// plane; the handle yields what `serve_unix` returned.
 #[cfg(unix)]

@@ -86,7 +86,7 @@ pub use latency::LatencyModel;
 pub use network::{
     ConnectOutcome, DataExchange, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
 };
-pub use pool::{BatchPool, BufferPool, PacketSlot, PoolStats, SlabBatch};
+pub use pool::{BatchPool, BufferPool, PacketSlot, PoolStats, SlabBatch, SlabId};
 pub use profile::{AccessProfile, IspProfile, NetworkType};
 pub use profiling::{PhaseStats, ProfileReport, Profiler};
 pub use queue::EventQueue;

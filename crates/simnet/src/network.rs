@@ -7,10 +7,9 @@
 //! Every answer is also recorded on the [`WireTap`] so that ground-truth
 //! (tcpdump-equivalent) RTTs are available to the accuracy experiments.
 
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
-use mop_packet::{Endpoint, FourTuple};
+use mop_packet::{Endpoint, FastMap, FourTuple};
 
 use crate::dnssrv::{DnsAnswer, DnsServerConfig};
 use crate::fault::{FaultDecision, FaultPlan};
@@ -239,8 +238,8 @@ impl SimNetworkBuilder {
             uplink_busy_until: SimTime::ZERO,
             keying: self.keying,
             handover: self.handover,
-            flow_ctx: HashMap::new(),
-            fault_rng: HashMap::new(),
+            flow_ctx: FastMap::default(),
+            fault_rng: FastMap::default(),
         }
     }
 }
@@ -264,8 +263,8 @@ pub struct SimNetwork {
     uplink_busy_until: SimTime,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
-    flow_ctx: HashMap<FourTuple, FlowNetCtx>,
-    fault_rng: HashMap<FourTuple, SimRng>,
+    flow_ctx: FastMap<FourTuple, FlowNetCtx>,
+    fault_rng: FastMap<FourTuple, SimRng>,
 }
 
 impl SimNetwork {

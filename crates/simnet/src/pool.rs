@@ -14,7 +14,8 @@
 //! by an inline [`PacketSlot`] (offset, length, due time). A batch is the
 //! unit of work between pipeline stages — it amortises dispatch and cache
 //! costs over a burst — and [`BatchPool`] recycles whole slabs the same way
-//! [`BufferPool`] recycles buffers.
+//! [`BufferPool`] recycles buffers. The pool is also where a slab lives while
+//! it is in flight: a scheduled batch carries only its [`SlabId`].
 
 use crate::time::SimTime;
 
@@ -294,14 +295,27 @@ impl SlabBatch {
     }
 }
 
-/// A free list of [`SlabBatch`]es for the batched datapath: `get` hands out
-/// an empty slab (pre-sized for a burst), `put` recycles it. Bounded like
-/// [`BufferPool`], and slabs that ballooned past
-/// [`BatchPool::MAX_SLAB_BYTES`] are dropped instead of kept, so one giant
-/// burst cannot pin memory for the rest of the run.
+/// Names one slab of a [`BatchPool`]: what a scheduled tunnel batch carries
+/// instead of the slab itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlabId(u32);
+
+/// The slab arena of the batched datapath: every slab lives here, named by
+/// its [`SlabId`], from [`BatchPool::get`] until [`BatchPool::put`] returns
+/// it to the free list (pre-sized for a burst). Bounded like [`BufferPool`]:
+/// beyond the free-list cap, or for a slab that ballooned past
+/// [`BatchPool::MAX_SLAB_BYTES`], `put` releases the slab's allocations
+/// instead of keeping them, so one giant burst cannot pin memory for the
+/// rest of the run; such an id is re-armed (and counted as an allocation)
+/// when it is next handed out.
 #[derive(Debug)]
 pub struct BatchPool {
-    free: Vec<SlabBatch>,
+    /// Every slab, indexed by id; a free one is empty.
+    slabs: Vec<SlabBatch>,
+    /// Ids not checked out.
+    free: Vec<SlabId>,
+    /// How many free slabs still hold their allocations.
+    pooled: usize,
     data_capacity: usize,
     slot_capacity: usize,
     max_pooled: usize,
@@ -309,14 +323,16 @@ pub struct BatchPool {
 }
 
 impl BatchPool {
-    /// Slabs whose allocations exceed this are dropped on `put`.
+    /// Slabs whose allocations exceed this are released on `put`.
     pub const MAX_SLAB_BYTES: usize = 256 * 1024;
 
     /// Creates a pool of slabs pre-sized for `data_capacity` bytes and
     /// `slot_capacity` packets.
     pub fn new(data_capacity: usize, slot_capacity: usize) -> Self {
         Self {
+            slabs: Vec::new(),
             free: Vec::new(),
+            pooled: 0,
             data_capacity,
             slot_capacity,
             max_pooled: 1024,
@@ -329,35 +345,67 @@ impl BatchPool {
         Self::new(BufferPool::PACKET_CAPACITY, burst.max(1))
     }
 
-    /// Hands out an empty slab, reusing a recycled one when possible.
-    pub fn get(&mut self) -> SlabBatch {
+    /// Checks out an empty slab, reusing a recycled one when possible.
+    pub fn get(&mut self) -> SlabId {
+        let fresh = || SlabBatch::with_capacity(self.data_capacity, self.slot_capacity);
         match self.free.pop() {
-            Some(slab) => {
-                self.stats.reuses += 1;
-                self.stats.resident_bytes -= slab.capacity_bytes() as u64;
-                slab
+            Some(id) => {
+                let slab = &mut self.slabs[id.0 as usize];
+                match slab.capacity_bytes() {
+                    0 => {
+                        self.stats.allocations += 1;
+                        *slab = fresh();
+                    }
+                    resident => {
+                        self.pooled -= 1;
+                        self.stats.reuses += 1;
+                        self.stats.resident_bytes -= resident as u64;
+                    }
+                }
+                id
             }
             None => {
                 self.stats.allocations += 1;
-                SlabBatch::with_capacity(self.data_capacity, self.slot_capacity)
+                let id = SlabId(u32::try_from(self.slabs.len()).expect("fewer than 2^32 slabs"));
+                self.slabs.push(fresh());
+                id
             }
         }
     }
 
-    /// Recycles a slab (cleared; allocations kept unless it outgrew
+    /// Recycles slab `id` (cleared; allocations kept unless it outgrew
     /// [`BatchPool::MAX_SLAB_BYTES`] or the free list is full).
-    pub fn put(&mut self, mut slab: SlabBatch) {
-        if self.free.len() < self.max_pooled && slab.capacity_bytes() <= Self::MAX_SLAB_BYTES {
+    pub fn put(&mut self, id: SlabId) {
+        let slab = &mut self.slabs[id.0 as usize];
+        let kept = slab.capacity_bytes();
+        if self.pooled < self.max_pooled && kept > 0 && kept <= Self::MAX_SLAB_BYTES {
             slab.clear();
+            self.pooled += 1;
             self.stats.recycled += 1;
-            self.stats.resident_bytes += slab.capacity_bytes() as u64;
-            self.free.push(slab);
+            self.stats.resident_bytes += kept as u64;
+        } else {
+            *slab = SlabBatch::default();
         }
+        self.free.push(id);
     }
 
-    /// Number of slabs currently sitting in the free list.
+    /// Moves every packet of slab `from` to the end of slab `into` (see
+    /// [`SlabBatch::absorb`]) and recycles `from`.
+    pub fn absorb(&mut self, into: SlabId, from: SlabId) {
+        let mut follower = std::mem::take(&mut self.slabs[from.0 as usize]);
+        self.slabs[into.0 as usize].absorb(&mut follower);
+        self.slabs[from.0 as usize] = follower;
+        self.put(from);
+    }
+
+    /// Number of free slabs that still hold their allocations.
     pub fn free_len(&self) -> usize {
-        self.free.len()
+        self.pooled
+    }
+
+    /// Number of slabs checked out and not yet put back.
+    pub fn in_use(&self) -> usize {
+        self.slabs.len() - self.free.len()
     }
 
     /// Behaviour counters.
@@ -365,10 +413,35 @@ impl BatchPool {
         self.stats
     }
 
-    /// Restarts the per-run counters while keeping the resident-bytes gauge
-    /// and the pooled slabs themselves (see [`BufferPool::reset_stats`]).
-    pub fn reset_stats(&mut self) {
+    /// Resets the pool between runs: every slab still checked out (a
+    /// stopped run's pending batches, dropped with its scheduler) goes back
+    /// to the free list as `put` would return it, and the per-run counters
+    /// restart while the resident-bytes gauge keeps describing the pooled
+    /// slabs (see [`BufferPool::reset_stats`]).
+    pub fn reset(&mut self) {
+        if self.in_use() > 0 {
+            self.free.clear();
+            self.pooled = 0;
+            self.stats.resident_bytes = 0;
+            for i in 0..self.slabs.len() {
+                self.put(SlabId(i as u32));
+            }
+        }
         self.stats = PoolStats { resident_bytes: self.stats.resident_bytes, ..Default::default() };
+    }
+}
+
+impl std::ops::Index<SlabId> for BatchPool {
+    type Output = SlabBatch;
+
+    fn index(&self, id: SlabId) -> &SlabBatch {
+        &self.slabs[id.0 as usize]
+    }
+}
+
+impl std::ops::IndexMut<SlabId> for BatchPool {
+    fn index_mut(&mut self, id: SlabId) -> &mut SlabBatch {
+        &mut self.slabs[id.0 as usize]
     }
 }
 
@@ -499,29 +572,46 @@ mod tests {
     #[test]
     fn batch_pool_recycles_slabs_and_tracks_residency() {
         let mut pool = BatchPool::for_packets(16);
-        let mut slab = pool.get();
+        let slab = pool.get();
         assert_eq!(pool.stats().allocations, 1);
-        slab.push_bytes(&[0u8; 100], SimTime::ZERO);
-        let cap = slab.capacity_bytes() as u64;
+        assert_eq!(pool.in_use(), 1);
+        pool[slab].push_bytes(&[0u8; 100], SimTime::ZERO);
+        let cap = pool[slab].capacity_bytes() as u64;
         pool.put(slab);
+        assert_eq!(pool.in_use(), 0);
         assert_eq!(pool.stats().recycled, 1);
         assert_eq!(pool.stats().resident_bytes, cap);
-        let slab = pool.get();
-        assert!(slab.is_empty(), "recycled slabs come back cleared");
+        let again = pool.get();
+        assert_eq!(again, slab, "the recycled id is handed out again");
+        assert!(pool[again].is_empty(), "recycled slabs come back cleared");
         assert_eq!(pool.stats().reuses, 1);
         assert_eq!(pool.stats().resident_bytes, 0);
-        pool.put(slab);
+        // Absorbing a follower recycles it; a reset returns the rest.
+        let follower = pool.get();
+        pool[follower].push_bytes(b"two", SimTime::ZERO);
+        pool.absorb(again, follower);
+        assert_eq!(pool[again].packet(0), b"two");
+        assert_eq!(pool.in_use(), 1);
+        pool.reset();
+        assert_eq!(pool.in_use(), 0);
+        assert_eq!(pool.free_len(), 2);
+        assert_eq!(pool.stats().resident_bytes, 2 * cap);
     }
 
     #[test]
     fn batch_pool_drops_ballooned_slabs() {
         let mut pool = BatchPool::new(64, 2);
-        let mut slab = pool.get();
-        slab.push_bytes(&vec![0u8; BatchPool::MAX_SLAB_BYTES + 1], SimTime::ZERO);
+        let slab = pool.get();
+        pool[slab].push_bytes(&vec![0u8; BatchPool::MAX_SLAB_BYTES + 1], SimTime::ZERO);
         pool.put(slab);
         assert_eq!(pool.free_len(), 0, "oversized slab must not be pooled");
         assert_eq!(pool.stats().recycled, 0);
         assert_eq!(pool.stats().resident_bytes, 0);
+        assert_eq!(pool[slab].capacity_bytes(), 0, "its allocations were released");
+        // The id is reused, re-armed at the pool's size.
+        assert_eq!(pool.get(), slab);
+        assert_eq!(pool.stats().allocations, 2);
+        assert!(pool[slab].capacity_bytes() > 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! selector with a `wakeup()` hook, and the `protect()` bookkeeping whose
 //! cost §3.5.2 eliminates.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use mop_packet::{Endpoint, FourTuple};
 
@@ -429,10 +429,11 @@ pub enum SelectorEventKind {
 /// arrive (§3.2).
 ///
 /// The interest set is an insertion-ordered slot vector with a position
-/// index: `register` and `deregister` are O(1), and `deregister` leaves a
-/// tombstone that iteration skips, so `select` still visits live sockets in
-/// exact registration order (re-registering after a deregister moves the
-/// socket to the back, just as the plain-`Vec` implementation did). Slots
+/// index (a vector indexed by the dense [`SocketId`]): `register` and
+/// `deregister` are O(1), and `deregister` leaves a tombstone that
+/// iteration skips, so `select` still visits live sockets in exact
+/// registration order (re-registering after a deregister moves the socket
+/// to the back, just as the plain-`Vec` implementation did). Slots
 /// are compacted in order once tombstones outnumber live entries, keeping
 /// iteration O(live). The earlier `Vec::contains`/`Vec::retain` form made
 /// both calls O(live sockets) — O(n²) across a run, and the dominant
@@ -443,8 +444,12 @@ pub struct Selector {
     /// Insertion-ordered slots; `None` marks a deregistered (tombstoned)
     /// entry that iteration skips.
     registered: Vec<Option<SocketId>>,
-    /// Live sockets only; maps each to its slot in `registered`.
-    positions: HashMap<SocketId, usize>,
+    /// Each live socket's slot in `registered`, indexed by socket id
+    /// (socket ids are dense table positions); `None` for a socket that is
+    /// not registered.
+    positions: Vec<Option<usize>>,
+    /// How many sockets are registered.
+    live: usize,
     tombstones: usize,
     wakeup_pending: bool,
     wakeup_count: u64,
@@ -469,6 +474,7 @@ impl Selector {
     pub fn reset(&mut self) {
         self.registered.clear();
         self.positions.clear();
+        self.live = 0;
         self.tombstones = 0;
         self.wakeup_pending = false;
         self.wakeup_count = 0;
@@ -484,18 +490,24 @@ impl Selector {
 
     /// Registers a socket for readiness notification.
     pub fn register(&mut self, id: SocketId) {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.positions.entry(id) {
-            slot.insert(self.registered.len());
+        let index = id.0 as usize;
+        if index >= self.positions.len() {
+            self.positions.resize(index + 1, None);
+        }
+        if self.positions[index].is_none() {
+            self.positions[index] = Some(self.registered.len());
             self.registered.push(Some(id));
+            self.live += 1;
         }
     }
 
     /// Removes a socket from the interest set.
     pub fn deregister(&mut self, id: SocketId) {
-        if let Some(pos) = self.positions.remove(&id) {
+        if let Some(pos) = self.positions.get_mut(id.0 as usize).and_then(Option::take) {
             self.registered[pos] = None;
+            self.live -= 1;
             self.tombstones += 1;
-            if self.tombstones > self.positions.len() {
+            if self.tombstones > self.live {
                 self.compact();
             }
         }
@@ -511,14 +523,14 @@ impl Selector {
         self.registered.retain(Option::is_some);
         for (pos, slot) in self.registered.iter().enumerate() {
             let id = slot.expect("compaction keeps only live slots");
-            self.positions.insert(id, pos);
+            self.positions[id.0 as usize] = Some(pos);
         }
         self.tombstones = 0;
     }
 
     /// Number of registered sockets.
     pub fn registered_count(&self) -> usize {
-        self.positions.len()
+        self.live
     }
 
     /// Signals the selector to return immediately from the next `select`

@@ -5,9 +5,9 @@
 //! the same role here: it records every transport event at the interface,
 //! below any measuring application, so its SYN→SYN/ACK gaps are ground truth.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
-use mop_packet::FourTuple;
+use mop_packet::{FastMap, FourTuple};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -85,7 +85,7 @@ struct ExchangeIndex {
     /// One slot per flow, in first-request order.
     exchanges: Vec<Exchange>,
     /// Each flow's slot in `exchanges`.
-    slot_of: HashMap<FourTuple, usize>,
+    slot_of: FastMap<FourTuple, usize>,
     /// Replies captured before any request of their flow, in capture order.
     /// They only become candidates once the request's time is known, so
     /// they wait here; a capture of real exchanges never has any.

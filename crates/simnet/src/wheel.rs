@@ -489,50 +489,52 @@ impl<E> TimingWheel<E> {
         self.ready.insert(self.ready_pos + offset, idx);
     }
 
-    /// The earliest occupied slot across all levels: returns
-    /// `(level, slot index, start tick)` of the slot with the smallest
-    /// deadline, preferring the *higher* level on ties so containing ranges
-    /// cascade before the exact slot drains.
+    /// The earliest occupied slot: `(level, slot index, start tick)` of the
+    /// first occupied slot at or after the cursor on the lowest non-empty
+    /// level.
+    ///
+    /// No higher level can hold an earlier slot. By the placement rule an
+    /// entry on level L agrees with the cursor on every tick bit above L,
+    /// and the cursor never passes a pending tick, so every entry below
+    /// level L' shares the cursor's level-L' digit while every level-L'
+    /// slot ahead of the cursor starts at a strictly larger digit: a lower
+    /// non-empty level always holds a strictly earlier slot.
     fn next_slot(&self) -> Option<(usize, usize, u64)> {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for level in 0..self.levels {
-            let bitmap = self.occupied[level];
-            if bitmap == 0 {
-                continue;
-            }
-            let level_shift = level as u32 * SLOT_BITS;
-            let span_bits = level_shift + SLOT_BITS;
-            let cursor_slot = ((self.elapsed >> level_shift) & (SLOTS as u64 - 1)) as usize;
-            let rotation_base = if span_bits >= 64 {
-                0
+        let level = self.occupied.iter().position(|&bitmap| bitmap != 0)?;
+        let (slot, start) = self.first_slot_of(level);
+        debug_assert!(
+            (level + 1..self.levels)
+                .all(|higher| self.occupied[higher] == 0 || self.first_slot_of(higher).1 > start),
+            "a higher wheel level holds an earlier slot"
+        );
+        Some((level, slot, start))
+    }
+
+    /// The first occupied slot of a non-empty `level` at or after the
+    /// cursor, and its start tick.
+    fn first_slot_of(&self, level: usize) -> (usize, u64) {
+        let bitmap = self.occupied[level];
+        let level_shift = level as u32 * SLOT_BITS;
+        let span_bits = level_shift + SLOT_BITS;
+        let cursor_slot = ((self.elapsed >> level_shift) & (SLOTS as u64 - 1)) as usize;
+        let rotation_base =
+            if span_bits >= 64 { 0 } else { (self.elapsed >> span_bits) << span_bits };
+        let ahead = bitmap & (!0u64 << cursor_slot);
+        let (slot, base) = if ahead != 0 {
+            (ahead.trailing_zeros() as usize, rotation_base)
+        } else {
+            // Only reachable if an entry was left behind the cursor, which
+            // the placement rule excludes; treat it as belonging to the next
+            // rotation so it still fires.
+            debug_assert!(false, "timing wheel slot behind the cursor");
+            let next_base = if span_bits >= 64 {
+                rotation_base
             } else {
-                (self.elapsed >> span_bits) << span_bits
+                rotation_base.saturating_add(1 << span_bits)
             };
-            let ahead = bitmap & (!0u64 << cursor_slot);
-            let (slot, base) = if ahead != 0 {
-                (ahead.trailing_zeros() as usize, rotation_base)
-            } else {
-                // Only reachable if an entry was left behind the cursor,
-                // which the placement rule excludes; treat it as belonging
-                // to the next rotation so it still fires.
-                debug_assert!(false, "timing wheel slot behind the cursor");
-                let next_base = if span_bits >= 64 {
-                    rotation_base
-                } else {
-                    rotation_base.saturating_add(1 << span_bits)
-                };
-                (bitmap.trailing_zeros() as usize, next_base)
-            };
-            let deadline = base + ((slot as u64) << level_shift);
-            let better = match best {
-                None => true,
-                Some((d, l, _)) => deadline < d || (deadline == d && level > l),
-            };
-            if better {
-                best = Some((deadline, level, slot));
-            }
-        }
-        best.map(|(deadline, level, slot)| (level, slot, deadline))
+            (bitmap.trailing_zeros() as usize, next_base)
+        };
+        (slot, base + ((slot as u64) << level_shift))
     }
 
     /// Refills the due buffer: advances the cursor to the next occupied

@@ -65,6 +65,80 @@ fn run_script(kind: SchedulerKind, granularity_ns: u64, ops: &[Op]) -> (Vec<(u64
     (popped, sched.scheduled_total())
 }
 
+/// One step of an engine-shaped script, timed relative to the instant of
+/// the latest pop — the way the engine schedules from inside a dispatch.
+#[derive(Debug, Clone, Copy)]
+enum EngineOp {
+    /// Schedule `delay_ns` ahead: handoffs, per-packet costs, path delays.
+    Ahead(u64),
+    /// Schedule `count` events at the current instant (a same-instant
+    /// burst, such as one app's ACK train).
+    Burst(usize),
+    /// Schedule `ago_ns` before the current instant (a zero-delay handoff
+    /// computed from an earlier timestamp).
+    Past(u64),
+    /// Arm an idle timer `secs` seconds ahead: these sit on levels 3–4 at
+    /// the default granularity while everything else churns below.
+    Idle(u64),
+    /// Pop the earliest pending event.
+    Pop,
+    /// Cancel the k-th oldest still-live handle (modulo the live count).
+    Cancel(usize),
+}
+
+fn engine_op() -> impl Strategy<Value = EngineOp> {
+    prop_oneof![
+        8 => (1_000u64..5_000_000).prop_map(EngineOp::Ahead),
+        2 => (2usize..6).prop_map(EngineOp::Burst),
+        1 => (0u64..2_000_000).prop_map(EngineOp::Past),
+        1 => (10u64..=60).prop_map(EngineOp::Idle),
+        6 => Just(EngineOp::Pop),
+        2 => (0usize..64).prop_map(EngineOp::Cancel),
+    ]
+}
+
+/// Runs an engine-shaped script against a `TimerScheduler` at the default
+/// granularity, returning the popped sequence.
+fn run_engine_script(kind: SchedulerKind, ops: &[EngineOp]) -> Vec<(u64, u64)> {
+    let mut sched = TimerScheduler::new(kind, mop_simnet::wheel::DEFAULT_GRANULARITY);
+    let mut handles = Vec::new();
+    let mut popped = Vec::new();
+    let (mut now, mut id) = (0u64, 0u64);
+    for op in ops {
+        let (at, count) = match *op {
+            EngineOp::Ahead(delay) => (now + delay, 1),
+            EngineOp::Burst(count) => (now, count),
+            EngineOp::Past(ago) => (now.saturating_sub(ago), 1),
+            EngineOp::Idle(secs) => (now + secs * 1_000_000_000, 1),
+            EngineOp::Pop | EngineOp::Cancel(_) => (now, 0),
+        };
+        for _ in 0..count {
+            handles.push(sched.schedule(SimTime::from_nanos(at), id));
+            id += 1;
+        }
+        match *op {
+            EngineOp::Ahead(_) | EngineOp::Burst(_) | EngineOp::Past(_) | EngineOp::Idle(_) => {}
+            EngineOp::Pop => {
+                if let Some((at, event)) = sched.pop() {
+                    // The engine's clock never runs backwards.
+                    now = now.max(at.as_nanos());
+                    popped.push((at.as_nanos(), event));
+                }
+            }
+            EngineOp::Cancel(k) => {
+                if !handles.is_empty() {
+                    let handle = handles.remove(k % handles.len());
+                    let _ = sched.cancel(handle);
+                }
+            }
+        }
+    }
+    while let Some((at, event)) = sched.pop() {
+        popped.push((at.as_nanos(), event));
+    }
+    popped
+}
+
 /// Drives a wheel through a post-snapshot script: schedules, cancels via
 /// both live and deliberately stale handles, and pops — returning everything
 /// observable (handle tokens, cancel results, popped sequence) so two wheels
@@ -169,6 +243,21 @@ proptest! {
         prop_assert_eq!(&wheel_popped, &heap_popped,
             "pop sequences diverged at granularity {}", granularity_ns);
         prop_assert_eq!(wheel_total, heap_total, "scheduled_total diverged");
+    }
+
+    // The wheel's refill takes the lowest occupied level's first slot
+    // without comparing deadlines across levels; this load keeps several
+    // levels occupied at once (microsecond churn on levels 0–2 under idle
+    // timers on levels 3–4) while bursts and past schedules exercise the
+    // due buffer.
+    #[test]
+    fn wheel_and_heap_agree_under_engine_shaped_load(
+        ops in proptest::collection::vec(engine_op(), 1..600),
+    ) {
+        prop_assert_eq!(
+            run_engine_script(SchedulerKind::Wheel, &ops),
+            run_engine_script(SchedulerKind::Heap, &ops)
+        );
     }
 
     #[test]
