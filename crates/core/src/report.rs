@@ -35,8 +35,7 @@ pub struct RunReport {
     /// Windowed per-epoch aggregation of the same samples, present only when
     /// the run set [`crate::config::MopEyeConfig::epoch_width`]. Merged
     /// cross-shard like [`RunReport::aggregates`] and folded into the fleet
-    /// digest only when present, so epoch-less runs keep their historical
-    /// digests bit for bit.
+    /// digest only when present.
     pub windows: Option<WindowedAggregateStore>,
     /// Relay counters.
     pub relay: RelayStats,

@@ -66,16 +66,18 @@
 //! reuse is observationally invisible by construction (checked bit-for-bit
 //! by `tests/resident_reuse.rs`).
 
+use std::cmp::Ordering;
+use std::net::IpAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mop_simnet::{spsc_channel, CreditGate, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender};
 use mop_tun::FlowSpec;
-use mop_packet::{FourTuple, StableHasher};
+use mop_packet::{FourTuple, WordHasher};
 
 use crate::config::{MopEyeConfig, WorkerModel};
 use crate::engine::{MopEyeEngine, RunReport};
-use crate::stats::SampleKind;
+use crate::stats::{FlowOutcome, RttSample, SampleKind};
 
 /// Configuration of a [`FleetEngine`].
 #[derive(Debug, Clone)]
@@ -175,8 +177,9 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// A stable 64-bit digest of the merged report's semantic content
-    /// (samples, relay counters, flow outcomes, TUN counters, finish time,
-    /// event count). Two runs are behaviourally identical iff their digests
+    /// ([`RunReport::fleet_digest`]: samples and flow outcomes as a
+    /// multiset, relay and TUN counters, finish time, event count, sketch
+    /// digests). Two runs are behaviourally identical iff their digests
     /// match — the one-line determinism check.
     pub fn digest(&self) -> u64 {
         self.merged.fleet_digest()
@@ -552,18 +555,21 @@ impl RunReport {
     }
 
     /// Sorts samples and flow outcomes into their canonical order
-    /// (measurement time, then flow), so equal flow sets produce equal
-    /// reports regardless of how they were partitioned.
+    /// (measurement time, then flow, then every other field the digest
+    /// covers), so equal multisets produce equal reports regardless of how
+    /// they were partitioned or in which order they were absorbed —
+    /// outcomes of co-injected scenarios can share a four-tuple.
     pub fn canonicalise(&mut self) {
-        self.samples.sort_by(|a, b| {
-            (a.at, a.flow, sample_kind_tag(a.kind)).cmp(&(b.at, b.flow, sample_kind_tag(b.kind)))
-        });
-        self.flows.sort_by_key(|f| f.flow);
+        self.samples.sort_by(sample_order);
+        self.flows.sort_by(flow_order);
     }
 
-    /// A stable FNV-1a digest over the report's semantic content: every RTT
-    /// sample, the relay counters, every flow outcome, the TUN counters, the
-    /// finish time and the event count.
+    /// A stable digest over the report's semantic content: every RTT sample
+    /// and every flow outcome (as a multiset, see [`OutcomeFold`]), the
+    /// relay counters, the TUN counters, the finish time, the event count
+    /// and the aggregate sketches. The order of `samples` and `flows` does
+    /// not matter, so the digest is the same before and after
+    /// [`RunReport::canonicalise`].
     ///
     /// Resource *accounting* (CPU ledger, pool statistics, mapping cost
     /// samples, write-delay histograms) is deliberately excluded: how much a
@@ -571,26 +577,17 @@ impl RunReport {
     /// depends on which flows were co-resident, which is partition-specific
     /// bookkeeping, not relay behaviour.
     pub fn fleet_digest(&self) -> u64 {
-        let mut fnv = StableHasher::new();
-        let mut order: Vec<usize> = (0..self.samples.len()).collect();
-        order.sort_by(|&i, &j| {
-            let a = &self.samples[i];
-            let b = &self.samples[j];
-            (a.at, a.flow, sample_kind_tag(a.kind)).cmp(&(b.at, b.flow, sample_kind_tag(b.kind)))
-        });
-        fnv.write_u64(order.len() as u64);
-        for i in order {
-            let s = &self.samples[i];
-            fnv.write_u64(u64::from(sample_kind_tag(s.kind)));
-            fnv.write_u64(s.flow.stable_hash());
-            fnv.write_u64(u64::from(s.uid.unwrap_or(u32::MAX)));
-            fnv.write_str(s.package.as_deref().unwrap_or(""));
-            fnv.write_str(s.domain.as_deref().unwrap_or(""));
-            fnv.write_f64(s.measured_ms);
-            fnv.write_f64(s.true_ms);
-            fnv.write_f64(s.tcpdump_ms.unwrap_or(f64::NEG_INFINITY));
-            fnv.write_u64(s.at.as_nanos());
-        }
+        self.fleet_digest_with(&OutcomeFold::of(self))
+    }
+
+    /// [`RunReport::fleet_digest`] with the sample and flow multisets
+    /// already folded: `fold` must equal `OutcomeFold::of(self)`. An owner
+    /// that keeps the fold as it absorbs digests in O(sketch cells) instead
+    /// of O(every record).
+    pub fn fleet_digest_with(&self, fold: &OutcomeFold) -> u64 {
+        let mut h = WordHasher::new();
+        h.write_u64(fold.samples);
+        h.write_u64(fold.sample_sum);
         for c in [
             self.relay.syns,
             self.relay.connects_ok,
@@ -606,43 +603,144 @@ impl RunReport {
             self.relay.bytes_in,
             self.relay.parse_errors,
         ] {
-            fnv.write_u64(c);
+            h.write_u64(c);
         }
-        let mut flow_order: Vec<usize> = (0..self.flows.len()).collect();
-        flow_order.sort_by(|&i, &j| self.flows[i].flow.cmp(&self.flows[j].flow));
-        fnv.write_u64(flow_order.len() as u64);
-        for i in flow_order {
-            let f = &self.flows[i];
-            fnv.write_u64(f.flow.stable_hash());
-            fnv.write_str(&f.package);
-            fnv.write_u64(f.started_at.as_nanos());
-            fnv.write_u64(f.finished_at.as_nanos());
-            fnv.write_u64(f.bytes_received as u64);
-            fnv.write_u64(u64::from(f.completed));
-        }
+        h.write_u64(fold.flows);
+        h.write_u64(fold.flow_sum);
         for c in [
             self.tun.packets_from_apps,
             self.tun.bytes_from_apps,
             self.tun.packets_to_apps,
             self.tun.bytes_to_apps,
         ] {
-            fnv.write_u64(c);
+            h.write_u64(c);
         }
-        fnv.write_u64(self.finished_at.as_nanos());
-        fnv.write_u64(self.events_processed);
+        h.write_u64(self.finished_at.as_nanos());
+        h.write_u64(self.events_processed);
         // The streaming aggregates are part of the run's semantic content:
         // their own digest is canonical (BTreeMap order, integral sketches),
         // so folding it in keeps the fleet digest shard-count-invariant.
-        fnv.write_u64(self.aggregates.digest());
+        h.write_u64(self.aggregates.digest());
         // Windowed epoch aggregates join the digest only when the run
-        // enabled them, so epoch-less runs keep their pinned historical
-        // digests; the windowed merge is partition-invariant like the flat
-        // one, so this stays shard-count-invariant too.
+        // enabled them; the windowed merge is partition-invariant like the
+        // flat one, so this stays shard-count-invariant too.
         if let Some(windows) = &self.windows {
-            fnv.write_u64(windows.digest());
+            h.write_u64(windows.digest());
         }
-        fnv.finish()
+        h.finish()
     }
+}
+
+/// The order-free part of [`RunReport::fleet_digest`]: each RTT sample and
+/// each flow outcome is hashed on its own ([`WordHasher`]), and the hashes
+/// are summed (wrapping) beside a count, per kind of record. Equal
+/// multisets fold equal whatever their order or partition; a duplicated
+/// record moves both the count and the sum. Folding a report that absorbed
+/// another is [`OutcomeFold::absorb`] of the two folds, so an owner that
+/// sees every [`RunReport::absorb`] keeps its report's fold in O(delta).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeFold {
+    samples: u64,
+    sample_sum: u64,
+    flows: u64,
+    flow_sum: u64,
+}
+
+impl OutcomeFold {
+    /// Folds every sample and flow outcome of `report`.
+    pub fn of(report: &RunReport) -> Self {
+        let sample_sum = report.samples.iter().fold(0u64, |sum, s| sum.wrapping_add(sample_hash(s)));
+        let flow_sum = report.flows.iter().fold(0u64, |sum, f| sum.wrapping_add(flow_hash(f)));
+        Self {
+            samples: report.samples.len() as u64,
+            sample_sum,
+            flows: report.flows.len() as u64,
+            flow_sum,
+        }
+    }
+
+    /// Adds another fold's records: afterwards `self` is the fold of the
+    /// report that absorbed `other`'s report.
+    pub fn absorb(&mut self, other: OutcomeFold) {
+        self.samples = self.samples.wrapping_add(other.samples);
+        self.sample_sum = self.sample_sum.wrapping_add(other.sample_sum);
+        self.flows = self.flows.wrapping_add(other.flows);
+        self.flow_sum = self.flow_sum.wrapping_add(other.flow_sum);
+    }
+}
+
+/// One sample's hash: every field of it the digest covers.
+fn sample_hash(s: &RttSample) -> u64 {
+    let mut h = WordHasher::new();
+    h.write_u64(u64::from(sample_kind_tag(s.kind)));
+    write_tuple(&mut h, &s.flow);
+    h.write_u64(u64::from(s.uid.unwrap_or(u32::MAX)));
+    h.write_str(s.package.as_deref().unwrap_or(""));
+    h.write_str(s.domain.as_deref().unwrap_or(""));
+    h.write_f64(s.measured_ms);
+    h.write_f64(s.true_ms);
+    h.write_f64(s.tcpdump_ms.unwrap_or(f64::NEG_INFINITY));
+    h.write_u64(s.at.as_nanos());
+    h.finish()
+}
+
+/// One flow outcome's hash: every field of it the digest covers.
+fn flow_hash(f: &FlowOutcome) -> u64 {
+    let mut h = WordHasher::new();
+    write_tuple(&mut h, &f.flow);
+    h.write_str(&f.package);
+    h.write_u64(f.started_at.as_nanos());
+    h.write_u64(f.finished_at.as_nanos());
+    h.write_u64(f.bytes_received as u64);
+    h.write_u64(u64::from(f.completed));
+    h.finish()
+}
+
+/// A four-tuple as digest words: per endpoint, one word with the address
+/// family (bits 48..), the IPv4 address (bits 16..48) and the port, and an
+/// IPv6 address as two more words.
+fn write_tuple(h: &mut WordHasher, flow: &FourTuple) {
+    for endpoint in [&flow.src, &flow.dst] {
+        let port = u64::from(endpoint.port);
+        match endpoint.addr {
+            IpAddr::V4(v4) => h.write_u64(4 << 48 | u64::from(u32::from(v4)) << 16 | port),
+            IpAddr::V6(v6) => {
+                let bits = u128::from(v6);
+                h.write_u64(6 << 48 | port);
+                h.write_u64(bits as u64);
+                h.write_u64((bits >> 64) as u64);
+            }
+        }
+    }
+}
+
+/// The canonical sample order: measurement time, flow and kind, then every
+/// other field the digest covers (floats by `total_cmp`).
+fn sample_order(a: &RttSample, b: &RttSample) -> Ordering {
+    a.at.cmp(&b.at)
+        .then_with(|| a.flow.cmp(&b.flow))
+        .then_with(|| sample_kind_tag(a.kind).cmp(&sample_kind_tag(b.kind)))
+        .then_with(|| a.uid.cmp(&b.uid))
+        .then_with(|| a.package.cmp(&b.package))
+        .then_with(|| a.domain.cmp(&b.domain))
+        .then_with(|| a.measured_ms.total_cmp(&b.measured_ms))
+        .then_with(|| a.true_ms.total_cmp(&b.true_ms))
+        .then_with(|| match (a.tcpdump_ms, b.tcpdump_ms) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        })
+}
+
+/// The canonical flow order: the four-tuple, then every other field the
+/// digest covers.
+fn flow_order(a: &FlowOutcome, b: &FlowOutcome) -> Ordering {
+    a.flow
+        .cmp(&b.flow)
+        .then_with(|| a.package.cmp(&b.package))
+        .then_with(|| a.started_at.cmp(&b.started_at))
+        .then_with(|| a.finished_at.cmp(&b.finished_at))
+        .then_with(|| a.bytes_received.cmp(&b.bytes_received))
+        .then_with(|| a.completed.cmp(&b.completed))
 }
 
 fn sample_kind_tag(kind: SampleKind) -> u8 {

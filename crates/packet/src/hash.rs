@@ -1,4 +1,4 @@
-//! The workspace's two hashers, and which one is for what.
+//! The workspace's three hashers, and which one is for what.
 //!
 //! * [`StableHasher`] — an incremental FNV-1a over bytes, with an optional
 //!   splitmix64-style avalanche finish. Unlike [`std::hash::Hash`] (whose
@@ -6,8 +6,17 @@
 //!   across runs, machines and toolchains. Use it for **anything persisted or
 //!   compared**: shard keys, per-flow RNG seeds, run digests (some are
 //!   persisted, e.g. in `BENCH_pr3.json`, and compared across versions).
-//!   Every stable hash in the workspace goes through this one implementation
-//!   so the constants cannot drift apart.
+//!   Every byte-wise stable hash in the workspace goes through this one
+//!   implementation so the constants cannot drift apart.
+//! * [`WordHasher`] — the stable hasher for **digests over many records**:
+//!   explicit little-endian 8-byte words, one 64×64→128 multiply-fold per
+//!   word under a fixed key ([`WordHasher::KEY`]) and an avalanche finish.
+//!   Its output is as reproducible as [`StableHasher`]'s, at a word per
+//!   step where FNV-1a takes a byte. The fleet digest hashes every RTT
+//!   sample and flow outcome with it, one record at a time, and sums the
+//!   results, so the digest is order-free and can be kept up to date as
+//!   records arrive. Its key is public, so use it only where nobody gains
+//!   from crafting collisions: digests, never probed tables.
 //! * [`FastHasher`] (through [`FastMap`]) — a multiplicative hasher for
 //!   **in-process maps that are only probed**: the packet path's four-tuple
 //!   index and the network's per-flow tables. It costs a multiply per word
@@ -88,12 +97,101 @@ impl StableHasher {
     /// FNV alone diffuses poorly into the low bits; the mix makes
     /// `hash % buckets` spread evenly, which is what shard keys need.
     pub fn finish_mixed(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
+        avalanche(self.0)
+    }
+}
+
+/// One word into a multiply-fold state: XOR it in, multiply by
+/// [`WordHasher::KEY`] into 128 bits, and fold the high half onto the low.
+/// Both [`WordHasher`] and [`FastHasher`] step with it; they differ in the
+/// starting state (fixed, or drawn per map) and in the finish.
+fn fold_word(state: u64, word: u64) -> u64 {
+    let product = u128::from(state ^ word) * u128::from(WordHasher::KEY);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// splitmix64's finaliser: every input bit flips about half the output bits.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Feeds `bytes` to `add` as little-endian 8-byte words, the last one
+/// zero-padded.
+fn for_each_le_word(bytes: &[u8], mut add: impl FnMut(u64)) {
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        add(u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk")));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        add(u64::from_le_bytes(word));
+    }
+}
+
+/// A platform-stable hasher over 8-byte words: one multiply-fold per word
+/// under [`WordHasher::KEY`], and splitmix64's avalanche in
+/// [`WordHasher::finish`], so sums of finished hashes spread over every
+/// bit. Values are fed as little-endian words whatever the host's byte
+/// order, and strings are length-prefixed.
+///
+/// ```
+/// use mop_packet::WordHasher;
+/// let mut a = WordHasher::new();
+/// a.write_u64(7);
+/// a.write_str("example");
+/// let mut b = WordHasher::new();
+/// b.write_u64(7);
+/// b.write_str("example");
+/// assert_eq!(a.finish(), b.finish());
+/// ```
+#[derive(Debug, Clone)]
+pub struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl WordHasher {
+    /// The fixed multiplier every word is folded under: 2^64 / φ, rounded
+    /// to odd. Changing it changes every digest built on this hasher.
+    pub const KEY: u64 = 0x9e37_79b9_7f4a_7c15;
+    /// The state before the first word: the fractional digits of π.
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+    /// A fresh hasher at the fixed seed.
+    pub fn new() -> Self {
+        Self(Self::SEED)
+    }
+
+    /// Feeds one word.
+    pub fn write_u64(&mut self, word: u64) {
+        self.0 = fold_word(self.0, word);
+    }
+
+    /// Feeds an `f64` by its bit pattern.
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// Feeds a string: its length, then its bytes as little-endian words,
+    /// the last one zero-padded (the length prefix keeps `"a\0"` ≠ `"a"`).
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        for_each_le_word(s.as_bytes(), |word| self.write_u64(word));
+    }
+
+    /// The state through splitmix64's finaliser (as
+    /// [`StableHasher::finish_mixed`]).
+    pub fn finish(&self) -> u64 {
+        avalanche(self.0)
     }
 }
 
@@ -113,27 +211,14 @@ impl StableHasher {
 pub struct FastHasher(u64);
 
 impl FastHasher {
-    /// The odd multiplier (2^64 / φ, rounded to odd).
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-
     fn add(&mut self, word: u64) {
-        let product = u128::from(self.0 ^ word) * u128::from(Self::K);
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
+        self.0 = fold_word(self.0, word);
     }
 }
 
 impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk")));
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(word));
-        }
+        for_each_le_word(bytes, |word| self.add(word));
     }
 
     fn write_u8(&mut self, v: u8) {
@@ -198,6 +283,28 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_u8(b'a');
         assert_eq!(h.finish(), 12_642_967_877_113_212_044);
+    }
+
+    #[test]
+    fn word_hasher_pinned_value_is_stable() {
+        // Digests built on this hasher are compared across versions and
+        // hosts: the key, the seed, the word order and the finish are all
+        // pinned by this one value.
+        let mut h = WordHasher::new();
+        h.write_u64(1);
+        h.write_str("com.example.app");
+        h.write_f64(12.5);
+        assert_eq!(h.finish(), 0xa346_201d_b277_5d8c);
+        let (mut a, mut b) = (WordHasher::new(), WordHasher::new());
+        a.write_str("ab");
+        a.write_str("c");
+        b.write_str("a");
+        b.write_str("bc");
+        assert_ne!(a.finish(), b.finish(), "length prefix");
+        let (mut a, mut b) = (WordHasher::new(), WordHasher::new());
+        a.write_str("a");
+        b.write_str("a\0");
+        assert_ne!(a.finish(), b.finish(), "zero padding");
     }
 
     #[test]

@@ -55,7 +55,7 @@ use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 pub use builder::PacketBuilder;
 pub use dns::{DnsFlags, DnsMessage, DnsQuestion, DnsRecord, DnsRecordData, DnsType};
 pub use error::{PacketError, Result};
-pub use hash::{FastHasher, FastMap, FastState, StableHasher};
+pub use hash::{FastHasher, FastMap, FastState, StableHasher, WordHasher};
 pub use ipv4::Ipv4Packet;
 pub use ipv6::Ipv6Packet;
 pub use packet::{IpPacket, Packet, Transport};

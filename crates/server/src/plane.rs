@@ -15,6 +15,13 @@
 //! of once per restart. `tests/server_oracle.rs` pins the equivalence
 //! against batch runs across shard counts and random interleavings.
 //!
+//! The digest folds samples and flow outcomes as a multiset
+//! ([`OutcomeFold`]), so it does not depend on the order outcomes that
+//! share a four-tuple were absorbed in, and a one-step drain equals the
+//! stepped cadence. The plane keeps the cumulative fold beside its report:
+//! a step adds its delta's fold, and the digest costs O(delta + sketch
+//! cells), not O(every flow ever run).
+//!
 //! # The resident fleet
 //!
 //! Since PR 10 the plane holds one [`ResidentFleet`] for its whole life:
@@ -40,7 +47,7 @@ use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
 use mopeye_core::{
     epoch_boundary, CheckpointHeader, CheckpointRef, CongestionAlgo, FleetCheckpoint,
-    FleetConfig, ResidentFleet, RunReport,
+    FleetConfig, OutcomeFold, ResidentFleet, RunReport,
 };
 #[cfg(test)]
 use mopeye_core::FleetEngine;
@@ -191,10 +198,14 @@ pub struct ControlPlane {
     next_scenario: usize,
     scenarios: Vec<ScenarioSlot>,
     cumulative: RunReport,
+    /// `OutcomeFold::of(&cumulative)`, kept up to date as each step's
+    /// delta is absorbed (and recomputed once on resume), so digesting the
+    /// cumulative report costs the delta, not every flow ever run.
+    fold: OutcomeFold,
     /// `cumulative.fleet_digest()`, recomputed by [`Self::refresh_digest`]
     /// at the two places `cumulative` changes. Kept here and not inside
     /// [`RunReport`], whose fields are public: only an owner that sees
-    /// every mutation can keep a memo honest.
+    /// every mutation can keep a memo (and the fold under it) honest.
     digest: u64,
     /// How often `refresh_digest` ran. Never in a digest or a checkpoint.
     digest_computes: u64,
@@ -213,16 +224,19 @@ impl ControlPlane {
             cursor_epoch: 0,
             next_scenario: 1,
             scenarios: Vec::new(),
+            fold: OutcomeFold::default(),
             digest: RunReport::empty().fleet_digest(),
             digest_computes: 0,
             cumulative: RunReport::empty(),
         }
     }
 
-    /// Re-derives the memoised digest. Called exactly where `cumulative`
-    /// mutates: a step that ran flows, and a successful resume.
+    /// Re-derives the memoised digest from the kept fold. Called exactly
+    /// where `cumulative` mutates: a step that ran flows, and a successful
+    /// resume.
     fn refresh_digest(&mut self) {
-        self.digest = self.cumulative.fleet_digest();
+        debug_assert_eq!(self.fold, OutcomeFold::of(&self.cumulative), "the kept fold drifted");
+        self.digest = self.cumulative.fleet_digest_with(&self.fold);
         self.digest_computes += 1;
     }
 
@@ -376,6 +390,7 @@ impl ControlPlane {
             if want_delta {
                 delta_json = mop_json::to_value(&delta);
             }
+            self.fold.absorb(OutcomeFold::of(&delta));
             self.cumulative.absorb(delta);
             self.cumulative.canonicalise();
             self.refresh_digest();
@@ -541,6 +556,7 @@ impl ControlPlane {
         self.next_scenario = next_scenario as usize;
         self.scenarios = slots;
         self.cumulative = fleet.base;
+        self.fold = OutcomeFold::of(&self.cumulative);
         self.refresh_digest();
         Ok(())
     }

@@ -601,3 +601,113 @@ fn digest_is_computed_once_per_mutation_and_never_per_query() {
     let info = result(&mut server, "{\"id\":8,\"method\":\"server.info\"}");
     assert_eq!(resumed["digest"], info["digest"]);
 }
+
+/// Co-injected scenarios share four-tuples, so outcomes with equal tuples
+/// arrive in a different order when one step runs everything than when the
+/// cadence runs it epoch by epoch. The digest folds a multiset and
+/// `canonicalise` orders by every covered field, so both the digest and
+/// the checkpoint bytes are the same either way, at any shard count.
+#[test]
+fn a_one_step_drain_equals_the_stepped_cadence_at_any_shard_count() {
+    const SEED: u64 = 0x4866_8462_95f0_81c6;
+    let injected = |shards: usize| {
+        let mut plane = ControlPlane::new(PlaneConfig {
+            shards,
+            seed: SEED,
+            epoch_width: mop_simnet::SimDuration::from_millis(25),
+            epoch_window: 32,
+            ..PlaneConfig::default()
+        });
+        for kind in KINDS {
+            plane.inject(kind, 60, SEED).unwrap();
+        }
+        plane
+    };
+    let mut digests = Vec::new();
+    for shards in [1usize, 2] {
+        let mut stepped = injected(shards);
+        let mut steps = 0;
+        while stepped.pending_flows() > 0 {
+            stepped.step(1);
+            steps += 1;
+        }
+        let mut drained = injected(shards);
+        let epochs = drained.epochs_to_drain();
+        let outcome = drained.step(epochs);
+        assert_eq!(outcome.pending, 0);
+        assert!(steps > 10, "the cadence must take many steps, took {steps}");
+        assert_eq!(drained.cursor_epoch(), stepped.cursor_epoch());
+        assert_eq!(
+            drained.digest(),
+            stepped.digest(),
+            "{shards} shards: one step {:016x}, {steps} steps {:016x}",
+            drained.digest(),
+            stepped.digest()
+        );
+        let text = mop_json::to_string(&drained.checkpoint());
+        assert!(
+            text == mop_json::to_string(&stepped.checkpoint()),
+            "{shards} shards: the checkpoints differ"
+        );
+        digests.push(drained.digest());
+    }
+    assert_eq!(digests[0], digests[1], "1 vs 2 shards");
+}
+
+/// The plane's kept fold is what its digest is built from; in a release
+/// build nothing else checks it. Fifty random turns of inject, step, retire
+/// and checkpoint-resume (onto a fresh plane of another shard count), and
+/// after every turn the memo equals a full digest of the report.
+#[test]
+fn the_kept_fold_matches_a_full_digest_after_every_turn() {
+    let mut state = 0x5eed_u64;
+    let mut draw = |bound: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % bound
+    };
+    let mut plane = ControlPlane::new(config(2));
+    let mut injected = 0usize;
+    let mut turns = [0usize; 4];
+    for turn in 0..50 {
+        let kind = match draw(8) {
+            0..=1 => {
+                let kind = KINDS[draw(3) as usize];
+                plane.inject(kind, 4 + draw(8) as usize, 1 + draw(50)).unwrap();
+                injected += 1;
+                0
+            }
+            2..=5 => {
+                plane.step(draw(4));
+                1
+            }
+            6 => {
+                if injected > 0 {
+                    // An already-retired id is refused and changes nothing.
+                    let _ = plane.retire(&format!("s{}", 1 + draw(injected as u64)));
+                }
+                2
+            }
+            _ => {
+                let doc = plane.checkpoint();
+                let mut fresh = ControlPlane::new(config(1 + draw(3) as usize));
+                fresh.resume(&doc).unwrap();
+                assert_eq!(fresh.digest(), plane.digest(), "turn {turn}: resume");
+                plane = fresh;
+                3
+            }
+        };
+        turns[kind] += 1;
+        assert_eq!(
+            plane.digest(),
+            plane.report().fleet_digest(),
+            "turn {turn}: the kept fold drifted from the report"
+        );
+    }
+    assert!(plane.report().flows.len() > 50, "the session must run flows");
+    assert!(turns.iter().all(|&n| n > 0), "every kind of turn ran: {turns:?}");
+    plane.step(plane.epochs_to_drain());
+    assert_eq!(plane.digest(), plane.report().fleet_digest(), "after the drain");
+}

@@ -8,10 +8,17 @@
 //! what it does.
 
 use mopeye::dataset::{NetProfile, Scenario, TrafficMix};
-use mopeye::engine::{CongestionAlgo, FleetConfig, FleetEngine, FleetReport, ResidentFleet};
+use mopeye::engine::{
+    CongestionAlgo, FleetConfig, FleetEngine, FleetReport, FlowOutcome, ResidentFleet, RttSample,
+    RunReport, SampleKind,
+};
 use mopeye::packet::Endpoint;
 use mopeye::simnet::{AccessProfile, SimDuration, SimNetwork, SimTime};
 use mopeye::tun::{FlowKind, FlowSpec};
+
+#[path = "support/sequential_digest.rs"]
+mod sequential_digest;
+use sequential_digest::sequential_digest;
 
 fn run(scenario: &Scenario, shards: usize, seed: u64) -> FleetReport {
     let fleet = FleetEngine::new(FleetConfig::new(shards).with_seed(seed), scenario.network());
@@ -23,8 +30,14 @@ fn run(scenario: &Scenario, shards: usize, seed: u64) -> FleetReport {
 /// `Scenario::rush_hour(300, 20_170_712)` at fleet seed 77. The timing-wheel
 /// scheduler and the staged pipeline must reproduce it bit for bit — this
 /// constant is the cross-PR anchor that says the refactor changed *nothing*
-/// about what the relay computes.
+/// about what the relay computes. Recorded under the sequential digest, so
+/// it is asserted through that model ([`sequential_digest`]) on the same
+/// report, beside the report's own digest.
 const PRE_REFACTOR_RUSH_HOUR_DIGEST: u64 = 0x9e91_0e37_fc9c_0e02;
+
+/// `fleet_digest` of the report that [`PRE_REFACTOR_RUSH_HOUR_DIGEST`]
+/// anchors, under the multiset fold: equal at 1, 2 and 8 shards.
+const RUSH_HOUR_DIGEST: u64 = 0xe3b8_970b_a1c3_26db;
 
 #[test]
 fn same_seed_same_scenario_identical_report_at_1_2_8_shards() {
@@ -37,12 +50,16 @@ fn same_seed_same_scenario_identical_report_at_1_2_8_shards() {
     assert_eq!(reports[1].digest(), reports[2].digest(), "2 vs 8 shards");
     // ...anchored to the digest the pre-refactor heap loop produced, so the
     // timing-wheel scheduler and the stage split are provably behaviourally
-    // silent.
-    assert_eq!(
-        reports[0].digest(),
-        PRE_REFACTOR_RUSH_HOUR_DIGEST,
-        "the staged wheel engine diverged from the pre-refactor heap loop"
-    );
+    // silent. The anchor predates the multiset fold, so the sequential model
+    // reproduces it from the same report, at every shard count.
+    for (report, shards) in reports.iter().zip([1, 2, 8]) {
+        assert_eq!(
+            sequential_digest(&report.merged),
+            PRE_REFACTOR_RUSH_HOUR_DIGEST,
+            "the staged wheel engine diverged from the pre-refactor heap loop at {shards} shards"
+        );
+        assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "{shards} shards: {:#018x}", report.digest());
+    }
 
     // ...but also compare the underlying semantic content directly, so a
     // digest bug cannot mask a real divergence.
@@ -92,10 +109,11 @@ fn batch_size_and_credit_depth_never_move_a_bit() {
             );
             let report = fleet.run(flows.clone());
             assert_eq!(
-                report.digest(),
+                sequential_digest(&report.merged),
                 PRE_REFACTOR_RUSH_HOUR_DIGEST,
                 "batch {batch} shards {shards} diverged"
             );
+            assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "batch {batch} shards {shards}");
         }
     }
 }
@@ -215,10 +233,11 @@ fn clean_networks_never_touch_the_recovery_machinery() {
         )
         .run(flows.clone());
         assert_eq!(
-            report.digest(),
+            sequential_digest(&report.merged),
             PRE_REFACTOR_RUSH_HOUR_DIGEST,
             "{algo:?} moved the zero-loss rush-hour digest"
         );
+        assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "{algo:?}");
         let relay = &report.merged.relay;
         assert_eq!(
             relay.retransmits + relay.fast_retransmits + relay.rto_fires + relay.sacked_segments,
@@ -295,8 +314,13 @@ fn flash_crowd_with_idle_timers_is_shard_count_invariant() {
 }
 
 /// The digest of `shared_tuple_flows()` at fleet seed 23, recorded on the
-/// engine that kept per-flow state in ten separately keyed maps.
+/// engine that kept per-flow state in ten separately keyed maps, under the
+/// sequential digest (asserted through [`sequential_digest`]).
 const SHARED_TUPLE_DIGEST: u64 = 0xfa7a_9dd9_5ba9_2ee3;
+
+/// `fleet_digest` of the report [`SHARED_TUPLE_DIGEST`] anchors, under the
+/// multiset fold.
+const SHARED_TUPLE_FOLD_DIGEST: u64 = 0x9111_de1e_52ed_66a0;
 
 /// A small fleet in which several specs land on one four-tuple, the way
 /// co-injected scenarios do (they share `Scenario::user_addr` and the
@@ -348,11 +372,155 @@ fn specs_sharing_a_four_tuple_keep_their_pinned_digest() {
         let report = fleet.run_next(&net, shared_tuple_flows());
         assert_eq!(report.merged.flows.len(), 28, "one outcome per four-tuple");
         assert_eq!(
-            report.digest(),
+            sequential_digest(&report.merged),
             SHARED_TUPLE_DIGEST,
             "shared four-tuples at {shards} shards: {:#018x} {:?}",
-            report.digest(),
+            sequential_digest(&report.merged),
             report.merged.relay
         );
+        assert_eq!(
+            report.digest(),
+            SHARED_TUPLE_FOLD_DIGEST,
+            "shared four-tuples at {shards} shards: {:#018x}",
+            report.digest()
+        );
     }
+}
+
+// ----- what the multiset fold promises ---------------------------------------
+
+/// The samples and flow outcomes of a small real run (rush hour and a lossy
+/// commute co-run, so there are TCP and DNS samples, failed and completed
+/// flows), to be rearranged and perturbed.
+fn outcomes() -> (Vec<RttSample>, Vec<FlowOutcome>) {
+    let mut fleet = ResidentFleet::new(FleetConfig::new(2).with_seed(5));
+    let mut report = RunReport::empty();
+    for scenario in [Scenario::rush_hour(30, 3), Scenario::degraded_commute(20, 4)] {
+        report.absorb(fleet.run_next(&scenario.network(), scenario.generate()).merged);
+    }
+    report.canonicalise();
+    assert!(report.samples.len() > 20 && report.flows.len() > 20, "a real run");
+    assert!(report.samples.iter().any(|s| s.kind == SampleKind::Dns));
+    assert!(report.flows.iter().any(|f| !f.completed), "some flow failed");
+    (report.samples, report.flows)
+}
+
+/// A named edit of one record.
+type Edit<T> = (&'static str, fn(&mut T));
+
+fn digest_of(samples: &[RttSample], flows: &[FlowOutcome]) -> u64 {
+    let mut report = RunReport::empty();
+    report.samples = samples.to_vec();
+    report.flows = flows.to_vec();
+    report.fleet_digest()
+}
+
+/// A seeded Fisher–Yates shuffle (splitmix64 draws).
+fn shuffle<T>(items: &mut [T], mut seed: u64) {
+    for i in (1..items.len()).rev() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        items.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+}
+
+#[test]
+fn the_fleet_digest_ignores_the_order_of_samples_and_flows() {
+    let (samples, flows) = outcomes();
+    let digest = digest_of(&samples, &flows);
+    for seed in 0..16u64 {
+        let (mut s, mut f) = (samples.clone(), flows.clone());
+        match seed % 3 {
+            0 => shuffle(&mut s, seed),
+            1 => shuffle(&mut f, seed),
+            _ => {
+                shuffle(&mut s, seed);
+                shuffle(&mut f, !seed);
+            }
+        }
+        assert_ne!((&s, &f), (&samples, &flows), "seed {seed} permuted nothing");
+        // No `canonicalise`: the digest itself must not care.
+        assert_eq!(digest_of(&s, &f), digest, "permutation {seed}");
+    }
+    let (mut s, mut f) = (samples.clone(), flows.clone());
+    s.reverse();
+    f.reverse();
+    assert_eq!(digest_of(&s, &f), digest, "reversed");
+}
+
+#[test]
+fn the_fleet_digest_moves_with_every_covered_field() {
+    let (samples, flows) = outcomes();
+    let digest = digest_of(&samples, &flows);
+    let sample_edits: [Edit<RttSample>; 12] = [
+        ("kind", |s| {
+            s.kind = match s.kind {
+                SampleKind::Tcp => SampleKind::Dns,
+                SampleKind::Dns => SampleKind::Tcp,
+            }
+        }),
+        ("flow.src.addr", |s| s.flow.src = Endpoint::v4(192, 0, 2, 7, s.flow.src.port)),
+        ("flow.src.port", |s| s.flow.src.port ^= 1),
+        ("flow.dst.addr", |s| s.flow.dst = Endpoint::v4(192, 0, 2, 7, s.flow.dst.port)),
+        ("flow.dst.port", |s| s.flow.dst.port ^= 1),
+        ("uid", |s| s.uid = Some(s.uid.unwrap_or(0) + 1)),
+        ("package", |s| s.package = Some(format!("{}.x", s.package.as_deref().unwrap_or("")))),
+        ("domain", |s| s.domain = Some(format!("{}.x", s.domain.as_deref().unwrap_or("")))),
+        ("measured_ms", |s| s.measured_ms += 0.001),
+        ("true_ms", |s| s.true_ms += 0.001),
+        ("tcpdump_ms", |s| s.tcpdump_ms = Some(s.tcpdump_ms.unwrap_or(0.0) + 0.001)),
+        ("at", |s| s.at += SimDuration::from_nanos(1)),
+    ];
+    for (field, edit) in sample_edits {
+        for i in [0, samples.len() / 2, samples.len() - 1] {
+            let mut s = samples.clone();
+            edit(&mut s[i]);
+            assert_ne!(digest_of(&s, &flows), digest, "sample {i}'s {field}");
+        }
+    }
+    let flow_edits: [Edit<FlowOutcome>; 9] = [
+        ("flow.src.addr", |f| f.flow.src = Endpoint::v4(192, 0, 2, 7, f.flow.src.port)),
+        ("flow.src.port", |f| f.flow.src.port ^= 1),
+        ("flow.dst.addr", |f| f.flow.dst = Endpoint::v4(192, 0, 2, 7, f.flow.dst.port)),
+        ("flow.dst.port", |f| f.flow.dst.port ^= 1),
+        ("package", |f| f.package.push('x')),
+        ("started_at", |f| f.started_at += SimDuration::from_nanos(1)),
+        ("finished_at", |f| f.finished_at += SimDuration::from_nanos(1)),
+        ("bytes_received", |f| f.bytes_received += 1),
+        ("completed", |f| f.completed = !f.completed),
+    ];
+    for (field, edit) in flow_edits {
+        for i in [0, flows.len() / 2, flows.len() - 1] {
+            let mut f = flows.clone();
+            edit(&mut f[i]);
+            assert_ne!(digest_of(&samples, &f), digest, "flow {i}'s {field}");
+        }
+    }
+    // An IPv6 endpoint is covered too, distinct from every IPv4 one.
+    let mut f = flows.clone();
+    f[0].flow.dst = Endpoint::new(std::net::Ipv6Addr::LOCALHOST, f[0].flow.dst.port);
+    let v6 = digest_of(&samples, &f);
+    assert_ne!(v6, digest, "IPv6 destination");
+    f[0].flow.dst = Endpoint::new(std::net::Ipv6Addr::new(0, 0, 0, 0, 0, 0, 0, 2), f[0].flow.dst.port);
+    assert_ne!(digest_of(&samples, &f), v6, "IPv6 address");
+}
+
+#[test]
+fn the_fleet_digest_folds_a_multiset_not_a_set() {
+    let (samples, flows) = outcomes();
+    let digest = digest_of(&samples, &flows);
+    let mut s = samples.clone();
+    s.push(samples[3].clone());
+    assert_ne!(digest_of(&s, &flows), digest, "a duplicated sample");
+    let mut f = flows.clone();
+    f.push(flows[3].clone());
+    assert_ne!(digest_of(&samples, &f), digest, "a duplicated flow outcome");
+    // Equal counts, and every record present an even number of times: a
+    // fold that cancels pairs (XOR) calls these two equal, a sum does not.
+    let pairs = |i: usize| vec![samples[i].clone(), samples[i].clone()];
+    assert_ne!(digest_of(&pairs(0), &[]), digest_of(&pairs(1), &[]), "sample pairs");
+    let pairs = |i: usize| vec![flows[i].clone(), flows[i].clone()];
+    assert_ne!(digest_of(&[], &pairs(0)), digest_of(&[], &pairs(1)), "flow pairs");
 }

@@ -17,10 +17,18 @@ use mopeye::engine::{
 };
 use mopeye::simnet::SimTime;
 
+#[path = "support/sequential_digest.rs"]
+mod sequential_digest;
+use sequential_digest::sequential_digest;
+
 /// The cross-PR anchor: `Scenario::rush_hour(300, 20_170_712)` at fleet
 /// seed 77, pinned since the pre-refactor engine (see
-/// `tests/fleet_determinism.rs`).
+/// `tests/fleet_determinism.rs`), under the sequential digest that
+/// [`sequential_digest`] models.
 const PRE_REFACTOR_RUSH_HOUR_DIGEST: u64 = 0x9e91_0e37_fc9c_0e02;
+
+/// `fleet_digest` of the same report under the multiset fold.
+const RUSH_HOUR_DIGEST: u64 = 0xe3b8_970b_a1c3_26db;
 
 fn fresh_digest(config: &FleetConfig, scenario: &Scenario) -> u64 {
     FleetEngine::new(config.clone(), scenario.network()).run(scenario.generate()).digest()
@@ -64,7 +72,8 @@ fn anchor_digest_survives_reuse_after_a_lossy_run() {
         "the degraded commute should actually exercise loss recovery"
     );
     let report = resident.run_next(&anchor.network(), anchor.generate());
-    assert_eq!(report.digest(), PRE_REFACTOR_RUSH_HOUR_DIGEST);
+    assert_eq!(sequential_digest(&report.merged), PRE_REFACTOR_RUSH_HOUR_DIGEST);
+    assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "{:#018x}", report.digest());
 }
 
 #[test]
