@@ -71,11 +71,6 @@ fn bench_fleet(c: &mut Criterion) {
             report.digest(),
             100.0 * report.merged.buffer_pool.reuse_rate(),
         );
-        // With `--features profiling`, break the wall time down by phase.
-        let table = mop_simnet::profiling::render_table(&report.merged.profile);
-        if !table.is_empty() {
-            eprintln!("{table}");
-        }
         results.push((shards, throughput));
     }
     if let (Some((_, t1)), Some((_, t8))) = (results.first(), results.last()) {

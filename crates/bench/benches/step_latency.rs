@@ -14,9 +14,7 @@
 //! The headline block also checks the residency invariants the acceptance
 //! bar names: cold and warm digests bit-identical, `threads_spawned`
 //! constant across every warm run, and zero buffer-pool allocations in
-//! warm steps after warmup (the pools recycle, never grow). With
-//! `--features profiling` it additionally prints the warm run's per-phase
-//! wall-clock table.
+//! warm steps after warmup (the pools recycle, never grow).
 
 use std::time::Instant;
 
@@ -110,10 +108,6 @@ fn bench_step_latency(c: &mut Criterion) {
          allocations 0, pool reuses {}",
         spawned_after_warmup, last.merged.buffer_pool.reuses,
     );
-    let table = mop_simnet::profiling::render_table(&last.merged.profile);
-    if !table.is_empty() {
-        eprintln!("{table}");
-    }
 
     // ----- fixed overhead: the step cost with nothing due ------------------
     // An epoch tick where no flows are scheduled still pays the full

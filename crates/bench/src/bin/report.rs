@@ -30,7 +30,12 @@
 //! report --scenario diurnal --resume day.ckpt --shards 8
 //! #                             # finish the day on a different fleet
 //! report --out target/report    # also write report.txt / report.json there
+//! report --users 1000 --shards 1 --profile
+//! #                             # plus the engines' structure counters
 //! ```
+//!
+//! A malformed or out-of-range value (`--users 0`, `--shards x`,
+//! `--cc cubc`) is an error, not a fallback to the default.
 
 use std::fs;
 use std::path::PathBuf;
@@ -59,7 +64,7 @@ struct Options {
     cut_epoch: Option<u64>,
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> Result<Options, String> {
     let mut options = Options {
         users: 2_000,
         shards: 4,
@@ -75,32 +80,30 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--users" => {
-                options.users = args.next().and_then(|v| v.parse().ok()).unwrap_or(options.users)
-            }
-            "--shards" => {
-                options.shards =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or(options.shards)
-            }
+            "--users" => options.users = positive("--users", &value("--users")?)?,
+            "--shards" => options.shards = positive("--shards", &value("--shards")?)?,
             "--seed" => {
-                options.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(options.seed)
+                options.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
             }
-            "--scenario" => {
-                options.scenario = args.next().unwrap_or(options.scenario);
-            }
+            "--scenario" => options.scenario = value("--scenario")?,
             "--cc" => {
-                options.congestion = match args.next().as_deref() {
-                    Some("cubic") => CongestionAlgo::Cubic,
-                    _ => CongestionAlgo::Reno,
+                options.congestion = match value("--cc")?.as_str() {
+                    "reno" => CongestionAlgo::Reno,
+                    "cubic" => CongestionAlgo::Cubic,
+                    other => return Err(format!("--cc: unknown algorithm {other:?}")),
                 }
             }
-            "--out" => options.out_dir = args.next().map(PathBuf::from),
+            "--out" => options.out_dir = Some(value("--out")?.into()),
             "--epochs" => options.epochs = true,
             "--profile" => options.profile = true,
-            "--checkpoint" => options.checkpoint = args.next().map(PathBuf::from),
-            "--resume" => options.resume = args.next().map(PathBuf::from),
-            "--cut-epoch" => options.cut_epoch = args.next().and_then(|v| v.parse().ok()),
+            "--checkpoint" => options.checkpoint = Some(value("--checkpoint")?.into()),
+            "--resume" => options.resume = Some(value("--resume")?.into()),
+            "--cut-epoch" => {
+                options.cut_epoch =
+                    Some(value("--cut-epoch")?.parse().map_err(|e| format!("--cut-epoch: {e}"))?)
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: report [--users <n>] [--shards <n>] [--seed <n>] \
@@ -108,8 +111,8 @@ fn parse_args() -> Options {
                      [--cc reno|cubic] [--epochs] [--profile] \
                      [--checkpoint <file> [--cut-epoch <n>]] \
                      [--resume <file>] [--out <dir>]\n\
-                     --profile prints the per-phase wall-clock table; build with \
-                     `--features profiling` or the table is empty.\n\
+                     --profile also prints the engines' structure counters: elements \
+                     scanned or moved beyond O(1) probes, in total and per flow.\n\
                      resume must use the same --scenario/--users/--seed the checkpoint was \
                      saved with; --shards may differ freely."
                 );
@@ -118,7 +121,16 @@ fn parse_args() -> Options {
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    options
+    Ok(options)
+}
+
+/// Parses a count that must be at least one.
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
 }
 
 /// The scenario being run: a classic burst scenario or the longitudinal day.
@@ -171,7 +183,10 @@ impl Plan {
 }
 
 fn main() {
-    let options = parse_args();
+    let options = parse_args().unwrap_or_else(|message| {
+        eprintln!("report: {message}");
+        std::process::exit(2);
+    });
     let plan = match options.scenario.as_str() {
         "rush-hour" => Plan::Classic(Scenario::rush_hour(options.users, options.seed)),
         "flash-crowd" => Plan::Classic(Scenario::flash_crowd(options.users, options.seed)),
@@ -256,19 +271,24 @@ fn main() {
         report.digest(),
     );
     if options.profile {
-        let table = mop_simnet::profiling::render_table(&report.merged.profile);
-        if table.is_empty() {
-            eprintln!(
-                "--profile: no data; {}",
-                if mop_simnet::Profiler::enabled() {
-                    "the run recorded no phases"
-                } else {
-                    "rebuild with `--features profiling` to enable the timers"
-                }
-            );
-        } else {
-            println!("{table}");
-        }
+        let flows = report.merged.flows.len().max(1) as f64;
+        let rows: Vec<Vec<String>> = report
+            .merged
+            .counters
+            .iter()
+            .map(|(counter, value)| {
+                let per_flow = format!("{:.3}", value as f64 / flows);
+                vec![counter.name().to_string(), value.to_string(), per_flow]
+            })
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Structure counters (host work beyond O(1) probes)",
+                &["counter", "value", "per flow"],
+                &rows
+            )
+        );
     }
     if let Some(dir) = options.out_dir {
         fs::create_dir_all(&dir).expect("create output directory");

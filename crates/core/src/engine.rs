@@ -27,12 +27,13 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_simnet::{Profiler, SimNetwork, SimTime, SlabId, TimingWheel};
+use mop_simnet::{SimNetwork, SimTime, SlabId, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::arena::{Arena, Parked};
 use crate::config::MopEyeConfig;
 use crate::conn::{AppSide, FlowId};
+use crate::report::{Counter, Counters};
 use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage};
 use crate::tun_writer::TunWriter;
 
@@ -88,22 +89,6 @@ pub(crate) enum Event {
 // Shape guard: an event stays a few machine words.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-impl Event {
-    /// The profiling phase this event's dispatch is accounted under.
-    pub(crate) fn phase_name(&self) -> &'static str {
-        match self {
-            Event::FlowStart(_) => "event.flow_start",
-            Event::ProcessTunBatch(_) => "event.tun_batch",
-            Event::ExternalConnected(_) => "event.external_connected",
-            Event::SocketReadable(_) => "event.socket_readable",
-            Event::DnsResponse { .. } => "event.dns_response",
-            Event::DeliverToApp(..) => "event.deliver_to_app",
-            Event::IdleTimeout(_) => "event.idle_timeout",
-            Event::RtoTimeout(_) => "event.rto_timeout",
-        }
-    }
-}
-
 /// The MopEye relay engine: the event loop over the four pipeline stages.
 pub struct MopEyeEngine {
     pub(crate) shared: EngineShared,
@@ -115,9 +100,6 @@ pub struct MopEyeEngine {
     /// The run's spec list: each pending `FlowStart`'s spec.
     specs: Arena<FlowSpec>,
     events_processed: u64,
-    /// Wall-clock phase timers (zero-sized no-op unless the `profiling`
-    /// feature is on).
-    profiler: Profiler,
 }
 
 impl MopEyeEngine {
@@ -135,7 +117,6 @@ impl MopEyeEngine {
             sched: TimingWheel::new(),
             specs: Arena::default(),
             events_processed: 0,
-            profiler: Profiler::new(),
         }
     }
 
@@ -157,7 +138,6 @@ impl MopEyeEngine {
         self.sched.reset();
         self.specs.clear();
         self.events_processed = 0;
-        let _ = self.profiler.take_report();
     }
 
     /// The engine configuration.
@@ -168,18 +148,6 @@ impl MopEyeEngine {
     /// Access to the underlying network (e.g. to inspect the wire tap).
     pub fn network(&self) -> &SimNetwork {
         &self.shared.net
-    }
-
-    /// Work the two structures on the connect path did beyond their O(1)
-    /// index probes since the engine was created or reset: wire-tap records
-    /// examined by RTT queries, and kernel-table slots examined or moved by
-    /// state changes and removals. Plain counters, live in every build;
-    /// `tests/complexity_guard.rs` holds their per-flow values flat.
-    pub fn connect_path_counters(&self) -> [(&'static str, u64); 2] {
-        [
-            ("tap.scan_elems", self.shared.net.tap().scan_elems()),
-            ("conn_table.scan_elems", self.relay.conn_table.scan_elems()),
-        ]
     }
 
     /// How many payloads each arena holds for events still pending: flow
@@ -233,20 +201,17 @@ impl MopEyeEngine {
     /// the already-queued follower, so the follower would have popped first
     /// anyway.
     pub fn run_flows(&mut self, flows: Vec<FlowSpec>) -> RunReport {
-        let setup = self.profiler.begin();
         self.reserve_flows(flows.len());
         for spec in flows {
             self.relay.packages.install(spec.uid, &spec.package);
             let at = spec.at;
             self.sched.schedule(at, Event::FlowStart(self.specs.park(spec)));
         }
-        self.profiler.end("run.flow_setup", setup);
         let batch_cap = self.shared.config.batch_size.max(1);
         let mut stash: Option<(SimTime, Event)> = None;
         while let Some((at, event)) = stash.take().or_else(|| self.sched.pop()) {
-            let span = self.profiler.begin();
-            let phase = event.phase_name();
-            match event {
+            self.shared.clock.advance_to(at);
+            let proceed = match event {
                 Event::ProcessTunBatch(slab) => {
                     // Absorb consecutive same-instant slabs into this burst.
                     // Only same-instant followers may be popped at all:
@@ -269,21 +234,12 @@ impl MopEyeEngine {
                             None => break,
                         }
                     }
-                    self.shared.clock.advance_to(at);
-                    let proceed = self.process_tun_batch(slab);
-                    self.profiler.end(phase, span);
-                    if !proceed {
-                        break;
-                    }
+                    self.process_tun_batch(slab)
                 }
-                event => {
-                    self.shared.clock.advance_to(at);
-                    let proceed = self.dispatch(at, event);
-                    self.profiler.end(phase, span);
-                    if !proceed {
-                        break;
-                    }
-                }
+                event => self.dispatch(at, event),
+            };
+            if !proceed {
+                break;
             }
         }
         self.report()
@@ -379,18 +335,12 @@ impl MopEyeEngine {
     }
 
     fn report(&mut self) -> RunReport {
-        // Harvest the scheduler's and selector's gated structure counters
-        // and the always-on connect-path counters into the run profile
-        // (no-ops when profiling is off).
-        for (name, value) in self.sched.profile_counters() {
-            self.profiler.record(name, value);
-        }
-        for (name, value) in self.relay.selector.profile_counters() {
-            self.profiler.record(name, value);
-        }
-        for (name, value) in self.connect_path_counters() {
-            self.profiler.record(name, value);
-        }
+        let mut counters = Counters::default();
+        counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
+        counters[Counter::SelectorScanElems] = self.relay.selector.scan_elems();
+        counters[Counter::TapScanElems] = self.shared.net.tap().scan_elems();
+        counters[Counter::WheelReadyInserts] = self.sched.ready_inserts();
+        counters[Counter::WheelReadyShiftElems] = self.sched.ready_shift_elems();
         RunReport {
             flows: self.shared.conns.flow_outcomes(),
             samples: std::mem::take(&mut self.sink.samples),
@@ -406,7 +356,7 @@ impl MopEyeEngine {
             finished_at: self.shared.clock.now(),
             events_processed: self.events_processed,
             events_scheduled: self.sched.scheduled_total(),
-            profile: self.profiler.take_report(),
+            counters,
         }
     }
 }

@@ -87,7 +87,7 @@ pub use config::{
 };
 pub use engine::MopEyeEngine;
 pub use mop_tcpstack::CongestionAlgo;
-pub use report::RunReport;
+pub use report::{Counter, Counters, RunReport};
 pub use shard::{FleetConfig, FleetEngine, FleetReport, OutcomeFold, ResidentFleet, ShardOutcome};
 pub use stats::{FlowOutcome, RelayStats, RttSample, SampleKind};
 pub use tun_writer::{SubmitOutcome, TunWriter, WriteDelayStats, WriterLane};

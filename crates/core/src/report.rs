@@ -11,7 +11,7 @@
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_measure::{AggregateStore, WindowedAggregateStore};
 use mop_procnet::MappingStats;
-use mop_simnet::{CpuLedger, PoolStats, ProfileReport, SimTime};
+use mop_simnet::{CpuLedger, PoolStats, SimTime};
 use mop_tun::TunStats;
 
 use crate::stats::{FlowOutcome, RelayStats, RttSample, SampleKind};
@@ -60,11 +60,84 @@ pub struct RunReport {
     /// Events ever scheduled (pending + processed + cancelled); cancelled
     /// timers are scheduled but never processed.
     pub events_scheduled: u64,
-    /// Wall-clock profile of the host-side run (per-phase timers and gated
-    /// counters). Empty unless the `profiling` feature is on. Host timing,
-    /// not virtual-time behaviour: excluded from the fleet digest and the
-    /// checkpoint encoding, merged across shards like the other stats.
-    pub profile: ProfileReport,
+    /// Host-side structure counters: the work the engine's data structures
+    /// did beyond their O(1) probes. How a run was partitioned, not what it
+    /// measured: excluded from the fleet digest and the checkpoint encoding,
+    /// summed across shards like the other stats.
+    pub counters: Counters,
+}
+
+/// A structure counter the engine keeps in every build: elements a data
+/// structure examined or moved beyond its O(1) index probe.
+///
+/// Variants are declared in name order, so index order *is* the order
+/// [`Counters::iter`] reports in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Kernel-table slots examined or moved by state changes and removals.
+    ConnTableScanElems,
+    /// Selector interest-set slots scanned by compactions.
+    SelectorScanElems,
+    /// Wire-tap exchange entries examined by RTT queries.
+    TapScanElems,
+    /// Schedules that landed in the timing wheel's sorted due buffer.
+    WheelReadyInserts,
+    /// Due-buffer elements those sorted inserts shifted.
+    WheelReadyShiftElems,
+}
+
+impl Counter {
+    /// Every counter, in name (= index) order.
+    pub const ALL: [Counter; 5] = [
+        Counter::ConnTableScanElems,
+        Counter::SelectorScanElems,
+        Counter::TapScanElems,
+        Counter::WheelReadyInserts,
+        Counter::WheelReadyShiftElems,
+    ];
+
+    /// The counter's name, as `report --profile` and `server.profile` print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::ConnTableScanElems => "conn_table.scan_elems",
+            Counter::SelectorScanElems => "selector.scan_elems",
+            Counter::TapScanElems => "tap.scan_elems",
+            Counter::WheelReadyInserts => "wheel.ready_inserts",
+            Counter::WheelReadyShiftElems => "wheel.ready_shift_elems",
+        }
+    }
+}
+
+/// One value per [`Counter`]; merges element-wise.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Counters([u64; Counter::ALL.len()]);
+
+impl Counters {
+    /// Adds another report's counters to these.
+    pub fn merge(&mut self, other: &Counters) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+    }
+
+    /// Every counter with its value, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL.into_iter().zip(self.0)
+    }
+}
+
+impl std::ops::Index<Counter> for Counters {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl std::ops::IndexMut<Counter> for Counters {
+    fn index_mut(&mut self, counter: Counter) -> &mut u64 {
+        &mut self.0[counter as usize]
+    }
 }
 
 impl RunReport {
@@ -107,8 +180,9 @@ impl RunReport {
 /// folds them with [`RunReport::absorb`] exactly like a resumed fleet.
 ///
 /// Partition-local resource accounting (ledger, pools, mapping, write
-/// delays, profile) is not encoded and reads back as zeroed defaults; it is
-/// excluded from the digest, which the round trip preserves exactly.
+/// delays, structure counters) is not encoded and reads back as zeroed
+/// defaults; it is excluded from the digest, which the round trip preserves
+/// exactly.
 impl ToJson for RunReport {
     fn write_json<W: JsonWrite>(&self, out: &mut W) {
         out.begin_object();
@@ -149,5 +223,34 @@ impl FromJson for RunReport {
         report.events_processed = events_processed;
         report.events_scheduled = events_scheduled;
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counters_merge_element_wise() {
+        let mut a = Counters::default();
+        let mut b = Counters::default();
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            a[counter] = i as u64;
+            b[counter] = 10 * i as u64 + 1;
+        }
+        a.merge(&b);
+        let merged: Vec<(&str, u64)> = a.iter().map(|(c, v)| (c.name(), v)).collect();
+        assert_eq!(
+            merged,
+            [
+                ("conn_table.scan_elems", 1),
+                ("selector.scan_elems", 12),
+                ("tap.scan_elems", 23),
+                ("wheel.ready_inserts", 34),
+                ("wheel.ready_shift_elems", 45),
+            ]
+        );
+        // Name order is index order.
+        assert!(Counter::ALL.windows(2).all(|w| w[0].name() < w[1].name()));
     }
 }

@@ -77,6 +77,7 @@ use mop_packet::{FourTuple, WordHasher};
 
 use crate::config::{MopEyeConfig, WorkerModel};
 use crate::engine::{MopEyeEngine, RunReport};
+use crate::report::Counters;
 use crate::stats::{FlowOutcome, RttSample, SampleKind};
 
 /// Configuration of a [`FleetEngine`].
@@ -160,6 +161,8 @@ pub struct ShardOutcome {
     pub finished_at: SimTime,
     /// RTT samples the shard produced.
     pub samples: usize,
+    /// The shard engine's structure counters.
+    pub counters: Counters,
 }
 
 /// The merged result of a fleet run plus the per-shard breakdown.
@@ -460,6 +463,7 @@ impl ResidentFleet {
                 events_processed: report.events_processed,
                 finished_at: report.finished_at,
                 samples: report.samples.len(),
+                counters: report.counters,
             });
             merged.absorb(report);
         }
@@ -516,7 +520,7 @@ impl RunReport {
             finished_at: SimTime::ZERO,
             events_processed: 0,
             events_scheduled: 0,
-            profile: Default::default(),
+            counters: Default::default(),
         }
     }
 
@@ -551,7 +555,7 @@ impl RunReport {
         self.finished_at = self.finished_at.max(other.finished_at);
         self.events_processed += other.events_processed;
         self.events_scheduled += other.events_scheduled;
-        self.profile.merge(&other.profile);
+        self.counters.merge(&other.counters);
     }
 
     /// Sorts samples and flow outcomes into their canonical order

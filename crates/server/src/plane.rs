@@ -46,7 +46,7 @@ use mop_measure::EpochSummary;
 use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
 use mopeye_core::{
-    epoch_boundary, CheckpointHeader, CheckpointRef, CongestionAlgo, FleetCheckpoint,
+    epoch_boundary, CheckpointHeader, CheckpointRef, CongestionAlgo, Counters, FleetCheckpoint,
     FleetConfig, OutcomeFold, ResidentFleet, RunReport,
 };
 #[cfg(test)]
@@ -412,12 +412,12 @@ impl ControlPlane {
         (self.resident.runs(), self.resident.threads_spawned())
     }
 
-    /// The wall-clock profile accumulated by the resident fleet's runs so
-    /// far (empty unless the workspace was built with the `profiling`
-    /// feature). Lives in the cumulative report like the other merged
-    /// statistics, but is excluded from digests and checkpoints.
-    pub fn profile(&self) -> &mop_simnet::ProfileReport {
-        &self.cumulative.profile
+    /// The structure counters accumulated by the resident fleet's runs
+    /// since boot or the last resume. They live in the cumulative report
+    /// like the other merged statistics, but are excluded from digests and
+    /// checkpoints.
+    pub fn counters(&self) -> &Counters {
+        &self.cumulative.counters
     }
 
     /// A fresh one-shot fleet with this plane's run parameters — the cold

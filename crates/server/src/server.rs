@@ -130,39 +130,24 @@ impl Server {
     }
 
     /// `server.profile`: the resident fleet's lifetime statistics and the
-    /// accumulated wall-clock profile. Everything here is host timing —
-    /// never part of digests, transcripts or checkpoints — so the values
-    /// (beyond `runs`/`threads_spawned`/`digest_computes`/`shards`) are only
-    /// non-empty when the workspace was built with the `profiling` feature.
-    /// `digest_computes` is a plain count, live in every build: how often
-    /// the plane walked its cumulative report for a digest.
+    /// structure counters its runs accumulated. All plain counts, live in
+    /// every build and never part of digests, transcripts or checkpoints:
+    /// `digest_computes` is how often the plane walked its cumulative
+    /// report for a digest, `counters` what the engines' data structures
+    /// scanned beyond their O(1) probes.
     fn profile(&self) -> Result<Value, (ErrorCode, String)> {
         let (runs, threads_spawned) = self.plane.resident_stats();
-        let profile = self.plane.profile();
-        let phases: Vec<Value> = profile
-            .phases
+        let counters: Vec<Value> = self
+            .plane
+            .counters()
             .iter()
-            .map(|(name, stats)| {
-                json!({
-                    "phase": *name,
-                    "calls": stats.calls as i64,
-                    "total_ns": stats.total_ns as i64,
-                    "max_ns": stats.max_ns as i64,
-                })
-            })
-            .collect();
-        let counters: Vec<Value> = profile
-            .counters
-            .iter()
-            .map(|(name, value)| json!({ "counter": *name, "value": *value as i64 }))
+            .map(|(counter, value)| json!({ "counter": counter.name(), "value": value as i64 }))
             .collect();
         Ok(json!({
             "runs": runs as i64,
             "threads_spawned": threads_spawned as i64,
             "digest_computes": self.plane.digest_computes() as i64,
             "shards": self.plane.config().shards as i64,
-            "profiling": mop_simnet::Profiler::enabled(),
-            "phases": phases,
             "counters": counters,
         }))
     }

@@ -30,8 +30,6 @@
 //!   and non-blocking modes plus `protect()` cost modelling,
 //! * [`pool`] — a free-list buffer pool so the packet datapath recycles
 //!   buffers instead of allocating per packet,
-//! * [`profiling`] — wall-clock phase timers and counters for the host-side
-//!   loop, feature-gated (`profiling`) to zero cost when off,
 //! * [`spsc`] — bounded single-producer/single-consumer queues (plus the
 //!   credit gate for batch backpressure) connecting the sharded fleet
 //!   engine's dispatcher, workers and measurement sink — the crate's only
@@ -66,7 +64,6 @@ pub mod latency;
 pub mod network;
 pub mod pool;
 pub mod profile;
-pub mod profiling;
 pub mod queue;
 pub mod rng;
 pub mod scheduler;
@@ -88,7 +85,6 @@ pub use network::{
 };
 pub use pool::{BatchPool, BufferPool, PacketSlot, PoolStats, SlabBatch, SlabId};
 pub use profile::{AccessProfile, IspProfile, NetworkType};
-pub use profiling::{PhaseStats, ProfileReport, Profiler};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{SchedulerKind, TimerScheduler};

@@ -238,16 +238,6 @@ impl<E> TimerScheduler<E> {
             Self::Heap(h) => h.reset(),
         }
     }
-
-    /// The backend's gated instrumentation, as `(counter name, value)` pairs
-    /// — all zero unless the `profiling` feature is on (the heap backend has
-    /// none either way).
-    pub fn profile_counters(&self) -> Vec<(&'static str, u64)> {
-        match self {
-            Self::Wheel(w) => w.profile_counters().to_vec(),
-            Self::Heap(_) => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -118,10 +118,8 @@ pub struct TimingWheel<E> {
     live: usize,
     next_seq: u64,
     scheduled_total: u64,
-    /// Wall-clock instrumentation (written only under the `profiling`
-    /// feature; plain fields so the struct shape never changes): schedules
-    /// that landed in the sorted due buffer, and the elements those sorted
-    /// inserts had to shift.
+    /// Structure counters: schedules that landed in the sorted due buffer,
+    /// and the elements those sorted inserts had to shift.
     ready_inserts: u64,
     ready_shift_elems: u64,
 }
@@ -342,13 +340,16 @@ impl<E> TimingWheel<E> {
         self.ready_shift_elems = 0;
     }
 
-    /// The wheel's gated instrumentation, as `(counter name, value)` pairs —
-    /// all zero unless the crate was compiled with the `profiling` feature.
-    pub fn profile_counters(&self) -> [(&'static str, u64); 2] {
-        [
-            ("wheel.ready_inserts", self.ready_inserts),
-            ("wheel.ready_shift_elems", self.ready_shift_elems),
-        ]
+    /// Schedules that landed in the sorted due buffer since the wheel was
+    /// created or reset.
+    pub fn ready_inserts(&self) -> u64 {
+        self.ready_inserts
+    }
+
+    /// Due-buffer elements those sorted inserts shifted since the wheel was
+    /// created or reset.
+    pub fn ready_shift_elems(&self) -> u64 {
+        self.ready_shift_elems
     }
 
     /// Removes all pending events. The cursor and the schedule accounting
@@ -481,11 +482,8 @@ impl<E> TimingWheel<E> {
             let e = &self.slab[i as usize];
             (e.at, e.seq) <= (at, seq)
         });
-        #[cfg(feature = "profiling")]
-        {
-            self.ready_inserts += 1;
-            self.ready_shift_elems += (tail.len() - offset) as u64;
-        }
+        self.ready_inserts += 1;
+        self.ready_shift_elems += (tail.len() - offset) as u64;
         self.ready.insert(self.ready_pos + offset, idx);
     }
 

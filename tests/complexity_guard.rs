@@ -1,50 +1,91 @@
-//! Complexity guard: the work the connect path does per flow must not grow
-//! with the population.
+//! Complexity guard: the work the engine's data structures do per flow must
+//! not grow with the population.
 //!
-//! `WireTap` and `ConnectionTable` count every element they examine or move
-//! beyond their O(1) index probes (`tap.scan_elems`, `conn_table.scan_elems`
-//! — plain counters, live in every build). Both structures used to scan:
-//! the tap walked every packet ever captured twice per connect, the table
-//! walked and shifted every entry per state change and removal, so each
-//! counter's per-flow value grew in step with the population (4× from 100
-//! to 400 users) and the run's cost with its square. This test holds the
-//! per-flow values flat, by counts alone — no wall clock, so it is as
-//! deterministic as the digests. A new scan on this path fails here instead
-//! of waiting for a profiler run.
+//! Every `RunReport` carries five structure counters — elements a structure
+//! examined or moved beyond its O(1) index probe — live in every build.
+//! Two of them sit on the connect path: `WireTap` and `ConnectionTable`
+//! used to scan (the tap walked every packet ever captured twice per
+//! connect, the table walked and shifted every entry per state change and
+//! removal), so each counter's per-flow value grew in step with the
+//! population (4× from 100 to 400 users) and the run's cost with its
+//! square. This test holds those per-flow values flat and the other three
+//! under absolute per-flow bounds, by counts alone — no wall clock, so it
+//! is as deterministic as the digests. A new scan on these paths fails here
+//! instead of waiting for a profiler run.
 
 use mopeye::dataset::Scenario;
-use mopeye::engine::{MopEyeConfig, MopEyeEngine};
+use mopeye::engine::{Counter, MopEyeConfig, MopEyeEngine};
 
 /// Per-flow growth allowed from the small to the large population.
 const MAX_GROWTH: f64 = 1.3;
 
-/// Runs a rush hour of `users` on one engine; each connect-path counter
-/// divided by the number of flows run.
-fn work_per_flow(users: usize) -> Vec<(&'static str, f64)> {
+/// The connect-path counters held flat in the population.
+const CONNECT_PATH: [Counter; 2] = [Counter::ConnTableScanElems, Counter::TapScanElems];
+
+/// `selector.scan_elems` per flow, at most. A compaction runs once the
+/// interest set's tombstones outnumber its live slots and scans all of
+/// them: `live + tombstones < 2·tombstones + 1` slots. Each tombstone is
+/// one deregistration and compaction clears them, so a run scans fewer
+/// than two slots per deregistration; a flow registers (and so
+/// deregisters) at most one socket. Measured 0.76 / 1.07 per flow at 100 /
+/// 400 users here (1.06 at 1,600 users under `report --shards 1`): it grows
+/// 1.4× from 100 to 400 users as the compaction points fall differently,
+/// so it cannot take the growth check.
+const SELECTOR_PER_FLOW: f64 = 2.0;
+
+/// `wheel.ready_inserts` and `wheel.ready_shift_elems` per flow, at most.
+/// Only schedules at or before the wheel's cursor land in the sorted due
+/// buffer; measured 0.16 / 0.011 inserts per flow at 100 / 400 users here
+/// (0.001 at 1,600 users under `report --shards 1`), shifting about one
+/// element each. Every flow schedules several timers and packets, so a
+/// wheel that filed its ordinary schedules through the sorted buffer would
+/// exceed one per flow.
+const WHEEL_PER_FLOW: f64 = 1.0;
+
+/// Runs a rush hour of `users` on one engine; returns each structure
+/// counter divided by the number of flows run.
+fn work_per_flow(users: usize) -> impl Fn(Counter) -> f64 {
     let scenario = Scenario::rush_hour(users, 2017);
     let flows = scenario.generate();
     let flow_count = flows.len();
     let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), scenario.network().build());
     let report = engine.run_flows(flows);
     assert_eq!(report.flows.len(), flow_count, "every flow has an outcome");
-    engine
-        .connect_path_counters()
-        .into_iter()
-        .map(|(name, count)| (name, count as f64 / flow_count as f64))
-        .collect()
+    let counters = report.counters;
+    move |counter| counters[counter] as f64 / flow_count as f64
 }
 
 #[test]
 fn connect_path_work_per_flow_is_flat_in_the_population() {
     let small = work_per_flow(100);
     let large = work_per_flow(400);
-    assert_eq!(small.len(), large.len());
-    for ((name, small), (large_name, large)) in small.into_iter().zip(large) {
-        assert_eq!(name, large_name);
+    for counter in CONNECT_PATH {
+        let (small, large) = (small(counter), large(counter));
+        let name = counter.name();
         assert!(
             large <= small * MAX_GROWTH,
             "{name} per flow grew {small:.2} -> {large:.2} from 100 to 400 users \
              (more than {MAX_GROWTH}x): something on the connect path scans again"
         );
+    }
+}
+
+#[test]
+fn selector_and_wheel_work_per_flow_stays_under_its_bound() {
+    for users in [100, 400] {
+        let work = work_per_flow(users);
+        let bounds = [
+            (Counter::SelectorScanElems, SELECTOR_PER_FLOW),
+            (Counter::WheelReadyInserts, WHEEL_PER_FLOW),
+            (Counter::WheelReadyShiftElems, WHEEL_PER_FLOW),
+        ];
+        for (counter, bound) in bounds {
+            let value = work(counter);
+            assert!(
+                value <= bound,
+                "{} per flow is {value:.3} at {users} users (bound {bound})",
+                counter.name()
+            );
+        }
     }
 }

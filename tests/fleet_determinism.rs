@@ -9,8 +9,8 @@
 
 use mopeye::dataset::{NetProfile, Scenario, TrafficMix};
 use mopeye::engine::{
-    CongestionAlgo, FleetConfig, FleetEngine, FleetReport, FlowOutcome, ResidentFleet, RttSample,
-    RunReport, SampleKind,
+    epoch_boundary, CongestionAlgo, Counters, FleetCheckpoint, FleetConfig, FleetEngine,
+    FleetReport, FlowOutcome, ResidentFleet, RttSample, RunReport, SampleKind,
 };
 use mopeye::packet::Endpoint;
 use mopeye::simnet::{AccessProfile, SimDuration, SimNetwork, SimTime};
@@ -523,4 +523,34 @@ fn the_fleet_digest_folds_a_multiset_not_a_set() {
     assert_ne!(digest_of(&pairs(0), &[]), digest_of(&pairs(1), &[]), "sample pairs");
     let pairs = |i: usize| vec![flows[i].clone(), flows[i].clone()];
     assert_ne!(digest_of(&[], &pairs(0)), digest_of(&[], &pairs(1)), "flow pairs");
+}
+
+// ----- structure counters: partition-local, outside the digest ---------------
+
+#[test]
+fn merged_counters_are_the_sum_of_the_shards() {
+    let scenario = Scenario::rush_hour(300, 20_170_712);
+    for shards in [1usize, 2, 8] {
+        let report = run(&scenario, shards, 77);
+        let mut sum = Counters::default();
+        for shard in &report.per_shard {
+            sum.merge(&shard.counters);
+        }
+        assert_eq!(report.merged.counters, sum, "{shards} shards");
+        assert!(sum.iter().any(|(_, value)| value > 0), "{shards} shards counted nothing");
+    }
+}
+
+#[test]
+fn zeroed_counters_move_neither_the_digest_nor_the_checkpoint_bytes() {
+    let scenario = Scenario::rush_hour(100, 5);
+    let config = FleetConfig::new(2).with_seed(9).with_epochs(SimDuration::from_millis(250), 4);
+    let fleet = FleetEngine::new(config, scenario.network());
+    let mut checkpoint =
+        FleetCheckpoint::capture(&fleet, scenario.generate(), epoch_boundary(250_000_000, 4));
+    assert_ne!(checkpoint.base.counters, Counters::default());
+    let (digest, bytes) = (checkpoint.base.fleet_digest(), checkpoint.to_json_string());
+    checkpoint.base.counters = Counters::default();
+    assert_eq!(checkpoint.base.fleet_digest(), digest);
+    assert_eq!(checkpoint.to_json_string(), bytes);
 }

@@ -59,6 +59,26 @@ fn back_to_back_scenarios_match_fresh_engines() {
 }
 
 #[test]
+fn a_warm_run_reports_the_counters_of_a_cold_run() {
+    // Each structure counter restarts with its engine's reset: a warm run
+    // after a different (lossy) run counts exactly what a cold fleet counts
+    // over the same flows, shard by shard.
+    let lossy = Scenario::degraded_commute(60, 11);
+    let scenario = Scenario::rush_hour(200, 5);
+    for shards in [1usize, 2] {
+        let config = FleetConfig::new(shards).with_seed(77);
+        let cold = FleetEngine::new(config.clone(), scenario.network()).run(scenario.generate());
+        let mut resident = ResidentFleet::new(config);
+        resident.run_next(&lossy.network(), lossy.generate());
+        let warm = resident.run_next(&scenario.network(), scenario.generate());
+        assert_eq!(warm.merged.counters, cold.merged.counters, "{shards} shards");
+        for (warm, cold) in warm.per_shard.iter().zip(&cold.per_shard) {
+            assert_eq!(warm.counters, cold.counters, "{shards} shards, shard {}", cold.shard);
+        }
+    }
+}
+
+#[test]
 fn anchor_digest_survives_reuse_after_a_lossy_run() {
     // The hardest reset case: a faulted network leaves retransmission
     // scoreboards, RTO timers and fault-stream draws behind; the rush-hour
