@@ -5,7 +5,8 @@
 //! relay counters from the relay stage, write-delay histograms from egress,
 //! TUN/pool counters from ingress, samples and aggregates from the sink —
 //! plus the shared substrate's ledger. The cross-shard merge operations
-//! (`empty` / `absorb` / `canonicalise` / `fleet_digest`) live in
+//! (`empty` / `absorb` / `absorb_canonical` / `canonicalise` /
+//! `fleet_digest`) live in
 //! [`crate::shard`] next to the fleet engine that uses them.
 
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};

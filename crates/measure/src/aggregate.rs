@@ -33,11 +33,12 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 
 use crate::record::{MeasurementKind, NetKind, RttRecord};
-use crate::sketch::{Fnv, RttSketch};
+use crate::sketch::{DigestMemo, Fnv, RttSketch};
 
 /// The identity of one aggregation cell: everything the §4.2 analyses group
 /// records by, minus the per-sample fields (RTT, timestamp) and the
@@ -80,17 +81,19 @@ pub struct DeviceActivity {
 
 /// A keyed collection of [`RttSketch`] cells plus a per-device activity
 /// plane. See the [module docs](self).
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct AggregateStore {
     pub(crate) cells: BTreeMap<AggregateKey, RttSketch>,
     pub(crate) devices: BTreeMap<u32, DeviceActivity>,
     /// Scratch key reused across observations so the steady-state fold does
     /// not allocate (the `String` fields keep their capacity).
     scratch: Option<AggregateKey>,
+    /// [`AggregateStore::digest`], kept until the next `&mut` call.
+    digest_memo: DigestMemo,
 }
 
 /// Equality compares the semantic content (cells and devices); the reusable
-/// scratch key is working storage, not state.
+/// scratch key and the digest memo are working storage, not state.
 impl PartialEq for AggregateStore {
     fn eq(&self, other: &Self) -> bool {
         self.cells == other.cells && self.devices == other.devices
@@ -98,6 +101,16 @@ impl PartialEq for AggregateStore {
 }
 
 impl Eq for AggregateStore {}
+
+impl fmt::Debug for AggregateStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AggregateStore")
+            .field("cells", &self.cells)
+            .field("devices", &self.devices)
+            .field("scratch", &self.scratch)
+            .finish()
+    }
+}
 
 impl AggregateStore {
     /// Creates an empty store.
@@ -135,6 +148,7 @@ impl AggregateStore {
         country: &str,
         rtt_ms: f64,
     ) {
+        self.digest_memo.clear();
         let mut key = self.scratch.take().unwrap_or_else(AggregateKey::empty);
         key.kind = kind;
         key.network = network;
@@ -164,6 +178,7 @@ impl AggregateStore {
     /// bit-identical store. This is the cross-shard aggregation path of the
     /// fleet engine's measurement sink.
     pub fn merge_from(&mut self, other: &AggregateStore) {
+        self.digest_memo.clear();
         for (key, sketch) in &other.cells {
             if let Some(cell) = self.cells.get_mut(key) {
                 cell.merge_from(sketch);
@@ -283,28 +298,32 @@ impl AggregateStore {
     /// A stable FNV-1a digest over the full canonical state (every cell key,
     /// every cell sketch, every device). Two stores are bit-identical iff
     /// their digests match, which makes cross-shard merge determinism a
-    /// one-line assertion.
+    /// one-line assertion. Memoised until the store next changes, and each
+    /// cell's sketch digest likewise, so re-digesting after a merge hashes
+    /// only the cells it touched.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.cells.len() as u64);
-        for (key, sketch) in &self.cells {
-            h.write_u64(match key.kind {
-                MeasurementKind::Tcp => 0,
-                MeasurementKind::Dns => 1,
-            });
-            h.write_u64(key.network as u64);
-            h.write_str(&key.app);
-            h.write_str(&key.domain);
-            h.write_str(&key.isp);
-            h.write_u64(sketch.digest());
-        }
-        h.write_u64(self.devices.len() as u64);
-        for (device, activity) in &self.devices {
-            h.write_u64(u64::from(*device));
-            h.write_u64(activity.count);
-            h.write_str(&activity.country);
-        }
-        h.finish()
+        self.digest_memo.get_or(|| {
+            let mut h = Fnv::new();
+            h.write_u64(self.cells.len() as u64);
+            for (key, sketch) in &self.cells {
+                h.write_u64(match key.kind {
+                    MeasurementKind::Tcp => 0,
+                    MeasurementKind::Dns => 1,
+                });
+                h.write_u64(key.network as u64);
+                h.write_str(&key.app);
+                h.write_str(&key.domain);
+                h.write_str(&key.isp);
+                h.write_u64(sketch.digest());
+            }
+            h.write_u64(self.devices.len() as u64);
+            for (device, activity) in &self.devices {
+                h.write_u64(u64::from(*device));
+                h.write_u64(activity.count);
+                h.write_str(&activity.country);
+            }
+            h.finish()
+        })
     }
 }
 
@@ -344,7 +363,7 @@ impl ToJson for AggregateStore {
 impl FromJson for AggregateStore {
     fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
         mop_json::read_members!(input, { "cells" => cells: Cells, "devices" => devices: Devices });
-        Ok(Self { cells: cells.0, devices: devices.0, scratch: None })
+        Ok(Self { cells: cells.0, devices: devices.0, ..Self::default() })
     }
 }
 

@@ -59,6 +59,7 @@ fn sketch_from_json(value: &Value) -> Option<RttSketch> {
         sum_ns: u128::from_str_radix(value["sum_ns"].as_str()?, 16).ok()?,
         min_bits: u64::from_str_radix(value["min_bits"].as_str()?, 16).ok()?,
         max_bits: u64::from_str_radix(value["max_bits"].as_str()?, 16).ok()?,
+        digest_memo: Default::default(),
     })
 }
 

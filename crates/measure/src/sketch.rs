@@ -52,6 +52,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 
 use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson};
 
@@ -77,7 +80,7 @@ const SUM_SCALE: f64 = 1_000_000.0;
 
 /// A mergeable fixed-boundary log-bucket histogram of RTT values in
 /// milliseconds. See the [module docs](self) for the guarantees.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct RttSketch {
     /// Sparse bucket counts, keyed by bucket index. Index 0 is the underflow
     /// bucket; the last index is the overflow bucket.
@@ -92,6 +95,82 @@ pub struct RttSketch {
     pub(crate) min_bits: u64,
     /// Raw bits of the largest observed value. `0` while empty.
     pub(crate) max_bits: u64,
+    /// [`RttSketch::digest`], kept until the next `&mut` call. Not state:
+    /// out of equality, `Debug` and the JSON encoding.
+    pub(crate) digest_memo: DigestMemo,
+}
+
+/// Equality compares the sketch state; the digest memo is not state.
+impl PartialEq for RttSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets == other.buckets
+            && self.count == other.count
+            && self.sum_ns == other.sum_ns
+            && self.min_bits == other.min_bits
+            && self.max_bits == other.max_bits
+    }
+}
+
+impl Eq for RttSketch {}
+
+impl fmt::Debug for RttSketch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RttSketch")
+            .field("buckets", &self.buckets)
+            .field("count", &self.count)
+            .field("sum_ns", &self.sum_ns)
+            .field("min_bits", &self.min_bits)
+            .field("max_bits", &self.max_bits)
+            .finish()
+    }
+}
+
+/// A digest its owner computed once and keeps until the owner next
+/// changes. Each digest nests the digests below it (a sketch's inside its
+/// store's, an epoch store's inside its windowed store's), so with a memo
+/// at every level re-digesting after a merge hashes only what the merge
+/// touched. The owner clears the memo on every `&mut` path; its fields
+/// are crate-private, so no write can bypass that.
+///
+/// `u64::MAX` stands for "not kept": a digest of that value is computed
+/// afresh each time, which is only slower. The value is a pure function
+/// of the owner's state and publishes nothing else, so `Relaxed` is
+/// enough for a memo shared between threads.
+pub(crate) struct DigestMemo(AtomicU64);
+
+impl DigestMemo {
+    const NOT_KEPT: u64 = u64::MAX;
+
+    /// The kept digest, or `compute()` kept for next time. Under
+    /// `debug_assertions` every hit is checked against a recomputation.
+    pub(crate) fn get_or(&self, compute: impl Fn() -> u64) -> u64 {
+        let kept = self.0.load(Relaxed);
+        if kept != Self::NOT_KEPT {
+            debug_assert_eq!(kept, compute(), "a digest memo outlived a change to its owner");
+            return kept;
+        }
+        let digest = compute();
+        self.0.store(digest, Relaxed);
+        digest
+    }
+
+    /// Forgets the kept digest.
+    pub(crate) fn clear(&mut self) {
+        *self.0.get_mut() = Self::NOT_KEPT;
+    }
+}
+
+impl Default for DigestMemo {
+    fn default() -> Self {
+        Self(AtomicU64::new(Self::NOT_KEPT))
+    }
+}
+
+/// A clone keeps the digest: it has the same state.
+impl Clone for DigestMemo {
+    fn clone(&self) -> Self {
+        Self(AtomicU64::new(self.0.load(Relaxed)))
+    }
 }
 
 /// Index of the first regular (non-underflow) bucket.
@@ -113,7 +192,14 @@ impl RttSketch {
 
     /// Creates an empty sketch.
     pub fn new() -> Self {
-        Self { buckets: BTreeMap::new(), count: 0, sum_ns: 0, min_bits: u64::MAX, max_bits: 0 }
+        Self {
+            buckets: BTreeMap::new(),
+            count: 0,
+            sum_ns: 0,
+            min_bits: u64::MAX,
+            max_bits: 0,
+            digest_memo: DigestMemo::default(),
+        }
     }
 
     /// The bucket index of a value already clamped to `[MIN_MS, MAX_MS)`:
@@ -174,6 +260,7 @@ impl RttSketch {
         if !ms.is_finite() || ms < 0.0 {
             return;
         }
+        self.digest_memo.clear();
         *self.buckets.entry(Self::index_of(ms)).or_insert(0) += 1;
         self.count += 1;
         self.sum_ns += (ms * SUM_SCALE).round() as u128;
@@ -186,6 +273,7 @@ impl RttSketch {
     /// so any merge order over any partition of the same observations yields
     /// the bit-identical result.
     pub fn merge_from(&mut self, other: &RttSketch) {
+        self.digest_memo.clear();
         for (&index, &count) in &other.buckets {
             *self.buckets.entry(index).or_insert(0) += count;
         }
@@ -312,19 +400,22 @@ impl RttSketch {
 
     /// A stable FNV-1a digest of the full sketch state (buckets, count, sum,
     /// min/max bits). Two sketches are bit-identical iff their digests match
-    /// — the one-line check the merge-determinism tests use.
+    /// — the one-line check the merge-determinism tests use. Memoised until
+    /// the sketch next changes.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.count);
-        h.write_u64((self.sum_ns >> 64) as u64);
-        h.write_u64(self.sum_ns as u64);
-        h.write_u64(self.min_bits);
-        h.write_u64(self.max_bits);
-        for (&index, &count) in &self.buckets {
-            h.write_u64(u64::from(index));
-            h.write_u64(count);
-        }
-        h.finish()
+        self.digest_memo.get_or(|| {
+            let mut h = Fnv::new();
+            h.write_u64(self.count);
+            h.write_u64((self.sum_ns >> 64) as u64);
+            h.write_u64(self.sum_ns as u64);
+            h.write_u64(self.min_bits);
+            h.write_u64(self.max_bits);
+            for (&index, &count) in &self.buckets {
+                h.write_u64(u64::from(index));
+                h.write_u64(count);
+            }
+            h.finish()
+        })
     }
 }
 
@@ -368,6 +459,7 @@ impl FromJson for RttSketch {
             sum_ns: sum_ns.0,
             min_bits: min_bits.0,
             max_bits: max_bits.0,
+            digest_memo: DigestMemo::default(),
         })
     }
 }

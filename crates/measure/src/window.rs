@@ -312,7 +312,9 @@ impl WindowedAggregateStore {
 
     /// A stable FNV-1a digest over the canonical windowed state (geometry,
     /// maximum epoch, folded tail, every live epoch in ascending order).
-    /// Two stores are bit-identical iff their digests match.
+    /// Two stores are bit-identical iff their digests match. The tail's and
+    /// each epoch's [`AggregateStore::digest`] are memoised, so after a
+    /// merge only the stores it touched are hashed again.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.width_ns);

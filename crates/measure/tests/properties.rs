@@ -28,6 +28,43 @@ fn stamp_windowed(w: &mut WindowedAggregateStore, i: usize, at_ns: u64, rtt: f64
     );
 }
 
+/// One step of a session over pairs of sketches, stores and windowed
+/// stores: `(what, which of the pair, timestamp, rtt)`.
+type MemoOp = (u8, usize, u64, f64);
+
+fn arb_memo_op() -> impl Strategy<Value = MemoOp> {
+    (0u8..10, 0usize..2, 0u64..40_000, 0.5f64..1_500.0)
+}
+
+/// What a decoded copy of `value` digests to: a decode starts with no memo,
+/// so this is the digest computed from scratch.
+fn fresh_digest<T: mop_json::ToJson + mop_json::FromJson>(value: &T, digest: fn(&T) -> u64) -> u64 {
+    digest(&mop_json::decode::<T>(&mop_json::to_string(value)).unwrap())
+}
+
+/// Every digest of the session's objects — each live epoch's through its
+/// summary too — equals the one computed from scratch. Asking also warms
+/// every memo for the changes that follow.
+fn assert_digests_are_fresh(
+    sketches: &[RttSketch],
+    stores: &[AggregateStore],
+    windows: &[WindowedAggregateStore],
+) {
+    for sketch in sketches {
+        assert_eq!(sketch.digest(), fresh_digest(sketch, RttSketch::digest));
+    }
+    for store in stores {
+        assert_eq!(store.digest(), fresh_digest(store, AggregateStore::digest));
+    }
+    for w in windows {
+        assert_eq!(w.digest(), fresh_digest(w, WindowedAggregateStore::digest));
+        for summary in w.epoch_summaries() {
+            let store = w.epoch_store(summary.epoch).unwrap();
+            assert_eq!(summary.digest, fresh_digest(store, AggregateStore::digest));
+        }
+    }
+}
+
 fn arb_rtts() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.1f64..2_000.0, 1..300)
 }
@@ -295,5 +332,48 @@ proptest! {
             agg.sketch_where(|k| k.kind == MeasurementKind::Tcp).count() as usize,
             values.len()
         );
+    }
+
+    #[test]
+    fn memoised_digests_equal_digests_from_scratch(
+        ops in proptest::collection::vec(arb_memo_op(), 1..120),
+        width_ns in 500u64..4_000,
+        window in 1usize..5,
+    ) {
+        let mut sketches = [RttSketch::new(), RttSketch::new()];
+        let mut stores = [AggregateStore::new(), AggregateStore::new()];
+        let mut windows = [
+            WindowedAggregateStore::new(width_ns, window),
+            WindowedAggregateStore::new(width_ns, window),
+        ];
+        for (i, &(what, which, at_ns, rtt)) in ops.iter().enumerate() {
+            let (mine, theirs) = (which, 1 - which);
+            match what {
+                0 => sketches[mine].observe(rtt),
+                1 => {
+                    let other = sketches[theirs].clone();
+                    sketches[mine].merge_from(&other);
+                }
+                2 => stores[mine].observe(
+                    &RttRecord::tcp(rtt, (at_ns % 5) as u32, ["a", "b", "c"][i % 3], NetKind::Lte)
+                        .with_isp(if at_ns % 2 == 0 { "Jio 4G" } else { "Airtel" }),
+                ),
+                3 => {
+                    let other = stores[theirs].clone();
+                    stores[mine].merge_from(&other);
+                }
+                // Timestamps run over ~10-80 epochs: samples advance the
+                // window, land in live epochs, or fall into the tail.
+                4 => stamp_windowed(&mut windows[mine], i, at_ns, rtt),
+                5 => {
+                    let other = windows[theirs].clone();
+                    windows[mine].merge_from(&other);
+                }
+                // A clone carries its memo along.
+                6 => windows[mine] = windows[theirs].clone(),
+                _ => assert_digests_are_fresh(&sketches, &stores, &windows),
+            }
+        }
+        assert_digests_are_fresh(&sketches, &stores, &windows);
     }
 }

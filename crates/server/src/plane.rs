@@ -18,9 +18,12 @@
 //! The digest folds samples and flow outcomes as a multiset
 //! ([`OutcomeFold`]), so it does not depend on the order outcomes that
 //! share a four-tuple were absorbed in, and a one-step drain equals the
-//! stepped cadence. The plane keeps the cumulative fold beside its report:
-//! a step adds its delta's fold, and the digest costs O(delta + sketch
-//! cells), not O(every flow ever run).
+//! stepped cadence. A step costs what it ran, not what the plane has
+//! absorbed: the plane keeps the cumulative fold beside its report and adds
+//! the delta's; the canonical delta merges into the canonical cumulative
+//! report ([`RunReport::absorb_canonical`]) instead of a re-sort; and the
+//! sketch digests are memoised inside `mop_measure`, so the digest hashes
+//! only the cells and epochs the delta touched.
 //!
 //! # The resident fleet
 //!
@@ -361,7 +364,9 @@ impl ControlPlane {
     pub fn step_with_delta(&mut self, epochs: u64, want_delta: bool) -> StepOutcome {
         self.cursor_epoch = self.cursor_epoch.saturating_add(epochs).min(MAX_CURSOR_EPOCH);
         let cut = epoch_boundary(self.config.epoch_width.as_nanos(), self.cursor_epoch);
-        let mut delta = RunReport::empty();
+        // Each run's report is canonical, and so is the cumulative one: they
+        // merge in order, and the first is moved in rather than copied.
+        let mut delta: Option<RunReport> = None;
         let mut ran = 0usize;
         for i in 0..self.scenarios.len() {
             let due: Vec<FlowSpec> = {
@@ -375,15 +380,17 @@ impl ControlPlane {
             }
             ran += due.len();
             let network = self.scenarios[i].network();
-            let mut report = self.resident.run_next(&network, due);
-            delta.absorb(mem::replace(&mut report.merged, RunReport::empty()));
+            let report = self.resident.run_next(&network, due).merged;
+            match &mut delta {
+                Some(delta) => delta.absorb_canonical(report),
+                None => delta = Some(report),
+            }
         }
         // A step with nothing due absorbed nothing: the report, and with it
         // the memoised digest, stand as they are.
         let mut delta_json = Value::Null;
         let mut epoch_summaries = Vec::new();
-        if ran > 0 {
-            delta.canonicalise();
+        if let Some(delta) = delta {
             if let Some(windows) = &delta.windows {
                 epoch_summaries = windows.epoch_summaries();
             }
@@ -391,8 +398,7 @@ impl ControlPlane {
                 delta_json = mop_json::to_value(&delta);
             }
             self.fold.absorb(OutcomeFold::of(&delta));
-            self.cumulative.absorb(delta);
-            self.cumulative.canonicalise();
+            self.cumulative.absorb_canonical(delta);
             self.refresh_digest();
         }
         StepOutcome {
@@ -556,6 +562,9 @@ impl ControlPlane {
         self.next_scenario = next_scenario as usize;
         self.scenarios = slots;
         self.cumulative = fleet.base;
+        // Steps merge into the cumulative report assuming canonical order;
+        // a document's arrays need not be in it.
+        self.cumulative.canonicalise();
         self.fold = OutcomeFold::of(&self.cumulative);
         self.refresh_digest();
         Ok(())
@@ -781,6 +790,77 @@ mod tests {
             }
         }
         panic!("no scenario table")
+    }
+
+    /// The member `key` of a document object, for editing it in place.
+    fn member_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Object(members) = value else { panic!("not an object") };
+        &mut members.iter_mut().find(|(k, _)| k == key).expect("member present").1
+    }
+
+    /// The cumulative report's `samples` or `flows` array in a plane document.
+    fn base_array<'a>(doc: &'a mut Value, name: &str) -> &'a mut Vec<Value> {
+        let base = member_mut(member_mut(doc, "fleet"), "base");
+        let Value::Array(items) = member_mut(base, name) else { panic!("not an array") };
+        items
+    }
+
+    /// `doc` with the cumulative report's samples and flows out of order.
+    fn shuffled(doc: &Value) -> Value {
+        let mut doc = doc.clone();
+        for name in ["samples", "flows"] {
+            let items = base_array(&mut doc, name);
+            let third = items.len() / 3;
+            items.reverse();
+            items.rotate_left(third);
+        }
+        doc
+    }
+
+    #[test]
+    fn a_resumed_plane_is_canonical_before_its_first_step() {
+        let mut plane = small_plane(2);
+        // Co-injected scenarios share four-tuples.
+        plane.inject("rush-hour", 60, 5).unwrap();
+        plane.inject("flash-crowd", 30, 5).unwrap();
+        plane.step(3);
+        let doc = plane.checkpoint();
+        let text = mop_json::to_string(&doc);
+        plane.step(plane.epochs_to_drain());
+        let drained = (plane.digest(), mop_json::to_string(&plane.checkpoint()));
+
+        let mut resumed = small_plane(2);
+        let out_of_order = shuffled(&doc);
+        assert_ne!(mop_json::to_string(&out_of_order), text, "the shuffle moved nothing");
+        resumed.resume(&out_of_order).unwrap();
+        assert_eq!(mop_json::to_string(&resumed.checkpoint()), text);
+        resumed.step(resumed.epochs_to_drain());
+        assert_eq!((resumed.digest(), mop_json::to_string(&resumed.checkpoint())), drained);
+
+        // A lean plane keeps no samples; a document may still carry some
+        // (canonical here: a fleet run's merged report), and they must come
+        // back in order too.
+        let scenario = build_scenario("rush-hour", 10, 3).unwrap();
+        let fleet = FleetEngine::new(FleetConfig::new(1), scenario.network());
+        let run = fleet.run(scenario.generate());
+        assert!(run.merged.samples.len() > 2);
+        let mut with_samples = doc.clone();
+        *base_array(&mut with_samples, "samples") =
+            run.merged.samples.iter().map(mop_json::to_value).collect();
+        let text = mop_json::to_string(&with_samples);
+        let mut in_order = small_plane(2);
+        in_order.resume(&with_samples).unwrap();
+        let mut out_of_order = small_plane(2);
+        out_of_order.resume(&shuffled(&with_samples)).unwrap();
+        for plane in [&mut in_order, &mut out_of_order] {
+            assert_eq!(mop_json::to_string(&plane.checkpoint()), text);
+            plane.step(plane.epochs_to_drain());
+        }
+        assert_eq!(in_order.digest(), out_of_order.digest());
+        assert_eq!(
+            mop_json::to_string(&in_order.checkpoint()),
+            mop_json::to_string(&out_of_order.checkpoint())
+        );
     }
 
     #[test]

@@ -441,7 +441,9 @@ fn plane_model(text: &str, config: &PlaneConfig) -> Result<Value, String> {
         return Err("server checkpoint pending counts do not cover the pending set".into());
     }
     // Re-encoded by the resumed plane: its own run parameters, the cut at
-    // its cursor, the decoded report and pending set.
+    // its cursor, the decoded report in canonical order, and the pending set.
+    let mut base = fleet.base;
+    base.canonicalise();
     let resaved = FleetCheckpoint {
         seed: config.seed,
         shards_at_save: config.shards,
@@ -449,7 +451,7 @@ fn plane_model(text: &str, config: &PlaneConfig) -> Result<Value, String> {
         epoch_width_ns: Some(width),
         epoch_window: config.epoch_window,
         cut: epoch_boundary(width, cursor_epoch),
-        base: fleet.base,
+        base,
         pending: fleet.pending,
     };
     Ok(json!({

@@ -12,9 +12,10 @@ use mopeye::engine::{
     epoch_boundary, CongestionAlgo, Counters, FleetCheckpoint, FleetConfig, FleetEngine,
     FleetReport, FlowOutcome, ResidentFleet, RttSample, RunReport, SampleKind,
 };
-use mopeye::packet::Endpoint;
+use mopeye::packet::{Endpoint, FourTuple};
 use mopeye::simnet::{AccessProfile, SimDuration, SimNetwork, SimTime};
 use mopeye::tun::{FlowKind, FlowSpec};
+use proptest::prelude::*;
 
 #[path = "support/sequential_digest.rs"]
 mod sequential_digest;
@@ -523,6 +524,93 @@ fn the_fleet_digest_folds_a_multiset_not_a_set() {
     assert_ne!(digest_of(&pairs(0), &[]), digest_of(&pairs(1), &[]), "sample pairs");
     let pairs = |i: usize| vec![flows[i].clone(), flows[i].clone()];
     assert_ne!(digest_of(&[], &pairs(0)), digest_of(&[], &pairs(1)), "flow pairs");
+}
+
+// ----- merging canonical reports --------------------------------------------
+
+/// One of four four-tuples: few enough that reports share them.
+fn merge_tuple(i: u16) -> FourTuple {
+    FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40_000 + i), Endpoint::v4(31, 13, 79, 251, 443))
+}
+
+/// Samples from a small field space, so ties and fully equal samples are
+/// common within and across reports.
+fn arb_merge_sample() -> impl Strategy<Value = RttSample> {
+    (0u16..4, 0u64..3, 0u8..2, 0u8..3).prop_map(|(tuple, at_ms, kind, ms)| RttSample {
+        kind: if kind == 0 { SampleKind::Tcp } else { SampleKind::Dns },
+        flow: merge_tuple(tuple),
+        uid: Some(10_100),
+        package: (kind == 0).then(|| "com.example".to_string()),
+        domain: None,
+        measured_ms: f64::from(ms) + 0.5,
+        true_ms: 1.0,
+        tcpdump_ms: Some(1.0),
+        at: SimTime::from_millis(at_ms),
+    })
+}
+
+/// Flow outcomes from a small field space, like [`arb_merge_sample`].
+fn arb_merge_flow() -> impl Strategy<Value = FlowOutcome> {
+    (0u16..4, 0u8..2, 0u64..3, 0usize..2).prop_map(|(tuple, app, at_ms, bytes)| FlowOutcome {
+        flow: merge_tuple(tuple),
+        package: format!("com.app{app}"),
+        started_at: SimTime::from_millis(at_ms),
+        finished_at: SimTime::from_millis(at_ms + 5),
+        bytes_received: bytes * 1_000,
+        completed: bytes == 1,
+    })
+}
+
+/// A canonical report holding just these records.
+fn canonical_report(samples: &[RttSample], flows: &[FlowOutcome]) -> RunReport {
+    let mut report = RunReport::empty();
+    report.samples = samples.to_vec();
+    report.flows = flows.to_vec();
+    report.canonicalise();
+    report
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn merging_canonical_reports_equals_absorb_then_canonicalise(
+        mine in (
+            proptest::collection::vec(arb_merge_sample(), 0..24),
+            proptest::collection::vec(arb_merge_flow(), 0..24),
+        ),
+        theirs in (
+            proptest::collection::vec(arb_merge_sample(), 0..24),
+            proptest::collection::vec(arb_merge_flow(), 0..24),
+        ),
+        empty_side in 0u8..4,
+    ) {
+        let (mut mine, mut theirs) = (mine, theirs);
+        match empty_side {
+            0 => mine = (Vec::new(), Vec::new()),
+            1 => theirs = (Vec::new(), Vec::new()),
+            _ => {}
+        }
+        let mut expected = canonical_report(&mine.0, &mine.1);
+        expected.absorb(canonical_report(&theirs.0, &theirs.1));
+        expected.canonicalise();
+
+        let mut merged = canonical_report(&mine.0, &mine.1);
+        // With room reserved, the merge works inside the vectors it has.
+        merged.samples.reserve(theirs.0.len());
+        merged.flows.reserve(theirs.1.len());
+        let buffers = (merged.samples.as_ptr(), merged.flows.as_ptr());
+        merged.absorb_canonical(canonical_report(&theirs.0, &theirs.1));
+        prop_assert_eq!(&merged.samples, &expected.samples);
+        prop_assert_eq!(&merged.flows, &expected.flows);
+        prop_assert_eq!(merged.fleet_digest(), expected.fleet_digest());
+        if !mine.0.is_empty() {
+            prop_assert_eq!(merged.samples.as_ptr(), buffers.0);
+        }
+        if !mine.1.is_empty() {
+            prop_assert_eq!(merged.flows.as_ptr(), buffers.1);
+        }
+    }
 }
 
 // ----- structure counters: partition-local, outside the digest ---------------
