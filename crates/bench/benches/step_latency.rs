@@ -8,8 +8,9 @@
 //!
 //! * **cold** — `FleetEngine::new(..).run(..)` per step (spawn + construct
 //!   + run + teardown), the PR 9 plane's behaviour;
-//! * **warm** — one [`ResidentFleet`], `run_next` per step (workers parked
-//!   on their rings, engines reset in place).
+//! * **warm** — one [`ResidentFleet`], `run_next` per step (shard 0 on the
+//!   calling thread, the other workers parked on their rings, engines reset
+//!   in place).
 //!
 //! The headline block also checks the residency invariants the acceptance
 //! bar names: cold and warm digests bit-identical, `threads_spawned`

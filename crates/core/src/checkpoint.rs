@@ -196,10 +196,12 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// The checkpoint as a pretty-printed JSON string (the on-disk format),
-    /// written from its fields into a buffer sized up front.
+    /// The checkpoint as a compact JSON string (the on-disk format),
+    /// written from its fields into a buffer sized up front. The readers
+    /// take any JSON layout, so pretty documents written by older builds
+    /// still load.
     pub fn to_json_string(&self) -> String {
-        mop_json::to_string_pretty(self)
+        mop_json::to_string(self)
     }
 
     /// Parses a checkpoint from its on-disk JSON string. `None` on invalid
@@ -376,7 +378,8 @@ impl FromJson for FleetCheckpoint {
 /// Roughly what the pretty rendering of a checkpoint over `base` and
 /// `pending` specs takes, from per-item sizes measured on rush-hour and
 /// diurnal checkpoints (indentation included) — a slight overestimate, so
-/// the buffer is allocated once and never re-grown.
+/// the buffer is allocated once and never re-grown. The compact on-disk
+/// rendering takes about half of it; one hint serves both layouts.
 fn pretty_size_hint(base: &RunReport, pending: usize) -> usize {
     const FIXED: usize = 4 << 10;
     const PER_SPEC: usize = 490;
@@ -663,19 +666,19 @@ mod tests {
         assert!(err.contains("no \"format\""), "{err}");
 
         // Unknown version.
-        let future = good.replace("\"version\": 1", "\"version\": 999");
+        let future = good.replace("\"version\":1", "\"version\":999");
         let err = FleetCheckpoint::parse(&future).unwrap_err();
         assert!(err.contains("version 999"), "{err}");
 
         // Mistyped body field (seed must be a hex string).
-        let mistyped = good.replace("\"seed\": \"0000000000000007\"", "\"seed\": 7");
+        let mistyped = good.replace("\"seed\":\"0000000000000007\"", "\"seed\":7");
         let err = FleetCheckpoint::parse(&mistyped).unwrap_err();
         assert!(err.contains("malformed") && err.contains("seed: expected a string"), "{err}");
 
         // An unknown network tag on a pending flow (a flipped byte): the
         // message names the member.
-        assert!(good.contains("\"network\": \"Lte\""), "{good}");
-        let relabelled = good.replace("\"network\": \"Lte\"", "\"network\": \"LTE\"");
+        assert!(good.contains("\"network\":\"Lte\""), "{good}");
+        let relabelled = good.replace("\"network\":\"Lte\"", "\"network\":\"LTE\"");
         let err = FleetCheckpoint::parse(&relabelled).unwrap_err();
         assert!(err.contains("malformed") && err.contains("pending[0].network"), "{err}");
 
@@ -683,7 +686,7 @@ mod tests {
         // in it, and a bad header outranks a bad body.
         let both = mistyped.replacen('}', "", 1);
         assert!(FleetCheckpoint::parse(&both).unwrap_err().contains("not valid JSON"));
-        let both = mistyped.replace("\"version\": 1", "\"version\": 2");
+        let both = mistyped.replace("\"version\":1", "\"version\":2");
         assert!(FleetCheckpoint::parse(&both).unwrap_err().contains("version 2"));
     }
 

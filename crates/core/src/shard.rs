@@ -5,27 +5,29 @@
 //! production deployment would: every connection four-tuple is hashed
 //! ([`mop_packet::FourTuple::stable_hash`]) to one of N *shards*, and each
 //! shard is a complete engine of its own — its own event loop, buffer pool,
-//! TCP machine set, connection table and simulated network — running on its
-//! own worker thread.
+//! TCP machine set, connection table and simulated network. Shard 0 runs on
+//! the thread that called the fleet; shards 1..N each run on a worker
+//! thread of their own.
 //!
 //! ```text
-//!                      ┌─ SPSC ─▶ shard 0 (engine, pool, tcpstack, procnet) ─ SPSC ─┐
+//!                      ┌────────▶ shard 0 (engine, pool, tcpstack, procnet) ────────┐
 //!  TUN ingress ── hash ┼─ SPSC ─▶ shard 1 (engine, pool, tcpstack, procnet) ─ SPSC ─┼─▶ sink
-//!  (dispatcher)        └─ SPSC ─▶ shard N (engine, pool, tcpstack, procnet) ─ SPSC ─┘  (merge)
+//!  (calling thread)    └─ SPSC ─▶ shard N (engine, pool, tcpstack, procnet) ─ SPSC ─┘  (merge)
 //! ```
 //!
-//! The dispatcher feeds each shard through a bounded
+//! The dispatcher feeds each worker shard through a bounded
 //! [`mop_simnet::spsc`] queue whose slots carry *batch descriptors* —
 //! `Vec<FlowSpec>` bursts of up to the engine's batch size — under
 //! credit-based backpressure: the dispatcher takes one credit per in-flight
 //! batch from the shard's [`mop_simnet::CreditGate`] and the worker returns
 //! it when the batch is accepted, so a slow shard throttles the dispatcher
-//! instead of ballooning queues. Each shard hands its results to the
+//! instead of ballooning queues. Each worker hands its results to the
 //! measurement sink the same way. Stall counts from both mechanisms surface
 //! in the merged report (`TunStats::dispatch_stalls`,
-//! `RelayStats::sink_stalls`). The credit depth and the ring size are
-//! constants, not options: they pace the wall clock and never touch a
-//! digest, and the OS places the worker threads.
+//! `RelayStats::sink_stalls`); shard 0 has no ring, so it adds none. The
+//! credit depth and the ring size are constants, not options: they pace the
+//! wall clock and never touch a digest, and the OS places the worker
+//! threads.
 //!
 //! In steady state nothing on the path allocates per packet: the queues are
 //! pre-allocated rings, each shard's packet loop runs on its own pools
@@ -36,7 +38,7 @@
 //!
 //! # Determinism
 //!
-//! Shard workers always build their network flow-keyed
+//! Every shard builds its network flow-keyed
 //! ([`SimNetworkBuilder::flow_keyed`]), and an engine takes its keying from
 //! the network it runs over: every flow's RNG streams, link reservations,
 //! writer-queue lane and source endpoint are pure functions of
@@ -54,21 +56,27 @@
 //!
 //! # Residency
 //!
-//! The worker protocol lives in [`ResidentFleet`]: shard threads are
-//! spawned **once**, park on their job rings between runs, and are fed
-//! successive `Begin → Burst… → Finish` sequences — each `Begin` builds the
-//! run's flow-keyed network and resets the shard's engine onto it in place
-//! ([`MopEyeEngine::reset`]: pools, rings, wheel slabs and stage tables
-//! cleared, not dropped), so the steady state of a long-lived fleet spawns
-//! no threads and re-allocates none of its machinery. [`FleetEngine::run`]
-//! is the one-shot form: it builds a resident fleet, runs a single batch and
-//! tears it down, so both paths share one dispatch/merge implementation and
-//! reuse is observationally invisible by construction (checked bit-for-bit
-//! by `tests/resident_reuse.rs`).
+//! The worker protocol lives in [`ResidentFleet`]: the threads of shards
+//! 1..N are spawned **once**, park on their job rings between runs, and are
+//! fed successive `Begin → Burst… → Finish` sequences — each `Begin` builds
+//! the run's flow-keyed network and resets the shard's engine onto it in
+//! place ([`MopEyeEngine::reset`]: pools, rings, wheel slabs and stage
+//! tables cleared, not dropped), so the steady state of a long-lived fleet
+//! spawns no threads and re-allocates none of its machinery. Once the
+//! workers have their flows, [`ResidentFleet::run_next`] does the same for
+//! shard 0 on the calling thread and runs its flows there while the
+//! workers run theirs. A one-shard fleet is the same code with no workers:
+//! it spawns no thread and a run pays no wake-up, which on a small step
+//! costs more than the flows. [`FleetEngine::run`] is the one-shot form: it
+//! builds a resident fleet, runs a single batch and tears it down, so both
+//! paths share one dispatch/merge implementation and reuse is
+//! observationally invisible by construction (checked bit-for-bit by
+//! `tests/resident_reuse.rs`).
 
 use std::cmp::Ordering;
 use std::mem;
 use std::net::IpAddr;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -84,7 +92,8 @@ use crate::stats::{FlowOutcome, RttSample, SampleKind};
 /// Configuration of a [`FleetEngine`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of shards (worker threads). Clamped to at least 1.
+    /// Number of shards: shard 0 runs on the calling thread, each other one
+    /// on a worker thread. Clamped to at least 1.
     pub shards: usize,
     /// The per-shard engine configuration. Each shard runs it over a
     /// flow-keyed copy of the fleet's network, which is what makes the
@@ -249,7 +258,7 @@ enum ShardJob {
     /// Start a new run over the network this builder describes: the worker
     /// builds it flow-keyed and resets (or, on the very first run,
     /// constructs) its engine. Uncredited — `run_next` sends exactly one
-    /// per shard per run.
+    /// per worker per run.
     Begin(Box<SimNetworkBuilder>),
     /// A batch-sized burst of the current run's flow specs. Credited: the
     /// dispatcher takes one gate credit per burst in flight and the worker
@@ -269,6 +278,17 @@ const INGRESS_CAPACITY: usize = 4096;
 /// wall-clock pacing — virtual time and digests never see it.
 const CREDIT_DEPTH: u64 = 4;
 
+/// Points a shard's engine at a flow-keyed build of `builder`: resets it in
+/// place, or constructs it on the shard's first run. Every shard, the one on
+/// the calling thread included, begins its runs here.
+fn begin_run(engine: &mut Option<MopEyeEngine>, config: &MopEyeConfig, builder: SimNetworkBuilder) {
+    let net = builder.flow_keyed().build();
+    match engine {
+        Some(engine) => engine.reset(net),
+        None => *engine = Some(MopEyeEngine::new(config.clone(), net)),
+    }
+}
+
 /// The resident shard worker: parks on its job ring between runs, keeps
 /// its engine (and every allocation inside it) across `Begin`s, and exits
 /// when the ring closes.
@@ -283,13 +303,7 @@ fn spawn_worker(
         let mut shard_flows: Vec<FlowSpec> = Vec::new();
         while let Some(job) = jobs.recv() {
             match job {
-                ShardJob::Begin(builder) => {
-                    let net = builder.flow_keyed().build();
-                    match engine.as_mut() {
-                        Some(engine) => engine.reset(net),
-                        None => engine = Some(MopEyeEngine::new(engine_config.clone(), net)),
-                    }
-                }
+                ShardJob::Begin(builder) => begin_run(&mut engine, &engine_config, *builder),
                 ShardJob::Burst(burst) => {
                     shard_flows.extend(burst);
                     gate.release(); // Burst accepted: return its credit.
@@ -304,26 +318,64 @@ fn spawn_worker(
     })
 }
 
-/// A fleet whose shard workers outlive any single run. See the
-/// [module docs](self) — `# Residency`.
-///
-/// Construction spawns the worker threads; [`ResidentFleet::run_next`]
-/// then feeds them successive flow batches, resetting each shard's engine
-/// in place per run. Dropping the fleet closes the job rings, which parks
-/// the workers out of their loops and joins them.
-pub struct ResidentFleet {
-    config: FleetConfig,
-    jobs: Vec<SpscSender<ShardJob>>,
-    gates: Vec<Arc<CreditGate>>,
-    reports: Vec<SpscReceiver<RunReport>>,
-    workers: Vec<Option<JoinHandle<()>>>,
+/// The dispatcher's end of one worker shard (shards 1..N): its rings, its
+/// credit gate, its thread and the stall high-water marks.
+struct Worker {
+    jobs: SpscSender<ShardJob>,
+    gate: Arc<CreditGate>,
+    reports: SpscReceiver<RunReport>,
+    thread: Option<JoinHandle<()>>,
     // The gate/ring/sink stall counters are cumulative over the fleet's
     // lifetime; these high-water marks turn them into per-run deltas so a
     // resident run reports the same stall accounting a fresh fleet would.
-    gate_stalls_seen: Vec<u64>,
-    ring_stalls_seen: Vec<u64>,
-    sink_stalls_seen: Vec<u64>,
-    threads_spawned: u64,
+    gate_stalls_seen: u64,
+    ring_stalls_seen: u64,
+    sink_stalls_seen: u64,
+}
+
+impl Worker {
+    fn spawn(engine_config: MopEyeConfig) -> Self {
+        let (job_tx, job_rx) = spsc_channel::<ShardJob>(INGRESS_CAPACITY);
+        let (report_tx, report_rx) = spsc_channel::<RunReport>(1);
+        let gate = Arc::new(CreditGate::new(CREDIT_DEPTH));
+        Self {
+            thread: Some(spawn_worker(engine_config, job_rx, Arc::clone(&gate), report_tx)),
+            jobs: job_tx,
+            gate,
+            reports: report_rx,
+            gate_stalls_seen: 0,
+            ring_stalls_seen: 0,
+            sink_stalls_seen: 0,
+        }
+    }
+
+    /// Stalls on the way in since the last call: credit waits plus full-ring
+    /// waits.
+    fn take_dispatch_stalls(&mut self) -> u64 {
+        let gate_total = self.gate.stalls();
+        let ring_total = self.jobs.stalls();
+        let stalls = (gate_total - self.gate_stalls_seen) + (ring_total - self.ring_stalls_seen);
+        self.gate_stalls_seen = gate_total;
+        self.ring_stalls_seen = ring_total;
+        stalls
+    }
+}
+
+/// A fleet whose shard workers outlive any single run. See the
+/// [module docs](self) — `# Residency`.
+///
+/// Construction spawns the worker threads of shards 1..N (none for one
+/// shard); [`ResidentFleet::run_next`] then feeds them successive flow
+/// batches, runs shard 0 itself, and resets each shard's engine in place
+/// per run. Dropping the fleet closes the job rings, which parks the
+/// workers out of their loops and joins them.
+pub struct ResidentFleet {
+    config: FleetConfig,
+    /// Shard 0's engine, driven on the thread that calls `run_next`;
+    /// `None` until the first run.
+    local: Option<MopEyeEngine>,
+    /// Shards 1..N, in shard order.
+    workers: Vec<Worker>,
     runs: u64,
 }
 
@@ -331,45 +383,21 @@ impl std::fmt::Debug for ResidentFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResidentFleet")
             .field("shards", &self.config.shards)
-            .field("threads_spawned", &self.threads_spawned)
+            .field("threads_spawned", &self.threads_spawned())
             .field("runs", &self.runs)
             .finish_non_exhaustive()
     }
 }
 
 impl ResidentFleet {
-    /// Spawns the shard workers (once, for the fleet's whole lifetime) and
-    /// leaves them parked on their job rings.
+    /// Spawns the workers of shards 1..N (once, for the fleet's whole
+    /// lifetime) and leaves them parked on their job rings. Shard 0 needs
+    /// no thread: it runs on whichever thread calls
+    /// [`ResidentFleet::run_next`].
     pub fn new(mut config: FleetConfig) -> Self {
         config.shards = config.shards.max(1);
-        let shards = config.shards;
-        let mut fleet = Self {
-            jobs: Vec::with_capacity(shards),
-            gates: Vec::with_capacity(shards),
-            reports: Vec::with_capacity(shards),
-            workers: Vec::with_capacity(shards),
-            gate_stalls_seen: vec![0; shards],
-            ring_stalls_seen: vec![0; shards],
-            sink_stalls_seen: vec![0; shards],
-            threads_spawned: shards as u64,
-            runs: 0,
-            config,
-        };
-        for _ in 0..shards {
-            let (job_tx, job_rx) = spsc_channel::<ShardJob>(INGRESS_CAPACITY);
-            let (report_tx, report_rx) = spsc_channel::<RunReport>(1);
-            let gate = Arc::new(CreditGate::new(CREDIT_DEPTH));
-            fleet.workers.push(Some(spawn_worker(
-                fleet.config.engine.clone(),
-                job_rx,
-                Arc::clone(&gate),
-                report_tx,
-            )));
-            fleet.jobs.push(job_tx);
-            fleet.gates.push(gate);
-            fleet.reports.push(report_rx);
-        }
-        fleet
+        let workers = (1..config.shards).map(|_| Worker::spawn(config.engine.clone())).collect();
+        Self { config, local: None, workers, runs: 0 }
     }
 
     /// The fleet configuration (every run uses it).
@@ -377,11 +405,11 @@ impl ResidentFleet {
         &self.config
     }
 
-    /// Worker threads ever spawned — constant after construction; the
-    /// step-latency bench asserts it stays equal to the shard count across
-    /// warm runs.
+    /// Worker threads ever spawned: one per shard but the first, so none
+    /// for a one-shard fleet. Constant after construction; the
+    /// step-latency bench asserts it stays so across warm runs.
     pub fn threads_spawned(&self) -> u64 {
-        self.threads_spawned
+        self.workers.len() as u64
     }
 
     /// Completed [`ResidentFleet::run_next`] calls.
@@ -392,9 +420,13 @@ impl ResidentFleet {
     /// Runs one flow batch over the network `net_builder` describes and
     /// merges the shard results — bit-identical to
     /// `FleetEngine::new(config, net_builder).run(flows)`, but reusing the
-    /// parked workers and their engines: no thread spawns, and the pools,
+    /// parked workers and every engine: no thread spawns, and the pools,
     /// rings, wheel slabs and stage tables inside each engine are cleared
     /// rather than dropped between runs.
+    ///
+    /// The workers get their flows first; shard 0's then run here, on the
+    /// calling thread, while the workers run theirs. A panic in shard 0
+    /// unwinds out of this call, as a worker's panic does.
     pub fn run_next(&mut self, net_builder: &SimNetworkBuilder, flows: Vec<FlowSpec>) -> FleetReport {
         let shards = self.config.shards;
         // Hash each four-tuple once: the counting pass remembers every
@@ -406,51 +438,68 @@ impl ResidentFleet {
             flows_assigned[shard] += 1;
         }
 
-        for shard in 0..shards {
-            self.send_job(shard, ShardJob::Begin(Box::new(net_builder.clone())));
+        for worker in 0..self.workers.len() {
+            self.send_job(worker, ShardJob::Begin(Box::new(net_builder.clone())));
         }
-        // The TUN ingress: group each shard's connections into batch-sized
-        // bursts and push them through the bounded queue under credit — a
-        // lagging shard throttles the dispatcher here.
+        // The TUN ingress: group each worker shard's connections into
+        // batch-sized bursts and push them through the bounded queue under
+        // credit — a lagging shard throttles the dispatcher here. Shard 0's
+        // connections stay on this thread.
         let batch = self.config.engine.batch_size.max(1);
+        let mut local_flows = Vec::with_capacity(flows_assigned[0]);
         let mut pending: Vec<Vec<FlowSpec>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
+            self.workers.iter().map(|_| Vec::with_capacity(batch)).collect();
         for (spec, shard) in flows.into_iter().zip(assignment) {
-            pending[shard].push(spec);
-            if pending[shard].len() == batch {
-                let full = std::mem::replace(&mut pending[shard], Vec::with_capacity(batch));
-                self.gates[shard].acquire();
-                self.send_job(shard, ShardJob::Burst(full));
-            }
-        }
-        for (shard, tail) in pending.into_iter().enumerate() {
-            if !tail.is_empty() {
-                self.gates[shard].acquire();
-                self.send_job(shard, ShardJob::Burst(tail));
-            }
-        }
-        for shard in 0..shards {
-            self.send_job(shard, ShardJob::Finish);
-        }
-        let mut dispatch_stalls = 0u64;
-        for shard in 0..shards {
-            let gate_total = self.gates[shard].stalls();
-            let ring_total = self.jobs[shard].stalls();
-            dispatch_stalls += (gate_total - self.gate_stalls_seen[shard])
-                + (ring_total - self.ring_stalls_seen[shard]);
-            self.gate_stalls_seen[shard] = gate_total;
-            self.ring_stalls_seen[shard] = ring_total;
-        }
-
-        let mut shard_reports: Vec<RunReport> = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let mut report = match self.reports[shard].recv() {
-                Some(delivered) => delivered,
-                None => self.propagate_worker_death(shard),
+            let Some(worker) = shard.checked_sub(1) else {
+                local_flows.push(spec);
+                continue;
             };
-            let sink_total = self.reports[shard].stalls();
-            report.relay.sink_stalls += sink_total - self.sink_stalls_seen[shard];
-            self.sink_stalls_seen[shard] = sink_total;
+            pending[worker].push(spec);
+            if pending[worker].len() == batch {
+                let full = std::mem::replace(&mut pending[worker], Vec::with_capacity(batch));
+                self.workers[worker].gate.acquire();
+                self.send_job(worker, ShardJob::Burst(full));
+            }
+        }
+        for (worker, tail) in pending.into_iter().enumerate() {
+            if !tail.is_empty() {
+                self.workers[worker].gate.acquire();
+                self.send_job(worker, ShardJob::Burst(tail));
+            }
+        }
+        for worker in 0..self.workers.len() {
+            self.send_job(worker, ShardJob::Finish);
+        }
+        let dispatch_stalls: u64 = self.workers.iter_mut().map(Worker::take_dispatch_stalls).sum();
+
+        // Shard 0: no ring in or out, so no stalls to count.
+        let local = catch_unwind(AssertUnwindSafe(|| {
+            begin_run(&mut self.local, &self.config.engine, net_builder.clone());
+            self.local.as_mut().expect("begun above").run_flows(local_flows)
+        }));
+        let local = match local {
+            Ok(report) => report,
+            Err(payload) => {
+                // Leave the fleet usable: take the workers' reports off
+                // their rings and rebuild shard 0's engine next run.
+                self.local = None;
+                for worker in &self.workers {
+                    worker.reports.recv();
+                }
+                resume_unwind(payload)
+            }
+        };
+        let mut shard_reports: Vec<RunReport> = Vec::with_capacity(shards);
+        shard_reports.push(local);
+        for index in 0..self.workers.len() {
+            let mut report = match self.workers[index].reports.recv() {
+                Some(delivered) => delivered,
+                None => self.propagate_worker_death(index),
+            };
+            let worker = &mut self.workers[index];
+            let sink_total = worker.reports.stalls();
+            report.relay.sink_stalls += sink_total - worker.sink_stalls_seen;
+            worker.sink_stalls_seen = sink_total;
             shard_reports.push(report);
         }
         self.runs += 1;
@@ -480,30 +529,33 @@ impl ResidentFleet {
         FleetReport { shards, merged, per_shard }
     }
 
-    fn send_job(&mut self, shard: usize, job: ShardJob) {
-        if self.jobs[shard].send(job).is_err() {
-            self.propagate_worker_death(shard);
+    fn send_job(&mut self, worker: usize, job: ShardJob) {
+        if self.workers[worker].jobs.send(job).is_err() {
+            self.propagate_worker_death(worker);
         }
     }
 
     /// A closed ring means the worker exited early — join it so its panic
     /// (the only way out of the loop while senders are live) surfaces with
     /// its own message rather than a generic "hung up".
-    fn propagate_worker_death(&mut self, shard: usize) -> ! {
-        if let Some(worker) = self.workers[shard].take() {
-            if let Err(payload) = worker.join() {
-                std::panic::resume_unwind(payload);
+    fn propagate_worker_death(&mut self, worker: usize) -> ! {
+        if let Some(thread) = self.workers[worker].thread.take() {
+            if let Err(payload) = thread.join() {
+                resume_unwind(payload);
             }
         }
-        panic!("resident shard {shard} worker hung up");
+        panic!("resident shard {} worker hung up", worker + 1);
     }
 }
 
 impl Drop for ResidentFleet {
     fn drop(&mut self) {
-        self.jobs.clear(); // Close the rings; workers fall out of their loops.
-        for worker in self.workers.iter_mut().filter_map(Option::take) {
-            let _ = worker.join();
+        // Dropping each worker but its thread handle closes its rings, and
+        // the threads fall out of their loops; then join them.
+        let threads: Vec<JoinHandle<()>> =
+            self.workers.drain(..).filter_map(|worker| worker.thread).collect();
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -581,8 +633,9 @@ impl RunReport {
     }
 
     /// Sorts samples and flow outcomes into their canonical order
-    /// (measurement time, then flow, then every other field the digest
-    /// covers), so equal multisets produce equal reports regardless of how
+    /// (samples by measurement time, flows by start time; then the
+    /// four-tuple, then every other field the digest covers), so equal
+    /// multisets produce equal reports regardless of how
     /// they were partitioned or in which order they were absorbed —
     /// outcomes of co-injected scenarios can share a four-tuple.
     pub fn canonicalise(&mut self) {
@@ -821,13 +874,16 @@ fn sample_order(a: &RttSample, b: &RttSample) -> Ordering {
         })
 }
 
-/// The canonical flow order: the four-tuple, then every other field the
-/// digest covers.
+/// The canonical flow order: start time, then the four-tuple, then every
+/// other field the digest covers. Start time first makes a stepped owner's
+/// merge an append: every flow a step runs starts after the flows earlier
+/// steps ran (up to the relay's connect latency), so
+/// [`RunReport::absorb_canonical`]'s insertion points land at the end.
 fn flow_order(a: &FlowOutcome, b: &FlowOutcome) -> Ordering {
-    a.flow
-        .cmp(&b.flow)
+    a.started_at
+        .cmp(&b.started_at)
+        .then_with(|| a.flow.cmp(&b.flow))
         .then_with(|| a.package.cmp(&b.package))
-        .then_with(|| a.started_at.cmp(&b.started_at))
         .then_with(|| a.finished_at.cmp(&b.finished_at))
         .then_with(|| a.bytes_received.cmp(&b.bytes_received))
         .then_with(|| a.completed.cmp(&b.completed))
@@ -912,6 +968,37 @@ mod tests {
         }
         assert_eq!(digests[0], digests[1], "1 vs 3 shards");
         assert_eq!(digests[1], digests[2], "3 vs 8 shards");
+    }
+
+    #[test]
+    fn a_panic_in_shard_0_unwinds_and_leaves_the_fleet_usable() {
+        let good = fleet_flows(40);
+        // An IPv4 source talking to an IPv6 destination: building its SYN
+        // panics ("mixed address families"). Pick one that hashes to shard 0.
+        let bad = (0..64u16)
+            .map(|port| FlowSpec {
+                src: Some(Endpoint::v4(10, 9, 9, 9, 50_000 + port)),
+                dst: Endpoint::new(std::net::Ipv6Addr::LOCALHOST, 443),
+                domain: None,
+                ..good[0].clone()
+            })
+            .find(|spec| FleetEngine::shard_of(spec, 2) == 0)
+            .expect("some port lands on shard 0");
+        let reference = FleetEngine::new(FleetConfig::new(2), builder()).run(good.clone()).digest();
+
+        let mut fleet = ResidentFleet::new(FleetConfig::new(2));
+        // The failed run's worker shard runs other flows than the next run's.
+        let mut flows = good[..10].to_vec();
+        flows.push(bad);
+        let caught =
+            catch_unwind(AssertUnwindSafe(|| fleet.run_next(&builder(), flows))).unwrap_err();
+        let message = caught.downcast_ref::<String>().map(String::as_str);
+        let message = message.or_else(|| caught.downcast_ref::<&str>().copied());
+        assert!(message.is_some_and(|m| m.contains("address families")), "{message:?}");
+        // The worker's report of the failed run was taken off its ring, and
+        // shard 0's engine is rebuilt: the next run is a clean one.
+        assert_eq!(fleet.run_next(&builder(), good).digest(), reference);
+        assert_eq!((fleet.runs(), fleet.threads_spawned()), (1, 1));
     }
 
     #[test]

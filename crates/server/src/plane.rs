@@ -19,28 +19,33 @@
 //! ([`OutcomeFold`]), so it does not depend on the order outcomes that
 //! share a four-tuple were absorbed in, and a one-step drain equals the
 //! stepped cadence. A step costs what it ran, not what the plane has
-//! absorbed: the plane keeps the cumulative fold beside its report and adds
-//! the delta's; the canonical delta merges into the canonical cumulative
-//! report ([`RunReport::absorb_canonical`]) instead of a re-sort; and the
+//! absorbed: each scenario keeps its pending flows in start order, so the
+//! due ones are a prefix taken without touching the rest; the plane keeps
+//! the cumulative fold beside its report and adds the delta's; the
+//! canonical delta merges into the canonical cumulative report
+//! ([`RunReport::absorb_canonical`]) instead of a re-sort, and since the
+//! canonical order leads with start time that merge is an append; and the
 //! sketch digests are memoised inside `mop_measure`, so the digest hashes
 //! only the cells and epochs the delta touched.
 //!
 //! # The resident fleet
 //!
-//! Since PR 10 the plane holds one [`ResidentFleet`] for its whole life:
-//! shard workers spawn when the plane is built and park on their job rings
-//! between steps, and every per-scenario run goes through
-//! [`ResidentFleet::run_next`], which resets the shard engines in place
-//! instead of rebuilding them. Run results are bit-identical to fresh
-//! [`FleetEngine`](mopeye_core::FleetEngine) construction (the workers share one protocol — see the
-//! fleet module's `# Residency` docs); only the steady-state step cost
-//! changes, from thread spawns + engine construction per scenario per step
-//! to a few ring messages.
+//! The plane holds one [`ResidentFleet`] for its whole life: the workers of
+//! shards 1..N spawn when the plane is built and park on their job rings
+//! between steps, shard 0 runs on the thread that steps the plane, and
+//! every per-scenario run goes through [`ResidentFleet::run_next`], which
+//! resets the shard engines in place instead of rebuilding them. Run
+//! results are bit-identical to fresh
+//! [`FleetEngine`](mopeye_core::FleetEngine) construction (one protocol —
+//! see the fleet module's `# Residency` docs); only the steady-state step
+//! cost changes, from thread spawns + engine construction per scenario per
+//! step to a few ring messages (none on one shard).
 //!
 //! Retiring a scenario drops only its not-yet-run flows: contributions
 //! already absorbed stay in the cumulative report, exactly like a crowd
 //! device that stops reporting.
 
+use std::collections::VecDeque;
 use std::mem;
 
 use mop_dataset::Scenario;
@@ -118,7 +123,9 @@ struct ScenarioSlot {
     users: usize,
     seed: u64,
     retired: bool,
-    pending: Vec<FlowSpec>,
+    /// Not-yet-run flows in start order, so a step's due flows are a
+    /// prefix: taking them costs the flows taken, not the ones left.
+    pending: VecDeque<FlowSpec>,
     injected_flows: usize,
 }
 
@@ -305,7 +312,8 @@ impl ControlPlane {
                  degraded-commute"
             ));
         };
-        let pending = scenario.generate();
+        // Generated in (start, source) order: no sort needed.
+        let pending = VecDeque::from(scenario.generate());
         let id = format!("s{}", self.next_scenario);
         self.next_scenario += 1;
         let flows = pending.len();
@@ -338,11 +346,8 @@ impl ControlPlane {
     /// The lowest step count that would drain every pending flow.
     pub fn epochs_to_drain(&self) -> u64 {
         let width = self.config.epoch_width.as_nanos();
-        let Some(max_at) = self
-            .scenarios
-            .iter()
-            .flat_map(|s| s.pending.iter().map(|f| f.at.as_nanos()))
-            .max()
+        let Some(max_at) =
+            self.scenarios.iter().filter_map(|s| s.pending.back()).map(|f| f.at.as_nanos()).max()
         else {
             return 0;
         };
@@ -368,18 +373,15 @@ impl ControlPlane {
         // merge in order, and the first is moved in rather than copied.
         let mut delta: Option<RunReport> = None;
         let mut ran = 0usize;
-        for i in 0..self.scenarios.len() {
-            let due: Vec<FlowSpec> = {
-                let slot = &mut self.scenarios[i];
-                let (due, keep) = mopeye_core::split_at(mem::take(&mut slot.pending), cut);
-                slot.pending = keep;
-                due
-            };
-            if due.is_empty() {
+        for slot in &mut self.scenarios {
+            // Pending is in start order: the due flows are its prefix.
+            let due_count = slot.pending.partition_point(|spec| spec.at < cut);
+            if due_count == 0 {
                 continue;
             }
+            let due: Vec<FlowSpec> = slot.pending.drain(..due_count).collect();
             ran += due.len();
-            let network = self.scenarios[i].network();
+            let network = slot.network();
             let report = self.resident.run_next(&network, due).merged;
             match &mut delta {
                 Some(delta) => delta.absorb_canonical(report),
@@ -412,8 +414,9 @@ impl ControlPlane {
     }
 
     /// The resident fleet's lifetime statistics: `(runs, threads_spawned)`.
-    /// `threads_spawned` equals the shard count forever — the whole point
-    /// of residency — and `server.profile` surfaces both.
+    /// `threads_spawned` is `shards − 1` forever: shard 0 runs on the thread
+    /// that steps the plane, and the other workers are spawned once — the
+    /// whole point of residency. `server.profile` surfaces both.
     pub fn resident_stats(&self) -> (u64, u64) {
         (self.resident.runs(), self.resident.threads_spawned())
     }
@@ -435,7 +438,7 @@ impl ControlPlane {
 
     /// The plane's checkpoint document as a tree — what an inline
     /// `fleet.checkpoint` reply carries. The plane's [`ToJson`] impl is the
-    /// document; `mop_json::to_string_pretty(&plane)` is the same document
+    /// document; `mop_json::to_string(&plane)` is the same document
     /// as the on-disk text, written without the tree.
     pub fn checkpoint(&self) -> Value {
         mop_json::to_value(self)
@@ -544,14 +547,18 @@ impl ControlPlane {
                 return Err("server checkpoint pending counts exceed the pending set".into());
             }
             let rest = remaining.split_off(count);
-            let pending = mem::replace(&mut remaining, rest);
+            let mut pending = mem::replace(&mut remaining, rest);
+            // A step takes its due flows as a prefix, so the slot keeps them
+            // in start order. The sort is stable: same-instant flows run in
+            // the order the document lists them.
+            pending.sort_by_key(|spec| spec.at);
             slots.push(ScenarioSlot {
                 id: id.to_string(),
                 kind: kind.to_string(),
                 users,
                 seed,
                 retired,
-                pending,
+                pending: pending.into(),
                 injected_flows: injected,
             });
         }
@@ -861,6 +868,45 @@ mod tests {
             mop_json::to_string(&in_order.checkpoint()),
             mop_json::to_string(&out_of_order.checkpoint())
         );
+    }
+
+    #[test]
+    fn an_out_of_order_pending_list_steps_as_the_sorted_one() {
+        let mut plane = small_plane(2);
+        plane.inject("rush-hour", 60, 5).unwrap();
+        plane.inject("flash-crowd", 30, 9).unwrap();
+        plane.step(2);
+        let doc = plane.checkpoint();
+        // Each scenario's share of the flat pending list, reversed.
+        let counts: Vec<usize> = doc["scenarios"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|row| row["pending"].as_u64().unwrap() as usize)
+            .collect();
+        let mut reversed = doc.clone();
+        let Value::Array(pending) = member_mut(member_mut(&mut reversed, "fleet"), "pending")
+        else {
+            panic!("not an array")
+        };
+        let mut start = 0;
+        for count in counts {
+            pending[start..start + count].reverse();
+            start += count;
+        }
+        assert_ne!(mop_json::to_string(&reversed), mop_json::to_string(&doc));
+
+        let mut sorted = small_plane(2);
+        sorted.resume(&doc).unwrap();
+        let mut out_of_order = small_plane(2);
+        out_of_order.resume(&reversed).unwrap();
+        assert_eq!(out_of_order.epochs_to_drain(), sorted.epochs_to_drain());
+        while sorted.pending_flows() > 0 {
+            let (a, b) = (sorted.step(1), out_of_order.step(1));
+            assert_eq!((a.ran, a.pending, a.digest), (b.ran, b.pending, b.digest));
+        }
+        plane.step(plane.epochs_to_drain());
+        assert_eq!(out_of_order.digest(), plane.digest());
     }
 
     #[test]

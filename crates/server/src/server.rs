@@ -299,7 +299,7 @@ impl Server {
             ("digest".to_string(), Value::from(digest_str(self.plane.digest()))),
         ];
         if let Some(path) = params["path"].as_str() {
-            write_replacing(path, || mop_json::to_string_pretty(&self.plane))
+            write_replacing(path, || mop_json::to_string(&self.plane))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("path".to_string(), Value::from(path)));
         } else {
@@ -347,7 +347,7 @@ impl Server {
             ("digest".to_string(), Value::from(digest_str(outcome.digest))),
         ];
         if let Some(path) = params["checkpoint_path"].as_str() {
-            write_replacing(path, || mop_json::to_string_pretty(&self.plane))
+            write_replacing(path, || mop_json::to_string(&self.plane))
                 .map_err(|e| (ErrorCode::Io, format!("cannot write {path:?}: {e}")))?;
             result.push(("checkpoint_path".to_string(), Value::from(path)));
         }

@@ -138,7 +138,8 @@ pub fn serve_stdio(server: &mut Server) -> io::Result<bool> {
 /// at a time so the plane never sees interleaved sessions. The listener
 /// keeps accepting until a session ends with `server.shutdown`; a session
 /// that fails — a line that is not UTF-8, a peer gone before its burst is
-/// written — ends alone, and the next connection is served.
+/// written — ends alone with one line naming its error on stderr, and the
+/// next connection is served.
 #[cfg(unix)]
 pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Result<()> {
     use std::os::unix::net::UnixListener;
@@ -151,8 +152,10 @@ pub fn serve_unix(server: &mut Server, socket_path: &std::path::Path) -> io::Res
     loop {
         let (stream, _) = listener.accept()?;
         let reader = BufReader::new(stream.try_clone()?);
-        if serve(server, reader, stream).unwrap_or(false) {
-            break;
+        match serve(server, reader, stream) {
+            Ok(true) => break,
+            Ok(false) => {}
+            Err(error) => eprintln!("session failed, serving the next one: {error}"),
         }
     }
     std::fs::remove_file(socket_path).ok();

@@ -441,7 +441,15 @@ fn plane_model(text: &str, config: &PlaneConfig) -> Result<Value, String> {
         return Err("server checkpoint pending counts do not cover the pending set".into());
     }
     // Re-encoded by the resumed plane: its own run parameters, the cut at
-    // its cursor, the decoded report in canonical order, and the pending set.
+    // its cursor, the decoded report in canonical order, and the pending set
+    // with each scenario's share sorted stably by start time.
+    let mut pending = fleet.pending;
+    let mut start = 0;
+    for row in &rows {
+        let end = start + row["pending"].as_u64().unwrap() as usize;
+        pending[start..end].sort_by_key(|spec| spec.at);
+        start = end;
+    }
     let mut base = fleet.base;
     base.canonicalise();
     let resaved = FleetCheckpoint {
@@ -452,7 +460,7 @@ fn plane_model(text: &str, config: &PlaneConfig) -> Result<Value, String> {
         epoch_window: config.epoch_window,
         cut: epoch_boundary(width, cursor_epoch),
         base,
-        pending: fleet.pending,
+        pending,
     };
     Ok(json!({
         "format": "mop-server-checkpoint",
@@ -622,10 +630,66 @@ fn the_writer_renders_checkpoints_as_the_tree_path_did() {
         // rendered: a NaN sample makes the trees unequal to themselves).
         let built = json_model::render(&mop_json::to_value(&checkpoint));
         assert_eq!(built, json_model::render(&tree::checkpoint(&checkpoint)));
-        assert_eq!(
-            checkpoint.to_json_string(),
-            json_model::render_pretty(&tree::checkpoint(&checkpoint))
-        );
+        // The on-disk text is the compact rendering.
+        assert_eq!(checkpoint.to_json_string(), json_model::render(&tree::checkpoint(&checkpoint)));
+    }
+}
+
+// ----- documents in the earlier layout -------------------------------------------
+
+/// The canonical flow order before start time led it: the four-tuple, then
+/// every other covered field.
+fn four_tuple_first(a: &FlowOutcome, b: &FlowOutcome) -> std::cmp::Ordering {
+    (a.flow, &a.package, a.started_at, a.finished_at, a.bytes_received, a.completed)
+        .cmp(&(b.flow, &b.package, b.started_at, b.finished_at, b.bytes_received, b.completed))
+}
+
+/// A fleet document as earlier builds wrote it: its flows in four-tuple
+/// order, pretty-printed.
+fn in_earlier_layout(document: &str) -> Value {
+    let mut checkpoint = FleetCheckpoint::parse(document).unwrap();
+    let ordered_by_start = checkpoint.base.flows.clone();
+    checkpoint.base.flows.sort_by(four_tuple_first);
+    assert_ne!(checkpoint.base.flows, ordered_by_start, "the two orders should differ");
+    tree::checkpoint(&checkpoint)
+}
+
+#[test]
+fn documents_in_the_earlier_layout_resume_and_checkpoint_back_compact() {
+    // A fleet checkpoint.
+    let scenario = Scenario::rush_hour(60, 5);
+    let config = FleetConfig::new(2).with_seed(9).with_epochs(SimDuration::from_millis(250), 4);
+    let fleet = FleetEngine::new(config, scenario.network());
+    let uninterrupted = fleet.run(scenario.generate()).digest();
+    let cut = epoch_boundary(250_000_000, 4);
+    let current = FleetCheckpoint::capture(&fleet, scenario.generate(), cut).to_json_string();
+    let earlier = json_model::render_pretty(&in_earlier_layout(&current));
+    let mut resumed = FleetCheckpoint::parse(&earlier).unwrap();
+    resumed.base.canonicalise();
+    assert_eq!(resumed.to_json_string(), current);
+    assert_eq!(resumed.resume(&fleet).digest(), uninterrupted);
+
+    // A plane checkpoint: two scenarios, stepped part of the way.
+    let config = PlaneConfig { shards: 2, ..PlaneConfig::default() };
+    let mut plane = ControlPlane::new(config);
+    plane.inject("rush-hour", 60, 5).unwrap();
+    plane.inject("flash-crowd", 30, 9).unwrap();
+    plane.step(3);
+    let current = mop_json::to_string(&plane);
+    let mut doc = json_model::parse(&current).unwrap();
+    let Value::Object(members) = &mut doc else { panic!("not an object") };
+    let fleet_member = &mut members.iter_mut().find(|(key, _)| key == "fleet").unwrap().1;
+    *fleet_member = in_earlier_layout(&json_model::render(fleet_member));
+    let earlier = json_model::render_pretty(&doc);
+    plane.step(plane.epochs_to_drain());
+    for shards in [2, 3] {
+        let mut resumed = ControlPlane::new(PlaneConfig { shards, ..config });
+        resumed.resume_text(&earlier).unwrap();
+        if shards == config.shards {
+            assert_eq!(mop_json::to_string(&resumed), current);
+        }
+        resumed.step(resumed.epochs_to_drain());
+        assert_eq!(resumed.digest(), plane.digest(), "{shards} shards");
     }
 }
 

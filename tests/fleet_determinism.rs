@@ -13,6 +13,7 @@ use mopeye::engine::{
     FleetReport, FlowOutcome, ResidentFleet, RttSample, RunReport, SampleKind,
 };
 use mopeye::packet::{Endpoint, FourTuple};
+use mopeye::server::{ControlPlane, PlaneConfig};
 use mopeye::simnet::{AccessProfile, SimDuration, SimNetwork, SimTime};
 use mopeye::tun::{FlowKind, FlowSpec};
 use proptest::prelude::*;
@@ -611,6 +612,69 @@ proptest! {
             prop_assert_eq!(merged.flows.as_ptr(), buffers.1);
         }
     }
+}
+
+// ----- the canonical flow order ---------------------------------------------
+
+/// Flow outcomes whose covered fields vary independently over a few values
+/// each, so every field gets to break a tie.
+fn arb_order_flow() -> impl Strategy<Value = FlowOutcome> {
+    (0u16..3, 0u8..2, 0u64..3, 0u64..3, 0usize..2, 0u8..2).prop_map(
+        |(tuple, app, start_ms, end_ms, bytes, completed)| FlowOutcome {
+            flow: merge_tuple(tuple),
+            package: format!("com.app{app}"),
+            started_at: SimTime::from_millis(start_ms),
+            finished_at: SimTime::from_millis(end_ms),
+            bytes_received: bytes * 1_000,
+            completed: completed == 1,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn canonical_flows_order_by_start_time_then_every_covered_field(
+        flows in proptest::collection::vec(arb_order_flow(), 0..32),
+    ) {
+        let mut report = RunReport::empty();
+        report.flows = flows.clone();
+        report.canonicalise();
+        let mut expected = flows;
+        expected.sort_by(|a, b| {
+            (a.started_at, a.flow, &a.package, a.finished_at, a.bytes_received, a.completed).cmp(
+                &(b.started_at, b.flow, &b.package, b.finished_at, b.bytes_received, b.completed),
+            )
+        });
+        prop_assert_eq!(report.flows, expected);
+    }
+}
+
+#[test]
+fn a_stepped_planes_flows_are_the_batch_outcomes_in_canonical_order() {
+    let config = PlaneConfig { shards: 2, ..PlaneConfig::default() };
+    let scenarios = [Scenario::rush_hour(80, 5), Scenario::flash_crowd(40, 9)];
+    let mut plane = ControlPlane::new(config);
+    plane.inject("rush-hour", 80, 5).unwrap();
+    plane.step(2);
+    // Injected behind the cursor: its first step merges into the middle of
+    // the cumulative flows, every later step appends.
+    plane.inject("flash-crowd", 40, 9).unwrap();
+    while plane.pending_flows() > 0 {
+        plane.step(1);
+    }
+
+    let mut batch = RunReport::empty();
+    for scenario in &scenarios {
+        let fleet = FleetEngine::new(FleetConfig::new(1).with_seed(config.seed), scenario.network());
+        batch.absorb(fleet.run(scenario.generate()).merged);
+    }
+    batch.canonicalise();
+    let stepped = &plane.report().flows;
+    assert_eq!(stepped.len(), batch.flows.len());
+    assert!(stepped == &batch.flows, "the stepped merge left the canonical order");
+    assert!(stepped.windows(2).all(|pair| pair[0].started_at <= pair[1].started_at));
 }
 
 // ----- structure counters: partition-local, outside the digest ---------------
