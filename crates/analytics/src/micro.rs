@@ -5,7 +5,9 @@ use mop_packet::{Endpoint, FourTuple};
 use mop_procnet::{ConnectionTable, EagerMapper, LazyMapper, SocketStateCode};
 use mop_simnet::{CostModel, CpuLedger, SimDuration, SimNetwork, SimRng, SimTime};
 use mop_tun::{FlowKind, FlowSpec, Workload, WorkloadKind};
-use mopeye_core::{EnqueueScheme, MopEyeConfig, MopEyeEngine, TunWriter, WriteScheme};
+use mopeye_core::{
+    EnqueueScheme, MopEyeConfig, MopEyeEngine, TunWriter, WriteDelayStats, WriteScheme,
+};
 use mop_baselines::{MobiPerf, SpeedTest, ThroughputReport};
 
 /// Figure 5: CDFs of the per-SYN packet-to-app mapping overhead before and
@@ -105,7 +107,7 @@ impl Table1TunnelWrite {
                 })
                 .collect()
         };
-        let run = |scheme: WriteScheme, enqueue: EnqueueScheme, contention: f64| -> (Vec<f64>, Vec<f64>) {
+        let run = |scheme: WriteScheme, enqueue: EnqueueScheme, contention: f64| -> WriteDelayStats {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut ledger = CpuLedger::new();
             let mut writer = TunWriter::new(scheme, enqueue);
@@ -117,25 +119,17 @@ impl Table1TunnelWrite {
                 writer.submit(now, writers, &cost, &mut rng, &mut ledger);
                 now += SimDuration::from_micros(*gap);
             }
-            (writer.stats().write_delays_ms.clone(), writer.stats().enqueue_delays_ms.clone())
+            writer.stats().clone()
         };
-        // directWrite: MainWorker and connect threads share the tunnel.
-        let (direct_writes, _) = run(WriteScheme::Direct, EnqueueScheme::OldPut, 0.035);
         // queueWrite: only the dedicated TunWriter writes.
-        let (queue_writes, _) = run(WriteScheme::Queue, EnqueueScheme::NewPut, 0.0);
-        let (_, old_puts) = run(WriteScheme::Queue, EnqueueScheme::OldPut, 0.0);
-        let (_, new_puts) = run(WriteScheme::Queue, EnqueueScheme::NewPut, 0.0);
-        let mut table = Self {
-            direct: Histogram::table1_bins(),
-            queue: Histogram::table1_bins(),
-            old_put: Histogram::table1_bins(),
-            new_put: Histogram::table1_bins(),
-        };
-        table.direct.add_all(&direct_writes);
-        table.queue.add_all(&queue_writes);
-        table.old_put.add_all(&old_puts);
-        table.new_put.add_all(&new_puts);
-        table
+        let queued = run(WriteScheme::Queue, EnqueueScheme::NewPut, 0.0);
+        Self {
+            // directWrite: MainWorker and connect threads share the tunnel.
+            direct: run(WriteScheme::Direct, EnqueueScheme::OldPut, 0.035).write,
+            queue: queued.write,
+            old_put: run(WriteScheme::Queue, EnqueueScheme::OldPut, 0.0).enqueue,
+            new_put: queued.enqueue,
+        }
     }
 
     /// The fraction of samples above 1 ms for each column
@@ -376,6 +370,17 @@ mod tests {
         assert!(old_put > 0.01, "oldPut {old_put}");
         assert_eq!(t1.direct.total(), 2_000);
         assert_eq!(t1.new_put.total(), 2_000);
+    }
+
+    #[test]
+    fn table1_bin_counts_are_pinned_at_the_repro_seed() {
+        // The counts `repro` writes to `table1.json`: whatever the writer
+        // keeps, it must bin exactly these delays.
+        let t1 = Table1TunnelWrite::run(20_170_712, 5_000);
+        assert_eq!(t1.direct.counts, [4807, 58, 95, 33, 7]);
+        assert_eq!(t1.queue.counts, [4984, 5, 7, 4, 0]);
+        assert_eq!(t1.old_put.counts, [4542, 222, 221, 15, 0]);
+        assert_eq!(t1.new_put.counts, [5000, 0, 0, 0, 0]);
     }
 
     #[test]

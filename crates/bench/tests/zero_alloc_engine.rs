@@ -19,6 +19,11 @@
 //!   event* (a retransmission sent, a duplicate ACK an app answered a hole
 //!   or a duplicate with), never per packet.
 //!
+//! Memory is held to the same shape: what the warm engine and its report
+//! still hold after the clean runs, `retained(4R) − retained(R)`, stays
+//! within a per-flow constant. A capture kept per packet — the wire tap's
+//! record vector, a raw delay sample per tunnel write — fails it.
+//!
 //! Counts only, no timing. Before the engine's ledger, machine outputs,
 //! app outputs and segment payloads stopped allocating, this workload cost
 //! about 5.5 allocations per packet — hundreds per flow.
@@ -53,6 +58,12 @@ const PER_FLOW_GROWTH: u64 = 8;
 /// ranges, a retransmit clone and the vectors that carry it, a duplicated
 /// packet's clone).
 const PER_LOSS_EVENT: u64 = 4;
+/// Extra bytes the warm engine and its report may retain per flow for
+/// relaying 4R instead of R: the larger capacities of the per-flow vectors
+/// that held a response (a socket's pending-read ring alone grows from 32
+/// to 128 slots of 16 B). About 2 KB is measured; a 72-byte tap record plus
+/// two raw delay samples per relayed packet made it about 11.5 KB.
+const PER_FLOW_BYTES: u64 = 4096;
 
 fn server() -> Endpoint {
     Endpoint::v4(203, 0, 113, 9, 443)
@@ -90,31 +101,40 @@ fn flows(response_bytes: usize) -> Vec<FlowSpec> {
 /// What one warm run cost and did.
 struct Warm {
     allocs: u64,
+    /// Bytes the warm engine plus its report hold after the run, relative to
+    /// before the engine was built.
+    retained_bytes: u64,
     packets: u64,
     loss_events: u64,
 }
 
 /// Runs the flows cold, resets, and counts the allocations of the warm
 /// rerun (the flow schedule is cloned outside the counted window, as a
-/// fleet's dispatcher hands a shard its flows ready-made).
+/// fleet's dispatcher hands a shard its flows ready-made), then the bytes
+/// the engine and the warm report still hold.
 fn warm_run(profile: NetProfile, response_bytes: usize) -> Warm {
     let config = MopEyeConfig::mopeye().with_retain_samples(false);
     let net = network(profile, response_bytes);
     let schedule = flows(response_bytes);
+    let live_before = ALLOC.live_bytes();
     let mut engine = MopEyeEngine::new(config, net.clone().build());
     let cold = engine.run_flows(schedule.clone());
     assert_eq!(cold.relay.connects_ok, N, "every flow connects");
     assert!(cold.flows.iter().all(|flow| flow.completed), "every flow completes");
+    let cold_events = cold.events_processed;
+    drop(cold);
 
     engine.reset(net.build());
     let before = ALLOC.allocations();
     let report = engine.run_flows(schedule);
     let allocs = ALLOC.allocations() - before;
-    assert_eq!(report.events_processed, cold.events_processed, "the warm run is the same run");
+    let retained_bytes = ALLOC.live_bytes().saturating_sub(live_before);
+    assert_eq!(report.events_processed, cold_events, "the warm run is the same run");
     let delivered: usize = report.flows.iter().map(|flow| flow.bytes_received).sum();
     assert!(delivered as u64 >= N * response_bytes as u64, "every response arrived in full");
     Warm {
         allocs,
+        retained_bytes,
         packets: report.tun.packets_from_apps + report.tun.packets_to_apps,
         loss_events: report.relay.retransmits + engine.app_dup_acks_sent(),
     }
@@ -145,6 +165,15 @@ fn a_warm_engine_allocates_per_flow_and_per_loss_event_never_per_packet() {
         large.packets - small.packets,
         small.allocs,
         large.allocs
+    );
+    let retained_growth = large.retained_bytes.saturating_sub(small.retained_bytes);
+    assert!(
+        retained_growth <= PER_FLOW_BYTES * N,
+        "{} more packets left {retained_growth} more bytes held by the engine and its report \
+         ({} -> {}): more than {PER_FLOW_BYTES} per flow, so something keeps a record per packet",
+        large.packets - small.packets,
+        small.retained_bytes,
+        large.retained_bytes
     );
 
     let lossy = warm_run(NetProfile::DegradedCommute, 4 * R);

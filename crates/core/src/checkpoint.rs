@@ -43,7 +43,7 @@
 //! event counts — exactly the fields [`RunReport::fleet_digest`] covers,
 //! plus the run parameters resume must reproduce (seed, congestion
 //! algorithm, epoch geometry). Resource accounting (CPU ledger, pool and
-//! mapping statistics, write-delay histograms) is partition-specific
+//! mapping statistics) is partition-specific
 //! bookkeeping, excluded from the digest, and deliberately **not**
 //! checkpointed: those fields restore as zeroed defaults.
 //!

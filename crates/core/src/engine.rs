@@ -348,7 +348,6 @@ impl MopEyeEngine {
             windows: self.sink.windows.take(),
             relay: std::mem::take(&mut self.relay.stats),
             mapping: self.relay.mapper.stats(),
-            write_delays: self.egress.writer.stats().clone(),
             tun: self.shared.tun.stats(),
             ledger: self.shared.ledger.clone(),
             buffer_pool: self.ingress.batches.stats(),

@@ -2,8 +2,8 @@
 //! shard) emits when its event loop drains.
 //!
 //! The report is assembled by the engine from the four pipeline stages —
-//! relay counters from the relay stage, write-delay histograms from egress,
-//! TUN/pool counters from ingress, samples and aggregates from the sink —
+//! relay counters from the relay stage, TUN/pool counters from ingress,
+//! samples and aggregates from the sink —
 //! plus the shared substrate's ledger. The cross-shard merge operations
 //! (`empty` / `absorb` / `absorb_canonical` / `canonicalise` /
 //! `fleet_digest`) live in
@@ -16,7 +16,6 @@ use mop_simnet::{CpuLedger, PoolStats, SimTime};
 use mop_tun::TunStats;
 
 use crate::stats::{FlowOutcome, RelayStats, RttSample, SampleKind};
-use crate::tun_writer::WriteDelayStats;
 
 /// Everything a run produced.
 #[derive(Debug)]
@@ -42,8 +41,6 @@ pub struct RunReport {
     pub relay: RelayStats,
     /// Packet-to-app mapping statistics.
     pub mapping: MappingStats,
-    /// Tunnel-write delay statistics.
-    pub write_delays: WriteDelayStats,
     /// TUN device counters.
     pub tun: TunStats,
     /// CPU / memory / battery ledger.
@@ -180,8 +177,8 @@ impl RunReport {
 /// control plane streams step deltas in the same encoding, so a subscriber
 /// folds them with [`RunReport::absorb`] exactly like a resumed fleet.
 ///
-/// Partition-local resource accounting (ledger, pools, mapping, write
-/// delays, structure counters) is not encoded and reads back as zeroed
+/// Partition-local resource accounting (ledger, pools, mapping, structure
+/// counters) is not encoded and reads back as zeroed
 /// defaults; it is excluded from the digest, which the round trip preserves
 /// exactly.
 impl ToJson for RunReport {

@@ -569,7 +569,6 @@ impl RunReport {
             windows: None,
             relay: Default::default(),
             mapping: Default::default(),
-            write_delays: Default::default(),
             tun: Default::default(),
             ledger: Default::default(),
             buffer_pool: Default::default(),
@@ -606,7 +605,6 @@ impl RunReport {
         }
         self.relay.merge(&other.relay);
         self.mapping.merge(&other.mapping);
-        self.write_delays.merge(&other.write_delays);
         self.tun.merge(&other.tun);
         self.ledger.merge(&other.ledger);
         self.buffer_pool.merge(&other.buffer_pool);
@@ -651,7 +649,7 @@ impl RunReport {
     /// [`RunReport::canonicalise`].
     ///
     /// Resource *accounting* (CPU ledger, pool statistics, mapping cost
-    /// samples, write-delay histograms) is deliberately excluded: how much a
+    /// samples) is deliberately excluded: how much a
     /// shard's `/proc/net` parse cost or how many buffers a pool pre-grew
     /// depends on which flows were co-resident, which is partition-specific
     /// bookkeeping, not relay behaviour.

@@ -11,6 +11,7 @@
 //! The `newPut` sleep-counter algorithm keeps the consumer checking the queue
 //! for a while before it parks, so the wake-up is almost never paid.
 
+use mop_measure::Histogram;
 use mop_simnet::{Component, CostModel, CpuLedger, SimDuration, SimRng, SimTime};
 
 use crate::config::{EnqueueScheme, WriteScheme};
@@ -32,42 +33,35 @@ pub struct SubmitOutcome {
     pub written_at: SimTime,
 }
 
-/// Delay statistics split the way Table 1 reports them.
-#[derive(Debug, Default, Clone)]
+/// Delay histograms on Table 1's bins (0–1 / 1–2 / 2–5 / 5–10 / >10 ms):
+/// constant-size however many packets were written.
+#[derive(Debug, Clone)]
 pub struct WriteDelayStats {
     /// Delays of the actual tunnel `write()` calls, in milliseconds.
-    pub write_delays_ms: Vec<f64>,
+    pub write: Histogram,
     /// Delays of the enqueue operations (empty for the direct scheme).
-    pub enqueue_delays_ms: Vec<f64>,
+    pub enqueue: Histogram,
     /// How many times the consumer was parked in `wait()` when a packet was
     /// submitted (i.e. a wake-up was required).
     pub consumer_parked_hits: u64,
 }
 
-impl WriteDelayStats {
-    /// Adds another writer's recorded delays into this one (cross-shard
-    /// aggregation).
-    pub fn merge(&mut self, other: &WriteDelayStats) {
-        self.write_delays_ms.extend_from_slice(&other.write_delays_ms);
-        self.enqueue_delays_ms.extend_from_slice(&other.enqueue_delays_ms);
-        self.consumer_parked_hits += other.consumer_parked_hits;
-    }
-
-    /// Clears the recorded delays keeping the vector allocations — the
-    /// clear-don't-drop reuse path.
-    pub fn clear(&mut self) {
-        self.write_delays_ms.clear();
-        self.enqueue_delays_ms.clear();
-        self.consumer_parked_hits = 0;
-    }
-
-    /// The fraction of recorded delays of `which` kind that exceed 1 ms — the
-    /// paper's "large overheads" rate.
-    pub fn large_fraction(values: &[f64]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
+impl Default for WriteDelayStats {
+    fn default() -> Self {
+        Self {
+            write: Histogram::table1_bins(),
+            enqueue: Histogram::table1_bins(),
+            consumer_parked_hits: 0,
         }
-        values.iter().filter(|v| **v > 1.0).count() as f64 / values.len() as f64
+    }
+}
+
+impl WriteDelayStats {
+    /// Zeroes the recorded delays.
+    pub fn clear(&mut self) {
+        self.write.counts.fill(0);
+        self.enqueue.counts.fill(0);
+        self.consumer_parked_hits = 0;
     }
 }
 
@@ -126,8 +120,7 @@ impl TunWriter {
         self.scheme
     }
 
-    /// Resets the writer to its just-constructed state for the same schemes,
-    /// keeping the delay-vector allocations.
+    /// Resets the writer to its just-constructed state for the same schemes.
     pub fn reset(&mut self) {
         self.lane = WriterLane::new();
         self.stats.clear();
@@ -174,18 +167,18 @@ impl TunWriter {
         match self.scheme {
             WriteScheme::Direct => {
                 let delay = cost_model.sample_tun_write(concurrent_writers.max(1), rng);
-                self.stats.write_delays_ms.push(delay.as_millis_f64());
+                self.stats.write.add(delay.as_millis_f64());
                 ledger.charge(Component::MainWorker, delay);
                 SubmitOutcome { producer_delay: delay, written_at: now + delay }
             }
             WriteScheme::Queue => {
                 let enqueue_delay = self.enqueue_cost(lane, now, cost_model, rng);
-                self.stats.enqueue_delays_ms.push(enqueue_delay.as_millis_f64());
+                self.stats.enqueue.add(enqueue_delay.as_millis_f64());
                 ledger.charge(Component::MainWorker, enqueue_delay);
                 // The dedicated writer thread drains the queue; it is the only
                 // thread writing, so contention is rare.
                 let write_cost = cost_model.sample_tun_write(1, rng);
-                self.stats.write_delays_ms.push(write_cost.as_millis_f64());
+                self.stats.write.add(write_cost.as_millis_f64());
                 ledger.charge(Component::TunWriter, write_cost);
                 let start = (now + enqueue_delay).max(lane.writer_busy_until);
                 let written_at = start + write_cost;
@@ -267,8 +260,8 @@ mod tests {
     #[test]
     fn direct_writes_record_write_delays_only() {
         let (writer, ledger) = run_scheme(WriteScheme::Direct, EnqueueScheme::OldPut, &[1, 3], 1);
-        assert_eq!(writer.stats().write_delays_ms.len(), 3000);
-        assert!(writer.stats().enqueue_delays_ms.is_empty());
+        assert_eq!(writer.stats().write.total(), 3000);
+        assert_eq!(writer.stats().enqueue.total(), 0);
         assert!(ledger.busy_of(Component::MainWorker) > SimDuration::ZERO);
         assert_eq!(ledger.busy_of(Component::TunWriter), SimDuration::ZERO);
         assert_eq!(writer.packets_written(), 3000);
@@ -278,9 +271,9 @@ mod tests {
     fn contended_direct_writes_have_more_large_delays_than_queued() {
         let (direct, _) = run_scheme(WriteScheme::Direct, EnqueueScheme::OldPut, &[0, 1, 2], 3);
         let (queued, _) = run_scheme(WriteScheme::Queue, EnqueueScheme::NewPut, &[0, 1, 2], 3);
-        let direct_large = WriteDelayStats::large_fraction(&direct.stats().write_delays_ms);
+        let direct_large = direct.stats().write.fraction_at_or_above(1.0);
         // For the queued scheme what blocks the producer is the enqueue.
-        let queued_large = WriteDelayStats::large_fraction(&queued.stats().enqueue_delays_ms);
+        let queued_large = queued.stats().enqueue.fraction_at_or_above(1.0);
         assert!(
             direct_large > queued_large * 3.0,
             "direct {direct_large} vs queued {queued_large}"
@@ -294,8 +287,8 @@ mod tests {
         let gaps = [0u64, 0, 0, 1, 0, 0, 12, 0, 1, 0, 0, 30];
         let (old, _) = run_scheme(WriteScheme::Queue, EnqueueScheme::OldPut, &gaps, 1);
         let (new, _) = run_scheme(WriteScheme::Queue, EnqueueScheme::NewPut, &gaps, 1);
-        let old_large = WriteDelayStats::large_fraction(&old.stats().enqueue_delays_ms);
-        let new_large = WriteDelayStats::large_fraction(&new.stats().enqueue_delays_ms);
+        let old_large = old.stats().enqueue.fraction_at_or_above(1.0);
+        let new_large = new.stats().enqueue.fraction_at_or_above(1.0);
         assert!(old_large > 0.01, "oldPut large fraction {old_large}");
         assert!(new_large < old_large / 5.0, "newPut {new_large} vs oldPut {old_large}");
         assert!(old.stats().consumer_parked_hits > new.stats().consumer_parked_hits * 2);
@@ -318,9 +311,12 @@ mod tests {
 
     #[test]
     fn large_fraction_of_empty_is_zero() {
-        assert_eq!(WriteDelayStats::large_fraction(&[]), 0.0);
-        assert_eq!(WriteDelayStats::large_fraction(&[0.5, 0.2]), 0.0);
-        assert_eq!(WriteDelayStats::large_fraction(&[2.0, 0.5]), 0.5);
+        let mut stats = WriteDelayStats::default();
+        assert_eq!(stats.write.fraction_at_or_above(1.0), 0.0);
+        stats.write.add_all(&[0.5, 0.2]);
+        assert_eq!(stats.write.fraction_at_or_above(1.0), 0.0);
+        stats.enqueue.add_all(&[2.0, 0.5]);
+        assert_eq!(stats.enqueue.fraction_at_or_above(1.0), 0.5);
     }
 
     #[test]

@@ -284,20 +284,6 @@ impl WindowedAggregateStore {
             .collect()
     }
 
-    /// Merge-on-read over the most recent `epochs_back` live epochs (all
-    /// live epochs if larger): the sliding-window view analytics read
-    /// without mutating the store.
-    pub fn sliding_window(&self, epochs_back: usize) -> AggregateStore {
-        let mut merged = AggregateStore::new();
-        let epochs = self.live_epochs();
-        for epoch in epochs.iter().rev().take(epochs_back.max(1)) {
-            if let Some(store) = self.epoch_store(*epoch) {
-                merged.merge_from(store);
-            }
-        }
-        merged
-    }
-
     /// Merge-on-read over everything: tail plus every live epoch, i.e. the
     /// plain [`AggregateStore`] a non-windowed sink would have produced.
     pub fn merged(&self) -> AggregateStore {

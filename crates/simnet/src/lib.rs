@@ -91,6 +91,6 @@ pub use scheduler::{SchedulerKind, TimerScheduler};
 pub use server::{ServerConfig, Service};
 pub use socket::{Selector, SelectorEvent, SocketId, SocketMode, SocketSet, SocketState};
 pub use spsc::{spsc_channel, Backoff, CreditGate, SpscReceiver, SpscSendError, SpscSender};
-pub use tap::{TapDirection, TapRecord, WireTap};
+pub use tap::{TapDirection, WireTap};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{TimerHandle, TimingWheel, WheelSnapshot};

@@ -293,17 +293,6 @@ impl SimNetwork {
         &self.tap
     }
 
-    /// Mutable access to the wire tap (e.g. to clear it between runs).
-    pub fn tap_mut(&mut self) -> &mut WireTap {
-        &mut self.tap
-    }
-
-    /// Mutable access to the deterministic RNG, for callers that need to
-    /// sample auxiliary noise from the same stream.
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// The keying discipline in use. A relay engine running over this
     /// network keys its own per-flow state the same way.
     pub fn keying(&self) -> NetKeying {
@@ -424,23 +413,6 @@ impl SimNetwork {
         let core =
             self.isp.as_ref().map(|isp| isp.core_extra_rtt.sample_ms(rng)).unwrap_or(0.0);
         SimDuration::from_millis_f64(access + core + path.sample_ms(rng))
-    }
-
-    /// Samples the full handset-to-server RTT for `dst`: access network +
-    /// ISP core penalty + Internet path. Draws from the shared stream and
-    /// uses the *initial* access profile — on a network with a scheduled
-    /// handover, use [`SimNetwork::sample_path_rtt_at`] instead.
-    pub fn sample_path_rtt(&mut self, dst: IpAddr) -> SimDuration {
-        self.sample_path_rtt_at(dst, SimTime::ZERO)
-    }
-
-    /// Samples the full handset-to-server RTT for `dst` as of virtual time
-    /// `at`, so a scheduled handover's access profile applies.
-    pub fn sample_path_rtt_at(&mut self, dst: IpAddr, at: SimTime) -> SimDuration {
-        let mut rng = std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0));
-        let rtt = self.path_rtt_sample(&mut rng, dst, at);
-        self.rng = rng;
-        rtt
     }
 
     /// Attempts a TCP handshake from `flow.src` to `flow.dst`, with the SYN
@@ -805,10 +777,10 @@ mod tests {
         // first SYN (cumulative 1+2+4+8 backoff, capped by the timeout).
         let syns: Vec<_> = always
             .tap()
-            .records()
+            .capture
             .iter()
-            .filter(|r| r.kind == TapKind::Syn && r.flow == flow)
-            .map(|r| (r.at - outcome.syn_sent).as_secs_f64().round() as u64)
+            .filter(|&&(_, _, kind, f)| kind == TapKind::Syn && f == flow)
+            .map(|&(at, ..)| (at - outcome.syn_sent).as_secs_f64().round() as u64)
             .collect();
         assert_eq!(syns, vec![0, 1, 3, 7, 15]);
     }

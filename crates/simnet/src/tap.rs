@@ -2,8 +2,10 @@
 //!
 //! In the paper, tcpdump running with root privilege provides the reference
 //! RTTs against which MopEye and MobiPerf are judged (Table 2). The tap plays
-//! the same role here: it records every transport event at the interface,
-//! below any measuring application, so its SYN→SYN/ACK gaps are ground truth.
+//! the same role here: it sees every transport event at the interface, below
+//! any measuring application, so its SYN→SYN/ACK gaps are ground truth. It
+//! keeps only what those RTT queries need, one handshake and one DNS
+//! exchange per flow, so its memory grows with flows, not packets.
 
 use std::collections::hash_map::Entry;
 
@@ -37,19 +39,6 @@ pub enum TapKind {
     DnsQuery,
     /// A DNS response.
     DnsResponse,
-}
-
-/// One tapped packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TapRecord {
-    /// When the packet crossed the interface.
-    pub at: SimTime,
-    /// Direction relative to the handset.
-    pub direction: TapDirection,
-    /// Event kind.
-    pub kind: TapKind,
-    /// Connection four-tuple, in the outbound orientation.
-    pub flow: FourTuple,
 }
 
 /// The first request a flow put on the wire and the reply the reference
@@ -130,21 +119,24 @@ impl ExchangeIndex {
     }
 }
 
-/// An in-memory capture buffer.
+/// The reference capture, indexed per flow.
 ///
-/// Every packet is kept in capture order; the handshake and DNS control
-/// packets are additionally paired per flow as they are recorded, so the RTT
-/// queries the relay issues on every connect cost one hash probe however
-/// long the capture has grown.
+/// No packet is kept: the handshake and DNS control packets are paired per
+/// flow as they are recorded, so the RTT queries the relay issues on every
+/// connect cost one hash probe, and the tap holds one exchange per flow
+/// however many packets the flows relay.
 #[derive(Debug, Default, Clone)]
 pub struct WireTap {
-    records: Vec<TapRecord>,
     handshakes: ExchangeIndex,
     dns: ExchangeIndex,
     /// Captured packets examined beyond the per-flow index probes. Zero for
     /// any capture whose replies follow their requests; the complexity
     /// guard watches it so a scanning query cannot come back unnoticed.
     scan_elems: u64,
+    /// Every recorded event in capture order, kept in unit-test builds only
+    /// so tests can check what crossed the wire.
+    #[cfg(test)]
+    pub(crate) capture: Vec<(SimTime, TapDirection, TapKind, FourTuple)>,
 }
 
 impl WireTap {
@@ -155,7 +147,8 @@ impl WireTap {
 
     /// Records an event.
     pub fn record(&mut self, at: SimTime, direction: TapDirection, kind: TapKind, flow: FourTuple) {
-        self.records.push(TapRecord { at, direction, kind, flow });
+        #[cfg(test)]
+        self.capture.push((at, direction, kind, flow));
         match (kind, direction) {
             (TapKind::Syn, TapDirection::Outbound) => {
                 self.scan_elems += self.handshakes.request(flow, at);
@@ -167,24 +160,10 @@ impl WireTap {
         }
     }
 
-    /// All captured records in capture order.
-    pub fn records(&self) -> &[TapRecord] {
-        &self.records
-    }
-
-    /// Number of captured records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Returns true if nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Clears the capture buffer, back to the just-constructed state.
+    /// Forgets everything recorded, back to the just-constructed state.
     pub fn clear(&mut self) {
-        self.records.clear();
+        #[cfg(test)]
+        self.capture.clear();
         self.handshakes.clear();
         self.dns.clear();
         self.scan_elems = 0;
@@ -232,7 +211,7 @@ mod tests {
         tap.record(SimTime::from_millis(104), TapDirection::Inbound, TapKind::SynAck, f);
         tap.record(SimTime::from_millis(105), TapDirection::Outbound, TapKind::Data(100), f);
         assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 4);
-        assert_eq!(tap.len(), 3);
+        assert_eq!(tap.capture.len(), 3);
     }
 
     #[test]
@@ -300,6 +279,7 @@ mod tests {
         assert_eq!(rtts.len(), 3);
         assert!(rtts.iter().all(|(_, rtt)| rtt.as_millis() == 5));
         tap.clear();
-        assert!(tap.is_empty());
+        assert!(tap.all_handshake_rtts().is_empty());
+        assert!(tap.capture.is_empty());
     }
 }

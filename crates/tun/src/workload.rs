@@ -61,15 +61,6 @@ pub struct FlowSpec {
     pub isp: Option<String>,
 }
 
-impl FlowSpec {
-    /// Sets the network/ISP labels carried into the aggregated crowd report.
-    pub fn with_net_label(mut self, network: NetKind, isp: &str) -> Self {
-        self.network = Some(network);
-        self.isp = Some(isp.to_string());
-        self
-    }
-}
-
 /// `"Tcp"` / `"Dns"`.
 impl ToJson for FlowKind {
     fn write_json<W: JsonWrite>(&self, out: &mut W) {

@@ -92,6 +92,27 @@ fn same_seed_same_scenario_identical_report_at_1_2_8_shards() {
         .all(|(key, _)| key.isp == "HomeWiFi" && key.network == mopeye::measure::NetKind::Wifi));
 }
 
+/// The digest `report --users 1600` prints at any `--shards`: a lean
+/// (sample-vector-free) Reno rush hour of 1,600 users at seed 2017.
+const REPORT_1600_USERS_DIGEST: u64 = 0xdaab_5c0c_8aaa_3033;
+
+#[test]
+fn the_report_cli_digest_is_pinned_at_1_2_4_shards() {
+    let scenario = Scenario::rush_hour(1600, 2017);
+    for shards in [1usize, 2, 4] {
+        let mut config =
+            FleetConfig::new(shards).with_seed(2017).with_congestion(CongestionAlgo::Reno);
+        config.engine = config.engine.with_retain_samples(false);
+        let report = FleetEngine::new(config, scenario.network()).run(scenario.generate());
+        assert_eq!(
+            report.digest(),
+            REPORT_1600_USERS_DIGEST,
+            "{shards} shards: {:#018x}",
+            report.digest()
+        );
+    }
+}
+
 #[test]
 fn batch_size_and_credit_depth_never_move_a_bit() {
     // The vectored datapath's whole contract: the burst length of the stage
