@@ -8,102 +8,86 @@
 //! repro --scale 0.01        # change the crowd-dataset scale
 //! repro --out target/repro  # where to write text/JSON outputs
 //! ```
+//!
+//! The defaults are [`ReproConfig::default`], whose outputs
+//! `crates/bench/tests/golden/repro/` pins byte for byte. A malformed value
+//! (`--scale abc`, `--video-minutes 0`) or an unknown experiment id is an
+//! error with exit status 2, not a fallback to the default.
 
 use std::fs;
 use std::path::PathBuf;
 
-use mop_bench::{
-    crowd_dataset, run_crowd_experiments, run_fig5, run_table1, run_table2, run_table3,
-    run_table4, ExperimentOutput, REPRO_SEED,
-};
+use mop_bench::{run_experiments, ReproConfig, EXPERIMENTS};
 
 struct Options {
     experiment: Option<String>,
-    scale: f64,
+    config: ReproConfig,
     out_dir: PathBuf,
-    video_minutes: u64,
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> Result<Options, String> {
     let mut options = Options {
         experiment: None,
-        scale: 0.01,
+        config: ReproConfig::default(),
         out_dir: PathBuf::from("target/repro"),
-        video_minutes: 58,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--experiment" => options.experiment = args.next(),
-            "--scale" => {
-                options.scale = args.next().and_then(|v| v.parse().ok()).unwrap_or(options.scale)
+            "--experiment" => {
+                let id = value("--experiment")?;
+                if !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!(
+                        "--experiment: unknown id {id:?}; valid ids: {}",
+                        EXPERIMENTS.join(", ")
+                    ));
+                }
+                options.experiment = Some(id);
             }
-            "--out" => {
-                if let Some(dir) = args.next() {
-                    options.out_dir = PathBuf::from(dir);
+            "--scale" => {
+                let scale: f64 = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
+                if !(scale.is_finite() && scale > 0.0) {
+                    return Err(format!("--scale must be a positive number, got {scale}"));
+                }
+                options.config.scale = scale;
+            }
+            "--out" => options.out_dir = value("--out")?.into(),
+            "--video-minutes" => {
+                options.config.video_minutes = match value("--video-minutes")?.parse() {
+                    Ok(0) => return Err("--video-minutes must be at least 1".into()),
+                    Ok(n) => n,
+                    Err(e) => return Err(format!("--video-minutes: {e}")),
                 }
             }
-            "--video-minutes" => {
-                options.video_minutes =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or(options.video_minutes)
-            }
             "--help" | "-h" => {
-                eprintln!("usage: repro [--experiment <id>] [--scale <f>] [--out <dir>] [--video-minutes <n>]");
+                eprintln!(
+                    "usage: repro [--experiment <id>] [--scale <f>] [--out <dir>] \
+                     [--video-minutes <n>]\nexperiment ids: {}",
+                    EXPERIMENTS.join(", ")
+                );
                 std::process::exit(0);
             }
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    options
-}
-
-fn wanted(options: &Options, id: &str) -> bool {
-    options.experiment.as_deref().map(|e| e == id).unwrap_or(true)
+    Ok(options)
 }
 
 fn main() {
-    let options = parse_args();
+    let options = parse_args().unwrap_or_else(|message| {
+        eprintln!("repro: {message}");
+        std::process::exit(2);
+    });
     fs::create_dir_all(&options.out_dir).expect("create output directory");
-    let mut outputs: Vec<ExperimentOutput> = Vec::new();
-
-    if wanted(&options, "fig5") {
-        outputs.push(run_fig5(REPRO_SEED));
-    }
-    if wanted(&options, "table1") {
-        outputs.push(run_table1(REPRO_SEED, 5_000));
-    }
-    if wanted(&options, "table2") {
-        outputs.push(run_table2(REPRO_SEED, 10));
-    }
-    if wanted(&options, "table3") {
-        outputs.push(run_table3(REPRO_SEED, 24 * 1024 * 1024));
-    }
-    if wanted(&options, "table4") {
-        outputs.push(run_table4(REPRO_SEED, options.video_minutes));
-    }
-    let crowd_ids =
-        ["fig6", "fig7", "fig8", "fig9", "table5", "fig10", "table6", "fig11", "case1", "case2"];
-    if crowd_ids.iter().any(|id| wanted(&options, id)) {
-        eprintln!("generating crowd dataset (scale {})...", options.scale);
-        let dataset = crowd_dataset(options.scale);
-        eprintln!("dataset: {} records", dataset.store.len());
-        outputs.extend(
-            run_crowd_experiments(&dataset).into_iter().filter(|o| wanted(&options, &o.id)),
-        );
-    }
-
+    eprintln!("running (crowd-dataset scale {})...", options.config.scale);
+    let outputs = run_experiments(&options.config, options.experiment.as_deref());
     for output in &outputs {
         println!("==================================================================");
         println!("{}", output.text);
-        let text_path = options.out_dir.join(format!("{}.txt", output.id));
-        let json_path = options.out_dir.join(format!("{}.json", output.id));
-        fs::write(&text_path, &output.text).expect("write text output");
-        fs::write(&json_path, mop_json::to_string_pretty(&output.json))
-            .expect("write json output");
+        for (name, contents) in output.files() {
+            fs::write(options.out_dir.join(name), contents).expect("write output");
+        }
     }
-    eprintln!(
-        "wrote {} experiments to {}",
-        outputs.len(),
-        options.out_dir.display()
-    );
+    eprintln!("wrote {} experiments to {}", outputs.len(), options.out_dir.display());
 }

@@ -1,4 +1,6 @@
-//! Shared helpers for the Criterion benches and the `repro` binary.
+//! The MopEye evaluation as a library: the experiments behind the paper's
+//! tables and figures, which the `repro` binary writes out and
+//! `tests/repro_golden.rs` pins, plus the lean fleet runs behind `report`.
 
 pub mod alloc_counter;
 
@@ -25,6 +27,70 @@ pub struct ExperimentOutput {
     pub text: String,
     /// Machine-readable series/values as JSON.
     pub json: mop_json::Value,
+}
+
+impl ExperimentOutput {
+    /// The two files this experiment is written as, `(name, contents)`:
+    /// `<id>.txt` holds the text and `<id>.json` the pretty-printed JSON.
+    pub fn files(&self) -> [(String, String); 2] {
+        [
+            (format!("{}.txt", self.id), self.text.clone()),
+            (format!("{}.json", self.id), mop_json::to_string_pretty(&self.json)),
+        ]
+    }
+}
+
+/// Every experiment id, in the order [`run_experiments`] runs them: the
+/// §3/§4.1 micro-benchmarks, then the §4.2 crowd-dataset experiments.
+pub const EXPERIMENTS: [&str; 15] = [
+    "fig5", "table1", "table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9", "table5",
+    "fig10", "table6", "fig11", "case1", "case2",
+];
+
+/// The evaluation's tunable inputs. [`Default`] is the published
+/// configuration: what `repro` runs unless told otherwise, and what the
+/// golden outputs pin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReproConfig {
+    /// Crowd-dataset scale (1.0 is the paper's full dataset).
+    pub scale: f64,
+    /// Length of Table 4's HD-video session, in minutes.
+    pub video_minutes: u64,
+}
+
+impl Default for ReproConfig {
+    fn default() -> Self {
+        Self { scale: 0.01, video_minutes: 58 }
+    }
+}
+
+/// Runs every experiment of [`EXPERIMENTS`], or only the one named by
+/// `only`, in that order. The crowd dataset is generated only when a §4.2
+/// experiment is wanted.
+pub fn run_experiments(config: &ReproConfig, only: Option<&str>) -> Vec<ExperimentOutput> {
+    let wanted = |id: &str| only.map_or(true, |only| only == id);
+    let mut outputs = Vec::new();
+    if wanted("fig5") {
+        outputs.push(run_fig5(REPRO_SEED));
+    }
+    if wanted("table1") {
+        outputs.push(run_table1(REPRO_SEED, 5_000));
+    }
+    if wanted("table2") {
+        outputs.push(run_table2(REPRO_SEED, 10));
+    }
+    if wanted("table3") {
+        outputs.push(run_table3(REPRO_SEED, 24 * 1024 * 1024));
+    }
+    if wanted("table4") {
+        outputs.push(run_table4(REPRO_SEED, config.video_minutes));
+    }
+    // Everything after Table 4 reads the crowd dataset.
+    if EXPERIMENTS[5..].iter().any(|id| wanted(id)) {
+        let dataset = crowd_dataset(config.scale);
+        outputs.extend(run_crowd_experiments(&dataset).into_iter().filter(|o| wanted(&o.id)));
+    }
+    outputs
 }
 
 /// Generates the shared crowd dataset used by the §4.2 experiments.

@@ -20,7 +20,7 @@
 //!
 //! The engine runs against the virtual-time substrates in `mop-simnet`,
 //! `mop-tun` and `mop-procnet`; every design decision the paper evaluates is
-//! a knob on [`config::MopEyeConfig`], which is how the benches reproduce the
+//! a knob on [`config::MopEyeConfig`], which is how the experiments reproduce the
 //! paper's tables and its ablations. How per-flow state is keyed is not one
 //! of them: the engine takes it from the network it runs over.
 //!

@@ -406,8 +406,8 @@ impl ResidentFleet {
     }
 
     /// Worker threads ever spawned: one per shard but the first, so none
-    /// for a one-shard fleet. Constant after construction; the
-    /// step-latency bench asserts it stays so across warm runs.
+    /// for a one-shard fleet. Constant after construction;
+    /// `tests/resident_reuse.rs` asserts it stays so across warm runs.
     pub fn threads_spawned(&self) -> u64 {
         self.workers.len() as u64
     }

@@ -5,7 +5,7 @@
 //!   `HashMap` hasher may be seeded per process), its output is reproducible
 //!   across runs, machines and toolchains. Use it for **anything persisted or
 //!   compared**: shard keys, per-flow RNG seeds, run digests (some are
-//!   persisted, e.g. in `BENCH_pr3.json`, and compared across versions).
+//!   pinned in tests and docs, and compared across versions).
 //!   Every byte-wise stable hash in the workspace goes through this one
 //!   implementation so the constants cannot drift apart.
 //! * [`WordHasher`] — the stable hasher for **digests over many records**:
@@ -276,7 +276,7 @@ mod tests {
     fn pinned_values_are_stable() {
         // The empty input is the offset basis, and one pinned non-trivial
         // value guards against the constants drifting: digests derived from
-        // this hasher are persisted (BENCH_pr3.json) and compared across
+        // this hasher are pinned in tests and docs and compared across
         // versions. (The multiplier is the workspace's long-standing
         // variant, shared with SimRng::fork — not the textbook FNV prime.)
         assert_eq!(StableHasher::new().finish(), 0xcbf2_9ce4_8422_2325);

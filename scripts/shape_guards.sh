@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Shape guards: facts about the source's shape that no test can observe,
+# each pinning a structure a past change removed so that it cannot come
+# back unnoticed. Every guard is checked on its own and every broken guard
+# is reported; the script exits non-zero if any is broken.
+#
+# Run from anywhere: scripts/shape_guards.sh
+set -u
+cd "$(dirname "$0")/.."
+
+broken=0
+fail() {
+    echo "shape guard broken: $1" >&2
+    broken=$((broken + 1))
+}
+
+# Forbids a second keying switch, a scheduler selector, shard pinning or a
+# credit-depth knob: knobs that only tests used (PR 17).
+! grep -rnE 'EngineDiscipline|with_scheduler|with_pinning|with_credits|fleet_shard\(|mod affinity' crates src tests examples || fail "knobs that only tests use"
+
+# Requires the engine's compile-time check that an event stays handle-sized,
+# at most 16 bytes (PR 20).
+grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs || fail "handle-sized events"
+
+# Forbids sorting inside `fleet_digest`: the digest folds a multiset (PR 22).
+! awk '/pub fn fleet_digest/,/^    }$/' crates/core/src/shard.rs | grep -n sort || fail "fleet_digest sorts"
+
+# Forbids re-splitting every pending flow in a served step (PR 25).
+! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'split_at' || fail "step re-splits the pending flows"
+
+# Forbids a by-tuple table in the engine's stages: one connection record (PR 15).
+! grep -rnE 'HashMap<\s*FourTuple' crates/core/src/stages || fail "by-tuple table in the stages"
+
+# Forbids a string-keyed cost ledger: the ledger stays enum-indexed (PR 16).
+! grep -n 'BTreeMap<String' crates/simnet/src/cost.rs || fail "string-keyed cost ledger"
+
+# Forbids a hashed socket table: the socket table stays dense (PR 16).
+! grep -n 'HashMap<u64' crates/simnet/src/socket.rs || fail "hashed socket table"
+
+# Forbids a per-packet capture vector in the wire tap (PR 26).
+! grep -n 'Vec<TapRecord>' crates/simnet/src/tap.rs || fail "wire tap keeps packet records"
+
+# Forbids a raw delay vector in the tunnel writer: Table 1 histograms only (PR 26).
+! grep -n 'Vec<f64>' crates/core/src/tun_writer.rs || fail "tunnel writer keeps raw delays"
+
+# Forbids a `[features]` table in any manifest: one build configuration (PR 23).
+! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml || fail "a manifest declares a feature"
+
+# Forbids feature forks and wall-clock reads in the engine's crates (PR 23).
+! grep -rn 'cfg(feature\|cfg!(feature\|Instant' crates/{simnet,core,server,tcpstack}/src || fail "feature fork or wall clock in the engine"
+
+# Forbids a JSON tree builder in the checkpoint module: checkpoints stream (PR 19).
+! grep -nE 'json!|Value::Object' crates/core/src/checkpoint.rs || fail "checkpoint module builds a JSON tree"
+
+# Forbids re-sorting the cumulative report in a served step (PR 24).
+! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'cumulative.canonicalise' || fail "step re-sorts the cumulative report"
+
+if [ "$broken" -ne 0 ]; then
+    echo "$broken shape guard(s) broken" >&2
+    exit 1
+fi
+echo "all 13 shape guards hold"

@@ -6,7 +6,7 @@
 //! rotting: every relative link target must exist, every `#fragment` on a
 //! relative link must match a heading in the target document, and every
 //! backtick-quoted repo path in the docs must exist on disk. Runs as part
-//! of `cargo test` and as a dedicated CI step, with no external tooling.
+//! of `cargo test`, with no external tooling.
 
 use std::collections::BTreeSet;
 use std::fs;

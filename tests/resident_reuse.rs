@@ -61,6 +61,29 @@ fn back_to_back_scenarios_match_fresh_engines() {
 }
 
 #[test]
+fn warm_steps_run_on_recycled_buffers_and_spawn_nothing() {
+    // The steady state of a long-lived server: the same small batch,
+    // stepped again and again on one fleet. After the warm-up run every
+    // step reuses the pools' buffers (no allocation) and the parked
+    // workers (no spawn), and still lands on the cold digest.
+    let scenario = Scenario::rush_hour(6, 2017);
+    let flows = scenario.generate();
+    let network = scenario.network();
+    let config = FleetConfig::new(4).with_seed(77);
+    let cold = FleetEngine::new(config.clone(), network.clone()).run(flows.clone()).digest();
+    let mut resident = ResidentFleet::new(config);
+    assert_eq!(resident.run_next(&network, flows.clone()).digest(), cold, "warm-up run");
+    let spawned = resident.threads_spawned();
+    for step in 1..=30 {
+        let report = resident.run_next(&network, flows.clone());
+        assert_eq!(report.digest(), cold, "step {step}");
+        assert_eq!(resident.threads_spawned(), spawned, "step {step} spawned a thread");
+        assert_eq!(report.merged.buffer_pool.allocations, 0, "step {step}: buffer pool grew");
+        assert_eq!(report.merged.socket_read_pool.allocations, 0, "step {step}: read pool grew");
+    }
+}
+
+#[test]
 fn a_warm_run_reports_the_counters_of_a_cold_run() {
     // Each structure counter restarts with its engine's reset: a warm run
     // after a different (lossy) run counts exactly what a cold fleet counts
