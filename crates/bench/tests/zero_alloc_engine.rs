@@ -24,6 +24,13 @@
 //! within a per-flow constant. A capture kept per packet — the wire tap's
 //! record vector, a raw delay sample per tunnel write — fails it.
 //!
+//! What a *finished* flow costs is bounded on its own: N flows that never
+//! overlap, then 4N. Each run has one connection live at a time, so
+//! `retained(4N) − retained(N)` over the 3N extra flows is what one finished
+//! record and its outcome keep, about 1.1 KB. A socket that keeps its
+//! pending-read ring, an app endpoint that keeps its request and a record
+//! sized by its largest app variant together made it about 2.1 KB.
+//!
 //! Counts only, no timing. Before the engine's ledger, machine outputs,
 //! app outputs and segment payloads stopped allocating, this workload cost
 //! about 5.5 allocations per packet — hundreds per flow.
@@ -43,7 +50,7 @@ use mopeye_core::{MopEyeConfig, MopEyeEngine};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Flows per run.
+/// Flows per run (the shorter run of the non-overlapping pair).
 const N: u64 = 64;
 /// The small response size; the large one is four times it.
 const R: usize = 32 * 1024;
@@ -64,6 +71,15 @@ const PER_LOSS_EVENT: u64 = 4;
 /// to 128 slots of 16 B). About 2 KB is measured; a 72-byte tap record plus
 /// two raw delay samples per relayed packet made it about 11.5 KB.
 const PER_FLOW_BYTES: u64 = 4096;
+/// Bytes one finished flow may leave behind in the warm engine and its
+/// report: its `Conn` record, index entry, socket entry, mapping row, tap
+/// exchange slot and outcome. 1,093 are measured; it was 2,115 while a
+/// closed socket kept its read ring, an endpoint its request and every
+/// record the size of the largest app variant.
+const PER_FINISHED_FLOW_BYTES: u64 = 1280;
+/// Virtual time between two non-overlapping flows: each one's handshake,
+/// response and close fit well inside it.
+const APART_MS: u64 = 2_000;
 
 fn server() -> Endpoint {
     Endpoint::v4(203, 0, 113, 9, 443)
@@ -80,10 +96,11 @@ fn network(profile: NetProfile, response_bytes: usize) -> SimNetworkBuilder {
     profile.apply(builder, SimTime::ZERO + SimDuration::from_secs(2))
 }
 
-fn flows(response_bytes: usize) -> Vec<FlowSpec> {
-    (0..N)
+/// `count` flows opened `spacing_ms` apart.
+fn flows(count: u64, spacing_ms: u64, response_bytes: usize) -> Vec<FlowSpec> {
+    (0..count)
         .map(|i| FlowSpec {
-            at: SimTime::from_millis(10 + 5 * i),
+            at: SimTime::from_millis(10 + spacing_ms * i),
             uid: 10_100,
             package: "com.android.chrome".into(),
             src: Some(Endpoint::v4(10, 1, (i >> 8) as u8, i as u8, 40_000)),
@@ -106,20 +123,22 @@ struct Warm {
     retained_bytes: u64,
     packets: u64,
     loss_events: u64,
+    /// Flows still open when the next one started.
+    overlapping: usize,
 }
 
 /// Runs the flows cold, resets, and counts the allocations of the warm
 /// rerun (the flow schedule is cloned outside the counted window, as a
 /// fleet's dispatcher hands a shard its flows ready-made), then the bytes
 /// the engine and the warm report still hold.
-fn warm_run(profile: NetProfile, response_bytes: usize) -> Warm {
+fn warm_run(profile: NetProfile, response_bytes: usize, schedule: Vec<FlowSpec>) -> Warm {
     let config = MopEyeConfig::mopeye().with_retain_samples(false);
     let net = network(profile, response_bytes);
-    let schedule = flows(response_bytes);
+    let count = schedule.len() as u64;
     let live_before = ALLOC.live_bytes();
     let mut engine = MopEyeEngine::new(config, net.clone().build());
     let cold = engine.run_flows(schedule.clone());
-    assert_eq!(cold.relay.connects_ok, N, "every flow connects");
+    assert_eq!(cold.relay.connects_ok, count, "every flow connects");
     assert!(cold.flows.iter().all(|flow| flow.completed), "every flow completes");
     let cold_events = cold.events_processed;
     drop(cold);
@@ -131,19 +150,22 @@ fn warm_run(profile: NetProfile, response_bytes: usize) -> Warm {
     let retained_bytes = ALLOC.live_bytes().saturating_sub(live_before);
     assert_eq!(report.events_processed, cold_events, "the warm run is the same run");
     let delivered: usize = report.flows.iter().map(|flow| flow.bytes_received).sum();
-    assert!(delivered as u64 >= N * response_bytes as u64, "every response arrived in full");
+    let overlapping =
+        report.flows.windows(2).filter(|pair| pair[0].finished_at > pair[1].started_at).count();
+    assert!(delivered as u64 >= count * response_bytes as u64, "every response arrived in full");
     Warm {
         allocs,
         retained_bytes,
         packets: report.tun.packets_from_apps + report.tun.packets_to_apps,
         loss_events: report.relay.retransmits + engine.app_dup_acks_sent(),
+        overlapping,
     }
 }
 
 #[test]
 fn a_warm_engine_allocates_per_flow_and_per_loss_event_never_per_packet() {
-    let small = warm_run(NetProfile::Lte, R);
-    let large = warm_run(NetProfile::Lte, 4 * R);
+    let small = warm_run(NetProfile::Lte, R, flows(N, 5, R));
+    let large = warm_run(NetProfile::Lte, 4 * R, flows(N, 5, 4 * R));
     assert_eq!((small.loss_events, large.loss_events), (0, 0), "LTE never faults");
     assert!(
         large.packets > 3 * small.packets,
@@ -176,7 +198,21 @@ fn a_warm_engine_allocates_per_flow_and_per_loss_event_never_per_packet() {
         large.retained_bytes
     );
 
-    let lossy = warm_run(NetProfile::DegradedCommute, 4 * R);
+    let few = warm_run(NetProfile::Lte, R, flows(N, APART_MS, R));
+    let many = warm_run(NetProfile::Lte, R, flows(4 * N, APART_MS, R));
+    assert_eq!((few.overlapping, many.overlapping), (0, 0), "one flow open at a time");
+    let per_finished_flow = many.retained_bytes.saturating_sub(few.retained_bytes) / (3 * N);
+    assert!(
+        per_finished_flow <= PER_FINISHED_FLOW_BYTES,
+        "{} finished flows left {} bytes held by the engine and its report, {N} left {}: \
+         {per_finished_flow} per flow, more than {PER_FINISHED_FLOW_BYTES}, so a finished \
+         connection keeps what only a live one needs",
+        4 * N,
+        many.retained_bytes,
+        few.retained_bytes
+    );
+
+    let lossy = warm_run(NetProfile::DegradedCommute, 4 * R, flows(N, 5, 4 * R));
     assert!(lossy.loss_events > 0, "the degraded commute lost nothing");
     let budget = (PER_FLOW + PER_FLOW_GROWTH) * N + PER_LOSS_EVENT * lossy.loss_events;
     assert!(

@@ -13,14 +13,21 @@
 //! so a finished record keeps no machine, scoreboard or stream, and a stray
 //! late packet gets a fresh machine and re-seeds from `(seed, four-tuple)`
 //! exactly as a fresh flow would.
+//!
+//! A finished record keeps only its outcome. Both app sides are boxed, so a
+//! record is a few hundred bytes whatever its app is, and a TCP app endpoint
+//! that reaches Done or Failed is swapped for a [`FinishedApp`]: the bytes
+//! it received, the duplicate ACKs it sent and whether it failed — exactly
+//! what a later delivery to a finished endpoint reads. Its request, packet
+//! builder and reassembly buffer are freed with it.
 
 use std::ops::{Index, IndexMut};
 
 use mop_measure::NetKind;
-use mop_packet::{FastMap, FourTuple};
+use mop_packet::{FastMap, FourTuple, Packet, TcpFlags};
 use mop_simnet::{SimRng, SimTime, SocketId};
 use mop_tcpstack::{ConnTimers, RecoveryState, TcpStateMachine};
-use mop_tun::{AppEndpoint, DnsClient, FlowSpec};
+use mop_tun::{AppEndpoint, AppState, DnsClient, FlowSpec};
 
 use crate::stats::FlowOutcome;
 use crate::tun_writer::WriterLane;
@@ -34,10 +41,54 @@ pub struct FlowId(u32);
 pub(crate) enum AppSide {
     /// A packet arrived for a tuple no `FlowStart` announced.
     None,
-    /// A TCP app endpoint.
-    Tcp(AppEndpoint),
+    /// A live TCP app endpoint.
+    Tcp(Box<AppEndpoint>),
+    /// A TCP app endpoint that reached Done or Failed.
+    Finished(FinishedApp),
     /// A DNS client.
-    Dns(DnsClient),
+    Dns(Box<DnsClient>),
+}
+
+impl AppSide {
+    /// Duplicate ACKs the TCP app has sent (zero for DNS or no app).
+    pub(crate) fn dup_acks_sent(&self) -> u32 {
+        match self {
+            Self::Tcp(app) => app.dup_acks_sent,
+            Self::Finished(app) => app.dup_acks_sent,
+            Self::None | Self::Dns(_) => 0,
+        }
+    }
+}
+
+/// What a finished TCP app endpoint still answers a delivery with: its
+/// final byte count, and a clean close that an RST can still turn into a
+/// failure. A finished endpoint sends nothing more.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FinishedApp {
+    bytes_received: usize,
+    dup_acks_sent: u32,
+    failed: bool,
+}
+
+impl FinishedApp {
+    /// The terminal marker of `app`, once it is done.
+    fn of(app: &AppEndpoint) -> Self {
+        debug_assert!(app.is_done());
+        Self {
+            bytes_received: app.bytes_received,
+            dup_acks_sent: app.dup_acks_sent,
+            failed: app.state() == AppState::Failed,
+        }
+    }
+
+    /// A packet from the tunnel: an RST on the endpoint's flow (`flow`, app
+    /// side first) fails it, anything else leaves it as it is.
+    fn handle(&mut self, flow: FourTuple, packet: &Packet) {
+        let Some(tcp) = packet.tcp() else { return };
+        if packet.four_tuple() == Some(flow.reversed()) && tcp.flags.contains(TcpFlags::RST) {
+            self.failed = true;
+        }
+    }
 }
 
 /// What a `FlowStart` records about its flow; becomes the [`FlowOutcome`].
@@ -141,7 +192,43 @@ impl Conn {
             meta.completed |= done_cleanly;
         }
     }
+
+    /// A packet from the tunnel reaches the app side at `now`: the app
+    /// consumes it, appending its replies to `out`, and the outcome record
+    /// follows. A TCP endpoint that this delivery finishes is swapped for
+    /// its [`FinishedApp`].
+    pub(crate) fn deliver_to_app(&mut self, now: SimTime, packet: &Packet, out: &mut Vec<Packet>) {
+        match &mut self.app {
+            AppSide::None => {}
+            AppSide::Dns(client) => {
+                if client.handle(packet) {
+                    self.finished(now, true);
+                }
+            }
+            AppSide::Tcp(app) => {
+                app.handle_into(packet, out);
+                let (bytes_received, done_cleanly) =
+                    (app.bytes_received, app.state() == AppState::Done);
+                // The marker answers against the record's tuple. A
+                // `FlowStart` on the reverse of an interned tuple leaves that
+                // tuple reversed, so such an endpoint is kept as it is.
+                if app.is_done() && app.flow() == self.flow {
+                    self.app = AppSide::Finished(FinishedApp::of(app));
+                }
+                // Only a clean close counts as completion; a reset app stays failed.
+                self.progressed(now, bytes_received, done_cleanly);
+            }
+            AppSide::Finished(app) => {
+                app.handle(self.flow, packet);
+                let (bytes_received, done_cleanly) = (app.bytes_received, !app.failed);
+                self.progressed(now, bytes_received, done_cleanly);
+            }
+        }
+    }
 }
+
+// Shape guard: a record stays a few hundred bytes; the app sides are boxed.
+const _: () = assert!(std::mem::size_of::<Conn>() <= 320);
 
 /// The engine's connection table: the one four-tuple index plus the slab of
 /// [`Conn`] records it points into. See the [module docs](self).
@@ -278,7 +365,8 @@ impl IndexMut<FlowId> for ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mop_packet::Endpoint;
+    use mop_packet::{DnsMessage, Endpoint, PacketBuilder};
+    use mop_tun::FlowKind;
 
     fn tuple(host: u8) -> FourTuple {
         FourTuple::new(Endpoint::v4(10, 1, 0, host, 40_000), Endpoint::v4(216, 58, 221, 132, 443))
@@ -310,5 +398,114 @@ mod tests {
         // A reset table hands out the ids a fresh one would.
         assert_eq!(table.intern(tuple(2)), FlowId(0));
         assert_eq!(table.intern(tuple(1)), FlowId(1));
+    }
+
+    fn spec(flow: FourTuple) -> FlowSpec {
+        FlowSpec {
+            at: SimTime::ZERO,
+            uid: 1,
+            package: "com.app".into(),
+            src: Some(flow.src),
+            dst: flow.dst,
+            domain: None,
+            request_bytes: 1,
+            close_after: usize::MAX,
+            kind: FlowKind::Tcp,
+            network: None,
+            isp: None,
+        }
+    }
+
+    /// What the outcome record says: (bytes received, finished at, completed).
+    fn outcome(conn: &Conn) -> (usize, SimTime, bool) {
+        let meta = conn.meta.as_ref().expect("announced");
+        (meta.bytes_received, meta.finished_at, meta.completed)
+    }
+
+    /// Feeds `packets` to a record whose endpoint is swapped for a marker
+    /// once done, and to a twin endpoint that is never swapped, updating a
+    /// second record the way every delivery did before markers existed.
+    /// Between deliveries the relay marks both flows unfinished, so each
+    /// delivery's `completed` verdict shows. Returns the marker record.
+    fn deliver_to_twins(packets: &[Packet]) -> Conn {
+        let flow = tuple(1);
+        let mut table = ConnTable::default();
+        let (id, twin_id) = (table.intern(flow), table.intern(tuple(2)));
+        let mut twin = AppEndpoint::new(1, flow, b"x".to_vec(), usize::MAX);
+        let app = AppEndpoint::new(1, flow, b"x".to_vec(), usize::MAX);
+        table[id].app = AppSide::Tcp(Box::new(app));
+        table[id].started(&spec(flow), SimTime::ZERO);
+        table[twin_id].started(&spec(flow), SimTime::ZERO);
+        let (mut out, mut twin_out) = (Vec::new(), Vec::new());
+        for (n, packet) in packets.iter().enumerate() {
+            let now = SimTime::from_millis(n as u64 + 1);
+            table[id].deliver_to_app(now, packet, &mut out);
+            twin.handle_into(packet, &mut twin_out);
+            table[twin_id].progressed(now, twin.bytes_received, twin.state() == AppState::Done);
+            assert_eq!(out, twin_out, "delivery {n}: the same replies");
+            assert_eq!(outcome(&table[id]), outcome(&table[twin_id]), "delivery {n}");
+            assert_eq!(table[id].app.dup_acks_sent(), twin.dup_acks_sent, "delivery {n}");
+            let swapped = matches!(table[id].app, AppSide::Finished(_));
+            assert_eq!(swapped, twin.is_done(), "delivery {n}");
+            for conn in [id, twin_id] {
+                table[conn].finished(now, false);
+            }
+            out.clear();
+            twin_out.clear();
+        }
+        table.conns.swap_remove(id.0 as usize)
+    }
+
+    #[test]
+    fn a_finished_endpoints_marker_answers_deliveries_like_the_endpoint() {
+        let flow = tuple(1);
+        let relay = PacketBuilder::new(flow.dst, flow.src);
+        let foreign = PacketBuilder::new(Endpoint::v4(9, 9, 9, 9, 443), flow.src);
+        let isn = 0x4000_0000 ^ u32::from(flow.src.port);
+        let not_tcp = relay.dns(&DnsMessage::query(7, "example.com"));
+        let plain_ack = relay.tcp_ack(111, isn + 2);
+        let handshake = relay.tcp_syn_ack(100, isn);
+        let data = relay.tcp_data(101, isn + 2, vec![1; 10]);
+
+        // Done: a duplicate (one dup ACK), then the relay closes first.
+        let done = deliver_to_twins(&[
+            handshake.clone(),
+            data.clone(),
+            data.clone(),
+            relay.tcp_fin(111, isn + 2),
+            not_tcp.clone(),
+            foreign.tcp_rst_ack(1, 1),
+            plain_ack.clone(),
+            data.clone(),
+            relay.tcp_rst_ack(112, isn + 3),
+            plain_ack.clone(),
+        ]);
+        let AppSide::Finished(marker) = done.app else { panic!("not swapped: {:?}", done.app) };
+        assert_eq!(marker, FinishedApp { bytes_received: 10, dup_acks_sent: 1, failed: true });
+
+        // Failed: an RST mid-stream, then late traffic.
+        let failed = deliver_to_twins(&[
+            handshake,
+            data.clone(),
+            relay.tcp_rst_ack(111, isn + 2),
+            not_tcp,
+            foreign.tcp_ack(1, 1),
+            plain_ack,
+            data,
+        ]);
+        let AppSide::Finished(marker) = failed.app else { panic!("not swapped: {:?}", failed.app) };
+        assert_eq!(marker, FinishedApp { bytes_received: 10, dup_acks_sent: 0, failed: true });
+    }
+
+    #[test]
+    fn an_endpoint_on_a_reversed_record_is_kept() {
+        let flow = tuple(1);
+        let mut table = ConnTable::default();
+        let id = table.intern(flow.reversed());
+        table[id].app = AppSide::Tcp(Box::new(AppEndpoint::new(1, flow, Vec::new(), 0)));
+        let relay = PacketBuilder::new(flow.dst, flow.src);
+        table[id].deliver_to_app(SimTime::ZERO, &relay.tcp_rst_ack(1, 1), &mut Vec::new());
+        let AppSide::Tcp(app) = &table[id].app else { panic!("swapped: {:?}", table[id].app) };
+        assert_eq!(app.state(), AppState::Failed);
     }
 }

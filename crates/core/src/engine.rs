@@ -32,7 +32,7 @@ use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::arena::{Arena, Parked};
 use crate::config::MopEyeConfig;
-use crate::conn::{AppSide, FlowId};
+use crate::conn::FlowId;
 use crate::report::{Counter, Counters};
 use crate::stages::{EgressStage, EngineShared, IngressStage, RelayStage, SinkStage};
 use crate::tun_writer::TunWriter;
@@ -168,11 +168,7 @@ impl MopEyeEngine {
     /// network that cannot fault. (`RelayStats::retransmits` is the send
     /// side's; the allocation-budget test charges both.)
     pub fn app_dup_acks_sent(&self) -> u64 {
-        let apps = self.shared.conns.iter().filter_map(|conn| match &conn.app {
-            AppSide::Tcp(app) => Some(app),
-            AppSide::None | AppSide::Dns(_) => None,
-        });
-        apps.map(|app| u64::from(app.dup_acks_sent)).sum()
+        self.shared.conns.iter().map(|conn| u64::from(conn.app.dup_acks_sent())).sum()
     }
 
     /// Runs a set of workloads to completion and reports.

@@ -123,13 +123,12 @@ impl IngressStage {
         match spec.kind {
             FlowKind::Tcp => {
                 let flow = FourTuple::new(src, spec.dst);
-                let mut app = AppEndpoint::new(
+                let mut app = Box::new(AppEndpoint::new(
                     spec.uid,
-                    &spec.package,
                     flow,
                     vec![0x47; spec.request_bytes.max(1)],
                     spec.close_after,
-                );
+                ));
                 let syn = app.syn_packet();
                 let id = sh.conns.intern(flow);
                 sh.conns[id].app = AppSide::Tcp(app);
@@ -146,7 +145,7 @@ impl IngressStage {
                 let id = self.next_dns_id;
                 self.next_dns_id = self.next_dns_id.wrapping_add(1).max(1);
                 let name = spec.domain.clone().unwrap_or_else(|| "unknown.example".to_string());
-                let client = DnsClient::new(spec.uid, &spec.package, src, resolver, id, &name);
+                let client = Box::new(DnsClient::new(spec.uid, src, resolver, id, &name));
                 let query = client.query_packet();
                 let id = sh.conns.intern(flow);
                 sh.conns[id].app = AppSide::Dns(client);
@@ -211,29 +210,14 @@ impl IngressStage {
         id: FlowId,
         packet: Packet,
     ) {
-        let conn = &mut sh.conns[id];
-        match &mut conn.app {
-            AppSide::None => {}
-            AppSide::Dns(client) => {
-                if client.handle(&packet) {
-                    conn.finished(now, true);
-                }
-            }
-            AppSide::Tcp(app) => {
-                let mut responses = std::mem::take(&mut self.app_out);
-                app.handle_into(&packet, &mut responses);
-                let bytes_received = app.bytes_received;
-                // Only a clean close counts as completion; a reset app stays failed.
-                let done_cleanly = app.state() == mop_tun::AppState::Done;
-                conn.progressed(now, bytes_received, done_cleanly);
-                for (i, response) in responses.drain(..).enumerate() {
-                    // Consecutive packets from the app leave a few microseconds apart.
-                    let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
-                    self.inject_app_packet(sh, relay, sched, at, id, response);
-                }
-                self.app_out = responses;
-            }
+        let mut responses = std::mem::take(&mut self.app_out);
+        sh.conns[id].deliver_to_app(now, &packet, &mut responses);
+        for (i, response) in responses.drain(..).enumerate() {
+            // Consecutive packets from the app leave a few microseconds apart.
+            let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
+            self.inject_app_packet(sh, relay, sched, at, id, response);
         }
+        self.app_out = responses;
         // The delivered packet is dead: its payload buffer goes back to the
         // relay's free list.
         sh.segments.recycle(packet);

@@ -9,6 +9,7 @@
 //! cost §3.5.2 eliminates.
 
 use std::collections::VecDeque;
+use std::mem;
 
 use mop_packet::{Endpoint, FourTuple};
 
@@ -74,14 +75,24 @@ struct SocketEntry {
     protected: bool,
     connect_outcome: Option<ConnectOutcome>,
     /// Response chunks scheduled to arrive: (arrival time, bytes).
-    pending_reads: VecDeque<(SimTime, usize)>,
+    pending_reads: ReadRing,
     /// Bytes buffered for writing (the engine's socket write buffer).
     write_buffered: usize,
     bytes_read: usize,
     bytes_written: usize,
 }
 
+/// Response chunks scheduled to arrive on one socket: (arrival time, bytes).
+type ReadRing = VecDeque<(SimTime, usize)>;
+
 /// A set of simulated sockets sharing an ephemeral port space.
+///
+/// A socket's pending-read ring is the one per-socket buffer that grows with
+/// the data it carries. Closing a socket (or resetting the set) hands its
+/// ring, emptied but with its capacity, to a spare list that the next
+/// created socket draws from, so the rings held are bounded by the sockets
+/// open at once rather than by every socket a run ever created, and a warm
+/// run allocates none.
 #[derive(Debug, Default)]
 pub struct SocketSet {
     /// Every socket created since the last reset, indexed by its id: ids are
@@ -94,6 +105,8 @@ pub struct SocketSet {
     /// Pool backing [`SocketSet::take_readable_pooled`], so socket reads hand
     /// out recycled buffers instead of allocating per read.
     read_pool: BufferPool,
+    /// Empty pending-read rings of closed sockets, kept for their capacity.
+    spare_reads: Vec<ReadRing>,
 }
 
 impl SocketSet {
@@ -104,11 +117,13 @@ impl SocketSet {
             next_port: 42000,
             vpn_disallowed_application: false,
             read_pool: BufferPool::new(64 * 1024),
+            spare_reads: Vec::new(),
         }
     }
 
     /// Resets the set to its just-constructed state while keeping the big
-    /// allocations: the socket table keeps its capacity, the read-buffer
+    /// allocations: the socket table keeps its capacity, every socket's
+    /// pending-read ring goes to the spare list, the read-buffer
     /// pool keeps its recycled buffers (its per-run counters restart, the
     /// resident-bytes gauge survives), and the id/port sequences restart
     /// (ids are table positions) so a reused set hands out exactly the ids a
@@ -116,7 +131,9 @@ impl SocketSet {
     /// `addDisallowedApplication` flag is configuration, not run state, and
     /// is kept.
     pub fn reset(&mut self) {
-        self.sockets.clear();
+        for entry in self.sockets.drain(..) {
+            Self::spare(&mut self.spare_reads, entry.pending_reads);
+        }
         self.next_port = 42000;
         self.read_pool.reset_stats();
     }
@@ -155,7 +172,7 @@ impl SocketSet {
             remote: None,
             protected: false,
             connect_outcome: None,
-            pending_reads: VecDeque::new(),
+            pending_reads: self.spare_reads.pop().unwrap_or_default(),
             write_buffered: 0,
             bytes_read: 0,
             bytes_written: 0,
@@ -381,12 +398,22 @@ impl SocketSet {
         }
     }
 
-    /// Fully closes the socket.
+    /// Fully closes the socket; its pending-read ring goes to the spare
+    /// list.
     pub fn close(&mut self, id: SocketId) {
         let e = self.entry_mut(id);
         e.state = SocketState::Closed;
-        e.pending_reads.clear();
         e.write_buffered = 0;
+        let ring = mem::take(&mut e.pending_reads);
+        Self::spare(&mut self.spare_reads, ring);
+    }
+
+    /// Keeps `ring`, emptied, for the next socket, unless it never allocated.
+    fn spare(spares: &mut Vec<ReadRing>, mut ring: ReadRing) {
+        if ring.capacity() > 0 {
+            ring.clear();
+            spares.push(ring);
+        }
     }
 
     /// Lifetime byte counters (read, written) for resource accounting.
@@ -747,6 +774,44 @@ mod tests {
         assert_eq!(set.state(id), SocketState::Closed);
         assert!(set.read_exhausted(id));
         assert_eq!(set.open_count(), 0);
+    }
+
+    #[test]
+    fn a_closed_sockets_read_ring_serves_the_next_socket() {
+        let mut set = SocketSet::new();
+        let cycle = |set: &mut SocketSet| {
+            let id = set.create(SocketMode::NonBlocking);
+            for n in 0..20 {
+                set.schedule_read(id, SimTime::from_millis(n), 100);
+            }
+            let capacity = set.entry(id).pending_reads.capacity();
+            set.close(id);
+            assert_eq!(set.entry(id).pending_reads.capacity(), 0, "a closed socket keeps no ring");
+            capacity
+        };
+        let grown = cycle(&mut set);
+        assert!(grown >= 20);
+        assert_eq!(set.spare_reads.len(), 1);
+        assert_eq!(set.spare_reads[0].capacity(), grown);
+
+        // The second cycle draws the spare: its ring starts at the grown
+        // capacity and never reallocates, so the cycle allocates nothing.
+        let id = set.create(SocketMode::NonBlocking);
+        assert!(set.spare_reads.is_empty());
+        assert_eq!(set.entry(id).pending_reads.capacity(), grown);
+        assert!(set.read_exhausted(id), "a recycled ring starts empty");
+        set.close(id);
+        assert_eq!(cycle(&mut set), grown);
+        assert_eq!(set.spare_reads.len(), 1, "spares are bounded by sockets open at once");
+
+        // A reset returns the rings of sockets still open; a ringless
+        // socket adds no spare.
+        let open = set.create(SocketMode::NonBlocking);
+        set.create(SocketMode::NonBlocking);
+        assert_eq!(set.entry(open).pending_reads.capacity(), grown);
+        set.reset();
+        assert_eq!(set.spare_reads.len(), 1);
+        assert_eq!(set.spare_reads[0].capacity(), grown);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!
 //! Replies are emitted sink-style ([`AppEndpoint::handle_into`] appends to a
 //! vector the caller owns), so the endpoint itself allocates only per flow
-//! (its request) and per loss event (out-of-order buffering, SACK ranges).
+//! (its request, which moves into the data segment that carries it) and per
+//! loss event (out-of-order buffering, SACK ranges).
 
 use std::collections::BTreeMap;
 
@@ -48,13 +49,13 @@ pub enum AppState {
 pub struct AppEndpoint {
     /// UID of the owning app (what `/proc/net` reports).
     pub uid: u32,
-    /// Package name of the owning app.
-    pub package: String,
     flow: FourTuple,
     builder: PacketBuilder,
     state: AppState,
     seq: u32,
     ack: u32,
+    /// The request, until the handshake completes and it moves into the
+    /// data segment that carries it.
     request: Vec<u8>,
     request_sent: bool,
     /// Bytes of response received so far.
@@ -76,13 +77,11 @@ pub struct AppEndpoint {
 }
 
 impl AppEndpoint {
-    /// Creates an endpoint for `flow`, owned by (`uid`, `package`), that will
-    /// send `request` once connected and close after `close_after` response
-    /// bytes.
-    pub fn new(uid: u32, package: &str, flow: FourTuple, request: Vec<u8>, close_after: usize) -> Self {
+    /// Creates an endpoint for `flow`, owned by `uid`, that will send
+    /// `request` once connected and close after `close_after` response bytes.
+    pub fn new(uid: u32, flow: FourTuple, request: Vec<u8>, close_after: usize) -> Self {
         Self {
             uid,
-            package: package.to_string(),
             flow,
             builder: PacketBuilder::new(flow.src, flow.dst),
             state: AppState::SynSent,
@@ -172,10 +171,11 @@ impl AppEndpoint {
                 self.state = AppState::Established;
                 out.push(self.builder.tcp_ack(self.seq, self.ack));
                 if !self.request.is_empty() {
-                    let data = self.builder.tcp_data(self.seq, self.ack, self.request.clone());
-                    self.seq = self.seq.wrapping_add(self.request.len() as u32);
+                    let request = std::mem::take(&mut self.request);
+                    let len = request.len() as u32;
+                    out.push(self.builder.tcp_data(self.seq, self.ack, request));
+                    self.seq = self.seq.wrapping_add(len);
                     self.request_sent = true;
-                    out.push(data);
                 }
             }
             AppState::Established | AppState::Closing => {
@@ -267,8 +267,6 @@ impl AppEndpoint {
 pub struct DnsClient {
     /// UID of the owning app.
     pub uid: u32,
-    /// Package name of the owning app.
-    pub package: String,
     flow: FourTuple,
     builder: PacketBuilder,
     query: DnsMessage,
@@ -281,11 +279,10 @@ pub struct DnsClient {
 impl DnsClient {
     /// Creates a DNS client that will query `name` from local endpoint `src`
     /// towards resolver `resolver`.
-    pub fn new(uid: u32, package: &str, src: Endpoint, resolver: Endpoint, id: u16, name: &str) -> Self {
+    pub fn new(uid: u32, src: Endpoint, resolver: Endpoint, id: u16, name: &str) -> Self {
         let flow = FourTuple::new(src, resolver);
         Self {
             uid,
-            package: package.to_string(),
             flow,
             builder: PacketBuilder::new(src, resolver),
             query: DnsMessage::query(id, name),
@@ -341,7 +338,7 @@ mod tests {
 
     #[test]
     fn full_client_lifecycle_request_response_close() {
-        let mut app = AppEndpoint::new(10100, "com.android.chrome", flow(), b"GET /".to_vec(), 1000);
+        let mut app = AppEndpoint::new(10100, flow(), b"GET /".to_vec(), 1000);
         let syn = app.syn_packet();
         assert!(syn.tcp().unwrap().is_syn());
         assert_eq!(app.state(), AppState::SynSent);
@@ -376,8 +373,28 @@ mod tests {
     }
 
     #[test]
+    fn the_request_is_sent_exactly_once_and_not_kept() {
+        let mut app = AppEndpoint::new(1, flow(), b"GET /".to_vec(), 10);
+        let syn = app.syn_packet();
+        let syn_ack = relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq);
+        let first = app.handle(&syn_ack);
+        assert_eq!(first[1].tcp().unwrap().payload, b"GET /");
+        assert_eq!(app.request.capacity(), 0, "the request moved into its segment");
+        // A duplicated SYN/ACK reaches an established endpoint: no second copy.
+        let second = app.handle(&syn_ack);
+        let carrying =
+            |out: &[Packet]| out.iter().filter(|p| !p.tcp().unwrap().payload.is_empty()).count();
+        assert_eq!((carrying(&first), carrying(&second)), (1, 0));
+        assert_eq!(app.state(), AppState::Established);
+        // The request still counts as sent, so a full response closes.
+        let out = app.handle(&relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        assert_eq!(app.state(), AppState::Closing);
+        assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
+    }
+
+    #[test]
     fn server_initiated_close_is_handled() {
-        let mut app = AppEndpoint::new(1, "com.app", flow(), b"x".to_vec(), usize::MAX);
+        let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
         let syn = app.syn_packet();
         app.handle(&relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         // Some data, then the relay closes first (close_after is huge so the
@@ -392,7 +409,7 @@ mod tests {
 
     #[test]
     fn rst_fails_the_connection() {
-        let mut app = AppEndpoint::new(1, "com.app", flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let _syn = app.syn_packet();
         let out = app.handle(&relay_builder().tcp_rst_ack(1, 1));
         assert!(out.is_empty());
@@ -402,7 +419,7 @@ mod tests {
 
     #[test]
     fn packets_for_other_flows_are_ignored() {
-        let mut app = AppEndpoint::new(1, "com.app", flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let other =
             PacketBuilder::new(Endpoint::v4(9, 9, 9, 9, 443), Endpoint::v4(10, 0, 0, 2, 39999));
         assert!(app.handle(&other.tcp_syn_ack(5, 5)).is_empty());
@@ -411,7 +428,7 @@ mod tests {
 
     #[test]
     fn empty_request_connects_without_sending_data() {
-        let mut app = AppEndpoint::new(1, "com.app", flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let syn = app.syn_packet();
         let replies = app.handle(&relay_builder().tcp_syn_ack(50, syn.tcp().unwrap().seq));
         assert_eq!(replies.len(), 1);
@@ -421,7 +438,7 @@ mod tests {
 
     /// An established endpoint with the relay's stream starting at seq 101.
     fn established_app() -> AppEndpoint {
-        let mut app = AppEndpoint::new(1, "com.app", flow(), b"x".to_vec(), usize::MAX);
+        let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
         let syn = app.syn_packet();
         app.handle(&relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         assert_eq!(app.state(), AppState::Established);
@@ -501,7 +518,7 @@ mod tests {
     fn dns_client_matches_only_its_transaction() {
         let resolver = Endpoint::v4(192, 168, 1, 1, 53);
         let src = Endpoint::v4(10, 0, 0, 2, 41000);
-        let mut client = DnsClient::new(1, "com.whatsapp", src, resolver, 0x42, "e3.whatsapp.net");
+        let mut client = DnsClient::new(1, src, resolver, 0x42, "e3.whatsapp.net");
         assert_eq!(client.name(), "e3.whatsapp.net");
         let query_pkt = client.query_packet();
         assert!(query_pkt.udp().unwrap().is_dns());
