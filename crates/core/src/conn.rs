@@ -16,7 +16,7 @@
 //!
 //! A finished record keeps only its outcome. Both app sides are boxed, so a
 //! record is a few hundred bytes whatever its app is, and a TCP app endpoint
-//! that reaches Done or Failed is swapped for a [`FinishedApp`]: the bytes
+//! that reaches Done or Failed is swapped for a `FinishedApp`: the bytes
 //! it received, the duplicate ACKs it sent and whether it failed — exactly
 //! what a later delivery to a finished endpoint reads. Its request, packet
 //! builder and reassembly buffer are freed with it.

@@ -27,10 +27,10 @@
 //! One [`MopEyeEngine`] is one event loop — one core. The [`shard`] module
 //! scales the relay out: [`FleetEngine`] hashes every connection four-tuple
 //! to one of N shard engines (each with its own event loop, buffer pool,
-//! TCP machines and network view), connected to the ingress dispatcher and
-//! the measurement sink by bounded SPSC queues. Every shard runs over a
-//! flow-keyed network, so the merged result is bit-identical at any shard
-//! count.
+//! TCP machines and network view); each worker shard takes one job per run
+//! from the dispatcher and returns one report, over one-slot SPSC queues.
+//! Every shard runs over a flow-keyed network, so the merged result is
+//! bit-identical at any shard count.
 //!
 //! # Examples
 //!

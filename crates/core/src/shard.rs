@@ -10,27 +10,23 @@
 //! thread of their own.
 //!
 //! ```text
-//!                      ┌────────▶ shard 0 (engine, pool, tcpstack, procnet) ────────┐
-//!  TUN ingress ── hash ┼─ SPSC ─▶ shard 1 (engine, pool, tcpstack, procnet) ─ SPSC ─┼─▶ sink
-//!  (calling thread)    └─ SPSC ─▶ shard N (engine, pool, tcpstack, procnet) ─ SPSC ─┘  (merge)
+//!                      ┌────────────▶ shard 0 ───────────────┐
+//!  TUN ingress ── hash ┼─ job ring ─▶ shard 1 ─ report ring ─┼─▶ merge
+//!  (calling thread)    └─ job ring ─▶ shard N ─ report ring ─┘
 //! ```
 //!
-//! The dispatcher feeds each worker shard through a bounded
-//! [`mop_simnet::spsc`] queue whose slots carry *batch descriptors* —
-//! `Vec<FlowSpec>` bursts of up to the engine's batch size — under
-//! credit-based backpressure: the dispatcher takes one credit per in-flight
-//! batch from the shard's [`mop_simnet::CreditGate`] and the worker returns
-//! it when the batch is accepted, so a slow shard throttles the dispatcher
-//! instead of ballooning queues. Each worker hands its results to the
-//! measurement sink the same way. Stall counts from both mechanisms surface
-//! in the merged report (`TunStats::dispatch_stalls`,
-//! `RelayStats::sink_stalls`); shard 0 has no ring, so it adds none. The
-//! credit depth and the ring size are constants, not options: they pace the
-//! wall clock and never touch a digest, and the OS places the worker
-//! threads.
+//! A run splits its flows by shard into one exact-capacity vector per
+//! shard. Each worker shard gets exactly one job per run — the network
+//! builder and its flows — on a one-slot [`mop_simnet::spsc`] ring, and
+//! returns exactly one report on another. A worker can run nothing before it
+//! has all of its flows, so there is nothing to overlap by sending them in
+//! pieces, and with one message each way per run neither ring can ever be
+//! full: the dispatcher never waits to send. (`TunStats::dispatch_stalls`
+//! and `RelayStats::sink_stalls` therefore stay zero.) The OS places the
+//! worker threads.
 //!
-//! In steady state nothing on the path allocates per packet: the queues are
-//! pre-allocated rings, each shard's packet loop runs on its own pools
+//! In steady state nothing on the path allocates per packet: the rings are
+//! pre-allocated, each shard's packet loop runs on its own pools
 //! (tunnel slabs, socket read buffers, segment payloads), the state machines
 //! and app endpoints emit into buffers their stage owns, and the CPU ledger
 //! is a pair of fixed arrays. A warm shard allocates per flow and per loss
@@ -57,30 +53,28 @@
 //! # Residency
 //!
 //! The worker protocol lives in [`ResidentFleet`]: the threads of shards
-//! 1..N are spawned **once**, park on their job rings between runs, and are
-//! fed successive `Begin → Burst… → Finish` sequences — each `Begin` builds
-//! the run's flow-keyed network and resets the shard's engine onto it in
-//! place ([`MopEyeEngine::reset`]: pools, rings, wheel slabs and stage
-//! tables cleared, not dropped), so the steady state of a long-lived fleet
-//! spawns no threads and re-allocates none of its machinery. Once the
-//! workers have their flows, [`ResidentFleet::run_next`] does the same for
-//! shard 0 on the calling thread and runs its flows there while the
-//! workers run theirs. A one-shard fleet is the same code with no workers:
-//! it spawns no thread and a run pays no wake-up, which on a small step
-//! costs more than the flows. [`FleetEngine::run`] is the one-shot form: it
-//! builds a resident fleet, runs a single batch and tears it down, so both
-//! paths share one dispatch/merge implementation and reuse is
-//! observationally invisible by construction (checked bit-for-bit by
+//! 1..N are spawned **once**, park on their job rings between runs, and take
+//! one job per run — each builds the run's flow-keyed network, resets the
+//! shard's engine onto it in place ([`MopEyeEngine::reset`]: pools, rings,
+//! wheel slabs and stage tables cleared, not dropped) and runs the flows, so
+//! the steady state of a long-lived fleet spawns no threads and re-allocates
+//! none of its machinery. Once the workers have their jobs,
+//! [`ResidentFleet::run_next`] does the same for shard 0 on the calling
+//! thread while the workers run theirs. A one-shard fleet is the same code
+//! with no workers: it spawns no thread and a run pays no wake-up, which on
+//! a small step costs more than the flows. [`FleetEngine::run`] is the
+//! one-shot form: it builds a resident fleet, runs a single batch and tears
+//! it down, so both paths share one dispatch/merge implementation and reuse
+//! is observationally invisible by construction (checked bit-for-bit by
 //! `tests/resident_reuse.rs`).
 
 use std::cmp::Ordering;
 use std::mem;
 use std::net::IpAddr;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mop_simnet::{spsc_channel, CreditGate, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender};
+use mop_simnet::{spsc_channel, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender};
 use mop_tun::FlowSpec;
 use mop_packet::{Endpoint, FourTuple, WordHasher};
 
@@ -140,7 +134,7 @@ impl FleetConfig {
     }
 
     /// Sets the per-shard engine batch size (burst length of the stage
-    /// pipeline and of the dispatcher's flow batches). See
+    /// pipeline). See
     /// [`MopEyeConfig::batch_size`].
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.engine = self.engine.with_batch_size(batch_size);
@@ -253,111 +247,60 @@ impl FleetEngine {
     }
 }
 
-/// One message on a resident shard worker's job ring.
-enum ShardJob {
-    /// Start a new run over the network this builder describes: the worker
-    /// builds it flow-keyed and resets (or, on the very first run,
-    /// constructs) its engine. Uncredited — `run_next` sends exactly one
-    /// per worker per run.
-    Begin(Box<SimNetworkBuilder>),
-    /// A batch-sized burst of the current run's flow specs. Credited: the
-    /// dispatcher takes one gate credit per burst in flight and the worker
-    /// returns it on acceptance.
-    Burst(Vec<FlowSpec>),
-    /// No more bursts: run the accumulated flows and deliver the report on
-    /// the report ring. Uncredited, like `Begin`.
-    Finish,
-}
-
-/// Slot count of each shard's job ring; the dispatcher blocks (and yields)
-/// when a shard falls this far behind.
-const INGRESS_CAPACITY: usize = 4096;
-
-/// Credits per shard: how many flow batches may be in flight towards a shard
-/// before the dispatcher blocks waiting for the worker to accept one. Purely
-/// wall-clock pacing — virtual time and digests never see it.
-const CREDIT_DEPTH: u64 = 4;
-
 /// Points a shard's engine at a flow-keyed build of `builder`: resets it in
 /// place, or constructs it on the shard's first run. Every shard, the one on
 /// the calling thread included, begins its runs here.
-fn begin_run(engine: &mut Option<MopEyeEngine>, config: &MopEyeConfig, builder: SimNetworkBuilder) {
+fn begin_run<'a>(
+    engine: &'a mut Option<MopEyeEngine>,
+    config: &MopEyeConfig,
+    builder: SimNetworkBuilder,
+) -> &'a mut MopEyeEngine {
     let net = builder.flow_keyed().build();
     match engine {
-        Some(engine) => engine.reset(net),
-        None => *engine = Some(MopEyeEngine::new(config.clone(), net)),
+        Some(engine) => {
+            engine.reset(net);
+            engine
+        }
+        None => engine.insert(MopEyeEngine::new(config.clone(), net)),
     }
 }
 
-/// The resident shard worker: parks on its job ring between runs, keeps
-/// its engine (and every allocation inside it) across `Begin`s, and exits
-/// when the ring closes.
+/// The resident shard worker: parks on its job ring between runs, runs each
+/// job — one per run — on the engine it keeps (with every allocation inside
+/// it) across runs, and exits when the ring closes.
 fn spawn_worker(
     engine_config: MopEyeConfig,
-    jobs: SpscReceiver<ShardJob>,
-    gate: Arc<CreditGate>,
+    jobs: SpscReceiver<(SimNetworkBuilder, Vec<FlowSpec>)>,
     reports: SpscSender<RunReport>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut engine: Option<MopEyeEngine> = None;
-        let mut shard_flows: Vec<FlowSpec> = Vec::new();
-        while let Some(job) = jobs.recv() {
-            match job {
-                ShardJob::Begin(builder) => begin_run(&mut engine, &engine_config, *builder),
-                ShardJob::Burst(burst) => {
-                    shard_flows.extend(burst);
-                    gate.release(); // Burst accepted: return its credit.
-                }
-                ShardJob::Finish => {
-                    let engine = engine.as_mut().expect("Begin precedes Finish");
-                    let report = engine.run_flows(std::mem::take(&mut shard_flows));
-                    let _ = reports.send(report);
-                }
-            }
+        while let Some((builder, flows)) = jobs.recv() {
+            let report = begin_run(&mut engine, &engine_config, builder).run_flows(flows);
+            let _ = reports.send(report);
         }
     })
 }
 
-/// The dispatcher's end of one worker shard (shards 1..N): its rings, its
-/// credit gate, its thread and the stall high-water marks.
+/// The dispatcher's end of one worker shard (shards 1..N): its two
+/// one-slot rings and its thread.
 struct Worker {
-    jobs: SpscSender<ShardJob>,
-    gate: Arc<CreditGate>,
+    jobs: SpscSender<(SimNetworkBuilder, Vec<FlowSpec>)>,
     reports: SpscReceiver<RunReport>,
     thread: Option<JoinHandle<()>>,
-    // The gate/ring/sink stall counters are cumulative over the fleet's
-    // lifetime; these high-water marks turn them into per-run deltas so a
-    // resident run reports the same stall accounting a fresh fleet would.
-    gate_stalls_seen: u64,
-    ring_stalls_seen: u64,
-    sink_stalls_seen: u64,
 }
 
 impl Worker {
     fn spawn(engine_config: MopEyeConfig) -> Self {
-        let (job_tx, job_rx) = spsc_channel::<ShardJob>(INGRESS_CAPACITY);
-        let (report_tx, report_rx) = spsc_channel::<RunReport>(1);
-        let gate = Arc::new(CreditGate::new(CREDIT_DEPTH));
+        // One job in and one report out per run, and `run_next` takes the
+        // report before it sends the next job: one slot each is all it takes.
+        let (job_tx, job_rx) = spsc_channel(1);
+        let (report_tx, report_rx) = spsc_channel(1);
         Self {
-            thread: Some(spawn_worker(engine_config, job_rx, Arc::clone(&gate), report_tx)),
+            thread: Some(spawn_worker(engine_config, job_rx, report_tx)),
             jobs: job_tx,
-            gate,
             reports: report_rx,
-            gate_stalls_seen: 0,
-            ring_stalls_seen: 0,
-            sink_stalls_seen: 0,
         }
-    }
-
-    /// Stalls on the way in since the last call: credit waits plus full-ring
-    /// waits.
-    fn take_dispatch_stalls(&mut self) -> u64 {
-        let gate_total = self.gate.stalls();
-        let ring_total = self.jobs.stalls();
-        let stalls = (gate_total - self.gate_stalls_seen) + (ring_total - self.ring_stalls_seen);
-        self.gate_stalls_seen = gate_total;
-        self.ring_stalls_seen = ring_total;
-        stalls
     }
 }
 
@@ -426,56 +369,41 @@ impl ResidentFleet {
     ///
     /// The workers get their flows first; shard 0's then run here, on the
     /// calling thread, while the workers run theirs. A panic in shard 0
-    /// unwinds out of this call, as a worker's panic does.
+    /// unwinds out of this call, as a worker's panic does; after a worker's
+    /// panic, every later call panics with "hung up".
     pub fn run_next(&mut self, net_builder: &SimNetworkBuilder, flows: Vec<FlowSpec>) -> FleetReport {
+        // A worker that died in an earlier run refuses every later run
+        // before any job goes out: otherwise the live workers' reports pile
+        // up unread until a job to one of them waits forever.
+        if let Some(dead) = self.workers.iter().position(|worker| worker.thread.is_none()) {
+            self.propagate_worker_death(dead);
+        }
         let shards = self.config.shards;
-        // Hash each four-tuple once: the counting pass remembers every
-        // flow's shard so the dispatch loop below just indexes.
+        // The TUN ingress: hash each four-tuple once, count every shard's
+        // connections, then move each flow into its shard's exact-capacity
+        // vector.
         let assignment: Vec<usize> =
             flows.iter().map(|spec| FleetEngine::shard_of(spec, shards)).collect();
         let mut flows_assigned = vec![0usize; shards];
         for &shard in &assignment {
             flows_assigned[shard] += 1;
         }
-
-        for worker in 0..self.workers.len() {
-            self.send_job(worker, ShardJob::Begin(Box::new(net_builder.clone())));
-        }
-        // The TUN ingress: group each worker shard's connections into
-        // batch-sized bursts and push them through the bounded queue under
-        // credit — a lagging shard throttles the dispatcher here. Shard 0's
-        // connections stay on this thread.
-        let batch = self.config.engine.batch_size.max(1);
-        let mut local_flows = Vec::with_capacity(flows_assigned[0]);
-        let mut pending: Vec<Vec<FlowSpec>> =
-            self.workers.iter().map(|_| Vec::with_capacity(batch)).collect();
+        let mut split: Vec<Vec<FlowSpec>> =
+            flows_assigned.iter().map(|&count| Vec::with_capacity(count)).collect();
         for (spec, shard) in flows.into_iter().zip(assignment) {
-            let Some(worker) = shard.checked_sub(1) else {
-                local_flows.push(spec);
-                continue;
-            };
-            pending[worker].push(spec);
-            if pending[worker].len() == batch {
-                let full = std::mem::replace(&mut pending[worker], Vec::with_capacity(batch));
-                self.workers[worker].gate.acquire();
-                self.send_job(worker, ShardJob::Burst(full));
+            split[shard].push(spec);
+        }
+        // One job per worker; shard 0's connections stay on this thread.
+        let mut split = split.into_iter();
+        let local_flows = split.next().expect("a fleet has at least one shard");
+        for (worker, shard_flows) in split.enumerate() {
+            if self.workers[worker].jobs.send((net_builder.clone(), shard_flows)).is_err() {
+                self.propagate_worker_death(worker);
             }
         }
-        for (worker, tail) in pending.into_iter().enumerate() {
-            if !tail.is_empty() {
-                self.workers[worker].gate.acquire();
-                self.send_job(worker, ShardJob::Burst(tail));
-            }
-        }
-        for worker in 0..self.workers.len() {
-            self.send_job(worker, ShardJob::Finish);
-        }
-        let dispatch_stalls: u64 = self.workers.iter_mut().map(Worker::take_dispatch_stalls).sum();
 
-        // Shard 0: no ring in or out, so no stalls to count.
         let local = catch_unwind(AssertUnwindSafe(|| {
-            begin_run(&mut self.local, &self.config.engine, net_builder.clone());
-            self.local.as_mut().expect("begun above").run_flows(local_flows)
+            begin_run(&mut self.local, &self.config.engine, net_builder.clone()).run_flows(local_flows)
         }));
         let local = match local {
             Ok(report) => report,
@@ -491,16 +419,11 @@ impl ResidentFleet {
         };
         let mut shard_reports: Vec<RunReport> = Vec::with_capacity(shards);
         shard_reports.push(local);
-        for index in 0..self.workers.len() {
-            let mut report = match self.workers[index].reports.recv() {
-                Some(delivered) => delivered,
-                None => self.propagate_worker_death(index),
-            };
-            let worker = &mut self.workers[index];
-            let sink_total = worker.reports.stalls();
-            report.relay.sink_stalls += sink_total - worker.sink_stalls_seen;
-            worker.sink_stalls_seen = sink_total;
-            shard_reports.push(report);
+        for worker in 0..self.workers.len() {
+            match self.workers[worker].reports.recv() {
+                Some(report) => shard_reports.push(report),
+                None => self.propagate_worker_death(worker),
+            }
         }
         self.runs += 1;
 
@@ -523,16 +446,7 @@ impl ResidentFleet {
             merged.absorb(report);
         }
         merged.canonicalise();
-        // Dispatcher-side stalls belong to the fleet's TUN ingress, not to
-        // any one shard; fold them in after the merge.
-        merged.tun.dispatch_stalls += dispatch_stalls;
         FleetReport { shards, merged, per_shard }
-    }
-
-    fn send_job(&mut self, worker: usize, job: ShardJob) {
-        if self.workers[worker].jobs.send(job).is_err() {
-            self.propagate_worker_death(worker);
-        }
     }
 
     /// A closed ring means the worker exited early — join it so its panic
@@ -968,35 +882,65 @@ mod tests {
         assert_eq!(digests[1], digests[2], "3 vs 8 shards");
     }
 
-    #[test]
-    fn a_panic_in_shard_0_unwinds_and_leaves_the_fleet_usable() {
-        let good = fleet_flows(40);
-        // An IPv4 source talking to an IPv6 destination: building its SYN
-        // panics ("mixed address families"). Pick one that hashes to shard 0.
-        let bad = (0..64u16)
+    /// An IPv4 source talking to an IPv6 destination: building its SYN
+    /// panics ("mixed address families"). The one returned hashes to `shard`
+    /// of `shards`.
+    fn mixed_family_flow(template: &FlowSpec, shard: usize, shards: usize) -> FlowSpec {
+        (0..64u16)
             .map(|port| FlowSpec {
                 src: Some(Endpoint::v4(10, 9, 9, 9, 50_000 + port)),
                 dst: Endpoint::new(std::net::Ipv6Addr::LOCALHOST, 443),
                 domain: None,
-                ..good[0].clone()
+                ..template.clone()
             })
-            .find(|spec| FleetEngine::shard_of(spec, 2) == 0)
-            .expect("some port lands on shard 0");
+            .find(|spec| FleetEngine::shard_of(spec, shards) == shard)
+            .expect("some port lands on the shard")
+    }
+
+    /// Runs one fleet step that must panic, and returns its message.
+    fn panic_message(fleet: &mut ResidentFleet, flows: Vec<FlowSpec>) -> String {
+        let caught =
+            catch_unwind(AssertUnwindSafe(|| fleet.run_next(&builder(), flows))).unwrap_err();
+        let message = caught.downcast_ref::<String>().cloned();
+        message.or_else(|| caught.downcast_ref::<&str>().map(|m| m.to_string())).unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panic_in_shard_0_unwinds_and_leaves_the_fleet_usable() {
+        let good = fleet_flows(40);
         let reference = FleetEngine::new(FleetConfig::new(2), builder()).run(good.clone()).digest();
 
         let mut fleet = ResidentFleet::new(FleetConfig::new(2));
         // The failed run's worker shard runs other flows than the next run's.
         let mut flows = good[..10].to_vec();
-        flows.push(bad);
-        let caught =
-            catch_unwind(AssertUnwindSafe(|| fleet.run_next(&builder(), flows))).unwrap_err();
-        let message = caught.downcast_ref::<String>().map(String::as_str);
-        let message = message.or_else(|| caught.downcast_ref::<&str>().copied());
-        assert!(message.is_some_and(|m| m.contains("address families")), "{message:?}");
+        flows.push(mixed_family_flow(&good[0], 0, 2));
+        let message = panic_message(&mut fleet, flows);
+        assert!(message.contains("address families"), "{message:?}");
         // The worker's report of the failed run was taken off its ring, and
         // shard 0's engine is rebuilt: the next run is a clean one.
         assert_eq!(fleet.run_next(&builder(), good).digest(), reference);
         assert_eq!((fleet.runs(), fleet.threads_spawned()), (1, 1));
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_shard_surfaces_with_its_own_message() {
+        let good = fleet_flows(40);
+        // The dead worker is the last one, so with three shards a healthy
+        // worker gets its job before the dead one is reached.
+        for shards in [2usize, 3] {
+            let mut fleet = ResidentFleet::new(FleetConfig::new(shards));
+            let mut flows = good[..10].to_vec();
+            flows.push(mixed_family_flow(&good[0], shards - 1, shards));
+            let message = panic_message(&mut fleet, flows);
+            assert!(message.contains("address families"), "{shards} shards: {message:?}");
+            // The worker is gone: every later run refuses at once instead
+            // of waiting on a ring.
+            for _ in 0..4 {
+                let message = panic_message(&mut fleet, good.clone());
+                assert!(message.contains("hung up"), "{shards} shards: {message:?}");
+            }
+            assert_eq!(fleet.runs(), 0);
+        }
     }
 
     #[test]

@@ -93,10 +93,11 @@ pub struct RelayStats {
     /// In-flight segments covered by SACK blocks from apps. Zero on clean
     /// networks; excluded from the fleet digest.
     pub sacked_segments: u64,
-    /// Times a shard worker stalled handing its report to the fleet's
-    /// measurement sink (full report ring). Wall-clock backpressure
-    /// observability, not simulated behaviour — excluded from equality (see
-    /// the hand-written `PartialEq`) and from digests.
+    /// Always zero: nothing increments it. A worker shard returns one
+    /// report per run on a one-slot ring the fleet has already emptied, so
+    /// it never waits to send. The field stays because the benchmark reads
+    /// it; it is excluded from equality (see the hand-written `PartialEq`)
+    /// and from digests.
     pub sink_stalls: u64,
 }
 

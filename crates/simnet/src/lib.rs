@@ -30,10 +30,9 @@
 //!   and non-blocking modes plus `protect()` cost modelling,
 //! * [`pool`] — a free-list buffer pool so the packet datapath recycles
 //!   buffers instead of allocating per packet,
-//! * [`spsc`] — bounded single-producer/single-consumer queues (plus the
-//!   credit gate for batch backpressure) connecting the sharded fleet
-//!   engine's dispatcher, workers and measurement sink — the crate's only
-//!   `unsafe` code,
+//! * [`spsc`] — bounded single-producer/single-consumer queues that carry
+//!   the sharded fleet engine's one job per worker shard per run, and the
+//!   report back — the crate's only `unsafe` code,
 //! * [`cost`] — calibrated cost models for the system calls and scheduler
 //!   effects the paper's optimisations target.
 //!
@@ -90,7 +89,7 @@ pub use rng::SimRng;
 pub use scheduler::{SchedulerKind, TimerScheduler};
 pub use server::{ServerConfig, Service};
 pub use socket::{Selector, SelectorEvent, SocketId, SocketMode, SocketSet, SocketState};
-pub use spsc::{spsc_channel, Backoff, CreditGate, SpscReceiver, SpscSendError, SpscSender};
+pub use spsc::{spsc_channel, SpscReceiver, SpscSendError, SpscSender};
 pub use tap::{TapDirection, WireTap};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{TimerHandle, TimingWheel, WheelSnapshot};

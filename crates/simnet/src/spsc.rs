@@ -1,12 +1,12 @@
 //! Bounded single-producer/single-consumer queues.
 //!
 //! The sharded fleet engine moves work between exactly-one-producer /
-//! exactly-one-consumer pairs: the TUN ingress dispatcher feeds each shard
-//! worker through one queue, and each shard worker feeds the measurement
-//! sink through another. A bounded SPSC ring is the right primitive for that
-//! topology: the slots are allocated once at construction, pushes and pops in
-//! steady state touch only two atomic indices (no locks, no allocation), and
-//! the bound gives natural back-pressure when a shard falls behind.
+//! exactly-one-consumer pairs: the dispatcher hands each worker shard its
+//! run's job through one one-slot queue, and the worker hands its report
+//! back through another. A bounded SPSC ring is the right primitive for that
+//! topology: the slots are allocated once at construction, pushes and pops
+//! touch only two atomic indices (no locks, no allocation), and an idle
+//! consumer parks instead of polling.
 //!
 //! This is a classic Lamport ring buffer: the producer owns `tail`, the
 //! consumer owns `head`, both indices grow monotonically, and `index % cap`
@@ -36,7 +36,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
@@ -60,29 +60,17 @@ const PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
 /// An escalating wait strategy for blocked queue endpoints: spin briefly
 /// (cheapest if the peer is about to act), then yield the time slice, then
 /// sleep. A full ring therefore costs the waiting thread almost no CPU
-/// instead of burning a core in a hot spin loop.
-///
-/// Call [`Backoff::pause`] each time progress fails and [`Backoff::reset`]
-/// (or drop the value) once it succeeds.
+/// instead of burning a core in a hot spin loop. Each blocking call starts
+/// a fresh one, in the spin phase.
 #[derive(Debug, Default)]
-pub struct Backoff {
+struct Backoff {
     step: u32,
 }
 
 impl Backoff {
-    /// A fresh backoff, starting in the spin phase.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns to the spin phase after progress was made.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
     /// Waits once, escalating from spin to yield to sleep as failed attempts
     /// accumulate.
-    pub fn pause(&mut self) {
+    fn pause(&mut self) {
         if self.step < SPINS_BEFORE_YIELD {
             std::hint::spin_loop();
         } else if self.step < SPINS_BEFORE_YIELD + YIELDS_BEFORE_SLEEP {
@@ -96,7 +84,7 @@ impl Backoff {
     /// True once the spin and yield phases are exhausted — the point where
     /// the next `pause` would sleep, and a caller with a real wake-up signal
     /// (like `recv`'s park/unpark handshake) should block on that instead.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.step >= SPINS_BEFORE_YIELD + YIELDS_BEFORE_SLEEP
     }
 }
@@ -109,10 +97,6 @@ struct Ring<T> {
     tail: AtomicUsize,
     /// Set when either side is dropped.
     closed: AtomicBool,
-    /// Blocking `send` calls that found the ring full and had to wait — the
-    /// observable face of backpressure. Wall-clock scheduling detail, never
-    /// part of a deterministic digest.
-    stalls: AtomicU64,
     /// True while the consumer is parked (or committing to park) in `recv`.
     /// A long-idle consumer blocks on `park` instead of a sleep loop, so a
     /// resident shard worker waiting for its next run costs zero wake-ups —
@@ -167,13 +151,15 @@ impl<T> Drop for Ring<T> {
     }
 }
 
-/// The error returned by [`SpscSender::send`] and [`SpscSender::try_send`]
-/// when the item could not be enqueued; the item is handed back.
+/// The error returned by [`SpscSender::send`]: the receiver was dropped,
+/// so nothing will ever drain the queue. The item is handed back.
 #[derive(Debug, PartialEq, Eq)]
-pub enum SpscSendError<T> {
-    /// The queue is full (only returned by `try_send`; `send` waits instead).
+pub struct SpscSendError<T>(pub T);
+
+/// Why a non-waiting push failed; [`SpscSender::send`] waits out `Full`.
+#[derive(Debug)]
+enum TrySendError<T> {
     Full(T),
-    /// The receiver was dropped; nothing will ever drain the queue.
     Disconnected(T),
 }
 
@@ -203,7 +189,6 @@ pub fn spsc_channel<T: Send>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
-        stalls: AtomicU64::new(0),
         consumer_parked: AtomicBool::new(false),
         waiter: Mutex::new(None),
     });
@@ -213,14 +198,14 @@ pub fn spsc_channel<T: Send>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>
 impl<T: Send> SpscSender<T> {
     /// Enqueues `value` without waiting. Returns it back if the queue is full
     /// or the receiver is gone.
-    pub fn try_send(&self, value: T) -> Result<(), SpscSendError<T>> {
+    fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         if self.ring.closed.load(Ordering::Acquire) {
-            return Err(SpscSendError::Disconnected(value));
+            return Err(TrySendError::Disconnected(value));
         }
         let tail = self.ring.tail.load(Ordering::Relaxed);
         let head = self.ring.head.load(Ordering::Acquire);
         if tail - head == self.ring.capacity() {
-            return Err(SpscSendError::Full(value));
+            return Err(TrySendError::Full(value));
         }
         let slot = self.ring.slots[tail % self.ring.capacity()].get();
         // SAFETY: `tail - head < cap` means the consumer is done with this
@@ -229,7 +214,7 @@ impl<T: Send> SpscSender<T> {
         self.ring.tail.store(tail + 1, Ordering::Release);
         // Order the tail publication before the parked-flag read (x86 would
         // otherwise let the load complete first), then wake a parked
-        // consumer. Sends are per-burst, not per-packet, so the fence is off
+        // consumer. Sends are per-run, not per-packet, so the fence is off
         // the packet path.
         fence(Ordering::SeqCst);
         self.ring.wake_consumer();
@@ -237,48 +222,20 @@ impl<T: Send> SpscSender<T> {
     }
 
     /// Enqueues `value`, waiting with an escalating spin → yield → sleep
-    /// backoff while the queue is full — the back-pressure path. Each send
-    /// that finds the ring full counts one stall. Fails only if the receiver
-    /// is dropped.
+    /// backoff while the queue is full. Fails only if the receiver is
+    /// dropped.
     pub fn send(&self, mut value: T) -> Result<(), SpscSendError<T>> {
-        let mut backoff = Backoff::new();
-        let mut stalled = false;
+        let mut backoff = Backoff::default();
         loop {
             match self.try_send(value) {
                 Ok(()) => return Ok(()),
-                Err(SpscSendError::Disconnected(v)) => {
-                    return Err(SpscSendError::Disconnected(v))
-                }
-                Err(SpscSendError::Full(v)) => {
+                Err(TrySendError::Disconnected(v)) => return Err(SpscSendError(v)),
+                Err(TrySendError::Full(v)) => {
                     value = v;
-                    if !stalled {
-                        stalled = true;
-                        self.ring.stalls.fetch_add(1, Ordering::Relaxed);
-                    }
                     backoff.pause();
                 }
             }
         }
-    }
-
-    /// Number of blocking sends that found the ring full and had to wait.
-    pub fn stalls(&self) -> u64 {
-        self.ring.stalls.load(Ordering::Relaxed)
-    }
-
-    /// Number of items currently in flight.
-    pub fn len(&self) -> usize {
-        self.ring.tail.load(Ordering::Relaxed) - self.ring.head.load(Ordering::Acquire)
-    }
-
-    /// True if nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed slot count.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 }
 
@@ -293,8 +250,8 @@ impl<T> Drop for SpscSender<T> {
 
 impl<T: Send> SpscReceiver<T> {
     /// Dequeues one item without waiting. `None` means *currently empty*, not
-    /// closed — pair with [`SpscReceiver::is_closed`] when draining.
-    pub fn try_recv(&self) -> Option<T> {
+    /// closed.
+    fn try_recv(&self) -> Option<T> {
         let head = self.ring.head.load(Ordering::Relaxed);
         let tail = self.ring.tail.load(Ordering::Acquire);
         if head == tail {
@@ -316,7 +273,7 @@ impl<T: Send> SpscReceiver<T> {
     /// Returns `None` only when the sender is dropped *and* the queue has
     /// been fully drained.
     pub fn recv(&self) -> Option<T> {
-        let mut backoff = Backoff::new();
+        let mut backoff = Backoff::default();
         loop {
             if let Some(value) = self.try_recv() {
                 return Some(value);
@@ -353,116 +310,15 @@ impl<T: Send> SpscReceiver<T> {
         self.ring.consumer_parked.store(false, Ordering::Release);
     }
 
-    /// Number of blocking sends that found the ring full and had to wait
-    /// (mirrors [`SpscSender::stalls`] so the consuming side can report it).
-    pub fn stalls(&self) -> u64 {
-        self.ring.stalls.load(Ordering::Relaxed)
-    }
-
-    /// True once the sender has been dropped (items may still be in flight).
-    pub fn is_closed(&self) -> bool {
-        self.ring.closed.load(Ordering::Acquire)
-    }
-
-    /// Number of items currently in flight.
-    pub fn len(&self) -> usize {
-        self.ring.tail.load(Ordering::Acquire) - self.ring.head.load(Ordering::Relaxed)
-    }
-
     /// True if nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn is_empty(&self) -> bool {
+        self.ring.tail.load(Ordering::Acquire) == self.ring.head.load(Ordering::Relaxed)
     }
 }
 
 impl<T> Drop for SpscReceiver<T> {
     fn drop(&mut self) {
         self.ring.closed.store(true, Ordering::Release);
-    }
-}
-
-/// Credit-based backpressure for a batch pipeline: a producer must
-/// [`CreditGate::acquire`] one credit per in-flight batch and the consumer
-/// [`CreditGate::release`]s it when the batch completes, so at most `depth`
-/// batches are ever in flight and a slow consumer throttles the producer
-/// instead of letting queues balloon.
-///
-/// The gate carries no payload — it is shared (via `Arc`) alongside an SPSC
-/// ring that carries the batch descriptors. Credit accounting affects only
-/// *when* the producer runs, never *what* any batch computes, so it is
-/// invisible to deterministic digests.
-#[derive(Debug)]
-pub struct CreditGate {
-    available: AtomicU64,
-    depth: u64,
-    stalls: AtomicU64,
-}
-
-impl CreditGate {
-    /// A gate holding `depth` credits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero — a zero-credit gate can never admit work.
-    pub fn new(depth: u64) -> Self {
-        assert!(depth > 0, "a credit gate needs at least one credit");
-        Self { available: AtomicU64::new(depth), depth, stalls: AtomicU64::new(0) }
-    }
-
-    /// Takes one credit without waiting. Returns `false` if none are free.
-    pub fn try_acquire(&self) -> bool {
-        let mut cur = self.available.load(Ordering::Acquire);
-        loop {
-            if cur == 0 {
-                return false;
-            }
-            match self.available.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Takes one credit, waiting with an escalating backoff while none are
-    /// free. Each acquire that had to wait counts one stall.
-    pub fn acquire(&self) {
-        if self.try_acquire() {
-            return;
-        }
-        self.stalls.fetch_add(1, Ordering::Relaxed);
-        let mut backoff = Backoff::new();
-        loop {
-            backoff.pause();
-            if self.try_acquire() {
-                return;
-            }
-        }
-    }
-
-    /// Returns one credit (a batch completed).
-    pub fn release(&self) {
-        let prev = self.available.fetch_add(1, Ordering::Release);
-        debug_assert!(prev < self.depth, "credit released more often than acquired");
-    }
-
-    /// Credits currently free.
-    pub fn available(&self) -> u64 {
-        self.available.load(Ordering::Acquire)
-    }
-
-    /// Total credits the gate was created with.
-    pub fn depth(&self) -> u64 {
-        self.depth
-    }
-
-    /// Number of `acquire` calls that found no credit and had to wait.
-    pub fn stalls(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
     }
 }
 
@@ -476,12 +332,10 @@ mod tests {
         for v in 0..8 {
             tx.try_send(v).unwrap();
         }
-        assert_eq!(tx.len(), 8);
-        assert!(matches!(tx.try_send(99), Err(SpscSendError::Full(99))));
+        assert!(matches!(tx.try_send(99), Err(TrySendError::Full(99))));
         let drained: Vec<u32> = std::iter::from_fn(|| rx.try_recv()).collect();
         assert_eq!(drained, (0..8).collect::<Vec<_>>());
-        assert!(rx.is_empty() && tx.is_empty());
-        assert_eq!(tx.capacity(), 8);
+        assert!(rx.is_empty());
     }
 
     #[test]
@@ -515,8 +369,8 @@ mod tests {
     fn dropping_receiver_disconnects_sender() {
         let (tx, rx) = spsc_channel::<u8>(2);
         drop(rx);
-        assert!(matches!(tx.send(1), Err(SpscSendError::Disconnected(1))));
-        assert!(matches!(tx.try_send(2), Err(SpscSendError::Disconnected(2))));
+        assert_eq!(tx.send(1), Err(SpscSendError(1)));
+        assert!(matches!(tx.try_send(2), Err(TrySendError::Disconnected(2))));
     }
 
     #[test]
@@ -525,7 +379,6 @@ mod tests {
         tx.try_send("a".into()).unwrap();
         tx.try_send("b".into()).unwrap();
         drop(tx);
-        assert!(rx.is_closed());
         assert_eq!(rx.recv().as_deref(), Some("a"));
         assert_eq!(rx.recv().as_deref(), Some("b"));
         assert_eq!(rx.recv(), None);
@@ -559,68 +412,14 @@ mod tests {
     }
 
     #[test]
-    fn blocking_sends_on_a_full_ring_are_counted_as_stalls() {
-        let (tx, rx) = spsc_channel::<u32>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.stalls(), 0, "try_send never counts stalls");
-        let producer = std::thread::spawn(move || {
-            tx.send(3).unwrap(); // Ring is full: must wait for the consumer.
-            tx.stalls()
-        });
-        // Let the producer hit the full ring, then drain one slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(rx.try_recv(), Some(1));
-        let stalls = producer.join().unwrap();
-        assert_eq!(stalls, 1, "one blocked send, one stall");
-        assert_eq!(rx.stalls(), 1, "receiver sees the same counter");
-    }
-
-    #[test]
     fn backoff_escalates_without_panicking() {
-        let mut backoff = Backoff::new();
-        // Walk through spin and yield phases and into the first sleep.
-        for _ in 0..(SPINS_BEFORE_YIELD + YIELDS_BEFORE_SLEEP + 1) {
+        let mut backoff = Backoff::default();
+        // Walk through the spin and yield phases and into the first sleep.
+        for _ in 0..(SPINS_BEFORE_YIELD + YIELDS_BEFORE_SLEEP) {
+            assert!(!backoff.exhausted());
             backoff.pause();
         }
-        backoff.reset();
-        backoff.pause(); // Back in the cheap spin phase.
-    }
-
-    #[test]
-    fn credit_gate_admits_at_most_depth_batches() {
-        let gate = CreditGate::new(2);
-        assert_eq!(gate.depth(), 2);
-        assert!(gate.try_acquire());
-        assert!(gate.try_acquire());
-        assert!(!gate.try_acquire(), "no third credit");
-        assert_eq!(gate.available(), 0);
-        gate.release();
-        assert_eq!(gate.available(), 1);
-        assert!(gate.try_acquire());
-        assert_eq!(gate.stalls(), 0, "try_acquire never counts stalls");
-    }
-
-    #[test]
-    fn credit_gate_blocks_producer_until_consumer_releases() {
-        let gate = Arc::new(CreditGate::new(1));
-        gate.acquire(); // The one credit is out.
-        let producer = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                gate.acquire(); // Must wait for the release below.
-                gate.stalls()
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        gate.release();
-        let stalls = producer.join().unwrap();
-        assert_eq!(stalls, 1, "one blocked acquire, one stall");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one credit")]
-    fn zero_depth_gate_panics() {
-        let _ = CreditGate::new(0);
+        assert!(backoff.exhausted());
+        backoff.pause();
     }
 }

@@ -17,10 +17,11 @@ pub struct TunStats {
     pub packets_to_apps: u64,
     /// Bytes written by MopEye back to apps.
     pub bytes_to_apps: u64,
-    /// Times the fleet's TUN-ingress dispatcher stalled on backpressure
-    /// (full shard ring or exhausted credits). A wall-clock scheduling
-    /// observation, not part of the simulated behaviour — excluded from
-    /// equality and digests, which is why `PartialEq` is hand-written below.
+    /// Always zero: nothing increments it. The fleet's dispatcher sends each
+    /// worker shard one job per run on a one-slot ring it has already
+    /// emptied, so it never waits to send. The field stays because the
+    /// benchmark reads it; it is excluded from equality and digests, which
+    /// is why `PartialEq` is hand-written below.
     pub dispatch_stalls: u64,
 }
 

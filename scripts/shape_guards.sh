@@ -55,8 +55,12 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # Forbids re-sorting the cumulative report in a served step (PR 24).
 ! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'cumulative.canonicalise' || fail "step re-sorts the cumulative report"
 
+# Forbids a credit gate, a deep job ring or burst messages on the fleet's
+# hand-off: one job per worker per run.
+! grep -rnE 'CreditGate|INGRESS_CAPACITY|ShardJob::Burst' crates src tests examples || fail "one job per worker per run"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
 fi
-echo "all 13 shape guards hold"
+echo "all 14 shape guards hold"

@@ -116,12 +116,11 @@ fn the_report_cli_digest_is_pinned_at_1_2_4_shards() {
 #[test]
 fn batch_size_and_credit_depth_never_move_a_bit() {
     // The vectored datapath's whole contract: the burst length of the stage
-    // pipeline and the dispatcher's credit gate are *throughput* machinery,
-    // not behaviour. Every (batch, shards) combination must reproduce the
-    // pre-refactor digest exactly — batch size 1 degenerates to the
-    // item-wise loop and sends every flow as a one-flow burst into its
-    // shard's depth-4 credit gate, and 64 exceeds the coalescing window of
-    // most instants.
+    // pipeline and the fleet's hand-off to its shards are *throughput*
+    // machinery, not behaviour. Every (batch, shards) combination must
+    // reproduce the pre-refactor digest exactly — batch size 1 degenerates
+    // to the item-wise loop, and 64 exceeds the coalescing window of most
+    // instants.
     let scenario = Scenario::rush_hour(300, 20_170_712);
     let flows = scenario.generate();
     for batch in [1usize, 16, 64] {
