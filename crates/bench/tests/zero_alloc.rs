@@ -2,16 +2,17 @@
 //!
 //! The paper's Table 3 workload is the relay's steady state: the app streams
 //! ACKs into the tunnel while the relay segments server data back out. Per
-//! packet that means (a) reading the raw bytes into a pooled buffer, (b)
-//! parsing them with the zero-copy views, (c) running the TCP state machine's
-//! relay decision (pure ACKs are discarded, §2.3), and (d) encoding the next
-//! data segment towards the app into a reused buffer. After warm-up, none of
-//! those steps may touch the allocator — that is the contract the pooled
-//! zero-copy datapath exists to provide, and this test pins it for the
-//! component loop, through the same sink-style machine call the engine's
-//! relay stage makes. (`zero_alloc_engine.rs` holds the whole engine to a
-//! per-flow allocation budget; this loop is the part that must be exactly
-//! zero.)
+//! packet the engine (a) puts the app's raw bytes into one pooled buffer
+//! — the buffer a tunnel-packet event names — (b) parses them with the
+//! zero-copy views, (c) runs the TCP state machine's relay decision (pure
+//! ACKs are discarded, §2.3), returns the buffer to its pool, and (d)
+//! encodes the next data segment towards the app into a reused buffer.
+//! This loop is that path, one packet at a time, through the same
+//! `BufferPool` and the same sink-style machine call the engine's ingress
+//! and relay stages make. After warm-up none of those steps may touch the
+//! allocator — the contract the pooled zero-copy datapath exists to
+//! provide. (`zero_alloc_engine.rs` holds the whole engine to a per-flow
+//! allocation budget; this loop is the part that must be exactly zero.)
 //!
 //! This file intentionally contains a single test: the counting allocator is
 //! process-global, so a concurrently running test would pollute the window.

@@ -1,7 +1,7 @@
 //! Regression test: a warm engine allocates per flow, not per packet.
 //!
-//! `zero_alloc.rs` and `zero_alloc_batch.rs` pin a hand-assembled component
-//! loop at exactly zero allocations; this file holds the real thing — a
+//! `zero_alloc.rs` pins a hand-assembled component loop at exactly zero
+//! allocations; this file holds the real thing — a
 //! warm, lean, flow-keyed `MopEyeEngine` (`reset` + `run_flows` after one
 //! cold run, what a resident fleet shard does on every step) — to an
 //! allocation budget that does not grow with the packet count:

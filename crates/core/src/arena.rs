@@ -3,9 +3,10 @@
 //! A scheduled event is copied into the wheel's slab, through its slot
 //! buckets and due buffer, and out again when it pops, so every byte of an
 //! event is paid for several times. Events therefore stay a few machine
-//! words: a payload bigger than that — a flow's spec, a packet on its way to
-//! an app — is parked in an [`Arena`] when its event is scheduled, and the
-//! event carries the [`Parked`] handle; dispatch takes the payload back.
+//! words: a payload bigger than that — a flow's spec, a tunnel packet's
+//! bytes, a packet on its way to an app — is parked in an [`Arena`] when
+//! its event is scheduled, and the event carries the [`Parked`] handle;
+//! dispatch takes the payload back.
 //! The cells are reused through a free list and survive `clear`, so a
 //! resident engine's arenas grow once.
 
@@ -57,6 +58,13 @@ impl<T> Arena<T> {
     pub(crate) fn clear(&mut self) {
         self.cells.clear();
         self.free.clear();
+    }
+
+    /// Takes every parked value out, leaving the arena empty with both
+    /// allocations kept.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.free.clear();
+        self.cells.drain(..).flatten()
     }
 
     /// How many values are parked.

@@ -25,8 +25,8 @@
 //! runs the pending part on a fresh fleet (any shard count) and absorbs the
 //! base back in. By partition invariance the resumed
 //! [`FleetReport`] digest is bit-identical to the uninterrupted run's —
-//! `tests/checkpoint_restore.rs` pins exactly that across shard counts,
-//! batch sizes and lossy networks.
+//! `tests/checkpoint_restore.rs` pins exactly that across shard counts
+//! and lossy networks.
 //!
 //! Cutting at an *epoch boundary* (a multiple of
 //! [`crate::config::MopEyeConfig::epoch_width`]) keeps the windowed epoch
@@ -126,9 +126,9 @@ impl FleetCheckpoint {
     /// # Panics
     ///
     /// Panics if `fleet` is configured incompatibly with the saved run —
-    /// different seed, congestion algorithm or epoch geometry. (Shard count
-    /// and batch size may differ freely: the merged report is invariant to
-    /// both.) [`FleetCheckpoint::try_resume`] is the non-panicking variant
+    /// different seed, congestion algorithm or epoch geometry. (The shard
+    /// count may differ freely: the merged report is invariant to it.)
+    /// [`FleetCheckpoint::try_resume`] is the non-panicking variant
     /// long-lived callers should prefer.
     pub fn resume(self, fleet: &FleetEngine) -> FleetReport {
         self.try_resume(fleet).unwrap_or_else(|reason| panic!("{reason}"))

@@ -4,9 +4,9 @@
 //! (read strategy, write and enqueue schemes, mapping, protect mode,
 //! timestamp placement, clock granularity, content inspection) let the
 //! experiments compare MopEye's choices against ToyVpn, PrivacyGuard, Haystack
-//! and MobiPerf. The modelling knobs (seed, worker model, idle timeout,
-//! congestion control, batch size, epoch windows, event budget, sample
-//! retention) choose what a run simulates and what it reports.
+//! and MobiPerf. The modelling knobs (seed, idle timeout, congestion
+//! control, epoch windows, event budget, sample retention) choose what a
+//! run simulates and what it reports.
 //!
 //! Two things are deliberately *not* knobs. How per-flow state is keyed —
 //! one shared device, or a fleet where every flow has its own streams — is
@@ -76,23 +76,6 @@ pub enum ClockGranularity {
     Millisecond,
 }
 
-/// How the MainWorker's CPU capacity constrains the relay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkerModel {
-    /// Packet processing is charged to the CPU ledger but never delays the
-    /// relay — the original engine behaviour, right for accuracy and
-    /// overhead experiments where the device is far from saturation.
-    #[default]
-    Unbounded,
-    /// The MainWorker is a serial resource: each packet's processing cost
-    /// occupies the worker, and packets arriving faster than it can drain
-    /// them queue behind it. Under this model a single event loop saturates
-    /// at its per-packet cost, and a sharded engine's aggregate relay
-    /// capacity scales with the number of shards — the effect the fleet
-    /// benchmark measures.
-    Saturating,
-}
-
 /// The engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MopEyeConfig {
@@ -115,8 +98,6 @@ pub struct MopEyeConfig {
     pub content_inspection: bool,
     /// Random seed for the engine's own noise (thread scheduling, costs).
     pub seed: u64,
-    /// Whether the MainWorker's CPU capacity back-pressures the relay.
-    pub worker: WorkerModel,
     /// Safety valve: a run aborts after this many events. Fleet scenarios
     /// with 100k+ connections need far more than the single-device default.
     pub max_events: u64,
@@ -142,14 +123,6 @@ pub struct MopEyeConfig {
     /// simulated network can inject data-path faults; on clean networks no
     /// recovery state exists at all, so the choice is free.
     pub congestion: CongestionAlgo,
-    /// Upper bound on how many same-timestamp TUN packets the event loop
-    /// coalesces into one slab batch, and the burst length over which the
-    /// saturating MainWorker amortises its per-packet cost. Batch boundaries
-    /// never reorder events (only *consecutive equal-timestamp* batches are
-    /// merged), so under [`WorkerModel::Unbounded`] every batch size produces
-    /// bit-identical results; under [`WorkerModel::Saturating`] a size of 1
-    /// reproduces the unbatched engine exactly.
-    pub batch_size: usize,
     /// Width of one analytics epoch for the windowed time-series sink.
     ///
     /// `None` (the default) disables windowed aggregation entirely:
@@ -174,11 +147,6 @@ pub const DEFAULT_MAX_EVENTS: u64 = 5_000_000;
 /// hour-scale epochs live for the epoch table.
 pub const DEFAULT_EPOCH_WINDOW: usize = 32;
 
-/// The default TUN batch size. A sweep from 1 to 256 measured per-packet
-/// cost essentially flat from 16 up, so 32 leaves headroom without
-/// inflating slab residency.
-pub const DEFAULT_BATCH_SIZE: usize = 32;
-
 impl Default for MopEyeConfig {
     fn default() -> Self {
         Self::mopeye()
@@ -201,12 +169,10 @@ impl MopEyeConfig {
             clock: ClockGranularity::Nanosecond,
             content_inspection: false,
             seed: 0x4d6f_7045,
-            worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
-            batch_size: DEFAULT_BATCH_SIZE,
             epoch_width: None,
             epoch_window: DEFAULT_EPOCH_WINDOW,
         }
@@ -225,12 +191,10 @@ impl MopEyeConfig {
             clock: ClockGranularity::Millisecond,
             content_inspection: true,
             seed: 0x4861_7973,
-            worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
-            batch_size: DEFAULT_BATCH_SIZE,
             epoch_width: None,
             epoch_window: DEFAULT_EPOCH_WINDOW,
         }
@@ -249,12 +213,10 @@ impl MopEyeConfig {
             clock: ClockGranularity::Nanosecond,
             content_inspection: false,
             seed: 0x546f_7956,
-            worker: WorkerModel::Unbounded,
             max_events: DEFAULT_MAX_EVENTS,
             retain_samples: true,
             idle_timeout: None,
             congestion: CongestionAlgo::Reno,
-            batch_size: DEFAULT_BATCH_SIZE,
             epoch_width: None,
             epoch_window: DEFAULT_EPOCH_WINDOW,
         }
@@ -297,12 +259,6 @@ impl MopEyeConfig {
         self
     }
 
-    /// Sets the MainWorker capacity model.
-    pub fn with_worker(mut self, worker: WorkerModel) -> Self {
-        self.worker = worker;
-        self
-    }
-
     /// Sets the event-count safety valve.
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
@@ -327,13 +283,6 @@ impl MopEyeConfig {
     /// [`MopEyeConfig::congestion`]).
     pub fn with_congestion(mut self, congestion: CongestionAlgo) -> Self {
         self.congestion = congestion;
-        self
-    }
-
-    /// Sets the TUN batch size (see [`MopEyeConfig::batch_size`]). Clamped to
-    /// at least 1.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The module itself is only the *loop*: pending work lives on the O(1)
-//! [`TimingWheel`] as handle-sized events — a flow's spec, a tunnel slab
+//! [`TimingWheel`] as handle-sized events — a flow's spec, a tunnel packet
 //! and a packet on its way to an app wait in their arenas, and the event
 //! names them — and each popped event is routed to the pipeline stage that
 //! owns it — [`IngressStage`] (TUN retrieval + parse + app endpoints),
@@ -27,7 +27,7 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_simnet::{SimNetwork, SimTime, SlabId, TimingWheel};
+use mop_simnet::{SimNetwork, SimTime, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::arena::{Arena, Parked};
@@ -51,14 +51,12 @@ pub(crate) enum Event {
     /// An app opens the flow whose spec is parked in the run's spec list.
     /// (→ ingress)
     FlowStart(Parked),
-    /// The MainWorker processes a slab batch of raw packet bytes retrieved
-    /// from the tunnel. (→ ingress parse, then relay)
+    /// The MainWorker processes one packet's raw bytes retrieved from the
+    /// tunnel. (→ ingress parse, then relay)
     ///
-    /// The slab lives in (and returns to) the ingress stage's batch pool;
-    /// the relay parses each packet in place with the zero-copy views. The
-    /// engine loop coalesces consecutive same-instant slabs into one burst
-    /// before dispatching.
-    ProcessTunBatch(SlabId),
+    /// The bytes wait in a pooled buffer parked in the ingress stage, and
+    /// the relay parses them in place with the zero-copy views.
+    TunPacket(Parked),
     /// The connection's external connect has completed (successfully or
     /// not). (→ relay)
     ExternalConnected(FlowId),
@@ -105,7 +103,7 @@ pub struct MopEyeEngine {
 impl MopEyeEngine {
     /// Creates an engine over `net` with the given configuration.
     pub fn new(config: MopEyeConfig, net: SimNetwork) -> Self {
-        let ingress = IngressStage::new(ReaderSim::new(config.read_strategy), config.batch_size);
+        let ingress = IngressStage::new(ReaderSim::new(config.read_strategy));
         let relay = RelayStage::new(config.mapping, config.protect);
         let egress = EgressStage::new(TunWriter::new(config.write_scheme, config.enqueue_scheme));
         Self {
@@ -121,8 +119,8 @@ impl MopEyeEngine {
     }
 
     /// Resets the engine for a new run over `net`, reusing every allocation:
-    /// the connection table, stage tables, buffer and slab pools, the event
-    /// payload arenas and the timing wheel's slot slab all survive cleared
+    /// the connection table, stage tables, buffer pools, the event payload
+    /// arenas and the timing wheel's slot slab all survive cleared
     /// rather than dropped (a stopped run's pending payloads with them), so
     /// a resident engine's steady state allocates nothing. A reset engine is
     /// observationally identical to `MopEyeEngine::new(config, net)` with
@@ -151,13 +149,13 @@ impl MopEyeEngine {
     }
 
     /// How many payloads each arena holds for events still pending: flow
-    /// specs, tunnel slabs and packets on their way to an app. All zero
+    /// specs, tunnel packets and packets on their way to an app. All zero
     /// once a run has completed; [`MopEyeEngine::reset`] empties them
     /// whatever the run did.
     pub fn parked_payloads(&self) -> [(&'static str, usize); 3] {
         [
             ("specs", self.specs.len()),
-            ("slabs", self.ingress.batches.in_use()),
+            ("tunnel packets", self.ingress.packets.len()),
             ("packets", self.shared.parked.len()),
         ]
     }
@@ -182,20 +180,9 @@ impl MopEyeEngine {
         self.run_flows(flows)
     }
 
-    /// Runs an explicit list of flows to completion and reports.
-    ///
-    /// The loop drains the scheduler in timestamp-batched bursts: pops are
-    /// nondecreasing in time with FIFO order at equal instants, so
-    /// *consecutive* TUN slabs due at the same instant can be absorbed into
-    /// one burst (up to `config.batch_size` packets) and handed to the
-    /// ingress stage as one slab. Coalescing is restricted to equal timestamps
-    /// because processing an event at `t1` may schedule new work strictly
-    /// between `t1` and the next queued event — merging across distinct
-    /// instants would reorder that work. At equal instants the merge is
-    /// exactly order-preserving: anything the first slab's processing
-    /// schedules for the same instant gets a later FIFO sequence number than
-    /// the already-queued follower, so the follower would have popped first
-    /// anyway.
+    /// Runs an explicit list of flows to completion and reports: pops are
+    /// nondecreasing in time with FIFO order at equal instants, and each
+    /// popped event is dispatched on its own.
     pub fn run_flows(&mut self, flows: Vec<FlowSpec>) -> RunReport {
         self.reserve_flows(flows.len());
         for spec in flows {
@@ -203,38 +190,9 @@ impl MopEyeEngine {
             let at = spec.at;
             self.sched.schedule(at, Event::FlowStart(self.specs.park(spec)));
         }
-        let batch_cap = self.shared.config.batch_size.max(1);
-        let mut stash: Option<(SimTime, Event)> = None;
-        while let Some((at, event)) = stash.take().or_else(|| self.sched.pop()) {
+        while let Some((at, event)) = self.sched.pop() {
             self.shared.clock.advance_to(at);
-            let proceed = match event {
-                Event::ProcessTunBatch(slab) => {
-                    // Absorb consecutive same-instant slabs into this burst.
-                    // Only same-instant followers may be popped at all:
-                    // pulling a *later* event out here would jump it ahead of
-                    // any earlier work the burst schedules while processing.
-                    let batches = &mut self.ingress.batches;
-                    while batches[slab].len() < batch_cap && self.sched.peek_time() == Some(at) {
-                        match self.sched.pop() {
-                            Some((_, Event::ProcessTunBatch(follower))) => {
-                                batches.absorb(slab, follower);
-                            }
-                            // A same-instant non-batch event: it was queued
-                            // before anything the burst can schedule at this
-                            // instant, so running it right after the burst
-                            // preserves FIFO order exactly.
-                            Some(other) => {
-                                stash = Some(other);
-                                break;
-                            }
-                            None => break,
-                        }
-                    }
-                    self.process_tun_batch(slab)
-                }
-                event => self.dispatch(at, event),
-            };
-            if !proceed {
+            if !self.dispatch(at, event) {
                 break;
             }
         }
@@ -268,9 +226,14 @@ impl MopEyeEngine {
                 let spec = self.specs.take(spec);
                 self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec)
             }
-            Event::ProcessTunBatch(_) => {
-                unreachable!("TUN batches are coalesced and dispatched by the run_flows loop")
-            }
+            Event::TunPacket(packet) => self.ingress.process_tun(
+                shared,
+                &mut self.relay,
+                &mut self.egress,
+                sched,
+                now,
+                packet,
+            ),
             Event::ExternalConnected(id) => self.relay.on_external_connected(
                 shared,
                 &mut self.egress,
@@ -305,31 +268,6 @@ impl MopEyeEngine {
         }
     }
 
-    /// The ingress → relay handoff for one coalesced tunnel burst: budget
-    /// the event count (each packet in the slab was one scheduled event),
-    /// hand the slab to the ingress stage, and recycle it.
-    /// Returns false when the event budget is exhausted.
-    fn process_tun_batch(&mut self, slab: SlabId) -> bool {
-        // Reproduce the item-wise budget semantics exactly: events count one
-        // by one, and the event that crosses the budget is counted but not
-        // processed.
-        let packets = self.ingress.batches[slab].len() as u64;
-        let remaining = self.shared.config.max_events.saturating_sub(self.events_processed);
-        let over_budget = packets > remaining;
-        let process = packets.min(remaining);
-        self.events_processed += process + u64::from(over_budget);
-        self.ingress.batches[slab].truncate(process as usize);
-        self.ingress.process_tun(
-            &mut self.shared,
-            &mut self.relay,
-            &mut self.egress,
-            &mut self.sched,
-            slab,
-        );
-        self.ingress.batches.put(slab);
-        !over_budget
-    }
-
     fn report(&mut self) -> RunReport {
         let mut counters = Counters::default();
         counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
@@ -344,9 +282,9 @@ impl MopEyeEngine {
             windows: self.sink.windows.take(),
             relay: std::mem::take(&mut self.relay.stats),
             mapping: self.relay.mapper.stats(),
-            tun: self.shared.tun.stats(),
+            tun: self.shared.tun,
             ledger: self.shared.ledger.clone(),
-            buffer_pool: self.ingress.batches.stats(),
+            buffer_pool: self.ingress.buffers.stats(),
             socket_read_pool: self.relay.sockets.read_pool_stats(),
             finished_at: self.shared.clock.now(),
             events_processed: self.events_processed,

@@ -82,9 +82,7 @@ pub use checkpoint::{
     epoch_boundary, split_at, CheckpointHeader, CheckpointRef, FleetCheckpoint,
     CHECKPOINT_FORMAT_VERSION,
 };
-pub use config::{
-    EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WorkerModel, WriteScheme,
-};
+pub use config::{EnqueueScheme, MopEyeConfig, ProtectMode, TimestampMode, WriteScheme};
 pub use engine::MopEyeEngine;
 pub use mop_tcpstack::CongestionAlgo;
 pub use report::{Counter, Counters, RunReport};

@@ -27,7 +27,7 @@
 //!
 //! In steady state nothing on the path allocates per packet: the rings are
 //! pre-allocated, each shard's packet loop runs on its own pools
-//! (tunnel slabs, socket read buffers, segment payloads), the state machines
+//! (tunnel packet buffers, socket read buffers, segment payloads), the state machines
 //! and app endpoints emit into buffers their stage owns, and the CPU ledger
 //! is a pair of fixed arrays. A warm shard allocates per flow and per loss
 //! event; `crates/bench/tests/zero_alloc_engine.rs` holds an engine to that.
@@ -45,10 +45,12 @@
 //!
 //! # Scaling
 //!
-//! With [`WorkerModel::Saturating`], each shard's MainWorker is a serial
-//! resource; a workload that saturates one worker completes ~N× faster in
-//! virtual time on N shards. The fleet benchmark measures exactly that
-//! (aggregate relay goodput at 1/2/4/8 shards).
+//! Sharding scales host work, not the simulation. A MainWorker's
+//! per-packet costs are charged to its shard's CPU ledger and never delay
+//! the relay in virtual time, so the merged report — finish time included —
+//! is the same at every shard count (see above). What N shards buy is wall
+//! clock: N event loops on N threads, which the benchmark's
+//! `core.shard_scaling_2v1` measures.
 //!
 //! # Residency
 //!
@@ -78,7 +80,7 @@ use mop_simnet::{spsc_channel, SimNetworkBuilder, SimTime, SpscReceiver, SpscSen
 use mop_tun::FlowSpec;
 use mop_packet::{Endpoint, FourTuple, WordHasher};
 
-use crate::config::{MopEyeConfig, WorkerModel};
+use crate::config::MopEyeConfig;
 use crate::engine::{MopEyeEngine, RunReport};
 use crate::report::Counters;
 use crate::stats::{FlowOutcome, RttSample, SampleKind};
@@ -105,13 +107,6 @@ impl FleetConfig {
         }
     }
 
-    /// Enables the saturating MainWorker model (see [`WorkerModel`]), under
-    /// which relay capacity scales with the shard count.
-    pub fn saturating(mut self) -> Self {
-        self.engine = self.engine.with_worker(WorkerModel::Saturating);
-        self
-    }
-
     /// Sets the engine seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.engine = self.engine.with_seed(seed);
@@ -130,14 +125,6 @@ impl FleetConfig {
     /// that inject data-path faults.
     pub fn with_congestion(mut self, congestion: mop_tcpstack::CongestionAlgo) -> Self {
         self.engine = self.engine.with_congestion(congestion);
-        self
-    }
-
-    /// Sets the per-shard engine batch size (burst length of the stage
-    /// pipeline). See
-    /// [`MopEyeConfig::batch_size`].
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.engine = self.engine.with_batch_size(batch_size);
         self
     }
 
@@ -193,8 +180,7 @@ impl FleetReport {
     }
 
     /// Aggregate relay goodput over the whole fleet: response bytes
-    /// delivered to apps divided by the busy interval, in Mbit/s. Under the
-    /// saturating worker model this is the relay's modelled capacity.
+    /// delivered to apps divided by the busy interval, in Mbit/s.
     pub fn relay_throughput_mbps(&self) -> Option<f64> {
         self.merged.download_goodput_mbps()
     }
@@ -949,25 +935,5 @@ mod tests {
         let a = FleetEngine::new(FleetConfig::new(2).with_seed(1), builder()).run(flows.clone());
         let b = FleetEngine::new(FleetConfig::new(2).with_seed(2), builder()).run(flows);
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn saturating_worker_stretches_a_single_shard() {
-        // A burst far above one worker's capacity: with one shard the
-        // backlog stretches the finish time well past the eight-shard run.
-        // (Burst amortisation raised per-worker capacity ~4x, hence the
-        // load well above the old 600-flow saturation point.)
-        let flows = fleet_flows(3000);
-        let one = FleetEngine::new(FleetConfig::new(1).saturating(), builder()).run(flows.clone());
-        let eight = FleetEngine::new(FleetConfig::new(8).saturating(), builder()).run(flows);
-        assert!(
-            one.merged.finished_at > eight.merged.finished_at,
-            "1-shard {:?} vs 8-shard {:?}",
-            one.merged.finished_at,
-            eight.merged.finished_at
-        );
-        let t1 = one.relay_throughput_mbps().unwrap();
-        let t8 = eight.relay_throughput_mbps().unwrap();
-        assert!(t8 > t1, "throughput should scale: 1-shard {t1} vs 8-shard {t8}");
     }
 }

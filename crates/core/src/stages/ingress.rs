@@ -2,20 +2,22 @@
 //!
 //! This is the app-facing end of the pipeline. When a simulated app endpoint
 //! or DNS client (held in its connection's record) writes a packet "into the
-//! tunnel", the raw IP bytes are sealed into a pooled slab batch, the
+//! tunnel", the raw IP bytes are encoded into a pooled buffer, the
 //! `ReaderSim` models the TUN retrieval cost for the configured read
-//! strategy, and the slab's id is scheduled as a `ProcessTunBatch` event (the
-//! engine loop coalesces same-instant slabs into larger bursts), which comes
-//! back here to be parsed and handed to the relay. Packets the egress stage
-//! delivers back to the apps re-enter here too (`DeliverToApp`), where the
-//! app endpoints consume them and emit their next requests.
+//! strategy, and the buffer is parked behind a `TunPacket` event — the
+//! TunReader handing the MainWorker one packet through its read queue
+//! (§3.1–3.2) — which comes back here to be parsed and handed to the
+//! relay. Packets the egress stage delivers back to the apps re-enter here
+//! too (`DeliverToApp`), where the app endpoints consume them and emit
+//! their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
-use mop_simnet::{BatchPool, Component, SimDuration, SimTime, SlabId, TimingWheel};
+use mop_simnet::{BufferPool, Component, SimDuration, SimTime, TimingWheel};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
 use super::{EgressStage, EngineShared, RelayStage};
+use crate::arena::{Arena, Parked};
 use crate::conn::{AppSide, FlowId};
 use crate::engine::Event;
 
@@ -24,10 +26,13 @@ use crate::engine::Event;
 pub struct IngressStage {
     /// The TUN read-strategy model (§3.1).
     pub(crate) reader: ReaderSim,
-    /// The tunnel slab arena: the reader seals retrieved packets into a
-    /// pooled slab, the slab stays here (its event carries only the id)
-    /// while the relay parses it by reference, then the slab is recycled.
-    pub(crate) batches: BatchPool,
+    /// Free list of tunnel packet buffers: each app write is encoded into
+    /// one, and the buffer comes back once the relay has parsed it.
+    pub(crate) buffers: BufferPool,
+    /// Tunnel packets on their way to the MainWorker: a write's buffer
+    /// waits here while its `TunPacket` event, which carries only the
+    /// handle, is on the wheel.
+    pub(crate) packets: Arena<Vec<u8>>,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
     /// Sequential DNS transaction ids.
@@ -38,59 +43,57 @@ pub struct IngressStage {
 }
 
 impl IngressStage {
-    /// Creates the stage around a configured reader, with slabs pre-sized
-    /// for `batch_size`-packet bursts.
-    pub fn new(reader: ReaderSim, batch_size: usize) -> Self {
+    /// Creates the stage around a configured reader.
+    pub fn new(reader: ReaderSim) -> Self {
         Self {
             reader,
-            batches: BatchPool::for_packets(batch_size),
+            buffers: BufferPool::for_packets(),
+            packets: Arena::default(),
             next_app_port: 36_000,
             next_dns_id: 1,
             app_out: Vec::new(),
         }
     }
 
-    /// Resets the stage to its just-constructed state, keeping the slab
-    /// pool (slabs a stopped run left in flight return to it): the reader
+    /// Resets the stage to its just-constructed state, keeping the buffer
+    /// pool (buffers a stopped run left parked return to it): the reader
     /// restarts its poll loop at time zero and the port/transaction-id
     /// counters rewind so a reused stage hands out the same identifiers a
     /// fresh one would.
     pub(crate) fn reset(&mut self) {
         self.reader.reset();
-        self.batches.reset();
+        for buf in self.packets.drain() {
+            self.buffers.put(buf);
+        }
+        self.buffers.reset_stats();
         self.next_app_port = 36_000;
         self.next_dns_id = 1;
     }
 
-    /// The MainWorker drains one TUN slab: each packet is parsed zero-copy
-    /// straight out of the slab bytes, resolved to its connection record
-    /// (the one place a four-tuple is hashed), charged its parse cost
-    /// (which, under the saturating model, amortises across the burst), and
-    /// handed to the relay. Per-packet semantics — parse, RNG draws, relay
-    /// decision — are those of a one-event-per-packet loop; only the
-    /// dispatch granularity differs.
+    /// The MainWorker processes one tunnel packet: it is parsed zero-copy
+    /// straight out of its pooled buffer, resolved to its connection record
+    /// (the one place a four-tuple is hashed), charged its parse cost and
+    /// handed to the relay; then the buffer returns to the pool.
     pub(crate) fn process_tun(
         &mut self,
         sh: &mut EngineShared,
         relay: &mut RelayStage,
         egress: &mut EgressStage,
         sched: &mut TimingWheel<Event>,
-        slab: SlabId,
+        now: SimTime,
+        packet: Parked,
     ) {
-        let slab = &self.batches[slab];
-        for i in 0..slab.len() {
-            let due = slab.due(i);
-            sh.clock.advance_to(due);
-            match PacketView::parse(slab.packet(i)) {
-                Ok(packet) => {
-                    let id = packet.four_tuple().map(|flow| sh.conns.intern(flow));
-                    let parse_cost = Self::parse_cost(sh, id);
-                    let start = sh.worker_step(due, parse_cost);
-                    relay.on_packet(sh, egress, sched, start, id, &packet);
-                }
-                Err(_) => relay.stats.parse_errors += 1,
+        let buf = self.packets.take(packet);
+        match PacketView::parse(&buf) {
+            Ok(packet) => {
+                let id = packet.four_tuple().map(|flow| sh.conns.intern(flow));
+                let parse_cost = Self::parse_cost(sh, id);
+                sh.ledger.charge(Component::MainWorker, parse_cost);
+                relay.on_packet(sh, egress, sched, now, id, &packet);
             }
+            Err(_) => relay.stats.parse_errors += 1,
         }
+        self.buffers.put(buf);
     }
 
     fn alloc_port(&mut self) -> u16 {
@@ -157,12 +160,11 @@ impl IngressStage {
     }
 
     /// The app of connection `id` wrote a packet into the tunnel: the raw IP
-    /// bytes are sealed into a pooled slab batch, the TunReader's retrieval
-    /// is simulated and the slab is scheduled to the relay stage. This mirrors the real
-    /// datapath — the TUN device hands MopEye bytes, not parsed structures —
-    /// and the slab is recycled once the relay has processed it. Each write
-    /// seals its own one-packet slab; the engine loop coalesces slabs that
-    /// land on the same instant into larger bursts.
+    /// bytes are encoded into a pooled buffer, the TunReader's retrieval is
+    /// simulated and the buffer is scheduled to the relay stage. This
+    /// mirrors the real datapath — the TUN device hands MopEye bytes, not
+    /// parsed structures — and the buffer is recycled once the relay has
+    /// processed it.
     pub(crate) fn inject_app_packet(
         &mut self,
         sh: &mut EngineShared,
@@ -172,9 +174,9 @@ impl IngressStage {
         id: FlowId,
         packet: Packet,
     ) {
-        let slab = self.batches.get();
-        let wire_len = self.batches[slab].push_with(|data| packet.encode_into(data));
-        sh.tun.record_app_write(wire_len);
+        let mut buf = self.buffers.get();
+        packet.encode_into(&mut buf);
+        sh.tun.record_app_write(buf.len());
         let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
         sh.ledger.charge(Component::TunReader, retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
@@ -184,8 +186,7 @@ impl IngressStage {
         let handoff = sh.cost.context_switch.sample(&mut rng);
         sh.checkin_rng(id, rng);
         let due = retrieval.retrieved_at + handoff;
-        self.batches[slab].stamp_due(due);
-        sched.schedule(due, Event::ProcessTunBatch(slab));
+        sched.schedule(due, Event::TunPacket(self.packets.park(buf)));
     }
 
     /// The per-packet header-parse cost the relay's MainWorker pays, drawn

@@ -37,7 +37,7 @@
 //! [`crate::conn::Conn`] record in [`EngineShared`] (TCP machine, timers and
 //! recovery state included), next to the rest of the cross-cutting substrate
 //! (the clock, the simulated network, the cost model and CPU ledger, the TUN
-//! device both ends touch), passed explicitly into every stage call. Events
+//! counters both ends touch), passed explicitly into every stage call. Events
 //! and cross-stage calls name a connection by its dense [`FlowId`]; a
 //! four-tuple is hashed only where raw packet bytes enter (the ingress
 //! parse). Cross-stage effects travel either as direct calls on
@@ -50,14 +50,12 @@ pub mod relay;
 pub mod sink;
 
 use mop_packet::Packet;
-use mop_simnet::{
-    Component, CostModel, CpuLedger, NetKeying, SimClock, SimDuration, SimNetwork, SimRng, SimTime,
-};
+use mop_simnet::{CostModel, CpuLedger, NetKeying, SimClock, SimNetwork, SimRng, SimTime};
 use mop_tcpstack::SegmentPool;
-use mop_tun::TunDevice;
+use mop_tun::TunStats;
 
 use crate::arena::Arena;
-use crate::config::{ClockGranularity, MopEyeConfig, WorkerModel};
+use crate::config::{ClockGranularity, MopEyeConfig};
 use crate::conn::{ConnTable, FlowId};
 use crate::tun_writer::WriterLane;
 
@@ -71,7 +69,7 @@ pub use sink::SinkStage;
 const ENGINE_KEY_SALT: u64 = 0x656e_675f_6b65_7973; // "eng_keys"
 
 /// The cross-cutting substrate every stage draws on: virtual time, the
-/// simulated network and TUN device, the calibrated cost model, the CPU
+/// simulated network, the TUN counters, the calibrated cost model, the CPU
 /// ledger, the device-wide RNG stream and the per-connection records.
 #[derive(Debug)]
 pub struct EngineShared {
@@ -83,9 +81,9 @@ pub struct EngineShared {
     /// [`SimNetwork::keying`] is the engine's too: it decides whether
     /// per-flow state below is shared device-wide or keyed per flow.
     pub net: SimNetwork,
-    /// The TUN device both pipeline ends touch: ingress retrieves app
-    /// writes from it, egress writes relay packets back to it.
-    pub tun: TunDevice,
+    /// The TUN counters both pipeline ends touch: ingress records each app
+    /// write, egress each relay write back to the apps.
+    pub tun: TunStats,
     /// Calibrated system-call and scheduler costs.
     pub cost: CostModel,
     /// CPU / memory / battery accounting.
@@ -106,11 +104,6 @@ pub struct EngineShared {
     /// dispatched event takes it back, so the event itself stays
     /// handle-sized. Cleared by [`EngineShared::reset`].
     pub(crate) parked: Arena<Packet>,
-    /// When the MainWorker frees up ([`WorkerModel::Saturating`] only).
-    pub worker_busy_until: SimTime,
-    /// How many consecutive backlogged packets the saturating MainWorker has
-    /// amortised in its current burst (see [`EngineShared::worker_step`]).
-    pub worker_burst_len: u64,
 }
 
 impl EngineShared {
@@ -121,34 +114,30 @@ impl EngineShared {
             config,
             clock: SimClock::new(),
             net,
-            tun: TunDevice::new(),
+            tun: TunStats::default(),
             cost: CostModel::android_phone(),
             ledger: CpuLedger::new(),
             rng,
             conns: ConnTable::default(),
             segments: SegmentPool::new(),
             parked: Arena::default(),
-            worker_busy_until: SimTime::ZERO,
-            worker_burst_len: 1,
         }
     }
 
     /// Resets the substrate for a new run over `net`, keeping the config,
     /// the calibrated cost model and every table allocation: the clock
     /// restarts at zero, the device-wide RNG is reseeded from the config
-    /// seed, and the connection records, tunnel device and ledger are
-    /// cleared — state
-    /// indistinguishable from [`EngineShared::new`] with the same config.
+    /// seed, and the connection records, tunnel counters and ledger are
+    /// cleared — state indistinguishable from [`EngineShared::new`] with
+    /// the same config.
     pub fn reset(&mut self, net: SimNetwork) {
         self.clock = SimClock::new();
         self.net = net;
-        self.tun.reset();
+        self.tun = TunStats::default();
         self.ledger.reset();
         self.rng = SimRng::seed_from_u64(self.config.seed);
         self.conns.clear();
         self.parked.clear();
-        self.worker_busy_until = SimTime::ZERO;
-        self.worker_burst_len = 1;
     }
 
     /// Checks out the RNG stream backing `id`'s noise: the device-wide
@@ -206,44 +195,6 @@ impl EngineShared {
             conn.rng = None;
             conn.lane = WriterLane::default();
             self.net.release_flow(conn.flow);
-        }
-    }
-
-    /// Charges one MainWorker processing step of nominal `cost` to the CPU
-    /// ledger and returns its start time: immediate under
-    /// [`WorkerModel::Unbounded`]; queued behind the worker's backlog (and
-    /// occupying it) under [`WorkerModel::Saturating`].
-    ///
-    /// A backlogged saturating worker is draining a burst: packets after the
-    /// first in a burst (up to `config.batch_size`) are charged `cost /
-    /// cost_model.batch_hot_divisor` (floored at `batch_floor`) instead of
-    /// the full amount — the vectored datapath pays wake-up, cache warm-up
-    /// and dispatch once per burst, not once per packet. With `batch_size ==
-    /// 1` no packet ever qualifies, reproducing the unbatched worker
-    /// exactly; under `Unbounded` the charge never affects timing at all.
-    pub fn worker_step(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
-        match self.config.worker {
-            WorkerModel::Unbounded => {
-                self.ledger.charge(Component::MainWorker, cost);
-                now
-            }
-            WorkerModel::Saturating => {
-                let backlogged = now < self.worker_busy_until;
-                let hot = backlogged && self.worker_burst_len < self.config.batch_size as u64;
-                let charged = if hot {
-                    SimDuration::from_nanos(
-                        cost.as_nanos() / u64::from(self.cost.batch_hot_divisor.max(1)),
-                    )
-                    .max(self.cost.batch_floor)
-                } else {
-                    cost
-                };
-                self.worker_burst_len = if hot { self.worker_burst_len + 1 } else { 1 };
-                self.ledger.charge(Component::MainWorker, charged);
-                let start = now.max(self.worker_busy_until);
-                self.worker_busy_until = start + charged;
-                start
-            }
         }
     }
 

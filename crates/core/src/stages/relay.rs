@@ -501,9 +501,8 @@ impl RelayStage {
             let segment_cost = SimDuration::from_micros(rng.int_inclusive(10, 60));
             sh.checkin_rng(id, rng);
             // Segmenting server data back towards the app is MainWorker
-            // work: under the saturating model it queues behind the backlog
-            // and, when backlogged, amortises across the burst.
-            let start = sh.worker_step(now, segment_cost);
+            // work.
+            sh.ledger.charge(Component::MainWorker, segment_cost);
             let mut arm_rto = None;
             if let Some(tcp) = sh.conns[id].tcp_mut() {
                 tcp.machine.on_external_data_into(&data, &mut sh.segments, &mut self.packets);
@@ -515,7 +514,7 @@ impl RelayStage {
                     for segment in self.packets.iter().filter_map(Packet::tcp) {
                         if !segment.payload.is_empty() {
                             let copy = sh.segments.filled(&segment.payload);
-                            recovery.on_data_sent_owned(segment.seq, copy, start.as_nanos());
+                            recovery.on_data_sent_owned(segment.seq, copy, now.as_nanos());
                         }
                     }
                     if recovery.has_inflight() && tcp.timers.rto().is_none() {
@@ -524,10 +523,10 @@ impl RelayStage {
                 }
                 self.stats.data_segments_in += self.packets.len() as u64;
                 self.stats.bytes_in += total as u64;
-                self.flush_packets(sh, egress, sched, start, id);
+                self.flush_packets(sh, egress, sched, now, id);
             }
             if let Some(rto_ns) = arm_rto {
-                Self::arm_rto_at(sh, sched, id, start + SimDuration::from_nanos(rto_ns));
+                Self::arm_rto_at(sh, sched, id, now + SimDuration::from_nanos(rto_ns));
             }
         }
         self.sockets.recycle_buffer(data);

@@ -280,9 +280,9 @@ impl Scenario {
 
     /// The fleet benchmark scenario: a realistic evening mix (mostly
     /// browsing and background chatter, some video, a few bulk downloads and
-    /// DNS storms) compressed into a short arrival window, so the aggregate
-    /// packet rate is far above what one relay worker can drain — the
-    /// workload that exposes the sharding win.
+    /// DNS storms) compressed into a short arrival window, so thousands of
+    /// connections overlap — the population-bound workload the fleet's
+    /// shard-count invariance and host-cost guards are pinned on.
     pub fn rush_hour(users: usize, seed: u64) -> Self {
         Self::new(ScenarioSpec {
             name: "rush-hour".into(),

@@ -7,8 +7,9 @@
 //! stopping the world. This crate is that service, built from the same
 //! deterministic engine:
 //!
-//! * [`plane::ControlPlane`] steps a [`mopeye_core::FleetEngine`] through
-//!   virtual time, one fresh fleet per scenario per step, exploiting the
+//! * [`plane::ControlPlane`] steps one [`mopeye_core::ResidentFleet`],
+//!   spawned with the plane and reset in place for every run, through
+//!   virtual time — one run per scenario per step — exploiting the
 //!   flow-keyed partition invariance so the cumulative digest stays
 //!   bit-identical to an uninterrupted batch run,
 //! * [`proto`] defines the line-delimited JSON frames (requests,

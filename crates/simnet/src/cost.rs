@@ -66,14 +66,6 @@ pub struct CostModel {
     /// Per-packet CPU cost of deep content inspection (what Haystack pays and
     /// MopEye explicitly avoids, §5).
     pub content_inspection_per_kb: LatencyModel,
-    /// When the saturating MainWorker is backlogged and processing a burst,
-    /// per-packet charges after the first are divided by this factor — the
-    /// amortisation a vectored datapath buys (one wake-up, one cache warm-up,
-    /// one dispatch per burst instead of per packet).
-    pub batch_hot_divisor: u32,
-    /// Floor under an amortised per-packet charge, so batching never models
-    /// literally free work.
-    pub batch_floor: SimDuration,
 }
 
 impl Default for CostModel {
@@ -104,8 +96,6 @@ impl CostModel {
             context_switch: LatencyModel::uniform(0.01, 0.06),
             coarse_clock_granularity: SimDuration::from_millis(1),
             content_inspection_per_kb: LatencyModel::uniform(0.6, 1.0),
-            batch_hot_divisor: 4,
-            batch_floor: SimDuration::from_micros(1),
         }
     }
 

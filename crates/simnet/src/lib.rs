@@ -82,7 +82,7 @@ pub use latency::LatencyModel;
 pub use network::{
     ConnectOutcome, DataExchange, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
 };
-pub use pool::{BatchPool, BufferPool, PacketSlot, PoolStats, SlabBatch, SlabId};
+pub use pool::{BufferPool, PoolStats};
 pub use profile::{AccessProfile, IspProfile, NetworkType};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -331,22 +331,6 @@ impl SocketSet {
         self.entry(id).pending_reads.iter().filter(|(t, _)| *t <= now).map(|(_, b)| *b).sum()
     }
 
-    /// Consumes and returns all chunks readable at `now`.
-    pub fn take_readable(&mut self, id: SocketId, now: SimTime) -> Vec<(SimTime, usize)> {
-        let e = self.entry_mut(id);
-        let mut out = Vec::new();
-        while let Some((t, b)) = e.pending_reads.front().copied() {
-            if t <= now {
-                e.pending_reads.pop_front();
-                e.bytes_read += b;
-                out.push((t, b));
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
     /// Consumes all chunks readable at `now` and materialises their bytes
     /// into a pooled buffer (filled with the `0x5a` response filler the
     /// simulated servers send). Returns an empty buffer if nothing is
@@ -667,9 +651,8 @@ mod tests {
         let ready_at = set.next_read_ready_at(id).unwrap();
         assert_eq!(set.readable_bytes(id, outcome.completed_at), 0);
         assert!(set.readable_bytes(id, ready_at) > 0);
-        let chunks = set.take_readable(id, SimTime::from_secs(120));
-        let total: usize = chunks.iter().map(|(_, b)| *b).sum();
-        assert_eq!(total, 32 * 1024);
+        let data = set.take_readable_pooled(id, SimTime::from_secs(120));
+        assert_eq!(data.len(), 32 * 1024);
         assert!(set.read_exhausted(id));
         assert_eq!(set.byte_counters(id), (32 * 1024, 400));
     }

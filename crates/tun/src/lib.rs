@@ -11,7 +11,7 @@
 //! adaptively, and MopEye puts the descriptor into blocking mode and
 //! dedicates a thread to it.
 //!
-//! * [`device`] — the TUN device with its two packet queues,
+//! * [`device`] — the TUN device's packet and byte counters,
 //! * [`reader`] — the four read strategies and their delay/CPU behaviour,
 //! * [`apps`] — client-side TCP/DNS endpoints that behave like real apps
 //!   (handshake, request, ACK, FIN) so the relay can be exercised end to end,
@@ -26,6 +26,6 @@ pub mod reader;
 pub mod workload;
 
 pub use apps::{AppEndpoint, AppState, DnsClient};
-pub use device::{TunDevice, TunStats};
+pub use device::TunStats;
 pub use reader::{ReadStrategy, ReaderSim, RetrievalOutcome};
 pub use workload::{FlowKind, FlowSpec, Workload, WorkloadKind};

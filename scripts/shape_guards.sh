@@ -56,11 +56,16 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 ! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'cumulative.canonicalise' || fail "step re-sorts the cumulative report"
 
 # Forbids a credit gate, a deep job ring or burst messages on the fleet's
-# hand-off: one job per worker per run.
+# hand-off: one job per worker per run (CHANGES.md, "One job per shard per
+# run").
 ! grep -rnE 'CreditGate|INGRESS_CAPACITY|ShardJob::Burst' crates src tests examples || fail "one job per worker per run"
+
+# Forbids slab batching, the burst knobs and a queueing TUN device: one
+# tunnel packet per event (CHANGES.md, "One tunnel packet per event").
+! grep -rnE 'SlabBatch|BatchPool|ProcessTunBatch|with_batch_size|WorkerModel|TunDevice' crates src tests examples || fail "one tunnel packet per event"
 
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
 fi
-echo "all 14 shape guards hold"
+echo "all 15 shape guards hold"

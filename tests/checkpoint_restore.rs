@@ -1,15 +1,15 @@
 //! Checkpoint/restore determinism: a diurnal fleet run checkpointed at an
 //! epoch boundary and resumed — through the on-disk JSON format, on a
-//! *different* shard count and batch size — reproduces the uninterrupted
-//! run's fleet digest bit for bit.
+//! *different* shard count — reproduces the uninterrupted run's fleet
+//! digest bit for bit.
 //!
 //! This is the longitudinal extension of `fleet_determinism.rs`: the
 //! flow-keyed discipline makes the merged report invariant under any
 //! partition of the flow set, and a checkpoint is exactly a partition — by
 //! schedule time instead of by four-tuple hash. The tests here pin that the
 //! cut is invisible across the full matrix the fleet pins elsewhere: shard
-//! counts {1, 2, 8} on both sides of the cut, batch sizes {1, 32}, and
-//! clean vs lossy (0.5 % data-fault) networks.
+//! counts {1, 2, 8} on both sides of the cut, and clean vs lossy (0.5 %
+//! data-fault) networks.
 
 use std::sync::OnceLock;
 
@@ -52,11 +52,10 @@ fn network(loss: f64) -> SimNetworkBuilder {
         .access(access)
 }
 
-fn fleet(shards: usize, batch: usize, loss: f64) -> FleetEngine {
+fn fleet(shards: usize, loss: f64) -> FleetEngine {
     FleetEngine::new(
         FleetConfig::new(shards)
             .with_seed(FLEET_SEED)
-            .with_batch_size(batch)
             .with_epochs(DiurnalScenario::virtual_hour(), EPOCH_WINDOW),
         network(loss),
     )
@@ -82,20 +81,18 @@ fn cut_and_resume(
 fn resumed_runs_reproduce_the_uninterrupted_digest_across_the_matrix() {
     let flows = day_flows();
     for &loss in &[0.0, 0.005] {
-        let reference = fleet(2, 32, loss).run(flows.clone());
+        let reference = fleet(2, loss).run(flows.clone());
         let reference_digest = reference.digest();
         assert!(
             reference.merged.windows.is_some(),
             "the windowed run must carry epoch sketches"
         );
         // Save/resume shard counts cover {1, 2, 8} on both sides of the
-        // cut; batch sizes cover the item-wise loop and a coalescing burst.
-        for &(save_shards, resume_shards, batch) in
-            &[(1usize, 8usize, 1usize), (2, 1, 32), (8, 2, 32)]
-        {
+        // cut.
+        for &(save_shards, resume_shards) in &[(1usize, 8usize), (2, 1), (8, 2)] {
             let report = cut_and_resume(
-                &fleet(save_shards, batch, loss),
-                &fleet(resume_shards, batch, loss),
+                &fleet(save_shards, loss),
+                &fleet(resume_shards, loss),
                 flows.clone(),
                 12, // mid-day epoch boundary
             );
@@ -103,7 +100,7 @@ fn resumed_runs_reproduce_the_uninterrupted_digest_across_the_matrix() {
                 report.digest(),
                 reference_digest,
                 "loss {loss}: save on {save_shards} shards, resume on {resume_shards} \
-                 (batch {batch}) diverged from the uninterrupted run"
+                 diverged from the uninterrupted run"
             );
             // Compare the semantic content directly too, so a digest bug
             // cannot mask a divergence.
@@ -120,13 +117,13 @@ fn resumed_runs_reproduce_the_uninterrupted_digest_across_the_matrix() {
 #[test]
 fn edge_cuts_degenerate_cleanly() {
     let flows = day_flows();
-    let reference_digest = fleet(2, 32, 0.0).run(flows.clone()).digest();
+    let reference_digest = fleet(2, 0.0).run(flows.clone()).digest();
     // A cut at epoch 0 runs nothing before the save: the whole day is
     // pending. A cut past the last arrival runs everything: resume only
     // merges the base with an empty run.
     for cut_epoch in [0u64, 25] {
         let report =
-            cut_and_resume(&fleet(2, 32, 0.0), &fleet(8, 32, 0.0), flows.clone(), cut_epoch);
+            cut_and_resume(&fleet(2, 0.0), &fleet(8, 0.0), flows.clone(), cut_epoch);
         assert_eq!(report.digest(), reference_digest, "edge cut at epoch {cut_epoch}");
     }
 }
@@ -134,7 +131,7 @@ fn edge_cuts_degenerate_cleanly() {
 /// The uninterrupted reference for the property test, run once.
 fn property_reference() -> u64 {
     static DIGEST: OnceLock<u64> = OnceLock::new();
-    *DIGEST.get_or_init(|| fleet(2, 32, 0.0).run(day_flows()).digest())
+    *DIGEST.get_or_init(|| fleet(2, 0.0).run(day_flows()).digest())
 }
 
 proptest! {
@@ -145,8 +142,8 @@ proptest! {
     #[test]
     fn any_epoch_boundary_is_a_digest_invariant_cut(cut_epoch in 1u64..24) {
         let report = cut_and_resume(
-            &fleet(2, 32, 0.0),
-            &fleet(8, 1, 0.0),
+            &fleet(2, 0.0),
+            &fleet(8, 0.0),
             day_flows(),
             cut_epoch,
         );

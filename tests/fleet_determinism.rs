@@ -114,29 +114,21 @@ fn the_report_cli_digest_is_pinned_at_1_2_4_shards() {
 }
 
 #[test]
-fn batch_size_and_credit_depth_never_move_a_bit() {
-    // The vectored datapath's whole contract: the burst length of the stage
-    // pipeline and the fleet's hand-off to its shards are *throughput*
-    // machinery, not behaviour. Every (batch, shards) combination must
-    // reproduce the pre-refactor digest exactly — batch size 1 degenerates
-    // to the item-wise loop, and 64 exceeds the coalescing window of most
-    // instants.
+fn rush_hour_pins_hold_at_every_shard_count() {
+    // The fleet's hand-off to its shards is *throughput* machinery, not
+    // behaviour: every shard count must reproduce the pre-refactor digest
+    // exactly.
     let scenario = Scenario::rush_hour(300, 20_170_712);
     let flows = scenario.generate();
-    for batch in [1usize, 16, 64] {
-        for shards in [1usize, 2, 8] {
-            let fleet = FleetEngine::new(
-                FleetConfig::new(shards).with_seed(77).with_batch_size(batch),
-                scenario.network(),
-            );
-            let report = fleet.run(flows.clone());
-            assert_eq!(
-                sequential_digest(&report.merged),
-                PRE_REFACTOR_RUSH_HOUR_DIGEST,
-                "batch {batch} shards {shards} diverged"
-            );
-            assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "batch {batch} shards {shards}");
-        }
+    for shards in [1usize, 2, 8] {
+        let fleet = FleetEngine::new(FleetConfig::new(shards).with_seed(77), scenario.network());
+        let report = fleet.run(flows.clone());
+        assert_eq!(
+            sequential_digest(&report.merged),
+            PRE_REFACTOR_RUSH_HOUR_DIGEST,
+            "shards {shards} diverged"
+        );
+        assert_eq!(report.digest(), RUSH_HOUR_DIGEST, "shards {shards}");
     }
 }
 
@@ -221,23 +213,21 @@ fn degraded_commute_loss_recovery_is_shard_count_invariant() {
 }
 
 #[test]
-fn lossy_fleet_digest_survives_batch_size_changes() {
-    // Same contract as `batch_size_and_credit_depth_never_move_a_bit`, with
-    // the fault stage and retransmission timers fully engaged.
+fn lossy_fleet_digest_survives_shard_count_changes() {
+    // Same contract as `rush_hour_pins_hold_at_every_shard_count`, with the
+    // fault stage and retransmission timers fully engaged.
     let scenario = Scenario::degraded_commute(60, 33);
     let flows = scenario.generate();
     let mut digests = Vec::new();
-    for (batch, shards) in [(1usize, 1usize), (16, 2), (64, 8)] {
-        let report = FleetEngine::new(
-            FleetConfig::new(shards).with_seed(19).with_batch_size(batch),
-            scenario.network(),
-        )
-        .run(flows.clone());
-        assert!(report.merged.relay.retransmits > 0, "faults inert at batch {batch}");
+    for shards in [1usize, 2, 8] {
+        let report =
+            FleetEngine::new(FleetConfig::new(shards).with_seed(19), scenario.network())
+                .run(flows.clone());
+        assert!(report.merged.relay.retransmits > 0, "faults inert at {shards} shards");
         digests.push(report.digest());
     }
-    assert_eq!(digests[0], digests[1], "batch 1 vs 16");
-    assert_eq!(digests[1], digests[2], "batch 16 vs 64");
+    assert_eq!(digests[0], digests[1], "1 vs 2 shards");
+    assert_eq!(digests[1], digests[2], "2 vs 8 shards");
 }
 
 #[test]
