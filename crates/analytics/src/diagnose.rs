@@ -284,14 +284,17 @@ fn split_halves(windows: &WindowedAggregateStore) -> (AggregateStore, AggregateS
     // Epochs strictly past the span midpoint are "late"; a one-epoch span
     // has no late half and diagnoses everything stable.
     let mid = first + (last - first) / 2;
+    let (mut early_stores, mut late_stores) = (Vec::new(), Vec::new());
     for &epoch in &epochs {
         let store = windows.epoch_store(epoch).expect("live epoch has a store");
         if epoch > mid {
-            late.merge_from(store);
+            late_stores.push(store);
         } else {
-            early.merge_from(store);
+            early_stores.push(store);
         }
     }
+    early.merge_from_all(&early_stores);
+    late.merge_from_all(&late_stores);
     (early, late)
 }
 

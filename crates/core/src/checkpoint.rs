@@ -691,6 +691,27 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_request_too_large_for_one_segment_is_refused() {
+        let good = FleetCheckpoint {
+            seed: 7,
+            shards_at_save: 2,
+            congestion: CongestionAlgo::Reno,
+            epoch_width_ns: None,
+            epoch_window: 8,
+            cut: SimTime::from_secs(4),
+            base: RunReport::empty(),
+            pending: vec![spec()],
+        }
+        .to_json_string();
+        assert!(FleetCheckpoint::from_json_str(&good).is_some());
+        assert!(good.contains("\"request_bytes\":400"), "{good}");
+        let oversized = good.replace("\"request_bytes\":400", "\"request_bytes\":70000");
+        assert!(FleetCheckpoint::from_json_str(&oversized).is_none());
+        let err = FleetCheckpoint::parse(&oversized).unwrap_err();
+        assert!(err.contains("malformed") && err.contains("pending[0].request_bytes"), "{err}");
+    }
+
+    #[test]
     fn try_resume_rejects_mismatched_fleets_without_panicking() {
         use crate::shard::{FleetConfig, FleetEngine};
         use mop_simnet::SimNetwork;

@@ -38,7 +38,7 @@ use std::fmt;
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 
 use crate::record::{MeasurementKind, NetKind, RttRecord};
-use crate::sketch::{DigestMemo, Fnv, RttSketch};
+use crate::sketch::{DigestMemo, Fnv, MergeTable, RttSketch};
 
 /// The identity of one aggregation cell: everything the §4.2 analyses group
 /// records by, minus the per-sample fields (RTT, timestamp) and the
@@ -186,6 +186,40 @@ impl AggregateStore {
                 self.cells.insert(key.clone(), sketch.clone());
             }
         }
+        self.merge_devices_from(other);
+    }
+
+    /// Absorbs every store in `others`, in order: the store that
+    /// [`AggregateStore::merge_from`] of each in turn gives, with each cell
+    /// merged in one pass over all its parts instead of one merge per part.
+    pub fn merge_from_all(&mut self, others: &[&AggregateStore]) {
+        match others {
+            [] => return,
+            [other] => return self.merge_from(other),
+            _ => self.digest_memo.clear(),
+        }
+        let mut parts: BTreeMap<&AggregateKey, Vec<&RttSketch>> = BTreeMap::new();
+        for other in others {
+            for (key, sketch) in &other.cells {
+                parts.entry(key).or_default().push(sketch);
+            }
+        }
+        let mut table = MergeTable::default();
+        for (key, parts) in parts {
+            match self.cells.get_mut(key) {
+                Some(cell) => table.merge_into(cell, &parts),
+                None => {
+                    self.cells.insert(key.clone(), table.merged(&parts));
+                }
+            }
+        }
+        for other in others {
+            self.merge_devices_from(other);
+        }
+    }
+
+    /// The device half of [`AggregateStore::merge_from`].
+    fn merge_devices_from(&mut self, other: &AggregateStore) {
         for (device, activity) in &other.devices {
             let entry = self.devices.entry(*device).or_default();
             entry.count += activity.count;
@@ -218,13 +252,9 @@ impl AggregateStore {
     /// The merged sketch of every cell matching `predicate` — the streaming
     /// counterpart of [`crate::MeasurementStore::rtts_where`].
     pub fn sketch_where(&self, predicate: impl Fn(&AggregateKey) -> bool) -> RttSketch {
-        let mut merged = RttSketch::new();
-        for (key, sketch) in &self.cells {
-            if predicate(key) {
-                merged.merge_from(sketch);
-            }
-        }
-        merged
+        let parts: Vec<&RttSketch> =
+            self.cells.iter().filter(|(key, _)| predicate(key)).map(|(_, sketch)| sketch).collect();
+        MergeTable::default().merged(&parts)
     }
 
     /// The median RTT over the cells matching `predicate`, if any samples
@@ -243,13 +273,25 @@ impl AggregateStore {
         key: impl Fn(&AggregateKey) -> K,
         predicate: impl Fn(&AggregateKey) -> bool,
     ) -> BTreeMap<K, RttSketch> {
-        let mut groups: BTreeMap<K, RttSketch> = BTreeMap::new();
+        let mut groups: BTreeMap<K, Vec<&RttSketch>> = BTreeMap::new();
         for (cell_key, sketch) in &self.cells {
             if predicate(cell_key) {
-                groups.entry(key(cell_key)).or_default().merge_from(sketch);
+                groups.entry(key(cell_key)).or_default().push(sketch);
             }
         }
+        let mut table = MergeTable::default();
         groups
+            .into_iter()
+            .map(|(group, parts)| {
+                // `RttSketch::default()` has `min_bits` 0, not `new()`'s
+                // `u64::MAX`, so every group's `min()` reads 0; the crowd
+                // figures are pinned to that, and changing it is a change
+                // of output, not of representation.
+                let mut merged = RttSketch::default();
+                table.merge_into(&mut merged, &parts);
+                (group, merged)
+            })
+            .collect()
     }
 
     /// Measurement counts per app (TCP cells only), matching

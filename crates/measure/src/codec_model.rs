@@ -33,7 +33,7 @@ fn untag<T: Copy>(tags: &[(T, &'static str)], name: &str) -> Option<T> {
 
 fn sketch_to_json(s: &RttSketch) -> Value {
     let buckets: Vec<Value> =
-        s.buckets.iter().map(|(&index, &count)| json!([i64::from(index), count as i64])).collect();
+        s.buckets.iter().map(|&(index, count)| json!([i64::from(index), count as i64])).collect();
     json!({
         "count": s.count as i64,
         "sum_ns": format!("{:032x}", s.sum_ns),
@@ -54,7 +54,7 @@ fn sketch_from_json(value: &Value) -> Option<RttSketch> {
         buckets.insert(index, pair[1].as_u64()?);
     }
     Some(RttSketch {
-        buckets,
+        buckets: buckets.into_iter().collect(),
         count: value["count"].as_u64()?,
         sum_ns: u128::from_str_radix(value["sum_ns"].as_str()?, 16).ok()?,
         min_bits: u64::from_str_radix(value["min_bits"].as_str()?, 16).ok()?,

@@ -55,6 +55,8 @@ pub mod window;
 
 #[cfg(test)]
 mod codec_model;
+#[cfg(test)]
+mod sketch_model;
 
 pub use aggregate::{AggregateKey, AggregateStore, DeviceActivity};
 pub use record::{MeasurementKind, NetKind, RttRecord};

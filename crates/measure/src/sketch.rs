@@ -30,6 +30,20 @@
 //! (exponent plus the top mantissa bits), so no transcendental functions are
 //! involved and the mapping is exact on every platform.
 //!
+//! # Representation and cost
+//!
+//! The occupied buckets are one run of `(index, count)` pairs in ascending
+//! index order, in a single `Vec`: 16 bytes per occupied bucket plus the
+//! vector's spare capacity, and no per-node allocation. `observe` finds its
+//! bucket by binary search (O(log b) for b occupied buckets, plus a shift
+//! when the bucket is new); `merge_from` is one linear merge of two runs,
+//! O(b₁ + b₂), done in place. Every read — quantiles, CDF fractions,
+//! [`RttSketch::series`], the digest and the JSON encoding — is one walk of
+//! the run. Merging many sketches into one (the crowd report's groups, a
+//! windowed store's merged view) costs one pass over their buckets through
+//! a dense per-index table rather than a chain of pairwise merges into a
+//! growing run.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,7 +65,6 @@
 //! assert!((median - 500.0).abs() / 500.0 < 0.01, "median {median}");
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
@@ -82,9 +95,9 @@ const SUM_SCALE: f64 = 1_000_000.0;
 /// milliseconds. See the [module docs](self) for the guarantees.
 #[derive(Clone, Default)]
 pub struct RttSketch {
-    /// Sparse bucket counts, keyed by bucket index. Index 0 is the underflow
-    /// bucket; the last index is the overflow bucket.
-    pub(crate) buckets: BTreeMap<u16, u64>,
+    /// Sparse bucket counts, in ascending index order. Index 0 is the
+    /// underflow bucket; [`OVERFLOW`] is the overflow bucket.
+    pub(crate) buckets: Buckets,
     /// Total observations.
     pub(crate) count: u64,
     /// Exact sum of all observed values, in nanoseconds (integral so that
@@ -193,7 +206,7 @@ impl RttSketch {
     /// Creates an empty sketch.
     pub fn new() -> Self {
         Self {
-            buckets: BTreeMap::new(),
+            buckets: Buckets::default(),
             count: 0,
             sum_ns: 0,
             min_bits: u64::MAX,
@@ -206,7 +219,7 @@ impl RttSketch {
     /// the octave (exponent above `MIN_EXPONENT`) times `SUBBUCKETS`, plus
     /// the subbucket selected by the top mantissa bits. Pure bit
     /// manipulation — exact and identical on every platform.
-    fn index_of(ms: f64) -> u16 {
+    pub(crate) fn index_of(ms: f64) -> u16 {
         if ms < MIN_MS {
             return 0;
         }
@@ -223,7 +236,7 @@ impl RttSketch {
     /// The representative value reported for a bucket: the arithmetic
     /// midpoint of its edges, which is within `RELATIVE_ERROR` of every
     /// value the bucket can contain.
-    fn representative(index: u16) -> f64 {
+    pub(crate) fn representative(index: u16) -> f64 {
         if index == 0 {
             return MIN_MS;
         }
@@ -261,7 +274,7 @@ impl RttSketch {
             return;
         }
         self.digest_memo.clear();
-        *self.buckets.entry(Self::index_of(ms)).or_insert(0) += 1;
+        self.buckets.add(Self::index_of(ms), 1);
         self.count += 1;
         self.sum_ns += (ms * SUM_SCALE).round() as u128;
         let bits = ms.to_bits();
@@ -274,9 +287,12 @@ impl RttSketch {
     /// the bit-identical result.
     pub fn merge_from(&mut self, other: &RttSketch) {
         self.digest_memo.clear();
-        for (&index, &count) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += count;
-        }
+        self.buckets.merge_from(&other.buckets);
+        self.merge_scalars(other);
+    }
+
+    /// Adds `other`'s count, sum and extremes: the merge minus the buckets.
+    fn merge_scalars(&mut self, other: &RttSketch) {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.min_bits = self.min_bits.min(other.min_bits);
@@ -336,7 +352,7 @@ impl RttSketch {
             return self.max();
         }
         let mut cumulative = 0u64;
-        for (&index, &count) in &self.buckets {
+        for &(index, count) in self.buckets.iter() {
             cumulative += count;
             if cumulative > rank {
                 let rep = Self::representative(index);
@@ -356,38 +372,19 @@ impl RttSketch {
     /// width (≤ 2 × [`RttSketch::RELATIVE_ERROR`]) of `x` — the horizontal
     /// error bound a fixed-bucket CDF provides.
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if let Some(min) = self.min() {
-            if x < min {
-                return 0.0;
-            }
-        }
-        if let Some(max) = self.max() {
-            if x >= max {
-                return 1.0;
-            }
-        }
-        let limit = Self::index_of(x.max(0.0));
-        let below: u64 = self
-            .buckets
-            .iter()
-            .take_while(|(&index, _)| index <= limit)
-            .map(|(_, &count)| count)
-            .sum();
-        below as f64 / self.count as f64
+        CdfWalk::new(self).fraction_at_or_below(x)
     }
 
     /// Evaluates the sketch's CDF at evenly spaced points over `[0, x_max]`,
     /// producing `(x, F(x))` pairs — the series a figure plots, mirroring
-    /// [`crate::Cdf::series`].
+    /// [`crate::Cdf::series`]. One walk of the buckets serves every point.
     pub fn series(&self, x_max: f64, points: usize) -> Vec<(f64, f64)> {
         let points = points.max(2);
+        let mut walk = CdfWalk::new(self);
         (0..points)
             .map(|i| {
                 let x = x_max * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_or_below(x))
+                (x, walk.fraction_at_or_below(x))
             })
             .collect()
     }
@@ -410,7 +407,7 @@ impl RttSketch {
             h.write_u64(self.sum_ns as u64);
             h.write_u64(self.min_bits);
             h.write_u64(self.max_bits);
-            for (&index, &count) in &self.buckets {
+            for &(index, count) in self.buckets.iter() {
                 h.write_u64(u64::from(index));
                 h.write_u64(count);
             }
@@ -433,7 +430,7 @@ impl ToJson for RttSketch {
         out.field("max_bits", &Hex(self.max_bits));
         out.key("buckets");
         out.begin_array();
-        for (index, count) in &self.buckets {
+        for (index, count) in self.buckets.iter() {
             out.begin_array();
             index.write_json(out);
             count.write_json(out);
@@ -454,7 +451,7 @@ impl FromJson for RttSketch {
             "max_bits" => max_bits: Hex<u64>,
         });
         Ok(Self {
-            buckets: buckets.0,
+            buckets,
             count,
             sum_ns: sum_ns.0,
             min_bits: min_bits.0,
@@ -464,14 +461,103 @@ impl FromJson for RttSketch {
     }
 }
 
-/// A sketch's `[[index, count], ...]` bucket list, read straight into its
-/// map (a repeated index keeps the later count).
-struct Buckets(BTreeMap<u16, u64>);
+/// The occupied buckets of a sketch: `(index, count)` pairs, strictly
+/// ascending by index. A count may be zero only if a decoded bucket list
+/// said so; `observe` and the merges never create one.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct Buckets(Vec<(u16, u64)>);
 
+impl Buckets {
+    /// The pairs in ascending index order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (u16, u64)> {
+        self.0.iter()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Adds `count` to bucket `index`, creating it if absent.
+    fn add(&mut self, index: u16, count: u64) {
+        match self.0.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => self.0[at].1 += count,
+            Err(at) => self.0.insert(at, (index, count)),
+        }
+    }
+
+    /// Adds every bucket of `other`, in place: one forward pass adds the
+    /// counts of shared indices and counts the new ones, then (only if
+    /// there are new ones) one backward pass spreads the run out and
+    /// drops them into their slots.
+    fn merge_from(&mut self, other: &Buckets) {
+        if self.0.is_empty() {
+            self.0.extend_from_slice(&other.0);
+            return;
+        }
+        let mut new = 0;
+        let mut at = 0;
+        for &(index, count) in &other.0 {
+            while at < self.0.len() && self.0[at].0 < index {
+                at += 1;
+            }
+            match self.0.get_mut(at) {
+                Some(mine) if mine.0 == index => mine.1 += count,
+                _ => new += 1,
+            }
+        }
+        if new == 0 {
+            return;
+        }
+        let mut read = self.0.len();
+        self.0.resize(read + new, (0, 0));
+        let mut write = self.0.len();
+        for &(index, count) in other.0.iter().rev() {
+            while read > 0 && self.0[read - 1].0 > index {
+                read -= 1;
+                write -= 1;
+                self.0[write] = self.0[read];
+            }
+            if read > 0 && self.0[read - 1].0 == index {
+                // Shared: its count was added in the forward pass.
+                read -= 1;
+                write -= 1;
+                self.0[write] = self.0[read];
+            } else {
+                write -= 1;
+                self.0[write] = (index, count);
+            }
+        }
+        debug_assert_eq!(read, write, "the untouched prefix stays in place");
+    }
+}
+
+/// A run from pairs already in strictly ascending index order (a map's
+/// entries, in the reference models).
+#[cfg(test)]
+impl FromIterator<(u16, u64)> for Buckets {
+    fn from_iter<T: IntoIterator<Item = (u16, u64)>>(pairs: T) -> Self {
+        let run: Vec<(u16, u64)> = pairs.into_iter().collect();
+        assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "pairs out of order");
+        Buckets(run)
+    }
+}
+
+/// Prints as the index → count map it stands for.
+impl fmt::Debug for Buckets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.0.iter().map(|(index, count)| (index, count))).finish()
+    }
+}
+
+/// A sketch's `[[index, count], ...]` bucket list. Decoding keeps the
+/// later count of a repeated index and sorts an out-of-order list, so any
+/// list decodes to the run that inserting its pairs one by one into a map
+/// would give.
 impl FromJson for Buckets {
     fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
         const PAIR: &str = "expected an [index, count] pair";
-        let mut buckets = BTreeMap::new();
+        let mut run: Vec<(u16, u64)> = Vec::new();
+        let mut sorted = true;
         input.read_array(|input| {
             let (mut index, mut count, mut len) = (None, None, 0);
             input.read_array(|input| {
@@ -486,10 +572,147 @@ impl FromJson for Buckets {
             let (Some(index), Some(count)) = (index, count) else {
                 return Err(input.error(PAIR));
             };
-            buckets.insert(index, count);
+            sorted &= run.last().map_or(true, |&(last, _)| last < index);
+            run.push((index, count));
             Ok(())
         })?;
-        Ok(Buckets(buckets))
+        if !sorted {
+            // Stable, so equal indices keep their input order and the
+            // dedup below keeps the last one's count.
+            run.sort_by_key(|&(index, _)| index);
+            run.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    kept.1 = later.1;
+                }
+                repeated
+            });
+        }
+        Ok(Buckets(run))
+    }
+}
+
+/// A cursor over a sketch's CDF: evaluating ascending `x` values walks the
+/// bucket run once; a smaller `x` than the last restarts the walk.
+struct CdfWalk<'a> {
+    sketch: &'a RttSketch,
+    /// Buckets already summed into `below`.
+    next: usize,
+    /// Total count of `sketch.buckets[..next]`.
+    below: u64,
+}
+
+impl<'a> CdfWalk<'a> {
+    fn new(sketch: &'a RttSketch) -> Self {
+        Self { sketch, next: 0, below: 0 }
+    }
+
+    /// [`RttSketch::fraction_at_or_below`].
+    fn fraction_at_or_below(&mut self, x: f64) -> f64 {
+        let sketch = self.sketch;
+        if sketch.count == 0 {
+            return 0.0;
+        }
+        if let Some(min) = sketch.min() {
+            if x < min {
+                return 0.0;
+            }
+        }
+        if let Some(max) = sketch.max() {
+            if x >= max {
+                return 1.0;
+            }
+        }
+        let limit = RttSketch::index_of(x.max(0.0));
+        let run = &sketch.buckets.0;
+        if self.next > 0 && run[self.next - 1].0 > limit {
+            (self.next, self.below) = (0, 0);
+        }
+        while let Some(&(index, count)) = run.get(self.next) {
+            if index > limit {
+                break;
+            }
+            self.below += count;
+            self.next += 1;
+        }
+        self.below as f64 / sketch.count as f64
+    }
+}
+
+/// Scratch for merging many sketches into one in a single pass: a count
+/// per regular bucket index plus a bitmap of the occupied ones, both
+/// all-zero between merges. Each part's buckets are added straight into
+/// their slots, and the bitmap yields the merged run already sorted. The
+/// count table is allocated on first use.
+#[derive(Default)]
+pub(crate) struct MergeTable {
+    counts: Vec<u64>,
+    occupied: [u64; OCCUPIED_WORDS],
+}
+
+/// Words in [`MergeTable`]'s bitmap: one bit per index below
+/// [`RttSketch::MAX_BUCKETS`].
+const OCCUPIED_WORDS: usize = RttSketch::MAX_BUCKETS.div_ceil(64);
+
+impl MergeTable {
+    /// The merge of every sketch in `parts`.
+    pub(crate) fn merged(&mut self, parts: &[&RttSketch]) -> RttSketch {
+        let mut merged = RttSketch::new();
+        self.merge_into(&mut merged, parts);
+        merged
+    }
+
+    /// Merges every sketch in `parts` into `target`: the sketch that
+    /// `target.merge_from(part)` for each part in turn gives, in one pass
+    /// over their buckets.
+    pub(crate) fn merge_into(&mut self, target: &mut RttSketch, parts: &[&RttSketch]) {
+        if let [] | [_] = parts {
+            parts.iter().for_each(|part| target.merge_from(part));
+            return;
+        }
+        if self.counts.is_empty() {
+            self.counts = vec![0; RttSketch::MAX_BUCKETS];
+        }
+        target.digest_memo.clear();
+        let mut run = std::mem::take(&mut target.buckets);
+        // An index past the regular range only comes from a decoded bucket
+        // list; such runs merge pairwise once the table is drained.
+        let own_outlier = self.add(&run).then(|| std::mem::take(&mut run));
+        let mut outliers = Vec::new();
+        for part in parts {
+            target.merge_scalars(part);
+            if self.add(&part.buckets) {
+                outliers.push(&part.buckets);
+            }
+        }
+        run.0.clear();
+        run.0.reserve(self.occupied.iter().map(|bits| bits.count_ones() as usize).sum());
+        for (word, bits) in self.occupied.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let index = word * 64 + bits.trailing_zeros() as usize;
+                run.0.push((index as u16, std::mem::take(&mut self.counts[index])));
+                bits &= bits - 1;
+            }
+        }
+        for buckets in own_outlier.iter().chain(outliers) {
+            run.merge_from(buckets);
+        }
+        target.buckets = run;
+    }
+
+    /// Adds a run into the table, or returns `true` and adds nothing if the
+    /// run holds an index the table has no slot for.
+    fn add(&mut self, buckets: &Buckets) -> bool {
+        if buckets.0.last().is_some_and(|&(index, _)| usize::from(index) >= self.counts.len()) {
+            return true;
+        }
+        for &(index, count) in &buckets.0 {
+            let index = usize::from(index);
+            self.counts[index] += count;
+            self.occupied[index / 64] |= 1 << (index % 64);
+        }
+        false
     }
 }
 
@@ -610,6 +833,15 @@ mod tests {
         assert_eq!(series.len(), 21);
         assert!(series.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(series.last().unwrap().1, 1.0);
+    }
+
+    #[test]
+    fn a_cdf_walk_restarts_when_x_falls() {
+        let sketch: RttSketch = (1..=1000).map(|i| i as f64).collect();
+        let mut walk = CdfWalk::new(&sketch);
+        for x in [900.0, 10.0, 500.0, 2.0, 999.0] {
+            assert_eq!(walk.fraction_at_or_below(x), sketch.fraction_at_or_below(x), "x {x}");
+        }
     }
 
     #[test]

@@ -127,14 +127,13 @@ impl WindowedAggregateStore {
             None => self.max_epoch = Some(epoch),
             Some(max) if epoch > max => {
                 let keep_from = epoch.saturating_sub(self.window as u64 - 1);
-                for slot in &mut self.ring {
-                    if let Some((e, store)) = slot {
-                        if *e < keep_from {
-                            self.folded.merge_from(store);
-                            *slot = None;
-                        }
-                    }
-                }
+                let evicted: Vec<AggregateStore> = self
+                    .ring
+                    .iter_mut()
+                    .filter(|slot| slot.as_ref().is_some_and(|(e, _)| *e < keep_from))
+                    .filter_map(|slot| slot.take().map(|(_, store)| store))
+                    .collect();
+                self.folded.merge_from_all(&evicted.iter().collect::<Vec<_>>());
                 self.max_epoch = Some(epoch);
             }
             _ => {}
@@ -191,12 +190,14 @@ impl WindowedAggregateStore {
         if let Some(other_max) = other.max_epoch {
             self.advance_to(other_max);
         }
-        self.folded.merge_from(&other.folded);
-        let Some(keep_from) = self.keep_from() else { return };
+        let mut tail = vec![&other.folded];
+        let Some(keep_from) = self.keep_from() else {
+            return self.folded.merge_from_all(&tail);
+        };
         for slot in &other.ring {
             let Some((epoch, store)) = slot else { continue };
             if *epoch < keep_from {
-                self.folded.merge_from(store);
+                tail.push(store);
                 continue;
             }
             let idx = (*epoch % self.window as u64) as usize;
@@ -207,6 +208,7 @@ impl WindowedAggregateStore {
                 self.ring[idx] = Some((*epoch, store.clone()));
             }
         }
+        self.folded.merge_from_all(&tail);
     }
 
     /// Live epoch indices, ascending.
@@ -288,11 +290,9 @@ impl WindowedAggregateStore {
     /// plain [`AggregateStore`] a non-windowed sink would have produced.
     pub fn merged(&self) -> AggregateStore {
         let mut merged = self.folded.clone();
-        for epoch in self.live_epochs() {
-            if let Some(store) = self.epoch_store(epoch) {
-                merged.merge_from(store);
-            }
-        }
+        let live: Vec<&AggregateStore> =
+            self.live_epochs().into_iter().filter_map(|epoch| self.epoch_store(epoch)).collect();
+        merged.merge_from_all(&live);
         merged
     }
 

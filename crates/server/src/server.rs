@@ -594,6 +594,42 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_file_with_an_unrunnable_flow_is_refused_and_the_server_keeps_answering() {
+        let dir = scratch_dir("ckpt-unrunnable");
+        let target = dir.join("plane.ckpt");
+        let path = mop_json::to_string(&Value::from(target.to_str().unwrap()));
+        let mut saver = server();
+        call(
+            &mut saver,
+            "{\"id\":1,\"method\":\"scenario.inject\",\
+             \"params\":{\"scenario\":\"rush-hour\",\"users\":20,\"seed\":5}}",
+        );
+        let turn = call(&mut saver, &request("fleet.checkpoint", &format!("{{\"path\":{path}}}")));
+        assert!(turn.frames[0].contains("\"result\""), "{}", turn.frames[0]);
+        let text = fs::read_to_string(&target).unwrap();
+
+        // One pending flow asks for a request no single segment carries.
+        let at = text.find("\"request_bytes\":").expect("a pending TCP flow") + 16;
+        let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        fs::write(&target, format!("{}70000{}", &text[..at], &text[at + digits..])).unwrap();
+        let mut refused = server();
+        let turn = call(&mut refused, &request("fleet.resume", &format!("{{\"path\":{path}}}")));
+        assert!(turn.frames[0].contains("\"code\":\"bad-checkpoint\""), "{}", turn.frames[0]);
+        assert!(turn.frames[0].contains("request_bytes"), "{}", turn.frames[0]);
+        let turn = call(&mut refused, "{\"id\":8,\"method\":\"fleet.step\",\"params\":{}}");
+        assert!(turn.frames[0].contains("\"pending\":0"), "{}", turn.frames[0]);
+
+        // The file as saved resumes and steps.
+        fs::write(&target, &text).unwrap();
+        let mut resumed = server();
+        let turn = call(&mut resumed, &request("fleet.resume", &format!("{{\"path\":{path}}}")));
+        assert!(turn.frames[0].contains("\"result\""), "{}", turn.frames[0]);
+        let turn = call(&mut resumed, "{\"id\":8,\"method\":\"fleet.step\",\"params\":{}}");
+        assert!(turn.frames[0].contains("\"result\""), "{}", turn.frames[0]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_directory_target_is_an_io_error_that_touches_nothing() {
         let dir = scratch_dir("ckpt-dir");
         let target = dir.join("plane.ckpt");

@@ -43,7 +43,7 @@ impl SimDuration {
         if !ms.is_finite() || ms <= 0.0 {
             return Self::ZERO;
         }
-        Self((ms * 1_000_000.0).round() as u64)
+        Self(round_positive(ms * 1_000_000.0))
     }
 
     /// The duration in whole nanoseconds.
@@ -218,9 +218,64 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// `x.round() as u64` for a positive `x`, without calling `f64::round`
+/// below 2^52 (on baseline x86-64 that is a library call, and every latency
+/// draw ends in it). There the truncation `t` is exact, and so is `x - t`
+/// (Sterbenz: `t <= x < 2t` once `t >= 1`), so comparing the fraction with
+/// one half rounds half away from zero exactly as `round` does. From 2^52
+/// up every `f64` is already an integer.
+fn round_positive(x: f64) -> u64 {
+    const EXACT_FRACTIONS: f64 = (1u64 << 52) as f64;
+    if x >= EXACT_FRACTIONS {
+        return x.round() as u64;
+    }
+    let truncated = x as u64;
+    truncated + u64::from(x - truncated as f64 >= 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integer_rounding_matches_f64_round() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut values = vec![
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5, the last tie below 2^52
+            two_52,
+            two_52 + 1.0,
+            two_52 * 2.0 + 2.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-300,
+            1.8446744073709552e19, // 2^64: saturates
+            1e300,
+            f64::MAX,
+        ];
+        for k in 0..1_000u64 {
+            let k = k as f64;
+            values.extend([k + 0.5, k + 0.49999999999999994, k + 0.5000000000000001, k + 0.25]);
+        }
+        let mut x = two_52;
+        for _ in 0..64 {
+            x = f64::from_bits(x.to_bits() - 1); // walks down from 2^52 one ulp at a time
+            values.push(x);
+        }
+        let mut x = 1e-9;
+        while x < 1e22 {
+            values.push(x);
+            x *= 1.0137;
+        }
+        for &x in &values {
+            assert_eq!(round_positive(x), x.round() as u64, "{x:e}");
+            let ms = x / 1e6;
+            assert_eq!(SimDuration::from_millis_f64(ms).as_nanos(), (ms * 1e6).round() as u64);
+        }
+    }
 
     #[test]
     fn duration_conversions() {

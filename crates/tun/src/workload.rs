@@ -8,6 +8,8 @@
 
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_measure::NetKind;
+use mop_packet::ipv4::IPV4_MIN_HEADER_LEN;
+use mop_packet::tcp::TCP_MIN_HEADER_LEN;
 use mop_packet::Endpoint;
 use mop_simnet::{SimDuration, SimRng, SimTime};
 
@@ -59,6 +61,44 @@ pub struct FlowSpec {
     /// labelled with (the per-ISP analyses group by it). `None` leaves the
     /// label empty.
     pub isp: Option<String>,
+}
+
+impl FlowSpec {
+    /// The largest `request_bytes` a TCP flow to `dst` can carry. An app
+    /// sends its whole request as one option-free TCP segment, and one IP
+    /// packet's 16-bit length field bounds it: the total length over IPv4
+    /// (65,495 B of request), the payload length over IPv6 (65,515 B).
+    fn max_request_bytes(dst: &Endpoint) -> usize {
+        let ip_header = if dst.is_ipv4() { IPV4_MIN_HEADER_LEN } else { 0 };
+        usize::from(u16::MAX) - ip_header - TCP_MIN_HEADER_LEN
+    }
+
+    /// The field that keeps the engine from running this spec, and why:
+    /// a request too large for its one segment, or a source of another
+    /// address family than the destination (a TCP flow without a source
+    /// gets the engine's IPv4 one). Building the flow's first packet would
+    /// panic on either.
+    fn unrunnable(&self) -> Option<(&'static str, String)> {
+        let src_is_ipv4 = match self.src {
+            Some(src) => src.is_ipv4(),
+            None if self.kind == FlowKind::Tcp => true,
+            None => self.dst.is_ipv4(),
+        };
+        if src_is_ipv4 != self.dst.is_ipv4() {
+            let src =
+                self.src.map_or("the engine's IPv4 source".to_string(), |src| src.to_string());
+            let why = format!("{src} and {} are of different address families", self.dst);
+            return Some(("dst", why));
+        }
+        let max = Self::max_request_bytes(&self.dst);
+        if self.kind == FlowKind::Tcp && self.request_bytes > max {
+            let (request, dst) = (self.request_bytes, self.dst);
+            let why =
+                format!("{request} B exceeds the {max} B one request segment to {dst} carries");
+            return Some(("request_bytes", why));
+        }
+        None
+    }
 }
 
 /// `"Tcp"` / `"Dns"`.
@@ -116,7 +156,7 @@ impl FromJson for FlowSpec {
             "network" => network,
             "isp" => isp,
         });
-        Ok(FlowSpec {
+        let spec = FlowSpec {
             at: SimTime::from_nanos(at_ns),
             uid,
             package,
@@ -128,7 +168,11 @@ impl FromJson for FlowSpec {
             kind,
             network,
             isp,
-        })
+        };
+        match spec.unrunnable() {
+            Some((field, why)) => Err(input.error(why).within(field)),
+            None => Ok(spec),
+        }
     }
 }
 
@@ -419,6 +463,56 @@ mod tests {
     fn empty_destinations_panic() {
         Workload::new(WorkloadKind::Messaging, 1, "x", Vec::new(), SimDuration::from_secs(1), 1)
             .generate(&mut rng());
+    }
+
+    /// Decodes `spec`'s own encoding.
+    fn round_trip(spec: &FlowSpec) -> Result<FlowSpec, ParseError> {
+        mop_json::decode(&mop_json::to_string(spec))
+    }
+
+    #[test]
+    fn decoding_refuses_specs_the_engine_cannot_run() {
+        let v4 = FlowSpec {
+            at: SimTime::ZERO,
+            uid: 10_001,
+            package: "com.example".into(),
+            src: Some(Endpoint::v4(10, 0, 0, 2, 40_000)),
+            dst: Endpoint::v4(93, 184, 216, 34, 443),
+            domain: None,
+            request_bytes: 65_495,
+            close_after: 0,
+            kind: FlowKind::Tcp,
+            network: None,
+            isp: None,
+        };
+        assert_eq!(round_trip(&v4).unwrap(), v4);
+        let error = round_trip(&FlowSpec { request_bytes: 65_496, ..v4.clone() }).unwrap_err();
+        assert_eq!(error.path, "request_bytes", "{error}");
+        assert!(error.message.contains("65496 B exceeds the 65495 B"), "{error}");
+
+        let v6_dst = Endpoint::new(std::net::Ipv6Addr::LOCALHOST, 443);
+        let v6 = FlowSpec {
+            src: Some(Endpoint::new(std::net::Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 2), 40_000)),
+            dst: v6_dst,
+            request_bytes: 65_515,
+            ..v4.clone()
+        };
+        assert_eq!(round_trip(&v6).unwrap(), v6);
+        let error = round_trip(&FlowSpec { request_bytes: 65_516, ..v6.clone() }).unwrap_err();
+        assert_eq!(error.path, "request_bytes", "{error}");
+
+        // A source of the other family, given or the engine's own.
+        for src in [v4.src, None] {
+            let error = round_trip(&FlowSpec { src, request_bytes: 10, ..v6.clone() }).unwrap_err();
+            assert_eq!(error.path, "dst", "{error}");
+            assert!(error.message.contains("different address families"), "{error}");
+        }
+        let error = round_trip(&FlowSpec { src: v6.src, ..v4.clone() }).unwrap_err();
+        assert_eq!(error.path, "dst", "{error}");
+
+        // A DNS query sends no request segment.
+        let dns = FlowSpec { kind: FlowKind::Dns, src: None, request_bytes: 1 << 20, ..v4 };
+        assert_eq!(round_trip(&dns).unwrap(), dns);
     }
 
     #[test]

@@ -64,8 +64,13 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # tunnel packet per event (CHANGES.md, "One tunnel packet per event").
 ! grep -rnE 'SlabBatch|BatchPool|ProcessTunBatch|with_batch_size|WorkerModel|TunDevice' crates src tests examples || fail "one tunnel packet per event"
 
+# Forbids a map behind the RTT sketch: its buckets are one sorted run, and
+# only its tests may build a map to compare with (CHANGES.md, "Flat RTT
+# sketches").
+! awk '/^mod tests/ { exit } { print }' crates/measure/src/sketch.rs | grep -n 'BTreeMap' || fail "a map behind the RTT sketch"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
 fi
-echo "all 15 shape guards hold"
+echo "all 16 shape guards hold"
