@@ -27,9 +27,12 @@
 //! What a *finished* flow costs is bounded on its own: N flows that never
 //! overlap, then 4N. Each run has one connection live at a time, so
 //! `retained(4N) − retained(N)` over the 3N extra flows is what one finished
-//! record and its outcome keep, about 1.1 KB. A socket that keeps its
-//! pending-read ring, an app endpoint that keeps its request and a record
-//! sized by its largest app variant together made it about 2.1 KB.
+//! flow leaves behind, about 460 B: its outcome in the report and the
+//! run's flow list, whose cells the warm engine keeps. A record that stayed
+//! in the table with its index entry, socket entry and tap exchange made it
+//! about 1.1 KB, and before that a socket that kept its pending-read ring,
+//! an app endpoint that kept its request and a record sized by its largest
+//! app variant made it about 2.1 KB.
 //!
 //! Counts only, no timing. Before the engine's ledger, machine outputs,
 //! app outputs and segment payloads stopped allocating, this workload cost
@@ -72,11 +75,13 @@ const PER_LOSS_EVENT: u64 = 4;
 /// two raw delay samples per relayed packet made it about 11.5 KB.
 const PER_FLOW_BYTES: u64 = 4096;
 /// Bytes one finished flow may leave behind in the warm engine and its
-/// report: its `Conn` record, index entry, socket entry, mapping row, tap
-/// exchange slot and outcome. 1,093 are measured; it was 2,115 while a
-/// closed socket kept its read ring, an endpoint its request and every
-/// record the size of the largest app variant.
-const PER_FINISHED_FLOW_BYTES: u64 = 1280;
+/// report: its outcome, and its cells in the run's spec list and on the
+/// timing wheel, which the warm engine keeps for the next run. 464 are
+/// measured; it was 1,093 while the `Conn` record, its index entry, socket
+/// entry and tap exchange stayed until the engine was reset, and 2,115
+/// while a closed socket also kept its read ring, an endpoint its request
+/// and every record the size of the largest app variant.
+const PER_FINISHED_FLOW_BYTES: u64 = 512;
 /// Virtual time between two non-overlapping flows: each one's handshake,
 /// response and close fit well inside it.
 const APART_MS: u64 = 2_000;

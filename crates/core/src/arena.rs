@@ -8,11 +8,12 @@
 //! its event is scheduled, and the event carries the [`Parked`] handle;
 //! dispatch takes the payload back.
 //! The cells are reused through a free list and survive `clear`, so a
-//! resident engine's arenas grow once.
+//! resident engine's arenas grow once, to the most values held at once.
+//! The connection table keeps its records in one too.
 
 /// Names one value parked in an [`Arena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Parked(u32);
+pub(crate) struct Parked(pub(crate) u32);
 
 /// A free-listed store of values whose events are still pending.
 #[derive(Debug)]
@@ -52,6 +53,40 @@ impl<T> Arena<T> {
         let value = self.cells[at.0 as usize].take().expect("a parked value is taken once");
         self.free.push(at);
         value
+    }
+
+    /// The value parked at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is empty.
+    pub(crate) fn get(&self, at: Parked) -> &T {
+        self.cells[at.0 as usize].as_ref().expect("a parked value")
+    }
+
+    /// The value parked at `at`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is empty.
+    pub(crate) fn get_mut(&mut self, at: Parked) -> &mut T {
+        self.cells[at.0 as usize].as_mut().expect("a parked value")
+    }
+
+    /// The parked values, in cell order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.cells.iter().flatten()
+    }
+
+    /// The parked values, mutably, in cell order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.cells.iter_mut().flatten()
+    }
+
+    /// How many cells the arena has: the most values it held at once since
+    /// it was created or cleared.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells.len()
     }
 
     /// Drops every parked value, keeping both allocations.

@@ -7,19 +7,29 @@
 //! and everything the stages know about the connection sits in one
 //! slab-allocated [`Conn`] that events and cross-stage calls reach by index.
 //!
-//! Records live until [`ConnTable::clear`] (one call per engine reset), so a
-//! `FlowId` never dangles and needs no generation. Teardown only resets the
-//! *evictable* fields — the TCP side, the RNG stream and the writer lane —
-//! so a finished record keeps no machine, scoreboard or stream, and a stray
-//! late packet gets a fresh machine and re-seeds from `(seed, four-tuple)`
-//! exactly as a fresh flow would.
+//! Teardown first resets the *evictable* fields — the TCP side, the RNG
+//! stream and the writer lane — so a torn-down record keeps no machine,
+//! scoreboard or stream, and a stray late packet gets a fresh machine and
+//! re-seeds from `(seed, four-tuple)` exactly as a fresh flow would.
 //!
-//! A finished record keeps only its outcome. Both app sides are boxed, so a
-//! record is a few hundred bytes whatever its app is, and a TCP app endpoint
-//! that reaches Done or Failed is swapped for a `FinishedApp`: the bytes
-//! it received, the duplicate ACKs it sent and whether it failed — exactly
-//! what a later delivery to a finished endpoint reads. Its request, packet
-//! builder and reassembly buffer are freed with it.
+//! A record then leaves the table as soon as nothing can reach it again:
+//! it has no TCP side and no open socket, no pending event names its
+//! `FlowId` (the table counts them, see [`ConnTable::hold`]), and no
+//! `FlowStart` still to run names its canonical tuple (counted from the
+//! run's flow list, see [`ConnTable::expect_starts`]). Its [`FlowOutcome`]
+//! moves to the run's outcome list at the record's intern position, its
+//! index entry goes, and its slot and `FlowId` return to a free list for the
+//! next intern. So the table is sized by the connections open at once, not
+//! by every connection a run has seen. A `FlowId` is valid while its record
+//! is held, and every pending event that names one holds it.
+//!
+//! While it is live, a record keeps little beyond what the connection
+//! needs. Both app sides are boxed, so a record is a few hundred bytes
+//! whatever its app is, and a TCP app endpoint that reaches Done or Failed
+//! is swapped for a `FinishedApp`: the bytes it received, the duplicate ACKs
+//! it sent and whether it failed — exactly what a later delivery to a
+//! finished endpoint reads. Its request, packet builder and reassembly
+//! buffer are freed with it.
 
 use std::ops::{Index, IndexMut};
 
@@ -29,12 +39,21 @@ use mop_simnet::{SimRng, SimTime, SocketId};
 use mop_tcpstack::{ConnTimers, RecoveryState, TcpStateMachine};
 use mop_tun::{AppEndpoint, AppState, DnsClient, FlowSpec};
 
+use crate::arena::{Arena, Parked};
 use crate::stats::FlowOutcome;
 use crate::tun_writer::WriterLane;
 
 /// Dense index of one connection's [`Conn`] record in the [`ConnTable`].
+/// Ids are reused once a record leaves; a pending event that names one
+/// holds its record, so such an id never dangles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowId(u32);
+
+impl FlowId {
+    fn cell(self) -> Parked {
+        Parked(self.0)
+    }
+}
 
 /// The simulated app end of a connection.
 #[derive(Debug)]
@@ -108,6 +127,21 @@ pub(crate) struct FlowMeta {
     pub(crate) isp: Option<String>,
 }
 
+impl FlowMeta {
+    /// The outcome of the flow on `flow` this record describes, under
+    /// `package`.
+    fn outcome(&self, flow: FourTuple, package: String) -> FlowOutcome {
+        FlowOutcome {
+            flow,
+            package,
+            started_at: self.started_at,
+            finished_at: self.finished_at,
+            bytes_received: self.bytes_received,
+            completed: self.completed,
+        }
+    }
+}
+
 /// The TCP side of a connection: the user-space state machine terminating
 /// the app's internal connection, plus what only a live machine needs.
 #[derive(Debug)]
@@ -149,6 +183,11 @@ pub struct Conn {
     pub(crate) dns_pending: Option<(SimTime, String)>,
     /// Outcome bookkeeping, present once a `FlowStart` announced the flow.
     pub(crate) meta: Option<FlowMeta>,
+    /// Pending events that name this record. The timers are not counted:
+    /// they live in the TCP side, which keeps the record on its own.
+    holds: u32,
+    /// The record's place in the run's outcome list: its intern position.
+    order: u32,
 }
 
 impl Conn {
@@ -236,7 +275,17 @@ const _: () = assert!(std::mem::size_of::<Conn>() <= 320);
 pub struct ConnTable {
     /// Canonical four-tuple → record, so both directions share one record.
     ids: FastMap<FourTuple, FlowId>,
-    conns: Vec<Conn>,
+    /// The live records; a record that leaves frees its slot and id.
+    conns: Arena<Conn>,
+    /// Canonical four-tuples that more than one of the run's flows open,
+    /// with how many of their `FlowStart`s are still to run: a record whose
+    /// tuple is here stays.
+    starts_due: FastMap<FourTuple, u32>,
+    /// The run's outcome list: one place per interned record, in intern
+    /// order, filled when the record leaves.
+    outcomes: Vec<Option<FlowOutcome>>,
+    /// Duplicate ACKs the apps of records that left had sent.
+    left_dup_acks: u64,
     /// How many records hold a pre-connect timestamp: the live
     /// socket-connect threads (tunnel-write contention, §3.5.1).
     connecting: usize,
@@ -250,8 +299,9 @@ impl ConnTable {
     /// with `flow` as its app-side tuple.
     pub fn intern(&mut self, flow: FourTuple) -> FlowId {
         *self.ids.entry(flow.canonical()).or_insert_with(|| {
-            let id = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
-            self.conns.push(Conn {
+            let order = u32::try_from(self.outcomes.len()).expect("fewer than 2^32 connections");
+            self.outcomes.push(None);
+            let cell = self.conns.park(Conn {
                 flow,
                 rng: None,
                 lane: WriterLane::default(),
@@ -262,35 +312,114 @@ impl ConnTable {
                 half_close_pending: false,
                 dns_pending: None,
                 meta: None,
+                holds: 0,
+                order,
             });
-            FlowId(id)
+            FlowId(cell.0)
         })
     }
 
-    /// Forgets every connection, keeping both allocations; ids restart at
+    /// Notes the `FlowStart`s a run will run, one four-tuple each, and
+    /// makes room for their outcomes. Only tuples that more than one flow
+    /// opens are counted: a tuple opened once has no record before its one
+    /// `FlowStart` and none still due after it.
+    pub(crate) fn expect_starts(&mut self, mut flows: Vec<FourTuple>) {
+        self.outcomes.reserve(flows.len());
+        flows.iter_mut().for_each(|flow| *flow = flow.canonical());
+        flows.sort_unstable();
+        let mut at = 0;
+        while at < flows.len() {
+            let run = flows[at..].iter().take_while(|&&flow| flow == flows[at]).count();
+            if run > 1 {
+                *self.starts_due.entry(flows[at]).or_default() += run as u32;
+            }
+            at += run;
+        }
+    }
+
+    /// The record a `FlowStart` on `flow` opens: the start is no longer due,
+    /// and the tuple is interned.
+    pub(crate) fn start(&mut self, flow: FourTuple) -> FlowId {
+        let key = flow.canonical();
+        if let Some(due) = self.starts_due.get_mut(&key) {
+            *due -= 1;
+            if *due == 0 {
+                self.starts_due.remove(&key);
+            }
+        }
+        self.intern(flow)
+    }
+
+    /// Counts one more pending event that names `id`.
+    pub(crate) fn hold(&mut self, id: FlowId) {
+        self[id].holds += 1;
+    }
+
+    /// Counts one pending event that named `id` as dispatched.
+    pub(crate) fn unhold(&mut self, id: FlowId) {
+        self[id].holds -= 1;
+    }
+
+    /// Whether nothing the table knows of can reach `id` again: no TCP side
+    /// (whose timers are the only events it does not count), no pending
+    /// event and no `FlowStart` still to run on its tuple. The socket is
+    /// the caller's to check.
+    pub(crate) fn unreachable(&self, id: FlowId) -> bool {
+        let conn = &self[id];
+        conn.tcp.is_none()
+            && conn.holds == 0
+            && !self.starts_due.contains_key(&conn.flow.canonical())
+    }
+
+    /// Takes `id`'s record out of the table: its outcome moves to the run's
+    /// outcome list, its index entry goes, and its slot and id are free for
+    /// the next intern. Returns what is left of it.
+    pub(crate) fn remove(&mut self, id: FlowId) -> Conn {
+        let mut conn = self.conns.take(id.cell());
+        debug_assert!(conn.tcp.is_none() && conn.connect_pre_ts.is_none() && conn.holds == 0);
+        self.ids.remove(&conn.flow.canonical());
+        self.left_dup_acks += u64::from(conn.app.dup_acks_sent());
+        self.outcomes[conn.order as usize] = conn.meta.as_mut().map(|meta| {
+            let package = std::mem::take(&mut meta.package);
+            meta.outcome(conn.flow, package)
+        });
+        conn
+    }
+
+    /// Forgets every connection, keeping the allocations; ids restart at
     /// zero, so a reset engine hands out the ids a fresh one would.
     pub fn clear(&mut self) {
         self.ids.clear();
         self.conns.clear();
+        self.starts_due.clear();
+        self.outcomes.clear();
+        self.left_dup_acks = 0;
         self.connecting = 0;
         self.live_clients = 0;
     }
 
-    /// Pre-sizes the table for `flows` more connections.
-    pub fn reserve(&mut self, flows: usize) {
-        self.ids.reserve(flows);
-        self.conns.reserve(flows);
-    }
-
-    /// The records, in intern order.
+    /// The live records, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &Conn> {
         self.conns.iter()
+    }
+
+    /// The most records the table held at once since it was created or
+    /// cleared (its index held as many entries).
+    pub fn peak_records(&self) -> usize {
+        self.conns.cells()
+    }
+
+    /// Duplicate ACKs the apps of every record since the table was created
+    /// or cleared have sent, live or gone.
+    pub(crate) fn dup_acks_sent(&self) -> u64 {
+        let live: u64 = self.iter().map(|conn| u64::from(conn.app.dup_acks_sent())).sum();
+        self.left_dup_acks + live
     }
 
     /// Gives `id` a fresh TCP side: a machine in `Listen` that will use
     /// `isn` towards the app.
     pub(crate) fn attach_tcp(&mut self, id: FlowId, isn: u32) -> &mut TcpSide {
-        let conn = &mut self.conns[id.0 as usize];
+        let conn = self.conns.get_mut(id.cell());
         self.live_clients += usize::from(conn.tcp.is_none());
         conn.tcp.insert(Box::new(TcpSide {
             machine: TcpStateMachine::new(conn.flow, isn),
@@ -330,21 +459,25 @@ impl ConnTable {
         self.connecting > 0
     }
 
-    /// The outcome record of every announced flow (report time).
-    pub(crate) fn flow_outcomes(&self) -> Vec<FlowOutcome> {
-        self.conns
-            .iter()
-            .filter_map(|conn| {
-                conn.meta.as_ref().map(|meta| FlowOutcome {
-                    flow: conn.flow,
-                    package: meta.package.clone(),
-                    started_at: meta.started_at,
-                    finished_at: meta.finished_at,
-                    bytes_received: meta.bytes_received,
-                    completed: meta.completed,
-                })
-            })
-            .collect()
+    /// The run's outcome list (report time): every announced flow's outcome
+    /// in intern order. The outcomes of records that left move out; a live
+    /// record's is copied, and it keeps a place in the next list.
+    pub(crate) fn take_outcomes(&mut self) -> Vec<FlowOutcome> {
+        for conn in self.conns.iter() {
+            if let Some(meta) = &conn.meta {
+                let outcome = meta.outcome(conn.flow, meta.package.clone());
+                self.outcomes[conn.order as usize] = Some(outcome);
+            }
+        }
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        outcomes.retain(Option::is_some);
+        // Collected in place: an outcome is the size of its `Option`.
+        let outcomes = outcomes.into_iter().map(|outcome| outcome.expect("kept")).collect();
+        for conn in self.conns.iter_mut() {
+            conn.order = self.outcomes.len() as u32;
+            self.outcomes.push(None);
+        }
+        outcomes
     }
 }
 
@@ -352,13 +485,13 @@ impl Index<FlowId> for ConnTable {
     type Output = Conn;
 
     fn index(&self, id: FlowId) -> &Conn {
-        &self.conns[id.0 as usize]
+        self.conns.get(id.cell())
     }
 }
 
 impl IndexMut<FlowId> for ConnTable {
     fn index_mut(&mut self, id: FlowId) -> &mut Conn {
-        &mut self.conns[id.0 as usize]
+        self.conns.get_mut(id.cell())
     }
 }
 
@@ -390,14 +523,43 @@ mod tests {
         assert!(!table.connect_threads_active(), "the census moves only on None<->Some");
 
         table.begin_connect(b, SimTime::ZERO);
-        let capacity = (table.conns.capacity(), table.ids.capacity());
+        let capacity = table.ids.capacity();
         table.clear();
         assert_eq!(table.iter().count(), 0);
         assert!(!table.connect_threads_active());
-        assert_eq!((table.conns.capacity(), table.ids.capacity()), capacity);
+        assert_eq!(table.ids.capacity(), capacity);
         // A reset table hands out the ids a fresh one would.
         assert_eq!(table.intern(tuple(2)), FlowId(0));
         assert_eq!(table.intern(tuple(1)), FlowId(1));
+    }
+
+    #[test]
+    fn a_record_leaves_once_unreachable_and_its_id_is_reused() {
+        let mut table = ConnTable::default();
+        table.expect_starts([1, 2, 1].map(tuple).to_vec());
+        let (a, b) = (table.start(tuple(1)), table.start(tuple(2)));
+        table[a].started(&spec(tuple(1)), SimTime::ZERO);
+        table[b].started(&spec(tuple(2)), SimTime::from_millis(1));
+        table.hold(b);
+        assert!(!table.unreachable(a), "a second FlowStart on its tuple is still due");
+        assert!(!table.unreachable(b), "a pending event names it");
+        table.unhold(b);
+        assert!(table.unreachable(b));
+        assert_eq!(table.remove(b).flow, tuple(2));
+        assert_eq!(table.iter().count(), 1);
+        // The freed id goes to the next tuple interned.
+        let c = table.intern(tuple(3));
+        assert_eq!(c, b);
+        assert_eq!(table.start(tuple(1)), a, "co-addressed flows share one record");
+        assert!(table.unreachable(a));
+        table.remove(a);
+        table.remove(c);
+        assert_eq!((table.iter().count(), table.peak_records()), (0, 2));
+        // Outcomes in intern order; the unannounced record has none.
+        let outcomes = table.take_outcomes();
+        let flows: Vec<FourTuple> = outcomes.iter().map(|outcome| outcome.flow).collect();
+        assert_eq!(flows, [tuple(1), tuple(2)]);
+        assert_eq!(outcomes[1].package, "com.app");
     }
 
     fn spec(flow: FourTuple) -> FlowSpec {
@@ -453,7 +615,7 @@ mod tests {
             out.clear();
             twin_out.clear();
         }
-        table.conns.swap_remove(id.0 as usize)
+        table.conns.take(id.cell())
     }
 
     #[test]

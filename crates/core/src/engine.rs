@@ -52,11 +52,12 @@ pub(crate) enum Event {
     /// (→ ingress)
     FlowStart(Parked),
     /// The MainWorker processes one packet's raw bytes retrieved from the
-    /// tunnel. (→ ingress parse, then relay)
+    /// tunnel, written by the app of the named connection. (→ ingress
+    /// parse, then relay)
     ///
     /// The bytes wait in a pooled buffer parked in the ingress stage, and
     /// the relay parses them in place with the zero-copy views.
-    TunPacket(Parked),
+    TunPacket(FlowId, Parked),
     /// The connection's external connect has completed (successfully or
     /// not). (→ relay)
     ExternalConnected(FlowId),
@@ -86,6 +87,22 @@ pub(crate) enum Event {
 
 // Shape guard: an event stays a few machine words.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
+impl Event {
+    /// The connection whose record this event holds while it is pending:
+    /// every event that names one, except the timers, which live in the
+    /// record's TCP side and are cancelled with it.
+    pub(crate) fn holds(&self) -> Option<FlowId> {
+        match *self {
+            Event::TunPacket(id, _)
+            | Event::ExternalConnected(id)
+            | Event::SocketReadable(id)
+            | Event::DnsResponse { id, .. }
+            | Event::DeliverToApp(id, _) => Some(id),
+            Event::FlowStart(_) | Event::IdleTimeout(_) | Event::RtoTimeout(_) => None,
+        }
+    }
+}
 
 /// The MopEye relay engine: the event loop over the four pipeline stages.
 pub struct MopEyeEngine {
@@ -166,7 +183,7 @@ impl MopEyeEngine {
     /// network that cannot fault. (`RelayStats::retransmits` is the send
     /// side's; the allocation-budget test charges both.)
     pub fn app_dup_acks_sent(&self) -> u64 {
-        self.shared.conns.iter().map(|conn| u64::from(conn.app.dup_acks_sent())).sum()
+        self.shared.conns.dup_acks_sent()
     }
 
     /// Runs a set of workloads to completion and reports.
@@ -182,9 +199,12 @@ impl MopEyeEngine {
 
     /// Runs an explicit list of flows to completion and reports: pops are
     /// nondecreasing in time with FIFO order at equal instants, and each
-    /// popped event is dispatched on its own.
-    pub fn run_flows(&mut self, flows: Vec<FlowSpec>) -> RunReport {
-        self.reserve_flows(flows.len());
+    /// popped event is dispatched on its own. The report's flow outcomes
+    /// are those of the connections this run interned, in intern order.
+    pub fn run_flows(&mut self, mut flows: Vec<FlowSpec>) -> RunReport {
+        self.ingress.bind_sources(&mut flows);
+        let tuples = flows.iter().map(|spec| IngressStage::flow_of(&self.shared, spec)).collect();
+        self.shared.conns.expect_starts(tuples);
         for spec in flows {
             self.relay.packages.install(spec.uid, &spec.package);
             let at = spec.at;
@@ -199,13 +219,6 @@ impl MopEyeEngine {
         self.report()
     }
 
-    /// Pre-sizes the connection table for `flows` more connections, so a
-    /// fleet-scale run pays its table growth up front rather than on the
-    /// packet path.
-    pub fn reserve_flows(&mut self, flows: usize) {
-        self.shared.conns.reserve(flows);
-    }
-
     /// Counts and dispatches one event; false stops the run (event budget).
     fn dispatch(&mut self, at: SimTime, event: Event) -> bool {
         self.events_processed += 1;
@@ -216,34 +229,47 @@ impl MopEyeEngine {
         true
     }
 
-    /// Routes one event to the stage that owns it. Cross-stage effects
+    /// Routes one event to the stage that owns it, then lets the record it
+    /// concerned leave if nothing can reach it any more. Cross-stage effects
     /// travel either as scheduler events or through the explicitly passed
     /// downstream stages.
     fn route(&mut self, now: SimTime, event: Event) {
         let (shared, sched) = (&mut self.shared, &mut self.sched);
-        match event {
+        if let Some(id) = event.holds() {
+            shared.conns.unhold(id);
+        }
+        let id = match event {
             Event::FlowStart(spec) => {
                 let spec = self.specs.take(spec);
-                self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec)
+                // The opened record holds its first packet: it stays.
+                self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec);
+                return;
             }
-            Event::TunPacket(packet) => self.ingress.process_tun(
-                shared,
-                &mut self.relay,
-                &mut self.egress,
-                sched,
-                now,
-                packet,
-            ),
-            Event::ExternalConnected(id) => self.relay.on_external_connected(
-                shared,
-                &mut self.egress,
-                &mut self.sink,
-                sched,
-                now,
-                id,
-            ),
+            Event::TunPacket(id, packet) => {
+                self.ingress.process_tun(
+                    shared,
+                    &mut self.relay,
+                    &mut self.egress,
+                    sched,
+                    now,
+                    packet,
+                );
+                id
+            }
+            Event::ExternalConnected(id) => {
+                self.relay.on_external_connected(
+                    shared,
+                    &mut self.egress,
+                    &mut self.sink,
+                    sched,
+                    now,
+                    id,
+                );
+                id
+            }
             Event::SocketReadable(id) => {
-                self.relay.on_socket_readable(shared, &mut self.egress, sched, now, id)
+                self.relay.on_socket_readable(shared, &mut self.egress, sched, now, id);
+                id
             }
             Event::DnsResponse { id, packet } => {
                 let packet = shared.parked.take(packet);
@@ -255,28 +281,59 @@ impl MopEyeEngine {
                     now,
                     id,
                     packet,
-                )
+                );
+                id
             }
             Event::DeliverToApp(id, packet) => {
                 let packet = shared.parked.take(packet);
-                self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, id, packet)
+                self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, id, packet);
+                id
             }
-            Event::IdleTimeout(id) => self.relay.on_idle_timeout(shared, sched, now, id),
+            Event::IdleTimeout(id) => {
+                self.relay.on_idle_timeout(shared, sched, now, id);
+                id
+            }
             Event::RtoTimeout(id) => {
-                self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, id)
+                self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, id);
+                id
             }
+        };
+        self.settle(id);
+    }
+
+    /// Lets `id`'s record leave if nothing can reach it again (see
+    /// [`crate::conn`]): no TCP side, no open socket, no pending event and
+    /// no `FlowStart` still to run on its tuple. Its socket entry and the
+    /// wire tap's exchanges of its tuples go with it.
+    fn settle(&mut self, id: FlowId) {
+        let conns = &mut self.shared.conns;
+        let sockets = &mut self.relay.sockets;
+        if !conns.unreachable(id) || conns[id].socket.is_some_and(|s| sockets.is_open(s)) {
+            return;
         }
+        let conn = conns.remove(id);
+        let net = &mut self.shared.net;
+        if let Some(socket) = conn.socket {
+            if let Some(wire) = sockets.flow(socket).filter(|&wire| wire != conn.flow) {
+                net.forget_flow(wire);
+            }
+            sockets.release(socket);
+        }
+        net.forget_flow(conn.flow);
     }
 
     fn report(&mut self) -> RunReport {
         let mut counters = Counters::default();
         counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
+        counters[Counter::ConnsPeakRecords] = self.shared.conns.peak_records() as u64;
         counters[Counter::SelectorScanElems] = self.relay.selector.scan_elems();
+        counters[Counter::SocketsPeakHeld] = self.relay.sockets.peak_held() as u64;
+        counters[Counter::TapPeakExchanges] = self.shared.net.tap().peak_exchanges() as u64;
         counters[Counter::TapScanElems] = self.shared.net.tap().scan_elems();
         counters[Counter::WheelReadyInserts] = self.sched.ready_inserts();
         counters[Counter::WheelReadyShiftElems] = self.sched.ready_shift_elems();
         RunReport {
-            flows: self.shared.conns.flow_outcomes(),
+            flows: self.shared.conns.take_outcomes(),
             samples: std::mem::take(&mut self.sink.samples),
             aggregates: std::mem::take(&mut self.sink.aggregates),
             windows: self.sink.windows.take(),

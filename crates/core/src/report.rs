@@ -59,14 +59,16 @@ pub struct RunReport {
     /// timers are scheduled but never processed.
     pub events_scheduled: u64,
     /// Host-side structure counters: the work the engine's data structures
-    /// did beyond their O(1) probes. How a run was partitioned, not what it
-    /// measured: excluded from the fleet digest and the checkpoint encoding,
-    /// summed across shards like the other stats.
+    /// did beyond their O(1) probes, and the peaks of its per-connection
+    /// tables. How a run was partitioned, not what it measured: excluded
+    /// from the fleet digest and the checkpoint encoding, merged across
+    /// shards by [`Counters::merge`].
     pub counters: Counters,
 }
 
 /// A structure counter the engine keeps in every build: elements a data
-/// structure examined or moved beyond its O(1) index probe.
+/// structure examined or moved beyond its O(1) index probe, or (a *gauge*)
+/// the most entries a per-connection table held at once.
 ///
 /// Variants are declared in name order, so index order *is* the order
 /// [`Counters::iter`] reports in.
@@ -74,8 +76,14 @@ pub struct RunReport {
 pub enum Counter {
     /// Kernel-table slots examined or moved by state changes and removals.
     ConnTableScanElems,
+    /// Gauge: connection records (and their index entries) held at once.
+    ConnsPeakRecords,
     /// Selector interest-set slots scanned by compactions.
     SelectorScanElems,
+    /// Gauge: socket entries held at once.
+    SocketsPeakHeld,
+    /// Gauge: wire-tap exchanges (handshakes and DNS) held at once.
+    TapPeakExchanges,
     /// Wire-tap exchange entries examined by RTT queries.
     TapScanElems,
     /// Schedules that landed in the timing wheel's sorted due buffer.
@@ -86,9 +94,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in name (= index) order.
-    pub const ALL: [Counter; 5] = [
+    pub const ALL: [Counter; 8] = [
         Counter::ConnTableScanElems,
+        Counter::ConnsPeakRecords,
         Counter::SelectorScanElems,
+        Counter::SocketsPeakHeld,
+        Counter::TapPeakExchanges,
         Counter::TapScanElems,
         Counter::WheelReadyInserts,
         Counter::WheelReadyShiftElems,
@@ -98,11 +109,23 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::ConnTableScanElems => "conn_table.scan_elems",
+            Counter::ConnsPeakRecords => "conns.peak_records",
             Counter::SelectorScanElems => "selector.scan_elems",
+            Counter::SocketsPeakHeld => "sockets.peak_held",
+            Counter::TapPeakExchanges => "tap.peak_exchanges",
             Counter::TapScanElems => "tap.scan_elems",
             Counter::WheelReadyInserts => "wheel.ready_inserts",
             Counter::WheelReadyShiftElems => "wheel.ready_shift_elems",
         }
+    }
+
+    /// Whether the counter is a peak gauge: a high-water mark of one
+    /// engine's table, which merges by maximum rather than by sum.
+    pub fn is_gauge(self) -> bool {
+        matches!(
+            self,
+            Counter::ConnsPeakRecords | Counter::SocketsPeakHeld | Counter::TapPeakExchanges
+        )
     }
 }
 
@@ -111,10 +134,12 @@ impl Counter {
 pub struct Counters([u64; Counter::ALL.len()]);
 
 impl Counters {
-    /// Adds another report's counters to these.
+    /// Adds another report's counters to these; a gauge keeps the larger
+    /// peak, so a merged report's gauge is the most any one engine held.
     pub fn merge(&mut self, other: &Counters) {
-        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
-            *mine += theirs;
+        for (counter, theirs) in other.iter() {
+            let mine = &mut self[counter];
+            *mine = if counter.is_gauge() { (*mine).max(theirs) } else { *mine + theirs };
         }
     }
 
@@ -230,6 +255,7 @@ mod tests {
 
     #[test]
     fn counters_merge_element_wise() {
+        // Counts add up; gauges keep the larger peak.
         let mut a = Counters::default();
         let mut b = Counters::default();
         for (i, counter) in Counter::ALL.into_iter().enumerate() {
@@ -242,10 +268,13 @@ mod tests {
             merged,
             [
                 ("conn_table.scan_elems", 1),
-                ("selector.scan_elems", 12),
-                ("tap.scan_elems", 23),
-                ("wheel.ready_inserts", 34),
-                ("wheel.ready_shift_elems", 45),
+                ("conns.peak_records", 11),
+                ("selector.scan_elems", 23),
+                ("sockets.peak_held", 31),
+                ("tap.peak_exchanges", 41),
+                ("tap.scan_elems", 56),
+                ("wheel.ready_inserts", 67),
+                ("wheel.ready_shift_elems", 78),
             ]
         );
         // Name order is index order.

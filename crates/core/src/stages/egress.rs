@@ -88,14 +88,14 @@ impl EgressStage {
                     }
                     FaultDecision::Duplicate => {
                         let copy = sh.parked.park(packet.clone());
-                        sched.schedule(deliver_at, Event::DeliverToApp(id, copy));
+                        sh.schedule(sched, deliver_at, Event::DeliverToApp(id, copy));
                     }
                     FaultDecision::Delay(extra) => deliver_at += extra,
                 }
             }
         }
         let packet = sh.parked.park(packet);
-        sched.schedule(deliver_at, Event::DeliverToApp(id, packet));
+        sh.schedule(sched, deliver_at, Event::DeliverToApp(id, packet));
     }
 }
 

@@ -30,8 +30,8 @@ pub struct IngressStage {
     /// one, and the buffer comes back once the relay has parsed it.
     pub(crate) buffers: BufferPool,
     /// Tunnel packets on their way to the MainWorker: a write's buffer
-    /// waits here while its `TunPacket` event, which carries only the
-    /// handle, is on the wheel.
+    /// waits here while its `TunPacket` event, which carries the handle
+    /// and the writing connection's id, is on the wheel.
     pub(crate) packets: Arena<Vec<u8>>,
     /// Sequential source-port pool (single-device flows only).
     pub(crate) next_app_port: u16,
@@ -103,6 +103,30 @@ impl IngressStage {
         port
     }
 
+    /// Binds each flow without a source to the next port of the engine's
+    /// sequential pool (single-device flows; fleet scenarios pre-assign the
+    /// source so the four-tuple is a pure function of the spec), in the
+    /// order their `FlowStart`s will run: by time, then in list order. So
+    /// every flow's four-tuple is known before the run starts.
+    pub(crate) fn bind_sources(&mut self, flows: &mut [FlowSpec]) {
+        let mut unbound: Vec<usize> =
+            (0..flows.len()).filter(|&i| flows[i].src.is_none()).collect();
+        unbound.sort_by_key(|&i| flows[i].at);
+        for i in unbound {
+            flows[i].src = Some(Endpoint::v4(10, 0, 0, 2, self.alloc_port()));
+        }
+    }
+
+    /// The four-tuple a flow with a bound source opens: to its server for
+    /// TCP, to the network's resolver for DNS.
+    pub(crate) fn flow_of(sh: &EngineShared, spec: &FlowSpec) -> FourTuple {
+        let src = spec.src.expect("every source is bound before the run");
+        match spec.kind {
+            FlowKind::Tcp => FourTuple::new(src, spec.dst),
+            FlowKind::Dns => FourTuple::new(src, Endpoint::new(sh.net.dns_config().addr, 53)),
+        }
+    }
+
     /// An app opens the flow described by `spec`: intern its four-tuple,
     /// create the endpoint (TCP) or DNS client, register the connection, and
     /// inject the opening packet into the tunnel. A repeated `FlowStart` on
@@ -116,16 +140,9 @@ impl IngressStage {
         now: SimTime,
         spec: FlowSpec,
     ) {
-        // Fleet scenarios pre-assign the source endpoint so the four-tuple is
-        // a pure function of the spec; single-device flows draw from the
-        // engine's sequential port pool.
-        let src = match spec.src {
-            Some(src) => src,
-            None => Endpoint::v4(10, 0, 0, 2, self.alloc_port()),
-        };
+        let flow = Self::flow_of(sh, &spec);
         match spec.kind {
             FlowKind::Tcp => {
-                let flow = FourTuple::new(src, spec.dst);
                 let mut app = Box::new(AppEndpoint::new(
                     spec.uid,
                     flow,
@@ -133,7 +150,7 @@ impl IngressStage {
                     spec.close_after,
                 ));
                 let syn = app.syn_packet();
-                let id = sh.conns.intern(flow);
+                let id = sh.conns.start(flow);
                 sh.conns[id].app = AppSide::Tcp(app);
                 sh.conns[id].started(&spec, now);
                 relay.conn_table.register(flow, true, spec.uid, SocketStateCode::SynSent);
@@ -143,14 +160,12 @@ impl IngressStage {
                 self.inject_app_packet(sh, relay, sched, now, id, syn);
             }
             FlowKind::Dns => {
-                let resolver = Endpoint::new(sh.net.dns_config().addr, 53);
-                let flow = FourTuple::new(src, resolver);
                 let id = self.next_dns_id;
                 self.next_dns_id = self.next_dns_id.wrapping_add(1).max(1);
                 let name = spec.domain.clone().unwrap_or_else(|| "unknown.example".to_string());
-                let client = Box::new(DnsClient::new(spec.uid, src, resolver, id, &name));
+                let client = Box::new(DnsClient::new(spec.uid, flow.src, flow.dst, id, &name));
                 let query = client.query_packet();
-                let id = sh.conns.intern(flow);
+                let id = sh.conns.start(flow);
                 sh.conns[id].app = AppSide::Dns(client);
                 sh.conns[id].started(&spec, now);
                 relay.conn_table.register(flow, false, spec.uid, SocketStateCode::Close);
@@ -186,7 +201,7 @@ impl IngressStage {
         let handoff = sh.cost.context_switch.sample(&mut rng);
         sh.checkin_rng(id, rng);
         let due = retrieval.retrieved_at + handoff;
-        sched.schedule(due, Event::TunPacket(self.packets.park(buf)));
+        sh.schedule(sched, due, Event::TunPacket(id, self.packets.park(buf)));
     }
 
     /// The per-packet header-parse cost the relay's MainWorker pays, drawn

@@ -50,13 +50,16 @@ pub mod relay;
 pub mod sink;
 
 use mop_packet::Packet;
-use mop_simnet::{CostModel, CpuLedger, NetKeying, SimClock, SimNetwork, SimRng, SimTime};
+use mop_simnet::{
+    CostModel, CpuLedger, NetKeying, SimClock, SimNetwork, SimRng, SimTime, TimingWheel,
+};
 use mop_tcpstack::SegmentPool;
 use mop_tun::TunStats;
 
 use crate::arena::Arena;
 use crate::config::{ClockGranularity, MopEyeConfig};
 use crate::conn::{ConnTable, FlowId};
+use crate::engine::Event;
 use crate::tun_writer::WriterLane;
 
 pub use egress::EgressStage;
@@ -198,6 +201,15 @@ impl EngineShared {
         }
     }
 
+    /// Schedules `event` at `at`, holding the record it names until it is
+    /// dispatched (see [`Event::holds`]).
+    pub(crate) fn schedule(&mut self, sched: &mut TimingWheel<Event>, at: SimTime, event: Event) {
+        if let Some(id) = event.holds() {
+            self.conns.hold(id);
+        }
+        sched.schedule(at, event);
+    }
+
     /// A timestamp at the configured clock granularity.
     pub fn timestamp(&self, t: SimTime) -> SimTime {
         match self.config.clock {
@@ -216,13 +228,13 @@ mod tests {
     use crate::config::MopEyeConfig;
     use crate::conn::FlowId;
     use crate::engine::{Event, MopEyeEngine};
-    use crate::tun_writer::WriterLane;
+    use crate::report::Counter;
 
-    /// Over a flow-keyed network, teardown must release the evictable state
-    /// of a finished flow: its record stays (records live until reset) but
-    /// holds no TCP side, no pending DNS query, no RNG stream and a default
-    /// writer lane. (This needs engine internals, hence a unit test, not an
-    /// integration test.)
+    /// Over a flow-keyed network, a finished flow leaves nothing behind:
+    /// teardown releases its evictable state, and once nothing can reach it
+    /// its record leaves the table with its socket entry and its wire-tap
+    /// exchanges, and the next flow reuses the slot. (This needs engine
+    /// internals, hence a unit test, not an integration test.)
     #[test]
     fn flow_keyed_engine_evicts_finished_flow_state() {
         let flows: Vec<FlowSpec> = (0..40)
@@ -245,17 +257,17 @@ mod tests {
         let report = engine.run_flows(flows);
         assert_eq!(report.relay.connects_ok, 30);
         assert_eq!(report.relay.dns_queries, 10);
+        assert_eq!(report.flows.len(), 40);
         assert!(report.flows.iter().all(|flow| flow.completed));
         // Entries recreated by the app's final ACKs are swept by the
-        // zombie-client cleanup.
-        assert_eq!(engine.shared.conns.iter().count(), 40);
-        for conn in engine.shared.conns.iter() {
-            assert!(conn.tcp().is_none(), "TCP side not dropped: {:?}", conn.flow);
-            assert!(conn.dns_pending.is_none(), "DNS query still pending: {:?}", conn.flow);
-            assert!(conn.rng.is_none(), "flow RNG stream not evicted: {:?}", conn.flow);
-            assert_eq!(conn.lane, WriterLane::default(), "writer lane not evicted");
-        }
+        // zombie-client cleanup, and then the records leave.
         assert_eq!(engine.shared.conns.live_clients(), 0, "zombie clients not removed");
+        assert_eq!(engine.shared.conns.iter().count(), 0, "a finished record stayed");
+        assert_eq!(engine.relay.sockets.open_count(), 0);
+        assert!(engine.shared.net.tap().all_handshake_rtts().is_empty(), "the tap kept a flow");
+        let peak = report.counters[Counter::ConnsPeakRecords];
+        assert!((1..40).contains(&peak), "{peak} records held at once: none was reused");
+        assert!(report.counters[Counter::SocketsPeakHeld] <= peak, "a socket outlived its record");
     }
 
     /// Relays one hand-built app packet of `flow` through the relay stage.

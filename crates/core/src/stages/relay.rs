@@ -309,7 +309,7 @@ impl RelayStage {
         sh.conns.begin_connect(id, t);
         let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
         sh.conns[id].socket = Some(socket);
-        sched.schedule(outcome.completed_at, Event::ExternalConnected(id));
+        sh.schedule(sched, outcome.completed_at, Event::ExternalConnected(id));
     }
 
     /// The external connect for `id` completed (successfully or not): take
@@ -472,7 +472,7 @@ impl RelayStage {
             m.on_external_write_complete_into(out)
         });
         if let Some(ready_at) = self.sockets.next_read_ready_at(socket) {
-            sched.schedule(ready_at.max(now), Event::SocketReadable(id));
+            sh.schedule(sched, ready_at.max(now), Event::SocketReadable(id));
         }
     }
 
@@ -531,7 +531,7 @@ impl RelayStage {
         }
         self.sockets.recycle_buffer(data);
         if let Some(next) = self.sockets.next_read_ready_at(socket) {
-            sched.schedule(next, Event::SocketReadable(id));
+            sh.schedule(sched, next, Event::SocketReadable(id));
         } else if sh.conns[id].half_close_pending {
             self.finish_half_close(sh, egress, sched, now, id);
         }
@@ -842,7 +842,7 @@ impl RelayStage {
             DnsMessage::answer(&query, &outcome.addrs, 300)
         };
         let to_app = sh.parked.park(PacketBuilder::new(flow.dst, flow.src).dns(&response));
-        sched.schedule(response_at, Event::DnsResponse { id, packet: to_app });
+        sh.schedule(sched, response_at, Event::DnsResponse { id, packet: to_app });
     }
 
     /// The DNS response for `id` arrived: record the DNS RTT sample at the

@@ -283,11 +283,7 @@ impl AggregateStore {
         groups
             .into_iter()
             .map(|(group, parts)| {
-                // `RttSketch::default()` has `min_bits` 0, not `new()`'s
-                // `u64::MAX`, so every group's `min()` reads 0; the crowd
-                // figures are pinned to that, and changing it is a change
-                // of output, not of representation.
-                let mut merged = RttSketch::default();
+                let mut merged = RttSketch::new();
                 table.merge_into(&mut merged, &parts);
                 (group, merged)
             })
@@ -531,6 +527,16 @@ mod tests {
         assert_eq!(by_isp["Jio 4G"].count(), 60);
         assert_eq!(store.distinct_domains(|_| true), vec!["e3.whatsapp.net", "graph.facebook.com"]);
         assert!(store.median_where(|k| k.app == "com.none").is_none());
+    }
+
+    #[test]
+    fn a_one_sample_group_reads_its_sample_as_median_and_minimum() {
+        let mut store = AggregateStore::new();
+        store.observe(&RttRecord::tcp(50.0, 1, "com.app", NetKind::Wifi));
+        let groups = store.group_by(|k| k.app.clone(), |_| true);
+        for sketch in [&groups["com.app"], &store.sketch_where(|_| true)] {
+            assert_eq!((sketch.median(), sketch.min()), (Some(50.0), Some(50.0)));
+        }
     }
 
     #[test]

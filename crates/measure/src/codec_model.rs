@@ -53,9 +53,18 @@ fn sketch_from_json(value: &Value) -> Option<RttSketch> {
         let index = u16::try_from(pair[0].as_i64()?).ok()?;
         buckets.insert(index, pair[1].as_u64()?);
     }
+    // What `observe` and the merges cannot make is refused: an index past
+    // the overflow bucket, a zero count, a count that is not the total.
+    let count = value["count"].as_u64()?;
+    let total = buckets.values().try_fold(0u64, |total, &n| total.checked_add(n));
+    let overflow = RttSketch::MAX_BUCKETS as u16 - 1;
+    let impossible = buckets.keys().any(|&i| i > overflow) || buckets.values().any(|&n| n == 0);
+    if impossible || total != Some(count) {
+        return None;
+    }
     Some(RttSketch {
         buckets: buckets.into_iter().collect(),
-        count: value["count"].as_u64()?,
+        count,
         sum_ns: u128::from_str_radix(value["sum_ns"].as_str()?, 16).ok()?,
         min_bits: u64::from_str_radix(value["min_bits"].as_str()?, 16).ok()?,
         max_bits: u64::from_str_radix(value["max_bits"].as_str()?, 16).ok()?,

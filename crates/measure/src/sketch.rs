@@ -93,7 +93,7 @@ const SUM_SCALE: f64 = 1_000_000.0;
 
 /// A mergeable fixed-boundary log-bucket histogram of RTT values in
 /// milliseconds. See the [module docs](self) for the guarantees.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct RttSketch {
     /// Sparse bucket counts, in ascending index order. Index 0 is the
     /// underflow bucket; [`OVERFLOW`] is the overflow bucket.
@@ -191,6 +191,13 @@ const FIRST_REGULAR: u16 = 1;
 
 /// Index of the overflow bucket.
 const OVERFLOW: u16 = FIRST_REGULAR + (OCTAVES * SUBBUCKETS) as u16;
+
+/// The empty sketch, [`RttSketch::new`].
+impl Default for RttSketch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl RttSketch {
     /// The guaranteed bound on the relative error of any reported quantile,
@@ -450,6 +457,24 @@ impl FromJson for RttSketch {
             "min_bits" => min_bits: Hex<u64>,
             "max_bits" => max_bits: Hex<u64>,
         });
+        // Refuse what `observe` and the merges cannot make: a bucket past
+        // the overflow bucket, an empty bucket, a count that is not the
+        // buckets' total.
+        if let Some(&(index, _)) = buckets.iter().find(|&&(index, _)| index > OVERFLOW) {
+            let why = format!("bucket index {index} is past the overflow bucket {OVERFLOW}");
+            return Err(input.error(why).within("buckets"));
+        }
+        if let Some(&(index, _)) = buckets.iter().find(|&&(_, count)| count == 0) {
+            return Err(input.error(format!("bucket {index} has a zero count")).within("buckets"));
+        }
+        let total = buckets.iter().try_fold(0u64, |total, &(_, count)| total.checked_add(count));
+        if total != Some(count) {
+            let why = match total {
+                Some(total) => format!("{count} is not the buckets' total {total}"),
+                None => format!("{count} is not the buckets' total, which overflows"),
+            };
+            return Err(input.error(why).within("count"));
+        }
         Ok(Self {
             buckets,
             count,
@@ -462,8 +487,8 @@ impl FromJson for RttSketch {
 }
 
 /// The occupied buckets of a sketch: `(index, count)` pairs, strictly
-/// ascending by index. A count may be zero only if a decoded bucket list
-/// said so; `observe` and the merges never create one.
+/// ascending by index, every index at most the overflow bucket's and every
+/// count nonzero (a sketch's decoder refuses a list that breaks either).
 #[derive(Clone, Default, PartialEq, Eq)]
 pub(crate) struct Buckets(Vec<(u16, u64)>);
 
@@ -675,15 +700,10 @@ impl MergeTable {
         }
         target.digest_memo.clear();
         let mut run = std::mem::take(&mut target.buckets);
-        // An index past the regular range only comes from a decoded bucket
-        // list; such runs merge pairwise once the table is drained.
-        let own_outlier = self.add(&run).then(|| std::mem::take(&mut run));
-        let mut outliers = Vec::new();
+        self.add(&run);
         for part in parts {
             target.merge_scalars(part);
-            if self.add(&part.buckets) {
-                outliers.push(&part.buckets);
-            }
+            self.add(&part.buckets);
         }
         run.0.clear();
         run.0.reserve(self.occupied.iter().map(|bits| bits.count_ones() as usize).sum());
@@ -695,24 +715,16 @@ impl MergeTable {
                 bits &= bits - 1;
             }
         }
-        for buckets in own_outlier.iter().chain(outliers) {
-            run.merge_from(buckets);
-        }
         target.buckets = run;
     }
 
-    /// Adds a run into the table, or returns `true` and adds nothing if the
-    /// run holds an index the table has no slot for.
-    fn add(&mut self, buckets: &Buckets) -> bool {
-        if buckets.0.last().is_some_and(|&(index, _)| usize::from(index) >= self.counts.len()) {
-            return true;
-        }
+    /// Adds a run into the table.
+    fn add(&mut self, buckets: &Buckets) {
         for &(index, count) in &buckets.0 {
             let index = usize::from(index);
             self.counts[index] += count;
             self.occupied[index / 64] |= 1 << (index % 64);
         }
-        false
     }
 }
 

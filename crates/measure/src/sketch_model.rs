@@ -2,7 +2,8 @@
 //! `BTreeMap<u16, u64>` from bucket index to count, with every read written
 //! over the map. The flat sketch is held to it over random observe streams —
 //! every partition and merge order, pairwise and one-pass — and over JSON
-//! bucket lists in any order, with repeats and zero counts.
+//! bucket lists in any order and with repeats; the lists a sketch cannot
+//! hold are refused.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -118,21 +119,25 @@ impl Model {
 
     /// A sketch document with this model's scalars and `pairs` as its
     /// bucket list, decoded as the map decoder did (the later count wins).
-    fn with_bucket_list(&self, pairs: &[(u16, u64)]) -> (Model, String) {
+    /// The model with its buckets replaced by inserting `pairs` one by one
+    /// and its count by their total, and the document that says so with
+    /// `count` off by `count_error`.
+    fn with_bucket_list(&self, pairs: &[(u16, u64)], count_error: u64) -> (Model, String) {
+        let mut decoded = Model { buckets: BTreeMap::new(), ..self.clone() };
+        for &(index, count) in pairs {
+            decoded.buckets.insert(index, count);
+        }
+        decoded.count = decoded.buckets.values().sum();
         let list: Vec<String> = pairs.iter().map(|(i, c)| format!("[{i},{c}]")).collect();
         let text = format!(
             "{{\"count\":{},\"sum_ns\":\"{:032x}\",\"min_bits\":\"{:016x}\",\
              \"max_bits\":\"{:016x}\",\"buckets\":[{}]}}",
-            self.count,
+            decoded.count + count_error,
             self.sum_ns,
             self.min_bits,
             self.max_bits,
             list.join(",")
         );
-        let mut decoded = Model { buckets: BTreeMap::new(), ..self.clone() };
-        for &(index, count) in pairs {
-            decoded.buckets.insert(index, count);
-        }
         (decoded, text)
     }
 }
@@ -234,21 +239,37 @@ fn decoded_bucket_lists_match_the_map() {
     let mut rng = TestRng::from_name("sketch_model::bucket_lists");
     let mut table = MergeTable::default();
     for case in 0..300 {
+        // At least one observation, so the extremes of a nonempty list are
+        // set.
         let mut base = Model::new();
-        random_stream(&mut rng).into_iter().for_each(|v| base.observe(v));
-        // Unsorted, with repeats, zero counts, and now and then an index
-        // past the regular range (only a hand-written document has one).
+        random_stream(&mut rng).into_iter().chain([1.0]).for_each(|v| base.observe(v));
+        // Unsorted and with repeats, whose last count is the one kept.
         let pairs: Vec<(u16, u64)> = (0..rng.usize_range(0, 40))
             .map(|_| {
                 let index = match rng.usize_range(0, 10) {
-                    0 => rng.next_u64() as u16,
+                    0 => rng.usize_range(0, RttSketch::MAX_BUCKETS) as u16,
                     _ => rng.usize_range(0, 40) as u16 * 40,
                 };
-                let count = if rng.usize_range(0, 4) == 0 { 0 } else { rng.next_u64() % 1_000 };
-                (index, count)
+                (index, 1 + rng.next_u64() % 1_000)
             })
             .collect();
-        let (model, text) = base.with_bucket_list(&pairs);
+        // States `observe` and the merges cannot make are refused, naming
+        // the member: an index past the overflow bucket, a zero count, a
+        // count that is not the buckets' total.
+        let past_overflow = RttSketch::MAX_BUCKETS as u16 + rng.next_u64() as u16 % 1_000;
+        let zero = rng.usize_range(0, RttSketch::MAX_BUCKETS) as u16;
+        for (extra, count_error, member) in [
+            (Some((past_overflow, 1)), 0, "buckets"),
+            (Some((zero, 0)), 0, "buckets"),
+            (None, 1 + rng.next_u64() % 5, "count"),
+        ] {
+            let mut refused = pairs.clone();
+            refused.extend(extra);
+            let (_, text) = base.with_bucket_list(&refused, count_error);
+            let error = mop_json::decode::<RttSketch>(&text).expect_err(&text);
+            assert_eq!(error.path, member, "case {case}: {text}: {}", error.message);
+        }
+        let (model, text) = base.with_bucket_list(&pairs, 0);
         let ours: RttSketch = mop_json::decode(&text).unwrap();
         assert_matches(&ours, &model, &format!("case {case}: decoded {text}"));
         let again: RttSketch = mop_json::decode(&mop_json::to_string(&ours)).unwrap();

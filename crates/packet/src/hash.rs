@@ -128,10 +128,29 @@ fn for_each_le_word(bytes: &[u8], mut add: impl FnMut(u64)) {
     }
     let tail = chunks.remainder();
     if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        add(u64::from_le_bytes(word));
+        add(le_tail_word(tail));
     }
+}
+
+/// The zero-padded little-endian word of a tail shorter than 8 bytes,
+/// assembled from at most one 4-, one 2- and one 1-byte load picked by the
+/// bits of its length: fixed-size loads, where a variable-length copy into
+/// a padded buffer costs a `memcpy` call.
+fn le_tail_word(tail: &[u8]) -> u64 {
+    debug_assert!(tail.len() < 8);
+    let (mut word, mut at) = (0u64, 0);
+    if tail.len() & 4 != 0 {
+        word = u64::from(u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
+        at = 4;
+    }
+    if tail.len() & 2 != 0 {
+        word |= u64::from(u16::from_le_bytes([tail[at], tail[at + 1]])) << (8 * at);
+        at += 2;
+    }
+    if tail.len() & 1 != 0 {
+        word |= u64::from(tail[at]) << (8 * at);
+    }
+    word
 }
 
 /// A platform-stable hasher over 8-byte words: one multiply-fold per word
@@ -283,6 +302,26 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_u8(b'a');
         assert_eq!(h.finish(), 12_642_967_877_113_212_044);
+    }
+
+    #[test]
+    fn write_str_feeds_the_zero_padded_words_of_its_bytes() {
+        // The byte-wise definition: the length, then each 8-byte chunk as a
+        // little-endian word, the last one padded with zeros.
+        let text = "com.example.app.with.a.long.package.name";
+        for len in 0..=40 {
+            let s = &text[..len];
+            let mut expected = WordHasher::new();
+            expected.write_u64(len as u64);
+            for chunk in s.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                expected.write_u64(u64::from_le_bytes(word));
+            }
+            let mut hashed = WordHasher::new();
+            hashed.write_str(s);
+            assert_eq!(hashed.finish(), expected.finish(), "length {len}");
+        }
     }
 
     #[test]

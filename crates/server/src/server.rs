@@ -519,6 +519,48 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_with_an_impossible_sketch_is_refused_and_the_server_keeps_answering() {
+        let mut saver = server();
+        call(
+            &mut saver,
+            "{\"id\":1,\"method\":\"scenario.inject\",\
+             \"params\":{\"scenario\":\"rush-hour\",\"users\":20,\"seed\":5}}",
+        );
+        call(&mut saver, "{\"id\":2,\"method\":\"fleet.step\",\"params\":{}}");
+        let reply = call(&mut saver, "{\"id\":3,\"method\":\"fleet.checkpoint\"}").frames.remove(0);
+        let doc = mop_json::from_str(&reply).unwrap()["result"]["checkpoint"].clone();
+        let doc = mop_json::to_string(&doc);
+        // The first sketch's count and its first bucket's index and count.
+        let buckets = doc.find("\"buckets\":[[").expect("a sketch with buckets") + 12;
+        let count = doc[..buckets].rfind("\"count\":").expect("the sketch's count") + 8;
+        let number_end = |at: usize| at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let index_end = number_end(buckets);
+        let pair_count = index_end + 1;
+        let with = |at: usize, end: usize, value: &str| {
+            format!("{}{value}{}", &doc[..at], &doc[end..])
+        };
+        let total: u64 = doc[count..number_end(count)].parse().unwrap();
+        let cases = [
+            (with(buckets, index_end, "65535"), "past the overflow bucket"),
+            (with(pair_count, number_end(pair_count), "0"), "zero count"),
+            (with(count, number_end(count), &(total + 1).to_string()), "buckets' total"),
+        ];
+        let resume = |doc: &str| {
+            format!("{{\"id\":4,\"method\":\"fleet.resume\",\"params\":{{\"checkpoint\":{doc}}}}}")
+        };
+        let mut server = server();
+        for (doc, why) in &cases {
+            let frame = call(&mut server, &resume(doc)).frames.remove(0);
+            assert!(frame.contains("\"code\":\"bad-checkpoint\""), "{why}: {frame}");
+            assert!(frame.contains(why), "{frame}");
+            let info = call(&mut server, "{\"id\":5,\"method\":\"server.info\"}").frames.remove(0);
+            assert!(info.contains("\"result\""), "{info}");
+        }
+        let frame = call(&mut server, &resume(&doc)).frames.remove(0);
+        assert!(frame.contains("\"result\""), "{frame}");
+    }
+
+    #[test]
     fn subscriptions_emit_events_before_the_step_response() {
         let mut server = server();
         call(

@@ -341,6 +341,18 @@ impl SimNetwork {
         self.fault_rng.remove(&flow);
     }
 
+    /// Drops everything the network keeps about `flow`: its sampling
+    /// context and fault streams, as [`SimNetwork::release_flow`] does (the
+    /// fault stream of the segments delivered towards its app too, which is
+    /// keyed server side first), and its wire-tap exchanges. The engine
+    /// calls this once nothing can reach the flow again, so a long run's
+    /// network state follows the flows open at once.
+    pub fn forget_flow(&mut self, flow: FourTuple) {
+        self.release_flow(flow);
+        self.fault_rng.remove(&flow.reversed());
+        self.tap.forget(flow);
+    }
+
     /// True if any access profile this network can be on — the initial one
     /// or a scheduled handover target — has nonzero data-path fault knobs.
     ///

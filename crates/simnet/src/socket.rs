@@ -92,12 +92,19 @@ type ReadRing = VecDeque<(SimTime, usize)>;
 /// ring, emptied but with its capacity, to a spare list that the next
 /// created socket draws from, so the rings held are bounded by the sockets
 /// open at once rather than by every socket a run ever created, and a warm
-/// run allocates none.
+/// run allocates none. A closed socket's entry stays readable until its
+/// owner [releases](SocketSet::release) it; then its slot and id go to the
+/// next socket created, so the table too is bounded by the sockets held at
+/// once.
 #[derive(Debug, Default)]
 pub struct SocketSet {
-    /// Every socket created since the last reset, indexed by its id: ids are
-    /// handed out densely from zero, so the id *is* the position.
+    /// Every socket held, indexed by its id: ids are handed out densely
+    /// from zero, so the id *is* the position.
     sockets: Vec<SocketEntry>,
+    /// Released slots, reused last-released first.
+    free: Vec<SocketId>,
+    /// Sockets created since the last reset.
+    created: u64,
     next_port: u16,
     /// True once `addDisallowedApplication()` has been applied, making
     /// per-socket `protect()` unnecessary (§3.5.2).
@@ -114,6 +121,8 @@ impl SocketSet {
     pub fn new() -> Self {
         Self {
             sockets: Vec::new(),
+            free: Vec::new(),
+            created: 0,
             next_port: 42000,
             vpn_disallowed_application: false,
             read_pool: BufferPool::new(64 * 1024),
@@ -134,6 +143,8 @@ impl SocketSet {
         for entry in self.sockets.drain(..) {
             Self::spare(&mut self.spare_reads, entry.pending_reads);
         }
+        self.free.clear();
+        self.created = 0;
         self.next_port = 42000;
         self.read_pool.reset_stats();
     }
@@ -164,8 +175,7 @@ impl SocketSet {
     /// pure function of the flow rather than of socket-creation order —
     /// one of the invariants behind shard-count-independent determinism.
     pub fn create_bound(&mut self, mode: SocketMode, local: Endpoint) -> SocketId {
-        let id = self.sockets.len() as u64;
-        self.sockets.push(SocketEntry {
+        let entry = SocketEntry {
             mode,
             state: SocketState::Unconnected,
             local,
@@ -176,8 +186,18 @@ impl SocketSet {
             write_buffered: 0,
             bytes_read: 0,
             bytes_written: 0,
-        });
-        SocketId(id)
+        };
+        self.created += 1;
+        match self.free.pop() {
+            Some(id) => {
+                self.sockets[id.0 as usize] = entry;
+                id
+            }
+            None => {
+                self.sockets.push(entry);
+                SocketId(self.sockets.len() as u64 - 1)
+            }
+        }
     }
 
     fn entry(&self, id: SocketId) -> &SocketEntry {
@@ -392,6 +412,32 @@ impl SocketSet {
         Self::spare(&mut self.spare_reads, ring);
     }
 
+    /// Whether the socket may still carry traffic: it is neither closed nor
+    /// failed to connect.
+    pub fn is_open(&self, id: SocketId) -> bool {
+        !matches!(self.entry(id).state, SocketState::Closed | SocketState::ConnectFailed { .. })
+    }
+
+    /// Frees a socket that is no longer open: its slot and id go to the
+    /// next socket created, so nothing may name `id` afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the socket is still open.
+    pub fn release(&mut self, id: SocketId) {
+        assert!(!self.is_open(id), "{id} is released while open");
+        let e = self.entry_mut(id);
+        e.state = SocketState::Closed;
+        let ring = mem::take(&mut e.pending_reads);
+        Self::spare(&mut self.spare_reads, ring);
+        self.free.push(id);
+    }
+
+    /// The most sockets the set held at once since it was created or reset.
+    pub fn peak_held(&self) -> usize {
+        self.sockets.len()
+    }
+
     /// Keeps `ring`, emptied, for the next socket, unless it never allocated.
     fn spare(spares: &mut Vec<ReadRing>, mut ring: ReadRing) {
         if ring.capacity() > 0 {
@@ -406,9 +452,9 @@ impl SocketSet {
         (e.bytes_read, e.bytes_written)
     }
 
-    /// Number of sockets ever created.
+    /// Number of sockets created since the set was created or reset.
     pub fn created_count(&self) -> u64 {
-        self.sockets.len() as u64
+        self.created
     }
 
     /// Number of sockets not yet closed.
@@ -795,6 +841,34 @@ mod tests {
         set.reset();
         assert_eq!(set.spare_reads.len(), 1);
         assert_eq!(set.spare_reads[0].capacity(), grown);
+    }
+
+    #[test]
+    fn a_released_sockets_slot_and_id_serve_the_next_socket() {
+        let mut set = SocketSet::new();
+        let (a, b) = (set.create(SocketMode::Blocking), set.create(SocketMode::Blocking));
+        assert!(set.is_open(a));
+        set.close(a);
+        assert!(!set.is_open(a));
+        assert_eq!(set.state(a), SocketState::Closed, "a closed socket stays readable");
+        set.release(a);
+        let c = set.create_bound(SocketMode::NonBlocking, Endpoint::v4(10, 1, 0, 1, 40_000));
+        assert_eq!(c, a, "the released id is reused");
+        assert_eq!(set.state(c), SocketState::Unconnected);
+        assert_eq!(set.mode(c), SocketMode::NonBlocking);
+        assert_eq!((set.created_count(), set.open_count(), set.peak_held()), (3, 2, 2));
+        assert!(set.is_open(b));
+        set.reset();
+        assert_eq!((set.created_count(), set.peak_held()), (0, 0));
+        assert_eq!(set.create(SocketMode::Blocking), a, "a reset set starts from id 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "released while open")]
+    fn an_open_socket_cannot_be_released() {
+        let mut set = SocketSet::new();
+        let id = set.create(SocketMode::Blocking);
+        set.release(id);
     }
 
     #[test]

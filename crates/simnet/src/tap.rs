@@ -45,7 +45,9 @@ pub enum TapKind {
 /// pairs with it — all that an RTT query needs to know about the flow.
 #[derive(Debug, Clone, Copy)]
 struct Exchange {
-    flow: FourTuple,
+    /// How many first requests the index noted before this one: orders
+    /// the exchanges by first request.
+    order: u64,
     /// Capture time of the flow's first request (SYN or DNS query).
     request_at: SimTime,
     /// Capture time of the first reply in capture order that is not
@@ -71,10 +73,10 @@ impl Exchange {
 /// current as packets are captured so a query is one hash probe.
 #[derive(Debug, Default, Clone)]
 struct ExchangeIndex {
-    /// One slot per flow, in first-request order.
-    exchanges: Vec<Exchange>,
-    /// Each flow's slot in `exchanges`.
-    slot_of: FastMap<FourTuple, usize>,
+    /// Each flow's exchange, until the flow is forgotten.
+    exchanges: FastMap<FourTuple, Exchange>,
+    /// First requests noted since the index was created or cleared.
+    requests: u64,
     /// Replies captured before any request of their flow, in capture order.
     /// They only become candidates once the request's time is known, so
     /// they wait here; a capture of real exchanges never has any.
@@ -84,11 +86,12 @@ struct ExchangeIndex {
 impl ExchangeIndex {
     /// Notes a captured request. Only a flow's first request counts; a
     /// retransmission, or a reused four-tuple's later connection, changes
-    /// nothing. Returns the number of early replies examined.
+    /// nothing until the flow is forgotten. Returns the number of early
+    /// replies examined.
     fn request(&mut self, flow: FourTuple, at: SimTime) -> u64 {
-        let Entry::Vacant(slot) = self.slot_of.entry(flow) else { return 0 };
-        slot.insert(self.exchanges.len());
-        let mut exchange = Exchange { flow, request_at: at, reply_at: None };
+        let Entry::Vacant(slot) = self.exchanges.entry(flow) else { return 0 };
+        let mut exchange = Exchange { order: self.requests, request_at: at, reply_at: None };
+        self.requests += 1;
         let scanned = self.early_replies.len() as u64;
         self.early_replies.retain(|&(reply_flow, reply_at)| {
             if reply_flow == flow {
@@ -96,25 +99,36 @@ impl ExchangeIndex {
             }
             reply_flow != flow
         });
-        self.exchanges.push(exchange);
+        slot.insert(exchange);
         scanned
     }
 
     /// Notes a captured reply.
     fn reply(&mut self, flow: FourTuple, at: SimTime) {
-        match self.slot_of.get(&flow) {
-            Some(&slot) => self.exchanges[slot].offer_reply(at),
+        match self.exchanges.get_mut(&flow) {
+            Some(exchange) => exchange.offer_reply(at),
             None => self.early_replies.push((flow, at)),
         }
     }
 
     fn rtt(&self, flow: FourTuple) -> Option<SimDuration> {
-        self.exchanges[*self.slot_of.get(&flow)?].rtt()
+        self.exchanges.get(&flow)?.rtt()
+    }
+
+    /// Drops `flow`'s exchange and early replies. Returns the number of
+    /// early replies examined.
+    fn forget(&mut self, flow: FourTuple) -> u64 {
+        self.exchanges.remove(&flow);
+        let scanned = self.early_replies.len() as u64;
+        if scanned > 0 {
+            self.early_replies.retain(|&(reply_flow, _)| reply_flow != flow);
+        }
+        scanned
     }
 
     fn clear(&mut self) {
         self.exchanges.clear();
-        self.slot_of.clear();
+        self.requests = 0;
         self.early_replies.clear();
     }
 }
@@ -124,11 +138,15 @@ impl ExchangeIndex {
 /// No packet is kept: the handshake and DNS control packets are paired per
 /// flow as they are recorded, so the RTT queries the relay issues on every
 /// connect cost one hash probe, and the tap holds one exchange per flow
-/// however many packets the flows relay.
+/// however many packets the flows relay. A flow's exchanges stay until it
+/// is [forgotten](WireTap::forget), so a capture whose owner forgets the
+/// flows it is done with holds the flows open at once.
 #[derive(Debug, Default, Clone)]
 pub struct WireTap {
     handshakes: ExchangeIndex,
     dns: ExchangeIndex,
+    /// The most exchanges held at once.
+    peak_exchanges: usize,
     /// Captured packets examined beyond the per-flow index probes. Zero for
     /// any capture whose replies follow their requests; the complexity
     /// guard watches it so a scanning query cannot come back unnoticed.
@@ -156,8 +174,17 @@ impl WireTap {
             (TapKind::SynAck, TapDirection::Inbound) => self.handshakes.reply(flow, at),
             (TapKind::DnsQuery, _) => self.scan_elems += self.dns.request(flow, at),
             (TapKind::DnsResponse, _) => self.dns.reply(flow, at),
-            _ => {}
+            _ => return,
         }
+        let held = self.handshakes.exchanges.len() + self.dns.exchanges.len();
+        self.peak_exchanges = self.peak_exchanges.max(held);
+    }
+
+    /// Forgets `flow`'s handshake and DNS exchanges: its owner is done
+    /// asking about it. A later first request on the tuple starts a new
+    /// exchange.
+    pub fn forget(&mut self, flow: FourTuple) {
+        self.scan_elems += self.handshakes.forget(flow) + self.dns.forget(flow);
     }
 
     /// Forgets everything recorded, back to the just-constructed state.
@@ -166,6 +193,7 @@ impl WireTap {
         self.capture.clear();
         self.handshakes.clear();
         self.dns.clear();
+        self.peak_exchanges = 0;
         self.scan_elems = 0;
     }
 
@@ -175,9 +203,14 @@ impl WireTap {
         self.scan_elems
     }
 
+    /// The most handshake and DNS exchanges the tap held at once.
+    pub fn peak_exchanges(&self) -> usize {
+        self.peak_exchanges
+    }
+
     /// The tcpdump-style RTT of `flow`: the gap between the first outbound
-    /// SYN the four-tuple ever sent and the first inbound SYN/ACK, in
-    /// capture order, that is not timestamped before it.
+    /// SYN the four-tuple sent since it was last forgotten and the first
+    /// inbound SYN/ACK, in capture order, that is not timestamped before it.
     pub fn handshake_rtt(&self, flow: FourTuple) -> Option<SimDuration> {
         self.handshakes.rtt(flow)
     }
@@ -188,9 +221,16 @@ impl WireTap {
         self.dns.rtt(flow)
     }
 
-    /// All handshake RTTs in the capture, keyed by flow, in SYN order.
+    /// All handshake RTTs the tap holds, keyed by flow, in SYN order.
     pub fn all_handshake_rtts(&self) -> Vec<(FourTuple, SimDuration)> {
-        self.handshakes.exchanges.iter().filter_map(|e| Some((e.flow, e.rtt()?))).collect()
+        let mut rtts: Vec<(u64, FourTuple, SimDuration)> = self
+            .handshakes
+            .exchanges
+            .iter()
+            .filter_map(|(&flow, exchange)| Some((exchange.order, flow, exchange.rtt()?)))
+            .collect();
+        rtts.sort_unstable_by_key(|&(order, ..)| order);
+        rtts.into_iter().map(|(_, flow, rtt)| (flow, rtt)).collect()
     }
 }
 
@@ -262,6 +302,27 @@ mod tests {
         tap.clear();
         assert_eq!(tap.handshake_rtt(f), None);
         assert_eq!(tap.scan_elems(), 0);
+    }
+
+    #[test]
+    fn a_forgotten_flow_starts_a_new_exchange_and_the_peak_stays() {
+        let mut tap = WireTap::new();
+        let (f, g) = (flow(40004), flow(40005));
+        for (at, flow) in [(10, f), (20, g)] {
+            tap.record(SimTime::from_millis(at), TapDirection::Outbound, TapKind::Syn, flow);
+            tap.record(SimTime::from_millis(at + 4), TapDirection::Inbound, TapKind::SynAck, flow);
+        }
+        assert_eq!(tap.peak_exchanges(), 2);
+        tap.forget(f);
+        assert_eq!(tap.handshake_rtt(f), None);
+        assert_eq!(tap.all_handshake_rtts(), [(g, SimDuration::from_millis(4))]);
+        // The tuple's next connection is the reference now.
+        tap.record(SimTime::from_millis(50), TapDirection::Outbound, TapKind::Syn, f);
+        tap.record(SimTime::from_millis(57), TapDirection::Inbound, TapKind::SynAck, f);
+        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 7);
+        let order: Vec<FourTuple> = tap.all_handshake_rtts().into_iter().map(|(f, _)| f).collect();
+        assert_eq!(order, [g, f], "in SYN order");
+        assert_eq!((tap.peak_exchanges(), tap.scan_elems()), (2, 0));
     }
 
     #[test]

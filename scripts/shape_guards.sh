@@ -69,8 +69,13 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # sketches").
 ! awk '/^mod tests/ { exit } { print }' crates/measure/src/sketch.rs | grep -n 'BTreeMap' || fail "a map behind the RTT sketch"
 
+# Forbids sizing the connection table by a run's flow list: records are
+# reused once their flows finish, so the table follows the flows open at
+# once (CHANGES.md, "Finished flows leave the engine").
+! grep -rnE 'reserve_flows|conns\.reserve\(' crates/core/src || fail "connection table sized by the run's flows"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
 fi
-echo "all 16 shape guards hold"
+echo "all 17 shape guards hold"

@@ -1,9 +1,9 @@
 //! Complexity guard: the work the engine's data structures do per flow must
 //! not grow with the population.
 //!
-//! Every `RunReport` carries five structure counters — elements a structure
-//! examined or moved beyond its O(1) index probe — live in every build.
-//! Two of them sit on the connect path: `WireTap` and `ConnectionTable`
+//! Every `RunReport` carries structure counters, live in every build. Five
+//! count elements a structure examined or moved beyond its O(1) index
+//! probe. Two of them sit on the connect path: `WireTap` and `ConnectionTable`
 //! used to scan (the tap walked every packet ever captured twice per
 //! connect, the table walked and shifted every entry per state change and
 //! removal), so each counter's per-flow value grew in step with the
@@ -12,9 +12,14 @@
 //! under absolute per-flow bounds, by counts alone — no wall clock, so it
 //! is as deterministic as the digests. A new scan on these paths fails here
 //! instead of waiting for a profiler run.
+//!
+//! Three more are gauges: the most connection records, socket entries and
+//! wire-tap exchanges an engine held at once. A finished flow's entries
+//! leave with it, so those follow the flows open at once; a table that keeps
+//! every flow it has seen fails here.
 
 use mopeye::dataset::Scenario;
-use mopeye::engine::{Counter, MopEyeConfig, MopEyeEngine};
+use mopeye::engine::{Counter, FlowOutcome, MopEyeConfig, MopEyeEngine};
 
 /// Per-flow growth allowed from the small to the large population.
 const MAX_GROWTH: f64 = 1.3;
@@ -87,5 +92,54 @@ fn selector_and_wheel_work_per_flow_stays_under_its_bound() {
                 counter.name()
             );
         }
+    }
+}
+
+/// The live-sized tables' peaks, against the most flows open at once.
+const GAUGES: [Counter; 3] =
+    [Counter::ConnsPeakRecords, Counter::SocketsPeakHeld, Counter::TapPeakExchanges];
+
+/// How far a gauge may exceed the most flows open at once: a record stays
+/// a little past its flow's finish, until the app's last packets and the
+/// relay's tail are done with it. A 300-user day holds 704 records, socket
+/// entries and tap exchanges at its peak, with 704 of its 2,288 flows open;
+/// before finished flows left, all three grew to the 2,288 flows run.
+const GAUGE_PER_OPEN_FLOW: u64 = 2;
+
+/// The most flows open at once. A flow is open from its start until it
+/// finishes; one that never completed is open to the end of the run (in a
+/// diurnal day those are bulk downloads whose app waits for more than the
+/// server sends, still established when the day ends).
+fn peak_open(flows: &[FlowOutcome]) -> u64 {
+    let mut edges: Vec<(u64, i64)> = flows.iter().map(|f| (f.started_at.as_nanos(), 1)).collect();
+    edges.extend(flows.iter().filter(|f| f.completed).map(|f| (f.finished_at.as_nanos(), -1)));
+    // A flow that finishes at the instant another starts is not open with it.
+    edges.sort_unstable();
+    let (mut open, mut peak) = (0i64, 0i64);
+    for (_, step) in edges {
+        open += step;
+        peak = peak.max(open);
+    }
+    peak as u64
+}
+
+#[test]
+fn live_tables_follow_the_flows_open_at_once_not_the_flows_run() {
+    // A diurnal day spreads its flows over 24 simulated hours, so few are
+    // open at once: the records, socket entries and tap exchanges held must
+    // follow those, not the day's total.
+    let day = Scenario::diurnal(300, 2017);
+    let flows = day.generate();
+    let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), day.network().build());
+    let report = engine.run_flows(flows);
+    let (open, run) = (peak_open(&report.flows), report.flows.len() as u64);
+    assert!(2 * open < run, "{open} of {run} flows open at once: not a sparse day");
+    for gauge in GAUGES {
+        let held = report.counters[gauge];
+        assert!(
+            held <= GAUGE_PER_OPEN_FLOW * open,
+            "{} is {held} with at most {open} of {run} flows open at once",
+            gauge.name()
+        );
     }
 }
