@@ -583,7 +583,10 @@ mod tests {
             assert!(err <= 0.011, "sketch {sketch_median} vs exact {exact} (err {err})");
         }
         // Counts are exact, not approximate.
-        assert_eq!(fig9.all.count() as usize, d.store.tcp_rtts().len());
+        assert_eq!(
+            fig9.all.count() as usize,
+            d.store.rtts_where(|r| r.kind == MeasurementKind::Tcp).len()
+        );
     }
 
     #[test]
@@ -653,8 +656,14 @@ mod tests {
     fn crowd_summary_computes_from_bare_aggregates() {
         let d = dataset();
         let summary = CrowdSummary::compute(&d.aggregates);
-        assert_eq!(summary.tcp.count() as usize, d.store.tcp_rtts().len());
-        assert_eq!(summary.dns.count() as usize, d.store.dns_rtts().len());
+        assert_eq!(
+            summary.tcp.count() as usize,
+            d.store.rtts_where(|r| r.kind == MeasurementKind::Tcp).len()
+        );
+        assert_eq!(
+            summary.dns.count() as usize,
+            d.store.rtts_where(|r| r.kind == MeasurementKind::Dns).len()
+        );
         assert_eq!(summary.devices, d.store.counts_per_device().len());
         assert!(summary.apps.len() > 300);
         // Apps are sorted by contribution.

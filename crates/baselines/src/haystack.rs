@@ -15,12 +15,6 @@ pub fn haystack_engine(net: SimNetwork) -> MopEyeEngine {
     MopEyeEngine::new(MopEyeConfig::haystack_like(), net)
 }
 
-/// Builds a relay engine configured like MopEye (convenience mirror of
-/// [`haystack_engine`] so comparison code reads symmetrically).
-pub fn mopeye_engine(net: SimNetwork) -> MopEyeEngine {
-    MopEyeEngine::new(MopEyeConfig::mopeye(), net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,7 +40,7 @@ mod tests {
     #[test]
     fn both_engines_relay_the_same_workload() {
         let mut hay = haystack_engine(net());
-        let mut mop = mopeye_engine(net());
+        let mut mop = MopEyeEngine::new(MopEyeConfig::mopeye(), net());
         let hay_report = hay.run(&[workload()]);
         let mop_report = mop.run(&[workload()]);
         assert_eq!(hay_report.relay.syns, mop_report.relay.syns);

@@ -1,7 +1,8 @@
-//! Baseline measurement tools the paper compares MopEye against.
+//! Baseline measurement tools the paper compares MopEye against. The
+//! ground-truth reference, the role root-privileged tcpdump plays in
+//! §4.1.1, needs no tool of its own: Table 2 reads each handshake's RTT off
+//! the simulator's wire tap (`mop_simnet::WireTap::handshake_rtt`).
 //!
-//! * [`tcpdump`] — the ground-truth reference: RTTs read directly off the
-//!   wire tap, the role root-privileged tcpdump plays in §4.1.1,
 //! * [`mobiperf`] — an active HTTP-ping measurement in the style of MobiPerf
 //!   v3.4.0 / Mobilyzer, with the three inaccuracy sources the paper
 //!   identifies (coarse timestamps, event-loop timing, timing placed away
@@ -17,9 +18,7 @@
 pub mod haystack;
 pub mod mobiperf;
 pub mod speedtest;
-pub mod tcpdump;
 
 pub use haystack::haystack_engine;
 pub use mobiperf::{MobiPerf, PingRun};
 pub use speedtest::{SpeedTest, ThroughputReport};
-pub use tcpdump::TcpdumpReference;

@@ -535,16 +535,10 @@ pub fn run_crowd_experiments(dataset: &SyntheticDataset) -> Vec<ExperimentOutput
     out
 }
 
-/// Runs a rush-hour fleet scenario with raw-sample retention disabled and
-/// returns the fleet report — every measurement lives only in the merged
+/// Runs a fleet scenario with raw-sample retention disabled and returns the
+/// fleet report — every measurement lives only in the merged
 /// [`AggregateStore`], so analytics memory is O(apps × networks), not
-/// O(samples). This is the engine side of the `report` binary.
-pub fn run_fleet_scenario_lean(users: usize, shards: usize, seed: u64) -> FleetReport {
-    run_scenario_lean(&Scenario::rush_hour(users, seed), shards, seed, CongestionAlgo::Reno)
-}
-
-/// Like [`run_fleet_scenario_lean`] but over an arbitrary scenario and
-/// congestion-control choice — the engine side of the `report` binary's
+/// O(samples). This is the engine side of the `report` binary, with its
 /// `--scenario` / `--cc` flags. On fault-capable scenarios (lossy 3G, the
 /// degraded commute) the returned report's relay counters carry the loss
 /// recovery tallies (retransmits, fast retransmits, RTO fires, SACKed
@@ -714,7 +708,7 @@ mod tests {
 
     #[test]
     fn fleet_crowd_report_renders_from_a_lean_run() {
-        let report = run_fleet_scenario_lean(120, 2, 7);
+        let report = run_scenario_lean(&Scenario::rush_hour(120, 7), 2, 7, CongestionAlgo::Reno);
         // Lean mode: no raw samples, everything in the aggregates.
         assert!(report.merged.samples.is_empty());
         assert!(report.merged.aggregates.sample_count() > 100);

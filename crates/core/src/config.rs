@@ -228,37 +228,6 @@ impl MopEyeConfig {
         self
     }
 
-    /// Sets the read strategy.
-    pub fn with_read_strategy(mut self, strategy: ReadStrategy) -> Self {
-        self.read_strategy = strategy;
-        self
-    }
-
-    /// Sets the write and enqueue schemes.
-    pub fn with_write(mut self, write: WriteScheme, enqueue: EnqueueScheme) -> Self {
-        self.write_scheme = write;
-        self.enqueue_scheme = enqueue;
-        self
-    }
-
-    /// Sets the mapping strategy.
-    pub fn with_mapping(mut self, mapping: MappingStrategy) -> Self {
-        self.mapping = mapping;
-        self
-    }
-
-    /// Sets the timestamp mode.
-    pub fn with_timestamp_mode(mut self, mode: TimestampMode) -> Self {
-        self.timestamp_mode = mode;
-        self
-    }
-
-    /// Sets the protect mode.
-    pub fn with_protect(mut self, protect: ProtectMode) -> Self {
-        self.protect = protect;
-        self
-    }
-
     /// Sets the event-count safety valve.
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
@@ -269,13 +238,6 @@ impl MopEyeConfig {
     /// [`MopEyeConfig::retain_samples`]).
     pub fn with_retain_samples(mut self, retain: bool) -> Self {
         self.retain_samples = retain;
-        self
-    }
-
-    /// Sets (or clears) the per-connection idle timeout (see
-    /// [`MopEyeConfig::idle_timeout`]).
-    pub fn with_idle_timeout(mut self, timeout: Option<SimDuration>) -> Self {
-        self.idle_timeout = timeout;
         self
     }
 
@@ -326,17 +288,16 @@ mod tests {
     fn builder_methods_override_fields() {
         let c = MopEyeConfig::mopeye()
             .with_seed(99)
-            .with_read_strategy(ReadStrategy::privacyguard())
-            .with_write(WriteScheme::Direct, EnqueueScheme::OldPut)
-            .with_mapping(MappingStrategy::Eager)
-            .with_timestamp_mode(TimestampMode::SelectorNotification)
-            .with_protect(ProtectMode::PerSocket);
+            .with_max_events(7)
+            .with_retain_samples(false)
+            .with_congestion(CongestionAlgo::Cubic)
+            .with_epoch_width(Some(SimDuration::from_secs(60)))
+            .with_epoch_window(0);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.read_strategy, ReadStrategy::privacyguard());
-        assert_eq!(c.write_scheme, WriteScheme::Direct);
-        assert_eq!(c.enqueue_scheme, EnqueueScheme::OldPut);
-        assert_eq!(c.mapping, MappingStrategy::Eager);
-        assert_eq!(c.timestamp_mode, TimestampMode::SelectorNotification);
-        assert_eq!(c.protect, ProtectMode::PerSocket);
+        assert_eq!(c.max_events, 7);
+        assert!(!c.retain_samples);
+        assert_eq!(c.congestion, CongestionAlgo::Cubic);
+        assert_eq!(c.epoch_width, Some(SimDuration::from_secs(60)));
+        assert_eq!(c.epoch_window, 1, "the ring keeps at least one epoch");
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! A record then leaves the table as soon as nothing can reach it again:
 //! it has no TCP side and no open socket, no pending event names its
-//! `FlowId` (the table counts them, see [`ConnTable::hold`]), and no
+//! `FlowId` (the table counts them, see `ConnTable::hold`), and no
 //! `FlowStart` still to run names its canonical tuple (counted from the
-//! run's flow list, see [`ConnTable::expect_starts`]). Its [`FlowOutcome`]
+//! run's flow list, see `ConnTable::expect_starts`). Its [`FlowOutcome`]
 //! moves to the run's outcome list at the record's intern position, its
 //! index entry goes, and its slot and `FlowId` return to a free list for the
 //! next intern. So the table is sized by the connections open at once, not

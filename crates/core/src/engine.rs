@@ -286,7 +286,7 @@ impl MopEyeEngine {
             }
             Event::DeliverToApp(id, packet) => {
                 let packet = shared.parked.take(packet);
-                self.ingress.on_deliver_to_app(shared, &mut self.relay, sched, now, id, packet);
+                self.ingress.on_deliver_to_app(shared, sched, now, id, packet);
                 id
             }
             Event::IdleTimeout(id) => {
@@ -326,7 +326,6 @@ impl MopEyeEngine {
         let mut counters = Counters::default();
         counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
         counters[Counter::ConnsPeakRecords] = self.shared.conns.peak_records() as u64;
-        counters[Counter::SelectorScanElems] = self.relay.selector.scan_elems();
         counters[Counter::SocketsPeakHeld] = self.relay.sockets.peak_held() as u64;
         counters[Counter::TapPeakExchanges] = self.shared.net.tap().peak_exchanges() as u64;
         counters[Counter::TapScanElems] = self.shared.net.tap().scan_elems();

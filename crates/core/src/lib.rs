@@ -8,7 +8,8 @@
 //!   configurable read strategy (§3.1),
 //! * a **MainWorker** parses each packet, drives the per-connection
 //!   user-space TCP state machine, and relays data over regular sockets
-//!   through a selector (§2.3, §3.2),
+//!   (§2.3, §3.2); where the app's MainWorker blocks on a selector, the
+//!   engine's timing wheel delivers each socket event at its virtual time,
 //! * temporary **socket-connect threads** run each external `connect()` in
 //!   blocking mode so that the SYN ↔ SYN/ACK time — the app's network RTT —
 //!   is measured accurately, and perform the lazy packet-to-app mapping off

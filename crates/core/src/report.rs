@@ -78,8 +78,6 @@ pub enum Counter {
     ConnTableScanElems,
     /// Gauge: connection records (and their index entries) held at once.
     ConnsPeakRecords,
-    /// Selector interest-set slots scanned by compactions.
-    SelectorScanElems,
     /// Gauge: socket entries held at once.
     SocketsPeakHeld,
     /// Gauge: wire-tap exchanges (handshakes and DNS) held at once.
@@ -94,10 +92,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in name (= index) order.
-    pub const ALL: [Counter; 8] = [
+    pub const ALL: [Counter; 7] = [
         Counter::ConnTableScanElems,
         Counter::ConnsPeakRecords,
-        Counter::SelectorScanElems,
         Counter::SocketsPeakHeld,
         Counter::TapPeakExchanges,
         Counter::TapScanElems,
@@ -110,7 +107,6 @@ impl Counter {
         match self {
             Counter::ConnTableScanElems => "conn_table.scan_elems",
             Counter::ConnsPeakRecords => "conns.peak_records",
-            Counter::SelectorScanElems => "selector.scan_elems",
             Counter::SocketsPeakHeld => "sockets.peak_held",
             Counter::TapPeakExchanges => "tap.peak_exchanges",
             Counter::TapScanElems => "tap.scan_elems",
@@ -269,12 +265,11 @@ mod tests {
             [
                 ("conn_table.scan_elems", 1),
                 ("conns.peak_records", 11),
-                ("selector.scan_elems", 23),
-                ("sockets.peak_held", 31),
-                ("tap.peak_exchanges", 41),
-                ("tap.scan_elems", 56),
-                ("wheel.ready_inserts", 67),
-                ("wheel.ready_shift_elems", 78),
+                ("sockets.peak_held", 21),
+                ("tap.peak_exchanges", 31),
+                ("tap.scan_elems", 45),
+                ("wheel.ready_inserts", 56),
+                ("wheel.ready_shift_elems", 67),
             ]
         );
         // Name order is index order.

@@ -113,13 +113,6 @@ impl FleetConfig {
         self
     }
 
-    /// Arms per-connection idle timers on every shard (see
-    /// [`MopEyeConfig::idle_timeout`]).
-    pub fn with_idle_timeout(mut self, timeout: mop_simnet::SimDuration) -> Self {
-        self.engine = self.engine.with_idle_timeout(Some(timeout));
-        self
-    }
-
     /// Selects the congestion-control algorithm every shard's loss recovery
     /// runs (see [`MopEyeConfig::congestion`]). Only consulted on networks
     /// that inject data-path faults.

@@ -157,7 +157,7 @@ impl IngressStage {
                 if let Some(domain) = &spec.domain {
                     relay.ip_to_domain.insert(spec.dst.addr, domain.clone());
                 }
-                self.inject_app_packet(sh, relay, sched, now, id, syn);
+                self.inject_app_packet(sh, sched, now, id, syn);
             }
             FlowKind::Dns => {
                 let id = self.next_dns_id;
@@ -169,7 +169,7 @@ impl IngressStage {
                 sh.conns[id].app = AppSide::Dns(client);
                 sh.conns[id].started(&spec, now);
                 relay.conn_table.register(flow, false, spec.uid, SocketStateCode::Close);
-                self.inject_app_packet(sh, relay, sched, now, id, query);
+                self.inject_app_packet(sh, sched, now, id, query);
             }
         }
     }
@@ -183,7 +183,6 @@ impl IngressStage {
     pub(crate) fn inject_app_packet(
         &mut self,
         sh: &mut EngineShared,
-        relay: &mut RelayStage,
         sched: &mut TimingWheel<Event>,
         at: SimTime,
         id: FlowId,
@@ -195,9 +194,8 @@ impl IngressStage {
         let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
         sh.ledger.charge(Component::TunReader, retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
-        // TunReader puts the packet in the read queue and wakes the selector
-        // so the relay's MainWorker notices it (§3.2).
-        relay.selector.wakeup();
+        // TunReader puts the packet in the read queue and wakes the
+        // MainWorker, a context switch away (§3.2).
         let handoff = sh.cost.context_switch.sample(&mut rng);
         sh.checkin_rng(id, rng);
         let due = retrieval.retrieved_at + handoff;
@@ -220,7 +218,6 @@ impl IngressStage {
     pub(crate) fn on_deliver_to_app(
         &mut self,
         sh: &mut EngineShared,
-        relay: &mut RelayStage,
         sched: &mut TimingWheel<Event>,
         now: SimTime,
         id: FlowId,
@@ -231,7 +228,7 @@ impl IngressStage {
         for (i, response) in responses.drain(..).enumerate() {
             // Consecutive packets from the app leave a few microseconds apart.
             let at = now + SimDuration::from_micros(20 * (i as u64 + 1));
-            self.inject_app_packet(sh, relay, sched, at, id, response);
+            self.inject_app_packet(sh, sched, at, id, response);
         }
         self.app_out = responses;
         // The delivered packet is dead: its payload buffer goes back to the

@@ -308,7 +308,7 @@ mod tests {
         let to_server = PacketBuilder::new(flow(1).src, flow(1).dst);
         let first = isn_of_next_client(&mut reused, flow(1));
         assert_eq!(reused.shared.conns.live_clients(), 1);
-        relay_packet(&mut reused, flow(1), to_server.tcp_rst(8));
+        relay_packet(&mut reused, flow(1), to_server.tcp_rst_ack(8, 1));
         assert_eq!(reused.shared.conns.live_clients(), 0, "an RST drops the client");
         // The torn-down connection's tail ACK lands on a fresh machine (a
         // zombie the single-device engine keeps), which takes an ISN too.
@@ -316,7 +316,11 @@ mod tests {
         assert_eq!(reused.shared.conns.live_clients(), 1);
         let third = isn_of_next_client(&mut reused, flow(2));
         assert_eq!(third.wrapping_sub(first), 2 * 0x01_0000, "the zombie took one");
-        relay_packet(&mut reused, flow(2), PacketBuilder::new(flow(2).src, server).tcp_rst(8));
+        relay_packet(
+            &mut reused,
+            flow(2),
+            PacketBuilder::new(flow(2).src, server).tcp_rst_ack(8, 1),
+        );
         assert_eq!(reused.shared.conns.live_clients(), 1, "the zombie is still counted");
 
         reused.reset(network());

@@ -25,7 +25,7 @@ use mop_procnet::{
     PackageManager, SocketStateCode,
 };
 use mop_simnet::{
-    Component, MemoryComponent, NetKeying, Selector, SimDuration, SimTime, SocketMode, SocketSet,
+    Component, MemoryComponent, NetKeying, SimDuration, SimTime, SocketMode, SocketSet,
     SocketState, TimerHandle, TimingWheel,
 };
 use mop_tcpstack::{
@@ -93,8 +93,6 @@ pub struct RelayStage {
     pub(crate) mapper: Mapper,
     /// External sockets (the regular-socket side of the splice).
     pub(crate) sockets: SocketSet,
-    /// The selector the MainWorker blocks on.
-    pub(crate) selector: Selector,
     /// Relay counters.
     pub(crate) stats: RelayStats,
     /// Destination-address → domain hints (from specs and DNS answers).
@@ -125,7 +123,6 @@ impl RelayStage {
             packages: PackageManager::new(),
             mapper,
             sockets,
-            selector: Selector::new(),
             stats: RelayStats::default(),
             ip_to_domain: HashMap::new(),
             packets: Vec::new(),
@@ -149,7 +146,6 @@ impl RelayStage {
             Mapper::Lazy(_) => Mapper::Lazy(LazyMapper::new()),
         };
         self.sockets.reset();
-        self.selector.reset();
         self.stats = RelayStats::default();
         self.ip_to_domain.clear();
     }
@@ -273,7 +269,8 @@ impl RelayStage {
     }
 
     /// The socket-connect thread (§2.4): blocking connect with clean
-    /// timestamps, then lazy mapping and selector registration.
+    /// timestamps, then lazy mapping and the channel's selector-registration
+    /// cost.
     fn start_connect(
         &mut self,
         sh: &mut EngineShared,
@@ -341,8 +338,8 @@ impl RelayStage {
         match state {
             SocketState::Connected => {
                 self.stats.connects_ok += 1;
-                // Register the channel with the selector only after the
-                // internal handshake work is done (§3.4). The cost is drawn
+                // The channel's selector registration is charged only after
+                // the internal handshake work is done (§3.4). The cost is drawn
                 // from the flow's stream before the mapper runs, because the
                 // mapper's draw count depends on the co-resident connection
                 // table and must not advance this stream.
@@ -362,7 +359,6 @@ impl RelayStage {
                     }
                 }
                 sh.ledger.charge(Component::ConnectThreads, register);
-                self.selector.register(socket);
                 self.sockets.set_mode(socket, SocketMode::NonBlocking);
                 self.conn_table.set_state(flow, SocketStateCode::Established);
                 // Record the per-app RTT sample.
@@ -602,12 +598,10 @@ impl RelayStage {
         }
     }
 
-    /// Closes `id`'s external socket, if it has one, and drops it from the
-    /// selector.
+    /// Closes `id`'s external socket, if it has one.
     fn close_socket(&mut self, sh: &EngineShared, id: FlowId) {
         if let Some(socket) = sh.conns[id].socket {
             self.sockets.close(socket);
-            self.selector.deregister(socket);
         }
     }
 

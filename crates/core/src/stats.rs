@@ -176,15 +176,6 @@ impl FlowOutcome {
     pub fn duration(&self) -> SimDuration {
         self.finished_at - self.started_at
     }
-
-    /// Goodput in megabits per second, if the flow transferred anything.
-    pub fn goodput_mbps(&self) -> Option<f64> {
-        let secs = self.duration().as_secs_f64();
-        if secs <= 0.0 || self.bytes_received == 0 {
-            return None;
-        }
-        Some(self.bytes_received as f64 * 8.0 / 1_000_000.0 / secs)
-    }
 }
 
 // ----- checkpoint encodings -------------------------------------------------
@@ -400,10 +391,11 @@ mod tests {
             completed: true,
         };
         assert_eq!(o.duration().as_secs_f64(), 2.0);
-        let mbps = o.goodput_mbps().unwrap();
+        let report = |flows| crate::RunReport { flows, ..crate::RunReport::empty() };
+        let mbps = report(vec![o.clone()]).download_goodput_mbps().unwrap();
         assert!((mbps - 8.388_608).abs() < 0.01, "mbps {mbps}");
-        let empty = FlowOutcome { bytes_received: 0, ..o.clone() };
-        assert!(empty.goodput_mbps().is_none());
+        let empty = FlowOutcome { bytes_received: 0, ..o };
+        assert!(report(vec![empty]).download_goodput_mbps().is_none());
     }
 
     #[test]

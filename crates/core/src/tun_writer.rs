@@ -116,7 +116,8 @@ impl TunWriter {
     }
 
     /// The write scheme in use.
-    pub fn scheme(&self) -> WriteScheme {
+    #[cfg(test)]
+    pub(crate) fn scheme(&self) -> WriteScheme {
         self.scheme
     }
 
@@ -228,7 +229,8 @@ impl TunWriter {
     }
 
     /// Packets written so far.
-    pub fn packets_written(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn packets_written(&self) -> u64 {
         self.packets_written
     }
 }

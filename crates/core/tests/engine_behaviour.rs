@@ -176,7 +176,10 @@ fn selector_timestamps_are_less_accurate_than_blocking_thread() {
     let mut accurate = MopEyeEngine::new(MopEyeConfig::mopeye(), network());
     let report_accurate = accurate.run_flows(flows.clone());
     let mut sloppy = MopEyeEngine::new(
-        MopEyeConfig::mopeye().with_timestamp_mode(TimestampMode::SelectorNotification),
+        MopEyeConfig {
+            timestamp_mode: TimestampMode::SelectorNotification,
+            ..MopEyeConfig::mopeye()
+        },
         network(),
     );
     let report_sloppy = sloppy.run_flows(flows);
@@ -225,7 +228,8 @@ fn idle_timers_are_cancelled_by_activity_and_never_fire_on_healthy_flows() {
         })
         .collect();
     // A generous timeout: every healthy flow relays again long before it.
-    let config = MopEyeConfig::mopeye().with_idle_timeout(Some(SimDuration::from_secs(60)));
+    let config =
+        MopEyeConfig { idle_timeout: Some(SimDuration::from_secs(60)), ..MopEyeConfig::mopeye() };
     let mut engine = MopEyeEngine::new(config, network());
     let report = engine.run_flows(flows.clone());
     assert_eq!(report.relay.idle_reaped, 0, "healthy flows are never reaped");
@@ -262,7 +266,10 @@ fn a_silent_connection_is_reaped_by_its_idle_timer() {
     let mut spec = one_flow(200, 1024 * 1024);
     spec.dst = Endpoint::v4(10, 9, 9, 9, 80);
     spec.domain = None;
-    let config = MopEyeConfig::mopeye().with_idle_timeout(Some(SimDuration::from_millis(500)));
+    let config = MopEyeConfig {
+        idle_timeout: Some(SimDuration::from_millis(500)),
+        ..MopEyeConfig::mopeye()
+    };
     let mut engine = MopEyeEngine::new(config, net);
     let report = engine.run_flows(vec![spec]);
     assert_eq!(report.relay.connects_ok, 1);

@@ -29,16 +29,6 @@ impl Default for DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// A small spec for unit tests (about 10k records).
-    pub fn quick() -> Self {
-        Self { seed: 7, scale: 0.002 }
-    }
-
-    /// A spec with an explicit scale.
-    pub fn with_scale(scale: f64) -> Self {
-        Self { scale, ..Self::default() }
-    }
-
     /// Scales an absolute count threshold from the paper (e.g. "domains with
     /// 100+ measurements") to this dataset's size.
     pub fn scaled_threshold(&self, paper_threshold: u64) -> u64 {
@@ -363,7 +353,7 @@ mod tests {
     use mop_measure::MeasurementKind;
 
     fn dataset() -> SyntheticDataset {
-        SyntheticDataset::generate(DatasetSpec::quick())
+        SyntheticDataset::generate(DatasetSpec { seed: 7, scale: 0.002 })
     }
 
     #[test]
@@ -375,7 +365,7 @@ mod tests {
             (actual - expected).abs() / expected < 0.35,
             "expected ~{expected} records, got {actual}"
         );
-        let tcp = d.store.of_kind(MeasurementKind::Tcp).len() as f64;
+        let tcp = d.store.rtts_where(|r| r.kind == MeasurementKind::Tcp).len() as f64;
         assert!((tcp / actual - 0.681).abs() < 0.05, "tcp fraction {}", tcp / actual);
         assert_eq!(d.locations.len(), 2_351);
     }
@@ -482,9 +472,9 @@ mod tests {
 
     #[test]
     fn scaled_threshold_helper() {
-        let spec = DatasetSpec::with_scale(0.02);
+        let spec = DatasetSpec { scale: 0.02, ..DatasetSpec::default() };
         assert_eq!(spec.scaled_threshold(100), 2);
         assert_eq!(spec.scaled_threshold(1000), 20);
-        assert_eq!(DatasetSpec::quick().scaled_threshold(100), 2);
+        assert_eq!(DatasetSpec { scale: 0.002, ..spec }.scaled_threshold(100), 2);
     }
 }

@@ -268,7 +268,8 @@ impl Scenario {
 
     /// The full scenario matrix: every workload mix crossed with every
     /// network profile (20 scenarios), `users` users each.
-    pub fn matrix(users: usize, duration: SimDuration, seed: u64) -> Vec<Scenario> {
+    #[cfg(test)]
+    pub(crate) fn matrix(users: usize, duration: SimDuration, seed: u64) -> Vec<Scenario> {
         let mut out = Vec::new();
         for mix in TrafficMix::ALL {
             for profile in NetProfile::ALL {
@@ -579,12 +580,14 @@ impl DiurnalScenario {
     }
 
     /// The whole virtual day (24 virtual hours).
-    pub fn day() -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn day() -> SimDuration {
         SimDuration::from_nanos(Self::virtual_hour().as_nanos() * 24)
     }
 
     /// The day's phases, in order.
-    pub fn phases(&self) -> &[DiurnalPhase] {
+    #[cfg(test)]
+    pub(crate) fn phases(&self) -> &[DiurnalPhase] {
         &self.phases
     }
 

@@ -6,9 +6,7 @@
 //! * fleet and server checkpoints (`mopeye_core::FleetCheckpoint`, the
 //!   `mop_server` plane's `mop-server-checkpoint` document), on disk and
 //!   inline in protocol frames,
-//! * the `mop_server` wire protocol, one compact document per line,
-//! * the measurement store's JSON-lines persistence
-//!   (`mop_measure::MeasurementStore::{to,from}_json_lines`), and
+//! * the `mop_server` wire protocol, one compact document per line, and
 //! * the machine-readable outputs of the `repro` binary and the benchmark.
 //!
 //! Two ways to hold a document:

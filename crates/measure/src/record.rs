@@ -198,24 +198,9 @@ impl RttRecord {
         self.timestamp_s = timestamp_s;
         self
     }
-
-    /// The registrable parent domain ("e3.whatsapp.net" → "whatsapp.net"),
-    /// used by the per-provider analyses.
-    pub fn parent_domain(&self) -> &str {
-        let parts: Vec<&str> = self.domain.rsplitn(3, '.').collect();
-        if parts.len() >= 2 {
-            // parts[0] is the TLD, parts[1] the registrable label; everything
-            // up to the second dot from the right.
-            let tail_len = parts[0].len() + parts[1].len() + 1;
-            &self.domain[self.domain.len() - tail_len..]
-        } else {
-            &self.domain
-        }
-    }
 }
 
-/// One flat object per record — a line of the measurement store's
-/// JSON-lines persistence.
+/// One flat object per record.
 impl ToJson for RttRecord {
     fn write_json<W: JsonWrite>(&self, out: &mut W) {
         out.begin_object();
@@ -279,7 +264,6 @@ mod tests {
             .with_timestamp(86_400);
         assert_eq!(r.kind, MeasurementKind::Tcp);
         assert_eq!(r.domain, "e3.whatsapp.net");
-        assert_eq!(r.parent_domain(), "whatsapp.net");
         assert_eq!(r.isp, "Jio 4G");
         assert_eq!(r.timestamp_s, 86_400);
         assert_eq!(r.dst_port, 443);
@@ -291,20 +275,6 @@ mod tests {
         assert_eq!(r.kind, MeasurementKind::Dns);
         assert!(r.app.is_empty());
         assert_eq!(r.dst_port, 53);
-    }
-
-    #[test]
-    fn parent_domain_handles_short_names() {
-        assert_eq!(RttRecord::tcp(1.0, 1, "a", NetKind::Wifi).with_domain("whatsapp.net").parent_domain(), "whatsapp.net");
-        assert_eq!(RttRecord::tcp(1.0, 1, "a", NetKind::Wifi).with_domain("localhost").parent_domain(), "localhost");
-        assert_eq!(
-            RttRecord::tcp(1.0, 1, "a", NetKind::Wifi).with_domain("mme.whatsapp.net").parent_domain(),
-            "whatsapp.net"
-        );
-        assert_eq!(
-            RttRecord::tcp(1.0, 1, "a", NetKind::Wifi).with_domain("a.b.graph.facebook.com").parent_domain(),
-            "facebook.com"
-        );
     }
 
     #[test]

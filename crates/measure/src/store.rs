@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::record::{MeasurementKind, RttRecord};
-use crate::stats::{Cdf, Summary};
+use crate::stats::Cdf;
 
 /// An in-memory collection of [`RttRecord`]s.
 #[derive(Debug, Default, Clone)]
@@ -16,11 +16,6 @@ impl MeasurementStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a store from existing records.
-    pub fn from_records(records: Vec<RttRecord>) -> Self {
-        Self { records }
     }
 
     /// Adds one record.
@@ -104,11 +99,6 @@ impl MeasurementStore {
         self.records.is_empty()
     }
 
-    /// Records of one measurement kind.
-    pub fn of_kind(&self, kind: MeasurementKind) -> Vec<&RttRecord> {
-        self.records.iter().filter(|r| r.kind == kind).collect()
-    }
-
     /// A filtered copy containing only records matching `predicate`.
     pub fn filter(&self, predicate: impl Fn(&RttRecord) -> bool) -> MeasurementStore {
         MeasurementStore {
@@ -121,25 +111,10 @@ impl MeasurementStore {
         self.records.iter().filter(|r| predicate(r)).map(|r| r.rtt_ms).collect()
     }
 
-    /// RTT values of all TCP records.
-    pub fn tcp_rtts(&self) -> Vec<f64> {
-        self.rtts_where(|r| r.kind == MeasurementKind::Tcp)
-    }
-
-    /// RTT values of all DNS records.
-    pub fn dns_rtts(&self) -> Vec<f64> {
-        self.rtts_where(|r| r.kind == MeasurementKind::Dns)
-    }
-
     /// The median RTT of records matching `predicate`, if any match.
     pub fn median_where(&self, predicate: impl Fn(&RttRecord) -> bool) -> Option<f64> {
         let rtts = self.rtts_where(predicate);
         Cdf::from_values(&rtts).median()
-    }
-
-    /// A CDF of the RTTs of records matching `predicate`.
-    pub fn cdf_where(&self, predicate: impl Fn(&RttRecord) -> bool) -> Cdf {
-        Cdf::from_values(&self.rtts_where(predicate))
     }
 
     /// Groups record RTTs by a key function; keys are returned sorted.
@@ -182,18 +157,6 @@ impl MeasurementStore {
         devices.into_iter().map(|(c, set)| (c, set.len() as u64)).collect()
     }
 
-    /// A per-group summary of RTTs, keyed by a string key.
-    pub fn summaries_by(
-        &self,
-        key: impl Fn(&RttRecord) -> String,
-        predicate: impl Fn(&RttRecord) -> bool,
-    ) -> BTreeMap<String, Summary> {
-        self.group_rtts_by(key, predicate)
-            .into_iter()
-            .filter_map(|(k, v)| Summary::of(&v).map(|s| (k, s)))
-            .collect()
-    }
-
     /// Distinct values of a string field, sorted.
     pub fn distinct(&self, field: impl Fn(&RttRecord) -> &str) -> Vec<String> {
         let mut set: Vec<String> =
@@ -202,30 +165,13 @@ impl MeasurementStore {
         set.dedup();
         set
     }
-
-    /// Serialises all records to JSON lines.
-    pub fn to_json_lines(&self) -> String {
-        self.records
-            .iter()
-            .map(mop_json::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Parses records from JSON lines, skipping malformed lines.
-    pub fn from_json_lines(text: &str) -> Self {
-        let records = text
-            .lines()
-            .filter_map(|line| mop_json::decode::<RttRecord>(line).ok())
-            .collect();
-        Self { records }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::NetKind;
+    use crate::stats::Summary;
 
     fn store() -> MeasurementStore {
         let mut s = MeasurementStore::new();
@@ -261,10 +207,8 @@ mod tests {
         let s = store();
         assert_eq!(s.len(), 100);
         assert!(!s.is_empty());
-        assert_eq!(s.of_kind(MeasurementKind::Tcp).len(), 80);
-        assert_eq!(s.of_kind(MeasurementKind::Dns).len(), 20);
-        assert_eq!(s.tcp_rtts().len(), 80);
-        assert_eq!(s.dns_rtts().len(), 20);
+        assert_eq!(s.filter(|r| r.kind == MeasurementKind::Tcp).len(), 80);
+        assert_eq!(s.rtts_where(|r| r.kind == MeasurementKind::Dns).len(), 20);
     }
 
     #[test]
@@ -298,9 +242,10 @@ mod tests {
     #[test]
     fn summaries_and_distinct() {
         let s = store();
-        let summaries = s.summaries_by(|r| r.app.clone(), |r| r.kind == MeasurementKind::Tcp);
-        assert_eq!(summaries.len(), 2);
-        assert!(summaries["com.whatsapp"].median > summaries["com.facebook.katana"].median);
+        let by_app = s.group_rtts_by(|r| r.app.clone(), |r| r.kind == MeasurementKind::Tcp);
+        assert_eq!(by_app.len(), 2);
+        let median = |app: &str| Summary::of(&by_app[app]).unwrap().median;
+        assert!(median("com.whatsapp") > median("com.facebook.katana"));
         assert_eq!(s.distinct(|r| &r.country), vec!["India", "USA"]);
         assert_eq!(s.distinct(|r| &r.isp).len(), 2);
     }
@@ -308,21 +253,10 @@ mod tests {
     #[test]
     fn cdf_where_reflects_filter() {
         let s = store();
-        let cdf = s.cdf_where(|r| r.network == NetKind::Lte && r.kind == MeasurementKind::Tcp);
+        let lte = s.rtts_where(|r| r.network == NetKind::Lte && r.kind == MeasurementKind::Tcp);
+        let cdf = Cdf::from_values(&lte);
         assert_eq!(cdf.len(), 30);
         assert_eq!(cdf.fraction_at_or_below(100.0), 0.0);
-    }
-
-    #[test]
-    fn json_lines_roundtrip() {
-        let s = store();
-        let text = s.to_json_lines();
-        let back = MeasurementStore::from_json_lines(&text);
-        assert_eq!(back.len(), s.len());
-        assert_eq!(back.records()[0], s.records()[0]);
-        // Malformed lines are skipped.
-        let partial = MeasurementStore::from_json_lines("not json\n{}\n");
-        assert_eq!(partial.len(), 0);
     }
 
     #[test]
@@ -342,12 +276,5 @@ mod tests {
         let mut reference = full.clone();
         reference.canonicalise();
         assert_eq!(merged.records(), reference.records());
-    }
-
-    #[test]
-    fn from_records_constructor() {
-        let records = vec![RttRecord::tcp(10.0, 1, "a", NetKind::Wifi)];
-        let s = MeasurementStore::from_records(records);
-        assert_eq!(s.len(), 1);
     }
 }

@@ -135,9 +135,6 @@ proptest! {
         let lte = store.filter(|r| r.network == NetKind::Lte);
         prop_assert_eq!(wifi.len() + lte.len(), store.len());
         prop_assert_eq!(wifi.len(), wifi_rtts.len());
-        // JSON-lines round trip preserves every record.
-        let back = MeasurementStore::from_json_lines(&store.to_json_lines());
-        prop_assert_eq!(back.len(), store.len());
     }
 
     // ----- streaming sketch / aggregate properties ------------------------

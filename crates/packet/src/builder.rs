@@ -38,11 +38,6 @@ impl PacketBuilder {
         Self { src, dst, window: MOPEYE_RECEIVE_WINDOW, mss: MOPEYE_MSS }
     }
 
-    /// Returns a builder for the reverse direction.
-    pub fn reversed(&self) -> Self {
-        Self { src: self.dst, dst: self.src, window: self.window, mss: self.mss }
-    }
-
     /// The source endpoint.
     pub fn src(&self) -> Endpoint {
         self.src
@@ -127,12 +122,6 @@ impl PacketBuilder {
         self.wrap_tcp(seg)
     }
 
-    /// An RST segment aborting the connection.
-    pub fn tcp_rst(&self, seq: u32) -> Packet {
-        let seg = TcpSegment::new(self.src.port, self.dst.port, seq, 0, TcpFlags::RST);
-        self.wrap_tcp(seg)
-    }
-
     /// An RST|ACK segment aborting the connection in response to `ack`.
     pub fn tcp_rst_ack(&self, seq: u32, ack: u32) -> Packet {
         let seg =
@@ -174,7 +163,8 @@ mod tests {
 
     #[test]
     fn syn_ack_acknowledges_peer_isn_plus_one() {
-        let p = builder().reversed().tcp_syn_ack(777, 1000);
+        let b = builder();
+        let p = PacketBuilder::new(b.dst(), b.src()).tcp_syn_ack(777, 1000);
         let tcp = p.tcp().unwrap();
         assert!(tcp.is_syn_ack());
         assert_eq!(tcp.ack, 1001);
@@ -190,10 +180,8 @@ mod tests {
         assert!(d.tcp().unwrap().flags.contains(TcpFlags::PSH));
         let f = b.tcp_fin(8, 9);
         assert!(f.tcp().unwrap().flags.contains(TcpFlags::FIN));
-        let r = b.tcp_rst(10);
-        assert!(r.tcp().unwrap().flags.contains(TcpFlags::RST));
         let ra = b.tcp_rst_ack(10, 11);
-        assert!(ra.tcp().unwrap().flags.contains(TcpFlags::ACK));
+        assert!(ra.tcp().unwrap().flags.contains(TcpFlags::RST | TcpFlags::ACK));
     }
 
     #[test]
@@ -237,13 +225,5 @@ mod tests {
             Endpoint::v4(10, 0, 0, 2, 1),
             Endpoint::new("::1".parse::<std::net::Ipv6Addr>().unwrap(), 2),
         );
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let b = builder();
-        let r = b.reversed();
-        assert_eq!(r.src(), b.dst());
-        assert_eq!(r.dst(), b.src());
     }
 }

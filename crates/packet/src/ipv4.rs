@@ -61,16 +61,6 @@ impl Ipv4Packet {
         self.header_len() + self.payload.len()
     }
 
-    /// Returns true if the Don't Fragment flag is set.
-    pub fn dont_fragment(&self) -> bool {
-        self.flags_fragment & 0x4000 != 0
-    }
-
-    /// Returns true if the More Fragments flag is set.
-    pub fn more_fragments(&self) -> bool {
-        self.flags_fragment & 0x2000 != 0
-    }
-
     /// Parses an IPv4 packet from `data`, verifying the header checksum.
     ///
     /// The payload length is taken from the total-length field; trailing
@@ -218,8 +208,7 @@ mod tests {
     #[test]
     fn default_flags() {
         let p = sample();
-        assert!(p.dont_fragment());
-        assert!(!p.more_fragments());
+        assert_eq!(p.flags_fragment, 0x4000, "Don't Fragment set, More Fragments clear");
         assert_eq!(p.ttl, 64);
     }
 }

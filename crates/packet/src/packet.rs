@@ -52,8 +52,7 @@ impl IpPacket {
     /// Transport payload bytes stored at the network layer.
     ///
     /// Packets built from parts or parsed via [`Packet::parse`] keep their
-    /// payload in the transport layer and leave this empty; call
-    /// [`Packet::sync_payload`] first if the raw bytes are needed here.
+    /// payload in the transport layer and leave this empty.
     pub fn payload(&self) -> &[u8] {
         match self {
             IpPacket::V4(p) => &p.payload,
@@ -118,25 +117,6 @@ impl Packet {
     /// the wire costs no encoding work and no checksum pass.
     pub fn from_parts(ip: IpPacket, transport: Transport) -> Self {
         Self { ip, transport }
-    }
-
-    /// Re-serialises the transport layer into the IP payload, fixing lengths
-    /// and checksums.
-    ///
-    /// Serialisation no longer requires this — [`Packet::to_bytes`] encodes
-    /// the transport directly — but callers that inspect the raw network
-    /// payload can still materialise it explicitly.
-    pub fn sync_payload(&mut self) {
-        let (src, dst) = (self.ip.src(), self.ip.dst());
-        let payload = match &self.transport {
-            Transport::Tcp(t) => t.to_bytes_with_checksum(src, dst),
-            Transport::Udp(u) => u.to_bytes_with_checksum(src, dst),
-            Transport::Other(_, raw) => raw.clone(),
-        };
-        match &mut self.ip {
-            IpPacket::V4(p) => p.payload = payload,
-            IpPacket::V6(p) => p.payload = payload,
-        }
     }
 
     /// The source endpoint (IP + transport port), if the transport has ports.
@@ -278,13 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn sync_payload_updates_after_mutation() {
+    fn to_bytes_encodes_a_mutated_transport() {
         let mut p = builder().tcp_syn(1);
         if let Transport::Tcp(t) = &mut p.transport {
             t.flags |= TcpFlags::ACK;
             t.ack = 100;
         }
-        p.sync_payload();
         let parsed = Packet::parse(&p.to_bytes()).unwrap();
         assert!(parsed.tcp().unwrap().is_syn_ack());
     }

@@ -621,23 +621,11 @@ impl TcpSegment {
 
     /// Serialises the segment with a zero checksum field.
     ///
-    /// Use [`TcpSegment::to_bytes_with_checksum`] when the enclosing IP
+    /// Use [`TcpSegment::encode_with_checksum_into`] when the enclosing IP
     /// addresses are known.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut out);
-        out
-    }
-
-    /// Serialises the segment and fills in the transport checksum computed
-    /// with the pseudo-header for `src`/`dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` and `dst` are not the same IP version.
-    pub fn to_bytes_with_checksum(&self, src: IpAddr, dst: IpAddr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        self.encode_with_checksum_into(src, dst, &mut out);
         out
     }
 
@@ -718,7 +706,6 @@ pub(crate) fn validate_options(region: &[u8]) -> Result<usize> {
     Ok(region.len() - data.len())
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,9 +764,11 @@ mod tests {
     #[test]
     fn checksum_is_filled_in() {
         let s = syn();
-        let bytes = s.to_bytes_with_checksum(
+        let mut bytes = Vec::new();
+        s.encode_with_checksum_into(
             IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
             IpAddr::V4(Ipv4Addr::new(31, 13, 79, 251)),
+            &mut bytes,
         );
         assert_ne!(&bytes[16..18], &[0, 0]);
         // Verifying: checksum over pseudo-header + segment must fold to zero.

@@ -58,17 +58,6 @@ impl UdpDatagram {
         out
     }
 
-    /// Serialises the datagram with the pseudo-header checksum filled in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` and `dst` are not the same IP version.
-    pub fn to_bytes_with_checksum(&self, src: IpAddr, dst: IpAddr) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        self.encode_with_checksum_into(src, dst, &mut out);
-        out
-    }
-
     /// Appends the serialised datagram (zero checksum) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.len());
@@ -142,9 +131,11 @@ mod tests {
     #[test]
     fn checksum_is_nonzero() {
         let d = UdpDatagram::new(40001, 53, vec![1, 2, 3]);
-        let bytes = d.to_bytes_with_checksum(
+        let mut bytes = Vec::new();
+        d.encode_with_checksum_into(
             IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
             IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)),
+            &mut bytes,
         );
         assert_ne!(&bytes[6..8], &[0, 0]);
     }

@@ -115,11 +115,6 @@ impl<'a> Ipv4View<'a> {
         self.header_len
     }
 
-    /// Total packet length from the length field (trailing padding excluded).
-    pub fn total_len(&self) -> usize {
-        self.total_len
-    }
-
     /// Raw IPv4 options.
     pub fn options(&self) -> &'a [u8] {
         &self.data[IPV4_MIN_HEADER_LEN..self.header_len]

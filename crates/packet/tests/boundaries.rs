@@ -242,15 +242,13 @@ fn checksum_helpers_agree_between_slice_parities() {
 
 #[test]
 fn ipv4_view_and_owned_agree_including_options() {
-    let mut p = Ipv4Packet::new(
-        "10.0.0.2".parse().unwrap(),
-        "8.8.8.8".parse().unwrap(),
-        17,
-        UdpDatagram::new(1000, 53, vec![5; 7]).to_bytes_with_checksum(
-            IpAddr::V4("10.0.0.2".parse().unwrap()),
-            IpAddr::V4("8.8.8.8".parse().unwrap()),
-        ),
+    let mut udp = Vec::new();
+    UdpDatagram::new(1000, 53, vec![5; 7]).encode_with_checksum_into(
+        IpAddr::V4("10.0.0.2".parse().unwrap()),
+        IpAddr::V4("8.8.8.8".parse().unwrap()),
+        &mut udp,
     );
+    let mut p = Ipv4Packet::new("10.0.0.2".parse().unwrap(), "8.8.8.8".parse().unwrap(), 17, udp);
     p.options = vec![1, 1, 1, 1];
     let bytes = p.to_bytes();
     let owned = Ipv4Packet::parse(&bytes).unwrap();

@@ -225,7 +225,8 @@ impl CachedMapper {
     }
 
     /// Number of cached remote endpoints.
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
@@ -349,7 +350,8 @@ impl LazyMapper {
     }
 
     /// When the current snapshot was taken, if one exists.
-    pub fn snapshot_age(&self, now: SimTime) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn snapshot_age(&self, now: SimTime) -> Option<SimDuration> {
         self.snapshot_at.map(|at| now.duration_since(at))
     }
 }

@@ -23,7 +23,8 @@ impl PackageManager {
 
     /// Creates a package manager pre-populated with a set of well-known apps,
     /// starting at UID 10100 (Android app UIDs start at 10000).
-    pub fn with_apps(names: &[&str]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_apps(names: &[&str]) -> Self {
         let mut pm = Self::new();
         for (i, name) in names.iter().enumerate() {
             pm.install(10_100 + i as u32, name);
@@ -49,7 +50,8 @@ impl PackageManager {
     }
 
     /// Uninstalls whatever package owns `uid`.
-    pub fn uninstall(&mut self, uid: u32) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn uninstall(&mut self, uid: u32) -> Option<String> {
         self.cache.remove(&uid);
         self.by_uid.remove(&uid)
     }
@@ -79,22 +81,26 @@ impl PackageManager {
     }
 
     /// Number of uncached framework lookups performed.
-    pub fn lookup_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn lookup_count(&self) -> u64 {
         self.lookups
     }
 
     /// Number of cache hits.
-    pub fn cache_hit_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cache_hit_count(&self) -> u64 {
         self.cache_hits
     }
 
     /// Number of installed packages.
-    pub fn installed_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn installed_count(&self) -> usize {
         self.by_uid.len()
     }
 
     /// All installed (uid, package) pairs, sorted by UID.
-    pub fn installed(&self) -> Vec<(u32, String)> {
+    #[cfg(test)]
+    pub(crate) fn installed(&self) -> Vec<(u32, String)> {
         let mut v: Vec<_> = self.by_uid.iter().map(|(u, n)| (*u, n.clone())).collect();
         v.sort_by_key(|(u, _)| *u);
         v

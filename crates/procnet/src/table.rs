@@ -1,7 +1,6 @@
 //! The kernel's view of live connections, as exposed through `/proc/net`.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::net::IpAddr;
 
 use mop_packet::{Endpoint, FourTuple};
 
@@ -123,7 +122,7 @@ struct Chain {
 /// already have.
 ///
 /// The entry list itself is an insertion-ordered slot vector with a per-flow
-/// position index, the shape of `mop_simnet::Selector`: `set_state` and
+/// position index: `set_state` and
 /// `remove` find their entries by hash probe, `remove` leaves tombstones that
 /// iteration skips, and the slots are compacted in order once tombstones
 /// outnumber live entries. Entries that share a four-tuple (a reused local
@@ -274,7 +273,8 @@ impl ConnectionTable {
 
     /// Looks up a UID by local port only — the fallback Android tools use
     /// when the local address is rewritten by the VPN.
-    pub fn uid_of_local_port(&self, port: u16) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn uid_of_local_port(&self, port: u16) -> Option<u32> {
         self.entries().find(|e| e.local.port == port).map(|e| e.uid)
     }
 
@@ -322,7 +322,8 @@ impl ConnectionTable {
     }
 
     /// Returns true if an IP address belongs to any registered local endpoint.
-    pub fn has_local_addr(&self, addr: IpAddr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_local_addr(&self, addr: std::net::IpAddr) -> bool {
         self.entries().any(|e| e.local.addr == addr)
     }
 }

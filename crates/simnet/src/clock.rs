@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A cheaply clonable handle to the simulation's virtual clock.
 ///
@@ -32,45 +32,7 @@ impl SimClock {
     /// which makes out-of-order event handling bugs visible in timestamps
     /// rather than corrupting time itself.
     pub fn advance_to(&self, to: SimTime) {
-        // A CAS loop rather than `fetch_max` so both advance paths share the
-        // same monotone update discipline (see `advance_by`).
-        let mut cur = self.now_ns.load(Ordering::Relaxed);
-        while cur < to.as_nanos() {
-            match self.now_ns.compare_exchange_weak(
-                cur,
-                to.as_nanos(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Advances the clock by `by` and returns the new time.
-    ///
-    /// Implemented as a monotone CAS loop, not `fetch_add`: the wrapping add
-    /// could interleave with a concurrent [`SimClock::advance_to`] near the
-    /// end of the `u64` range and wrap the clock back towards zero, silently
-    /// breaking the monotonicity contract above. The CAS recomputes the
-    /// target from the freshest value and saturates instead of wrapping, so
-    /// no interleaving can ever move time backwards.
-    pub fn advance_by(&self, by: SimDuration) -> SimTime {
-        let mut cur = self.now_ns.load(Ordering::Relaxed);
-        loop {
-            let new = cur.saturating_add(by.as_nanos());
-            match self.now_ns.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return SimTime::from_nanos(new),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// The elapsed virtual time since `earlier`.
-    pub fn elapsed_since(&self, earlier: SimTime) -> SimDuration {
-        self.now().duration_since(earlier)
+        self.now_ns.fetch_max(to.as_nanos(), Ordering::Relaxed);
     }
 }
 
@@ -84,7 +46,7 @@ mod tests {
         assert_eq!(clock.now(), SimTime::ZERO);
         clock.advance_to(SimTime::from_millis(5));
         assert_eq!(clock.now().as_millis(), 5);
-        clock.advance_by(SimDuration::from_millis(3));
+        clock.advance_to(SimTime::from_millis(8));
         assert_eq!(clock.now().as_millis(), 8);
     }
 
@@ -97,24 +59,9 @@ mod tests {
     }
 
     #[test]
-    fn advance_by_saturates_instead_of_wrapping() {
-        // Regression: the old `fetch_add` implementation wrapped near
-        // `u64::MAX`, so an `advance_by` interleaved with `advance_to` could
-        // snap the clock back towards zero. The CAS loop saturates.
-        let clock = SimClock::new();
-        clock.advance_to(SimTime::from_nanos(u64::MAX - 5));
-        let after = clock.advance_by(SimDuration::from_nanos(100));
-        assert_eq!(after, SimTime::from_nanos(u64::MAX));
-        assert_eq!(clock.now(), SimTime::from_nanos(u64::MAX));
-        // Still monotone afterwards.
-        clock.advance_to(SimTime::from_millis(1));
-        assert_eq!(clock.now(), SimTime::from_nanos(u64::MAX));
-    }
-
-    #[test]
     fn concurrent_advances_never_move_time_backwards() {
-        // Hammer the two advance paths from racing threads and assert that
-        // no observer ever sees the clock decrease.
+        // Hammer the clock from racing threads, each advancing along its own
+        // schedule, and assert that no observer ever sees it decrease.
         let clock = SimClock::new();
         let observed_regression = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
@@ -124,11 +71,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut last = clock.now();
                     for i in 0..20_000u64 {
-                        if t % 2 == 0 {
-                            clock.advance_to(SimTime::from_nanos(i * 3 + t));
-                        } else {
-                            clock.advance_by(SimDuration::from_nanos(1));
-                        }
+                        clock.advance_to(SimTime::from_nanos(i * (2 + t) + t));
                         let now = clock.now();
                         if now < last {
                             flag.store(true, Ordering::Relaxed);
@@ -140,7 +83,7 @@ mod tests {
         });
         assert!(
             !observed_regression.load(Ordering::Relaxed),
-            "clock moved backwards under concurrent advance_to/advance_by"
+            "clock moved backwards under concurrent advances"
         );
     }
 
@@ -150,6 +93,6 @@ mod tests {
         let other = clock.clone();
         clock.advance_to(SimTime::from_secs(1));
         assert_eq!(other.now().as_secs_f64(), 1.0);
-        assert_eq!(other.elapsed_since(SimTime::from_millis(200)).as_millis(), 800);
+        assert_eq!(other.now().duration_since(SimTime::from_millis(200)).as_millis(), 800);
     }
 }

@@ -48,23 +48,6 @@ impl DnsServerConfig {
         }
     }
 
-    /// Sets the resolver address.
-    pub fn with_addr(mut self, addr: IpAddr) -> Self {
-        self.addr = addr;
-        self
-    }
-
-    /// Sets the query-loss probability.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Registers a record mapping `domain` to `addrs`.
-    pub fn add_record(&mut self, domain: &str, addrs: Vec<Ipv4Addr>) {
-        self.records.insert(domain.to_ascii_lowercase(), addrs);
-    }
-
     /// Registers records for every domain of a server config.
     pub fn add_server(&mut self, server: &crate::server::ServerConfig) {
         let v4: Vec<Ipv4Addr> = server
@@ -78,11 +61,6 @@ impl DnsServerConfig {
         for domain in &server.domains {
             self.records.insert(domain.clone(), v4.clone());
         }
-    }
-
-    /// Number of registered records.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
     }
 
     /// Looks up `domain`, returning the answer and sampling whether the
@@ -110,7 +88,14 @@ mod tests {
 
     fn resolver() -> DnsServerConfig {
         let mut dns = DnsServerConfig::new(LatencyModel::constant(42.0));
-        dns.add_record("graph.facebook.com", vec![Ipv4Addr::new(31, 13, 79, 251)]);
+        let facebook = ServerConfig::new(
+            "Facebook",
+            "31.13.79.251".parse().unwrap(),
+            LatencyModel::constant(40.0),
+            Service::web(),
+        )
+        .with_domain("graph.facebook.com");
+        dns.add_server(&facebook);
         dns
     }
 
@@ -123,16 +108,14 @@ mod tests {
             DnsAnswer::Addresses(vec![Ipv4Addr::new(31, 13, 79, 251)])
         );
         assert_eq!(dns.resolve("nope.example", &mut rng), DnsAnswer::NxDomain);
-        assert_eq!(dns.record_count(), 1);
     }
 
     #[test]
     fn loss_produces_timeouts() {
-        let dns = resolver().with_loss(1.0);
+        let mut dns = resolver();
+        dns.loss = 1.0;
         let mut rng = SimRng::seed_from_u64(0);
         assert_eq!(dns.resolve("graph.facebook.com", &mut rng), DnsAnswer::Timeout);
-        // Clamp out-of-range probabilities.
-        assert_eq!(resolver().with_loss(7.0).loss, 1.0);
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub enum FaultDecision {
     Delay(SimDuration),
 }
 
-impl FaultDecision {
-    /// True for the no-fault outcome.
-    pub fn is_deliver(&self) -> bool {
-        matches!(self, FaultDecision::Deliver)
-    }
-}
-
 /// The fault probabilities of one access profile, in decision form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -104,7 +97,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let untouched = rng.clone();
         for _ in 0..100 {
-            assert!(plan.decide(&mut rng, 10.0).is_deliver());
+            assert_eq!(plan.decide(&mut rng, 10.0), FaultDecision::Deliver);
         }
         // The stream did not advance: the next draw matches a pristine clone.
         assert_eq!(rng.next_u64(), untouched.clone().next_u64());

@@ -1,6 +1,5 @@
 //! Latency models used for path RTTs, first-hop delays and system costs.
 
-
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
@@ -45,17 +44,6 @@ pub enum LatencyModel {
         /// Additive floor in milliseconds.
         floor_ms: f64,
     },
-    /// A two-component mixture: with probability `p_second`, sample the
-    /// second model instead of the first. Used for ISPs whose devices split
-    /// between LTE and non-LTE attachments (Figure 11).
-    Mixture {
-        /// The primary model.
-        primary: Box<LatencyModel>,
-        /// The secondary model.
-        secondary: Box<LatencyModel>,
-        /// Probability of sampling the secondary model.
-        p_second: f64,
-    },
 }
 
 impl LatencyModel {
@@ -74,23 +62,9 @@ impl LatencyModel {
         LatencyModel::Normal { mean_ms, std_ms, min_ms: 0.0 }
     }
 
-    /// A log-normal delay with the given median and a moderate tail.
-    pub fn lognormal(median_ms: f64) -> Self {
-        LatencyModel::LogNormal { median_ms, sigma: 0.45, floor_ms: 0.0 }
-    }
-
     /// A log-normal delay with explicit tail weight and floor.
     pub fn lognormal_with(median_ms: f64, sigma: f64, floor_ms: f64) -> Self {
         LatencyModel::LogNormal { median_ms, sigma, floor_ms }
-    }
-
-    /// A mixture of two models.
-    pub fn mixture(primary: LatencyModel, secondary: LatencyModel, p_second: f64) -> Self {
-        LatencyModel::Mixture {
-            primary: Box::new(primary),
-            secondary: Box::new(secondary),
-            p_second,
-        }
     }
 
     /// Samples a delay in milliseconds.
@@ -103,13 +77,6 @@ impl LatencyModel {
             }
             LatencyModel::LogNormal { median_ms, sigma, floor_ms } => {
                 floor_ms + rng.lognormal_median(*median_ms, *sigma)
-            }
-            LatencyModel::Mixture { primary, secondary, p_second } => {
-                if rng.chance(*p_second) {
-                    secondary.sample_ms(rng)
-                } else {
-                    primary.sample_ms(rng)
-                }
             }
         }
         .max(0.0)
@@ -128,35 +95,6 @@ impl LatencyModel {
             LatencyModel::Uniform { lo_ms, hi_ms } => (lo_ms + hi_ms) / 2.0,
             LatencyModel::Normal { mean_ms, min_ms, .. } => mean_ms.max(*min_ms),
             LatencyModel::LogNormal { median_ms, floor_ms, .. } => floor_ms + median_ms,
-            LatencyModel::Mixture { primary, secondary, p_second } => {
-                primary.nominal_ms() * (1.0 - p_second) + secondary.nominal_ms() * p_second
-            }
-        }
-    }
-
-    /// Scales the model's delays by `factor` (used to derive upload paths
-    /// from download paths, or degraded variants of a base profile).
-    pub fn scaled(&self, factor: f64) -> Self {
-        match self {
-            LatencyModel::Constant { ms } => LatencyModel::Constant { ms: ms * factor },
-            LatencyModel::Uniform { lo_ms, hi_ms } => {
-                LatencyModel::Uniform { lo_ms: lo_ms * factor, hi_ms: hi_ms * factor }
-            }
-            LatencyModel::Normal { mean_ms, std_ms, min_ms } => LatencyModel::Normal {
-                mean_ms: mean_ms * factor,
-                std_ms: std_ms * factor,
-                min_ms: min_ms * factor,
-            },
-            LatencyModel::LogNormal { median_ms, sigma, floor_ms } => LatencyModel::LogNormal {
-                median_ms: median_ms * factor,
-                sigma: *sigma,
-                floor_ms: floor_ms * factor,
-            },
-            LatencyModel::Mixture { primary, secondary, p_second } => LatencyModel::Mixture {
-                primary: Box::new(primary.scaled(factor)),
-                secondary: Box::new(secondary.scaled(factor)),
-                p_second: *p_second,
-            },
         }
     }
 }
@@ -185,7 +123,7 @@ mod tests {
     #[test]
     fn lognormal_median_tracks_parameter() {
         for target in [33.0, 58.0, 281.0] {
-            let m = LatencyModel::lognormal(target);
+            let m = LatencyModel::lognormal_with(target, 0.45, 0.0);
             let med = median_of(&m, 4001, 9);
             assert!((med - target).abs() / target < 0.12, "median {med} vs target {target}");
         }
@@ -201,31 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn mixture_blends_components() {
-        let m = LatencyModel::mixture(LatencyModel::constant(10.0), LatencyModel::constant(100.0), 0.5);
-        let mut rng = SimRng::seed_from_u64(2);
-        let n = 4000;
-        let high = (0..n).filter(|_| m.sample_ms(&mut rng) > 50.0).count();
-        let frac = high as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.05, "mixture fraction {frac}");
-        assert!((m.nominal_ms() - 55.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn samples_never_negative() {
         let m = LatencyModel::normal(1.0, 10.0);
         let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..2000 {
             assert!(m.sample_ms(&mut rng) >= 0.0);
         }
-    }
-
-    #[test]
-    fn scaling_scales_nominal() {
-        let m = LatencyModel::lognormal_with(50.0, 0.4, 10.0).scaled(2.0);
-        assert!((m.nominal_ms() - 120.0).abs() < 1e-9);
-        let u = LatencyModel::uniform(1.0, 3.0).scaled(3.0);
-        assert!((u.nominal_ms() - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -237,7 +156,7 @@ mod tests {
 
     #[test]
     fn clone_and_eq_derive_work() {
-        let m = LatencyModel::mixture(LatencyModel::lognormal(46.0), LatencyModel::constant(755.0), 0.1);
+        let m = LatencyModel::lognormal_with(46.0, 0.45, 755.0);
         assert_eq!(m.clone(), m);
     }
 }

@@ -26,8 +26,9 @@
 //!   relay engine and the baselines,
 //! * [`tap`] — a wire tap that plays the role tcpdump plays in the paper
 //!   (ground-truth reference timestamps),
-//! * [`socket`] — a `java.nio`-like socket and selector layer with blocking
-//!   and non-blocking modes plus `protect()` cost modelling,
+//! * [`socket`] — a `java.nio`-like socket layer with blocking and
+//!   non-blocking modes plus `protect()` cost modelling; the engine's timing
+//!   wheel, not a selector, delivers socket readiness,
 //! * [`pool`] — a free-list buffer pool so the packet datapath recycles
 //!   buffers instead of allocating per packet,
 //! * [`spsc`] — bounded single-producer/single-consumer queues that carry
@@ -88,8 +89,8 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{SchedulerKind, TimerScheduler};
 pub use server::{ServerConfig, Service};
-pub use socket::{Selector, SelectorEvent, SocketId, SocketMode, SocketSet, SocketState};
+pub use socket::{SocketId, SocketMode, SocketSet, SocketState};
 pub use spsc::{spsc_channel, SpscReceiver, SpscSendError, SpscSender};
 pub use tap::{TapDirection, WireTap};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerHandle, TimingWheel, WheelSnapshot};
+pub use wheel::{TimerHandle, TimingWheel};

@@ -113,7 +113,8 @@ pub struct DnsOutcome {
 
 impl DnsOutcome {
     /// The measured DNS RTT, if the exchange completed.
-    pub fn rtt(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn rtt(&self) -> Option<SimDuration> {
         self.response_at.map(|t| t - self.query_sent)
     }
 }
@@ -125,8 +126,6 @@ pub struct SimNetworkBuilder {
     access: AccessProfile,
     isp: Option<IspProfile>,
     servers: Vec<ServerConfig>,
-    dns_latency: Option<LatencyModel>,
-    default_path: LatencyModel,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
 }
@@ -145,8 +144,6 @@ impl SimNetworkBuilder {
             access: AccessProfile::wifi(),
             isp: None,
             servers: Vec::new(),
-            dns_latency: None,
-            default_path: LatencyModel::lognormal_with(45.0, 0.5, 5.0),
             keying: NetKeying::Shared,
             handover: None,
         }
@@ -203,24 +200,12 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Overrides the DNS resolver latency model.
-    pub fn dns_latency(mut self, latency: LatencyModel) -> Self {
-        self.dns_latency = Some(latency);
-        self
-    }
-
-    /// Sets the path RTT used for destinations without a configured server.
-    pub fn default_path(mut self, model: LatencyModel) -> Self {
-        self.default_path = model;
-        self
-    }
-
     /// Builds the network.
     pub fn build(self) -> SimNetwork {
-        let dns_latency = self.dns_latency.unwrap_or_else(|| match &self.isp {
+        let dns_latency = match &self.isp {
             Some(isp) => isp.dns_rtt.clone(),
             None => self.access.dns_rtt.clone(),
-        });
+        };
         let mut dns = DnsServerConfig::new(dns_latency);
         for server in &self.servers {
             dns.add_server(server);
@@ -233,7 +218,7 @@ impl SimNetworkBuilder {
             rng: SimRng::seed_from_u64(self.seed),
             seed: self.seed,
             tap: WireTap::new(),
-            default_path: self.default_path,
+            default_path: LatencyModel::lognormal_with(45.0, 0.5, 5.0),
             downlink_busy_until: SimTime::ZERO,
             uplink_busy_until: SimTime::ZERO,
             keying: self.keying,
@@ -619,7 +604,6 @@ impl SimNetwork {
             }
         }
     }
-
 }
 
 /// Reserves `tx` of serialisation time on a link whose cursor is `busy`,
@@ -752,8 +736,10 @@ mod tests {
 
     #[test]
     fn isp_core_penalty_raises_app_rtt_but_not_dns() {
-        let jio = IspProfile::lte("Jio 4G", "India", 59.0)
-            .with_core_extra(LatencyModel::constant(200.0));
+        let jio = IspProfile {
+            core_extra_rtt: LatencyModel::constant(200.0),
+            ..IspProfile::lte("Jio 4G", "India", 59.0)
+        };
         let mut with_jio = SimNetwork::builder()
             .seed(3)
             .network_type(NetworkType::Lte)
@@ -831,7 +817,7 @@ mod tests {
         let flow = google_flow(40200);
         let schedule: Vec<_> =
             (0..200).map(|_| net.data_fault(flow, SimTime::ZERO)).collect();
-        assert!(schedule.iter().any(|d| !d.is_deliver()), "lossy 3G fired no faults");
+        assert!(schedule.iter().any(|&d| d != FaultDecision::Deliver), "lossy 3G fired no faults");
         // Releasing the flow rewinds its fault stream to the seed.
         net.release_flow(flow);
         let replay: Vec<_> =
@@ -850,7 +836,7 @@ mod tests {
         assert!(!net.faults_possible());
         let flow = google_flow(40202);
         for _ in 0..50 {
-            assert!(net.data_fault(flow, SimTime::ZERO).is_deliver());
+            assert_eq!(net.data_fault(flow, SimTime::ZERO), FaultDecision::Deliver);
         }
         assert!(net.fault_rng.is_empty(), "clean profile allocated fault state");
         // A handover onto a faulty profile flips faults_possible and makes
@@ -860,11 +846,11 @@ mod tests {
             .handover_at(SimTime::from_millis(1000), AccessProfile::lossy_3g())
             .build();
         assert!(mixed.faults_possible());
-        assert!(mixed.data_fault(flow, SimTime::ZERO).is_deliver());
+        assert_eq!(mixed.data_fault(flow, SimTime::ZERO), FaultDecision::Deliver);
         assert!(mixed.fault_rng.is_empty());
         let late: Vec<_> =
             (0..300).map(|_| mixed.data_fault(flow, SimTime::from_millis(1500))).collect();
-        assert!(late.iter().any(|d| !d.is_deliver()));
+        assert!(late.iter().any(|&d| d != FaultDecision::Deliver));
     }
 
     #[test]

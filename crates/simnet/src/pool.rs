@@ -125,12 +125,14 @@ impl BufferPool {
     }
 
     /// Number of buffers currently sitting in the free lists.
-    pub fn free_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_len(&self) -> usize {
         self.free.len() + self.jumbo.len()
     }
 
     /// Number of buffers currently sitting in the jumbo class.
-    pub fn jumbo_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn jumbo_len(&self) -> usize {
         self.jumbo.len()
     }
 

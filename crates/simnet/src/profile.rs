@@ -5,7 +5,6 @@
 //! the latency and bandwidth models for each slice, calibrated to the medians
 //! the paper reports so that the regenerated figures have the same shape.
 
-
 use crate::latency::LatencyModel;
 
 /// The access-network technology a measurement was taken on.
@@ -232,19 +231,6 @@ impl IspProfile {
             core_extra_rtt: LatencyModel::constant(0.0),
         }
     }
-
-    /// Adds a core-network latency penalty applied to app traffic but not to
-    /// DNS — the signature of the Jio case study (§4.2.2, Case 2).
-    pub fn with_core_extra(mut self, extra: LatencyModel) -> Self {
-        self.core_extra_rtt = extra;
-        self
-    }
-
-    /// Replaces the DNS model (used for the pre-4G mixtures of Figure 11).
-    pub fn with_dns(mut self, dns: LatencyModel) -> Self {
-        self.dns_rtt = dns;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -303,14 +289,18 @@ mod tests {
 
     #[test]
     fn isp_builder_sets_fields() {
-        let jio = IspProfile::lte("Jio 4G", "India", 59.0)
-            .with_core_extra(LatencyModel::lognormal_with(200.0, 0.4, 50.0));
+        let jio = IspProfile {
+            core_extra_rtt: LatencyModel::lognormal_with(200.0, 0.4, 50.0),
+            ..IspProfile::lte("Jio 4G", "India", 59.0)
+        };
         assert_eq!(jio.country, "India");
         assert!(jio.core_extra_rtt.nominal_ms() > 200.0);
         let mut rng = SimRng::seed_from_u64(1);
         assert!(jio.dns_rtt.sample_ms(&mut rng) > 0.0);
-        let cricket = IspProfile::lte("Cricket", "America", 93.0)
-            .with_dns(LatencyModel::lognormal_with(40.0, 0.4, 43.0));
+        let cricket = IspProfile {
+            dns_rtt: LatencyModel::lognormal_with(40.0, 0.4, 43.0),
+            ..IspProfile::lte("Cricket", "America", 93.0)
+        };
         assert!(cricket.dns_rtt.nominal_ms() >= 43.0);
     }
 }

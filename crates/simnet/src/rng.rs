@@ -132,16 +132,6 @@ impl SimRng {
         // Floating-point slack: fall back to the last positive weight.
         weights.iter().rposition(|w| *w > 0.0)
     }
-
-    /// Picks a uniformly random element of `items`.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let idx = self.int_inclusive(0, items.len() as u64 - 1) as usize;
-            Some(&items[idx])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn chance_and_choose() {
+    fn chance_is_certain_at_its_extremes() {
         let mut rng = SimRng::seed_from_u64(13);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-        assert_eq!(rng.choose::<u8>(&[]), None);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! A `java.nio`-like socket and selector layer over the simulated network.
+//! A `java.nio`-like socket layer over the simulated network.
 //!
 //! MopEye relays app traffic over regular TCP sockets because raw sockets
 //! need root (§2.3). It drives them through non-blocking `SocketChannel`s and
 //! a `Selector`, except for `connect()` which it runs in blocking mode inside
 //! a temporary thread to get clean RTT timestamps (§2.4). This module mirrors
-//! that API surface: sockets with blocking/non-blocking modes, a readiness
-//! selector with a `wakeup()` hook, and the `protect()` bookkeeping whose
-//! cost §3.5.2 eliminates.
+//! the sockets: blocking/non-blocking modes, connect outcomes, buffered
+//! writes and timed reads, and the `protect()` bookkeeping whose cost §3.5.2
+//! eliminates. Readiness needs no selector here: the engine's timing wheel
+//! delivers each socket event at its virtual time.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -23,7 +24,8 @@ pub struct SocketId(u64);
 
 impl SocketId {
     /// The identifier's numeric value (the `n` of its `sock#n` rendering).
-    pub fn raw(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }
@@ -39,7 +41,7 @@ impl std::fmt::Display for SocketId {
 pub enum SocketMode {
     /// Calls logically block the owning (simulated) thread until complete.
     Blocking,
-    /// Calls return immediately; completion is observed via the selector.
+    /// Calls return immediately; completion is observed later, as an event.
     NonBlocking,
 }
 
@@ -157,7 +159,8 @@ impl SocketSet {
     }
 
     /// Returns true if the whole application bypasses the VPN.
-    pub fn disallowed_application(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn disallowed_application(&self) -> bool {
         self.vpn_disallowed_application
     }
 
@@ -209,7 +212,8 @@ impl SocketSet {
     }
 
     /// Returns the socket's mode.
-    pub fn mode(&self, id: SocketId) -> SocketMode {
+    #[cfg(test)]
+    pub(crate) fn mode(&self, id: SocketId) -> SocketMode {
         self.entry(id).mode
     }
 
@@ -241,7 +245,8 @@ impl SocketSet {
     }
 
     /// Whether `protect()` has been called (or is unnecessary).
-    pub fn is_protected(&self, id: SocketId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_protected(&self, id: SocketId) -> bool {
         self.vpn_disallowed_application || self.entry(id).protected
     }
 
@@ -308,7 +313,8 @@ impl SocketSet {
     }
 
     /// Bytes currently buffered for writing.
-    pub fn write_buffered(&self, id: SocketId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn write_buffered(&self, id: SocketId) -> usize {
         self.entry(id).write_buffered
     }
 
@@ -342,12 +348,14 @@ impl SocketSet {
 
     /// Schedules raw inbound data on the socket (used by bulk/download flows
     /// that bypass `flush_writes`).
-    pub fn schedule_read(&mut self, id: SocketId, at: SimTime, bytes: usize) {
+    #[cfg(test)]
+    pub(crate) fn schedule_read(&mut self, id: SocketId, at: SimTime, bytes: usize) {
         self.entry_mut(id).pending_reads.push_back((at, bytes));
     }
 
     /// Total bytes whose arrival time has passed and can be read at `now`.
-    pub fn readable_bytes(&self, id: SocketId, now: SimTime) -> usize {
+    #[cfg(test)]
+    pub(crate) fn readable_bytes(&self, id: SocketId, now: SimTime) -> usize {
         self.entry(id).pending_reads.iter().filter(|(t, _)| *t <= now).map(|(_, b)| *b).sum()
     }
 
@@ -447,208 +455,21 @@ impl SocketSet {
     }
 
     /// Lifetime byte counters (read, written) for resource accounting.
-    pub fn byte_counters(&self, id: SocketId) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn byte_counters(&self, id: SocketId) -> (usize, usize) {
         let e = self.entry(id);
         (e.bytes_read, e.bytes_written)
     }
 
     /// Number of sockets created since the set was created or reset.
-    pub fn created_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn created_count(&self) -> u64 {
         self.created
     }
 
     /// Number of sockets not yet closed.
     pub fn open_count(&self) -> usize {
         self.sockets.iter().filter(|e| !matches!(e.state, SocketState::Closed)).count()
-    }
-}
-
-/// A readiness event reported by the [`Selector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectorEvent {
-    /// The socket the event is about.
-    pub socket: SocketId,
-    /// The readiness kind.
-    pub kind: SelectorEventKind,
-}
-
-/// Kinds of selector readiness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectorEventKind {
-    /// A non-blocking connect has completed (successfully or not).
-    Connectable,
-    /// Data is available to read.
-    Readable,
-}
-
-/// A readiness selector over registered sockets, with a `wakeup()` hook used
-/// by TunReader to break MainWorker out of `select()` when tunnel packets
-/// arrive (§3.2).
-///
-/// The interest set is an insertion-ordered slot vector with a position
-/// index (a vector indexed by the dense [`SocketId`]): `register` and
-/// `deregister` are O(1), and `deregister` leaves a tombstone that
-/// iteration skips, so `select` still visits live sockets in exact
-/// registration order (re-registering after a deregister moves the socket
-/// to the back, just as the plain-`Vec` implementation did). Slots
-/// are compacted in order once tombstones outnumber live entries, keeping
-/// iteration O(live). The earlier `Vec::contains`/`Vec::retain` form made
-/// both calls O(live sockets) — O(n²) across a run, and the dominant
-/// host-side cost at high concurrency (134M elements scanned in a 16k-flow
-/// single-shard rush hour).
-#[derive(Debug, Default)]
-pub struct Selector {
-    /// Insertion-ordered slots; `None` marks a deregistered (tombstoned)
-    /// entry that iteration skips.
-    registered: Vec<Option<SocketId>>,
-    /// Each live socket's slot in `registered`, indexed by socket id
-    /// (socket ids are dense table positions); `None` for a socket that is
-    /// not registered.
-    positions: Vec<Option<usize>>,
-    /// How many sockets are registered.
-    live: usize,
-    tombstones: usize,
-    wakeup_pending: bool,
-    wakeup_count: u64,
-    select_count: u64,
-    /// Slots touched by `register`/`deregister` beyond the O(1) index
-    /// probe — i.e. compaction traffic. A compaction runs once tombstones
-    /// outnumber live slots, so it scans fewer than two slots per
-    /// deregistration; the counter keeps the former O(n²) hot spot visibly
-    /// fixed.
-    scan_elems: u64,
-}
-
-impl Selector {
-    /// Creates an empty selector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the selector to its just-constructed state, keeping the
-    /// interest-set allocation (the resident engine's clear-don't-drop
-    /// reuse path).
-    pub fn reset(&mut self) {
-        self.registered.clear();
-        self.positions.clear();
-        self.live = 0;
-        self.tombstones = 0;
-        self.wakeup_pending = false;
-        self.wakeup_count = 0;
-        self.select_count = 0;
-        self.scan_elems = 0;
-    }
-
-    /// Interest-set slots compactions scanned since the selector was
-    /// created or reset.
-    pub fn scan_elems(&self) -> u64 {
-        self.scan_elems
-    }
-
-    /// Registers a socket for readiness notification.
-    pub fn register(&mut self, id: SocketId) {
-        let index = id.0 as usize;
-        if index >= self.positions.len() {
-            self.positions.resize(index + 1, None);
-        }
-        if self.positions[index].is_none() {
-            self.positions[index] = Some(self.registered.len());
-            self.registered.push(Some(id));
-            self.live += 1;
-        }
-    }
-
-    /// Removes a socket from the interest set.
-    pub fn deregister(&mut self, id: SocketId) {
-        if let Some(pos) = self.positions.get_mut(id.0 as usize).and_then(Option::take) {
-            self.registered[pos] = None;
-            self.live -= 1;
-            self.tombstones += 1;
-            if self.tombstones > self.live {
-                self.compact();
-            }
-        }
-    }
-
-    /// Drops tombstoned slots, preserving the relative order of live
-    /// entries, and rebuilds the position index.
-    fn compact(&mut self) {
-        self.scan_elems += self.registered.len() as u64;
-        self.registered.retain(Option::is_some);
-        for (pos, slot) in self.registered.iter().enumerate() {
-            let id = slot.expect("compaction keeps only live slots");
-            self.positions[id.0 as usize] = Some(pos);
-        }
-        self.tombstones = 0;
-    }
-
-    /// Number of registered sockets.
-    pub fn registered_count(&self) -> usize {
-        self.live
-    }
-
-    /// Signals the selector to return immediately from the next `select`
-    /// (the `Selector.wakeup()` call TunReader issues, §3.2).
-    pub fn wakeup(&mut self) {
-        self.wakeup_pending = true;
-        self.wakeup_count += 1;
-    }
-
-    /// Returns and clears the pending-wakeup flag.
-    pub fn take_wakeup(&mut self) -> bool {
-        std::mem::take(&mut self.wakeup_pending)
-    }
-
-    /// Total wakeups issued (for overhead accounting).
-    pub fn wakeup_count(&self) -> u64 {
-        self.wakeup_count
-    }
-
-    /// Total select passes performed.
-    pub fn select_count(&self) -> u64 {
-        self.select_count
-    }
-
-    /// Collects readiness events for registered sockets as of `now`,
-    /// advancing in-flight connects that have matured.
-    pub fn select(&mut self, sockets: &mut SocketSet, now: SimTime) -> Vec<SelectorEvent> {
-        self.select_count += 1;
-        let mut events = Vec::new();
-        for id in self.registered.iter().filter_map(|slot| *slot) {
-            match sockets.state(id) {
-                SocketState::Connecting { ready_at } if ready_at <= now => {
-                    sockets.poll_connect(id, now);
-                    events.push(SelectorEvent { socket: id, kind: SelectorEventKind::Connectable });
-                }
-                SocketState::Connected | SocketState::HalfClosed
-                    if sockets.readable_bytes(id, now) > 0 =>
-                {
-                    events.push(SelectorEvent { socket: id, kind: SelectorEventKind::Readable });
-                }
-                _ => {}
-            }
-        }
-        events
-    }
-
-    /// The earliest future time at which any registered socket will become
-    /// ready, used by the event loop to schedule its next wake-up.
-    pub fn next_ready_at(&self, sockets: &SocketSet, now: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for id in self.registered.iter().filter_map(|slot| *slot) {
-            if let SocketState::Connecting { ready_at } = sockets.state(id) {
-                consider(ready_at);
-            }
-            if let Some(t) = sockets.next_read_ready_at(id) {
-                consider(t);
-            }
-        }
-        next
     }
 }
 
@@ -755,41 +576,6 @@ mod tests {
         set.set_disallowed_application(true);
         assert!(set.is_protected(other));
         assert!(set.disallowed_application());
-    }
-
-    #[test]
-    fn selector_reports_connectable_and_readable() {
-        let mut net = net();
-        let mut set = SocketSet::new();
-        let mut sel = Selector::new();
-        let id = set.create(SocketMode::NonBlocking);
-        sel.register(id);
-        sel.register(id); // Duplicate registration is idempotent.
-        assert_eq!(sel.registered_count(), 1);
-        let outcome = set.connect(&mut net, id, google(), SimTime::ZERO);
-        assert!(sel.select(&mut set, SimTime::ZERO).is_empty());
-        assert_eq!(sel.next_ready_at(&set, SimTime::ZERO), Some(outcome.completed_at));
-        let events = sel.select(&mut set, outcome.completed_at);
-        assert_eq!(events, vec![SelectorEvent { socket: id, kind: SelectorEventKind::Connectable }]);
-        set.buffer_write(id, 100);
-        set.flush_writes(&mut net, id, outcome.completed_at);
-        let ready = set.next_read_ready_at(id).unwrap();
-        let events = sel.select(&mut set, ready);
-        assert_eq!(events, vec![SelectorEvent { socket: id, kind: SelectorEventKind::Readable }]);
-        sel.deregister(id);
-        assert!(sel.select(&mut set, ready).is_empty());
-        assert!(sel.select_count() >= 4);
-    }
-
-    #[test]
-    fn wakeup_flag_is_consumed_once() {
-        let mut sel = Selector::new();
-        assert!(!sel.take_wakeup());
-        sel.wakeup();
-        sel.wakeup();
-        assert!(sel.take_wakeup());
-        assert!(!sel.take_wakeup());
-        assert_eq!(sel.wakeup_count(), 2);
     }
 
     #[test]

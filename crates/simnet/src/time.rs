@@ -81,11 +81,6 @@ impl SimDuration {
         Self(self.0.saturating_mul(factor))
     }
 
-    /// Multiplies the duration by a floating-point factor (clamped at zero).
-    pub fn mul_f64(self, factor: f64) -> Self {
-        Self::from_millis_f64(self.as_millis_f64() * factor)
-    }
-
     /// Returns the larger of two durations.
     pub fn max(self, other: Self) -> Self {
         Self(self.0.max(other.0))
@@ -316,7 +311,6 @@ mod tests {
         let total: SimDuration =
             [SimDuration::from_millis(1), SimDuration::from_millis(2)].into_iter().sum();
         assert_eq!(total.as_millis(), 3);
-        assert_eq!(SimDuration::from_millis(10).mul_f64(0.5).as_millis(), 5);
         assert_eq!(SimDuration::from_millis(10).saturating_mul(3).as_millis(), 30);
         assert_eq!(
             SimDuration::from_millis(5).saturating_sub(SimDuration::from_millis(9)),

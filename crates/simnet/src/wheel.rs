@@ -130,63 +130,6 @@ impl<E> Default for TimingWheel<E> {
     }
 }
 
-/// One slab cell of a [`WheelSnapshot`]: the entry's timing identity plus its
-/// mapped event (`None` for a lazily-cancelled cell awaiting reclaim).
-#[derive(Debug, Clone)]
-struct SnapshotEntry<S> {
-    at: SimTime,
-    seq: u64,
-    generation: u32,
-    event: Option<S>,
-}
-
-/// A structural snapshot of a [`TimingWheel`], taken by
-/// [`TimingWheel::snapshot`] with the events mapped into a caller-chosen
-/// form `S`.
-///
-/// The snapshot is cell-for-cell: it keeps the slot buckets, the occupancy
-/// bitmaps, the due buffer and its cursor, the insertion-sequence counter —
-/// and, crucially, the *lazily-cancelled* slab entries (vacated cells whose
-/// generation was bumped but whose index has not been reclaimed yet) plus
-/// the free-list order. A wheel restored by [`TimingWheel::restore`]
-/// therefore not only pops the same events at the same times: it assigns the
-/// *same* [`TimerHandle`]s (index and generation) to future schedules,
-/// reclaims dead indices in the same order, and ignores the same stale
-/// tokens — the properties a deterministic checkpoint/restore needs.
-#[derive(Debug, Clone)]
-pub struct WheelSnapshot<S> {
-    shift: u32,
-    slots: Vec<Vec<u32>>,
-    occupied: Vec<u64>,
-    slab: Vec<SnapshotEntry<S>>,
-    free: Vec<u32>,
-    elapsed: u64,
-    ready: Vec<u32>,
-    ready_pos: usize,
-    live: usize,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<S> WheelSnapshot<S> {
-    /// Number of pending (live) events captured in the snapshot.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True if the snapshot holds no pending events. Cancelled-but-unreclaimed
-    /// cells and the cursor position are still captured.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Iterates over the pending events (their fire times and mapped
-    /// payloads) in slab order — useful for serialising a snapshot.
-    pub fn pending(&self) -> impl Iterator<Item = (SimTime, &S)> {
-        self.slab.iter().filter_map(|e| e.event.as_ref().map(|s| (e.at, s)))
-    }
-}
-
 impl<E> TimingWheel<E> {
     /// Creates a wheel with the [`DEFAULT_GRANULARITY`].
     pub fn new() -> Self {
@@ -219,7 +162,8 @@ impl<E> TimingWheel<E> {
     }
 
     /// The wheel's tick granularity.
-    pub fn granularity(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn granularity(&self) -> SimDuration {
         SimDuration::from_nanos(1 << self.shift)
     }
 
@@ -371,66 +315,6 @@ impl<E> TimingWheel<E> {
             self.free.push(i as u32);
         }
         self.live = 0;
-    }
-
-    /// Captures a structural snapshot of the wheel, mapping each live event
-    /// through `map` (typically into a serialisable form). See
-    /// [`WheelSnapshot`] for exactly what is preserved.
-    pub fn snapshot<S>(&self, mut map: impl FnMut(&E) -> S) -> WheelSnapshot<S> {
-        WheelSnapshot {
-            shift: self.shift,
-            slots: self.slots.clone(),
-            occupied: self.occupied.clone(),
-            slab: self
-                .slab
-                .iter()
-                .map(|e| SnapshotEntry {
-                    at: e.at,
-                    seq: e.seq,
-                    generation: e.generation,
-                    event: e.event.as_ref().map(&mut map),
-                })
-                .collect(),
-            free: self.free.clone(),
-            elapsed: self.elapsed,
-            ready: self.ready.clone(),
-            ready_pos: self.ready_pos,
-            live: self.live,
-            next_seq: self.next_seq,
-            scheduled_total: self.scheduled_total,
-        }
-    }
-
-    /// Rebuilds a wheel from a snapshot, mapping each stored event back
-    /// through `map`. The result is structurally identical to the wheel the
-    /// snapshot was taken from: same pop order, same future handle
-    /// assignment, same lazy-reclaim order for cancelled cells.
-    pub fn restore<S>(snapshot: &WheelSnapshot<S>, mut map: impl FnMut(&S) -> E) -> Self {
-        Self {
-            shift: snapshot.shift,
-            levels: (64 - snapshot.shift as usize).div_ceil(SLOT_BITS as usize),
-            slots: snapshot.slots.clone(),
-            occupied: snapshot.occupied.clone(),
-            slab: snapshot
-                .slab
-                .iter()
-                .map(|e| Entry {
-                    at: e.at,
-                    seq: e.seq,
-                    generation: e.generation,
-                    event: e.event.as_ref().map(&mut map),
-                })
-                .collect(),
-            free: snapshot.free.clone(),
-            elapsed: snapshot.elapsed,
-            ready: snapshot.ready.clone(),
-            ready_pos: snapshot.ready_pos,
-            live: snapshot.live,
-            next_seq: snapshot.next_seq,
-            scheduled_total: snapshot.scheduled_total,
-            ready_inserts: 0,
-            ready_shift_elems: 0,
-        }
     }
 
     // ----- internals ------------------------------------------------------

@@ -139,99 +139,8 @@ fn run_engine_script(kind: SchedulerKind, ops: &[EngineOp]) -> Vec<(u64, u64)> {
     popped
 }
 
-/// Drives a wheel through a post-snapshot script: schedules, cancels via
-/// both live and deliberately stale handles, and pops — returning everything
-/// observable (handle tokens, cancel results, popped sequence) so two wheels
-/// can be compared move-for-move.
-fn drive(wheel: &mut TimingWheel<u64>, script: &[Op], stale: &[u64]) -> Vec<(u64, u64, u64)> {
-    let mut trace = Vec::new();
-    let mut handles: Vec<mop_simnet::TimerHandle> = Vec::new();
-    let mut id = 1_000u64;
-    for (i, op) in script.iter().enumerate() {
-        match *op {
-            Op::Schedule(at) => {
-                let handle = wheel.schedule(SimTime::from_nanos(at), id);
-                trace.push((0, handle.token(), id));
-                handles.push(handle);
-                id += 1;
-            }
-            Op::Pop => {
-                let popped = wheel.pop();
-                trace.push((1, popped.map_or(u64::MAX, |(at, _)| at.as_nanos()), 0));
-            }
-            Op::Cancel(k) => {
-                // Alternate between cancelling a live post-snapshot handle
-                // and replaying a stale pre-snapshot token: both must behave
-                // identically on the original and the restored wheel.
-                let cancelled = if i % 2 == 0 && !handles.is_empty() {
-                    wheel.cancel(handles.remove(k % handles.len()))
-                } else if !stale.is_empty() {
-                    wheel.cancel(mop_simnet::TimerHandle::from_token(stale[k % stale.len()]))
-                } else {
-                    None
-                };
-                trace.push((2, cancelled.map_or(u64::MAX, |e| e), 0));
-            }
-        }
-    }
-    while let Some((at, event)) = wheel.pop() {
-        trace.push((3, at.as_nanos(), event));
-    }
-    trace
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Regression (PR 8): a restored wheel must reproduce the *lazy-reclaim*
-    // behaviour exactly. Cancellation only vacates a slab cell and bumps its
-    // generation — the index is reclaimed later, when its slot drains. A
-    // snapshot that dropped those vacated cells (or the free-list order)
-    // would hand out different indices/generations to post-restore
-    // schedules, so stale tokens could cancel the wrong timer and resumed
-    // runs would diverge from uninterrupted ones.
-    #[test]
-    fn restored_wheel_reproduces_lazy_reclaim_and_handle_assignment(
-        setup in proptest::collection::vec(op_strategy(), 1..200),
-        script in proptest::collection::vec(op_strategy(), 1..200),
-        granularity_ns in prop_oneof![Just(1u64), Just(1024u64), Just(1_048_576u64)],
-    ) {
-        // Build a wheel with history: schedules, pops, and lazy cancels
-        // whose dead cells are still awaiting reclaim at snapshot time.
-        let mut original = TimingWheel::with_granularity(SimDuration::from_nanos(granularity_ns));
-        let mut handles = Vec::new();
-        let mut stale = Vec::new();
-        let mut id = 0u64;
-        for op in &setup {
-            match *op {
-                Op::Schedule(at) => {
-                    handles.push(original.schedule(SimTime::from_nanos(at), id));
-                    id += 1;
-                }
-                Op::Pop => {
-                    let _ = original.pop();
-                }
-                Op::Cancel(k) => {
-                    if !handles.is_empty() {
-                        let handle = handles.remove(k % handles.len());
-                        let _ = original.cancel(handle);
-                        stale.push(handle.token());
-                    }
-                }
-            }
-        }
-        let snapshot = original.snapshot(|&e| e);
-        prop_assert_eq!(snapshot.len(), original.len());
-        let mut restored = TimingWheel::restore(&snapshot, |&e| e);
-        prop_assert_eq!(restored.len(), original.len());
-        prop_assert_eq!(restored.scheduled_total(), original.scheduled_total());
-        // Identical scripts after the cut must produce identical traces:
-        // same handle tokens for new schedules (index + generation), same
-        // stale-token no-ops, same pop order.
-        let original_trace = drive(&mut original, &script, &stale);
-        let restored_trace = drive(&mut restored, &script, &stale);
-        prop_assert_eq!(original_trace, restored_trace);
-    }
 
     #[test]
     fn wheel_and_heap_pop_identically_on_random_schedules_and_cancels(

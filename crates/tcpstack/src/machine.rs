@@ -162,7 +162,8 @@ impl TcpStateMachine {
     }
 
     /// The MSS the app advertised, if any.
-    pub fn peer_mss(&self) -> Option<u16> {
+    #[cfg(test)]
+    pub(crate) fn peer_mss(&self) -> Option<u16> {
         self.peer_mss
     }
 
@@ -347,12 +348,6 @@ impl TcpStateMachine {
         }
     }
 
-    /// [`TcpStateMachine::on_external_connect_failed_into`] into a fresh
-    /// vector.
-    pub fn on_external_connect_failed(&mut self, refused: bool) -> Vec<Packet> {
-        collected(|out| self.on_external_connect_failed_into(refused, out))
-    }
-
     /// Data arrived from the external socket: forward it to the app in
     /// MSS-sized segments without waiting for ACKs (§3.4). Each segment's
     /// payload buffer is taken from `pool`, which gets it back when the
@@ -423,11 +418,6 @@ impl TcpStateMachine {
         out.push(self.to_app.tcp_fin(self.our_next, self.peer_next));
         self.our_next = self.our_next.wrapping_add(1);
         self.state = after_fin;
-    }
-
-    /// [`TcpStateMachine::on_external_closed_into`] into a fresh vector.
-    pub fn on_external_closed(&mut self, reset: bool) -> Vec<Packet> {
-        collected(|out| self.on_external_closed_into(reset, out))
     }
 }
 
@@ -563,7 +553,7 @@ mod tests {
         // Server data can still flow to the app while half closed.
         assert_eq!(m.on_external_data(&[1, 2, 3]).len(), 1);
         // When the server side closes we FIN the app and wait for its ACK.
-        let fins = m.on_external_closed(false);
+        let fins = collected(|out| m.on_external_closed_into(false, out));
         assert_eq!(fins.len(), 1);
         assert!(fins[0].tcp().unwrap().flags.contains(TcpFlags::FIN));
         assert_eq!(m.state(), TcpState::LastAck);
@@ -578,7 +568,7 @@ mod tests {
     fn server_initiated_close_then_app_fin() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let fins = m.on_external_closed(false);
+        let fins = collected(|out| m.on_external_closed_into(false, out));
         assert_eq!(fins.len(), 1);
         assert_eq!(m.state(), TcpState::FinWait);
         // The app can still send data in FIN_WAIT (its direction is open).
@@ -599,7 +589,7 @@ mod tests {
     fn app_rst_tears_down_immediately() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let rst = app_builder().tcp_rst(1001);
+        let rst = app_builder().tcp_rst_ack(1001, 9001);
         let (pkts, actions, verdict) = m.on_tunnel_segment(rst.tcp().unwrap());
         assert!(pkts.is_empty());
         assert_eq!(verdict, SegmentVerdict::Rst);
@@ -607,14 +597,14 @@ mod tests {
         assert_eq!(m.state(), TcpState::Reset);
         // Nothing further is forwarded after a reset.
         assert!(m.on_external_data(&[1]).is_empty());
-        assert!(m.on_external_closed(false).is_empty());
+        assert!(collected(|out| m.on_external_closed_into(false, out)).is_empty());
     }
 
     #[test]
     fn external_reset_is_propagated_as_rst() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let pkts = m.on_external_closed(true);
+        let pkts = collected(|out| m.on_external_closed_into(true, out));
         assert_eq!(pkts.len(), 1);
         assert!(pkts[0].tcp().unwrap().flags.contains(TcpFlags::RST));
         assert_eq!(m.state(), TcpState::Reset);
@@ -624,13 +614,13 @@ mod tests {
     fn refused_external_connect_resets_the_app() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         m.on_tunnel_segment(&syn_segment(1));
-        let pkts = m.on_external_connect_failed(true);
+        let pkts = collected(|out| m.on_external_connect_failed_into(true, out));
         assert_eq!(pkts.len(), 1);
         assert!(pkts[0].tcp().unwrap().flags.contains(TcpFlags::RST));
         assert_eq!(m.state(), TcpState::Reset);
         let mut m2 = TcpStateMachine::new(flow(), 9000);
         m2.on_tunnel_segment(&syn_segment(1));
-        assert!(m2.on_external_connect_failed(false).is_empty());
+        assert!(collected(|out| m2.on_external_connect_failed_into(false, out)).is_empty());
     }
 
     #[test]

@@ -579,27 +579,32 @@ impl RecoveryState {
     }
 
     /// Total segments retransmitted (fast retransmit + RTO paths).
-    pub fn retransmits_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn retransmits_total(&self) -> u64 {
         self.retransmits_total
     }
 
     /// Total fast-retransmit events.
-    pub fn fast_retransmits_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fast_retransmits_total(&self) -> u64 {
         self.fast_retransmits_total
     }
 
     /// Total RTO fires.
-    pub fn rto_fires_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rto_fires_total(&self) -> u64 {
         self.rto_fires_total
     }
 
     /// Total in-flight segments covered by received SACK blocks.
-    pub fn sacked_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sacked_total(&self) -> u64 {
         self.sacked_total
     }
 
     /// The congestion controller's name.
-    pub fn cc_name(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn cc_name(&self) -> &'static str {
         match &self.cc {
             Cc::Reno(_) => "reno",
             Cc::Cubic(_) => "cubic",

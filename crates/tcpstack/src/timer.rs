@@ -67,7 +67,8 @@ impl ConnTimers {
     }
 
     /// True if any timer is armed.
-    pub fn any_armed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn any_armed(&self) -> bool {
         self.idle.is_some() || self.rto.is_some()
     }
 }

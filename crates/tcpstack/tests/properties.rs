@@ -86,7 +86,7 @@ proptest! {
                     let _ = machine.on_tunnel_segment(pkt.tcp().unwrap());
                 }
                 AppInput::Rst => {
-                    let pkt = app.tcp_rst(app_seq.wrapping_add(1));
+                    let pkt = app.tcp_rst_ack(app_seq.wrapping_add(1), 0);
                     let (_, actions, _) = machine.on_tunnel_segment(pkt.tcp().unwrap());
                     if !actions.is_empty() {
                         prop_assert!(actions.contains(&RelayAction::CloseExternal));
@@ -110,7 +110,7 @@ proptest! {
                     let _ = machine.on_external_write_complete();
                 }
                 AppInput::ExternalClosed(reset) => {
-                    let _ = machine.on_external_closed(reset);
+                    machine.on_external_closed_into(reset, &mut Vec::new());
                 }
             }
         }
@@ -156,7 +156,8 @@ proptest! {
         let (acks, actions, _) = machine.on_tunnel_segment(fin.tcp().unwrap());
         prop_assert_eq!(acks.len(), 1);
         prop_assert!(actions.contains(&RelayAction::HalfCloseExternal));
-        let fins = machine.on_external_closed(false);
+        let mut fins = Vec::new();
+        machine.on_external_closed_into(false, &mut fins);
         prop_assert_eq!(fins.len(), 1);
         let last_seq = fins[0].tcp().unwrap().seq.wrapping_add(1);
         let last_ack = app.tcp_ack(0, last_seq);

@@ -45,7 +45,8 @@ impl ReadStrategy {
     }
 
     /// The PrivacyGuard configuration (20 ms sleep).
-    pub fn privacyguard() -> Self {
+    #[cfg(test)]
+    pub(crate) fn privacyguard() -> Self {
         ReadStrategy::FixedSleep { period: SimDuration::from_millis(20) }
     }
 
@@ -118,11 +119,6 @@ impl ReaderSim {
             packets_retrieved: 0,
             total_delay: SimDuration::ZERO,
         }
-    }
-
-    /// The strategy in use.
-    pub fn strategy(&self) -> ReadStrategy {
-        self.strategy
     }
 
     /// Resets the reader to its just-constructed state for the same strategy
@@ -222,12 +218,14 @@ impl ReaderSim {
     }
 
     /// Total CPU spent on empty polls.
-    pub fn total_polling_cpu(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn total_polling_cpu(&self) -> SimDuration {
         self.total_polling_cpu
     }
 
     /// Total empty reads performed.
-    pub fn total_empty_reads(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_empty_reads(&self) -> u64 {
         self.total_empty_reads
     }
 
@@ -240,7 +238,8 @@ impl ReaderSim {
     }
 
     /// Packets retrieved so far.
-    pub fn packets_retrieved(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn packets_retrieved(&self) -> u64 {
         self.packets_retrieved
     }
 

@@ -6,6 +6,7 @@
 #
 # Run from anywhere: scripts/shape_guards.sh
 set -u
+self="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
 cd "$(dirname "$0")/.."
 
 broken=0
@@ -74,8 +75,16 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # once (CHANGES.md, "Finished flows leave the engine").
 ! grep -rnE 'reserve_flows|conns\.reserve\(' crates/core/src || fail "connection table sized by the run's flows"
 
+# Forbids the write-only selector, the wheel snapshot nothing took and the
+# tcpdump shim nothing ran: public API that only tests called
+# (CHANGES.md, "One public API per operation").
+! grep -rnE 'struct (Selector|WheelSnapshot|TcpdumpReference)\b' crates src tests examples || fail "API that only tests call"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
 fi
-echo "all 17 shape guards hold"
+# Each guard is one line ending in a `fail` call; this pattern cannot match
+# itself.
+guards=$(grep -cE '\|\| fail "' "$self")
+echo "all $guards shape guards hold"

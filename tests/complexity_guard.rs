@@ -1,14 +1,14 @@
 //! Complexity guard: the work the engine's data structures do per flow must
 //! not grow with the population.
 //!
-//! Every `RunReport` carries structure counters, live in every build. Five
+//! Every `RunReport` carries structure counters, live in every build. Four
 //! count elements a structure examined or moved beyond its O(1) index
 //! probe. Two of them sit on the connect path: `WireTap` and `ConnectionTable`
 //! used to scan (the tap walked every packet ever captured twice per
 //! connect, the table walked and shifted every entry per state change and
 //! removal), so each counter's per-flow value grew in step with the
 //! population (4× from 100 to 400 users) and the run's cost with its
-//! square. This test holds those per-flow values flat and the other three
+//! square. This test holds those per-flow values flat and the other two
 //! under absolute per-flow bounds, by counts alone — no wall clock, so it
 //! is as deterministic as the digests. A new scan on these paths fails here
 //! instead of waiting for a profiler run.
@@ -26,17 +26,6 @@ const MAX_GROWTH: f64 = 1.3;
 
 /// The connect-path counters held flat in the population.
 const CONNECT_PATH: [Counter; 2] = [Counter::ConnTableScanElems, Counter::TapScanElems];
-
-/// `selector.scan_elems` per flow, at most. A compaction runs once the
-/// interest set's tombstones outnumber its live slots and scans all of
-/// them: `live + tombstones < 2·tombstones + 1` slots. Each tombstone is
-/// one deregistration and compaction clears them, so a run scans fewer
-/// than two slots per deregistration; a flow registers (and so
-/// deregisters) at most one socket. Measured 0.76 / 1.07 per flow at 100 /
-/// 400 users here (1.06 at 1,600 users under `report --shards 1`): it grows
-/// 1.4× from 100 to 400 users as the compaction points fall differently,
-/// so it cannot take the growth check.
-const SELECTOR_PER_FLOW: f64 = 2.0;
 
 /// `wheel.ready_inserts` and `wheel.ready_shift_elems` per flow, at most.
 /// Only schedules at or before the wheel's cursor land in the sorted due
@@ -76,11 +65,10 @@ fn connect_path_work_per_flow_is_flat_in_the_population() {
 }
 
 #[test]
-fn selector_and_wheel_work_per_flow_stays_under_its_bound() {
+fn wheel_work_per_flow_stays_under_its_bound() {
     for users in [100, 400] {
         let work = work_per_flow(users);
         let bounds = [
-            (Counter::SelectorScanElems, SELECTOR_PER_FLOW),
             (Counter::WheelReadyInserts, WHEEL_PER_FLOW),
             (Counter::WheelReadyShiftElems, WHEEL_PER_FLOW),
         ];

@@ -118,7 +118,7 @@ fn cached_mapping_misattributes_shared_endpoints() {
     // The same scenario under the Haystack-style cache shows the failure the
     // paper warns about: some connections are charged to the wrong app.
     let mut engine = MopEyeEngine::new(
-        MopEyeConfig::mopeye().with_mapping(MappingStrategy::Cached),
+        MopEyeConfig { mapping: MappingStrategy::Cached, ..MopEyeConfig::mopeye() },
         network(4),
     );
     let apps: Vec<Workload> = [(10_111, "com.facebook.katana"), (10_222, "com.android.chrome")]
@@ -208,10 +208,11 @@ fn design_choices_matter_selector_timestamps_and_per_socket_protect() {
     // per-socket API measurably hurts (accuracy and connect-path latency).
     let flows = |seed: u64| {
         let mut engine = MopEyeEngine::new(
-            MopEyeConfig::mopeye()
-                .with_seed(seed)
-                .with_timestamp_mode(TimestampMode::SelectorNotification)
-                .with_protect(ProtectMode::PerSocket),
+            MopEyeConfig {
+                timestamp_mode: TimestampMode::SelectorNotification,
+                protect: ProtectMode::PerSocket,
+                ..MopEyeConfig::mopeye().with_seed(seed)
+            },
             network(7),
         );
         engine.run(&[browsing_workload(10_100, "com.android.chrome", 5)])

@@ -306,12 +306,9 @@ fn flash_crowd_with_idle_timers_is_shard_count_invariant() {
     let flows = scenario.generate();
     let mut digests = Vec::new();
     for shards in [1usize, 2, 8] {
-        let fleet = FleetEngine::new(
-            FleetConfig::new(shards)
-                .with_seed(13)
-                .with_idle_timeout(SimDuration::from_secs(30)),
-            scenario.network(),
-        );
+        let mut config = FleetConfig::new(shards).with_seed(13);
+        config.engine.idle_timeout = Some(SimDuration::from_secs(30));
+        let fleet = FleetEngine::new(config, scenario.network());
         let report = fleet.run(flows.clone());
         // Timers were really armed: more events scheduled than processed
         // (every cancelled timer is scheduled but never fires).

@@ -39,8 +39,8 @@ fn every_facade_namespace_resolves() {
     let _ = config.clone();
 
     // Baselines and analytics expose their run/compute entry points.
-    let reference = mopeye::baselines::TcpdumpReference::default();
-    let _ = format!("{reference:?}");
+    let speedtest = mopeye::baselines::SpeedTest::default();
+    let _ = format!("{speedtest:?}");
     let fig5 = mopeye::analytics::Fig5Mapping::run(7);
     assert!(fig5.total_requests > 0);
 
