@@ -260,21 +260,6 @@ impl Fig11IspDns {
             .collect();
         Self { isps }
     }
-
-    /// The fraction of an ISP's DNS RTTs below 10 ms (Singtel: 14.7 %,
-    /// Verizon: < 1 %).
-    pub fn fraction_below_10ms(&self, isp: &str) -> Option<f64> {
-        self.isps
-            .iter()
-            .find(|(n, _)| n == isp)
-            .map(|(_, sketch)| sketch.fraction_at_or_below(10.0))
-    }
-
-    /// The minimum DNS RTT observed for an ISP (Cricket / U.S. Cellular:
-    /// ≈ 43 ms). Exact — the sketch tracks the true minimum.
-    pub fn min_rtt(&self, isp: &str) -> Option<f64> {
-        self.isps.iter().find(|(n, _)| n == isp).and_then(|(_, sketch)| sketch.min())
-    }
 }
 
 /// Case study 1: the whatsapp.net domains.
@@ -616,14 +601,15 @@ mod tests {
     fn fig11_singtel_fast_tail_and_cricket_floor() {
         let d = dataset();
         let fig11 = Fig11IspDns::compute(&d);
-        let singtel = fig11.fraction_below_10ms("Singtel").unwrap();
-        let verizon = fig11.fraction_below_10ms("Verizon").unwrap();
+        let isp = |name: &str| &fig11.isps.iter().find(|(n, _)| n == name).unwrap().1;
+        let singtel = isp("Singtel").fraction_at_or_below(10.0);
+        let verizon = isp("Verizon").fraction_at_or_below(10.0);
         assert!(singtel > 0.05, "Singtel below-10ms fraction {singtel}");
         assert!(verizon < singtel, "Verizon {verizon} vs Singtel {singtel}");
-        let cricket_min = fig11.min_rtt("Cricket").unwrap();
+        let cricket_min = isp("Cricket").min().unwrap();
         assert!(cricket_min > 35.0, "Cricket minimum {cricket_min}");
-        assert!(fig11.min_rtt("Singtel").unwrap() < 15.0);
-        assert!(fig11.fraction_below_10ms("Nonexistent").is_none());
+        assert!(isp("Singtel").min().unwrap() < 15.0);
+        assert!(!fig11.isps.iter().any(|(n, _)| n == "Nonexistent"));
     }
 
     #[test]

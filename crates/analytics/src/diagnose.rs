@@ -193,11 +193,6 @@ pub fn rank_isps(
     rows
 }
 
-/// Convenience: the sketch of one app's TCP RTTs, for drill-down displays.
-pub fn app_sketch(aggregates: &AggregateStore, app: &str) -> RttSketch {
-    aggregates.sketch_where(|k| k.kind == MeasurementKind::Tcp && k.app == app)
-}
-
 // ----- time-series diagnosis over epoch windows ----------------------------
 
 /// The verdict of a time-series diagnosis over a run's epoch windows.
@@ -721,9 +716,11 @@ mod tests {
     #[test]
     fn app_sketch_drills_down() {
         let agg = aggregates();
-        let sketch = app_sketch(&agg, "com.slowserver");
+        let app_sketch =
+            |app: &str| agg.sketch_where(|k| k.kind == MeasurementKind::Tcp && k.app == app);
+        let sketch = app_sketch("com.slowserver");
         assert_eq!(sketch.count(), 200);
         assert!(sketch.median().unwrap() > 200.0);
-        assert!(app_sketch(&agg, "com.absent").is_empty());
+        assert!(app_sketch("com.absent").is_empty());
     }
 }

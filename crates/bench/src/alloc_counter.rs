@@ -26,7 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CountingAllocator {
     allocations: AtomicU64,
     deallocations: AtomicU64,
-    bytes_allocated: AtomicU64,
     live_bytes: AtomicU64,
     peak_bytes: AtomicU64,
 }
@@ -37,7 +36,6 @@ impl CountingAllocator {
         Self {
             allocations: AtomicU64::new(0),
             deallocations: AtomicU64::new(0),
-            bytes_allocated: AtomicU64::new(0),
             live_bytes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
         }
@@ -51,11 +49,6 @@ impl CountingAllocator {
     /// Number of deallocation events so far.
     pub fn deallocations(&self) -> u64 {
         self.deallocations.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes requested from the allocator so far.
-    pub fn bytes_allocated(&self) -> u64 {
-        self.bytes_allocated.load(Ordering::Relaxed)
     }
 
     /// Bytes currently live (allocated minus deallocated) — the retained
@@ -73,7 +66,6 @@ impl CountingAllocator {
 
     fn on_alloc(&self, size: u64) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes_allocated.fetch_add(size, Ordering::Relaxed);
         let live = self.live_bytes.fetch_add(size, Ordering::Relaxed) + size;
         self.peak_bytes.fetch_max(live, Ordering::Relaxed);
     }

@@ -94,12 +94,12 @@ pub fn run_experiments(config: &ReproConfig, only: Option<&str>) -> Vec<Experime
 }
 
 /// Generates the shared crowd dataset used by the §4.2 experiments.
-pub fn crowd_dataset(scale: f64) -> SyntheticDataset {
+pub(crate) fn crowd_dataset(scale: f64) -> SyntheticDataset {
     SyntheticDataset::generate(DatasetSpec { seed: REPRO_SEED, scale })
 }
 
 /// Runs Figure 5 and renders it.
-pub fn run_fig5(seed: u64) -> ExperimentOutput {
+pub(crate) fn run_fig5(seed: u64) -> ExperimentOutput {
     let fig5 = Fig5Mapping::run(seed);
     let before = fig5.before_cdf();
     let after = fig5.after_cdf();
@@ -145,7 +145,7 @@ pub fn run_fig5(seed: u64) -> ExperimentOutput {
 }
 
 /// Runs Table 1 and renders it.
-pub fn run_table1(seed: u64, packets: usize) -> ExperimentOutput {
+pub(crate) fn run_table1(seed: u64, packets: usize) -> ExperimentOutput {
     let t1 = Table1TunnelWrite::run(seed, packets);
     let labels = t1.direct.labels();
     let mut rows = Vec::new();
@@ -191,7 +191,7 @@ pub fn run_table1(seed: u64, packets: usize) -> ExperimentOutput {
 }
 
 /// Runs Table 2 and renders it.
-pub fn run_table2(seed: u64, connects: usize) -> ExperimentOutput {
+pub(crate) fn run_table2(seed: u64, connects: usize) -> ExperimentOutput {
     let t2 = Table2Accuracy::run(seed, connects);
     let rows: Vec<Vec<String>> = t2
         .rows
@@ -233,7 +233,7 @@ pub fn run_table2(seed: u64, connects: usize) -> ExperimentOutput {
 }
 
 /// Runs Table 3 and renders it.
-pub fn run_table3(seed: u64, transfer_bytes: usize) -> ExperimentOutput {
+pub(crate) fn run_table3(seed: u64, transfer_bytes: usize) -> ExperimentOutput {
     let t3 = Table3Throughput::run(seed, transfer_bytes);
     let (mop_down, mop_up) = t3.mopeye.delta_from(&t3.baseline);
     let (hay_down, hay_up) = t3.haystack.delta_from(&t3.baseline);
@@ -268,7 +268,7 @@ pub fn run_table3(seed: u64, transfer_bytes: usize) -> ExperimentOutput {
 }
 
 /// Runs Table 4 and renders it.
-pub fn run_table4(seed: u64, minutes: u64) -> ExperimentOutput {
+pub(crate) fn run_table4(seed: u64, minutes: u64) -> ExperimentOutput {
     let t4 = Table4Resources::run(seed, minutes);
     let text = render_table(
         &format!("Table 4: resource overhead while streaming a {minutes}-minute HD video"),
@@ -299,7 +299,7 @@ pub fn run_table4(seed: u64, minutes: u64) -> ExperimentOutput {
 }
 
 /// Runs every §4.2 dataset experiment and renders them.
-pub fn run_crowd_experiments(dataset: &SyntheticDataset) -> Vec<ExperimentOutput> {
+pub(crate) fn run_crowd_experiments(dataset: &SyntheticDataset) -> Vec<ExperimentOutput> {
     let mut out = Vec::new();
     // Figure 6.
     let fig6 = Fig6Contribution::compute(dataset);

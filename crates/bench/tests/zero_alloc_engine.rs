@@ -94,8 +94,8 @@ fn network(profile: NetProfile, response_bytes: usize) -> SimNetworkBuilder {
     let server = ServerConfig::new(
         "bulk",
         server().addr,
-        LatencyModel::constant(30.0),
-        Service::Request { response_bytes, processing: LatencyModel::constant(2.0) },
+        LatencyModel::Constant { ms: 30.0 },
+        Service::Request { response_bytes, processing: LatencyModel::Constant { ms: 2.0 } },
     );
     let builder = SimNetwork::builder().seed(2017).flow_keyed().server(server);
     profile.apply(builder, SimTime::ZERO + SimDuration::from_secs(2))

@@ -128,7 +128,7 @@ impl FleetCheckpoint {
     /// Panics if `fleet` is configured incompatibly with the saved run —
     /// different seed, congestion algorithm or epoch geometry. (The shard
     /// count may differ freely: the merged report is invariant to it.)
-    /// [`FleetCheckpoint::try_resume`] is the non-panicking variant
+    /// `FleetCheckpoint::try_resume` is the non-panicking variant
     /// long-lived callers should prefer.
     pub fn resume(self, fleet: &FleetEngine) -> FleetReport {
         self.try_resume(fleet).unwrap_or_else(|reason| panic!("{reason}"))
@@ -137,7 +137,7 @@ impl FleetCheckpoint {
     /// Like [`FleetCheckpoint::resume`], but reports an incompatible fleet
     /// configuration as a descriptive error instead of panicking — the
     /// entry point for servers that must survive a bad resume request.
-    pub fn try_resume(self, fleet: &FleetEngine) -> Result<FleetReport, String> {
+    pub(crate) fn try_resume(self, fleet: &FleetEngine) -> Result<FleetReport, String> {
         let engine = &fleet.config().engine;
         if engine.seed != self.seed {
             return Err(format!(

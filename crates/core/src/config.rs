@@ -243,21 +243,21 @@ impl MopEyeConfig {
 
     /// Sets the congestion controller used for loss recovery (see
     /// [`MopEyeConfig::congestion`]).
-    pub fn with_congestion(mut self, congestion: CongestionAlgo) -> Self {
+    pub(crate) fn with_congestion(mut self, congestion: CongestionAlgo) -> Self {
         self.congestion = congestion;
         self
     }
 
     /// Sets (or clears) the analytics epoch width (see
     /// [`MopEyeConfig::epoch_width`]).
-    pub fn with_epoch_width(mut self, width: Option<SimDuration>) -> Self {
+    pub(crate) fn with_epoch_width(mut self, width: Option<SimDuration>) -> Self {
         self.epoch_width = width;
         self
     }
 
     /// Sets the windowed sink's live-epoch ring length (see
     /// [`MopEyeConfig::epoch_window`]). Clamped to at least 1.
-    pub fn with_epoch_window(mut self, window: usize) -> Self {
+    pub(crate) fn with_epoch_window(mut self, window: usize) -> Self {
         self.epoch_window = window.max(1);
         self
     }

@@ -297,7 +297,7 @@ pub struct ConnTable {
 impl ConnTable {
     /// The record id of `flow` (either direction), created on first sight
     /// with `flow` as its app-side tuple.
-    pub fn intern(&mut self, flow: FourTuple) -> FlowId {
+    pub(crate) fn intern(&mut self, flow: FourTuple) -> FlowId {
         *self.ids.entry(flow.canonical()).or_insert_with(|| {
             let order = u32::try_from(self.outcomes.len()).expect("fewer than 2^32 connections");
             self.outcomes.push(None);
@@ -388,7 +388,7 @@ impl ConnTable {
 
     /// Forgets every connection, keeping the allocations; ids restart at
     /// zero, so a reset engine hands out the ids a fresh one would.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ids.clear();
         self.conns.clear();
         self.starts_due.clear();
@@ -399,13 +399,13 @@ impl ConnTable {
     }
 
     /// The live records, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = &Conn> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Conn> {
         self.conns.iter()
     }
 
     /// The most records the table held at once since it was created or
     /// cleared (its index held as many entries).
-    pub fn peak_records(&self) -> usize {
+    pub(crate) fn peak_records(&self) -> usize {
         self.conns.cells()
     }
 

@@ -160,11 +160,6 @@ impl MopEyeEngine {
         &self.shared.config
     }
 
-    /// Access to the underlying network (e.g. to inspect the wire tap).
-    pub fn network(&self) -> &SimNetwork {
-        &self.shared.net
-    }
-
     /// How many payloads each arena holds for events still pending: flow
     /// specs, tunnel packets and packets on their way to an app. All zero
     /// once a run has completed; [`MopEyeEngine::reset`] empties them

@@ -117,7 +117,7 @@ impl Counter {
 
     /// Whether the counter is a peak gauge: a high-water mark of one
     /// engine's table, which merges by maximum rather than by sum.
-    pub fn is_gauge(self) -> bool {
+    pub(crate) fn is_gauge(self) -> bool {
         matches!(
             self,
             Counter::ConnsPeakRecords | Counter::SocketsPeakHeld | Counter::TapPeakExchanges

@@ -195,7 +195,7 @@ impl FleetEngine {
     }
 
     /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
+    pub(crate) fn config(&self) -> &FleetConfig {
         &self.config
     }
 
@@ -207,7 +207,7 @@ impl FleetEngine {
     /// Panics if the spec has no pre-assigned source endpoint — fleet flows
     /// must carry one (scenario generators do), because the four-tuple *is*
     /// the shard key.
-    pub fn shard_of(spec: &FlowSpec, shards: usize) -> usize {
+    pub(crate) fn shard_of(spec: &FlowSpec, shards: usize) -> usize {
         let src = spec
             .src
             .expect("fleet flows must pre-assign FlowSpec::src (the four-tuple is the shard key)");
@@ -320,11 +320,6 @@ impl ResidentFleet {
         config.shards = config.shards.max(1);
         let workers = (1..config.shards).map(|_| Worker::spawn(config.engine.clone())).collect();
         Self { config, local: None, workers, runs: 0 }
-    }
-
-    /// The fleet configuration (every run uses it).
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// Worker threads ever spawned: one per shard but the first, so none

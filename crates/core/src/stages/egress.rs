@@ -28,7 +28,7 @@ pub struct EgressStage {
 
 impl EgressStage {
     /// Creates the stage around a configured writer.
-    pub fn new(writer: TunWriter) -> Self {
+    pub(crate) fn new(writer: TunWriter) -> Self {
         Self { writer }
     }
 

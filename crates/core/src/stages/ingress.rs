@@ -44,7 +44,7 @@ pub struct IngressStage {
 
 impl IngressStage {
     /// Creates the stage around a configured reader.
-    pub fn new(reader: ReaderSim) -> Self {
+    pub(crate) fn new(reader: ReaderSim) -> Self {
         Self {
             reader,
             buffers: BufferPool::for_packets(),

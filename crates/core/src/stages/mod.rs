@@ -99,7 +99,7 @@ pub struct EngineShared {
     /// Free list of segment payload buffers: the relay takes a data
     /// segment's (and its scoreboard copy's) buffer from here, and ingress
     /// (delivered), egress (dropped by a fault) and the relay (cumulatively
-    /// ACKed) return it. Survives [`EngineShared::reset`] as is — a buffer
+    /// ACKed) return it. Survives `EngineShared::reset` as is — a buffer
     /// is overwritten before it is read.
     pub segments: SegmentPool,
     /// Packets on their way to an app: egress (and the relay, for a DNS
@@ -111,7 +111,7 @@ pub struct EngineShared {
 
 impl EngineShared {
     /// Builds the substrate for `config` over `net`.
-    pub fn new(config: MopEyeConfig, net: SimNetwork) -> Self {
+    pub(crate) fn new(config: MopEyeConfig, net: SimNetwork) -> Self {
         let rng = SimRng::seed_from_u64(config.seed);
         Self {
             config,
@@ -133,7 +133,7 @@ impl EngineShared {
     /// seed, and the connection records, tunnel counters and ledger are
     /// cleared — state indistinguishable from [`EngineShared::new`] with
     /// the same config.
-    pub fn reset(&mut self, net: SimNetwork) {
+    pub(crate) fn reset(&mut self, net: SimNetwork) {
         self.clock = SimClock::new();
         self.net = net;
         self.tun = TunStats::default();
@@ -147,7 +147,7 @@ impl EngineShared {
     /// stream under [`NetKeying::Shared`], the connection's own stream
     /// (seeded from `config.seed ^ hash(canonical four-tuple)`) under
     /// [`NetKeying::FlowKeyed`]. Pair with [`EngineShared::checkin_rng`].
-    pub fn checkout_rng(&mut self, id: FlowId) -> SimRng {
+    pub(crate) fn checkout_rng(&mut self, id: FlowId) -> SimRng {
         match self.net.keying() {
             NetKeying::Shared => std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
             NetKeying::FlowKeyed => {
@@ -161,7 +161,7 @@ impl EngineShared {
     }
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng`].
-    pub fn checkin_rng(&mut self, id: FlowId, rng: SimRng) {
+    pub(crate) fn checkin_rng(&mut self, id: FlowId, rng: SimRng) {
         match self.net.keying() {
             NetKeying::Shared => self.rng = rng,
             NetKeying::FlowKeyed => self.conns[id].rng = Some(rng),
@@ -170,7 +170,7 @@ impl EngineShared {
 
     /// [`EngineShared::checkout_rng`] for packets whose four-tuple may be
     /// absent (malformed or non-IP): those fall back to the shared stream.
-    pub fn checkout_rng_opt(&mut self, id: Option<FlowId>) -> SimRng {
+    pub(crate) fn checkout_rng_opt(&mut self, id: Option<FlowId>) -> SimRng {
         match id {
             Some(id) => self.checkout_rng(id),
             None => std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
@@ -178,7 +178,7 @@ impl EngineShared {
     }
 
     /// Returns a stream checked out with [`EngineShared::checkout_rng_opt`].
-    pub fn checkin_rng_opt(&mut self, id: Option<FlowId>, rng: SimRng) {
+    pub(crate) fn checkin_rng_opt(&mut self, id: Option<FlowId>, rng: SimRng) {
         match id {
             Some(id) => self.checkin_rng(id, rng),
             None => self.rng = rng,
@@ -192,7 +192,7 @@ impl EngineShared {
     /// Safe for determinism: if a stray late packet draws again, the fresh
     /// stream restarts from the flow's seed — still a pure function of
     /// `(seed, four-tuple)`, so every shard count recreates it identically.
-    pub fn release_flow(&mut self, id: FlowId) {
+    pub(crate) fn release_flow(&mut self, id: FlowId) {
         if self.net.keying() == NetKeying::FlowKeyed {
             let conn = &mut self.conns[id];
             conn.rng = None;
@@ -211,7 +211,7 @@ impl EngineShared {
     }
 
     /// A timestamp at the configured clock granularity.
-    pub fn timestamp(&self, t: SimTime) -> SimTime {
+    pub(crate) fn timestamp(&self, t: SimTime) -> SimTime {
         match self.config.clock {
             ClockGranularity::Nanosecond => t,
             ClockGranularity::Millisecond => self.cost.coarse_timestamp(t),

@@ -107,7 +107,7 @@ pub struct RelayStage {
 
 impl RelayStage {
     /// Creates the stage for the given mapping strategy and protect mode.
-    pub fn new(mapping: MappingStrategy, protect: ProtectMode) -> Self {
+    pub(crate) fn new(mapping: MappingStrategy, protect: ProtectMode) -> Self {
         let mut sockets = SocketSet::new();
         if protect == ProtectMode::DisallowedApplication {
             sockets.set_disallowed_application(true);

@@ -29,7 +29,7 @@ pub struct SinkStage {
 
 impl SinkStage {
     /// Creates an empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

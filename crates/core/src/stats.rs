@@ -3,7 +3,7 @@
 
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_packet::FourTuple;
-use mop_simnet::{SimDuration, SimTime};
+use mop_simnet::SimTime;
 
 /// Whether a sample measured a TCP handshake or a DNS exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ impl RelayStats {
     /// Adds another relay's counters into this one (cross-shard
     /// aggregation). Every field is a sum, so the merge of any partition of
     /// a flow set equals the unpartitioned counters.
-    pub fn merge(&mut self, other: &RelayStats) {
+    pub(crate) fn merge(&mut self, other: &RelayStats) {
         self.syns += other.syns;
         self.connects_ok += other.connects_ok;
         self.connects_failed += other.connects_failed;
@@ -169,13 +169,6 @@ pub struct FlowOutcome {
     pub bytes_received: usize,
     /// True if the flow completed cleanly (handshake + close, or DNS answer).
     pub completed: bool,
-}
-
-impl FlowOutcome {
-    /// The flow's duration.
-    pub fn duration(&self) -> SimDuration {
-        self.finished_at - self.started_at
-    }
 }
 
 // ----- checkpoint encodings -------------------------------------------------
@@ -390,7 +383,6 @@ mod tests {
             bytes_received: 2 * 1024 * 1024,
             completed: true,
         };
-        assert_eq!(o.duration().as_secs_f64(), 2.0);
         let report = |flows| crate::RunReport { flows, ..crate::RunReport::empty() };
         let mbps = report(vec![o.clone()]).download_goodput_mbps().unwrap();
         assert!((mbps - 8.388_608).abs() < 0.01, "mbps {mbps}");

@@ -58,7 +58,7 @@ impl Default for WriteDelayStats {
 
 impl WriteDelayStats {
     /// Zeroes the recorded delays.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.write.counts.fill(0);
         self.enqueue.counts.fill(0);
         self.consumer_parked_hits = 0;
@@ -86,7 +86,7 @@ pub struct WriterLane {
 
 impl WriterLane {
     /// A fresh lane with an idle writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -122,7 +122,7 @@ impl TunWriter {
     }
 
     /// Resets the writer to its just-constructed state for the same schemes.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.lane = WriterLane::new();
         self.stats.clear();
         self.packets_written = 0;
@@ -155,7 +155,7 @@ impl TunWriter {
     /// Submits one packet against a caller-owned timing [`WriterLane`]
     /// (the flow-keyed engine passes each connection's own lane). Statistics
     /// still accumulate centrally on the writer.
-    pub fn submit_lane(
+    pub(crate) fn submit_lane(
         &mut self,
         lane: &mut WriterLane,
         now: SimTime,

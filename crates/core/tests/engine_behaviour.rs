@@ -98,7 +98,7 @@ fn refused_destination_fails_the_flow() {
     net.add_server(ServerConfig::new(
         "closed",
         "10.7.7.7".parse().unwrap(),
-        LatencyModel::constant(20.0),
+        LatencyModel::Constant { ms: 20.0 },
         Service::Refuse,
     ));
     let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), net);
@@ -260,7 +260,7 @@ fn a_silent_connection_is_reaped_by_its_idle_timer() {
     net.add_server(ServerConfig::new(
         "staller",
         "10.9.9.9".parse().unwrap(),
-        LatencyModel::constant(15.0),
+        LatencyModel::Constant { ms: 15.0 },
         Service::Silent,
     ));
     let mut spec = one_flow(200, 1024 * 1024);

@@ -61,7 +61,7 @@ impl Default for Calibration {
 
 impl Calibration {
     /// The numbers reported in the paper.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             total_measurements: 5_252_758,
             tcp_measurements: 3_576_931,
@@ -90,7 +90,7 @@ impl Calibration {
     }
 
     /// Fraction of measurements that are TCP (the rest are DNS).
-    pub fn tcp_fraction(&self) -> f64 {
+    pub(crate) fn tcp_fraction(&self) -> f64 {
         self.tcp_measurements as f64 / self.total_measurements as f64
     }
 }

@@ -74,7 +74,7 @@ impl Default for Catalog {
 
 impl Catalog {
     /// Builds the catalogue with the paper's numbers.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         let apps = vec![
             app("com.facebook.katana", "Social", 215_769.0, 61.0, "graph.facebook.com"),
             app("com.instagram.android", "Social", 38_640.0, 50.5, "i.instagram.com"),
@@ -147,18 +147,8 @@ impl Catalog {
         }
     }
 
-    /// Looks up a representative app by package name.
-    pub fn app(&self, package: &str) -> Option<&AppEntry> {
-        self.apps.iter().find(|a| a.package == package)
-    }
-
-    /// Looks up an ISP by name.
-    pub fn isp(&self, name: &str) -> Option<&IspEntry> {
-        self.isps.iter().find(|i| i.name == name)
-    }
-
     /// The total user count across the top-20 countries.
-    pub fn top20_users(&self) -> u32 {
+    pub(crate) fn top20_users(&self) -> u32 {
         self.countries.iter().map(|c| c.users).sum()
     }
 }
@@ -201,6 +191,14 @@ fn country(name: &str, users: u32, lat_lon: (f64, f64)) -> CountryEntry {
 mod tests {
     use super::*;
 
+    fn app<'a>(c: &'a Catalog, package: &str) -> Option<&'a AppEntry> {
+        c.apps.iter().find(|a| a.package == package)
+    }
+
+    fn isp<'a>(c: &'a Catalog, name: &str) -> Option<&'a IspEntry> {
+        c.isps.iter().find(|i| i.name == name)
+    }
+
     #[test]
     fn catalogue_sizes_match_the_paper() {
         let c = Catalog::paper();
@@ -216,21 +214,21 @@ mod tests {
     #[test]
     fn representative_apps_have_table5_medians() {
         let c = Catalog::paper();
-        assert_eq!(c.app("com.whatsapp").unwrap().median_rtt_ms, 133.0);
-        assert_eq!(c.app("com.google.android.youtube").unwrap().median_rtt_ms, 32.0);
-        assert_eq!(c.app("com.tencent.mm").unwrap().median_rtt_ms, 36.0);
-        assert!(c.app("com.not.an.app").is_none());
+        assert_eq!(app(&c, "com.whatsapp").unwrap().median_rtt_ms, 133.0);
+        assert_eq!(app(&c, "com.google.android.youtube").unwrap().median_rtt_ms, 32.0);
+        assert_eq!(app(&c, "com.tencent.mm").unwrap().median_rtt_ms, 36.0);
+        assert!(app(&c, "com.not.an.app").is_none());
         // Facebook is the most-measured app.
         let max = c.apps.iter().map(|a| a.weight).fold(0.0, f64::max);
-        assert_eq!(c.app("com.facebook.katana").unwrap().weight, max);
+        assert_eq!(app(&c, "com.facebook.katana").unwrap().weight, max);
     }
 
     #[test]
     fn isps_match_table6_shape() {
         let c = Catalog::paper();
-        let singtel = c.isp("Singtel").unwrap();
-        let cricket = c.isp("Cricket").unwrap();
-        let jio = c.isp("Jio 4G").unwrap();
+        let singtel = isp(&c, "Singtel").unwrap();
+        let cricket = isp(&c, "Cricket").unwrap();
+        let jio = isp(&c, "Jio 4G").unwrap();
         assert!(singtel.dns_median_ms < cricket.dns_median_ms);
         assert!(singtel.dns_floor_ms < 10.0);
         assert!(cricket.dns_floor_ms >= 43.0);

@@ -56,7 +56,7 @@ impl TrafficMix {
     ];
 
     /// A stable kebab-case label (scenario names, benchmark ids).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TrafficMix::WebBrowsing => "web-browsing",
             TrafficMix::VideoStreaming => "video-streaming",
@@ -67,7 +67,7 @@ impl TrafficMix {
     }
 
     /// The `mop_tun` workload shape this mix expands to.
-    pub fn workload_kind(self) -> WorkloadKind {
+    pub(crate) fn workload_kind(self) -> WorkloadKind {
         match self {
             TrafficMix::WebBrowsing => WorkloadKind::WebBrowsing,
             TrafficMix::VideoStreaming => WorkloadKind::VideoStreaming,
@@ -78,7 +78,7 @@ impl TrafficMix {
     }
 
     /// The app generating this traffic: (package, Android-style shared UID).
-    pub fn app(self) -> (&'static str, u32) {
+    pub(crate) fn app(self) -> (&'static str, u32) {
         match self {
             TrafficMix::WebBrowsing => ("com.android.chrome", 10_100),
             TrafficMix::VideoStreaming => ("com.google.android.youtube", 10_200),
@@ -159,7 +159,7 @@ impl NetProfile {
     /// The measurement-schema network kind a flow starting at `at` is
     /// labelled with (`handover_at` is when the profile's handover fires, if
     /// it has one). This is the label the shard sinks aggregate under.
-    pub fn net_kind_at(self, at: SimTime, handover_at: SimTime) -> NetKind {
+    pub(crate) fn net_kind_at(self, at: SimTime, handover_at: SimTime) -> NetKind {
         match self {
             NetProfile::Wifi => NetKind::Wifi,
             NetProfile::Lte => NetKind::Lte,
@@ -183,7 +183,7 @@ impl NetProfile {
 
     /// The operator / Wi-Fi network name flows on this profile are labelled
     /// with — the key the per-ISP analyses group by.
-    pub fn isp_label_at(self, at: SimTime, handover_at: SimTime) -> &'static str {
+    pub(crate) fn isp_label_at(self, at: SimTime, handover_at: SimTime) -> &'static str {
         match self {
             NetProfile::Wifi => "HomeWiFi",
             NetProfile::Lte => "SimTel LTE",
@@ -237,7 +237,7 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if the spec has no users or an empty mix.
-    pub fn new(spec: ScenarioSpec) -> Self {
+    pub(crate) fn new(spec: ScenarioSpec) -> Self {
         assert!(spec.users > 0, "a scenario needs at least one user");
         assert!(!spec.mix.is_empty(), "a scenario needs at least one traffic mix");
         Self { spec }
@@ -372,7 +372,7 @@ impl Scenario {
 
     /// The destinations scenario workloads spread their connections over
     /// (the Table 2 hosts the scenario network serves).
-    pub fn destinations() -> Vec<(Endpoint, String)> {
+    pub(crate) fn destinations() -> Vec<(Endpoint, String)> {
         vec![
             (Endpoint::v4(216, 58, 221, 132, 443), "www.google.com".to_string()),
             (Endpoint::v4(31, 13, 79, 251, 443), "graph.facebook.com".to_string()),
@@ -381,7 +381,7 @@ impl Scenario {
     }
 
     /// The source address of one simulated user's handset (unique per user).
-    pub fn user_addr(user: usize) -> Ipv4Addr {
+    pub(crate) fn user_addr(user: usize) -> Ipv4Addr {
         // Skip the low host numbers so no user collides with the engine's
         // single-device default of 10.0.0.2.
         let host = user as u32 + 0x100;
@@ -397,7 +397,7 @@ impl Scenario {
     /// only on the spec.
     ///
     /// Every flow also carries the network/ISP labels of the profile at its
-    /// start time ([`NetProfile::net_kind_at`] / [`NetProfile::isp_label_at`]),
+    /// start time (`NetProfile::net_kind_at` / `NetProfile::isp_label_at`),
     /// which is what the shard sinks aggregate the crowd report under.
     pub fn generate(&self) -> Vec<FlowSpec> {
         let weights: Vec<f64> = self.spec.mix.iter().map(|(_, w)| *w).collect();
@@ -495,7 +495,7 @@ impl DiurnalScenario {
     /// # Panics
     ///
     /// Panics if `users` is zero.
-    pub fn new(users: usize, seed: u64) -> Self {
+    pub(crate) fn new(users: usize, seed: u64) -> Self {
         assert!(users > 0, "a diurnal scenario needs at least one user");
         let hour = Self::virtual_hour();
         let quarter = SimDuration::from_nanos(hour.as_nanos() * 6);
@@ -561,16 +561,6 @@ impl DiurnalScenario {
     /// The scenario name (report and benchmark ids).
     pub fn name(&self) -> &'static str {
         "diurnal"
-    }
-
-    /// The seed everything derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The fleet size the day is scaled to.
-    pub fn users(&self) -> usize {
-        self.users
     }
 
     /// One virtual hour: the natural epoch width for this scenario (24

@@ -110,7 +110,7 @@ impl Value {
     }
 
     /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(members) => {
                 members.iter().find(|(k, _)| k == key).map(|(_, v)| v)

@@ -34,7 +34,7 @@ pub struct JsonReader<'a> {
 
 impl<'a> JsonReader<'a> {
     /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Self { text, pos: 0, depth: 0 }
     }
 
@@ -447,7 +447,7 @@ impl<'a> JsonReader<'a> {
     }
 
     /// Checks that nothing but whitespace follows the document.
-    pub fn finish(&mut self) -> Result<(), ParseError> {
+    pub(crate) fn finish(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return self.syntax("trailing characters after document");

@@ -93,17 +93,17 @@ impl JsonWriter {
     }
 
     /// A compact writer whose buffer starts with room for `capacity` bytes.
-    pub fn compact(capacity: usize) -> Self {
+    pub(crate) fn compact(capacity: usize) -> Self {
         Self::new(false, capacity)
     }
 
     /// A pretty writer whose buffer starts with room for `capacity` bytes.
-    pub fn pretty(capacity: usize) -> Self {
+    pub(crate) fn pretty(capacity: usize) -> Self {
         Self::new(true, capacity)
     }
 
     /// The text written so far.
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         self.out
     }
 

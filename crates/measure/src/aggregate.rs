@@ -239,11 +239,6 @@ impl AggregateStore {
         self.cells.values().map(RttSketch::count).sum()
     }
 
-    /// True if nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Iterates over the cells in canonical (key) order.
     pub fn cells(&self) -> impl Iterator<Item = (&AggregateKey, &RttSketch)> {
         self.cells.iter()
@@ -266,7 +261,7 @@ impl AggregateStore {
 
     /// Groups matching cells by a key function, merging each group into one
     /// sketch — the streaming counterpart of
-    /// [`crate::MeasurementStore::group_rtts_by`]. Group keys come back in
+    /// `MeasurementStore::group_rtts_by`. Group keys come back in
     /// sorted order.
     pub fn group_by<K: Ord>(
         &self,
@@ -566,7 +561,6 @@ mod tests {
     #[test]
     fn empty_store_reports_nothing() {
         let store = AggregateStore::new();
-        assert!(store.is_empty());
         assert_eq!(store.cell_count(), 0);
         assert_eq!(store.sample_count(), 0);
         assert!(store.sketch_where(|_| true).is_empty());

@@ -136,7 +136,7 @@ fn windows_to_json(w: &WindowedAggregateStore) -> Value {
     json!({
         "width_ns": w.width_ns() as i64,
         "window": w.window_len() as i64,
-        "max_epoch": w.max_epoch().map_or(Value::Null, |e| (e as i64).into()),
+        "max_epoch": w.max_epoch.map_or(Value::Null, |e| (e as i64).into()),
         "folded": store_to_json(w.folded()),
         "epochs": epochs,
     })
@@ -203,7 +203,7 @@ fn store_mutants_decode_exactly_when_the_tree_path_did() {
     let mut rng = TestRng::from_name("codec_model::mutants");
     let text = (0..50)
         .map(|_| random_windows(&mut rng))
-        .filter(|w| w.live_epochs().len() > 1 && !w.folded().is_empty())
+        .filter(|w| w.live_epochs().len() > 1 && w.folded().cell_count() > 0)
         .map(|w| mop_json::to_string_pretty(&w))
         .min_by_key(String::len)
         .unwrap();

@@ -61,6 +61,6 @@ mod sketch_model;
 pub use aggregate::{AggregateKey, AggregateStore, DeviceActivity};
 pub use record::{MeasurementKind, NetKind, RttRecord};
 pub use sketch::RttSketch;
-pub use stats::{percentile, Cdf, ConfidenceInterval, Histogram, Summary};
+pub use stats::{percentile, Cdf, Histogram, Summary};
 pub use store::MeasurementStore;
 pub use window::{EpochSummary, WindowedAggregateStore};

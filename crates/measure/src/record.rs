@@ -200,56 +200,6 @@ impl RttRecord {
     }
 }
 
-/// One flat object per record.
-impl ToJson for RttRecord {
-    fn write_json<W: JsonWrite>(&self, out: &mut W) {
-        out.begin_object();
-        out.field("kind", &self.kind);
-        out.field("rtt_ms", &self.rtt_ms);
-        out.field("device", &self.device);
-        out.field("app", &self.app);
-        out.field("domain", &self.domain);
-        out.field("dst_ip", &self.dst_ip);
-        out.field("dst_port", &self.dst_port);
-        out.field("network", &self.network);
-        out.field("isp", &self.isp);
-        out.field("country", &self.country);
-        out.field("timestamp_s", &self.timestamp_s);
-        out.end_object();
-    }
-}
-
-impl FromJson for RttRecord {
-    fn read_json(input: &mut JsonReader<'_>) -> Result<Self, ParseError> {
-        mop_json::read_members!(input, {
-            "kind" => kind,
-            "rtt_ms" => rtt_ms,
-            "device" => device,
-            "app" => app,
-            "domain" => domain,
-            "dst_ip" => dst_ip,
-            "dst_port" => dst_port,
-            "network" => network,
-            "isp" => isp,
-            "country" => country,
-            "timestamp_s" => timestamp_s,
-        });
-        Ok(Self {
-            kind,
-            rtt_ms,
-            device,
-            app,
-            domain,
-            dst_ip,
-            dst_port,
-            network,
-            isp,
-            country,
-            timestamp_s,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,16 +233,5 @@ mod tests {
         assert!(!NetKind::Wifi.is_cellular());
         assert_eq!(NetKind::Gprs2g.label(), "2G GPRS/EDGE");
         assert_eq!(NetKind::ALL.len(), 4);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = RttRecord::tcp(61.0, 1, "com.facebook.katana", NetKind::Wifi).with_domain("graph.facebook.com");
-        let json = mop_json::to_string(&r);
-        let back: RttRecord = mop_json::decode(&json).unwrap();
-        assert_eq!(back, r);
-        assert!(mop_json::decode::<RttRecord>("null").is_err());
-        assert!(mop_json::decode::<RttRecord>("{\"kind\": \"Tcp\"}").is_err());
-        assert!(mop_json::decode::<RttRecord>(&json.replace("Wifi", "WiFi")).is_err());
     }
 }

@@ -316,17 +316,6 @@ impl RttSketch {
         self.count == 0
     }
 
-    /// Exact sum of the observations, in milliseconds (accumulated at 1 ns
-    /// resolution).
-    pub fn sum_ms(&self) -> f64 {
-        self.sum_ns as f64 / SUM_SCALE
-    }
-
-    /// Exact arithmetic mean, if any values were observed.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_ms() / self.count as f64)
-    }
-
     /// Exact minimum observed value.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then(|| f64::from_bits(self.min_bits))
@@ -814,8 +803,7 @@ mod tests {
         assert_eq!(sketch.min(), Some(0.5));
         assert_eq!(sketch.max(), Some(760.5));
         let exact_sum: f64 = values.iter().sum();
-        assert!((sketch.sum_ms() - exact_sum).abs() < 1e-3);
-        assert!((sketch.mean().unwrap() - exact_sum / 5.0).abs() < 1e-3);
+        assert!((sketch.sum_ns as f64 / SUM_SCALE - exact_sum).abs() < 1e-3);
     }
 
     #[test]
@@ -885,7 +873,6 @@ mod tests {
         assert_eq!(sketch.median(), None);
         assert_eq!(sketch.min(), None);
         assert_eq!(sketch.max(), None);
-        assert_eq!(sketch.mean(), None);
         assert_eq!(sketch.fraction_at_or_below(100.0), 0.0);
         assert_eq!(sketch.occupied_buckets(), 0);
     }

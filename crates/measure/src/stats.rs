@@ -71,38 +71,6 @@ impl Summary {
     }
 }
 
-/// A 95 % confidence interval for the mean (normal approximation), as used
-/// for the delay-overhead numbers in §4.1.2.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfidenceInterval {
-    /// Sample mean.
-    pub mean: f64,
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
-}
-
-impl ConfidenceInterval {
-    /// Computes a 95 % CI for the mean of `values`. Returns `None` for fewer
-    /// than two samples.
-    pub fn of(values: &[f64]) -> Option<Self> {
-        if values.len() < 2 {
-            return None;
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        let half = 1.96 * (var / n).sqrt();
-        Some(Self { mean, lo: mean - half, hi: mean + half })
-    }
-
-    /// True if `value` lies inside the interval.
-    pub fn contains(&self, value: f64) -> bool {
-        (self.lo..=self.hi).contains(&value)
-    }
-}
-
 /// An empirical CDF, stored as sorted values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
@@ -171,7 +139,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates a histogram with the given upper bin edges (must be ascending).
-    pub fn with_edges(edges: Vec<f64>) -> Self {
+    pub(crate) fn with_edges(edges: Vec<f64>) -> Self {
         let bins = edges.len() + 1;
         Self { edges, counts: vec![0; bins] }
     }
@@ -259,14 +227,6 @@ mod tests {
         assert!(Summary::of(&[]).is_none());
     }
 
-    #[test]
-    fn confidence_interval_covers_the_mean() {
-        let v: Vec<f64> = (0..200).map(|i| 3.5 + 0.5 * ((i % 7) as f64 - 3.0)).collect();
-        let ci = ConfidenceInterval::of(&v).unwrap();
-        assert!(ci.contains(ci.mean));
-        assert!(ci.lo < ci.mean && ci.mean < ci.hi);
-        assert!(ConfidenceInterval::of(&[1.0]).is_none());
-    }
 
     #[test]
     fn cdf_fraction_and_quantiles() {

@@ -23,67 +23,6 @@ impl MeasurementStore {
         self.records.push(record);
     }
 
-    /// Adds many records.
-    pub fn extend(&mut self, records: impl IntoIterator<Item = RttRecord>) {
-        self.records.extend(records);
-    }
-
-    /// Absorbs another store's records (cross-shard aggregation: each shard
-    /// of a fleet run collects its own store, and the measurement sink folds
-    /// them together with this).
-    ///
-    /// # Ordering contract
-    ///
-    /// `merge_from` **appends** `other`'s records after this store's, in
-    /// `other`'s existing order — it does not interleave or sort. The
-    /// resulting order therefore depends on the merge order, and two stores
-    /// holding the same records merged from differently-partitioned shards
-    /// are *not* equal until [`MeasurementStore::canonicalise`] has run on
-    /// both. Callers that compare stores (or digest them, as the
-    /// `fleet_determinism` suite does for the engine's report-level state)
-    /// must canonicalise after the last merge.
-    pub fn merge_from(&mut self, other: MeasurementStore) {
-        self.records.extend(other.records);
-    }
-
-    /// Sorts the records into the canonical total order, so stores merged
-    /// from differently-partitioned shards compare equal.
-    ///
-    /// # Ordering contract
-    ///
-    /// The canonical order is the lexicographic tuple
-    /// `(timestamp_s, device, app, domain, rtt_ms.to_bits())`, ascending.
-    /// Two guarantees follow:
-    ///
-    /// * **Partition invariance.** For any partition of a record set across
-    ///   shards, merging the parts with [`MeasurementStore::merge_from`] (in
-    ///   any order) and canonicalising yields the same record sequence as
-    ///   canonicalising the unpartitioned set — the property the fleet
-    ///   determinism tests rely on.
-    /// * **Stability of duplicates.** Records identical in all five key
-    ///   fields are mutually interchangeable under this order, so their
-    ///   relative placement cannot affect any comparison or digest. RTT ties
-    ///   are broken on the *bit pattern* of the `f64` (total order, no NaN
-    ///   ambiguity), not on an epsilon comparison.
-    ///
-    /// Fields outside the tuple (`dst_ip`, `dst_port`, `isp`, `country`,
-    /// `kind`) do not participate in the order; records differing only in
-    /// those fields keep their merge-dependent relative order. Every
-    /// producer in this workspace derives them deterministically from the
-    /// keyed fields, which is why the weaker tuple is sufficient — but a new
-    /// producer that violates that assumption must extend the sort key.
-    pub fn canonicalise(&mut self) {
-        self.records.sort_by(|a, b| {
-            (a.timestamp_s, a.device, &a.app, &a.domain, a.rtt_ms.to_bits()).cmp(&(
-                b.timestamp_s,
-                b.device,
-                &b.app,
-                &b.domain,
-                b.rtt_ms.to_bits(),
-            ))
-        });
-    }
-
     /// All records.
     pub fn records(&self) -> &[RttRecord] {
         &self.records
@@ -100,7 +39,8 @@ impl MeasurementStore {
     }
 
     /// A filtered copy containing only records matching `predicate`.
-    pub fn filter(&self, predicate: impl Fn(&RttRecord) -> bool) -> MeasurementStore {
+    #[cfg(test)]
+    pub(crate) fn filter(&self, predicate: impl Fn(&RttRecord) -> bool) -> MeasurementStore {
         MeasurementStore {
             records: self.records.iter().filter(|r| predicate(r)).cloned().collect(),
         }
@@ -118,7 +58,8 @@ impl MeasurementStore {
     }
 
     /// Groups record RTTs by a key function; keys are returned sorted.
-    pub fn group_rtts_by<K: Ord + Clone>(
+    #[cfg(test)]
+    pub(crate) fn group_rtts_by<K: Ord + Clone>(
         &self,
         key: impl Fn(&RttRecord) -> K,
         predicate: impl Fn(&RttRecord) -> bool,
@@ -158,7 +99,8 @@ impl MeasurementStore {
     }
 
     /// Distinct values of a string field, sorted.
-    pub fn distinct(&self, field: impl Fn(&RttRecord) -> &str) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn distinct(&self, field: impl Fn(&RttRecord) -> &str) -> Vec<String> {
         let mut set: Vec<String> =
             self.records.iter().map(|r| field(r).to_string()).filter(|s| !s.is_empty()).collect();
         set.sort();
@@ -257,24 +199,5 @@ mod tests {
         let cdf = Cdf::from_values(&lte);
         assert_eq!(cdf.len(), 30);
         assert_eq!(cdf.fraction_at_or_below(100.0), 0.0);
-    }
-
-    #[test]
-    fn merge_from_and_canonicalise_are_partition_invariant() {
-        let full = store();
-        // Split the records across three "shards" by index, merge back in a
-        // different order, and canonicalise both sides.
-        let mut shards = vec![MeasurementStore::new(), MeasurementStore::new(), MeasurementStore::new()];
-        for (i, r) in full.records().iter().enumerate() {
-            shards[i % 3].push(r.clone());
-        }
-        let mut merged = MeasurementStore::new();
-        for shard in shards.into_iter().rev() {
-            merged.merge_from(shard);
-        }
-        merged.canonicalise();
-        let mut reference = full.clone();
-        reference.canonicalise();
-        assert_eq!(merged.records(), reference.records());
     }
 }

@@ -99,7 +99,7 @@ impl WindowedAggregateStore {
     }
 
     /// The epoch index containing a timestamp.
-    pub fn epoch_of(&self, at_ns: u64) -> u64 {
+    pub(crate) fn epoch_of(&self, at_ns: u64) -> u64 {
         at_ns / self.width_ns
     }
 
@@ -234,11 +234,6 @@ impl WindowedAggregateStore {
         &self.folded
     }
 
-    /// Highest epoch containing any observed sample.
-    pub fn max_epoch(&self) -> Option<u64> {
-        self.max_epoch
-    }
-
     /// Total samples across the tail and every live epoch — nothing is ever
     /// dropped by eviction.
     pub fn sample_count(&self) -> u64 {
@@ -248,22 +243,6 @@ impl WindowedAggregateStore {
                 .iter()
                 .filter_map(|slot| slot.as_ref().map(|(_, s)| s.sample_count()))
                 .sum::<u64>()
-    }
-
-    /// Total aggregation cells across the tail and live epochs — the
-    /// O(window × cells) memory bound, independent of run length.
-    pub fn cell_count(&self) -> usize {
-        self.folded.cell_count()
-            + self
-                .ring
-                .iter()
-                .filter_map(|slot| slot.as_ref().map(|(_, s)| s.cell_count()))
-                .sum::<usize>()
-    }
-
-    /// True if nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.max_epoch.is_none()
     }
 
     /// Compact per-epoch summaries of every live epoch, ascending — the
@@ -508,10 +487,9 @@ mod tests {
     #[test]
     fn empty_store_reports_nothing() {
         let w = WindowedAggregateStore::new(1_000, 4);
-        assert!(w.is_empty());
+        assert_eq!(w.max_epoch, None);
         assert_eq!(w.live_epochs(), Vec::<u64>::new());
         assert_eq!(w.sample_count(), 0);
-        assert_eq!(w.max_epoch(), None);
         let back: WindowedAggregateStore = mop_json::decode(&mop_json::to_string(&w)).unwrap();
         assert_eq!(back.digest(), w.digest());
     }

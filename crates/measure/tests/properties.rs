@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use mop_measure::{
-    percentile, AggregateStore, Cdf, ConfidenceInterval, Histogram, MeasurementKind,
+    percentile, AggregateStore, Cdf, Histogram, MeasurementKind,
     MeasurementStore, NetKind, RttRecord, RttSketch, Summary, WindowedAggregateStore,
 };
 
@@ -111,13 +111,6 @@ proptest! {
         prop_assert_eq!((h.total() as f64 * h.fraction_at_or_above(1.0)).round() as usize, above_1ms);
     }
 
-    #[test]
-    fn confidence_interval_contains_the_sample_mean(values in proptest::collection::vec(0.1f64..500.0, 2..200)) {
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let ci = ConfidenceInterval::of(&values).unwrap();
-        prop_assert!(ci.contains(mean));
-        prop_assert!(ci.lo <= ci.hi);
-    }
 
     #[test]
     fn store_filters_partition_the_records(
@@ -131,8 +124,8 @@ proptest! {
         for rtt in &lte_rtts {
             store.push(RttRecord::tcp(*rtt, 2, "com.app.b", NetKind::Lte));
         }
-        let wifi = store.filter(|r| r.network == NetKind::Wifi);
-        let lte = store.filter(|r| r.network == NetKind::Lte);
+        let wifi = store.rtts_where(|r| r.network == NetKind::Wifi);
+        let lte = store.rtts_where(|r| r.network == NetKind::Lte);
         prop_assert_eq!(wifi.len() + lte.len(), store.len());
         prop_assert_eq!(wifi.len(), wifi_rtts.len());
     }
@@ -154,12 +147,10 @@ proptest! {
             (approx - exact).abs() / exact <= RttSketch::RELATIVE_ERROR + 1e-12,
             "q {} exact {} approx {}", q, exact, approx
         );
-        // Count, sum, min and max are exact (sum at 1 ns resolution).
+        // Count, min and max are exact.
         prop_assert_eq!(sketch.count() as usize, values.len());
         prop_assert_eq!(sketch.min().unwrap(), sorted[0]);
         prop_assert_eq!(sketch.max().unwrap(), *sorted.last().unwrap());
-        let exact_sum: f64 = values.iter().sum();
-        prop_assert!((sketch.sum_ms() - exact_sum).abs() <= 1e-6 * values.len() as f64 + 1e-9);
     }
 
     #[test]
@@ -244,7 +235,7 @@ proptest! {
         prop_assert_eq!(w.sample_count() as usize, values.len());
         prop_assert_eq!(w.merged().digest(), flat.digest());
         prop_assert!(w.live_epochs().len() <= window);
-        if let Some(max) = w.max_epoch() {
+        if let Some(&max) = w.live_epochs().iter().max() {
             for epoch in w.live_epochs() {
                 prop_assert!(epoch + window as u64 > max, "live epoch {} outside window ending at {}", epoch, max);
             }

@@ -38,16 +38,6 @@ impl PacketBuilder {
         Self { src, dst, window: MOPEYE_RECEIVE_WINDOW, mss: MOPEYE_MSS }
     }
 
-    /// The source endpoint.
-    pub fn src(&self) -> Endpoint {
-        self.src
-    }
-
-    /// The destination endpoint.
-    pub fn dst(&self) -> Endpoint {
-        self.dst
-    }
-
     fn wrap_ip(&self, protocol: u8, payload: Vec<u8>) -> IpPacket {
         match (self.src.addr, self.dst.addr) {
             (IpAddr::V4(s), IpAddr::V4(d)) => IpPacket::V4(Ipv4Packet::new(s, d, protocol, payload)),
@@ -156,15 +146,15 @@ mod tests {
     fn syn_carries_mss_option() {
         let p = builder().tcp_syn(1000);
         let tcp = p.tcp().unwrap();
-        assert!(tcp.is_syn());
+        assert_eq!(tcp.flags, TcpFlags::SYN);
         assert_eq!(tcp.mss(), Some(MOPEYE_MSS));
         assert_eq!(tcp.window, MOPEYE_RECEIVE_WINDOW);
     }
 
     #[test]
     fn syn_ack_acknowledges_peer_isn_plus_one() {
-        let b = builder();
-        let p = PacketBuilder::new(b.dst(), b.src()).tcp_syn_ack(777, 1000);
+        let server = Endpoint::v4(31, 13, 79, 251, 443);
+        let p = PacketBuilder::new(server, Endpoint::v4(10, 0, 0, 2, 40000)).tcp_syn_ack(777, 1000);
         let tcp = p.tcp().unwrap();
         assert!(tcp.is_syn_ack());
         assert_eq!(tcp.ack, 1001);
@@ -213,8 +203,9 @@ mod tests {
             Endpoint::new("2001:db8::1".parse::<std::net::Ipv6Addr>().unwrap(), 443),
         );
         let p = b.tcp_syn(1);
-        let reparsed = Packet::parse(&p.to_bytes()).unwrap();
-        assert!(reparsed.tcp().unwrap().is_syn());
+        let bytes = p.to_bytes();
+        let reparsed = crate::view::PacketView::parse(&bytes).unwrap();
+        assert_eq!(reparsed.tcp().unwrap().flags(), TcpFlags::SYN);
         assert!(!reparsed.src_endpoint().unwrap().is_ipv4());
     }
 

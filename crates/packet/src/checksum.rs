@@ -49,7 +49,7 @@ impl Checksum {
 
     /// Adds a 32-bit value as two 16-bit words.
     #[inline]
-    pub fn add_u32(&mut self, word: u32) {
+    pub(crate) fn add_u32(&mut self, word: u32) {
         self.add_u16((word >> 16) as u16);
         self.add_u16((word & 0xffff) as u16);
     }
@@ -68,7 +68,7 @@ impl Checksum {
 /// Computes the IPv4 header checksum over `header` with the checksum field
 /// (bytes 10..12) treated as zero.
 #[inline]
-pub fn ipv4_header_checksum(header: &[u8]) -> u16 {
+pub(crate) fn ipv4_header_checksum(header: &[u8]) -> u16 {
     let mut c = Checksum::new();
     if header.len() >= 12 {
         // Two straight runs around the checksum field — no per-word branch.
@@ -87,7 +87,7 @@ pub fn ipv4_header_checksum(header: &[u8]) -> u16 {
 
 /// Computes a TCP/UDP checksum with the IPv4 pseudo-header.
 #[inline]
-pub fn transport_checksum_v4(
+pub(crate) fn transport_checksum_v4(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     protocol: u8,
@@ -108,7 +108,7 @@ pub fn transport_checksum_v4(
 
 /// Computes a TCP/UDP checksum with the IPv6 pseudo-header.
 #[inline]
-pub fn transport_checksum_v6(
+pub(crate) fn transport_checksum_v6(
     src: Ipv6Addr,
     dst: Ipv6Addr,
     protocol: u8,

@@ -31,7 +31,7 @@ pub enum DnsType {
 
 impl DnsType {
     /// Returns the wire value of the type.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             DnsType::A => 1,
             DnsType::Cname => 5,
@@ -41,7 +41,7 @@ impl DnsType {
     }
 
     /// Builds a type from its wire value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             1 => DnsType::A,
             5 => DnsType::Cname,

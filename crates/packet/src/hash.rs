@@ -36,10 +36,10 @@ use std::hash::{BuildHasher, Hasher};
 /// ```
 /// use mop_packet::StableHasher;
 /// let mut a = StableHasher::new();
-/// a.write_str("example");
+/// a.write_bytes(b"example");
 /// let mut b = StableHasher::new();
-/// b.write_str("example");
-/// assert_eq!(a.finish(), b.finish());
+/// b.write_bytes(b"example");
+/// assert_eq!(a.finish_mixed(), b.finish_mixed());
 /// ```
 #[derive(Debug, Clone)]
 pub struct StableHasher(u64);
@@ -67,30 +67,8 @@ impl StableHasher {
     }
 
     /// Feeds one byte.
-    pub fn write_u8(&mut self, byte: u8) {
+    pub(crate) fn write_u8(&mut self, byte: u8) {
         self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::FNV_PRIME);
-    }
-
-    /// Feeds a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds an `f64` by its bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Feeds a string, length-prefixed so `("ab","c")` ≠ `("a","bc")`.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The raw FNV-1a state. Right for equality digests; for modulo
-    /// bucketing use [`StableHasher::finish_mixed`].
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 
     /// The state passed through an avalanche mix (splitmix64's finaliser).
@@ -298,10 +276,10 @@ mod tests {
         // this hasher are pinned in tests and docs and compared across
         // versions. (The multiplier is the workspace's long-standing
         // variant, shared with SimRng::fork — not the textbook FNV prime.)
-        assert_eq!(StableHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(StableHasher::new().0, 0xcbf2_9ce4_8422_2325);
         let mut h = StableHasher::new();
         h.write_u8(b'a');
-        assert_eq!(h.finish(), 12_642_967_877_113_212_044);
+        assert_eq!(h.0, 12_642_967_877_113_212_044);
     }
 
     #[test]
@@ -348,10 +326,10 @@ mod tests {
 
     #[test]
     fn length_prefix_disambiguates_strings() {
-        let mut a = StableHasher::new();
+        let mut a = WordHasher::new();
         a.write_str("ab");
         a.write_str("c");
-        let mut b = StableHasher::new();
+        let mut b = WordHasher::new();
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
@@ -364,7 +342,7 @@ mod tests {
         for i in 0..4096u32 {
             let mut h = StableHasher::new();
             h.write_bytes(&[10, 0, (i >> 8) as u8, i as u8]);
-            h.write_u64(443);
+            h.write_bytes(&443u64.to_le_bytes());
             counts[(h.finish_mixed() % 8) as usize] += 1;
         }
         assert!(counts.iter().all(|c| *c > 256), "clustered: {counts:?}");

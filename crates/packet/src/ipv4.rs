@@ -3,7 +3,6 @@
 use std::net::Ipv4Addr;
 
 use crate::checksum::ipv4_header_checksum;
-use crate::error::Result;
 
 /// Minimum IPv4 header length in bytes (no options).
 pub const IPV4_MIN_HEADER_LEN: usize = 20;
@@ -52,37 +51,8 @@ impl Ipv4Packet {
     }
 
     /// Header length in bytes, including options.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         IPV4_MIN_HEADER_LEN + self.options.len()
-    }
-
-    /// Total packet length (header plus payload) in bytes.
-    pub fn total_len(&self) -> usize {
-        self.header_len() + self.payload.len()
-    }
-
-    /// Parses an IPv4 packet from `data`, verifying the header checksum.
-    ///
-    /// The payload length is taken from the total-length field; trailing
-    /// bytes beyond it (link-layer padding) are ignored. A thin wrapper over
-    /// the zero-copy [`crate::view::Ipv4View`], which owns the validation
-    /// logic.
-    pub fn parse(data: &[u8]) -> Result<Self> {
-        Ok(crate::view::Ipv4View::new(data)?.to_owned())
-    }
-
-    /// Serialises the packet, computing the header checksum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the options length is not a multiple of four or the total
-    /// length exceeds 65,535 bytes; both indicate construction bugs rather
-    /// than recoverable runtime conditions.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.total_len());
-        self.encode_header_into(&mut out, self.payload.len());
-        out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Appends the IPv4 header (with checksum) to `out`, declaring a payload
@@ -97,7 +67,7 @@ impl Ipv4Packet {
     /// Panics if the options length is not a multiple of four or the total
     /// length exceeds 65,535 bytes; both indicate construction bugs rather
     /// than recoverable runtime conditions.
-    pub fn encode_header_into(&self, out: &mut Vec<u8>, payload_len: usize) {
+    pub(crate) fn encode_header_into(&self, out: &mut Vec<u8>, payload_len: usize) {
         assert!(self.options.len() % 4 == 0, "IPv4 options must be 32-bit aligned");
         let ihl = self.header_len();
         let total_len = ihl + payload_len;
@@ -125,6 +95,7 @@ mod tests {
     use super::*;
     use crate::IPPROTO_TCP;
     use crate::error::PacketError;
+    use crate::view::Ipv4View;
 
     fn sample() -> Ipv4Packet {
         Ipv4Packet::new(
@@ -135,39 +106,51 @@ mod tests {
         )
     }
 
+    /// The packet on the wire: its header, then its payload.
+    fn wire(p: &Ipv4Packet) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.encode_header_into(&mut out, p.payload.len());
+        out.extend_from_slice(&p.payload);
+        out
+    }
+
+    fn assert_reads_back(p: &Ipv4Packet, v: &Ipv4View<'_>) {
+        assert_eq!((v.src(), v.dst(), v.protocol()), (p.src, p.dst, p.protocol));
+        assert_eq!(v.payload(), &p.payload[..]);
+    }
+
     #[test]
     fn roundtrip_without_options() {
         let p = sample();
-        let bytes = p.to_bytes();
+        let bytes = wire(&p);
         assert_eq!(bytes.len(), 25);
-        let q = Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(p, q);
+        assert_reads_back(&p, &Ipv4View::new(&bytes).unwrap());
     }
 
     #[test]
     fn roundtrip_with_options() {
         let mut p = sample();
         p.options = vec![0x01, 0x01, 0x01, 0x01]; // Four NOPs.
-        let q = Ipv4Packet::parse(&p.to_bytes()).unwrap();
-        assert_eq!(p, q);
-        assert_eq!(q.header_len(), 24);
+        assert_eq!(p.header_len(), 24);
+        let bytes = wire(&p);
+        assert_eq!(bytes[0] & 0x0f, 6, "IHL counts the options");
+        assert_reads_back(&p, &Ipv4View::new(&bytes).unwrap());
     }
 
     #[test]
     fn trailing_padding_is_ignored() {
         let p = sample();
-        let mut bytes = p.to_bytes();
+        let mut bytes = wire(&p);
         bytes.extend_from_slice(&[0xaa; 6]);
-        let q = Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(q.payload, p.payload);
+        assert_eq!(Ipv4View::new(&bytes).unwrap().payload(), &p.payload[..]);
     }
 
     #[test]
     fn corrupted_checksum_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[10] ^= 0xff;
         assert!(matches!(
-            Ipv4Packet::parse(&bytes),
+            Ipv4View::new(&bytes),
             Err(PacketError::BadChecksum { what: "IPv4 header", .. })
         ));
     }
@@ -175,34 +158,34 @@ mod tests {
     #[test]
     fn short_buffer_is_rejected() {
         assert!(matches!(
-            Ipv4Packet::parse(&[0x45; 10]),
+            Ipv4View::new(&[0x45; 10]),
             Err(PacketError::Truncated { what: "IPv4 header", .. })
         ));
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[0] = 0x65;
-        assert!(matches!(Ipv4Packet::parse(&bytes), Err(PacketError::BadVersion(6))));
+        assert!(matches!(Ipv4View::new(&bytes), Err(PacketError::BadVersion(6))));
     }
 
     #[test]
     fn bad_ihl_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[0] = 0x44; // IHL of 16 bytes, below the minimum of 20.
-        assert!(matches!(Ipv4Packet::parse(&bytes), Err(PacketError::BadHeaderLength(16))));
+        assert!(matches!(Ipv4View::new(&bytes), Err(PacketError::BadHeaderLength(16))));
     }
 
     #[test]
     fn total_length_larger_than_buffer_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[2..4].copy_from_slice(&1000u16.to_be_bytes());
         // Fix up the checksum so the failure is attributed to the length.
         let ihl = 20;
         let cks = ipv4_header_checksum(&bytes[..ihl]);
         bytes[10..12].copy_from_slice(&cks.to_be_bytes());
-        assert!(matches!(Ipv4Packet::parse(&bytes), Err(PacketError::Truncated { .. })));
+        assert!(matches!(Ipv4View::new(&bytes), Err(PacketError::Truncated { .. })));
     }
 
     #[test]

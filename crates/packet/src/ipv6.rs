@@ -7,7 +7,6 @@
 
 use std::net::Ipv6Addr;
 
-use crate::error::Result;
 
 /// Fixed IPv6 header length in bytes.
 pub const IPV6_HEADER_LEN: usize = 40;
@@ -37,27 +36,6 @@ impl Ipv6Packet {
         Self { traffic_class: 0, flow_label: 0, next_header, hop_limit: 64, src, dst, payload }
     }
 
-    /// Parses an IPv6 packet from `data`.
-    ///
-    /// A thin wrapper over the zero-copy [`crate::view::Ipv6View`], which
-    /// owns the validation logic.
-    pub fn parse(data: &[u8]) -> Result<Self> {
-        Ok(crate::view::Ipv6View::new(data)?.to_owned())
-    }
-
-    /// Serialises the packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds 65,535 bytes (jumbograms are not
-    /// supported) or the flow label exceeds 20 bits.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(IPV6_HEADER_LEN + self.payload.len());
-        self.encode_header_into(&mut out, self.payload.len());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
     /// Appends the IPv6 fixed header to `out`, declaring a payload of
     /// `payload_len` bytes that the caller will write after it.
     ///
@@ -65,7 +43,7 @@ impl Ipv6Packet {
     ///
     /// Panics if `payload_len` exceeds 65,535 bytes (jumbograms are not
     /// supported) or the flow label exceeds 20 bits.
-    pub fn encode_header_into(&self, out: &mut Vec<u8>, payload_len: usize) {
+    pub(crate) fn encode_header_into(&self, out: &mut Vec<u8>, payload_len: usize) {
         assert!(payload_len <= usize::from(u16::MAX), "IPv6 payload too large");
         assert!(self.flow_label <= 0x000f_ffff, "flow label exceeds 20 bits");
         out.reserve(IPV6_HEADER_LEN + payload_len);
@@ -86,6 +64,7 @@ mod tests {
     use super::*;
     use crate::IPPROTO_UDP;
     use crate::error::PacketError;
+    use crate::view::Ipv6View;
 
     fn sample() -> Ipv6Packet {
         Ipv6Packet::new(
@@ -96,11 +75,21 @@ mod tests {
         )
     }
 
+    /// The packet on the wire: its header, then its payload.
+    fn wire(p: &Ipv6Packet) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.encode_header_into(&mut out, p.payload.len());
+        out.extend_from_slice(&p.payload);
+        out
+    }
+
     #[test]
     fn roundtrip() {
         let p = sample();
-        let q = Ipv6Packet::parse(&p.to_bytes()).unwrap();
-        assert_eq!(p, q);
+        let bytes = wire(&p);
+        let v = Ipv6View::new(&bytes).unwrap();
+        assert_eq!((v.src(), v.dst(), v.next_header()), (p.src, p.dst, p.next_header));
+        assert_eq!(v.payload(), &p.payload[..]);
     }
 
     #[test]
@@ -108,35 +97,38 @@ mod tests {
         let mut p = sample();
         p.traffic_class = 0xb8;
         p.flow_label = 0xabcde;
-        let q = Ipv6Packet::parse(&p.to_bytes()).unwrap();
-        assert_eq!(q.traffic_class, 0xb8);
-        assert_eq!(q.flow_label, 0xabcde);
+        let bytes = wire(&p);
+        let word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        assert_eq!(word >> 28, 6);
+        assert_eq!((word >> 20) & 0xff, 0xb8);
+        assert_eq!(word & 0xf_ffff, 0xabcde);
+        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &p.payload[..]);
     }
 
     #[test]
     fn short_buffer_is_rejected() {
-        assert!(matches!(Ipv6Packet::parse(&[0x60; 20]), Err(PacketError::Truncated { .. })));
+        assert!(matches!(Ipv6View::new(&[0x60; 20]), Err(PacketError::Truncated { .. })));
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[0] = 0x45;
-        assert!(matches!(Ipv6Packet::parse(&bytes), Err(PacketError::BadVersion(4))));
+        assert!(matches!(Ipv6View::new(&bytes), Err(PacketError::BadVersion(4))));
     }
 
     #[test]
     fn payload_length_beyond_buffer_is_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = wire(&sample());
         bytes[4..6].copy_from_slice(&500u16.to_be_bytes());
-        assert!(matches!(Ipv6Packet::parse(&bytes), Err(PacketError::Truncated { .. })));
+        assert!(matches!(Ipv6View::new(&bytes), Err(PacketError::Truncated { .. })));
     }
 
     #[test]
     fn trailing_padding_is_ignored() {
         let p = sample();
-        let mut bytes = p.to_bytes();
+        let mut bytes = wire(&p);
         bytes.extend_from_slice(&[0u8; 13]);
-        assert_eq!(Ipv6Packet::parse(&bytes).unwrap().payload, p.payload);
+        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &p.payload[..]);
     }
 }

@@ -5,17 +5,21 @@
 //! and relays the payload over regular sockets. This crate provides the wire
 //! formats that the whole pipeline operates on:
 //!
-//! * [`Ipv4Packet`] / [`Ipv6Packet`] — network-layer headers and payloads,
+//! * [`view`] — the parse path: zero-copy views ([`PacketView`] and its
+//!   per-protocol views) that validate the tunnel bytes and borrow them,
+//! * [`Ipv4Packet`] / [`Ipv6Packet`] — network-layer headers,
 //! * [`TcpSegment`] — TCP header, options (MSS, window scale) and payload,
 //! * [`UdpDatagram`] — UDP header and payload,
+//! * [`Packet`] — a packet to be written to the tunnel, encoded in place by
+//!   [`Packet::encode_into`],
 //! * [`dns`] — just enough of the DNS wire format for query/response
 //!   measurement,
-//! * [`Packet`] — a fully parsed packet as captured from the tunnel,
 //! * [`builder`] — convenience constructors for the packet sequences the
 //!   simulated apps and the TCP state machine emit.
 //!
-//! Everything round-trips: `parse(bytes).to_bytes() == bytes` for well-formed
-//! input, which is enforced by property tests.
+//! Everything round-trips: a packet encoded with `encode_into` reads back
+//! through the views with every field the relay reads intact, which is
+//! enforced by property tests.
 //!
 //! # Examples
 //!

@@ -7,12 +7,10 @@
 
 use std::net::IpAddr;
 
-use crate::error::Result;
 use crate::ipv4::Ipv4Packet;
 use crate::ipv6::Ipv6Packet;
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
-use crate::view::PacketView;
 use crate::{Endpoint, FourTuple};
 
 /// The network layer of a captured packet.
@@ -26,7 +24,7 @@ pub enum IpPacket {
 
 impl IpPacket {
     /// Source IP address.
-    pub fn src(&self) -> IpAddr {
+    pub(crate) fn src(&self) -> IpAddr {
         match self {
             IpPacket::V4(p) => IpAddr::V4(p.src),
             IpPacket::V6(p) => IpAddr::V6(p.src),
@@ -34,45 +32,18 @@ impl IpPacket {
     }
 
     /// Destination IP address.
-    pub fn dst(&self) -> IpAddr {
+    pub(crate) fn dst(&self) -> IpAddr {
         match self {
             IpPacket::V4(p) => IpAddr::V4(p.dst),
             IpPacket::V6(p) => IpAddr::V6(p.dst),
         }
     }
 
-    /// Transport protocol number.
-    pub fn protocol(&self) -> u8 {
-        match self {
-            IpPacket::V4(p) => p.protocol,
-            IpPacket::V6(p) => p.next_header,
-        }
-    }
-
-    /// Transport payload bytes stored at the network layer.
-    ///
-    /// Packets built from parts or parsed via [`Packet::parse`] keep their
-    /// payload in the transport layer and leave this empty.
-    pub fn payload(&self) -> &[u8] {
-        match self {
-            IpPacket::V4(p) => &p.payload,
-            IpPacket::V6(p) => &p.payload,
-        }
-    }
-
     /// Network header length in bytes.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         match self {
             IpPacket::V4(p) => p.header_len(),
             IpPacket::V6(_) => crate::ipv6::IPV6_HEADER_LEN,
-        }
-    }
-
-    /// Serialises the network-layer packet.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            IpPacket::V4(p) => p.to_bytes(),
-            IpPacket::V6(p) => p.to_bytes(),
         }
     }
 }
@@ -98,29 +69,17 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Parses a raw IP packet captured from the tunnel.
-    ///
-    /// The IP version is sniffed from the first nibble. Transport parsing
-    /// failures for TCP/UDP are propagated; unknown transports are preserved.
-    /// This is a thin wrapper over the zero-copy [`PacketView`]: the payload
-    /// is copied exactly once, into the transport layer (the IP layer's
-    /// `payload` field stays empty).
-    #[inline]
-    pub fn parse(data: &[u8]) -> Result<Self> {
-        Ok(PacketView::parse(data)?.to_owned())
-    }
-
     /// Builds a packet from a network header template and a transport layer.
     ///
     /// Construction is lazy: lengths and checksums are computed when the
     /// packet is serialised, so building a packet that is never written to
     /// the wire costs no encoding work and no checksum pass.
-    pub fn from_parts(ip: IpPacket, transport: Transport) -> Self {
+    pub(crate) fn from_parts(ip: IpPacket, transport: Transport) -> Self {
         Self { ip, transport }
     }
 
     /// The source endpoint (IP + transport port), if the transport has ports.
-    pub fn src_endpoint(&self) -> Option<Endpoint> {
+    pub(crate) fn src_endpoint(&self) -> Option<Endpoint> {
         let port = match &self.transport {
             Transport::Tcp(t) => t.src_port,
             Transport::Udp(u) => u.src_port,
@@ -130,7 +89,7 @@ impl Packet {
     }
 
     /// The destination endpoint (IP + transport port), if the transport has ports.
-    pub fn dst_endpoint(&self) -> Option<Endpoint> {
+    pub(crate) fn dst_endpoint(&self) -> Option<Endpoint> {
         let port = match &self.transport {
             Transport::Tcp(t) => t.dst_port,
             Transport::Udp(u) => u.dst_port,
@@ -190,7 +149,7 @@ impl Packet {
     }
 
     /// Serialised length of the transport layer in bytes.
-    pub fn transport_wire_len(&self) -> usize {
+    pub(crate) fn transport_wire_len(&self) -> usize {
         match &self.transport {
             Transport::Tcp(t) => t.wire_len(),
             Transport::Udp(u) => u.len(),
@@ -210,6 +169,7 @@ mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
     use crate::tcp::TcpFlags;
+    use crate::view::{PacketView, TransportView};
     use std::net::Ipv4Addr;
 
     fn builder() -> PacketBuilder {
@@ -223,17 +183,19 @@ mod tests {
     fn tcp_packet_roundtrip_through_bytes() {
         let p = builder().tcp_syn(12345);
         let bytes = p.to_bytes();
-        let parsed = Packet::parse(&bytes).unwrap();
+        let parsed = PacketView::parse(&bytes).unwrap();
         assert_eq!(parsed.four_tuple(), p.four_tuple());
-        assert!(parsed.tcp().unwrap().is_syn());
-        assert_eq!(parsed.to_bytes(), bytes);
+        let tcp = parsed.tcp().unwrap();
+        assert_eq!((tcp.flags(), tcp.seq()), (TcpFlags::SYN, 12345));
     }
 
     #[test]
     fn udp_packet_roundtrip_through_bytes() {
         let p = builder().udp(b"hello".to_vec());
-        let parsed = Packet::parse(&p.to_bytes()).unwrap();
-        assert_eq!(parsed.udp().unwrap().payload, b"hello");
+        let bytes = p.to_bytes();
+        let parsed = PacketView::parse(&bytes).unwrap();
+        let TransportView::Udp(udp) = parsed.transport() else { panic!("not UDP") };
+        assert_eq!(udp.payload(), b"hello");
         assert_eq!(parsed.src_endpoint().unwrap().port, 40000);
     }
 
@@ -243,18 +205,20 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
             47, // GRE.
-            vec![1, 2, 3, 4],
+            Vec::new(),
         );
-        let parsed = Packet::parse(&ip.to_bytes()).unwrap();
-        assert!(matches!(parsed.transport, Transport::Other(47, _)));
+        let p = Packet::from_parts(IpPacket::V4(ip), Transport::Other(47, vec![1, 2, 3, 4]));
+        let bytes = p.to_bytes();
+        assert_eq!(bytes.len(), 24);
+        let parsed = PacketView::parse(&bytes).unwrap();
+        assert!(matches!(parsed.transport(), TransportView::Other(47, [1, 2, 3, 4])));
         assert!(parsed.four_tuple().is_none());
-        assert_eq!(parsed.to_bytes(), ip.to_bytes());
     }
 
     #[test]
     fn empty_buffer_is_rejected() {
-        assert!(Packet::parse(&[]).is_err());
-        assert!(Packet::parse(&[0x00]).is_err());
+        assert!(PacketView::parse(&[]).is_err());
+        assert!(PacketView::parse(&[0x00]).is_err());
     }
 
     #[test]
@@ -264,8 +228,9 @@ mod tests {
             t.flags |= TcpFlags::ACK;
             t.ack = 100;
         }
-        let parsed = Packet::parse(&p.to_bytes()).unwrap();
-        assert!(parsed.tcp().unwrap().is_syn_ack());
+        let bytes = p.to_bytes();
+        let tcp = *PacketView::parse(&bytes).unwrap().tcp().unwrap();
+        assert_eq!((tcp.flags(), tcp.ack()), (TcpFlags::SYN | TcpFlags::ACK, 100));
     }
 
     #[test]

@@ -37,13 +37,8 @@ impl TcpFlags {
     /// URG: the urgent pointer is valid.
     pub const URG: Self = Self(0x20);
 
-    /// Returns the empty flag set.
-    pub const fn empty() -> Self {
-        Self(0)
-    }
-
     /// Returns the raw bits.
-    pub const fn bits(self) -> u8 {
+    pub(crate) const fn bits(self) -> u8 {
         self.0
     }
 
@@ -55,16 +50,6 @@ impl TcpFlags {
     /// Returns true if `self` contains all flags in `other`.
     pub const fn contains(self, other: Self) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// Returns true if `self` and `other` share any flag.
-    pub const fn intersects(self, other: Self) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Returns true if no flags are set.
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -133,7 +118,7 @@ impl OptBytes {
     ///
     /// Panics if `bytes` exceeds [`OptBytes::MAX`] — impossible for data that
     /// came off the wire, and a construction bug otherwise.
-    pub fn new(bytes: &[u8]) -> Self {
+    pub(crate) fn new(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= Self::MAX, "TCP option body exceeds 38 bytes");
         let mut data = [0u8; Self::MAX];
         data[..bytes.len()].copy_from_slice(bytes);
@@ -141,18 +126,13 @@ impl OptBytes {
     }
 
     /// The stored bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.data[..usize::from(self.len)]
     }
 
     /// Number of stored bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(self.len)
-    }
-
-    /// True if no bytes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -238,12 +218,12 @@ impl SackBlocks {
     }
 
     /// Number of stored blocks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(self.len)
     }
 
     /// True if no blocks are stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
@@ -312,7 +292,7 @@ pub enum TcpOption {
 /// A TCP header carries at most [`TcpOptions::MAX_BYTES`] option bytes, so
 /// the whole list always fits in a 40-byte inline buffer: option parsing and
 /// construction never touch the heap, and serialisation is a single memcpy.
-/// Options decode on demand through [`TcpOptions::iter`]; every supported
+/// Options decode on demand through `TcpOptions::iter`; every supported
 /// option has exactly one wire encoding, so byte equality coincides with
 /// option-list equality.
 #[derive(Clone, Copy)]
@@ -326,18 +306,8 @@ impl TcpOptions {
     pub const MAX_BYTES: usize = 40;
 
     /// Creates an empty list.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self { data: [0; Self::MAX_BYTES], len: 0 }
-    }
-
-    /// Builds a list from already-validated wire bytes (no end-of-list
-    /// marker or padding included).
-    #[inline]
-    pub(crate) fn from_wire(bytes: &[u8]) -> Self {
-        debug_assert!(bytes.len() <= Self::MAX_BYTES);
-        let mut data = [0u8; Self::MAX_BYTES];
-        data[..bytes.len()].copy_from_slice(bytes);
-        Self { data, len: bytes.len() as u8 }
     }
 
     /// Appends an option, storing its canonical wire encoding.
@@ -345,7 +315,7 @@ impl TcpOptions {
     /// # Panics
     ///
     /// Panics if the list would exceed the 40-byte spec bound.
-    pub fn push(&mut self, opt: TcpOption) {
+    pub(crate) fn push(&mut self, opt: TcpOption) {
         let start = usize::from(self.len);
         let needed = opt.wire_len();
         assert!(start + needed <= Self::MAX_BYTES, "TCP options exceed 40 bytes");
@@ -390,28 +360,18 @@ impl TcpOptions {
     }
 
     /// The canonical wire bytes of the list (no padding).
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         &self.data[..usize::from(self.len)]
     }
 
     /// Serialised length of the list in bytes, before word padding.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         usize::from(self.len)
     }
 
-    /// True if the list holds no options.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Decodes the options in wire order.
-    pub fn iter(&self) -> TcpOptionsIter<'_> {
+    pub(crate) fn iter(&self) -> TcpOptionsIter<'_> {
         TcpOptionsIter { inner: crate::view::TcpOptionIter::over(self.as_bytes()) }
-    }
-
-    /// Decodes the `index`-th option, if present.
-    pub fn get(&self, index: usize) -> Option<TcpOption> {
-        self.iter().nth(index)
     }
 }
 
@@ -490,7 +450,7 @@ impl Iterator for TcpOptionsIter<'_> {
 
 impl TcpOption {
     /// Serialised length of this option in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             TcpOption::MaximumSegmentSize(_) => 4,
             TcpOption::WindowScale(_) => 3,
@@ -550,14 +510,6 @@ impl TcpSegment {
         })
     }
 
-    /// Returns the window-scale option value if present.
-    pub fn window_scale(&self) -> Option<u8> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::WindowScale(v) => Some(v),
-            _ => None,
-        })
-    }
-
     /// Returns the selective-acknowledgement blocks if a SACK option (kind 5)
     /// is present.
     pub fn sack_blocks(&self) -> Option<SackBlocks> {
@@ -565,11 +517,6 @@ impl TcpSegment {
             TcpOption::Sack(blocks) => Some(blocks),
             _ => None,
         })
-    }
-
-    /// Returns true if this is a bare SYN (no ACK).
-    pub fn is_syn(&self) -> bool {
-        self.flags.contains(TcpFlags::SYN) && !self.flags.contains(TcpFlags::ACK)
     }
 
     /// Returns true if this is a SYN/ACK.
@@ -581,52 +528,21 @@ impl TcpSegment {
     ///
     /// MopEye discards pure ACKs from the tunnel because there is nothing to
     /// relay to the socket channel (§2.3).
-    pub fn is_pure_ack(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_pure_ack(&self) -> bool {
         self.flags.contains(TcpFlags::ACK)
             && self.payload.is_empty()
-            && !self.flags.intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST)
-    }
-
-    /// The number of sequence numbers this segment consumes (payload plus one
-    /// for SYN and one for FIN).
-    pub fn sequence_len(&self) -> u32 {
-        let mut len = self.payload.len() as u32;
-        if self.flags.contains(TcpFlags::SYN) {
-            len += 1;
-        }
-        if self.flags.contains(TcpFlags::FIN) {
-            len += 1;
-        }
-        len
+            && (self.flags.bits() & (TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST).bits()) == 0
     }
 
     /// Header length in bytes including options and padding.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         TCP_MIN_HEADER_LEN + self.options.byte_len().div_ceil(4) * 4
     }
 
-    /// Parses a TCP segment from `data` (no checksum verification; the IP
-    /// layer caller verifies checksums when it has the pseudo-header).
-    ///
-    /// A thin wrapper over the zero-copy [`crate::view::TcpSegmentView`],
-    /// which owns the validation logic.
-    pub fn parse(data: &[u8]) -> Result<Self> {
-        Ok(crate::view::TcpSegmentView::new(data)?.to_owned())
-    }
-
     /// Total serialised length in bytes (header, options, padding, payload).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.header_len() + self.payload.len()
-    }
-
-    /// Serialises the segment with a zero checksum field.
-    ///
-    /// Use [`TcpSegment::encode_with_checksum_into`] when the enclosing IP
-    /// addresses are known.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        self.encode_into(&mut out);
-        out
     }
 
     /// Appends the serialised segment (zero checksum field) to `out`.
@@ -635,7 +551,7 @@ impl TcpSegment {
     /// write the network header first and the segment after it. With a
     /// warmed, reused buffer this performs no allocations.
     #[inline]
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let header_len = self.header_len();
         out.reserve(self.wire_len());
         let start = out.len();
@@ -662,7 +578,7 @@ impl TcpSegment {
     ///
     /// Panics if `src` and `dst` are not the same IP version.
     #[inline]
-    pub fn encode_with_checksum_into(&self, src: IpAddr, dst: IpAddr, out: &mut Vec<u8>) {
+    pub(crate) fn encode_with_checksum_into(&self, src: IpAddr, dst: IpAddr, out: &mut Vec<u8>) {
         let start = out.len();
         self.encode_into(out);
         let checksum = match (src, dst) {
@@ -678,12 +594,9 @@ impl TcpSegment {
     }
 }
 
-/// Validates the option region and returns how many leading bytes hold real
-/// options (everything before an end-of-list marker or padding).
-///
-/// Shared by [`TcpSegment::parse`] and the zero-copy
-/// [`crate::view::TcpSegmentView`], so both reject exactly the same inputs.
-pub(crate) fn validate_options(region: &[u8]) -> Result<usize> {
+/// Validates the option region of a [`crate::view::TcpSegmentView`]: every
+/// option before an end-of-list marker must have a length that fits.
+pub(crate) fn validate_options(region: &[u8]) -> Result<()> {
     let mut data = region;
     while let Some((&kind, rest)) = data.split_first() {
         match kind {
@@ -703,12 +616,13 @@ pub(crate) fn validate_options(region: &[u8]) -> Result<usize> {
             }
         }
     }
-    Ok(region.len() - data.len())
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{TcpOptionRef, TcpSegmentView};
     use std::net::Ipv4Addr;
 
     fn syn() -> TcpSegment {
@@ -722,26 +636,37 @@ mod tests {
         s
     }
 
+    fn wire(s: &TcpSegment) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.encode_into(&mut out);
+        out
+    }
+
+    fn options_of(v: &TcpSegmentView<'_>) -> TcpOptions {
+        v.options().map(|o| o.to_owned()).collect()
+    }
+
     #[test]
     fn roundtrip_syn_with_options() {
         let s = syn();
-        let parsed = TcpSegment::parse(&s.to_bytes()).unwrap();
-        assert_eq!(parsed.src_port, 40000);
+        let bytes = wire(&s);
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
+        assert_eq!(parsed.src_port(), 40000);
         assert_eq!(parsed.mss(), Some(1460));
-        assert_eq!(parsed.window_scale(), Some(7));
-        assert!(parsed.is_syn());
-        assert!(!parsed.is_syn_ack());
-        assert_eq!(parsed.options, s.options);
+        assert_eq!(parsed.flags(), TcpFlags::SYN);
+        assert_eq!(options_of(&parsed), s.options);
+        assert!(!s.is_syn_ack());
     }
 
     #[test]
     fn roundtrip_data_segment() {
         let mut s = TcpSegment::new(40000, 80, 5, 99, TcpFlags::ACK | TcpFlags::PSH);
         s.payload = b"GET / HTTP/1.1\r\n\r\n".to_vec();
-        let parsed = TcpSegment::parse(&s.to_bytes()).unwrap();
-        assert_eq!(parsed.payload, s.payload);
-        assert!(!parsed.is_pure_ack());
-        assert_eq!(parsed.sequence_len(), s.payload.len() as u32);
+        let bytes = wire(&s);
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
+        assert_eq!(parsed.payload(), &s.payload[..]);
+        assert_eq!((parsed.seq(), parsed.ack()), (5, 99));
+        assert!(!s.is_pure_ack());
     }
 
     #[test]
@@ -750,15 +675,6 @@ mod tests {
         assert!(s.is_pure_ack());
         let s = TcpSegment::new(1, 2, 10, 20, TcpFlags::ACK | TcpFlags::FIN);
         assert!(!s.is_pure_ack());
-    }
-
-    #[test]
-    fn sequence_len_counts_syn_and_fin() {
-        assert_eq!(TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN).sequence_len(), 1);
-        assert_eq!(TcpSegment::new(1, 2, 0, 0, TcpFlags::FIN | TcpFlags::ACK).sequence_len(), 1);
-        let mut s = TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN);
-        s.payload = vec![0; 10];
-        assert_eq!(s.sequence_len(), 11);
     }
 
     #[test]
@@ -783,10 +699,10 @@ mod tests {
 
     #[test]
     fn truncated_and_bad_offset_are_rejected() {
-        assert!(TcpSegment::parse(&[0; 10]).is_err());
-        let mut bytes = syn().to_bytes();
+        assert!(TcpSegmentView::new(&[0; 10]).is_err());
+        let mut bytes = wire(&syn());
         bytes[12] = 0x30; // Data offset 12 bytes < 20.
-        assert!(matches!(TcpSegment::parse(&bytes), Err(PacketError::BadHeaderLength(12))));
+        assert!(matches!(TcpSegmentView::new(&bytes), Err(PacketError::BadHeaderLength(12))));
     }
 
     #[test]
@@ -798,8 +714,10 @@ mod tests {
             TcpOption::Nop,
             TcpOption::Nop,
         ].into();
-        let parsed = TcpSegment::parse(&s.to_bytes()).unwrap();
-        assert_eq!(parsed.options.get(0), Some(TcpOption::Unknown(254, [1, 2, 3].into())));
+        let bytes = wire(&s);
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
+        assert_eq!(parsed.options().next(), Some(TcpOptionRef::Unknown(254, &[1, 2, 3])));
+        assert_eq!(options_of(&parsed), s.options);
     }
 
     #[test]
@@ -809,10 +727,11 @@ mod tests {
         let mut s = TcpSegment::new(40000, 443, 10, 5000, TcpFlags::ACK);
         let blocks = SackBlocks::from([(6460, 7920), (9380, 10840)]);
         s.options = vec![TcpOption::Nop, TcpOption::Nop, TcpOption::Sack(blocks)].into();
-        let parsed = TcpSegment::parse(&s.to_bytes()).unwrap();
+        let bytes = wire(&s);
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
         assert_eq!(parsed.sack_blocks(), Some(blocks));
-        assert_eq!(parsed.options, s.options);
-        assert!(parsed.is_pure_ack(), "SACK blocks do not stop a segment being a pure ACK");
+        assert_eq!(options_of(&parsed), s.options);
+        assert!(s.is_pure_ack(), "SACK blocks do not stop a segment being a pure ACK");
     }
 
     #[test]
@@ -826,7 +745,7 @@ mod tests {
         let mut opts = TcpOptions::new();
         opts.push(full);
         assert_eq!(opts.byte_len(), 34);
-        assert_eq!(opts.get(0), Some(full));
+        assert_eq!(opts.iter().next(), Some(full));
     }
 
     #[test]
@@ -839,23 +758,19 @@ mod tests {
     fn malformed_sack_bodies_fall_back_to_unknown() {
         // Kind 5 with a body that is not a positive multiple of 8 decodes as
         // Unknown (preserved raw), exactly like any other exotic option.
-        let wire = [5u8, 5, 1, 2, 3, 1, 1, 1]; // Length 5 → 3-byte body + NOPs.
-        let parsed = TcpSegment::parse(
-            &{
-                let mut s = TcpSegment::new(1, 2, 0, 0, TcpFlags::ACK);
-                s.options = TcpOptions::from_wire(&wire);
-                s
-            }
-            .to_bytes(),
-        )
-        .unwrap();
-        assert_eq!(parsed.options.get(0), Some(TcpOption::Unknown(5, [1, 2, 3].into())));
+        let mut s = TcpSegment::new(1, 2, 0, 0, TcpFlags::ACK);
+        s.options = vec![TcpOption::Unknown(5, [1, 2, 3].into()), TcpOption::Nop].into();
+        let bytes = wire(&s);
+        assert_eq!(&bytes[20..26], &[5, 5, 1, 2, 3, 1], "length 5: a 3-byte body");
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
+        assert_eq!(parsed.options().next(), Some(TcpOptionRef::Unknown(5, &[1, 2, 3])));
+        assert_eq!(parsed.sack_blocks(), None);
     }
 
     #[test]
     fn flags_display() {
         assert_eq!((TcpFlags::SYN | TcpFlags::ACK).to_string(), "SYN|ACK");
-        assert_eq!(TcpFlags::empty().to_string(), "<none>");
+        assert_eq!(TcpFlags::default().to_string(), "<none>");
     }
 
     #[test]
@@ -863,7 +778,9 @@ mod tests {
         let mut s = TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN);
         s.options = vec![TcpOption::WindowScale(2)].into(); // Three bytes of options.
         assert_eq!(s.header_len(), 24);
-        let parsed = TcpSegment::parse(&s.to_bytes()).unwrap();
-        assert_eq!(parsed.window_scale(), Some(2));
+        let bytes = wire(&s);
+        assert_eq!(bytes.len(), 24);
+        let parsed = TcpSegmentView::new(&bytes).unwrap();
+        assert_eq!(parsed.options().collect::<Vec<_>>(), [TcpOptionRef::WindowScale(2)]);
     }
 }

@@ -6,7 +6,6 @@
 use std::net::IpAddr;
 
 use crate::checksum::{transport_checksum_v4, transport_checksum_v6};
-use crate::error::Result;
 
 /// UDP header length in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -29,37 +28,18 @@ impl UdpDatagram {
     }
 
     /// Returns true if either port is the DNS port (53).
-    pub fn is_dns(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_dns(&self) -> bool {
         self.src_port == 53 || self.dst_port == 53
     }
 
     /// Total datagram length (header plus payload).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         UDP_HEADER_LEN + self.payload.len()
     }
 
-    /// Returns true if the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
-    /// Parses a UDP datagram from `data`.
-    ///
-    /// A thin wrapper over the zero-copy [`crate::view::UdpView`], which owns
-    /// the validation logic.
-    pub fn parse(data: &[u8]) -> Result<Self> {
-        Ok(crate::view::UdpView::new(data)?.to_owned())
-    }
-
-    /// Serialises the datagram with a zero checksum (legal for IPv4).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        self.encode_into(&mut out);
-        out
-    }
-
     /// Appends the serialised datagram (zero checksum) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.len());
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -93,39 +73,49 @@ impl UdpDatagram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::UdpView;
     use std::net::Ipv4Addr;
+
+    fn wire(d: &UdpDatagram) -> Vec<u8> {
+        let mut out = Vec::new();
+        d.encode_into(&mut out);
+        out
+    }
 
     #[test]
     fn roundtrip() {
         let d = UdpDatagram::new(40001, 53, vec![0xde, 0xad, 0xbe, 0xef]);
-        let parsed = UdpDatagram::parse(&d.to_bytes()).unwrap();
-        assert_eq!(parsed, d);
-        assert!(parsed.is_dns());
-        assert_eq!(parsed.len(), 12);
+        let bytes = wire(&d);
+        assert_eq!(bytes.len(), d.len());
+        assert_eq!(d.len(), 12);
+        let v = UdpView::new(&bytes).unwrap();
+        assert_eq!((v.src_port(), v.dst_port()), (40001, 53));
+        assert_eq!(v.payload(), &d.payload[..]);
+        assert!(d.is_dns());
     }
 
     #[test]
     fn non_dns_ports() {
         let d = UdpDatagram::new(40001, 4500, vec![]);
         assert!(!d.is_dns());
-        assert!(d.is_empty());
+        assert_eq!(d.len(), UDP_HEADER_LEN);
     }
 
     #[test]
     fn trailing_bytes_are_ignored() {
         let d = UdpDatagram::new(1, 2, vec![1, 2, 3]);
-        let mut bytes = d.to_bytes();
+        let mut bytes = wire(&d);
         bytes.extend_from_slice(&[0xff; 4]);
-        assert_eq!(UdpDatagram::parse(&bytes).unwrap().payload, vec![1, 2, 3]);
+        assert_eq!(UdpView::new(&bytes).unwrap().payload(), &[1, 2, 3]);
     }
 
     #[test]
     fn truncated_is_rejected() {
-        assert!(UdpDatagram::parse(&[0; 4]).is_err());
+        assert!(UdpView::new(&[0; 4]).is_err());
         let d = UdpDatagram::new(1, 2, vec![1, 2, 3]);
-        let mut bytes = d.to_bytes();
+        let mut bytes = wire(&d);
         bytes[4..6].copy_from_slice(&100u16.to_be_bytes());
-        assert!(UdpDatagram::parse(&bytes).is_err());
+        assert!(UdpView::new(&bytes).is_err());
     }
 
     #[test]

@@ -1,33 +1,31 @@
-//! Zero-copy packet views borrowing from the raw TUN buffer.
+//! Zero-copy packet views borrowing from the raw TUN buffer: the crate's
+//! one parse path.
 //!
-//! The relay parses every packet an app writes into the tunnel, and the owned
-//! types in [`crate::ipv4`] / [`crate::tcp`] copy the payload (and every
-//! option body) out of the input buffer on each parse. On the hot path that
-//! is pure waste: the MainWorker only needs to *classify* the segment and
-//! borrow its payload long enough to hand the bytes to the socket channel.
-//!
-//! The `*View` types here validate exactly as strictly as their owned
-//! counterparts but keep borrowing from the input slice; `to_owned()` bridges
-//! back to the owned structs when a packet must outlive the buffer. Every
-//! accessor is allocation-free, which is what makes the relay's steady-state
-//! loop zero-alloc per packet (see the `zero_alloc` regression test in
+//! The relay parses every packet an app writes into the tunnel. The
+//! MainWorker only needs to *classify* the segment and borrow its payload
+//! long enough to hand the bytes to the socket channel, so nothing here
+//! copies: the `*View` types validate the input once, at construction, and
+//! then borrow from the input slice. The owned types in [`crate::ipv4`] /
+//! [`crate::tcp`] / [`crate::udp`] are for building packets and encoding
+//! them (`encode_into`); they have no parser. Every accessor is
+//! allocation-free, which is what makes the relay's steady-state loop
+//! zero-alloc per packet (see the `zero_alloc` regression test in
 //! `mop_bench`).
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use crate::checksum::ipv4_header_checksum;
 use crate::error::{PacketError, Result};
-use crate::ipv4::{Ipv4Packet, IPV4_MIN_HEADER_LEN};
-use crate::ipv6::{Ipv6Packet, IPV6_HEADER_LEN};
-use crate::packet::{IpPacket, Packet, Transport};
-use crate::tcp::{TcpFlags, TcpOption, TcpSegment, TCP_MIN_HEADER_LEN};
-use crate::udp::{UdpDatagram, UDP_HEADER_LEN};
+use crate::ipv4::IPV4_MIN_HEADER_LEN;
+use crate::ipv6::IPV6_HEADER_LEN;
+use crate::tcp::{TcpFlags, TcpOption, TCP_MIN_HEADER_LEN};
+use crate::udp::UDP_HEADER_LEN;
 use crate::{Endpoint, FourTuple, IPPROTO_TCP, IPPROTO_UDP};
 
 /// A borrowed, validated IPv4 packet.
 ///
-/// Construction performs the same checks as [`Ipv4Packet::parse`] (version,
-/// IHL, total length, header checksum) so accessors cannot fail.
+/// Construction checks the version, the IHL, the total length and the header
+/// checksum, so accessors cannot fail.
 #[derive(Debug, Clone, Copy)]
 pub struct Ipv4View<'a> {
     data: &'a [u8],
@@ -75,26 +73,6 @@ impl<'a> Ipv4View<'a> {
         Ok(Self { data, header_len, total_len })
     }
 
-    /// Differentiated services / TOS byte.
-    pub fn dscp_ecn(&self) -> u8 {
-        self.data[1]
-    }
-
-    /// Identification field.
-    pub fn identification(&self) -> u16 {
-        u16::from_be_bytes([self.data[4], self.data[5]])
-    }
-
-    /// Flags and fragment offset, packed as on the wire.
-    pub fn flags_fragment(&self) -> u16 {
-        u16::from_be_bytes([self.data[6], self.data[7]])
-    }
-
-    /// Time to live.
-    pub fn ttl(&self) -> u8 {
-        self.data[8]
-    }
-
     /// Transport protocol number.
     pub fn protocol(&self) -> u8 {
         self.data[9]
@@ -110,36 +88,10 @@ impl<'a> Ipv4View<'a> {
         Ipv4Addr::new(self.data[16], self.data[17], self.data[18], self.data[19])
     }
 
-    /// Header length in bytes, including options.
-    pub fn header_len(&self) -> usize {
-        self.header_len
-    }
-
-    /// Raw IPv4 options.
-    pub fn options(&self) -> &'a [u8] {
-        &self.data[IPV4_MIN_HEADER_LEN..self.header_len]
-    }
-
     /// Transport payload (bounded by the total-length field).
     #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.data[self.header_len..self.total_len]
-    }
-
-    /// Copies the view into an owned [`Ipv4Packet`], payload included.
-    #[inline]
-    pub fn to_owned(&self) -> Ipv4Packet {
-        Ipv4Packet {
-            dscp_ecn: self.dscp_ecn(),
-            identification: self.identification(),
-            flags_fragment: self.flags_fragment(),
-            ttl: self.ttl(),
-            protocol: self.protocol(),
-            src: self.src(),
-            dst: self.dst(),
-            options: self.options().to_vec(),
-            payload: self.payload().to_vec(),
-        }
     }
 }
 
@@ -153,7 +105,7 @@ pub struct Ipv6View<'a> {
 impl<'a> Ipv6View<'a> {
     /// Validates `data` as an IPv6 packet and borrows it.
     #[inline]
-    pub fn new(data: &'a [u8]) -> Result<Self> {
+    pub(crate) fn new(data: &'a [u8]) -> Result<Self> {
         if data.len() < IPV6_HEADER_LEN {
             return Err(PacketError::Truncated {
                 what: "IPv6 header",
@@ -176,37 +128,20 @@ impl<'a> Ipv6View<'a> {
         Ok(Self { data, payload_len })
     }
 
-    /// Traffic class byte.
-    pub fn traffic_class(&self) -> u8 {
-        ((self.data[0] & 0x0f) << 4) | (self.data[1] >> 4)
-    }
-
-    /// 20-bit flow label.
-    pub fn flow_label(&self) -> u32 {
-        (u32::from(self.data[1] & 0x0f) << 16)
-            | (u32::from(self.data[2]) << 8)
-            | u32::from(self.data[3])
-    }
-
     /// Next header (transport protocol).
-    pub fn next_header(&self) -> u8 {
+    pub(crate) fn next_header(&self) -> u8 {
         self.data[6]
     }
 
-    /// Hop limit.
-    pub fn hop_limit(&self) -> u8 {
-        self.data[7]
-    }
-
     /// Source address.
-    pub fn src(&self) -> Ipv6Addr {
+    pub(crate) fn src(&self) -> Ipv6Addr {
         let mut octets = [0u8; 16];
         octets.copy_from_slice(&self.data[8..24]);
         Ipv6Addr::from(octets)
     }
 
     /// Destination address.
-    pub fn dst(&self) -> Ipv6Addr {
+    pub(crate) fn dst(&self) -> Ipv6Addr {
         let mut octets = [0u8; 16];
         octets.copy_from_slice(&self.data[24..40]);
         Ipv6Addr::from(octets)
@@ -214,22 +149,8 @@ impl<'a> Ipv6View<'a> {
 
     /// Transport payload (bounded by the payload-length field).
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         &self.data[IPV6_HEADER_LEN..IPV6_HEADER_LEN + self.payload_len]
-    }
-
-    /// Copies the view into an owned [`Ipv6Packet`], payload included.
-    #[inline]
-    pub fn to_owned(&self) -> Ipv6Packet {
-        Ipv6Packet {
-            traffic_class: self.traffic_class(),
-            flow_label: self.flow_label(),
-            next_header: self.next_header(),
-            hop_limit: self.hop_limit(),
-            src: self.src(),
-            dst: self.dst(),
-            payload: self.payload().to_vec(),
-        }
     }
 }
 
@@ -256,8 +177,8 @@ pub enum TcpOptionRef<'a> {
 impl TcpOptionRef<'_> {
     /// Copies the borrowed option into an owned [`TcpOption`].
     #[inline]
-    pub fn to_owned(&self) -> TcpOption {
-        match *self {
+    pub(crate) fn to_owned(self) -> TcpOption {
+        match self {
             TcpOptionRef::MaximumSegmentSize(v) => TcpOption::MaximumSegmentSize(v),
             TcpOptionRef::WindowScale(v) => TcpOption::WindowScale(v),
             TcpOptionRef::SackPermitted => TcpOption::SackPermitted,
@@ -334,16 +255,12 @@ impl<'a> Iterator for TcpOptionIter<'a> {
 
 /// A borrowed, validated TCP segment.
 ///
-/// Construction performs the same checks as [`TcpSegment::parse`], including
-/// a full walk of the option list, so every accessor (and option iteration)
-/// is infallible.
+/// Construction checks the data offset and walks the full option list, so
+/// every accessor (and option iteration) is infallible.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpSegmentView<'a> {
     data: &'a [u8],
     header_len: usize,
-    /// Bytes of the option region holding real options (before any
-    /// end-of-list marker or padding).
-    opts_len: usize,
 }
 
 impl<'a> TcpSegmentView<'a> {
@@ -361,19 +278,18 @@ impl<'a> TcpSegmentView<'a> {
         if header_len < TCP_MIN_HEADER_LEN || header_len > data.len() {
             return Err(PacketError::BadHeaderLength(header_len));
         }
-        // Validate the option region once so iteration never has to; the
-        // validator is shared with `TcpSegment::parse`.
-        let opts_len = crate::tcp::validate_options(&data[TCP_MIN_HEADER_LEN..header_len])?;
-        Ok(Self { data, header_len, opts_len })
+        // Validate the option region once so iteration never has to.
+        crate::tcp::validate_options(&data[TCP_MIN_HEADER_LEN..header_len])?;
+        Ok(Self { data, header_len })
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.data[0], self.data[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.data[2], self.data[3]])
     }
 
@@ -392,23 +308,8 @@ impl<'a> TcpSegmentView<'a> {
         TcpFlags::from_bits(self.data[13] & 0x3f)
     }
 
-    /// Receive window (unscaled).
-    pub fn window(&self) -> u16 {
-        u16::from_be_bytes([self.data[14], self.data[15]])
-    }
-
-    /// Urgent pointer.
-    pub fn urgent(&self) -> u16 {
-        u16::from_be_bytes([self.data[18], self.data[19]])
-    }
-
-    /// Header length in bytes, including options and padding.
-    pub fn header_len(&self) -> usize {
-        self.header_len
-    }
-
     /// The raw (validated) option region, padding included.
-    pub fn options_bytes(&self) -> &'a [u8] {
+    pub(crate) fn options_bytes(&self) -> &'a [u8] {
         &self.data[TCP_MIN_HEADER_LEN..self.header_len]
     }
 
@@ -431,14 +332,6 @@ impl<'a> TcpSegmentView<'a> {
         })
     }
 
-    /// Returns the window-scale option value if present.
-    pub fn window_scale(&self) -> Option<u8> {
-        self.options().find_map(|o| match o {
-            TcpOptionRef::WindowScale(v) => Some(v),
-            _ => None,
-        })
-    }
-
     /// Returns the selective-acknowledgement blocks if a SACK option (kind 5)
     /// is present.
     pub fn sack_blocks(&self) -> Option<crate::tcp::SackBlocks> {
@@ -446,56 +339,6 @@ impl<'a> TcpSegmentView<'a> {
             TcpOptionRef::Sack(blocks) => Some(blocks),
             _ => None,
         })
-    }
-
-    /// Returns true if this is a bare SYN (no ACK).
-    pub fn is_syn(&self) -> bool {
-        let flags = self.flags();
-        flags.contains(TcpFlags::SYN) && !flags.contains(TcpFlags::ACK)
-    }
-
-    /// Returns true if this is a SYN/ACK.
-    pub fn is_syn_ack(&self) -> bool {
-        let flags = self.flags();
-        flags.contains(TcpFlags::SYN) && flags.contains(TcpFlags::ACK)
-    }
-
-    /// Returns true if this is a pure ACK: ACK set, no payload, no SYN/FIN/RST.
-    pub fn is_pure_ack(&self) -> bool {
-        let flags = self.flags();
-        flags.contains(TcpFlags::ACK)
-            && self.payload().is_empty()
-            && !flags.intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST)
-    }
-
-    /// The number of sequence numbers this segment consumes.
-    pub fn sequence_len(&self) -> u32 {
-        let flags = self.flags();
-        self.payload().len() as u32
-            + u32::from(flags.contains(TcpFlags::SYN))
-            + u32::from(flags.contains(TcpFlags::FIN))
-    }
-
-    /// Copies the view into an owned [`TcpSegment`].
-    ///
-    /// Allocation-wise this costs exactly one payload copy: the validated
-    /// option bytes land in [`crate::tcp::TcpOptions`] inline storage.
-    #[inline]
-    pub fn to_owned(&self) -> TcpSegment {
-        let options = crate::tcp::TcpOptions::from_wire(
-            &self.data[TCP_MIN_HEADER_LEN..TCP_MIN_HEADER_LEN + self.opts_len],
-        );
-        TcpSegment {
-            src_port: self.src_port(),
-            dst_port: self.dst_port(),
-            seq: self.seq(),
-            ack: self.ack(),
-            flags: self.flags(),
-            window: self.window(),
-            urgent: self.urgent(),
-            options,
-            payload: self.payload().to_vec(),
-        }
     }
 }
 
@@ -529,34 +372,19 @@ impl<'a> UdpView<'a> {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes([self.data[0], self.data[1]])
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes([self.data[2], self.data[3]])
-    }
-
-    /// Returns true if either port is the DNS port (53).
-    pub fn is_dns(&self) -> bool {
-        self.src_port() == 53 || self.dst_port() == 53
     }
 
     /// Application payload (bounded by the length field).
     #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.data[UDP_HEADER_LEN..self.length]
-    }
-
-    /// Copies the view into an owned [`UdpDatagram`].
-    #[inline]
-    pub fn to_owned(&self) -> UdpDatagram {
-        UdpDatagram {
-            src_port: self.src_port(),
-            dst_port: self.dst_port(),
-            payload: self.payload().to_vec(),
-        }
     }
 }
 
@@ -571,7 +399,7 @@ pub enum IpView<'a> {
 
 impl<'a> IpView<'a> {
     /// Source IP address.
-    pub fn src(&self) -> IpAddr {
+    pub(crate) fn src(&self) -> IpAddr {
         match self {
             IpView::V4(v) => IpAddr::V4(v.src()),
             IpView::V6(v) => IpAddr::V6(v.src()),
@@ -579,7 +407,7 @@ impl<'a> IpView<'a> {
     }
 
     /// Destination IP address.
-    pub fn dst(&self) -> IpAddr {
+    pub(crate) fn dst(&self) -> IpAddr {
         match self {
             IpView::V4(v) => IpAddr::V4(v.dst()),
             IpView::V6(v) => IpAddr::V6(v.dst()),
@@ -587,7 +415,7 @@ impl<'a> IpView<'a> {
     }
 
     /// Transport protocol number.
-    pub fn protocol(&self) -> u8 {
+    pub(crate) fn protocol(&self) -> u8 {
         match self {
             IpView::V4(v) => v.protocol(),
             IpView::V6(v) => v.next_header(),
@@ -596,7 +424,7 @@ impl<'a> IpView<'a> {
 
     /// Transport payload bytes.
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    pub(crate) fn payload(&self) -> &'a [u8] {
         match self {
             IpView::V4(v) => v.payload(),
             IpView::V6(v) => v.payload(),
@@ -615,9 +443,8 @@ pub enum TransportView<'a> {
     Other(u8, &'a [u8]),
 }
 
-/// A fully validated, borrowed packet — the zero-copy counterpart of
-/// [`Packet`]. This is what the relay's MainWorker parses for every tunnel
-/// packet.
+/// A fully validated, borrowed packet: what the relay's MainWorker parses
+/// for every tunnel packet (a [`crate::Packet`] is what it builds).
 #[derive(Debug, Clone, Copy)]
 pub struct PacketView<'a> {
     ip: IpView<'a>,
@@ -627,9 +454,8 @@ pub struct PacketView<'a> {
 impl<'a> PacketView<'a> {
     /// Parses a raw IP packet without copying.
     ///
-    /// Validation matches [`Packet::parse`]: the IP version is sniffed from
-    /// the first nibble, TCP/UDP transports are fully validated, unknown
-    /// transports are kept raw.
+    /// The IP version is sniffed from the first nibble, TCP/UDP transports
+    /// are fully validated, unknown transports are kept raw.
     #[inline]
     pub fn parse(data: &'a [u8]) -> Result<Self> {
         let first = *data.first().ok_or(PacketError::Truncated {
@@ -651,11 +477,6 @@ impl<'a> PacketView<'a> {
         Ok(Self { ip, transport })
     }
 
-    /// The network layer.
-    pub fn ip(&self) -> &IpView<'a> {
-        &self.ip
-    }
-
     /// The transport layer.
     pub fn transport(&self) -> &TransportView<'a> {
         &self.transport
@@ -665,14 +486,6 @@ impl<'a> PacketView<'a> {
     pub fn tcp(&self) -> Option<&TcpSegmentView<'a>> {
         match &self.transport {
             TransportView::Tcp(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Returns the UDP datagram view if this is a UDP packet.
-    pub fn udp(&self) -> Option<&UdpView<'a>> {
-        match &self.transport {
-            TransportView::Udp(u) => Some(u),
             _ => None,
         }
     }
@@ -704,49 +517,15 @@ impl<'a> PacketView<'a> {
     pub fn four_tuple(&self) -> Option<FourTuple> {
         Some(FourTuple::new(self.src_endpoint()?, self.dst_endpoint()?))
     }
-
-    /// Copies the view into an owned [`Packet`].
-    ///
-    /// The owned packet's transport layer carries the payload; the IP layer's
-    /// `payload` field is left empty, exactly like packets produced by
-    /// [`crate::PacketBuilder`] (serialisation regenerates it on demand).
-    #[inline]
-    pub fn to_owned(&self) -> Packet {
-        let ip = match &self.ip {
-            IpView::V4(v) => IpPacket::V4(Ipv4Packet {
-                dscp_ecn: v.dscp_ecn(),
-                identification: v.identification(),
-                flags_fragment: v.flags_fragment(),
-                ttl: v.ttl(),
-                protocol: v.protocol(),
-                src: v.src(),
-                dst: v.dst(),
-                options: v.options().to_vec(),
-                payload: Vec::new(),
-            }),
-            IpView::V6(v) => IpPacket::V6(Ipv6Packet {
-                traffic_class: v.traffic_class(),
-                flow_label: v.flow_label(),
-                next_header: v.next_header(),
-                hop_limit: v.hop_limit(),
-                src: v.src(),
-                dst: v.dst(),
-                payload: Vec::new(),
-            }),
-        };
-        let transport = match &self.transport {
-            TransportView::Tcp(t) => Transport::Tcp(t.to_owned()),
-            TransportView::Udp(u) => Transport::Udp(u.to_owned()),
-            TransportView::Other(proto, raw) => Transport::Other(*proto, raw.to_vec()),
-        };
-        Packet { ip, transport }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::ipv4::Ipv4Packet;
+    use crate::packet::{IpPacket, Packet, Transport};
+    use crate::tcp::TcpSegment;
 
     fn builder() -> PacketBuilder {
         PacketBuilder::new(
@@ -756,28 +535,27 @@ mod tests {
     }
 
     #[test]
-    fn tcp_view_agrees_with_owned_parse() {
-        let bytes = builder().tcp_syn(12345).to_bytes();
+    fn tcp_view_agrees_with_the_encoded_segment() {
+        let packet = builder().tcp_syn(12345);
+        let bytes = packet.to_bytes();
         let view = PacketView::parse(&bytes).unwrap();
-        let owned = Packet::parse(&bytes).unwrap();
-        assert_eq!(view.four_tuple(), owned.four_tuple());
+        assert_eq!(view.four_tuple(), packet.four_tuple());
         let tv = view.tcp().unwrap();
-        let to = owned.tcp().unwrap();
-        assert_eq!(tv.seq(), to.seq);
+        let to = packet.tcp().unwrap();
+        assert_eq!((tv.seq(), tv.ack(), tv.flags()), (to.seq, to.ack, to.flags));
         assert_eq!(tv.mss(), to.mss());
-        assert!(tv.is_syn());
-        assert_eq!(tv.sequence_len(), to.sequence_len());
-        assert_eq!(tv.to_owned(), *to);
+        let options: crate::tcp::TcpOptions = tv.options().map(|o| o.to_owned()).collect();
+        assert_eq!(options, to.options);
+        assert_eq!(tv.payload(), &to.payload[..]);
     }
 
     #[test]
     fn udp_view_borrows_payload() {
         let bytes = builder().udp(b"hello".to_vec()).to_bytes();
         let view = PacketView::parse(&bytes).unwrap();
-        let udp = view.udp().unwrap();
+        let TransportView::Udp(udp) = view.transport() else { panic!("not UDP") };
         assert_eq!(udp.payload(), b"hello");
-        assert!(!udp.is_dns());
-        assert_eq!(udp.to_owned().payload, b"hello");
+        assert_eq!((udp.src_port(), udp.dst_port()), (40000, 443));
     }
 
     #[test]
@@ -786,9 +564,10 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
             47,
-            vec![1, 2, 3, 4],
+            Vec::new(),
         );
-        let bytes = ip.to_bytes();
+        let bytes = Packet::from_parts(IpPacket::V4(ip), Transport::Other(47, vec![1, 2, 3, 4]))
+            .to_bytes();
         let view = PacketView::parse(&bytes).unwrap();
         assert!(matches!(view.transport(), TransportView::Other(47, raw) if *raw == [1, 2, 3, 4]));
         assert!(view.four_tuple().is_none());
@@ -810,7 +589,8 @@ mod tests {
         // Hand-build an options region: MSS, then EOL, then junk padding.
         let mut seg = TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN);
         seg.options = [TcpOption::MaximumSegmentSize(1400)].into();
-        let bytes = seg.to_bytes();
+        let mut bytes = Vec::new();
+        seg.encode_into(&mut bytes);
         let view = TcpSegmentView::new(&bytes).unwrap();
         let opts: Vec<_> = view.options().collect();
         assert_eq!(opts, vec![TcpOptionRef::MaximumSegmentSize(1400)]);

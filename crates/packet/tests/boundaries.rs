@@ -1,48 +1,60 @@
 //! Boundary tests for the packet codec round trips.
 //!
-//! The zero-copy views must agree byte-for-byte with the owned types at the
-//! edges the relay actually hits: empty payloads, full-MSS payloads,
-//! odd-length checksum inputs, and malformed or truncated option lists.
+//! What the relay encodes (`Packet::encode_into`) must read back through the
+//! zero-copy views it parses with, field for field, at the edges the relay
+//! actually hits: empty payloads, full-MSS payloads, odd-length checksum
+//! inputs, and malformed or truncated option lists.
 
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 use mop_packet::checksum::Checksum;
 use mop_packet::tcp::MOPEYE_MSS;
 use mop_packet::{
-    Endpoint, Ipv4Packet, Ipv4View, Packet, PacketBuilder, PacketError, PacketView, TcpFlags,
-    TcpOption, TcpSegment, TcpSegmentView, UdpDatagram, UdpView,
+    Endpoint, IpPacket, Ipv4Packet, Ipv4View, Packet, PacketBuilder, PacketError, PacketView,
+    TcpFlags, TcpOption, TcpOptionRef, TcpSegment, TcpSegmentView, Transport, TransportView,
+    UdpDatagram, UdpView,
 };
 
 fn builder() -> PacketBuilder {
     PacketBuilder::new(Endpoint::v4(10, 0, 0, 2, 40000), Endpoint::v4(31, 13, 79, 251, 443))
 }
 
-/// Owned parse and view parse of the same bytes must agree on every field,
-/// and both must re-encode to the identical byte string.
-fn assert_codec_agreement(bytes: &[u8]) {
-    let owned = Packet::parse(bytes).expect("owned parse");
-    let view = PacketView::parse(bytes).expect("view parse");
-    assert_eq!(owned.four_tuple(), view.four_tuple());
-    assert_eq!(owned.src_endpoint(), view.src_endpoint());
-    assert_eq!(owned.dst_endpoint(), view.dst_endpoint());
-    let reowned = view.to_owned();
-    assert_eq!(owned, reowned, "view.to_owned() must equal Packet::parse");
-    assert_eq!(owned.to_bytes(), bytes, "owned re-encode must round trip");
-    assert_eq!(reowned.to_bytes(), bytes, "view re-encode must round trip");
-    assert_eq!(owned.wire_len(), bytes.len(), "wire_len is computed, must match");
-    if let (Some(to), Some(tv)) = (owned.tcp(), view.tcp()) {
-        assert_eq!(to.seq, tv.seq());
-        assert_eq!(to.ack, tv.ack());
-        assert_eq!(to.flags, tv.flags());
-        assert_eq!(to.window, tv.window());
-        assert_eq!(to.urgent, tv.urgent());
-        assert_eq!(to.payload, tv.payload());
-        assert_eq!(to.mss(), tv.mss());
-        assert_eq!(to.window_scale(), tv.window_scale());
-        assert_eq!(to.is_pure_ack(), tv.is_pure_ack());
-        assert_eq!(to.sequence_len(), tv.sequence_len());
-        assert_eq!(to.header_len(), tv.header_len());
+/// `packet` encoded into a reused buffer and by `to_bytes` must be the same
+/// bytes, and the view parse of them must read back every field the relay
+/// reads.
+fn assert_round_trip(packet: &Packet) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    packet.encode_into(&mut bytes);
+    assert_eq!(bytes, packet.to_bytes(), "encode_into and to_bytes agree");
+    assert_eq!(packet.wire_len(), bytes.len(), "wire_len is computed, must match");
+    let view = PacketView::parse(&bytes).expect("view parse");
+    assert_eq!(view.four_tuple(), packet.four_tuple());
+    match (&packet.transport, view.transport()) {
+        (Transport::Tcp(to), TransportView::Tcp(tv)) => {
+            assert_eq!((to.seq, to.ack, to.flags), (tv.seq(), tv.ack(), tv.flags()));
+            assert_eq!(to.payload, tv.payload());
+            assert_eq!(to.mss(), tv.mss());
+            assert_eq!(to.sack_blocks(), tv.sack_blocks());
+        }
+        (Transport::Udp(uo), TransportView::Udp(uv)) => assert_eq!(uo.payload, uv.payload()),
+        (owned, view) => panic!("{owned:?} read back as {view:?}"),
     }
+    bytes
+}
+
+/// A segment encoded alone, the way the relay writes one behind its header.
+fn segment_bytes(seg: &TcpSegment) -> Vec<u8> {
+    let bytes = Packet {
+        ip: IpPacket::V4(Ipv4Packet::new(
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(10, 0, 0, 1),
+            6,
+            Vec::new(),
+        )),
+        transport: Transport::Tcp(seg.clone()),
+    }
+    .to_bytes();
+    bytes[20..].to_vec()
 }
 
 #[test]
@@ -52,20 +64,18 @@ fn zero_length_payload_round_trips_in_both_codecs() {
         builder().tcp_data(1, 1, Vec::new()),
         builder().udp(Vec::new()),
     ] {
-        assert_codec_agreement(&packet.to_bytes());
+        assert_round_trip(&packet);
     }
 }
 
 #[test]
 fn maximum_mss_payload_round_trips_in_both_codecs() {
     let payload = vec![0xab; usize::from(MOPEYE_MSS)];
-    let bytes = builder().tcp_data(1001, 500, payload.clone()).to_bytes();
-    assert_codec_agreement(&bytes);
+    let bytes = assert_round_trip(&builder().tcp_data(1001, 500, payload.clone()));
     let view = PacketView::parse(&bytes).unwrap();
     assert_eq!(view.tcp().unwrap().payload(), &payload[..]);
     // One byte beyond the MSS still encodes/parses (the MSS is advisory).
-    let bytes = builder().tcp_data(1001, 500, vec![0xcd; usize::from(MOPEYE_MSS) + 1]).to_bytes();
-    assert_codec_agreement(&bytes);
+    assert_round_trip(&builder().tcp_data(1001, 500, vec![0xcd; usize::from(MOPEYE_MSS) + 1]));
 }
 
 #[test]
@@ -73,9 +83,7 @@ fn odd_length_payloads_checksum_identically_in_both_codecs() {
     // Odd-length segments exercise the RFC 1071 trailing-byte padding in the
     // checksum; the encoded checksum must verify for every parity.
     for len in [0usize, 1, 2, 3, 1399, 1400] {
-        let packet = builder().tcp_data(7, 9, vec![0x55; len]);
-        let bytes = packet.to_bytes();
-        assert_codec_agreement(&bytes);
+        let bytes = assert_round_trip(&builder().tcp_data(7, 9, vec![0x55; len]));
         // Verify the transport checksum folds to zero over the pseudo-header.
         let view = Ipv4View::new(&bytes).unwrap();
         let mut c = Checksum::new();
@@ -89,7 +97,7 @@ fn odd_length_payloads_checksum_identically_in_both_codecs() {
 }
 
 #[test]
-fn segment_level_views_agree_with_owned_parse_on_option_shapes() {
+fn segment_views_decode_every_option_shape() {
     let mut seg = TcpSegment::new(40000, 443, 1000, 0, TcpFlags::SYN);
     seg.options = vec![
         TcpOption::MaximumSegmentSize(MOPEYE_MSS),
@@ -99,17 +107,21 @@ fn segment_level_views_agree_with_owned_parse_on_option_shapes() {
         TcpOption::Timestamps(123456, 654321),
         TcpOption::Unknown(254, [9, 8, 7].into()),
     ].into();
-    let bytes = seg.to_bytes();
-    let owned = TcpSegment::parse(&bytes).unwrap();
+    let bytes = segment_bytes(&seg);
     let view = TcpSegmentView::new(&bytes).unwrap();
-    assert_eq!(view.to_owned(), owned);
-    let from_view: Vec<TcpOption> = view.options().map(|o| o.to_owned()).collect();
-    let from_owned: Vec<TcpOption> = owned.options.iter().collect();
-    assert_eq!(from_view, from_owned);
-    // And the re-encode round trips through encode_into on a reused buffer.
-    let mut out = Vec::new();
-    owned.encode_into(&mut out);
-    assert_eq!(out, bytes);
+    assert_eq!(
+        view.options().collect::<Vec<_>>(),
+        [
+            TcpOptionRef::MaximumSegmentSize(MOPEYE_MSS),
+            TcpOptionRef::SackPermitted,
+            TcpOptionRef::Nop,
+            TcpOptionRef::WindowScale(7),
+            TcpOptionRef::Timestamps(123456, 654321),
+            TcpOptionRef::Unknown(254, &[9, 8, 7]),
+        ]
+    );
+    assert_eq!(view.mss(), Some(MOPEYE_MSS));
+    assert_eq!((view.seq(), view.flags()), (1000, TcpFlags::SYN));
 }
 
 #[test]
@@ -117,17 +129,14 @@ fn malformed_option_lists_are_rejected_identically() {
     // A SYN whose option region claims a length that overruns the header.
     let mut seg = TcpSegment::new(1, 2, 0, 0, TcpFlags::SYN);
     seg.options = vec![TcpOption::MaximumSegmentSize(1460)].into();
-    let mut bytes = seg.to_bytes();
+    let mut bytes = segment_bytes(&seg);
     // data offset 24 → option region is bytes 20..24 = [2, 4, mss_hi, mss_lo].
     bytes[21] = 40; // Option length 40 > remaining region.
-    let owned = TcpSegment::parse(&bytes);
     let view = TcpSegmentView::new(&bytes);
-    assert!(matches!(owned, Err(PacketError::BadHeaderLength(40))), "{owned:?}");
     assert!(matches!(view, Err(PacketError::BadHeaderLength(40))), "{view:?}");
 
     // Option length below the minimum of two.
     bytes[21] = 1;
-    assert!(matches!(TcpSegment::parse(&bytes), Err(PacketError::BadHeaderLength(1))));
     assert!(matches!(TcpSegmentView::new(&bytes), Err(PacketError::BadHeaderLength(1))));
 
     // A kind byte with no length byte at the very end of the option region.
@@ -136,52 +145,26 @@ fn malformed_option_lists_are_rejected_identically() {
     bytes[22] = 1; // NOP
     bytes[23] = 253; // Kind with its length byte truncated by the header end.
     assert!(matches!(
-        TcpSegment::parse(&bytes),
-        Err(PacketError::Truncated { what: "TCP option length", .. })
-    ));
-    assert!(matches!(
         TcpSegmentView::new(&bytes),
         Err(PacketError::Truncated { what: "TCP option length", .. })
     ));
 
-    // An end-of-options marker stops both parsers without error.
+    // An end-of-options marker stops the parser without error.
     bytes[20] = 0;
-    let owned = TcpSegment::parse(&bytes).unwrap();
     let view = TcpSegmentView::new(&bytes).unwrap();
-    assert!(owned.options.is_empty());
     assert_eq!(view.options().count(), 0);
 }
 
 #[test]
 fn truncated_transport_layers_are_rejected_identically() {
     // A valid IPv4 header whose payload is too short for a TCP header.
-    let ip = Ipv4Packet::new(
-        "10.0.0.2".parse().unwrap(),
-        "10.0.0.1".parse().unwrap(),
-        6,
-        vec![0u8; 10],
-    );
-    let bytes = ip.to_bytes();
-    assert!(matches!(
-        Packet::parse(&bytes),
-        Err(PacketError::Truncated { what: "TCP header", .. })
-    ));
+    let bytes = raw_ipv4(6, vec![0u8; 10]);
     assert!(matches!(
         PacketView::parse(&bytes),
         Err(PacketError::Truncated { what: "TCP header", .. })
     ));
     // Same for UDP.
-    let ip = Ipv4Packet::new(
-        "10.0.0.2".parse().unwrap(),
-        "10.0.0.1".parse().unwrap(),
-        17,
-        vec![0u8; 4],
-    );
-    let bytes = ip.to_bytes();
-    assert!(matches!(
-        Packet::parse(&bytes),
-        Err(PacketError::Truncated { what: "UDP header", .. })
-    ));
+    let bytes = raw_ipv4(17, vec![0u8; 4]);
     assert!(matches!(
         PacketView::parse(&bytes),
         Err(PacketError::Truncated { what: "UDP header", .. })
@@ -191,15 +174,17 @@ fn truncated_transport_layers_are_rejected_identically() {
 #[test]
 fn udp_views_honour_the_length_field_boundary() {
     let datagram = UdpDatagram::new(40001, 53, vec![1, 2, 3]);
-    let mut bytes = datagram.to_bytes();
+    let mut bytes = Vec::new();
+    datagram.encode_with_checksum_into(
+        IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
+        IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)),
+        &mut bytes,
+    );
     bytes.extend_from_slice(&[0xff; 5]); // Trailing junk beyond the UDP length.
-    let owned = UdpDatagram::parse(&bytes).unwrap();
     let view = UdpView::new(&bytes).unwrap();
-    assert_eq!(owned.payload, view.payload());
-    assert_eq!(view.to_owned(), owned);
-    // A length field larger than the buffer is rejected by both.
+    assert_eq!(view.payload(), &datagram.payload[..]);
+    // A length field larger than the buffer is rejected.
     bytes[4..6].copy_from_slice(&100u16.to_be_bytes());
-    assert!(UdpDatagram::parse(&bytes).is_err());
     assert!(UdpView::new(&bytes).is_err());
 }
 
@@ -224,8 +209,8 @@ fn encode_into_composes_with_checksums_on_reused_buffers() {
         packet.encode_into(&mut out);
         assert_eq!(out, packet.to_bytes());
         assert_eq!(out.len(), packet.wire_len());
-        // Both encodings reparse to the same packet.
-        assert_eq!(Packet::parse(&out).unwrap(), packet.clone());
+        // The reused-buffer encoding reads back as the packet.
+        assert_round_trip(&packet);
     }
 }
 
@@ -242,18 +227,31 @@ fn checksum_helpers_agree_between_slice_parities() {
 
 #[test]
 fn ipv4_view_and_owned_agree_including_options() {
+    let (src, dst) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(8, 8, 8, 8));
     let mut udp = Vec::new();
     UdpDatagram::new(1000, 53, vec![5; 7]).encode_with_checksum_into(
-        IpAddr::V4("10.0.0.2".parse().unwrap()),
-        IpAddr::V4("8.8.8.8".parse().unwrap()),
+        IpAddr::V4(src),
+        IpAddr::V4(dst),
         &mut udp,
     );
-    let mut p = Ipv4Packet::new("10.0.0.2".parse().unwrap(), "8.8.8.8".parse().unwrap(), 17, udp);
+    let mut p = Ipv4Packet::new(src, dst, 17, Vec::new());
     p.options = vec![1, 1, 1, 1];
-    let bytes = p.to_bytes();
-    let owned = Ipv4Packet::parse(&bytes).unwrap();
+    let transport = Transport::Other(17, udp.clone());
+    let bytes = Packet { ip: IpPacket::V4(p), transport }.to_bytes();
+    assert_eq!(bytes[0], 0x46, "IHL of six words: the header carries its options");
+    assert_eq!(&bytes[20..24], &[1, 1, 1, 1]);
     let view = Ipv4View::new(&bytes).unwrap();
-    assert_eq!(view.to_owned(), owned);
-    assert_eq!(view.options(), &[1, 1, 1, 1]);
-    assert_eq!(view.header_len(), 24);
+    assert_eq!((view.src(), view.dst(), view.protocol()), (src, dst, 17));
+    assert_eq!(view.payload(), &udp[..]);
+}
+
+/// An IPv4 packet around raw transport bytes that need not parse.
+fn raw_ipv4(protocol: u8, raw: Vec<u8>) -> Vec<u8> {
+    let ip = Ipv4Packet::new(
+        "10.0.0.2".parse().unwrap(),
+        "10.0.0.1".parse().unwrap(),
+        protocol,
+        Vec::new(),
+    );
+    Packet { ip: IpPacket::V4(ip), transport: Transport::Other(protocol, raw) }.to_bytes()
 }

@@ -1,13 +1,15 @@
 //! Property-based tests for the packet codecs: every well-formed value must
-//! survive a serialise → parse round trip, and parsers must never panic on
-//! arbitrary bytes.
+//! survive the relay's round trip (encode with `encode_into`, parse with the
+//! zero-copy views) with every field the relay reads intact, and parsers
+//! must never panic on arbitrary bytes.
 
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use std::net::{IpAddr, Ipv4Addr};
 
 use mop_packet::{
-    DnsMessage, Endpoint, Ipv4Packet, Ipv6Packet, Packet, PacketBuilder, SackBlocks, TcpFlags,
-    TcpOption, TcpSegment, UdpDatagram, IPPROTO_TCP,
+    DnsMessage, Endpoint, IpPacket, Ipv4Packet, Ipv4View, Ipv6Packet, Packet, PacketBuilder,
+    PacketView, SackBlocks, TcpFlags, TcpOption, TcpOptionRef, TcpSegment, TcpSegmentView,
+    Transport, TransportView, UdpDatagram, UdpView, IPPROTO_TCP, IPPROTO_UDP,
 };
 
 fn arb_ipv4() -> impl Strategy<Value = Ipv4Addr> {
@@ -16,6 +18,25 @@ fn arb_ipv4() -> impl Strategy<Value = Ipv4Addr> {
 
 fn arb_flags() -> impl Strategy<Value = TcpFlags> {
     (0u8..=0x3f).prop_map(TcpFlags::from_bits)
+}
+
+/// `transport` behind an IPv4 header, encoded the way the relay writes it.
+fn encode_v4(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, transport: Transport) -> Vec<u8> {
+    let ip = IpPacket::V4(Ipv4Packet::new(src, dst, protocol, Vec::new()));
+    let mut bytes = Vec::new();
+    Packet { ip, transport }.encode_into(&mut bytes);
+    bytes
+}
+
+/// A segment behind a fixed IPv4 header, encoded the way the relay writes it.
+fn encode_segment(seg: TcpSegment) -> Vec<u8> {
+    let (src, dst) = (Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(8, 8, 8, 8));
+    encode_v4(src, dst, IPPROTO_TCP, Transport::Tcp(seg))
+}
+
+/// The TCP layer of an encoded packet.
+fn segment_view(bytes: &[u8]) -> TcpSegmentView<'_> {
+    *PacketView::parse(bytes).unwrap().tcp().unwrap()
 }
 
 proptest! {
@@ -29,24 +50,35 @@ proptest! {
         ttl in 1u8..=255,
         payload in proptest::collection::vec(any::<u8>(), 0..1600),
     ) {
-        let mut packet = Ipv4Packet::new(src, dst, protocol, payload);
-        packet.ttl = ttl;
-        let parsed = Ipv4Packet::parse(&packet.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, packet);
+        let mut ip = Ipv4Packet::new(src, dst, protocol, Vec::new());
+        ip.ttl = ttl;
+        let mut bytes = Vec::new();
+        Packet { ip: IpPacket::V4(ip), transport: Transport::Other(protocol, payload.clone()) }
+            .encode_into(&mut bytes);
+        let view = Ipv4View::new(&bytes).unwrap();
+        prop_assert_eq!((view.src(), view.dst(), view.protocol()), (src, dst, protocol));
+        prop_assert_eq!(view.payload(), &payload[..]);
     }
 
     #[test]
     fn ipv6_roundtrips(
         src in any::<[u8; 16]>(),
         dst in any::<[u8; 16]>(),
-        next_header in 0u8..=255,
         flow_label in 0u32..=0x000f_ffff,
         payload in proptest::collection::vec(any::<u8>(), 0..1600),
     ) {
-        let mut packet = Ipv6Packet::new(src.into(), dst.into(), next_header, payload);
-        packet.flow_label = flow_label;
-        let parsed = Ipv6Packet::parse(&packet.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, packet);
+        let mut ip = Ipv6Packet::new(src.into(), dst.into(), IPPROTO_UDP, Vec::new());
+        ip.flow_label = flow_label;
+        let datagram = UdpDatagram::new(40000, 53, payload);
+        let mut bytes = Vec::new();
+        Packet { ip: IpPacket::V6(ip), transport: Transport::Udp(datagram.clone()) }
+            .encode_into(&mut bytes);
+        let view = PacketView::parse(&bytes).unwrap();
+        let from = Endpoint::new(IpAddr::from(src), 40000);
+        prop_assert_eq!(view.src_endpoint(), Some(from));
+        prop_assert_eq!(view.dst_endpoint(), Some(Endpoint::new(IpAddr::from(dst), 53)));
+        let TransportView::Udp(udp) = view.transport() else { panic!("not UDP") };
+        prop_assert_eq!(udp.payload(), &datagram.payload[..]);
     }
 
     #[test]
@@ -64,17 +96,21 @@ proptest! {
         seg.window = window;
         seg.options = vec![TcpOption::MaximumSegmentSize(mss), TcpOption::SackPermitted].into();
         seg.payload = payload;
-        let parsed = TcpSegment::parse(&seg.to_bytes()).unwrap();
-        prop_assert_eq!(&parsed, &seg);
-        // Sequence space accounting is consistent with the flags.
-        let expected = seg.payload.len() as u32
-            + u32::from(flags.contains(TcpFlags::SYN))
-            + u32::from(flags.contains(TcpFlags::FIN));
-        prop_assert_eq!(seg.sequence_len(), expected);
+        let bytes = encode_segment(seg.clone());
+        let view = segment_view(&bytes);
+        prop_assert_eq!((view.seq(), view.ack(), view.flags()), (seq, ack, flags));
+        prop_assert_eq!(view.mss(), Some(mss));
+        prop_assert_eq!(
+            view.options().collect::<Vec<_>>(),
+            vec![TcpOptionRef::MaximumSegmentSize(mss), TcpOptionRef::SackPermitted]
+        );
+        prop_assert_eq!(view.payload(), &seg.payload[..]);
+        let tuple = PacketView::parse(&bytes).unwrap().four_tuple().unwrap();
+        prop_assert_eq!((tuple.src.port, tuple.dst.port), (src_port, dst_port));
     }
 
-    /// SACK options round-trip through the owned codec and the zero-copy
-    /// view for every block count the option can carry (RFC 2018: 1–4).
+    /// SACK options round-trip through the encoder and the zero-copy view for
+    /// every block count the option can carry (RFC 2018: 1–4).
     #[test]
     fn sack_options_roundtrip_at_every_block_count(
         src_port in 1u16..=65535,
@@ -85,14 +121,11 @@ proptest! {
         let blocks = SackBlocks::new(&edges);
         let mut seg = TcpSegment::new(src_port, 443, seq, ack, TcpFlags::ACK);
         seg.options = vec![TcpOption::Sack(blocks)].into();
-        let bytes = seg.to_bytes();
-        let parsed = TcpSegment::parse(&bytes).unwrap();
-        prop_assert_eq!(&parsed, &seg);
-        prop_assert_eq!(parsed.sack_blocks(), Some(blocks));
-        // The zero-copy view decodes the identical blocks.
-        let view = mop_packet::TcpSegmentView::new(&bytes).unwrap();
+        let bytes = encode_segment(seg);
+        let view = segment_view(&bytes);
         prop_assert_eq!(view.sack_blocks(), Some(blocks));
-        prop_assert_eq!(view.to_owned(), seg);
+        prop_assert_eq!(view.options().collect::<Vec<_>>(), vec![TcpOptionRef::Sack(blocks)]);
+        prop_assert_eq!((view.seq(), view.ack()), (seq, ack));
     }
 
     /// SACK mixed with the other options the relay manipulates survives a
@@ -109,10 +142,18 @@ proptest! {
             TcpOption::Nop,
             TcpOption::Sack(blocks),
         ].into();
-        let parsed = TcpSegment::parse(&seg.to_bytes()).unwrap();
-        prop_assert_eq!(&parsed.options, &seg.options);
-        prop_assert_eq!(parsed.mss(), Some(mss));
-        prop_assert_eq!(parsed.sack_blocks(), Some(blocks));
+        let bytes = encode_segment(seg);
+        let view = segment_view(&bytes);
+        prop_assert_eq!(
+            view.options().collect::<Vec<_>>(),
+            vec![
+                TcpOptionRef::MaximumSegmentSize(mss),
+                TcpOptionRef::Nop,
+                TcpOptionRef::Sack(blocks),
+            ]
+        );
+        prop_assert_eq!(view.mss(), Some(mss));
+        prop_assert_eq!(view.sack_blocks(), Some(blocks));
     }
 
     #[test]
@@ -122,8 +163,19 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
         let datagram = UdpDatagram::new(src_port, dst_port, payload);
-        let parsed = UdpDatagram::parse(&datagram.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, datagram);
+        let (src, dst) = (IpAddr::from([10, 0, 0, 2]), IpAddr::from([8, 8, 8, 8]));
+        let mut bytes = Vec::new();
+        datagram.encode_with_checksum_into(src, dst, &mut bytes);
+        let view = UdpView::new(&bytes).unwrap();
+        prop_assert_eq!(view.payload(), &datagram.payload[..]);
+        let whole = encode_v4(
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(8, 8, 8, 8),
+            IPPROTO_UDP,
+            Transport::Udp(datagram),
+        );
+        let tuple = PacketView::parse(&whole).unwrap().four_tuple().unwrap();
+        prop_assert_eq!((tuple.src.port, tuple.dst.port), (src_port, dst_port));
     }
 
     #[test]
@@ -155,51 +207,37 @@ proptest! {
     ) {
         let builder = PacketBuilder::new(Endpoint::new(src, src_port), Endpoint::new(dst, dst_port));
         let packet = builder.tcp_data(seq, 0, payload);
-        let bytes = packet.to_bytes();
-        // The IPv4 checksum is valid (parse verifies it) and the packet
-        // reparses identically.
-        let parsed = Packet::parse(&bytes).unwrap();
-        prop_assert_eq!(parsed.to_bytes(), bytes);
-        prop_assert_eq!(parsed.ip.protocol(), IPPROTO_TCP);
+        let mut bytes = Vec::new();
+        packet.encode_into(&mut bytes);
+        prop_assert_eq!(bytes.len(), packet.wire_len());
+        // The IPv4 checksum is valid (the view verifies it), the TCP
+        // checksum over the pseudo-header folds to zero, and the packet reads
+        // back as it was built.
+        let parsed = PacketView::parse(&bytes).unwrap();
+        let mut check = mop_packet::checksum::Checksum::new();
+        check.add_bytes(&src.octets());
+        check.add_bytes(&dst.octets());
+        check.add_u16(u16::from(IPPROTO_TCP));
+        check.add_u16((bytes.len() - 20) as u16);
+        check.add_bytes(&bytes[20..]);
+        prop_assert_eq!(check.finish(), 0);
         prop_assert_eq!(parsed.four_tuple(), packet.four_tuple());
+        let (view, seg) = (parsed.tcp().unwrap(), packet.tcp().unwrap());
+        prop_assert_eq!((view.seq(), view.flags()), (seg.seq, seg.flags));
+        prop_assert_eq!(view.payload(), &seg.payload[..]);
     }
 
     #[test]
     fn parsers_never_panic_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Packet::parse(&bytes);
-        let _ = Ipv4Packet::parse(&bytes);
-        let _ = Ipv6Packet::parse(&bytes);
-        let _ = TcpSegment::parse(&bytes);
-        let _ = UdpDatagram::parse(&bytes);
+        let _ = PacketView::parse(&bytes);
+        let _ = TcpSegmentView::new(&bytes);
+        let _ = UdpView::new(&bytes);
         let _ = DnsMessage::parse(&bytes);
-        let _ = mop_packet::PacketView::parse(&bytes);
-        let _ = mop_packet::TcpSegmentView::new(&bytes);
-        let _ = mop_packet::UdpView::new(&bytes);
     }
 
-    /// The zero-copy views and the owned parsers must accept/reject the same
-    /// inputs and agree on every parsed field.
-    #[test]
-    fn views_agree_with_owned_parsers_on_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..300)
-    ) {
-        match (Packet::parse(&bytes), mop_packet::PacketView::parse(&bytes)) {
-            (Ok(owned), Ok(view)) => {
-                prop_assert_eq!(&view.to_owned(), &owned);
-                prop_assert_eq!(view.four_tuple(), owned.four_tuple());
-            }
-            (Err(_), Err(_)) => {}
-            (owned, view) => panic!("owned {owned:?} disagrees with view {view:?}"),
-        }
-        match (TcpSegment::parse(&bytes), mop_packet::TcpSegmentView::new(&bytes)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_owned(), owned),
-            (Err(_), Err(_)) => {}
-            (owned, view) => panic!("owned segment {owned:?} disagrees with view {view:?}"),
-        }
-    }
-
-    /// Well-formed segments agree between the owned codec and the views at
-    /// every payload size from empty to beyond the MSS.
+    /// Well-formed segments read back through the view as the owned
+    /// segment they were encoded from, at every payload size from empty to
+    /// beyond the MSS.
     #[test]
     fn tcp_views_agree_with_owned_across_payload_sizes(
         seq in any::<u32>(),
@@ -208,12 +246,12 @@ proptest! {
     ) {
         let mut seg = TcpSegment::new(40000, 443, seq, 0, flags);
         seg.payload = vec![0x5a; len];
-        let bytes = seg.to_bytes();
-        let view = mop_packet::TcpSegmentView::new(&bytes).unwrap();
-        prop_assert_eq!(view.to_owned(), TcpSegment::parse(&bytes).unwrap());
+        let bytes = encode_segment(seg.clone());
+        let view = segment_view(&bytes);
+        prop_assert_eq!((view.seq(), view.ack(), view.flags()), (seg.seq, seg.ack, seg.flags));
         prop_assert_eq!(view.payload().len(), len);
-        prop_assert_eq!(view.sequence_len(), seg.sequence_len());
-        prop_assert_eq!(view.is_pure_ack(), seg.is_pure_ack());
+        prop_assert_eq!(view.payload(), &seg.payload[..]);
+        prop_assert_eq!(view.mss(), seg.mss());
     }
 
     #[test]
@@ -226,6 +264,10 @@ proptest! {
         let mut bytes = builder.udp(payload).to_bytes();
         let idx = corrupt_index % bytes.len();
         bytes[idx] = corrupt_value;
-        let _ = Packet::parse(&bytes);
+        if let Ok(view) = PacketView::parse(&bytes) {
+            if let TransportView::Udp(udp) = view.transport() {
+                let _ = DnsMessage::parse(udp.payload());
+            }
+        }
     }
 }

@@ -56,14 +56,9 @@ impl PackageManager {
         self.by_uid.remove(&uid)
     }
 
-    /// The UID of `package`, if installed.
-    pub fn uid_of(&self, package: &str) -> Option<u32> {
-        self.by_uid.iter().find(|(_, name)| name.as_str() == package).map(|(uid, _)| *uid)
-    }
-
     /// Resolves a UID to its package name through the (uncached) framework
     /// call. The caller is responsible for charging the lookup cost.
-    pub fn name_for_uid(&mut self, uid: u32) -> Option<String> {
+    pub(crate) fn name_for_uid(&mut self, uid: u32) -> Option<String> {
         self.lookups += 1;
         self.by_uid.get(&uid).cloned()
     }
@@ -118,10 +113,9 @@ mod tests {
         pm.install(10200, "com.facebook.katana");
         assert_eq!(pm.name_for_uid(10123), Some("com.whatsapp".into()));
         assert_eq!(pm.name_for_uid(99999), None);
-        assert_eq!(pm.uid_of("com.facebook.katana"), Some(10200));
-        assert_eq!(pm.uid_of("com.unknown"), None);
+        assert_eq!(pm.name_for_uid(10200), Some("com.facebook.katana".into()));
         assert_eq!(pm.installed_count(), 2);
-        assert_eq!(pm.lookup_count(), 2);
+        assert_eq!(pm.lookup_count(), 3);
     }
 
     #[test]

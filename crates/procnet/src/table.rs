@@ -18,16 +18,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// The pseudo-file name for this protocol.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            Protocol::Tcp => "tcp",
-            Protocol::Tcp6 => "tcp6",
-            Protocol::Udp => "udp",
-            Protocol::Udp6 => "udp6",
-        }
-    }
-
     /// Classifies a flow into the right pseudo file.
     pub fn for_flow(flow: &FourTuple, tcp: bool) -> Self {
         match (tcp, flow.src.is_ipv4()) {
@@ -56,7 +46,7 @@ pub enum SocketStateCode {
 
 impl SocketStateCode {
     /// The two-digit hexadecimal code used in the pseudo file.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             SocketStateCode::Established => "01",
             SocketStateCode::SynSent => "02",
@@ -67,7 +57,7 @@ impl SocketStateCode {
     }
 
     /// Parses a two-digit code, defaulting to `Close` for unknown codes.
-    pub fn from_code(code: &str) -> Self {
+    pub(crate) fn from_code(code: &str) -> Self {
         match code {
             "01" => SocketStateCode::Established,
             "02" => SocketStateCode::SynSent,
@@ -279,7 +269,7 @@ impl ConnectionTable {
     }
 
     /// Entries belonging to one pseudo file.
-    pub fn entries_for(&self, protocol: Protocol) -> Vec<&ConnectionEntry> {
+    pub(crate) fn entries_for(&self, protocol: Protocol) -> Vec<&ConnectionEntry> {
         self.entries().filter(|e| e.protocol == protocol).collect()
     }
 
@@ -296,29 +286,6 @@ impl ConnectionTable {
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Keeps only the newest `max` entries (a crude stand-in for kernel
-    /// socket reclamation, keeps long simulations bounded).
-    ///
-    /// Reclamation is rare and batched, so the indexes are rebuilt wholesale
-    /// here rather than diffed entry by entry.
-    pub fn truncate_oldest(&mut self, max: usize) {
-        if self.len() > max {
-            let mut excess = self.len() - max;
-            for slot in &mut self.slots {
-                if excess == 0 {
-                    break;
-                }
-                excess -= usize::from(slot.entry.take().is_some());
-            }
-            self.compact();
-            self.uid_index.clear();
-            for e in self.slots.iter().filter_map(|slot| slot.entry.as_ref()) {
-                self.uid_index.entry(FourTuple::new(e.local, e.remote)).or_insert(e.uid);
-            }
-            self.generation += 1;
-        }
     }
 
     /// Returns true if an IP address belongs to any registered local endpoint.
@@ -368,7 +335,6 @@ mod tests {
         );
         assert_eq!(Protocol::for_flow(&v6, true), Protocol::Tcp6);
         assert_eq!(Protocol::for_flow(&v6, false), Protocol::Udp6);
-        assert_eq!(Protocol::Tcp6.file_name(), "tcp6");
     }
 
     #[test]
@@ -399,19 +365,6 @@ mod tests {
         assert_eq!(SocketStateCode::from_code("FF"), SocketStateCode::Close);
     }
 
-    #[test]
-    fn truncate_drops_oldest_entries() {
-        let mut table = ConnectionTable::new();
-        for port in 0..20u16 {
-            let (f, uid) = flow(40000 + port, 10_000 + u32::from(port));
-            table.register(f, true, uid, SocketStateCode::Established);
-        }
-        table.truncate_oldest(5);
-        assert_eq!(table.len(), 5);
-        // The newest entries (highest ports) survive.
-        assert!(table.uid_of_local_port(40019).is_some());
-        assert!(table.uid_of_local_port(40000).is_none());
-    }
 
     #[test]
     fn entries_sharing_a_four_tuple_are_updated_oldest_first_and_removed_together() {

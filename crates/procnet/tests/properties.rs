@@ -77,17 +77,6 @@ impl ModelTable {
         }
         removed
     }
-
-    fn truncate_oldest(&mut self, max: usize) {
-        if self.entries.len() > max {
-            self.entries.drain(..self.entries.len() - max);
-            self.uid_index.clear();
-            for e in &self.entries {
-                self.uid_index.entry(FourTuple::new(e.local, e.remote)).or_insert(e.uid);
-            }
-            self.generation += 1;
-        }
-    }
 }
 
 /// One mutation of the table; flows are indices into [`flow_pool`].
@@ -96,7 +85,6 @@ enum TableOp {
     Register { flow: usize, tcp: bool, uid: u32, state: SocketStateCode },
     SetState { flow: usize, state: SocketStateCode },
     Remove { flow: usize },
-    TruncateOldest { max: usize },
     Reset,
 }
 
@@ -122,7 +110,6 @@ fn arb_table_op(flows: usize) -> impl Strategy<Value = TableOp> {
             .prop_map(|(flow, tcp, uid, state)| TableOp::Register { flow, tcp, uid, state }),
         2 => (0..flows, arb_state()).prop_map(|(flow, state)| TableOp::SetState { flow, state }),
         4 => (0..flows).prop_map(|flow| TableOp::Remove { flow }),
-        1 => (0usize..12).prop_map(|max| TableOp::TruncateOldest { max }),
         1 => Just(TableOp::Reset),
     ]
 }
@@ -149,10 +136,6 @@ proptest! {
                 ),
                 TableOp::Remove { flow } => {
                     prop_assert_eq!(table.remove(pool[flow]), model.remove(pool[flow]))
-                }
-                TableOp::TruncateOldest { max } => {
-                    table.truncate_oldest(max);
-                    model.truncate_oldest(max);
                 }
                 TableOp::Reset => {
                     table.reset();

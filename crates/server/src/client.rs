@@ -24,11 +24,6 @@ impl Reply {
             result => Some(result),
         }
     }
-
-    /// The error code string; `None` if the response was a success.
-    pub fn error_code(&self) -> Option<&str> {
-        self.response["error"]["code"].as_str()
-    }
 }
 
 /// A client over any pair of byte streams (Unix socket, child-process
@@ -42,7 +37,7 @@ pub struct Client<R, W> {
 
 impl<R: BufRead, W: Write> Client<R, W> {
     /// A client with its request-id counter at 1.
-    pub fn new(reader: R, writer: W) -> Self {
+    pub(crate) fn new(reader: R, writer: W) -> Self {
         Self { reader, writer, next_id: 1 }
     }
 
@@ -121,7 +116,7 @@ mod tests {
         let reply = client.call("fleet.step", json!({ "epochs": 2 })).unwrap();
         assert_eq!(reply.events.len(), 2);
         assert_eq!(reply.response["result"]["ok"], Value::Bool(true));
-        assert!(reply.error_code().is_none());
+        assert!(reply.result().is_some());
         assert_eq!(
             std::str::from_utf8(&sent).unwrap(),
             "{\"id\":1,\"method\":\"fleet.step\",\"params\":{\"epochs\":2}}\n"
@@ -134,6 +129,6 @@ mod tests {
         let mut client = Client::new(canned.as_bytes(), Vec::new());
         let reply = client.call("scenario.inject", Value::Null).unwrap();
         assert!(reply.result().is_none());
-        assert_eq!(reply.error_code(), Some("bad-params"));
+        assert_eq!(reply.response["error"]["code"], Value::from("bad-params"));
     }
 }

@@ -266,7 +266,7 @@ impl ControlPlane {
     }
 
     /// Scenarios injected and not retired.
-    pub fn live_scenarios(&self) -> usize {
+    pub(crate) fn live_scenarios(&self) -> usize {
         self.scenarios.iter().filter(|s| !s.retired).count()
     }
 
@@ -417,7 +417,7 @@ impl ControlPlane {
     /// `threads_spawned` is `shards − 1` forever: shard 0 runs on the thread
     /// that steps the plane, and the other workers are spawned once — the
     /// whole point of residency. `server.profile` surfaces both.
-    pub fn resident_stats(&self) -> (u64, u64) {
+    pub(crate) fn resident_stats(&self) -> (u64, u64) {
         (self.resident.runs(), self.resident.threads_spawned())
     }
 
@@ -425,7 +425,7 @@ impl ControlPlane {
     /// since boot or the last resume. They live in the cumulative report
     /// like the other merged statistics, but are excluded from digests and
     /// checkpoints.
-    pub fn counters(&self) -> &Counters {
+    pub(crate) fn counters(&self) -> &Counters {
         &self.cumulative.counters
     }
 

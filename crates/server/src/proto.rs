@@ -59,7 +59,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The stable wire string.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::ParseError => "parse-error",
             ErrorCode::FrameTooLarge => "frame-too-large",

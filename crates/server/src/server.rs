@@ -54,11 +54,6 @@ impl Server {
         Self { plane: ControlPlane::new(config), detail: Detail::Off, steps: 0 }
     }
 
-    /// The plane, for tests and embedding.
-    pub fn plane(&self) -> &ControlPlane {
-        &self.plane
-    }
-
     /// Handles one request line, producing its output frames.
     pub fn handle_line(&mut self, line: &str) -> Turn {
         let line = line.trim_end_matches(['\r', '\n']);
@@ -454,8 +449,8 @@ mod tests {
             );
             assert!(turn.frames[0].contains("\"code\":\"bad-params\""), "{}", turn.frames[0]);
         }
-        assert_eq!(server.plane().pending_flows(), 0, "a refused inject parks nothing");
-        assert_eq!(server.plane().live_scenarios(), 0);
+        assert_eq!(server.plane.pending_flows(), 0, "a refused inject parks nothing");
+        assert_eq!(server.plane.live_scenarios(), 0);
 
         // A step may not carry the cursor past the last epoch a reply can
         // print: an unchecked `cursor += epochs` panics here in a debug
@@ -470,14 +465,14 @@ mod tests {
         for epochs in ["9223372036854775807", "18446744073709551615", "-1", "1.5"] {
             let frame = step(&mut server, epochs);
             assert!(frame.contains("\"code\":\"bad-params\""), "epochs {epochs}: {frame}");
-            assert_eq!(server.plane().cursor_epoch(), 1, "a refused step moves nothing");
+            assert_eq!(server.plane.cursor_epoch(), 1, "a refused step moves nothing");
         }
         // Exactly up to the ceiling is fine, and then only `epochs: 0` is.
         let frame = step(&mut server, "9223372036854775806");
         assert!(frame.contains("\"cursor_epoch\":9223372036854775807"), "{frame}");
         assert!(step(&mut server, "1").contains("\"code\":\"bad-params\""));
         assert!(step(&mut server, "0").contains("\"cursor_epoch\":9223372036854775807"));
-        assert_eq!(server.plane().cursor_epoch(), MAX_CURSOR_EPOCH);
+        assert_eq!(server.plane.cursor_epoch(), MAX_CURSOR_EPOCH);
     }
 
     #[test]

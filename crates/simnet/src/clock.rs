@@ -45,9 +45,9 @@ mod tests {
         let clock = SimClock::new();
         assert_eq!(clock.now(), SimTime::ZERO);
         clock.advance_to(SimTime::from_millis(5));
-        assert_eq!(clock.now().as_millis(), 5);
+        assert_eq!(clock.now(), SimTime::from_millis(5));
         clock.advance_to(SimTime::from_millis(8));
-        assert_eq!(clock.now().as_millis(), 8);
+        assert_eq!(clock.now(), SimTime::from_millis(8));
     }
 
     #[test]
@@ -55,7 +55,7 @@ mod tests {
         let clock = SimClock::new();
         clock.advance_to(SimTime::from_millis(10));
         clock.advance_to(SimTime::from_millis(4));
-        assert_eq!(clock.now().as_millis(), 10);
+        assert_eq!(clock.now(), SimTime::from_millis(10));
     }
 
     #[test]
@@ -92,7 +92,8 @@ mod tests {
         let clock = SimClock::new();
         let other = clock.clone();
         clock.advance_to(SimTime::from_secs(1));
-        assert_eq!(other.now().as_secs_f64(), 1.0);
-        assert_eq!(other.now().duration_since(SimTime::from_millis(200)).as_millis(), 800);
+        assert_eq!(other.now(), SimTime::from_secs(1));
+        let elapsed = other.now().duration_since(SimTime::from_millis(200));
+        assert_eq!(elapsed, crate::time::SimDuration::from_millis(800));
     }
 }

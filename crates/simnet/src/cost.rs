@@ -151,8 +151,8 @@ impl CostModel {
 /// family) of the paper's Figure 4 that did the work. These are the rows
 /// Table 4's CPU column sums over.
 ///
-/// Variants are declared in name order, so index order *is* the name order
-/// [`CpuLedger::breakdown`] reports in.
+/// Variants are declared in name order; each indexes the ledger's busy
+/// array (`component as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// The temporary blocking socket-connect threads (§2.4): thread spawn,
@@ -180,18 +180,6 @@ impl Component {
         Component::TunReader,
         Component::TunWriter,
     ];
-
-    /// The component's name, as Table 4's breakdown prints it.
-    pub fn name(self) -> &'static str {
-        match self {
-            Component::ConnectThreads => "ConnectThreads",
-            Component::DnsThreads => "DnsThreads",
-            Component::Inspection => "Inspection",
-            Component::MainWorker => "MainWorker",
-            Component::TunReader => "TunReader",
-            Component::TunWriter => "TunWriter",
-        }
-    }
 }
 
 /// A holder of buffer memory the ledger tracks; Table 4's memory column is
@@ -208,14 +196,6 @@ pub enum MemoryComponent {
 impl MemoryComponent {
     /// Every memory component, in name (= index) order.
     pub const ALL: [MemoryComponent; 2] = [MemoryComponent::Inspection, MemoryComponent::Relay];
-
-    /// The component's name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MemoryComponent::Inspection => "inspection",
-            MemoryComponent::Relay => "relay",
-        }
-    }
 }
 
 /// Accumulates CPU busy time per [`Component`] and memory high-water marks
@@ -224,13 +204,11 @@ impl MemoryComponent {
 ///
 /// The component sets are closed, so the ledger is two fixed arrays indexed
 /// by the enums: a charge is one add, cheap enough to leave on the packet
-/// path. A component is *listed* (by [`CpuLedger::breakdown`], and counted
-/// by a merge) once it has been charged or set at all, even with zero.
+/// path. A memory component counts in a merge once it has been set at all,
+/// even with zero.
 #[derive(Debug, Default, Clone)]
 pub struct CpuLedger {
     busy: [SimDuration; Component::ALL.len()],
-    /// Bit `c as usize` is set once `c` has been charged.
-    charged: u8,
     memory_bytes: [usize; MemoryComponent::ALL.len()],
     /// Bit `c as usize` is set once `c`'s memory has been recorded.
     recorded: u8,
@@ -254,7 +232,6 @@ impl CpuLedger {
     #[inline]
     pub fn charge(&mut self, component: Component, cost: SimDuration) {
         self.busy[component as usize] += cost;
-        self.charged |= 1 << component as usize;
     }
 
     /// Records the current buffer memory attributed to `component`.
@@ -279,16 +256,6 @@ impl CpuLedger {
     /// CPU busy time of one component.
     pub fn busy_of(&self, component: Component) -> SimDuration {
         self.busy[component as usize]
-    }
-
-    /// Per-component breakdown of every component charged so far (a zero
-    /// charge counts), sorted by component name.
-    pub fn breakdown(&self) -> Vec<(Component, SimDuration)> {
-        Component::ALL
-            .into_iter()
-            .filter(|c| self.charged & (1 << *c as usize) != 0)
-            .map(|c| (c, self.busy[c as usize]))
-            .collect()
     }
 
     /// CPU utilisation (0–100 %) over a wall-clock interval.
@@ -322,7 +289,6 @@ impl CpuLedger {
         for (mine, theirs) in self.busy.iter_mut().zip(other.busy) {
             *mine += theirs;
         }
-        self.charged |= other.charged;
         for c in MemoryComponent::ALL {
             if other.recorded & (1 << c as usize) != 0 {
                 self.memory_bytes[c as usize] = other.memory_bytes[c as usize];
@@ -405,37 +371,37 @@ mod tests {
         ledger.charge(Component::MainWorker, SimDuration::from_millis(30));
         ledger.charge(Component::TunReader, SimDuration::from_millis(10));
         ledger.charge(Component::MainWorker, SimDuration::from_millis(20));
-        assert_eq!(ledger.busy_of(Component::MainWorker).as_millis(), 50);
+        assert_eq!(ledger.busy_of(Component::MainWorker), SimDuration::from_millis(50));
         assert_eq!(ledger.busy_of(Component::TunWriter), SimDuration::ZERO);
-        assert_eq!(ledger.total_busy().as_millis(), 60);
+        assert_eq!(ledger.total_busy(), SimDuration::from_millis(60));
         assert!((ledger.cpu_percent(SimDuration::from_secs(6)) - 1.0).abs() < 1e-9);
         assert_eq!(ledger.cpu_percent(SimDuration::ZERO), 0.0);
-        assert_eq!(
-            ledger.breakdown(),
-            vec![
-                (Component::MainWorker, SimDuration::from_millis(50)),
-                (Component::TunReader, SimDuration::from_millis(10)),
-            ]
-        );
+        assert_eq!(ledger.busy_of(Component::TunReader), SimDuration::from_millis(10));
     }
 
     #[test]
-    fn a_zero_charge_still_lists_the_component_and_reset_forgets_it() {
+    fn a_zero_reading_still_replaces_in_a_merge_and_reset_forgets_it() {
         let mut ledger = CpuLedger::new();
-        ledger.charge(Component::ConnectThreads, SimDuration::ZERO);
-        assert_eq!(ledger.breakdown(), vec![(Component::ConnectThreads, SimDuration::ZERO)]);
-        ledger.set_memory(MemoryComponent::Relay, 10);
+        ledger.charge(Component::ConnectThreads, SimDuration::from_millis(3));
+        ledger.set_memory(MemoryComponent::Relay, 0);
+        let mut merged = CpuLedger::new();
+        merged.set_memory(MemoryComponent::Relay, 10);
+        merged.set_memory(MemoryComponent::Inspection, 5);
+        merged.merge(&ledger);
+        merged.set_memory(MemoryComponent::Inspection, 7);
+        assert_eq!(merged.memory_peak_bytes(), 15, "10 + 5 was the peak; now 0 + 7");
+        assert_eq!(merged.busy_of(Component::ConnectThreads), SimDuration::from_millis(3));
         ledger.reset();
-        assert!(ledger.breakdown().is_empty());
+        assert_eq!(ledger.total_busy(), SimDuration::ZERO);
         assert_eq!(ledger.memory_peak_bytes(), 0);
     }
 
     #[test]
     fn component_names_are_declared_in_name_order() {
-        let names: Vec<&str> = Component::ALL.iter().map(|c| c.name()).collect();
+        let names: Vec<String> = Component::ALL.iter().map(|c| format!("{c:?}")).collect();
         assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
         assert!(Component::ALL.iter().enumerate().all(|(i, c)| *c as usize == i));
-        let names: Vec<&str> = MemoryComponent::ALL.iter().map(|c| c.name()).collect();
+        let names: Vec<String> = MemoryComponent::ALL.iter().map(|c| format!("{c:?}")).collect();
         assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
         assert!(MemoryComponent::ALL.iter().enumerate().all(|(i, c)| *c as usize == i));
     }
@@ -473,8 +439,8 @@ mod tests {
         b.charge(Component::TunWriter, SimDuration::from_millis(1));
         b.set_memory(MemoryComponent::Relay, 20);
         a.merge(&b);
-        assert_eq!(a.busy_of(Component::MainWorker).as_millis(), 12);
-        assert_eq!(a.busy_of(Component::TunWriter).as_millis(), 1);
+        assert_eq!(a.busy_of(Component::MainWorker), SimDuration::from_millis(12));
+        assert_eq!(a.busy_of(Component::TunWriter), SimDuration::from_millis(1));
         // `b` never recorded inspection memory, so `a`'s reading stands.
         assert_eq!(a.memory_peak_bytes(), 30);
     }

@@ -17,7 +17,7 @@ pub struct DnsServerConfig {
     /// The resolver's own address (what the handset sends queries to).
     pub addr: IpAddr,
     /// RTT distribution from the handset to the resolver, including
-    /// resolver processing. Usually taken from the ISP profile.
+    /// resolver processing. Taken from the access profile.
     pub latency: LatencyModel,
     /// Static records: domain (lower-case) to addresses.
     records: HashMap<String, Vec<Ipv4Addr>>,
@@ -39,7 +39,7 @@ pub enum DnsAnswer {
 impl DnsServerConfig {
     /// Creates a resolver at the conventional gateway address with the given
     /// latency model.
-    pub fn new(latency: LatencyModel) -> Self {
+    pub(crate) fn new(latency: LatencyModel) -> Self {
         Self {
             addr: IpAddr::V4(Ipv4Addr::new(192, 168, 1, 1)),
             latency,
@@ -49,7 +49,7 @@ impl DnsServerConfig {
     }
 
     /// Registers records for every domain of a server config.
-    pub fn add_server(&mut self, server: &crate::server::ServerConfig) {
+    pub(crate) fn add_server(&mut self, server: &crate::server::ServerConfig) {
         let v4: Vec<Ipv4Addr> = server
             .addrs
             .iter()
@@ -65,7 +65,7 @@ impl DnsServerConfig {
 
     /// Looks up `domain`, returning the answer and sampling whether the
     /// exchange is lost.
-    pub fn resolve(&self, domain: &str, rng: &mut SimRng) -> DnsAnswer {
+    pub(crate) fn resolve(&self, domain: &str, rng: &mut SimRng) -> DnsAnswer {
         if rng.chance(self.loss) {
             return DnsAnswer::Timeout;
         }
@@ -76,7 +76,7 @@ impl DnsServerConfig {
     }
 
     /// Samples the query/response round-trip latency in milliseconds.
-    pub fn sample_rtt_ms(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_rtt_ms(&self, rng: &mut SimRng) -> f64 {
         self.latency.sample_ms(rng)
     }
 }
@@ -87,11 +87,11 @@ mod tests {
     use crate::server::{ServerConfig, Service};
 
     fn resolver() -> DnsServerConfig {
-        let mut dns = DnsServerConfig::new(LatencyModel::constant(42.0));
+        let mut dns = DnsServerConfig::new(LatencyModel::Constant { ms: 42.0 });
         let facebook = ServerConfig::new(
             "Facebook",
             "31.13.79.251".parse().unwrap(),
-            LatencyModel::constant(40.0),
+            LatencyModel::Constant { ms: 40.0 },
             Service::web(),
         )
         .with_domain("graph.facebook.com");
@@ -120,11 +120,11 @@ mod tests {
 
     #[test]
     fn add_server_registers_all_domains() {
-        let mut dns = DnsServerConfig::new(LatencyModel::constant(10.0));
+        let mut dns = DnsServerConfig::new(LatencyModel::Constant { ms: 10.0 });
         let server = ServerConfig::new(
             "Google",
             "216.58.221.132".parse().unwrap(),
-            LatencyModel::constant(4.0),
+            LatencyModel::Constant { ms: 4.0 },
             Service::web(),
         )
         .with_domain("www.google.com")

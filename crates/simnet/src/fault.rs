@@ -3,7 +3,7 @@
 //! The access profiles carry per-segment fault probabilities
 //! ([`AccessProfile::data_loss`](crate::profile::AccessProfile::data_loss),
 //! `reorder`, `duplicate`). This module turns those knobs into per-segment
-//! decisions: given a flow's dedicated fault RNG stream, [`FaultPlan::decide`]
+//! decisions: given a flow's dedicated fault RNG stream, `FaultPlan::decide`
 //! answers *deliver / drop / duplicate / delay* for one relayed data segment.
 //! The relay consults it on the server→app path, which is what exercises the
 //! retransmission, SACK and congestion-control machinery under test.
@@ -46,7 +46,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Extracts the data-path knobs of an access profile.
-    pub fn from_profile(profile: &AccessProfile) -> Self {
+    pub(crate) fn from_profile(profile: &AccessProfile) -> Self {
         Self {
             data_loss: profile.data_loss,
             reorder: profile.reorder,
@@ -55,7 +55,7 @@ impl FaultPlan {
     }
 
     /// True if no fault can ever fire under this plan.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.data_loss <= 0.0 && self.reorder <= 0.0 && self.duplicate <= 0.0
     }
 
@@ -67,7 +67,7 @@ impl FaultPlan {
     /// second draw for the reordering delay: `base_delay_ms × U(1, 3)` extra,
     /// where callers pass the profile's nominal access RTT so the late
     /// segment arrives behind several successors.
-    pub fn decide(&self, rng: &mut SimRng, base_delay_ms: f64) -> FaultDecision {
+    pub(crate) fn decide(&self, rng: &mut SimRng, base_delay_ms: f64) -> FaultDecision {
         if self.is_clean() {
             return FaultDecision::Deliver;
         }

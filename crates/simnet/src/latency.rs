@@ -47,19 +47,9 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// A constant delay of `ms` milliseconds.
-    pub fn constant(ms: f64) -> Self {
-        LatencyModel::Constant { ms }
-    }
-
     /// A uniform delay between `lo_ms` and `hi_ms`.
     pub fn uniform(lo_ms: f64, hi_ms: f64) -> Self {
         LatencyModel::Uniform { lo_ms, hi_ms }
-    }
-
-    /// A truncated normal delay.
-    pub fn normal(mean_ms: f64, std_ms: f64) -> Self {
-        LatencyModel::Normal { mean_ms, std_ms, min_ms: 0.0 }
     }
 
     /// A log-normal delay with explicit tail weight and floor.
@@ -112,7 +102,7 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let m = LatencyModel::constant(76.0);
+        let m = LatencyModel::Constant { ms: 76.0 };
         let mut rng = SimRng::seed_from_u64(0);
         for _ in 0..10 {
             assert_eq!(m.sample_ms(&mut rng), 76.0);
@@ -140,7 +130,7 @@ mod tests {
 
     #[test]
     fn samples_never_negative() {
-        let m = LatencyModel::normal(1.0, 10.0);
+        let m = LatencyModel::Normal { mean_ms: 1.0, std_ms: 10.0, min_ms: 0.0 };
         let mut rng = SimRng::seed_from_u64(3);
         for _ in 0..2000 {
             assert!(m.sample_ms(&mut rng) >= 0.0);
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn sample_duration_roundtrip() {
-        let m = LatencyModel::constant(2.5);
+        let m = LatencyModel::Constant { ms: 2.5 };
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(m.sample(&mut rng).as_micros(), 2500);
     }

@@ -15,8 +15,8 @@
 //!   each other (the engine drives the [`wheel::TimingWheel`] directly),
 //! * [`latency`] — latency models (constant, uniform, normal, log-normal)
 //!   used for path RTTs, first-hop delays and system-call costs,
-//! * [`profile`] — access-network profiles (WiFi, LTE, 3G, 2G) and ISP
-//!   profiles with calibrated RTT/DNS distributions,
+//! * [`profile`] — access-network profiles (WiFi, LTE, lossy 3G) with
+//!   calibrated RTT/DNS distributions,
 //! * [`server`] — remote application servers with per-destination path
 //!   latency and simple service behaviours,
 //! * [`dnssrv`] — a resolver with configurable records and latency,
@@ -84,7 +84,7 @@ pub use network::{
     ConnectOutcome, DataExchange, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
 };
 pub use pool::{BufferPool, PoolStats};
-pub use profile::{AccessProfile, IspProfile, NetworkType};
+pub use profile::{AccessProfile, NetworkType};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{SchedulerKind, TimerScheduler};

@@ -14,7 +14,7 @@ use mop_packet::{Endpoint, FastMap, FourTuple};
 use crate::dnssrv::{DnsAnswer, DnsServerConfig};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::latency::LatencyModel;
-use crate::profile::{AccessProfile, IspProfile, NetworkType};
+use crate::profile::AccessProfile;
 use crate::rng::SimRng;
 use crate::server::{ServerConfig, Service};
 use crate::tap::{TapDirection, TapKind, WireTap};
@@ -90,14 +90,6 @@ pub struct DataExchange {
     pub response_total: usize,
 }
 
-impl DataExchange {
-    /// When the last response byte arrived (or the request ACK for empty
-    /// responses).
-    pub fn completed_at(&self) -> SimTime {
-        self.response_chunks.last().map(|(t, _)| *t).unwrap_or(self.request_acked_at)
-    }
-}
-
 /// Result of a DNS resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsOutcome {
@@ -124,7 +116,6 @@ impl DnsOutcome {
 pub struct SimNetworkBuilder {
     seed: u64,
     access: AccessProfile,
-    isp: Option<IspProfile>,
     servers: Vec<ServerConfig>,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
@@ -138,11 +129,10 @@ impl Default for SimNetworkBuilder {
 
 impl SimNetworkBuilder {
     /// Starts a builder with a WiFi access network and no servers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             seed: DEFAULT_SEED,
             access: AccessProfile::wifi(),
-            isp: None,
             servers: Vec::new(),
             keying: NetKeying::Shared,
             handover: None,
@@ -176,18 +166,6 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Sets the access network by type, using the default profile for it.
-    pub fn network_type(mut self, network_type: NetworkType) -> Self {
-        self.access = AccessProfile::for_type(network_type);
-        self
-    }
-
-    /// Attaches an ISP profile (DNS latency and core-network penalty).
-    pub fn isp(mut self, isp: IspProfile) -> Self {
-        self.isp = Some(isp);
-        self
-    }
-
     /// Adds a remote server.
     pub fn server(mut self, server: ServerConfig) -> Self {
         self.servers.push(server);
@@ -202,17 +180,12 @@ impl SimNetworkBuilder {
 
     /// Builds the network.
     pub fn build(self) -> SimNetwork {
-        let dns_latency = match &self.isp {
-            Some(isp) => isp.dns_rtt.clone(),
-            None => self.access.dns_rtt.clone(),
-        };
-        let mut dns = DnsServerConfig::new(dns_latency);
+        let mut dns = DnsServerConfig::new(self.access.dns_rtt.clone());
         for server in &self.servers {
             dns.add_server(server);
         }
         SimNetwork {
             access: self.access,
-            isp: self.isp,
             servers: self.servers,
             dns,
             rng: SimRng::seed_from_u64(self.seed),
@@ -237,7 +210,6 @@ const DEFAULT_SEED: u64 = 0x4d6f_7045_7965;
 #[derive(Debug)]
 pub struct SimNetwork {
     access: AccessProfile,
-    isp: Option<IspProfile>,
     servers: Vec<ServerConfig>,
     dns: DnsServerConfig,
     rng: SimRng,
@@ -256,16 +228,6 @@ impl SimNetwork {
     /// Starts a builder.
     pub fn builder() -> SimNetworkBuilder {
         SimNetworkBuilder::new()
-    }
-
-    /// The access profile in use.
-    pub fn access(&self) -> &AccessProfile {
-        &self.access
-    }
-
-    /// The ISP profile in use, if any.
-    pub fn isp(&self) -> Option<&IspProfile> {
-        self.isp.as_ref()
     }
 
     /// The configured DNS resolver.
@@ -402,14 +364,11 @@ impl SimNetwork {
     }
 
     /// Samples the full handset-to-server RTT for `dst` at time `at` with a
-    /// caller-provided RNG stream: access network + ISP core penalty +
-    /// Internet path.
+    /// caller-provided RNG stream: access network + Internet path.
     fn path_rtt_sample(&self, rng: &mut SimRng, dst: IpAddr, at: SimTime) -> SimDuration {
         let path = self.path_model_for(dst);
         let access = self.access_at(at).access_rtt.sample_ms(rng);
-        let core =
-            self.isp.as_ref().map(|isp| isp.core_extra_rtt.sample_ms(rng)).unwrap_or(0.0);
-        SimDuration::from_millis_f64(access + core + path.sample_ms(rng))
+        SimDuration::from_millis_f64(access + path.sample_ms(rng))
     }
 
     /// Attempts a TCP handshake from `flow.src` to `flow.dst`, with the SYN
@@ -486,7 +445,7 @@ impl SimNetwork {
     /// Sends `request_bytes` on an established connection at `at` and returns
     /// the acknowledgement time plus the response arrival schedule according
     /// to the destination's service behaviour.
-    pub fn request_response(
+    pub(crate) fn request_response(
         &mut self,
         flow: FourTuple,
         request_bytes: usize,
@@ -657,13 +616,13 @@ mod tests {
             .server(ServerConfig::new(
                 "closed",
                 "10.9.9.9".parse().unwrap(),
-                LatencyModel::constant(20.0),
+                LatencyModel::Constant { ms: 20.0 },
                 Service::Refuse,
             ))
             .server(ServerConfig::new(
                 "hole",
                 "10.9.9.10".parse().unwrap(),
-                LatencyModel::constant(20.0),
+                LatencyModel::Constant { ms: 20.0 },
                 Service::Blackhole,
             ))
             .build();
@@ -688,7 +647,7 @@ mod tests {
         let received: usize = exchange.response_chunks.iter().map(|(_, b)| *b).sum();
         assert_eq!(received, exchange.response_total);
         assert_eq!(exchange.response_total, 32 * 1024);
-        assert!(exchange.completed_at() > exchange.request_acked_at);
+        assert!(exchange.response_chunks.last().unwrap().0 > exchange.request_acked_at);
         // Chunk times are non-decreasing.
         let times: Vec<_> = exchange.response_chunks.iter().map(|(t, _)| *t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
@@ -702,7 +661,7 @@ mod tests {
         let start = SimTime::ZERO;
         let chunks = net.bulk_download(flow, bytes, start);
         let done = chunks.last().unwrap().0;
-        let seconds = (done - start).as_secs_f64();
+        let seconds = (done - start).as_millis_f64() / 1000.0;
         let mbps = bytes as f64 * 8.0 / 1_000_000.0 / seconds;
         // The WiFi profile is 25 Mbps; allow RTT amortisation slack.
         assert!(mbps < 25.5, "throughput {mbps}");
@@ -716,7 +675,7 @@ mod tests {
         let bytes = 2 * 1024 * 1024;
         let chunks = net.bulk_upload(flow, bytes, SimTime::ZERO);
         let done = chunks.last().unwrap().0;
-        let mbps = bytes as f64 * 8.0 / 1_000_000.0 / done.as_secs_f64();
+        let mbps = bytes as f64 * 8.0 / 1_000_000.0 / (done.as_nanos() as f64 / 1e9);
         assert!(mbps < 26.5, "upload throughput {mbps}");
         assert!(mbps > 18.0, "upload throughput {mbps}");
     }
@@ -732,31 +691,6 @@ mod tests {
         let missing = net.dns_lookup(src, "unknown.example", SimTime::from_millis(6));
         assert!(missing.nxdomain);
         assert!(missing.addrs.is_empty());
-    }
-
-    #[test]
-    fn isp_core_penalty_raises_app_rtt_but_not_dns() {
-        let jio = IspProfile {
-            core_extra_rtt: LatencyModel::constant(200.0),
-            ..IspProfile::lte("Jio 4G", "India", 59.0)
-        };
-        let mut with_jio = SimNetwork::builder()
-            .seed(3)
-            .network_type(NetworkType::Lte)
-            .isp(jio)
-            .with_table2_destinations()
-            .build();
-        let mut without = SimNetwork::builder()
-            .seed(3)
-            .network_type(NetworkType::Lte)
-            .with_table2_destinations()
-            .build();
-        let f = google_flow(40005);
-        let rtt_jio = with_jio.connect(f, SimTime::ZERO).true_rtt.as_millis_f64();
-        let rtt_plain = without.connect(f, SimTime::ZERO).true_rtt.as_millis_f64();
-        assert!(rtt_jio > rtt_plain + 150.0, "jio {rtt_jio} plain {rtt_plain}");
-        let dns_jio = with_jio.dns_lookup(Endpoint::v4(10, 0, 0, 2, 1), "www.google.com", SimTime::ZERO);
-        assert!(dns_jio.rtt().unwrap().as_millis_f64() < 150.0);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl BufferPool {
     pub const MAX_JUMBO: usize = 32;
 
     /// Creates a pool handing out buffers with at least `default_capacity`.
-    pub fn new(default_capacity: usize) -> Self {
+    pub(crate) fn new(default_capacity: usize) -> Self {
         Self {
             free: Vec::new(),
             jumbo: Vec::new(),

@@ -74,7 +74,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event only if it fires at or before `until`.
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+    #[cfg(test)]
+    pub(crate) fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? <= until {
             self.pop()
         } else {
@@ -83,12 +84,12 @@ impl<E> EventQueue<E> {
     }
 
     /// The fire time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// The earliest pending event and its fire time, without popping it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
+    pub(crate) fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|e| (e.at, &e.event))
     }
 
@@ -108,18 +109,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes all pending events.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
-    }
-
-    /// Resets the queue to its just-constructed state, keeping the heap's
-    /// allocation: pending events are dropped and the sequence and schedule
-    /// accounting restart — the clear-don't-drop reuse path, mirroring
-    /// [`crate::wheel::TimingWheel::reset`].
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.scheduled_total = 0;
     }
 }
 

@@ -37,7 +37,7 @@ impl SimRng {
     }
 
     /// The next 64 random bits (xoshiro256++).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.state[0]
             .wrapping_add(self.state[3])
             .rotate_left(23)
@@ -62,7 +62,7 @@ impl SimRng {
     }
 
     /// A uniform value in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -87,14 +87,14 @@ impl SimRng {
     }
 
     /// A standard-normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1: f64 = self.unit().max(1e-12);
         let u2: f64 = self.unit();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// A normal sample with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
     }
 

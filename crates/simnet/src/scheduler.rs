@@ -20,7 +20,7 @@
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{TimerHandle, TimingWheel, DEFAULT_GRANULARITY};
+use crate::wheel::{TimerHandle, TimingWheel};
 
 /// Which scheduler backs an event loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,20 +115,6 @@ impl<E> HeapScheduler<E> {
             self.free.push(idx);
         }
     }
-
-    /// Resets to the just-constructed state, keeping the queue and slab
-    /// allocations (see [`TimerScheduler::reset`]).
-    fn reset(&mut self) {
-        self.queue.reset();
-        self.free.clear();
-        for (i, entry) in self.slab.iter_mut().enumerate() {
-            if entry.event.take().is_some() {
-                entry.generation = entry.generation.wrapping_add(1);
-            }
-            self.free.push(i as u32);
-        }
-        self.live = 0;
-    }
 }
 
 /// A timer scheduler: schedule/cancel/pop with deterministic FIFO tie-order,
@@ -153,8 +139,9 @@ impl<E> TimerScheduler<E> {
     }
 
     /// A wheel scheduler at the default granularity.
-    pub fn wheel() -> Self {
-        Self::new(SchedulerKind::Wheel, DEFAULT_GRANULARITY)
+    #[cfg(test)]
+    pub(crate) fn wheel() -> Self {
+        Self::new(SchedulerKind::Wheel, crate::wheel::DEFAULT_GRANULARITY)
     }
 
     /// Schedules `event` at `at`, returning a cancellable handle.
@@ -189,17 +176,9 @@ impl<E> TimerScheduler<E> {
         }
     }
 
-    /// Pops the earliest event only if it fires at or before `until`.
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= until {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         match self {
             Self::Wheel(w) => w.len(),
             Self::Heap(h) => h.live,
@@ -207,7 +186,8 @@ impl<E> TimerScheduler<E> {
     }
 
     /// Returns true if no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -220,22 +200,11 @@ impl<E> TimerScheduler<E> {
     }
 
     /// The backing implementation.
-    pub fn kind(&self) -> SchedulerKind {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> SchedulerKind {
         match self {
             Self::Wheel(_) => SchedulerKind::Wheel,
             Self::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// Resets the scheduler to its just-constructed state while keeping
-    /// every allocation: pending events are dropped and the sequence and
-    /// schedule accounting restart from zero. A reset scheduler is
-    /// behaviourally indistinguishable from a fresh one — the clear-don't-
-    /// drop rule of the resident engine's reuse path.
-    pub fn reset(&mut self) {
-        match self {
-            Self::Wheel(w) => w.reset(),
-            Self::Heap(h) => h.reset(),
         }
     }
 }
@@ -243,6 +212,7 @@ impl<E> TimerScheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wheel::DEFAULT_GRANULARITY;
 
     fn drain<E>(s: &mut TimerScheduler<E>) -> Vec<(SimTime, E)> {
         std::iter::from_fn(|| s.pop()).collect()

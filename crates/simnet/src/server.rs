@@ -81,13 +81,13 @@ impl ServerConfig {
     }
 
     /// Returns true if this server answers on `addr`.
-    pub fn has_addr(&self, addr: IpAddr) -> bool {
+    pub(crate) fn has_addr(&self, addr: IpAddr) -> bool {
         self.addrs.contains(&addr)
     }
 
     /// The paper's Table 2 destinations, with their tcpdump-measured RTT
     /// scales: Google (~4–5 ms), Facebook (~37 ms) and Dropbox (~285–514 ms).
-    pub fn table2_destinations() -> Vec<ServerConfig> {
+    pub(crate) fn table2_destinations() -> Vec<ServerConfig> {
         vec![
             ServerConfig::new(
                 "Google",

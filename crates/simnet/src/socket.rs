@@ -228,16 +228,6 @@ impl SocketSet {
         self.entry(id).state
     }
 
-    /// Returns the socket's local endpoint.
-    pub fn local(&self, id: SocketId) -> Endpoint {
-        self.entry(id).local
-    }
-
-    /// Returns the socket's remote endpoint if connected or connecting.
-    pub fn remote(&self, id: SocketId) -> Option<Endpoint> {
-        self.entry(id).remote
-    }
-
     /// The connection four-tuple (local, remote), if a connect was issued.
     pub fn flow(&self, id: SocketId) -> Option<FourTuple> {
         let e = self.entry(id);
@@ -497,7 +487,7 @@ mod tests {
         // Too early: still connecting.
         assert!(matches!(set.poll_connect(id, SimTime::from_millis(10)), SocketState::Connecting { .. }));
         assert_eq!(set.poll_connect(id, outcome.completed_at), SocketState::Connected);
-        assert_eq!(set.remote(id), Some(google()));
+        assert_eq!(set.entry(id).remote, Some(google()));
         assert_eq!(set.connect_outcome(id).unwrap(), outcome);
         assert_eq!(set.created_count(), 1);
         assert_eq!(set.open_count(), 1);
@@ -679,7 +669,7 @@ mod tests {
             .server(ServerConfig::new(
                 "closed",
                 "10.8.8.8".parse().unwrap(),
-                LatencyModel::constant(15.0),
+                LatencyModel::Constant { ms: 15.0 },
                 Service::Refuse,
             ))
             .build();
@@ -712,13 +702,13 @@ mod tests {
         for n in 0..4u64 {
             let (a, b) = (reused.create(SocketMode::Blocking), fresh.create(SocketMode::Blocking));
             assert_eq!((a, a.raw()), (b, n));
-            assert_eq!(reused.local(a), fresh.local(b));
+            assert_eq!(reused.entry(a).local, fresh.entry(b).local);
             assert_eq!(reused.state(a), SocketState::Unconnected);
         }
         let bound = Endpoint::v4(10, 1, 2, 3, 40_000);
         let a = reused.create_bound(SocketMode::NonBlocking, bound);
         let b = fresh.create_bound(SocketMode::NonBlocking, bound);
-        assert_eq!((a, a.raw(), reused.local(a)), (b, 4, bound));
+        assert_eq!((a, a.raw(), reused.entry(a).local), (b, 4, bound));
         assert_eq!(reused.created_count(), fresh.created_count());
         assert_eq!(reused.open_count(), fresh.open_count());
     }
@@ -740,6 +730,6 @@ mod tests {
         let mut set = SocketSet::new();
         let a = set.create(SocketMode::Blocking);
         let b = set.create(SocketMode::Blocking);
-        assert_ne!(set.local(a).port, set.local(b).port);
+        assert_ne!(set.entry(a).local.port, set.entry(b).local.port);
     }
 }

@@ -125,12 +125,6 @@ impl ExchangeIndex {
         }
         scanned
     }
-
-    fn clear(&mut self) {
-        self.exchanges.clear();
-        self.requests = 0;
-        self.early_replies.clear();
-    }
 }
 
 /// The reference capture, indexed per flow.
@@ -187,16 +181,6 @@ impl WireTap {
         self.scan_elems += self.handshakes.forget(flow) + self.dns.forget(flow);
     }
 
-    /// Forgets everything recorded, back to the just-constructed state.
-    pub fn clear(&mut self) {
-        #[cfg(test)]
-        self.capture.clear();
-        self.handshakes.clear();
-        self.dns.clear();
-        self.peak_exchanges = 0;
-        self.scan_elems = 0;
-    }
-
     /// Captured packets examined by queries and index upkeep beyond the
     /// O(1) per-flow probes (see `tests/complexity_guard.rs`).
     pub fn scan_elems(&self) -> u64 {
@@ -250,7 +234,7 @@ mod tests {
         tap.record(SimTime::from_millis(100), TapDirection::Outbound, TapKind::Syn, f);
         tap.record(SimTime::from_millis(104), TapDirection::Inbound, TapKind::SynAck, f);
         tap.record(SimTime::from_millis(105), TapDirection::Outbound, TapKind::Data(100), f);
-        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 4);
+        assert_eq!(tap.handshake_rtt(f).unwrap(), SimDuration::from_millis(4));
         assert_eq!(tap.capture.len(), 3);
     }
 
@@ -269,7 +253,7 @@ mod tests {
         let f = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 41000), Endpoint::v4(192, 168, 1, 1, 53));
         tap.record(SimTime::from_millis(50), TapDirection::Outbound, TapKind::DnsQuery, f);
         tap.record(SimTime::from_millis(92), TapDirection::Inbound, TapKind::DnsResponse, f);
-        assert_eq!(tap.dns_rtt(f).unwrap().as_millis(), 42);
+        assert_eq!(tap.dns_rtt(f).unwrap(), SimDuration::from_millis(42));
     }
 
     #[test]
@@ -284,7 +268,7 @@ mod tests {
         // The port's next connection is invisible to the reference.
         tap.record(SimTime::from_millis(5_000), TapDirection::Outbound, TapKind::Syn, f);
         tap.record(SimTime::from_millis(5_004), TapDirection::Inbound, TapKind::SynAck, f);
-        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 1_020);
+        assert_eq!(tap.handshake_rtt(f).unwrap(), SimDuration::from_millis(1_020));
         assert_eq!(tap.scan_elems(), 0);
     }
 
@@ -296,12 +280,9 @@ mod tests {
         tap.record(SimTime::from_millis(30), TapDirection::Inbound, TapKind::SynAck, f);
         tap.record(SimTime::from_millis(25), TapDirection::Outbound, TapKind::Syn, f);
         tap.record(SimTime::from_millis(26), TapDirection::Inbound, TapKind::SynAck, f);
-        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 5);
+        assert_eq!(tap.handshake_rtt(f).unwrap(), SimDuration::from_millis(5));
         // The two early replies were examined once, when the SYN arrived.
         assert_eq!(tap.scan_elems(), 2);
-        tap.clear();
-        assert_eq!(tap.handshake_rtt(f), None);
-        assert_eq!(tap.scan_elems(), 0);
     }
 
     #[test]
@@ -319,7 +300,7 @@ mod tests {
         // The tuple's next connection is the reference now.
         tap.record(SimTime::from_millis(50), TapDirection::Outbound, TapKind::Syn, f);
         tap.record(SimTime::from_millis(57), TapDirection::Inbound, TapKind::SynAck, f);
-        assert_eq!(tap.handshake_rtt(f).unwrap().as_millis(), 7);
+        assert_eq!(tap.handshake_rtt(f).unwrap(), SimDuration::from_millis(7));
         let order: Vec<FourTuple> = tap.all_handshake_rtts().into_iter().map(|(f, _)| f).collect();
         assert_eq!(order, [g, f], "in SYN order");
         assert_eq!((tap.peak_exchanges(), tap.scan_elems()), (2, 0));
@@ -338,9 +319,6 @@ mod tests {
         tap.record(SimTime::from_millis(100), TapDirection::Outbound, TapKind::Syn, flow(40000));
         let rtts = tap.all_handshake_rtts();
         assert_eq!(rtts.len(), 3);
-        assert!(rtts.iter().all(|(_, rtt)| rtt.as_millis() == 5));
-        tap.clear();
-        assert!(tap.all_handshake_rtts().is_empty());
-        assert!(tap.capture.is_empty());
+        assert!(rtts.iter().all(|(_, rtt)| *rtt == SimDuration::from_millis(5)));
     }
 }

@@ -52,13 +52,8 @@ impl SimDuration {
     }
 
     /// The duration in whole microseconds.
-    pub const fn as_micros(self) -> u64 {
+    pub(crate) const fn as_micros(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// The duration in whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// The duration as fractional milliseconds.
@@ -71,24 +66,9 @@ impl SimDuration {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Self) -> Self {
-        Self(self.0.saturating_sub(other.0))
-    }
-
     /// Checked multiplication by an integer factor.
     pub fn saturating_mul(self, factor: u64) -> Self {
         Self(self.0.saturating_mul(factor))
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Self) -> Self {
-        Self(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Self) -> Self {
-        Self(self.0.min(other.0))
     }
 }
 
@@ -160,16 +140,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since the epoch (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
-    /// Fractional seconds since the epoch.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// The elapsed duration since `earlier`, saturating to zero if `earlier`
     /// is in the future.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
@@ -177,13 +147,8 @@ impl SimTime {
     }
 
     /// Returns the later of two times.
-    pub fn max(self, other: Self) -> Self {
+    pub(crate) fn max(self, other: Self) -> Self {
         Self(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two times.
-    pub fn min(self, other: Self) -> Self {
-        Self(self.0.min(other.0))
     }
 }
 
@@ -275,8 +240,7 @@ mod tests {
     #[test]
     fn duration_conversions() {
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimDuration::from_micros(1500).as_millis(), 1);
+        assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert!((SimDuration::from_millis(76).as_millis_f64() - 76.0).abs() < 1e-9);
     }
 
@@ -291,7 +255,7 @@ mod tests {
     fn time_arithmetic() {
         let t0 = SimTime::from_millis(100);
         let t1 = t0 + SimDuration::from_millis(76);
-        assert_eq!((t1 - t0).as_millis(), 76);
+        assert_eq!((t1 - t0), SimDuration::from_millis(76));
         assert_eq!(t0.duration_since(t1), SimDuration::ZERO);
         assert_eq!(t1.max(t0), t1);
         assert_eq!(t1.min(t0), t0);
@@ -310,11 +274,7 @@ mod tests {
     fn sum_and_scaling() {
         let total: SimDuration =
             [SimDuration::from_millis(1), SimDuration::from_millis(2)].into_iter().sum();
-        assert_eq!(total.as_millis(), 3);
-        assert_eq!(SimDuration::from_millis(10).saturating_mul(3).as_millis(), 30);
-        assert_eq!(
-            SimDuration::from_millis(5).saturating_sub(SimDuration::from_millis(9)),
-            SimDuration::ZERO
-        );
+        assert_eq!(total, SimDuration::from_millis(3));
+        assert_eq!(SimDuration::from_millis(10).saturating_mul(3), SimDuration::from_millis(30));
     }
 }

@@ -228,7 +228,8 @@ impl<E> TimingWheel<E> {
     }
 
     /// Pops the earliest event only if it fires at or before `until`.
-    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+    #[cfg(test)]
+    pub(crate) fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? <= until {
             self.pop()
         } else {
@@ -240,7 +241,7 @@ impl<E> TimingWheel<E> {
     ///
     /// Takes `&mut self`: peeking may advance the cursor and cascade slots,
     /// which is semantically transparent but mutates the structure.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             self.ensure_ready();
             let &idx = self.ready.get(self.ready_pos)?;
@@ -298,7 +299,7 @@ impl<E> TimingWheel<E> {
 
     /// Removes all pending events. The cursor and the schedule accounting
     /// are kept, matching [`crate::queue::EventQueue::clear`].
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for slot in &mut self.slots {
             slot.clear();
         }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use mop_packet::{Endpoint, FourTuple};
 use mop_simnet::tap::TapKind;
 use mop_simnet::{
-    Component, CpuLedger, EventQueue, LatencyModel, MemoryComponent, NetworkType, SimDuration,
+    AccessProfile, Component, CpuLedger, EventQueue, LatencyModel, MemoryComponent, SimDuration,
     SimNetwork, SimRng, SimTime, TapDirection, WireTap,
 };
 
@@ -99,10 +99,6 @@ mod ledger_model {
             self.busy.get(component).copied().unwrap_or(SimDuration::ZERO)
         }
 
-        pub fn breakdown(&self) -> Vec<(String, SimDuration)> {
-            self.busy.iter().map(|(k, v)| (k.clone(), *v)).collect()
-        }
-
         pub fn cpu_percent(&self, wall: SimDuration) -> f64 {
             if wall == SimDuration::ZERO {
                 return 0.0;
@@ -139,8 +135,7 @@ enum LedgerOp {
 
 fn arb_ledger_op() -> impl Strategy<Value = LedgerOp> {
     // Zero-cost charges and zero-byte readings are deliberately common: a
-    // component that was charged nothing is still listed, and a reading of
-    // zero still replaces the target's in a merge.
+    // reading of zero still replaces the target's in a merge.
     let nanos = prop_oneof![1 => Just(0u64), 3 => 1u64..5_000_000];
     let bytes = prop_oneof![1 => Just(0usize), 3 => 1usize..200_000_000];
     prop_oneof![
@@ -212,9 +207,9 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from_u64(seed);
         for model in [
-            LatencyModel::constant(median),
+            LatencyModel::Constant { ms: median },
             LatencyModel::uniform(0.0, median),
-            LatencyModel::normal(median, median),
+            LatencyModel::Normal { mean_ms: median, std_ms: median, min_ms: 0.0 },
             LatencyModel::lognormal_with(median, sigma, floor),
         ] {
             for _ in 0..50 {
@@ -234,16 +229,15 @@ proptest! {
         seed in any::<u64>(),
         start_ms in 0u64..10_000,
         port in 1024u16..60_000,
-        network_type in prop_oneof![
-            Just(NetworkType::Wifi),
-            Just(NetworkType::Lte),
-            Just(NetworkType::Umts3g),
-            Just(NetworkType::Gprs2g),
+        access in prop_oneof![
+            Just(AccessProfile::wifi()),
+            Just(AccessProfile::lte()),
+            Just(AccessProfile::lossy_3g()),
         ],
     ) {
         let mut net = SimNetwork::builder()
             .seed(seed)
-            .network_type(network_type)
+            .access(access)
             .with_table2_destinations()
             .build();
         let flow = FourTuple::new(
@@ -273,10 +267,13 @@ proptest! {
         second in proptest::collection::vec(arb_tap_record(6), 0..40),
     ) {
         let mut tap = WireTap::new();
-        // The same tap is checked after every record, then cleared and
-        // refilled: nothing of the first capture may leak into the second.
+        // The same tap is checked after every record, then every flow is
+        // forgotten and the tap refilled: nothing of the first capture may
+        // leak into the second.
         for capture in [&first, &second] {
-            tap.clear();
+            for flow in (0..=6).map(tap_flow) {
+                tap.forget(flow);
+            }
             prop_assert!(tap.all_handshake_rtts().is_empty());
             let mut records = Vec::new();
             for &(at_ms, direction, kind, flow) in capture {
@@ -306,12 +303,12 @@ proptest! {
                 LedgerOp::Charge(first, c, ns) => {
                     let (i, component) = (usize::from(!first), Component::ALL[c]);
                     ledgers[i].charge(component, SimDuration::from_nanos(ns));
-                    models[i].charge(component.name(), SimDuration::from_nanos(ns));
+                    models[i].charge(&format!("{component:?}"), SimDuration::from_nanos(ns));
                 }
                 LedgerOp::SetMemory(first, c, bytes) => {
                     let (i, component) = (usize::from(!first), MemoryComponent::ALL[c]);
                     ledgers[i].set_memory(component, bytes);
-                    models[i].set_memory(component.name(), bytes);
+                    models[i].set_memory(&format!("{component:?}"), bytes);
                 }
                 LedgerOp::Merge(first) => {
                     let (into, from) = (usize::from(!first), usize::from(first));
@@ -325,14 +322,9 @@ proptest! {
                 }
             }
             for (ledger, model) in ledgers.iter().zip(&models) {
-                let breakdown: Vec<(String, SimDuration)> = ledger
-                    .breakdown()
-                    .into_iter()
-                    .map(|(component, busy)| (component.name().to_string(), busy))
-                    .collect();
-                prop_assert_eq!(breakdown, model.breakdown());
                 for component in Component::ALL {
-                    prop_assert_eq!(ledger.busy_of(component), model.busy_of(component.name()));
+                    let name = format!("{component:?}");
+                    prop_assert_eq!(ledger.busy_of(component), model.busy_of(&name));
                 }
                 prop_assert_eq!(ledger.total_busy(), model.total_busy());
                 prop_assert_eq!(ledger.cpu_percent(wall), model.cpu_percent(wall));

@@ -122,8 +122,6 @@ pub struct TcpStateMachine {
     /// MSS we use when segmenting server data towards the app.
     our_mss: u16,
     to_app: PacketBuilder,
-    bytes_from_app: u64,
-    bytes_to_app: u64,
 }
 
 /// Runs a sink-style emitter into a fresh vector (the owned-return wrappers).
@@ -146,14 +144,7 @@ impl TcpStateMachine {
             our_mss: MOPEYE_MSS,
             // Packets to the app travel server → app, i.e. the reverse flow.
             to_app: PacketBuilder::new(flow.dst, flow.src),
-            bytes_from_app: 0,
-            bytes_to_app: 0,
         }
-    }
-
-    /// The connection four-tuple (app → server orientation).
-    pub fn flow(&self) -> FourTuple {
-        self.flow
     }
 
     /// The current state.
@@ -165,16 +156,6 @@ impl TcpStateMachine {
     #[cfg(test)]
     pub(crate) fn peer_mss(&self) -> Option<u16> {
         self.peer_mss
-    }
-
-    /// Total payload bytes received from the app.
-    pub fn bytes_from_app(&self) -> u64 {
-        self.bytes_from_app
-    }
-
-    /// Total payload bytes forwarded to the app.
-    pub fn bytes_to_app(&self) -> u64 {
-        self.bytes_to_app
     }
 
     /// Processes a tunnel segment from the app, returning what it emits in
@@ -263,7 +244,6 @@ impl TcpStateMachine {
         }
         let len = seg.payload.len();
         self.peer_next = self.peer_next.wrapping_add(len as u32);
-        self.bytes_from_app += len as u64;
         actions.push(RelayAction::RelayData { len });
         SegmentVerdict::Data(len)
     }
@@ -299,7 +279,6 @@ impl TcpStateMachine {
                 // Any data on the FIN segment is still relayed.
                 if !seg.payload.is_empty() && seg.seq == self.peer_next {
                     self.peer_next = self.peer_next.wrapping_add(seg.payload.len() as u32);
-                    self.bytes_from_app += seg.payload.len() as u64;
                     actions.push(RelayAction::RelayData { len: seg.payload.len() });
                 }
                 self.peer_next = self.peer_next.wrapping_add(1);
@@ -364,7 +343,6 @@ impl TcpStateMachine {
         for chunk in bytes.chunks(usize::from(self.our_mss)) {
             out.push(self.to_app.tcp_data(self.our_next, self.peer_next, pool.filled(chunk)));
             self.our_next = self.our_next.wrapping_add(chunk.len() as u32);
-            self.bytes_to_app += chunk.len() as u64;
         }
     }
 
@@ -490,7 +468,6 @@ mod tests {
         assert!(pkts.is_empty(), "data is ACKed only after the socket write completes");
         assert_eq!(actions, vec![RelayAction::RelayData { len: 16 }]);
         assert_eq!(verdict, SegmentVerdict::Data(16));
-        assert_eq!(m.bytes_from_app(), 16);
         let acks = m.on_external_write_complete();
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].tcp().unwrap().ack, 1001 + 16);
@@ -520,7 +497,6 @@ mod tests {
         assert!(actions.is_empty());
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].tcp().unwrap().ack, 1011);
-        assert_eq!(m.bytes_from_app(), 10);
     }
 
     #[test]
@@ -534,7 +510,6 @@ mod tests {
         assert_eq!(pkts[2].tcp().unwrap().payload.len(), 4000 - 2 * 1460);
         // Sequence numbers are contiguous.
         assert_eq!(pkts[1].tcp().unwrap().seq, pkts[0].tcp().unwrap().seq + 1460);
-        assert_eq!(m.bytes_to_app(), 4000);
         // Receive window advertised to the app is the §3.4 maximum.
         assert_eq!(pkts[0].tcp().unwrap().window, 65_535);
     }
@@ -648,7 +623,6 @@ mod tests {
         let mut originals = Vec::new();
         m.on_external_data_into(&[0x5a; 100], &mut pool, &mut originals);
         assert_eq!(originals[0].tcp().unwrap().payload, [0x5a; 100]);
-        let sent = m.bytes_to_app();
         let next_before = m.our_next;
         let wire = originals[0].to_bytes();
         // The scoreboard's copy, then the original's buffer is recycled and
@@ -658,10 +632,9 @@ mod tests {
         pool.recycle(originals.remove(0));
         m.on_external_data_into(&[0x77; 300], &mut pool, &mut originals);
         assert_eq!(originals[0].tcp().unwrap().payload, [0x77; 300]);
-        let (sent, next_before) = (sent + 300, next_before.wrapping_add(300));
+        let next_before = next_before.wrapping_add(300);
         let replay = m.retransmit_data(seq, copy);
         assert_eq!(replay.to_bytes(), wire, "byte-identical resend");
-        assert_eq!(m.bytes_to_app(), sent, "counters untouched");
         assert_eq!(m.our_next, next_before, "sequence space untouched");
     }
 
@@ -670,6 +643,6 @@ mod tests {
         let mut m = TcpStateMachine::new(flow(), 1);
         m.on_tunnel_segment(&syn_segment(10));
         assert_eq!(m.peer_mss(), Some(1460));
-        assert_eq!(m.flow(), flow());
+        assert_eq!(m.flow, flow());
     }
 }

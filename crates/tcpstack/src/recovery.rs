@@ -78,14 +78,14 @@ pub const MAX_RTO_NS: u64 = 60_000_000_000;
 
 impl RttEstimator {
     /// An unseeded estimator using the RFC 6298 initial RTO of 1 s.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { srtt_ns: 0.0, rttvar_ns: 0.0, rto_ns: MIN_RTO_NS, backoff: 0, seeded: false }
     }
 
     /// Feeds one RTT measurement (RFC 6298 §2): the first sample initialises
     /// `SRTT = R`, `RTTVAR = R/2`; later samples apply the 1/8 and 1/4
     /// smoothing gains. Any valid sample also resets the backoff.
-    pub fn sample(&mut self, rtt_ns: u64) {
+    pub(crate) fn sample(&mut self, rtt_ns: u64) {
         let r = rtt_ns as f64;
         if !self.seeded {
             self.srtt_ns = r;
@@ -101,17 +101,17 @@ impl RttEstimator {
     }
 
     /// The current retransmission timeout, including backoff.
-    pub fn rto_ns(&self) -> u64 {
+    pub(crate) fn rto_ns(&self) -> u64 {
         self.rto_ns.saturating_mul(1u64 << self.backoff.min(6)).min(MAX_RTO_NS)
     }
 
     /// Doubles the RTO (RFC 6298 §5.5), called when the timer fires.
-    pub fn back_off(&mut self) {
+    pub(crate) fn back_off(&mut self) {
         self.backoff = self.backoff.saturating_add(1);
     }
 
     /// The smoothed RTT, if at least one sample has been fed.
-    pub fn srtt_ns(&self) -> Option<u64> {
+    pub(crate) fn srtt_ns(&self) -> Option<u64> {
         self.seeded.then_some(self.srtt_ns as u64)
     }
 }
@@ -145,7 +145,7 @@ pub struct Reno {
 
 impl Reno {
     /// Starts at the modern initial window of 10 segments.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { cwnd: 10.0, ssthresh: f64::from(u16::MAX) }
     }
 }
@@ -204,7 +204,7 @@ const CUBIC_BETA: f64 = 0.7;
 
 impl Cubic {
     /// Starts at the modern initial window of 10 segments.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             cwnd: 10.0,
             ssthresh: f64::from(u16::MAX),

@@ -40,12 +40,12 @@ pub enum TcpState {
 impl TcpState {
     /// Returns true if application data from the app may be relayed outward
     /// in this state.
-    pub fn accepts_app_data(self) -> bool {
+    pub(crate) fn accepts_app_data(self) -> bool {
         matches!(self, TcpState::Established | TcpState::FinWait)
     }
 
     /// Returns true if data from the server may still be forwarded to the app.
-    pub fn accepts_server_data(self) -> bool {
+    pub(crate) fn accepts_server_data(self) -> bool {
         matches!(self, TcpState::Established | TcpState::CloseWait)
     }
 
@@ -57,7 +57,7 @@ impl TcpState {
 
     /// Returns true if the handshake (internal and external) is still in
     /// progress.
-    pub fn is_handshaking(self) -> bool {
+    pub(crate) fn is_handshaking(self) -> bool {
         matches!(
             self,
             TcpState::Listen | TcpState::SynReceivedPendingExternal | TcpState::SynAckSent
@@ -65,7 +65,7 @@ impl TcpState {
     }
 
     /// A short label for logs and debugging dumps.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TcpState::Listen => "LISTEN",
             TcpState::SynReceivedPendingExternal => "SYN_RCVD*",

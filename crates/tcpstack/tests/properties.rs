@@ -51,7 +51,6 @@ proptest! {
         let mut app_seq = 1_000u32;
         let mut bytes_given: u64 = 0;
         let mut bytes_relayed: u64 = 0;
-        let mut external_bytes_given: u64 = 0;
         for input in inputs {
             match input {
                 AppInput::Syn => {
@@ -98,7 +97,6 @@ proptest! {
                     prop_assert!(packets.len() <= 1);
                 }
                 AppInput::ExternalData(len) => {
-                    external_bytes_given += len as u64;
                     let body = vec![0xaa; len];
                     let packets = machine.on_external_data(&body);
                     // Forwarded segments respect the 1460-byte MSS of §3.4.
@@ -116,8 +114,6 @@ proptest! {
         }
         // The relay never invents app data out of thin air.
         prop_assert!(bytes_relayed <= bytes_given);
-        prop_assert!(machine.bytes_from_app() <= bytes_given);
-        prop_assert!(machine.bytes_to_app() <= external_bytes_given);
     }
 
     #[test]
@@ -164,8 +160,6 @@ proptest! {
         let (_, actions, _) = machine.on_tunnel_segment(last_ack.tcp().unwrap());
         prop_assert!(actions.contains(&RelayAction::RemoveClient));
         prop_assert!(machine.state().is_terminal());
-        prop_assert_eq!(machine.bytes_from_app(), request.len() as u64);
-        prop_assert_eq!(machine.bytes_to_app(), response_len as u64);
     }
 
     #[test]

@@ -252,14 +252,6 @@ impl AppEndpoint {
             _ => {}
         }
     }
-
-    /// [`AppEndpoint::handle_into`] into a fresh vector — the convenient
-    /// form for tests; a packet path should own the buffer instead.
-    pub fn handle(&mut self, packet: &Packet) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.handle_into(packet, &mut out);
-        out
-    }
 }
 
 /// A simulated app's DNS query over UDP.
@@ -289,16 +281,6 @@ impl DnsClient {
             answered: false,
             addresses: Vec::new(),
         }
-    }
-
-    /// The flow of this query.
-    pub fn flow(&self) -> FourTuple {
-        self.flow
-    }
-
-    /// The queried name.
-    pub fn name(&self) -> &str {
-        self.query.queried_name().unwrap_or_default()
     }
 
     /// The query packet to write into the tunnel.
@@ -331,6 +313,13 @@ mod tests {
         FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40000), Endpoint::v4(31, 13, 79, 251, 443))
     }
 
+    /// The app's replies to one packet from the relay.
+    fn handle(app: &mut AppEndpoint, packet: &Packet) -> Vec<Packet> {
+        let mut out = Vec::new();
+        app.handle_into(packet, &mut out);
+        out
+    }
+
     /// The relay side of the handshake, hand-rolled for the test.
     fn relay_builder() -> PacketBuilder {
         PacketBuilder::new(flow().dst, flow().src)
@@ -340,24 +329,25 @@ mod tests {
     fn full_client_lifecycle_request_response_close() {
         let mut app = AppEndpoint::new(10100, flow(), b"GET /".to_vec(), 1000);
         let syn = app.syn_packet();
-        assert!(syn.tcp().unwrap().is_syn());
+        assert_eq!(syn.tcp().unwrap().flags, TcpFlags::SYN);
         assert_eq!(app.state(), AppState::SynSent);
         assert_eq!(app.syn_count, 1);
 
         // Relay answers with SYN/ACK.
         let syn_ack = relay_builder().tcp_syn_ack(7000, syn.tcp().unwrap().seq);
-        let replies = app.handle(&syn_ack);
+        let replies = handle(&mut app, &syn_ack);
         assert_eq!(app.state(), AppState::Established);
         assert_eq!(replies.len(), 2, "ACK plus request data");
-        assert!(replies[0].tcp().unwrap().is_pure_ack());
+        assert_eq!(replies[0].tcp().unwrap().flags, TcpFlags::ACK);
+        assert!(replies[0].tcp().unwrap().payload.is_empty());
         assert_eq!(replies[1].tcp().unwrap().payload, b"GET /");
 
         // Relay forwards 1500 bytes of response data in two segments.
         let data1 = relay_builder().tcp_data(7001, replies[1].tcp().unwrap().seq + 5, vec![1u8; 900]);
-        let out = app.handle(&data1);
+        let out = handle(&mut app, &data1);
         assert_eq!(out.len(), 1); // Just an ACK; not enough data to close yet.
         let data2 = relay_builder().tcp_data(7901, 0, vec![2u8; 600]);
-        let out = app.handle(&data2);
+        let out = handle(&mut app, &data2);
         assert_eq!(app.bytes_received, 1500);
         // ACK plus FIN since close_after=1000 reached.
         assert_eq!(out.len(), 2);
@@ -366,7 +356,7 @@ mod tests {
 
         // Relay sends its own FIN; the app's final ACK finishes it.
         let fin = relay_builder().tcp_fin(8501, 0);
-        let out = app.handle(&fin);
+        let out = handle(&mut app, &fin);
         assert_eq!(out.len(), 1);
         assert!(app.is_done());
         assert_eq!(app.state(), AppState::Done);
@@ -377,17 +367,17 @@ mod tests {
         let mut app = AppEndpoint::new(1, flow(), b"GET /".to_vec(), 10);
         let syn = app.syn_packet();
         let syn_ack = relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq);
-        let first = app.handle(&syn_ack);
+        let first = handle(&mut app, &syn_ack);
         assert_eq!(first[1].tcp().unwrap().payload, b"GET /");
         assert_eq!(app.request.capacity(), 0, "the request moved into its segment");
         // A duplicated SYN/ACK reaches an established endpoint: no second copy.
-        let second = app.handle(&syn_ack);
+        let second = handle(&mut app, &syn_ack);
         let carrying =
             |out: &[Packet]| out.iter().filter(|p| !p.tcp().unwrap().payload.is_empty()).count();
         assert_eq!((carrying(&first), carrying(&second)), (1, 0));
         assert_eq!(app.state(), AppState::Established);
         // The request still counts as sent, so a full response closes.
-        let out = app.handle(&relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
         assert_eq!(app.state(), AppState::Closing);
         assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
     }
@@ -396,12 +386,12 @@ mod tests {
     fn server_initiated_close_is_handled() {
         let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
         let syn = app.syn_packet();
-        app.handle(&relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
+        handle(&mut app, &relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         // Some data, then the relay closes first (close_after is huge so the
         // app would not have closed on its own).
-        app.handle(&relay_builder().tcp_data(101, 0, vec![0u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(101, 0, vec![0u8; 10]));
         assert_eq!(app.state(), AppState::Established);
-        let out = app.handle(&relay_builder().tcp_fin(111, 0));
+        let out = handle(&mut app, &relay_builder().tcp_fin(111, 0));
         assert_eq!(out.len(), 2); // ACK of FIN plus our FIN.
         assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
         assert!(app.is_done());
@@ -411,7 +401,7 @@ mod tests {
     fn rst_fails_the_connection() {
         let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let _syn = app.syn_packet();
-        let out = app.handle(&relay_builder().tcp_rst_ack(1, 1));
+        let out = handle(&mut app, &relay_builder().tcp_rst_ack(1, 1));
         assert!(out.is_empty());
         assert_eq!(app.state(), AppState::Failed);
         assert!(app.is_done());
@@ -422,7 +412,7 @@ mod tests {
         let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let other =
             PacketBuilder::new(Endpoint::v4(9, 9, 9, 9, 443), Endpoint::v4(10, 0, 0, 2, 39999));
-        assert!(app.handle(&other.tcp_syn_ack(5, 5)).is_empty());
+        assert!(handle(&mut app, &other.tcp_syn_ack(5, 5)).is_empty());
         assert_eq!(app.state(), AppState::SynSent);
     }
 
@@ -430,9 +420,10 @@ mod tests {
     fn empty_request_connects_without_sending_data() {
         let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
         let syn = app.syn_packet();
-        let replies = app.handle(&relay_builder().tcp_syn_ack(50, syn.tcp().unwrap().seq));
+        let replies = handle(&mut app, &relay_builder().tcp_syn_ack(50, syn.tcp().unwrap().seq));
         assert_eq!(replies.len(), 1);
-        assert!(replies[0].tcp().unwrap().is_pure_ack());
+        assert_eq!(replies[0].tcp().unwrap().flags, TcpFlags::ACK);
+        assert!(replies[0].tcp().unwrap().payload.is_empty());
         assert_eq!(app.state(), AppState::Established);
     }
 
@@ -440,7 +431,7 @@ mod tests {
     fn established_app() -> AppEndpoint {
         let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
         let syn = app.syn_packet();
-        app.handle(&relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
+        handle(&mut app, &relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         assert_eq!(app.state(), AppState::Established);
         app
     }
@@ -449,7 +440,7 @@ mod tests {
     fn out_of_order_segments_are_buffered_and_reassembled() {
         let mut app = established_app();
         // The second segment arrives first: hole at 101..111.
-        let out = app.handle(&relay_builder().tcp_data(111, 0, vec![2u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
         assert_eq!(out.len(), 1);
         let dup = out[0].tcp().unwrap();
         assert_eq!(dup.ack, 101, "cumulative ACK does not move past the hole");
@@ -457,7 +448,7 @@ mod tests {
         assert_eq!(app.bytes_received, 0);
         assert_eq!(app.dup_acks_sent, 1);
         // The hole fills: one ACK covering both segments.
-        let out = app.handle(&relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tcp().unwrap().ack, 121);
         assert!(out[0].tcp().unwrap().sack_blocks().is_none());
@@ -468,10 +459,10 @@ mod tests {
     fn duplicate_segments_are_re_acked_without_recounting() {
         let mut app = established_app();
         let seg = relay_builder().tcp_data(101, 0, vec![1u8; 10]);
-        app.handle(&seg);
+        handle(&mut app, &seg);
         assert_eq!(app.bytes_received, 10);
         // The network duplicated the segment: re-ACK, count nothing twice.
-        let out = app.handle(&seg);
+        let out = handle(&mut app, &seg);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tcp().unwrap().ack, 111);
         assert_eq!(app.bytes_received, 10);
@@ -481,15 +472,15 @@ mod tests {
     #[test]
     fn fin_beyond_a_hole_is_held_until_contiguous() {
         let mut app = established_app();
-        app.handle(&relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
         // The 111..121 segment is lost; the relay's FIN at 121 races ahead.
-        let out = app.handle(&relay_builder().tcp_fin(121, 0));
+        let out = handle(&mut app, &relay_builder().tcp_fin(121, 0));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tcp().unwrap().ack, 111, "FIN not acknowledged yet");
         assert_eq!(app.state(), AppState::Established);
         // Retransmission fills the hole: the held FIN is processed and the
         // app closes exactly as if the stream had arrived in order.
-        let out = app.handle(&relay_builder().tcp_data(111, 0, vec![2u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
         assert_eq!(out.len(), 2, "ACK of FIN plus our FIN");
         assert_eq!(out[0].tcp().unwrap().ack, 122);
         assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
@@ -502,14 +493,14 @@ mod tests {
         let mut app = established_app();
         // Two separate holes; the newest arrival's block must come first
         // (RFC 2018), with the rest in ascending order.
-        app.handle(&relay_builder().tcp_data(111, 0, vec![2u8; 10]));
-        let out = app.handle(&relay_builder().tcp_data(131, 0, vec![4u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(131, 0, vec![4u8; 10]));
         assert_eq!(
             out[0].tcp().unwrap().sack_blocks().unwrap().as_slice(),
             &[(131, 141), (111, 121)]
         );
         // A third arrival joining the two runs collapses them into one block.
-        let out = app.handle(&relay_builder().tcp_data(121, 0, vec![3u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(121, 0, vec![3u8; 10]));
         assert_eq!(out[0].tcp().unwrap().sack_blocks().unwrap().as_slice(), &[(111, 141)]);
         assert_eq!(app.dup_acks_sent, 3);
     }
@@ -519,9 +510,8 @@ mod tests {
         let resolver = Endpoint::v4(192, 168, 1, 1, 53);
         let src = Endpoint::v4(10, 0, 0, 2, 41000);
         let mut client = DnsClient::new(1, src, resolver, 0x42, "e3.whatsapp.net");
-        assert_eq!(client.name(), "e3.whatsapp.net");
         let query_pkt = client.query_packet();
-        assert!(query_pkt.udp().unwrap().is_dns());
+        assert_eq!(query_pkt.udp().unwrap().dst_port, 53);
 
         let reply_builder = PacketBuilder::new(resolver, src);
         // A response with the wrong id is ignored.

@@ -62,16 +62,6 @@ impl ReadStrategy {
     pub fn mopeye() -> Self {
         ReadStrategy::Blocking
     }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReadStrategy::FixedSleep { period } if period.as_millis() >= 100 => "fixed-sleep-100ms",
-            ReadStrategy::FixedSleep { .. } => "fixed-sleep",
-            ReadStrategy::AdaptiveSleep { .. } => "adaptive-sleep",
-            ReadStrategy::Blocking => "blocking",
-        }
-    }
 }
 
 /// The outcome of retrieving one packet.
@@ -230,7 +220,8 @@ impl ReaderSim {
     }
 
     /// Mean retrieval delay over all packets retrieved so far.
-    pub fn mean_delay(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn mean_delay(&self) -> SimDuration {
         if self.packets_retrieved == 0 {
             return SimDuration::ZERO;
         }
@@ -246,7 +237,8 @@ impl ReaderSim {
     /// CPU charged for polling an idle tunnel over `idle` time with no
     /// packets at all (used for the Table 4 resource accounting, where
     /// Haystack keeps executing reads regardless of traffic).
-    pub fn idle_polling_cpu(&self, idle: SimDuration, cost_model: &CostModel) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn idle_polling_cpu(&self, idle: SimDuration, cost_model: &CostModel) -> SimDuration {
         let period = match self.strategy {
             ReadStrategy::Blocking => return SimDuration::ZERO,
             ReadStrategy::FixedSleep { period } => period,
@@ -345,14 +337,6 @@ mod tests {
         assert!(pg.idle_polling_cpu(idle, &cost) > SimDuration::ZERO);
         let hay = ReaderSim::new(ReadStrategy::haystack());
         assert!(hay.idle_polling_cpu(idle, &cost) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(ReadStrategy::toyvpn().label(), "fixed-sleep-100ms");
-        assert_eq!(ReadStrategy::privacyguard().label(), "fixed-sleep");
-        assert_eq!(ReadStrategy::haystack().label(), "adaptive-sleep");
-        assert_eq!(ReadStrategy::mopeye().label(), "blocking");
     }
 
     #[test]

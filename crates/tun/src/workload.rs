@@ -223,11 +223,6 @@ impl Workload {
         Self { kind, uid, package: package.to_string(), destinations, duration, intensity }
     }
 
-    /// The workload kind.
-    pub fn kind(&self) -> WorkloadKind {
-        self.kind
-    }
-
     /// Generates the flow schedule.
     ///
     /// # Panics
@@ -513,18 +508,5 @@ mod tests {
         // A DNS query sends no request segment.
         let dns = FlowSpec { kind: FlowKind::Dns, src: None, request_bytes: 1 << 20, ..v4 };
         assert_eq!(round_trip(&dns).unwrap(), dns);
-    }
-
-    #[test]
-    fn kind_accessor() {
-        let w = Workload::new(
-            WorkloadKind::BulkTransfer,
-            1,
-            "x",
-            destinations(),
-            SimDuration::from_secs(1),
-            1,
-        );
-        assert_eq!(w.kind(), WorkloadKind::BulkTransfer);
     }
 }

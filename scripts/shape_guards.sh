@@ -80,6 +80,12 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # (CHANGES.md, "One public API per operation").
 ! grep -rnE 'struct (Selector|WheelSnapshot|TcpdumpReference)\b' crates src tests examples || fail "API that only tests call"
 
+# Forbids silencing the compiler's dead-code audit in library code: with
+# every crate-internal function checked by clippy's non-test build, one that
+# only tests call must fail the lint, not be allowed (CHANGES.md, "Let the
+# compiler audit the API").
+! for f in $(find crates/*/src -name '*.rs' | sort); do awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"; done | grep -E '(allow|expect)\((dead_code|unused)' || fail "dead-code lint silenced in library code"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1

@@ -169,13 +169,13 @@ fn failed_and_refused_servers_are_reported_not_measured() {
     net.add_server(ServerConfig::new(
         "refuser",
         "10.66.0.1".parse().unwrap(),
-        LatencyModel::constant(25.0),
+        LatencyModel::Constant { ms: 25.0 },
         Service::Refuse,
     ));
     net.add_server(ServerConfig::new(
         "blackhole",
         "10.66.0.2".parse().unwrap(),
-        LatencyModel::constant(25.0),
+        LatencyModel::Constant { ms: 25.0 },
         Service::Blackhole,
     ));
     let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), net);

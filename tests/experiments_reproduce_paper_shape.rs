@@ -67,8 +67,9 @@ fn crowd_dataset_reproduces_the_section_4_2_findings() {
     assert!(median_of("Singtel") < median_of("Verizon"));
     assert!(median_of("Cricket") > median_of("Verizon"));
     let fig11 = Fig11IspDns::compute(&dataset);
-    assert!(fig11.fraction_below_10ms("Singtel").unwrap() > fig11.fraction_below_10ms("Verizon").unwrap());
-    assert!(fig11.min_rtt("Cricket").unwrap() > 30.0);
+    let isp = |name: &str| &fig11.isps.iter().find(|(n, _)| n == name).unwrap().1;
+    assert!(isp("Singtel").fraction_at_or_below(10.0) > isp("Verizon").fraction_at_or_below(10.0));
+    assert!(isp("Cricket").min().unwrap() > 30.0);
 
     // Case studies.
     let whatsapp = CaseWhatsapp::compute(&dataset);

@@ -8,7 +8,36 @@
 //! when the digest's definition did.
 
 use mopeye::engine::{RunReport, SampleKind};
-use mopeye::packet::StableHasher;
+
+/// Byte-serial FNV-1a with the workspace's constants (those of
+/// `mop_packet::StableHasher`), fed the way the old digest fed it: `u64`s
+/// as little-endian bytes, `f64`s by bit pattern, strings length-prefixed.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes());
+    }
+}
 
 fn sample_kind_tag(kind: SampleKind) -> u8 {
     match kind {
@@ -20,7 +49,7 @@ fn sample_kind_tag(kind: SampleKind) -> u8 {
 /// The sequential digest of `report` (order-sensitive only among records
 /// that tie on the sort keys, which a canonical report breaks by content).
 pub fn sequential_digest(report: &RunReport) -> u64 {
-    let mut fnv = StableHasher::new();
+    let mut fnv = Fnv::new();
     let mut order: Vec<usize> = (0..report.samples.len()).collect();
     order.sort_by(|&i, &j| {
         let a = &report.samples[i];
@@ -83,5 +112,5 @@ pub fn sequential_digest(report: &RunReport) -> u64 {
     if let Some(windows) = &report.windows {
         fnv.write_u64(windows.digest());
     }
-    fnv.finish()
+    fnv.0
 }

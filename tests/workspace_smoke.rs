@@ -18,7 +18,7 @@ fn every_facade_namespace_resolves() {
     assert!(endpoint.is_ipv4());
 
     let time = mopeye::simnet::SimTime::from_millis(5);
-    assert_eq!(time.as_millis(), 5);
+    assert_eq!(time.as_nanos(), 5_000_000);
 
     let table = mopeye::procnet::ConnectionTable::new();
     assert!(table.uid_of(mopeye::packet::FourTuple::new(endpoint, endpoint)).is_none());
