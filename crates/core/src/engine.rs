@@ -335,7 +335,7 @@ impl MopEyeEngine {
             mapping: self.relay.mapper.stats(),
             tun: self.shared.tun,
             ledger: self.shared.ledger.clone(),
-            buffer_pool: self.ingress.buffers.stats(),
+            buffer_pool: self.ingress.buffer_stats(),
             socket_read_pool: self.relay.sockets.read_pool_stats(),
             finished_at: self.shared.clock.now(),
             events_processed: self.events_processed,

@@ -45,7 +45,8 @@ pub struct RunReport {
     pub tun: TunStats,
     /// CPU / memory / battery ledger.
     pub ledger: CpuLedger,
-    /// Behaviour of the tunnel-packet buffer pool (allocations vs reuses).
+    /// Behaviour of the tunnel-packet buffer pools, both size classes
+    /// together (allocations vs reuses).
     pub buffer_pool: PoolStats,
     /// Behaviour of the socket read-buffer pool.
     pub socket_read_pool: PoolStats,

@@ -12,7 +12,7 @@
 //! their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
-use mop_simnet::{BufferPool, Component, SimDuration, SimTime, TimingWheel};
+use mop_simnet::{BufferPool, Component, PoolStats, SimDuration, SimTime, TimingWheel};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
 use mop_procnet::SocketStateCode;
 
@@ -21,14 +21,26 @@ use crate::arena::{Arena, Parked};
 use crate::conn::{AppSide, FlowId};
 use crate::engine::Event;
 
+/// The tunnel-packet size class of a packet of `len` bytes, or of a buffer
+/// of that capacity coming back: 0 for header-only packets, 1 for the
+/// full-MTU buffers of packets that carry data.
+fn size_class(len: usize) -> usize {
+    usize::from(len > BufferPool::PACKET_CAPACITY)
+}
+
 /// The TUN retrieval + parse stage. See the [module docs](self).
 #[derive(Debug)]
 pub struct IngressStage {
     /// The TUN read-strategy model (§3.1).
     pub(crate) reader: ReaderSim,
-    /// Free list of tunnel packet buffers: each app write is encoded into
-    /// one, and the buffer comes back once the relay has parsed it.
-    pub(crate) buffers: BufferPool,
+    /// Free lists of tunnel packet buffers, one per size class (see
+    /// `size_class`): each app write is encoded into a buffer of its
+    /// length's class, and the buffer comes back once the relay has parsed
+    /// it. Most writes are ACKs, SYNs, FINs and DNS queries that fit a
+    /// header-only buffer; only a packet that carries a request takes a
+    /// full-MTU one, so a pending packet costs about its own size and no
+    /// buffer has to grow.
+    buffers: [BufferPool; 2],
     /// Tunnel packets on their way to the MainWorker: a write's buffer
     /// waits here while its `TunPacket` event, which carries the handle
     /// and the writing connection's id, is on the wheel.
@@ -47,7 +59,7 @@ impl IngressStage {
     pub(crate) fn new(reader: ReaderSim) -> Self {
         Self {
             reader,
-            buffers: BufferPool::for_packets(),
+            buffers: [BufferPool::for_packets(), BufferPool::for_data_packets()],
             packets: Arena::default(),
             next_app_port: 36_000,
             next_dns_id: 1,
@@ -63,9 +75,11 @@ impl IngressStage {
     pub(crate) fn reset(&mut self) {
         self.reader.reset();
         for buf in self.packets.drain() {
-            self.buffers.put(buf);
+            self.buffers[size_class(buf.capacity())].put(buf);
         }
-        self.buffers.reset_stats();
+        for pool in &mut self.buffers {
+            pool.reset_stats();
+        }
         self.next_app_port = 36_000;
         self.next_dns_id = 1;
     }
@@ -93,7 +107,16 @@ impl IngressStage {
             }
             Err(_) => relay.stats.parse_errors += 1,
         }
-        self.buffers.put(buf);
+        self.buffers[size_class(buf.capacity())].put(buf);
+    }
+
+    /// Both size classes' counters, as one pool's.
+    pub(crate) fn buffer_stats(&self) -> PoolStats {
+        let mut stats = PoolStats::default();
+        for pool in &self.buffers {
+            stats.merge(&pool.stats());
+        }
+        stats
     }
 
     fn alloc_port(&mut self) -> u16 {
@@ -188,7 +211,7 @@ impl IngressStage {
         id: FlowId,
         packet: Packet,
     ) {
-        let mut buf = self.buffers.get();
+        let mut buf = self.buffers[size_class(packet.wire_len())].get();
         packet.encode_into(&mut buf);
         sh.tun.record_app_write(buf.len());
         let mut rng = sh.checkout_rng(id);

@@ -102,7 +102,6 @@ fn net_kind_of(network_type: mop_simnet::NetworkType) -> NetKind {
         mop_simnet::NetworkType::Wifi => NetKind::Wifi,
         mop_simnet::NetworkType::Lte => NetKind::Lte,
         mop_simnet::NetworkType::Umts3g => NetKind::Umts3g,
-        mop_simnet::NetworkType::Gprs2g => NetKind::Gprs2g,
     }
 }
 

@@ -38,16 +38,16 @@ impl PacketBuilder {
         Self { src, dst, window: MOPEYE_RECEIVE_WINDOW, mss: MOPEYE_MSS }
     }
 
-    fn wrap_ip(&self, protocol: u8, payload: Vec<u8>) -> IpPacket {
+    fn wrap_ip(&self, protocol: u8) -> IpPacket {
         match (self.src.addr, self.dst.addr) {
-            (IpAddr::V4(s), IpAddr::V4(d)) => IpPacket::V4(Ipv4Packet::new(s, d, protocol, payload)),
-            (IpAddr::V6(s), IpAddr::V6(d)) => IpPacket::V6(Ipv6Packet::new(s, d, protocol, payload)),
+            (IpAddr::V4(s), IpAddr::V4(d)) => IpPacket::V4(Ipv4Packet::new(s, d, protocol)),
+            (IpAddr::V6(s), IpAddr::V6(d)) => IpPacket::V6(Ipv6Packet::new(s, d, protocol)),
             _ => unreachable!("constructor enforces matching families"),
         }
     }
 
     fn wrap_tcp(&self, segment: TcpSegment) -> Packet {
-        let ip = self.wrap_ip(IPPROTO_TCP, Vec::new());
+        let ip = self.wrap_ip(IPPROTO_TCP);
         Packet::from_parts(ip, Transport::Tcp(segment))
     }
 
@@ -121,7 +121,7 @@ impl PacketBuilder {
 
     /// A UDP datagram carrying `payload`.
     pub fn udp(&self, payload: Vec<u8>) -> Packet {
-        let ip = self.wrap_ip(IPPROTO_UDP, Vec::new());
+        let ip = self.wrap_ip(IPPROTO_UDP);
         Packet::from_parts(
             ip,
             Transport::Udp(UdpDatagram::new(self.src.port, self.dst.port, payload)),

@@ -7,11 +7,12 @@ use crate::checksum::ipv4_header_checksum;
 /// Minimum IPv4 header length in bytes (no options).
 pub const IPV4_MIN_HEADER_LEN: usize = 20;
 
-/// A parsed IPv4 packet: header fields plus the transport payload.
+/// The IPv4 header of a packet to build: its fields and options. The
+/// transport layer is held beside it (`Packet::transport`) and encoded
+/// straight after the header, so the network layer carries no payload of
+/// its own.
 ///
-/// Options are preserved verbatim so that a parse → serialise round trip is
-/// byte-identical, which the relay depends on when forwarding packets it does
-/// not need to rewrite.
+/// Options are written verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Packet {
     /// Differentiated services / TOS byte.
@@ -30,13 +31,11 @@ pub struct Ipv4Packet {
     pub dst: Ipv4Addr,
     /// Raw IPv4 options (may be empty); length must be a multiple of 4.
     pub options: Vec<u8>,
-    /// Transport-layer payload (TCP segment or UDP datagram bytes).
-    pub payload: Vec<u8>,
 }
 
 impl Ipv4Packet {
     /// Creates a packet with common defaults (TTL 64, DF set, no options).
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, payload: Vec<u8>) -> Self {
+    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8) -> Self {
         Self {
             dscp_ecn: 0,
             identification: 0,
@@ -46,7 +45,6 @@ impl Ipv4Packet {
             src,
             dst,
             options: Vec::new(),
-            payload,
         }
     }
 
@@ -97,26 +95,24 @@ mod tests {
     use crate::error::PacketError;
     use crate::view::Ipv4View;
 
+    /// The transport bytes every test packet carries after its header.
+    const PAYLOAD: [u8; 5] = [1, 2, 3, 4, 5];
+
     fn sample() -> Ipv4Packet {
-        Ipv4Packet::new(
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(216, 58, 221, 132),
-            IPPROTO_TCP,
-            vec![1, 2, 3, 4, 5],
-        )
+        Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(216, 58, 221, 132), IPPROTO_TCP)
     }
 
-    /// The packet on the wire: its header, then its payload.
+    /// The packet on the wire: its header, then [`PAYLOAD`].
     fn wire(p: &Ipv4Packet) -> Vec<u8> {
         let mut out = Vec::new();
-        p.encode_header_into(&mut out, p.payload.len());
-        out.extend_from_slice(&p.payload);
+        p.encode_header_into(&mut out, PAYLOAD.len());
+        out.extend_from_slice(&PAYLOAD);
         out
     }
 
     fn assert_reads_back(p: &Ipv4Packet, v: &Ipv4View<'_>) {
         assert_eq!((v.src(), v.dst(), v.protocol()), (p.src, p.dst, p.protocol));
-        assert_eq!(v.payload(), &p.payload[..]);
+        assert_eq!(v.payload(), &PAYLOAD[..]);
     }
 
     #[test]
@@ -142,7 +138,7 @@ mod tests {
         let p = sample();
         let mut bytes = wire(&p);
         bytes.extend_from_slice(&[0xaa; 6]);
-        assert_eq!(Ipv4View::new(&bytes).unwrap().payload(), &p.payload[..]);
+        assert_eq!(Ipv4View::new(&bytes).unwrap().payload(), &PAYLOAD[..]);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 
 use std::net::Ipv6Addr;
 
-
 /// Fixed IPv6 header length in bytes.
 pub const IPV6_HEADER_LEN: usize = 40;
 
-/// A parsed IPv6 packet: the fixed header plus the payload.
+/// The fixed IPv6 header of a packet to build. Like
+/// [`crate::ipv4::Ipv4Packet`], it carries no payload: the transport layer
+/// beside it is encoded straight after the header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv6Packet {
     /// Traffic class byte.
@@ -26,14 +27,12 @@ pub struct Ipv6Packet {
     pub src: Ipv6Addr,
     /// Destination address.
     pub dst: Ipv6Addr,
-    /// Payload following the fixed header.
-    pub payload: Vec<u8>,
 }
 
 impl Ipv6Packet {
     /// Creates a packet with common defaults (hop limit 64, zero flow label).
-    pub fn new(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload: Vec<u8>) -> Self {
-        Self { traffic_class: 0, flow_label: 0, next_header, hop_limit: 64, src, dst, payload }
+    pub fn new(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8) -> Self {
+        Self { traffic_class: 0, flow_label: 0, next_header, hop_limit: 64, src, dst }
     }
 
     /// Appends the IPv6 fixed header to `out`, declaring a payload of
@@ -66,20 +65,22 @@ mod tests {
     use crate::error::PacketError;
     use crate::view::Ipv6View;
 
+    /// The transport bytes every test packet carries after its header.
+    const PAYLOAD: [u8; 3] = [9, 8, 7];
+
     fn sample() -> Ipv6Packet {
         Ipv6Packet::new(
             "fe80::1".parse().unwrap(),
             "2001:4860:4860::8888".parse().unwrap(),
             IPPROTO_UDP,
-            vec![9, 8, 7],
         )
     }
 
-    /// The packet on the wire: its header, then its payload.
+    /// The packet on the wire: its header, then [`PAYLOAD`].
     fn wire(p: &Ipv6Packet) -> Vec<u8> {
         let mut out = Vec::new();
-        p.encode_header_into(&mut out, p.payload.len());
-        out.extend_from_slice(&p.payload);
+        p.encode_header_into(&mut out, PAYLOAD.len());
+        out.extend_from_slice(&PAYLOAD);
         out
     }
 
@@ -89,7 +90,7 @@ mod tests {
         let bytes = wire(&p);
         let v = Ipv6View::new(&bytes).unwrap();
         assert_eq!((v.src(), v.dst(), v.next_header()), (p.src, p.dst, p.next_header));
-        assert_eq!(v.payload(), &p.payload[..]);
+        assert_eq!(v.payload(), &PAYLOAD[..]);
     }
 
     #[test]
@@ -102,7 +103,7 @@ mod tests {
         assert_eq!(word >> 28, 6);
         assert_eq!((word >> 20) & 0xff, 0xb8);
         assert_eq!(word & 0xf_ffff, 0xabcde);
-        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &p.payload[..]);
+        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &PAYLOAD[..]);
     }
 
     #[test]
@@ -129,6 +130,6 @@ mod tests {
         let p = sample();
         let mut bytes = wire(&p);
         bytes.extend_from_slice(&[0u8; 13]);
-        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &p.payload[..]);
+        assert_eq!(Ipv6View::new(&bytes).unwrap().payload(), &PAYLOAD[..]);
     }
 }

@@ -164,6 +164,11 @@ impl Packet {
     }
 }
 
+// Shape guard: every packet parked on its way to an app, and every slot of a
+// `Vec<Packet>`, pays this size. The network layer holds header fields only;
+// the transport layer owns the payload.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 136);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +210,6 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
             47, // GRE.
-            Vec::new(),
         );
         let p = Packet::from_parts(IpPacket::V4(ip), Transport::Other(47, vec![1, 2, 3, 4]));
         let bytes = p.to_bytes();

@@ -560,14 +560,9 @@ mod tests {
 
     #[test]
     fn other_transport_is_borrowed_raw() {
-        let ip = Ipv4Packet::new(
-            Ipv4Addr::new(10, 0, 0, 2),
-            Ipv4Addr::new(10, 0, 0, 1),
-            47,
-            Vec::new(),
-        );
-        let bytes = Packet::from_parts(IpPacket::V4(ip), Transport::Other(47, vec![1, 2, 3, 4]))
-            .to_bytes();
+        let ip = Ipv4Packet::new(Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(10, 0, 0, 1), 47);
+        let bytes =
+            Packet::from_parts(IpPacket::V4(ip), Transport::Other(47, vec![1, 2, 3, 4])).to_bytes();
         let view = PacketView::parse(&bytes).unwrap();
         assert!(matches!(view.transport(), TransportView::Other(47, raw) if *raw == [1, 2, 3, 4]));
         assert!(view.four_tuple().is_none());

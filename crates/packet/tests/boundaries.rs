@@ -49,7 +49,6 @@ fn segment_bytes(seg: &TcpSegment) -> Vec<u8> {
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
             6,
-            Vec::new(),
         )),
         transport: Transport::Tcp(seg.clone()),
     }
@@ -234,7 +233,7 @@ fn ipv4_view_and_owned_agree_including_options() {
         IpAddr::V4(dst),
         &mut udp,
     );
-    let mut p = Ipv4Packet::new(src, dst, 17, Vec::new());
+    let mut p = Ipv4Packet::new(src, dst, 17);
     p.options = vec![1, 1, 1, 1];
     let transport = Transport::Other(17, udp.clone());
     let bytes = Packet { ip: IpPacket::V4(p), transport }.to_bytes();
@@ -247,11 +246,6 @@ fn ipv4_view_and_owned_agree_including_options() {
 
 /// An IPv4 packet around raw transport bytes that need not parse.
 fn raw_ipv4(protocol: u8, raw: Vec<u8>) -> Vec<u8> {
-    let ip = Ipv4Packet::new(
-        "10.0.0.2".parse().unwrap(),
-        "10.0.0.1".parse().unwrap(),
-        protocol,
-        Vec::new(),
-    );
+    let ip = Ipv4Packet::new("10.0.0.2".parse().unwrap(), "10.0.0.1".parse().unwrap(), protocol);
     Packet { ip: IpPacket::V4(ip), transport: Transport::Other(protocol, raw) }.to_bytes()
 }

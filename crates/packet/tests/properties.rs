@@ -22,7 +22,7 @@ fn arb_flags() -> impl Strategy<Value = TcpFlags> {
 
 /// `transport` behind an IPv4 header, encoded the way the relay writes it.
 fn encode_v4(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, transport: Transport) -> Vec<u8> {
-    let ip = IpPacket::V4(Ipv4Packet::new(src, dst, protocol, Vec::new()));
+    let ip = IpPacket::V4(Ipv4Packet::new(src, dst, protocol));
     let mut bytes = Vec::new();
     Packet { ip, transport }.encode_into(&mut bytes);
     bytes
@@ -50,7 +50,7 @@ proptest! {
         ttl in 1u8..=255,
         payload in proptest::collection::vec(any::<u8>(), 0..1600),
     ) {
-        let mut ip = Ipv4Packet::new(src, dst, protocol, Vec::new());
+        let mut ip = Ipv4Packet::new(src, dst, protocol);
         ip.ttl = ttl;
         let mut bytes = Vec::new();
         Packet { ip: IpPacket::V4(ip), transport: Transport::Other(protocol, payload.clone()) }
@@ -67,7 +67,7 @@ proptest! {
         flow_label in 0u32..=0x000f_ffff,
         payload in proptest::collection::vec(any::<u8>(), 0..1600),
     ) {
-        let mut ip = Ipv6Packet::new(src.into(), dst.into(), IPPROTO_UDP, Vec::new());
+        let mut ip = Ipv6Packet::new(src.into(), dst.into(), IPPROTO_UDP);
         ip.flow_label = flow_label;
         let datagram = UdpDatagram::new(40000, 53, payload);
         let mut bytes = Vec::new();

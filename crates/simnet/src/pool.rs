@@ -6,8 +6,9 @@
 //! for every packet puts the allocator on the per-packet critical path;
 //! [`BufferPool`] recycles buffers instead, so the steady-state relay loop
 //! performs no allocations at all (enforced by the `zero_alloc` regression
-//! tests in `mop_bench`). The socket layer's read buffers come from a
-//! second pool of the same kind.
+//! tests in `mop_bench`). The engine's ingress keeps one pool per
+//! tunnel-packet size class (header-only and full-MTU buffers), and the
+//! socket layer's read buffers come from a third pool of the same kind.
 
 /// Counters describing how a pool behaved over a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +65,15 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// A capacity that fits a full-MTU tunnel packet with headroom.
-    pub const PACKET_CAPACITY: usize = 2048;
+    /// The capacity of a header-only tunnel packet's buffer. Most of what
+    /// the apps write into the tunnel is control traffic, and 128 B holds
+    /// every IPv4 or IPv6 ACK, SYN, FIN, SACK-ACK (the largest, IPv6 with
+    /// four blocks, is 96 B) and DNS query they send.
+    pub const PACKET_CAPACITY: usize = 128;
+
+    /// The capacity of a data-carrying tunnel packet's buffer: a full-MTU
+    /// packet with headroom.
+    pub const DATA_PACKET_CAPACITY: usize = 2048;
 
     /// A recycled buffer whose capacity exceeds the default by this factor is
     /// routed to the capped jumbo class instead of the main free list.
@@ -86,9 +94,16 @@ impl BufferPool {
         }
     }
 
-    /// Creates a pool sized for tunnel packets.
+    /// Creates a pool of [`BufferPool::PACKET_CAPACITY`] buffers, for
+    /// tunnel packets that carry no data.
     pub fn for_packets() -> Self {
         Self::new(Self::PACKET_CAPACITY)
+    }
+
+    /// Creates a pool of [`BufferPool::DATA_PACKET_CAPACITY`] buffers, for
+    /// tunnel packets that carry data.
+    pub fn for_data_packets() -> Self {
+        Self::new(Self::DATA_PACKET_CAPACITY)
     }
 
     /// Hands out an empty buffer, reusing a recycled one when possible.
@@ -219,6 +234,23 @@ mod tests {
         assert!(b.capacity() > 64 * BufferPool::JUMBO_FACTOR);
         assert_eq!(pool.stats().reuses, 1);
         assert!(pool.stats().resident_bytes < resident);
+    }
+
+    #[test]
+    fn control_packets_fit_a_header_only_buffer() {
+        use mop_packet::{DnsMessage, Endpoint, PacketBuilder, SackBlocks};
+        let v6 = PacketBuilder::new(
+            Endpoint::new("fe80::2".parse::<std::net::IpAddr>().unwrap(), 40000),
+            Endpoint::new("2001:db8::1".parse::<std::net::IpAddr>().unwrap(), 443),
+        );
+        let blocks = SackBlocks::new(&[(10, 20), (30, 40), (50, 60), (70, 80)]);
+        let query = DnsMessage::query(7, "scontent.xx.fbcdn.net");
+        for packet in [v6.tcp_syn(1), v6.tcp_fin(1, 1), v6.tcp_sack_ack(1, 1, blocks), v6.dns(&query)]
+        {
+            let mut buf = BufferPool::for_packets().get();
+            packet.encode_into(&mut buf);
+            assert_eq!(buf.capacity(), BufferPool::PACKET_CAPACITY, "{} B grew it", buf.len());
+        }
     }
 
     #[test]

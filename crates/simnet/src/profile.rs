@@ -17,14 +17,11 @@ pub enum NetworkType {
     Lte,
     /// 3G UMTS / HSPA(+).
     Umts3g,
-    /// 2G GPRS / EDGE.
-    Gprs2g,
 }
 
 impl NetworkType {
     /// All network types, in the order used by the figures.
-    pub const ALL: [NetworkType; 4] =
-        [NetworkType::Wifi, NetworkType::Lte, NetworkType::Umts3g, NetworkType::Gprs2g];
+    pub const ALL: [NetworkType; 3] = [NetworkType::Wifi, NetworkType::Lte, NetworkType::Umts3g];
 
     /// A short label matching the paper's figures.
     pub(crate) fn label(self) -> &'static str {
@@ -32,7 +29,6 @@ impl NetworkType {
             NetworkType::Wifi => "WiFi",
             NetworkType::Lte => "4G LTE",
             NetworkType::Umts3g => "3G UMTS/HSPA(P)",
-            NetworkType::Gprs2g => "2G GPRS/EDGE",
         }
     }
 }
@@ -167,8 +163,8 @@ mod tests {
     #[test]
     fn network_type_labels_match_figures() {
         assert_eq!(NetworkType::Lte.label(), "4G LTE");
-        assert_eq!(NetworkType::Gprs2g.to_string(), "2G GPRS/EDGE");
-        assert_eq!(NetworkType::ALL.len(), 4);
+        assert_eq!(NetworkType::Umts3g.to_string(), "3G UMTS/HSPA(P)");
+        assert_eq!(NetworkType::ALL.len(), 3);
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! [`SegmentPool`]: [`RecoveryState::on_data_sent_owned`] takes a buffer the
 //! caller filled from the pool, and [`RecoveryState::on_ack_recycling`]
 //! hands the buffers of cumulatively acknowledged segments back to it, so a
-//! clean window costs the allocator nothing. Retransmissions clone — they
-//! are per loss event, not per packet. [`RecoveryState::on_data_sent`] and
-//! [`RecoveryState::on_ack`] are the pool-less forms (copy in, drop out) for
-//! unit tests and probes.
+//! clean window costs the allocator nothing. The fast-retransmit and
+//! SACK-hole resends that `on_ack_recycling` queues copy into pooled buffers
+//! too; only an RTO resend clones (one per timeout, not per packet).
+//! [`RecoveryState::on_data_sent`] and [`RecoveryState::on_ack`] are the
+//! pool-less forms (copy in, drop out) for unit tests and probes.
 
 use std::collections::VecDeque;
 
@@ -505,12 +506,12 @@ impl RecoveryState {
                 self.fast_retransmits_total += 1;
                 self.recovery_point = self.inflight.back().map(SentSegment::end);
                 self.cc.as_dyn_mut().on_fast_retransmit(now_ns);
-                self.queue_hole_retransmits(&mut reaction, 1);
+                self.queue_hole_retransmits(&mut reaction, 1, pool);
             } else if self.recovery_point.is_some() && reaction.newly_sacked > 0 {
                 // Later dup-ACKs with fresh SACK news: fill more holes, as
                 // many as the post-decrease window paces out.
                 let budget = (self.cc.cwnd() / 2).max(1);
-                self.queue_hole_retransmits(&mut reaction, budget as usize);
+                self.queue_hole_retransmits(&mut reaction, budget as usize, pool);
             }
         }
         reaction.all_acked = self.inflight.is_empty();
@@ -518,8 +519,14 @@ impl RecoveryState {
     }
 
     /// Queues up to `limit` un-SACKed, not-yet-retransmitted holes for
-    /// resend, pacing them `srtt / cwnd` apart.
-    fn queue_hole_retransmits(&mut self, reaction: &mut AckReaction, limit: usize) {
+    /// resend, pacing them `srtt / cwnd` apart. Each resend's payload is a
+    /// copy filled into a buffer from `pool` when there is one.
+    fn queue_hole_retransmits(
+        &mut self,
+        reaction: &mut AckReaction,
+        limit: usize,
+        mut pool: Option<&mut SegmentPool>,
+    ) {
         let pace = self.recovery_pace_ns();
         let mut queued = reaction.retransmits.len() as u64;
         for seg in self.inflight.iter_mut() {
@@ -536,9 +543,13 @@ impl RecoveryState {
             }
             seg.retransmitted = true;
             self.retransmits_total += 1;
+            let payload = match pool.as_deref_mut() {
+                Some(pool) => pool.filled(&seg.payload),
+                None => seg.payload.clone(),
+            };
             reaction.retransmits.push(Retransmit {
                 seq: seg.seq,
-                payload: seg.payload.clone(),
+                payload,
                 delay_ns: pace * queued,
             });
             queued += 1;

@@ -18,7 +18,8 @@
 //! Replies are emitted sink-style ([`AppEndpoint::handle_into`] appends to a
 //! vector the caller owns), so the endpoint itself allocates only per flow
 //! (its request, which moves into the data segment that carries it) and per
-//! loss event (out-of-order buffering, SACK ranges).
+//! loss event (an out-of-order segment's entry, which holds its length, not
+//! its bytes; SACK ranges).
 
 use std::collections::BTreeMap;
 
@@ -66,8 +67,10 @@ pub struct AppEndpoint {
     /// Timestamp bookkeeping for tests and workload statistics.
     pub syn_count: u32,
     /// Received-but-not-contiguous segments, keyed by sequence number,
-    /// waiting for the hole below them to fill.
-    ooo: BTreeMap<u32, Vec<u8>>,
+    /// waiting for the hole below them to fill. Only their lengths are kept:
+    /// ACKs, SACK blocks and `bytes_received` are all the endpoint derives
+    /// from them, so the payload itself is never copied.
+    ooo: BTreeMap<u32, u32>,
     /// A FIN that arrived ahead of a sequence hole; processed once the
     /// stream is contiguous up to it.
     pending_fin: Option<u32>,
@@ -103,8 +106,8 @@ impl AppEndpoint {
     /// spans the sequence-space wrap in these workloads.)
     fn buffered_ranges(&self) -> Vec<(u32, u32)> {
         let mut ranges: Vec<(u32, u32)> = Vec::new();
-        for (&seq, payload) in &self.ooo {
-            let end = seq.wrapping_add(payload.len() as u32);
+        for (&seq, &len) in &self.ooo {
+            let end = seq.wrapping_add(len);
             match ranges.last_mut() {
                 Some((_, last_end)) if *last_end == seq => *last_end = end,
                 _ => ranges.push((seq, end)),
@@ -187,9 +190,9 @@ impl AppEndpoint {
                         self.bytes_received += tcp.payload.len();
                         self.ack = tcp.seq.wrapping_add(tcp.payload.len() as u32);
                         advanced = true;
-                        while let Some(payload) = self.ooo.remove(&self.ack) {
-                            self.bytes_received += payload.len();
-                            self.ack = self.ack.wrapping_add(payload.len() as u32);
+                        while let Some(len) = self.ooo.remove(&self.ack) {
+                            self.bytes_received += len as usize;
+                            self.ack = self.ack.wrapping_add(len);
                         }
                     } else if seq_before(tcp.seq, self.ack) {
                         // A duplicate of data already reassembled: re-ACK so
@@ -200,7 +203,7 @@ impl AppEndpoint {
                     } else {
                         // A sequence hole: buffer the segment and answer
                         // with a SACK-carrying duplicate ACK.
-                        self.ooo.entry(tcp.seq).or_insert_with(|| tcp.payload.clone());
+                        self.ooo.entry(tcp.seq).or_insert(tcp.payload.len() as u32);
                         self.dup_acks_sent += 1;
                         let blocks = self.sack_blocks(Some(tcp.seq));
                         out.push(self.builder.tcp_sack_ack(self.seq, self.ack, blocks));
@@ -503,6 +506,168 @@ mod tests {
         let out = handle(&mut app, &relay_builder().tcp_data(121, 0, vec![3u8; 10]));
         assert_eq!(out[0].tcp().unwrap().sack_blocks().unwrap().as_slice(), &[(111, 141)]);
         assert_eq!(app.dup_acks_sent, 3);
+    }
+
+    /// A byte-keeping reference receiver: it keeps every received byte,
+    /// keyed by its sequence number, reassembles the stream from them and
+    /// predicts the endpoint's replies from the bytes it holds.
+    struct ByteReference {
+        app: PacketBuilder,
+        seq: u32,
+        ack: u32,
+        held: BTreeMap<u32, u8>,
+        stream: Vec<u8>,
+        pending_fin: Option<u32>,
+        dup_acks_sent: u32,
+        done: bool,
+    }
+
+    impl ByteReference {
+        fn new(app: &AppEndpoint) -> Self {
+            let (seq, ack) = (app.seq, app.ack);
+            let app = PacketBuilder::new(flow().src, flow().dst);
+            Self {
+                app,
+                seq,
+                ack,
+                held: BTreeMap::new(),
+                stream: Vec::new(),
+                pending_fin: None,
+                dup_acks_sent: 0,
+                done: false,
+            }
+        }
+
+        /// The runs of held bytes above the hole, the one holding `newest`
+        /// first, at most four.
+        fn sack_blocks(&self, newest: Option<u32>) -> SackBlocks {
+            let mut runs: Vec<(u32, u32)> = Vec::new();
+            for &seq in self.held.keys() {
+                match runs.last_mut() {
+                    Some((_, end)) if *end == seq => *end += 1,
+                    _ => runs.push((seq, seq + 1)),
+                }
+            }
+            if let Some(pos) = newest.and_then(|n| runs.iter().position(|&(s, e)| s <= n && n < e))
+            {
+                runs[..=pos].rotate_right(1);
+            }
+            runs.truncate(SackBlocks::MAX);
+            SackBlocks::new(&runs)
+        }
+
+        fn deliver(&mut self, seq: u32, payload: &[u8], fin: bool) -> Vec<Packet> {
+            if self.done {
+                return Vec::new();
+            }
+            let mut advanced = false;
+            if !payload.is_empty() {
+                if seq_before(seq, self.ack) {
+                    self.dup_acks_sent += 1;
+                    return vec![self.app.tcp_ack(self.seq, self.ack)];
+                }
+                for (at, &byte) in (seq..).zip(payload) {
+                    self.held.entry(at).or_insert(byte);
+                }
+                if seq != self.ack {
+                    self.dup_acks_sent += 1;
+                    return vec![self.app.tcp_sack_ack(
+                        self.seq,
+                        self.ack,
+                        self.sack_blocks(Some(seq)),
+                    )];
+                }
+                while let Some(byte) = self.held.remove(&self.ack) {
+                    self.stream.push(byte);
+                    self.ack += 1;
+                }
+                advanced = true;
+            }
+            if fin {
+                self.pending_fin = Some(seq);
+            }
+            if self.pending_fin == Some(self.ack) {
+                self.ack += 1;
+                self.done = true;
+                return vec![
+                    self.app.tcp_ack(self.seq, self.ack),
+                    self.app.tcp_fin(self.seq, self.ack),
+                ];
+            }
+            if fin {
+                self.dup_acks_sent += 1;
+                return vec![self.app.tcp_sack_ack(self.seq, self.ack, self.sack_blocks(None))];
+            }
+            if advanced {
+                vec![self.app.tcp_ack(self.seq, self.ack)]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn length_only_reassembly_matches_a_byte_keeping_reference() {
+        const LENS: [u32; 12] = [1400, 1400, 700, 1400, 300, 1400, 1400, 90, 1400, 1400, 1400, 512];
+        let mut segments = Vec::new();
+        let mut seq = 101u32;
+        for (i, &len) in LENS.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|b| (b as usize * 7 + i) as u8).collect();
+            segments.push((seq, payload));
+            seq += len;
+        }
+        let fin_seq = seq;
+        let sent: Vec<u8> = segments.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        let (mut sack_acks, mut fins_beyond_a_hole) = (0, 0);
+        for seed in 1..=64u64 {
+            // A deterministic shuffle of every segment, about a third of them
+            // twice, with the FIN dropped in at a random position.
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move |bound: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % bound as u64) as usize
+            };
+            let mut order: Vec<Option<usize>> = (0..segments.len()).map(Some).collect();
+            order.extend((0..segments.len()).filter(|_| next(3) == 0).map(Some));
+            for i in (1..order.len()).rev() {
+                order.swap(i, next(i + 1));
+            }
+            order.insert(next(order.len() + 1), None);
+
+            let mut app = established_app();
+            let mut reference = ByteReference::new(&app);
+            let relay = relay_builder();
+            for delivery in order {
+                let (packet, want) = match delivery {
+                    Some(i) => {
+                        let (seq, payload) = &segments[i];
+                        (
+                            relay.tcp_data(*seq, 0, payload.clone()),
+                            reference.deliver(*seq, payload, false),
+                        )
+                    }
+                    None => {
+                        fins_beyond_a_hole += usize::from(reference.ack != fin_seq);
+                        (relay.tcp_fin(fin_seq, 0), reference.deliver(fin_seq, &[], true))
+                    }
+                };
+                let got = handle(&mut app, &packet);
+                sack_acks +=
+                    got.iter().filter(|p| p.tcp().unwrap().sack_blocks().is_some()).count();
+                assert_eq!(got, want, "seed {seed}: replies differ");
+                assert_eq!(app.bytes_received, reference.stream.len(), "seed {seed}");
+                assert_eq!(app.dup_acks_sent, reference.dup_acks_sent, "seed {seed}");
+            }
+            assert_eq!(app.state(), AppState::Done, "seed {seed}");
+            assert!(app.ooo.is_empty() && reference.held.is_empty(), "seed {seed}");
+            assert_eq!(reference.stream, sent, "seed {seed}: the stream reassembled");
+        }
+        assert!(
+            sack_acks > 64 && fins_beyond_a_hole > 8,
+            "{sack_acks} SACK-ACKs, {fins_beyond_a_hole} early FINs"
+        );
     }
 
     #[test]

@@ -86,6 +86,11 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # compiler audit the API").
 ! for f in $(find crates/*/src -name '*.rs' | sort); do awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"; done | grep -E '(allow|expect)\((dead_code|unused)' || fail "dead-code lint silenced in library code"
 
+# Forbids byte-vector values in the app endpoint's reassembly map: an
+# out-of-order segment is kept as its length, not a copy of its payload
+# (CHANGES.md, "Tunnel bytes in flight cost their own size").
+! grep -n 'BTreeMap<u32, Vec<u8>>' crates/tun/src/apps.rs || fail "app reassembly keeps payload copies"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1

@@ -17,9 +17,13 @@
 //! wire-tap exchanges an engine held at once. A finished flow's entries
 //! leave with it, so those follow the flows open at once; a table that keeps
 //! every flow it has seen fails here.
+//!
+//! The last guard holds what a pending tunnel packet costs: its buffer, not
+//! a full MTU.
 
-use mopeye::dataset::Scenario;
+use mopeye::dataset::{NetProfile, Scenario, TrafficMix};
 use mopeye::engine::{Counter, FlowOutcome, MopEyeConfig, MopEyeEngine};
+use mopeye::simnet::SimDuration;
 
 /// Per-flow growth allowed from the small to the large population.
 const MAX_GROWTH: f64 = 1.3;
@@ -130,4 +134,36 @@ fn live_tables_follow_the_flows_open_at_once_not_the_flows_run() {
             gauge.name()
         );
     }
+}
+
+/// Bytes of capacity the tunnel-packet pools may hold, at the end of a cold
+/// run, per buffer they created. Most of what apps write into the tunnel is
+/// ACKs, SACKs, SYNs and FINs of under 100 B, so those take header-only
+/// buffers and only a request-carrying packet takes a full-MTU one; a 2 KiB
+/// buffer for every packet put about 2 MB of a lossy run's peak into
+/// headroom no packet used.
+const POOL_BYTES_PER_BUFFER: u64 = 256;
+
+#[test]
+fn tunnel_packet_buffers_cost_their_packets_not_a_full_mtu() {
+    // All downloads start at once, so about a thousand tunnel packets, most
+    // of them SYNs and ACKs, are pending together.
+    let scenario = Scenario::single(
+        TrafficMix::BulkDownload,
+        NetProfile::DegradedCommute,
+        1_000,
+        SimDuration::from_secs(4),
+        2017,
+    );
+    let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), scenario.network().build());
+    let pool = engine.run_flows(scenario.generate()).buffer_pool;
+    assert!(pool.allocations > 0 && pool.reuses > 0, "{pool:?}");
+    let per_buffer = pool.resident_bytes / pool.allocations;
+    assert!(
+        per_buffer <= POOL_BYTES_PER_BUFFER,
+        "the tunnel-packet pools hold {} B in the {} buffers they created: {per_buffer} B each, \
+         more than {POOL_BYTES_PER_BUFFER}",
+        pool.resident_bytes,
+        pool.allocations
+    );
 }
