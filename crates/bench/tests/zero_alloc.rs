@@ -76,7 +76,7 @@ fn steady_state_relay_loop_performs_zero_allocations_per_packet() {
     // stream sends through the tunnel) and the relay's next MSS-sized data
     // segment towards the app.
     let ack_bytes = app.tcp_ack(1001, 9001).to_bytes();
-    let data_packet = relay.tcp_data(9001, 1001, vec![0x5a; 1400]);
+    let data_packet = relay.tcp_data(9001, 1001, 1400);
 
     let mut pool = BufferPool::for_packets();
     let mut emitted = Emitted::default();

@@ -593,8 +593,8 @@ mod tests {
         let flow = tuple(1);
         let mut table = ConnTable::default();
         let (id, twin_id) = (table.intern(flow), table.intern(tuple(2)));
-        let mut twin = AppEndpoint::new(1, flow, b"x".to_vec(), usize::MAX);
-        let app = AppEndpoint::new(1, flow, b"x".to_vec(), usize::MAX);
+        let mut twin = AppEndpoint::new(1, flow, 1, usize::MAX);
+        let app = AppEndpoint::new(1, flow, 1, usize::MAX);
         table[id].app = AppSide::Tcp(Box::new(app));
         table[id].started(&spec(flow), SimTime::ZERO);
         table[twin_id].started(&spec(flow), SimTime::ZERO);
@@ -627,7 +627,7 @@ mod tests {
         let not_tcp = relay.dns(&DnsMessage::query(7, "example.com"));
         let plain_ack = relay.tcp_ack(111, isn + 2);
         let handshake = relay.tcp_syn_ack(100, isn);
-        let data = relay.tcp_data(101, isn + 2, vec![1; 10]);
+        let data = relay.tcp_data(101, isn + 2, 10);
 
         // Done: a duplicate (one dup ACK), then the relay closes first.
         let done = deliver_to_twins(&[
@@ -664,7 +664,7 @@ mod tests {
         let flow = tuple(1);
         let mut table = ConnTable::default();
         let id = table.intern(flow.reversed());
-        table[id].app = AppSide::Tcp(Box::new(AppEndpoint::new(1, flow, Vec::new(), 0)));
+        table[id].app = AppSide::Tcp(Box::new(AppEndpoint::new(1, flow, 0, 0)));
         let relay = PacketBuilder::new(flow.dst, flow.src);
         table[id].deliver_to_app(SimTime::ZERO, &relay.tcp_rst_ack(1, 1), &mut Vec::new());
         let AppSide::Tcp(app) = &table[id].app else { panic!("swapped: {:?}", table[id].app) };

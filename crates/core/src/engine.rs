@@ -27,7 +27,7 @@
 //! tunnel-write delay distributions and the resource ledger — everything the
 //! paper's evaluation sections need.
 
-use mop_simnet::{SimNetwork, SimTime, TimingWheel};
+use mop_simnet::{PoolStats, SimNetwork, SimTime, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
 use crate::arena::{Arena, Parked};
@@ -206,7 +206,7 @@ impl MopEyeEngine {
             self.sched.schedule(at, Event::FlowStart(self.specs.park(spec)));
         }
         while let Some((at, event)) = self.sched.pop() {
-            self.shared.clock.advance_to(at);
+            self.shared.advance_to(at);
             if !self.dispatch(at, event) {
                 break;
             }
@@ -336,8 +336,8 @@ impl MopEyeEngine {
             tun: self.shared.tun,
             ledger: self.shared.ledger.clone(),
             buffer_pool: self.ingress.buffer_stats(),
-            socket_read_pool: self.relay.sockets.read_pool_stats(),
-            finished_at: self.shared.clock.now(),
+            socket_read_pool: PoolStats::default(),
+            finished_at: self.shared.now,
             events_processed: self.events_processed,
             events_scheduled: self.sched.scheduled_total(),
             counters,

@@ -70,6 +70,7 @@
 
 mod arena;
 pub mod checkpoint;
+mod clock;
 pub mod config;
 pub mod conn;
 pub mod engine;

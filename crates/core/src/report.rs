@@ -48,7 +48,10 @@ pub struct RunReport {
     /// Behaviour of the tunnel-packet buffer pools, both size classes
     /// together (allocations vs reuses).
     pub buffer_pool: PoolStats,
-    /// Behaviour of the socket read-buffer pool.
+    /// Always the default: a socket read is a byte count, so there is no
+    /// read buffer to pool. The field stays because the benchmark reads it
+    /// (it adds its allocations to [`RunReport::buffer_pool`]'s), as
+    /// `TunStats::dispatch_stalls` does.
     pub socket_read_pool: PoolStats,
     /// Per-flow outcomes.
     pub flows: Vec<FlowOutcome>,

@@ -26,8 +26,8 @@
 //! worker threads.
 //!
 //! In steady state nothing on the path allocates per packet: the rings are
-//! pre-allocated, each shard's packet loop runs on its own pools
-//! (tunnel packet buffers, socket read buffers, segment payloads), the state machines
+//! pre-allocated, each shard's packet loop runs on its own tunnel-packet
+//! buffer pools (server data travels as byte counts), the state machines
 //! and app endpoints emit into buffers their stage owns, and the CPU ledger
 //! is a pair of fixed arrays. A warm shard allocates per flow and per loss
 //! event; `crates/bench/tests/zero_alloc_engine.rs` holds an engine to that.
@@ -496,7 +496,6 @@ impl RunReport {
         self.tun.merge(&other.tun);
         self.ledger.merge(&other.ledger);
         self.buffer_pool.merge(&other.buffer_pool);
-        self.socket_read_pool.merge(&other.socket_read_pool);
         self.flows.extend(other.flows);
         self.finished_at = self.finished_at.max(other.finished_at);
         self.events_processed += other.events_processed;

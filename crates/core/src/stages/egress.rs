@@ -77,15 +77,12 @@ impl EgressStage {
         // four-tuple)`, so any shard partition faults the same segments. The
         // writer already counted the write: a dropped segment consumed the
         // tunnel exactly like a delivered one.
-        if packet.tcp().is_some_and(|t| !t.payload.is_empty()) && sh.net.faults_possible() {
+        if packet.tcp().is_some_and(|t| t.payload_len > 0) && sh.net.faults_possible() {
             // The network keys its fault stream by the packet's own tuple.
             if let Some(wire_flow) = packet.four_tuple() {
                 match sh.net.data_fault(wire_flow, deliver_at) {
                     FaultDecision::Deliver => {}
-                    FaultDecision::Drop => {
-                        sh.segments.recycle(packet);
-                        return;
-                    }
+                    FaultDecision::Drop => return,
                     FaultDecision::Duplicate => {
                         let copy = sh.parked.park(packet.clone());
                         sh.schedule(sched, deliver_at, Event::DeliverToApp(id, copy));
@@ -119,16 +116,13 @@ mod tests {
         MopEyeEngine::new(MopEyeConfig::mopeye(), net)
     }
 
-    /// Writes one pooled 1000-byte data segment towards the app; returns
-    /// where its payload buffer lives.
-    fn write_segment(engine: &mut MopEyeEngine) -> *const u8 {
+    /// Writes one 1000-byte data segment towards the app and returns it.
+    fn write_segment(engine: &mut MopEyeEngine) -> Packet {
         let id = engine.shared.conns.intern(flow());
-        let payload = engine.shared.segments.filled(&[7; 1_000]);
-        let at = payload.as_ptr();
-        let packet = PacketBuilder::new(flow().dst, flow().src).tcp_data(1, 1, payload);
+        let packet = PacketBuilder::new(flow().dst, flow().src).tcp_data(1, 1, 1_000);
         let (shared, sched) = (&mut engine.shared, &mut engine.sched);
-        engine.egress.write_to_tunnel(shared, sched, SimTime::from_millis(1), id, packet);
-        at
+        engine.egress.write_to_tunnel(shared, sched, SimTime::from_millis(1), id, packet.clone());
+        packet
     }
 
     fn deliveries(engine: &mut MopEyeEngine) -> Vec<Packet> {
@@ -143,30 +137,21 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_segment_returns_its_buffer_to_the_pool() {
+    fn a_dropped_segment_is_never_delivered() {
         let mut engine = engine(1.0, 0.0);
-        let buffer = write_segment(&mut engine);
+        write_segment(&mut engine);
         assert!(deliveries(&mut engine).is_empty(), "the segment was dropped");
-        assert_eq!(engine.shared.segments.len(), 1, "its buffer was not leaked");
-        let next = engine.shared.segments.filled(&[1]);
-        assert_eq!(next.as_ptr(), buffer, "and is the next one handed out");
+        assert_eq!(engine.shared.parked.len(), 0, "nothing stays parked for it");
+        assert_eq!(engine.shared.tun.packets_to_apps, 1, "it still consumed the tunnel");
     }
 
     #[test]
     fn a_duplicated_segment_is_delivered_twice_in_two_buffers() {
         let mut engine = engine(0.0, 1.0);
-        let buffer = write_segment(&mut engine);
-        assert!(engine.shared.segments.is_empty(), "nothing is recycled while in flight");
+        let sent = write_segment(&mut engine);
+        assert_eq!(engine.shared.parked.len(), 2, "two packets parked, one per delivery");
         let delivered = deliveries(&mut engine);
-        let payloads: Vec<&Vec<u8>> =
-            delivered.iter().map(|p| &p.tcp().expect("a data segment").payload).collect();
-        assert_eq!(payloads, [&vec![7u8; 1_000], &vec![7u8; 1_000]]);
-        assert_ne!(payloads[0].as_ptr(), payloads[1].as_ptr(), "the copies share no buffer");
-        assert!(payloads.iter().any(|p| p.as_ptr() == buffer), "one of them is the original");
-        // Both die independently: each returns a buffer of its own.
-        for packet in delivered {
-            engine.shared.segments.recycle(packet);
-        }
-        assert_eq!(engine.shared.segments.len(), 2);
+        assert_eq!(delivered, [sent.clone(), sent], "both carry the 1000-byte payload");
+        assert_eq!(delivered[0].tcp().expect("a data segment").payload_len, 1_000);
     }
 }

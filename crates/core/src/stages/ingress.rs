@@ -169,7 +169,7 @@ impl IngressStage {
                 let mut app = Box::new(AppEndpoint::new(
                     spec.uid,
                     flow,
-                    vec![0x47; spec.request_bytes.max(1)],
+                    spec.request_bytes.max(1),
                     spec.close_after,
                 ));
                 let syn = app.syn_packet();
@@ -254,8 +254,5 @@ impl IngressStage {
             self.inject_app_packet(sh, sched, at, id, response);
         }
         self.app_out = responses;
-        // The delivered packet is dead: its payload buffer goes back to the
-        // relay's free list.
-        sh.segments.recycle(packet);
     }
 }

@@ -36,7 +36,7 @@
 //! per-connection state is not theirs: every connection has exactly one
 //! [`crate::conn::Conn`] record in [`EngineShared`] (TCP machine, timers and
 //! recovery state included), next to the rest of the cross-cutting substrate
-//! (the clock, the simulated network, the cost model and CPU ledger, the TUN
+//! (virtual time, the simulated network, the cost model and CPU ledger, the TUN
 //! counters both ends touch), passed explicitly into every stage call. Events
 //! and cross-stage calls name a connection by its dense [`FlowId`]; a
 //! four-tuple is hashed only where raw packet bytes enter (the ingress
@@ -50,14 +50,11 @@ pub mod relay;
 pub mod sink;
 
 use mop_packet::Packet;
-use mop_simnet::{
-    CostModel, CpuLedger, NetKeying, SimClock, SimNetwork, SimRng, SimTime, TimingWheel,
-};
-use mop_tcpstack::SegmentPool;
+use mop_simnet::{CostModel, CpuLedger, NetKeying, SimNetwork, SimRng, SimTime, TimingWheel};
 use mop_tun::TunStats;
 
 use crate::arena::Arena;
-use crate::config::{ClockGranularity, MopEyeConfig};
+use crate::config::MopEyeConfig;
 use crate::conn::{ConnTable, FlowId};
 use crate::engine::Event;
 use crate::tun_writer::WriterLane;
@@ -78,8 +75,10 @@ const ENGINE_KEY_SALT: u64 = 0x656e_675f_6b65_7973; // "eng_keys"
 pub struct EngineShared {
     /// The engine configuration.
     pub config: MopEyeConfig,
-    /// The shard's virtual clock.
-    pub clock: SimClock,
+    /// The shard's virtual time: the latest instant an event was dispatched
+    /// at (`EngineShared::advance_to`). A plain value: nothing outside the
+    /// shard's thread reads it.
+    pub now: SimTime,
     /// The simulated network (paths, DNS, wire tap). Its
     /// [`SimNetwork::keying`] is the engine's too: it decides whether
     /// per-flow state below is shared device-wide or keyed per flow.
@@ -96,12 +95,6 @@ pub struct EngineShared {
     /// The per-connection records, holding (among everything else) each
     /// connection's RNG stream under [`NetKeying::FlowKeyed`].
     pub conns: ConnTable,
-    /// Free list of segment payload buffers: the relay takes a data
-    /// segment's (and its scoreboard copy's) buffer from here, and ingress
-    /// (delivered), egress (dropped by a fault) and the relay (cumulatively
-    /// ACKed) return it. Survives `EngineShared::reset` as is — a buffer
-    /// is overwritten before it is read.
-    pub segments: SegmentPool,
     /// Packets on their way to an app: egress (and the relay, for a DNS
     /// answer) parks each one here when it schedules the delivery, and the
     /// dispatched event takes it back, so the event itself stays
@@ -115,14 +108,13 @@ impl EngineShared {
         let rng = SimRng::seed_from_u64(config.seed);
         Self {
             config,
-            clock: SimClock::new(),
+            now: SimTime::ZERO,
             net,
             tun: TunStats::default(),
             cost: CostModel::android_phone(),
             ledger: CpuLedger::new(),
             rng,
             conns: ConnTable::default(),
-            segments: SegmentPool::new(),
             parked: Arena::default(),
         }
     }
@@ -134,7 +126,7 @@ impl EngineShared {
     /// cleared — state indistinguishable from [`EngineShared::new`] with
     /// the same config.
     pub(crate) fn reset(&mut self, net: SimNetwork) {
-        self.clock = SimClock::new();
+        self.now = SimTime::ZERO;
         self.net = net;
         self.tun = TunStats::default();
         self.ledger.reset();
@@ -208,14 +200,6 @@ impl EngineShared {
             self.conns.hold(id);
         }
         sched.schedule(at, event);
-    }
-
-    /// A timestamp at the configured clock granularity.
-    pub(crate) fn timestamp(&self, t: SimTime) -> SimTime {
-        match self.config.clock {
-            ClockGranularity::Nanosecond => t,
-            ClockGranularity::Millisecond => self.cost.coarse_timestamp(t),
-        }
     }
 }
 

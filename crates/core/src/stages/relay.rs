@@ -472,9 +472,9 @@ impl RelayStage {
         }
     }
 
-    /// Response data became readable on `id`'s external socket: read it
-    /// from the pooled buffer, segment it towards the app, and keep the read
-    /// loop scheduled.
+    /// Response data became readable on `id`'s external socket: take the
+    /// count of bytes due, segment it towards the app by length, and keep
+    /// the read loop scheduled.
     pub(crate) fn on_socket_readable(
         &mut self,
         sh: &mut EngineShared,
@@ -484,10 +484,9 @@ impl RelayStage {
         id: FlowId,
     ) {
         let Some(socket) = sh.conns[id].socket else { return };
-        // The socket layer hands out a pooled buffer for the readable bytes,
-        // so the read loop performs no per-read allocation in steady state.
-        let data = self.sockets.take_readable_pooled(socket, now);
-        let total = data.len();
+        // A read is a byte count: the bytes are never materialised, and the
+        // segments below carry their payload lengths.
+        let total = self.sockets.take_readable(socket, now);
         if total > 0 {
             let mut rng = sh.checkout_rng(id);
             if sh.config.content_inspection {
@@ -501,16 +500,16 @@ impl RelayStage {
             sh.ledger.charge(Component::MainWorker, segment_cost);
             let mut arm_rto = None;
             if let Some(tcp) = sh.conns[id].tcp_mut() {
-                tcp.machine.on_external_data_into(&data, &mut sh.segments, &mut self.packets);
+                tcp.machine.on_external_data_into(total, &mut self.packets);
                 // On fault-capable networks, register every payload-bearing
                 // segment with the sender scoreboard before it leaves: the
                 // retransmission timer must cover data from the moment it is
                 // handed to egress, not from when a loss is noticed.
                 if let Some(recovery) = tcp.recovery.as_mut() {
                     for segment in self.packets.iter().filter_map(Packet::tcp) {
-                        if !segment.payload.is_empty() {
-                            let copy = sh.segments.filled(&segment.payload);
-                            recovery.on_data_sent_owned(segment.seq, copy, now.as_nanos());
+                        if segment.payload_len > 0 {
+                            let len = usize::from(segment.payload_len);
+                            recovery.on_data_sent(segment.seq, len, now.as_nanos());
                         }
                     }
                     if recovery.has_inflight() && tcp.timers.rto().is_none() {
@@ -525,7 +524,6 @@ impl RelayStage {
                 Self::arm_rto_at(sh, sched, id, now + SimDuration::from_nanos(rto_ns));
             }
         }
-        self.sockets.recycle_buffer(data);
         if let Some(next) = self.sockets.next_read_ready_at(socket) {
             sh.schedule(sched, next, Event::SocketReadable(id));
         } else if sh.conns[id].half_close_pending {
@@ -733,7 +731,7 @@ impl RelayStage {
     ) {
         let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         let Some(recovery) = tcp.recovery.as_mut() else { return };
-        let mut reaction = recovery.on_ack_recycling(ack, sack, now.as_nanos(), &mut sh.segments);
+        let mut reaction = recovery.on_ack(ack, sack, now.as_nanos());
         let rto_ns = recovery.rto_ns();
         // Fast retransmits replay through the machine's immutable path — the
         // sequence space does not advance — paced by cwnd via each
@@ -743,7 +741,7 @@ impl RelayStage {
             .drain(..)
             .map(|r| {
                 let at = now + SimDuration::from_nanos(r.delay_ns);
-                (at, tcp.machine.retransmit_data(r.seq, r.payload))
+                (at, tcp.machine.retransmit_data(r.seq, r.len))
             })
             .collect();
         if reaction.all_acked {
@@ -789,7 +787,7 @@ impl RelayStage {
             return;
         };
         let rto_ns = recovery.rto_ns();
-        let pkt = tcp.machine.retransmit_data(rt.seq, rt.payload);
+        let pkt = tcp.machine.retransmit_data(rt.seq, rt.len);
         let handle = sched.schedule(now + SimDuration::from_nanos(rto_ns), Event::RtoTimeout(id));
         if let Some(superseded) = tcp.timers.arm_rto(handle.token()) {
             sched.cancel(TimerHandle::from_token(superseded));

@@ -161,7 +161,6 @@ fn web_browsing_workload_produces_many_accurate_samples() {
         "tunnel buffer reuse {:?}",
         report.buffer_pool
     );
-    assert!(report.socket_read_pool.reuses > 0, "{:?}", report.socket_read_pool);
 }
 
 #[test]

@@ -12,7 +12,9 @@ use std::net::IpAddr;
 use crate::ipv4::Ipv4Packet;
 use crate::ipv6::Ipv6Packet;
 use crate::packet::{IpPacket, Packet, Transport};
-use crate::tcp::{SackBlocks, TcpFlags, TcpOption, TcpSegment, MOPEYE_MSS, MOPEYE_RECEIVE_WINDOW};
+use crate::tcp::{
+    PayloadLen, SackBlocks, TcpFlags, TcpOption, TcpSegment, MOPEYE_MSS, MOPEYE_RECEIVE_WINDOW,
+};
 use crate::udp::UdpDatagram;
 use crate::{DnsMessage, Endpoint, IPPROTO_TCP, IPPROTO_UDP};
 
@@ -95,12 +97,20 @@ impl PacketBuilder {
         self.wrap_tcp(seg)
     }
 
-    /// A data segment carrying `payload` (PSH|ACK).
-    pub fn tcp_data(&self, seq: u32, ack: u32, payload: Vec<u8>) -> Packet {
+    /// A data segment (PSH|ACK) carrying `payload`: a byte count, or bytes
+    /// read only for their length (a TCP payload is its length, see
+    /// [`crate::tcp`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds 65,535 bytes, more than any IP packet
+    /// can carry.
+    pub fn tcp_data(&self, seq: u32, ack: u32, payload: impl PayloadLen) -> Packet {
         let mut seg =
             TcpSegment::new(self.src.port, self.dst.port, seq, ack, TcpFlags::ACK | TcpFlags::PSH);
         seg.window = self.window;
-        seg.payload = payload;
+        seg.payload_len =
+            u16::try_from(payload.payload_len()).expect("TCP payload exceeds 65,535 bytes");
         self.wrap_tcp(seg)
     }
 
@@ -165,8 +175,9 @@ mod tests {
     #[test]
     fn data_and_fin_and_rst_shapes() {
         let b = builder();
-        let d = b.tcp_data(5, 6, vec![1, 2, 3]);
-        assert_eq!(d.tcp().unwrap().payload, vec![1, 2, 3]);
+        let d = b.tcp_data(5, 6, 3);
+        assert_eq!(d.tcp().unwrap().payload_len, 3);
+        assert_eq!(b.tcp_data(5, 6, vec![1, 2, 3]), d, "bytes count for their length");
         assert!(d.tcp().unwrap().flags.contains(TcpFlags::PSH));
         let f = b.tcp_fin(8, 9);
         assert!(f.tcp().unwrap().flags.contains(TcpFlags::FIN));

@@ -8,7 +8,8 @@
 //! * [`view`] — the parse path: zero-copy views ([`PacketView`] and its
 //!   per-protocol views) that validate the tunnel bytes and borrow them,
 //! * [`Ipv4Packet`] / [`Ipv6Packet`] — network-layer headers,
-//! * [`TcpSegment`] — TCP header, options (MSS, window scale) and payload,
+//! * [`TcpSegment`] — TCP header, options (MSS, window scale) and payload
+//!   length (a TCP payload is its length; see [`tcp`]),
 //! * [`UdpDatagram`] — UDP header and payload,
 //! * [`Packet`] — a packet to be written to the tunnel, encoded in place by
 //!   [`Packet::encode_into`],
@@ -63,7 +64,7 @@ pub use hash::{FastHasher, FastMap, FastState, StableHasher, WordHasher};
 pub use ipv4::Ipv4Packet;
 pub use ipv6::Ipv6Packet;
 pub use packet::{IpPacket, Packet, Transport};
-pub use tcp::{OptBytes, SackBlocks, TcpFlags, TcpOption, TcpSegment};
+pub use tcp::{OptBytes, PayloadLen, SackBlocks, TcpFlags, TcpOption, TcpSegment};
 pub use udp::UdpDatagram;
 pub use view::{
     IpView, Ipv4View, Ipv6View, PacketView, TcpOptionIter, TcpOptionRef, TcpSegmentView,

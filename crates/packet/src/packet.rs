@@ -165,9 +165,11 @@ impl Packet {
 }
 
 // Shape guard: every packet parked on its way to an app, and every slot of a
-// `Vec<Packet>`, pays this size. The network layer holds header fields only;
-// the transport layer owns the payload.
-const _: () = assert!(std::mem::size_of::<Packet>() <= 136);
+// `Vec<Packet>`, pays this size. The network layer holds header fields only,
+// and a TCP segment holds its payload's length, not its bytes (only a UDP
+// datagram owns a payload buffer), so relaying or copying a segment copies
+// no payload.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 112);
 
 #[cfg(test)]
 mod tests {
@@ -239,7 +241,7 @@ mod tests {
 
     #[test]
     fn wire_len_matches_serialisation() {
-        let p = builder().tcp_data(10, 20, vec![0u8; 100]);
+        let p = builder().tcp_data(10, 20, 100);
         assert_eq!(p.wire_len(), p.to_bytes().len());
         assert_eq!(p.wire_len(), 20 + 20 + 100);
     }

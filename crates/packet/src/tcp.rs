@@ -1,5 +1,19 @@
 //! TCP segment parsing and serialisation, including the options MopEye
 //! manipulates (MSS and window scale, §3.4 of the paper).
+//!
+//! # A payload is its length
+//!
+//! An owned [`TcpSegment`] carries its payload as a byte count, not as
+//! bytes. Nothing downstream of the tunnel reads TCP payload content: the
+//! relay counts bytes towards its socket, the app endpoints count bytes they
+//! reassemble, and every per-byte cost is charged in virtual time by the
+//! cost model. So a segment built from server data, kept on the sender
+//! scoreboard or parked on its way to an app is header-sized, and copying it
+//! copies no payload. The bytes exist only on the tunnel: encoding writes
+//! [`TcpSegment::payload_len`] bytes of [`PAYLOAD_FILLER`] after the header,
+//! so the tunnel carries full-size packets with valid checksums. Parsing
+//! stays zero-copy over those bytes ([`crate::view::TcpSegmentView`]).
+//! UDP keeps real bytes: DNS is the one protocol whose content is read.
 
 use std::net::IpAddr;
 
@@ -15,6 +29,36 @@ pub const MOPEYE_MSS: u16 = 1460;
 
 /// The receive window MopEye advertises: the maximum unscaled value (§3.4).
 pub const MOPEYE_RECEIVE_WINDOW: u16 = 65_535;
+
+/// The byte an encoded TCP payload is made of: the simulated apps' request
+/// filler (`'G'`), written for relayed server data too, since no reader of
+/// the tunnel looks at TCP payload content.
+pub const PAYLOAD_FILLER: u8 = 0x47;
+
+/// Anything a TCP payload can be given as: a byte count, or bytes that are
+/// read only for their length (see the [module docs](self)).
+pub trait PayloadLen {
+    /// The payload length in bytes.
+    fn payload_len(&self) -> usize;
+}
+
+impl PayloadLen for usize {
+    fn payload_len(&self) -> usize {
+        *self
+    }
+}
+
+impl PayloadLen for Vec<u8> {
+    fn payload_len(&self) -> usize {
+        self.len()
+    }
+}
+
+impl<T: AsRef<[u8]> + ?Sized> PayloadLen for &T {
+    fn payload_len(&self) -> usize {
+        (*self).as_ref().len()
+    }
+}
 
 /// TCP header flags, represented as a transparent bit set.
 ///
@@ -482,8 +526,9 @@ pub struct TcpSegment {
     pub urgent: u16,
     /// Parsed options in wire order (inline storage, no heap for ≤6 options).
     pub options: TcpOptions,
-    /// Application payload.
-    pub payload: Vec<u8>,
+    /// Application payload length in bytes; encoding writes this many bytes
+    /// of [`PAYLOAD_FILLER`] (see the [module docs](self)).
+    pub payload_len: u16,
 }
 
 impl TcpSegment {
@@ -498,7 +543,7 @@ impl TcpSegment {
             window: MOPEYE_RECEIVE_WINDOW,
             urgent: 0,
             options: TcpOptions::new(),
-            payload: Vec::new(),
+            payload_len: 0,
         }
     }
 
@@ -531,7 +576,7 @@ impl TcpSegment {
     #[cfg(test)]
     pub(crate) fn is_pure_ack(&self) -> bool {
         self.flags.contains(TcpFlags::ACK)
-            && self.payload.is_empty()
+            && self.payload_len == 0
             && (self.flags.bits() & (TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST).bits()) == 0
     }
 
@@ -542,13 +587,14 @@ impl TcpSegment {
 
     /// Total serialised length in bytes (header, options, padding, payload).
     pub(crate) fn wire_len(&self) -> usize {
-        self.header_len() + self.payload.len()
+        self.header_len() + usize::from(self.payload_len)
     }
 
     /// Appends the serialised segment (zero checksum field) to `out`.
     ///
     /// The buffer is not cleared, so a caller composing an IP packet can
-    /// write the network header first and the segment after it. With a
+    /// write the network header first and the segment after it. The payload
+    /// is [`TcpSegment::payload_len`] bytes of [`PAYLOAD_FILLER`]. With a
     /// warmed, reused buffer this performs no allocations.
     #[inline]
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
@@ -568,7 +614,7 @@ impl TcpSegment {
         while out.len() - start < header_len {
             out.push(0); // End-of-options padding.
         }
-        out.extend_from_slice(&self.payload);
+        out.resize(out.len() + usize::from(self.payload_len), PAYLOAD_FILLER);
     }
 
     /// Appends the serialised segment to `out` and patches in the transport
@@ -661,12 +707,51 @@ mod tests {
     #[test]
     fn roundtrip_data_segment() {
         let mut s = TcpSegment::new(40000, 80, 5, 99, TcpFlags::ACK | TcpFlags::PSH);
-        s.payload = b"GET / HTTP/1.1\r\n\r\n".to_vec();
+        s.payload_len = 18;
         let bytes = wire(&s);
         let parsed = TcpSegmentView::new(&bytes).unwrap();
-        assert_eq!(parsed.payload(), &s.payload[..]);
+        assert_eq!(parsed.payload(), [PAYLOAD_FILLER; 18]);
         assert_eq!((parsed.seq(), parsed.ack()), (5, 99));
         assert!(!s.is_pure_ack());
+    }
+
+    #[test]
+    fn a_length_n_segment_encodes_n_filler_bytes_with_the_byte_built_checksum() {
+        use crate::checksum::{transport_checksum_v4, transport_checksum_v6};
+        use std::net::Ipv6Addr;
+        let v4 = (IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)), IpAddr::V4(Ipv4Addr::new(8, 8, 4, 4)));
+        let v6 = (
+            IpAddr::V6(Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 2)),
+            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
+        );
+        let mut header_only = TcpSegment::new(443, 40000, 7, 9, TcpFlags::ACK | TcpFlags::PSH);
+        header_only.options = [TcpOption::Timestamps(1, 2)].into();
+        let header = wire(&header_only);
+        for (src, dst) in [v4, v6] {
+            for n in 0..=usize::from(MOPEYE_MSS) {
+                let mut seg = header_only.clone();
+                seg.payload_len = n as u16;
+                let mut bytes = Vec::new();
+                seg.encode_with_checksum_into(src, dst, &mut bytes);
+                assert_eq!(bytes.len(), header.len() + n, "n = {n}");
+                assert!(bytes[header.len()..].iter().all(|&b| b == 0x47), "n = {n}");
+                // The reference: the same header, n real bytes, checksummed.
+                let mut reference = header.clone();
+                reference.extend(std::iter::repeat(0x47).take(n));
+                let want = match (src, dst) {
+                    (IpAddr::V4(s), IpAddr::V4(d)) => {
+                        transport_checksum_v4(s, d, crate::IPPROTO_TCP, &reference)
+                    }
+                    (IpAddr::V6(s), IpAddr::V6(d)) => {
+                        transport_checksum_v6(s, d, crate::IPPROTO_TCP, &reference)
+                    }
+                    _ => unreachable!(),
+                };
+                assert_eq!(bytes[16..18], want.to_be_bytes(), "n = {n}, {src}");
+                reference[16..18].copy_from_slice(&want.to_be_bytes());
+                assert_eq!(bytes, reference, "n = {n}, {src}");
+            }
+        }
     }
 
     #[test]

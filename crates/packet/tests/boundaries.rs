@@ -8,7 +8,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use mop_packet::checksum::Checksum;
-use mop_packet::tcp::MOPEYE_MSS;
+use mop_packet::tcp::{MOPEYE_MSS, PAYLOAD_FILLER};
 use mop_packet::{
     Endpoint, IpPacket, Ipv4Packet, Ipv4View, Packet, PacketBuilder, PacketError, PacketView,
     TcpFlags, TcpOption, TcpOptionRef, TcpSegment, TcpSegmentView, Transport, TransportView,
@@ -32,7 +32,8 @@ fn assert_round_trip(packet: &Packet) -> Vec<u8> {
     match (&packet.transport, view.transport()) {
         (Transport::Tcp(to), TransportView::Tcp(tv)) => {
             assert_eq!((to.seq, to.ack, to.flags), (tv.seq(), tv.ack(), tv.flags()));
-            assert_eq!(to.payload, tv.payload());
+            assert_eq!(usize::from(to.payload_len), tv.payload().len());
+            assert!(tv.payload().iter().all(|&b| b == PAYLOAD_FILLER), "filler bytes");
             assert_eq!(to.mss(), tv.mss());
             assert_eq!(to.sack_blocks(), tv.sack_blocks());
         }
@@ -60,7 +61,7 @@ fn segment_bytes(seg: &TcpSegment) -> Vec<u8> {
 fn zero_length_payload_round_trips_in_both_codecs() {
     for packet in [
         builder().tcp_ack(1, 1),
-        builder().tcp_data(1, 1, Vec::new()),
+        builder().tcp_data(1, 1, 0),
         builder().udp(Vec::new()),
     ] {
         assert_round_trip(&packet);
@@ -69,12 +70,12 @@ fn zero_length_payload_round_trips_in_both_codecs() {
 
 #[test]
 fn maximum_mss_payload_round_trips_in_both_codecs() {
-    let payload = vec![0xab; usize::from(MOPEYE_MSS)];
-    let bytes = assert_round_trip(&builder().tcp_data(1001, 500, payload.clone()));
+    let mss = usize::from(MOPEYE_MSS);
+    let bytes = assert_round_trip(&builder().tcp_data(1001, 500, mss));
     let view = PacketView::parse(&bytes).unwrap();
-    assert_eq!(view.tcp().unwrap().payload(), &payload[..]);
+    assert_eq!(view.tcp().unwrap().payload(), vec![PAYLOAD_FILLER; mss]);
     // One byte beyond the MSS still encodes/parses (the MSS is advisory).
-    assert_round_trip(&builder().tcp_data(1001, 500, vec![0xcd; usize::from(MOPEYE_MSS) + 1]));
+    assert_round_trip(&builder().tcp_data(1001, 500, mss + 1));
 }
 
 #[test]
@@ -82,7 +83,7 @@ fn odd_length_payloads_checksum_identically_in_both_codecs() {
     // Odd-length segments exercise the RFC 1071 trailing-byte padding in the
     // checksum; the encoded checksum must verify for every parity.
     for len in [0usize, 1, 2, 3, 1399, 1400] {
-        let bytes = assert_round_trip(&builder().tcp_data(7, 9, vec![0x55; len]));
+        let bytes = assert_round_trip(&builder().tcp_data(7, 9, len));
         // Verify the transport checksum folds to zero over the pseudo-header.
         let view = Ipv4View::new(&bytes).unwrap();
         let mut c = Checksum::new();
@@ -199,10 +200,10 @@ fn encode_into_composes_with_checksums_on_reused_buffers() {
     let mut out = Vec::new();
     for packet in [
         builder().tcp_syn(1),
-        builder().tcp_data(1, 1, vec![0x5a; 1460]),
+        builder().tcp_data(1, 1, 1460),
         builder().udp(b"dns-ish".to_vec()),
         v6.tcp_syn(7),
-        v6.tcp_data(8, 9, vec![1; 333]),
+        v6.tcp_data(8, 9, 333),
     ] {
         out.clear();
         packet.encode_into(&mut out);

@@ -5,7 +5,8 @@
 //! virtual-time model so that every experiment in the paper can be
 //! regenerated on a laptop:
 //!
-//! * [`time`] / [`clock`] — a nanosecond-resolution virtual clock,
+//! * [`time`] — nanosecond-resolution virtual time (each engine keeps its
+//!   own `now`; nothing shares a clock across threads),
 //! * [`queue`] — a stable-ordered binary-heap event queue (the reference
 //!   scheduler implementation),
 //! * [`wheel`] — a hierarchical timing wheel with O(1) schedule/cancel and
@@ -29,8 +30,8 @@
 //! * [`socket`] — a `java.nio`-like socket layer with blocking and
 //!   non-blocking modes plus `protect()` cost modelling; the engine's timing
 //!   wheel, not a selector, delivers socket readiness,
-//! * [`pool`] — a free-list buffer pool so the packet datapath recycles
-//!   buffers instead of allocating per packet,
+//! * [`pool`] — a free-list buffer pool so the tunnel-packet datapath
+//!   recycles buffers instead of allocating per packet,
 //! * [`spsc`] — bounded single-producer/single-consumer queues that carry
 //!   the sharded fleet engine's one job per worker shard per run, and the
 //!   report back — the crate's only `unsafe` code,
@@ -56,7 +57,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod clock;
 pub mod cost;
 pub mod dnssrv;
 pub mod fault;
@@ -75,13 +75,12 @@ pub mod tap;
 pub mod time;
 pub mod wheel;
 
-pub use clock::SimClock;
 pub use cost::{Component, CostModel, CpuLedger, MemoryComponent};
 pub use dnssrv::DnsServerConfig;
 pub use fault::{FaultDecision, FaultPlan};
 pub use latency::LatencyModel;
 pub use network::{
-    ConnectOutcome, DataExchange, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
+    ConnectOutcome, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
 };
 pub use pool::{BufferPool, PoolStats};
 pub use profile::{AccessProfile, NetworkType};

@@ -7,6 +7,7 @@
 //! Every answer is also recorded on the [`WireTap`] so that ground-truth
 //! (tcpdump-equivalent) RTTs are available to the accuracy experiments.
 
+use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv4Addr};
 
 use mop_packet::{Endpoint, FastMap, FourTuple};
@@ -77,17 +78,6 @@ pub struct ConnectOutcome {
     pub refused: bool,
     /// The ground-truth path RTT sampled for this exchange.
     pub true_rtt: SimDuration,
-}
-
-/// Result of a request/response exchange on an established connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataExchange {
-    /// When the server acknowledged the last request byte.
-    pub request_acked_at: SimTime,
-    /// Arrival schedule of response chunks at the handset: (time, bytes).
-    pub response_chunks: Vec<(SimTime, usize)>,
-    /// Total response bytes.
-    pub response_total: usize,
 }
 
 /// Result of a DNS resolution.
@@ -442,15 +432,18 @@ impl SimNetwork {
         outcome
     }
 
-    /// Sends `request_bytes` on an established connection at `at` and returns
-    /// the acknowledgement time plus the response arrival schedule according
-    /// to the destination's service behaviour.
+    /// Sends `request_bytes` on an established connection at `at` and
+    /// appends the response's arrival schedule at the handset — one
+    /// `(time, bytes)` chunk each, in order, according to the destination's
+    /// service behaviour — to `arrivals` (a socket's pending-read ring). The
+    /// whole schedule is drawn here, at request time.
     pub(crate) fn request_response(
         &mut self,
         flow: FourTuple,
         request_bytes: usize,
         at: SimTime,
-    ) -> DataExchange {
+        arrivals: &mut VecDeque<(SimTime, usize)>,
+    ) {
         let mut ctx = self.checkout(flow);
         let rtt = self.path_rtt_sample(&mut ctx.rng, flow.dst.addr, at);
         let half_rtt = SimDuration::from_millis_f64(rtt.as_millis_f64() / 2.0);
@@ -459,7 +452,6 @@ impl SimNetwork {
         let depart = reserve(&mut ctx.uplink_busy, at, tx_up);
         self.tap.record(depart, TapDirection::Outbound, TapKind::Data(request_bytes), flow);
         let arrives_at_server = depart + half_rtt;
-        let request_acked_at = depart + rtt;
         let service = self
             .server_for(flow.dst.addr)
             .map(|s| s.service.clone())
@@ -472,7 +464,6 @@ impl SimNetwork {
             }
             Service::Bulk => (256 * 1024, 0.5),
         };
-        let mut response_chunks = Vec::new();
         if response_total > 0 {
             let first_byte_leaves = arrives_at_server + SimDuration::from_millis_f64(processing_ms);
             let mut remaining = response_total;
@@ -486,12 +477,11 @@ impl SimNetwork {
                 );
                 cursor = reserve(&mut ctx.downlink_busy, cursor, tx);
                 self.tap.record(cursor, TapDirection::Inbound, TapKind::Data(chunk), flow);
-                response_chunks.push((cursor, chunk));
+                arrivals.push_back((cursor, chunk));
                 remaining -= chunk;
             }
         }
         self.checkin(flow, ctx);
-        DataExchange { request_acked_at, response_chunks, response_total }
     }
 
     /// Streams `bytes` from the destination to the handset starting at `at`
@@ -643,13 +633,19 @@ mod tests {
     fn request_response_schedules_full_body() {
         let mut net = network();
         let flow = google_flow(40002);
-        let exchange = net.request_response(flow, 500, SimTime::from_millis(100));
-        let received: usize = exchange.response_chunks.iter().map(|(_, b)| *b).sum();
-        assert_eq!(received, exchange.response_total);
-        assert_eq!(exchange.response_total, 32 * 1024);
-        assert!(exchange.response_chunks.last().unwrap().0 > exchange.request_acked_at);
+        // The schedule is appended behind what the ring already holds.
+        let earlier = (SimTime::from_millis(1), 7);
+        let mut arrivals = VecDeque::from([earlier]);
+        let at = SimTime::from_millis(100);
+        net.request_response(flow, 500, at, &mut arrivals);
+        assert_eq!(arrivals.pop_front(), Some(earlier));
+        let received: usize = arrivals.iter().map(|(_, b)| *b).sum();
+        assert_eq!(received, 32 * 1024, "the whole response body");
+        // The first chunk arrives a round trip after the request left, at
+        // the earliest: well over a millisecond on the Google path.
+        assert!(arrivals.front().unwrap().0 > at + SimDuration::from_millis(1));
         // Chunk times are non-decreasing.
-        let times: Vec<_> = exchange.response_chunks.iter().map(|(t, _)| *t).collect();
+        let times: Vec<_> = arrivals.iter().map(|(t, _)| *t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 

@@ -7,8 +7,11 @@
 //! [`BufferPool`] recycles buffers instead, so the steady-state relay loop
 //! performs no allocations at all (enforced by the `zero_alloc` regression
 //! tests in `mop_bench`). The engine's ingress keeps one pool per
-//! tunnel-packet size class (header-only and full-MTU buffers), and the
-//! socket layer's read buffers come from a third pool of the same kind.
+//! tunnel-packet size class (header-only and full-MTU buffers). These are
+//! the only byte buffers the datapath pools: tunnel packets are the one
+//! place TCP payload exists as bytes. A socket read is a byte count and a
+//! segment on its way to an app carries its payload length (see
+//! `mop_packet::tcp`), so neither has a buffer to recycle.
 
 /// Counters describing how a pool behaved over a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -8,6 +8,14 @@
 //! writes and timed reads, and the `protect()` bookkeeping whose cost §3.5.2
 //! eliminates. Readiness needs no selector here: the engine's timing wheel
 //! delivers each socket event at its virtual time.
+//!
+//! A socket holds no bytes. A write is a byte count added to the write
+//! buffer, the response it provokes is a schedule of `(arrival time, bytes)`
+//! chunks that the network appends straight to the socket's pending-read
+//! ring when the write is flushed, and a read ([`SocketSet::take_readable`])
+//! hands the relay the count of bytes due: the relay segments server data
+//! by length (a TCP payload is its length, see `mop_packet::tcp`), so there
+//! is no read buffer to fill, pool or copy.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -15,7 +23,6 @@ use std::mem;
 use mop_packet::{Endpoint, FourTuple};
 
 use crate::network::{ConnectOutcome, SimNetwork};
-use crate::pool::BufferPool;
 use crate::time::SimTime;
 
 /// Identifier of a socket within a [`SocketSet`].
@@ -111,9 +118,6 @@ pub struct SocketSet {
     /// True once `addDisallowedApplication()` has been applied, making
     /// per-socket `protect()` unnecessary (§3.5.2).
     vpn_disallowed_application: bool,
-    /// Pool backing [`SocketSet::take_readable_pooled`], so socket reads hand
-    /// out recycled buffers instead of allocating per read.
-    read_pool: BufferPool,
     /// Empty pending-read rings of closed sockets, kept for their capacity.
     spare_reads: Vec<ReadRing>,
 }
@@ -127,18 +131,15 @@ impl SocketSet {
             created: 0,
             next_port: 42000,
             vpn_disallowed_application: false,
-            read_pool: BufferPool::new(64 * 1024),
             spare_reads: Vec::new(),
         }
     }
 
     /// Resets the set to its just-constructed state while keeping the big
     /// allocations: the socket table keeps its capacity, every socket's
-    /// pending-read ring goes to the spare list, the read-buffer
-    /// pool keeps its recycled buffers (its per-run counters restart, the
-    /// resident-bytes gauge survives), and the id/port sequences restart
-    /// (ids are table positions) so a reused set hands out exactly the ids a
-    /// fresh one would. The
+    /// pending-read ring goes to the spare list, and the id/port sequences
+    /// restart (ids are table positions) so a reused set hands out exactly
+    /// the ids a fresh one would. The
     /// `addDisallowedApplication` flag is configuration, not run state, and
     /// is kept.
     pub fn reset(&mut self) {
@@ -148,7 +149,6 @@ impl SocketSet {
         self.free.clear();
         self.created = 0;
         self.next_port = 42000;
-        self.read_pool.reset_stats();
     }
 
     /// Marks the measuring app as excluded from the VPN
@@ -309,15 +309,16 @@ impl SocketSet {
     }
 
     /// Flushes the write buffer to the network at `at`, performing a
-    /// request/response exchange with the destination. Response chunks are
-    /// scheduled as pending reads. Returns the number of bytes flushed.
+    /// request/response exchange with the destination. The network appends
+    /// the response's chunks to the socket's pending reads directly. Returns
+    /// the number of bytes flushed.
     ///
     /// # Panics
     ///
     /// Panics if the socket is not connected.
     pub fn flush_writes(&mut self, net: &mut SimNetwork, id: SocketId, at: SimTime) -> usize {
         let flow = self.flow(id).expect("flushing an unconnected socket");
-        let e = self.entry_mut(id);
+        let e = self.sockets.get_mut(id.0 as usize).expect("unknown socket id");
         assert!(
             matches!(e.state, SocketState::Connected | SocketState::HalfClosed),
             "flush on a socket that is not connected"
@@ -328,11 +329,7 @@ impl SocketSet {
         }
         e.write_buffered = 0;
         e.bytes_written += bytes;
-        let exchange = net.request_response(flow, bytes, at);
-        let e = self.entry_mut(id);
-        for chunk in exchange.response_chunks {
-            e.pending_reads.push_back(chunk);
-        }
+        net.request_response(flow, bytes, at, &mut e.pending_reads);
         bytes
     }
 
@@ -349,13 +346,11 @@ impl SocketSet {
         self.entry(id).pending_reads.iter().filter(|(t, _)| *t <= now).map(|(_, b)| *b).sum()
     }
 
-    /// Consumes all chunks readable at `now` and materialises their bytes
-    /// into a pooled buffer (filled with the `0x5a` response filler the
-    /// simulated servers send). Returns an empty buffer if nothing is
-    /// readable. Hand the buffer back with [`SocketSet::recycle_buffer`] once
-    /// the relay has segmented it — in steady state no allocation happens.
-    pub fn take_readable_pooled(&mut self, id: SocketId, now: SimTime) -> Vec<u8> {
-        let e = self.sockets.get_mut(id.0 as usize).expect("unknown socket id");
+    /// Consumes all chunks readable at `now` and returns how many bytes they
+    /// hold (0 if nothing is readable). The bytes themselves are never
+    /// materialised: the relay segments them by length.
+    pub fn take_readable(&mut self, id: SocketId, now: SimTime) -> usize {
+        let e = self.entry_mut(id);
         let mut total = 0usize;
         while let Some((t, b)) = e.pending_reads.front().copied() {
             if t <= now {
@@ -366,20 +361,7 @@ impl SocketSet {
                 break;
             }
         }
-        let mut buf = self.read_pool.get();
-        buf.resize(total, 0x5a);
-        buf
-    }
-
-    /// Returns a buffer obtained from [`SocketSet::take_readable_pooled`] to
-    /// the read pool.
-    pub fn recycle_buffer(&mut self, buf: Vec<u8>) {
-        self.read_pool.put(buf);
-    }
-
-    /// Behaviour counters of the pooled read-buffer free list.
-    pub fn read_pool_stats(&self) -> crate::pool::PoolStats {
-        self.read_pool.stats()
+        total
     }
 
     /// The earliest time at which more data becomes readable, if any.
@@ -508,14 +490,13 @@ mod tests {
         let ready_at = set.next_read_ready_at(id).unwrap();
         assert_eq!(set.readable_bytes(id, outcome.completed_at), 0);
         assert!(set.readable_bytes(id, ready_at) > 0);
-        let data = set.take_readable_pooled(id, SimTime::from_secs(120));
-        assert_eq!(data.len(), 32 * 1024);
+        assert_eq!(set.take_readable(id, SimTime::from_secs(120)), 32 * 1024);
         assert!(set.read_exhausted(id));
         assert_eq!(set.byte_counters(id), (32 * 1024, 400));
     }
 
     #[test]
-    fn pooled_reads_reuse_buffers_and_count_bytes() {
+    fn reads_count_the_bytes_due() {
         let mut net = net();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::NonBlocking);
@@ -523,25 +504,21 @@ mod tests {
         set.poll_connect(id, outcome.completed_at);
         set.buffer_write(id, 400);
         set.flush_writes(&mut net, id, outcome.completed_at);
-        let buf = set.take_readable_pooled(id, SimTime::from_secs(120));
-        assert_eq!(buf.len(), 32 * 1024);
-        assert!(buf.iter().all(|b| *b == 0x5a));
+        // Only the chunks due by `now` are consumed.
+        let first_due = set.next_read_ready_at(id).unwrap();
+        let due_at_first = set.readable_bytes(id, first_due);
+        assert!(due_at_first > 0);
+        assert_eq!(set.take_readable(id, first_due), due_at_first);
+        assert_eq!(set.take_readable(id, first_due), 0, "nothing more is due yet");
+        assert_eq!(set.take_readable(id, SimTime::from_secs(120)), 32 * 1024 - due_at_first);
         assert!(set.read_exhausted(id));
         assert_eq!(set.byte_counters(id), (32 * 1024, 400));
-        set.recycle_buffer(buf);
-        // A second read round trips through the free list, not the allocator.
+        // Later chunks add up; an idle socket reads nothing.
         set.schedule_read(id, SimTime::from_secs(121), 100);
-        let buf = set.take_readable_pooled(id, SimTime::from_secs(121));
-        assert_eq!(buf.len(), 100);
-        set.recycle_buffer(buf);
-        let stats = set.read_pool_stats();
-        assert_eq!(stats.allocations, 1);
-        assert_eq!(stats.reuses, 1);
-        assert_eq!(stats.recycled, 2);
-        // An idle socket yields an empty pooled buffer.
-        let empty = set.take_readable_pooled(id, SimTime::from_secs(122));
-        assert!(empty.is_empty());
-        set.recycle_buffer(empty);
+        set.schedule_read(id, SimTime::from_secs(121), 60);
+        assert_eq!(set.take_readable(id, SimTime::from_secs(121)), 160);
+        assert_eq!(set.take_readable(id, SimTime::from_secs(122)), 0);
+        assert_eq!(set.byte_counters(id), (32 * 1024 + 160, 400));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`state`] — the connection states and transition rules,
 //! * [`machine`] — [`machine::TcpStateMachine`], which consumes tunnel
 //!   segments from the app and socket-side events from the relay, and emits
-//!   response packets plus relay actions into caller-owned buffers,
-//! * [`pool`] — [`pool::SegmentPool`], the free list the payload buffers of
-//!   sent segments come from and return to,
+//!   response packets plus relay actions into caller-owned buffers; server
+//!   data travels as byte counts (a TCP payload is its length, see
+//!   [`mop_packet::tcp`]), so relaying it copies nothing,
 //! * [`recovery`] — [`recovery::RecoveryState`], the sender-side loss
 //!   recovery (RFC 6298 RTT estimation and retransmission timing, SACK
 //!   scoreboard, fast retransmit) plus the pluggable congestion controllers
@@ -34,14 +34,12 @@
 #![forbid(unsafe_code)]
 
 pub mod machine;
-pub mod pool;
 pub mod recovery;
 pub mod state;
 pub mod timer;
 pub mod udp;
 
 pub use machine::{RelayAction, SegmentRef, SegmentVerdict, TcpStateMachine};
-pub use pool::SegmentPool;
 pub use recovery::{
     AckReaction, CongestionAlgo, CongestionControl, Cubic, RecoveryState, Reno, Retransmit,
     RttEstimator,

@@ -23,45 +23,58 @@
 //! the caller owns and never allocate one themselves. The engine's relay
 //! stage keeps one packet vector and one action vector for its whole life,
 //! drains them after every call (clear, don't drop), and so relays a packet
-//! without touching the allocator; data segments take their payload buffers
-//! from the caller's [`SegmentPool`]. The methods without the suffix
+//! without touching the allocator. Server data arrives as a byte count and
+//! leaves as segments that carry their payload length (a TCP payload is its
+//! length, see [`mop_packet::tcp`]): segmenting a read costs header-sized
+//! packets, no payload buffer and no copy. The methods without the suffix
 //! (`on_tunnel_segment`, `on_external_data`, …) are thin wrappers that run
 //! the sink form into fresh vectors and return them — convenient for unit
 //! tests and probes, not for a packet path.
 
 use mop_packet::tcp::MOPEYE_MSS;
-use mop_packet::{Endpoint, FourTuple, Packet, PacketBuilder, TcpFlags, TcpSegment, TcpSegmentView};
+use mop_packet::{
+    Endpoint, FourTuple, Packet, PacketBuilder, PayloadLen, TcpFlags, TcpSegment, TcpSegmentView,
+};
 
-use crate::pool::SegmentPool;
 use crate::state::TcpState;
 
-/// A borrowed view of the tunnel-segment fields the relay decision needs.
+/// The tunnel-segment fields the relay decision needs, copied out.
 ///
 /// Both the owned [`TcpSegment`] and the zero-copy [`TcpSegmentView`] convert
 /// into this, so the state machine runs the exact same logic whether the
-/// caller parsed a packet into owned structs or is borrowing straight from
-/// the TUN buffer.
+/// caller built a segment or is reading straight from the TUN buffer.
 #[derive(Debug, Clone, Copy)]
-pub struct SegmentRef<'a> {
+pub struct SegmentRef {
     /// Sequence number.
     pub seq: u32,
     /// Header flags.
     pub flags: TcpFlags,
-    /// Application payload.
-    pub payload: &'a [u8],
+    /// Application payload length in bytes (the relay counts the bytes
+    /// towards its socket; it never reads them).
+    pub payload_len: usize,
     /// MSS option value, if the segment carries one.
     pub mss: Option<u16>,
 }
 
-impl<'a> From<&'a TcpSegment> for SegmentRef<'a> {
-    fn from(seg: &'a TcpSegment) -> Self {
-        Self { seq: seg.seq, flags: seg.flags, payload: &seg.payload, mss: seg.mss() }
+impl From<&TcpSegment> for SegmentRef {
+    fn from(seg: &TcpSegment) -> Self {
+        Self {
+            seq: seg.seq,
+            flags: seg.flags,
+            payload_len: usize::from(seg.payload_len),
+            mss: seg.mss(),
+        }
     }
 }
 
-impl<'a> From<&TcpSegmentView<'a>> for SegmentRef<'a> {
-    fn from(seg: &TcpSegmentView<'a>) -> Self {
-        Self { seq: seg.seq(), flags: seg.flags(), payload: seg.payload(), mss: seg.mss() }
+impl From<&TcpSegmentView<'_>> for SegmentRef {
+    fn from(seg: &TcpSegmentView<'_>) -> Self {
+        Self {
+            seq: seg.seq(),
+            flags: seg.flags(),
+            payload_len: seg.payload().len(),
+            mss: seg.mss(),
+        }
     }
 }
 
@@ -175,7 +188,7 @@ impl TcpStateMachine {
     /// instructions for the engine to `actions`.
     pub fn on_segment_into(
         &mut self,
-        seg: SegmentRef<'_>,
+        seg: SegmentRef,
         packets: &mut Vec<Packet>,
         actions: &mut Vec<RelayAction>,
     ) -> SegmentVerdict {
@@ -190,7 +203,7 @@ impl TcpStateMachine {
         if seg.flags.contains(TcpFlags::FIN) {
             return self.on_app_fin(seg, packets, actions);
         }
-        if !seg.payload.is_empty() {
+        if seg.payload_len > 0 {
             return self.on_app_data(seg, packets, actions);
         }
         self.on_app_pure_ack(seg, actions)
@@ -198,7 +211,7 @@ impl TcpStateMachine {
 
     fn on_app_syn(
         &mut self,
-        seg: SegmentRef<'_>,
+        seg: SegmentRef,
         packets: &mut Vec<Packet>,
         actions: &mut Vec<RelayAction>,
     ) -> SegmentVerdict {
@@ -224,7 +237,7 @@ impl TcpStateMachine {
 
     fn on_app_data(
         &mut self,
-        seg: SegmentRef<'_>,
+        seg: SegmentRef,
         packets: &mut Vec<Packet>,
         actions: &mut Vec<RelayAction>,
     ) -> SegmentVerdict {
@@ -242,7 +255,7 @@ impl TcpStateMachine {
             packets.push(self.to_app.tcp_ack(self.our_next, self.peer_next));
             return SegmentVerdict::Retransmission;
         }
-        let len = seg.payload.len();
+        let len = seg.payload_len;
         self.peer_next = self.peer_next.wrapping_add(len as u32);
         actions.push(RelayAction::RelayData { len });
         SegmentVerdict::Data(len)
@@ -250,7 +263,7 @@ impl TcpStateMachine {
 
     fn on_app_pure_ack(
         &mut self,
-        seg: SegmentRef<'_>,
+        seg: SegmentRef,
         actions: &mut Vec<RelayAction>,
     ) -> SegmentVerdict {
         match self.state {
@@ -270,16 +283,16 @@ impl TcpStateMachine {
 
     fn on_app_fin(
         &mut self,
-        seg: SegmentRef<'_>,
+        seg: SegmentRef,
         packets: &mut Vec<Packet>,
         actions: &mut Vec<RelayAction>,
     ) -> SegmentVerdict {
         match self.state {
             TcpState::Established | TcpState::SynAckSent => {
                 // Any data on the FIN segment is still relayed.
-                if !seg.payload.is_empty() && seg.seq == self.peer_next {
-                    self.peer_next = self.peer_next.wrapping_add(seg.payload.len() as u32);
-                    actions.push(RelayAction::RelayData { len: seg.payload.len() });
+                if seg.payload_len > 0 && seg.seq == self.peer_next {
+                    self.peer_next = self.peer_next.wrapping_add(seg.payload_len as u32);
+                    actions.push(RelayAction::RelayData { len: seg.payload_len });
                 }
                 self.peer_next = self.peer_next.wrapping_add(1);
                 self.state = TcpState::CloseWait;
@@ -327,40 +340,39 @@ impl TcpStateMachine {
         }
     }
 
-    /// Data arrived from the external socket: forward it to the app in
-    /// MSS-sized segments without waiting for ACKs (§3.4). Each segment's
-    /// payload buffer is taken from `pool`, which gets it back when the
-    /// segment dies (delivered, dropped by a fault).
-    pub fn on_external_data_into(
-        &mut self,
-        bytes: &[u8],
-        pool: &mut SegmentPool,
-        out: &mut Vec<Packet>,
-    ) {
+    /// `len` bytes arrived from the external socket: forward them to the
+    /// app in MSS-sized segments without waiting for ACKs (§3.4). Each
+    /// segment carries its payload length, not a copy of the bytes.
+    pub fn on_external_data_into(&mut self, len: usize, out: &mut Vec<Packet>) {
         if !self.state.accepts_server_data() {
             return;
         }
-        for chunk in bytes.chunks(usize::from(self.our_mss)) {
-            out.push(self.to_app.tcp_data(self.our_next, self.peer_next, pool.filled(chunk)));
-            self.our_next = self.our_next.wrapping_add(chunk.len() as u32);
+        let mss = usize::from(self.our_mss);
+        let mut remaining = len;
+        while remaining > 0 {
+            let chunk = remaining.min(mss);
+            out.push(self.to_app.tcp_data(self.our_next, self.peer_next, chunk));
+            self.our_next = self.our_next.wrapping_add(chunk as u32);
+            remaining -= chunk;
         }
     }
 
-    /// [`TcpStateMachine::on_external_data_into`] into a fresh vector, with
-    /// freshly allocated payloads.
-    pub fn on_external_data(&mut self, bytes: &[u8]) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(bytes.len().div_ceil(usize::from(self.our_mss)));
-        self.on_external_data_into(bytes, &mut SegmentPool::new(), &mut out);
+    /// [`TcpStateMachine::on_external_data_into`] into a fresh vector, for
+    /// `data` given as a byte count or as bytes read only for their length.
+    pub fn on_external_data(&mut self, data: impl PayloadLen) -> Vec<Packet> {
+        let len = data.payload_len();
+        let mut out = Vec::with_capacity(len.div_ceil(usize::from(self.our_mss)));
+        self.on_external_data_into(len, &mut out);
         out
     }
 
     /// Rebuilds a previously sent data segment for retransmission: same
-    /// sequence number and payload, current ACK field. Used by the engine's
-    /// loss-recovery path (fast retransmit / RTO); it does not advance
-    /// `our_next` or the byte counters, since the bytes were already
+    /// sequence number and payload length, current ACK field. Used by the
+    /// engine's loss-recovery path (fast retransmit / RTO); it does not
+    /// advance `our_next` or the byte counters, since the bytes were already
     /// accounted for on first transmission.
-    pub fn retransmit_data(&self, seq: u32, payload: Vec<u8>) -> Packet {
-        self.to_app.tcp_data(seq, self.peer_next, payload)
+    pub fn retransmit_data(&self, seq: u32, len: usize) -> Packet {
+        self.to_app.tcp_data(seq, self.peer_next, len)
     }
 
     /// The external socket finished writing relayed bytes: acknowledge the
@@ -463,7 +475,7 @@ mod tests {
     fn app_data_is_relayed_and_tracked() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let data = app_builder().tcp_data(1001, 9001, b"GET / HTTP/1.1\r\n".to_vec());
+        let data = app_builder().tcp_data(1001, 9001, 16);
         let (pkts, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert!(pkts.is_empty(), "data is ACKed only after the socket write completes");
         assert_eq!(actions, vec![RelayAction::RelayData { len: 16 }]);
@@ -479,7 +491,7 @@ mod tests {
         m.on_tunnel_segment(&syn_segment(1000));
         m.on_external_connected();
         // The app skips the bare ACK and sends data directly.
-        let data = app_builder().tcp_data(1001, 9001, vec![1, 2, 3]);
+        let data = app_builder().tcp_data(1001, 9001, 3);
         let (_, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert_eq!(verdict, SegmentVerdict::Data(3));
         assert_eq!(actions.len(), 1);
@@ -490,7 +502,7 @@ mod tests {
     fn retransmitted_data_is_reacked_not_relayed() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let data = app_builder().tcp_data(1001, 9001, vec![7; 10]);
+        let data = app_builder().tcp_data(1001, 9001, 10);
         m.on_tunnel_segment(data.tcp().unwrap());
         let (pkts, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert_eq!(verdict, SegmentVerdict::Retransmission);
@@ -503,11 +515,10 @@ mod tests {
     fn server_data_is_segmented_at_mss_without_waiting_for_acks() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        let body = vec![0xab; 4000];
-        let pkts = m.on_external_data(&body);
+        let pkts = m.on_external_data(4000);
         assert_eq!(pkts.len(), 3); // 1460 + 1460 + 1080.
-        assert_eq!(pkts[0].tcp().unwrap().payload.len(), 1460);
-        assert_eq!(pkts[2].tcp().unwrap().payload.len(), 4000 - 2 * 1460);
+        assert_eq!(pkts[0].tcp().unwrap().payload_len, 1460);
+        assert_eq!(pkts[2].tcp().unwrap().payload_len, 4000 - 2 * 1460);
         // Sequence numbers are contiguous.
         assert_eq!(pkts[1].tcp().unwrap().seq, pkts[0].tcp().unwrap().seq + 1460);
         // Receive window advertised to the app is the §3.4 maximum.
@@ -526,7 +537,7 @@ mod tests {
         assert_eq!(actions, vec![RelayAction::HalfCloseExternal]);
         assert_eq!(m.state(), TcpState::CloseWait);
         // Server data can still flow to the app while half closed.
-        assert_eq!(m.on_external_data(&[1, 2, 3]).len(), 1);
+        assert_eq!(m.on_external_data(3).len(), 1);
         // When the server side closes we FIN the app and wait for its ACK.
         let fins = collected(|out| m.on_external_closed_into(false, out));
         assert_eq!(fins.len(), 1);
@@ -547,7 +558,7 @@ mod tests {
         assert_eq!(fins.len(), 1);
         assert_eq!(m.state(), TcpState::FinWait);
         // The app can still send data in FIN_WAIT (its direction is open).
-        let data = app_builder().tcp_data(1001, 9002, vec![5; 4]);
+        let data = app_builder().tcp_data(1001, 9002, 4);
         let (_, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert_eq!(verdict, SegmentVerdict::Data(4));
         assert_eq!(actions.len(), 1);
@@ -571,7 +582,7 @@ mod tests {
         assert_eq!(actions, vec![RelayAction::CloseExternal, RelayAction::RemoveClient]);
         assert_eq!(m.state(), TcpState::Reset);
         // Nothing further is forwarded after a reset.
-        assert!(m.on_external_data(&[1]).is_empty());
+        assert!(m.on_external_data(1).is_empty());
         assert!(collected(|out| m.on_external_closed_into(false, out)).is_empty());
     }
 
@@ -602,7 +613,7 @@ mod tests {
     fn out_of_state_segments_are_ignored() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         // Data before any SYN.
-        let data = app_builder().tcp_data(50, 0, vec![1]);
+        let data = app_builder().tcp_data(50, 0, 1);
         let (pkts, actions, verdict) = m.on_tunnel_segment(data.tcp().unwrap());
         assert!(pkts.is_empty() && actions.is_empty());
         assert_eq!(verdict, SegmentVerdict::OutOfState);
@@ -616,24 +627,17 @@ mod tests {
     fn retransmit_data_replays_the_segment_without_advancing_state() {
         let mut m = TcpStateMachine::new(flow(), 9000);
         establish(&mut m, 1000);
-        // Segment through a pool whose only buffer is longer than the
-        // payload and full of other bytes, as a recycled one would be.
-        let mut pool = SegmentPool::new();
-        pool.put(vec![0xee; 1_460]);
         let mut originals = Vec::new();
-        m.on_external_data_into(&[0x5a; 100], &mut pool, &mut originals);
-        assert_eq!(originals[0].tcp().unwrap().payload, [0x5a; 100]);
-        let next_before = m.our_next;
+        m.on_external_data_into(100, &mut originals);
+        assert_eq!(originals[0].tcp().unwrap().payload_len, 100);
         let wire = originals[0].to_bytes();
-        // The scoreboard's copy, then the original's buffer is recycled and
-        // overwritten by the next segment before the retransmission.
-        let orig_tcp = originals[0].tcp().unwrap();
-        let (seq, copy) = (orig_tcp.seq, pool.filled(&orig_tcp.payload));
-        pool.recycle(originals.remove(0));
-        m.on_external_data_into(&[0x77; 300], &mut pool, &mut originals);
-        assert_eq!(originals[0].tcp().unwrap().payload, [0x77; 300]);
-        let next_before = next_before.wrapping_add(300);
-        let replay = m.retransmit_data(seq, copy);
+        // The scoreboard keeps (seq, len); more data leaves before the
+        // retransmission.
+        let orig_tcp = originals.remove(0).tcp().cloned().unwrap();
+        m.on_external_data_into(300, &mut originals);
+        assert_eq!(originals[0].tcp().unwrap().payload_len, 300);
+        let next_before = m.our_next;
+        let replay = m.retransmit_data(orig_tcp.seq, usize::from(orig_tcp.payload_len));
         assert_eq!(replay.to_bytes(), wire, "byte-identical resend");
         assert_eq!(m.our_next, next_before, "sequence space untouched");
     }

@@ -25,25 +25,20 @@
 //! times are plain nanosecond counts and the engine owns the actual timers
 //! (via [`crate::timer::ConnTimers`] tokens).
 //!
-//! # Who owns the buffers
+//! # The scoreboard holds lengths
 //!
-//! The scoreboard keeps its own copy of every in-flight payload (the
-//! transmitted packet is gone by the time a retransmission is needed). On
-//! the engine's path that copy comes from, and returns to, the engine's
-//! [`SegmentPool`]: [`RecoveryState::on_data_sent_owned`] takes a buffer the
-//! caller filled from the pool, and [`RecoveryState::on_ack_recycling`]
-//! hands the buffers of cumulatively acknowledged segments back to it, so a
-//! clean window costs the allocator nothing. The fast-retransmit and
-//! SACK-hole resends that `on_ack_recycling` queues copy into pooled buffers
-//! too; only an RTO resend clones (one per timeout, not per packet).
-//! [`RecoveryState::on_data_sent`] and [`RecoveryState::on_ack`] are the
-//! pool-less forms (copy in, drop out) for unit tests and probes.
+//! A TCP payload is its length (see [`mop_packet::tcp`]), so the scoreboard
+//! keeps `(seq, len)` for every in-flight segment and a [`Retransmit`] names
+//! the same pair: [`TcpStateMachine::retransmit_data`] rebuilds the segment
+//! from it byte for byte. Registering a sent segment, acknowledging it and
+//! resending it copy no payload; the only heap the scoreboard touches is its
+//! own ring of in-flight entries and the reaction's resend list.
+//!
+//! [`TcpStateMachine::retransmit_data`]: crate::machine::TcpStateMachine::retransmit_data
 
 use std::collections::VecDeque;
 
-use mop_packet::SackBlocks;
-
-use crate::pool::SegmentPool;
+use mop_packet::{PayloadLen, SackBlocks};
 
 /// Number of duplicate ACKs that triggers a fast retransmit.
 pub const DUP_ACK_THRESHOLD: u32 = 3;
@@ -323,7 +318,7 @@ impl Cc {
 #[derive(Debug, Clone, PartialEq)]
 struct SentSegment {
     seq: u32,
-    payload: Vec<u8>,
+    len: u32,
     sent_at_ns: u64,
     retransmitted: bool,
     sacked: bool,
@@ -331,7 +326,7 @@ struct SentSegment {
 
 impl SentSegment {
     fn end(&self) -> u32 {
-        self.seq.wrapping_add(self.payload.len() as u32)
+        self.seq.wrapping_add(self.len)
     }
 }
 
@@ -341,8 +336,8 @@ impl SentSegment {
 pub struct Retransmit {
     /// Sequence number of the lost segment.
     pub seq: u32,
-    /// Its payload, byte-identical to the original transmission.
-    pub payload: Vec<u8>,
+    /// Its payload length, as first transmitted.
+    pub len: usize,
     /// Extra delay before this retransmission leaves, from the `srtt / cwnd`
     /// recovery pacing.
     pub delay_ns: u64,
@@ -402,23 +397,18 @@ impl RecoveryState {
         }
     }
 
-    /// Records one transmitted data segment, copying its payload. Returns
+    /// Records one transmitted data segment by its sequence number and
+    /// payload (a byte count, or bytes read only for their length). Returns
     /// true if this was the first segment in flight (the caller should arm
     /// the RTO timer).
-    pub fn on_data_sent(&mut self, seq: u32, payload: &[u8], now_ns: u64) -> bool {
-        self.on_data_sent_owned(seq, payload.to_vec(), now_ns)
-    }
-
-    /// [`RecoveryState::on_data_sent`] taking the scoreboard's copy of the
-    /// payload ready-made — the engine fills it from its [`SegmentPool`].
-    pub fn on_data_sent_owned(&mut self, seq: u32, payload: Vec<u8>, now_ns: u64) -> bool {
+    pub fn on_data_sent(&mut self, seq: u32, payload: impl PayloadLen, now_ns: u64) -> bool {
         let was_empty = self.inflight.is_empty();
         if was_empty {
             self.snd_una = seq;
         }
         self.inflight.push_back(SentSegment {
             seq,
-            payload,
+            len: payload.payload_len() as u32,
             sent_at_ns: now_ns,
             retransmitted: false,
             sacked: false,
@@ -429,28 +419,6 @@ impl RecoveryState {
     /// Processes an ACK from the app: advances `snd_una`, applies SACK
     /// blocks, counts duplicates, and decides what (if anything) to resend.
     pub fn on_ack(&mut self, ack: u32, sack: Option<SackBlocks>, now_ns: u64) -> AckReaction {
-        self.ack(ack, sack, now_ns, None)
-    }
-
-    /// [`RecoveryState::on_ack`], returning the payload buffers of the
-    /// segments the ACK cumulatively covers to `pool`.
-    pub fn on_ack_recycling(
-        &mut self,
-        ack: u32,
-        sack: Option<SackBlocks>,
-        now_ns: u64,
-        pool: &mut SegmentPool,
-    ) -> AckReaction {
-        self.ack(ack, sack, now_ns, Some(pool))
-    }
-
-    fn ack(
-        &mut self,
-        ack: u32,
-        sack: Option<SackBlocks>,
-        now_ns: u64,
-        mut pool: Option<&mut SegmentPool>,
-    ) -> AckReaction {
         let mut reaction = AckReaction::default();
         if self.inflight.is_empty() {
             return reaction;
@@ -467,9 +435,7 @@ impl RecoveryState {
                 rtt_sample = Some(now_ns.saturating_sub(front.sent_at_ns));
             }
             newly_acked += 1;
-            if let (Some(acked), Some(pool)) = (self.inflight.pop_front(), pool.as_deref_mut()) {
-                pool.put(acked.payload);
-            }
+            self.inflight.pop_front();
         }
         if newly_acked > 0 {
             reaction.advanced = true;
@@ -506,12 +472,12 @@ impl RecoveryState {
                 self.fast_retransmits_total += 1;
                 self.recovery_point = self.inflight.back().map(SentSegment::end);
                 self.cc.as_dyn_mut().on_fast_retransmit(now_ns);
-                self.queue_hole_retransmits(&mut reaction, 1, pool);
+                self.queue_hole_retransmits(&mut reaction, 1);
             } else if self.recovery_point.is_some() && reaction.newly_sacked > 0 {
                 // Later dup-ACKs with fresh SACK news: fill more holes, as
                 // many as the post-decrease window paces out.
                 let budget = (self.cc.cwnd() / 2).max(1);
-                self.queue_hole_retransmits(&mut reaction, budget as usize, pool);
+                self.queue_hole_retransmits(&mut reaction, budget as usize);
             }
         }
         reaction.all_acked = self.inflight.is_empty();
@@ -519,14 +485,8 @@ impl RecoveryState {
     }
 
     /// Queues up to `limit` un-SACKed, not-yet-retransmitted holes for
-    /// resend, pacing them `srtt / cwnd` apart. Each resend's payload is a
-    /// copy filled into a buffer from `pool` when there is one.
-    fn queue_hole_retransmits(
-        &mut self,
-        reaction: &mut AckReaction,
-        limit: usize,
-        mut pool: Option<&mut SegmentPool>,
-    ) {
+    /// resend, pacing them `srtt / cwnd` apart.
+    fn queue_hole_retransmits(&mut self, reaction: &mut AckReaction, limit: usize) {
         let pace = self.recovery_pace_ns();
         let mut queued = reaction.retransmits.len() as u64;
         for seg in self.inflight.iter_mut() {
@@ -543,13 +503,9 @@ impl RecoveryState {
             }
             seg.retransmitted = true;
             self.retransmits_total += 1;
-            let payload = match pool.as_deref_mut() {
-                Some(pool) => pool.filled(&seg.payload),
-                None => seg.payload.clone(),
-            };
             reaction.retransmits.push(Retransmit {
                 seq: seg.seq,
-                payload,
+                len: seg.len as usize,
                 delay_ns: pace * queued,
             });
             queued += 1;
@@ -561,7 +517,7 @@ impl RecoveryState {
     pub fn on_rto(&mut self, now_ns: u64) -> Option<Retransmit> {
         let seg = self.inflight.iter_mut().find(|s| !s.sacked)?;
         seg.retransmitted = true;
-        let retransmit = Retransmit { seq: seg.seq, payload: seg.payload.clone(), delay_ns: 0 };
+        let retransmit = Retransmit { seq: seg.seq, len: seg.len as usize, delay_ns: 0 };
         self.rto_fires_total += 1;
         self.retransmits_total += 1;
         self.estimator.back_off();
@@ -658,8 +614,8 @@ mod tests {
     #[test]
     fn in_order_acks_never_retransmit() {
         let mut rs = RecoveryState::new(CongestionAlgo::Reno, Some(50 * MS));
-        assert!(rs.on_data_sent(1000, &[0; 100], 0), "first segment arms the timer");
-        assert!(!rs.on_data_sent(1100, &[0; 100], MS));
+        assert!(rs.on_data_sent(1000, 100, 0), "first segment arms the timer");
+        assert!(!rs.on_data_sent(1100, 100, MS));
         let r1 = rs.on_ack(1100, None, 60 * MS);
         assert!(r1.advanced && !r1.all_acked && r1.retransmits.is_empty());
         let r2 = rs.on_ack(1200, None, 61 * MS);
@@ -672,7 +628,7 @@ mod tests {
     fn triple_dup_ack_fast_retransmits_the_hole() {
         let mut rs = RecoveryState::new(CongestionAlgo::Reno, Some(50 * MS));
         for i in 0..5u32 {
-            rs.on_data_sent(1000 + i * 100, &[i as u8; 100], u64::from(i) * MS);
+            rs.on_data_sent(1000 + i * 100, 100, u64::from(i) * MS);
         }
         // Segment 1000..1100 was dropped; the receiver SACKs the rest.
         let mut reaction = AckReaction::default();
@@ -683,7 +639,7 @@ mod tests {
         assert!(reaction.fast_retransmit);
         assert_eq!(reaction.retransmits.len(), 1);
         assert_eq!(reaction.retransmits[0].seq, 1000);
-        assert_eq!(reaction.retransmits[0].payload, vec![0u8; 100]);
+        assert_eq!(reaction.retransmits[0].len, 100);
         assert_eq!(rs.fast_retransmits_total(), 1);
         assert!(rs.sacked_total() >= 3);
         // The retransmission arrives; the receiver ACKs everything.
@@ -694,11 +650,11 @@ mod tests {
     #[test]
     fn rto_resends_earliest_and_backs_off() {
         let mut rs = RecoveryState::new(CongestionAlgo::Reno, Some(50 * MS));
-        rs.on_data_sent(500, &[1; 40], 0);
-        rs.on_data_sent(540, &[2; 40], 0);
+        rs.on_data_sent(500, 40, 0);
+        rs.on_data_sent(540, 40, 0);
         let before = rs.rto_ns();
         let r = rs.on_rto(before).expect("something in flight");
-        assert_eq!(r.seq, 500);
+        assert_eq!((r.seq, r.len), (500, 40));
         assert_eq!(rs.rto_fires_total(), 1);
         assert!(rs.rto_ns() > before, "RTO doubled");
         // Karn: the retransmitted segment's ACK must not poison the RTT.
@@ -708,7 +664,7 @@ mod tests {
         assert_eq!(rs.rto_ns(), est_before, "no sample from a retransmitted segment");
         // An RTO with everything SACKed resends nothing.
         let mut all_sacked = RecoveryState::new(CongestionAlgo::Reno, None);
-        all_sacked.on_data_sent(9000, &[0; 10], 0);
+        all_sacked.on_data_sent(9000, 10, 0);
         all_sacked.on_ack(9000, sack(&[(9000, 9010)]), MS);
         assert_eq!(all_sacked.on_rto(2 * MS), None);
     }
@@ -720,11 +676,11 @@ mod tests {
             let mut seq = 0u32;
             // Grow the window with clean round trips, then take a loss.
             for round in 0..30u64 {
-                rs.on_data_sent(seq, &[0; 100], round * 100 * MS);
+                rs.on_data_sent(seq, 100, round * 100 * MS);
                 seq = seq.wrapping_add(100);
                 rs.on_ack(seq, None, round * 100 * MS + 50 * MS);
             }
-            rs.on_data_sent(seq, &[0; 100], 3_000 * MS);
+            rs.on_data_sent(seq, 100, 3_000 * MS);
             for dup in 0..3u64 {
                 rs.on_ack(seq, None, (3_010 + dup) * MS);
             }
@@ -765,7 +721,7 @@ mod tests {
     fn dup_acks_without_sack_news_do_not_spray_retransmits() {
         let mut rs = RecoveryState::new(CongestionAlgo::Reno, Some(10 * MS));
         for i in 0..4u32 {
-            rs.on_data_sent(i * 100, &[0; 100], 0);
+            rs.on_data_sent(i * 100, 100, 0);
         }
         for _ in 0..3 {
             rs.on_ack(0, sack(&[(100, 400)]), MS);

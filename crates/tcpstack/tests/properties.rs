@@ -15,7 +15,7 @@ fn flow() -> FourTuple {
 #[derive(Debug, Clone)]
 enum AppInput {
     Syn,
-    Data(Vec<u8>),
+    Data(usize),
     PureAck,
     Fin,
     Rst,
@@ -28,7 +28,7 @@ enum AppInput {
 fn arb_input() -> impl Strategy<Value = AppInput> {
     prop_oneof![
         2 => Just(AppInput::Syn),
-        4 => proptest::collection::vec(any::<u8>(), 1..600).prop_map(AppInput::Data),
+        4 => (1usize..600).prop_map(AppInput::Data),
         3 => Just(AppInput::PureAck),
         2 => Just(AppInput::Fin),
         1 => Just(AppInput::Rst),
@@ -60,9 +60,9 @@ proptest! {
                         actions.iter().any(|a| matches!(a, RelayAction::RelayData { .. }));
                     prop_assert!(!relays_data);
                 }
-                AppInput::Data(payload) => {
-                    bytes_given += payload.len() as u64;
-                    let pkt = app.tcp_data(app_seq.wrapping_add(1), 0, payload);
+                AppInput::Data(len) => {
+                    bytes_given += len as u64;
+                    let pkt = app.tcp_data(app_seq.wrapping_add(1), 0, len);
                     let (_, actions, _) = machine.on_tunnel_segment(pkt.tcp().unwrap());
                     for action in actions {
                         if let RelayAction::RelayData { len } = action {
@@ -75,7 +75,7 @@ proptest! {
                     let pkt = app.tcp_ack(app_seq.wrapping_add(1), 0);
                     let (packets, actions, _) = machine.on_tunnel_segment(pkt.tcp().unwrap());
                     // A pure ACK is never answered with data.
-                    prop_assert!(packets.iter().all(|p| p.tcp().unwrap().payload.is_empty()));
+                    prop_assert!(packets.iter().all(|p| p.tcp().unwrap().payload_len == 0));
                     let relays_data =
                         actions.iter().any(|a| matches!(a, RelayAction::RelayData { .. }));
                     prop_assert!(!relays_data);
@@ -97,11 +97,11 @@ proptest! {
                     prop_assert!(packets.len() <= 1);
                 }
                 AppInput::ExternalData(len) => {
-                    let body = vec![0xaa; len];
-                    let packets = machine.on_external_data(&body);
+                    let packets = machine.on_external_data(len);
                     // Forwarded segments respect the 1460-byte MSS of §3.4.
-                    prop_assert!(packets.iter().all(|p| p.tcp().unwrap().payload.len() <= 1460));
-                    let forwarded: usize = packets.iter().map(|p| p.tcp().unwrap().payload.len()).sum();
+                    prop_assert!(packets.iter().all(|p| p.tcp().unwrap().payload_len <= 1460));
+                    let forwarded: usize =
+                        packets.iter().map(|p| usize::from(p.tcp().unwrap().payload_len)).sum();
                     prop_assert!(forwarded == 0 || forwarded == len);
                 }
                 AppInput::ExternalWriteComplete => {
@@ -118,7 +118,7 @@ proptest! {
 
     #[test]
     fn well_behaved_connection_always_completes(
-        request in proptest::collection::vec(any::<u8>(), 1..800),
+        request_len in 1usize..800,
         response_len in 1usize..20_000,
         isn in any::<u32>(),
     ) {
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(actions.len(), 1);
         let syn_ack = machine.on_external_connected();
         prop_assert_eq!(syn_ack.len(), 1);
-        let data = app.tcp_data(isn.wrapping_add(1), 0, request.clone());
+        let data = app.tcp_data(isn.wrapping_add(1), 0, request_len);
         let (_, actions, _) = machine.on_tunnel_segment(data.tcp().unwrap());
         let relayed: usize = actions
             .iter()
@@ -142,13 +142,13 @@ proptest! {
                 _ => 0,
             })
             .sum();
-        prop_assert_eq!(relayed, request.len());
-        let response = vec![0x55; response_len];
-        let packets = machine.on_external_data(&response);
-        let forwarded: usize = packets.iter().map(|p| p.tcp().unwrap().payload.len()).sum();
+        prop_assert_eq!(relayed, request_len);
+        let packets = machine.on_external_data(response_len);
+        let forwarded: usize =
+            packets.iter().map(|p| usize::from(p.tcp().unwrap().payload_len)).sum();
         prop_assert_eq!(forwarded, response_len);
         // App closes; server side follows; app's final ACK ends it.
-        let fin = app.tcp_fin(isn.wrapping_add(1).wrapping_add(request.len() as u32), 0);
+        let fin = app.tcp_fin(isn.wrapping_add(1).wrapping_add(request_len as u32), 0);
         let (acks, actions, _) = machine.on_tunnel_segment(fin.tcp().unwrap());
         prop_assert_eq!(acks.len(), 1);
         prop_assert!(actions.contains(&RelayAction::HalfCloseExternal));
@@ -171,12 +171,12 @@ proptest! {
         machine.on_tunnel_segment(app.tcp_ack(2, 101).tcp().unwrap());
         let mut expected_seq: Option<u32> = None;
         for chunk in chunks {
-            for pkt in machine.on_external_data(&vec![1u8; chunk]) {
+            for pkt in machine.on_external_data(chunk) {
                 let tcp = pkt.tcp().unwrap();
                 if let Some(expected) = expected_seq {
                     prop_assert_eq!(tcp.seq, expected);
                 }
-                expected_seq = Some(tcp.seq.wrapping_add(tcp.payload.len() as u32));
+                expected_seq = Some(tcp.seq.wrapping_add(u32::from(tcp.payload_len)));
                 prop_assert!(tcp.flags.contains(TcpFlags::ACK));
             }
         }
@@ -247,7 +247,7 @@ proptest! {
         let mut seq = 5_000u32;
         let mut total = 0usize;
         for &len in &sizes {
-            recovery.on_data_sent(seq, &vec![0u8; len], now);
+            recovery.on_data_sent(seq, len, now);
             queue.push_back((seq, len));
             seq = seq.wrapping_add(len as u32);
             total += len;
@@ -265,7 +265,7 @@ proptest! {
                 let rt = recovery.on_rto(now);
                 prop_assert!(rt.is_some(), "inflight but RTO found nothing to resend");
                 let rt = rt.unwrap();
-                queue.push_back((rt.seq, rt.payload.len()));
+                queue.push_back((rt.seq, rt.len));
                 continue;
             };
             match fates.next().unwrap_or(0) {
@@ -281,70 +281,58 @@ proptest! {
             let (ack, sack) = receiver.ingest(seg_seq, len);
             let reaction = recovery.on_ack(ack, sack, now);
             for rt in reaction.retransmits {
-                queue.push_back((rt.seq, rt.payload.len()));
+                queue.push_back((rt.seq, rt.len));
             }
         }
         prop_assert_eq!(receiver.ack, final_ack, "receiver missing bytes");
         prop_assert!(!recovery.has_inflight());
     }
 
-    /// Recycled buffers are indistinguishable from fresh copies. Random
-    /// reads of random bytes go through the pooled segmenter with a free
-    /// list that starts out full of garbage; delivered packets and
-    /// cumulatively ACKed scoreboard copies keep returning their buffers
-    /// for later segments to overwrite. Every emitted payload must equal
-    /// its input chunk, and a SACK-hole fast retransmit and an RTO
-    /// retransmit — of a segment sent before all that reuse — must still
-    /// be byte-identical to the original transmission.
+    /// A segment is its `(seq, len)`. Random reads go through the
+    /// segmenter: the segments carry the read's bytes in MSS-sized pieces,
+    /// in order, and the scoreboard registers each by its sequence number
+    /// and length. The app ACKs part of what is outstanding along the way.
+    /// A SACK-hole fast retransmit and an RTO retransmit of the first
+    /// unacknowledged segment, rebuilt from the scoreboard's pair, must be
+    /// byte-identical on the wire to the original transmission.
     #[test]
-    fn pooled_segments_match_their_input_and_retransmits_match_the_original(
-        reads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..4_000), 2..7),
-        dirt in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..3_000), 0..8),
+    fn segments_match_their_input_and_retransmits_match_the_original(
+        reads in proptest::collection::vec(1usize..4_000, 2..7),
         acked_share in 0usize..4,
     ) {
-        use mop_tcpstack::{CongestionAlgo, RecoveryState, SegmentPool};
+        use mop_tcpstack::{CongestionAlgo, RecoveryState};
         let app = PacketBuilder::new(flow().src, flow().dst);
         let mut machine = TcpStateMachine::new(flow(), 9_000);
         machine.on_tunnel_segment(app.tcp_syn(1).tcp().unwrap());
         machine.on_external_connected();
         machine.on_tunnel_segment(app.tcp_ack(2, 9_001).tcp().unwrap());
         let mut recovery = RecoveryState::new(CongestionAlgo::Reno, Some(50_000_000));
-        let mut pool = SegmentPool::new();
-        for buf in dirt {
-            pool.put(buf);
-        }
         // (seq, end, wire bytes) of every original transmission.
         let mut sent: Vec<(u32, u32, Vec<u8>)> = Vec::new();
         let mut acked = 0usize;
         let mut out = Vec::new();
         let mut now = 0u64;
-        for read in &reads {
+        for &read in &reads {
             now += 1_000_000;
-            machine.on_external_data_into(read, &mut pool, &mut out);
-            let payloads: Vec<&[u8]> =
-                out.iter().map(|p| p.tcp().unwrap().payload.as_slice()).collect();
-            prop_assert!(payloads.iter().all(|p| !p.is_empty() && p.len() <= 1_460));
-            prop_assert_eq!(&payloads.concat(), read, "payloads are the read, in order");
+            machine.on_external_data_into(read, &mut out);
+            let lens: Vec<usize> =
+                out.iter().map(|p| usize::from(p.tcp().unwrap().payload_len)).collect();
+            prop_assert!(lens.iter().all(|&len| len > 0 && len <= 1_460));
+            prop_assert_eq!(lens.iter().sum::<usize>(), read, "the segments carry the read");
             for packet in out.drain(..) {
-                let (seq, copy) = {
-                    let segment = packet.tcp().unwrap();
-                    (segment.seq, pool.filled(&segment.payload))
-                };
-                prop_assert_eq!(&copy, &packet.tcp().unwrap().payload);
-                let end = seq.wrapping_add(copy.len() as u32);
-                recovery.on_data_sent_owned(seq, copy, now);
-                sent.push((seq, end, packet.to_bytes()));
-                // Delivered: the payload buffer goes back for reuse.
-                pool.recycle(packet);
+                let segment = packet.tcp().unwrap();
+                let (seq, len) = (segment.seq, segment.payload_len);
+                if let Some(&(_, end, _)) = sent.last() {
+                    prop_assert_eq!(seq, end, "segments are contiguous");
+                }
+                recovery.on_data_sent(seq, usize::from(len), now);
+                sent.push((seq, seq.wrapping_add(u32::from(len)), packet.to_bytes()));
             }
             // The app ACKs part of what is outstanding (never the last
-            // segment), which returns those scoreboard copies to the pool
-            // for the next read to scribble over.
+            // segment).
             let upto = acked + (sent.len() - 1 - acked) * acked_share / 4;
             if upto > acked {
-                let reaction = recovery.on_ack_recycling(sent[upto - 1].1, None, now, &mut pool);
+                let reaction = recovery.on_ack(sent[upto - 1].1, None, now);
                 prop_assert!(reaction.advanced && reaction.retransmits.is_empty());
                 acked = upto;
             }
@@ -357,15 +345,15 @@ proptest! {
         let mut resent = Vec::new();
         for _ in 0..3 {
             now += 1_000_000;
-            resent.extend(recovery.on_ack_recycling(hole_seq, sack, now, &mut pool).retransmits);
+            resent.extend(recovery.on_ack(hole_seq, sack, now).retransmits);
         }
         prop_assert_eq!(resent.len(), 1, "one hole, one fast retransmit");
         let fast = resent.remove(0);
-        prop_assert_eq!(fast.seq, hole_seq);
-        prop_assert_eq!(&machine.retransmit_data(fast.seq, fast.payload).to_bytes(), original);
+        prop_assert_eq!((fast.seq, fast.len), (hole_seq, hole_end.wrapping_sub(hole_seq) as usize));
+        prop_assert_eq!(&machine.retransmit_data(fast.seq, fast.len).to_bytes(), original);
         // The timer path replays the same segment from the same scoreboard.
         let rto = recovery.on_rto(now + 2_000_000_000).expect("the hole is still in flight");
         prop_assert_eq!(rto.seq, hole_seq);
-        prop_assert_eq!(&machine.retransmit_data(rto.seq, rto.payload).to_bytes(), original);
+        prop_assert_eq!(&machine.retransmit_data(rto.seq, rto.len).to_bytes(), original);
     }
 }

@@ -16,10 +16,11 @@
 //! byte-identical to the plain cumulative-ACK client.
 //!
 //! Replies are emitted sink-style ([`AppEndpoint::handle_into`] appends to a
-//! vector the caller owns), so the endpoint itself allocates only per flow
-//! (its request, which moves into the data segment that carries it) and per
-//! loss event (an out-of-order segment's entry, which holds its length, not
-//! its bytes; SACK ranges).
+//! vector the caller owns), so the endpoint itself allocates only per loss
+//! event (an out-of-order segment's entry, which holds its length, not its
+//! bytes; SACK ranges). TCP payloads are lengths on both sides of it (see
+//! `mop_packet::tcp`): the request is a byte count that goes into the data
+//! segment carrying it, and received data is counted, never read.
 
 use std::collections::BTreeMap;
 
@@ -55,9 +56,9 @@ pub struct AppEndpoint {
     state: AppState,
     seq: u32,
     ack: u32,
-    /// The request, until the handshake completes and it moves into the
-    /// data segment that carries it.
-    request: Vec<u8>,
+    /// The request's length in bytes, until the handshake completes and it
+    /// goes into the data segment that carries it (0 afterwards).
+    request_len: usize,
     request_sent: bool,
     /// Bytes of response received so far.
     pub bytes_received: usize,
@@ -80,9 +81,10 @@ pub struct AppEndpoint {
 }
 
 impl AppEndpoint {
-    /// Creates an endpoint for `flow`, owned by `uid`, that will send
-    /// `request` once connected and close after `close_after` response bytes.
-    pub fn new(uid: u32, flow: FourTuple, request: Vec<u8>, close_after: usize) -> Self {
+    /// Creates an endpoint for `flow`, owned by `uid`, that will send a
+    /// request of `request_len` bytes once connected and close after
+    /// `close_after` response bytes.
+    pub fn new(uid: u32, flow: FourTuple, request_len: usize, close_after: usize) -> Self {
         Self {
             uid,
             flow,
@@ -90,7 +92,7 @@ impl AppEndpoint {
             state: AppState::SynSent,
             seq: 0x4000_0000 ^ u32::from(flow.src.port),
             ack: 0,
-            request,
+            request_len,
             request_sent: false,
             bytes_received: 0,
             close_after,
@@ -173,22 +175,22 @@ impl AppEndpoint {
                 self.ack = tcp.seq.wrapping_add(1);
                 self.state = AppState::Established;
                 out.push(self.builder.tcp_ack(self.seq, self.ack));
-                if !self.request.is_empty() {
-                    let request = std::mem::take(&mut self.request);
-                    let len = request.len() as u32;
-                    out.push(self.builder.tcp_data(self.seq, self.ack, request));
-                    self.seq = self.seq.wrapping_add(len);
+                if self.request_len > 0 {
+                    let len = std::mem::take(&mut self.request_len);
+                    out.push(self.builder.tcp_data(self.seq, self.ack, len));
+                    self.seq = self.seq.wrapping_add(len as u32);
                     self.request_sent = true;
                 }
             }
             AppState::Established | AppState::Closing => {
                 let mut advanced = false;
-                if !tcp.payload.is_empty() {
+                let len = tcp.payload_len;
+                if len > 0 {
                     if tcp.seq == self.ack {
                         // In-order: accept, then drain any buffered segments
                         // the arrival made contiguous.
-                        self.bytes_received += tcp.payload.len();
-                        self.ack = tcp.seq.wrapping_add(tcp.payload.len() as u32);
+                        self.bytes_received += usize::from(len);
+                        self.ack = tcp.seq.wrapping_add(u32::from(len));
                         advanced = true;
                         while let Some(len) = self.ooo.remove(&self.ack) {
                             self.bytes_received += len as usize;
@@ -203,7 +205,7 @@ impl AppEndpoint {
                     } else {
                         // A sequence hole: buffer the segment and answer
                         // with a SACK-carrying duplicate ACK.
-                        self.ooo.entry(tcp.seq).or_insert(tcp.payload.len() as u32);
+                        self.ooo.entry(tcp.seq).or_insert(u32::from(len));
                         self.dup_acks_sent += 1;
                         let blocks = self.sack_blocks(Some(tcp.seq));
                         out.push(self.builder.tcp_sack_ack(self.seq, self.ack, blocks));
@@ -330,7 +332,7 @@ mod tests {
 
     #[test]
     fn full_client_lifecycle_request_response_close() {
-        let mut app = AppEndpoint::new(10100, flow(), b"GET /".to_vec(), 1000);
+        let mut app = AppEndpoint::new(10100, flow(), 5, 1000);
         let syn = app.syn_packet();
         assert_eq!(syn.tcp().unwrap().flags, TcpFlags::SYN);
         assert_eq!(app.state(), AppState::SynSent);
@@ -342,14 +344,14 @@ mod tests {
         assert_eq!(app.state(), AppState::Established);
         assert_eq!(replies.len(), 2, "ACK plus request data");
         assert_eq!(replies[0].tcp().unwrap().flags, TcpFlags::ACK);
-        assert!(replies[0].tcp().unwrap().payload.is_empty());
-        assert_eq!(replies[1].tcp().unwrap().payload, b"GET /");
+        assert_eq!(replies[0].tcp().unwrap().payload_len, 0);
+        assert_eq!(replies[1].tcp().unwrap().payload_len, 5);
 
         // Relay forwards 1500 bytes of response data in two segments.
-        let data1 = relay_builder().tcp_data(7001, replies[1].tcp().unwrap().seq + 5, vec![1u8; 900]);
+        let data1 = relay_builder().tcp_data(7001, replies[1].tcp().unwrap().seq + 5, 900);
         let out = handle(&mut app, &data1);
         assert_eq!(out.len(), 1); // Just an ACK; not enough data to close yet.
-        let data2 = relay_builder().tcp_data(7901, 0, vec![2u8; 600]);
+        let data2 = relay_builder().tcp_data(7901, 0, 600);
         let out = handle(&mut app, &data2);
         assert_eq!(app.bytes_received, 1500);
         // ACK plus FIN since close_after=1000 reached.
@@ -367,32 +369,32 @@ mod tests {
 
     #[test]
     fn the_request_is_sent_exactly_once_and_not_kept() {
-        let mut app = AppEndpoint::new(1, flow(), b"GET /".to_vec(), 10);
+        let mut app = AppEndpoint::new(1, flow(), 5, 10);
         let syn = app.syn_packet();
         let syn_ack = relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq);
         let first = handle(&mut app, &syn_ack);
-        assert_eq!(first[1].tcp().unwrap().payload, b"GET /");
-        assert_eq!(app.request.capacity(), 0, "the request moved into its segment");
+        assert_eq!(first[1].tcp().unwrap().payload_len, 5);
+        assert_eq!(app.request_len, 0, "the request went into its segment");
         // A duplicated SYN/ACK reaches an established endpoint: no second copy.
         let second = handle(&mut app, &syn_ack);
         let carrying =
-            |out: &[Packet]| out.iter().filter(|p| !p.tcp().unwrap().payload.is_empty()).count();
+            |out: &[Packet]| out.iter().filter(|p| p.tcp().unwrap().payload_len > 0).count();
         assert_eq!((carrying(&first), carrying(&second)), (1, 0));
         assert_eq!(app.state(), AppState::Established);
         // The request still counts as sent, so a full response closes.
-        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, 10));
         assert_eq!(app.state(), AppState::Closing);
         assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
     }
 
     #[test]
     fn server_initiated_close_is_handled() {
-        let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
+        let mut app = AppEndpoint::new(1, flow(), 1, usize::MAX);
         let syn = app.syn_packet();
         handle(&mut app, &relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         // Some data, then the relay closes first (close_after is huge so the
         // app would not have closed on its own).
-        handle(&mut app, &relay_builder().tcp_data(101, 0, vec![0u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(101, 0, 10));
         assert_eq!(app.state(), AppState::Established);
         let out = handle(&mut app, &relay_builder().tcp_fin(111, 0));
         assert_eq!(out.len(), 2); // ACK of FIN plus our FIN.
@@ -402,7 +404,7 @@ mod tests {
 
     #[test]
     fn rst_fails_the_connection() {
-        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), 0, 0);
         let _syn = app.syn_packet();
         let out = handle(&mut app, &relay_builder().tcp_rst_ack(1, 1));
         assert!(out.is_empty());
@@ -412,7 +414,7 @@ mod tests {
 
     #[test]
     fn packets_for_other_flows_are_ignored() {
-        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), 0, 0);
         let other =
             PacketBuilder::new(Endpoint::v4(9, 9, 9, 9, 443), Endpoint::v4(10, 0, 0, 2, 39999));
         assert!(handle(&mut app, &other.tcp_syn_ack(5, 5)).is_empty());
@@ -421,18 +423,18 @@ mod tests {
 
     #[test]
     fn empty_request_connects_without_sending_data() {
-        let mut app = AppEndpoint::new(1, flow(), Vec::new(), 0);
+        let mut app = AppEndpoint::new(1, flow(), 0, 0);
         let syn = app.syn_packet();
         let replies = handle(&mut app, &relay_builder().tcp_syn_ack(50, syn.tcp().unwrap().seq));
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].tcp().unwrap().flags, TcpFlags::ACK);
-        assert!(replies[0].tcp().unwrap().payload.is_empty());
+        assert_eq!(replies[0].tcp().unwrap().payload_len, 0);
         assert_eq!(app.state(), AppState::Established);
     }
 
     /// An established endpoint with the relay's stream starting at seq 101.
     fn established_app() -> AppEndpoint {
-        let mut app = AppEndpoint::new(1, flow(), b"x".to_vec(), usize::MAX);
+        let mut app = AppEndpoint::new(1, flow(), 1, usize::MAX);
         let syn = app.syn_packet();
         handle(&mut app, &relay_builder().tcp_syn_ack(100, syn.tcp().unwrap().seq));
         assert_eq!(app.state(), AppState::Established);
@@ -443,7 +445,7 @@ mod tests {
     fn out_of_order_segments_are_buffered_and_reassembled() {
         let mut app = established_app();
         // The second segment arrives first: hole at 101..111.
-        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, 10));
         assert_eq!(out.len(), 1);
         let dup = out[0].tcp().unwrap();
         assert_eq!(dup.ack, 101, "cumulative ACK does not move past the hole");
@@ -451,7 +453,7 @@ mod tests {
         assert_eq!(app.bytes_received, 0);
         assert_eq!(app.dup_acks_sent, 1);
         // The hole fills: one ACK covering both segments.
-        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(101, 0, 10));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tcp().unwrap().ack, 121);
         assert!(out[0].tcp().unwrap().sack_blocks().is_none());
@@ -461,7 +463,7 @@ mod tests {
     #[test]
     fn duplicate_segments_are_re_acked_without_recounting() {
         let mut app = established_app();
-        let seg = relay_builder().tcp_data(101, 0, vec![1u8; 10]);
+        let seg = relay_builder().tcp_data(101, 0, 10);
         handle(&mut app, &seg);
         assert_eq!(app.bytes_received, 10);
         // The network duplicated the segment: re-ACK, count nothing twice.
@@ -475,7 +477,7 @@ mod tests {
     #[test]
     fn fin_beyond_a_hole_is_held_until_contiguous() {
         let mut app = established_app();
-        handle(&mut app, &relay_builder().tcp_data(101, 0, vec![1u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(101, 0, 10));
         // The 111..121 segment is lost; the relay's FIN at 121 races ahead.
         let out = handle(&mut app, &relay_builder().tcp_fin(121, 0));
         assert_eq!(out.len(), 1);
@@ -483,7 +485,7 @@ mod tests {
         assert_eq!(app.state(), AppState::Established);
         // Retransmission fills the hole: the held FIN is processed and the
         // app closes exactly as if the stream had arrived in order.
-        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(111, 0, 10));
         assert_eq!(out.len(), 2, "ACK of FIN plus our FIN");
         assert_eq!(out[0].tcp().unwrap().ack, 122);
         assert!(out[1].tcp().unwrap().flags.contains(TcpFlags::FIN));
@@ -496,14 +498,14 @@ mod tests {
         let mut app = established_app();
         // Two separate holes; the newest arrival's block must come first
         // (RFC 2018), with the rest in ascending order.
-        handle(&mut app, &relay_builder().tcp_data(111, 0, vec![2u8; 10]));
-        let out = handle(&mut app, &relay_builder().tcp_data(131, 0, vec![4u8; 10]));
+        handle(&mut app, &relay_builder().tcp_data(111, 0, 10));
+        let out = handle(&mut app, &relay_builder().tcp_data(131, 0, 10));
         assert_eq!(
             out[0].tcp().unwrap().sack_blocks().unwrap().as_slice(),
             &[(131, 141), (111, 121)]
         );
         // A third arrival joining the two runs collapses them into one block.
-        let out = handle(&mut app, &relay_builder().tcp_data(121, 0, vec![3u8; 10]));
+        let out = handle(&mut app, &relay_builder().tcp_data(121, 0, 10));
         assert_eq!(out[0].tcp().unwrap().sack_blocks().unwrap().as_slice(), &[(111, 141)]);
         assert_eq!(app.dup_acks_sent, 3);
     }
@@ -644,7 +646,7 @@ mod tests {
                     Some(i) => {
                         let (seq, payload) = &segments[i];
                         (
-                            relay.tcp_data(*seq, 0, payload.clone()),
+                            relay.tcp_data(*seq, 0, payload.len()),
                             reference.deliver(*seq, payload, false),
                         )
                     }

@@ -1,9 +1,10 @@
 //! The TUN device's traffic counters.
 //!
-//! The relay engine carries tunnel packet bytes through pooled buffers of
-//! its own (app writes towards the MainWorker, relay writes back to the
-//! apps), so all that is left of the device is what it counts: packets and
-//! bytes in each direction, for throughput and resource accounting.
+//! The relay engine carries tunnel packets itself (app writes towards the
+//! MainWorker as pooled byte buffers, relay writes back to the apps as
+//! parked packets), so all that is left of the device is what it counts:
+//! packets and bytes in each direction, for throughput and resource
+//! accounting.
 
 use mop_json::{FromJson, JsonReader, JsonWrite, ParseError, ToJson};
 

@@ -91,6 +91,11 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # (CHANGES.md, "Tunnel bytes in flight cost their own size").
 ! grep -n 'BTreeMap<u32, Vec<u8>>' crates/tun/src/apps.rs || fail "app reassembly keeps payload copies"
 
+# Forbids the segment payload pool anywhere in the crates, and a byte-vector
+# payload field in the TCP segment or the sender scoreboard: a TCP payload
+# is its length (CHANGES.md, "Server bytes are counted, not copied").
+! { grep -rn 'SegmentPool' crates/*/src; grep -nE '^\s*(pub )?\w+: Vec<u8>,' crates/packet/src/tcp.rs crates/tcpstack/src/recovery.rs; } | grep . || fail "a TCP payload is kept as bytes"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1
