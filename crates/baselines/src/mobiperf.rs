@@ -9,7 +9,7 @@
 //! procedure over the simulated network.
 
 use mop_packet::{Endpoint, FourTuple};
-use mop_simnet::{CostModel, SimDuration, SimNetwork, SimRng, SimTime};
+use mop_simnet::{CostModel, FlowNetState, SimDuration, SimNetwork, SimRng, SimTime};
 
 /// The result of one ping run against a destination.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,9 @@ impl MobiPerf {
             let pre = self.coarse(at);
             let dispatch_before = self.cost.sample_dispatch_delay(&mut self.rng)
                 + SimDuration::from_millis_f64(self.rng.uniform(1.0, 6.0));
-            let outcome = net.connect(flow, at + dispatch_before);
+            // Every ping is a fresh connection, with fresh network state.
+            let state = &mut FlowNetState::default();
+            let outcome = net.connect(state, flow, at + dispatch_before);
             // The post-timestamp is taken after the completion callback has
             // worked its way back through the event loop.
             let dispatch_after = self.cost.sample_dispatch_delay(&mut self.rng)

@@ -10,7 +10,7 @@
 //! bottleneck — which is exactly what happens to Haystack's upload path.
 
 use mop_packet::{Endpoint, FourTuple};
-use mop_simnet::{CostModel, SimNetwork, SimRng, SimTime};
+use mop_simnet::{CostModel, FlowNetState, SimNetwork, SimRng, SimTime};
 use mop_tun::ReadStrategy;
 use mopeye_core::MopEyeConfig;
 
@@ -127,7 +127,8 @@ impl SpeedTest {
 
         // Download: chunks arrive on the access link; the relay (if any)
         // forwards each after its service time, one at a time.
-        let chunks = net.bulk_download(Self::flow(50_000), self.transfer_bytes, start);
+        let download = &mut FlowNetState::default();
+        let chunks = net.bulk_download(download, Self::flow(50_000), self.transfer_bytes, start);
         let download_done = match relay {
             None => chunks.last().map(|(t, _)| *t).unwrap_or(start),
             Some(model) => {
@@ -165,9 +166,12 @@ impl SpeedTest {
         let mut upload_done = start;
         {
             let mut link = net;
+            // One upload connection: its segments share its network state.
+            let upload = &mut FlowNetState::default();
             let mut cursor = start;
             for forwarded in departures {
-                let sched = link.bulk_upload(Self::flow(50_001), SEGMENT, forwarded.max(cursor));
+                let at = forwarded.max(cursor);
+                let sched = link.bulk_upload(upload, Self::flow(50_001), SEGMENT, at);
                 cursor = sched.last().map(|(t, _)| *t).unwrap_or(cursor);
                 upload_done = cursor;
             }

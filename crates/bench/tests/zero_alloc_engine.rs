@@ -65,11 +65,15 @@ const PER_FLOW: u64 = 32;
 /// doublings each of the handful of per-flow vectors that hold a response.
 const PER_FLOW_GROWTH: u64 = 8;
 /// Allocations one loss event may cost (an out-of-order entry, SACK ranges,
-/// the vector that carries a resend). A resend and a duplicated packet are
-/// `(seq, len)` and a header-sized `Packet`, so neither allocates. The whole
-/// lossy run measures 1.68 allocations per loss event, per-flow costs
-/// included; it was 2.15 while every resend and scoreboard entry copied its
-/// payload, and 3.08 while out-of-order segments kept a copy too.
+/// the vector that carries a resend), charged on top of what the clean 4R run
+/// over the same flows measured, so the bound binds per loss event: the
+/// lossy run measures 1.32 allocations per loss event beyond the clean run's
+/// (1,736 against 364, over 1,039 loss events), and a second allocation per
+/// event would fail it. A resend and a duplicated packet are `(seq, len)`
+/// and a header-sized `Packet`, so neither allocates. Counting per-flow
+/// costs in, the run measured 2.15 allocations per loss event while every
+/// resend and scoreboard entry copied its payload, and 3.08 while
+/// out-of-order segments kept a copy too (1.67 now).
 const PER_LOSS_EVENT: u64 = 2;
 /// Extra bytes the warm engine and its report may retain per flow for
 /// relaying 4R instead of R: the larger capacities of the per-flow vectors
@@ -222,12 +226,16 @@ fn a_warm_engine_allocates_per_flow_and_per_loss_event_never_per_packet() {
 
     let lossy = warm_run(NetProfile::DegradedCommute, 4 * R, flows(N, 5, 4 * R));
     assert!(lossy.loss_events > 0, "the degraded commute lost nothing");
-    let budget = (PER_FLOW + PER_FLOW_GROWTH) * N + PER_LOSS_EVENT * lossy.loss_events;
+    // The lossy run relays the clean 4R run's flows: what it allocates
+    // beyond that run's measured count is what its loss events cost.
+    let budget = large.allocs + PER_LOSS_EVENT * lossy.loss_events;
     assert!(
         lossy.allocs <= budget,
-        "{} allocations over {} packets with {} loss events: budget {budget}",
+        "{} allocations over {} packets with {} loss events: budget {budget}, the clean 4R \
+         run's {} plus {PER_LOSS_EVENT} per loss event",
         lossy.allocs,
         lossy.packets,
-        lossy.loss_events
+        lossy.loss_events,
+        large.allocs
     );
 }

@@ -7,10 +7,18 @@
 //! and everything the stages know about the connection sits in one
 //! slab-allocated [`Conn`] that events and cross-stage calls reach by index.
 //!
+//! Beside each record, in the slot its `FlowId` names, the table keeps the
+//! connection's [`FlowNetState`]: what the simulated network carries from
+//! one of its exchanges to the next (sampling context, downstream fault
+//! stream). Past ingress nothing looks a four-tuple up: the relay and egress
+//! stages hand the network the state by id.
+//!
 //! Teardown first resets the *evictable* fields — the TCP side, the RNG
-//! stream and the writer lane — so a torn-down record keeps no machine,
-//! scoreboard or stream, and a stray late packet gets a fresh machine and
-//! re-seeds from `(seed, four-tuple)` exactly as a fresh flow would.
+//! stream, the writer lane and the network's sampling context — so a
+//! torn-down record keeps no machine, scoreboard or stream beyond the fault
+//! stream its late segments still draw from, and a stray late packet gets a
+//! fresh machine and re-seeds from `(seed, four-tuple)` exactly as a fresh
+//! flow would.
 //!
 //! A record then leaves the table as soon as nothing can reach it again:
 //! it has no TCP side and no open socket, no pending event names its
@@ -35,7 +43,7 @@ use std::ops::{Index, IndexMut};
 
 use mop_measure::NetKind;
 use mop_packet::{FastMap, FourTuple, Packet, TcpFlags};
-use mop_simnet::{SimRng, SimTime, SocketId};
+use mop_simnet::{FlowNetState, SimRng, SimTime, SocketId};
 use mop_tcpstack::{ConnTimers, RecoveryState, TcpStateMachine};
 use mop_tun::{AppEndpoint, AppState, DnsClient, FlowSpec};
 
@@ -277,6 +285,14 @@ pub struct ConnTable {
     ids: FastMap<FourTuple, FlowId>,
     /// The live records; a record that leaves frees its slot and id.
     conns: Arena<Conn>,
+    /// Each record's network state, at its slot's position: beside the
+    /// records rather than in them, so a record stays within its shape
+    /// guard. A slot's state is reset when its record leaves, so the next
+    /// record in the slot starts from the default.
+    nets: Vec<FlowNetState>,
+    /// Four-tuple lookups in `ids` and `starts_due` since the table was
+    /// created or cleared.
+    tuple_probes: u64,
     /// Canonical four-tuples that more than one of the run's flows open,
     /// with how many of their `FlowStart`s are still to run: a record whose
     /// tuple is here stays.
@@ -298,6 +314,7 @@ impl ConnTable {
     /// The record id of `flow` (either direction), created on first sight
     /// with `flow` as its app-side tuple.
     pub(crate) fn intern(&mut self, flow: FourTuple) -> FlowId {
+        self.tuple_probes += 1;
         *self.ids.entry(flow.canonical()).or_insert_with(|| {
             let order = u32::try_from(self.outcomes.len()).expect("fewer than 2^32 connections");
             self.outcomes.push(None);
@@ -315,8 +332,16 @@ impl ConnTable {
                 holds: 0,
                 order,
             });
+            if cell.0 as usize == self.nets.len() {
+                self.nets.push(FlowNetState::default());
+            }
             FlowId(cell.0)
         })
+    }
+
+    /// The network state of `id`'s connection.
+    pub(crate) fn net_mut(&mut self, id: FlowId) -> &mut FlowNetState {
+        &mut self.nets[id.0 as usize]
     }
 
     /// Notes the `FlowStart`s a run will run, one four-tuple each, and
@@ -331,6 +356,7 @@ impl ConnTable {
         while at < flows.len() {
             let run = flows[at..].iter().take_while(|&&flow| flow == flows[at]).count();
             if run > 1 {
+                self.tuple_probes += 1;
                 *self.starts_due.entry(flows[at]).or_default() += run as u32;
             }
             at += run;
@@ -341,10 +367,15 @@ impl ConnTable {
     /// and the tuple is interned.
     pub(crate) fn start(&mut self, flow: FourTuple) -> FlowId {
         let key = flow.canonical();
-        if let Some(due) = self.starts_due.get_mut(&key) {
-            *due -= 1;
-            if *due == 0 {
-                self.starts_due.remove(&key);
+        // An empty map is not probed: most runs open every tuple once.
+        if !self.starts_due.is_empty() {
+            self.tuple_probes += 1;
+            if let Some(due) = self.starts_due.get_mut(&key) {
+                *due -= 1;
+                if *due == 0 {
+                    self.tuple_probes += 1;
+                    self.starts_due.remove(&key);
+                }
             }
         }
         self.intern(flow)
@@ -364,19 +395,27 @@ impl ConnTable {
     /// (whose timers are the only events it does not count), no pending
     /// event and no `FlowStart` still to run on its tuple. The socket is
     /// the caller's to check.
-    pub(crate) fn unreachable(&self, id: FlowId) -> bool {
+    pub(crate) fn unreachable(&mut self, id: FlowId) -> bool {
         let conn = &self[id];
-        conn.tcp.is_none()
-            && conn.holds == 0
-            && !self.starts_due.contains_key(&conn.flow.canonical())
+        if conn.tcp.is_some() || conn.holds > 0 {
+            return false;
+        }
+        if self.starts_due.is_empty() {
+            return true;
+        }
+        let key = conn.flow.canonical();
+        self.tuple_probes += 1;
+        !self.starts_due.contains_key(&key)
     }
 
     /// Takes `id`'s record out of the table: its outcome moves to the run's
-    /// outcome list, its index entry goes, and its slot and id are free for
-    /// the next intern. Returns what is left of it.
+    /// outcome list, its index entry and network state go, and its slot and
+    /// id are free for the next intern. Returns what is left of it.
     pub(crate) fn remove(&mut self, id: FlowId) -> Conn {
         let mut conn = self.conns.take(id.cell());
         debug_assert!(conn.tcp.is_none() && conn.connect_pre_ts.is_none() && conn.holds == 0);
+        self.nets[id.0 as usize] = FlowNetState::default();
+        self.tuple_probes += 1;
         self.ids.remove(&conn.flow.canonical());
         self.left_dup_acks += u64::from(conn.app.dup_acks_sent());
         self.outcomes[conn.order as usize] = conn.meta.as_mut().map(|meta| {
@@ -391,6 +430,8 @@ impl ConnTable {
     pub(crate) fn clear(&mut self) {
         self.ids.clear();
         self.conns.clear();
+        self.nets.clear();
+        self.tuple_probes = 0;
         self.starts_due.clear();
         self.outcomes.clear();
         self.left_dup_acks = 0;
@@ -401,6 +442,13 @@ impl ConnTable {
     /// The live records, in slot order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Conn> {
         self.conns.iter()
+    }
+
+    /// Four-tuple lookups in the table's maps since it was created or
+    /// cleared: one per tunnel packet resolved to its record at ingress,
+    /// plus a few per connection (its `FlowStart`, its removal).
+    pub(crate) fn tuple_probes(&self) -> u64 {
+        self.tuple_probes
     }
 
     /// The most records the table held at once since it was created or

@@ -298,8 +298,8 @@ impl MopEyeEngine {
 
     /// Lets `id`'s record leave if nothing can reach it again (see
     /// [`crate::conn`]): no TCP side, no open socket, no pending event and
-    /// no `FlowStart` still to run on its tuple. Its socket entry and the
-    /// wire tap's exchanges of its tuples go with it.
+    /// no `FlowStart` still to run on its tuple. Its network state, its
+    /// socket entry and the wire tap's exchanges of its tuples go with it.
     fn settle(&mut self, id: FlowId) {
         let conns = &mut self.shared.conns;
         let sockets = &mut self.relay.sockets;
@@ -321,9 +321,11 @@ impl MopEyeEngine {
         let mut counters = Counters::default();
         counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
         counters[Counter::ConnsPeakRecords] = self.shared.conns.peak_records() as u64;
+        counters[Counter::TupleProbes] = self.shared.conns.tuple_probes();
         counters[Counter::SocketsPeakHeld] = self.relay.sockets.peak_held() as u64;
         counters[Counter::TapPeakExchanges] = self.shared.net.tap().peak_exchanges() as u64;
         counters[Counter::TapScanElems] = self.shared.net.tap().scan_elems();
+        counters[Counter::WheelPeakCells] = self.sched.peak_cells() as u64;
         counters[Counter::WheelReadyInserts] = self.sched.ready_inserts();
         counters[Counter::WheelReadyShiftElems] = self.sched.ready_shift_elems();
         RunReport {

@@ -82,12 +82,19 @@ pub enum Counter {
     ConnTableScanElems,
     /// Gauge: connection records (and their index entries) held at once.
     ConnsPeakRecords,
+    /// Four-tuple lookups in the connection table's maps: one per tunnel
+    /// packet resolved to its record at ingress, plus a few per connection.
+    /// Nothing past ingress looks a tuple up.
+    TupleProbes,
     /// Gauge: socket entries held at once.
     SocketsPeakHeld,
     /// Gauge: wire-tap exchanges (handshakes and DNS) held at once.
     TapPeakExchanges,
     /// Wire-tap exchange entries examined by RTT queries.
     TapScanElems,
+    /// Gauge: timing-wheel slab cells in use at once. A cancelled timer
+    /// frees its cell at once, so this follows the events pending at once.
+    WheelPeakCells,
     /// Schedules that landed in the timing wheel's sorted due buffer.
     WheelReadyInserts,
     /// Due-buffer elements those sorted inserts shifted.
@@ -96,12 +103,14 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in name (= index) order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 9] = [
         Counter::ConnTableScanElems,
         Counter::ConnsPeakRecords,
+        Counter::TupleProbes,
         Counter::SocketsPeakHeld,
         Counter::TapPeakExchanges,
         Counter::TapScanElems,
+        Counter::WheelPeakCells,
         Counter::WheelReadyInserts,
         Counter::WheelReadyShiftElems,
     ];
@@ -111,9 +120,11 @@ impl Counter {
         match self {
             Counter::ConnTableScanElems => "conn_table.scan_elems",
             Counter::ConnsPeakRecords => "conns.peak_records",
+            Counter::TupleProbes => "conns.tuple_probes",
             Counter::SocketsPeakHeld => "sockets.peak_held",
             Counter::TapPeakExchanges => "tap.peak_exchanges",
             Counter::TapScanElems => "tap.scan_elems",
+            Counter::WheelPeakCells => "wheel.peak_cells",
             Counter::WheelReadyInserts => "wheel.ready_inserts",
             Counter::WheelReadyShiftElems => "wheel.ready_shift_elems",
         }
@@ -124,7 +135,10 @@ impl Counter {
     pub(crate) fn is_gauge(self) -> bool {
         matches!(
             self,
-            Counter::ConnsPeakRecords | Counter::SocketsPeakHeld | Counter::TapPeakExchanges
+            Counter::ConnsPeakRecords
+                | Counter::SocketsPeakHeld
+                | Counter::TapPeakExchanges
+                | Counter::WheelPeakCells
         )
     }
 }
@@ -269,11 +283,13 @@ mod tests {
             [
                 ("conn_table.scan_elems", 1),
                 ("conns.peak_records", 11),
-                ("sockets.peak_held", 21),
-                ("tap.peak_exchanges", 31),
-                ("tap.scan_elems", 45),
-                ("wheel.ready_inserts", 56),
-                ("wheel.ready_shift_elems", 67),
+                ("conns.tuple_probes", 23),
+                ("sockets.peak_held", 31),
+                ("tap.peak_exchanges", 41),
+                ("tap.scan_elems", 56),
+                ("wheel.peak_cells", 61),
+                ("wheel.ready_inserts", 78),
+                ("wheel.ready_shift_elems", 89),
             ]
         );
         // Name order is index order.

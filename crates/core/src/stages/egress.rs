@@ -73,14 +73,14 @@ impl EgressStage {
         // eligible (control segments — SYN/ACK, pure ACKs, FINs, RSTs — are
         // never faulted, so handshakes and teardowns stay loss-free and RTT
         // samples stay comparable across loss rates). Each decision comes
-        // from the flow's dedicated fault stream keyed by `(seed,
-        // four-tuple)`, so any shard partition faults the same segments. The
-        // writer already counted the write: a dropped segment consumed the
-        // tunnel exactly like a delivered one.
+        // from the connection's dedicated fault stream, kept in its network
+        // state and seeded from `(seed, four-tuple)`, so any shard partition
+        // faults the same segments. The writer already counted the write: a
+        // dropped segment consumed the tunnel exactly like a delivered one.
         if packet.tcp().is_some_and(|t| t.payload_len > 0) && sh.net.faults_possible() {
-            // The network keys its fault stream by the packet's own tuple.
+            // The network seeds the fault stream from the packet's own tuple.
             if let Some(wire_flow) = packet.four_tuple() {
-                match sh.net.data_fault(wire_flow, deliver_at) {
+                match sh.net.data_fault(sh.conns.net_mut(id), wire_flow, deliver_at) {
                     FaultDecision::Deliver => {}
                     FaultDecision::Drop => return,
                     FaultDecision::Duplicate => {

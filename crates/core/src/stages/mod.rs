@@ -93,7 +93,9 @@ pub struct EngineShared {
     /// The device-wide RNG stream ([`NetKeying::Shared`]).
     pub rng: SimRng,
     /// The per-connection records, holding (among everything else) each
-    /// connection's RNG stream under [`NetKeying::FlowKeyed`].
+    /// connection's RNG stream under [`NetKeying::FlowKeyed`], and beside
+    /// them each connection's network state, which the stages hand to
+    /// [`SimNetwork`] by id.
     pub conns: ConnTable,
     /// Packets on their way to an app: egress (and the relay, for a DNS
     /// answer) parks each one here when it schedules the delivery, and the
@@ -177,9 +179,12 @@ impl EngineShared {
         }
     }
 
-    /// Evicts a finished connection's keyed stochastic state (RNG stream,
-    /// writer lane, network context), so shard memory is bounded by
-    /// *concurrent* flows' streams, not by every flow a fleet run has seen.
+    /// Evicts a torn-down connection's keyed stochastic state (RNG stream,
+    /// writer lane, the network's sampling context), so shard memory is
+    /// bounded by *concurrent* flows' streams, not by every flow a fleet run
+    /// has seen. The network's fault stream for the segments towards the app
+    /// stays ([`mop_simnet::FlowNetState::release`]); it leaves with the
+    /// record.
     ///
     /// Safe for determinism: if a stray late packet draws again, the fresh
     /// stream restarts from the flow's seed — still a pure function of
@@ -189,7 +194,7 @@ impl EngineShared {
             let conn = &mut self.conns[id];
             conn.rng = None;
             conn.lane = WriterLane::default();
-            self.net.release_flow(conn.flow);
+            self.conns.net_mut(id).release();
         }
     }
 

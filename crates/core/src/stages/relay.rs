@@ -304,7 +304,7 @@ impl RelayStage {
         // connect() is invoked now; the pre-connect timestamp (§4.1.1) is
         // this instant read off the configured clock.
         sh.conns.begin_connect(id, t);
-        let outcome = self.sockets.connect(&mut sh.net, socket, dst, t);
+        let outcome = self.sockets.connect(&mut sh.net, sh.conns.net_mut(id), socket, dst, t);
         sh.conns[id].socket = Some(socket);
         sh.schedule(sched, outcome.completed_at, Event::ExternalConnected(id));
     }
@@ -462,7 +462,7 @@ impl RelayStage {
             return;
         }
         self.sockets.buffer_write(socket, len);
-        self.sockets.flush_writes(&mut sh.net, socket, now);
+        self.sockets.flush_writes(&mut sh.net, sh.conns.net_mut(id), socket, now);
         // The socket write completes locally; acknowledge the app's data.
         self.drive_machine(sh, egress, sched, now, id, |m, out| {
             m.on_external_write_complete_into(out)
@@ -816,7 +816,7 @@ impl RelayStage {
         sh.checkin_rng(id, rng);
         sh.ledger.charge(Component::DnsThreads, spawn);
         let send_at = now + spawn;
-        let outcome = sh.net.dns_lookup(flow.src, name, send_at);
+        let outcome = sh.net.dns_lookup(sh.conns.net_mut(id), flow.src, name, send_at);
         sh.conns[id].dns_pending = Some((sh.timestamp(send_at), name.to_string()));
         for addr in &outcome.addrs {
             self.ip_to_domain.insert(IpAddr::V4(*addr), name.to_string());

@@ -43,12 +43,14 @@
 //! Deterministic sampling against a simulated path:
 //!
 //! ```
-//! use mop_simnet::{SimNetwork, SimTime};
+//! use mop_simnet::{FlowNetState, SimNetwork, SimTime};
 //! use mop_packet::{Endpoint, FourTuple};
 //!
 //! let mut net = SimNetwork::builder().seed(7).with_table2_destinations().build();
 //! let flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40_000), Endpoint::v4(216, 58, 221, 132, 443));
-//! let outcome = net.connect(flow, SimTime::from_millis(10));
+//! // The caller keeps the connection's network state between its exchanges.
+//! let mut state = FlowNetState::default();
+//! let outcome = net.connect(&mut state, flow, SimTime::from_millis(10));
 //! assert!(outcome.success);
 //! // The wire tap saw the same handshake tcpdump would have seen.
 //! assert_eq!(net.tap().handshake_rtt(flow).unwrap(), outcome.completed_at - outcome.syn_sent);
@@ -80,7 +82,7 @@ pub use dnssrv::DnsServerConfig;
 pub use fault::{FaultDecision, FaultPlan};
 pub use latency::LatencyModel;
 pub use network::{
-    ConnectOutcome, DnsOutcome, NetKeying, SimNetwork, SimNetworkBuilder,
+    ConnectOutcome, DnsOutcome, FlowNetState, NetKeying, SimNetwork, SimNetworkBuilder,
 };
 pub use pool::{BufferPool, PoolStats};
 pub use profile::{AccessProfile, NetworkType};

@@ -6,11 +6,18 @@
 //! given the access link's bandwidth? when does the DNS resolver answer?*
 //! Every answer is also recorded on the [`WireTap`] so that ground-truth
 //! (tcpdump-equivalent) RTTs are available to the accuracy experiments.
+//!
+//! The network keeps no per-connection state of its own. What one
+//! connection's exchanges carry from one to the next — its sampling stream
+//! and link cursors under [`NetKeying::FlowKeyed`], the fault stream of the
+//! segments delivered towards its app — is a [`FlowNetState`] its caller
+//! holds (the engine, one per connection record, named by the record's dense
+//! id) and passes to every call, so no exchange looks a four-tuple up.
 
 use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv4Addr};
 
-use mop_packet::{Endpoint, FastMap, FourTuple};
+use mop_packet::{Endpoint, FourTuple};
 
 use crate::dnssrv::{DnsAnswer, DnsServerConfig};
 use crate::fault::{FaultDecision, FaultPlan};
@@ -56,13 +63,44 @@ pub enum NetKeying {
 }
 
 /// The mutable state one exchange samples against: an RNG stream plus the
-/// link-reservation cursors. Checked out of the network (either the shared
-/// copy or the flow's own) for the duration of one call.
+/// link-reservation cursors. Checked out (of the network under
+/// [`NetKeying::Shared`], of the flow's [`FlowNetState`] under
+/// [`NetKeying::FlowKeyed`]) for the duration of one call.
 #[derive(Debug)]
 struct FlowNetCtx {
     rng: SimRng,
     uplink_busy: SimTime,
     downlink_busy: SimTime,
+}
+
+/// What the network carries from one exchange of a connection to the next:
+/// its sampling context (flow-keyed networks only) and the fault stream of
+/// the data segments delivered towards its app. Both are created on first
+/// use, seeded from the network seed and the four-tuple of the exchange
+/// that creates them, so a fresh state replays a flow exactly.
+///
+/// The caller owns it, one per connection, and passes it to every exchange
+/// of that connection ([`SimNetwork::connect`],
+/// [`SimNetwork::data_fault`], ...). A connection that is torn down calls
+/// [`FlowNetState::release`]; one that is gone drops its state, or resets
+/// it to the default before the next connection uses it.
+#[derive(Debug, Default)]
+pub struct FlowNetState {
+    ctx: Option<FlowNetCtx>,
+    fault: Option<SimRng>,
+}
+
+impl FlowNetState {
+    /// Drops the sampling context of a torn-down connection (nothing under
+    /// [`NetKeying::Shared`], which keeps none here), so the state of a
+    /// finished flow is only the fault stream it may still draw from. A late
+    /// exchange recreates the context from the flow's seed — still a pure
+    /// function of `(seed, four-tuple)`. The fault stream stays until the
+    /// connection is gone: late segments towards the app keep drawing from
+    /// it.
+    pub fn release(&mut self) {
+        self.ctx = None;
+    }
 }
 
 /// Result of a TCP connection attempt.
@@ -186,8 +224,6 @@ impl SimNetworkBuilder {
             uplink_busy_until: SimTime::ZERO,
             keying: self.keying,
             handover: self.handover,
-            flow_ctx: FastMap::default(),
-            fault_rng: FastMap::default(),
         }
     }
 }
@@ -210,8 +246,6 @@ pub struct SimNetwork {
     uplink_busy_until: SimTime,
     keying: NetKeying,
     handover: Option<(SimTime, AccessProfile)>,
-    flow_ctx: FastMap<FourTuple, FlowNetCtx>,
-    fault_rng: FastMap<FourTuple, SimRng>,
 }
 
 impl SimNetwork {
@@ -247,46 +281,28 @@ impl SimNetwork {
 
     /// Checks out the sampling context for one exchange on `flow`: the
     /// shared state under [`NetKeying::Shared`], the flow's own stream and
-    /// link cursors under [`NetKeying::FlowKeyed`]. Must be paired with
-    /// [`SimNetwork::checkin`].
-    fn checkout(&mut self, flow: FourTuple) -> FlowNetCtx {
+    /// link cursors (kept in `state`, seeded from `flow` when absent) under
+    /// [`NetKeying::FlowKeyed`]. Must be paired with [`SimNetwork::checkin`].
+    fn checkout(&mut self, state: &mut FlowNetState, flow: FourTuple) -> FlowNetCtx {
         match self.keying {
             NetKeying::Shared => FlowNetCtx {
                 rng: std::mem::replace(&mut self.rng, SimRng::seed_from_u64(0)),
                 uplink_busy: self.uplink_busy_until,
                 downlink_busy: self.downlink_busy_until,
             },
-            NetKeying::FlowKeyed => {
-                self.flow_ctx.remove(&flow).unwrap_or_else(|| FlowNetCtx {
-                    rng: SimRng::seed_from_u64(
-                        self.seed ^ flow.stable_hash() ^ NET_KEY_SALT,
-                    ),
-                    uplink_busy: SimTime::ZERO,
-                    downlink_busy: SimTime::ZERO,
-                })
-            }
+            NetKeying::FlowKeyed => state.ctx.take().unwrap_or_else(|| FlowNetCtx {
+                rng: SimRng::seed_from_u64(self.seed ^ flow.stable_hash() ^ NET_KEY_SALT),
+                uplink_busy: SimTime::ZERO,
+                downlink_busy: SimTime::ZERO,
+            }),
         }
     }
 
-    /// Drops the per-flow sampling context of a finished flow (a no-op
-    /// under [`NetKeying::Shared`]). The engine calls this on teardown so a
-    /// long fleet run's memory is bounded by concurrent flows; if a late
-    /// exchange recreates the context, it restarts from the flow's seed —
-    /// still a pure function of `(seed, four-tuple)`.
-    pub fn release_flow(&mut self, flow: FourTuple) {
-        self.flow_ctx.remove(&flow);
-        self.fault_rng.remove(&flow);
-    }
-
-    /// Drops everything the network keeps about `flow`: its sampling
-    /// context and fault streams, as [`SimNetwork::release_flow`] does (the
-    /// fault stream of the segments delivered towards its app too, which is
-    /// keyed server side first), and its wire-tap exchanges. The engine
-    /// calls this once nothing can reach the flow again, so a long run's
-    /// network state follows the flows open at once.
+    /// Drops the wire-tap exchanges of `flow`. The engine calls this once
+    /// nothing can reach the flow again, so a long run's capture follows the
+    /// flows open at once; the flow's other network state is its
+    /// [`FlowNetState`], which leaves with the connection.
     pub fn forget_flow(&mut self, flow: FourTuple) {
-        self.release_flow(flow);
-        self.fault_rng.remove(&flow.reversed());
         self.tap.forget(flow);
     }
 
@@ -301,16 +317,23 @@ impl SimNetwork {
             || self.handover.as_ref().is_some_and(|(_, to)| to.has_data_faults())
     }
 
-    /// Decides the fate of one relayed data segment on `flow` delivered
-    /// around time `at`: drop it, duplicate it, delay it past its
-    /// successors, or deliver it untouched.
+    /// Decides the fate of one relayed data segment delivered around time
+    /// `at` towards the app of the connection whose state is `state`: drop
+    /// it, duplicate it, delay it past its successors, or deliver it
+    /// untouched. `flow` is the segment's own four-tuple (server to app).
     ///
-    /// Draws come from the flow's dedicated fault stream (seeded
-    /// `seed ^ flow.stable_hash() ^ FAULT_KEY_SALT`), created lazily and
-    /// dropped by [`SimNetwork::release_flow`]. On a profile without data
-    /// faults this returns [`FaultDecision::Deliver`] without creating any
-    /// state or drawing any randomness.
-    pub fn data_fault(&mut self, flow: FourTuple, at: SimTime) -> FaultDecision {
+    /// Draws come from the connection's dedicated fault stream, kept in
+    /// `state` in either keying and created on first use, seeded
+    /// `seed ^ flow.stable_hash() ^ FAULT_KEY_SALT`. It lives as long as
+    /// the state: [`FlowNetState::release`] keeps it. On a profile without
+    /// data faults this returns [`FaultDecision::Deliver`] without creating
+    /// any state or drawing any randomness.
+    pub fn data_fault(
+        &self,
+        state: &mut FlowNetState,
+        flow: FourTuple,
+        at: SimTime,
+    ) -> FaultDecision {
         let (plan, base_delay_ms) = {
             let access = self.access_at(at);
             if !access.has_data_faults() {
@@ -318,23 +341,21 @@ impl SimNetwork {
             }
             (FaultPlan::from_profile(access), access.access_rtt.nominal_ms())
         };
-        let rng = self.fault_rng.entry(flow).or_insert_with(|| {
+        let rng = state.fault.get_or_insert_with(|| {
             SimRng::seed_from_u64(self.seed ^ flow.stable_hash() ^ FAULT_KEY_SALT)
         });
         plan.decide(rng, base_delay_ms)
     }
 
     /// Returns a context checked out with [`SimNetwork::checkout`].
-    fn checkin(&mut self, flow: FourTuple, ctx: FlowNetCtx) {
+    fn checkin(&mut self, state: &mut FlowNetState, ctx: FlowNetCtx) {
         match self.keying {
             NetKeying::Shared => {
                 self.rng = ctx.rng;
                 self.uplink_busy_until = ctx.uplink_busy;
                 self.downlink_busy_until = ctx.downlink_busy;
             }
-            NetKeying::FlowKeyed => {
-                self.flow_ctx.insert(flow, ctx);
-            }
+            NetKeying::FlowKeyed => state.ctx = Some(ctx),
         }
     }
 
@@ -362,9 +383,14 @@ impl SimNetwork {
     }
 
     /// Attempts a TCP handshake from `flow.src` to `flow.dst`, with the SYN
-    /// leaving the handset at `at`.
-    pub fn connect(&mut self, flow: FourTuple, at: SimTime) -> ConnectOutcome {
-        let mut ctx = self.checkout(flow);
+    /// leaving the handset at `at`, on the connection whose state is `state`.
+    pub fn connect(
+        &mut self,
+        state: &mut FlowNetState,
+        flow: FourTuple,
+        at: SimTime,
+    ) -> ConnectOutcome {
+        let mut ctx = self.checkout(state, flow);
         let rtt = self.path_rtt_sample(&mut ctx.rng, flow.dst.addr, at);
         let access = self.access_at(at);
         let syn_sent = at + SimDuration::from_millis_f64(access.uplink_tx_delay_ms(60));
@@ -428,7 +454,7 @@ impl SimNetwork {
                 }
             }
         };
-        self.checkin(flow, ctx);
+        self.checkin(state, ctx);
         outcome
     }
 
@@ -439,12 +465,13 @@ impl SimNetwork {
     /// whole schedule is drawn here, at request time.
     pub(crate) fn request_response(
         &mut self,
+        state: &mut FlowNetState,
         flow: FourTuple,
         request_bytes: usize,
         at: SimTime,
         arrivals: &mut VecDeque<(SimTime, usize)>,
     ) {
-        let mut ctx = self.checkout(flow);
+        let mut ctx = self.checkout(state, flow);
         let rtt = self.path_rtt_sample(&mut ctx.rng, flow.dst.addr, at);
         let half_rtt = SimDuration::from_millis_f64(rtt.as_millis_f64() / 2.0);
         let tx_up =
@@ -481,14 +508,20 @@ impl SimNetwork {
                 remaining -= chunk;
             }
         }
-        self.checkin(flow, ctx);
+        self.checkin(state, ctx);
     }
 
     /// Streams `bytes` from the destination to the handset starting at `at`
     /// (a bulk download, bounded by the downlink capacity). Returns the chunk
     /// arrival schedule.
-    pub fn bulk_download(&mut self, flow: FourTuple, bytes: usize, at: SimTime) -> Vec<(SimTime, usize)> {
-        let mut ctx = self.checkout(flow);
+    pub fn bulk_download(
+        &mut self,
+        state: &mut FlowNetState,
+        flow: FourTuple,
+        bytes: usize,
+        at: SimTime,
+    ) -> Vec<(SimTime, usize)> {
+        let mut ctx = self.checkout(state, flow);
         let rtt = self.path_rtt_sample(&mut ctx.rng, flow.dst.addr, at);
         let mut cursor = at + rtt; // Request propagation + first byte.
         let mut remaining = bytes;
@@ -501,7 +534,7 @@ impl SimNetwork {
             chunks.push((cursor, chunk));
             remaining -= chunk;
         }
-        self.checkin(flow, ctx);
+        self.checkin(state, ctx);
         chunks
     }
 
@@ -509,8 +542,14 @@ impl SimNetwork {
     /// (a bulk upload, bounded by the uplink capacity). Returns the chunk
     /// departure schedule; each entry is when the chunk finished serialising
     /// onto the access link.
-    pub fn bulk_upload(&mut self, flow: FourTuple, bytes: usize, at: SimTime) -> Vec<(SimTime, usize)> {
-        let mut ctx = self.checkout(flow);
+    pub fn bulk_upload(
+        &mut self,
+        state: &mut FlowNetState,
+        flow: FourTuple,
+        bytes: usize,
+        at: SimTime,
+    ) -> Vec<(SimTime, usize)> {
+        let mut ctx = self.checkout(state, flow);
         let mut cursor = at;
         let mut remaining = bytes;
         let mut chunks = Vec::with_capacity(bytes / SEGMENT_BYTES + 1);
@@ -522,21 +561,27 @@ impl SimNetwork {
             chunks.push((cursor, chunk));
             remaining -= chunk;
         }
-        self.checkin(flow, ctx);
+        self.checkin(state, ctx);
         chunks
     }
 
     /// Resolves `name` through the ISP resolver, with the query leaving the
-    /// handset at `at`.
-    pub fn dns_lookup(&mut self, src: Endpoint, name: &str, at: SimTime) -> DnsOutcome {
+    /// handset at `at` from `src`, on the connection whose state is `state`.
+    pub fn dns_lookup(
+        &mut self,
+        state: &mut FlowNetState,
+        src: Endpoint,
+        name: &str,
+        at: SimTime,
+    ) -> DnsOutcome {
         let flow = FourTuple::new(src, Endpoint::new(self.dns.addr, 53));
-        let mut ctx = self.checkout(flow);
+        let mut ctx = self.checkout(state, flow);
         let query_sent =
             at + SimDuration::from_millis_f64(self.access_at(at).uplink_tx_delay_ms(64));
         self.tap.record(query_sent, TapDirection::Outbound, TapKind::DnsQuery, flow);
         let answer = self.dns.resolve(name, &mut ctx.rng);
         let rtt = SimDuration::from_millis_f64(self.dns.sample_rtt_ms(&mut ctx.rng));
-        self.checkin(flow, ctx);
+        self.checkin(state, ctx);
         match answer {
             DnsAnswer::Timeout => {
                 DnsOutcome { query_sent, response_at: None, addrs: Vec::new(), nxdomain: false }
@@ -581,7 +626,7 @@ mod tests {
     fn connect_rtt_matches_tap_ground_truth() {
         let mut net = network();
         let flow = google_flow(40000);
-        let outcome = net.connect(flow, SimTime::from_millis(10));
+        let outcome = net.connect(&mut FlowNetState::default(), flow, SimTime::from_millis(10));
         assert!(outcome.success);
         let tap_rtt = net.tap().handshake_rtt(flow).unwrap();
         assert_eq!(outcome.completed_at - outcome.syn_sent, tap_rtt);
@@ -592,10 +637,12 @@ mod tests {
     #[test]
     fn dropbox_is_much_slower_than_google() {
         let mut net = network();
-        let google = net.connect(google_flow(40000), SimTime::ZERO).true_rtt;
+        let google =
+            net.connect(&mut FlowNetState::default(), google_flow(40000), SimTime::ZERO).true_rtt;
         let dropbox_flow =
             FourTuple::new(Endpoint::v4(10, 0, 0, 2, 40001), Endpoint::v4(108, 160, 166, 126, 443));
-        let dropbox = net.connect(dropbox_flow, SimTime::ZERO).true_rtt;
+        let dropbox =
+            net.connect(&mut FlowNetState::default(), dropbox_flow, SimTime::ZERO).true_rtt;
         assert!(dropbox.as_millis_f64() > google.as_millis_f64() * 5.0);
     }
 
@@ -616,12 +663,12 @@ mod tests {
                 Service::Blackhole,
             ))
             .build();
-        let refused = net.connect(
+        let refused = net.connect(&mut FlowNetState::default(), 
             FourTuple::new(Endpoint::v4(10, 0, 0, 2, 1), Endpoint::v4(10, 9, 9, 9, 80)),
             SimTime::ZERO,
         );
         assert!(!refused.success && refused.refused);
-        let hole = net.connect(
+        let hole = net.connect(&mut FlowNetState::default(), 
             FourTuple::new(Endpoint::v4(10, 0, 0, 2, 2), Endpoint::v4(10, 9, 9, 10, 80)),
             SimTime::ZERO,
         );
@@ -637,7 +684,7 @@ mod tests {
         let earlier = (SimTime::from_millis(1), 7);
         let mut arrivals = VecDeque::from([earlier]);
         let at = SimTime::from_millis(100);
-        net.request_response(flow, 500, at, &mut arrivals);
+        net.request_response(&mut FlowNetState::default(), flow, 500, at, &mut arrivals);
         assert_eq!(arrivals.pop_front(), Some(earlier));
         let received: usize = arrivals.iter().map(|(_, b)| *b).sum();
         assert_eq!(received, 32 * 1024, "the whole response body");
@@ -655,7 +702,7 @@ mod tests {
         let flow = google_flow(40003);
         let bytes = 3 * 1024 * 1024; // 3 MiB.
         let start = SimTime::ZERO;
-        let chunks = net.bulk_download(flow, bytes, start);
+        let chunks = net.bulk_download(&mut FlowNetState::default(), flow, bytes, start);
         let done = chunks.last().unwrap().0;
         let seconds = (done - start).as_millis_f64() / 1000.0;
         let mbps = bytes as f64 * 8.0 / 1_000_000.0 / seconds;
@@ -669,7 +716,7 @@ mod tests {
         let mut net = network();
         let flow = google_flow(40004);
         let bytes = 2 * 1024 * 1024;
-        let chunks = net.bulk_upload(flow, bytes, SimTime::ZERO);
+        let chunks = net.bulk_upload(&mut FlowNetState::default(), flow, bytes, SimTime::ZERO);
         let done = chunks.last().unwrap().0;
         let mbps = bytes as f64 * 8.0 / 1_000_000.0 / (done.as_nanos() as f64 / 1e9);
         assert!(mbps < 26.5, "upload throughput {mbps}");
@@ -680,11 +727,12 @@ mod tests {
     fn dns_lookup_resolves_registered_domains() {
         let mut net = network();
         let src = Endpoint::v4(10, 0, 0, 2, 41000);
-        let outcome = net.dns_lookup(src, "www.google.com", SimTime::from_millis(5));
+        let mut state = FlowNetState::default();
+        let outcome = net.dns_lookup(&mut state, src, "www.google.com", SimTime::from_millis(5));
         assert!(!outcome.nxdomain);
         assert_eq!(outcome.addrs, vec![Ipv4Addr::new(216, 58, 221, 132)]);
         assert!(outcome.rtt().unwrap() > SimDuration::ZERO);
-        let missing = net.dns_lookup(src, "unknown.example", SimTime::from_millis(6));
+        let missing = net.dns_lookup(&mut state, src, "unknown.example", SimTime::from_millis(6));
         assert!(missing.nxdomain);
         assert!(missing.addrs.is_empty());
     }
@@ -698,7 +746,7 @@ mod tests {
             .access(AccessProfile { loss: 1.0, ..AccessProfile::wifi() })
             .build();
         let flow = google_flow(40100);
-        let outcome = always.connect(flow, SimTime::ZERO);
+        let outcome = always.connect(&mut FlowNetState::default(), flow, SimTime::ZERO);
         assert!(!outcome.success && !outcome.refused);
         assert_eq!(outcome.completed_at - outcome.syn_sent, CONNECT_TIMEOUT);
         // The tap recorded the retransmissions at 1, 3, 7, 15 s after the
@@ -724,7 +772,7 @@ mod tests {
                 .access(AccessProfile { loss: 0.4, ..AccessProfile::wifi() })
                 .build();
             let flow = google_flow(40101);
-            let outcome = net.connect(flow, SimTime::ZERO);
+            let outcome = net.connect(&mut FlowNetState::default(), flow, SimTime::ZERO);
             if !outcome.success {
                 continue;
             }
@@ -739,55 +787,76 @@ mod tests {
 
     #[test]
     fn data_faults_are_flow_keyed_and_released() {
-        let mut net = SimNetwork::builder()
+        let net = SimNetwork::builder()
             .seed(5)
             .access(AccessProfile::lossy_3g())
             .build();
         assert!(net.faults_possible());
         let flow = google_flow(40200);
-        let schedule: Vec<_> =
-            (0..200).map(|_| net.data_fault(flow, SimTime::ZERO)).collect();
+        let mut state = FlowNetState::default();
+        let draw = |state: &mut FlowNetState, flow| -> Vec<_> {
+            (0..200).map(|_| net.data_fault(state, flow, SimTime::ZERO)).collect()
+        };
+        let schedule = draw(&mut state, flow);
         assert!(schedule.iter().any(|&d| d != FaultDecision::Deliver), "lossy 3G fired no faults");
-        // Releasing the flow rewinds its fault stream to the seed.
-        net.release_flow(flow);
-        let replay: Vec<_> =
-            (0..200).map(|_| net.data_fault(flow, SimTime::ZERO)).collect();
-        assert_eq!(schedule, replay);
+        // A fresh state replays the flow's fault stream from its seed.
+        assert_eq!(draw(&mut FlowNetState::default(), flow), schedule);
+        // Releasing a torn-down connection keeps its fault stream: late
+        // segments continue it rather than replaying it.
+        state.release();
+        assert_ne!(draw(&mut state, flow), schedule);
         // Another flow sees an independent schedule.
-        net.release_flow(flow);
-        let other: Vec<_> =
-            (0..200).map(|_| net.data_fault(google_flow(40201), SimTime::ZERO)).collect();
-        assert_ne!(schedule, other);
+        assert_ne!(draw(&mut FlowNetState::default(), google_flow(40201)), schedule);
     }
 
     #[test]
     fn clean_profiles_never_fault_and_keep_no_state() {
-        let mut net = SimNetwork::builder().seed(6).build();
+        let net = SimNetwork::builder().seed(6).build();
         assert!(!net.faults_possible());
         let flow = google_flow(40202);
+        let mut state = FlowNetState::default();
         for _ in 0..50 {
-            assert_eq!(net.data_fault(flow, SimTime::ZERO), FaultDecision::Deliver);
+            assert_eq!(net.data_fault(&mut state, flow, SimTime::ZERO), FaultDecision::Deliver);
         }
-        assert!(net.fault_rng.is_empty(), "clean profile allocated fault state");
+        assert!(state.fault.is_none(), "clean profile allocated fault state");
         // A handover onto a faulty profile flips faults_possible and makes
         // post-handover segments eligible.
-        let mut mixed = SimNetwork::builder()
+        let mixed = SimNetwork::builder()
             .seed(6)
             .handover_at(SimTime::from_millis(1000), AccessProfile::lossy_3g())
             .build();
         assert!(mixed.faults_possible());
-        assert_eq!(mixed.data_fault(flow, SimTime::ZERO), FaultDecision::Deliver);
-        assert!(mixed.fault_rng.is_empty());
-        let late: Vec<_> =
-            (0..300).map(|_| mixed.data_fault(flow, SimTime::from_millis(1500))).collect();
+        assert_eq!(mixed.data_fault(&mut state, flow, SimTime::ZERO), FaultDecision::Deliver);
+        assert!(state.fault.is_none());
+        let late: Vec<_> = (0..300)
+            .map(|_| mixed.data_fault(&mut state, flow, SimTime::from_millis(1500)))
+            .collect();
         assert!(late.iter().any(|&d| d != FaultDecision::Deliver));
+    }
+
+    #[test]
+    fn flow_keyed_exchanges_continue_the_state_they_are_given() {
+        // Under flow keying a connection's exchanges draw from the stream in
+        // its state: a second exchange continues it, and a fresh state for
+        // the same tuple replays the first exchange exactly.
+        let mut net = SimNetwork::builder().seed(8).flow_keyed().with_table2_destinations().build();
+        let flow = google_flow(40300);
+        let mut state = FlowNetState::default();
+        let first = net.connect(&mut state, flow, SimTime::ZERO);
+        let second = net.connect(&mut state, flow, SimTime::ZERO);
+        assert_ne!(first.true_rtt, second.true_rtt, "the second exchange drew afresh");
+        let replay = net.connect(&mut FlowNetState::default(), flow, SimTime::ZERO);
+        assert_eq!(replay, first);
+        // Releasing drops the context, so the next exchange replays too.
+        state.release();
+        assert_eq!(net.connect(&mut state, flow, SimTime::ZERO), first);
     }
 
     #[test]
     fn unknown_destination_uses_default_path() {
         let mut net = SimNetwork::builder().seed(9).build();
         let flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 1), Endpoint::v4(203, 0, 113, 7, 443));
-        let outcome = net.connect(flow, SimTime::ZERO);
+        let outcome = net.connect(&mut FlowNetState::default(), flow, SimTime::ZERO);
         assert!(outcome.success);
         assert!(outcome.true_rtt.as_millis_f64() > 5.0);
     }

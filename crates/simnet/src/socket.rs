@@ -22,7 +22,7 @@ use std::mem;
 
 use mop_packet::{Endpoint, FourTuple};
 
-use crate::network::{ConnectOutcome, SimNetwork};
+use crate::network::{ConnectOutcome, FlowNetState, SimNetwork};
 use crate::time::SimTime;
 
 /// Identifier of a socket within a [`SocketSet`].
@@ -245,7 +245,8 @@ impl SocketSet {
         self.entry_mut(id).protected = true;
     }
 
-    /// Starts a TCP connect to `dst` with the SYN leaving at `at`.
+    /// Starts a TCP connect to `dst` with the SYN leaving at `at`, on the
+    /// connection whose network state is `state`.
     ///
     /// Returns the network outcome; the socket transitions to `Connecting`
     /// and matures at `outcome.completed_at` (observed via
@@ -257,6 +258,7 @@ impl SocketSet {
     pub fn connect(
         &mut self,
         net: &mut SimNetwork,
+        state: &mut FlowNetState,
         id: SocketId,
         dst: Endpoint,
         at: SimTime,
@@ -266,7 +268,7 @@ impl SocketSet {
             matches!(self.entry(id).state, SocketState::Unconnected),
             "connect on a socket that is not unconnected"
         );
-        let outcome = net.connect(FourTuple::new(local, dst), at);
+        let outcome = net.connect(state, FourTuple::new(local, dst), at);
         let e = self.entry_mut(id);
         e.remote = Some(dst);
         e.connect_outcome = Some(outcome);
@@ -309,14 +311,21 @@ impl SocketSet {
     }
 
     /// Flushes the write buffer to the network at `at`, performing a
-    /// request/response exchange with the destination. The network appends
+    /// request/response exchange with the destination on the connection
+    /// whose network state is `state`. The network appends
     /// the response's chunks to the socket's pending reads directly. Returns
     /// the number of bytes flushed.
     ///
     /// # Panics
     ///
     /// Panics if the socket is not connected.
-    pub fn flush_writes(&mut self, net: &mut SimNetwork, id: SocketId, at: SimTime) -> usize {
+    pub fn flush_writes(
+        &mut self,
+        net: &mut SimNetwork,
+        state: &mut FlowNetState,
+        id: SocketId,
+        at: SimTime,
+    ) -> usize {
         let flow = self.flow(id).expect("flushing an unconnected socket");
         let e = self.sockets.get_mut(id.0 as usize).expect("unknown socket id");
         assert!(
@@ -329,7 +338,7 @@ impl SocketSet {
         }
         e.write_buffered = 0;
         e.bytes_written += bytes;
-        net.request_response(flow, bytes, at, &mut e.pending_reads);
+        net.request_response(state, flow, bytes, at, &mut e.pending_reads);
         bytes
     }
 
@@ -461,10 +470,11 @@ mod tests {
     #[test]
     fn connect_then_poll_transitions_states() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::Blocking);
         assert_eq!(set.state(id), SocketState::Unconnected);
-        let outcome = set.connect(&mut net, id, google(), SimTime::from_millis(10));
+        let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::from_millis(10));
         assert!(matches!(set.state(id), SocketState::Connecting { .. }));
         // Too early: still connecting.
         assert!(matches!(set.poll_connect(id, SimTime::from_millis(10)), SocketState::Connecting { .. }));
@@ -478,13 +488,14 @@ mod tests {
     #[test]
     fn write_flush_schedules_response_reads() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::NonBlocking);
-        let outcome = set.connect(&mut net, id, google(), SimTime::ZERO);
+        let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::ZERO);
         set.poll_connect(id, outcome.completed_at);
         set.buffer_write(id, 400);
         assert_eq!(set.write_buffered(id), 400);
-        let flushed = set.flush_writes(&mut net, id, outcome.completed_at);
+        let flushed = set.flush_writes(&mut net, &mut state, id, outcome.completed_at);
         assert_eq!(flushed, 400);
         assert_eq!(set.write_buffered(id), 0);
         let ready_at = set.next_read_ready_at(id).unwrap();
@@ -498,12 +509,13 @@ mod tests {
     #[test]
     fn reads_count_the_bytes_due() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::NonBlocking);
-        let outcome = set.connect(&mut net, id, google(), SimTime::ZERO);
+        let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::ZERO);
         set.poll_connect(id, outcome.completed_at);
         set.buffer_write(id, 400);
-        set.flush_writes(&mut net, id, outcome.completed_at);
+        set.flush_writes(&mut net, &mut state, id, outcome.completed_at);
         // Only the chunks due by `now` are consumed.
         let first_due = set.next_read_ready_at(id).unwrap();
         let due_at_first = set.readable_bytes(id, first_due);
@@ -524,11 +536,12 @@ mod tests {
     #[test]
     fn empty_flush_is_a_no_op() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::NonBlocking);
-        let outcome = set.connect(&mut net, id, google(), SimTime::ZERO);
+        let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::ZERO);
         set.poll_connect(id, outcome.completed_at);
-        assert_eq!(set.flush_writes(&mut net, id, outcome.completed_at), 0);
+        assert_eq!(set.flush_writes(&mut net, &mut state, id, outcome.completed_at), 0);
     }
 
     #[test]
@@ -627,11 +640,12 @@ mod tests {
     #[test]
     fn half_close_only_applies_to_connected_sockets() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::NonBlocking);
         set.half_close(id);
         assert_eq!(set.state(id), SocketState::Unconnected);
-        let outcome = set.connect(&mut net, id, google(), SimTime::ZERO);
+        let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::ZERO);
         set.poll_connect(id, outcome.completed_at);
         set.half_close(id);
         assert_eq!(set.state(id), SocketState::HalfClosed);
@@ -650,9 +664,11 @@ mod tests {
                 Service::Refuse,
             ))
             .build();
+        let mut state = FlowNetState::default();
         let mut set = SocketSet::new();
         let id = set.create(SocketMode::Blocking);
-        let outcome = set.connect(&mut net, id, Endpoint::v4(10, 8, 8, 8, 80), SimTime::ZERO);
+        let closed = Endpoint::v4(10, 8, 8, 8, 80);
+        let outcome = set.connect(&mut net, &mut state, id, closed, SimTime::ZERO);
         assert!(!outcome.success);
         assert_eq!(
             set.poll_connect(id, outcome.completed_at),
@@ -663,10 +679,11 @@ mod tests {
     #[test]
     fn dense_socket_table_reset_matches_a_fresh_set() {
         let mut net = net();
+        let mut state = FlowNetState::default();
         let mut reused = SocketSet::new();
         for _ in 0..5 {
             let id = reused.create(SocketMode::Blocking);
-            reused.connect(&mut net, id, google(), SimTime::ZERO);
+            reused.connect(&mut net, &mut state, id, google(), SimTime::ZERO);
         }
         reused.create_bound(SocketMode::NonBlocking, Endpoint::v4(10, 9, 9, 9, 50_000));
         assert_eq!(reused.created_count(), 6);

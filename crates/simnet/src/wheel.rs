@@ -23,9 +23,15 @@
 //!
 //! # Cancellation
 //!
-//! [`TimingWheel::schedule`] returns a [`TimerHandle`]. Cancellation is lazy
-//! and O(1): the slab entry is vacated and its generation bumped; the dead
-//! index is reclaimed when its slot is next drained or cascaded. A stale
+//! [`TimingWheel::schedule`] returns a [`TimerHandle`]. Cancellation is
+//! O(1) and frees the event's slab cell at once: its generation is bumped
+//! and its index returns to the free list, so the next schedule may reuse
+//! it while a slot (or the due buffer) still names it. Every such reference
+//! carries the generation it was filed with, and one whose generation no
+//! longer matches its cell is stale: draining, cascading and popping skip
+//! it. The slab is therefore sized by the events pending at once, not by the
+//! cancelled timers still waiting in their slots — the relay cancels a
+//! connection's retransmission timer every time an ACK re-arms it. A stale
 //! handle (already fired or already cancelled) is simply ignored, so callers
 //! can keep handles around without lifecycle bookkeeping.
 //!
@@ -81,8 +87,9 @@ impl TimerHandle {
     }
 }
 
-/// One slab cell. `event: None` means the entry is cancelled (awaiting
-/// reclaim when its slot drains) or already free.
+/// One slab cell. `event: None` means the cell is free; its generation
+/// moves on each time an event leaves it (fired or cancelled), which makes
+/// every handle and slot reference to that event stale.
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
@@ -99,20 +106,26 @@ pub struct TimingWheel<E> {
     shift: u32,
     /// Number of levels (covers the full 64-bit nanosecond range).
     levels: usize,
-    /// `levels * 64` slot buckets of slab indices (flattened).
-    slots: Vec<Vec<u32>>,
+    /// `levels * 64` slot buckets of slab references (flattened); a
+    /// reference whose generation is not its cell's is a cancelled event's.
+    slots: Vec<Vec<TimerHandle>>,
     /// One occupancy bitmap per level.
     occupied: Vec<u64>,
     /// Entry storage; indices are stable for the life of an entry.
     slab: Vec<Entry<E>>,
-    /// Reusable slab indices.
+    /// Reusable slab indices, reused last-freed first.
     free: Vec<u32>,
+    /// The most slab cells in use at once since the wheel was created or
+    /// reset: one past the highest index handed out.
+    peak_cells: usize,
     /// The tick cursor: every live wheel entry fires at `tick >= elapsed`.
     elapsed: u64,
     /// Due entries (tick <= elapsed), sorted by `(at, seq)`, consumed from
     /// `ready_pos`. Late schedules at or before the cursor are merge-sorted
-    /// in here so past-due events still pop in exact heap order.
-    ready: Vec<u32>,
+    /// in here so past-due events still pop in exact heap order. Each carries
+    /// its sort key, so a cell cancelled and reused while its entry waits
+    /// here cannot move the entry.
+    ready: Vec<Due>,
     ready_pos: usize,
     /// Pending (scheduled, not yet fired, not cancelled) entries.
     live: usize,
@@ -122,6 +135,20 @@ pub struct TimingWheel<E> {
     /// and the elements those sorted inserts had to shift.
     ready_inserts: u64,
     ready_shift_elems: u64,
+}
+
+/// A due-buffer entry: the event's sort key and its slab reference.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    at: SimTime,
+    seq: u64,
+    cell: TimerHandle,
+}
+
+impl Due {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
 }
 
 impl<E> Default for TimingWheel<E> {
@@ -150,6 +177,7 @@ impl<E> TimingWheel<E> {
             occupied: vec![0; levels],
             slab: Vec::new(),
             free: Vec::new(),
+            peak_cells: 0,
             elapsed: 0,
             ready: Vec::new(),
             ready_pos: 0,
@@ -176,32 +204,25 @@ impl<E> TimingWheel<E> {
         self.next_seq += 1;
         self.scheduled_total += 1;
         self.live += 1;
-        let idx = self.alloc(at, seq, event);
-        let generation = self.slab[idx as usize].generation;
+        let cell = self.alloc(at, seq, event);
         let tick = at.as_nanos() >> self.shift;
         if tick <= self.elapsed {
             // Due now (or scheduled into the past): join the sorted due
             // buffer at its (at, seq) position so pop order matches the heap.
-            self.ready_insert(idx);
+            self.ready_insert(Due { at, seq, cell });
         } else {
-            self.place(idx, tick);
+            self.place(cell, tick);
         }
-        TimerHandle { idx, generation }
+        cell
     }
 
     /// Cancels a pending event, returning it if the handle was still live.
     ///
-    /// O(1): the slab entry is vacated and its slot reference reclaimed
-    /// lazily when the slot next drains.
+    /// O(1): the event leaves its slab cell, which goes straight back to
+    /// the free list; the slot reference left behind is stale and skipped
+    /// when its slot drains or cascades.
     pub fn cancel(&mut self, handle: TimerHandle) -> Option<E> {
-        let entry = self.slab.get_mut(handle.idx as usize)?;
-        if entry.generation != handle.generation {
-            return None;
-        }
-        let event = entry.event.take()?;
-        entry.generation = entry.generation.wrapping_add(1);
-        self.live -= 1;
-        Some(event)
+        self.take(handle)
     }
 
     /// Pops the earliest pending event, if any. Ties at the same instant pop
@@ -212,18 +233,12 @@ impl<E> TimingWheel<E> {
             if self.ready_pos >= self.ready.len() {
                 return None;
             }
-            let idx = self.ready[self.ready_pos];
+            let due = self.ready[self.ready_pos];
             self.ready_pos += 1;
-            let entry = &mut self.slab[idx as usize];
-            if let Some(event) = entry.event.take() {
-                let at = entry.at;
-                entry.generation = entry.generation.wrapping_add(1);
-                self.free.push(idx);
-                self.live -= 1;
-                return Some((at, event));
+            // A stale entry was cancelled while waiting in the due buffer.
+            if let Some(event) = self.take(due.cell) {
+                return Some((due.at, event));
             }
-            // Cancelled while waiting in the due buffer.
-            self.free.push(idx);
         }
     }
 
@@ -244,12 +259,11 @@ impl<E> TimingWheel<E> {
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             self.ensure_ready();
-            let &idx = self.ready.get(self.ready_pos)?;
-            if self.slab[idx as usize].event.is_some() {
-                return Some(self.slab[idx as usize].at);
+            let due = *self.ready.get(self.ready_pos)?;
+            if self.is_live(due.cell) {
+                return Some(due.at);
             }
             self.ready_pos += 1;
-            self.free.push(idx);
         }
     }
 
@@ -273,16 +287,25 @@ impl<E> TimingWheel<E> {
     /// events are dropped, the cursor returns to tick zero and the sequence
     /// and schedule accounting restart. This is the clear-don't-drop reuse
     /// path a resident engine takes between runs — behaviourally equivalent
-    /// to a fresh wheel (pop order depends only on `(at, seq)`, both of
-    /// which restart), differing only in which slab indices future handles
-    /// receive, which nothing observes.
+    /// to a fresh wheel: pop order depends only on `(at, seq)`, both of
+    /// which restart, and the free list hands out slab indices in the order
+    /// a fresh wheel grows its slab, so handles and
+    /// [`TimingWheel::peak_cells`] read the same too.
     pub fn reset(&mut self) {
         self.clear();
+        self.peak_cells = 0;
         self.elapsed = 0;
         self.next_seq = 0;
         self.scheduled_total = 0;
         self.ready_inserts = 0;
         self.ready_shift_elems = 0;
+    }
+
+    /// The most slab cells in use at once since the wheel was created or
+    /// reset. Cancelled cells are reused at once, so this follows the events
+    /// pending at once; for a fresh wheel it is the slab's length.
+    pub fn peak_cells(&self) -> usize {
+        self.peak_cells
     }
 
     /// Schedules that landed in the sorted due buffer since the wheel was
@@ -309,7 +332,9 @@ impl<E> TimingWheel<E> {
         self.ready.clear();
         self.ready_pos = 0;
         self.free.clear();
-        for (i, entry) in self.slab.iter_mut().enumerate() {
+        // Stacked highest first, so the lowest index is reused first: the
+        // order in which a fresh wheel grows its slab.
+        for (i, entry) in self.slab.iter_mut().enumerate().rev() {
             if entry.event.take().is_some() {
                 entry.generation = entry.generation.wrapping_add(1);
             }
@@ -320,18 +345,42 @@ impl<E> TimingWheel<E> {
 
     // ----- internals ------------------------------------------------------
 
-    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
-        if let Some(idx) = self.free.pop() {
+    fn alloc(&mut self, at: SimTime, seq: u64, event: E) -> TimerHandle {
+        let cell = if let Some(idx) = self.free.pop() {
             let entry = &mut self.slab[idx as usize];
             entry.at = at;
             entry.seq = seq;
             entry.event = Some(event);
-            idx
+            TimerHandle { idx, generation: entry.generation }
         } else {
             let idx = self.slab.len() as u32;
             self.slab.push(Entry { at, seq, generation: 0, event: Some(event) });
-            idx
+            TimerHandle { idx, generation: 0 }
+        };
+        self.peak_cells = self.peak_cells.max(cell.idx as usize + 1);
+        cell
+    }
+
+    /// Whether `cell` still names the event it was made for: neither fired
+    /// nor cancelled, so its cell has not moved on.
+    fn is_live(&self, cell: TimerHandle) -> bool {
+        self.slab.get(cell.idx as usize).is_some_and(|entry| entry.generation == cell.generation)
+    }
+
+    /// Takes the event `cell` names out of its cell, if it is still
+    /// pending (it fires or is cancelled): every reference to it goes stale
+    /// and the cell is free.
+    fn take(&mut self, cell: TimerHandle) -> Option<E> {
+        let entry = self.slab.get_mut(cell.idx as usize)?;
+        if entry.generation != cell.generation {
+            return None;
         }
+        let event = entry.event.take();
+        debug_assert!(event.is_some(), "a live cell holds its event");
+        entry.generation = entry.generation.wrapping_add(1);
+        self.free.push(cell.idx);
+        self.live -= 1;
+        event
     }
 
     /// The level an entry at `tick` belongs to, relative to the cursor: the
@@ -349,27 +398,22 @@ impl<E> TimingWheel<E> {
     /// Files a wheel entry into its slot (tick must be > elapsed, or == for
     /// cascade re-placement, which lands in level 0's current slot and is
     /// drained next).
-    fn place(&mut self, idx: u32, tick: u64) {
+    fn place(&mut self, cell: TimerHandle, tick: u64) {
         let level = self.level_of(tick);
         let slot = ((tick >> (level as u32 * SLOT_BITS)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(idx);
+        self.slots[level * SLOTS + slot].push(cell);
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Sorted insert into the unconsumed tail of the due buffer.
-    fn ready_insert(&mut self, idx: u32) {
-        let (at, seq) = {
-            let e = &self.slab[idx as usize];
-            (e.at, e.seq)
-        };
+    /// Sorted insert into the unconsumed tail of the due buffer. The tail is
+    /// ordered by the keys its entries carry, stale ones included, so a
+    /// reused cell never reorders it.
+    fn ready_insert(&mut self, due: Due) {
         let tail = &self.ready[self.ready_pos..];
-        let offset = tail.partition_point(|&i| {
-            let e = &self.slab[i as usize];
-            (e.at, e.seq) <= (at, seq)
-        });
+        let offset = tail.partition_point(|queued| queued.key() <= due.key());
         self.ready_inserts += 1;
         self.ready_shift_elems += (tail.len() - offset) as u64;
-        self.ready.insert(self.ready_pos + offset, idx);
+        self.ready.insert(self.ready_pos + offset, due);
     }
 
     /// The earliest occupied slot: `(level, slot index, start tick)` of the
@@ -435,29 +479,26 @@ impl<E> TimingWheel<E> {
             self.elapsed = start_tick.max(self.elapsed);
             self.occupied[level] &= !(1 << slot);
             let mut entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+            // Stale references (cancelled events, whose cells are already
+            // free and may hold a newer event) are dropped here.
             if level == 0 {
-                for idx in entries.drain(..) {
-                    if self.slab[idx as usize].event.is_some() {
-                        self.ready.push(idx);
-                    } else {
-                        self.free.push(idx);
+                for cell in entries.drain(..) {
+                    let entry = &self.slab[cell.idx as usize];
+                    if entry.generation == cell.generation {
+                        self.ready.push(Due { at: entry.at, seq: entry.seq, cell });
                     }
                 }
                 // Restore the slot's capacity for reuse.
                 self.slots[level * SLOTS + slot] = entries;
-                let slab = &self.slab;
-                self.ready
-                    .sort_unstable_by_key(|&i| (slab[i as usize].at, slab[i as usize].seq));
+                self.ready.sort_unstable_by_key(Due::key);
             } else {
                 // Cascade: redistribute one higher-level slot relative to the
                 // advanced cursor. Every entry strictly descends a level, so
                 // this terminates and costs O(1) amortised per event.
-                for idx in entries.drain(..) {
-                    if self.slab[idx as usize].event.is_some() {
-                        let tick = self.slab[idx as usize].at.as_nanos() >> self.shift;
-                        self.place(idx, tick);
-                    } else {
-                        self.free.push(idx);
+                for cell in entries.drain(..) {
+                    if self.is_live(cell) {
+                        let tick = self.slab[cell.idx as usize].at.as_nanos() >> self.shift;
+                        self.place(cell, tick);
                     }
                 }
                 self.slots[level * SLOTS + slot] = entries;
@@ -521,6 +562,72 @@ mod tests {
         let stale = TimerHandle::from_token(a.token());
         assert_eq!(wheel.cancel(stale), None);
         assert_eq!(wheel.cancel(TimerHandle::from_token(c.token())), Some("c"));
+    }
+
+    #[test]
+    fn re_armed_timers_keep_the_slab_at_the_live_count() {
+        // K timers, each re-armed over and over the way the relay re-arms a
+        // retransmission timer on an ACK: schedule the new deadline, then
+        // cancel the superseded one. Cancelled cells go straight back to the
+        // free list, so the slab stays at the live count.
+        const K: usize = 100;
+        let mut wheel = TimingWheel::new();
+        let ahead = SimDuration::from_millis(200);
+        let mut now = SimTime::ZERO;
+        let mut handles: Vec<_> = (0..K).map(|k| wheel.schedule(now + ahead, k)).collect();
+        for round in 0..100_000u64 {
+            now += SimDuration::from_micros(50);
+            let k = (round.wrapping_mul(2_654_435_761) % K as u64) as usize;
+            let rearmed = wheel.schedule(now + ahead, k);
+            assert_eq!(wheel.cancel(handles[k]), Some(k));
+            handles[k] = rearmed;
+            // Nothing is due yet, but peeking moves the cursor through the
+            // slots the cancelled deadlines left behind.
+            assert_eq!(wheel.pop_until(now), None);
+        }
+        assert_eq!(wheel.len(), K);
+        assert!(
+            wheel.peak_cells() <= K + 64,
+            "{} cells held for {K} live timers",
+            wheel.peak_cells()
+        );
+        // Exactly the last deadline of each timer fires, in time order.
+        let mut fired = [false; K];
+        let mut last = SimTime::ZERO;
+        while let Some((at, k)) = wheel.pop() {
+            assert!(at >= last && !fired[k]);
+            (last, fired[k]) = (at, true);
+        }
+        assert!(fired.iter().all(|&f| f));
+    }
+
+    #[test]
+    fn a_cancelled_handle_never_cancels_its_cells_next_occupant() {
+        let mut wheel = TimingWheel::new();
+        let old = wheel.schedule(SimTime::from_millis(5), "old");
+        assert_eq!(wheel.cancel(old), Some("old"));
+        let new = wheel.schedule(SimTime::from_millis(7), "new");
+        assert_eq!(new.token() as u32, old.token() as u32, "the freed cell is reused at once");
+        assert_eq!(wheel.cancel(old), None, "the stale handle misses the new occupant");
+        assert_eq!(wheel.len(), 1);
+        // The old event's slot reference is stale too: the new event fires
+        // once, at its own time.
+        assert_eq!(wheel.pop(), Some((SimTime::from_millis(7), "new")));
+        assert_eq!(wheel.pop(), None);
+
+        // The same in the due buffer, where a reused cell's new key must not
+        // move the cancelled entry it left behind.
+        wheel.schedule(SimTime::from_millis(10), "t10");
+        wheel.schedule(SimTime::from_millis(12), "t12");
+        assert_eq!(wheel.pop().unwrap().1, "t10");
+        let a = wheel.schedule(SimTime::from_millis(4), "t4");
+        wheel.schedule(SimTime::from_millis(5), "t5");
+        assert_eq!(wheel.cancel(a), Some("t4"));
+        let c = wheel.schedule(SimTime::from_millis(3), "t3");
+        assert_eq!(c.token() as u32, a.token() as u32);
+        assert_eq!(wheel.cancel(a), None);
+        let order: Vec<_> = std::iter::from_fn(|| wheel.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["t3", "t5", "t12"]);
     }
 
     #[test]

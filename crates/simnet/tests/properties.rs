@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use mop_packet::{Endpoint, FourTuple};
 use mop_simnet::tap::TapKind;
 use mop_simnet::{
-    AccessProfile, Component, CpuLedger, EventQueue, LatencyModel, MemoryComponent, SimDuration,
-    SimNetwork, SimRng, SimTime, TapDirection, WireTap,
+    AccessProfile, Component, CpuLedger, EventQueue, FlowNetState, LatencyModel, MemoryComponent,
+    SimDuration, SimNetwork, SimRng, SimTime, TapDirection, WireTap,
 };
 
 /// The wire tap's reference semantics: the linear scans over the whole
@@ -245,7 +245,7 @@ proptest! {
             Endpoint::v4(31, 13, 79, 251, 443),
         );
         let at = SimTime::from_millis(start_ms);
-        let outcome = net.connect(flow, at);
+        let outcome = net.connect(&mut FlowNetState::default(), flow, at);
         prop_assert!(outcome.syn_sent >= at);
         prop_assert!(outcome.completed_at > outcome.syn_sent);
         prop_assert!(outcome.true_rtt > SimDuration::ZERO);
@@ -254,7 +254,7 @@ proptest! {
             prop_assert_eq!(outcome.completed_at - outcome.syn_sent, tap_rtt);
         }
         // DNS lookups are also causal.
-        let dns = net.dns_lookup(flow.src, "www.google.com", at);
+        let dns = net.dns_lookup(&mut FlowNetState::default(), flow.src, "www.google.com", at);
         prop_assert!(dns.query_sent >= at);
         if let Some(response_at) = dns.response_at {
             prop_assert!(response_at > dns.query_sent);
@@ -342,7 +342,7 @@ proptest! {
         let flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 50_000), Endpoint::v4(216, 58, 221, 132, 443));
         let bytes = megabytes * 1024 * 1024;
         let start = SimTime::ZERO;
-        let chunks = net.bulk_download(flow, bytes, start);
+        let chunks = net.bulk_download(&mut FlowNetState::default(), flow, bytes, start);
         prop_assert!(!chunks.is_empty());
         prop_assert!(chunks.windows(2).all(|w| w[0].0 <= w[1].0));
         let total: usize = chunks.iter().map(|(_, b)| *b).sum();
@@ -358,7 +358,7 @@ proptest! {
         let run = |seed: u64| {
             let mut net = SimNetwork::builder().seed(seed).with_table2_destinations().build();
             let flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 41_000), Endpoint::v4(108, 160, 166, 126, 443));
-            net.connect(flow, SimTime::from_millis(3)).true_rtt
+            net.connect(&mut FlowNetState::default(), flow, SimTime::from_millis(3)).true_rtt
         };
         prop_assert_eq!(run(seed), run(seed));
     }

@@ -96,6 +96,12 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # is its length (CHANGES.md, "Server bytes are counted, not copied").
 ! { grep -rn 'SegmentPool' crates/*/src; grep -nE '^\s*(pub )?\w+: Vec<u8>,' crates/packet/src/tcp.rs crates/tcpstack/src/recovery.rs; } | grep . || fail "a TCP payload is kept as bytes"
 
+# Forbids a four-tuple-keyed map past ingress: a connection's network state
+# and every per-connection table are reached by its record's dense id. Only
+# the wire tap (`tap.rs`) and the connection table's by-tuple index at
+# ingress (`conn.rs`) keep one (CHANGES.md, "One id past ingress").
+! { grep -rnE '(FastMap|HashMap)<\s*FourTuple' crates/simnet/src --exclude=tap.rs; grep -rnE '(FastMap|HashMap)<\s*FourTuple' crates/core/src --exclude=conn.rs; } | grep . || fail "a four-tuple-keyed map past ingress"
+
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2
     exit 1

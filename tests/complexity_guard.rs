@@ -18,8 +18,13 @@
 //! leave with it, so those follow the flows open at once; a table that keeps
 //! every flow it has seen fails here.
 //!
-//! The last guard holds what a pending tunnel packet costs: its buffer, not
+//! Another guard holds what a pending tunnel packet costs: its buffer, not
 //! a full MTU.
+//!
+//! The last holds the four-tuple lookups to the one place the paper's relay
+//! must make them, ingress, where MopEye sees only packet bytes: a run
+//! probes the connection table once per tunnel packet plus a few times per
+//! flow, and nothing past ingress keeps a tuple-keyed map.
 
 use mopeye::dataset::{NetProfile, Scenario, TrafficMix};
 use mopeye::engine::{Counter, FlowOutcome, MopEyeConfig, MopEyeEngine};
@@ -165,5 +170,38 @@ fn tunnel_packet_buffers_cost_their_packets_not_a_full_mtu() {
          more than {POOL_BYTES_PER_BUFFER}",
         pool.resident_bytes,
         pool.allocations
+    );
+}
+
+/// Four-tuple lookups a run may make per flow beyond one per tunnel packet
+/// the apps write: the `FlowStart`'s intern, the removal of the record, and
+/// the start bookkeeping of a tuple that several flows open.
+const TUPLE_PROBES_PER_FLOW: u64 = 4;
+
+#[test]
+fn past_ingress_no_stage_looks_a_four_tuple_up() {
+    // A lossy flow-keyed run exercises every per-connection path: the
+    // network's sampling and fault streams, retransmissions and RTO timers.
+    // Only ingress resolves a packet's tuple to its record; everything after
+    // it reaches the connection by id.
+    let scenario = Scenario::single(
+        TrafficMix::BulkDownload,
+        NetProfile::DegradedCommute,
+        300,
+        SimDuration::from_secs(4),
+        2017,
+    );
+    let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), scenario.network().build());
+    let report = engine.run_flows(scenario.generate());
+    assert!(report.relay.retransmits > 0, "the degraded commute lost nothing");
+    let probes = report.counters[Counter::TupleProbes];
+    let packets = report.tun.packets_from_apps;
+    let flows = report.flows.len() as u64;
+    assert!(probes >= packets, "{probes} tuple probes for {packets} tunnel packets");
+    assert!(
+        probes <= packets + TUPLE_PROBES_PER_FLOW * flows,
+        "{probes} tuple probes for {packets} tunnel packets and {flows} flows: more than one \
+         per packet plus {TUPLE_PROBES_PER_FLOW} per flow, so a stage past ingress looks a \
+         four-tuple up"
     );
 }
