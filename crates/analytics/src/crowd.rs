@@ -126,8 +126,7 @@ impl Fig9AppRtt {
             agg.sketch_where(|k| k.kind == MeasurementKind::Tcp && pred(k.network))
         };
         let threshold = dataset.spec.scaled_threshold(1_000);
-        let per_app =
-            agg.group_by(|k| k.app.clone(), |k| k.kind == MeasurementKind::Tcp);
+        let per_app = agg.group_by(|k| k.app.clone(), |k| k.kind == MeasurementKind::Tcp);
         let medians: Vec<f64> = per_app
             .values()
             .filter(|sketch| sketch.count() >= threshold)
@@ -161,10 +160,8 @@ impl Table5Apps {
             .iter()
             .map(|app| {
                 let count = counts.get(&app.package).copied().unwrap_or(0);
-                let median = dataset
-                    .aggregates
-                    .median_where(|k| k.app == app.package)
-                    .unwrap_or(f64::NAN);
+                let median =
+                    dataset.aggregates.median_where(|k| k.app == app.package).unwrap_or(f64::NAN);
                 (app.category.to_string(), app.package.clone(), count, median, app.median_rtt_ms)
             })
             .collect();
@@ -193,9 +190,7 @@ impl Fig10Dns {
     /// Computes the Figure 10 distributions from the aggregates.
     pub fn compute(dataset: &SyntheticDataset) -> Self {
         let dns = |pred: &dyn Fn(NetKind) -> bool| -> RttSketch {
-            dataset
-                .aggregates
-                .sketch_where(|k| k.kind == MeasurementKind::Dns && pred(k.network))
+            dataset.aggregates.sketch_where(|k| k.kind == MeasurementKind::Dns && pred(k.network))
         };
         Self {
             all: dns(&|_| true),
@@ -224,9 +219,7 @@ impl Table6IspDns {
             .iter()
             .map(|isp| {
                 let sketch = dataset.aggregates.sketch_where(|k| {
-                    k.kind == MeasurementKind::Dns
-                        && k.isp == isp.name
-                        && k.network.is_cellular()
+                    k.kind == MeasurementKind::Dns && k.isp == isp.name && k.network.is_cellular()
                 });
                 let median = sketch.median().unwrap_or(f64::NAN);
                 (isp.name.clone(), isp.country.clone(), sketch.count(), median, isp.dns_median_ms)
@@ -299,15 +292,12 @@ impl CaseWhatsapp {
         let cdn_median_ms = agg
             .median_where(|k| is_whatsapp(&k.domain) && is_whatsapp_cdn(&k.domain))
             .unwrap_or(f64::NAN);
-        let overall_median_ms =
-            agg.median_where(|k| is_whatsapp(&k.domain)).unwrap_or(f64::NAN);
+        let overall_median_ms = agg.median_where(|k| is_whatsapp(&k.domain)).unwrap_or(f64::NAN);
         // Per-network medians over the SoftLayer domains, for the networks
         // with the most whatsapp.net measurements.
         let threshold = dataset.spec.scaled_threshold(100);
-        let by_network: BTreeMap<String, RttSketch> = agg.group_by(
-            |k| k.isp.clone(),
-            |k| is_whatsapp(&k.domain) && !is_whatsapp_cdn(&k.domain),
-        );
+        let by_network: BTreeMap<String, RttSketch> = agg
+            .group_by(|k| k.isp.clone(), |k| is_whatsapp(&k.domain) && !is_whatsapp_cdn(&k.domain));
         let mut networks: Vec<(&String, &RttSketch)> =
             by_network.iter().filter(|(_, s)| s.count() >= threshold).collect();
         networks.sort_by_key(|(_, s)| std::cmp::Reverse(s.count()));
@@ -361,8 +351,7 @@ impl CaseJio {
     /// Runs the Case 2 analysis from the aggregates.
     pub fn compute(dataset: &SyntheticDataset) -> Self {
         let agg = &dataset.aggregates;
-        let jio_apps = agg
-            .sketch_where(|k| k.isp == "Jio 4G" && k.kind == MeasurementKind::Tcp);
+        let jio_apps = agg.sketch_where(|k| k.isp == "Jio 4G" && k.kind == MeasurementKind::Tcp);
         let app_median_ms = jio_apps.median().unwrap_or(f64::NAN);
         let dns_median_ms = agg
             .median_where(|k| k.isp == "Jio 4G" && k.kind == MeasurementKind::Dns)
@@ -451,21 +440,16 @@ pub struct CrowdSummary {
 impl CrowdSummary {
     /// Computes the summary from a store of aggregates.
     pub fn compute(aggregates: &AggregateStore) -> Self {
-        let kind_sketch = |kind: MeasurementKind| {
-            aggregates.sketch_where(|k: &AggregateKey| k.kind == kind)
-        };
+        let kind_sketch =
+            |kind: MeasurementKind| aggregates.sketch_where(|k: &AggregateKey| k.kind == kind);
         let by_network = |kind: MeasurementKind| -> Vec<(NetKind, RttSketch)> {
             NetKind::ALL
                 .iter()
-                .map(|net| {
-                    (*net, aggregates.sketch_where(|k| k.kind == kind && k.network == *net))
-                })
+                .map(|net| (*net, aggregates.sketch_where(|k| k.kind == kind && k.network == *net)))
                 .collect()
         };
         let mut apps: Vec<(String, u64, RttSketch)> = aggregates
-            .group_by(|k| k.app.clone(), |k| {
-                k.kind == MeasurementKind::Tcp && !k.app.is_empty()
-            })
+            .group_by(|k| k.app.clone(), |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty())
             .into_iter()
             .map(|(app, sketch)| (app, sketch.count(), sketch))
             .collect();
@@ -513,7 +497,10 @@ mod tests {
         assert!(fig7.top[0].1 > fig7.top[1].1);
         let fig8 = Fig8Locations::compute(&d);
         assert_eq!(fig8.points.len(), 2_351);
-        assert!(fig8.points.iter().all(|(lat, lon)| (-90.0..=90.0).contains(lat) && (-180.0..=180.0).contains(lon)));
+        assert!(fig8
+            .points
+            .iter()
+            .all(|(lat, lon)| (-90.0..=90.0).contains(lat) && (-180.0..=180.0).contains(lon)));
     }
 
     #[test]
@@ -552,9 +539,8 @@ mod tests {
             (fig9.all.median().unwrap(), d.store.median_where(|r| r.kind == MeasurementKind::Tcp)),
             (
                 fig9.wifi.median().unwrap(),
-                d.store.median_where(|r| {
-                    r.kind == MeasurementKind::Tcp && r.network == NetKind::Wifi
-                }),
+                d.store
+                    .median_where(|r| r.kind == MeasurementKind::Tcp && r.network == NetKind::Wifi),
             ),
             (
                 fig9.lte.median().unwrap(),
@@ -622,7 +608,9 @@ mod tests {
         assert!(whatsapp.softlayer_median_ms > whatsapp.cdn_median_ms * 2.0);
         assert!(whatsapp.networks_analysed > 5);
         // Most analysed networks see the SoftLayer domains above 200 ms.
-        assert!(whatsapp.network_buckets[2] + whatsapp.network_buckets[3] > whatsapp.network_buckets[0]);
+        assert!(
+            whatsapp.network_buckets[2] + whatsapp.network_buckets[3] > whatsapp.network_buckets[0]
+        );
 
         let jio = CaseJio::compute(&d);
         assert!(jio.app_median_ms > 180.0, "jio app median {}", jio.app_median_ms);

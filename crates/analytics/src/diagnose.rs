@@ -88,14 +88,10 @@ pub fn diagnose_apps(aggregates: &AggregateStore, config: DiagnosisConfig) -> Ve
     // per-app sketches, and per-(app, network) sample counts. Everything
     // below is lookups, so the whole diagnosis is O(cells), not
     // O(apps × networks × cells).
-    let baselines = aggregates.group_by(
-        |k| k.network,
-        |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty(),
-    );
-    let per_app = aggregates.group_by(
-        |k| k.app.clone(),
-        |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty(),
-    );
+    let baselines =
+        aggregates.group_by(|k| k.network, |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty());
+    let per_app = aggregates
+        .group_by(|k| k.app.clone(), |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty());
     let per_app_network = aggregates.group_by(
         |k| (k.app.clone(), k.network),
         |k| k.kind == MeasurementKind::Tcp && !k.app.is_empty(),
@@ -111,9 +107,7 @@ pub fn diagnose_apps(aggregates: &AggregateStore, config: DiagnosisConfig) -> Ve
         let mut weighted = 0.0;
         let mut weight = 0.0;
         for (network, baseline) in &baselines {
-            let share = per_app_network
-                .get(&(app.clone(), *network))
-                .map_or(0, RttSketch::count);
+            let share = per_app_network.get(&(app.clone(), *network)).map_or(0, RttSketch::count);
             if share > 0 {
                 if let Some(median) = baseline.median() {
                     weighted += median * share as f64;
@@ -175,8 +169,7 @@ pub fn rank_isps(
     kind: MeasurementKind,
     min_samples: u64,
 ) -> Vec<IspRank> {
-    let per_isp =
-        aggregates.group_by(|k| k.isp.clone(), |k| k.kind == kind && !k.isp.is_empty());
+    let per_isp = aggregates.group_by(|k| k.isp.clone(), |k| k.kind == kind && !k.isp.is_empty());
     let mut rows: Vec<IspRank> = per_isp
         .into_iter()
         .filter(|(_, sketch)| sketch.count() >= min_samples)
@@ -306,8 +299,10 @@ pub fn diagnose_trends(
     config: TrendConfig,
 ) -> Vec<TrendDiagnosis> {
     let (early, late) = split_halves(windows);
-    let tcp_isp = |k: &mop_measure::AggregateKey| k.kind == MeasurementKind::Tcp && !k.isp.is_empty();
-    let tcp_app = |k: &mop_measure::AggregateKey| k.kind == MeasurementKind::Tcp && !k.app.is_empty();
+    let tcp_isp =
+        |k: &mop_measure::AggregateKey| k.kind == MeasurementKind::Tcp && !k.isp.is_empty();
+    let tcp_app =
+        |k: &mop_measure::AggregateKey| k.kind == MeasurementKind::Tcp && !k.app.is_empty();
     let early_isps = early.group_by(|k| k.isp.clone(), tcp_isp);
     let late_isps = late.group_by(|k| k.isp.clone(), tcp_isp);
     let early_apps = early.group_by(|k| k.app.clone(), tcp_app);
@@ -354,13 +349,12 @@ pub fn diagnose_trends(
             continue;
         };
         let ratio = if early_med > 0.0 { late_med / early_med } else { 1.0 };
-        let verdict = if ratio > config.degraded_ratio
-            && ratio > baseline_ratio * config.relative_margin
-        {
-            TrendVerdict::AppRegressed
-        } else {
-            TrendVerdict::Stable
-        };
+        let verdict =
+            if ratio > config.degraded_ratio && ratio > baseline_ratio * config.relative_margin {
+                TrendVerdict::AppRegressed
+            } else {
+                TrendVerdict::Stable
+            };
         out.push(TrendDiagnosis {
             subject: app.clone(),
             samples: early_sketch.count() + late_sketch.count(),
@@ -465,9 +459,8 @@ mod tests {
     #[test]
     fn classifies_app_slow_vs_network_slow() {
         let diagnoses = diagnose_apps(&aggregates(), DiagnosisConfig::default());
-        let verdict_of = |app: &str| {
-            diagnoses.iter().find(|d| d.app == app).map(|d| d.verdict).unwrap()
-        };
+        let verdict_of =
+            |app: &str| diagnoses.iter().find(|d| d.app == app).map(|d| d.verdict).unwrap();
         assert_eq!(verdict_of("com.fast.a"), Verdict::Healthy);
         assert_eq!(verdict_of("com.fast.b"), Verdict::Healthy);
         assert_eq!(verdict_of("com.slowserver"), Verdict::AppSlow);
@@ -495,12 +488,8 @@ mod tests {
         let mut agg = AggregateStore::new();
         for i in 0..100u32 {
             let jitter = f64::from(i % 13);
-            agg.observe(
-                &RttRecord::dns(20.0 + jitter, 1, NetKind::Lte).with_isp("FastTel"),
-            );
-            agg.observe(
-                &RttRecord::dns(95.0 + jitter, 2, NetKind::Lte).with_isp("SlowTel"),
-            );
+            agg.observe(&RttRecord::dns(20.0 + jitter, 1, NetKind::Lte).with_isp("FastTel"));
+            agg.observe(&RttRecord::dns(95.0 + jitter, 2, NetKind::Lte).with_isp("SlowTel"));
         }
         let ranks = rank_isps(&agg, MeasurementKind::Dns, 10);
         assert_eq!(ranks.len(), 2);

@@ -47,8 +47,10 @@ pub use crowd::{
 };
 pub use diagnose::{
     diagnose_apps, diagnose_live, diagnose_trends, epoch_series, rank_isps, AppDiagnosis,
-    DiagnosisConfig, EpochPoint, IspRank, LiveDiagnosis, TrendConfig, TrendDiagnosis,
-    TrendVerdict, Verdict,
+    DiagnosisConfig, EpochPoint, IspRank, LiveDiagnosis, TrendConfig, TrendDiagnosis, TrendVerdict,
+    Verdict,
 };
-pub use micro::{Fig5Mapping, Table1TunnelWrite, Table2Accuracy, Table3Throughput, Table4Resources};
+pub use micro::{
+    Fig5Mapping, Table1TunnelWrite, Table2Accuracy, Table3Throughput, Table4Resources,
+};
 pub use render::{render_cdf_series, render_epoch_table, render_sketch_series, render_table};

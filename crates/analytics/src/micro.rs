@@ -1,5 +1,6 @@
 //! Micro-benchmark experiments: Figure 5 and Tables 1–4.
 
+use mop_baselines::{MobiPerf, SpeedTest, ThroughputReport};
 use mop_measure::{Cdf, Histogram};
 use mop_packet::{Endpoint, FourTuple};
 use mop_procnet::{ConnectionTable, EagerMapper, LazyMapper, SocketStateCode};
@@ -8,7 +9,6 @@ use mop_tun::{FlowKind, FlowSpec, Workload, WorkloadKind};
 use mopeye_core::{
     EnqueueScheme, MopEyeConfig, MopEyeEngine, TunWriter, WriteDelayStats, WriteScheme,
 };
-use mop_baselines::{MobiPerf, SpeedTest, ThroughputReport};
 
 /// Figure 5: CDFs of the per-SYN packet-to-app mapping overhead before and
 /// after the lazy mapping mechanism.
@@ -107,20 +107,21 @@ impl Table1TunnelWrite {
                 })
                 .collect()
         };
-        let run = |scheme: WriteScheme, enqueue: EnqueueScheme, contention: f64| -> WriteDelayStats {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut ledger = CpuLedger::new();
-            let mut writer = TunWriter::new(scheme, enqueue);
-            let mut now = SimTime::from_millis(1);
-            for gap in &gaps_us {
-                // With directWrite, a socket-connect thread occasionally wants
-                // the tunnel at the same time as MainWorker.
-                let writers = if rng.chance(contention) { 2 } else { 1 };
-                writer.submit(now, writers, &cost, &mut rng, &mut ledger);
-                now += SimDuration::from_micros(*gap);
-            }
-            writer.stats().clone()
-        };
+        let run =
+            |scheme: WriteScheme, enqueue: EnqueueScheme, contention: f64| -> WriteDelayStats {
+                let mut rng = SimRng::seed_from_u64(seed);
+                let mut ledger = CpuLedger::new();
+                let mut writer = TunWriter::new(scheme, enqueue);
+                let mut now = SimTime::from_millis(1);
+                for gap in &gaps_us {
+                    // With directWrite, a socket-connect thread occasionally wants
+                    // the tunnel at the same time as MainWorker.
+                    let writers = if rng.chance(contention) { 2 } else { 1 };
+                    writer.submit(now, writers, &cost, &mut rng, &mut ledger);
+                    now += SimDuration::from_micros(*gap);
+                }
+                writer.stats().clone()
+            };
         // queueWrite: only the dedicated TunWriter writes.
         let queued = run(WriteScheme::Queue, EnqueueScheme::NewPut, 0.0);
         Self {
@@ -204,15 +205,13 @@ impl Table2Accuracy {
             let report = engine.run_flows(flows);
             let mopeye_rtts: Vec<f64> =
                 report.tcp_samples().iter().map(|s| s.measured_ms).collect();
-            let tcpdump_rtts: Vec<f64> = report
-                .tcp_samples()
-                .iter()
-                .filter_map(|s| s.tcpdump_ms)
-                .collect();
+            let tcpdump_rtts: Vec<f64> =
+                report.tcp_samples().iter().filter_map(|s| s.tcpdump_ms).collect();
             let mopeye_ms = mean(&mopeye_rtts);
             let tcpdump_for_mopeye_ms = mean(&tcpdump_rtts);
             // MobiPerf run: fresh network, same destination.
-            let mut mobi_net = SimNetwork::builder().seed(seed ^ 1).with_table2_destinations().build();
+            let mut mobi_net =
+                SimNetwork::builder().seed(seed ^ 1).with_table2_destinations().build();
             let mut mobiperf = MobiPerf::new(seed ^ 2);
             let ping = mobiperf.ping(&mut mobi_net, dst, connects);
             rows.push(AccuracyRow {
@@ -409,8 +408,12 @@ mod tests {
     fn table4_haystack_uses_more_of_everything() {
         // Three virtual minutes keep the test quick; the repro binary uses 58.
         let t4 = Table4Resources::run(11, 3);
-        assert!(t4.mopeye.cpu_percent < t4.haystack.cpu_percent,
-            "cpu {} vs {}", t4.mopeye.cpu_percent, t4.haystack.cpu_percent);
+        assert!(
+            t4.mopeye.cpu_percent < t4.haystack.cpu_percent,
+            "cpu {} vs {}",
+            t4.mopeye.cpu_percent,
+            t4.haystack.cpu_percent
+        );
         assert!(t4.mopeye.memory_mib < t4.haystack.memory_mib / 5.0);
         assert!(t4.mopeye.battery_percent <= t4.haystack.battery_percent);
         assert!(t4.mopeye.cpu_percent > 0.0);

@@ -22,7 +22,9 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
         cells
             .iter()
             .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(c.len())))
+            .map(|(i, c)| {
+                format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(c.len()))
+            })
             .collect::<Vec<_>>()
             .join("  ")
     };
@@ -48,9 +50,8 @@ pub fn render_epoch_table(title: &str, windows: &WindowedAggregateStore) -> Stri
         .into_iter()
         .map(|point| {
             let start_s = (point.epoch * width_ns) as f64 / 1e9;
-            let fmt = |value: Option<f64>| {
-                value.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}"))
-            };
+            let fmt =
+                |value: Option<f64>| value.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}"));
             vec![
                 point.epoch.to_string(),
                 format!("{start_s:.1}"),
@@ -141,10 +142,7 @@ mod tests {
         let text = render_table(
             "Table X: demo",
             &["name", "value"],
-            &[
-                vec!["Google".into(), "4.3".into()],
-                vec!["Dropbox".into(), "284.5".into()],
-            ],
+            &[vec!["Google".into(), "4.3".into()], vec!["Dropbox".into(), "284.5".into()]],
         );
         assert!(text.starts_with("Table X: demo\n"));
         assert!(text.contains("name"));

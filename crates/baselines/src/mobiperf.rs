@@ -57,7 +57,11 @@ pub struct MobiPerf {
 impl MobiPerf {
     /// Creates the tool with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        Self { cost: CostModel::android_phone(), rng: SimRng::seed_from_u64(seed), next_port: 52_000 }
+        Self {
+            cost: CostModel::android_phone(),
+            rng: SimRng::seed_from_u64(seed),
+            next_port: 52_000,
+        }
     }
 
     /// Runs `count` HTTP pings against `dst` (given as a raw IP endpoint, as
@@ -136,7 +140,8 @@ mod tests {
 
     #[test]
     fn empty_run_handles_gracefully() {
-        let run = PingRun { dst: Endpoint::v4(1, 1, 1, 1, 80), measured_ms: vec![], tcpdump_ms: vec![] };
+        let run =
+            PingRun { dst: Endpoint::v4(1, 1, 1, 1, 80), measured_ms: vec![], tcpdump_ms: vec![] };
         assert_eq!(run.mean_measured(), 0.0);
         assert_eq!(run.delta_ms(), 0.0);
     }

@@ -29,10 +29,7 @@ pub struct ThroughputReport {
 impl ThroughputReport {
     /// The throughput loss relative to a baseline (the ∆ columns of Table 3).
     pub fn delta_from(&self, baseline: &ThroughputReport) -> (f64, f64) {
-        (
-            baseline.download_mbps - self.download_mbps,
-            baseline.upload_mbps - self.upload_mbps,
-        )
+        (baseline.download_mbps - self.download_mbps, baseline.upload_mbps - self.upload_mbps)
     }
 }
 
@@ -65,7 +62,8 @@ impl RelayServiceModel {
             // Direct writes share the tunnel with other writers and pay the
             // occasional contended write.
             mopeye_core::WriteScheme::Direct => {
-                cost.tun_write_base.nominal_ms() + cost.tun_write_contended_extra.nominal_ms() * 0.05
+                cost.tun_write_base.nominal_ms()
+                    + cost.tun_write_contended_extra.nominal_ms() * 0.05
             }
         };
         let inspect_ms = if config.content_inspection {
@@ -141,7 +139,8 @@ impl SpeedTest {
             }
         };
         let download_secs = (download_done - start).as_secs_f64();
-        let download_mbps = self.transfer_bytes as f64 * 8.0 / 1_000_000.0 / download_secs.max(1e-9);
+        let download_mbps =
+            self.transfer_bytes as f64 * 8.0 / 1_000_000.0 / download_secs.max(1e-9);
 
         // Upload: the app can produce packets as fast as it likes; each must
         // pass through the relay (service time) and then serialise onto the

@@ -49,12 +49,8 @@ struct Options {
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        mode: Mode::Stdio,
-        users: 2_000,
-        resume: None,
-        plane: PlaneConfig::default(),
-    };
+    let mut options =
+        Options { mode: Mode::Stdio, users: 2_000, resume: None, plane: PlaneConfig::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
@@ -65,16 +61,14 @@ fn parse_args() -> Result<Options, String> {
             "--oracle" => options.mode = Mode::Oracle(value("--oracle")?),
             "--resume" => options.resume = Some(value("--resume")?.into()),
             "--users" => {
-                options.users =
-                    value("--users")?.parse().map_err(|e| format!("--users: {e}"))?
+                options.users = value("--users")?.parse().map_err(|e| format!("--users: {e}"))?
             }
             "--shards" => {
                 options.plane.shards =
                     value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?
             }
             "--seed" => {
-                options.plane.seed =
-                    value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
+                options.plane.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
             }
             "--cc" => {
                 options.plane.congestion = match value("--cc")?.as_str() {
@@ -84,8 +78,9 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--epoch-width-ms" => {
-                let ms: u64 =
-                    value("--epoch-width-ms")?.parse().map_err(|e| format!("--epoch-width-ms: {e}"))?;
+                let ms: u64 = value("--epoch-width-ms")?
+                    .parse()
+                    .map_err(|e| format!("--epoch-width-ms: {e}"))?;
                 options.plane.epoch_width = SimDuration::from_millis(ms);
             }
             "--window" => {

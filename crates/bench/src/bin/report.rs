@@ -47,7 +47,7 @@ use mop_dataset::{DiurnalScenario, Scenario};
 use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
 use mopeye_core::{
-    epoch_boundary, CongestionAlgo, FleetConfig, FleetEngine, FleetCheckpoint, FleetReport,
+    epoch_boundary, CongestionAlgo, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
 };
 
 struct Options {

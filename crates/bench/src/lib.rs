@@ -5,12 +5,12 @@
 pub mod alloc_counter;
 
 use mop_analytics::diagnose::{diagnose_apps, rank_isps, DiagnosisConfig};
+use mop_analytics::render::{fmt_ms, render_cdf_series, render_sketch_series, render_table};
 use mop_analytics::{
     CaseJio, CaseWhatsapp, CrowdSummary, Fig10Dns, Fig11IspDns, Fig5Mapping, Fig6Contribution,
-    Fig7Countries, Fig8Locations, Fig9AppRtt, Table1TunnelWrite, Table2Accuracy,
-    Table3Throughput, Table4Resources, Table5Apps, Table6IspDns,
+    Fig7Countries, Fig8Locations, Fig9AppRtt, Table1TunnelWrite, Table2Accuracy, Table3Throughput,
+    Table4Resources, Table5Apps, Table6IspDns,
 };
-use mop_analytics::render::{fmt_ms, render_cdf_series, render_sketch_series, render_table};
 use mop_dataset::{DatasetSpec, Scenario, SyntheticDataset};
 use mop_measure::{AggregateStore, MeasurementKind};
 use mopeye_core::{CongestionAlgo, FleetConfig, FleetEngine, FleetReport};
@@ -366,7 +366,12 @@ pub(crate) fn run_crowd_experiments(dataset: &SyntheticDataset) -> Vec<Experimen
     fig9_text.push_str(&render_sketch_series("fig9a-all", &fig9.all, 400.0, 41));
     fig9_text.push_str(&render_sketch_series("fig9a-wifi", &fig9.wifi, 400.0, 41));
     fig9_text.push_str(&render_sketch_series("fig9a-cellular", &fig9.cellular, 400.0, 41));
-    fig9_text.push_str(&render_sketch_series("fig9b-per-app-medians", &fig9.per_app_medians, 400.0, 41));
+    fig9_text.push_str(&render_sketch_series(
+        "fig9b-per-app-medians",
+        &fig9.per_app_medians,
+        400.0,
+        41,
+    ));
     out.push(ExperimentOutput {
         id: "fig9".into(),
         text: fig9_text,
@@ -631,14 +636,7 @@ pub fn render_crowd_report(aggregates: &AggregateStore) -> ExperimentOutput {
     let ranking = rank_isps(aggregates, MeasurementKind::Tcp, 20);
     let isp_rows: Vec<Vec<String>> = ranking
         .iter()
-        .map(|r| {
-            vec![
-                r.isp.clone(),
-                fmt_ms(r.median_ms),
-                fmt_ms(r.p95_ms),
-                r.samples.to_string(),
-            ]
-        })
+        .map(|r| vec![r.isp.clone(), fmt_ms(r.median_ms), fmt_ms(r.p95_ms), r.samples.to_string()])
         .collect();
     text.push_str(&render_table(
         "ISP ranking (TCP, fastest first)",

@@ -57,7 +57,6 @@
 //! server's inline checkpoints, streamed report deltas) get it from the
 //! same impls through `mop_json::to_value` / `from_value`.
 
-
 use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson};
 use mop_simnet::SimTime;
 use mop_tcpstack::CongestionAlgo;

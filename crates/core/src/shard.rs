@@ -76,9 +76,9 @@ use std::net::IpAddr;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
+use mop_packet::{Endpoint, FourTuple, WordHasher};
 use mop_simnet::{spsc_channel, SimNetworkBuilder, SimTime, SpscReceiver, SpscSender};
 use mop_tun::FlowSpec;
-use mop_packet::{Endpoint, FourTuple, WordHasher};
 
 use crate::config::MopEyeConfig;
 use crate::engine::{MopEyeEngine, RunReport};
@@ -101,10 +101,7 @@ impl FleetConfig {
     /// A fleet of `shards` relay workers running the released MopEye
     /// configuration with a generous event budget.
     pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            engine: MopEyeConfig::mopeye().with_max_events(u64::MAX),
-        }
+        Self { shards: shards.max(1), engine: MopEyeConfig::mopeye().with_max_events(u64::MAX) }
     }
 
     /// Sets the engine seed.
@@ -345,7 +342,11 @@ impl ResidentFleet {
     /// calling thread, while the workers run theirs. A panic in shard 0
     /// unwinds out of this call, as a worker's panic does; after a worker's
     /// panic, every later call panics with "hung up".
-    pub fn run_next(&mut self, net_builder: &SimNetworkBuilder, flows: Vec<FlowSpec>) -> FleetReport {
+    pub fn run_next(
+        &mut self,
+        net_builder: &SimNetworkBuilder,
+        flows: Vec<FlowSpec>,
+    ) -> FleetReport {
         // A worker that died in an earlier run refuses every later run
         // before any job goes out: otherwise the live workers' reports pile
         // up unread until a job to one of them waits forever.
@@ -377,7 +378,8 @@ impl ResidentFleet {
         }
 
         let local = catch_unwind(AssertUnwindSafe(|| {
-            begin_run(&mut self.local, &self.config.engine, net_builder.clone()).run_flows(local_flows)
+            begin_run(&mut self.local, &self.config.engine, net_builder.clone())
+                .run_flows(local_flows)
         }));
         let local = match local {
             Ok(report) => report,
@@ -613,7 +615,8 @@ pub struct OutcomeFold {
 impl OutcomeFold {
     /// Folds every sample and flow outcome of `report`.
     pub fn of(report: &RunReport) -> Self {
-        let sample_sum = report.samples.iter().fold(0u64, |sum, s| sum.wrapping_add(sample_hash(s)));
+        let sample_sum =
+            report.samples.iter().fold(0u64, |sum, s| sum.wrapping_add(sample_hash(s)));
         let flow_sum = report.flows.iter().fold(0u64, |sum, f| sum.wrapping_add(flow_hash(f)));
         Self {
             samples: report.samples.len() as u64,

@@ -12,9 +12,9 @@
 //! their next requests.
 
 use mop_packet::{Endpoint, FourTuple, Packet, PacketView};
+use mop_procnet::SocketStateCode;
 use mop_simnet::{BufferPool, Component, PoolStats, SimDuration, SimTime, TimingWheel};
 use mop_tun::{AppEndpoint, DnsClient, FlowKind, FlowSpec, ReaderSim};
-use mop_procnet::SocketStateCode;
 
 use super::{EgressStage, EngineShared, RelayStage};
 use crate::arena::{Arena, Parked};
@@ -216,7 +216,10 @@ impl IngressStage {
         sh.tun.record_app_write(buf.len());
         let mut rng = sh.checkout_rng(id);
         let retrieval = self.reader.retrieve(at, &sh.cost, &mut rng);
-        sh.ledger.charge(Component::TunReader, retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng));
+        sh.ledger.charge(
+            Component::TunReader,
+            retrieval.polling_cpu + sh.cost.tun_read.sample(&mut rng),
+        );
         // TunReader puts the packet in the read queue and wakes the
         // MainWorker, a context switch away (§3.2).
         let handoff = sh.cost.context_switch.sample(&mut rng);

@@ -181,8 +181,11 @@ impl RelayStage {
                         sh.conns.attach_tcp(id, self.isn)
                     }
                 };
-                let verdict =
-                    tcp.machine.on_segment_into(segment.into(), &mut self.packets, &mut self.actions);
+                let verdict = tcp.machine.on_segment_into(
+                    segment.into(),
+                    &mut self.packets,
+                    &mut self.actions,
+                );
                 match verdict {
                     SegmentVerdict::Syn => self.stats.syns += 1,
                     SegmentVerdict::Data(len) => {
@@ -457,8 +460,7 @@ impl RelayStage {
             sh.ledger.charge(Component::Inspection, inspect);
         }
         let Some(socket) = sh.conns[id].socket else { return };
-        if !matches!(self.sockets.state(socket), SocketState::Connected | SocketState::HalfClosed)
-        {
+        if !matches!(self.sockets.state(socket), SocketState::Connected | SocketState::HalfClosed) {
             return;
         }
         self.sockets.buffer_write(socket, len);
@@ -633,12 +635,7 @@ impl RelayStage {
     /// terminal state is not mid-life relay work, so arming it would both
     /// waste a timer and risk a late fire flipping a completed flow's
     /// outcome.
-    fn rearm_idle(
-        sh: &mut EngineShared,
-        sched: &mut TimingWheel<Event>,
-        now: SimTime,
-        id: FlowId,
-    ) {
+    fn rearm_idle(sh: &mut EngineShared, sched: &mut TimingWheel<Event>, now: SimTime, id: FlowId) {
         let Some(timeout) = sh.config.idle_timeout else { return };
         let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         let state = tcp.machine.state();
@@ -701,12 +698,7 @@ impl RelayStage {
 
     /// (Re-)arms `id`'s retransmission timer at `at`, cancelling any
     /// superseded deadline (O(1) on the timing wheel).
-    fn arm_rto_at(
-        sh: &mut EngineShared,
-        sched: &mut TimingWheel<Event>,
-        id: FlowId,
-        at: SimTime,
-    ) {
+    fn arm_rto_at(sh: &mut EngineShared, sched: &mut TimingWheel<Event>, id: FlowId, at: SimTime) {
         let Some(tcp) = sh.conns[id].tcp_mut() else { return };
         let handle = sched.schedule(at, Event::RtoTimeout(id));
         if let Some(superseded) = tcp.timers.arm_rto(handle.token()) {
@@ -893,7 +885,8 @@ impl RelayStage {
         let buffers = clients * 2 * 65_535;
         sh.ledger.set_memory(MemoryComponent::Relay, base + buffers);
         if sh.config.content_inspection {
-            sh.ledger.set_memory(MemoryComponent::Inspection, 120 * 1024 * 1024 + clients * 1024 * 1024);
+            sh.ledger
+                .set_memory(MemoryComponent::Inspection, 120 * 1024 * 1024 + clients * 1024 * 1024);
         }
     }
 }

@@ -112,8 +112,9 @@ fn net_kind_of(network_type: mop_simnet::NetworkType) -> NetKind {
 fn device_of(addr: IpAddr) -> u32 {
     match addr {
         IpAddr::V4(v4) => u32::from(v4),
-        IpAddr::V6(v6) => v6.octets().chunks_exact(4).fold(0u32, |acc, c| {
-            acc.rotate_left(9) ^ u32::from_be_bytes([c[0], c[1], c[2], c[3]])
-        }),
+        IpAddr::V6(v6) => v6
+            .octets()
+            .chunks_exact(4)
+            .fold(0u32, |acc, c| acc.rotate_left(9) ^ u32::from_be_bytes([c[0], c[1], c[2], c[3]])),
     }
 }

@@ -218,7 +218,8 @@ impl TunWriter {
             if rng.chance(0.12) {
                 return SimDuration::from_millis_f64(cost_model.wait_notify.sample_ms(rng));
             }
-            return cost_model.enqueue_fast.sample(rng) + SimDuration::from_micros(rng.int_inclusive(20, 120));
+            return cost_model.enqueue_fast.sample(rng)
+                + SimDuration::from_micros(rng.int_inclusive(20, 120));
         }
         cost_model.enqueue_fast.sample(rng)
     }

@@ -14,9 +14,7 @@ use mop_simnet::{
     SimTime,
 };
 use mop_tun::{FlowKind, FlowSpec, Workload, WorkloadKind};
-use mopeye_core::{
-    FleetConfig, FleetEngine, MopEyeConfig, MopEyeEngine, RunReport, TimestampMode,
-};
+use mopeye_core::{FleetConfig, FleetEngine, MopEyeConfig, MopEyeEngine, RunReport, TimestampMode};
 
 fn network() -> SimNetwork {
     SimNetwork::builder().seed(42).with_table2_destinations().build()
@@ -135,7 +133,11 @@ fn web_browsing_workload_produces_many_accurate_samples() {
     assert!(mean_err < 1.0, "mean error {mean_err}");
     // Mapping ran once per successful connection and mostly avoided parses.
     assert_eq!(report.mapping.requests, report.relay.connects_ok);
-    assert!(report.mapping.mitigation_rate() > 0.3, "mitigation {}", report.mapping.mitigation_rate());
+    assert!(
+        report.mapping.mitigation_rate() > 0.3,
+        "mitigation {}",
+        report.mapping.mitigation_rate()
+    );
     assert_eq!(report.mapping.mismapped, 0);
     // DNS queries from the workload were measured too.
     assert_eq!(report.dns_samples().len() as u64, report.relay.dns_queries);
@@ -156,11 +158,7 @@ fn web_browsing_workload_produces_many_accurate_samples() {
     assert!(report.events_processed > 100);
     // The datapath recycles packet buffers: after warm-up nearly every
     // tunnel packet reuses a pooled buffer instead of allocating.
-    assert!(
-        report.buffer_pool.reuse_rate() > 0.9,
-        "tunnel buffer reuse {:?}",
-        report.buffer_pool
-    );
+    assert!(report.buffer_pool.reuse_rate() > 0.9, "tunnel buffer reuse {:?}", report.buffer_pool);
 }
 
 #[test]
@@ -387,8 +385,11 @@ fn the_payload_arenas_are_invisible_across_reset() {
 
         engine.reset(keyed_builder(flow_keyed).build());
         assert_arenas_empty(&engine, "a reset engine");
-        let what =
-            if flow_keyed { "flow-keyed, after a stopped run" } else { "shared, after a stopped run" };
+        let what = if flow_keyed {
+            "flow-keyed, after a stopped run"
+        } else {
+            "shared, after a stopped run"
+        };
         assert_same_run(engine.run_flows(flows.clone()), &expected, what);
         assert_arenas_empty(&engine, what);
     }

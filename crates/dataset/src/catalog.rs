@@ -83,10 +83,22 @@ impl Catalog {
             app("com.tencent.mm", "Social", 61_804.0, 36.0, "long.weixin.qq.com"),
             app("com.facebook.orca", "Communication", 42_408.0, 42.0, "edge-chat.facebook.com"),
             app("com.whatsapp", "Communication", 32_372.0, 133.0, "e1.whatsapp.net"),
-            app("com.skype.raider", "Communication", 16_264.0, 76.0, "client-s.gateway.messenger.live.com"),
+            app(
+                "com.skype.raider",
+                "Communication",
+                16_264.0,
+                76.0,
+                "client-s.gateway.messenger.live.com",
+            ),
             app("com.android.vending", "Google", 100_115.0, 48.0, "play.googleapis.com"),
             app("com.google.android.gms", "Google", 60_805.0, 37.0, "www.googleapis.com"),
-            app("com.google.android.googlequicksearchbox", "Google", 35_858.0, 45.0, "www.google.com"),
+            app(
+                "com.google.android.googlequicksearchbox",
+                "Google",
+                35_858.0,
+                45.0,
+                "www.google.com",
+            ),
             app("com.google.android.apps.maps", "Google", 19_996.0, 38.0, "maps.googleapis.com"),
             app("com.google.android.youtube", "Video", 99_895.0, 32.0, "youtubei.googleapis.com"),
             app("com.netflix.mediaclient", "Video", 28_302.0, 33.0, "api-global.netflix.com"),
@@ -135,8 +147,7 @@ impl Catalog {
         // 334 whatsapp.net domains: 3 on the Facebook CDN, 331 on SoftLayer.
         let whatsapp_cdn_domains =
             vec!["mme.whatsapp.net".into(), "mmg.whatsapp.net".into(), "pps.whatsapp.net".into()];
-        let whatsapp_softlayer_domains =
-            (1..=331).map(|i| format!("e{i}.whatsapp.net")).collect();
+        let whatsapp_softlayer_domains = (1..=331).map(|i| format!("e{i}.whatsapp.net")).collect();
         Self {
             apps,
             isps,

@@ -260,11 +260,7 @@ fn tcp_record(
             // the three CDN-hosted ones are fast.
             if rng.chance(0.55) {
                 let i = rng.int_inclusive(0, catalog.whatsapp_softlayer_domains.len() as u64 - 1);
-                (
-                    app.package.clone(),
-                    catalog.whatsapp_softlayer_domains[i as usize].clone(),
-                    260.0,
-                )
+                (app.package.clone(), catalog.whatsapp_softlayer_domains[i as usize].clone(), 260.0)
             } else {
                 let i = rng.int_inclusive(0, catalog.whatsapp_cdn_domains.len() as u64 - 1);
                 (app.package.clone(), catalog.whatsapp_cdn_domains[i as usize].clone(), 70.0)
@@ -320,7 +316,8 @@ fn dns_record(
                     // fraction of resolutions below 10 ms (Figure 11).
                     isp.dns_floor_ms + rng.uniform(1.0, 6.0)
                 } else {
-                    isp.dns_floor_ms + rng.lognormal_median((isp.dns_median_ms - isp.dns_floor_ms).max(5.0), 0.5)
+                    isp.dns_floor_ms
+                        + rng.lognormal_median((isp.dns_median_ms - isp.dns_floor_ms).max(5.0), 0.5)
                 }
             }
             None => rng.lognormal_median(52.0, 0.5) + 8.0,
@@ -343,7 +340,9 @@ fn record_isp(device: &Device, network: NetKind) -> String {
 }
 
 fn pseudo_ip(domain: &str) -> String {
-    let h: u32 = domain.bytes().fold(0x811c_9dc5u32, |acc, b| (acc ^ u32::from(b)).wrapping_mul(0x0100_0193));
+    let h: u32 = domain
+        .bytes()
+        .fold(0x811c_9dc5u32, |acc, b| (acc ^ u32::from(b)).wrapping_mul(0x0100_0193));
     format!("{}.{}.{}.{}", 20 + (h >> 24) % 200, (h >> 16) & 0xff, (h >> 8) & 0xff, h & 0xff)
 }
 
@@ -374,9 +373,7 @@ mod tests {
     fn network_type_medians_have_the_paper_ordering() {
         let d = dataset();
         let median = |net: NetKind, kind: MeasurementKind| {
-            d.store
-                .median_where(|r| r.network == net && r.kind == kind)
-                .unwrap_or(f64::NAN)
+            d.store.median_where(|r| r.network == net && r.kind == kind).unwrap_or(f64::NAN)
         };
         let wifi = median(NetKind::Wifi, MeasurementKind::Tcp);
         let lte = median(NetKind::Lte, MeasurementKind::Tcp);
@@ -414,12 +411,18 @@ mod tests {
         let d = SyntheticDataset::generate(DatasetSpec { seed: 3, scale: 0.004 });
         let softlayer = d
             .store
-            .median_where(|r| r.domain.ends_with("whatsapp.net") && !r.domain.starts_with("mm") && !r.domain.starts_with("pps"))
+            .median_where(|r| {
+                r.domain.ends_with("whatsapp.net")
+                    && !r.domain.starts_with("mm")
+                    && !r.domain.starts_with("pps")
+            })
             .unwrap();
         let cdn = d
             .store
             .median_where(|r| {
-                r.domain.starts_with("mme.") || r.domain.starts_with("mmg.") || r.domain.starts_with("pps.")
+                r.domain.starts_with("mme.")
+                    || r.domain.starts_with("mmg.")
+                    || r.domain.starts_with("pps.")
             })
             .unwrap();
         assert!(softlayer > 190.0, "softlayer median {softlayer}");
@@ -429,18 +432,12 @@ mod tests {
     #[test]
     fn jio_penalises_apps_but_not_dns() {
         let d = SyntheticDataset::generate(DatasetSpec { seed: 11, scale: 0.004 });
-        let jio_app = d
-            .store
-            .median_where(|r| r.isp == "Jio 4G" && r.kind == MeasurementKind::Tcp)
-            .unwrap();
-        let jio_dns = d
-            .store
-            .median_where(|r| r.isp == "Jio 4G" && r.kind == MeasurementKind::Dns)
-            .unwrap();
-        let verizon_app = d
-            .store
-            .median_where(|r| r.isp == "Verizon" && r.kind == MeasurementKind::Tcp)
-            .unwrap();
+        let jio_app =
+            d.store.median_where(|r| r.isp == "Jio 4G" && r.kind == MeasurementKind::Tcp).unwrap();
+        let jio_dns =
+            d.store.median_where(|r| r.isp == "Jio 4G" && r.kind == MeasurementKind::Dns).unwrap();
+        let verizon_app =
+            d.store.median_where(|r| r.isp == "Verizon" && r.kind == MeasurementKind::Tcp).unwrap();
         assert!(jio_app > 180.0, "jio app median {jio_app}");
         assert!(jio_dns < 100.0, "jio dns median {jio_dns}");
         assert!(jio_app > verizon_app * 2.0, "jio {jio_app} vs verizon {verizon_app}");

@@ -147,9 +147,9 @@ impl NetProfile {
             NetProfile::Wifi => builder.access(AccessProfile::wifi()),
             NetProfile::Lte => builder.access(AccessProfile::lte()),
             NetProfile::Lossy3g => builder.access(AccessProfile::lossy_3g()),
-            NetProfile::WifiLteHandover => builder
-                .access(AccessProfile::wifi())
-                .handover_at(handover_at, AccessProfile::lte()),
+            NetProfile::WifiLteHandover => {
+                builder.access(AccessProfile::wifi()).handover_at(handover_at, AccessProfile::lte())
+            }
             NetProfile::DegradedCommute => builder
                 .access(AccessProfile::lossy_3g())
                 .handover_at(handover_at, AccessProfile::lte()),
@@ -359,15 +359,10 @@ impl Scenario {
     pub fn network(&self) -> SimNetworkBuilder {
         let handover_at =
             SimTime::ZERO + SimDuration::from_nanos(self.spec.duration.as_nanos() / 2);
-        self.spec
-            .profile
-            .apply(
-                SimNetwork::builder()
-                    .seed(self.spec.seed)
-                    .flow_keyed()
-                    .with_table2_destinations(),
-                handover_at,
-            )
+        self.spec.profile.apply(
+            SimNetwork::builder().seed(self.spec.seed).flow_keyed().with_table2_destinations(),
+            handover_at,
+        )
     }
 
     /// The destinations scenario workloads spread their connections over
@@ -425,8 +420,7 @@ impl Scenario {
             for (i, flow) in user_flows.iter_mut().enumerate() {
                 flow.src = Some(Endpoint::new(addr, USER_PORT_BASE + i as u16));
                 flow.network = Some(self.spec.profile.net_kind_at(flow.at, handover_at));
-                flow.isp =
-                    Some(self.spec.profile.isp_label_at(flow.at, handover_at).to_string());
+                flow.isp = Some(self.spec.profile.isp_label_at(flow.at, handover_at).to_string());
             }
             flows.extend(user_flows);
         }
@@ -546,10 +540,7 @@ impl DiurnalScenario {
                 name: "overnight-chatter",
                 offset: SimDuration::from_nanos(quarter.as_nanos() * 3),
                 duration: quarter,
-                mix: vec![
-                    (TrafficMix::BackgroundChatter, 0.80),
-                    (TrafficMix::DnsHeavy, 0.20),
-                ],
+                mix: vec![(TrafficMix::BackgroundChatter, 0.80), (TrafficMix::DnsHeavy, 0.20)],
                 network: NetKind::Wifi,
                 isp: "HomeWiFi",
                 share: 0.10,
@@ -677,9 +668,7 @@ mod tests {
         // The mix is dominated by the short-lived browsing + DNS churn.
         let churny = flows
             .iter()
-            .filter(|f| {
-                f.package == "com.android.chrome" || f.package == "com.whatsapp"
-            })
+            .filter(|f| f.package == "com.android.chrome" || f.package == "com.whatsapp")
             .count();
         assert!(churny * 2 > flows.len(), "churny flows {} of {}", churny, flows.len());
     }
@@ -708,8 +697,7 @@ mod tests {
     fn mix_weights_shape_the_population() {
         let flows = Scenario::rush_hour(2000, 11).generate();
         let chatter = flows.iter().filter(|f| f.package == "com.google.android.gm").count();
-        let bulk =
-            flows.iter().filter(|f| f.package == "org.zwanoo.android.speedtest").count();
+        let bulk = flows.iter().filter(|f| f.package == "org.zwanoo.android.speedtest").count();
         assert!(chatter > bulk, "chatter (40%) should outnumber bulk (5%)");
     }
 

@@ -112,9 +112,7 @@ impl Value {
     /// Object member lookup.
     pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }

@@ -249,7 +249,8 @@ impl<'a> JsonReader<'a> {
     /// refuses it if that would nest deeper than [`MAX_DEPTH`].
     fn enter(&mut self) -> Result<(), ParseError> {
         if self.depth == MAX_DEPTH {
-            return self.syntax(format!("arrays and objects nested deeper than {MAX_DEPTH} levels"));
+            return self
+                .syntax(format!("arrays and objects nested deeper than {MAX_DEPTH} levels"));
         }
         self.depth += 1;
         self.pos += 1;

@@ -175,12 +175,46 @@ proptest! {
 #[test]
 fn edge_case_texts_parse_as_they_did() {
     for text in [
-        "", " ", "-", "--1", "-0", "007", "1.", "1.e5", ".5", "1e", "1e+", "1-2", "+1", "1 2",
-        "9223372036854775807", "9223372036854775808", "-9223372036854775809",
-        "123456789012345678901234567890", "[1,]", "[,1]", "[", "]", "{\"a\":1,}", "{,}",
-        "{\"a\" 1}", "{\"a\":}", "{1:2}", "\"\\u12\"", "\"\\u12345\"", "\"\\ud800\\u0041\"",
-        "\"\\udc00\"", "\"\\x\"", "\"abc", "\"a\nb\"", "tru", "nulls", "true false",
-        "\u{7f}", "[[[]]]", "{\"a\":{\"b\":[null,true,false,\"\"]}}  \n",
+        "",
+        " ",
+        "-",
+        "--1",
+        "-0",
+        "007",
+        "1.",
+        "1.e5",
+        ".5",
+        "1e",
+        "1e+",
+        "1-2",
+        "+1",
+        "1 2",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775809",
+        "123456789012345678901234567890",
+        "[1,]",
+        "[,1]",
+        "[",
+        "]",
+        "{\"a\":1,}",
+        "{,}",
+        "{\"a\" 1}",
+        "{\"a\":}",
+        "{1:2}",
+        "\"\\u12\"",
+        "\"\\u12345\"",
+        "\"\\ud800\\u0041\"",
+        "\"\\udc00\"",
+        "\"\\x\"",
+        "\"abc",
+        "\"a\nb\"",
+        "tru",
+        "nulls",
+        "true false",
+        "\u{7f}",
+        "[[[]]]",
+        "{\"a\":{\"b\":[null,true,false,\"\"]}}  \n",
     ] {
         assert_eq!(from_str(text), model::parse(text), "{text:?}");
     }

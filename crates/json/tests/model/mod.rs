@@ -153,10 +153,7 @@ fn write_pretty(out: &mut String, value: &Value, indent: usize) {
     }
 }
 
-
-
 // ----- the old parser -------------------------------------------------------
-
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -226,8 +223,11 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError { message: "invalid utf-8 in number".into(), offset: start, path: String::new() })?;
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| ParseError {
+            message: "invalid utf-8 in number".into(),
+            offset: start,
+            path: String::new(),
+        })?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -317,7 +317,11 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                     }
                     let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
-                        ParseError { message: "invalid utf-8 in string".into(), offset: start, path: String::new() }
+                        ParseError {
+                            message: "invalid utf-8 in string".into(),
+                            offset: start,
+                            path: String::new(),
+                        }
                     })?;
                     out.push_str(run);
                 }

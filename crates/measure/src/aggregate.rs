@@ -507,11 +507,8 @@ mod tests {
             store.observe(r);
         }
         // Median of the WiFi cell vs the exact nearest-rank vector median.
-        let mut exact: Vec<f64> = records
-            .iter()
-            .filter(|r| r.network == NetKind::Wifi)
-            .map(|r| r.rtt_ms)
-            .collect();
+        let mut exact: Vec<f64> =
+            records.iter().filter(|r| r.network == NetKind::Wifi).map(|r| r.rtt_ms).collect();
         exact.sort_by(f64::total_cmp);
         let exact_median = exact[(0.5 * (exact.len() - 1) as f64).round() as usize];
         let sketch_median = store.median_where(|k| k.network == NetKind::Wifi).unwrap();

@@ -5,7 +5,6 @@
 //! §4.2.2) and presents distributions as CDFs; Table 1 uses fixed histogram
 //! bins. These are the corresponding primitives.
 
-
 /// Computes the `p`-th percentile (0–100) of `values` by linear
 /// interpolation. Returns `None` for an empty slice.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
@@ -226,7 +225,6 @@ mod tests {
         assert!(s.p25 < s.median && s.median < s.p75 && s.p75 < s.p95);
         assert!(Summary::of(&[]).is_none());
     }
-
 
     #[test]
     fn cdf_fraction_and_quantiles() {

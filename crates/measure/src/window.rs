@@ -471,10 +471,7 @@ mod tests {
             }
         }
         let summaries = w.epoch_summaries();
-        assert_eq!(
-            summaries.iter().map(|s| s.epoch).collect::<Vec<_>>(),
-            w.live_epochs()
-        );
+        assert_eq!(summaries.iter().map(|s| s.epoch).collect::<Vec<_>>(), w.live_epochs());
         for s in &summaries {
             let store = w.epoch_store(s.epoch).unwrap();
             assert_eq!(s.samples, store.sample_count());

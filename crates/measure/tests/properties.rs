@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use mop_measure::{
-    percentile, AggregateStore, Cdf, Histogram, MeasurementKind,
-    MeasurementStore, NetKind, RttRecord, RttSketch, Summary, WindowedAggregateStore,
+    percentile, AggregateStore, Cdf, Histogram, MeasurementKind, MeasurementStore, NetKind,
+    RttRecord, RttSketch, Summary, WindowedAggregateStore,
 };
 
 /// Stamps one deterministic sample (keyed off its index) into a windowed

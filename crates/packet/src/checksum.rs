@@ -186,12 +186,8 @@ mod tests {
     #[test]
     fn v6_checksum_differs_from_v4() {
         let seg = [1u8, 2, 3, 4, 5, 6, 7, 8];
-        let v4 = transport_checksum_v4(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            6,
-            &seg,
-        );
+        let v4 =
+            transport_checksum_v4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 6, &seg);
         let v6 = transport_checksum_v6(
             Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 1),
             Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 2),

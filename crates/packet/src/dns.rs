@@ -183,7 +183,12 @@ impl DnsMessage {
     pub fn nxdomain(query: &DnsMessage) -> Self {
         Self {
             id: query.id,
-            flags: DnsFlags { response: true, recursion_desired: true, recursion_available: true, rcode: 3 },
+            flags: DnsFlags {
+                response: true,
+                recursion_desired: true,
+                recursion_available: true,
+                rcode: 3,
+            },
             questions: query.questions.clone(),
             answers: Vec::new(),
         }
@@ -208,7 +213,11 @@ impl DnsMessage {
     /// Parses a DNS message from a UDP payload.
     pub fn parse(data: &[u8]) -> Result<Self> {
         if data.len() < 12 {
-            return Err(PacketError::Truncated { what: "DNS header", needed: 12, available: data.len() });
+            return Err(PacketError::Truncated {
+                what: "DNS header",
+                needed: 12,
+                available: data.len(),
+            });
         }
         let id = u16::from_be_bytes([data[0], data[1]]);
         let flags = DnsFlags::from_u16(u16::from_be_bytes([data[2], data[3]]));
@@ -232,7 +241,12 @@ impl DnsMessage {
                 return Err(PacketError::MalformedDns("record header truncated"));
             }
             let rtype = DnsType::from_u16(u16::from_be_bytes([data[next], data[next + 1]]));
-            let ttl = u32::from_be_bytes([data[next + 4], data[next + 5], data[next + 6], data[next + 7]]);
+            let ttl = u32::from_be_bytes([
+                data[next + 4],
+                data[next + 5],
+                data[next + 6],
+                data[next + 7],
+            ]);
             let rdlen = usize::from(u16::from_be_bytes([data[next + 8], data[next + 9]]));
             let rdata_start = next + 10;
             if rdata_start + rdlen > data.len() {
@@ -443,10 +457,7 @@ mod tests {
             data: DnsRecordData::Cname("edge.fbcdn.net".into()),
         });
         let parsed = DnsMessage::parse(&a.to_bytes()).unwrap();
-        assert_eq!(
-            parsed.answers[0].data,
-            DnsRecordData::Cname("edge.fbcdn.net".into())
-        );
+        assert_eq!(parsed.answers[0].data, DnsRecordData::Cname("edge.fbcdn.net".into()));
     }
 
     #[test]

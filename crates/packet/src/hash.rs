@@ -27,8 +27,8 @@
 //!   craft colliding keys offline. Its output therefore differs from run to
 //!   run: never persist it, and never iterate a map built on it into output.
 
-use std::collections::HashMap;
 use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// Incremental FNV-1a with a platform-stable output.

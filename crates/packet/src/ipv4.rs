@@ -91,9 +91,9 @@ impl Ipv4Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IPPROTO_TCP;
     use crate::error::PacketError;
     use crate::view::Ipv4View;
+    use crate::IPPROTO_TCP;
 
     /// The transport bytes every test packet carries after its header.
     const PAYLOAD: [u8; 5] = [1, 2, 3, 4, 5];

@@ -61,9 +61,9 @@ impl Ipv6Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IPPROTO_UDP;
     use crate::error::PacketError;
     use crate::view::Ipv6View;
+    use crate::IPPROTO_UDP;
 
     /// The transport bytes every test packet carries after its header.
     const PAYLOAD: [u8; 3] = [9, 8, 7];

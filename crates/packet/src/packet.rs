@@ -180,10 +180,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn builder() -> PacketBuilder {
-        PacketBuilder::new(
-            Endpoint::v4(10, 0, 0, 2, 40000),
-            Endpoint::v4(216, 58, 221, 132, 443),
-        )
+        PacketBuilder::new(Endpoint::v4(10, 0, 0, 2, 40000), Endpoint::v4(216, 58, 221, 132, 443))
     }
 
     #[test]

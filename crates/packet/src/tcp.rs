@@ -678,7 +678,8 @@ mod tests {
             TcpOption::SackPermitted,
             TcpOption::Nop,
             TcpOption::WindowScale(7),
-        ].into();
+        ]
+        .into();
         s
     }
 
@@ -798,7 +799,8 @@ mod tests {
             TcpOption::Nop,
             TcpOption::Nop,
             TcpOption::Nop,
-        ].into();
+        ]
+        .into();
         let bytes = wire(&s);
         let parsed = TcpSegmentView::new(&bytes).unwrap();
         assert_eq!(parsed.options().next(), Some(TcpOptionRef::Unknown(254, &[1, 2, 3])));

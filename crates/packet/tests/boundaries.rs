@@ -59,11 +59,8 @@ fn segment_bytes(seg: &TcpSegment) -> Vec<u8> {
 
 #[test]
 fn zero_length_payload_round_trips_in_both_codecs() {
-    for packet in [
-        builder().tcp_ack(1, 1),
-        builder().tcp_data(1, 1, 0),
-        builder().udp(Vec::new()),
-    ] {
+    for packet in [builder().tcp_ack(1, 1), builder().tcp_data(1, 1, 0), builder().udp(Vec::new())]
+    {
         assert_round_trip(&packet);
     }
 }
@@ -106,7 +103,8 @@ fn segment_views_decode_every_option_shape() {
         TcpOption::WindowScale(7),
         TcpOption::Timestamps(123456, 654321),
         TcpOption::Unknown(254, [9, 8, 7].into()),
-    ].into();
+    ]
+    .into();
     let bytes = segment_bytes(&seg);
     let view = TcpSegmentView::new(&bytes).unwrap();
     assert_eq!(

@@ -368,7 +368,12 @@ mod tests {
     fn setup() -> (ConnectionTable, CostModel, SimRng) {
         let mut table = ConnectionTable::new();
         for i in 0..40u16 {
-            table.register(flow(40000 + i), true, 10_100 + u32::from(i % 7), SocketStateCode::SynSent);
+            table.register(
+                flow(40000 + i),
+                true,
+                10_100 + u32::from(i % 7),
+                SocketStateCode::SynSent,
+            );
         }
         (table, CostModel::android_phone(), SimRng::seed_from_u64(5))
     }
@@ -424,7 +429,8 @@ mod tests {
         let (table, cost, mut rng) = setup();
         let mut mapper = LazyMapper::new();
         let t0 = SimTime::from_millis(100);
-        let outcome = mapper.map(&table, &cost, &mut rng, flow(40001), SimTime::from_millis(50), t0);
+        let outcome =
+            mapper.map(&table, &cost, &mut rng, flow(40001), SimTime::from_millis(50), t0);
         assert!(outcome.performed_parse);
         assert!(outcome.correct);
         assert!(outcome.cpu_cost > SimDuration::from_millis(1));
@@ -440,8 +446,7 @@ mod tests {
         // A second connect thread needs a mapping 1 ms later, while the first
         // parse is still in flight.
         let t1 = t0 + SimDuration::from_millis(1);
-        let second =
-            mapper.map(&table, &cost, &mut rng, flow(40002), SimTime::from_millis(51), t1);
+        let second = mapper.map(&table, &cost, &mut rng, flow(40002), SimTime::from_millis(51), t1);
         assert!(!second.performed_parse);
         assert!(second.waited);
         assert!(second.correct);
@@ -462,7 +467,8 @@ mod tests {
         // Much later, a connection that was already registered before the
         // snapshot asks for its mapping: served from the snapshot.
         let t1 = SimTime::from_millis(400);
-        let outcome = mapper.map(&table, &cost, &mut rng, flow(40010), SimTime::from_millis(60), t1);
+        let outcome =
+            mapper.map(&table, &cost, &mut rng, flow(40010), SimTime::from_millis(60), t1);
         assert!(!outcome.performed_parse);
         assert!(!outcome.waited);
         assert!(outcome.correct);
@@ -548,7 +554,8 @@ mod tests {
         // state changes (which must NOT bump the generation).
         assert!(table.remove(flow(40003)));
         table.register(flow(40003), true, 99_000, SocketStateCode::SynSent);
-        let udp_flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 5353), Endpoint::v4(8, 8, 8, 8, 53));
+        let udp_flow =
+            FourTuple::new(Endpoint::v4(10, 0, 0, 2, 5353), Endpoint::v4(8, 8, 8, 8, 53));
         table.register(udp_flow, false, 77_000, SocketStateCode::Close);
         assert_eq!(*table.uid_index(), full_rebuild(&table));
         assert!(table.generation() > gen_after_setup);

@@ -83,7 +83,10 @@ fn encode_endpoint(endpoint: &Endpoint) -> String {
             let o = v6.octets();
             let mut s = String::with_capacity(32);
             for group in o.chunks(4) {
-                s.push_str(&format!("{:02X}{:02X}{:02X}{:02X}", group[3], group[2], group[1], group[0]));
+                s.push_str(&format!(
+                    "{:02X}{:02X}{:02X}{:02X}",
+                    group[3], group[2], group[1], group[0]
+                ));
             }
             s
         }
@@ -204,7 +207,8 @@ mod tests {
     fn malformed_lines_are_skipped() {
         let file = ProcFile {
             protocol: Protocol::Tcp,
-            content: "header\n garbage line\n  0: ZZZ:1 0200000A:0050 01 0:0 0:0 0 100 0 5\n".into(),
+            content: "header\n garbage line\n  0: ZZZ:1 0200000A:0050 01 0:0 0:0 0 100 0 5\n"
+                .into(),
         };
         assert!(parse_proc_net(&file).is_empty());
     }

@@ -300,10 +300,7 @@ mod tests {
     use super::*;
 
     fn flow(port: u16, uid: u32) -> (FourTuple, u32) {
-        (
-            FourTuple::new(Endpoint::v4(10, 0, 0, 2, port), Endpoint::v4(31, 13, 79, 251, 443)),
-            uid,
-        )
+        (FourTuple::new(Endpoint::v4(10, 0, 0, 2, port), Endpoint::v4(31, 13, 79, 251, 443)), uid)
     }
 
     #[test]
@@ -342,7 +339,8 @@ mod tests {
         let mut table = ConnectionTable::new();
         let (f1, uid1) = flow(40000, 1);
         table.register(f1, true, uid1, SocketStateCode::Established);
-        let udp_flow = FourTuple::new(Endpoint::v4(10, 0, 0, 2, 5353), Endpoint::v4(8, 8, 8, 8, 53));
+        let udp_flow =
+            FourTuple::new(Endpoint::v4(10, 0, 0, 2, 5353), Endpoint::v4(8, 8, 8, 8, 53));
         table.register(udp_flow, false, 2, SocketStateCode::Close);
         assert_eq!(table.entries_for(Protocol::Tcp).len(), 1);
         assert_eq!(table.entries_for(Protocol::Udp).len(), 1);
@@ -364,7 +362,6 @@ mod tests {
         }
         assert_eq!(SocketStateCode::from_code("FF"), SocketStateCode::Close);
     }
-
 
     #[test]
     fn entries_sharing_a_four_tuple_are_updated_oldest_first_and_removed_together() {

@@ -49,7 +49,10 @@ impl<R: BufRead, W: Write> Client<R, W> {
         let request = if params.is_null() {
             format!("{{\"id\":{id},\"method\":\"{method}\"}}")
         } else {
-            format!("{{\"id\":{id},\"method\":\"{method}\",\"params\":{}}}", mop_json::to_string(&params))
+            format!(
+                "{{\"id\":{id},\"method\":\"{method}\",\"params\":{}}}",
+                mop_json::to_string(&params)
+            )
         };
         self.writer.write_all(request.as_bytes())?;
         self.writer.write_all(b"\n")?;
@@ -81,7 +84,8 @@ impl<R: BufRead, W: Write> Client<R, W> {
 #[cfg(unix)]
 pub fn connect_unix(
     socket_path: &std::path::Path,
-) -> io::Result<Client<io::BufReader<std::os::unix::net::UnixStream>, std::os::unix::net::UnixStream>> {
+) -> io::Result<Client<io::BufReader<std::os::unix::net::UnixStream>, std::os::unix::net::UnixStream>>
+{
     use std::os::unix::net::UnixStream;
 
     let mut last_err = None;

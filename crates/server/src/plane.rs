@@ -53,12 +53,12 @@ use mop_json::{FromJson, Hex, JsonReader, JsonWrite, ParseError, ToJson, Value};
 use mop_measure::EpochSummary;
 use mop_simnet::{SimDuration, SimNetworkBuilder};
 use mop_tun::FlowSpec;
+#[cfg(test)]
+use mopeye_core::FleetEngine;
 use mopeye_core::{
     epoch_boundary, CheckpointHeader, CheckpointRef, CongestionAlgo, Counters, FleetCheckpoint,
     FleetConfig, OutcomeFold, ResidentFleet, RunReport,
 };
-#[cfg(test)]
-use mopeye_core::FleetEngine;
 
 /// Version tag of the server checkpoint document (which embeds a
 /// [`FleetCheckpoint`] plus the plane's scenario table and cursor).
@@ -297,7 +297,12 @@ impl ControlPlane {
     /// they run in the next step, and their samples fold into the correct
     /// epochs (or the window tail) because the windowed merge keys on
     /// sample timestamps. Returns `(scenario_id, flows_injected)`.
-    pub fn inject(&mut self, kind: &str, users: usize, seed: u64) -> Result<(String, usize), String> {
+    pub fn inject(
+        &mut self,
+        kind: &str,
+        users: usize,
+        seed: u64,
+    ) -> Result<(String, usize), String> {
         if users == 0 {
             return Err("a scenario needs at least one user".into());
         }
@@ -765,16 +770,11 @@ mod tests {
         busy.inject("rush-hour", 20, 5).unwrap();
         assert!(busy.resume(&doc).unwrap_err().contains("idle plane"));
 
-        let mut other_seed = ControlPlane::new(PlaneConfig {
-            seed: 99,
-            ..PlaneConfig::default()
-        });
+        let mut other_seed = ControlPlane::new(PlaneConfig { seed: 99, ..PlaneConfig::default() });
         assert!(other_seed.resume(&doc).unwrap_err().contains("seed"));
 
-        let mut other_geometry = ControlPlane::new(PlaneConfig {
-            epoch_window: 8,
-            ..PlaneConfig::default()
-        });
+        let mut other_geometry =
+            ControlPlane::new(PlaneConfig { epoch_window: 8, ..PlaneConfig::default() });
         assert!(other_geometry.resume(&doc).unwrap_err().contains("epoch geometry"));
 
         let mut fresh = small_plane(2);

@@ -76,8 +76,7 @@ impl ErrorCode {
 /// Parses one request frame. The error string becomes the `parse-error`
 /// response message.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value =
-        mop_json::from_str(line).map_err(|e| format!("frame is not valid JSON: {e}"))?;
+    let value = mop_json::from_str(line).map_err(|e| format!("frame is not valid JSON: {e}"))?;
     let Some(id) = value["id"].as_u64() else {
         return Err("frame has no non-negative integer \"id\"".into());
     };

@@ -14,9 +14,7 @@ use mop_analytics::{diagnose_apps, diagnose_live, DiagnosisConfig, TrendConfig};
 use mop_json::{json, Value};
 
 use crate::plane::{ControlPlane, PlaneConfig, StepOutcome, MAX_CURSOR_EPOCH};
-use crate::proto::{
-    self, digest_str, error_frame, event_frame, result_frame, ErrorCode, Request,
-};
+use crate::proto::{self, digest_str, error_frame, event_frame, result_frame, ErrorCode, Request};
 
 /// What a subscriber receives per step. See `report.subscribe`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,9 +193,10 @@ impl Server {
         let epochs = match &params["epochs"] {
             // No count: drain everything currently pending.
             Value::Null => self.plane.epochs_to_drain(),
-            v => v
-                .as_u64()
-                .ok_or((ErrorCode::BadParams, "\"epochs\" must be a non-negative integer".into()))?,
+            v => v.as_u64().ok_or((
+                ErrorCode::BadParams,
+                "\"epochs\" must be a non-negative integer".into(),
+            ))?,
         };
         let room = MAX_CURSOR_EPOCH - self.plane.cursor_epoch();
         if epochs > room {
@@ -531,9 +530,8 @@ mod tests {
         let number_end = |at: usize| at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
         let index_end = number_end(buckets);
         let pair_count = index_end + 1;
-        let with = |at: usize, end: usize, value: &str| {
-            format!("{}{value}{}", &doc[..at], &doc[end..])
-        };
+        let with =
+            |at: usize, end: usize, value: &str| format!("{}{value}{}", &doc[..at], &doc[end..]);
         let total: u64 = doc[count..number_end(count)].parse().unwrap();
         let cases = [
             (with(buckets, index_end, "65535"), "past the overflow bucket"),

@@ -16,8 +16,7 @@ use mop_dataset::Scenario;
 use mop_json::json;
 use mop_server::{ControlPlane, PlaneConfig, Server, SERVER_CHECKPOINT_VERSION};
 use mopeye_core::{
-    epoch_boundary, split_at, Counter, FleetCheckpoint,
-    FleetConfig, FleetEngine, RunReport,
+    epoch_boundary, split_at, Counter, FleetCheckpoint, FleetConfig, FleetEngine, RunReport,
 };
 use proptest::prelude::*;
 
@@ -78,12 +77,22 @@ fn oracle_digest(plane: &PlaneConfig, mirrors: &[Mirror]) -> u64 {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Inject { kind: usize, users: usize, seed: u64 },
-    Retire { slot: usize },
-    Step { epochs: u64 },
+    Inject {
+        kind: usize,
+        users: usize,
+        seed: u64,
+    },
+    Retire {
+        slot: usize,
+    },
+    Step {
+        epochs: u64,
+    },
     /// Checkpoint the plane and resume the document on a fresh plane with
     /// this shard count, continuing the session there.
-    CheckpointResume { shards: usize },
+    CheckpointResume {
+        shards: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -193,7 +202,10 @@ fn streamed_deltas_fold_to_the_cumulative_digest() {
     assert_eq!(format!("{:016x}", folded.fleet_digest()), digest);
     assert_eq!(
         folded.fleet_digest(),
-        oracle_digest(&config(2), &[Mirror { kind: "rush-hour", users: 30, seed: 5, ran_cut: None }]),
+        oracle_digest(
+            &config(2),
+            &[Mirror { kind: "rush-hour", users: 30, seed: 5, ran_cut: None }]
+        ),
     );
 }
 
@@ -232,11 +244,7 @@ fn protocol_checkpoint_resume_matches_batch_across_shard_counts() {
         }));
         let turn = resumed.handle_line(&request);
         let reply = mop_json::from_str(&turn.frames[0]).unwrap();
-        assert!(
-            !reply["result"].is_null(),
-            "resume on {shards} shards failed: {}",
-            turn.frames[0]
-        );
+        assert!(!reply["result"].is_null(), "resume on {shards} shards failed: {}", turn.frames[0]);
         let turn = resumed.handle_line("{\"id\":2,\"method\":\"fleet.step\"}");
         let reply = mop_json::from_str(&turn.frames[0]).unwrap();
         assert_eq!(

@@ -127,13 +127,9 @@ fn the_session_transcript_is_shard_invariant() {
 fn transcripts_replay_over_the_stream_transport() {
     for (name, shards) in [("errors.txt", 2), ("session.txt", 4)] {
         let exchanges = load(name, 2);
-        let input: String =
-            exchanges.iter().map(|e| format!("{}\n", e.request)).collect();
-        let expected: String = exchanges
-            .iter()
-            .flat_map(|e| e.expected.iter())
-            .map(|f| format!("{f}\n"))
-            .collect();
+        let input: String = exchanges.iter().map(|e| format!("{}\n", e.request)).collect();
+        let expected: String =
+            exchanges.iter().flat_map(|e| e.expected.iter()).map(|f| format!("{f}\n")).collect();
         let mut server = Server::new(config(shards));
         let mut output = Vec::new();
         let stopped = serve(&mut server, input.as_bytes(), &mut output).unwrap();
@@ -163,10 +159,7 @@ fn a_deeply_nested_frame_is_one_parse_error_and_the_session_goes_on() {
 /// Serves `socket` on a background thread with a fresh `shards`-shard
 /// plane; the handle yields what `serve_unix` returned.
 #[cfg(unix)]
-fn spawn_unix_server(
-    socket: &Path,
-    shards: usize,
-) -> std::thread::JoinHandle<std::io::Result<()>> {
+fn spawn_unix_server(socket: &Path, shards: usize) -> std::thread::JoinHandle<std::io::Result<()>> {
     let socket = socket.to_path_buf();
     std::thread::spawn(move || {
         let mut server = Server::new(config(shards));
@@ -193,8 +186,8 @@ fn transcripts_replay_over_a_unix_socket() {
 
     for (name, shards) in [("errors.txt", 2), ("session.txt", 1)] {
         let exchanges = load(name, 2);
-        let socket = std::env::temp_dir()
-            .join(format!("mop-serve-test-{}-{name}.sock", std::process::id()));
+        let socket =
+            std::env::temp_dir().join(format!("mop-serve-test-{}-{name}.sock", std::process::id()));
         let handle = spawn_unix_server(&socket, shards);
 
         let stream = connect(&socket);
@@ -205,11 +198,7 @@ fn transcripts_replay_over_a_unix_socket() {
             for expected in &exchange.expected {
                 let mut line = String::new();
                 reader.read_line(&mut line).unwrap();
-                assert_eq!(
-                    line.trim_end(),
-                    expected,
-                    "{name} exchange {i} over the socket"
-                );
+                assert_eq!(line.trim_end(), expected, "{name} exchange {i} over the socket");
             }
         }
         handle.join().unwrap().unwrap();

@@ -118,8 +118,7 @@ impl CostModel {
     /// Samples the cost of one full `/proc/net/tcp6` + `/proc/net/tcp` parse
     /// with `entries` connections in the tables.
     pub fn sample_proc_parse(&self, entries: usize, rng: &mut SimRng) -> SimDuration {
-        let per_entry: f64 =
-            (0..entries).map(|_| self.proc_parse_per_entry.sample_ms(rng)).sum();
+        let per_entry: f64 = (0..entries).map(|_| self.proc_parse_per_entry.sample_ms(rng)).sum();
         SimDuration::from_millis_f64(self.proc_parse_base.sample_ms(rng) + per_entry)
     }
 

@@ -371,7 +371,9 @@ impl SimNetwork {
     }
 
     fn path_model_for(&self, addr: IpAddr) -> LatencyModel {
-        self.server_for(addr).map(|s| s.path_rtt.clone()).unwrap_or_else(|| self.default_path.clone())
+        self.server_for(addr)
+            .map(|s| s.path_rtt.clone())
+            .unwrap_or_else(|| self.default_path.clone())
     }
 
     /// Samples the full handset-to-server RTT for `dst` at time `at` with a
@@ -396,19 +398,29 @@ impl SimNetwork {
         let syn_sent = at + SimDuration::from_millis_f64(access.uplink_tx_delay_ms(60));
         let loss = access.loss;
         self.tap.record(syn_sent, TapDirection::Outbound, TapKind::Syn, flow);
-        let service_accepts = self
-            .server_for(flow.dst.addr)
-            .map(|s| s.service.clone())
-            .unwrap_or(Service::Echo);
+        let service_accepts =
+            self.server_for(flow.dst.addr).map(|s| s.service.clone()).unwrap_or(Service::Echo);
         let outcome = match service_accepts {
             Service::Refuse => {
                 let completed_at = syn_sent + rtt;
                 self.tap.record(completed_at, TapDirection::Inbound, TapKind::Rst, flow);
-                ConnectOutcome { syn_sent, completed_at, success: false, refused: true, true_rtt: rtt }
+                ConnectOutcome {
+                    syn_sent,
+                    completed_at,
+                    success: false,
+                    refused: true,
+                    true_rtt: rtt,
+                }
             }
             Service::Blackhole => {
                 let completed_at = syn_sent + CONNECT_TIMEOUT;
-                ConnectOutcome { syn_sent, completed_at, success: false, refused: false, true_rtt: rtt }
+                ConnectOutcome {
+                    syn_sent,
+                    completed_at,
+                    success: false,
+                    refused: false,
+                    true_rtt: rtt,
+                }
             }
             _ => {
                 // Model SYN loss with the RFC 6298 retransmission schedule:
@@ -421,9 +433,8 @@ impl SimNetwork {
                 let lost = ctx.rng.chance(loss);
                 let mut answered_at = if lost { None } else { Some(syn_sent + rtt) };
                 if lost {
-                    let mut retry_rng = SimRng::seed_from_u64(
-                        self.seed ^ flow.stable_hash() ^ SYN_RETRY_SALT,
-                    );
+                    let mut retry_rng =
+                        SimRng::seed_from_u64(self.seed ^ flow.stable_hash() ^ SYN_RETRY_SALT);
                     let mut wait_s: u64 = 1;
                     let mut elapsed_s: u64 = 1;
                     while SimDuration::from_secs(elapsed_s) < CONNECT_TIMEOUT {
@@ -440,7 +451,13 @@ impl SimNetwork {
                 match answered_at {
                     Some(completed_at) => {
                         self.tap.record(completed_at, TapDirection::Inbound, TapKind::SynAck, flow);
-                        ConnectOutcome { syn_sent, completed_at, success: true, refused: false, true_rtt: rtt }
+                        ConnectOutcome {
+                            syn_sent,
+                            completed_at,
+                            success: true,
+                            refused: false,
+                            true_rtt: rtt,
+                        }
                     }
                     // Every retransmission was lost too: the connect times
                     // out exactly like a blackholed destination.
@@ -479,10 +496,8 @@ impl SimNetwork {
         let depart = reserve(&mut ctx.uplink_busy, at, tx_up);
         self.tap.record(depart, TapDirection::Outbound, TapKind::Data(request_bytes), flow);
         let arrives_at_server = depart + half_rtt;
-        let service = self
-            .server_for(flow.dst.addr)
-            .map(|s| s.service.clone())
-            .unwrap_or(Service::Echo);
+        let service =
+            self.server_for(flow.dst.addr).map(|s| s.service.clone()).unwrap_or(Service::Echo);
         let (response_total, processing_ms) = match &service {
             Service::Silent | Service::Refuse | Service::Blackhole => (0usize, 0.0),
             Service::Echo => (request_bytes, 0.1),
@@ -555,8 +570,7 @@ impl SimNetwork {
         let mut chunks = Vec::with_capacity(bytes / SEGMENT_BYTES + 1);
         while remaining > 0 {
             let chunk = remaining.min(SEGMENT_BYTES);
-            let tx =
-                SimDuration::from_millis_f64(self.access_at(cursor).uplink_tx_delay_ms(chunk));
+            let tx = SimDuration::from_millis_f64(self.access_at(cursor).uplink_tx_delay_ms(chunk));
             cursor = reserve(&mut ctx.uplink_busy, cursor, tx);
             chunks.push((cursor, chunk));
             remaining -= chunk;
@@ -589,7 +603,12 @@ impl SimNetwork {
             DnsAnswer::NxDomain => {
                 let response_at = query_sent + rtt;
                 self.tap.record(response_at, TapDirection::Inbound, TapKind::DnsResponse, flow);
-                DnsOutcome { query_sent, response_at: Some(response_at), addrs: Vec::new(), nxdomain: true }
+                DnsOutcome {
+                    query_sent,
+                    response_at: Some(response_at),
+                    addrs: Vec::new(),
+                    nxdomain: true,
+                }
             }
             DnsAnswer::Addresses(addrs) => {
                 let response_at = query_sent + rtt;
@@ -663,12 +682,14 @@ mod tests {
                 Service::Blackhole,
             ))
             .build();
-        let refused = net.connect(&mut FlowNetState::default(), 
+        let refused = net.connect(
+            &mut FlowNetState::default(),
             FourTuple::new(Endpoint::v4(10, 0, 0, 2, 1), Endpoint::v4(10, 9, 9, 9, 80)),
             SimTime::ZERO,
         );
         assert!(!refused.success && refused.refused);
-        let hole = net.connect(&mut FlowNetState::default(), 
+        let hole = net.connect(
+            &mut FlowNetState::default(),
             FourTuple::new(Endpoint::v4(10, 0, 0, 2, 2), Endpoint::v4(10, 9, 9, 10, 80)),
             SimTime::ZERO,
         );
@@ -787,10 +808,7 @@ mod tests {
 
     #[test]
     fn data_faults_are_flow_keyed_and_released() {
-        let net = SimNetwork::builder()
-            .seed(5)
-            .access(AccessProfile::lossy_3g())
-            .build();
+        let net = SimNetwork::builder().seed(5).access(AccessProfile::lossy_3g()).build();
         assert!(net.faults_possible());
         let flow = google_flow(40200);
         let mut state = FlowNetState::default();

@@ -248,7 +248,8 @@ mod tests {
         );
         let blocks = SackBlocks::new(&[(10, 20), (30, 40), (50, 60), (70, 80)]);
         let query = DnsMessage::query(7, "scontent.xx.fbcdn.net");
-        for packet in [v6.tcp_syn(1), v6.tcp_fin(1, 1), v6.tcp_sack_ack(1, 1, blocks), v6.dns(&query)]
+        for packet in
+            [v6.tcp_syn(1), v6.tcp_fin(1, 1), v6.tcp_sack_ack(1, 1, blocks), v6.dns(&query)]
         {
             let mut buf = BufferPool::for_packets().get();
             packet.encode_into(&mut buf);

@@ -38,10 +38,8 @@ impl SimRng {
 
     /// The next 64 random bits (xoshiro256++).
     pub(crate) fn next_u64(&mut self) -> u64 {
-        let result = self.state[0]
-            .wrapping_add(self.state[3])
-            .rotate_left(23)
-            .wrapping_add(self.state[0]);
+        let result =
+            self.state[0].wrapping_add(self.state[3]).rotate_left(23).wrapping_add(self.state[0]);
         let t = self.state[1] << 17;
         self.state[2] ^= self.state[0];
         self.state[3] ^= self.state[1];
@@ -55,9 +53,9 @@ impl SimRng {
     /// Derives an independent generator, keyed by a label hash so that two
     /// forks with different labels produce different streams.
     pub fn fork(&mut self, label: &str) -> Self {
-        let salt: u64 = label.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-        });
+        let salt: u64 = label
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3));
         Self::seed_from_u64(self.next_u64() ^ salt)
     }
 

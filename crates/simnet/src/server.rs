@@ -65,13 +65,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Creates a server with a single IPv4 address.
     pub fn new(name: &str, addr: IpAddr, path_rtt: LatencyModel, service: Service) -> Self {
-        Self {
-            name: name.to_string(),
-            addrs: vec![addr],
-            domains: Vec::new(),
-            path_rtt,
-            service,
-        }
+        Self { name: name.to_string(), addrs: vec![addr], domains: Vec::new(), path_rtt, service }
     }
 
     /// Adds a domain that resolves to this server.

@@ -477,7 +477,10 @@ mod tests {
         let outcome = set.connect(&mut net, &mut state, id, google(), SimTime::from_millis(10));
         assert!(matches!(set.state(id), SocketState::Connecting { .. }));
         // Too early: still connecting.
-        assert!(matches!(set.poll_connect(id, SimTime::from_millis(10)), SocketState::Connecting { .. }));
+        assert!(matches!(
+            set.poll_connect(id, SimTime::from_millis(10)),
+            SocketState::Connecting { .. }
+        ));
         assert_eq!(set.poll_connect(id, outcome.completed_at), SocketState::Connected);
         assert_eq!(set.entry(id).remote, Some(google()));
         assert_eq!(set.connect_outcome(id).unwrap(), outcome);

@@ -313,7 +313,12 @@ mod tests {
             let f = flow(*port);
             let base = SimTime::from_millis(10 * i as u64);
             tap.record(base, TapDirection::Outbound, TapKind::Syn, f);
-            tap.record(base + SimDuration::from_millis(5), TapDirection::Inbound, TapKind::SynAck, f);
+            tap.record(
+                base + SimDuration::from_millis(5),
+                TapDirection::Inbound,
+                TapKind::SynAck,
+                f,
+            );
         }
         // A retransmitted SYN for the first flow must not duplicate it.
         tap.record(SimTime::from_millis(100), TapDirection::Outbound, TapKind::Syn, flow(40000));

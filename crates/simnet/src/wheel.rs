@@ -648,10 +648,7 @@ mod tests {
         wheel.schedule(SimTime::from_millis(10), 1);
         wheel.schedule(SimTime::from_secs(50), 2);
         assert_eq!(wheel.peek_time(), Some(SimTime::from_millis(10)));
-        assert_eq!(
-            wheel.pop_until(SimTime::from_millis(20)),
-            Some((SimTime::from_millis(10), 1))
-        );
+        assert_eq!(wheel.pop_until(SimTime::from_millis(20)), Some((SimTime::from_millis(10), 1)));
         assert_eq!(wheel.pop_until(SimTime::from_millis(20)), None);
         assert_eq!(wheel.len(), 1);
         assert_eq!(wheel.peek_time(), Some(SimTime::from_secs(50)));

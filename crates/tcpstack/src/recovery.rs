@@ -92,8 +92,8 @@ impl RttEstimator {
             self.srtt_ns = 0.875 * self.srtt_ns + 0.125 * r;
         }
         self.backoff = 0;
-        self.rto_ns = ((self.srtt_ns + (4.0 * self.rttvar_ns).max(1.0)) as u64)
-            .clamp(MIN_RTO_NS, MAX_RTO_NS);
+        self.rto_ns =
+            ((self.srtt_ns + (4.0 * self.rttvar_ns).max(1.0)) as u64).clamp(MIN_RTO_NS, MAX_RTO_NS);
     }
 
     /// The current retransmission timeout, including backoff.

@@ -193,7 +193,12 @@ impl ReaderSim {
 
     /// Adaptive polling: each empty read doubles the sleep (up to `max`);
     /// finding a packet resets the sleep to `min`.
-    fn poll_adaptive(&mut self, arrival: SimTime, min: SimDuration, max: SimDuration) -> (SimTime, u64) {
+    fn poll_adaptive(
+        &mut self,
+        arrival: SimTime,
+        min: SimDuration,
+        max: SimDuration,
+    ) -> (SimTime, u64) {
         let mut empty = 0u64;
         let mut tick = self.next_poll_at;
         let mut sleep = self.current_sleep.max(min);
@@ -238,7 +243,11 @@ impl ReaderSim {
     /// packets at all (used for the Table 4 resource accounting, where
     /// Haystack keeps executing reads regardless of traffic).
     #[cfg(test)]
-    pub(crate) fn idle_polling_cpu(&self, idle: SimDuration, cost_model: &CostModel) -> SimDuration {
+    pub(crate) fn idle_polling_cpu(
+        &self,
+        idle: SimDuration,
+        cost_model: &CostModel,
+    ) -> SimDuration {
         let period = match self.strategy {
             ReadStrategy::Blocking => return SimDuration::ZERO,
             ReadStrategy::FixedSleep { period } => period,

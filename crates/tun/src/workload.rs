@@ -245,7 +245,13 @@ impl Workload {
         self.destinations[rng.int_inclusive(0, self.destinations.len() as u64 - 1) as usize].clone()
     }
 
-    fn tcp_flow(&self, at: SimTime, dst: (Endpoint, String), request: usize, close_after: usize) -> FlowSpec {
+    fn tcp_flow(
+        &self,
+        at: SimTime,
+        dst: (Endpoint, String),
+        request: usize,
+        close_after: usize,
+    ) -> FlowSpec {
         FlowSpec {
             at,
             uid: self.uid,
@@ -320,7 +326,8 @@ impl Workload {
         let chunk_every = SimDuration::from_secs(6);
         let chunks = (self.duration.as_nanos() / chunk_every.as_nanos().max(1)).max(1);
         for i in 0..chunks {
-            let at = SimTime::from_millis(500) + SimDuration::from_nanos(chunk_every.as_nanos() * i);
+            let at =
+                SimTime::from_millis(500) + SimDuration::from_nanos(chunk_every.as_nanos() * i);
             flows.push(self.tcp_flow(at, dst.clone(), 400, 500 * 1024));
         }
         flows
@@ -332,7 +339,8 @@ impl Workload {
         let gap = SimDuration::from_nanos(self.duration.as_nanos() / u64::from(transfers).max(1));
         for i in 0..transfers {
             let dst = self.pick_dst(rng);
-            let at = SimTime::from_millis(10) + SimDuration::from_nanos(gap.as_nanos() * u64::from(i));
+            let at =
+                SimTime::from_millis(10) + SimDuration::from_nanos(gap.as_nanos() * u64::from(i));
             flows.push(self.tcp_flow(at, dst, 300, 2 * 1024 * 1024));
         }
         flows

@@ -12,10 +12,8 @@ use mopeye::engine::{FleetConfig, FleetEngine};
 use mopeye::measure::MeasurementKind;
 
 fn main() {
-    let users: usize = std::env::var("CROWD_USERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_500);
+    let users: usize =
+        std::env::var("CROWD_USERS").ok().and_then(|v| v.parse().ok()).unwrap_or(1_500);
     let scenario = Scenario::rush_hour(users, 2017);
     let mut config = FleetConfig::new(4).with_seed(2017);
     config.engine = config.engine.with_retain_samples(false); // sketches only

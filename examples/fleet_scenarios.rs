@@ -23,10 +23,8 @@ fn main() {
             let scenario = Scenario::single(mix, profile, 200, SimDuration::from_secs(5), 42);
             let fleet = FleetEngine::new(FleetConfig::new(4), scenario.network());
             let report = fleet.run(scenario.generate());
-            let tcp: Vec<f64> =
-                report.merged.tcp_samples().iter().map(|s| s.measured_ms).collect();
-            let dns: Vec<f64> =
-                report.merged.dns_samples().iter().map(|s| s.measured_ms).collect();
+            let tcp: Vec<f64> = report.merged.tcp_samples().iter().map(|s| s.measured_ms).collect();
+            let dns: Vec<f64> = report.merged.dns_samples().iter().map(|s| s.measured_ms).collect();
             println!(
                 "{:<38} {:>7} {:>8} {:>10} {:>10} {:>9}",
                 scenario.spec().name,
@@ -34,18 +32,14 @@ fn main() {
                 report.merged.samples.len(),
                 median(&tcp).map_or("-".into(), |m| format!("{m:.1}")),
                 median(&dns).map_or("-".into(), |m| format!("{m:.1}")),
-                report
-                    .relay_throughput_mbps()
-                    .map_or("-".into(), |t| format!("{t:.1}Mb")),
+                report.relay_throughput_mbps().map_or("-".into(), |t| format!("{t:.1}Mb")),
             );
         }
     }
 
     // ----- the 100k-connection rush hour ----------------------------------
-    let users: usize = std::env::var("FLEET_USERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(13_000);
+    let users: usize =
+        std::env::var("FLEET_USERS").ok().and_then(|v| v.parse().ok()).unwrap_or(13_000);
     let scenario = Scenario::rush_hour(users, 2017);
     let flows = scenario.generate();
     println!();

@@ -17,12 +17,16 @@ fn main() {
 
     println!("Table 5 — representative apps (median RTT, ms):");
     for (category, package, count, median, paper) in &Table5Apps::compute(&dataset).rows {
-        println!("  {category:<14} {package:<44} n={count:<6} median={median:>6.1} (paper {paper:>5.1})");
+        println!(
+            "  {category:<14} {package:<44} n={count:<6} median={median:>6.1} (paper {paper:>5.1})"
+        );
     }
 
     println!("\nTable 6 — LTE operators (median DNS RTT, ms):");
     for (isp, country, count, median, paper) in &Table6IspDns::compute(&dataset).rows {
-        println!("  {isp:<14} {country:<10} n={count:<6} median={median:>6.1} (paper {paper:>5.1})");
+        println!(
+            "  {isp:<14} {country:<10} n={count:<6} median={median:>6.1} (paper {paper:>5.1})"
+        );
     }
 
     let whatsapp = CaseWhatsapp::compute(&dataset);

@@ -34,7 +34,10 @@ fn run(config: MopEyeConfig) -> (f64, f64, f64) {
 }
 
 fn main() {
-    println!("{:<28} {:>14} {:>10} {:>12}", "configuration", "RTT error (ms)", "CPU (%)", "memory (MB)");
+    println!(
+        "{:<28} {:>14} {:>10} {:>12}",
+        "configuration", "RTT error (ms)", "CPU (%)", "memory (MB)"
+    );
     for (name, config) in [
         ("MopEye", MopEyeConfig::mopeye()),
         ("Haystack-like", MopEyeConfig::haystack_like()),
@@ -47,8 +50,13 @@ fn main() {
     println!("\nThroughput through the relay (25 Mbps WiFi, Table 3):");
     let harness = SpeedTest::new(5, 12 * 1024 * 1024);
     let baseline = harness.baseline();
-    println!("  baseline  : {:>6.2} / {:>6.2} Mbps (down/up)", baseline.download_mbps, baseline.upload_mbps);
-    for (name, config) in [("MopEye", MopEyeConfig::mopeye()), ("Haystack", MopEyeConfig::haystack_like())] {
+    println!(
+        "  baseline  : {:>6.2} / {:>6.2} Mbps (down/up)",
+        baseline.download_mbps, baseline.upload_mbps
+    );
+    for (name, config) in
+        [("MopEye", MopEyeConfig::mopeye()), ("Haystack", MopEyeConfig::haystack_like())]
+    {
         let r = harness.with_relay(&config);
         println!("  {name:<10}: {:>6.2} / {:>6.2} Mbps (down/up)", r.download_mbps, r.upload_mbps);
     }

@@ -15,13 +15,24 @@ fail() {
     broken=$((broken + 1))
 }
 
+# Prints each match of the Perl regex $1 in the files that follow (grep
+# options such as `-r` and `--exclude` may come with them), or in stdin if
+# no file follows; fails if nothing matches. Each file is read whole, so
+# `\s` also matches a line break: a pattern still matches after rustfmt
+# splits a long generic, field, chain or call over lines.
+matches() {
+    local regex=$1
+    shift
+    grep -Pzo -e "$regex" "$@" | tr '\0' '\n' | grep .
+}
+
 # Forbids a second keying switch, a scheduler selector, shard pinning or a
 # credit-depth knob: knobs that only tests used (PR 17).
 ! grep -rnE 'EngineDiscipline|with_scheduler|with_pinning|with_credits|fleet_shard\(|mod affinity' crates src tests examples || fail "knobs that only tests use"
 
 # Requires the engine's compile-time check that an event stays handle-sized,
 # at most 16 bytes (PR 20).
-grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs || fail "handle-sized events"
+matches 'assert!\(\s*std::mem::size_of::<Event>\(\)\s*<=\s*16\b' crates/core/src/engine.rs >/dev/null || fail "handle-sized events"
 
 # Forbids sorting inside `fleet_digest`: the digest folds a multiset (PR 22).
 ! awk '/pub fn fleet_digest/,/^    }$/' crates/core/src/shard.rs | grep -n sort || fail "fleet_digest sorts"
@@ -29,20 +40,21 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # Forbids re-splitting every pending flow in a served step (PR 25).
 ! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'split_at' || fail "step re-splits the pending flows"
 
-# Forbids a by-tuple table in the engine's stages: one connection record (PR 15).
-! grep -rnE 'HashMap<\s*FourTuple' crates/core/src/stages || fail "by-tuple table in the stages"
+# Forbids a by-tuple table (any map or set keyed by a four-tuple) in the
+# engine's stages: one connection record (PR 15).
+! matches '(Map|Set)<\s*\(?\s*FourTuple' -r crates/core/src/stages || fail "by-tuple table in the stages"
 
 # Forbids a string-keyed cost ledger: the ledger stays enum-indexed (PR 16).
-! grep -n 'BTreeMap<String' crates/simnet/src/cost.rs || fail "string-keyed cost ledger"
+! matches 'BTreeMap<\s*String' crates/simnet/src/cost.rs || fail "string-keyed cost ledger"
 
 # Forbids a hashed socket table: the socket table stays dense (PR 16).
-! grep -n 'HashMap<u64' crates/simnet/src/socket.rs || fail "hashed socket table"
+! matches 'HashMap<\s*u64' crates/simnet/src/socket.rs || fail "hashed socket table"
 
 # Forbids a per-packet capture vector in the wire tap (PR 26).
-! grep -n 'Vec<TapRecord>' crates/simnet/src/tap.rs || fail "wire tap keeps packet records"
+! matches 'Vec<\s*([\w:]+::)?TapRecord' crates/simnet/src/tap.rs || fail "wire tap keeps packet records"
 
 # Forbids a raw delay vector in the tunnel writer: Table 1 histograms only (PR 26).
-! grep -n 'Vec<f64>' crates/core/src/tun_writer.rs || fail "tunnel writer keeps raw delays"
+! matches 'Vec<\s*f64\b' crates/core/src/tun_writer.rs || fail "tunnel writer keeps raw delays"
 
 # Forbids a `[features]` table in any manifest: one build configuration (PR 23).
 ! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml || fail "a manifest declares a feature"
@@ -54,7 +66,7 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 ! grep -nE 'json!|Value::Object' crates/core/src/checkpoint.rs || fail "checkpoint module builds a JSON tree"
 
 # Forbids re-sorting the cumulative report in a served step (PR 24).
-! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | grep -n 'cumulative.canonicalise' || fail "step re-sorts the cumulative report"
+! awk '/pub fn step_with_delta/,/^    }$/' crates/server/src/plane.rs | matches 'cumulative\s*.canonicalise' || fail "step re-sorts the cumulative report"
 
 # Forbids a credit gate, a deep job ring or burst messages on the fleet's
 # hand-off: one job per worker per run (CHANGES.md, "One job per shard per
@@ -73,7 +85,7 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # Forbids sizing the connection table by a run's flow list: records are
 # reused once their flows finish, so the table follows the flows open at
 # once (CHANGES.md, "Finished flows leave the engine").
-! grep -rnE 'reserve_flows|conns\.reserve\(' crates/core/src || fail "connection table sized by the run's flows"
+! matches 'reserve_flows|conns\s*\.reserve\(' -r crates/core/src || fail "connection table sized by the run's flows"
 
 # Forbids the write-only selector, the wheel snapshot nothing took and the
 # tcpdump shim nothing ran: public API that only tests called
@@ -89,18 +101,18 @@ grep -q 'assert!(std::mem::size_of::<Event>() <= 16)' crates/core/src/engine.rs 
 # Forbids byte-vector values in the app endpoint's reassembly map: an
 # out-of-order segment is kept as its length, not a copy of its payload
 # (CHANGES.md, "Tunnel bytes in flight cost their own size").
-! grep -n 'BTreeMap<u32, Vec<u8>>' crates/tun/src/apps.rs || fail "app reassembly keeps payload copies"
+! matches 'BTreeMap<\s*u32\s*,\s*Vec<\s*u8\b' crates/tun/src/apps.rs || fail "app reassembly keeps payload copies"
 
 # Forbids the segment payload pool anywhere in the crates, and a byte-vector
 # payload field in the TCP segment or the sender scoreboard: a TCP payload
 # is its length (CHANGES.md, "Server bytes are counted, not copied").
-! { grep -rn 'SegmentPool' crates/*/src; grep -nE '^\s*(pub )?\w+: Vec<u8>,' crates/packet/src/tcp.rs crates/tcpstack/src/recovery.rs; } | grep . || fail "a TCP payload is kept as bytes"
+! { grep -rn 'SegmentPool' crates/*/src; matches '(?m)(^|[{,])\s*(pub(\([\w:]+\))?\s+)?\w+:\s*Vec<\s*u8\b' crates/packet/src/tcp.rs crates/tcpstack/src/recovery.rs; } | grep . || fail "a TCP payload is kept as bytes"
 
-# Forbids a four-tuple-keyed map past ingress: a connection's network state
-# and every per-connection table are reached by its record's dense id. Only
-# the wire tap (`tap.rs`) and the connection table's by-tuple index at
+# Forbids a four-tuple-keyed map or set past ingress: a connection's network
+# state and every per-connection table are reached by its record's dense id.
+# Only the wire tap (`tap.rs`) and the connection table's by-tuple index at
 # ingress (`conn.rs`) keep one (CHANGES.md, "One id past ingress").
-! { grep -rnE '(FastMap|HashMap)<\s*FourTuple' crates/simnet/src --exclude=tap.rs; grep -rnE '(FastMap|HashMap)<\s*FourTuple' crates/core/src --exclude=conn.rs; } | grep . || fail "a four-tuple-keyed map past ingress"
+! { matches '(Map|Set)<\s*\(?\s*FourTuple' -r crates/simnet/src --exclude=tap.rs; matches '(Map|Set)<\s*\(?\s*FourTuple' -r crates/core/src --exclude=conn.rs; } | grep . || fail "a four-tuple-keyed map past ingress"
 
 if [ "$broken" -ne 0 ]; then
     echo "$broken shape guard(s) broken" >&2

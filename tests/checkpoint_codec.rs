@@ -640,8 +640,14 @@ fn the_writer_renders_checkpoints_as_the_tree_path_did() {
 /// The canonical flow order before start time led it: the four-tuple, then
 /// every other covered field.
 fn four_tuple_first(a: &FlowOutcome, b: &FlowOutcome) -> std::cmp::Ordering {
-    (a.flow, &a.package, a.started_at, a.finished_at, a.bytes_received, a.completed)
-        .cmp(&(b.flow, &b.package, b.started_at, b.finished_at, b.bytes_received, b.completed))
+    (a.flow, &a.package, a.started_at, a.finished_at, a.bytes_received, a.completed).cmp(&(
+        b.flow,
+        &b.package,
+        b.started_at,
+        b.finished_at,
+        b.bytes_received,
+        b.completed,
+    ))
 }
 
 /// A fleet document as earlier builds wrote it: its flows in four-tuple

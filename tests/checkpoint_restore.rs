@@ -16,9 +16,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mopeye::dataset::{DiurnalScenario, Scenario};
-use mopeye::engine::{
-    epoch_boundary, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
-};
+use mopeye::engine::{epoch_boundary, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport};
 use mopeye::simnet::{AccessProfile, SimNetwork, SimNetworkBuilder};
 use mopeye::tun::FlowSpec;
 
@@ -45,11 +43,7 @@ fn network(loss: f64) -> SimNetworkBuilder {
     if loss > 0.0 {
         access = access.with_data_faults(loss, loss / 3.0, loss / 15.0);
     }
-    SimNetwork::builder()
-        .seed(SEED)
-        .flow_keyed()
-        .with_table2_destinations()
-        .access(access)
+    SimNetwork::builder().seed(SEED).flow_keyed().with_table2_destinations().access(access)
 }
 
 fn fleet(shards: usize, loss: f64) -> FleetEngine {
@@ -83,10 +77,7 @@ fn resumed_runs_reproduce_the_uninterrupted_digest_across_the_matrix() {
     for &loss in &[0.0, 0.005] {
         let reference = fleet(2, loss).run(flows.clone());
         let reference_digest = reference.digest();
-        assert!(
-            reference.merged.windows.is_some(),
-            "the windowed run must carry epoch sketches"
-        );
+        assert!(reference.merged.windows.is_some(), "the windowed run must carry epoch sketches");
         // Save/resume shard counts cover {1, 2, 8} on both sides of the
         // cut.
         for &(save_shards, resume_shards) in &[(1usize, 8usize), (2, 1), (8, 2)] {
@@ -122,8 +113,7 @@ fn edge_cuts_degenerate_cleanly() {
     // pending. A cut past the last arrival runs everything: resume only
     // merges the base with an empty run.
     for cut_epoch in [0u64, 25] {
-        let report =
-            cut_and_resume(&fleet(2, 0.0), &fleet(8, 0.0), flows.clone(), cut_epoch);
+        let report = cut_and_resume(&fleet(2, 0.0), &fleet(8, 0.0), flows.clone(), cut_epoch);
         assert_eq!(report.digest(), reference_digest, "edge cut at epoch {cut_epoch}");
     }
 }

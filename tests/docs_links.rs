@@ -117,11 +117,7 @@ fn relative_links_and_anchors_resolve() {
                 Some((p, f)) => (p, Some(f)),
                 None => (link.as_str(), None),
             };
-            let target = if path_part.is_empty() {
-                doc.clone()
-            } else {
-                base.join(path_part)
-            };
+            let target = if path_part.is_empty() { doc.clone() } else { base.join(path_part) };
             if !target.exists() {
                 failures.push(format!("{}: broken link -> {link}", doc.display()));
                 continue;
@@ -178,10 +174,8 @@ fn cited_repo_paths_exist() {
 
 #[test]
 fn the_documents_under_check_include_the_new_docs() {
-    let names: Vec<String> = documents()
-        .iter()
-        .map(|d| d.file_name().unwrap().to_string_lossy().into_owned())
-        .collect();
+    let names: Vec<String> =
+        documents().iter().map(|d| d.file_name().unwrap().to_string_lossy().into_owned()).collect();
     for expected in ["README.md", "ARCHITECTURE.md", "MEASUREMENT.md", "SERVER.md"] {
         assert!(names.contains(&expected.to_string()), "{expected} not under link check");
     }
@@ -195,5 +189,8 @@ fn the_documents_under_check_include_the_new_docs() {
 fn anchor_algorithm_smoke() {
     assert_eq!(anchor_of("## The sink → aggregate dataflow"), "the-sink--aggregate-dataflow");
     assert_eq!(anchor_of("# Measurement pipeline"), "measurement-pipeline");
-    assert_eq!(anchor_of("### Comparing against the recorded baselines"), "comparing-against-the-recorded-baselines");
+    assert_eq!(
+        anchor_of("### Comparing against the recorded baselines"),
+        "comparing-against-the-recorded-baselines"
+    );
 }

@@ -72,11 +72,7 @@ fn accuracy_holds_across_rtt_scales_like_table2() {
             .collect();
         let report = engine.run_flows(flows);
         assert_eq!(report.tcp_samples().len(), 10);
-        let worst = report
-            .tcp_samples()
-            .iter()
-            .map(|s| s.error_ms())
-            .fold(0.0f64, f64::max);
+        let worst = report.tcp_samples().iter().map(|s| s.error_ms()).fold(0.0f64, f64::max);
         assert!(worst < 1.0, "worst error {worst} ms for {dst}");
     }
 }
@@ -179,23 +175,24 @@ fn failed_and_refused_servers_are_reported_not_measured() {
         Service::Blackhole,
     ));
     let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), net);
-    let flows: Vec<FlowSpec> = [(106_601u32, Endpoint::v4(10, 66, 0, 1, 443)), (2, Endpoint::v4(10, 66, 0, 2, 443))]
-        .iter()
-        .enumerate()
-        .map(|(i, (_, dst))| FlowSpec {
-            at: mopeye::simnet::SimTime::from_millis(10 + i as u64),
-            uid: 10_100,
-            package: "com.unlucky.app".into(),
-            src: None,
-            dst: *dst,
-            domain: None,
-            request_bytes: 100,
-            close_after: 100,
-            kind: FlowKind::Tcp,
-            network: None,
-            isp: None,
-        })
-        .collect();
+    let flows: Vec<FlowSpec> =
+        [(106_601u32, Endpoint::v4(10, 66, 0, 1, 443)), (2, Endpoint::v4(10, 66, 0, 2, 443))]
+            .iter()
+            .enumerate()
+            .map(|(i, (_, dst))| FlowSpec {
+                at: mopeye::simnet::SimTime::from_millis(10 + i as u64),
+                uid: 10_100,
+                package: "com.unlucky.app".into(),
+                src: None,
+                dst: *dst,
+                domain: None,
+                request_bytes: 100,
+                close_after: 100,
+                kind: FlowKind::Tcp,
+                network: None,
+                isp: None,
+            })
+            .collect();
     let report = engine.run_flows(flows);
     assert_eq!(report.relay.connects_failed, 2);
     assert!(report.tcp_samples().is_empty());

@@ -44,8 +44,7 @@ const RUSH_HOUR_DIGEST: u64 = 0xe3b8_970b_a1c3_26db;
 #[test]
 fn same_seed_same_scenario_identical_report_at_1_2_8_shards() {
     let scenario = Scenario::rush_hour(300, 20_170_712);
-    let reports: Vec<FleetReport> =
-        [1usize, 2, 8].iter().map(|&s| run(&scenario, s, 77)).collect();
+    let reports: Vec<FleetReport> = [1usize, 2, 8].iter().map(|&s| run(&scenario, s, 77)).collect();
 
     // The digest is the one-line check...
     assert_eq!(reports[0].digest(), reports[1].digest(), "1 vs 2 shards");
@@ -135,13 +134,8 @@ fn rush_hour_pins_hold_at_every_shard_count() {
 #[test]
 fn every_profile_in_the_matrix_is_shard_count_invariant() {
     for profile in NetProfile::ALL {
-        let scenario = Scenario::single(
-            TrafficMix::WebBrowsing,
-            profile,
-            60,
-            SimDuration::from_secs(4),
-            9,
-        );
+        let scenario =
+            Scenario::single(TrafficMix::WebBrowsing, profile, 60, SimDuration::from_secs(4), 9);
         let one = run(&scenario, 1, 9);
         let four = run(&scenario, 4, 9);
         assert_eq!(
@@ -220,9 +214,8 @@ fn lossy_fleet_digest_survives_shard_count_changes() {
     let flows = scenario.generate();
     let mut digests = Vec::new();
     for shards in [1usize, 2, 8] {
-        let report =
-            FleetEngine::new(FleetConfig::new(shards).with_seed(19), scenario.network())
-                .run(flows.clone());
+        let report = FleetEngine::new(FleetConfig::new(shards).with_seed(19), scenario.network())
+            .run(flows.clone());
         assert!(report.merged.relay.retransmits > 0, "faults inert at {shards} shards");
         digests.push(report.digest());
     }
@@ -265,10 +258,8 @@ fn loss_rate_matrix_is_shard_count_invariant() {
     // locally it defaults to a light 0.5 % loss. Reorder and duplicate rates
     // scale with the loss rate, so rate 0 degenerates to a clean network and
     // the recovery machinery must stay inert.
-    let rate: f64 = std::env::var("MOPEYE_LOSS_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.005);
+    let rate: f64 =
+        std::env::var("MOPEYE_LOSS_RATE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.005);
     let scenario = Scenario::single(
         TrafficMix::VideoStreaming,
         NetProfile::Lte,
@@ -292,7 +283,11 @@ fn loss_rate_matrix_is_shard_count_invariant() {
     if rate == 0.0 {
         assert_eq!(one.merged.relay.retransmits, 0, "rate 0 must be a clean network");
     } else {
-        assert!(one.merged.relay.retransmits > 0, "rate {rate} never faulted: {:?}", one.merged.relay);
+        assert!(
+            one.merged.relay.retransmits > 0,
+            "rate {rate} never faulted: {:?}",
+            one.merged.relay
+        );
     }
 }
 
@@ -512,7 +507,8 @@ fn the_fleet_digest_moves_with_every_covered_field() {
     f[0].flow.dst = Endpoint::new(std::net::Ipv6Addr::LOCALHOST, f[0].flow.dst.port);
     let v6 = digest_of(&samples, &f);
     assert_ne!(v6, digest, "IPv6 destination");
-    f[0].flow.dst = Endpoint::new(std::net::Ipv6Addr::new(0, 0, 0, 0, 0, 0, 0, 2), f[0].flow.dst.port);
+    f[0].flow.dst =
+        Endpoint::new(std::net::Ipv6Addr::new(0, 0, 0, 0, 0, 0, 0, 2), f[0].flow.dst.port);
     assert_ne!(digest_of(&samples, &f), v6, "IPv6 address");
 }
 
@@ -674,7 +670,8 @@ fn a_stepped_planes_flows_are_the_batch_outcomes_in_canonical_order() {
 
     let mut batch = RunReport::empty();
     for scenario in &scenarios {
-        let fleet = FleetEngine::new(FleetConfig::new(1).with_seed(config.seed), scenario.network());
+        let fleet =
+            FleetEngine::new(FleetConfig::new(1).with_seed(config.seed), scenario.network());
         batch.absorb(fleet.run(scenario.generate()).merged);
     }
     batch.canonicalise();

@@ -29,7 +29,8 @@ fn every_facade_namespace_resolves() {
     );
     assert!(!machine.state().is_terminal());
 
-    let record = mopeye::measure::RttRecord::tcp(61.0, 1, "com.app", mopeye::measure::NetKind::Wifi);
+    let record =
+        mopeye::measure::RttRecord::tcp(61.0, 1, "com.app", mopeye::measure::NetKind::Wifi);
     assert_eq!(record.dst_port, 443);
 
     let spec = mopeye::dataset::DatasetSpec { seed: 1, scale: 0.0005 };
