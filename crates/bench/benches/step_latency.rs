@@ -1,9 +1,9 @@
 //! Fixed per-step overhead: a warm resident fleet vs cold construction.
 //!
-//! An epoch tick with no flows due still pays the whole per-step
-//! machinery. Cold, that is constructing, spawning, running and tearing
-//! down a 4-shard `FleetEngine`; warm, it is one `ResidentFleet::run_next`:
-//! a ring round-trip per parked worker and an in-place reset. Five
+//! An epoch tick with no flows due still pays the per-step machinery.
+//! Cold, that is constructing, spawning, running and tearing down a
+//! 4-shard `FleetEngine`; warm, it is one `ResidentFleet::run_next`, which
+//! gives a shard with no flows no job and runs nothing for it. Five
 //! interleaved blocks each time 30 cold and then 30 warm steps; the median
 //! of the five cold/warm ratios must be at least 5x. One block that a
 //! scheduler hiccup slows cannot fail the bound on its own. The count
@@ -42,7 +42,7 @@ fn main() {
         let cold_ms = mean_ms(|| {
             FleetEngine::new(config.clone(), network.clone()).run(empty.clone());
         });
-        resident.run_next(&network, empty.clone()); // Wakes the parked workers.
+        resident.run_next(&network, empty.clone()); // Warms the step path.
         let warm_ms = mean_ms(|| {
             resident.run_next(&network, empty.clone());
         });

@@ -3,10 +3,11 @@
 //! A scheduled event is copied into the wheel's slab, through its slot
 //! buckets and due buffer, and out again when it pops, so every byte of an
 //! event is paid for several times. Events therefore stay a few machine
-//! words: a payload bigger than that — a flow's spec, a tunnel packet's
-//! bytes, a packet on its way to an app — is parked in an [`Arena`] when
-//! its event is scheduled, and the event carries the [`Parked`] handle;
-//! dispatch takes the payload back.
+//! words: a payload bigger than that — a tunnel packet's bytes, a packet on
+//! its way to an app — is parked in an [`Arena`] when its event is
+//! scheduled, and the event carries the [`Parked`] handle; dispatch takes
+//! the payload back. (A flow's spec needs none: a run's flows are a sorted
+//! input that the engine loop opens when each is due.)
 //! The cells are reused through a free list and survive `clear`, so a
 //! resident engine's arenas grow once, to the most values held at once.
 //! The connection table keeps its records in one too.

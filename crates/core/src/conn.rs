@@ -3,7 +3,7 @@
 //! MopEye keeps one client object per relayed connection — socket channel,
 //! buffers, state machine and the two connect timestamps live together
 //! (§2.3, §3.4). [`ConnTable`] is that object's home in the engine: a
-//! four-tuple is interned **once**, at `FlowStart`, into a dense [`FlowId`],
+//! four-tuple is interned **once**, when its flow starts, into a dense [`FlowId`],
 //! and everything the stages know about the connection sits in one
 //! slab-allocated [`Conn`] that events and cross-stage calls reach by index.
 //!
@@ -22,9 +22,9 @@
 //!
 //! A record then leaves the table as soon as nothing can reach it again:
 //! it has no TCP side and no open socket, no pending event names its
-//! `FlowId` (the table counts them, see `ConnTable::hold`), and no
-//! `FlowStart` still to run names its canonical tuple (counted from the
-//! run's flow list, see `ConnTable::expect_starts`). Its [`FlowOutcome`]
+//! `FlowId` (the table counts them, see `ConnTable::hold`), and no flow
+//! still to start names its canonical tuple (counted from the run's flow
+//! list, see `ConnTable::expect_starts`). Its [`FlowOutcome`]
 //! moves to the run's outcome list at the record's intern position, its
 //! index entry goes, and its slot and `FlowId` return to a free list for the
 //! next intern. So the table is sized by the connections open at once, not
@@ -66,7 +66,7 @@ impl FlowId {
 /// The simulated app end of a connection.
 #[derive(Debug)]
 pub(crate) enum AppSide {
-    /// A packet arrived for a tuple no `FlowStart` announced.
+    /// A packet arrived for a tuple no flow's start announced.
     None,
     /// A live TCP app endpoint.
     Tcp(Box<AppEndpoint>),
@@ -118,7 +118,7 @@ impl FinishedApp {
     }
 }
 
-/// What a `FlowStart` records about its flow; becomes the [`FlowOutcome`].
+/// What a flow's start records about it; becomes the [`FlowOutcome`].
 #[derive(Debug)]
 pub(crate) struct FlowMeta {
     package: String,
@@ -189,7 +189,7 @@ pub struct Conn {
     pub(crate) half_close_pending: bool,
     /// In-flight DNS measurement: send timestamp and queried name.
     pub(crate) dns_pending: Option<(SimTime, String)>,
-    /// Outcome bookkeeping, present once a `FlowStart` announced the flow.
+    /// Outcome bookkeeping, present once the flow's start announced it.
     pub(crate) meta: Option<FlowMeta>,
     /// Pending events that name this record. The timers are not counted:
     /// they live in the TCP side, which keeps the record on its own.
@@ -256,9 +256,9 @@ impl Conn {
                 app.handle_into(packet, out);
                 let (bytes_received, done_cleanly) =
                     (app.bytes_received, app.state() == AppState::Done);
-                // The marker answers against the record's tuple. A
-                // `FlowStart` on the reverse of an interned tuple leaves that
-                // tuple reversed, so such an endpoint is kept as it is.
+                // The marker answers against the record's tuple. A start
+                // on the reverse of an interned tuple leaves that tuple
+                // reversed, so such an endpoint is kept as it is.
                 if app.is_done() && app.flow() == self.flow {
                     self.app = AppSide::Finished(FinishedApp::of(app));
                 }
@@ -294,7 +294,7 @@ pub struct ConnTable {
     /// created or cleared.
     tuple_probes: u64,
     /// Canonical four-tuples that more than one of the run's flows open,
-    /// with how many of their `FlowStart`s are still to run: a record whose
+    /// with how many of their starts are still due: a record whose
     /// tuple is here stays.
     starts_due: FastMap<FourTuple, u32>,
     /// The run's outcome list: one place per interned record, in intern
@@ -344,10 +344,10 @@ impl ConnTable {
         &mut self.nets[id.0 as usize]
     }
 
-    /// Notes the `FlowStart`s a run will run, one four-tuple each, and
+    /// Notes the flows a run will start, one four-tuple each, and
     /// makes room for their outcomes. Only tuples that more than one flow
     /// opens are counted: a tuple opened once has no record before its one
-    /// `FlowStart` and none still due after it.
+    /// start and none still due after it.
     pub(crate) fn expect_starts(&mut self, mut flows: Vec<FourTuple>) {
         self.outcomes.reserve(flows.len());
         flows.iter_mut().for_each(|flow| *flow = flow.canonical());
@@ -363,7 +363,7 @@ impl ConnTable {
         }
     }
 
-    /// The record a `FlowStart` on `flow` opens: the start is no longer due,
+    /// The record a flow's start on `flow` opens: the start is no longer due,
     /// and the tuple is interned.
     pub(crate) fn start(&mut self, flow: FourTuple) -> FlowId {
         let key = flow.canonical();
@@ -393,7 +393,7 @@ impl ConnTable {
 
     /// Whether nothing the table knows of can reach `id` again: no TCP side
     /// (whose timers are the only events it does not count), no pending
-    /// event and no `FlowStart` still to run on its tuple. The socket is
+    /// event and no start still due on its tuple. The socket is
     /// the caller's to check.
     pub(crate) fn unreachable(&mut self, id: FlowId) -> bool {
         let conn = &self[id];
@@ -446,7 +446,7 @@ impl ConnTable {
 
     /// Four-tuple lookups in the table's maps since it was created or
     /// cleared: one per tunnel packet resolved to its record at ingress,
-    /// plus a few per connection (its `FlowStart`, its removal).
+    /// plus a few per connection (its start, its removal).
     pub(crate) fn tuple_probes(&self) -> u64 {
         self.tuple_probes
     }
@@ -589,7 +589,7 @@ mod tests {
         table[a].started(&spec(tuple(1)), SimTime::ZERO);
         table[b].started(&spec(tuple(2)), SimTime::from_millis(1));
         table.hold(b);
-        assert!(!table.unreachable(a), "a second FlowStart on its tuple is still due");
+        assert!(!table.unreachable(a), "a second start on its tuple is still due");
         assert!(!table.unreachable(b), "a pending event names it");
         table.unhold(b);
         assert!(table.unreachable(b));

@@ -11,11 +11,12 @@
 //!                                                        threads (RTT!)
 //! ```
 //!
-//! The module itself is only the *loop*: pending work lives on the O(1)
-//! [`TimingWheel`] as handle-sized events — a flow's spec, a tunnel packet
-//! and a packet on its way to an app wait in their arenas, and the event
-//! names them — and each popped event is routed to the pipeline stage that
-//! owns it — [`IngressStage`] (TUN retrieval + parse + app endpoints),
+//! The module itself is only the *loop*. A run's flows are a sorted input:
+//! the loop opens each one when it is due, merging that cursor with the
+//! O(1) [`TimingWheel`], where pending work waits as handle-sized events — a
+//! tunnel packet and a packet on its way to an app wait in their arenas,
+//! and the event names them. Each popped event is routed to the pipeline
+//! stage that owns it — [`IngressStage`] (TUN retrieval + parse + app endpoints),
 //! [`RelayStage`] (TCP/UDP/DNS state-machine dispatch and per-connection
 //! timers), [`EgressStage`] (TunWriter lanes) and [`SinkStage`] (the
 //! measurement fold). See [`crate::stages`] for the pipeline diagram and
@@ -30,7 +31,7 @@
 use mop_simnet::{PoolStats, SimNetwork, SimTime, TimingWheel};
 use mop_tun::{FlowSpec, ReaderSim, Workload};
 
-use crate::arena::{Arena, Parked};
+use crate::arena::Parked;
 use crate::config::MopEyeConfig;
 use crate::conn::FlowId;
 use crate::report::{Counter, Counters};
@@ -39,18 +40,15 @@ use crate::tun_writer::TunWriter;
 
 pub use crate::report::RunReport;
 
-/// Internal events driving the engine loop, routed between stages. A
-/// connection is named by the [`FlowId`] of its record, interned when its
-/// `FlowStart` ran.
+/// Internal events driving the engine loop, routed between stages. Each
+/// names a connection by the [`FlowId`] of its record, interned when its
+/// flow started.
 ///
 /// Every variant is a handle: the wheel copies an event several times
 /// between schedule and dispatch, so the payloads wait in arenas instead
 /// (see the shape guard below).
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// An app opens the flow whose spec is parked in the run's spec list.
-    /// (→ ingress)
-    FlowStart(Parked),
     /// The MainWorker processes one packet's raw bytes retrieved from the
     /// tunnel, written by the app of the named connection. (→ ingress
     /// parse, then relay)
@@ -89,18 +87,24 @@ pub(crate) enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 impl Event {
-    /// The connection whose record this event holds while it is pending:
-    /// every event that names one, except the timers, which live in the
-    /// record's TCP side and are cancelled with it.
-    pub(crate) fn holds(&self) -> Option<FlowId> {
+    /// The connection the event concerns.
+    pub(crate) fn id(&self) -> FlowId {
         match *self {
             Event::TunPacket(id, _)
             | Event::ExternalConnected(id)
             | Event::SocketReadable(id)
             | Event::DnsResponse { id, .. }
-            | Event::DeliverToApp(id, _) => Some(id),
-            Event::FlowStart(_) | Event::IdleTimeout(_) | Event::RtoTimeout(_) => None,
+            | Event::DeliverToApp(id, _)
+            | Event::IdleTimeout(id)
+            | Event::RtoTimeout(id) => id,
         }
+    }
+
+    /// Whether the event holds its connection's record while it is
+    /// pending: every event but the timers, which live in the record's TCP
+    /// side and are cancelled with it.
+    pub(crate) fn holds(&self) -> bool {
+        !matches!(self, Event::IdleTimeout(_) | Event::RtoTimeout(_))
     }
 }
 
@@ -112,8 +116,6 @@ pub struct MopEyeEngine {
     pub(crate) egress: EgressStage,
     pub(crate) sink: SinkStage,
     pub(crate) sched: TimingWheel<Event>,
-    /// The run's spec list: each pending `FlowStart`'s spec.
-    specs: Arena<FlowSpec>,
     events_processed: u64,
 }
 
@@ -130,7 +132,6 @@ impl MopEyeEngine {
             egress,
             sink: SinkStage::new(),
             sched: TimingWheel::new(),
-            specs: Arena::default(),
             events_processed: 0,
         }
     }
@@ -151,7 +152,6 @@ impl MopEyeEngine {
         self.egress.reset();
         self.sink.reset();
         self.sched.reset();
-        self.specs.clear();
         self.events_processed = 0;
     }
 
@@ -160,16 +160,12 @@ impl MopEyeEngine {
         &self.shared.config
     }
 
-    /// How many payloads each arena holds for events still pending: flow
-    /// specs, tunnel packets and packets on their way to an app. All zero
-    /// once a run has completed; [`MopEyeEngine::reset`] empties them
-    /// whatever the run did.
-    pub fn parked_payloads(&self) -> [(&'static str, usize); 3] {
-        [
-            ("specs", self.specs.len()),
-            ("tunnel packets", self.ingress.packets.len()),
-            ("packets", self.shared.parked.len()),
-        ]
+    /// How many payloads each arena holds for events still pending: tunnel
+    /// packets and packets on their way to an app. Both zero once a run has
+    /// completed; [`MopEyeEngine::reset`] empties them whatever the run
+    /// did.
+    pub fn parked_payloads(&self) -> [(&'static str, usize); 2] {
+        [("tunnel packets", self.ingress.packets.len()), ("packets", self.shared.parked.len())]
     }
 
     /// Duplicate ACKs the simulated apps have sent since the engine was
@@ -192,36 +188,54 @@ impl MopEyeEngine {
         self.run_flows(flows)
     }
 
-    /// Runs an explicit list of flows to completion and reports: pops are
-    /// nondecreasing in time with FIFO order at equal instants, and each
-    /// popped event is dispatched on its own. The report's flow outcomes
-    /// are those of the connections this run interned, in intern order.
+    /// Runs an explicit list of flows to completion and reports. The flows
+    /// are opened in order of their start times (list order at equal
+    /// times), each before any wheel event due at the same instant; wheel
+    /// pops are nondecreasing in time with FIFO order at equal instants.
+    /// Every start and every popped event is dispatched on its own and
+    /// counts against the event budget. The report's flow outcomes are
+    /// those of the connections this run interned, in intern order.
     pub fn run_flows(&mut self, mut flows: Vec<FlowSpec>) -> RunReport {
+        for spec in &flows {
+            self.relay.packages.install(spec.uid, &spec.package);
+        }
+        flows.sort_by_key(|spec| spec.at);
         self.ingress.bind_sources(&mut flows);
         let tuples = flows.iter().map(|spec| IngressStage::flow_of(&self.shared, spec)).collect();
         self.shared.conns.expect_starts(tuples);
-        for spec in flows {
-            self.relay.packages.install(spec.uid, &spec.package);
-            let at = spec.at;
-            self.sched.schedule(at, Event::FlowStart(self.specs.park(spec)));
-        }
-        while let Some((at, event)) = self.sched.pop() {
+        let handed = flows.len() as u64;
+        // The flows still to start, the next one last: checking whether it
+        // is due moves no spec, and opening it is a pop.
+        flows.reverse();
+        loop {
+            let start = flows
+                .last()
+                .map(|spec| spec.at)
+                .filter(|&at| self.sched.peek_time().map_or(true, |next| at <= next));
+            let (at, event) = match start {
+                Some(at) => (at, None),
+                None => match self.sched.pop() {
+                    Some((at, event)) => (at, Some(event)),
+                    None => break,
+                },
+            };
             self.shared.advance_to(at);
-            if !self.dispatch(at, event) {
+            self.events_processed += 1;
+            if self.events_processed > self.shared.config.max_events {
                 break;
             }
+            match event {
+                Some(event) => self.route(at, event),
+                // The opened record holds its first packet: it stays.
+                None => {
+                    let spec = flows.pop().expect("a due start");
+                    let (shared, relay, sched) =
+                        (&mut self.shared, &mut self.relay, &mut self.sched);
+                    self.ingress.on_flow_start(shared, relay, sched, at, spec);
+                }
+            }
         }
-        self.report()
-    }
-
-    /// Counts and dispatches one event; false stops the run (event budget).
-    fn dispatch(&mut self, at: SimTime, event: Event) -> bool {
-        self.events_processed += 1;
-        if self.events_processed > self.shared.config.max_events {
-            return false;
-        }
-        self.route(at, event);
-        true
+        self.report(handed)
     }
 
     /// Routes one event to the stage that owns it, then lets the record it
@@ -229,76 +243,36 @@ impl MopEyeEngine {
     /// travel either as scheduler events or through the explicitly passed
     /// downstream stages.
     fn route(&mut self, now: SimTime, event: Event) {
-        let (shared, sched) = (&mut self.shared, &mut self.sched);
-        if let Some(id) = event.holds() {
+        let Self { shared, ingress, relay, egress, sink, sched, .. } = self;
+        let id = event.id();
+        if event.holds() {
             shared.conns.unhold(id);
         }
-        let id = match event {
-            Event::FlowStart(spec) => {
-                let spec = self.specs.take(spec);
-                // The opened record holds its first packet: it stays.
-                self.ingress.on_flow_start(shared, &mut self.relay, sched, now, spec);
-                return;
+        match event {
+            Event::TunPacket(_, packet) => {
+                ingress.process_tun(shared, relay, egress, sched, now, packet)
             }
-            Event::TunPacket(id, packet) => {
-                self.ingress.process_tun(
-                    shared,
-                    &mut self.relay,
-                    &mut self.egress,
-                    sched,
-                    now,
-                    packet,
-                );
-                id
+            Event::ExternalConnected(_) => {
+                relay.on_external_connected(shared, egress, sink, sched, now, id)
             }
-            Event::ExternalConnected(id) => {
-                self.relay.on_external_connected(
-                    shared,
-                    &mut self.egress,
-                    &mut self.sink,
-                    sched,
-                    now,
-                    id,
-                );
-                id
-            }
-            Event::SocketReadable(id) => {
-                self.relay.on_socket_readable(shared, &mut self.egress, sched, now, id);
-                id
-            }
-            Event::DnsResponse { id, packet } => {
+            Event::SocketReadable(_) => relay.on_socket_readable(shared, egress, sched, now, id),
+            Event::DnsResponse { packet, .. } => {
                 let packet = shared.parked.take(packet);
-                self.relay.on_dns_response(
-                    shared,
-                    &mut self.egress,
-                    &mut self.sink,
-                    sched,
-                    now,
-                    id,
-                    packet,
-                );
-                id
+                relay.on_dns_response(shared, egress, sink, sched, now, id, packet);
             }
-            Event::DeliverToApp(id, packet) => {
+            Event::DeliverToApp(_, packet) => {
                 let packet = shared.parked.take(packet);
-                self.ingress.on_deliver_to_app(shared, sched, now, id, packet);
-                id
+                ingress.on_deliver_to_app(shared, sched, now, id, packet);
             }
-            Event::IdleTimeout(id) => {
-                self.relay.on_idle_timeout(shared, sched, now, id);
-                id
-            }
-            Event::RtoTimeout(id) => {
-                self.relay.on_rto_timeout(shared, &mut self.egress, sched, now, id);
-                id
-            }
-        };
+            Event::IdleTimeout(_) => relay.on_idle_timeout(shared, sched, now, id),
+            Event::RtoTimeout(_) => relay.on_rto_timeout(shared, egress, sched, now, id),
+        }
         self.settle(id);
     }
 
     /// Lets `id`'s record leave if nothing can reach it again (see
     /// [`crate::conn`]): no TCP side, no open socket, no pending event and
-    /// no `FlowStart` still to run on its tuple. Its network state, its
+    /// no start still due on its tuple. Its network state, its
     /// socket entry and the wire tap's exchanges of its tuples go with it.
     fn settle(&mut self, id: FlowId) {
         let conns = &mut self.shared.conns;
@@ -317,7 +291,9 @@ impl MopEyeEngine {
         net.forget_flow(conn.flow);
     }
 
-    fn report(&mut self) -> RunReport {
+    /// The run's report; `handed` flows were given to the run, and each
+    /// counts as one scheduled event whether or not it started.
+    fn report(&mut self, handed: u64) -> RunReport {
         let mut counters = Counters::default();
         counters[Counter::ConnTableScanElems] = self.relay.conn_table.scan_elems();
         counters[Counter::ConnsPeakRecords] = self.shared.conns.peak_records() as u64;
@@ -341,7 +317,7 @@ impl MopEyeEngine {
             socket_read_pool: PoolStats::default(),
             finished_at: self.shared.now,
             events_processed: self.events_processed,
-            events_scheduled: self.sched.scheduled_total(),
+            events_scheduled: handed + self.sched.scheduled_total(),
             counters,
         }
     }

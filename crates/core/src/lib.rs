@@ -28,8 +28,9 @@
 //! One [`MopEyeEngine`] is one event loop — one core. The [`shard`] module
 //! scales the relay out: [`FleetEngine`] hashes every connection four-tuple
 //! to one of N shard engines (each with its own event loop, buffer pool,
-//! TCP machines and network view); each worker shard takes one job per run
-//! from the dispatcher and returns one report, over one-slot SPSC queues.
+//! TCP machines and network view); each worker shard with flows takes one
+//! job per run from the dispatcher and returns one report, over one-slot
+//! SPSC queues.
 //! Every shard runs over a flow-keyed network, so the merged result is
 //! bit-identical at any shard count.
 //!

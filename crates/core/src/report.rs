@@ -59,7 +59,8 @@ pub struct RunReport {
     pub finished_at: SimTime,
     /// Events processed.
     pub events_processed: u64,
-    /// Events ever scheduled (pending + processed + cancelled); cancelled
+    /// Events ever scheduled: one start per flow handed to the run, and
+    /// every wheel event (pending + processed + cancelled); cancelled
     /// timers are scheduled but never processed.
     pub events_scheduled: u64,
     /// Host-side structure counters: the work the engine's data structures

@@ -16,11 +16,14 @@
 //! ```
 //!
 //! A run splits its flows by shard into one exact-capacity vector per
-//! shard. Each worker shard gets exactly one job per run — the network
-//! builder and its flows — on a one-slot [`mop_simnet::spsc`] ring, and
-//! returns exactly one report on another. A worker can run nothing before it
-//! has all of its flows, so there is nothing to overlap by sending them in
-//! pieces, and with one message each way per run neither ring can ever be
+//! shard. Each worker shard with flows gets exactly one job per run — the
+//! network builder and its flows — on a one-slot [`mop_simnet::spsc`]
+//! ring, and returns exactly one report on another. A shard with none,
+//! shard 0 included, runs nothing and contributes [`RunReport::empty`]:
+//! what an empty run on a reset engine reports, in every digested field
+//! and counter. So an idle step wakes no thread. A worker can run nothing
+//! before it has all of its flows, so there is nothing to overlap by
+//! sending them in pieces, and with one message each way per run neither ring can ever be
 //! full: the dispatcher never waits to send. (`TunStats::dispatch_stalls`
 //! and `RelayStats::sink_stalls` therefore stay zero.) The OS places the
 //! worker threads.
@@ -339,7 +342,8 @@ impl ResidentFleet {
     /// rather than dropped between runs.
     ///
     /// The workers get their flows first; shard 0's then run here, on the
-    /// calling thread, while the workers run theirs. A panic in shard 0
+    /// calling thread, while the workers run theirs. A shard with no flows
+    /// gets no job and runs nothing. A panic in shard 0
     /// unwinds out of this call, as a worker's panic does; after a worker's
     /// panic, every later call panics with "hung up".
     pub fn run_next(
@@ -368,26 +372,31 @@ impl ResidentFleet {
         for (spec, shard) in flows.into_iter().zip(assignment) {
             split[shard].push(spec);
         }
-        // One job per worker; shard 0's connections stay on this thread.
+        // One job per worker with flows; shard 0's connections stay on this
+        // thread. A shard with none runs nothing and reports an empty run.
+        let busy = |worker: usize| flows_assigned[worker + 1] > 0;
         let mut split = split.into_iter();
         let local_flows = split.next().expect("a fleet has at least one shard");
-        for (worker, shard_flows) in split.enumerate() {
+        for (worker, shard_flows) in split.enumerate().filter(|&(worker, _)| busy(worker)) {
             if self.workers[worker].jobs.send((net_builder.clone(), shard_flows)).is_err() {
                 self.propagate_worker_death(worker);
             }
         }
 
         let local = catch_unwind(AssertUnwindSafe(|| {
+            if local_flows.is_empty() {
+                return RunReport::empty();
+            }
             begin_run(&mut self.local, &self.config.engine, net_builder.clone())
                 .run_flows(local_flows)
         }));
         let local = match local {
             Ok(report) => report,
             Err(payload) => {
-                // Leave the fleet usable: take the workers' reports off
+                // Leave the fleet usable: take the busy workers' reports off
                 // their rings and rebuild shard 0's engine next run.
                 self.local = None;
-                for worker in &self.workers {
+                for (_, worker) in self.workers.iter().enumerate().filter(|&(w, _)| busy(w)) {
                     worker.reports.recv();
                 }
                 resume_unwind(payload)
@@ -396,6 +405,10 @@ impl ResidentFleet {
         let mut shard_reports: Vec<RunReport> = Vec::with_capacity(shards);
         shard_reports.push(local);
         for worker in 0..self.workers.len() {
+            if !busy(worker) {
+                shard_reports.push(RunReport::empty());
+                continue;
+            }
             match self.workers[worker].reports.recv() {
                 Some(report) => shard_reports.push(report),
                 None => self.propagate_worker_death(worker),
@@ -916,6 +929,58 @@ mod tests {
                 assert!(message.contains("hung up"), "{shards} shards: {message:?}");
             }
             assert_eq!(fleet.runs(), 0);
+        }
+    }
+
+    /// A shard with no flows gets no job and runs nothing, yet a step reads
+    /// as if it had run an empty batch on its reset engine: the merged
+    /// report, each skipped shard's outcome and the run count are a real
+    /// round trip's.
+    #[test]
+    fn a_shard_with_no_flows_contributes_an_empty_run() {
+        let config = FleetConfig::new(1).engine;
+        let mut engine = None;
+        // Every run below resets an engine that has run flows before.
+        begin_run(&mut engine, &config, builder()).run_flows(fleet_flows(40));
+        let mut run_on_reset_engine =
+            |flows| begin_run(&mut engine, &config, builder()).run_flows(flows);
+        let empty = run_on_reset_engine(Vec::new());
+        let flows = fleet_flows(120);
+        for shards in [2usize, 4] {
+            let of = |batch: &[FlowSpec], shard| -> Vec<FlowSpec> {
+                let mine = |spec: &&FlowSpec| FleetEngine::shard_of(spec, shards) == shard;
+                batch.iter().filter(mine).cloned().collect()
+            };
+            let mut fleet = ResidentFleet::new(FleetConfig::new(shards));
+            // All empty, then partly empty both ways, then all empty again.
+            let steps = [Vec::new(), of(&flows, shards - 1), of(&flows, 0), Vec::new()];
+            for (step, batch) in steps.into_iter().enumerate() {
+                let what = format!("{shards} shards, step {step}");
+                let report = fleet.run_next(&builder(), batch.clone());
+                let mut expected = RunReport::empty();
+                for shard in 0..shards {
+                    expected.absorb(run_on_reset_engine(of(&batch, shard)));
+                }
+                expected.canonicalise();
+                assert_eq!(report.digest(), expected.fleet_digest(), "{what}");
+                assert_eq!(report.merged.counters, expected.counters, "{what}");
+                assert_eq!(report.merged.events_scheduled, expected.events_scheduled, "{what}");
+                for outcome in report.per_shard.iter().filter(|outcome| outcome.flows_assigned == 0)
+                {
+                    let skipped = ShardOutcome {
+                        shard: outcome.shard,
+                        flows_assigned: 0,
+                        events_processed: empty.events_processed,
+                        finished_at: empty.finished_at,
+                        samples: empty.samples.len(),
+                        counters: empty.counters,
+                    };
+                    assert_eq!(outcome, &skipped, "{what}");
+                }
+                let skipped = report.per_shard.iter().filter(|o| o.flows_assigned == 0).count();
+                assert_eq!(skipped, if batch.is_empty() { shards } else { shards - 1 }, "{what}");
+                assert_eq!(fleet.runs(), step as u64 + 1, "{what}");
+            }
         }
     }
 

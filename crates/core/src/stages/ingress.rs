@@ -129,14 +129,11 @@ impl IngressStage {
     /// Binds each flow without a source to the next port of the engine's
     /// sequential pool (single-device flows; fleet scenarios pre-assign the
     /// source so the four-tuple is a pure function of the spec), in the
-    /// order their `FlowStart`s will run: by time, then in list order. So
+    /// order the flows will start: `flows` is sorted by start time. So
     /// every flow's four-tuple is known before the run starts.
     pub(crate) fn bind_sources(&mut self, flows: &mut [FlowSpec]) {
-        let mut unbound: Vec<usize> =
-            (0..flows.len()).filter(|&i| flows[i].src.is_none()).collect();
-        unbound.sort_by_key(|&i| flows[i].at);
-        for i in unbound {
-            flows[i].src = Some(Endpoint::v4(10, 0, 0, 2, self.alloc_port()));
+        for spec in flows.iter_mut().filter(|spec| spec.src.is_none()) {
+            spec.src = Some(Endpoint::v4(10, 0, 0, 2, self.alloc_port()));
         }
     }
 
@@ -152,8 +149,8 @@ impl IngressStage {
 
     /// An app opens the flow described by `spec`: intern its four-tuple,
     /// create the endpoint (TCP) or DNS client, register the connection, and
-    /// inject the opening packet into the tunnel. A repeated `FlowStart` on
-    /// an interned tuple replaces the app side and restarts the outcome
+    /// inject the opening packet into the tunnel. A repeated start on an
+    /// interned tuple replaces the app side and restarts the outcome
     /// record; the connection's streams, lane and socket carry on.
     pub(crate) fn on_flow_start(
         &mut self,

@@ -201,8 +201,8 @@ impl EngineShared {
     /// Schedules `event` at `at`, holding the record it names until it is
     /// dispatched (see [`Event::holds`]).
     pub(crate) fn schedule(&mut self, sched: &mut TimingWheel<Event>, at: SimTime, event: Event) {
-        if let Some(id) = event.holds() {
-            self.conns.hold(id);
+        if event.holds() {
+            self.conns.hold(event.id());
         }
         sched.schedule(at, event);
     }

@@ -348,11 +348,11 @@ fn assert_arenas_empty(engine: &MopEyeEngine, what: &str) {
 
 #[test]
 fn the_payload_arenas_are_invisible_across_reset() {
-    // Events carry handles to payloads parked in arenas — flow specs,
-    // tunnel packets, packets on their way to an app. A run its event budget
+    // Events carry handles to payloads parked in two arenas — tunnel
+    // packets and packets on their way to an app. A run its event budget
     // stops leaves payloads parked; a reset must drop them all, so the next
-    // run is exactly a fresh engine's, and a completed run leaves every
-    // arena empty.
+    // run is exactly a fresh engine's, and a completed run leaves both
+    // arenas empty.
     let flows = sourced_flows();
     // The same flows again from other hosts, overlapping the first wave:
     // twice the work, so the budget stops it with flows still to start.
@@ -367,7 +367,7 @@ fn the_payload_arenas_are_invisible_across_reset() {
             .run_flows(flows.clone())
             .events_processed;
         // The first budget at or above the light run's events that stops
-        // the heavy run with a spec, a tunnel packet and an app packet parked.
+        // the heavy run with a tunnel packet and an app packet parked.
         let (mut engine, budget) = (light..light + 2_000)
             .map(|budget| {
                 let config = MopEyeConfig::mopeye().with_max_events(budget);

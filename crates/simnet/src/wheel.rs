@@ -256,7 +256,7 @@ impl<E> TimingWheel<E> {
     ///
     /// Takes `&mut self`: peeking may advance the cursor and cascade slots,
     /// which is semantically transparent but mutates the structure.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             self.ensure_ready();
             let due = *self.ready.get(self.ready_pos)?;

@@ -15,8 +15,10 @@
 #   catches one that no other crate's program calls: it lists the `pub fn`
 #   names that no non-test code names anywhere.
 #
-# "Non-test part" is a file's lines before its first column-0 `#[cfg(test)]`;
-# comment lines are not callers. The callers searched are the non-test parts
+# "Non-test part" is what `scripts/nontest.awk` prints: a file's lines
+# before the column-0 `#[cfg(test)]` that opens its inline test module (a
+# `#[cfg(test)]` on a `use` or a `mod NAME;` cuts nothing); comment lines
+# are not callers. The callers searched are the non-test parts
 # of `crates/*/src`, `src/`, `examples/`, `crates/*/benches` and
 # `benchmark/src`, with every `fn NAME` declaration token removed first. The
 # check is by name, so a function that shares its name with one that is
@@ -35,9 +37,7 @@ CEILING=9
 
 # The non-test, non-comment lines of the given files.
 nontest() {
-    for f in "$@"; do
-        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
-    done | grep -v '^[[:space:]]*//'
+    awk -f scripts/nontest.awk "$@" | grep -v '^[[:space:]]*//'
 }
 
 declared=$(nontest $(find crates/*/src -name '*.rs' | sort) \

@@ -59,8 +59,11 @@ matches 'assert!\(\s*std::mem::size_of::<Event>\(\)\s*<=\s*16\b' crates/core/src
 # Forbids a `[features]` table in any manifest: one build configuration (PR 23).
 ! grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml || fail "a manifest declares a feature"
 
-# Forbids feature forks and wall-clock reads in the engine's crates (PR 23).
-! grep -rn 'cfg(feature\|cfg!(feature\|Instant' crates/{simnet,core,server,tcpstack}/src || fail "feature fork or wall clock in the engine"
+# Forbids feature forks and wall-clock reads in the engine's crates: one build
+# configuration, and virtual time only. A fork is `feature` anywhere inside a
+# `cfg(`, `cfg!(` or `cfg_attr(`, nested or split over lines, such as
+# `cfg(all(test, feature = "x"))`.
+! { matches '\bcfg(_attr)?!?(\((?:[^()]++|(?2))*\))' -r crates/{simnet,core,server,tcpstack}/src | grep -w feature; grep -rn 'Instant' crates/{simnet,core,server,tcpstack}/src; } | grep . || fail "feature fork or wall clock in the engine"
 
 # Forbids a JSON tree builder in the checkpoint module: checkpoints stream (PR 19).
 ! grep -nE 'json!|Value::Object' crates/core/src/checkpoint.rs || fail "checkpoint module builds a JSON tree"
@@ -95,8 +98,10 @@ matches 'assert!\(\s*std::mem::size_of::<Event>\(\)\s*<=\s*16\b' crates/core/src
 # Forbids silencing the compiler's dead-code audit in library code: with
 # every crate-internal function checked by clippy's non-test build, one that
 # only tests call must fail the lint, not be allowed (CHANGES.md, "Let the
-# compiler audit the API").
-! for f in $(find crates/*/src -name '*.rs' | sort); do awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"; done | grep -E '(allow|expect)\((dead_code|unused)' || fail "dead-code lint silenced in library code"
+# compiler audit the API"). Library code is each file's non-test part
+# (`scripts/nontest.awk`); `dead_code` or `unused` may stand anywhere in the
+# `allow(`/`expect(` list.
+! awk -v where=1 -f scripts/nontest.awk $(find crates/*/src -name '*.rs' | sort) | matches '(?m)^[^\n]*\b(allow|expect)\([^)]*\b(dead_code|unused)' || fail "dead-code lint silenced in library code"
 
 # Forbids byte-vector values in the app endpoint's reassembly map: an
 # out-of-order segment is kept as its length, not a copy of its payload

@@ -93,14 +93,20 @@ fn wheel_work_per_flow_stays_under_its_bound() {
 }
 
 /// The live-sized tables' peaks, against the most flows open at once.
-const GAUGES: [Counter; 3] =
-    [Counter::ConnsPeakRecords, Counter::SocketsPeakHeld, Counter::TapPeakExchanges];
+const GAUGES: [Counter; 4] = [
+    Counter::ConnsPeakRecords,
+    Counter::SocketsPeakHeld,
+    Counter::TapPeakExchanges,
+    Counter::WheelPeakCells,
+];
 
 /// How far a gauge may exceed the most flows open at once: a record stays
 /// a little past its flow's finish, until the app's last packets and the
 /// relay's tail are done with it. A 300-user day holds 704 records, socket
 /// entries and tap exchanges at its peak, with 704 of its 2,288 flows open;
-/// before finished flows left, all three grew to the 2,288 flows run.
+/// before finished flows left, all three grew to the 2,288 flows run. Its
+/// wheel holds 263 events at its peak; while every flow's start waited on
+/// the wheel from the first event on, it held 2,288.
 const GAUGE_PER_OPEN_FLOW: u64 = 2;
 
 /// The most flows open at once. A flow is open from its start until it
@@ -123,8 +129,8 @@ fn peak_open(flows: &[FlowOutcome]) -> u64 {
 #[test]
 fn live_tables_follow_the_flows_open_at_once_not_the_flows_run() {
     // A diurnal day spreads its flows over 24 simulated hours, so few are
-    // open at once: the records, socket entries and tap exchanges held must
-    // follow those, not the day's total.
+    // open at once: the records, socket entries, tap exchanges and pending
+    // events held must follow those, not the day's total.
     let day = Scenario::diurnal(300, 2017);
     let flows = day.generate();
     let mut engine = MopEyeEngine::new(MopEyeConfig::mopeye(), day.network().build());
@@ -174,7 +180,7 @@ fn tunnel_packet_buffers_cost_their_packets_not_a_full_mtu() {
 }
 
 /// Four-tuple lookups a run may make per flow beyond one per tunnel packet
-/// the apps write: the `FlowStart`'s intern, the removal of the record, and
+/// the apps write: the flow start's intern, the removal of the record, and
 /// the start bookkeeping of a tuple that several flows open.
 const TUPLE_PROBES_PER_FLOW: u64 = 4;
 

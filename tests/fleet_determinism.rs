@@ -366,7 +366,7 @@ fn shared_tuple_flows() -> Vec<FlowSpec> {
 
 #[test]
 fn specs_sharing_a_four_tuple_keep_their_pinned_digest() {
-    // The second `FlowStart` on a tuple replaces the app endpoint and the
+    // The second start on a tuple replaces the app endpoint and the
     // outcome record but continues the flow's RNG stream, writer lane and
     // external socket; the single connection record must reproduce what the
     // per-table maps did, bit for bit, at any shard count.
